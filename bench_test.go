@@ -20,6 +20,7 @@ import (
 
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
+	"dpflow/internal/exec"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/fw"
 	"dpflow/internal/ge"
@@ -219,52 +220,36 @@ func BenchmarkGE1KNativeCnC(b *testing.B) {
 	b.ReportMetric(float64(steals)/float64(b.N), "steals/run")
 }
 
-// BenchmarkCnCStealPolicy compares random and sequential victim selection
-// in the CnC graph runtime (the knob BenchmarkAblationStealPolicy sweeps
-// for the fork-join pool).
-func BenchmarkCnCStealPolicy(b *testing.B) {
+// BenchmarkStealPolicy compares random and sequential victim selection in
+// both runtimes on one GE instance: the shared scheduling core's one policy
+// knob, measured per {runtime × policy} cell.
+func BenchmarkStealPolicy(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	orig := matrix.NewSquare(256)
 	orig.FillDiagonallyDominant(rng)
-	for _, pol := range []cnc.StealPolicy{cnc.StealRandom, cnc.StealSequential} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				x := orig.Clone()
-				b.StartTimer()
-				_, err := ge.RunCnCContext(context.Background(), x, 32, 4, core.NativeCnC,
-					func(g *cnc.Graph) { g.SetStealPolicy(pol) })
-				if err != nil {
-					b.Fatal(err)
+	for _, rt := range []string{"cnc", "forkjoin"} {
+		for _, pol := range []exec.StealPolicy{exec.StealRandom, exec.StealSequential} {
+			b.Run(rt+"/"+pol.String(), func(b *testing.B) {
+				run := func(x *matrix.Dense) error {
+					_, err := ge.RunCnCContext(context.Background(), x, 32, 4, core.NativeCnC,
+						func(g *cnc.Graph) { g.SetStealPolicy(pol) })
+					return err
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStealPolicy compares random and sequential victim
-// selection in the fork-join pool.
-func BenchmarkAblationStealPolicy(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	orig := matrix.NewSquare(256)
-	orig.FillDiagonallyDominant(rng)
-	for _, pol := range []forkjoin.StealPolicy{forkjoin.StealRandom, forkjoin.StealSequential} {
-		name := "random"
-		if pol == forkjoin.StealSequential {
-			name = "sequential"
+				if rt == "forkjoin" {
+					pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Policy: pol})
+					defer pool.Close()
+					run = func(x *matrix.Dense) error { return ge.ForkJoin(x, 32, pool) }
+				}
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					x := orig.Clone()
+					b.StartTimer()
+					if err := run(x); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Policy: pol})
-			defer pool.Close()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				x := orig.Clone()
-				b.StartTimer()
-				if err := ge.ForkJoin(x, 32, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

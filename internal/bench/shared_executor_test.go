@@ -117,8 +117,8 @@ func TestSharedExecutorDeterminismAudit(t *testing.T) {
 				return err
 			}
 			diffs, err := chaos.DeterminismAudit(context.Background(), run,
-				chaos.Schedule{Workers: 2, Steal: cnc.StealRandom},
-				chaos.Schedule{Workers: 3, Steal: cnc.StealSequential})
+				chaos.Schedule{Workers: 2, Steal: exec.StealRandom},
+				chaos.Schedule{Workers: 3, Steal: exec.StealSequential})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"dpflow/internal/cnc"
 	"dpflow/internal/determinacy"
+	"dpflow/internal/exec"
 )
 
 // Schedule is one execution schedule for a determinism audit: the worker
@@ -15,7 +16,7 @@ import (
 // program.
 type Schedule struct {
 	Workers int
-	Steal   cnc.StealPolicy
+	Steal   exec.StealPolicy
 }
 
 // AuditRun is a schedule-parameterised workload for DeterminismAudit. It

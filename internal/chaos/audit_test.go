@@ -9,6 +9,7 @@ import (
 	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
+	"dpflow/internal/exec"
 )
 
 // TestDeterminismAuditBenchmarks replays every registered benchmark's CnC
@@ -34,8 +35,8 @@ func TestDeterminismAuditBenchmarks(t *testing.T) {
 				return in.Verify()
 			}
 			diff, err := chaos.DeterminismAudit(context.Background(), run,
-				chaos.Schedule{Workers: 2, Steal: cnc.StealSequential},
-				chaos.Schedule{Workers: chaosWorkers, Steal: cnc.StealRandom})
+				chaos.Schedule{Workers: 2, Steal: exec.StealSequential},
+				chaos.Schedule{Workers: chaosWorkers, Steal: exec.StealRandom})
 			if err != nil {
 				t.Fatalf("audit failed: %v", err)
 			}
@@ -64,8 +65,8 @@ func TestDeterminismAuditCatchesScheduleDependence(t *testing.T) {
 		return g.RunContext(ctx, func() { tags.Put(0) })
 	}
 	diff, err := chaos.DeterminismAudit(context.Background(), run,
-		chaos.Schedule{Workers: 1, Steal: cnc.StealSequential},
-		chaos.Schedule{Workers: 4, Steal: cnc.StealRandom})
+		chaos.Schedule{Workers: 1, Steal: exec.StealSequential},
+		chaos.Schedule{Workers: 4, Steal: exec.StealRandom})
 	if err != nil {
 		t.Fatalf("audit failed: %v", err)
 	}
@@ -88,8 +89,8 @@ func TestDeterminismAuditSurfacesViolation(t *testing.T) {
 		})
 	}
 	_, err := chaos.DeterminismAudit(context.Background(), run,
-		chaos.Schedule{Workers: 1, Steal: cnc.StealSequential},
-		chaos.Schedule{Workers: 2, Steal: cnc.StealRandom})
+		chaos.Schedule{Workers: 1, Steal: exec.StealSequential},
+		chaos.Schedule{Workers: 2, Steal: exec.StealRandom})
 	if err == nil || !strings.Contains(err.Error(), "write-once violation") {
 		t.Fatalf("err = %v, want write-once violation surfaced", err)
 	}

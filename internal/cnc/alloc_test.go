@@ -1,3 +1,5 @@
+//go:build !race
+
 package cnc
 
 import (
@@ -11,7 +13,9 @@ import (
 // state. Tags are ints and dependency keys are small ints (< 256), whose
 // interface conversions use the runtime's static boxes — the same shapes the
 // real drivers use pointers and pooled envelopes for. Every gate warms the
-// pools first; only the warm cycle is measured.
+// pools first; only the warm cycle is measured. The file is excluded from
+// -race builds, where sync.Pool deliberately drops a fraction of Puts and no
+// pooled path can hold a zero-allocation bound.
 
 // TestInlineDispatchSteadyStateAllocs gates the tuned prescheduled path:
 // a put whose declared dependency is already present runs the step inline
@@ -85,8 +89,9 @@ func TestQueueDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBurstDispatchSteadyStateAllocs gates the batched path: a burst of
-// puts appended through PutInto, flushed as one pushBatch plus one
-// wakeBatch pass, with the burst buffer itself recycled through the pool.
+// puts appended through PutInto, flushed as one exec.Lanes.PushBatch (one
+// lock and one notify per touched lane), with the burst buffer itself
+// recycled through the pool.
 func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 	const burst = 8
 	g := NewGraph("alloc-burst", 1)

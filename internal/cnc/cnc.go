@@ -33,6 +33,20 @@
 // quiesces with parked instances, Run returns a DeadlockError listing every
 // blocked step and the item it is waiting for.
 //
+// # Dispatch
+//
+// Step instances are queued in the shared work-stealing core (exec.Lanes:
+// one lane per logical worker, leased from an exec.Executor for the
+// duration of a run); this package only chooses the policy. General work is
+// placed round-robin and taken oldest-first by owner and thieves alike: the
+// non-blocking schedule makes progress by re-putting its own tag behind the
+// producers it polls for, which needs queue fairness (exec.OwnerFIFO).
+// ComputeOn work goes to its worker's pinned FIFO and is never stolen,
+// preserving the per-worker put order. A step never holds a worker while it
+// waits — a failed Get aborts it and the item's Put requeues it — and puts
+// with a known census are batched (Burst, PutRange) into one lock and at
+// most one wakeup per touched lane.
+//
 // # Fault tolerance and cancellation
 //
 // Step bodies run under panic containment: a panicking step fails its own
@@ -100,10 +114,10 @@ type Stats struct {
 	PinnedRuns    uint64 // instances placed by a ComputeOn tuner
 	Retries       uint64 // failed attempts re-executed under a retry budget
 
-	// Dispatch-layer counters (see queue.go). The seed runtime broadcast to
-	// every worker on every push — an implied workers×puts wake bill; the
-	// work-stealing queue wakes at most one worker per push, so Wakeups is
-	// bounded by the number of dispatches.
+	// Dispatch-layer counters (exec.Lanes.Counters). The seed runtime
+	// broadcast to every worker on every push — an implied workers×puts wake
+	// bill; the work-stealing lanes wake at most one worker per push, so
+	// Wakeups is bounded by the number of dispatches.
 	Steals       uint64 // work units taken from another worker's lane
 	FailedProbes uint64 // steal probes that found an empty victim lane
 	Wakeups      uint64 // targeted wake signals sent to parked workers
@@ -174,7 +188,9 @@ type Graph struct {
 	// graph leases logical workers from; nil means exec.Default().
 	executor *exec.Executor
 
-	queue     workQueue
+	// lanes is the run's work pool in the shared scheduling core, built
+	// with the data-flow policy (see "Dispatch" in the package comment).
+	lanes     *exec.Lanes
 	running   atomic.Bool
 	finished  atomic.Bool
 	cancelled atomic.Bool
@@ -252,15 +268,18 @@ func NewGraph(name string, workers int) *Graph {
 	g := &Graph{name: name, workers: workers}
 	g.acct.init(g)
 	g.quiesceCond = sync.NewCond(&g.quiesceMu)
-	// Deterministic steal seed: runs are reproducible for a given graph
-	// shape, and CnC determinism holds under any victim order anyway.
-	g.queue.init(workers, StealRandom, 1)
+	g.SetStealPolicy(exec.StealRandom)
 	return g
 }
 
 // SetStealPolicy selects the victim order idle workers use when stealing
-// (StealRandom by default). Write-before-Run configuration, like SetHooks.
-func (g *Graph) SetStealPolicy(p StealPolicy) { g.queue.policy = p }
+// (exec.StealRandom by default) by rebuilding the still-empty lanes.
+// Write-before-Run configuration, like SetHooks.
+func (g *Graph) SetStealPolicy(p exec.StealPolicy) {
+	// Deterministic steal seed: runs are reproducible for a given graph
+	// shape, and CnC determinism holds under any victim order anyway.
+	g.lanes = exec.NewLanes(g.workers, exec.OwnerFIFO, p, 1)
+}
 
 // WithExecutor selects the shared executor the run leases its logical
 // workers from; nil (the default) means the process-wide exec.Default().
@@ -304,6 +323,7 @@ func (g *Graph) Workers() int { return g.workers }
 // the dpserve /metrics endpoint scrapes live jobs.
 func (g *Graph) Stats() Stats {
 	mem := g.acct.snapshot()
+	steals, failedProbes, wakeups := g.lanes.Counters()
 	return Stats{
 		LiveItems:          mem.liveItems,
 		PeakLiveItems:      mem.peakItems,
@@ -324,9 +344,9 @@ func (g *Graph) Stats() Stats {
 		PinnedRuns:    g.stats.pinned.Load(),
 		Retries:       g.stats.retries.Load(),
 
-		Steals:       g.queue.steals.Load(),
-		FailedProbes: g.queue.failedProbes.Load(),
-		Wakeups:      g.queue.wakeups.Load(),
+		Steals:       steals,
+		FailedProbes: failedProbes,
+		Wakeups:      wakeups,
 
 		BackendPuts: g.stats.backendPuts.Load(),
 		BackendGets: g.stats.backendGets.Load(),
@@ -361,16 +381,13 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 		return ErrConcurrentRun
 	}
 
-	// Lease the graph's logical workers from the shared executor. The lease
-	// must be installed before the environment's first put — every push
-	// reports through q.lease.Notify — and is left in place after Close
-	// (Notify on a closed lease is a no-op).
+	// Lease the graph's logical workers from the shared executor, before the
+	// environment's first put: every push notifies through the lanes' lease.
 	ex := g.executor
 	if ex == nil {
 		ex = exec.Default()
 	}
-	lease := ex.Lease(g.name, g.workers, (*graphSource)(g))
-	g.queue.lease = lease
+	lease := g.lanes.Lease(ex, g.name)
 
 	// A context cancelled before the run starts must fail the run
 	// deterministically: the monitor goroutine races the executor draining
@@ -441,16 +458,6 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 	return g.err
 }
 
-// graphSource adapts a Graph to the executor's Source interface without
-// allocating (a named pointer type boxes for free). Cancellation is
-// checked per dispatched unit inside StepCollection.execute, which also
-// covers inline and pinned dispatch paths that never pass through here.
-type graphSource Graph
-
-func (s *graphSource) RunSlot(slot, budget int) int {
-	return (*Graph)(s).queue.runSlot(slot, budget)
-}
-
 func (g *Graph) fail(err error) {
 	g.failMu.Lock()
 	if g.err == nil {
@@ -459,23 +466,23 @@ func (g *Graph) fail(err error) {
 	g.failMu.Unlock()
 }
 
-// schedule enqueues a runnable step instance on the global queue.
-func (g *Graph) schedule(run runnable) {
+// schedule enqueues a runnable step instance on the stealable lanes.
+func (g *Graph) schedule(run exec.Unit) {
 	g.outstanding.Add(1)
-	g.queue.push(run)
+	g.lanes.Push(run)
 }
 
 // scheduleOn enqueues a runnable step instance pinned to one worker (the
 // compute_on placement). Out-of-range workers wrap around so tuners can
 // use plain tile arithmetic.
-func (g *Graph) scheduleOn(worker int, run runnable) {
+func (g *Graph) scheduleOn(worker int, run exec.Unit) {
 	g.outstanding.Add(1)
 	w := worker % g.workers
 	if w < 0 {
 		w += g.workers
 	}
 	g.stats.pinned.Add(1)
-	g.queue.pushLocal(w, run)
+	g.lanes.PushPinned(w, run)
 }
 
 // Burst accumulates tag puts so their dispatches hit the queue — and wake
@@ -499,7 +506,7 @@ func (g *Graph) scheduleOn(worker int, run runnable) {
 // batched form of the Put-before-wakeup write-through ordering).
 type Burst struct {
 	g   *Graph
-	rs  []runnable
+	rs  []exec.Unit
 	ops []PutOp
 }
 
@@ -530,7 +537,7 @@ func (bu *Burst) Flush() {
 		bu.ops = bu.ops[:0]
 	}
 	if len(bu.rs) > 0 {
-		g.queue.pushBatch(bu.rs)
+		g.lanes.PushBatch(bu.rs)
 	}
 	clear(bu.rs)
 	bu.rs = bu.rs[:0]
@@ -540,7 +547,7 @@ func (bu *Burst) Flush() {
 
 // add appends one dispatch to the burst, taking the outstanding-work hold
 // immediately.
-func (bu *Burst) add(g *Graph, run runnable) {
+func (bu *Burst) add(g *Graph, run exec.Unit) {
 	g.outstanding.Add(1)
 	bu.rs = append(bu.rs, run)
 }

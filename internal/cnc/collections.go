@@ -305,16 +305,17 @@ type Named interface{ CollectionName() string }
 func (sc *StepCollection[T]) CollectionName() string { return sc.meta.name }
 
 // stepTask is the pooled dispatch envelope: one queued execution attempt of
-// a step instance. Storing *stepTask in the queue's runnable interface is
-// allocation-free (the value is pointer-shaped), and run recycles the
+// a step instance. Storing *stepTask in the lanes' exec.Unit interface is
+// allocation-free (the value is pointer-shaped), and Run recycles the
 // envelope before executing, so the untuned dispatch path allocates nothing
-// in steady state.
+// in steady state. Cancellation is checked inside execute, which also
+// covers the inline dispatch paths that never pass through the lanes.
 type stepTask[T comparable] struct {
 	sc  *StepCollection[T]
 	tag T
 }
 
-func (t *stepTask[T]) run() {
+func (t *stepTask[T]) Run(int) {
 	sc, tag := t.sc, t.tag
 	t.sc = nil
 	var zero T

@@ -64,7 +64,7 @@ func (g *Graph) Describe() string {
 		fmt.Fprintf(&sb, "// memory limit: %d bytes (throttled puts deferred until frees land)\n", g.acct.limit)
 	}
 	fmt.Fprintf(&sb, "// scheduler: %d worker(s), work-stealing dispatch (%s victim order), %d-way striped item stores\n",
-		g.workers, g.queue.policy, itemShards)
+		g.workers, g.lanes.Policy(), itemShards)
 	return sb.String()
 }
 

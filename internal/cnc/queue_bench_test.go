@@ -77,19 +77,3 @@ func BenchmarkItemStoreParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkQueuePushTake measures the raw ring-buffer queue cycle with no
-// parked workers (the hot steady-state path; allocation-free, see
-// TestQueueSteadyStateAllocs).
-func BenchmarkQueuePushTake(b *testing.B) {
-	var q workQueue
-	q.init(1, StealRandom, 1)
-	f := funcTask(func() {})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.push(f)
-		if _, ok := q.take(0); !ok {
-			b.Fatal("queue lost the unit")
-		}
-	}
-}

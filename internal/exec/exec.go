@@ -1,24 +1,24 @@
-// Package exec is the process-wide shared executor: one pool of physical
-// worker goroutines, sized to GOMAXPROCS, that every runtime in the module
-// leases logical workers from. Before this seam existed each cnc.Graph and
-// forkjoin.Pool spawned its own goroutine pool, so N concurrent graphs ran
-// N×workers goroutines on GOMAXPROCS cores — oversubscription the paper's
-// schedulers never modelled, and a structure under which no cross-graph
-// admission control is possible. With the executor, worker *ownership*
-// lives here and the runtimes become reentrant clients:
+// Package exec is the process-wide scheduler: one pool of physical worker
+// goroutines, sized to GOMAXPROCS, that every runtime in the module leases
+// logical workers from, and the one work-stealing core (Lanes) those
+// runtimes queue their work in. N concurrent graphs and pools therefore
+// multiplex onto GOMAXPROCS goroutines instead of running N×workers of
+// them, and cross-graph admission control has one place to stand.
 //
 //   - a client leases `slots` logical workers (its configured concurrency
 //     cap) and hands the lease a Source — a non-blocking "run up to budget
-//     units of work on logical slot s" entry point;
+//     units of work on logical slot s" entry point. Both runtimes use Lanes
+//     as their Source: per-slot stealable queues and pinned FIFOs, one
+//     victim sweep, one budgeted drain loop (lanes.go). What they keep for
+//     themselves is policy — which end the owner takes from, how work is
+//     placed, whether a waiting task helps — and their envelope types;
 //   - physical workers multiplex across all active leases: they claim one
-//     logical slot at a time (so per-slot state — deques, pinned FIFOs,
-//     ComputeOn ordering — keeps its single-consumer discipline), run a
-//     bounded batch, release the slot and rotate to the next lease with
-//     work;
-//   - idleness is handled here, once: clients mark leases dirty on every
-//     push (Lease.Notify) and the executor's park/wake protocol — the same
-//     register-then-reprobe token design the cnc dispatch layer proved out
-//     in PR 4 — guarantees no lost wakeup without a thundering herd.
+//     logical slot at a time (so per-slot state — queues, pinned FIFOs,
+//     victim RNG — keeps its single-consumer discipline), run a bounded
+//     batch, release the slot and rotate to the next lease with work;
+//   - idleness is handled here, once: Lanes marks the lease dirty after
+//     every push (Lease.Notify) and the executor's register-then-reprobe
+//     park protocol guarantees no lost wakeup without a thundering herd.
 //
 // Total goroutines are therefore bounded by the executor size plus O(1)
 // per in-flight run (context monitors, callers blocked in Run), never by
@@ -88,8 +88,8 @@ type Stats struct {
 type Executor struct {
 	workers int
 
-	leases atomic.Pointer[[]*Lease] // copy-on-write snapshot for lock-free sweeps
-	leaseMu sync.Mutex              // serialises snapshot rewrites
+	leases  atomic.Pointer[[]*Lease] // copy-on-write snapshot for lock-free sweeps
+	leaseMu sync.Mutex               // serialises snapshot rewrites
 
 	parkMu   sync.Mutex
 	parked   []int
@@ -192,7 +192,7 @@ func (e *Executor) Lease(name string, slots int, src Source) *Lease {
 		slots:     slots,
 		slotDirty: make([]atomic.Bool, slots),
 		slotBusy:  make([]atomic.Bool, slots),
-		idle:      make(chan struct{}, 1),
+		idle:      make(chan struct{}),
 	}
 	e.leaseMu.Lock()
 	old := *e.leases.Load()
@@ -228,9 +228,10 @@ type Lease struct {
 	slotDirty []atomic.Bool
 	slotBusy  []atomic.Bool
 
-	closed atomic.Bool
-	active atomic.Int64 // physical workers currently inside serve()
-	idle   chan struct{}
+	closed   atomic.Bool
+	active   atomic.Int64  // physical workers currently inside serve()
+	idle     chan struct{} // closed once the closed lease has drained
+	idleOnce sync.Once
 
 	claims atomic.Uint64
 	units  atomic.Uint64
@@ -267,17 +268,15 @@ func (l *Lease) Notify(slot int) bool {
 // Close deregisters the lease and blocks until every in-flight slot claim
 // has returned: after Close, the executor never calls the lease's Source
 // again. Work still queued inside the client is the client's to drain or
-// abandon. Close is idempotent.
+// abandon. Close is idempotent and safe to call concurrently: every caller
+// waits for the same drain.
 func (l *Lease) Close() {
-	if l.closed.Swap(true) {
-		// Another Close is (or was) waiting for the drain; wait too.
-		for l.active.Load() > 0 {
-			<-l.idle
-		}
-		return
+	if !l.closed.Swap(true) {
+		l.ex.removeLease(l)
 	}
-	l.ex.removeLease(l)
-	for l.active.Load() > 0 {
+	// No claim can start once closed is set (enter re-checks it), so the
+	// exit that takes active to zero closes idle and releases every waiter.
+	if l.active.Load() > 0 {
 		<-l.idle
 	}
 }
@@ -297,10 +296,7 @@ func (l *Lease) enter() bool {
 
 func (l *Lease) exit() {
 	if l.active.Add(-1) == 0 && l.closed.Load() {
-		select {
-		case l.idle <- struct{}{}:
-		default:
-		}
+		l.idleOnce.Do(func() { close(l.idle) })
 	}
 }
 
@@ -330,31 +326,16 @@ func (e *Executor) serve(l *Lease) int {
 		}
 		claimed = true
 		l.slotDirty[s].Store(false)
-		n := l.src.RunSlot(s, batchBudget)
-		l.slotBusy[s].Store(false)
-		if n > 0 {
-			total += n
-			if n >= batchBudget {
-				l.dirty.Store(true) // budget exhausted: likely more work
-			}
-		}
+		total += l.runClaimed(s)
 	}
 	if !claimed && total == 0 {
 		// No claimable dirty slot; try one free slot so stealable work with
 		// a busy hint slot is still served.
 		for s := 0; s < l.slots; s++ {
-			if !l.slotBusy[s].CompareAndSwap(false, true) {
-				continue
+			if l.slotBusy[s].CompareAndSwap(false, true) {
+				total = l.runClaimed(s)
+				break
 			}
-			n := l.src.RunSlot(s, batchBudget)
-			l.slotBusy[s].Store(false)
-			if n > 0 {
-				total = n
-				if n >= batchBudget {
-					l.dirty.Store(true)
-				}
-			}
-			break
 		}
 	}
 	if total > 0 {
@@ -364,6 +345,21 @@ func (e *Executor) serve(l *Lease) int {
 		l.units.Add(uint64(total))
 	}
 	return total
+}
+
+// runClaimed runs one batch on slot s, which the caller has marked busy, and
+// releases the slot.
+func (l *Lease) runClaimed(s int) int {
+	n := l.src.RunSlot(s, batchBudget)
+	l.slotBusy[s].Store(false)
+	if n >= batchBudget {
+		// Budget exhausted, so there is likely more work, and it may be pinned
+		// to this slot: keep the slot dirty, not only the lease, or nothing
+		// would claim s again until the next Notify(s).
+		l.slotDirty[s].Store(true)
+		l.dirty.Store(true)
+	}
+	return n
 }
 
 // sweep serves one lease with work, rotating the worker's cursor for

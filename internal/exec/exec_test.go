@@ -56,8 +56,8 @@ func (s *chanSource) RunSlot(slot, budget int) int {
 		if f == nil {
 			break
 		}
+		s.ran.Add(1) // before f: tests read ran as soon as the last f signals
 		f()
-		s.ran.Add(1)
 		n++
 	}
 	return n
@@ -143,6 +143,26 @@ func TestExecutorPinnedSlotServed(t *testing.T) {
 	}
 }
 
+// TestExecutorPinnedBeyondBudget queues more pinned work on one slot than a
+// single claim's batch budget, behind a single Notify: the claim that
+// exhausts its budget must leave the slot claimable, or the remainder is
+// stranded until a push that may never come.
+func TestExecutorPinnedBeyondBudget(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	src := newChanSource(2, false)
+	l := e.Lease("t", 2, src)
+	defer l.Close()
+	const total = 3*batchBudget + 1
+	var done sync.WaitGroup
+	done.Add(total)
+	for i := 0; i < total; i++ {
+		src.push(1, func() { done.Done() })
+	}
+	l.Notify(1)
+	waitDone(t, &done, 5*time.Second, "pinned work beyond the batch budget was stranded")
+}
+
 // TestExecutorMultiLeaseCompletion runs many leases concurrently and
 // verifies every one finishes, with goroutines bounded by the pool.
 func TestExecutorMultiLeaseCompletion(t *testing.T) {
@@ -202,6 +222,40 @@ func TestLeaseCloseDrains(t *testing.T) {
 		t.Fatalf("RunSlot called after Close: %d -> %d", ranAtClose, got)
 	}
 	l.Close() // idempotent
+}
+
+// TestLeaseCloseConcurrent calls Close from two goroutines while a slot
+// claim is still inside RunSlot: both callers must be released once the
+// claim drains (a single wake token used to release only one of them).
+func TestLeaseCloseConcurrent(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	inRunSlot := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	l := e.Lease("t", 1, funcSource(func(slot, budget int) int {
+		once.Do(func() {
+			close(inRunSlot)
+			<-release
+		})
+		return 0
+	}))
+	l.Notify(0)
+	<-inRunSlot
+
+	var closers sync.WaitGroup
+	closers.Add(2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			defer closers.Done()
+			l.Close()
+		}()
+	}
+	// Both closers must be waiting on the drain before the claim returns;
+	// Close has no observable "blocked" state, so give them time to get there.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	waitDone(t, &closers, 5*time.Second, "a concurrent Lease.Close never returned")
 }
 
 // TestExecutorCloseJoinsWorkers verifies Close wakes parked workers and

@@ -1,0 +1,446 @@
+package exec
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// funcUnit adapts a plain func() to Unit. Func values are pointer-shaped,
+// so the interface conversion itself does not allocate.
+type funcUnit func()
+
+func (f funcUnit) Run(int) { f() }
+
+// idUnit is a distinguishable Unit for the order tests.
+type idUnit int
+
+func (idUnit) Run(int) {}
+
+// funcSource adapts a function to Source.
+type funcSource func(slot, budget int) int
+
+func (f funcSource) RunSlot(slot, budget int) int { return f(slot, budget) }
+
+// ownerEnds is the table every lane-level test runs over: the core must keep
+// its guarantees under both runtimes' policies.
+var ownerEnds = []struct {
+	name  string
+	owner OwnerEnd
+}{{"ownerFIFO", OwnerFIFO}, {"ownerLIFO", OwnerLIFO}}
+
+func forOwnerEnds(t *testing.T, f func(t *testing.T, owner OwnerEnd)) {
+	for _, oe := range ownerEnds {
+		t.Run(oe.name, func(t *testing.T) { f(t, oe.owner) })
+	}
+}
+
+// drainRing pops everything through pop and returns the ids in pop order.
+func drainRing(r *ring, pop func(*ring) Unit) []int {
+	var got []int
+	for u := pop(r); u != nil; u = pop(r) {
+		got = append(got, int(u.(idUnit)))
+	}
+	return got
+}
+
+// TestRingGrowsWhileWrapped grows the ring with head ≠ 0 and the live
+// window straddling the end of the backing array: the copy must preserve
+// age order, from either end.
+func TestRingGrowsWhileWrapped(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		pop  func(*ring) Unit
+		want []int
+	}{
+		{"popFront", (*ring).popFront, []int{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}},
+		{"popBack", (*ring).popBack, []int{16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5}},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			var r ring
+			for i := 0; i < 8; i++ { // fill to capacity 8
+				r.pushBack(idUnit(i))
+			}
+			for i := 0; i < 5; i++ { // head = 5
+				r.popFront()
+			}
+			for i := 8; i < 17; i++ { // wraps at 11, grows at 13
+				r.pushBack(idUnit(i))
+			}
+			if r.n != 12 || len(r.buf) != 16 {
+				t.Fatalf("ring holds %d in capacity %d, want 12 in 16", r.n, len(r.buf))
+			}
+			if got := drainRing(&r, end.pop); !slices.Equal(got, end.want) {
+				t.Fatalf("drained %v, want %v", got, end.want)
+			}
+		})
+	}
+}
+
+// TestRingInterleavedEnds interleaves popBack and popFront on a wrapped
+// ring: each end must see exactly the newest / oldest live element.
+func TestRingInterleavedEnds(t *testing.T) {
+	var r ring
+	for i := 0; i < 8; i++ {
+		r.pushBack(idUnit(i))
+	}
+	for i := 0; i < 6; i++ {
+		r.popFront()
+	}
+	for i := 8; i < 12; i++ { // live: 6..11, wrapped (head = 6, cap 8)
+		r.pushBack(idUnit(i))
+	}
+	var got []int
+	for r.n > 0 {
+		got = append(got, int(r.popBack().(idUnit)))
+		if u := r.popFront(); u != nil {
+			got = append(got, int(u.(idUnit)))
+		}
+	}
+	if want := []int{11, 6, 10, 7, 9, 8}; !slices.Equal(got, want) {
+		t.Fatalf("interleaved pops = %v, want %v", got, want)
+	}
+	if r.popBack() != nil || r.popFront() != nil {
+		t.Fatal("empty ring returned an element")
+	}
+}
+
+// TestRingReusesBacking is the allocation-bound regression test for the
+// re-slicing leak the seed queues had (`q.items = q.items[1:]` kept dead
+// backing-array heads alive): steady-state push/pop through a warm ring
+// must not allocate, and drained slots must not retain their units.
+func TestRingReusesBacking(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		pop  func(*ring) Unit
+	}{{"popFront", (*ring).popFront}, {"popBack", (*ring).popBack}} {
+		t.Run(end.name, func(t *testing.T) {
+			var r ring
+			f := funcUnit(func() {})
+			for i := 0; i < 8; i++ { // warm up to capacity 8
+				r.pushBack(f)
+			}
+			for i := 0; i < 8; i++ {
+				end.pop(&r)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				for i := 0; i < 8; i++ {
+					r.pushBack(f)
+				}
+				for i := 0; i < 8; i++ {
+					if end.pop(&r) == nil {
+						t.Fatal("ring lost an element")
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state ring cycle allocates %v objects per run, want 0", allocs)
+			}
+			for i, u := range r.buf {
+				if u != nil {
+					t.Fatalf("drained ring retains a unit at slot %d", i)
+				}
+			}
+		})
+	}
+}
+
+// TestLanesOwnerAndThiefOrder pins down the policy difference: the owner
+// takes oldest-first under OwnerFIFO and newest-first under OwnerLIFO, and
+// a thief takes the oldest unit under both.
+func TestLanesOwnerAndThiefOrder(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		q := NewLanes(2, owner, StealSequential, 1)
+		for i := 1; i <= 4; i++ {
+			q.PushTo(0, idUnit(i))
+		}
+		stolen := q.Take(1)
+		var got []int
+		for u := q.Take(0); u != nil; u = q.Take(0) {
+			got = append(got, int(u.(idUnit)))
+		}
+		if stolen != idUnit(1) {
+			t.Fatalf("thief took %v, want the oldest unit 1", stolen)
+		}
+		want := []int{2, 3, 4}
+		if owner == OwnerLIFO {
+			want = []int{4, 3, 2}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("owner order = %v, want %v", got, want)
+		}
+	})
+}
+
+// TestLanesPinnedBeforeGeneralOrder checks the dispatch-order guarantee the
+// ComputeOn tuner relies on: a slot drains its pinned FIFO, in push order,
+// before touching any stealable work.
+func TestLanesPinnedBeforeGeneralOrder(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		q := NewLanes(1, owner, StealRandom, 1)
+		var order []int
+		rec := func(i int) Unit { return funcUnit(func() { order = append(order, i) }) }
+		q.PushPinned(0, rec(1))
+		q.Push(rec(99))
+		q.PushPinned(0, rec(2))
+		q.PushPinned(0, rec(3))
+		if n := q.RunSlot(0, 16); n != 4 {
+			t.Fatalf("RunSlot drained %d units, want 4", n)
+		}
+		if want := []int{1, 2, 3, 99}; !slices.Equal(order, want) {
+			t.Fatalf("execution order = %v, want %v", order, want)
+		}
+	})
+}
+
+// TestLanesPinnedNotStealable checks pinned work is invisible to every slot
+// but its owner.
+func TestLanesPinnedNotStealable(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		q := NewLanes(4, owner, StealRandom, 1)
+		q.PushPinned(2, funcUnit(func() {}))
+		for _, s := range []int{0, 1, 3} {
+			if q.Take(s) != nil {
+				t.Fatalf("slot %d took work pinned to slot 2", s)
+			}
+		}
+		if q.Take(2) == nil {
+			t.Fatal("owner did not find its pinned work")
+		}
+	})
+}
+
+// TestLanesStealCounters checks the steal path without an executor: slot 1
+// steals work pushed onto slot 0's lane, and the counters record it.
+func TestLanesStealCounters(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		q := NewLanes(2, owner, StealSequential, 1)
+		q.PushTo(0, funcUnit(func() {}))
+		if q.Take(1) == nil {
+			t.Fatal("slot 1 failed to steal from slot 0's lane")
+		}
+		if steals, _, _ := q.Counters(); steals != 1 {
+			t.Fatalf("steals = %d, want 1", steals)
+		}
+		if q.Take(1) != nil {
+			t.Fatal("second take returned phantom work")
+		}
+		if _, failed, _ := q.Counters(); failed == 0 {
+			t.Fatal("empty-victim probe was not counted in failedProbes")
+		}
+	})
+}
+
+// TestLanesPlacement checks round-robin placement: consecutive pushes land
+// on consecutive lanes, and a burst touches every lane before any lane gets
+// a second unit.
+func TestLanesPlacement(t *testing.T) {
+	for _, push := range []struct {
+		name string
+		five func(q *Lanes)
+	}{
+		{"Push", func(q *Lanes) {
+			for i := 0; i < 5; i++ {
+				q.Push(idUnit(i))
+			}
+		}},
+		{"PushBatch", func(q *Lanes) {
+			q.PushBatch([]Unit{idUnit(0), idUnit(1), idUnit(2), idUnit(3), idUnit(4)})
+		}},
+	} {
+		t.Run(push.name, func(t *testing.T) {
+			q := NewLanes(3, OwnerFIFO, StealRandom, 1)
+			push.five(q)
+			for i := range q.lanes {
+				if n := q.lanes[i].queue.n; n < 1 || n > 2 {
+					t.Fatalf("lane %d holds %d of 5 units, want 1 or 2", i, n)
+				}
+			}
+			if q.RunSlot(0, 16) != 5 {
+				t.Fatal("one slot did not drain all lanes")
+			}
+		})
+	}
+}
+
+// TestLanesQuiesceOneSlot checks the deterministic single-slot contract:
+// every pushed unit runs exactly once and a drained core reports no phantom
+// work.
+func TestLanesQuiesceOneSlot(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		q := NewLanes(1, owner, StealRandom, 1)
+		const n = 100
+		got := 0
+		for i := 0; i < n; i++ {
+			q.Push(funcUnit(func() { got++ }))
+		}
+		if ran := q.RunSlot(0, n); ran != n {
+			t.Fatalf("RunSlot drained %d units, want %d", ran, n)
+		}
+		if q.Take(0) != nil {
+			t.Fatal("Take on drained lanes returned work")
+		}
+		if got != n {
+			t.Fatalf("executed %d units, want %d", got, n)
+		}
+	})
+}
+
+// TestLanesVictimOrderSeeded checks the one-word victim RNG: the sweep
+// start is reproducible for a (seed, lane) pair, differs between lanes, and
+// reaches every victim.
+func TestLanesVictimOrderSeeded(t *testing.T) {
+	const n, draws = 8, 256
+	starts := func(seed int64, slot int) []int {
+		q := NewLanes(n, OwnerFIFO, StealRandom, seed)
+		out := make([]int, draws)
+		for i := range out {
+			out[i] = q.lanes[slot].victimStart(n)
+		}
+		return out
+	}
+	a, b := starts(7, 0), starts(7, 0)
+	if !slices.Equal(a, b) {
+		t.Fatal("same (seed, lane) produced different victim orders")
+	}
+	if slices.Equal(a, starts(7, 1)) || slices.Equal(a, starts(8, 0)) {
+		t.Fatal("victim order does not depend on the (seed, lane) pair")
+	}
+	seen := make(map[int]bool)
+	for _, s := range a {
+		seen[s] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("sweep starts covered %d of %d lanes in %d draws", len(seen), n, draws)
+	}
+}
+
+// TestLanesSteadyStateAllocs extends the ring bound through the core's API:
+// a warm push/take cycle with no parked workers allocates nothing, pinned
+// or stealable.
+func TestLanesSteadyStateAllocs(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		q := NewLanes(2, owner, StealRandom, 1)
+		f := funcUnit(func() {})
+		cycle := func() {
+			q.PushPinned(0, f)
+			q.PushTo(0, f)
+			if q.Take(0) == nil || q.Take(0) == nil {
+				t.Fatal("lanes lost a unit")
+			}
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Fatalf("steady-state push/take allocates %v objects per run, want 0", allocs)
+		}
+	})
+}
+
+// TestLanesLeaseNoLostWakeup ping-pongs a single unit through the full
+// push → Notify → executor-claim → RunSlot path with the consumer side
+// fully idle between units — the tightest race between a push and a
+// physical worker parking. A lost wakeup hangs the test.
+func TestLanesLeaseNoLostWakeup(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		e := New(1)
+		defer e.Close()
+		q := NewLanes(1, owner, StealRandom, 1)
+		defer q.Lease(e, "q").Close()
+		const rounds = 5000
+		ran := make(chan struct{}, 1)
+		for i := 0; i < rounds; i++ {
+			q.Push(funcUnit(func() { ran <- struct{}{} }))
+			select {
+			case <-ran:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: wakeup lost (the unit never ran)", i)
+			}
+		}
+	})
+}
+
+// TestLanesConcurrentStress hammers Push/PushPinned/PushBatch/steal through
+// a real executor lease from many pushers (run under -race in CI): every
+// unit must execute exactly once, pinned units on their designated slot
+// only. current[slot] counts claims inside RunSlot(slot).
+func TestLanesConcurrentStress(t *testing.T) {
+	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+		const workers = 4
+		const pushers = 4
+		const perPusher = 2000
+		e := New(workers)
+		defer e.Close()
+		q := NewLanes(workers, owner, StealRandom, 1)
+
+		var current [workers]atomic.Int32
+		var executed, pinnedWrong atomic.Int64
+		q.lease = e.Lease("stress", workers, funcSource(func(slot, budget int) int {
+			current[slot].Add(1)
+			n := q.RunSlot(slot, budget)
+			current[slot].Add(-1)
+			return n
+		}))
+		count := funcUnit(func() { executed.Add(1) })
+
+		var pwg sync.WaitGroup
+		pwg.Add(pushers)
+		for p := 0; p < pushers; p++ {
+			go func(p int) {
+				defer pwg.Done()
+				for i := 0; i < perPusher; i++ {
+					switch i % 4 {
+					case 0:
+						target := (p + i) % workers
+						q.PushPinned(target, funcUnit(func() {
+							if current[target].Load() == 0 {
+								pinnedWrong.Add(1)
+							}
+							executed.Add(1)
+						}))
+					case 1:
+						q.PushBatch([]Unit{count, count})
+						i++
+					default:
+						q.Push(count)
+					}
+				}
+			}(p)
+		}
+		pwg.Wait()
+
+		deadline := time.Now().Add(30 * time.Second)
+		for executed.Load() != pushers*perPusher {
+			if time.Now().After(deadline) {
+				t.Fatalf("executed %d of %d units (lost work or lost wakeup)", executed.Load(), pushers*perPusher)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		q.lease.Close()
+		if n := pinnedWrong.Load(); n != 0 {
+			t.Fatalf("%d pinned unit(s) observed their designated slot unclaimed", n)
+		}
+		if steals, _, wakeups := q.Counters(); steals+wakeups == 0 {
+			t.Fatal("stress run recorded neither steals nor wakeups — counters dead?")
+		}
+	})
+}
+
+// BenchmarkLanesPushTake measures the raw push/take cycle with no parked
+// workers (the hot steady-state path; allocation-free, see
+// TestLanesSteadyStateAllocs).
+func BenchmarkLanesPushTake(b *testing.B) {
+	for _, oe := range ownerEnds {
+		b.Run(oe.name, func(b *testing.B) {
+			q := NewLanes(1, oe.owner, StealRandom, 1)
+			f := funcUnit(func() {})
+			for b.Loop() {
+				q.Push(f)
+				if q.Take(0) == nil {
+					b.Fatal("lanes lost the unit")
+				}
+			}
+		})
+	}
+}

@@ -1,10 +1,11 @@
 // Package forkjoin implements the fork-join execution model the paper's
 // OpenMP benchmarks use: per-worker task deques with work stealing, plus
 // task groups whose Wait method is the analogue of "#pragma omp taskwait"
-// (and of cilk_sync). A Pool's workers are logical: execution is leased
-// from the process-wide shared executor (internal/exec), so any number of
-// pools — and any mix of pools and CnC graphs — multiplex onto GOMAXPROCS
-// physical workers without oversubscription.
+// (and of cilk_sync). A Pool's workers are logical: the deques are the
+// shared scheduling core's lanes (exec.Lanes) and execution is leased from
+// the process-wide shared executor, so any number of pools — and any mix of
+// pools and CnC graphs — multiplex onto GOMAXPROCS physical workers without
+// oversubscription.
 //
 // The structural property under study — joins acting as barriers over all
 // spawned children and thereby introducing artificial dependencies — is
@@ -12,12 +13,14 @@
 // on the group has finished, even when a continuation depends on just one of
 // them.
 //
-// Scheduling follows the classic child-stealing design: a worker pushes
-// spawned tasks to the bottom of its own deque and pops from the bottom
-// (LIFO, preserving locality), while thieves steal from the top (FIFO,
-// stealing the oldest and typically largest sub-computations). A worker
-// blocked in Wait helps by draining its own deque and stealing, so waiting
-// never idles a worker that could make progress.
+// The pool's scheduling policy is the classic child-stealing design
+// (exec.OwnerLIFO): a worker pushes spawned tasks onto its own lane and
+// takes the newest back (preserving locality), while thieves take the
+// oldest and typically largest sub-computations. A worker blocked in Wait
+// helps by taking from the same core — its own lane, then steals — so
+// waiting never idles a worker that could make progress. What this package
+// adds on top is the task envelope: groups, cancellation, panic capture and
+// race-detection bookkeeping.
 //
 // Because physical workers are shared, tasks must not block the worker
 // waiting on other tasks except through Wait (which helps): a sibling
@@ -30,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -62,12 +64,14 @@ func (e *ChildPanicError) Unwrap() error {
 	return nil
 }
 
-// runState is the cancellation state shared by every task of one
-// Run/RunContext invocation. Cancellation is cooperative: queued tasks of a
-// cancelled run are skipped (their group bookkeeping still retires), and
-// Wait unwinds the task tree with a runCancelled panic that RunContext
-// recovers at the root.
+// runState is shared by every task of one Run/RunContext invocation: the
+// pool it runs on (frames and contexts reach the pool through it, which
+// keeps both a word smaller) and its cancellation flag. Cancellation is
+// cooperative: queued tasks of a cancelled run are skipped (their group
+// bookkeeping still retires), and Wait unwinds the task tree with a
+// runCancelled panic that RunContext recovers at the root.
 type runState struct {
+	p         *Pool
 	cancelled atomic.Bool
 }
 
@@ -84,26 +88,14 @@ type runCancelled struct{}
 // extra pools cost lanes, not goroutines.
 var ErrConcurrentRun = errors.New("forkjoin: concurrent Run on the same Pool")
 
-// StealPolicy selects how an idle worker picks victims.
-type StealPolicy int
-
-const (
-	// StealRandom probes victims in (pseudo) random order; the default, as
-	// in Cilk-style runtimes.
-	StealRandom StealPolicy = iota
-	// StealSequential probes victims in round-robin order starting after
-	// the thief; kept as an ablation knob.
-	StealSequential
-)
-
 // Config controls pool construction.
 type Config struct {
 	// Workers is the number of logical workers (deques) the pool leases
 	// from the shared executor; 0 means GOMAXPROCS. This caps the pool's
 	// concurrency — physical worker goroutines belong to the executor.
 	Workers int
-	// Policy selects the steal order; the zero value is StealRandom.
-	Policy StealPolicy
+	// Policy selects the steal order; the zero value is exec.StealRandom.
+	Policy exec.StealPolicy
 	// Seed seeds the per-worker steal RNGs so runs are reproducible.
 	Seed int64
 	// Executor is the shared pool to lease from; nil means exec.Default().
@@ -119,15 +111,15 @@ type Stats struct {
 	Yields       uint64 // scheduler yields while out of work
 }
 
-// Pool is a fork-join task pool: per-logical-worker deques leasing
+// Pool is a fork-join task pool: per-logical-worker lanes leasing
 // execution from a shared exec.Executor. Create one with NewPool and
 // release it with Close. A Pool may execute any number of Run calls
 // sequentially; concurrent Run calls on the same Pool fail loudly with
 // ErrConcurrentRun (build one Pool per concurrent job — they multiplex on
 // the executor anyway).
 type Pool struct {
-	workers []*worker
-	policy  StealPolicy
+	workers int
+	lanes   *exec.Lanes
 	race    *determinacy.Detector
 
 	lease   *exec.Lease
@@ -143,38 +135,13 @@ type Pool struct {
 
 	spawned  atomic.Uint64
 	executed atomic.Uint64
-	steals   atomic.Uint64
-	failed   atomic.Uint64
 	yields   atomic.Uint64
 }
 
-// poolSource adapts a Pool to the executor's Source interface without
-// allocating: run up to budget frames on the given logical worker, own
-// deque first (LIFO bottom), then steals (FIFO top of a victim).
-type poolSource Pool
-
-func (s *poolSource) RunSlot(slot, budget int) int {
-	p := (*Pool)(s)
-	w := p.workers[slot]
-	n := 0
-	for n < budget {
-		fr := w.pop()
-		if fr == nil {
-			fr = w.steal()
-		}
-		if fr == nil {
-			break
-		}
-		w.execute(fr)
-		n++
-	}
-	return n
-}
-
-// frame is one pooled spawned task: the body (either a Task closure or the
-// allocation-free SpawnCall triple), the group it joins, and the run and
-// race-detection state it inherits. Frames live from Spawn to execute and
-// are recycled before the body runs.
+// frame is one pooled spawned task, the exec.Unit the lanes carry: the body
+// (either a Task closure or the allocation-free SpawnCall triple), the
+// group it joins, and the run and race-detection state it inherits. Frames
+// live from Spawn to Run and are recycled before the body runs.
 type frame struct {
 	f    Task
 	call func(*Ctx, any, [4]int)
@@ -195,78 +162,21 @@ func (p *Pool) newFrame() *frame {
 	return fr
 }
 
-// fring is a growable circular deque of frames: the owner pushes and pops
-// at the back (LIFO, preserving locality), thieves take from the front
-// (FIFO, the oldest and typically largest sub-computations). Unlike the
-// seed's `dq = dq[1:]` slice deque it reuses its backing array — steady
-// state allocates nothing and retains no dead heads.
-type fring struct {
-	buf  []*frame
-	head int // index of the oldest element
-	n    int
-}
-
-func (r *fring) pushBack(fr *frame) {
-	if r.n == len(r.buf) {
-		c := len(r.buf) * 2
-		if c == 0 {
-			c = 8
-		}
-		nb := make([]*frame, c)
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf, r.head = nb, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = fr
-	r.n++
-}
-
-func (r *fring) popBack() *frame {
-	if r.n == 0 {
-		return nil
-	}
-	r.n--
-	i := (r.head + r.n) % len(r.buf)
-	fr := r.buf[i]
-	r.buf[i] = nil
-	return fr
-}
-
-func (r *fring) popFront() *frame {
-	if r.n == 0 {
-		return nil
-	}
-	fr := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return fr
-}
-
-type worker struct {
-	pool *Pool
-	id   int
-	mu   sync.Mutex
-	dq   fring
-	rng  *rand.Rand
-}
-
 // Ctx is the execution context of a task: the worker it runs on and the
 // run it belongs to. A Ctx is only valid inside the task invocation that
 // received it.
 type Ctx struct {
-	w  *worker
-	rs *runState
-	fr *determinacy.Frame
+	slot int
+	rs   *runState
+	fr   *determinacy.Frame
 }
 
 // WorkerID returns the index of the worker executing the current task, in
 // [0, Workers).
-func (c *Ctx) WorkerID() int { return c.w.id }
+func (c *Ctx) WorkerID() int { return c.slot }
 
 // Pool returns the pool the current task runs on.
-func (c *Ctx) Pool() *Pool { return c.w.pool }
+func (c *Ctx) Pool() *Pool { return c.rs.p }
 
 // Race returns the current task's race-detection frame, or nil when the
 // pool runs without detection. Drivers declare their base-case cell
@@ -282,27 +192,19 @@ func NewPool(cfg Config) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{policy: cfg.Policy}
-	p.workers = make([]*worker, n)
-	for i := range p.workers {
-		p.workers[i] = &worker{
-			pool: p,
-			id:   i,
-			rng:  rand.New(rand.NewSource(cfg.Seed + int64(i)*7919 + 1)),
-		}
-	}
+	p := &Pool{workers: n, lanes: exec.NewLanes(n, exec.OwnerLIFO, cfg.Policy, cfg.Seed)}
 	ex := cfg.Executor
 	if ex == nil {
 		ex = exec.Default()
 	}
-	p.lease = ex.Lease("forkjoin", n, (*poolSource)(p))
+	p.lease = p.lanes.Lease(ex, "forkjoin")
 	return p
 }
 
 // Workers returns the pool's logical worker count (its concurrency cap and
-// deque fan-out), not a goroutine count — physical workers belong to the
+// lane fan-out), not a goroutine count — physical workers belong to the
 // shared executor.
-func (p *Pool) Workers() int { return len(p.workers) }
+func (p *Pool) Workers() int { return p.workers }
 
 // WithRaceDetection enables DePa-style determinacy-race detection: every
 // Spawn and Wait maintains fork/join timestamps, and tasks may declare
@@ -322,11 +224,12 @@ func (p *Pool) RaceDetector() *determinacy.Detector { return p.race }
 // call concurrently with a run — every counter is atomic — which is how
 // the dpserve /metrics endpoint scrapes live jobs.
 func (p *Pool) Stats() Stats {
+	steals, failedProbes, _ := p.lanes.Counters()
 	return Stats{
 		Spawned:      p.spawned.Load(),
 		Executed:     p.executed.Load(),
-		Steals:       p.steals.Load(),
-		FailedProbes: p.failed.Load(),
+		Steals:       steals,
+		FailedProbes: failedProbes,
 		Yields:       p.yields.Load(),
 	}
 }
@@ -369,7 +272,7 @@ func (p *Pool) RunContext(ctx context.Context, f Task) error {
 		return ErrConcurrentRun
 	}
 	defer p.running.Store(false)
-	rs := &runState{}
+	rs := &runState{p: p}
 	// Observe a pre-cancelled context synchronously: the monitor goroutine
 	// races the shared executor running the root otherwise.
 	if ctx.Err() != nil {
@@ -402,9 +305,7 @@ func (p *Pool) RunContext(ctx context.Context, f Task) error {
 	fr.f = root
 	fr.rs = rs
 	fr.fr = rootFr
-	w := p.workers[0]
-	w.push(fr)
-	p.lease.Notify(0)
+	p.lanes.PushTo(0, fr)
 	r := <-done
 	close(finished)
 	if _, unwound := r.(runCancelled); unwound || rs.cancelled.Load() {
@@ -442,12 +343,12 @@ type childPanic struct {
 	val any
 }
 
-// Spawn pushes f onto the current worker's deque as a child task of g.
+// Spawn pushes f onto the current worker's lane as a child task of g.
 // It is the analogue of "#pragma omp task". The Task closure is the only
 // allocation on this path (the spawn frame itself is pooled); spawn sites
 // hot enough to care use SpawnCall instead.
 func (c *Ctx) Spawn(g *Group, f Task) {
-	fr := c.w.pool.newFrame()
+	fr := c.rs.p.newFrame()
 	fr.f = f
 	c.spawn(g, fr)
 }
@@ -461,7 +362,7 @@ func (c *Ctx) Spawn(g *Group, f Task) {
 // SpawnCall spawn-execute cycle performs zero heap allocations in steady
 // state.
 func (c *Ctx) SpawnCall(g *Group, call func(*Ctx, any, [4]int), recv any, args [4]int) {
-	fr := c.w.pool.newFrame()
+	fr := c.rs.p.newFrame()
 	fr.call = call
 	fr.recv = recv
 	fr.args = args
@@ -472,7 +373,6 @@ func (c *Ctx) SpawnCall(g *Group, call func(*Ctx, any, [4]int), recv any, args [
 func (c *Ctx) spawn(g *Group, fr *frame) {
 	fr.seq = g.seq.Add(1)
 	g.pending.Add(1)
-	w := c.w
 	fr.g = g
 	fr.rs = c.rs
 	if c.fr != nil {
@@ -482,12 +382,12 @@ func (c *Ctx) spawn(g *Group, fr *frame) {
 		g.detMu.Unlock()
 		fr.fr = childFr
 	}
-	w.pool.spawned.Add(1)
-	w.push(fr)
+	p := c.rs.p
+	p.spawned.Add(1)
 	// The spawning worker's own slot is busy (we are inside its claim), but
-	// the dirty hint lets a parked physical worker claim a free sibling slot
-	// and steal the child. Notify is a cheap no-op when nobody is parked.
-	w.pool.lease.Notify(w.id)
+	// the push's dirty hint lets a parked physical worker claim a free
+	// sibling slot and steal the child.
+	p.lanes.PushTo(c.slot, fr)
 }
 
 // Wait blocks until every task spawned on g has completed — the analogue of
@@ -496,23 +396,19 @@ func (c *Ctx) spawn(g *Group, fr *frame) {
 // If any child panicked, Wait re-panics with a *ChildPanicError carrying
 // the panic value of the first panicking child in spawn order.
 func (c *Ctx) Wait(g *Group) {
-	w := c.w
+	p, slot := c.rs.p, c.slot
 	for g.pending.Load() > 0 {
-		if rs := c.rs; rs != nil && rs.cancelled.Load() {
+		if c.rs.cancelled.Load() {
 			panic(runCancelled{})
 		}
-		if t := w.pop(); t != nil {
-			w.execute(t)
+		if u := p.lanes.Take(slot); u != nil {
+			u.Run(slot)
 			continue
 		}
-		if t := w.steal(); t != nil {
-			w.execute(t)
-			continue
-		}
-		w.pool.yields.Add(1)
+		p.yields.Add(1)
 		runtime.Gosched()
 	}
-	if rs := c.rs; rs != nil && rs.cancelled.Load() {
+	if c.rs.cancelled.Load() {
 		panic(runCancelled{})
 	}
 	if c.fr != nil {
@@ -542,60 +438,11 @@ func (c *Ctx) Wait(g *Group) {
 	}
 }
 
-func (w *worker) push(fr *frame) {
-	w.mu.Lock()
-	w.dq.pushBack(fr)
-	w.mu.Unlock()
-}
-
-// pop removes the newest task (bottom of the deque): owner-side LIFO.
-func (w *worker) pop() *frame {
-	w.mu.Lock()
-	fr := w.dq.popBack()
-	w.mu.Unlock()
-	return fr
-}
-
-// stealFrom removes the oldest task (top of the deque): thief-side FIFO.
-func (w *worker) stealFrom() *frame {
-	w.mu.Lock()
-	fr := w.dq.popFront()
-	w.mu.Unlock()
-	return fr
-}
-
-// steal probes the other workers once each, in policy order, and returns a
-// stolen task or nil.
-func (w *worker) steal() *frame {
-	p := w.pool
-	n := len(p.workers)
-	if n == 1 {
-		return nil
-	}
-	start := 0
-	switch p.policy {
-	case StealRandom:
-		start = w.rng.Intn(n)
-	case StealSequential:
-		start = w.id + 1
-	}
-	for i := 0; i < n; i++ {
-		v := p.workers[(start+i)%n]
-		if v == w {
-			continue
-		}
-		if fr := v.stealFrom(); fr != nil {
-			p.steals.Add(1)
-			return fr
-		}
-		p.failed.Add(1)
-	}
-	return nil
-}
-
-func (w *worker) execute(fr *frame) {
-	w.runFrame(fr)
-	w.pool.executed.Add(1)
+// Run executes the frame on the logical worker that took it.
+func (fr *frame) Run(slot int) {
+	p := fr.rs.p
+	p.runFrame(slot, fr)
+	p.executed.Add(1)
 }
 
 // runFrame copies the frame's state out, recycles the frame, and runs the
@@ -603,8 +450,7 @@ func (w *worker) execute(fr *frame) {
 // retirement) that Spawn used to wrap in a per-spawn closure lives here
 // instead, so the only per-task heap traffic left is whatever the body's
 // own closure captured — and none at all through SpawnCall.
-func (w *worker) runFrame(fr *frame) {
-	p := w.pool
+func (p *Pool) runFrame(slot int, fr *frame) {
 	f, call, recv, args := fr.f, fr.call, fr.recv, fr.args
 	g, rs, childFr, seq := fr.g, fr.rs, fr.fr, fr.seq
 	*fr = frame{}
@@ -614,9 +460,9 @@ func (w *worker) runFrame(fr *frame) {
 	if c == nil {
 		c = &Ctx{}
 	}
-	c.w, c.rs, c.fr = w, rs, childFr
+	c.slot, c.rs, c.fr = slot, rs, childFr
 	defer func() {
-		c.w, c.rs, c.fr = nil, nil, nil
+		c.rs, c.fr = nil, nil
 		p.ctxPool.Put(c)
 		if g == nil {
 			// Root task: its own wrapper recovers and reports, and there is
@@ -632,7 +478,7 @@ func (w *worker) runFrame(fr *frame) {
 		}
 		g.pending.Add(-1)
 	}()
-	if g != nil && rs != nil && rs.cancelled.Load() {
+	if g != nil && rs.cancelled.Load() {
 		return // cancelled run: drain without executing
 	}
 	if call != nil {
@@ -641,4 +487,3 @@ func (w *worker) runFrame(fr *frame) {
 	}
 	f(c)
 }
-

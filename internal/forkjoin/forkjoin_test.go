@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dpflow/internal/exec"
 )
 
 func TestRunExecutesRoot(t *testing.T) {
@@ -183,13 +185,13 @@ func TestWorkerIDWithinRange(t *testing.T) {
 }
 
 func TestStealPolicies(t *testing.T) {
-	for _, pol := range []StealPolicy{StealRandom, StealSequential} {
+	for _, pol := range []exec.StealPolicy{exec.StealRandom, exec.StealSequential} {
 		p := NewPool(Config{Workers: 4, Policy: pol, Seed: 3})
 		var got int
 		p.Run(func(ctx *Ctx) { got = fib(ctx, 14) })
 		p.Close()
 		if got != 377 {
-			t.Fatalf("policy %d: fib(14) = %d, want 377", pol, got)
+			t.Fatalf("policy %v: fib(14) = %d, want 377", pol, got)
 		}
 	}
 }
