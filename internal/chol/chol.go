@@ -431,8 +431,9 @@ func RunCnCConfigured(ctx context.Context, a *matrix.Dense, base int, variant co
 	})
 	step.Consumes(out).Produces(out)
 
-	deps := func(t Tag) []cnc.Dep {
-		var ds []cnc.Dep
+	// Append form: the runtime hands in a pooled scratch buffer, so
+	// declaring an instance's dependencies allocates nothing.
+	deps := func(t Tag, ds []cnc.Dep) []cnc.Dep {
 		add := func(k Key) { ds = append(ds, out.Key(k)) }
 		switch t.Kind {
 		case KindPotrf:
@@ -457,9 +458,9 @@ func RunCnCConfigured(ctx context.Context, a *matrix.Dense, base int, variant co
 	}
 	switch variant {
 	case core.TunerCnC:
-		step.WithDeps(cnc.TunedPrescheduled, deps)
+		step.WithDepsAppend(cnc.TunedPrescheduled, deps)
 	case core.ManualCnC:
-		step.WithDeps(cnc.TunedTriggered, deps)
+		step.WithDepsAppend(cnc.TunedTriggered, deps)
 	}
 	tags.Prescribe(step)
 
@@ -479,7 +480,7 @@ func RunCnCConfigured(ctx context.Context, a *matrix.Dense, base int, variant co
 				return 1
 			}
 		}).WithSizeOf(func(Key) int { return tile })
-		step.WithGets(deps)
+		step.WithGetsAppend(deps)
 		// Every tag is a base task here (the environment expands the task
 		// space itself), so each admitted tag materialises one tile.
 		tags.WithTagBytes(func(Tag) int { return tile })

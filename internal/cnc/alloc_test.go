@@ -3,6 +3,7 @@
 package cnc
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -127,5 +128,57 @@ func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("steady-state burst flush cycle allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestAbortRequeueCycleAllocs gates the speculative miss path: tag put →
+// execution → failed Get → park on the pooled latch → item put → requeue →
+// re-execution → completion and release. Each cycle uses a fresh key, so it
+// pays for what a miss inherently creates — the item's cell (carved from a
+// slab, so a fraction of an allocation), the cell's one-entry wait list and
+// the Go runtime's own record of the recovered panic — and nothing else: no
+// label string, no closure, no signal object, no boxed key.
+func TestAbortRequeueCycleAllocs(t *testing.T) {
+	g := NewGraph("alloc-abort", 1)
+	in := NewItemCollection[int, int](g, "in")
+	in.WithGetCount(func(int) int { return 1 })
+	tags := NewTagCollection[int](g, "tags", false)
+	done := make(chan struct{}, 1)
+	step := NewStepCollection(g, "s", func(i int) error {
+		in.Get(i)
+		done <- struct{}{}
+		return nil
+	})
+	step.WithGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+	tags.Prescribe(step)
+
+	next := 1000 // past the runtime's static small-int boxes, should anything box a key
+	cycle := func() {
+		next++
+		tags.Put(next)
+		for g.parked.Load() != 1 { // the instance has aborted and parked
+			runtime.Gosched()
+		}
+		in.Put(next, 1)
+		<-done
+	}
+	var allocs float64
+	err := g.Run(func() {
+		for i := 0; i < 256; i++ { // warm the pools, the map and the first slabs
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(200, cycle)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Stats(); s.Aborts != s.Requeues || s.Aborts != s.StepsDone {
+		t.Fatalf("aborts/requeues/done = %d/%d/%d — the gate did not measure the abort cycle", s.Aborts, s.Requeues, s.StepsDone)
+	}
+	// Two whole allocations (wait list, panic record); the cell's slab and
+	// map-growth share is well under one and AllocsPerRun truncates it. One
+	// closure, label or boxed key per abort would make it three.
+	if allocs > 2 {
+		t.Errorf("abort→park→put→requeue→complete cycle allocates %v objects, want at most 2", allocs)
 	}
 }

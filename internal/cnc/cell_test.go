@@ -1,0 +1,384 @@
+package cnc
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dpflow/internal/determinacy"
+)
+
+// awaitParked blocks until the graph holds exactly `parked` waiting
+// instances and nothing else is queued or executing (the environment itself
+// is the one outstanding unit) — the quiet state between two puts of the
+// abort tests below. It must be called from the environment function.
+func awaitParked(t *testing.T, g *Graph, parked int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.outstanding.Load() != 1 || g.parked.Load() != parked {
+		if time.Now().After(deadline) {
+			t.Fatalf("graph never settled: outstanding %d, parked %d, want 1 and %d; blocked %v",
+				g.outstanding.Load(), g.parked.Load(), parked, g.Blocked())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// abortGraph builds one Native step reading in[1..k] in key order, with or
+// without its read set declared.
+func abortGraph(k int, declare bool) (*Graph, *ItemCollection[int, int], *TagCollection[int], *atomic.Int64) {
+	g := NewGraph("abort-once", 2)
+	in := NewItemCollection[int, int](g, "in")
+	tags := NewTagCollection[int](g, "t", false)
+	sum := new(atomic.Int64)
+	step := NewStepCollection(g, "s", func(int) error {
+		n := 0
+		for i := 1; i <= k; i++ {
+			n += in.Get(i)
+		}
+		sum.Store(int64(n))
+		return nil
+	})
+	if declare {
+		in.WithGetCount(func(int) int { return 1 })
+		step.WithGetsAppend(func(_ int, ds []Dep) []Dep {
+			for i := 1; i <= k; i++ {
+				ds = append(ds, in.Key(i))
+			}
+			return ds
+		})
+	}
+	tags.Prescribe(step)
+	return g, in, tags, sum
+}
+
+// TestAbortOnceWithDeclaredGets is the abort-once contract: the items of a
+// Native step with k declared gets arrive one at a time, in the order the
+// body reads them, each only once the instance is parked again — the
+// schedule on which parking on the one missed item aborts k times. With the
+// read set declared the instance executes exactly twice, lists every
+// still-missing item while parked, and releases its read set once.
+func TestAbortOnceWithDeclaredGets(t *testing.T) {
+	const k = 4
+	g, in, tags, sum := abortGraph(k, true)
+	var blocked [][]string
+	err := g.Run(func() {
+		tags.Put(0)
+		for i := 1; i <= k; i++ {
+			awaitParked(t, g, 1)
+			blocked = append(blocked, g.Blocked())
+			in.Put(i, i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Load() != k*(k+1)/2 {
+		t.Fatalf("sum = %d, the re-execution read wrong values", sum.Load())
+	}
+	s := g.Stats()
+	if s.Aborts != 1 || s.Requeues != 1 || s.StepsStarted != 2 || s.StepsDone != 1 {
+		t.Fatalf("aborts/requeues/started/done = %d/%d/%d/%d, want 1/1/2/1",
+			s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone)
+	}
+	if s.ItemsFreed != k || s.LiveItems != 0 || in.Len() != 0 || in.Puts() != k {
+		t.Fatalf("freed %d live %d Len %d Puts %d, want the read set released exactly once",
+			s.ItemsFreed, s.LiveItems, in.Len(), in.Puts())
+	}
+	want := []string{"s@0 <- in[1]", "s@0 <- in[2]", "s@0 <- in[3]", "s@0 <- in[4]"}
+	for i, got := range blocked {
+		if !reflect.DeepEqual(got, want[i:]) {
+			t.Errorf("Blocked() before put %d = %v, want %v", i+1, got, want[i:])
+		}
+	}
+}
+
+// TestAbortPerItemWithoutDeclaration pins the undeclared behaviour on the
+// same schedule: with no read set to wait for, the instance parks on the
+// item that missed and so re-aborts at each later one — and still completes.
+func TestAbortPerItemWithoutDeclaration(t *testing.T) {
+	const k = 4
+	g, in, tags, sum := abortGraph(k, false)
+	err := g.Run(func() {
+		tags.Put(0)
+		for i := 1; i <= k; i++ {
+			awaitParked(t, g, 1)
+			if got, want := g.Blocked(), []string{"s@0 <- " + in.Key(i).String()}; !reflect.DeepEqual(got, want) {
+				t.Errorf("Blocked() before put %d = %v, want %v", i, got, want)
+			}
+			in.Put(i, i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if s.Aborts != k || s.Requeues != k || s.StepsStarted != k+1 || s.StepsDone != 1 {
+		t.Fatalf("aborts/requeues/started/done = %d/%d/%d/%d, want %d/%d/%d/1",
+			s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone, k, k, k+1)
+	}
+	if sum.Load() != k*(k+1)/2 {
+		t.Fatalf("sum = %d", sum.Load())
+	}
+}
+
+// TestAbortParksOnUndeclaredMiss: a declaration that omits the item that
+// missed must not requeue the instance into a livelock — it also waits for
+// the missed item.
+func TestAbortParksOnUndeclaredMiss(t *testing.T) {
+	g := NewGraph("abort-undeclared", 2)
+	in := NewItemCollection[int, int](g, "in")
+	tags := NewTagCollection[int](g, "t", false)
+	step := NewStepCollection(g, "s", func(int) error {
+		in.Get(1)
+		in.Get(2)
+		return nil
+	})
+	step.WithGets(func(int) []Dep { return []Dep{in.Key(1)} }) // in[2] is read but not declared
+	tags.Prescribe(step)
+	err := g.Run(func() {
+		in.Put(1, 1)
+		tags.Put(0)
+		awaitParked(t, g, 1)
+		if got, want := g.Blocked(), []string{"s@0 <- in[2]"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("Blocked() = %v, want %v", got, want)
+		}
+		in.Put(2, 2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Stats(); s.Aborts != 1 || s.Requeues != 1 || s.StepsDone != 1 {
+		t.Fatalf("aborts/requeues/done = %d/%d/%d, want 1/1/1", s.Aborts, s.Requeues, s.StepsDone)
+	}
+}
+
+// TestDeadlockListsEveryMissingDependency: a parked multi-get instance whose
+// inputs never arrive is reported with one line per missing item.
+func TestDeadlockListsEveryMissingDependency(t *testing.T) {
+	g, in, tags, _ := abortGraph(3, true)
+	err := g.Run(func() {
+		tags.Put(7)
+		in.Put(2, 2)
+	})
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if want := []string{"s@7 <- in[1]", "s@7 <- in[3]"}; !reflect.DeepEqual(dl.Blocked, want) {
+		t.Fatalf("Blocked = %v, want %v", dl.Blocked, want)
+	}
+}
+
+// TestItemArrivingBeforeSubscribeIsNotLost closes the window between the
+// failed Get and the subscribe deterministically: the read-set callback runs
+// exactly there, so it puts the missing item itself. The subscribe must see
+// the item present and requeue at once instead of parking forever.
+func TestItemArrivingBeforeSubscribeIsNotLost(t *testing.T) {
+	g := NewGraph("abort-window", 1)
+	in := NewItemCollection[int, int](g, "in")
+	tags := NewTagCollection[int](g, "t", false)
+	var executions, armed atomic.Int64
+	step := NewStepCollection(g, "s", func(int) error {
+		if executions.Add(1) == 1 {
+			armed.Store(1) // the next read-set evaluation is the abort's
+		}
+		in.Get(1)
+		return nil
+	})
+	step.WithGetsAppend(func(_ int, ds []Dep) []Dep {
+		if armed.CompareAndSwap(1, 0) {
+			in.Put(1, 1)
+		}
+		return append(ds, in.Key(1))
+	})
+	tags.Prescribe(step)
+	if err := g.Run(func() { tags.Put(0) }); err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Stats(); s.Aborts != 1 || s.Requeues != 1 || s.StepsStarted != 2 || s.StepsDone != 1 {
+		t.Fatalf("aborts/requeues/started/done = %d/%d/%d/%d, want 1/1/2/1",
+			s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone)
+	}
+}
+
+// TestAbortRequeueStress races aborting consumers against the producers of
+// their inputs on several workers (run it under -race): every consumer must
+// complete, abort at most once, and be requeued exactly as often as it
+// aborted, with nothing left parked and every item freed.
+func TestAbortRequeueStress(t *testing.T) {
+	const (
+		n     = 2000
+		reads = 3
+	)
+	g := NewGraph("abort-stress", 4)
+	in := NewItemCollection[int, int](g, "in")
+	in.WithGetCount(func(k int) int { return min(k+1, reads, n+reads-1-k) })
+	consume := NewTagCollection[int](g, "consume", false)
+	produce := NewTagCollection[int](g, "produce", false)
+	var sum atomic.Int64
+	cons := NewStepCollection(g, "c", func(i int) error {
+		s := 0
+		for j := 0; j < reads; j++ {
+			s += in.Get(i + j)
+		}
+		sum.Add(int64(s))
+		return nil
+	})
+	cons.WithGetsAppend(func(i int, ds []Dep) []Dep {
+		for j := 0; j < reads; j++ {
+			ds = append(ds, in.Key(i+j))
+		}
+		return ds
+	})
+	prod := NewStepCollection(g, "p", func(i int) error {
+		in.Put(i, 1)
+		return nil
+	})
+	consume.Prescribe(cons)
+	produce.Prescribe(prod)
+	err := g.Run(func() {
+		for i := 0; i < n; i++ {
+			consume.Put(i)
+			produce.Put(i)
+		}
+		for i := n; i < n+reads-1; i++ {
+			produce.Put(i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if sum.Load() != n*reads || s.StepsDone != 2*n+reads-1 {
+		t.Fatalf("sum %d done %d, want %d and %d", sum.Load(), s.StepsDone, n*reads, 2*n+reads-1)
+	}
+	if s.Aborts > n || s.Aborts != s.Requeues {
+		t.Fatalf("aborts %d requeues %d, want equal and at most one per consumer (%d)", s.Aborts, s.Requeues, n)
+	}
+	if s.LiveItems != 0 || in.Len() != 0 || len(g.Blocked()) != 0 {
+		t.Fatalf("live %d Len %d blocked %v, want all freed and nothing parked", s.LiveItems, in.Len(), g.Blocked())
+	}
+}
+
+// TestKeyBeforePut: naming an item creates its cell empty — invisible to
+// Len, TryGet and the statistics — and the later Put fills that same cell.
+func TestKeyBeforePut(t *testing.T) {
+	g := NewGraph("key-first", 1)
+	items := NewItemCollection[int, string](g, "tbl")
+	d := items.Key(5)
+	if d.String() != "tbl[5]" || d.c.has() || items.Len() != 0 {
+		t.Fatalf("Key before Put: %v has=%v Len=%d, want an empty cell", d, d.c.has(), items.Len())
+	}
+	err := g.Run(func() {
+		if v, ok := items.TryGet(5); ok {
+			t.Errorf("TryGet of an empty cell = %q, true", v)
+		}
+		items.Put(5, "five")
+		if v, ok := items.TryGet(5); !ok || v != "five" {
+			t.Errorf("TryGet after Put = %q, %v", v, ok)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.c.has() || items.Key(5) != d {
+		t.Fatal("Put did not fill the cell the earlier Key named")
+	}
+	if s := g.Stats(); items.Len() != 1 || items.Puts() != 1 || s.LiveItems != 1 || s.ItemsPut != 1 {
+		t.Fatalf("Len %d Puts %d LiveItems %d ItemsPut %d, want 1 each", items.Len(), items.Puts(), s.LiveItems, s.ItemsPut)
+	}
+}
+
+// TestFreedCellErrors touches a freed cell in every way the runtime allows
+// and pins the named error of each, with the discipline checker off and on
+// (on, the same errors additionally carry the checker's attribution).
+func TestFreedCellErrors(t *testing.T) {
+	type access struct {
+		name  string
+		build func(items *ItemCollection[string, int], step *StepCollection[string])
+		body  func(items *ItemCollection[string, int], tag string)
+		want  string // substring of the error
+		uaf   bool   // a *UseAfterFreeError is in the chain
+	}
+	key := func(items *ItemCollection[string, int]) func(string) []Dep {
+		return func(tag string) []Dep { return []Dep{items.Key(tag)} }
+	}
+	accesses := []access{
+		{name: "Get", want: "use-after-free", uaf: true,
+			body: func(items *ItemCollection[string, int], tag string) { items.Get(tag) }},
+		{name: "TryGet", want: "use-after-free", uaf: true,
+			body: func(items *ItemCollection[string, int], tag string) {
+				if _, ok := items.TryGet(tag); ok {
+					panic("TryGet reported a freed item present")
+				}
+			}},
+		{name: "re-Put", want: "single-assignment violation", uaf: true,
+			body: func(items *ItemCollection[string, int], tag string) { items.Put(tag, 2) }},
+		{name: "release", want: "over-release of item items[x]",
+			build: func(items *ItemCollection[string, int], step *StepCollection[string]) {
+				step.WithGets(key(items))
+			}},
+		{name: "tuned-subscribe", want: "use-after-free", uaf: true,
+			build: func(items *ItemCollection[string, int], step *StepCollection[string]) {
+				step.WithDeps(TunedTriggered, key(items))
+			}},
+	}
+	for _, checked := range []bool{false, true} {
+		for _, a := range accesses {
+			name := a.name
+			if checked {
+				name += "/checked"
+			}
+			t.Run(name, func(t *testing.T) {
+				g := NewGraph("freed-cell", 1)
+				if checked {
+					g.WithDisciplineCheck(determinacy.NewDisciplineChecker())
+				}
+				items := NewItemCollection[string, int](g, "items")
+				items.WithGetCount(func(string) int { return 0 }) // freed the moment it is put
+				tags := NewTagCollection[string](g, "tags", false)
+				step := NewStepCollection(g, "step", func(tag string) error {
+					if a.body != nil {
+						a.body(items, tag)
+					}
+					return nil
+				})
+				if a.build != nil {
+					a.build(items, step)
+				}
+				tags.Prescribe(step)
+				err := g.Run(func() {
+					items.Put("x", 1)
+					tags.Put("x")
+				})
+				if err == nil || !strings.Contains(err.Error(), a.want) {
+					t.Fatalf("err = %v, want %q", err, a.want)
+				}
+				var uaf *UseAfterFreeError
+				if errors.As(err, &uaf) != a.uaf {
+					t.Fatalf("err = %v, UseAfterFreeError in chain = %v, want %v", err, !a.uaf, a.uaf)
+				}
+				if a.uaf && (uaf.Collection != "items" || uaf.Key != "x") {
+					t.Fatalf("UseAfterFreeError = %+v, want items[x]", uaf)
+				}
+				// The checker, when installed, attributes the violation: a
+				// double put for the re-Put, a get-count overdraw otherwise.
+				attribution := "get-count overdraw on items[x]"
+				if a.name == "re-Put" {
+					attribution = "write-once violation on items[x]"
+				}
+				if strings.Contains(err.Error(), attribution) != checked {
+					t.Fatalf("err = %v, carries %q = %v, want %v", err, attribution, !checked, checked)
+				}
+				if s := g.Stats(); items.Len() != 0 || items.Puts() != 1 || s.LiveItems != 0 || s.ItemsFreed != 1 {
+					t.Fatalf("Len %d Puts %d LiveItems %d ItemsFreed %d, want 0/1/0/1",
+						items.Len(), items.Puts(), s.LiveItems, s.ItemsFreed)
+				}
+			})
+		}
+	}
+}

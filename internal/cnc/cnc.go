@@ -12,10 +12,17 @@
 //
 // Blocking Get follows the Intel semantics the paper describes: a step
 // instance executes speculatively, and when a Get finds its item missing the
-// instance is aborted and parked on a wait list associated with the failed
-// Get; a later Put of that item re-schedules every parked instance from
-// scratch. Steps must therefore be written gets-first (pure reads), then
-// compute, then puts — exactly the shape of the paper's Listing 5.
+// instance is aborted, parked, and later re-scheduled from scratch. Steps
+// must therefore be written gets-first (pure reads), then compute, then
+// puts — exactly the shape of the paper's Listing 5. Intel CnC parks on the
+// one item that missed, so an instance with k missing inputs aborts k times;
+// here an instance whose collection declared its read set (WithGets, which
+// get-count GC needs anyway) waits for every declared item still missing
+// and is re-executed once. Undeclared, it waits for the item that missed.
+//
+// An item is a write-once cell (empty → present → freed). Whatever waits
+// on, probes or releases an item holds the cell, not the key: only Put, Get,
+// TryGet and Key look anything up.
 //
 // Two tuners reproduce the paper's tuned variants (§III-D):
 //
@@ -43,9 +50,9 @@
 // producers it polls for, which needs queue fairness (exec.OwnerFIFO).
 // ComputeOn work goes to its worker's pinned FIFO and is never stolen,
 // preserving the per-worker put order. A step never holds a worker while it
-// waits — a failed Get aborts it and the item's Put requeues it — and puts
-// with a known census are batched (Burst, PutRange) into one lock and at
-// most one wakeup per touched lane.
+// waits — a failed Get aborts it and the Put of the last item it is waiting
+// for requeues it — and puts with a known census are batched (Burst,
+// PutRange) into one lock and at most one wakeup per touched lane.
 //
 // # Fault tolerance and cancellation
 //
@@ -107,8 +114,8 @@ type Stats struct {
 	ItemsPut      uint64 // items put across all item collections
 	StepsStarted  uint64 // step executions begun (including re-executions)
 	StepsDone     uint64 // step instances completed successfully
-	Aborts        uint64 // speculative executions aborted by a failed Get
-	Requeues      uint64 // parked instances re-scheduled by an item Put
+	Aborts        uint64 // speculative executions aborted by a failed Get (≤ 1 per instance with WithGets)
+	Requeues      uint64 // aborted instances re-scheduled once nothing they wait for is missing
 	InlineRuns    uint64 // instances run inline by the prescheduling tuner
 	TriggeredRuns uint64 // instances released by a dependency countdown
 	PinnedRuns    uint64 // instances placed by a ComputeOn tuner
@@ -144,7 +151,8 @@ type Stats struct {
 
 // DeadlockError reports a graph that quiesced with parked step instances.
 type DeadlockError struct {
-	// Blocked lists one entry per parked instance: "step@tag <- coll[key]".
+	// Blocked lists one "step@tag <- coll[key]" entry per parked instance
+	// and item it is still waiting for.
 	Blocked []string
 }
 
@@ -217,8 +225,8 @@ type Graph struct {
 	parked      atomic.Int64
 
 	// burstPool recycles Burst batch buffers (NewBurst/Flush); depsPool
-	// recycles the []Dep scratch buffers the tuned dispatch paths hand to
-	// WithDepsAppend callbacks. Both exist so the steady state of a run
+	// recycles the []Dep scratch buffers handed to WithDepsAppend and
+	// WithGetsAppend callbacks. Both exist so the steady state of a run
 	// performs no allocation in the dispatch layer.
 	burstPool sync.Pool
 	depsPool  sync.Pool
@@ -603,7 +611,8 @@ func (g *Graph) HasGetCounts() bool {
 }
 
 // Blocked returns a snapshot of the currently parked step instances, one
-// "step@tag <- coll[key]" entry each — the same form DeadlockError uses.
+// "step@tag <- coll[key]" entry per instance and item it still waits for —
+// the same form DeadlockError uses.
 // It is safe to call while the graph runs, which is how the chaos
 // watchdog dumps the wait state of a stalled run.
 func (g *Graph) Blocked() []string { return g.collectBlocked() }

@@ -12,7 +12,9 @@ import (
 // each prescribed tag. It must be written gets-first: perform all item Gets
 // before any Put or other side effect, because under Native scheduling the
 // runtime executes instances speculatively and re-executes them from scratch
-// after a failed Get. Returning a non-nil error fails the whole graph.
+// after a failed Get — once, when every declared get is present, if the
+// collection declared its read set (WithGets); once per missing item
+// otherwise. Returning a non-nil error fails the whole graph.
 type StepFunc[T comparable] func(tag T) error
 
 // TuningMode selects how a tuned step collection schedules its instances.
@@ -31,38 +33,46 @@ const (
 	TunedTriggered
 )
 
-// Dep names one item dependency of a step instance: a key in a specific
-// item collection. Construct them with ItemCollection.Key so the key type
-// always matches the collection.
-type Dep struct {
-	store itemStore
-	key   any
-}
+// Dep names one item dependency of a step instance: a reference to the
+// write-once cell of one key in one item collection. Construct them with
+// ItemCollection.Key, which resolves the cell once; everything that later
+// waits on, probes or releases the item goes through the cell without
+// another map lookup.
+type Dep struct{ c depCell }
 
 // String renders the dependency as "collection[key]".
-func (d Dep) String() string { return fmt.Sprintf("%s[%v]", d.store.collName(), d.key) }
+func (d Dep) String() string { return d.c.String() }
 
-// itemStore is the type-erased view of an item collection used by tuned
-// scheduling and get-count release.
-type itemStore interface {
-	collName() string
-	// subscribe registers notify to fire once when key becomes present,
-	// labelled (lazily, through who) for deadlock reports. It returns
-	// false — without registering — when key is already present.
-	subscribe(key any, who waitLabeler, notify func(*Burst)) bool
-	// release decrements key's get-count (no-op on collections without
-	// one), freeing the item at zero.
-	release(key any)
-	// has reports whether key is readable now or was already freed — the
-	// memory-throttling readiness probe. A freed key counts as "ready" so
-	// the admitted step surfaces the deterministic use-after-free error
-	// instead of deferring forever.
-	has(key any) bool
-	// freeableBytes reports key's accounted size when one more release
-	// would free it (present, remaining get-count exactly 1), else 0 —
-	// the admission probe that classifies throttled puts as freeing or
-	// growing.
-	freeableBytes(key any) int64
+// depCell is the type-erased view of an item cell (*cell[K, V], so the
+// interface value is pointer-shaped and a Dep never allocates) used by tuned
+// scheduling, abort parking, get-count release and throttled admission.
+type depCell interface {
+	String() string
+	// subscribe registers w to be woken once when the item is put. It
+	// returns false — without registering — when the item is not missing.
+	subscribe(w waiter) bool
+	// release decrements the item's get-count (no-op on collections without
+	// one), freeing the value at zero.
+	release()
+	// has is the memory-throttling readiness probe: the item is readable
+	// now, or was already freed — which counts as "ready" so the admitted
+	// step surfaces the use-after-free error instead of deferring forever.
+	has() bool
+	// freeableBytes is the admission probe that classifies throttled puts
+	// as freeing or growing: the item's accounted size when one more release
+	// would free it (present, remaining get-count exactly 1), else 0.
+	freeableBytes() int64
+}
+
+// waiter is one parked consumer of a missing item — always a depLatch. The
+// label is materialised lazily: deadlock reports and Blocked snapshots are
+// the only readers, so the common case (the item arrives) never pays the
+// fmt.Sprintf. wake takes the burst of the Put that satisfied the wait (nil
+// when unbatched) so a put that wakes many waiters re-dispatches them with
+// one queue push.
+type waiter interface {
+	waitLabel() string
+	wake(bu *Burst)
 }
 
 // UseAfterFreeError reports a read (or re-put) of an item that get-count
@@ -163,6 +173,10 @@ func (sc *StepCollection[T]) WithDepsAppend(mode TuningMode, deps func(T, []Dep)
 // (Stats.LiveItems stays nonzero), an extra entry trips a deterministic
 // over-release error.
 //
+// The same declaration is the instance's parking set: when a blocking Get
+// misses, the aborted instance waits for every declared item not yet present
+// and is re-executed once — instead of aborting again at each later miss.
+//
 // Releases fire only on successful completion, never per Get. This is what
 // makes get-counts compose with the rest of the runtime: a speculative
 // abort re-reads its items on re-execution without double-counting, a
@@ -200,13 +214,12 @@ func (sc *StepCollection[T]) readyFor(tag T) bool {
 	ds := sc.getsApp(tag, *bufp)
 	ready := true
 	for _, d := range ds {
-		if !d.store.has(d.key) {
+		if !d.c.has() {
 			ready = false
 			break
 		}
 	}
-	*bufp = ds
-	sc.g.putDeps(bufp)
+	sc.g.putDeps(bufp, ds)
 	return ready
 }
 
@@ -222,10 +235,9 @@ func (sc *StepCollection[T]) freeableFor(tag T) int64 {
 	ds := sc.getsApp(tag, *bufp)
 	var n int64
 	for _, d := range ds {
-		n += d.store.freeableBytes(d.key)
+		n += d.c.freeableBytes()
 	}
-	*bufp = ds
-	sc.g.putDeps(bufp)
+	sc.g.putDeps(bufp, ds)
 	return n
 }
 
@@ -239,9 +251,9 @@ func (g *Graph) takeDeps() *[]Dep {
 	return p
 }
 
-func (g *Graph) putDeps(p *[]Dep) {
-	clear(*p)
-	*p = (*p)[:0]
+func (g *Graph) putDeps(p *[]Dep, ds []Dep) {
+	clear(ds)
+	*p = ds[:0]
 	g.depsPool.Put(p)
 }
 
@@ -355,81 +367,105 @@ func (sc *StepCollection[T]) dispatchInto(tag T, bu *Burst) {
 	bu.add(sc.g, sc.newTask(tag))
 }
 
-// depLatch is the pooled dependency-countdown latch of one tuned step
-// instance: the +1 sentinel guarantees the release runs at most once and
-// only after every subscribe call has been issued. notify is the pre-bound
-// external-arrival closure, created once per latch allocation and reused
-// across pool generations, so steady-state instance launches allocate
-// nothing. The latch recycles itself on the final arrival; any waiter still
-// registered on an item shard implies a pending arrival (remaining ≥ 1), so
-// a latch reachable from a wait list is always live — which is what makes
-// the lazy waitLabel safe for concurrent deadlock reports.
+// depLatch is the pooled dependency-countdown latch of one waiting step
+// instance — a tuned instance counting down its declared dependencies, or
+// (requeue set) a speculatively-aborted instance counting down the declared
+// gets it still misses. The +1 sentinel guarantees the release runs at most
+// once and only after every subscribe call has been issued. The latch is
+// itself the waiter stored on the cells, so steady-state launches and aborts
+// allocate nothing here. It recycles itself on the final arrival; any latch
+// still registered on a cell implies a pending arrival (remaining ≥ 1), so a
+// latch reachable from a wait list is always live — which is what makes the
+// lazy waitLabel safe for concurrent deadlock reports.
 type depLatch[T comparable] struct {
 	sc        *StepCollection[T]
 	tag       T
 	remaining atomic.Int64
-	notify    func(*Burst)
+	requeue   bool
 }
 
 func (l *depLatch[T]) waitLabel() string {
 	return fmt.Sprintf("%s@%v", l.sc.meta.name, l.tag)
 }
 
+func (l *depLatch[T]) wake(bu *Burst) { l.arrive(false, bu) }
+
+// await adds d to the countdown unless its item is already present.
+func (l *depLatch[T]) await(d Dep) {
+	l.remaining.Add(1)
+	if !d.c.subscribe(l) {
+		l.remaining.Add(-1)
+	}
+}
+
 func (l *depLatch[T]) arrive(inline bool, bu *Burst) {
 	if l.remaining.Add(-1) != 0 {
 		return
 	}
-	sc, tag := l.sc, l.tag
+	sc, tag, requeue := l.sc, l.tag, l.requeue
 	l.sc = nil
 	var zero T
 	l.tag = zero
 	sc.latchPool.Put(l)
 	g := sc.g
 	g.parked.Add(-1)
-	if inline && sc.mode == TunedPrescheduled && sc.computeOn == nil {
+	switch {
+	case requeue:
+		g.stats.requeues.Add(1)
+	case inline && sc.mode == TunedPrescheduled && sc.computeOn == nil:
 		g.stats.inline.Add(1)
 		g.outstanding.Add(1)
 		sc.execute(tag)
 		return
+	default:
+		g.stats.triggered.Add(1)
 	}
-	g.stats.triggered.Add(1)
 	sc.dispatchInto(tag, bu)
-}
-
-func (sc *StepCollection[T]) newLatch(tag T) *depLatch[T] {
-	l, _ := sc.latchPool.Get().(*depLatch[T])
-	if l == nil {
-		l = &depLatch[T]{}
-		l.notify = func(bu *Burst) { l.arrive(false, bu) }
-	}
-	l.sc = sc
-	l.tag = tag
-	l.remaining.Store(1)
-	return l
 }
 
 // instance launches the step instance for tag according to the collection's
 // tuning mode. A non-nil bu batches the resulting dispatch (if any) with
 // the rest of the burst.
 func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
-	g := sc.g
 	if sc.depsApp == nil {
 		sc.dispatchInto(tag, bu)
 		return
 	}
-	bufp := g.takeDeps()
-	deps := sc.depsApp(tag, *bufp)
-	l := sc.newLatch(tag)
-	g.parked.Add(1)
-	for _, d := range deps {
-		l.remaining.Add(1)
-		if !d.store.subscribe(d.key, l, l.notify) {
-			l.remaining.Add(-1) // already present
-		}
+	sc.waitFor(tag, sc.depsApp, nil, bu)
+}
+
+// waitFor is the one way an instance waits: it (re-)launches the instance
+// for tag once every item decl names for it is present. A tuned launch
+// (missed == nil) counts down its declared dependencies and may run inline.
+// An abort — missed is the cell a blocking Get just failed on — counts down
+// the declared read set (WithGets), so the instance is re-executed once with
+// all of it available; if the declaration is absent or omits the item that
+// missed, it waits for that item. Items present by the time they are probed
+// are not counted, so the launch is immediate when nothing is missing.
+func (sc *StepCollection[T]) waitFor(tag T, decl func(T, []Dep) []Dep, missed depCell, bu *Burst) {
+	g := sc.g
+	l, _ := sc.latchPool.Get().(*depLatch[T])
+	if l == nil {
+		l = &depLatch[T]{}
 	}
-	*bufp = deps
-	g.putDeps(bufp)
-	l.arrive(true, bu) // retire the sentinel; runs inline when no dep was missing
+	l.sc, l.tag, l.requeue = sc, tag, missed != nil
+	l.remaining.Store(1) // the sentinel
+	g.parked.Add(1)
+	if decl != nil {
+		bufp := g.takeDeps()
+		ds := decl(tag, *bufp)
+		for _, d := range ds {
+			if d.c == missed {
+				missed = nil // declared: counted here
+			}
+			l.await(d)
+		}
+		g.putDeps(bufp, ds)
+	}
+	if missed != nil {
+		l.await(Dep{missed})
+	}
+	l.arrive(!l.requeue, bu) // retire the sentinel; a tuned launch runs inline when nothing was missing
 }
 
 // execute runs one (possibly speculative) execution attempt of the instance.
@@ -455,16 +491,12 @@ func (sc *StepCollection[T]) execute(tag T) {
 		if r == nil {
 			return
 		}
-		if rs, ok := r.(*retrySignal); ok {
-			// Failed blocking Get: park this instance on the item's wait
-			// list; Put will re-schedule it from scratch (batched with the
-			// put's other wakeups when it passes a burst).
+		if missed, ok := r.(depCell); ok {
+			// Failed blocking Get (the panic value is the missed cell): park
+			// the instance; the Put that completes its wait re-schedules it
+			// from scratch, batched with that put's other wakeups.
 			g.stats.aborts.Add(1)
-			label := fmt.Sprintf("%s@%v", sc.meta.name, tag)
-			rs.park(label, func(bu *Burst) {
-				g.stats.requeues.Add(1)
-				sc.dispatchInto(tag, bu)
-			})
+			sc.waitFor(tag, sc.getsApp, missed, nil)
 			return
 		}
 		if uaf, ok := r.(*UseAfterFreeError); ok {
@@ -492,10 +524,9 @@ func (sc *StepCollection[T]) execute(tag T) {
 		bufp := g.takeDeps()
 		ds := sc.getsApp(tag, *bufp)
 		for _, d := range ds {
-			d.store.release(d.key)
+			d.c.release()
 		}
-		*bufp = ds
-		g.putDeps(bufp)
+		g.putDeps(bufp, ds)
 	}
 	g.stats.done.Add(1)
 }
@@ -610,7 +641,7 @@ func (tc *TagCollection[T]) prescribedList() []prescribable[T] {
 
 // Put puts a tag, creating an instance of every prescribed step collection.
 // It may be called from the environment function or from inside steps.
-func (tc *TagCollection[T]) Put(tag T) { tc.putInto(tag, nil) }
+func (tc *TagCollection[T]) Put(tag T) { tc.PutInto(tag, nil) }
 
 // PutInto is Put with batched dispatch: instances whose dependencies are
 // already satisfied are appended to bu instead of being pushed (and waking
@@ -618,9 +649,7 @@ func (tc *TagCollection[T]) Put(tag T) { tc.putInto(tag, nil) }
 // semantics are otherwise exactly Put's — memoization, hooks and statistics
 // all apply, and outstanding-work accounting happens immediately, so the
 // graph cannot quiesce while the burst is open.
-func (tc *TagCollection[T]) PutInto(tag T, bu *Burst) { tc.putInto(tag, bu) }
-
-func (tc *TagCollection[T]) putInto(tag T, bu *Burst) {
+func (tc *TagCollection[T]) PutInto(tag T, bu *Burst) {
 	tc.g.checkRunning()
 	if h := tc.g.hooks; h != nil && h.DropTag != nil && h.DropTag(tc.name, tag) {
 		return // injected fault: the tag is lost before memoization sees it
@@ -666,18 +695,16 @@ func (tc *TagCollection[T]) WithTagBytes(fn func(T) int) *TagCollection[T] {
 // behaviour when the budget can never clear. Best used with unmemoized
 // collections: a deduplicated tag's reservation is never converted and
 // would over-throttle later puts.
-func (tc *TagCollection[T]) PutThrottled(tag T) { tc.putThrottledInto(tag, nil) }
+func (tc *TagCollection[T]) PutThrottled(tag T) { tc.PutThrottledInto(tag, nil) }
 
 // PutThrottledInto is PutThrottled with batched dispatch: tags admitted
 // immediately (no memory limit, or zero declared cost, or budget available)
 // go through bu like PutInto; a deferred tag is admitted later through the
 // unbatched path, since its admission time is not under the putter's
 // control.
-func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) { tc.putThrottledInto(tag, bu) }
-
-func (tc *TagCollection[T]) putThrottledInto(tag T, bu *Burst) {
+func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 	if !tc.g.acct.limited() {
-		tc.putInto(tag, bu)
+		tc.PutInto(tag, bu)
 		return
 	}
 	tc.g.checkRunning()
@@ -687,7 +714,7 @@ func (tc *TagCollection[T]) putThrottledInto(tag T, bu *Burst) {
 	}
 	if cost == 0 {
 		// Control-only tags occupy no budget and are never deferred.
-		tc.putInto(tag, bu)
+		tc.PutInto(tag, bu)
 		return
 	}
 	tc.g.acct.enqueue(cost,
@@ -733,7 +760,7 @@ func (tc *TagCollection[T]) PutRange(lo, hi int, mk func(int) T) {
 	}
 	bu := tc.g.NewBurst()
 	for i := lo; i < hi; i++ {
-		tc.putInto(mk(i), bu)
+		tc.PutInto(mk(i), bu)
 	}
 	bu.Flush()
 }
@@ -742,19 +769,47 @@ func (tc *TagCollection[T]) PutRange(lo, hi int, mk func(int) T) {
 // of two so shard selection is a mask). 16 stripes ≈ 2× the largest worker
 // counts the real runs here use, which keeps the probability that two
 // concurrent tile operations collide on a stripe low while the per-shard
-// constant cost (4 small maps) stays negligible; see DESIGN.md §5e.
+// constant cost (one small map) stays negligible; see DESIGN.md §5e.
 const itemShards = 16
 
-// itemShard is one stripe of an ItemCollection: the full
-// items/remaining/freed/waiters map set for the keys that hash to it, under
-// its own lock. Every collection operation is single-key, so puts and gets
-// on different tiles proceed on different stripes without serialising.
+// itemShard is one stripe of an ItemCollection: the cells of the keys that
+// hash to it, under its own lock. Every collection operation is single-key,
+// so puts and gets on different tiles proceed on different stripes without
+// serialising.
 type itemShard[K comparable, V any] struct {
-	mu        sync.Mutex
-	items     map[K]V
-	remaining map[K]int      // live get-counts (only when getCount != nil)
-	freed     map[K]struct{} // keys whose value was reclaimed
-	waiters   map[K][]waiter
+	mu    sync.Mutex
+	ic    *ItemCollection[K, V]
+	cells map[K]*cell[K, V]
+	live  int // cells in state present (Len)
+	// slab is the chunk new cells are carved from: cells live as long as
+	// the map that names them, so allocating them a chunk at a time costs
+	// nothing in lifetime and keeps a stripe's cells adjacent in memory.
+	slab []cell[K, V]
+}
+
+// cellState is the life cycle of a write-once cell: empty (named by a Key
+// or a failed Get, not yet put) → present → freed (get-count reached zero).
+type cellState uint8
+
+const (
+	cellEmpty cellState = iota
+	cellPresent
+	cellFreed
+)
+
+// cell is one item: a write-once value plus its state, its live get-count
+// and the instances waiting for it. Consumers hold the cell (through Dep),
+// not the key, so waiting, probing and releasing cost a lock and no lookup.
+// All fields are guarded by sh.mu. A freed cell stays in the map as the
+// tombstone that turns later accesses into deterministic use-after-free
+// errors, but drops its value, so get-count GC still frees real memory.
+type cell[K comparable, V any] struct {
+	sh        *itemShard[K, V]
+	key       K
+	val       V
+	state     cellState
+	remaining int // live get-count; 0 on a present cell = un-counted (pinned)
+	waiters   []waiter
 }
 
 // ItemCollection is a single-assignment associative data collection.
@@ -773,27 +828,6 @@ type ItemCollection[K comparable, V any] struct {
 	shards   [itemShards]itemShard[K, V]
 }
 
-// waiter is one parked consumer of a missing item: a tuned dependency latch
-// or a speculatively-aborted instance. The label is materialised lazily
-// through waitLabeler — deadlock reports and Blocked snapshots are the only
-// readers, so the common case (the item arrives) never pays the
-// fmt.Sprintf. notify takes the burst of the Put that woke it (nil when
-// unbatched) so a put that satisfies many waiters re-dispatches them with
-// one queue push.
-type waiter struct {
-	who    waitLabeler
-	notify func(*Burst)
-}
-
-// waitLabeler names a parked instance for deadlock reports. It is
-// implemented by depLatch (lazily) and by fixedLabel for the speculative
-// abort path, whose label is already materialised when it parks.
-type waitLabeler interface{ waitLabel() string }
-
-type fixedLabel string
-
-func (s fixedLabel) waitLabel() string { return string(s) }
-
 // NewItemCollection registers an item collection on g.
 func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollection[K, V] {
 	meta := &itemMeta{name: name}
@@ -804,11 +838,8 @@ func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollecti
 		hashSeed: maphash.MakeSeed(),
 	}
 	for i := range ic.shards {
-		sh := &ic.shards[i]
-		sh.items = make(map[K]V)
-		sh.remaining = make(map[K]int)
-		sh.freed = make(map[K]struct{})
-		sh.waiters = make(map[K][]waiter)
+		ic.shards[i].ic = ic
+		ic.shards[i].cells = make(map[K]*cell[K, V])
 	}
 	g.structMu.Lock()
 	g.items = append(g.items, meta)
@@ -820,6 +851,21 @@ func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollecti
 // shardOf maps a key to its stripe.
 func (ic *ItemCollection[K, V]) shardOf(k K) *itemShard[K, V] {
 	return &ic.shards[maphash.Comparable(ic.hashSeed, k)&(itemShards-1)]
+}
+
+// cellOf returns k's cell, creating it empty when the key is new. Callers
+// hold sh.mu.
+func (sh *itemShard[K, V]) cellOf(k K) *cell[K, V] {
+	c := sh.cells[k]
+	if c == nil {
+		if len(sh.slab) == cap(sh.slab) {
+			sh.slab = make([]cell[K, V], 0, min(max(len(sh.cells), 4), 64))
+		}
+		sh.slab = append(sh.slab, cell[K, V]{sh: sh, key: k})
+		c = &sh.slab[len(sh.slab)-1]
+		sh.cells[k] = c
+	}
+	return c
 }
 
 // WithGetCount declares each item's consumer count — Intel CnC's get-count
@@ -870,19 +916,23 @@ func (ic *ItemCollection[K, V]) sizeBytes(k K) int64 {
 // CollectionName returns the item collection's name.
 func (ic *ItemCollection[K, V]) CollectionName() string { return ic.name }
 
-func (ic *ItemCollection[K, V]) collName() string { return ic.name }
-
-// Key builds a Dep naming item k of this collection, for WithDeps
-// declarations.
-func (ic *ItemCollection[K, V]) Key(k K) Dep { return Dep{store: ic, key: k} }
+// Key returns a Dep referring to item k of this collection, for WithDeps
+// and WithGets declarations. It resolves k's cell — creating it empty if
+// the key has not been seen — so it is safe to call from running steps, and
+// the Dep stays valid for the whole run.
+func (ic *ItemCollection[K, V]) Key(k K) Dep {
+	sh := ic.shardOf(k)
+	sh.mu.Lock()
+	c := sh.cellOf(k)
+	sh.mu.Unlock()
+	return Dep{c}
+}
 
 // Put stores the item under key k and wakes every step instance parked on
 // it. Re-putting a key — freed or not — violates CnC's dynamic single
 // assignment rule and fails the graph. Under a memory limit the put waits
 // for byte budget (see Graph.WithMemoryLimit) before storing.
-func (ic *ItemCollection[K, V]) Put(k K, v V) {
-	ic.putInto(k, v, nil)
-}
+func (ic *ItemCollection[K, V]) Put(k K, v V) { ic.PutInto(k, v, nil) }
 
 // PutInto is Put with its backend mirror and waiter wakeups staged into the
 // burst instead of performed immediately: a phase that puts N items through
@@ -893,12 +943,9 @@ func (ic *ItemCollection[K, V]) Put(k K, v V) {
 // TryGet can observe an item before its mirror lands, the same
 // local-insert-precedes-mirror window plain Put already has. The item is
 // locally visible (and counted) when PutInto returns; only the mirror and
-// the wakeups wait for Flush. Like every burst user: always Flush.
+// the wakeups wait for Flush. Like every burst user: always Flush. A nil bu
+// degrades to plain Put.
 func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
-	ic.putInto(k, v, bu) // nil bu degrades to plain Put
-}
-
-func (ic *ItemCollection[K, V]) putInto(k K, v V, bu *Burst) {
 	ic.g.checkRunning()
 	if h := ic.g.hooks; h != nil && h.BeforeItemPut != nil {
 		h.BeforeItemPut(ic.name, k)
@@ -909,29 +956,16 @@ func (ic *ItemCollection[K, V]) putInto(k K, v V, bu *Burst) {
 	ic.g.acct.admitItem(size)
 	sh := ic.shardOf(k)
 	sh.mu.Lock()
-	if _, wasFreed := sh.freed[k]; wasFreed {
+	c := sh.cellOf(k)
+	if c.state != cellEmpty {
+		wasFreed := c.state == cellFreed
 		sh.mu.Unlock()
 		ic.g.acct.refund(size)
-		err := fmt.Errorf("cnc: single-assignment violation: item %s[%v] re-put after its get-count freed it: %w",
-			ic.name, k, &UseAfterFreeError{Collection: ic.name, Key: k})
-		if dc := ic.g.discipline; dc != nil {
-			err = fmt.Errorf("%v; %w", dc.DoublePut(ic.name, k, fmt.Sprint(v)), err)
-		}
-		ic.g.fail(err)
+		ic.g.fail(ic.doublePutError(k, v, wasFreed))
 		return
 	}
-	if _, dup := sh.items[k]; dup {
-		sh.mu.Unlock()
-		ic.g.acct.refund(size)
-		var err error = fmt.Errorf("cnc: single-assignment violation: item %s[%v] put twice", ic.name, k)
-		if dc := ic.g.discipline; dc != nil {
-			// The checker names both writers and whether the values differ.
-			err = dc.DoublePut(ic.name, k, fmt.Sprint(v))
-		}
-		ic.g.fail(err)
-		return
-	}
-	sh.items[k] = v
+	c.val, c.state = v, cellPresent
+	sh.live++
 	freeNow := false
 	if ic.getCount != nil {
 		switch n := ic.getCount(k); {
@@ -940,19 +974,18 @@ func (ic *ItemCollection[K, V]) putInto(k K, v V, bu *Burst) {
 			// is a declaration bug, not a freeing instruction.
 			ic.g.fail(fmt.Errorf("cnc: item %s[%v] declared negative get-count %d", ic.name, k, n))
 		case n == 0:
+			// Declared consumer-free: reclaim immediately. Parked waiters are
+			// still woken — their re-read then reports use-after-free, which is
+			// the deterministic surface of a get-count declared too low.
 			freeNow = true
 		default:
-			sh.remaining[k] = n
+			c.remaining = n
 		}
 	}
-	ws := sh.waiters[k]
-	delete(sh.waiters, k)
+	ws := c.waiters
+	c.waiters = nil
 	if freeNow {
-		// Declared consumer-free: reclaim immediately. Parked waiters are
-		// still woken — their re-read then reports use-after-free, which is
-		// the deterministic surface of a get-count declared too low.
-		delete(sh.items, k)
-		sh.freed[k] = struct{}{}
+		c.free()
 	}
 	sh.mu.Unlock()
 	ic.g.stats.itemsPut.Add(1)
@@ -971,34 +1004,30 @@ func (ic *ItemCollection[K, V]) putInto(k K, v V, bu *Burst) {
 	// item: waiters woken below (and every later Get, whose local-presence
 	// check this put just satisfied) may fetch the value remotely, so the
 	// backend must hold it first — the distributed read-your-writes
-	// ordering (see ItemBackend). With a caller burst (PutInto) the mirror
-	// is staged instead; Burst.Flush delivers the whole batch before any
-	// staged wakeup, preserving the same ordering batch-wide.
-	if bu != nil {
-		if ic.g.backend != nil {
-			bu.addOp(ic.name, k, v)
-		}
-		for _, w := range ws {
-			w.notify(bu)
-		}
-	} else {
+	// ordering (see ItemBackend). With a caller burst the mirror is staged
+	// instead; Burst.Flush delivers the whole batch before any staged
+	// wakeup, preserving the same ordering batch-wide. (The backend check
+	// sits here so the common path does not box k and v.)
+	switch {
+	case ic.g.backend == nil:
+	case bu != nil:
+		bu.addOp(ic.name, k, v)
+	default:
 		ic.g.backendPut(ic.name, k, v)
-		if len(ws) > 0 {
-			// Coalesce the wakeups: every waiter this put satisfies lands on
-			// the queue in one batch with a single signalling pass, instead of
-			// one push + one worker wake per waiter. (A lone waiter skips the
-			// burst — a direct push is exactly as cheap.)
-			var wbu *Burst
-			if len(ws) > 1 {
-				wbu = ic.g.NewBurst()
-			}
-			for _, w := range ws {
-				w.notify(wbu)
-			}
-			if wbu != nil {
-				wbu.Flush()
-			}
-		}
+	}
+	// Without a caller burst, coalesce the wakeups in one of our own: every
+	// waiter this put satisfies lands on the queue in one batch with a
+	// single signalling pass, instead of one push + one worker wake per
+	// waiter. (A lone waiter skips it — a direct push is exactly as cheap.)
+	own := bu == nil && len(ws) > 1
+	if own {
+		bu = ic.g.NewBurst()
+	}
+	for _, w := range ws {
+		w.wake(bu)
+	}
+	if own {
+		bu.Flush()
 	}
 	// A new item can make deferred throttled tags runnable.
 	if ic.g.acct.pendingN.Load() > 0 {
@@ -1006,114 +1035,150 @@ func (ic *ItemCollection[K, V]) putInto(k K, v V, bu *Burst) {
 	}
 }
 
-// release decrements k's get-count, freeing the value at zero. It
-// implements itemStore for StepCollection.WithGets; on collections without
-// a get-count it is a no-op, so a shared read-set declaration can span
-// counted and uncounted collections.
-func (ic *ItemCollection[K, V]) release(key any) {
+// doublePutError builds the single-assignment violation of a second put of
+// k, attributed by the discipline checker when one is installed.
+func (ic *ItemCollection[K, V]) doublePutError(k K, v V, wasFreed bool) error {
+	dc := ic.g.discipline
+	if wasFreed {
+		err := fmt.Errorf("cnc: single-assignment violation: item %s[%v] re-put after its get-count freed it: %w",
+			ic.name, k, &UseAfterFreeError{Collection: ic.name, Key: k})
+		if dc != nil {
+			err = fmt.Errorf("%v; %w", dc.DoublePut(ic.name, k, fmt.Sprint(v)), err)
+		}
+		return err
+	}
+	if dc != nil {
+		// The checker names both writers and whether the values differ.
+		return dc.DoublePut(ic.name, k, fmt.Sprint(v))
+	}
+	return fmt.Errorf("cnc: single-assignment violation: item %s[%v] put twice", ic.name, k)
+}
+
+// free turns a present cell into its tombstone, dropping the value. Callers
+// hold sh.mu and charge the accountant after unlocking.
+func (c *cell[K, V]) free() {
+	var zero V
+	c.val, c.state, c.remaining = zero, cellFreed, 0
+	c.sh.live--
+}
+
+// useAfterFree records (and returns) the deterministic error of touching
+// this cell after its get-count freed it.
+func (c *cell[K, V]) useAfterFree() *UseAfterFreeError {
+	ic := c.sh.ic
+	err := &UseAfterFreeError{Collection: ic.name, Key: c.key}
+	if dc := ic.g.discipline; dc != nil {
+		err.Overdraw = dc.Overdraw(ic.name, c.key, "get")
+	}
+	ic.g.fail(err)
+	return err
+}
+
+func (c *cell[K, V]) String() string { return fmt.Sprintf("%s[%v]", c.sh.ic.name, c.key) }
+
+// release implements depCell for StepCollection.WithGets; on collections
+// without a get-count it is a no-op, so a shared read-set declaration can
+// span counted and uncounted collections.
+func (c *cell[K, V]) release() {
+	sh := c.sh
+	ic := sh.ic
 	if ic.getCount == nil {
 		return
 	}
-	k, ok := key.(K)
-	if !ok {
-		ic.g.fail(fmt.Errorf("cnc: release key %v has wrong type for collection %s", key, ic.name))
-		return
-	}
-	sh := ic.shardOf(k)
 	sh.mu.Lock()
-	if _, wasFreed := sh.freed[k]; wasFreed {
+	switch {
+	case c.state == cellFreed:
 		sh.mu.Unlock()
-		err := fmt.Errorf("cnc: over-release of item %s[%v]: get-count reached zero before its last declared reader (declared count too low)",
-			ic.name, k)
+		err := fmt.Errorf("cnc: over-release of item %v: get-count reached zero before its last declared reader (declared count too low)", c)
 		if dc := ic.g.discipline; dc != nil {
-			err = fmt.Errorf("%v; %w", dc.Overdraw(ic.name, k, "release"), err)
+			err = fmt.Errorf("%v; %w", dc.Overdraw(ic.name, c.key, "release"), err)
 		}
 		ic.g.fail(err)
 		return
-	}
-	rem, counted := sh.remaining[k]
-	if !counted {
-		if _, present := sh.items[k]; present {
-			// Present but un-counted: the negative-count error path left it
-			// pinned; the graph already failed.
-			sh.mu.Unlock()
-			return
-		}
+	case c.state == cellEmpty:
 		sh.mu.Unlock()
-		ic.g.fail(fmt.Errorf("cnc: release of item %s[%v] that was never put", ic.name, k))
+		ic.g.fail(fmt.Errorf("cnc: release of item %v that was never put", c))
+		return
+	case c.remaining == 0:
+		// Present but un-counted: the negative-count error path left it
+		// pinned; the graph already failed.
+		sh.mu.Unlock()
 		return
 	}
 	if dc := ic.g.discipline; dc != nil {
-		dc.RecordRelease(ic.name, k)
+		dc.RecordRelease(ic.name, c.key)
 	}
-	if rem--; rem > 0 {
-		sh.remaining[k] = rem
+	if c.remaining--; c.remaining > 0 {
 		sh.mu.Unlock()
 		return
 	}
-	delete(sh.items, k)
-	delete(sh.remaining, k)
-	sh.freed[k] = struct{}{}
+	c.free()
 	sh.mu.Unlock()
-	ic.g.acct.free(ic.sizeBytes(k))
+	ic.g.acct.free(ic.sizeBytes(c.key))
 }
 
-// has implements the itemStore readiness probe: key is "ready" when its
-// item is present — or already freed, in which case admitting the reader
-// surfaces the deterministic use-after-free error instead of deferring the
-// tag forever.
-func (ic *ItemCollection[K, V]) has(key any) bool {
-	k, ok := key.(K)
-	if !ok {
-		return true // let execution surface the type error
-	}
-	sh := ic.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, present := sh.items[k]; present {
-		return true
-	}
-	_, wasFreed := sh.freed[k]
-	return wasFreed
+func (c *cell[K, V]) has() bool {
+	c.sh.mu.Lock()
+	defer c.sh.mu.Unlock()
+	return c.state != cellEmpty
 }
 
-// freeableBytes implements the itemStore admission probe: the accounted
-// size of key when one more release would free it (present with a
-// remaining get-count of exactly 1), else 0.
-func (ic *ItemCollection[K, V]) freeableBytes(key any) int64 {
-	k, ok := key.(K)
-	if !ok {
+func (c *cell[K, V]) freeableBytes() int64 {
+	c.sh.mu.Lock()
+	defer c.sh.mu.Unlock()
+	if c.state != cellPresent || c.remaining != 1 {
 		return 0
 	}
-	sh := ic.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, present := sh.items[k]; !present {
-		return 0
+	return c.sh.ic.sizeBytes(c.key)
+}
+
+// subscribe is the one place an instance is put on a wait list.
+func (c *cell[K, V]) subscribe(w waiter) bool {
+	c.sh.mu.Lock()
+	state := c.state
+	if state == cellEmpty {
+		c.waiters = append(c.waiters, w)
 	}
-	if rem, counted := sh.remaining[k]; !counted || rem != 1 {
-		return 0
+	c.sh.mu.Unlock()
+	if state == cellFreed {
+		// An instance declared a dependency on an already-freed item: the
+		// get-count missed this consumer. Fail deterministically and report
+		// the dependency as satisfied so the countdown completes and the
+		// graph quiesces instead of parking forever.
+		c.useAfterFree()
 	}
-	return ic.sizeBytes(k)
+	return state == cellEmpty
 }
 
 // Get returns the item stored under k, blocking in the CnC sense: when the
-// item is missing, the calling step instance is aborted and re-executed
-// after the item is put. Get must only be called from inside a step body.
-// Reading an item that get-count garbage collection freed fails the graph
-// with a deterministic UseAfterFreeError (the declared count was too low)
-// instead of parking forever or returning stale data.
+// item is missing, the calling step instance is aborted, parked (see
+// StepCollection.WithGets for what it then waits for) and re-executed from
+// scratch. Get must only be called from inside a step body. Reading an item
+// that get-count garbage collection freed fails the graph with a
+// deterministic UseAfterFreeError (the declared count was too low) instead
+// of parking forever or returning stale data.
 func (ic *ItemCollection[K, V]) Get(k K) V {
 	sh := ic.shardOf(k)
 	sh.mu.Lock()
-	if v, ok := sh.items[k]; ok {
-		sh.mu.Unlock()
-		if dc := ic.g.discipline; dc != nil {
-			dc.RecordGet(ic.name, k)
-		}
-		// With a backend installed the local value only proves existence;
-		// the authoritative copy comes back over the wire (and must agree
-		// in type — a mismatch is a codec bug, failed loudly).
+	c := sh.cellOf(k)
+	v, state := c.val, c.state
+	sh.mu.Unlock()
+	switch state {
+	case cellEmpty:
+		// The abort signal is the missed cell itself: pointer-shaped, so the
+		// panic allocates nothing, and execute's recover parks on it.
+		panic(c)
+	case cellFreed:
+		panic(c.useAfterFree()) // unwinds the step like a failed Get, but is never retried
+	}
+	if dc := ic.g.discipline; dc != nil {
+		dc.RecordGet(ic.name, k)
+	}
+	// With a backend installed the local value only proves existence;
+	// the authoritative copy comes back over the wire (and must agree
+	// in type — a mismatch is a codec bug, failed loudly). The nil check
+	// sits here so the common path does not box k and v.
+	if ic.g.backend != nil {
 		if rv, remote := ic.g.backendGet(ic.name, k, v); remote {
 			tv, ok := rv.(V)
 			if !ok {
@@ -1123,36 +1188,8 @@ func (ic *ItemCollection[K, V]) Get(k K) V {
 			}
 			return tv
 		}
-		return v
 	}
-	if _, wasFreed := sh.freed[k]; wasFreed {
-		sh.mu.Unlock()
-		err := &UseAfterFreeError{Collection: ic.name, Key: k}
-		if dc := ic.g.discipline; dc != nil {
-			err.Overdraw = dc.Overdraw(ic.name, k, "get")
-		}
-		ic.g.fail(err)
-		panic(err) // unwinds the step like a failed Get, but is never retried
-	}
-	sh.mu.Unlock()
-	panic(&retrySignal{
-		park: func(label string, requeue func(*Burst)) {
-			sh.mu.Lock()
-			if _, ok := sh.items[k]; ok {
-				// The item arrived between TryGet and parking: requeue
-				// immediately instead of waiting.
-				sh.mu.Unlock()
-				requeue(nil)
-				return
-			}
-			ic.g.parked.Add(1)
-			sh.waiters[k] = append(sh.waiters[k], waiter{who: fixedLabel(label), notify: func(bu *Burst) {
-				ic.g.parked.Add(-1)
-				requeue(bu)
-			}})
-			sh.mu.Unlock()
-		},
-	})
+	return v
 }
 
 // TryGet is the non-blocking get (the paper's §IV-B ablation): it reports
@@ -1162,26 +1199,15 @@ func (ic *ItemCollection[K, V]) Get(k K) V {
 func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
 	sh := ic.shardOf(k)
 	sh.mu.Lock()
-	v, ok := sh.items[k]
-	if !ok {
-		if _, wasFreed := sh.freed[k]; wasFreed {
-			sh.mu.Unlock()
-			err := &UseAfterFreeError{Collection: ic.name, Key: k}
-			if dc := ic.g.discipline; dc != nil {
-				err.Overdraw = dc.Overdraw(ic.name, k, "get")
-			}
-			ic.g.fail(err)
-			var zero V
-			return zero, false
-		}
-	}
+	c := sh.cellOf(k)
+	v, state := c.val, c.state // the zero V unless present
 	sh.mu.Unlock()
-	if ok {
-		if dc := ic.g.discipline; dc != nil {
-			dc.RecordGet(ic.name, k)
-		}
+	if state == cellFreed {
+		c.useAfterFree()
+	} else if dc := ic.g.discipline; dc != nil && state == cellPresent {
+		dc.RecordGet(ic.name, k)
 	}
-	return v, ok
+	return v, state == cellPresent
 }
 
 // Len returns the number of items currently live — put and not yet freed
@@ -1191,63 +1217,26 @@ func (ic *ItemCollection[K, V]) Len() int {
 	for i := range ic.shards {
 		sh := &ic.shards[i]
 		sh.mu.Lock()
-		n += len(sh.items)
+		n += sh.live
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// subscribe implements itemStore for tuned scheduling.
-func (ic *ItemCollection[K, V]) subscribe(key any, who waitLabeler, notify func(*Burst)) bool {
-	k, ok := key.(K)
-	if !ok {
-		// Fail the graph but treat the dependency as satisfied so the
-		// countdown still completes and the graph quiesces.
-		ic.g.fail(fmt.Errorf("cnc: dependency key %v has wrong type for collection %s", key, ic.name))
-		return false
-	}
-	sh := ic.shardOf(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, present := sh.items[k]; present {
-		return false
-	}
-	if _, wasFreed := sh.freed[k]; wasFreed {
-		// A tuned instance declared a dependency on an already-freed item:
-		// the get-count missed this consumer. Fail deterministically and
-		// report the dependency as satisfied so the countdown completes and
-		// the graph quiesces instead of parking forever.
-		err := &UseAfterFreeError{Collection: ic.name, Key: k}
-		if dc := ic.g.discipline; dc != nil {
-			err.Overdraw = dc.Overdraw(ic.name, k, "get")
-		}
-		ic.g.fail(err)
-		return false
-	}
-	sh.waiters[k] = append(sh.waiters[k], waiter{who: who, notify: notify})
-	return true
-}
-
-// blockedInstances enumerates parked instances for deadlock reports.
+// blockedInstances enumerates parked instances for deadlock reports: one
+// line per (instance, still-missing item) pair.
 func (ic *ItemCollection[K, V]) blockedInstances() []string {
 	var out []string
 	for i := range ic.shards {
 		sh := &ic.shards[i]
 		sh.mu.Lock()
-		for k, ws := range sh.waiters {
-			for _, w := range ws {
-				out = append(out, fmt.Sprintf("%s <- %s[%v]", w.who.waitLabel(), ic.name, k))
+		for _, c := range sh.cells {
+			for _, w := range c.waiters {
+				out = append(out, fmt.Sprintf("%s <- %v", w.waitLabel(), c))
 			}
 		}
 		sh.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out
-}
-
-// retrySignal is the panic payload of a failed blocking Get. The requeue
-// callback receives the burst of the Put that woke the instance (nil for an
-// immediate requeue) so re-dispatches batch with the put's other wakeups.
-type retrySignal struct {
-	park func(label string, requeue func(*Burst))
 }

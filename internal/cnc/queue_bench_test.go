@@ -77,3 +77,61 @@ func BenchmarkItemStoreParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkAbortRequeue measures the speculative miss cycle in bulk: b.N
+// consumers, each reading three items, are queued ahead of a producer chain
+// that puts one item per step, so every consumer aborts, parks and is
+// requeued by the puts. One worker makes the schedule — and so the counts —
+// deterministic: with the read set declared an instance aborts once and
+// waits for all three items; undeclared it parks on one item at a time and
+// aborts at each.
+func BenchmarkAbortRequeue(b *testing.B) {
+	const reads = 3
+	for _, declared := range []bool{true, false} {
+		name := "undeclared"
+		if declared {
+			name = "declared"
+		}
+		b.Run(name, func(b *testing.B) {
+			g := NewGraph("bench-abort", 1)
+			in := NewItemCollection[int, int](g, "in")
+			consume := NewTagCollection[int](g, "consume", false)
+			produce := NewTagCollection[int](g, "produce", false)
+			cons := NewStepCollection(g, "c", func(i int) error {
+				for j := 0; j < reads; j++ {
+					in.Get(i + j)
+				}
+				return nil
+			})
+			if declared {
+				cons.WithGetsAppend(func(i int, ds []Dep) []Dep {
+					for j := 0; j < reads; j++ {
+						ds = append(ds, in.Key(i+j))
+					}
+					return ds
+				})
+			}
+			consume.Prescribe(cons)
+			last := b.N + reads - 2
+			produce.Prescribe(NewStepCollection(g, "p", func(k int) error {
+				in.Put(k, k)
+				if k < last {
+					produce.Put(k + 1) // queued behind the consumers this put just woke
+				}
+				return nil
+			}))
+			b.ReportAllocs()
+			b.ResetTimer()
+			err := g.Run(func() {
+				consume.PutRange(0, b.N, func(i int) int { return i })
+				produce.Put(0)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := g.Stats()
+			b.ReportMetric(float64(s.Aborts)/float64(b.N), "aborts/op")
+			b.ReportMetric(float64(s.StepsStarted-uint64(last+1))/float64(b.N), "executions/op") // consumers only
+		})
+	}
+}

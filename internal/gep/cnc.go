@@ -162,14 +162,16 @@ func (d *dataflow) build() {
 	steps[FuncD].Produces(d.out[FuncD]).Consumes(d.out[FuncA]).
 		Consumes(d.out[FuncB]).Consumes(d.out[FuncC]).Consumes(d.out[FuncD])
 
-	switch d.variant {
-	case core.TunerCnC:
-		for f := FuncA; f <= FuncD; f++ {
-			steps[f].WithDeps(cnc.TunedPrescheduled, d.depsFor(f))
-		}
-	case core.ManualCnC:
-		for f := FuncA; f <= FuncD; f++ {
-			steps[f].WithDeps(cnc.TunedTriggered, d.depsFor(f))
+	// One dependency closure per function, shared by the tuned declaration
+	// and the released read set below.
+	var deps [4]func(Tag, []cnc.Dep) []cnc.Dep
+	for f := FuncA; f <= FuncD; f++ {
+		deps[f] = d.depsFor(f)
+		switch d.variant {
+		case core.TunerCnC:
+			steps[f].WithDepsAppend(cnc.TunedPrescheduled, deps[f])
+		case core.ManualCnC:
+			steps[f].WithDepsAppend(cnc.TunedTriggered, deps[f])
 		}
 	}
 
@@ -185,7 +187,7 @@ func (d *dataflow) build() {
 		tile := d.bs * d.bs * 8
 		for f := FuncA; f <= FuncD; f++ {
 			d.out[f].WithGetCount(d.getCounts(f)).WithSizeOf(func(ItemKey) int { return tile })
-			steps[f].WithGets(d.depsFor(f))
+			steps[f].WithGetsAppend(deps[f])
 			d.tags[f].WithTagBytes(func(t Tag) int {
 				if t.S > d.base {
 					return 0 // recursive tags expand control flow, no data
@@ -284,13 +286,13 @@ func (d *dataflow) expandAll() {
 // depsFor returns the pre-declared dependency function of one step
 // collection for the tuned variants. Recursive (non-base) tags have no
 // dependencies; base tags declare exactly what their blocking Gets would
-// fetch.
-func (d *dataflow) depsFor(f Func) func(Tag) []cnc.Dep {
-	return func(t Tag) []cnc.Dep {
+// fetch. It is the append form: the runtime hands in a pooled scratch
+// buffer, so declaring an instance's dependencies allocates nothing.
+func (d *dataflow) depsFor(f Func) func(Tag, []cnc.Dep) []cnc.Dep {
+	return func(t Tag, deps []cnc.Dep) []cnc.Dep {
 		if t.S > d.base {
-			return nil
+			return deps
 		}
-		var deps []cnc.Dep
 		if f == FuncB || f == FuncC || f == FuncD {
 			deps = append(deps, d.out[FuncA].Key(ItemKey{t.K, t.K, t.K}))
 		}

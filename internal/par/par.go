@@ -214,8 +214,9 @@ func (p *Problem) RunCnCContext(ctx context.Context, m *matrix.Dense, base, work
 	})
 	step.Consumes(out).Produces(out)
 
-	deps := func(t Tile) []cnc.Dep {
-		var ds []cnc.Dep
+	// Append form: the runtime hands in a pooled scratch buffer, so
+	// declaring an instance's dependencies allocates nothing.
+	deps := func(t Tile, ds []cnc.Dep) []cnc.Dep {
 		for k := t.I; k <= t.J; k++ {
 			if k < t.J {
 				ds = append(ds, out.Key(Tile{t.I, k}))
@@ -228,9 +229,9 @@ func (p *Problem) RunCnCContext(ctx context.Context, m *matrix.Dense, base, work
 	}
 	switch variant {
 	case core.TunerCnC:
-		step.WithDeps(cnc.TunedPrescheduled, deps)
+		step.WithDepsAppend(cnc.TunedPrescheduled, deps)
 	case core.ManualCnC:
-		step.WithDeps(cnc.TunedTriggered, deps)
+		step.WithDepsAppend(cnc.TunedTriggered, deps)
 	}
 	tags.Prescribe(step)
 	if tune != nil {

@@ -474,6 +474,7 @@ func (j *Job) runLeaf(ctx context.Context) (bool, error) {
 	j.mu.Lock()
 	j.final = stats.Stats
 	j.haveFinal = true
+	j.graphs = nil // final stands in from here on; a finished job must not pin its item stores
 	j.mu.Unlock()
 	if err != nil {
 		if j.isStalled() {

@@ -83,7 +83,7 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) Status {
 }
 
 func TestSubmitRegistryJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	id := submit(t, ts, JobSpec{Tenant: "t1", Benchmark: "ge", N: 64, Base: 16, MemoryBytes: 1 << 20})
 	st := waitJob(t, ts, id)
 	if st.State != StateDone {
@@ -97,6 +97,14 @@ func TestSubmitRegistryJob(t *testing.T) {
 	}
 	if st.Tenant != "t1" {
 		t.Fatalf("tenant = %q", st.Tenant)
+	}
+	// The server keeps finished jobs for status queries; it must not keep
+	// their graphs (item stores and all) alive with them.
+	j := s.jobByID(id)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.haveFinal || j.graphs != nil {
+		t.Fatalf("finished job: haveFinal=%v, still holds %d graph(s)", j.haveFinal, len(j.graphs))
 	}
 }
 

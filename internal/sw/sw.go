@@ -248,11 +248,12 @@ func (p *Problem) RunCnCContext(ctx context.Context, h *matrix.Dense, base, work
 	})
 	step.Consumes(out).Produces(out)
 
-	deps := func(t TileTag) []cnc.Dep {
+	// Append form: the runtime hands in a pooled scratch buffer, so
+	// declaring an instance's dependencies allocates nothing.
+	deps := func(t TileTag, ds []cnc.Dep) []cnc.Dep {
 		if t.S > base {
-			return nil
+			return ds
 		}
-		var ds []cnc.Dep
 		if t.I > 0 {
 			ds = append(ds, out.Key(TileKey{t.I - 1, t.J}))
 		}
@@ -266,9 +267,9 @@ func (p *Problem) RunCnCContext(ctx context.Context, h *matrix.Dense, base, work
 	}
 	switch variant {
 	case core.TunerCnC:
-		step.WithDeps(cnc.TunedPrescheduled, deps)
+		step.WithDepsAppend(cnc.TunedPrescheduled, deps)
 	case core.ManualCnC:
-		step.WithDeps(cnc.TunedTriggered, deps)
+		step.WithDepsAppend(cnc.TunedTriggered, deps)
 	}
 	tags.Prescribe(step)
 
@@ -294,7 +295,7 @@ func (p *Problem) RunCnCContext(ctx context.Context, h *matrix.Dense, base, work
 			}
 			return c
 		}).WithSizeOf(func(TileKey) int { return tile })
-		step.WithGets(deps)
+		step.WithGetsAppend(deps)
 		tags.WithTagBytes(func(t TileTag) int {
 			if t.S > base {
 				return 0 // split tags only fan out; base tiles carry the data
