@@ -1,0 +1,276 @@
+package cnc
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dpflow/internal/exec"
+)
+
+// TestThrottledPutComplexity is the complexity gate of event-driven
+// admission, counted rather than timed: a deferred put resolves its steps'
+// declared gets once, and the instance it prescribes resolves them once more
+// to release them — however many other puts are pending. Before deferred puts
+// waited on their cells, every item put re-ran every pending entry's callback
+// (about n/2 invocations per put on these shapes).
+func TestThrottledPutComplexity(t *testing.T) {
+	for _, shape := range []string{"chain", "fanin"} {
+		for _, n := range []int{256, 4096} {
+			t.Run(fmt.Sprintf("%s/%d", shape, n), func(t *testing.T) {
+				var calls atomic.Int64
+				g := NewGraph("gate", 1).WithMemoryLimit(1 << 40)
+				env := throttledShape(g, shape, n, func() { calls.Add(1) })
+				if err := g.Run(env); err != nil {
+					t.Fatal(err)
+				}
+				s := g.Stats()
+				if s.StepsDone != uint64(n)+1 || s.BackpressureWaits < int64(n-1) || s.BackpressureStalls != 0 {
+					t.Fatalf("done %d waits %d stalls %d, want %d steps and the root done, every put but the chain's first deferred, none forced",
+						s.StepsDone, s.BackpressureWaits, s.BackpressureStalls, n)
+				}
+				if per := float64(calls.Load()) / float64(n); per > 4 {
+					t.Fatalf("%d WithGets invocations for %d throttled puts (%.1f per put), want at most 4 per put", calls.Load(), n, per)
+				}
+			})
+		}
+	}
+}
+
+// TestThrottledSubscribeRacesItemPut races each deferred put's subscription
+// against the put of the very item it waits for. An item that lands between
+// the entry's look at the cell and its registration must not be lost: a lost
+// wake leaves the entry waiting until the graph idles and force-admits it,
+// which shows up as a stall.
+func TestThrottledSubscribeRacesItemPut(t *testing.T) {
+	const n = 512
+	g := NewGraph("race-subscribe", 2).WithMemoryLimit(1 << 40)
+	in := NewItemCollection[int, int](g, "in").WithGetCount(func(int) int { return 1 })
+	ptags := NewTagCollection[int](g, "produce", false)
+	ctags := NewTagCollection[int](g, "consume", false).WithTagBytes(func(int) int { return 8 })
+	ptags.Prescribe(NewStepCollection(g, "p", func(i int) error { in.Put(i, i); return nil }))
+	var sum atomic.Int64
+	ctags.Prescribe(NewStepCollection(g, "c", func(i int) error {
+		sum.Add(int64(in.Get(i)))
+		return nil
+	}).WithGets(func(i int) []Dep { return []Dep{in.Key(i)} }))
+	if err := g.Run(func() {
+		for i := 0; i < n; i++ {
+			ptags.Put(i) // a worker puts item i while the environment defers its reader
+			ctags.PutThrottled(i)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if sum.Load() != n*(n-1)/2 || s.StepsDone != 2*n || s.Aborts != 0 {
+		t.Fatalf("sum %d done %d aborts %d, want every reader admitted once with its item present", sum.Load(), s.StepsDone, s.Aborts)
+	}
+	if s.BackpressureStalls != 0 || s.LiveItems != 0 {
+		t.Fatalf("stalls %d live %d, want 0 and 0 (a lost wake is only recovered by a forced admission)", s.BackpressureStalls, s.LiveItems)
+	}
+}
+
+// TestForcedAdmissionIgnoresLaterWake force-admits an entry that is still
+// subscribed to its missing item, then puts that item — from the stall hook,
+// which runs between the forced pick and the put — so the entry's wake
+// arrives after it was admitted. The tag must be put exactly once.
+func TestForcedAdmissionIgnoresLaterWake(t *testing.T) {
+	g := NewGraph("forced-then-woken", 2).WithMemoryLimit(1 << 20)
+	in := NewItemCollection[string, int](g, "in").WithGetCount(func(string) int { return 1 })
+	tags := NewTagCollection[string](g, "tags", false).WithTagBytes(func(string) int { return 8 })
+	var runs atomic.Int64
+	tags.Prescribe(NewStepCollection(g, "reader", func(k string) error {
+		in.Get(k)
+		runs.Add(1)
+		return nil
+	}).WithGets(func(k string) []Dep { return []Dep{in.Key(k)} }))
+	var blocked []string
+	g.SetHooks(&Hooks{OnBackpressureStall: func(r BackpressureReport) {
+		blocked = r.Blocked
+		in.Put("x", 1) // wakes the entry the accountant has just picked
+	}})
+	if err := g.Run(func() { tags.PutThrottled("x") }); err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if runs.Load() != 1 || s.TagsPut != 1 || s.StepsDone != 1 {
+		t.Fatalf("runs %d tags %d done %d, want the tag admitted exactly once", runs.Load(), s.TagsPut, s.StepsDone)
+	}
+	if s.BackpressureWaits != 1 || s.BackpressureStalls != 1 || s.LiveItems != 0 {
+		t.Fatalf("waits %d stalls %d live %d, want 1, 1, 0", s.BackpressureWaits, s.BackpressureStalls, s.LiveItems)
+	}
+	if want := []string{"tags@x (deferred) <- in[x]"}; !slices.Equal(blocked, want) {
+		t.Fatalf("stall report Blocked = %q, want %q", blocked, want)
+	}
+}
+
+// TestDeferredPutInBlocked stalls a throttled graph on an item nobody puts
+// and reads what it is waiting for from Blocked() while a running step keeps
+// the graph from idling — before the forced admission. The deferred put is
+// named, but it is not a parked instance: the run must end in the deadlock of
+// the step the forced admission launches, not in a spurious one earlier, and
+// the admitted entry's stale subscription must not be reported again.
+func TestDeferredPutInBlocked(t *testing.T) {
+	g := NewGraph("blocked-deferred", 2).WithMemoryLimit(1 << 20)
+	in := NewItemCollection[string, int](g, "in")
+	tags := NewTagCollection[string](g, "tags", false).WithTagBytes(func(string) int { return 8 })
+	tags.Prescribe(NewStepCollection(g, "reader", func(k string) error {
+		in.Get(k)
+		return nil
+	}).WithGets(func(k string) []Dep { return []Dep{in.Key(k)} }))
+	hold := NewTagCollection[int](g, "hold", false)
+	deferred, release := make(chan struct{}), make(chan struct{})
+	hold.Prescribe(NewStepCollection(g, "holder", func(int) error {
+		<-deferred
+		if got, want := g.Blocked(), []string{"tags@never (deferred) <- in[never]"}; !slices.Equal(got, want) {
+			t.Errorf("Blocked() while deferred = %q, want %q", got, want)
+		}
+		if n := g.parked.Load(); n != 0 {
+			t.Errorf("parked = %d with only a deferred put waiting, want 0", n)
+		}
+		<-release
+		return nil
+	}))
+	err := g.Run(func() {
+		hold.Put(0)
+		tags.PutThrottled("never")
+		close(deferred)
+		close(release)
+	})
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("err = %v, want the DeadlockError of the force-admitted reader", err)
+	}
+	if want := []string{"reader@never <- in[never]"}; !slices.Equal(dl.Blocked, want) {
+		t.Fatalf("DeadlockError.Blocked = %q, want %q", dl.Blocked, want)
+	}
+	if s := g.Stats(); s.BackpressureStalls != 1 {
+		t.Fatalf("BackpressureStalls = %d, want 1", s.BackpressureStalls)
+	}
+}
+
+// TestThrottledPutOnFreedItem defers nothing forever: a throttled put whose
+// step declares a get of an item that get-count GC already freed is admitted,
+// and the run fails with the deterministic use-after-free.
+func TestThrottledPutOnFreedItem(t *testing.T) {
+	g := NewGraph("freed-dep", 1).WithMemoryLimit(1 << 20)
+	in := NewItemCollection[string, int](g, "in").WithGetCount(func(string) int { return 0 }) // freed on put
+	tags := NewTagCollection[string](g, "tags", false).WithTagBytes(func(string) int { return 8 })
+	var runs atomic.Int64
+	tags.Prescribe(NewStepCollection(g, "reader", func(k string) error {
+		runs.Add(1)
+		in.Get(k)
+		return nil
+	}).WithGets(func(k string) []Dep { return []Dep{in.Key(k)} }))
+	err := g.Run(func() {
+		in.Put("x", 1)
+		tags.PutThrottled("x")
+	})
+	var uaf *UseAfterFreeError
+	if !errors.As(err, &uaf) || uaf.Collection != "in" || uaf.Key != "x" {
+		t.Fatalf("err = %v, want UseAfterFreeError on in[x]", err)
+	}
+	if s := g.Stats(); runs.Load() != 1 || s.BackpressureStalls != 0 {
+		t.Fatalf("runs %d stalls %d, want the reader admitted (once) without a forced admission", runs.Load(), s.BackpressureStalls)
+	}
+}
+
+// TestAdmissionOrderIsPutOrder binds the budget (limit = 3 tags: two growing
+// puts fit, the third must leave headroom) and makes the deferred entries
+// runnable in the reverse of their put order while two held steps keep the
+// budget full. Admission must still go oldest put first: with one worker the
+// execution order is the admission order.
+func TestAdmissionOrderIsPutOrder(t *testing.T) {
+	const (
+		n    = 32
+		cost = 8
+	)
+	g := NewGraph("order", 1).WithMemoryLimit(3 * cost)
+	out := NewItemCollection[int, int](g, "out").
+		WithGetCount(func(int) int { return 0 }).WithSizeOf(func(int) int { return cost })
+	gate := NewItemCollection[int, bool](g, "gate").WithGetCount(func(int) int { return 1 })
+	tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return cost })
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var order []int
+	tags.Prescribe(NewStepCollection(g, "work", func(i int) error {
+		if i < 0 {
+			<-release // the two blockers hold their reservations
+		} else {
+			gate.Get(i)
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		}
+		out.Put(i, i)
+		return nil
+	}).WithGets(func(i int) []Dep {
+		if i < 0 {
+			return nil
+		}
+		return []Dep{gate.Key(i)}
+	}))
+	if err := g.Run(func() {
+		tags.PutThrottled(-1)
+		tags.PutThrottled(-2)
+		for i := 0; i < n; i++ {
+			tags.PutThrottled(i)
+		}
+		for i := n - 1; i >= 0; i-- {
+			gate.Put(i, true)
+		}
+		close(release)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("admission order %v, want put order", order)
+	}
+	s := g.Stats()
+	if s.BackpressureWaits != n || s.BackpressureStalls != 0 || s.PeakLiveBytes > 3*cost || s.LiveItems != 0 {
+		t.Fatalf("waits %d stalls %d peak %d live %d, want %d deferred, none forced, peak within %d",
+			s.BackpressureWaits, s.BackpressureStalls, s.PeakLiveBytes, s.LiveItems, n, 3*cost)
+	}
+}
+
+// TestPutThrottledIntoKeepsBurst: under a limit, tags PutThrottledInto admits
+// on the spot are dispatched into the caller's burst like PutInto's — they
+// reach the lanes at Flush, and a phase costs one batched push (at most one
+// wake on a one-lane graph) instead of one push and one wake per tag.
+func TestPutThrottledIntoKeepsBurst(t *testing.T) {
+	const phases, perPhase = 4, 64
+	ex := exec.New(1)
+	defer ex.Close()
+	g := NewGraph("burst-limited", 1).WithExecutor(ex).WithMemoryLimit(1 << 40)
+	tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return 8 })
+	tags.Prescribe(NewStepCollection(g, "nop", func(int) error { return nil }))
+	if err := g.Run(func() {
+		for p := 0; p < phases; p++ {
+			bu := g.NewBurst()
+			for i := 0; i < perPhase; i++ {
+				tags.PutThrottledInto(p*perPhase+i, bu)
+			}
+			if len(bu.rs) != perPhase {
+				t.Errorf("phase %d: %d dispatches staged in the burst before Flush, want %d", p, len(bu.rs), perPhase)
+			}
+			bu.Flush()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if s.StepsDone != phases*perPhase || s.BackpressureWaits != 0 {
+		t.Fatalf("done %d waits %d, want every tag admitted immediately", s.StepsDone, s.BackpressureWaits)
+	}
+	if s.Wakeups > phases {
+		t.Fatalf("Wakeups = %d for %d bursts on one lane, want at most one per burst", s.Wakeups, phases)
+	}
+}

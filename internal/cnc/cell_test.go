@@ -270,8 +270,9 @@ func TestKeyBeforePut(t *testing.T) {
 	g := NewGraph("key-first", 1)
 	items := NewItemCollection[int, string](g, "tbl")
 	d := items.Key(5)
-	if d.String() != "tbl[5]" || d.c.has() || items.Len() != 0 {
-		t.Fatalf("Key before Put: %v has=%v Len=%d, want an empty cell", d, d.c.has(), items.Len())
+	c := d.c.(*cell[int, string])
+	if d.String() != "tbl[5]" || c.state != cellEmpty || items.Len() != 0 {
+		t.Fatalf("Key before Put: %v state=%v Len=%d, want an empty cell", d, c.state, items.Len())
 	}
 	err := g.Run(func() {
 		if v, ok := items.TryGet(5); ok {
@@ -285,7 +286,7 @@ func TestKeyBeforePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.c.has() || items.Key(5) != d {
+	if c.state != cellPresent || items.Key(5) != d {
 		t.Fatal("Put did not fill the cell the earlier Key named")
 	}
 	if s := g.Stats(); items.Len() != 1 || items.Puts() != 1 || s.LiveItems != 1 || s.ItemsPut != 1 {

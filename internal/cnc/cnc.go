@@ -87,11 +87,13 @@
 // double-decremented. A per-graph accountant surfaces
 // LiveItems/PeakLiveItems/ItemsFreed/PeakLiveBytes in Stats, and
 // Graph.WithMemoryLimit adds backpressure: throttled tag puts
-// (TagCollection.PutThrottled, PutRange) that do not fit the budget are
-// deferred — the putter never blocks — and admitted as get-count GC frees
-// items. If the graph idles with puts still deferred, the runtime
-// force-admits the oldest runnable one and reports through
-// Hooks.OnBackpressureStall rather than deadlocking.
+// (TagCollection.PutThrottled, PutRange) that do not fit the budget, or
+// whose steps' declared gets are not all present, are deferred — the putter
+// never blocks. A deferred put waits on the cells of its missing items like
+// a parked instance, and is admitted, oldest first, once they are present
+// and get-count GC has freed room. If the graph idles with puts still
+// deferred, the runtime force-admits the oldest runnable one and reports
+// through Hooks.OnBackpressureStall rather than deadlocking.
 package cnc
 
 import (
@@ -574,9 +576,11 @@ func (g *Graph) taskDone() {
 		g.quiesceMu.Unlock()
 		return
 	}
-	// With deferred throttled puts pending, every retirement is a potential
-	// admission opportunity — and the retirement that leaves only pending
-	// holds outstanding is what triggers the idle-graph liveness check.
+	// With deferred throttled puts pending, a retirement is an admission
+	// opportunity when one of them is runnable (the step's releases may have
+	// turned it from growing to freeing) — and the retirement that leaves
+	// only pending holds outstanding is what triggers the idle-graph
+	// liveness check. pump tells the two from the common no-op.
 	if g.acct.pendingN.Load() > 0 {
 		g.acct.pump()
 	}
@@ -610,9 +614,11 @@ func (g *Graph) HasGetCounts() bool {
 	return g.hasGetCounts
 }
 
-// Blocked returns a snapshot of the currently parked step instances, one
-// "step@tag <- coll[key]" entry per instance and item it still waits for —
-// the same form DeadlockError uses.
+// Blocked returns a snapshot of what the graph is waiting for: one
+// "step@tag <- coll[key]" entry per parked step instance and item it still
+// waits for — the same form DeadlockError uses — and, under a memory limit,
+// one "tags@tag (deferred) <- coll[key]" entry per throttled put not yet
+// admitted and input it still lacks.
 // It is safe to call while the graph runs, which is how the chaos
 // watchdog dumps the wait state of a stalled run.
 func (g *Graph) Blocked() []string { return g.collectBlocked() }

@@ -54,20 +54,18 @@ type depCell interface {
 	// release decrements the item's get-count (no-op on collections without
 	// one), freeing the value at zero.
 	release()
-	// has is the memory-throttling readiness probe: the item is readable
-	// now, or was already freed — which counts as "ready" so the admitted
-	// step surfaces the use-after-free error instead of deferring forever.
-	has() bool
 	// freeableBytes is the admission probe that classifies throttled puts
 	// as freeing or growing: the item's accounted size when one more release
 	// would free it (present, remaining get-count exactly 1), else 0.
 	freeableBytes() int64
 }
 
-// waiter is one parked consumer of a missing item — always a depLatch. The
-// label is materialised lazily: deadlock reports and Blocked snapshots are
-// the only readers, so the common case (the item arrives) never pays the
-// fmt.Sprintf. wake takes the burst of the Put that satisfied the wait (nil
+// waiter is one consumer waiting for a missing item: a depLatch (a parked
+// step instance) or a deferredPut (a throttled tag put not yet admitted).
+// The label is materialised lazily: deadlock reports and Blocked snapshots
+// are the only readers, so the common case (the item arrives) never pays the
+// fmt.Sprintf; an empty label means the waiter no longer waits and is left
+// out of them. wake takes the burst of the Put that satisfied the wait (nil
 // when unbatched) so a put that wakes many waiters re-dispatches them with
 // one queue push.
 type waiter interface {
@@ -203,42 +201,14 @@ func (sc *StepCollection[T]) WithGetsAppend(fn func(T, []Dep) []Dep) *StepCollec
 	return sc
 }
 
-// readyFor reports whether every declared get of the instance for tag is
-// already readable — the admission probe for memory-throttled tag puts.
-// Steps without a WithGets declaration are always ready.
-func (sc *StepCollection[T]) readyFor(tag T) bool {
+// gets appends the declared read set (WithGets) of the instance for tag to
+// buf — what a memory-throttled put of the tag waits for. Steps without a
+// declaration add nothing and are always ready.
+func (sc *StepCollection[T]) gets(tag T, buf []Dep) []Dep {
 	if sc.getsApp == nil {
-		return true
+		return buf
 	}
-	bufp := sc.g.takeDeps()
-	ds := sc.getsApp(tag, *bufp)
-	ready := true
-	for _, d := range ds {
-		if !d.c.has() {
-			ready = false
-			break
-		}
-	}
-	sc.g.putDeps(bufp, ds)
-	return ready
-}
-
-// freeableFor reports how many accounted bytes the instance for tag would
-// free on completion: the total size of its declared gets for which this
-// read is the last (remaining get-count 1). Admission uses it to tell
-// memory-releasing steps apart from memory-growing ones.
-func (sc *StepCollection[T]) freeableFor(tag T) int64 {
-	if sc.getsApp == nil {
-		return 0
-	}
-	bufp := sc.g.takeDeps()
-	ds := sc.getsApp(tag, *bufp)
-	var n int64
-	for _, d := range ds {
-		n += d.c.freeableBytes()
-	}
-	sc.g.putDeps(bufp, ds)
-	return n
+	return sc.getsApp(tag, buf)
 }
 
 // takeDeps and putDeps manage the pooled []Dep scratch buffers handed to
@@ -585,15 +555,17 @@ type TagCollection[T comparable] struct {
 	mu      sync.Mutex
 	memoize bool
 	seen    map[T]struct{}
+
+	// deferPool recycles the entries of throttled puts (deferredPut).
+	deferPool sync.Pool
 }
 
 // prescribable is the tag collection's view of a prescribed step
-// collection: instance creation plus the memory-throttling admission
-// probes.
+// collection: instance creation plus the read set a memory-throttled put
+// waits for.
 type prescribable[T comparable] interface {
 	instance(T, *Burst)
-	readyFor(T) bool
-	freeableFor(T) int64
+	gets(T, []Dep) []Dep
 }
 
 // NewTagCollection registers a tag collection on g. When memoize is true the
@@ -698,10 +670,10 @@ func (tc *TagCollection[T]) WithTagBytes(fn func(T) int) *TagCollection[T] {
 func (tc *TagCollection[T]) PutThrottled(tag T) { tc.PutThrottledInto(tag, nil) }
 
 // PutThrottledInto is PutThrottled with batched dispatch: tags admitted
-// immediately (no memory limit, or zero declared cost, or budget available)
-// go through bu like PutInto; a deferred tag is admitted later through the
-// unbatched path, since its admission time is not under the putter's
-// control.
+// immediately (no memory limit, or zero declared cost, or nothing deferred
+// ahead, inputs present and budget available) go through bu exactly like
+// PutInto; a deferred tag is admitted later through the unbatched path,
+// since its admission time is not under the putter's control.
 func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 	if !tc.g.acct.limited() {
 		tc.PutInto(tag, bu)
@@ -717,31 +689,50 @@ func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 		tc.PutInto(tag, bu)
 		return
 	}
-	tc.g.acct.enqueue(cost,
-		func() bool { return tc.readyFor(tag) },
-		func() int64 { return tc.freeableFor(tag) },
-		func() { tc.Put(tag) })
+	d, _ := tc.deferPool.Get().(*deferredPut[T])
+	if d == nil {
+		d = &deferredPut[T]{tc: tc}
+		d.self, d.deps = d, d.buf[:0]
+	}
+	d.tag, d.cost = tag, cost
+	for _, sc := range tc.prescribedList() {
+		d.deps = sc.gets(tag, d.deps)
+	}
+	tc.g.acct.enqueue(&d.pendingPut, bu)
 }
 
-// readyFor reports whether every prescribed step's declared gets for tag
-// are already readable.
-func (tc *TagCollection[T]) readyFor(tag T) bool {
-	for _, sc := range tc.prescribedList() {
-		if !sc.readyFor(tag) {
-			return false
-		}
-	}
-	return true
+// deferredPut is one throttled tag put on its way through admission: the
+// accountant's entry plus the typed tag. Like a depLatch it is itself the
+// waiter stored on the cells it waits for, so an entry on a wait list is
+// live — it is recycled only once nothing can reach it — and its lazy label
+// is safe for concurrent Blocked snapshots. Unlike a parked instance it does
+// not count toward Graph.parked: a graph that idles on one is not deadlocked
+// yet, the accountant force-admits it and its step parks (or runs).
+type deferredPut[T comparable] struct {
+	pendingPut
+	tc  *TagCollection[T]
+	tag T
 }
 
-// freeableFor reports the accounted bytes the prescribed steps for tag
-// would free on completion.
-func (tc *TagCollection[T]) freeableFor(tag T) int64 {
-	var n int64
-	for _, sc := range tc.prescribedList() {
-		n += sc.freeableFor(tag)
+func (d *deferredPut[T]) waitLabel() string {
+	if d.state.Load() == putAdmitted {
+		return "" // force-admitted while subscribed: its instance does the waiting now
 	}
-	return n
+	return fmt.Sprintf("%s@%v (deferred)", d.tc.name, d.tag)
+}
+
+func (d *deferredPut[T]) wake(*Burst) { d.tc.g.acct.arrive(&d.pendingPut) }
+
+func (d *deferredPut[T]) admit(bu *Burst, recycle bool) {
+	tc, tag := d.tc, d.tag
+	if recycle {
+		var zero T
+		d.tag = zero
+		clear(d.deps)
+		d.deps = d.deps[:0]
+		tc.deferPool.Put(d)
+	}
+	tc.PutInto(tag, bu)
 }
 
 // PutRange puts the tags mk(lo), mk(lo+1), …, mk(hi-1) — the Intel CnC
@@ -1029,7 +1020,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	if own {
 		bu.Flush()
 	}
-	// A new item can make deferred throttled tags runnable.
+	// The wakes above may have made deferred throttled tags runnable.
 	if ic.g.acct.pendingN.Load() > 0 {
 		ic.g.acct.pump()
 	}
@@ -1117,12 +1108,6 @@ func (c *cell[K, V]) release() {
 	ic.g.acct.free(ic.sizeBytes(c.key))
 }
 
-func (c *cell[K, V]) has() bool {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
-	return c.state != cellEmpty
-}
-
 func (c *cell[K, V]) freeableBytes() int64 {
 	c.sh.mu.Lock()
 	defer c.sh.mu.Unlock()
@@ -1141,10 +1126,11 @@ func (c *cell[K, V]) subscribe(w waiter) bool {
 	}
 	c.sh.mu.Unlock()
 	if state == cellFreed {
-		// An instance declared a dependency on an already-freed item: the
-		// get-count missed this consumer. Fail deterministically and report
-		// the dependency as satisfied so the countdown completes and the
-		// graph quiesces instead of parking forever.
+		// An instance (or a throttled put, for its steps) declared a
+		// dependency on an already-freed item: the get-count missed this
+		// consumer. Fail deterministically and report the dependency as
+		// satisfied so the countdown completes and the graph quiesces instead
+		// of parking — or deferring — forever.
 		c.useAfterFree()
 	}
 	return state == cellEmpty
@@ -1223,8 +1209,8 @@ func (ic *ItemCollection[K, V]) Len() int {
 	return n
 }
 
-// blockedInstances enumerates parked instances for deadlock reports: one
-// line per (instance, still-missing item) pair.
+// blockedInstances enumerates parked instances and deferred puts for
+// deadlock reports: one line per (waiter, still-missing item) pair.
 func (ic *ItemCollection[K, V]) blockedInstances() []string {
 	var out []string
 	for i := range ic.shards {
@@ -1232,7 +1218,9 @@ func (ic *ItemCollection[K, V]) blockedInstances() []string {
 		sh.mu.Lock()
 		for _, c := range sh.cells {
 			for _, w := range c.waiters {
-				out = append(out, fmt.Sprintf("%s <- %v", w.waitLabel(), c))
+				if l := w.waitLabel(); l != "" {
+					out = append(out, fmt.Sprintf("%s <- %v", l, c))
+				}
 			}
 		}
 		sh.mu.Unlock()

@@ -450,15 +450,17 @@ func TestBackpressureStallDegrades(t *testing.T) {
 	}
 }
 
-// TestBackpressureFlushesOnCancel cancels a graph holding a deferred put
-// that can never fit its budget, while a running step keeps the graph busy
-// (so the idle-graph forced admission never applies). The cancellation must
-// flush the deferred put into drain mode — without the flush its pending
-// hold would keep the graph from quiescing.
+// TestBackpressureFlushesOnCancel cancels a graph holding two deferred puts
+// — one runnable that can never fit its budget, one still waiting on an item
+// that never arrives — while a running step keeps the graph busy (so the
+// idle-graph forced admission never applies). The cancellation must flush
+// both into drain mode — without the flush their pending holds would keep
+// the graph from quiescing.
 func TestBackpressureFlushesOnCancel(t *testing.T) {
 	g := NewGraph("bp-cancel", 1).WithMemoryLimit(8)
 	out := NewItemCollection[int, int](g, "out")
 	out.WithSizeOf(func(int) int { return 8 }) // no get-count: never freed
+	gate := NewItemCollection[int, bool](g, "gate")
 	tags := NewTagCollection[int](g, "tags", false)
 	tags.WithTagBytes(func(int) int { return 8 })
 	release := make(chan struct{})
@@ -468,6 +470,12 @@ func TestBackpressureFlushesOnCancel(t *testing.T) {
 		return nil
 	})
 	step.Produces(out)
+	step.WithGets(func(i int) []Dep {
+		if i == 2 {
+			return []Dep{gate.Key(i)}
+		}
+		return nil
+	})
 	tags.Prescribe(step)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -476,6 +484,7 @@ func TestBackpressureFlushesOnCancel(t *testing.T) {
 		done <- g.RunContext(ctx, func() {
 			tags.PutThrottled(0) // admitted: fills the 8-byte budget
 			tags.PutThrottled(1) // deferred: can never fit
+			tags.PutThrottled(2) // deferred: its input is never put
 		})
 	}()
 	time.Sleep(200 * time.Millisecond) // deadline passes while the step holds the graph busy
@@ -486,9 +495,11 @@ func TestBackpressureFlushesOnCancel(t *testing.T) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled graph did not flush the deferred put")
+		t.Fatal("cancelled graph did not flush the deferred puts")
 	}
-	if s := g.Stats(); s.BackpressureStalls != 0 {
+	if s := g.Stats(); s.BackpressureWaits != 2 || s.TagsPut != 3 {
+		t.Fatalf("waits %d tags put %d, want both deferred puts flushed", s.BackpressureWaits, s.TagsPut)
+	} else if s.BackpressureStalls != 0 {
 		t.Fatalf("BackpressureStalls = %d, want 0 (cancellation flush, not forced admission)", s.BackpressureStalls)
 	}
 }

@@ -1,6 +1,7 @@
 package cnc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -133,5 +134,86 @@ func BenchmarkAbortRequeue(b *testing.B) {
 			b.ReportMetric(float64(s.Aborts)/float64(b.N), "aborts/op")
 			b.ReportMetric(float64(s.StepsStarted-uint64(last+1))/float64(b.N), "executions/op") // consumers only
 		})
+	}
+}
+
+// throttledShape builds one of the two deferred-put shapes on a limited
+// one-worker graph and returns its environment. chain is the dpperf micro
+// probe: step i reads item i-1 and puts item i, so each put is deferred on
+// its own item and the items land one by one. fanin defers all n tags on one
+// item that is put last. Like the probe (and the benchmarks' recursive
+// expansions) every put is issued from inside a root step, which keeps the
+// one worker busy until all n tags are in — the deferral count is exact.
+// gets, when non-nil, is called once per WithGets callback invocation.
+func throttledShape(g *Graph, shape string, n int, gets func()) func() {
+	items := NewItemCollection[int, bool](g, "items").WithSizeOf(func(int) int { return 2048 })
+	tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return 2048 })
+	count := func() {
+		if gets != nil {
+			gets()
+		}
+	}
+	var puts func()
+	switch shape {
+	case "chain":
+		items.WithGetCount(func(int) int { return 1 })
+		tags.Prescribe(NewStepCollection(g, "link", func(i int) error {
+			items.Get(i - 1)
+			if i < n-1 {
+				items.Put(i, true)
+			}
+			return nil
+		}).WithGetsAppend(func(i int, ds []Dep) []Dep { count(); return append(ds, items.Key(i-1)) }))
+		puts = func() {
+			items.Put(-1, true)
+			for i := 0; i < n; i++ {
+				tags.PutThrottled(i)
+			}
+		}
+	case "fanin":
+		items.WithGetCount(func(int) int { return n })
+		tags.Prescribe(NewStepCollection(g, "leaf", func(int) error {
+			items.Get(0)
+			return nil
+		}).WithGetsAppend(func(_ int, ds []Dep) []Dep { count(); return append(ds, items.Key(0)) }))
+		puts = func() {
+			for i := 0; i < n; i++ {
+				tags.PutThrottled(i)
+			}
+			items.Put(0, true)
+		}
+	default:
+		panic("unknown shape " + shape)
+	}
+	root := NewTagCollection[int](g, "root", false)
+	root.Prescribe(NewStepCollection(g, "root", func(int) error { puts(); return nil }))
+	return func() { root.Put(0) }
+}
+
+// BenchmarkThrottledPut reports the whole life of one deferred throttled put
+// — put, wait for its input, admission, dispatch and an empty step — as the
+// limited run's wall per BackpressureWait, on a chain and a fan-in of n tags.
+// The budget never binds, so this is the price of waiting for inputs alone;
+// it must not grow with n.
+func BenchmarkThrottledPut(b *testing.B) {
+	for _, shape := range []string{"chain", "fanin"} {
+		for _, n := range []int{256, 4096} {
+			b.Run(fmt.Sprintf("%s/%d", shape, n), func(b *testing.B) {
+				var waits int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					g := NewGraph("bench-throttle", 1).WithMemoryLimit(1 << 40)
+					if err := g.Run(throttledShape(g, shape, n, nil)); err != nil {
+						b.Fatal(err)
+					}
+					st := g.Stats()
+					if st.BackpressureWaits == 0 || st.BackpressureStalls != 0 {
+						b.Fatalf("%d waits, %d stalls; want every put deferred and none forced", st.BackpressureWaits, st.BackpressureStalls)
+					}
+					waits += st.BackpressureWaits
+				}
+				b.ReportMetric(float64(b.Elapsed())/float64(waits), "ns/deferred-put")
+			})
+		}
 	}
 }

@@ -67,11 +67,36 @@ func TestNonBlockingExcludedFromGC(t *testing.T) {
 	}
 }
 
+// checkBound asserts the memory contract on one leg of a bounded-memory run:
+// the budget holds strictly unless the runtime reports that it could not —
+// PeakLiveBytes > limit happens only with BackpressureStalls > 0, never
+// silently. (The converse is not a theorem: a forced admission can be for
+// the growing-put headroom, with the bytes still inside the limit.) limit 0
+// is the unbounded leg, which must neither defer nor stall.
+func checkBound(t *testing.T, leg string, s cnc.Stats, limit int64) {
+	t.Helper()
+	if limit == 0 {
+		if s.BackpressureWaits != 0 || s.BackpressureStalls != 0 {
+			t.Fatalf("%s: waits %d stalls %d without a limit, want 0 and 0", leg, s.BackpressureWaits, s.BackpressureStalls)
+		}
+	} else if s.BackpressureStalls == 0 && s.PeakLiveBytes > limit {
+		t.Fatalf("%s: PeakLiveBytes = %d exceeds the limit %d with no stall reported", leg, s.PeakLiveBytes, limit)
+	}
+	if s.LiveItems != 0 {
+		t.Fatalf("%s: LiveItems = %d, want 0", leg, s.LiveItems)
+	}
+}
+
 // TestBoundedMemory2KGE is the acceptance run: a 2048×2048 Native-CnC GE at
-// base 64. The unbounded pass must quiesce with zero live items and a peak
-// strictly below the total puts; the same problem under a memory limit of
-// half the unbounded byte peak must complete without deadlock or stall and
-// keep PeakLiveBytes within the budget.
+// base 64, on three legs. Unbounded, it must quiesce with zero live items
+// and a peak strictly below the total puts. Under a budget the schedule is
+// known to fit — the larger of two unbounded peaks; one peak less 5 % sat
+// within a percent of the admission policy's floor and stalled one run in
+// three on a loaded host — every put is throttled and the bound holds with
+// no stall. Under half the peak the run may or may not fit, depending on how
+// much parallelism the host gives it: either way it completes, correct, and
+// any overrun is reported as stalls. All three legs check the contract
+// itself (checkBound) rather than which side of it the host lands on.
 func TestBoundedMemory2KGE(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2K GE acceptance run skipped in -short mode")
@@ -86,9 +111,7 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unbounded.LiveItems != 0 {
-		t.Fatalf("unbounded: LiveItems = %d, want 0", unbounded.LiveItems)
-	}
+	checkBound(t, "unbounded", unbounded.Stats, 0)
 	if unbounded.ItemsFreed != int64(unbounded.ItemsPut) {
 		t.Fatalf("unbounded: ItemsFreed = %d, want %d", unbounded.ItemsFreed, unbounded.ItemsPut)
 	}
@@ -99,35 +122,29 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	if unbounded.PeakLiveBytes == 0 {
 		t.Fatal("unbounded: PeakLiveBytes = 0; SizeOf hints not wired")
 	}
+	again, err := RunCnC(orig.Clone(), 64, workers, core.NativeCnC)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Feasible budget: 95% of the unbounded peak sits above the admission
-	// policy's live-set floor, so the bound must hold strictly (stalls 0).
-	limit := unbounded.PeakLiveBytes * 95 / 100
+	limit := max(unbounded.PeakLiveBytes, again.PeakLiveBytes)
 	y := orig.Clone()
 	bounded, err := RunCnCContext(context.Background(), y, 64, workers, core.NativeCnC,
 		func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bounded.PeakLiveBytes > limit {
-		t.Fatalf("bounded: PeakLiveBytes = %d, want <= %d", bounded.PeakLiveBytes, limit)
-	}
+	checkBound(t, "bounded", bounded.Stats, limit)
 	if bounded.BackpressureStalls != 0 {
-		t.Fatalf("bounded: BackpressureStalls = %d, want 0 (budget was feasible)", bounded.BackpressureStalls)
+		t.Fatalf("bounded: BackpressureStalls = %d, want 0 (two unbounded runs fit in %d bytes)", bounded.BackpressureStalls, limit)
 	}
 	if bounded.BackpressureWaits == 0 {
 		t.Fatal("bounded: BackpressureWaits = 0; the budget never throttled")
-	}
-	if bounded.LiveItems != 0 {
-		t.Fatalf("bounded: LiveItems = %d, want 0", bounded.LiveItems)
 	}
 	if !matrix.Equal(x, y) {
 		t.Fatalf("bounded run disagrees with unbounded (maxdiff %g)", matrix.MaxAbsDiff(x, y))
 	}
 
-	// Infeasible budget: half the unbounded peak is below the live-set
-	// floor. The run must still complete correctly — degrading past the
-	// bound with the overflow reported as stalls — instead of deadlocking.
 	tight := unbounded.PeakLiveBytes / 2
 	z := orig.Clone()
 	degraded, err := RunCnCContext(context.Background(), z, 64, workers, core.NativeCnC,
@@ -135,21 +152,15 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if degraded.BackpressureStalls == 0 {
-		t.Fatalf("degraded: BackpressureStalls = 0, want > 0 (half-peak budget is infeasible)")
-	}
-	if degraded.PeakLiveBytes > unbounded.PeakLiveBytes {
-		t.Fatalf("degraded: PeakLiveBytes = %d exceeds the unbounded peak %d",
-			degraded.PeakLiveBytes, unbounded.PeakLiveBytes)
-	}
-	if degraded.LiveItems != 0 {
-		t.Fatalf("degraded: LiveItems = %d, want 0", degraded.LiveItems)
+	checkBound(t, "tight", degraded.Stats, tight)
+	if degraded.PeakLiveBytes > limit {
+		t.Fatalf("tight: PeakLiveBytes = %d exceeds the unbounded peak %d", degraded.PeakLiveBytes, limit)
 	}
 	if !matrix.Equal(x, z) {
-		t.Fatalf("degraded run disagrees with unbounded (maxdiff %g)", matrix.MaxAbsDiff(x, z))
+		t.Fatalf("tight run disagrees with unbounded (maxdiff %g)", matrix.MaxAbsDiff(x, z))
 	}
-	t.Logf("unbounded peak %d bytes (%d items) over %d puts; bounded to %d: peak %d, waits %d; tight %d: peak %d, stalls %d",
-		unbounded.PeakLiveBytes, unbounded.PeakLiveItems, unbounded.ItemsPut,
+	t.Logf("unbounded peaks %d and %d bytes (%d items) over %d puts; bounded to %d: peak %d, waits %d; tight %d: peak %d, stalls %d",
+		unbounded.PeakLiveBytes, again.PeakLiveBytes, unbounded.PeakLiveItems, unbounded.ItemsPut,
 		limit, bounded.PeakLiveBytes, bounded.BackpressureWaits,
 		tight, degraded.PeakLiveBytes, degraded.BackpressureStalls)
 }

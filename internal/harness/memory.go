@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"dpflow/internal/bench"
 	"dpflow/internal/cnc"
@@ -23,18 +24,20 @@ const (
 )
 
 // memRun executes one registered benchmark once under a schedule on a
-// fresh instance and returns the graph's stats after verifying the result
-// against the serial reference.
-func memRun(ctx context.Context, b bench.Benchmark, v core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, error) {
+// fresh instance and returns the graph's stats and the run's wall time after
+// verifying the result against the serial reference.
+func memRun(ctx context.Context, b bench.Benchmark, v core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, time.Duration, error) {
 	in, err := b.NewInstance(memN, memBase, memSeed)
 	if err != nil {
-		return gep.CnCStats{}, err
+		return gep.CnCStats{}, 0, err
 	}
+	start := time.Now()
 	stats, err := in.Run(ctx, v, bench.RunOpts{Workers: memWorkers, Tune: tune})
+	wall := time.Since(start)
 	if err != nil {
-		return stats, err
+		return stats, wall, err
 	}
-	return stats, in.Verify()
+	return stats, wall, in.Verify()
 }
 
 // WriteMemory reports the bounded-memory contract of the CnC runtime on
@@ -51,14 +54,18 @@ func memRun(ctx context.Context, b bench.Benchmark, v core.Variant, tune func(*c
 //     and BackpressureStalls == 0 — throttled puts deferred (waits) instead
 //     of admitted over budget.
 //
+// Each row also carries the run's wall time, and bounded rows its ratio to
+// the unbounded run just above — the price of the limit (one run a side, so
+// read it as an order of magnitude, not a measurement).
+//
 // Any violated claim is reported as an error so `dpbench -exp memory` can
 // gate CI.
 func WriteMemory(ctx context.Context, w io.Writer) error {
 	variants := []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC}
 
 	fmt.Fprintf(w, "# memory: get-count GC + backpressure, n=%d base=%d workers=%d (limit = 95%% of unbounded peak)\n", memN, memBase, memWorkers)
-	fmt.Fprintf(w, "%6s %10s %10s %8s %6s %6s %8s %12s %12s %8s %8s %8s\n",
-		"bench", "variant", "mode", "puts", "peak", "live", "freed", "peakbytes", "limit", "waits", "stalls", "claims")
+	fmt.Fprintf(w, "%6s %10s %10s %8s %6s %6s %8s %12s %12s %8s %8s %9s %7s %8s\n",
+		"bench", "variant", "mode", "puts", "peak", "live", "freed", "peakbytes", "limit", "waits", "stalls", "wall_ms", "x_unb", "claims")
 
 	var failures []string
 	bounded, degraded := 0, 0
@@ -68,21 +75,21 @@ func WriteMemory(ctx context.Context, w io.Writer) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			free, err := memRun(ctx, b, v, nil)
+			free, freeWall, err := memRun(ctx, b, v, nil)
 			if err != nil {
 				return fmt.Errorf("memory: %s/%s unbounded: %w", name, v, err)
 			}
-			writeMemRow(w, name, v.String(), "unbounded", free.Stats, 0)
+			writeMemRow(w, name, v.String(), "unbounded", free.Stats, 0, freeWall, 0)
 			if msg := checkLeakFree(name, v.String(), free.Stats); msg != "" {
 				failures = append(failures, msg)
 			}
 
 			limit := free.PeakLiveBytes * 95 / 100
-			capped, err := memRun(ctx, b, v, func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
+			capped, cappedWall, err := memRun(ctx, b, v, func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
 			if err != nil {
 				return fmt.Errorf("memory: %s/%s bounded to %d: %w", name, v, limit, err)
 			}
-			writeMemRow(w, name, v.String(), "bounded", capped.Stats, limit)
+			writeMemRow(w, name, v.String(), "bounded", capped.Stats, limit, cappedWall, freeWall)
 			if msg := checkLeakFree(name, v.String(), capped.Stats); msg != "" {
 				failures = append(failures, msg)
 			}
@@ -107,14 +114,17 @@ func WriteMemory(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-func writeMemRow(w io.Writer, bench, variant, mode string, s cnc.Stats, limit int64) {
+// writeMemRow prints one run; unbounded is the wall of the unlimited run a
+// bounded row is compared with (0 on unbounded rows).
+func writeMemRow(w io.Writer, bench, variant, mode string, s cnc.Stats, limit int64, wall, unbounded time.Duration) {
 	claims := "leak-free"
 	if s.LiveItems != 0 {
 		claims = "LEAK"
 	}
-	lim := "-"
+	lim, ratio := "-", "-"
 	if limit > 0 {
 		lim = fmt.Sprint(limit)
+		ratio = fmt.Sprintf("%.2f", float64(wall)/float64(unbounded))
 		if s.BackpressureStalls == 0 && s.PeakLiveBytes <= limit {
 			claims += ",bounded"
 		} else if s.BackpressureStalls > 0 {
@@ -123,9 +133,10 @@ func writeMemRow(w io.Writer, bench, variant, mode string, s cnc.Stats, limit in
 			claims = "OVER-LIMIT"
 		}
 	}
-	fmt.Fprintf(w, "%6s %10s %10s %8d %6d %6d %8d %12d %12s %8d %8d %8s\n",
+	fmt.Fprintf(w, "%6s %10s %10s %8d %6d %6d %8d %12d %12s %8d %8d %9.2f %7s %8s\n",
 		bench, variant, mode, s.ItemsPut, s.PeakLiveItems, s.LiveItems, s.ItemsFreed,
-		s.PeakLiveBytes, lim, s.BackpressureWaits, s.BackpressureStalls, claims)
+		s.PeakLiveBytes, lim, s.BackpressureWaits, s.BackpressureStalls,
+		float64(wall)/float64(time.Millisecond), ratio, claims)
 }
 
 // checkLeakFree validates the quiesce-time accounting of one run; empty
