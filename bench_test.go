@@ -7,7 +7,8 @@
 //     full paper-scale sweeps are produced by `go run ./cmd/dpbench -exp
 //     figN` (and by these benches with -dpflow.fullscale).
 //   - BenchmarkTable1 regenerates Table I with the cache simulator.
-//   - BenchmarkReal* execute the actual runtimes (goroutines) on the host.
+//   - BenchmarkReal and BenchmarkRealPar execute the actual runtimes
+//     (goroutines) on the host.
 //   - BenchmarkAblation* measure the design alternatives called out in
 //     DESIGN.md (non-blocking gets, steal policy, tag memoization).
 package dpflow_test
@@ -18,20 +19,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/exec"
 	"dpflow/internal/forkjoin"
-	"dpflow/internal/fw"
-	"dpflow/internal/ge"
-	"dpflow/internal/graphgen"
+	"dpflow/internal/gep"
 	"dpflow/internal/harness"
 	"dpflow/internal/kernels"
 	"dpflow/internal/machine"
 	"dpflow/internal/matrix"
 	"dpflow/internal/par"
 	"dpflow/internal/seq"
-	"dpflow/internal/sw"
 )
 
 var fullScale = flag.Bool("dpflow.fullscale", false, "run figure benchmarks at the paper's full problem sizes")
@@ -51,7 +50,7 @@ func benchFigure(b *testing.B, id string) {
 	opts := figureOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run(opts)
+		res, err := exp.RunContext(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,65 +101,29 @@ func realSizes(b *testing.B) (n, base, workers int) {
 	return 512, 64, 4
 }
 
-// BenchmarkRealGE executes GE on the host with every parallel variant.
-func BenchmarkRealGE(b *testing.B) {
+// BenchmarkReal executes every registered benchmark on the host with every
+// parallel variant, through the registry: a fresh instance per iteration
+// (built, with its serial reference, outside the timer), one Instance.Run.
+func BenchmarkReal(b *testing.B) {
 	n, base, workers := realSizes(b)
-	rng := rand.New(rand.NewSource(1))
-	orig := matrix.NewSquare(n)
-	orig.FillDiagonallyDominant(rng)
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()
-	for _, v := range core.ParallelVariants {
-		b.Run(v.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				x := orig.Clone()
-				b.StartTimer()
-				if _, err := ge.Run(v, x, base, workers, pool); err != nil {
-					b.Fatal(err)
+	for _, bm := range bench.All() {
+		for _, v := range core.ParallelVariants {
+			b.Run(bm.Name()+"/"+v.String(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					in, err := bm.NewInstance(n, base, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := in.Run(context.Background(), v, bench.RunOpts{Workers: workers, Pool: pool}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkRealSW executes SW on the host with every parallel variant.
-func BenchmarkRealSW(b *testing.B) {
-	n, base, workers := realSizes(b)
-	rng := rand.New(rand.NewSource(2))
-	a := seq.RandomDNA(n, rng)
-	p := &sw.Problem{A: a, B: seq.Mutate(a, 0.2, seq.DNAAlphabet, rng), Scoring: kernels.DefaultScoring}
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
-	defer pool.Close()
-	for _, v := range core.ParallelVariants {
-		b.Run(v.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(v, base, workers, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRealFW executes FW on the host with every parallel variant.
-func BenchmarkRealFW(b *testing.B) {
-	n, base, workers := realSizes(b)
-	rng := rand.New(rand.NewSource(3))
-	orig := graphgen.Random(graphgen.Config{N: n, Density: 0.2, MaxWeight: 9, Infinity: fw.Infinity}, rng)
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
-	defer pool.Close()
-	for _, v := range core.ParallelVariants {
-		b.Run(v.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				x := orig.Clone()
-				b.StartTimer()
-				if _, err := fw.Run(v, x, base, workers, pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -180,7 +143,7 @@ func BenchmarkAblationNonBlockingGet(b *testing.B) {
 					b.StopTimer()
 					x := orig.Clone()
 					b.StartTimer()
-					if _, err := ge.RunCnC(x, base, 4, v); err != nil {
+					if _, err := gep.GE.RunCnC(x, base, 4, v); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -208,7 +171,7 @@ func BenchmarkGE1KNativeCnC(b *testing.B) {
 		b.StopTimer()
 		x := orig.Clone()
 		b.StartTimer()
-		stats, err := ge.RunCnC(x, base, workers, core.NativeCnC)
+		stats, err := gep.GE.RunCnC(x, base, workers, core.NativeCnC)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,14 +194,14 @@ func BenchmarkStealPolicy(b *testing.B) {
 		for _, pol := range []exec.StealPolicy{exec.StealRandom, exec.StealSequential} {
 			b.Run(rt+"/"+pol.String(), func(b *testing.B) {
 				run := func(x *matrix.Dense) error {
-					_, err := ge.RunCnCContext(context.Background(), x, 32, 4, core.NativeCnC,
+					_, err := gep.GE.RunCnCContext(context.Background(), x, 32, 4, core.NativeCnC,
 						func(g *cnc.Graph) { g.SetStealPolicy(pol) })
 					return err
 				}
 				if rt == "forkjoin" {
 					pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Policy: pol})
 					defer pool.Close()
-					run = func(x *matrix.Dense) error { return ge.ForkJoin(x, 32, pool) }
+					run = func(x *matrix.Dense) error { return gep.GE.ForkJoin(x, 32, pool) }
 				}
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -265,7 +228,7 @@ func BenchmarkAblationBaseSize(b *testing.B) {
 				b.StopTimer()
 				x := orig.Clone()
 				b.StartTimer()
-				if _, err := ge.RunCnC(x, base, 4, core.TunerCnC); err != nil {
+				if _, err := gep.GE.RunCnC(x, base, 4, core.TunerCnC); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,9 +265,13 @@ func BenchmarkKernels(b *testing.B) {
 // mid-sized graph (events per second drive full-figure regeneration time).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	mach := benchMachine()
+	ge, err := bench.ByName("ge")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.SimulatePoint(mach, core.GE, 4096, 64, core.NativeCnC); err != nil {
+		if _, err := harness.SimulatePoint(mach, ge, 4096, 64, core.NativeCnC); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -335,10 +302,19 @@ func BenchmarkRealPar(b *testing.B) {
 	p := par.RandomProblem(n/2, 30, rng)
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()
+	run := map[core.Variant]func(*matrix.Dense) (float64, error){
+		core.OMPTasking: func(m *matrix.Dense) (float64, error) { return p.ForkJoin(m, base/2, pool) },
+	}
 	for _, v := range core.ParallelVariants {
+		if v.IsCnC() {
+			run[v] = func(m *matrix.Dense) (float64, error) {
+				cost, _, err := p.RunCnC(m, base/2, workers, v)
+				return cost, err
+			}
+		}
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(v, base/2, workers, pool); err != nil {
+				if _, err := run[v](p.NewTable()); err != nil {
 					b.Fatal(err)
 				}
 			}

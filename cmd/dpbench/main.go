@@ -4,7 +4,7 @@
 // bestblock), and the bounded-memory contract report (memory: get-count
 // GC leak freedom plus backpressure under a live-set budget). The
 // benchmark-facing experiments iterate the internal/bench registry, so
-// every registered benchmark — GE, SW, FW-APSP, CH — appears in the
+// every registered benchmark — chol, fw, ge, sw — appears in the
 // crossover verification, memory, sched, and dist (sharded multi-process
 // vs single-process) reports.
 //
@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"dpflow/internal/dist"
 	"dpflow/internal/harness"
@@ -34,32 +35,46 @@ func main() {
 	// The dist coordinator self-execs this binary as its shard workers
 	// (dpbench -exp dist); with the worker env set this call never returns.
 	dist.MaybeWorkerChild()
+	var f harness.ReportFlags
+	reports := harness.Reports(&f)
+	var ids []string
+	for _, r := range reports {
+		ids = append(ids, r.ID)
+	}
+	idList := strings.Join(ids, ", ")
 	var (
-		exp     = flag.String("exp", "", "experiment id ("+harness.ValidIDList()+", or 'all')")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonF   = flag.Bool("json", false, "emit JSON instead of aligned tables")
-		scale   = flag.Int("scale", 0, "divide figure problem sizes by 2^scale (0 = paper sizes)")
-		tscale  = flag.Int("tscale", 8, "table1 linear scaling factor (1 = the paper's full 8K trace)")
-		tiles   = flag.Int("maxtiles", 256, "skip sweep points with more tiles per side than this (0 = no limit)")
+		exp     = flag.String("exp", "", "experiment id ("+idList+", or 'all')")
 		timeout = flag.Duration("timeout", 0, "abandon the run after this long (0 = no limit)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		quiet   = flag.Bool("quiet", false, "suppress progress lines")
-		raceDet = flag.Bool("race-detect", false, "perf: run fork-join rows under determinacy-race detection and CnC rows under discipline checking, and report detector stats")
-
-		vsample = flag.Int("verify-sample", 0, "dist: verified-read sampling rate (0 = 1-in-16 default, 1 = every get, <0 = never)")
-
-		baseline = flag.String("baseline", "BENCH_seed.json", "perfdiff: baseline perf snapshot to diff against")
-		current  = flag.String("current", "", "perfdiff: current perf snapshot (empty = measure fresh)")
-		tol      = flag.Float64("tol", 0.10, "perfdiff: fail on any cell regressing by more than this fraction")
 	)
+	flag.BoolVar(&f.CSV, "csv", false, "emit CSV instead of aligned tables")
+	flag.BoolVar(&f.JSON, "json", false, "emit JSON instead of aligned tables")
+	flag.IntVar(&f.Scale, "scale", 0, "divide figure problem sizes by 2^scale (0 = paper sizes)")
+	flag.IntVar(&f.TScale, "tscale", 8, "table1 linear scaling factor (1 = the paper's full 8K trace)")
+	flag.IntVar(&f.MaxTiles, "maxtiles", 256, "skip sweep points with more tiles per side than this (0 = no limit)")
+	flag.BoolVar(&f.RaceDetect, "race-detect", false, "perf: run fork-join rows under determinacy-race detection and CnC rows under discipline checking, and report detector stats")
+	flag.IntVar(&f.VerifySample, "verify-sample", 0, "dist: verified-read sampling rate (0 = 1-in-16 default, 1 = every get, <0 = never)")
+	flag.StringVar(&f.Baseline, "baseline", "BENCH_seed.json", "perfdiff: baseline perf snapshot to diff against")
+	flag.StringVar(&f.Current, "current", "", "perfdiff: current perf snapshot (empty = measure fresh)")
+	flag.Float64Var(&f.Tol, "tol", 0.10, "perfdiff: fail on any cell regressing by more than this fraction")
 	flag.Parse()
 
 	if *list {
-		fmt.Println(harness.ValidIDList())
+		fmt.Println(idList)
 		return
 	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "dpbench: -exp required; one of:", harness.ValidIDList())
+	// One table (harness.Reports) answers -list, expands 'all' and
+	// dispatches: 'all' is every entry that is a measurement, not a gate
+	// against a committed snapshot.
+	var selected []harness.Report
+	for _, r := range reports {
+		if r.ID == *exp || *exp == "all" && !r.Gate {
+			selected = append(selected, r)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "dpbench: unknown or missing -exp %q; one of: %s, or 'all'\n", *exp, idList)
 		os.Exit(2)
 	}
 
@@ -73,88 +88,17 @@ func main() {
 		defer cancel()
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		// perfdiff is a gate against a committed snapshot, not a measurement;
-		// "all" runs the measurements only.
-		ids = ids[:0]
-		for _, id := range harness.IDs() {
-			if id != "perfdiff" {
-				ids = append(ids, id)
-			}
-		}
+	if !*quiet {
+		f.Progress = os.Stderr
 	}
-	for _, id := range ids {
-		if err := run(ctx, id, *csv, *jsonF, *scale, *tscale, *tiles, *quiet, *raceDet, *vsample, *baseline, *current, *tol); err != nil {
+	for _, r := range selected {
+		if err := r.Run(ctx, os.Stdout); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
-				fmt.Fprintln(os.Stderr, "dpbench: timeout exceeded during", id)
+				fmt.Fprintln(os.Stderr, "dpbench: timeout exceeded during", r.ID)
 			} else {
 				fmt.Fprintln(os.Stderr, "dpbench:", err)
 			}
 			os.Exit(1)
 		}
 	}
-}
-
-func run(ctx context.Context, id string, csv, jsonOut bool, scale, tscale, maxTiles int, quiet, raceDetect bool, vsample int, baseline, current string, tol float64) error {
-	switch id {
-	case "table1":
-		res, err := harness.RunTable1Context(ctx, tscale)
-		if err != nil {
-			return err
-		}
-		res.WriteTable(os.Stdout)
-		return nil
-	case "crossover":
-		return harness.WriteCrossover(ctx, os.Stdout)
-	case "swspan":
-		return harness.WriteSWSpan(ctx, os.Stdout)
-	case "bestblock":
-		return harness.WriteBestBlock(ctx, os.Stdout)
-	case "rway":
-		return harness.WriteRWay(ctx, os.Stdout)
-	case "computeon":
-		return harness.WriteComputeOn(ctx, os.Stdout)
-	case "scaling":
-		return harness.WriteScaling(ctx, os.Stdout)
-	case "cluster":
-		return harness.WriteCluster(ctx, os.Stdout)
-	case "swwave":
-		return harness.WriteSWWave(ctx, os.Stdout)
-	case "memory":
-		return harness.WriteMemory(ctx, os.Stdout)
-	case "sched":
-		return harness.WriteSched(ctx, os.Stdout)
-	case "dist":
-		return harness.WriteDist(ctx, os.Stdout, vsample)
-	case "perf":
-		return harness.WritePerf(ctx, os.Stdout, jsonOut, raceDetect)
-	case "perfdiff":
-		return harness.WritePerfDiff(ctx, os.Stdout, baseline, current, tol)
-	}
-	e, ok := harness.FigureByID(id)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (valid: %s)", id, harness.ValidIDList())
-	}
-	opts := harness.Options{Scale: scale, MaxTiles: maxTiles}
-	if !quiet {
-		opts.Progress = os.Stderr
-	}
-	res, err := e.RunContext(ctx, opts)
-	if err != nil {
-		return err
-	}
-	if csv {
-		res.WriteCSV(os.Stdout)
-		return nil
-	}
-	if jsonOut {
-		return res.WriteJSON(os.Stdout)
-	}
-	res.WriteTable(os.Stdout)
-	fmt.Println()
-	for _, line := range res.Best() {
-		fmt.Println("//", line)
-	}
-	return nil
 }

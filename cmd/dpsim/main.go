@@ -60,7 +60,7 @@ func main() {
 	m := gep.BaseSize(*n, *base)
 	tiles := *n / m
 	fmt.Printf("%s n=%d base=%d (effective tile %d, %d tiles/side) on %s, P=%d\n\n",
-		b.ID(), *n, *base, m, tiles, mach.Name, p)
+		b.Name(), *n, *base, m, tiles, mach.Name, p)
 	fmt.Println(model.Describe(mach, b, *n, *base))
 
 	df, fj := b.Dataflow(tiles), b.ForkJoin(tiles)

@@ -7,8 +7,8 @@
 // runnable runtimes — a work-stealing fork-join pool (internal/forkjoin,
 // the OpenMP-tasking analogue) and a Concurrent Collections data-flow
 // runtime (internal/cnc, the Intel CnC analogue) — together with the three
-// DP benchmarks implemented on both (internal/ge, internal/sw,
-// internal/fw via the shared recursion engine internal/gep), the paper's
+// DP benchmarks implemented on both (GE and FW as the two instantiations of
+// the recursion engine internal/gep, SW in internal/sw), the paper's
 // analytical cache/task model (internal/model), a cache simulator standing
 // in for PAPI (internal/cachesim), task-DAG builders for both execution
 // models (internal/dag), and a discrete-event scheduler (internal/simsched)

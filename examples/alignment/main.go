@@ -16,6 +16,7 @@ import (
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/kernels"
+	"dpflow/internal/matrix"
 	"dpflow/internal/seq"
 	"dpflow/internal/sw"
 )
@@ -40,18 +41,30 @@ func main() {
 
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: *workers})
 	defer pool.Close()
-	for _, v := range []core.Variant{core.SerialLoop, core.SerialRDP, core.OMPTasking,
-		core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+	// align fills a fresh table with one execution of the recurrence and
+	// checks its score. The score is the result wanted here, so the drivers
+	// are called directly: the serial loop and recursion, the fork-join pool,
+	// and the CnC data-flow program in three schedules.
+	align := func(name string, run func(h *matrix.Dense) (float64, error)) {
 		start := time.Now()
-		score, err := p.Run(v, *base, *workers, pool)
+		score, err := run(p.NewTable())
 		if err != nil {
-			log.Fatalf("%v: %v", v, err)
+			log.Fatalf("%v: %v", name, err)
 		}
 		status := "ok"
 		if score != refScore {
 			status = fmt.Sprintf("MISMATCH (want %.0f)", refScore)
 		}
-		fmt.Printf("%-16s score %.0f in %10v   %s\n", v, score, time.Since(start).Round(time.Microsecond), status)
+		fmt.Printf("%-16s score %.0f in %10v   %s\n", name, score, time.Since(start).Round(time.Microsecond), status)
+	}
+	align(core.SerialLoop.String(), func(h *matrix.Dense) (float64, error) { return p.Serial(h), nil })
+	align(core.SerialRDP.String(), func(h *matrix.Dense) (float64, error) { return p.RDPSerial(h, *base) })
+	align(core.OMPTasking.String(), func(h *matrix.Dense) (float64, error) { return p.ForkJoin(h, *base, pool) })
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+		align(v.String(), func(h *matrix.Dense) (float64, error) {
+			score, _, err := p.RunCnC(h, *base, *workers, v)
+			return score, err
+		})
 	}
 
 	// Show the wavefront structure: tiles per anti-diagonal.

@@ -1,22 +1,25 @@
 // APSP: all-pairs shortest paths on a random directed graph with recursive
-// divide-and-conquer Floyd-Warshall in both execution models, verified
-// against the classic triple loop and against the closed-form ring-graph
-// oracle.
+// divide-and-conquer Floyd-Warshall as a data-flow program, verified against
+// the classic triple loop; then every execution model on the registry's "fw"
+// benchmark, and the closed-form ring-graph oracle.
 //
 //	go run ./examples/apsp [-v 256] [-base 32] [-workers 4]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
-	"dpflow/internal/fw"
+	"dpflow/internal/gep"
 	"dpflow/internal/graphgen"
+	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
@@ -28,34 +31,51 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(3))
-	d0 := graphgen.Random(graphgen.Config{N: *v, Density: *density, MaxWeight: 9, Infinity: fw.Infinity}, rng)
+	d0 := graphgen.Random(graphgen.Config{N: *v, Density: *density, MaxWeight: 9, Infinity: graphgen.Infinity}, rng)
 	fmt.Printf("APSP on a random digraph: %d vertices, density %.0f%%, base=%d, workers=%d\n\n",
 		*v, 100**density, *base, *workers)
 
 	ref := d0.Clone()
-	fw.Serial(ref)
-	reachable, diameter := summarize(ref)
-	fmt.Printf("serial reference: %d finite pairs, diameter %v\n\n", reachable, diameter)
+	kernels.FWSerial(ref)
+	d := d0.Clone()
+	if _, err := gep.FW.RunCnC(d, *base, *workers, core.NativeCnC); err != nil {
+		log.Fatal(err)
+	}
+	if !matrix.Equal(d, ref) {
+		log.Fatal("data-flow distance matrix differs from the triple loop's")
+	}
+	reachable, diameter := summarize(d)
+	fmt.Printf("data-flow solution matches the triple loop: %d finite pairs, diameter %v\n\n", reachable, diameter)
 
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: *workers})
 	defer pool.Close()
+	// The study's own "fw" benchmark: the registry builds a seeded random
+	// digraph with its serial-recursion reference, runs the variant and
+	// verifies the distance matrix bit for bit.
+	fwBench, err := bench.ByName("fw")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, variant := range []core.Variant{core.SerialRDP, core.OMPTasking,
 		core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-		d := d0.Clone()
-		start := time.Now()
-		if _, err := fw.Run(variant, d, *base, *workers, pool); err != nil {
+		in, err := fwBench.NewInstance(*v, *base, 3)
+		if err != nil {
 			log.Fatalf("%v: %v", variant, err)
 		}
-		ok := matrix.Equal(d, ref)
-		fmt.Printf("%-14s %10v   matches serial: %v\n", variant, time.Since(start).Round(time.Microsecond), ok)
-		if !ok {
-			log.Fatalf("%v produced a different distance matrix", variant)
+		start := time.Now()
+		if _, err := in.Run(context.Background(), variant, bench.RunOpts{Workers: *workers, Pool: pool}); err != nil {
+			log.Fatalf("%v: %v", variant, err)
 		}
+		elapsed := time.Since(start)
+		if err := in.Verify(); err != nil {
+			log.Fatalf("%v: %v", variant, err)
+		}
+		fmt.Printf("%-14s %10v   matches serial recursion: true\n", variant, elapsed.Round(time.Microsecond))
 	}
 
 	// Oracle check on the ring graph, whose APSP solution is known exactly.
-	ring := graphgen.Ring(64, fw.Infinity)
-	if _, err := fw.RunCnC(ring, 8, *workers, core.NativeCnC); err != nil {
+	ring := graphgen.Ring(64, graphgen.Infinity)
+	if _, err := gep.FW.RunCnC(ring, 8, *workers, core.NativeCnC); err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
@@ -71,7 +91,7 @@ func main() {
 func summarize(d *matrix.Dense) (finite int, diameter float64) {
 	for i := 0; i < d.Rows(); i++ {
 		for _, v := range d.Row(i) {
-			if v < fw.Infinity {
+			if v < graphgen.Infinity {
 				finite++
 				if v > diameter {
 					diameter = v

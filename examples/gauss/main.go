@@ -17,6 +17,9 @@ import (
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/ge"
+	"dpflow/internal/gep"
+	"dpflow/internal/kernels"
+	"dpflow/internal/matrix"
 )
 
 func main() {
@@ -33,21 +36,19 @@ func main() {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: *workers})
 	defer pool.Close()
 
-	variants := []core.Variant{
-		core.SerialLoop, core.SerialRDP, core.OMPTasking,
-		core.NativeCnC, core.TunerCnC, core.ManualCnC,
-	}
-	for _, v := range variants {
+	// solve runs one execution of gep.GE on a fresh copy of the system,
+	// back-substitutes and reports the error against the known solution.
+	solve := func(name string, run func(a *matrix.Dense) (gep.CnCStats, error)) {
 		a := system.Clone()
 		start := time.Now()
-		stats, err := ge.Run(v, a, *base, *workers, pool)
+		stats, err := run(a)
 		elapsed := time.Since(start)
 		if err != nil {
-			log.Fatalf("%v: %v", v, err)
+			log.Fatalf("%v: %v", name, err)
 		}
 		x, err := ge.BackSubstitute(a)
 		if err != nil {
-			log.Fatalf("%v: %v", v, err)
+			log.Fatalf("%v: %v", name, err)
 		}
 		maxErr := 0.0
 		for i := range want {
@@ -60,6 +61,24 @@ func main() {
 			extra = fmt.Sprintf("  (%d base tasks, %d aborts, %d inline)",
 				stats.BaseTasks, stats.Aborts, stats.InlineRuns)
 		}
-		fmt.Printf("%-16s %10v   max |x-x*| = %.2e%s\n", v, elapsed.Round(time.Microsecond), maxErr, extra)
+		fmt.Printf("%-16s %10v   max |x-x*| = %.2e%s\n", name, elapsed.Round(time.Microsecond), maxErr, extra)
+	}
+	// The solved matrix is needed here, so the drivers are called directly:
+	// the serial loop and recursion, the fork-join pool, and the CnC
+	// data-flow program in three schedules.
+	solve(core.SerialLoop.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
+		kernels.GESerial(a)
+		return gep.CnCStats{}, nil
+	})
+	solve(core.SerialRDP.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
+		return gep.CnCStats{}, gep.GE.RDPSerial(a, *base)
+	})
+	solve(core.OMPTasking.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
+		return gep.CnCStats{}, gep.GE.ForkJoin(a, *base, pool)
+	})
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+		solve(v.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
+			return gep.GE.RunCnC(a, *base, *workers, v)
+		})
 	}
 }

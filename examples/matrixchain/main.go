@@ -16,6 +16,7 @@ import (
 
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/matrix"
 	"dpflow/internal/par"
 )
 
@@ -36,18 +37,29 @@ func main() {
 
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: *workers})
 	defer pool.Close()
-	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking,
-		core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+	// solve fills a fresh table with one execution of the recurrence and
+	// checks the optimal cost. par is not in the benchmark registry, so its
+	// drivers are called directly: the serial recursion, the fork-join pool,
+	// and the CnC data-flow program in three schedules.
+	solve := func(name string, run func(m *matrix.Dense) (float64, error)) {
 		start := time.Now()
-		got, err := p.Run(v, *base, *workers, pool)
+		got, err := run(p.NewTable())
 		if err != nil {
-			log.Fatalf("%v: %v", v, err)
+			log.Fatalf("%v: %v", name, err)
 		}
 		status := "ok"
 		if got != want {
 			status = fmt.Sprintf("MISMATCH (want %.0f)", want)
 		}
-		fmt.Printf("%-16s cost %.0f in %10v   %s\n", v, got, time.Since(start).Round(time.Microsecond), status)
+		fmt.Printf("%-16s cost %.0f in %10v   %s\n", name, got, time.Since(start).Round(time.Microsecond), status)
+	}
+	solve(core.SerialRDP.String(), func(m *matrix.Dense) (float64, error) { return p.RDPSerial(m, *base) })
+	solve(core.OMPTasking.String(), func(m *matrix.Dense) (float64, error) { return p.ForkJoin(m, *base, pool) })
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+		solve(v.String(), func(m *matrix.Dense) (float64, error) {
+			cost, _, err := p.RunCnC(m, *base, *workers, v)
+			return cost, err
+		})
 	}
 
 	tiles := *n / *base

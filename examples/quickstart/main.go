@@ -13,7 +13,8 @@ import (
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
-	"dpflow/internal/ge"
+	"dpflow/internal/gep"
+	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
@@ -60,17 +61,17 @@ func bothModels() {
 	a.FillDiagonallyDominant(rng)
 
 	serial := a.Clone()
-	ge.Serial(serial)
+	kernels.GESerial(serial)
 
 	fj := a.Clone()
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 4})
 	defer pool.Close()
-	if err := ge.ForkJoin(fj, 8, pool); err != nil {
+	if err := gep.GE.ForkJoin(fj, 8, pool); err != nil {
 		log.Fatal(err)
 	}
 
 	df := a.Clone()
-	stats, err := ge.RunCnC(df, 8, 4, core.NativeCnC)
+	stats, err := gep.GE.RunCnC(df, 8, 4, core.NativeCnC)
 	if err != nil {
 		log.Fatal(err)
 	}

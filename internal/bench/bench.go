@@ -1,12 +1,15 @@
-// Package bench is the benchmark registry: each of the study's DP
-// benchmarks registers one self-describing implementation of the Benchmark
-// interface, and every cross-cutting layer — the analytical model, the
-// figure/claims/memory/sched harness, the chaos matrix, the dpbench and
-// dpsim CLIs — dispatches through the registry instead of switching on
-// core.BenchID by hand. Onboarding a new recurrence is then a one-package
-// change: implement Benchmark, call Register from an init, and the model
-// closed forms, DAG builders, runners, GC contract and reports all pick it
-// up (internal/chol is the worked example; see DESIGN.md §5f).
+// Package bench is the benchmark registry, keyed by name: each of the
+// study's DP benchmarks registers one self-describing implementation of the
+// Benchmark interface, and every cross-cutting layer — the analytical model,
+// the figure/claims/memory/sched harness, the chaos matrix, the dist and
+// serve tiers, the dpbench, dpsim, dpverify and dpperf CLIs — reaches it
+// through ByName or All. It is also the only place a core.Variant becomes a
+// call: each benchmark's Instance.Run holds its one variant switch, and the
+// algorithm packages (gep, sw, chol) export drivers, not dispatchers.
+// Onboarding a new recurrence is then a one-package change: implement
+// Benchmark, call Register from an init, and the model closed forms, DAG
+// builders, runners, GC contract and reports all pick it up (chol.go is the
+// worked example; see DESIGN.md §3).
 package bench
 
 import (
@@ -23,9 +26,9 @@ import (
 	"dpflow/internal/gep"
 )
 
-// ErrUnknownBenchmark is returned (wrapped) by Lookup and ByName for ids
-// and names no benchmark registered — the loud replacement for the silent
-// "treat anything unknown as GE-shaped" fallbacks the registry removed.
+// ErrUnknownBenchmark is returned (wrapped) by ByName for names no
+// benchmark registered, with the registered names in the message — never a
+// silent fallback to some default benchmark.
 var ErrUnknownBenchmark = errors.New("bench: unknown benchmark")
 
 // RunOpts carries the optional machinery of one Instance.Run.
@@ -57,13 +60,12 @@ type Instance interface {
 }
 
 // Benchmark is one self-describing DP benchmark. The methods fall in three
-// groups: identity (ID, Name), execution (NewInstance → Instance), and the
+// groups: identity (Name), execution (NewInstance → Instance), and the
 // static descriptions the model/harness layers consume — DAG builders for
 // both execution models and the paper's analytical-model closed forms.
 type Benchmark interface {
-	// ID is the benchmark's shared enum name.
-	ID() core.BenchID
-	// Name is the lowercase CLI token (dpsim -bench <name>).
+	// Name is the registry key: the lowercase token CLIs, job specs and
+	// reports use (dpsim -bench <name>).
 	Name() string
 
 	// NewInstance builds a fresh problem of size n at the given base size,
@@ -131,50 +133,39 @@ type WireItem struct {
 	Val  any
 }
 
-var registry = map[core.BenchID]Benchmark{}
+var registry = map[string]Benchmark{}
 
-// Register adds a benchmark to the registry; duplicate ids panic (a wiring
-// bug, caught at init time).
+// Register adds a benchmark to the registry under its Name; a duplicate
+// name panics (a wiring bug, caught at init time).
 func Register(b Benchmark) {
-	if _, dup := registry[b.ID()]; dup {
-		panic(fmt.Sprintf("bench: duplicate registration of %v", b.ID()))
+	key := strings.ToLower(b.Name())
+	if _, dup := registry[key]; dup {
+		panic(fmt.Sprintf("bench: duplicate registration of %q", b.Name()))
 	}
-	registry[b.ID()] = b
+	registry[key] = b
 }
 
-// Lookup resolves a benchmark id, or reports ErrUnknownBenchmark.
-func Lookup(id core.BenchID) (Benchmark, error) {
-	b, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: id %v (registered: %s)", ErrUnknownBenchmark, id, NameList())
-	}
-	return b, nil
-}
-
-// ByName resolves a benchmark by its CLI token or its BenchID string,
-// case-insensitively, or reports ErrUnknownBenchmark.
+// ByName resolves a benchmark by name, case-insensitively, or reports
+// ErrUnknownBenchmark.
 func ByName(name string) (Benchmark, error) {
-	want := strings.ToLower(name)
-	for _, b := range registry {
-		if want == b.Name() || want == strings.ToLower(b.ID().String()) {
-			return b, nil
-		}
+	if b, ok := registry[strings.ToLower(name)]; ok {
+		return b, nil
 	}
 	return nil, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownBenchmark, name, NameList())
 }
 
-// All returns every registered benchmark, sorted by id — the loop driver
+// All returns every registered benchmark, sorted by name — the loop driver
 // for registry-wide reports and conformance tests.
 func All() []Benchmark {
 	out := make([]Benchmark, 0, len(registry))
 	for _, b := range registry {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
 }
 
-// NameList renders the registered CLI tokens for usage messages.
+// NameList renders the registered names for usage messages.
 func NameList() string {
 	var names []string
 	for _, b := range All() {

@@ -24,8 +24,7 @@ func init() { Register(chBench{}) }
 // pivot-column solve) and UPDATE funcD-shaped (a full m³ rank-update).
 type chBench struct{}
 
-func (chBench) ID() core.BenchID { return core.CH }
-func (chBench) Name() string     { return "chol" }
+func (chBench) Name() string { return "chol" }
 
 func (chBench) NewInstance(n, base int, seed int64) (Instance, error) {
 	rng := rand.New(rand.NewSource(seed))
@@ -87,7 +86,7 @@ func (chBench) DepCount(kind dag.Kind) float64 {
 
 func (chBench) PrefetchFriendly() bool { return true }
 
-func (chBench) SpecGraph() *cnc.Graph { return chol.NewCnCGraph("CH") }
+func (chBench) SpecGraph() *cnc.Graph { return chol.NewCnCGraph("chol") }
 
 // Wire enumerates Cholesky's vocabulary: the tasks tag collection exchanges
 // chol.Tag and tile_outputs exchanges chol.Key -> bool, over the three task
@@ -128,9 +127,7 @@ func (in *chInstance) Run(ctx context.Context, v core.Variant, opts RunOpts) (ge
 		}
 		return gep.CnCStats{}, chol.ForkJoinContext(ctx, in.work, in.base, opts.Pool, opts.Trace)
 	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		return chol.RunCnCConfigured(ctx, in.work, in.base, v, chol.RunConfig{
-			Workers: opts.Workers, Tune: opts.Tune, Trace: opts.Trace,
-		})
+		return chol.RunCnCContext(ctx, in.work, in.base, opts.Workers, v, opts.Tune, opts.Trace)
 	default:
 		return gep.CnCStats{}, fmt.Errorf("bench: chol does not drive variant %s", v)
 	}

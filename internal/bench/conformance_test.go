@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"dpflow/internal/core"
@@ -12,8 +13,7 @@ import (
 
 // The conformance suite runs automatically against every registered
 // benchmark — register a fifth benchmark and it is held to the same
-// contract with no new test code. It replaces the per-package
-// TestAllVariantsAgree copies that ge, fw and sw used to carry.
+// contract with no new test code.
 
 const (
 	confN       = 64
@@ -158,7 +158,7 @@ func TestConformanceCensus(t *testing.T) {
 // trivially for score-carrying benchmarks, and a failed-run instance must
 // not verify (spot-checked via sw, whose Verify guards explicitly).
 func TestConformanceInstanceSingleUse(t *testing.T) {
-	b, err := Lookup(core.SW)
+	b, err := ByName("sw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,5 +168,40 @@ func TestConformanceInstanceSingleUse(t *testing.T) {
 	}
 	if err := in.Verify(); err == nil {
 		t.Fatal("sw Verify before Run succeeded; want error")
+	}
+}
+
+// TestConformanceRunRefusesUndrivenVariants: Instance.Run is the one place a
+// variant becomes a call, so what it does not drive it must refuse by name
+// rather than run something else — core.SerialLoop (each benchmark's loop
+// reference lives with its kernels; no instance drives it), a variant
+// outside the enum, and OMPTasking without the pool it needs.
+func TestConformanceRunRefusesUndrivenVariants(t *testing.T) {
+	for _, b := range All() {
+		for _, tc := range []struct {
+			v    core.Variant
+			want string
+		}{
+			{core.SerialLoop, core.SerialLoop.String()},
+			{core.Variant(99), core.Variant(99).String()},
+			{core.OMPTasking, "RunOpts.Pool"},
+		} {
+			t.Run(b.Name()+"/"+tc.v.String(), func(t *testing.T) {
+				in, err := b.NewInstance(confN, confBase, confSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats, err := in.Run(context.Background(), tc.v, RunOpts{Workers: confWorkers})
+				if err == nil {
+					t.Fatalf("Run(%v) succeeded; want a refusal", tc.v)
+				}
+				if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), b.Name()) {
+					t.Fatalf("Run(%v) err = %q, want it to name %q and %q", tc.v, err, tc.want, b.Name())
+				}
+				if stats.BaseTasks != 0 || stats.StepsDone != 0 {
+					t.Fatalf("refused Run(%v) still ran: %d base tasks, %d steps", tc.v, stats.BaseTasks, stats.StepsDone)
+				}
+			})
+		}
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"dpflow/internal/core"
 	"dpflow/internal/dag"
 	"dpflow/internal/gep"
 )
@@ -49,7 +48,7 @@ func TestUpdatesBruteForce(t *testing.T) {
 }
 
 func TestMaxMissBoundProperties(t *testing.T) {
-	ge, err := Lookup(core.GE)
+	ge, err := ByName("ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +81,11 @@ func TestMaxMissBoundProperties(t *testing.T) {
 // Cholesky's closed forms must sit between the triangular GE bound (same
 // per-kind geometry) and, in total, below an equal-tile FW cube census.
 func TestCholClosedFormsAgainstGE(t *testing.T) {
-	ch, err := Lookup(core.CH)
+	ch, err := ByName("chol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge, err := Lookup(core.GE)
+	ge, err := ByName("ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,5 +104,28 @@ func TestCholClosedFormsAgainstGE(t *testing.T) {
 			t.Fatalf("tiles=%d: CH works half the matrix, must have fewer tasks than GE (%d vs %d)",
 				tiles, ch.TotalTasks(tiles), ge.TotalTasks(tiles))
 		}
+	}
+}
+
+// FW's closed forms are kind-independent: every funcX performs m³
+// relaxations of two flops each over full m-wide rows. Pins the cube half of
+// the gepBench value GE and FW share.
+func TestFWClosedForms(t *testing.T) {
+	fw, err := ByName("fw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{8, 16, 64} {
+		for _, kind := range []dag.Kind{dag.KindA, dag.KindB, dag.KindC, dag.KindD} {
+			if got, want := fw.Flops(kind, m), float64(2*m*m*m); got != want {
+				t.Fatalf("FW Flops(%v, %d) = %v, want %v", kind, m, got, want)
+			}
+			if got, want := fw.MaxMissBound(kind, m, 64), float64(m*m*(2*((m+7)/8)+2)); got != want {
+				t.Fatalf("FW MaxMissBound(%v, %d) = %v, want %v", kind, m, got, want)
+			}
+		}
+	}
+	if got := fw.TotalTasks(4); got != 64 {
+		t.Fatalf("FW TotalTasks(4) = %d, want 64", got)
 	}
 }

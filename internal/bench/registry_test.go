@@ -2,68 +2,79 @@ package bench
 
 import (
 	"errors"
+	"strings"
 	"testing"
-
-	"dpflow/internal/core"
 )
 
-// TestRegistryContents pins the registered benchmark set: the three paper
-// benchmarks plus Cholesky, sorted by id, with lowercase CLI tokens.
+// TestRegistryContents pins the registered benchmark set by name: the three
+// paper benchmarks plus Cholesky, All() sorted by name, every name resolving
+// to itself and carrying a describable CnC spec graph.
 func TestRegistryContents(t *testing.T) {
+	want := []string{"chol", "fw", "ge", "sw"}
 	all := All()
-	if len(all) != 4 {
-		t.Fatalf("registered %d benchmarks, want 4: %s", len(all), NameList())
+	if len(all) != len(want) {
+		t.Fatalf("registered %d benchmarks, want %d: %s", len(all), len(want), NameList())
 	}
-	wantIDs := []core.BenchID{core.GE, core.SW, core.FW, core.CH}
-	wantNames := []string{"ge", "sw", "fw", "chol"}
 	for i, b := range all {
-		if b.ID() != wantIDs[i] {
-			t.Fatalf("All()[%d].ID() = %v, want %v", i, b.ID(), wantIDs[i])
+		if b.Name() != want[i] {
+			t.Fatalf("All()[%d].Name() = %q, want %q", i, b.Name(), want[i])
 		}
-		if b.Name() != wantNames[i] {
-			t.Fatalf("All()[%d].Name() = %q, want %q", i, b.Name(), wantNames[i])
-		}
-		got, err := Lookup(b.ID())
-		if err != nil || got.ID() != b.ID() {
-			t.Fatalf("Lookup(%v) = %v, %v", b.ID(), got, err)
+		got, err := ByName(b.Name())
+		if err != nil || got.Name() != b.Name() {
+			t.Fatalf("ByName(%q) = %v, %v", b.Name(), got, err)
 		}
 		g := b.SpecGraph()
 		if g == nil || g.Describe() == "" {
 			t.Fatalf("%s: empty CnC spec graph", b.Name())
 		}
 	}
-}
-
-// TestLookupUnknownFailsLoudly is the registry half of the silent-fallback
-// fix: an id nobody registered must name the failure, never default to a
-// GE-shaped benchmark.
-func TestLookupUnknownFailsLoudly(t *testing.T) {
-	if _, err := Lookup(core.BenchID(99)); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Fatalf("Lookup(99) err = %v, want ErrUnknownBenchmark", err)
-	}
-	if _, err := ByName("nonesuch"); !errors.Is(err, ErrUnknownBenchmark) {
-		t.Fatalf("ByName(nonesuch) err = %v, want ErrUnknownBenchmark", err)
+	if NameList() != strings.Join(want, ", ") {
+		t.Fatalf("NameList() = %q", NameList())
 	}
 }
 
-// TestByNameAliases: the CLI accepts both the lowercase token and the
-// BenchID string, case-insensitively.
-func TestByNameAliases(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		id   core.BenchID
-	}{
-		{"ge", core.GE}, {"GE", core.GE},
-		{"sw", core.SW}, {"SW", core.SW},
-		{"fw", core.FW}, {"fw-apsp", core.FW}, {"FW-APSP", core.FW},
-		{"chol", core.CH}, {"ch", core.CH}, {"CH", core.CH},
-	} {
-		b, err := ByName(tc.name)
+// TestByNameUnknownFailsLoudly: a name nobody registered must fail with
+// ErrUnknownBenchmark and say what is registered — never default to some
+// benchmark. The enum-era aliases ("FW-APSP", "CH") are such names now.
+func TestByNameUnknownFailsLoudly(t *testing.T) {
+	for _, name := range []string{"nonesuch", "", "FW-APSP", "ch"} {
+		_, err := ByName(name)
+		if !errors.Is(err, ErrUnknownBenchmark) {
+			t.Fatalf("ByName(%q) err = %v, want ErrUnknownBenchmark", name, err)
+		}
+		if !strings.Contains(err.Error(), NameList()) {
+			t.Fatalf("ByName(%q) err = %q, want the registered names %q in it", name, err, NameList())
+		}
+	}
+}
+
+// TestByNameCaseInsensitive: CLIs and job specs may spell a name in any case.
+func TestByNameCaseInsensitive(t *testing.T) {
+	for _, tc := range [][2]string{{"GE", "ge"}, {"Sw", "sw"}, {"FW", "fw"}, {"CHOL", "chol"}} {
+		b, err := ByName(tc[0])
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", tc.name, err)
+			t.Fatalf("ByName(%q): %v", tc[0], err)
 		}
-		if b.ID() != tc.id {
-			t.Fatalf("ByName(%q).ID() = %v, want %v", tc.name, b.ID(), tc.id)
+		if b.Name() != tc[1] {
+			t.Fatalf("ByName(%q).Name() = %q, want %q", tc[0], b.Name(), tc[1])
 		}
 	}
+}
+
+// TestRegisterDuplicatePanics: two benchmarks under one name is a wiring
+// bug, refused at init time; the registry is left as it was.
+func TestRegisterDuplicatePanics(t *testing.T) {
+	ge, err := ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), `"ge"`) {
+			t.Fatalf("Register of a duplicate name: recovered %v, want a panic naming it", r)
+		}
+		if len(All()) != 4 {
+			t.Fatalf("registry holds %d benchmarks after the refused Register, want 4", len(All()))
+		}
+	}()
+	Register(ge)
 }

@@ -150,7 +150,7 @@ func TestSharedExecutorConcurrentGEAcceptance(t *testing.T) {
 	defer ex.Close()
 	ctl := admission.New(budget)
 
-	ge, err := Lookup(core.GE)
+	ge, err := ByName("ge")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,7 @@ func init() { Register(swBench{}) }
 // is the single KindSW tile kernel.
 type swBench struct{}
 
-func (swBench) ID() core.BenchID { return core.SW }
-func (swBench) Name() string     { return "sw" }
+func (swBench) Name() string { return "sw" }
 
 func (swBench) NewInstance(n, base int, seed int64) (Instance, error) {
 	rng := rand.New(rand.NewSource(seed))
@@ -74,7 +73,7 @@ func (swBench) DepCount(kind dag.Kind) float64 {
 // both execution models, so neither side earns the prefetch discount.
 func (swBench) PrefetchFriendly() bool { return false }
 
-func (swBench) SpecGraph() *cnc.Graph { return sw.NewCnCGraph("SW") }
+func (swBench) SpecGraph() *cnc.Graph { return sw.NewCnCGraph("sw") }
 
 // Wire enumerates SW's single-pass vocabulary: tile_tags exchanges
 // sw.TileTag (no K dimension) and tile_outputs exchanges sw.TileKey -> bool.

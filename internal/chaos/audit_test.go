@@ -20,7 +20,7 @@ import (
 func TestDeterminismAuditBenchmarks(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
-		t.Run(b.ID().String(), func(t *testing.T) {
+		t.Run(b.Name(), func(t *testing.T) {
 			t.Parallel()
 			run := func(ctx context.Context, workers int, tune func(*cnc.Graph)) error {
 				// Fresh instance per replay: instances are single-use, and

@@ -3,7 +3,6 @@ package chaos
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -152,45 +151,5 @@ func TestDistFaultsBattery(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("battery missing %q (got %v)", want, names)
 		}
-	}
-}
-
-// TestWatchdogDefersStallWhileRemoteBusy: with progress frozen but
-// RemoteBusy nonzero, the watchdog must keep deferring (counting each
-// deferral) instead of declaring a stall; once the remote wait clears and
-// progress stays frozen a full window, the stall fires.
-func TestWatchdogDefersStallWhileRemoteBusy(t *testing.T) {
-	var busy atomic.Int64
-	busy.Store(1)
-	stall := make(chan struct{})
-	w := NewWatchdog(WatchdogConfig{
-		Progress:   func() uint64 { return 42 }, // frozen from the start
-		RemoteBusy: busy.Load,
-		Window:     20 * time.Millisecond,
-		Poll:       2 * time.Millisecond,
-		OnStall:    func([]string) { close(stall) },
-	})
-	w.Start()
-	defer w.Stop()
-
-	// Remote-busy phase: several windows elapse with no stall.
-	select {
-	case <-stall:
-		t.Fatal("stall declared while RemoteBusy > 0")
-	case <-time.After(100 * time.Millisecond):
-	}
-	if d := w.Stats().RemoteWaitDeferrals; d == 0 {
-		t.Fatal("no RemoteWaitDeferrals counted during the remote-busy phase")
-	}
-
-	// Remote wait clears; progress is still frozen, so now it is a stall.
-	busy.Store(0)
-	select {
-	case <-stall:
-	case <-time.After(2 * time.Second):
-		t.Fatal("stall never declared after RemoteBusy cleared")
-	}
-	if stalled, _ := w.Stalled(); !stalled {
-		t.Fatal("Stalled() false after OnStall ran")
 	}
 }

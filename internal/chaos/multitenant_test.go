@@ -22,7 +22,7 @@ import (
 // a DelayedPut's sleeping step only borrows a physical worker for a
 // bounded time, and a dropped tag deadlocks only the graph that lost it.
 func TestFaultMatrixSharedExecutorIsolation(t *testing.T) {
-	ge, err := bench.Lookup(core.GE)
+	ge, err := bench.ByName("ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFaultMatrixSharedExecutorIsolation(t *testing.T) {
 			stalled := make(chan struct{}, 1)
 			healthyCtx, cancelHealthy := context.WithCancel(ctx)
 			defer cancelHealthy()
-			wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+			wd := cnc.NewWatchdog(cnc.WatchdogConfig{
 				Window: 5 * time.Second,
 				Progress: func() uint64 {
 					healthyMu.Lock()

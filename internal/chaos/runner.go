@@ -103,7 +103,7 @@ func (r *Runner) Drive(target Target, fault Fault, seed int64) Result {
 	res := Result{Target: target.Name, Fault: fault.Name(), Seed: seed}
 
 	var probe *Probe
-	var wd *Watchdog
+	var wd *cnc.Watchdog
 	var graph *cnc.Graph
 	var checkers []*determinacy.DisciplineChecker
 	tune := func(g *cnc.Graph) {
@@ -120,7 +120,7 @@ func (r *Runner) Drive(target Target, fault Fault, seed int64) Result {
 		if wd != nil {
 			wd.Stop()
 		}
-		wd = NewWatchdog(WatchdogConfig{
+		wd = cnc.NewWatchdog(cnc.WatchdogConfig{
 			// ItemsPut rather than StepsDone: a re-put livelock keeps
 			// retiring steps without producing data, and data is the
 			// progress that matters.

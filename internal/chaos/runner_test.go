@@ -36,10 +36,10 @@ func newBenchTarget(t *testing.T, b bench.Benchmark, seed int64, v core.Variant)
 	t.Helper()
 	in, err := b.NewInstance(chaosN, chaosBase, seed)
 	if err != nil {
-		t.Fatalf("%s instance: %v", b.ID(), err)
+		t.Fatalf("%s instance: %v", b.Name(), err)
 	}
 	return chaos.Target{
-		Name: b.ID().String() + "/" + v.String(),
+		Name: b.Name() + "/" + v.String(),
 		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
 			_, err := in.Run(ctx, v, bench.RunOpts{Workers: chaosWorkers, Tune: tune})
 			return err
@@ -70,7 +70,7 @@ func TestChaosSweep(t *testing.T) {
 			func() chaos.Fault { return &chaos.DropTag{Prob: 0.02, Times: 1} },
 		} {
 			fault := mkFault()
-			t.Run(b.ID().String()+"/"+fault.Name(), func(t *testing.T) {
+			t.Run(b.Name()+"/"+fault.Name(), func(t *testing.T) {
 				t.Parallel()
 				injected := 0
 				for seed := int64(0); seed < chaosSeeds; seed++ {
@@ -125,7 +125,7 @@ func TestChaosSweep(t *testing.T) {
 				}
 				if injected == 0 {
 					t.Fatalf("%s/%s: fault never fired across %d seeds — sweep is vacuous",
-						b.ID(), fault.Name(), chaosSeeds)
+						b.Name(), fault.Name(), chaosSeeds)
 				}
 			})
 		}

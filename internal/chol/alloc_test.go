@@ -3,6 +3,7 @@
 package chol
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,12 +34,12 @@ func TestRunAllocBudget(t *testing.T) {
 		run := func() {
 			a := src.Clone()
 			if v == core.OMPTasking {
-				if err := ForkJoin(a, base, pool); err != nil {
+				if err := ForkJoinContext(context.Background(), a, base, pool, nil); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			if _, err := RunCnC(a, base, workers, v); err != nil {
+			if _, err := runCnC(a, base, workers, v); err != nil {
 				t.Fatal(err)
 			}
 		}

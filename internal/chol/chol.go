@@ -177,17 +177,12 @@ func TiledSerial(a *matrix.Dense, base int) error {
 	return nil
 }
 
-// ForkJoin runs the right-looking schedule on the pool with a taskwait
-// after the TRSM batch and after the UPDATE batch of each phase.
-func ForkJoin(a *matrix.Dense, base int, pool *forkjoin.Pool) error {
-	return ForkJoinContext(context.Background(), a, base, pool, nil)
-}
-
-// ForkJoinContext is ForkJoin with cooperative cancellation (a cancelled
-// ctx unwinds the recursion and returns ctx.Err() with a partial factor)
-// and an optional trace hook: when non-nil, trace brackets every tile
-// kernel invocation — the returned func is called when the kernel finishes
-// (the sched report's utilisation probe).
+// ForkJoinContext runs the right-looking schedule on the pool with a
+// taskwait after the TRSM batch and after the UPDATE batch of each phase. A
+// cancelled ctx unwinds the recursion and returns ctx.Err() with a partial
+// factor. trace, when non-nil, brackets every tile kernel invocation — the
+// returned func is called when the kernel finishes (the sched report's
+// utilisation probe).
 func ForkJoinContext(ctx context.Context, a *matrix.Dense, base int, pool *forkjoin.Pool, trace func() func()) error {
 	if err := validate(a, base); err != nil {
 		return err
@@ -298,18 +293,6 @@ const (
 	KindUpdate
 )
 
-// RunConfig bundles the optional knobs of a CnC Cholesky run.
-type RunConfig struct {
-	// Workers is the CnC worker count.
-	Workers int
-	// Tune, when non-nil, receives the built graph before the run starts —
-	// the chaos harness's fault-injection and the memory report's
-	// WithMemoryLimit hook.
-	Tune func(*cnc.Graph)
-	// Trace, when non-nil, brackets every tile kernel invocation.
-	Trace func() func()
-}
-
 // NewCnCGraph builds the static CnC structure of the Cholesky program —
 // one step collection prescribed by one tag collection, synchronised
 // through one item collection of finished tile states — without running
@@ -324,19 +307,12 @@ func NewCnCGraph(name string) *cnc.Graph {
 	return g
 }
 
-// RunCnC runs the data-flow Cholesky: one step collection with the
-// dependency structure above, items at base-tile granularity.
-func RunCnC(a *matrix.Dense, base, workers int, variant core.Variant) (gep.CnCStats, error) {
-	return RunCnCContext(context.Background(), a, base, workers, variant, nil)
-}
-
-// RunCnCContext is RunCnC with cooperative cancellation and the tune hook
-// (see RunConfig.Tune).
-func RunCnCContext(ctx context.Context, a *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, error) {
-	return RunCnCConfigured(ctx, a, base, variant, RunConfig{Workers: workers, Tune: tune})
-}
-
-// RunCnCConfigured is the full-control entry point behind RunCnC.
+// RunCnCContext runs the data-flow Cholesky: one step collection with the
+// dependency structure above, items at base-tile granularity. A cancelled
+// ctx drains the graph and returns ctx.Err(). tune, when non-nil, receives
+// the built graph before the run starts (the chaos harness's fault
+// injection and the memory report's WithMemoryLimit hook); trace, when
+// non-nil, brackets every tile kernel invocation.
 //
 // For the GC-enabled schedules (everything but NonBlockingCnC) it declares
 // the memory contract: every tile receipt's consumer count is known in
@@ -356,17 +332,17 @@ func RunCnCContext(ctx context.Context, a *matrix.Dense, base, workers int, vari
 // column factor), but releases fire per declared dependency at completion,
 // not per Get, so the deduplicated deps list below is also the exact
 // release set.
-func RunCnCConfigured(ctx context.Context, a *matrix.Dense, base int, variant core.Variant, cfg RunConfig) (gep.CnCStats, error) {
+func RunCnCContext(ctx context.Context, a *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph), trace func() func()) (gep.CnCStats, error) {
 	if err := validate(a, base); err != nil {
 		return gep.CnCStats{}, err
 	}
 	bs := gep.BaseSize(a.Rows(), base)
 	tiles := a.Rows() / bs
 
-	g := cnc.NewGraph("chol-"+variant.String(), cfg.Workers)
+	g := cnc.NewGraph("chol-"+variant.String(), workers)
 	out := cnc.NewItemCollection[Key, bool](g, "tile_outputs")
 	tags := cnc.NewTagCollection[Tag](g, "tasks", false)
-	span := traceFn(cfg.Trace)
+	span := traceFn(trace)
 
 	await := func(k Key) bool {
 		if variant == core.NonBlockingCnC {
@@ -485,8 +461,8 @@ func RunCnCConfigured(ctx context.Context, a *matrix.Dense, base int, variant co
 		// space itself), so each admitted tag materialises one tile.
 		tags.WithTagBytes(func(Tag) int { return tile })
 	}
-	if cfg.Tune != nil {
-		cfg.Tune(g)
+	if tune != nil {
+		tune(g)
 	}
 
 	err := g.RunContext(ctx, func() {
@@ -511,26 +487,6 @@ func RunCnCConfigured(ctx context.Context, a *matrix.Dense, base int, variant co
 	// drops to zero as tiles are garbage-collected.
 	stats := gep.CnCStats{Stats: g.Stats(), BaseTasks: int(out.Puts())}
 	return stats, err
-}
-
-// Run dispatches any variant (SerialLoop = element-wise Serial).
-func Run(v core.Variant, a *matrix.Dense, base, workers int, pool *forkjoin.Pool) error {
-	switch v {
-	case core.SerialLoop:
-		return Serial(a)
-	case core.SerialRDP:
-		return TiledSerial(a, base)
-	case core.OMPTasking:
-		if pool == nil {
-			return fmt.Errorf("chol: OMPTasking requires a fork-join pool")
-		}
-		return ForkJoin(a, base, pool)
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		_, err := RunCnC(a, base, workers, v)
-		return err
-	default:
-		return fmt.Errorf("chol: unsupported variant %v", v)
-	}
 }
 
 // Residual returns max |(L·Lᵀ − A0)[i][j]| over the lower triangle, where

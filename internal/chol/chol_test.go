@@ -1,6 +1,7 @@
 package chol
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,14 @@ import (
 
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
+
+// runCnC is RunCnCContext without a context or hooks — what most tests want.
+func runCnC(a *matrix.Dense, base, workers int, v core.Variant) (gep.CnCStats, error) {
+	return RunCnCContext(context.Background(), a, base, workers, v, nil, nil)
+}
 
 func TestSerialKnownFactor(t *testing.T) {
 	// A = [[4, 12, -16], [12, 37, -43], [-16, -43, 98]] has the textbook
@@ -67,20 +74,32 @@ func TestAllVariantsAgree(t *testing.T) {
 		t.Fatalf("tiled-serial residual %g", r)
 	}
 
-	for _, v := range []core.Variant{core.OMPTasking, core.NativeCnC,
-		core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
+	type driver struct {
+		name string
+		run  func(x *matrix.Dense, base int) error
+	}
+	drivers := []driver{{"OpenMP", func(x *matrix.Dense, base int) error {
+		return ForkJoinContext(context.Background(), x, base, pool, nil)
+	}}}
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
+		drivers = append(drivers, driver{v.String(), func(x *matrix.Dense, base int) error {
+			_, err := runCnC(x, base, 3, v)
+			return err
+		}})
+	}
+	for _, d := range drivers {
 		for _, base := range []int{8, 16, 64} {
 			x := a0.Clone()
-			if err := Run(v, x, base, 3, pool); err != nil {
-				t.Fatalf("%v base=%d: %v", v, base, err)
+			if err := d.run(x, base); err != nil {
+				t.Fatalf("%s base=%d: %v", d.name, base, err)
 			}
 			want := a0.Clone()
 			if err := TiledSerial(want, base); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(x, want) {
-				t.Fatalf("%v base=%d: factor differs from tiled serial (maxdiff %g)",
-					v, base, matrix.MaxAbsDiff(x, want))
+				t.Fatalf("%s base=%d: factor differs from tiled serial (maxdiff %g)",
+					d.name, base, matrix.MaxAbsDiff(x, want))
 			}
 		}
 	}
@@ -116,7 +135,7 @@ func TestFactorProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a0 := NewSPD(16, rng)
 		l := a0.Clone()
-		if _, err := RunCnC(l, 4, 2, core.NativeCnC); err != nil {
+		if _, err := runCnC(l, 4, 2, core.NativeCnC); err != nil {
 			return false
 		}
 		return Residual(l, a0) < 1e-9
@@ -126,7 +145,7 @@ func TestFactorProperty(t *testing.T) {
 	}
 }
 
-func TestValidationAndDispatch(t *testing.T) {
+func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	if err := TiledSerial(matrix.New(4, 6), 2); err == nil {
 		t.Error("non-square accepted")
@@ -134,22 +153,12 @@ func TestValidationAndDispatch(t *testing.T) {
 	if err := TiledSerial(NewSPD(16, rng), 0); err == nil {
 		t.Error("base 0 accepted")
 	}
-	if err := Run(core.OMPTasking, NewSPD(16, rng), 4, 2, nil); err == nil {
-		t.Error("OMPTasking without pool accepted")
-	}
-	if err := Run(core.Variant(77), NewSPD(16, rng), 4, 2, nil); err == nil {
-		t.Error("unknown variant accepted")
-	}
-	a := NewSPD(16, rng)
-	if err := Run(core.SerialLoop, a, 4, 2, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // The CnC variants must surface the non-SPD error through the graph.
 func TestCnCPropagatesFactorError(t *testing.T) {
 	a := matrix.NewSquare(16) // all zeros: first pivot fails
-	_, err := RunCnC(a, 4, 2, core.NativeCnC)
+	_, err := runCnC(a, 4, 2, core.NativeCnC)
 	if err == nil {
 		t.Fatal("zero matrix factored without error")
 	}
@@ -160,7 +169,7 @@ func TestCnCPropagatesFactorError(t *testing.T) {
 func TestTaskCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := NewSPD(64, rng)
-	stats, err := RunCnC(a, 8, 2, core.ManualCnC)
+	stats, err := runCnC(a, 8, 2, core.ManualCnC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestCnCLeakFree(t *testing.T) {
 			}
 
 			x := orig.Clone()
-			stats, err := RunCnC(x, 8, 3, v)
+			stats, err := runCnC(x, 8, 3, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestCnCLeakFree(t *testing.T) {
 func TestNonBlockingExcludedFromGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := NewSPD(32, rng)
-	stats, err := RunCnC(x, 4, 3, core.NonBlockingCnC)
+	stats, err := runCnC(x, 4, 3, core.NonBlockingCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBoundedMemoryCH(t *testing.T) {
 	}
 
 	x := orig.Clone()
-	unbounded, err := RunCnC(x, 16, 4, core.NativeCnC)
+	unbounded, err := runCnC(x, 16, 4, core.NativeCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBoundedMemoryCH(t *testing.T) {
 	if !matrix.Equal(x, ref) {
 		t.Fatalf("unbounded factor disagrees with tiled serial (maxdiff %g)", matrix.MaxAbsDiff(x, ref))
 	}
-	again, err := RunCnC(orig.Clone(), 16, 4, core.NativeCnC)
+	again, err := runCnC(orig.Clone(), 16, 4, core.NativeCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBoundedMemoryCH(t *testing.T) {
 	limit := max(unbounded.PeakLiveBytes, again.PeakLiveBytes)
 	y := orig.Clone()
 	bounded, err := RunCnCContext(context.Background(), y, 16, 4, core.NativeCnC,
-		func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
+		func(g *cnc.Graph) { g.WithMemoryLimit(limit) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBoundedMemoryCH(t *testing.T) {
 	tight := unbounded.PeakLiveBytes / 2
 	z := orig.Clone()
 	degraded, err := RunCnCContext(context.Background(), z, 16, 4, core.NativeCnC,
-		func(g *cnc.Graph) { g.WithMemoryLimit(tight) })
+		func(g *cnc.Graph) { g.WithMemoryLimit(tight) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

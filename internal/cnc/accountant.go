@@ -12,7 +12,7 @@ import (
 // graph went idle — no step running, queued, or able to run — while
 // deferred puts were still waiting for budget, and the runtime had to admit
 // one over budget to preserve liveness. It is the backpressure analogue of
-// the chaos watchdog's stall dump: enough state to explain why the budget
+// the Watchdog's stall dump: enough state to explain why the budget
 // could not clear.
 type BackpressureReport struct {
 	// LiveItems and LiveBytes are the accountant's state at stall time.

@@ -84,7 +84,7 @@ func (g *Graph) ItemBackendInstalled() bool { return g.backend != nil }
 // External watchdogs use it to tell "parked waiting on a remote get" apart
 // from livelock: a run whose puts have stopped but whose BackendBusy is
 // nonzero is waiting on the transport, not spinning
-// (chaos.WatchdogConfig.RemoteBusy).
+// (WatchdogConfig.RemoteBusy).
 func (g *Graph) BackendBusy() int64 { return g.backendBusy.Load() }
 
 // backendPut mirrors one accepted put to the backend, maintaining the busy

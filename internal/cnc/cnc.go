@@ -146,7 +146,10 @@ type Stats struct {
 	PeakLiveBytes int64 // high-water mark of LiveBytes
 	// BackpressureWaits counts throttled puts that were deferred for budget;
 	// BackpressureStalls counts forced admissions: deferred puts admitted
-	// over budget because the graph went idle and no free could ever land.
+	// because the graph went idle and no free could ever land. The memory
+	// contract is the implication BackpressureStalls == 0 ⇒ PeakLiveBytes ≤
+	// limit. Not the converse: a forced admission can be for a growing put's
+	// headroom, with the bytes still inside the limit.
 	BackpressureWaits  int64
 	BackpressureStalls int64
 }
@@ -619,8 +622,8 @@ func (g *Graph) HasGetCounts() bool {
 // waits for — the same form DeadlockError uses — and, under a memory limit,
 // one "tags@tag (deferred) <- coll[key]" entry per throttled put not yet
 // admitted and input it still lacks.
-// It is safe to call while the graph runs, which is how the chaos
-// watchdog dumps the wait state of a stalled run.
+// It is safe to call while the graph runs, which is how a Watchdog dumps
+// the wait state of a stalled run.
 func (g *Graph) Blocked() []string { return g.collectBlocked() }
 
 func (g *Graph) collectBlocked() []string {

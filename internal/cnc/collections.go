@@ -958,20 +958,27 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	c.val, c.state = v, cellPresent
 	sh.live++
 	freeNow := false
+	declared := -1
 	if ic.getCount != nil {
-		switch n := ic.getCount(k); {
-		case n < 0:
+		declared = ic.getCount(k)
+		switch {
+		case declared < 0:
 			// Leave the item live (un-counted) and fail: a negative count
 			// is a declaration bug, not a freeing instruction.
-			ic.g.fail(fmt.Errorf("cnc: item %s[%v] declared negative get-count %d", ic.name, k, n))
-		case n == 0:
+			ic.g.fail(fmt.Errorf("cnc: item %s[%v] declared negative get-count %d", ic.name, k, declared))
+		case declared == 0:
 			// Declared consumer-free: reclaim immediately. Parked waiters are
 			// still woken — their re-read then reports use-after-free, which is
 			// the deterministic surface of a get-count declared too low.
 			freeNow = true
 		default:
-			c.remaining = n
+			c.remaining = declared
 		}
+	}
+	if dc := ic.g.discipline; dc != nil {
+		// Still under the shard lock: a second writer that finds this cell
+		// present must also find its first writer in the checker's ledger.
+		dc.RecordPut(ic.name, k, declared, fmt.Sprint(v))
 	}
 	ws := c.waiters
 	c.waiters = nil
@@ -981,13 +988,6 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	sh.mu.Unlock()
 	ic.g.stats.itemsPut.Add(1)
 	ic.puts.Add(1)
-	if dc := ic.g.discipline; dc != nil {
-		declared := -1
-		if ic.getCount != nil {
-			declared = ic.getCount(k)
-		}
-		dc.RecordPut(ic.name, k, declared, fmt.Sprint(v))
-	}
 	if freeNow {
 		ic.g.acct.free(size)
 	}

@@ -1,4 +1,4 @@
-package chaos
+package cnc
 
 import (
 	"sync"
@@ -17,12 +17,12 @@ import (
 // progress counter and declares a stall when it stops moving for Window.
 type WatchdogConfig struct {
 	// Progress returns a monotone counter of real progress. For CnC graphs
-	// cnc.Stats.StepsDone is the issue-level default; use ItemsPut to
+	// Stats.StepsDone is the issue-level default; use ItemsPut to
 	// catch re-put livelocks, where failed attempts still retire "done"
 	// steps without producing data.
 	Progress func() uint64
 	// Blocked, when non-nil, is sampled once at stall time to dump the
-	// wait state (cnc.Graph.Blocked for CnC graphs).
+	// wait state (Graph.Blocked).
 	Blocked func() []string
 	// Window is how long Progress may stand still before the watchdog
 	// declares a stall (default 2s).
@@ -35,7 +35,7 @@ type WatchdogConfig struct {
 	OnStall func(blocked []string)
 	// RemoteBusy, when non-nil, is sampled at every would-be stall: a
 	// nonzero value means the run is parked inside a remote operation
-	// (cnc.Graph.BackendBusy for distributed runs) — possibly sitting out a
+	// (Graph.BackendBusy for distributed runs) — possibly sitting out a
 	// retry/backoff window far longer than Window — not livelocked. The
 	// watchdog defers the stall verdict, counts the deferral in Stats, and
 	// restarts its window, so transport stalls surface through the

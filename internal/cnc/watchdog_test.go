@@ -1,4 +1,4 @@
-package chaos_test
+package cnc
 
 import (
 	"context"
@@ -7,16 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"dpflow/internal/chaos"
-	"dpflow/internal/cnc"
 )
 
 // A frozen progress counter must trip the watchdog within the window (plus
 // scheduling slack) and hand OnStall the blocked dump.
 func TestWatchdogDetectsStall(t *testing.T) {
 	fired := make(chan []string, 1)
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+	wd := NewWatchdog(WatchdogConfig{
 		Progress: func() uint64 { return 7 },
 		Blocked:  func() []string { return []string{"s@1 <- it[1]"} },
 		Window:   50 * time.Millisecond,
@@ -52,7 +49,7 @@ func TestWatchdogIgnoresProgress(t *testing.T) {
 		}
 	}()
 	defer close(stop)
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+	wd := NewWatchdog(WatchdogConfig{
 		Progress: n.Load,
 		Window:   60 * time.Millisecond,
 		OnStall:  func([]string) { t.Error("stall declared despite progress") },
@@ -67,11 +64,11 @@ func TestWatchdogIgnoresProgress(t *testing.T) {
 
 // Stop must be safe before Start, after Start, and twice.
 func TestWatchdogStopIdempotent(t *testing.T) {
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{Progress: func() uint64 { return 0 }})
+	wd := NewWatchdog(WatchdogConfig{Progress: func() uint64 { return 0 }})
 	wd.Stop()
 	wd.Stop()
 	wd.Start() // no-op after Stop
-	wd2 := chaos.NewWatchdog(chaos.WatchdogConfig{Progress: func() uint64 { return 0 }, Window: time.Hour})
+	wd2 := NewWatchdog(WatchdogConfig{Progress: func() uint64 { return 0 }, Window: time.Hour})
 	wd2.Start()
 	wd2.Stop()
 	wd2.Stop()
@@ -85,10 +82,10 @@ func TestWatchdogStopIdempotent(t *testing.T) {
 // ctx.Err() — distinguishing livelock from the quiesced-deadlock case the
 // runtime reports itself.
 func TestWatchdogCatchesRePutLivelock(t *testing.T) {
-	g := cnc.NewGraph("livelock", 4)
-	items := cnc.NewItemCollection[int, int](g, "it")
-	tags := cnc.NewTagCollection[int](g, "tg", false)
-	step := cnc.NewStepCollection(g, "s", func(i int) error {
+	g := NewGraph("livelock", 4)
+	items := NewItemCollection[int, int](g, "it")
+	tags := NewTagCollection[int](g, "tg", false)
+	step := NewStepCollection(g, "s", func(i int) error {
 		if i == 0 {
 			items.Put(0, 0) // some real progress early on
 			return nil
@@ -103,7 +100,7 @@ func TestWatchdogCatchesRePutLivelock(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+	wd := NewWatchdog(WatchdogConfig{
 		Progress: func() uint64 { return g.Stats().ItemsPut },
 		Blocked:  g.Blocked,
 		Window:   150 * time.Millisecond,
@@ -137,7 +134,7 @@ func TestWatchdogCatchesRePutLivelock(t *testing.T) {
 // fire one window later, not wait forever for a first change.
 func TestWatchdogZeroProgressFromStart(t *testing.T) {
 	fired := make(chan struct{})
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+	wd := NewWatchdog(WatchdogConfig{
 		Progress: func() uint64 { return 0 },
 		Window:   50 * time.Millisecond,
 		OnStall:  func([]string) { close(fired) },
@@ -159,7 +156,7 @@ func TestWatchdogWindowAnchorsOnLastChange(t *testing.T) {
 	const window = 200 * time.Millisecond
 	var n atomic.Uint64
 	fired := make(chan time.Time, 1)
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+	wd := NewWatchdog(WatchdogConfig{
 		Progress: n.Load,
 		Window:   window,
 		OnStall:  func([]string) { fired <- time.Now() },
@@ -180,105 +177,69 @@ func TestWatchdogWindowAnchorsOnLastChange(t *testing.T) {
 	}
 }
 
-// A zero-put graph that quiesces — the consumer parks on an item nothing
-// ever produces — is a deadlock the runtime itself must name precisely; the
-// runner's watchdog must not race it to a vaguer cancellation.
-func TestRunnerZeroPutDeadlockNamed(t *testing.T) {
-	r := &chaos.Runner{Timeout: 30 * time.Second, StallWindow: 10 * time.Second}
-	target := chaos.Target{
-		Name: "zero-put-deadlock",
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
-			g := cnc.NewGraph("zero-put", 2)
-			items := cnc.NewItemCollection[int, int](g, "it")
-			tags := cnc.NewTagCollection[int](g, "tg", false)
-			step := cnc.NewStepCollection(g, "starved", func(i int) error {
-				items.Get(42) // nothing ever puts: quiesced deadlock, zero items
-				return nil
-			})
-			tags.Prescribe(step)
-			tune(g)
-			return g.RunContext(ctx, func() { tags.Put(1) })
-		},
-	}
-	start := time.Now()
-	res := r.Drive(target, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("zero-put deadlock took the slow path out")
-	}
-	var dl *cnc.DeadlockError
-	if !errors.As(res.Err, &dl) {
-		t.Fatalf("Err = %v, want the runtime's DeadlockError", res.Err)
-	}
-	if len(dl.Blocked) != 1 || !strings.Contains(dl.Blocked[0], "starved@1 <- it[42]") {
-		t.Fatalf("blocked = %v, want the starved instance named with its missing item", dl.Blocked)
-	}
-	if res.Stalled || res.DeadlineFired {
-		t.Fatalf("Stalled = %v DeadlineFired = %v: the runtime's own report should have won", res.Stalled, res.DeadlineFired)
-	}
-}
-
-// A zero-put livelock — busy re-puts from the first step, never any item —
-// cannot quiesce, so only the watchdog can end it. The run must come back
-// as a stall with the run's identity in the error, never as a hang or a
-// hard-deadline kill.
-func TestRunnerZeroPutLivelockStalls(t *testing.T) {
-	r := &chaos.Runner{Timeout: 30 * time.Second, StallWindow: 200 * time.Millisecond}
-	target := chaos.Target{
-		Name: "zero-put-livelock",
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
-			g := cnc.NewGraph("zero-put-livelock", 2)
-			items := cnc.NewItemCollection[int, int](g, "it")
-			tags := cnc.NewTagCollection[int](g, "tg", false)
-			step := cnc.NewStepCollection(g, "poll", func(i int) error {
-				if _, ok := items.TryGet(42); !ok {
-					tags.Put(i + 1) // ItemsPut stays 0 the whole run
-				}
-				return nil
-			})
-			tags.Prescribe(step)
-			tune(g)
-			return g.RunContext(ctx, func() { tags.Put(0) })
-		},
-	}
-	start := time.Now()
-	res := r.Drive(target, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("zero-put livelock escaped the watchdog")
-	}
-	if !res.Stalled {
-		t.Fatalf("Stalled = false, Err = %v; the watchdog should have ended the run", res.Err)
-	}
-	if res.DeadlineFired {
-		t.Fatal("hard deadline fired; the watchdog should have cancelled long before")
-	}
-	if res.Err == nil || !errors.Is(res.Err, context.Canceled) || !strings.Contains(res.Err.Error(), "zero-put-livelock") {
-		t.Fatalf("Err = %v, want wrapped context.Canceled naming the run", res.Err)
-	}
-}
-
 // A true deadlock, by contrast, quiesces and is reported by the runtime
 // itself — the watchdog must not be needed and must not have fired first.
 func TestDeadlockStillReportedByRuntime(t *testing.T) {
-	g := cnc.NewGraph("deadlock", 2)
-	items := cnc.NewItemCollection[int, int](g, "it")
-	tags := cnc.NewTagCollection[int](g, "tg", false)
-	step := cnc.NewStepCollection(g, "s", func(i int) error {
+	g := NewGraph("deadlock", 2)
+	items := NewItemCollection[int, int](g, "it")
+	tags := NewTagCollection[int](g, "tg", false)
+	step := NewStepCollection(g, "s", func(i int) error {
 		items.Get(99) // parks forever: quiesced deadlock
 		return nil
 	})
 	tags.Prescribe(step)
-	wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+	wd := NewWatchdog(WatchdogConfig{
 		Progress: func() uint64 { return g.Stats().ItemsPut },
 		Window:   10 * time.Second,
 	})
 	wd.Start()
 	defer wd.Stop()
 	err := g.Run(func() { tags.Put(1) })
-	var dl *cnc.DeadlockError
+	var dl *DeadlockError
 	if !errors.As(err, &dl) || !strings.Contains(dl.Blocked[0], "it[99]") {
 		t.Fatalf("err = %v, want runtime DeadlockError naming it[99]", err)
 	}
 	if stalled, _ := wd.Stalled(); stalled {
 		t.Fatal("watchdog fired for a deadlock the runtime detects itself")
+	}
+}
+
+// TestWatchdogDefersStallWhileRemoteBusy: with progress frozen but
+// RemoteBusy nonzero, the watchdog must keep deferring (counting each
+// deferral) instead of declaring a stall; once the remote wait clears and
+// progress stays frozen a full window, the stall fires.
+func TestWatchdogDefersStallWhileRemoteBusy(t *testing.T) {
+	var busy atomic.Int64
+	busy.Store(1)
+	stall := make(chan struct{})
+	w := NewWatchdog(WatchdogConfig{
+		Progress:   func() uint64 { return 42 }, // frozen from the start
+		RemoteBusy: busy.Load,
+		Window:     20 * time.Millisecond,
+		Poll:       2 * time.Millisecond,
+		OnStall:    func([]string) { close(stall) },
+	})
+	w.Start()
+	defer w.Stop()
+
+	// Remote-busy phase: several windows elapse with no stall.
+	select {
+	case <-stall:
+		t.Fatal("stall declared while RemoteBusy > 0")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if d := w.Stats().RemoteWaitDeferrals; d == 0 {
+		t.Fatal("no RemoteWaitDeferrals counted during the remote-busy phase")
+	}
+
+	// Remote wait clears; progress is still frozen, so now it is a stall.
+	busy.Store(0)
+	select {
+	case <-stall:
+	case <-time.After(2 * time.Second):
+		t.Fatal("stall never declared after RemoteBusy cleared")
+	}
+	if stalled, _ := w.Stalled(); !stalled {
+		t.Fatal("Stalled() false after OnStall ran")
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The paper's contribution is not a single algorithm but a controlled
 // comparison; this package is the layer that makes the comparison uniform
-// across the three DP benchmarks (GE, SW, FW-APSP), the two runtimes
+// across the registered DP benchmarks (internal/bench), the two runtimes
 // (internal/forkjoin, internal/cnc), the DAG builders (internal/dag) and the
 // discrete-event machine simulator (internal/simsched).
 package core
@@ -105,43 +105,10 @@ func (v Variant) IsCnC() bool {
 	return false
 }
 
-// BenchID identifies one of the study's DP benchmarks. The semantics of
-// each id — shapes, kernels, closed forms, runners — live with the
-// benchmark itself in internal/bench; this enum is only the shared name.
-type BenchID int
-
-const (
-	// GE is Gaussian Elimination without pivoting.
-	GE BenchID = iota
-	// SW is Smith-Waterman local alignment.
-	SW
-	// FW is Floyd-Warshall all-pairs shortest path.
-	FW
-	// CH is tiled Cholesky factorisation — the CnC case study of the
-	// paper's §V related work, onboarded as the fourth benchmark.
-	CH
-)
-
-// String returns the benchmark's short name.
-func (b BenchID) String() string {
-	switch b {
-	case GE:
-		return "GE"
-	case SW:
-		return "SW"
-	case FW:
-		return "FW-APSP"
-	case CH:
-		return "CH"
-	default:
-		return fmt.Sprintf("BenchID(%d)", int(b))
-	}
-}
-
 // Point is one measured or simulated datum of a figure: an execution time
 // for a (benchmark, machine, variant, n, base) combination.
 type Point struct {
-	Bench   BenchID
+	Bench   string // registry name (bench.Benchmark.Name)
 	Machine string
 	Variant string  // series label ("CnC", "OpenMP", "Estimated", ...)
 	N       int     // problem size (matrix side / sequence length)

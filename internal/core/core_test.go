@@ -48,12 +48,3 @@ func TestModelOf(t *testing.T) {
 		t.Fatal("model names wrong")
 	}
 }
-
-func TestBenchIDStrings(t *testing.T) {
-	if GE.String() != "GE" || SW.String() != "SW" || FW.String() != "FW-APSP" {
-		t.Fatal("bench names wrong")
-	}
-	if BenchID(9).String() != "BenchID(9)" {
-		t.Fatal("unknown bench label wrong")
-	}
-}

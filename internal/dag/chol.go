@@ -141,7 +141,7 @@ func (g *CholDataflow) EachPred(id int, f func(int)) {
 }
 
 // NewCholForkJoin materialises the ordering DAG of the fork-join Cholesky
-// (chol.ForkJoin): the right-looking schedule with a taskwait after the
+// (chol.ForkJoinContext): the right-looking schedule with a taskwait after the
 // TRSM batch and after the UPDATE batch of each phase. POTRF runs on the
 // spawning goroutine, so it chains sequentially between the joins.
 func NewCholForkJoin(tiles int) *CSR {

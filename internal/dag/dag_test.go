@@ -154,7 +154,7 @@ func TestForkJoinAcyclic(t *testing.T) {
 // functions read it), which is also race-free and — by min-plus
 // monotonicity — value-correct for FW. The two models therefore order the
 // WAR pairs differently while agreeing on the final matrix (asserted
-// bit-exactly in internal/fw's tests).
+// bit-exactly in internal/gep's tests).
 func TestForkJoinDominatesDataflow(t *testing.T) {
 	for _, shape := range []gep.Shape{gep.Triangular, gep.Cube} {
 		tiles := 4

@@ -61,7 +61,7 @@ type RunResult struct {
 	// Degraded is how many shards fell back to local serving.
 	Degraded int
 	// Watchdog reports the stall-source accounting (remote-wait deferrals).
-	Watchdog chaos.WatchdogStats
+	Watchdog cnc.WatchdogStats
 	// Violations are discipline findings (expected empty).
 	Violations []error
 	// Stats is the last graph's runtime counters.
@@ -111,7 +111,7 @@ func (r *Runner) Drive(b bench.Benchmark, n, base int, seed int64, fault chaos.D
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
-	var wd *chaos.Watchdog
+	var wd *cnc.Watchdog
 	var graph *cnc.Graph
 	var checkers []*determinacy.DisciplineChecker
 	tune := func(g *cnc.Graph) {
@@ -125,7 +125,7 @@ func (r *Runner) Drive(b bench.Benchmark, n, base int, seed int64, fault chaos.D
 		if wd != nil {
 			wd.Stop()
 		}
-		wd = chaos.NewWatchdog(chaos.WatchdogConfig{
+		wd = cnc.NewWatchdog(cnc.WatchdogConfig{
 			Progress: func() uint64 { return g.Stats().ItemsPut },
 			Blocked:  g.Blocked,
 			Window:   r.StallWindow,

@@ -8,9 +8,11 @@
 //     tenant's quota — so when every job also runs under
 //     WithMemoryLimit(reservation), the aggregate PeakLiveBytes of all
 //     running jobs stays ≤ the process budget whenever nothing stalled or
-//     degraded (the accountant guarantees per-graph peak ≤ limit iff
+//     degraded (the accountant guarantees per-graph peak ≤ limit if
 //     BackpressureStalls == 0; this controller guarantees Σ limits ≤
-//     budget iff Degradations == 0).
+//     budget if Degradations == 0 — implications, not equivalences: a
+//     stall or a degradation means the bound may have been exceeded, not
+//     that it was).
 //   - Waiting is strict FIFO across tenants: the queue head is admitted
 //     as soon as budget and quota have room, and nothing behind it can
 //     jump the queue — a stream of small jobs cannot starve a big one.

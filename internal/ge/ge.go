@@ -1,68 +1,21 @@
-// Package ge is the paper's running example: Gaussian Elimination without
-// pivoting (§III). It instantiates the GEP recursion of internal/gep with
-// the GE kernel and the triangular update set, and adds the linear-system
-// utilities the examples use.
+// Package ge holds the linear-system utilities around Gaussian Elimination
+// without pivoting (the paper's running example, §III; the algorithm itself
+// is gep.GE): a generator of solvable augmented systems and the back
+// substitution that reads the unknowns off an eliminated one.
 //
 // GE without pivoting is numerically meaningful for symmetric positive-
-// definite or diagonally dominant matrices; the generators here produce the
+// definite or diagonally dominant matrices; the generator here produces the
 // latter. Following the paper's convention, a system of n-1 equations in
 // n-1 unknowns is represented as an n×n matrix whose last column is the
 // right-hand side.
 package ge
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
-	"dpflow/internal/cnc"
-	"dpflow/internal/core"
-	"dpflow/internal/forkjoin"
-	"dpflow/internal/gep"
-	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
-
-// Algorithm is the GEP instantiation for GE: the elimination kernel over the
-// triangular update set Σ_GE = {(i,j,k): i > k, j > k}.
-var Algorithm = gep.Algorithm{Kernel: kernels.GE, Shape: gep.Triangular}
-
-// Serial runs the loop-based serial implementation (Listing 2).
-func Serial(x *matrix.Dense) { kernels.GESerial(x) }
-
-// RDPSerial runs the 2-way recursive divide-and-conquer GE serially.
-func RDPSerial(x *matrix.Dense, base int) error { return Algorithm.RDPSerial(x, base) }
-
-// ForkJoin runs the fork-join (OpenMP-tasking style) R-DP GE on pool.
-func ForkJoin(x *matrix.Dense, base int, pool *forkjoin.Pool) error {
-	return Algorithm.ForkJoin(x, base, pool)
-}
-
-// RunCnC runs the data-flow R-DP GE in the given CnC variant.
-func RunCnC(x *matrix.Dense, base, workers int, v core.Variant) (gep.CnCStats, error) {
-	return Algorithm.RunCnC(x, base, workers, v)
-}
-
-// RunCnCContext is RunCnC with cooperative cancellation and an optional
-// graph-tuning hook (see gep.Algorithm.RunCnCContext).
-func RunCnCContext(ctx context.Context, x *matrix.Dense, base, workers int, v core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, error) {
-	return Algorithm.RunCnCContext(ctx, x, base, workers, v, tune)
-}
-
-// Run dispatches any variant. SerialLoop ignores base, workers and pool.
-func Run(v core.Variant, x *matrix.Dense, base, workers int, pool *forkjoin.Pool) (gep.CnCStats, error) {
-	return RunContext(context.Background(), v, x, base, workers, pool)
-}
-
-// RunContext is Run with cooperative cancellation for the parallel
-// variants.
-func RunContext(ctx context.Context, v core.Variant, x *matrix.Dense, base, workers int, pool *forkjoin.Pool) (gep.CnCStats, error) {
-	if v == core.SerialLoop {
-		Serial(x)
-		return gep.CnCStats{}, nil
-	}
-	return Algorithm.RunContext(ctx, v, x, base, workers, pool)
-}
 
 // NewSystem builds a random diagonally dominant n×n augmented system whose
 // last column is A·x for a random solution x, and returns the matrix and

@@ -8,26 +8,43 @@ import (
 
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/gep"
+	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
-// End-to-end: every variant must actually solve linear systems.
+// End-to-end: every execution of gep.GE must actually solve linear systems.
 func TestSolveSystemAllVariants(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 2})
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(7))
-	for _, v := range []core.Variant{core.SerialLoop, core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+	type driver struct {
+		name string
+		run  func(*matrix.Dense) error
+	}
+	drivers := []driver{
+		{"Serial", func(a *matrix.Dense) error { kernels.GESerial(a); return nil }},
+		{"Serial_RDP", func(a *matrix.Dense) error { return gep.GE.RDPSerial(a, 4) }},
+		{"OpenMP", func(a *matrix.Dense) error { return gep.GE.ForkJoin(a, 4, pool) }},
+	}
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+		drivers = append(drivers, driver{v.String(), func(a *matrix.Dense) error {
+			_, err := gep.GE.RunCnC(a, 4, 2, v)
+			return err
+		}})
+	}
+	for _, d := range drivers {
 		a, want := NewSystem(32, rng)
-		if _, err := Run(v, a, 4, 2, pool); err != nil {
-			t.Fatalf("%v: %v", v, err)
+		if err := d.run(a); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
 		}
 		got, err := BackSubstitute(a)
 		if err != nil {
-			t.Fatalf("%v: %v", v, err)
+			t.Fatalf("%s: %v", d.name, err)
 		}
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("%v: x[%d] = %v, want %v", v, i, got[i], want[i])
+				t.Fatalf("%s: x[%d] = %v, want %v", d.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -41,7 +58,7 @@ func TestSolveProperty(t *testing.T) {
 		base := 1 << (baseExp % 4)            // 1, 2, 4, 8
 		rng := rand.New(rand.NewSource(seed)) // deterministic per case
 		a, want := NewSystem(n, rng)
-		if _, err := RunCnC(a, base, 2, core.NativeCnC); err != nil {
+		if _, err := gep.GE.RunCnC(a, base, 2, core.NativeCnC); err != nil {
 			return false
 		}
 		got, err := BackSubstitute(a)
@@ -79,12 +96,12 @@ func TestCnCDeterministicAcrossWorkers(t *testing.T) {
 	orig := matrix.NewSquare(32)
 	orig.FillDiagonallyDominant(rng)
 	ref := orig.Clone()
-	if _, err := RunCnC(ref, 4, 1, core.NativeCnC); err != nil {
+	if _, err := gep.GE.RunCnC(ref, 4, 1, core.NativeCnC); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
 		x := orig.Clone()
-		if _, err := RunCnC(x, 4, workers, core.NativeCnC); err != nil {
+		if _, err := gep.GE.RunCnC(x, 4, workers, core.NativeCnC); err != nil {
 			t.Fatal(err)
 		}
 		if !matrix.Equal(x, ref) {

@@ -60,8 +60,8 @@ func TestRunAllocBudget(t *testing.T) {
 			}})
 		}
 	}
-	mk("GE", geAlg, func() *matrix.Dense { return geInput(n, 1) })
-	mk("FW", fwAlg, func() *matrix.Dense { return fwInput(n, 1) })
+	mk("GE", GE, func() *matrix.Dense { return geInput(n, 1) })
+	mk("FW", FW, func() *matrix.Dense { return randomGraph(n, 1) })
 
 	for _, c := range cases {
 		c.run() // warm the pools and the runtime

@@ -1,4 +1,4 @@
-package fw
+package gep
 
 import (
 	"math/rand"
@@ -8,29 +8,45 @@ import (
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/graphgen"
+	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
 func randomGraph(n int, seed int64) *matrix.Dense {
-	return graphgen.Random(graphgen.Config{N: n, Density: 0.35, MaxWeight: 9, Infinity: Infinity},
+	return graphgen.Random(graphgen.Config{N: n, Density: 0.35, MaxWeight: 9, Infinity: graphgen.Infinity},
 		rand.New(rand.NewSource(seed)))
 }
 
-// The ring graph has a closed-form APSP solution: check every variant
-// against the oracle, not just against each other.
+// The ring graph has a closed-form APSP solution: check every execution of
+// FW against the oracle, not just against each other.
 func TestRingOracle(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 2})
 	defer pool.Close()
 	const n = 32
-	for _, v := range []core.Variant{core.SerialLoop, core.OMPTasking, core.NativeCnC, core.ManualCnC} {
-		d := graphgen.Ring(n, Infinity)
-		if _, err := Run(v, d, 4, 2, pool); err != nil {
-			t.Fatalf("%v: %v", v, err)
+	cncRun := func(v core.Variant) func(*matrix.Dense) error {
+		return func(d *matrix.Dense) error {
+			_, err := FW.RunCnC(d, 4, 2, v)
+			return err
+		}
+	}
+	for _, run := range []struct {
+		name string
+		fn   func(*matrix.Dense) error
+	}{
+		{"Serial", func(d *matrix.Dense) error { kernels.FWSerial(d); return nil }},
+		{"Serial_RDP", func(d *matrix.Dense) error { return FW.RDPSerial(d, 4) }},
+		{"OpenMP", func(d *matrix.Dense) error { return FW.ForkJoin(d, 4, pool) }},
+		{"CnC", cncRun(core.NativeCnC)},
+		{"CnC_manual", cncRun(core.ManualCnC)},
+	} {
+		d := graphgen.Ring(n, graphgen.Infinity)
+		if err := run.fn(d); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if want := graphgen.RingDistance(n, i, j); d.At(i, j) != want {
-					t.Fatalf("%v: dist(%d,%d) = %v, want %v", v, i, j, d.At(i, j), want)
+					t.Fatalf("%s: dist(%d,%d) = %v, want %v", run.name, i, j, d.At(i, j), want)
 				}
 			}
 		}
@@ -45,8 +61,8 @@ func TestFWProperty(t *testing.T) {
 		base := 1 << (baseExp % 5) // 1..16
 		d := randomGraph(n, seed)
 		ref := d.Clone()
-		Serial(ref)
-		if _, err := RunCnC(d, base, 3, core.TunerCnC); err != nil {
+		kernels.FWSerial(ref)
+		if _, err := FW.RunCnC(d, base, 3, core.TunerCnC); err != nil {
 			return false
 		}
 		if !matrix.Equal(d, ref) {
@@ -69,12 +85,12 @@ func TestFWProperty(t *testing.T) {
 }
 
 func TestDenseGraphAllFinite(t *testing.T) {
-	d := graphgen.Random(graphgen.Config{N: 16, Density: 1, MaxWeight: 5, Infinity: Infinity},
+	d := graphgen.Random(graphgen.Config{N: 16, Density: 1, MaxWeight: 5, Infinity: graphgen.Infinity},
 		rand.New(rand.NewSource(4)))
-	Serial(d)
+	kernels.FWSerial(d)
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 16; j++ {
-			if d.At(i, j) >= Infinity {
+			if d.At(i, j) >= graphgen.Infinity {
 				t.Fatalf("complete graph left dist(%d,%d) infinite", i, j)
 			}
 		}

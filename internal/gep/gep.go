@@ -29,9 +29,9 @@ import (
 	"context"
 	"fmt"
 
-	"dpflow/internal/core"
 	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
@@ -63,6 +63,18 @@ type Algorithm struct {
 	Kernel Kernel
 	Shape  Shape
 }
+
+// The paper's two GEP benchmarks. GE is Gaussian Elimination without
+// pivoting, the running example of §III: the elimination kernel over the
+// triangular update set {(i,j,k): i > k, j > k}. FW is Floyd-Warshall
+// all-pairs shortest path: the min-plus kernel over the full cube, which
+// yields the blocked phase structure diagonal tile, pivot row and column,
+// then the rest. kernels.GESerial and kernels.FWSerial are their loop-based
+// serial references (Listing 2).
+var (
+	GE = Algorithm{Kernel: kernels.GE, Shape: Triangular}
+	FW = Algorithm{Kernel: kernels.FW, Shape: Cube}
+)
 
 // validate checks the problem geometry shared by all drivers.
 func validate(x *matrix.Dense, base int) error {
@@ -320,34 +332,5 @@ func (r *fjRec) funcD(ctx *forkjoin.Ctx, i0, j0, k0, s int) {
 		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0, k0 + kk, h})
 		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0 + h, k0 + kk, h})
 		ctx.Wait(&g)
-	}
-}
-
-// Run executes the requested variant on x. For CnC variants it returns the
-// runtime stats; for others the stats are zero. workers is the worker count
-// for variants that create their own runtime; fork-join runs on pool (which
-// must be non-nil for core.OMPTasking).
-func (alg Algorithm) Run(v core.Variant, x *matrix.Dense, base, workers int, pool *forkjoin.Pool) (CnCStats, error) {
-	return alg.RunContext(context.Background(), v, x, base, workers, pool)
-}
-
-// RunContext is Run with cooperative cancellation for the parallel
-// variants; the serial variants run to completion on the calling goroutine
-// and ignore ctx.
-func (alg Algorithm) RunContext(ctx context.Context, v core.Variant, x *matrix.Dense, base, workers int, pool *forkjoin.Pool) (CnCStats, error) {
-	switch v {
-	case core.SerialLoop:
-		return CnCStats{}, fmt.Errorf("gep: SerialLoop is benchmark-specific; call the benchmark's Serial")
-	case core.SerialRDP:
-		return CnCStats{}, alg.RDPSerial(x, base)
-	case core.OMPTasking:
-		if pool == nil {
-			return CnCStats{}, fmt.Errorf("gep: OMPTasking requires a fork-join pool")
-		}
-		return CnCStats{}, alg.ForkJoinContext(ctx, x, base, pool)
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		return alg.RunCnCContext(ctx, x, base, workers, v, nil)
-	default:
-		return CnCStats{}, fmt.Errorf("gep: unsupported variant %v", v)
 	}
 }

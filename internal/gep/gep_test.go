@@ -10,31 +10,9 @@ import (
 	"dpflow/internal/matrix"
 )
 
-var geAlg = Algorithm{Kernel: kernels.GE, Shape: Triangular}
-var fwAlg = Algorithm{Kernel: kernels.FW, Shape: Cube}
-
 func geInput(n int, seed int64) *matrix.Dense {
 	m := matrix.NewSquare(n)
 	m.FillDiagonallyDominant(rand.New(rand.NewSource(seed)))
-	return m
-}
-
-func fwInput(n int, seed int64) *matrix.Dense {
-	rng := rand.New(rand.NewSource(seed))
-	m := matrix.NewSquare(n)
-	for i := 0; i < n; i++ {
-		row := m.Row(i)
-		for j := range row {
-			switch {
-			case i == j:
-				row[j] = 0
-			case rng.Float64() < 0.35:
-				row[j] = float64(1 + rng.Intn(9))
-			default:
-				row[j] = 1 << 30
-			}
-		}
-	}
 	return m
 }
 
@@ -50,13 +28,13 @@ func TestBaseSize(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	if err := geAlg.RDPSerial(matrix.New(4, 8), 2); err == nil {
+	if err := GE.RDPSerial(matrix.New(4, 8), 2); err == nil {
 		t.Error("non-square accepted")
 	}
-	if err := geAlg.RDPSerial(matrix.NewSquare(6), 2); err == nil {
+	if err := GE.RDPSerial(matrix.NewSquare(6), 2); err == nil {
 		t.Error("non-power-of-two accepted")
 	}
-	if err := geAlg.RDPSerial(matrix.NewSquare(8), 0); err == nil {
+	if err := GE.RDPSerial(matrix.NewSquare(8), 0); err == nil {
 		t.Error("base 0 accepted")
 	}
 }
@@ -73,17 +51,17 @@ func TestRDPSerialMatchesLoop(t *testing.T) {
 			a := geInput(n, int64(n)*31+int64(base))
 			ref := a.Clone()
 			kernels.GESerial(ref)
-			if err := geAlg.RDPSerial(a, base); err != nil {
+			if err := GE.RDPSerial(a, base); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(a, ref) {
 				t.Fatalf("GE RDP != loop for n=%d base=%d (maxdiff %g)", n, base, matrix.MaxAbsDiff(a, ref))
 			}
 
-			d := fwInput(n, int64(n)*17+int64(base))
+			d := randomGraph(n, int64(n)*17+int64(base))
 			dref := d.Clone()
 			kernels.FWSerial(dref)
-			if err := fwAlg.RDPSerial(d, base); err != nil {
+			if err := FW.RDPSerial(d, base); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(d, dref) {
@@ -103,17 +81,17 @@ func TestForkJoinMatchesSerial(t *testing.T) {
 			a := geInput(n, int64(n))
 			ref := a.Clone()
 			kernels.GESerial(ref)
-			if err := geAlg.ForkJoin(a, base, pool); err != nil {
+			if err := GE.ForkJoin(a, base, pool); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(a, ref) {
 				t.Fatalf("GE forkjoin != serial (workers=%d n=%d)", workers, n)
 			}
 
-			d := fwInput(n, int64(n))
+			d := randomGraph(n, int64(n))
 			dref := d.Clone()
 			kernels.FWSerial(dref)
-			if err := fwAlg.ForkJoin(d, base, pool); err != nil {
+			if err := FW.ForkJoin(d, base, pool); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(d, dref) {
@@ -133,8 +111,8 @@ func TestCnCVariantsMatchSerial(t *testing.T) {
 		gen  func(int, int64) *matrix.Dense
 		ref  func(*matrix.Dense)
 	}{
-		{"GE", geAlg, geInput, kernels.GESerial},
-		{"FW", fwAlg, fwInput, kernels.FWSerial},
+		{"GE", GE, geInput, kernels.GESerial},
+		{"FW", FW, randomGraph, kernels.FWSerial},
 	} {
 		for _, v := range variants {
 			for _, workers := range []int{1, 3} {
@@ -169,7 +147,7 @@ func TestCnCVariantsMatchSerial(t *testing.T) {
 func TestTunedVariantsDoNotAbort(t *testing.T) {
 	for _, v := range []core.Variant{core.TunerCnC, core.ManualCnC} {
 		x := geInput(32, 5)
-		stats, err := geAlg.RunCnC(x, 4, 3, v)
+		stats, err := GE.RunCnC(x, 4, 3, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +162,7 @@ func TestTunedVariantsDoNotAbort(t *testing.T) {
 // exercises nothing.
 func TestNativeVariantAborts(t *testing.T) {
 	x := geInput(64, 6)
-	stats, err := geAlg.RunCnC(x, 4, 4, core.NativeCnC)
+	stats, err := GE.RunCnC(x, 4, 4, core.NativeCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,38 +218,13 @@ func TestFuncString(t *testing.T) {
 	}
 }
 
-func TestRunDispatch(t *testing.T) {
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: 2})
-	defer pool.Close()
-	ref := geInput(16, 9)
-	kernels.GESerial(ref)
-	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-		x := geInput(16, 9)
-		if _, err := geAlg.Run(v, x, 4, 2, pool); err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if !matrix.Equal(x, ref) {
-			t.Fatalf("%v produced wrong result", v)
-		}
-	}
-	if _, err := geAlg.Run(core.OMPTasking, geInput(16, 9), 4, 2, nil); err == nil {
-		t.Fatal("OMPTasking without pool should error")
-	}
-	if _, err := geAlg.Run(core.SerialLoop, geInput(16, 9), 4, 2, nil); err == nil {
-		t.Fatal("SerialLoop through gep should error")
-	}
-	if _, err := geAlg.Run(core.Variant(99), geInput(16, 9), 4, 2, nil); err == nil {
-		t.Fatal("unknown variant should error")
-	}
-}
-
 // Base size 1 (every element its own task) is the extreme the paper's task
 // count formula covers; make sure the machinery survives it.
 func TestBaseSizeOne(t *testing.T) {
 	x := geInput(8, 3)
 	ref := x.Clone()
 	kernels.GESerial(ref)
-	if _, err := geAlg.RunCnC(x, 1, 2, core.NativeCnC); err != nil {
+	if _, err := GE.RunCnC(x, 1, 2, core.NativeCnC); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal(x, ref) {
@@ -290,8 +243,8 @@ func TestRWayMatchesSerial(t *testing.T) {
 		gen  func(int, int64) *matrix.Dense
 		ref  func(*matrix.Dense)
 	}{
-		{"GE", geAlg, geInput, kernels.GESerial},
-		{"FW", fwAlg, fwInput, kernels.FWSerial},
+		{"GE", GE, geInput, kernels.GESerial},
+		{"FW", FW, randomGraph, kernels.FWSerial},
 	} {
 		for _, r := range []int{2, 4, 8} {
 			for _, n := range []int{16, 64} {
@@ -325,7 +278,7 @@ func TestRWayEdgeCases(t *testing.T) {
 	x := geInput(32, 1)
 	ref := x.Clone()
 	kernels.GESerial(ref)
-	if err := geAlg.RDPSerialR(x, 1, 32); err != nil {
+	if err := GE.RDPSerialR(x, 1, 32); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal(x, ref) {
@@ -334,13 +287,13 @@ func TestRWayEdgeCases(t *testing.T) {
 	y := geInput(32, 2)
 	ref2 := y.Clone()
 	kernels.GESerial(ref2)
-	if err := geAlg.RDPSerialR(y, 1, 3); err != nil { // 3 does not divide 32
+	if err := GE.RDPSerialR(y, 1, 3); err != nil { // 3 does not divide 32
 		t.Fatal(err)
 	}
 	if !matrix.Equal(y, ref2) {
 		t.Fatal("non-dividing r wrong")
 	}
-	if err := geAlg.RDPSerialR(geInput(8, 1), 2, 1); err == nil {
+	if err := GE.RDPSerialR(geInput(8, 1), 2, 1); err == nil {
 		t.Fatal("r=1 accepted")
 	}
 }

@@ -1,4 +1,4 @@
-package ge
+package gep
 
 import (
 	"context"
@@ -8,62 +8,86 @@ import (
 
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
+	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
-// TestCnCLeakFree checks the GE memory contract across the three schedules
-// that declare get-counts: after a successful run every item must have been
-// garbage-collected (a too-high declared count would leave LiveItems > 0;
-// a too-low one fails the run with a use-after-free or over-release), the
-// result must still be correct, and the live high-water mark must sit
-// strictly below the total put count — items died while the run progressed.
-func TestCnCLeakFree(t *testing.T) {
-	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-		t.Run(v.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			orig := matrix.NewSquare(64)
-			orig.FillDiagonallyDominant(rng)
-			ref := orig.Clone()
-			Serial(ref)
+// memCases are the two GEP benchmarks' memory-contract fixtures: the
+// algorithm, a 64×64 input and its loop-based serial reference.
+var memCases = []struct {
+	name   string
+	alg    Algorithm
+	input  func() *matrix.Dense
+	serial func(*matrix.Dense)
+}{
+	{"GE", GE, func() *matrix.Dense { return geInput(64, 11) }, kernels.GESerial},
+	{"FW", FW, func() *matrix.Dense { return randomGraph(64, 3) }, kernels.FWSerial},
+}
 
-			x := orig.Clone()
-			stats, err := RunCnC(x, 8, 3, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !matrix.Equal(x, ref) {
-				t.Fatalf("result disagrees with serial (maxdiff %g)", matrix.MaxAbsDiff(x, ref))
-			}
-			if stats.LiveItems != 0 {
-				t.Fatalf("LiveItems = %d after quiesce, want 0 (declared get-counts too high)", stats.LiveItems)
-			}
-			if stats.ItemsFreed != int64(stats.ItemsPut) {
-				t.Fatalf("ItemsFreed = %d, want %d", stats.ItemsFreed, stats.ItemsPut)
-			}
-			if stats.PeakLiveItems >= int64(stats.ItemsPut) {
-				t.Fatalf("PeakLiveItems = %d, want < %d (no item ever died)", stats.PeakLiveItems, stats.ItemsPut)
-			}
-		})
+// TestCnCLeakFree checks the GE and FW memory contract across the three
+// schedules that declare get-counts: after a successful run every item must
+// have been garbage-collected (a too-high declared count would leave
+// LiveItems > 0; a too-low one fails the run with a use-after-free or
+// over-release), the result must still match the serial loop, and the live
+// high-water mark must sit strictly below the total put count — items died
+// while the run progressed.
+func TestCnCLeakFree(t *testing.T) {
+	for _, c := range memCases {
+		for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+			t.Run(c.name+"/"+v.String(), func(t *testing.T) {
+				orig := c.input()
+				ref := orig.Clone()
+				c.serial(ref)
+
+				x := orig.Clone()
+				stats, err := c.alg.RunCnC(x, 8, 3, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !matrix.Equal(x, ref) {
+					t.Fatalf("result disagrees with serial (maxdiff %g)", matrix.MaxAbsDiff(x, ref))
+				}
+				if stats.LiveItems != 0 {
+					t.Fatalf("LiveItems = %d after quiesce, want 0 (declared get-counts too high)", stats.LiveItems)
+				}
+				if stats.ItemsFreed != int64(stats.ItemsPut) {
+					t.Fatalf("ItemsFreed = %d, want %d", stats.ItemsFreed, stats.ItemsPut)
+				}
+				if stats.PeakLiveItems >= int64(stats.ItemsPut) {
+					t.Fatalf("PeakLiveItems = %d, want < %d (no item ever died)", stats.PeakLiveItems, stats.ItemsPut)
+				}
+			})
+		}
 	}
 }
 
 // TestNonBlockingExcludedFromGC pins the NonBlockingCnC carve-out: its
 // poll-miss re-put retires one successful step instance per poll, so
 // completion-time releases would over-release. The variant therefore runs
-// without get-counts — nothing freed, everything live at quiesce.
+// without get-counts — correct result, nothing freed, everything live at
+// quiesce.
 func TestNonBlockingExcludedFromGC(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := matrix.NewSquare(32)
-	x.FillDiagonallyDominant(rng)
-	stats, err := RunCnC(x, 4, 3, core.NonBlockingCnC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ItemsFreed != 0 {
-		t.Fatalf("ItemsFreed = %d, want 0 (NonBlocking must not declare get-counts)", stats.ItemsFreed)
-	}
-	if stats.LiveItems != int64(stats.ItemsPut) {
-		t.Fatalf("LiveItems = %d, want %d", stats.LiveItems, stats.ItemsPut)
+	for _, c := range memCases {
+		t.Run(c.name, func(t *testing.T) {
+			orig := c.input()
+			ref := orig.Clone()
+			c.serial(ref)
+
+			x := orig.Clone()
+			stats, err := c.alg.RunCnC(x, 8, 3, core.NonBlockingCnC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matrix.Equal(x, ref) {
+				t.Fatalf("result disagrees with serial (maxdiff %g)", matrix.MaxAbsDiff(x, ref))
+			}
+			if stats.ItemsFreed != 0 {
+				t.Fatalf("ItemsFreed = %d, want 0 (NonBlocking must not declare get-counts)", stats.ItemsFreed)
+			}
+			if stats.LiveItems != int64(stats.ItemsPut) {
+				t.Fatalf("LiveItems = %d, want %d", stats.LiveItems, stats.ItemsPut)
+			}
+		})
 	}
 }
 
@@ -107,7 +131,7 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 
 	x := orig.Clone()
-	unbounded, err := RunCnC(x, 64, workers, core.NativeCnC)
+	unbounded, err := GE.RunCnC(x, 64, workers, core.NativeCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +146,14 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	if unbounded.PeakLiveBytes == 0 {
 		t.Fatal("unbounded: PeakLiveBytes = 0; SizeOf hints not wired")
 	}
-	again, err := RunCnC(orig.Clone(), 64, workers, core.NativeCnC)
+	again, err := GE.RunCnC(orig.Clone(), 64, workers, core.NativeCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	limit := max(unbounded.PeakLiveBytes, again.PeakLiveBytes)
 	y := orig.Clone()
-	bounded, err := RunCnCContext(context.Background(), y, 64, workers, core.NativeCnC,
+	bounded, err := GE.RunCnCContext(context.Background(), y, 64, workers, core.NativeCnC,
 		func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +171,7 @@ func TestBoundedMemory2KGE(t *testing.T) {
 
 	tight := unbounded.PeakLiveBytes / 2
 	z := orig.Clone()
-	degraded, err := RunCnCContext(context.Background(), z, 64, workers, core.NativeCnC,
+	degraded, err := GE.RunCnCContext(context.Background(), z, 64, workers, core.NativeCnC,
 		func(g *cnc.Graph) { g.WithMemoryLimit(tight) })
 	if err != nil {
 		t.Fatal(err)

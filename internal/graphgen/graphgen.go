@@ -10,12 +10,18 @@ import (
 	"dpflow/internal/matrix"
 )
 
+// Infinity is the distance used for absent edges. It is large enough to
+// dominate any real path yet small enough that sums of two infinities do
+// not overflow float64 precision (so min-plus arithmetic stays exact for
+// integer edge weights).
+const Infinity = 1 << 30
+
 // Config controls random graph generation.
 type Config struct {
 	N         int     // number of vertices
 	Density   float64 // probability of each directed edge, in (0, 1]
 	MaxWeight int     // weights drawn uniformly from [1, MaxWeight]
-	Infinity  float64 // distance for absent edges
+	Infinity  float64 // distance for absent edges (0 = Infinity)
 }
 
 // Random returns the dense adjacency/distance matrix of a random digraph:
@@ -26,7 +32,7 @@ func Random(cfg Config, rng *rand.Rand) *matrix.Dense {
 		cfg.MaxWeight = 10
 	}
 	if cfg.Infinity == 0 {
-		cfg.Infinity = 1 << 30
+		cfg.Infinity = Infinity
 	}
 	if cfg.Density <= 0 || cfg.Density > 1 {
 		cfg.Density = 0.5

@@ -25,11 +25,7 @@ const maxSweepTiles = 256
 // BestOverBases returns the minimum simulated time of a variant over a
 // base-size sweep, and the base achieving it. The sweep checks ctx between
 // points.
-func BestOverBases(ctx context.Context, mach *machine.Machine, id core.BenchID, n int, v core.Variant, bases []int) (float64, int, error) {
-	b, err := bench.Lookup(id)
-	if err != nil {
-		return 0, 0, err
-	}
+func BestOverBases(ctx context.Context, mach *machine.Machine, b bench.Benchmark, n int, v core.Variant, bases []int) (float64, int, error) {
 	cache := map[string]dag.Graph{}
 	best, bestBase := math.Inf(1), 0
 	for _, base := range bases {
@@ -60,14 +56,14 @@ func BestOverBases(ctx context.Context, mach *machine.Machine, id core.BenchID, 
 func WriteCrossover(ctx context.Context, w io.Writer) error {
 	bases := []int{32, 64, 128, 256, 512}
 	for _, b := range bench.All() {
-		fmt.Fprintf(w, "# crossover: best time over base sweep, %s (data-flow = best CnC variant)\n", b.ID())
+		fmt.Fprintf(w, "# crossover: best time over base sweep, %s (data-flow = best CnC variant)\n", b.Name())
 		fmt.Fprintf(w, "%12s %8s %14s %14s %10s\n", "machine", "n", "data-flow", "fork-join", "winner")
 		for _, mk := range []func() *machine.Machine{machine.EPYC64, machine.SKYLAKE192} {
 			mach := mk()
 			for _, n := range []int{2048, 4096, 8192, 16384} {
 				df := math.Inf(1)
 				for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-					t, _, err := BestOverBases(ctx, mach, b.ID(), n, v, bases)
+					t, _, err := BestOverBases(ctx, mach, b, n, v, bases)
 					if err != nil {
 						return err
 					}
@@ -75,7 +71,7 @@ func WriteCrossover(ctx context.Context, w io.Writer) error {
 						df = t
 					}
 				}
-				fj, _, err := BestOverBases(ctx, mach, b.ID(), n, core.OMPTasking, bases)
+				fj, _, err := BestOverBases(ctx, mach, b, n, core.OMPTasking, bases)
 				if err != nil {
 					return err
 				}
@@ -189,11 +185,11 @@ func WriteBestBlock(ctx context.Context, w io.Writer) error {
 		mach := mk()
 		for _, b := range bench.All() {
 			for _, v := range core.ParallelVariants {
-				t, base, err := BestOverBases(ctx, mach, b.ID(), 8192, v, bases)
+				t, base, err := BestOverBases(ctx, mach, b, 8192, v, bases)
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(w, "%12s %10s %14s %10d %14.4f\n", mach.Name, b.ID(), v, base, t)
+				fmt.Fprintf(w, "%12s %10s %14s %10d %14.4f\n", mach.Name, b.Name(), v, base, t)
 			}
 		}
 	}
@@ -218,7 +214,7 @@ func WriteRWay(ctx context.Context, w io.Writer) error {
 			unit.Exec[k] = 1
 		}
 	}
-	ge, err := bench.Lookup(core.GE)
+	ge, err := bench.ByName("ge")
 	if err != nil {
 		return err
 	}
@@ -267,7 +263,7 @@ func WriteComputeOn(ctx context.Context, w io.Writer) error {
 		n    = 8192
 		base = 128
 	)
-	ge, err := bench.Lookup(core.GE)
+	ge, err := bench.ByName("ge")
 	if err != nil {
 		return err
 	}
@@ -330,7 +326,7 @@ func WriteScaling(ctx context.Context, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\n## %s (%d tiles/side)\n", b.ID(), tiles)
+		fmt.Fprintf(w, "\n## %s (%d tiles/side)\n", b.Name(), tiles)
 		fmt.Fprintf(w, "%8s %14s %12s %14s %12s %10s\n",
 			"P", "data-flow (s)", "speedup", "fork-join (s)", "speedup", "winner")
 		for _, p := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
@@ -369,7 +365,7 @@ func WriteCluster(ctx context.Context, w io.Writer) error {
 	fmt.Fprintf(w, "# cluster: distributed data-flow GE, n=%d, owner-computes block-cyclic tiles\n", n)
 	fmt.Fprintf(w, "%8s %8s %8s %14s %12s %12s %12s\n",
 		"base", "nodes", "cores", "time (s)", "speedup", "messages", "comm (s)")
-	ge, err := bench.Lookup(core.GE)
+	ge, err := bench.ByName("ge")
 	if err != nil {
 		return err
 	}
@@ -420,7 +416,7 @@ func WriteCluster(ctx context.Context, w io.Writer) error {
 // overheads.
 func WriteSWWave(ctx context.Context, w io.Writer) error {
 	mach := machine.EPYC64()
-	sw, err := bench.Lookup(core.SW)
+	sw, err := bench.ByName("sw")
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,7 @@ func (r *FigureResult) WriteJSON(w io.Writer) error {
 	out := jsonFigure{
 		Experiment: r.Exp.ID,
 		Title:      r.Exp.Title,
-		Bench:      r.Exp.Bench.String(),
+		Bench:      r.Exp.Bench,
 		Machine:    r.Exp.Machine().Name,
 	}
 	for _, p := range r.Panels {

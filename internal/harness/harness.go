@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"dpflow/internal/bench"
 	"dpflow/internal/core"
@@ -26,7 +25,7 @@ import (
 type Experiment struct {
 	ID      string
 	Title   string
-	Bench   core.BenchID
+	Bench   string // registry name (bench.ByName)
 	Machine func() *machine.Machine
 	Ns      []int
 	// BasesFor returns the base-size x-axis of the panel for problem size n.
@@ -82,21 +81,21 @@ func Figures() []Experiment {
 	ns := []int{2048, 4096, 8192, 16384}
 	return []Experiment{
 		{ID: "fig4", Title: "Execution time of Gaussian Elimination on EPYC-64",
-			Bench: core.GE, Machine: machine.EPYC64, Ns: ns, BasesFor: geBases, Estimated: true},
+			Bench: "ge", Machine: machine.EPYC64, Ns: ns, BasesFor: geBases, Estimated: true},
 		{ID: "fig5", Title: "Execution time of Gaussian Elimination on SKYLAKE-192",
-			Bench: core.GE, Machine: machine.SKYLAKE192, Ns: ns, BasesFor: geBases, Estimated: true},
+			Bench: "ge", Machine: machine.SKYLAKE192, Ns: ns, BasesFor: geBases, Estimated: true},
 		{ID: "fig6", Title: "Execution time of Smith-Waterman on EPYC-64",
-			Bench: core.SW, Machine: machine.EPYC64, Ns: ns, BasesFor: swfwBases},
+			Bench: "sw", Machine: machine.EPYC64, Ns: ns, BasesFor: swfwBases},
 		{ID: "fig7", Title: "Execution time of Smith-Waterman on SKYLAKE-192",
-			Bench: core.SW, Machine: machine.SKYLAKE192, Ns: ns, BasesFor: swfwBases},
+			Bench: "sw", Machine: machine.SKYLAKE192, Ns: ns, BasesFor: swfwBases},
 		{ID: "fig8", Title: "Execution time of Floyd-Warshall on EPYC-64",
-			Bench: core.FW, Machine: machine.EPYC64, Ns: ns, BasesFor: swfwBases},
+			Bench: "fw", Machine: machine.EPYC64, Ns: ns, BasesFor: swfwBases},
 		{ID: "fig9", Title: "Execution time of Floyd-Warshall on SKYLAKE-192",
-			Bench: core.FW, Machine: machine.SKYLAKE192, Ns: ns, BasesFor: swfwBases},
+			Bench: "fw", Machine: machine.SKYLAKE192, Ns: ns, BasesFor: swfwBases},
 		// Beyond the paper: Cholesky shares GE's triangular kernel geometry,
 		// so it reuses the GE base-size axis and analytical-model series.
 		{ID: "figch", Title: "Execution time of Cholesky factorization on EPYC-64",
-			Bench: core.CH, Machine: machine.EPYC64, Ns: ns, BasesFor: geBases, Estimated: true},
+			Bench: "chol", Machine: machine.EPYC64, Ns: ns, BasesFor: geBases, Estimated: true},
 	}
 }
 
@@ -113,7 +112,7 @@ func FigureByID(id string) (Experiment, bool) {
 // graphFor builds (or fetches from cache) the task graph of one sweep
 // point. Data-flow graphs are shared across the three CnC variants.
 func graphFor(cache map[string]dag.Graph, b bench.Benchmark, tiles int, m core.Model) dag.Graph {
-	key := fmt.Sprintf("%d/%d/%d", b.ID(), tiles, m)
+	key := fmt.Sprintf("%s/%d/%d", b.Name(), tiles, m)
 	if g, ok := cache[key]; ok {
 		return g
 	}
@@ -128,16 +127,9 @@ func graphFor(cache map[string]dag.Graph, b bench.Benchmark, tiles int, m core.M
 }
 
 // SimulatePoint runs one (machine, bench, n, base, variant) point through
-// the model + simulator and returns the predicted execution time. Unknown
-// benchmark ids report bench.ErrUnknownBenchmark instead of defaulting to a
-// GE-shaped sweep.
-func SimulatePoint(mach *machine.Machine, id core.BenchID, n, base int, v core.Variant) (float64, error) {
-	b, err := bench.Lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	cache := map[string]dag.Graph{}
-	return simulatePoint(cache, mach, b, n, base, v)
+// the model + simulator and returns the predicted execution time.
+func SimulatePoint(mach *machine.Machine, b bench.Benchmark, n, base int, v core.Variant) (float64, error) {
+	return simulatePoint(map[string]dag.Graph{}, mach, b, n, base, v)
 }
 
 func simulatePoint(cache map[string]dag.Graph, mach *machine.Machine, b bench.Benchmark, n, base int, v core.Variant) (float64, error) {
@@ -155,17 +147,12 @@ func simulatePoint(cache map[string]dag.Graph, mach *machine.Machine, b bench.Be
 	return r.Makespan, nil
 }
 
-// Run executes the experiment.
-func (e Experiment) Run(opts Options) (*FigureResult, error) {
-	return e.RunContext(context.Background(), opts)
-}
-
-// RunContext is Run with cooperative cancellation: the sweep checks ctx
-// between points, so a deadline or interrupt abandons the remaining points
-// and returns ctx.Err() instead of a partial result.
+// RunContext executes the experiment. The sweep checks ctx between points,
+// so a deadline or interrupt abandons the remaining points and returns
+// ctx.Err() instead of a partial result.
 func (e Experiment) RunContext(ctx context.Context, opts Options) (*FigureResult, error) {
 	mach := e.Machine()
-	bm, err := bench.Lookup(e.Bench)
+	bm, err := bench.ByName(e.Bench)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
@@ -207,13 +194,13 @@ func (e Experiment) RunContext(ctx context.Context, opts Options) (*FigureResult
 					return nil, fmt.Errorf("%s n=%d base=%d %v: %w", e.ID, n, b, v, err)
 				}
 				series[i].Points = append(series[i].Points, core.Point{
-					Bench: e.Bench, Machine: mach.Name, Variant: v.String(),
+					Bench: bm.Name(), Machine: mach.Name, Variant: v.String(),
 					N: n, Base: b, Seconds: secs,
 				})
 			}
 			if e.Estimated {
 				series[len(series)-1].Points = append(series[len(series)-1].Points, core.Point{
-					Bench: e.Bench, Machine: mach.Name, Variant: "Estimated",
+					Bench: bm.Name(), Machine: mach.Name, Variant: "Estimated",
 					N: n, Base: b, Seconds: model.EstimatedTime(mach, bm, n, b),
 				})
 			}
@@ -292,16 +279,90 @@ func sizeLabel(n int) string {
 	return fmt.Sprint(n)
 }
 
-// IDs returns all known experiment ids (figures plus the derived claims
-// and the table), sorted.
-func IDs() []string {
-	ids := []string{"table1", "crossover", "swspan", "bestblock", "rway", "computeon", "scaling", "cluster", "swwave", "memory", "sched", "dist", "perf", "perfdiff"}
-	for _, e := range Figures() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
+// Report is one dpbench experiment: an id and the function that writes it.
+type Report struct {
+	ID string
+	// Gate marks a pass/fail check against committed data rather than a
+	// measurement; "dpbench -exp all" runs the measurements only.
+	Gate bool
+	Run  func(ctx context.Context, w io.Writer) error
 }
 
-// ValidIDList renders the ids for usage messages.
-func ValidIDList() string { return strings.Join(IDs(), ", ") }
+// ReportFlags are dpbench's flags: the sweep Options of the figures plus
+// the flags of the individual reports that take any.
+type ReportFlags struct {
+	Options
+	CSV, JSON    bool    // figures: output format (default aligned tables); JSON also perf
+	TScale       int     // table1: linear scaling factor (1 = the paper's full 8K trace)
+	RaceDetect   bool    // perf: run under the determinacy and discipline detectors
+	VerifySample int     // dist: verified-read sampling rate
+	Baseline     string  // perfdiff: baseline snapshot path
+	Current      string  // perfdiff: current snapshot path (empty = measure fresh)
+	Tol          float64 // perfdiff: tolerated regression fraction
+}
+
+// Reports is the one table of experiments — the figures, Table I, the
+// derived claims and the real-run reports — sorted by id. dpbench's -list,
+// -exp all and dispatch all read it, so an id cannot be listed without
+// being runnable or the reverse. The entries read *f when they run, so the
+// table can be built before the flags are parsed.
+func Reports(f *ReportFlags) []Report {
+	rs := []Report{
+		{ID: "table1", Run: func(ctx context.Context, w io.Writer) error {
+			res, err := RunTable1Context(ctx, f.TScale)
+			if err != nil {
+				return err
+			}
+			res.WriteTable(w)
+			return nil
+		}},
+		{ID: "crossover", Run: WriteCrossover},
+		{ID: "swspan", Run: WriteSWSpan},
+		{ID: "bestblock", Run: WriteBestBlock},
+		{ID: "rway", Run: WriteRWay},
+		{ID: "computeon", Run: WriteComputeOn},
+		{ID: "scaling", Run: WriteScaling},
+		{ID: "cluster", Run: WriteCluster},
+		{ID: "swwave", Run: WriteSWWave},
+		{ID: "memory", Run: WriteMemory},
+		{ID: "sched", Run: WriteSched},
+		{ID: "dist", Run: func(ctx context.Context, w io.Writer) error {
+			return WriteDist(ctx, w, f.VerifySample)
+		}},
+		{ID: "perf", Run: func(ctx context.Context, w io.Writer) error {
+			return WritePerf(ctx, w, f.JSON, f.RaceDetect)
+		}},
+		{ID: "perfdiff", Gate: true, Run: func(ctx context.Context, w io.Writer) error {
+			return WritePerfDiff(ctx, w, f.Baseline, f.Current, f.Tol)
+		}},
+	}
+	for _, e := range Figures() {
+		rs = append(rs, Report{ID: e.ID, Run: func(ctx context.Context, w io.Writer) error {
+			return e.write(ctx, w, f)
+		}})
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
+	return rs
+}
+
+// write runs the figure and renders it in the format the flags select:
+// CSV, JSON, or aligned tables followed by the per-panel winners.
+func (e Experiment) write(ctx context.Context, w io.Writer, f *ReportFlags) error {
+	res, err := e.RunContext(ctx, f.Options)
+	if err != nil {
+		return err
+	}
+	switch {
+	case f.CSV:
+		res.WriteCSV(w)
+	case f.JSON:
+		return res.WriteJSON(w)
+	default:
+		res.WriteTable(w)
+		fmt.Fprintln(w)
+		for _, line := range res.Best() {
+			fmt.Fprintln(w, "//", line)
+		}
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -29,14 +30,65 @@ func TestFiguresRegistry(t *testing.T) {
 	if _, ok := FigureByID("fig4"); !ok {
 		t.Fatal("fig4 missing")
 	}
-	if ch, ok := FigureByID("figch"); !ok || ch.Bench != core.CH || !ch.Estimated {
+	if ch, ok := FigureByID("figch"); !ok || ch.Bench != "chol" || !ch.Estimated {
 		t.Fatalf("figch missing or misconfigured: %+v ok=%v", ch, ok)
 	}
 	if _, ok := FigureByID("nope"); ok {
 		t.Fatal("bogus id found")
 	}
-	if !strings.Contains(ValidIDList(), "table1") {
-		t.Fatal("id list missing table1")
+}
+
+// TestReportsTable: the one experiment table lists every figure and derived
+// report exactly once, sorted, each with a runner, and marks only perfdiff
+// as a gate (what "-exp all" skips).
+func TestReportsTable(t *testing.T) {
+	rs := Reports(&ReportFlags{})
+	ids := map[string]bool{}
+	for i, r := range rs {
+		if r.Run == nil {
+			t.Fatalf("report %q has no runner", r.ID)
+		}
+		if ids[r.ID] {
+			t.Fatalf("duplicate report id %q", r.ID)
+		}
+		ids[r.ID] = true
+		if i > 0 && rs[i-1].ID >= r.ID {
+			t.Fatalf("reports not sorted: %q before %q", rs[i-1].ID, r.ID)
+		}
+		if r.Gate != (r.ID == "perfdiff") {
+			t.Fatalf("report %q: Gate = %v", r.ID, r.Gate)
+		}
+	}
+	for _, f := range Figures() {
+		if !ids[f.ID] {
+			t.Fatalf("figure %s missing from the report table", f.ID)
+		}
+	}
+	for _, id := range []string{"table1", "crossover", "memory", "sched", "dist", "perf"} {
+		if !ids[id] {
+			t.Fatalf("report table missing %s", id)
+		}
+	}
+}
+
+// The table is built before dpbench parses its flags, so an entry must read
+// them when it runs: a figure picks up the scale and the CSV format set
+// after Reports returned.
+func TestReportsReadFlagsAtRunTime(t *testing.T) {
+	var f ReportFlags
+	rs := Reports(&f)
+	f.Scale, f.MaxTiles, f.CSV = 3, 64, true
+	for _, r := range rs {
+		if r.ID != "fig6" {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := r.Run(context.Background(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(buf.String(), "experiment,machine,bench,") || !strings.Contains(buf.String(), "fig6,EPYC-64,sw,256,") {
+			t.Fatalf("fig6 ignored -csv/-scale set after Reports():\n%.300s", buf.String())
+		}
 	}
 }
 
@@ -44,7 +96,7 @@ func TestFiguresRegistry(t *testing.T) {
 // variant plus Estimated, every series the same length as the base axis.
 func TestRunFig4Scaled(t *testing.T) {
 	exp, _ := FigureByID("fig4")
-	res, err := exp.Run(Options{Scale: 3, MaxTiles: 64})
+	res, err := exp.RunContext(context.Background(), Options{Scale: 3, MaxTiles: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +124,7 @@ func TestRunFig4Scaled(t *testing.T) {
 		t.Fatalf("table rendering incomplete:\n%s", tbl.String())
 	}
 	res.WriteCSV(&csv)
-	if !strings.Contains(csv.String(), "fig4,EPYC-64,GE") {
+	if !strings.Contains(csv.String(), "fig4,EPYC-64,ge,") {
 		t.Fatalf("csv rendering incomplete:\n%.200s", csv.String())
 	}
 	if best := res.Best(); len(best) != len(res.Panels) {
@@ -83,7 +135,7 @@ func TestRunFig4Scaled(t *testing.T) {
 // SW figures have no Estimated series.
 func TestRunFig6Scaled(t *testing.T) {
 	exp, _ := FigureByID("fig6")
-	res, err := exp.Run(Options{Scale: 3})
+	res, err := exp.RunContext(context.Background(), Options{Scale: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,34 +150,40 @@ func TestSimulatePointAllBenches(t *testing.T) {
 	mach := machine.EPYC64()
 	for _, b := range bench.All() {
 		for _, v := range core.ParallelVariants {
-			secs, err := SimulatePoint(mach, b.ID(), 1024, 64, v)
+			secs, err := SimulatePoint(mach, b, 1024, 64, v)
 			if err != nil {
-				t.Fatalf("%v %v: %v", b.ID(), v, err)
+				t.Fatalf("%v %v: %v", b.Name(), v, err)
 			}
 			if secs <= 0 {
-				t.Fatalf("%v %v: %v seconds", b.ID(), v, secs)
+				t.Fatalf("%v %v: %v seconds", b.Name(), v, secs)
 			}
 		}
 	}
 }
 
-// An id outside the registry must fail loudly — the old shapeOf helper
-// silently defaulted unknown benchmarks to a GE-shaped (Triangular) sweep.
-func TestSimulatePointUnknownBenchFailsLoudly(t *testing.T) {
-	_, err := SimulatePoint(machine.EPYC64(), core.BenchID(99), 1024, 64, core.NativeCnC)
-	if !errors.Is(err, bench.ErrUnknownBenchmark) {
-		t.Fatalf("SimulatePoint(unknown) = %v, want ErrUnknownBenchmark", err)
-	}
-	exp := Experiment{ID: "bogus", Bench: core.BenchID(99), Machine: machine.EPYC64,
+// A figure naming a benchmark outside the registry must fail loudly — the
+// old shapeOf helper silently defaulted unknown benchmarks to a GE-shaped
+// (Triangular) sweep.
+func TestExperimentUnknownBenchFailsLoudly(t *testing.T) {
+	exp := Experiment{ID: "bogus", Bench: "nonesuch", Machine: machine.EPYC64,
 		Ns: []int{2048}, BasesFor: func(int) []int { return []int{64} }}
-	if _, err := exp.Run(Options{Scale: 3}); !errors.Is(err, bench.ErrUnknownBenchmark) {
+	if _, err := exp.RunContext(context.Background(), Options{Scale: 3}); !errors.Is(err, bench.ErrUnknownBenchmark) {
 		t.Fatalf("Experiment.Run(unknown bench) = %v, want ErrUnknownBenchmark", err)
 	}
 }
 
+func mustGE(t *testing.T) bench.Benchmark {
+	t.Helper()
+	ge, err := bench.ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ge
+}
+
 func TestBestOverBases(t *testing.T) {
 	mach := machine.EPYC64()
-	best, base, err := BestOverBases(context.Background(), mach, core.GE, 2048, core.TunerCnC, []int{32, 64, 128})
+	best, base, err := BestOverBases(context.Background(), mach, mustGE(t), 2048, core.TunerCnC, []int{32, 64, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +214,8 @@ func TestClaimsReports(t *testing.T) {
 	// The claims loops are registry-driven: every registered benchmark —
 	// including CH — must show up in the best-block table.
 	for _, b := range bench.All() {
-		if !strings.Contains(out, b.ID().String()) {
-			t.Fatalf("bestblock output missing %s:\n%s", b.ID(), out)
+		if !strings.Contains(out, b.Name()) {
+			t.Fatalf("bestblock output missing %s:\n%s", b.Name(), out)
 		}
 	}
 }
@@ -175,12 +233,12 @@ func TestCrossoverCoversRegistry(t *testing.T) {
 	}
 	out := sb.String()
 	for _, b := range bench.All() {
-		if !strings.Contains(out, b.ID().String()) {
-			t.Fatalf("crossover output missing %s:\n%s", b.ID(), out)
+		if !strings.Contains(out, b.Name()) {
+			t.Fatalf("crossover output missing %s:\n%s", b.Name(), out)
 		}
 	}
-	if !strings.Contains(out, "CH") || !strings.Contains(out, "verification") {
-		t.Fatalf("crossover missing CH verification block:\n%s", out)
+	if !strings.Contains(out, "crossover: best time over base sweep, chol ") || !strings.Contains(out, "verification") {
+		t.Fatalf("crossover missing the chol table or the verification block:\n%s", out)
 	}
 }
 
@@ -258,7 +316,7 @@ func TestRunContextCancelled(t *testing.T) {
 	if err := WriteCrossover(ctx, &sb); !errors.Is(err, context.Canceled) {
 		t.Fatalf("WriteCrossover = %v, want context.Canceled", err)
 	}
-	if _, _, err := BestOverBases(ctx, machine.EPYC64(), core.GE, 2048, core.TunerCnC, []int{64}); !errors.Is(err, context.Canceled) {
+	if _, _, err := BestOverBases(ctx, machine.EPYC64(), mustGE(t), 2048, core.TunerCnC, []int{64}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BestOverBases = %v, want context.Canceled", err)
 	}
 }

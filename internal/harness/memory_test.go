@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"dpflow/internal/bench"
 )
 
 // TestWriteMemory runs the bounded-memory claims report end to end: every
@@ -19,9 +21,13 @@ func TestWriteMemory(t *testing.T) {
 		t.Fatalf("WriteMemory: %v\n%s", err, sb.String())
 	}
 	out := sb.String()
-	for _, want := range []string{"# memory", "GE", "FW", "SW", "CH", "unbounded", "bounded", "leak-free"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	want := []string{"# memory", "unbounded", "bounded", "leak-free"}
+	for _, b := range bench.All() {
+		want = append(want, " "+b.Name()+" ")
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Fatalf("output missing %q:\n%s", w, out)
 		}
 	}
 	for _, bad := range []string{"LEAK", "OVER-LIMIT", "FAIL"} {

@@ -7,7 +7,6 @@ import (
 
 	"dpflow/internal/bench"
 	"dpflow/internal/cachesim"
-	"dpflow/internal/core"
 	"dpflow/internal/model"
 )
 
@@ -65,7 +64,7 @@ func RunTable1Context(ctx context.Context, scale int) (*Table1Result, error) {
 		paperL2 = 1 << 20
 		paperL3 = 32 << 20
 	)
-	ge, err := bench.Lookup(core.GE)
+	ge, err := bench.ByName("ge")
 	if err != nil {
 		return nil, err
 	}

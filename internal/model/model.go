@@ -183,7 +183,7 @@ func Describe(mach *machine.Machine, b bench.Benchmark, n, base int) string {
 	m := gep.BaseSize(n, base)
 	kind := dominantKind(b)
 	return fmt.Sprintf("%s %s n=%d base=%d: task exec D=%.3gs (flops %.3g, ws %dKB)",
-		mach.Name, b.ID(), n, m,
+		mach.Name, b.Name(), n, m,
 		ExecTime(mach, b, kind, m, false),
 		b.Flops(kind, m),
 		bench.WorkingSetBytes(m)>>10)

@@ -12,9 +12,9 @@ import (
 	"dpflow/internal/simsched"
 )
 
-func mustBench(t *testing.T, id core.BenchID) bench.Benchmark {
+func mustBench(t *testing.T, name string) bench.Benchmark {
 	t.Helper()
-	b, err := bench.Lookup(id)
+	b, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFitThresholdsSkylake(t *testing.T) {
 
 func TestExecTimePrefetchAdvantage(t *testing.T) {
 	mach := machine.EPYC64()
-	ge := mustBench(t, core.GE)
+	ge := mustBench(t, "ge")
 	fj := ExecTime(mach, ge, dag.KindD, 128, true)
 	df := ExecTime(mach, ge, dag.KindD, 128, false)
 	if fj >= df {
@@ -57,7 +57,7 @@ func TestExecTimePrefetchAdvantage(t *testing.T) {
 
 func TestCostsForVariantOrdering(t *testing.T) {
 	mach := machine.EPYC64()
-	ge := mustBench(t, core.GE)
+	ge := mustBench(t, "ge")
 	tasks := ge.TotalTasks(64)
 	omp := CostsFor(mach, ge, 1024, 16, core.OMPTasking, tasks)
 	nat := CostsFor(mach, ge, 1024, 16, core.NativeCnC, tasks)
@@ -87,7 +87,7 @@ func TestCostsForVariantOrdering(t *testing.T) {
 // the per-base-size curve has the U shape: the best base size is interior.
 func TestSimulatedGEMagnitudeAndShape(t *testing.T) {
 	mach := machine.EPYC64()
-	ge := mustBench(t, core.GE)
+	ge := mustBench(t, "ge")
 	n := 4096
 	var times []float64
 	bases := []int{16, 64, 128, 256, 512, 1024}
@@ -152,7 +152,7 @@ func bestTime(t *testing.T, mach *machine.Machine, b bench.Benchmark, n int, v c
 func TestCrossoverClaims(t *testing.T) {
 	bases := []int{32, 64, 128, 256, 512}
 	epyc, skx := machine.EPYC64(), machine.SKYLAKE192()
-	ge, sw := mustBench(t, core.GE), mustBench(t, core.SW)
+	ge, sw := mustBench(t, "ge"), mustBench(t, "sw")
 
 	// Claim 1 on EPYC-64: GE small vs large.
 	smallDF := bestTime(t, epyc, ge, 2048, core.TunerCnC, bases)
@@ -187,31 +187,31 @@ func TestCrossoverClaims(t *testing.T) {
 
 func TestEstimatedTimePositiveAndScales(t *testing.T) {
 	mach := machine.SKYLAKE192()
-	ge := mustBench(t, core.GE)
+	ge := mustBench(t, "ge")
 	small := EstimatedTime(mach, ge, 2048, 256)
 	large := EstimatedTime(mach, ge, 16384, 256)
 	if small <= 0 || large <= small {
 		t.Fatalf("estimated times: 2K=%v 16K=%v", small, large)
 	}
-	if sw := EstimatedTime(mach, mustBench(t, core.SW), 2048, 256); sw <= 0 {
+	if sw := EstimatedTime(mach, mustBench(t, "sw"), 2048, 256); sw <= 0 {
 		t.Fatalf("SW estimated = %v", sw)
 	}
 	// CH prices like a triangular GE over half the tiles: positive, and
 	// below GE at equal n and base.
-	ch := EstimatedTime(mach, mustBench(t, core.CH), 2048, 256)
+	ch := EstimatedTime(mach, mustBench(t, "chol"), 2048, 256)
 	if ch <= 0 || ch >= small {
 		t.Fatalf("CH estimated = %v, want in (0, GE=%v)", ch, small)
 	}
 }
 
 func TestEstimatedMaxMissesMonotoneInN(t *testing.T) {
-	ge := mustBench(t, core.GE)
+	ge := mustBench(t, "ge")
 	a := EstimatedMaxMisses(ge, 2048, 128, 64)
 	b := EstimatedMaxMisses(ge, 4096, 128, 64)
 	if b <= a {
 		t.Fatalf("bound not growing with n: %v vs %v", a, b)
 	}
-	fw := mustBench(t, core.FW)
+	fw := mustBench(t, "fw")
 	if fwB := EstimatedMaxMisses(fw, 1024, 128, 64); fwB <= EstimatedMaxMisses(ge, 1024, 128, 64) {
 		t.Fatalf("FW (cube) bound should exceed GE (triangular): %v", fwB)
 	}
@@ -230,12 +230,12 @@ func TestBestBaseInterior(t *testing.T) {
 	for _, b := range bench.All() {
 		base := BestBase(mach, b, 8192, 8)
 		if base < 16 || base > 1024 {
-			t.Fatalf("%v: BestBase = %d, expected an interior optimum", b.ID(), base)
+			t.Fatalf("%v: BestBase = %d, expected an interior optimum", b.Name(), base)
 		}
 	}
 	// Larger machines push the optimum down or keep it (more cores want
 	// more tasks), never up by much.
-	ge := mustBench(t, core.GE)
+	ge := mustBench(t, "ge")
 	e := BestBase(machine.EPYC64(), ge, 8192, 8)
 	s := BestBase(machine.SKYLAKE192(), ge, 8192, 8)
 	if s > e*4 {

@@ -255,30 +255,3 @@ func (p *Problem) RunCnCContext(ctx context.Context, m *matrix.Dense, base, work
 	}
 	return m.At(1, p.N()), stats, nil
 }
-
-// Run dispatches any variant, allocating the table internally.
-func (p *Problem) Run(v core.Variant, base, workers int, pool *forkjoin.Pool) (float64, error) {
-	return p.RunContext(context.Background(), v, base, workers, pool)
-}
-
-// RunContext is Run with cooperative cancellation for the parallel
-// variants; the serial variants ignore ctx.
-func (p *Problem) RunContext(ctx context.Context, v core.Variant, base, workers int, pool *forkjoin.Pool) (float64, error) {
-	m := p.NewTable()
-	switch v {
-	case core.SerialLoop:
-		return p.Serial(m), nil
-	case core.SerialRDP:
-		return p.RDPSerial(m, base)
-	case core.OMPTasking:
-		if pool == nil {
-			return 0, fmt.Errorf("par: OMPTasking requires a fork-join pool")
-		}
-		return p.ForkJoinContext(ctx, m, base, pool)
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		cost, _, err := p.RunCnCContext(ctx, m, base, workers, v, nil)
-		return cost, err
-	default:
-		return 0, fmt.Errorf("par: unsupported variant %v", v)
-	}
-}

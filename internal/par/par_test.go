@@ -40,15 +40,28 @@ func TestAllVariantsAgree(t *testing.T) {
 	ref := p.NewTable()
 	want := p.Serial(ref)
 
-	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking,
-		core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
+	type driver struct {
+		name string
+		run  func(m *matrix.Dense, base int) (float64, error)
+	}
+	drivers := []driver{
+		{"Serial_RDP", p.RDPSerial},
+		{"OpenMP", func(m *matrix.Dense, base int) (float64, error) { return p.ForkJoin(m, base, pool) }},
+	}
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
+		drivers = append(drivers, driver{v.String(), func(m *matrix.Dense, base int) (float64, error) {
+			cost, _, err := p.RunCnC(m, base, 3, v)
+			return cost, err
+		}})
+	}
+	for _, d := range drivers {
 		for _, base := range []int{4, 16, 64} {
-			got, err := p.Run(v, base, 3, pool)
+			got, err := d.run(p.NewTable(), base)
 			if err != nil {
-				t.Fatalf("%v base=%d: %v", v, base, err)
+				t.Fatalf("%s base=%d: %v", d.name, base, err)
 			}
 			if got != want {
-				t.Fatalf("%v base=%d: cost %v, want %v", v, base, got, want)
+				t.Fatalf("%s base=%d: cost %v, want %v", d.name, base, got, want)
 			}
 		}
 	}
@@ -101,23 +114,17 @@ func TestOptimalityProperty(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	bad := &Problem{Dims: []int{3, 4, 5}} // n=2 is fine; test n=3
-	if _, err := bad.Run(core.SerialRDP, 2, 1, nil); err != nil {
+	ok := &Problem{Dims: []int{3, 4, 5}} // n=2
+	if _, err := ok.RDPSerial(ok.NewTable(), 2); err != nil {
 		t.Fatalf("n=2 rejected: %v", err)
 	}
 	odd := &Problem{Dims: []int{1, 2, 3, 4}} // n=3, not a power of two
-	if _, err := odd.Run(core.SerialRDP, 2, 1, nil); err == nil {
+	if _, err := odd.RDPSerial(odd.NewTable(), 2); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
 	p := &Problem{Dims: []int{1, 2, 3, 4, 5}}
-	if _, err := p.Run(core.SerialRDP, 0, 1, nil); err == nil {
+	if _, err := p.RDPSerial(p.NewTable(), 0); err == nil {
 		t.Fatal("base 0 accepted")
-	}
-	if _, err := p.Run(core.OMPTasking, 2, 1, nil); err == nil {
-		t.Fatal("OMPTasking without pool accepted")
-	}
-	if _, err := p.Run(core.Variant(42), 2, 1, nil); err == nil {
-		t.Fatal("unknown variant accepted")
 	}
 }
 

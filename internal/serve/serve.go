@@ -21,7 +21,7 @@
 // executor design budgets for.
 //
 // Every job gets a cooperative cancellation context (POST
-// /jobs/{id}/cancel), an optional deadline, and a chaos.Watchdog watching
+// /jobs/{id}/cancel), an optional deadline, and a cnc.Watchdog watching
 // the graph's own progress counters — a faulty or wedged job is cancelled
 // by its watchdog instead of holding its admission reservation forever,
 // which is what keeps one tenant's bad job from starving another tenant's
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"dpflow/internal/bench"
-	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/exec"
@@ -455,7 +454,7 @@ func (j *Job) runLeaf(ctx context.Context) (bool, error) {
 	if s.cfg.StallWindow > 0 && (variant.IsCnC() || variant == core.OMPTasking) {
 		runCtx, runCancel := context.WithCancel(ctx)
 		defer runCancel()
-		wd := chaos.NewWatchdog(chaos.WatchdogConfig{
+		wd := cnc.NewWatchdog(cnc.WatchdogConfig{
 			Window:   s.cfg.StallWindow,
 			Progress: j.progress,
 			OnStall: func(blocked []string) {

@@ -331,34 +331,6 @@ func (p *Problem) RunCnCContext(ctx context.Context, h *matrix.Dense, base, work
 	return kernels.MaxScore(h), stats, nil
 }
 
-// Run dispatches any variant; it allocates the table internally and returns
-// the alignment score.
-func (p *Problem) Run(v core.Variant, base, workers int, pool *forkjoin.Pool) (float64, error) {
-	return p.RunContext(context.Background(), v, base, workers, pool)
-}
-
-// RunContext is Run with cooperative cancellation for the parallel
-// variants; the serial variants ignore ctx.
-func (p *Problem) RunContext(ctx context.Context, v core.Variant, base, workers int, pool *forkjoin.Pool) (float64, error) {
-	h := p.NewTable()
-	switch v {
-	case core.SerialLoop:
-		return p.Serial(h), nil
-	case core.SerialRDP:
-		return p.RDPSerial(h, base)
-	case core.OMPTasking:
-		if pool == nil {
-			return 0, fmt.Errorf("sw: OMPTasking requires a fork-join pool")
-		}
-		return p.ForkJoinContext(ctx, h, base, pool)
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		score, _, err := p.RunCnCContext(ctx, h, base, workers, v, nil)
-		return score, err
-	default:
-		return 0, fmt.Errorf("sw: unsupported variant %v", v)
-	}
-}
-
 // ForkJoinWavefront runs the tiled wavefront with one taskwait barrier per
 // anti-diagonal — the alternative fork-join formulation the paper's
 // footnote 6 describes ("in fork-join implementation, there is a barrier

@@ -19,10 +19,7 @@ func problem(n int, seed int64) *Problem {
 	return &Problem{A: a, B: b, Scoring: kernels.DefaultScoring}
 }
 
-// The linear-space scorer must agree with the full-table serial fill —
-// the one equivalence the registry conformance suite cannot check, since
-// Linear never materialises a table. (Variant-vs-serial agreement for the
-// table-filling drivers lives in internal/bench's conformance suite.)
+// The linear-space scorer must agree with the full-table serial fill.
 func TestLinearMatchesSerialScore(t *testing.T) {
 	p := problem(64, 1)
 	ref := p.NewTable()
@@ -32,25 +29,40 @@ func TestLinearMatchesSerialScore(t *testing.T) {
 	}
 }
 
-func TestRunDispatch(t *testing.T) {
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: 2})
+// Every table-filling driver — the serial recursion, the recursive
+// fork-join and the four CnC schedules — must reproduce the loop-based
+// Serial fill exactly: same score, bit-identical table. Serial is the
+// independent oracle here; the registry's Instance.Verify compares against
+// RDPSerial, one of the drivers under test.
+func TestDriversMatchSerialLoop(t *testing.T) {
+	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
 	defer pool.Close()
-	p := problem(32, 2)
-	want, _ := p.Run(core.SerialLoop, 4, 1, nil)
-	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-		got, err := p.Run(v, 4, 2, pool)
-		if err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if got != want {
-			t.Fatalf("%v: score %v, want %v", v, got, want)
+	p := problem(64, 2)
+	ref := p.NewTable()
+	want := p.Serial(ref)
+	check := func(name string, run func(h *matrix.Dense, base int) (float64, error)) {
+		t.Helper()
+		for _, base := range []int{4, 16, 64} {
+			h := p.NewTable()
+			got, err := run(h, base)
+			if err != nil {
+				t.Fatalf("%s base=%d: %v", name, base, err)
+			}
+			if got != want {
+				t.Fatalf("%s base=%d: score %v, want %v", name, base, got, want)
+			}
+			if !matrix.Equal(h, ref) {
+				t.Fatalf("%s base=%d: table differs from the serial loop", name, base)
+			}
 		}
 	}
-	if _, err := p.Run(core.OMPTasking, 4, 2, nil); err == nil {
-		t.Fatal("OMPTasking without pool should error")
-	}
-	if _, err := p.Run(core.Variant(99), 4, 2, nil); err == nil {
-		t.Fatal("unknown variant should error")
+	check("Serial_RDP", p.RDPSerial)
+	check("OpenMP", func(h *matrix.Dense, base int) (float64, error) { return p.ForkJoin(h, base, pool) })
+	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
+		check(v.String(), func(h *matrix.Dense, base int) (float64, error) {
+			score, _, err := p.RunCnC(h, base, 3, v)
+			return score, err
+		})
 	}
 }
 
