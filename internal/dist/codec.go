@@ -19,11 +19,13 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"reflect"
 	"sync"
 
 	"dpflow/internal/bench"
@@ -34,11 +36,11 @@ import (
 //	uint32 BE  frame length (bytes after this field)
 //	byte       message type
 //	uint64 BE  sequence number
-//	[]byte     gob-encoded payload (may be empty)
+//	body       the message struct's fields (may be empty), see appendWire
 //
-// The sequence number lives in the frame header, not the payload, so the
+// The sequence number lives in the frame header, not the body, so the
 // coordinator can discard stale responses (a retried request's late answer)
-// without decoding them.
+// without parsing them.
 const (
 	// MsgPut carries PutMsg coordinator->worker; answered by MsgAck.
 	MsgPut byte = 1 + iota
@@ -68,35 +70,37 @@ const (
 
 // MsgName renders a message type for logs and fault hooks.
 func MsgName(mt byte) string {
-	switch mt {
-	case MsgPut:
-		return "put"
-	case MsgGet:
-		return "get"
-	case MsgAck:
-		return "ack"
-	case MsgItem:
-		return "item"
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
-	case MsgPutBatch:
-		return "putbatch"
-	case MsgGetBatch:
-		return "getbatch"
-	case MsgItemBatch:
-		return "itembatch"
+	if int(mt) < len(msgNames) && msgNames[mt] != "" {
+		return msgNames[mt]
 	}
 	return fmt.Sprintf("msg(%d)", mt)
 }
+
+var msgNames = [...]string{MsgPut: "put", MsgGet: "get", MsgAck: "ack", MsgItem: "item", MsgPing: "ping",
+	MsgPong: "pong", MsgPutBatch: "putbatch", MsgGetBatch: "getbatch", MsgItemBatch: "itembatch"}
 
 // maxFrame bounds a single frame; anything larger is a protocol error, not
 // a legitimate tile (the benchmarks exchange receipt booleans and small
 // structs).
 const maxFrame = 16 << 20
 
-const headerLen = 4 // length field itself
+const (
+	headerLen = 4             // length field itself
+	prefixLen = headerLen + 9 // length + type + seq: where a frame's body starts
+)
+
+// ErrFrameTooLarge reports a frame whose body would exceed maxFrame. It is
+// the sender's error: the receiving ReadFrame would reject the length and
+// drop the connection, which the recovery ladder cannot fix.
+var ErrFrameTooLarge = errors.New("dist: frame exceeds the 16 MiB limit")
+
+// ErrWireType reports a value whose type the wire codec cannot carry:
+// one outside the registered benchmarks' Wire vocabularies, or one built
+// from kinds the codec has no encoding for (maps, pointers, interfaces).
+var ErrWireType = errors.New("dist: type not in the wire vocabulary")
+
+// errMalformed reports bytes no encoder of this package produced.
+var errMalformed = errors.New("dist: malformed wire bytes")
 
 // PutMsg stores one write-once item on its shard owner. Key and Val are
 // pre-encoded (EncodeValue) — workers treat both as opaque bytes and need
@@ -154,23 +158,231 @@ type ItemBatchMsg struct {
 	Items []ItemMsg
 }
 
-// EncodeFrame renders one frame. A nil payload encodes as an empty body
-// (MsgPing/partner types with no fields can pass nil).
-func EncodeFrame(mt byte, seq uint64, payload any) ([]byte, error) {
-	var body bytes.Buffer
-	body.Write(make([]byte, headerLen)) // length placeholder
-	body.WriteByte(mt)
-	var seqb [8]byte
-	binary.BigEndian.PutUint64(seqb[:], seq)
-	body.Write(seqb[:])
-	if payload != nil {
-		if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-			return nil, fmt.Errorf("dist: encode %s frame: %w", MsgName(mt), err)
+// uvarintLen is the encoded length of x as a uvarint; zigzag is the
+// unsigned form a signed int travels in (as in binary.AppendVarint).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func zigzag(x int64) uint64   { return uint64(x)<<1 ^ uint64(x>>63) }
+
+// One codec carries both the frame bodies (the eight message structs) and
+// the tag/key/item values (the benchmarks' Wire vocabularies), by walking
+// the Go value: signed ints as zigzag varints, unsigned as uvarints, one
+// byte per bool, the 8-byte IEEE bits for floats, strings and []byte as a
+// uvarint length and the bytes, other slices as a uvarint count and the
+// elements, structs field by field in declaration order. wireSize is the
+// exact length appendWire appends, which is how every encode is a single
+// allocation; parseWire inverts them; checkWire says whether a type is made
+// of those kinds only, and is the gate in front of the other three.
+func wireSize(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Bool:
+		return 1
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return uvarintLen(zigzag(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return uvarintLen(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return 8
+	case reflect.String:
+		return uvarintLen(uint64(v.Len())) + v.Len()
+	case reflect.Slice:
+		n := uvarintLen(uint64(v.Len()))
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return n + v.Len()
+		}
+		for i := 0; i < v.Len(); i++ {
+			n += wireSize(v.Index(i))
+		}
+		return n
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			n += wireSize(v.Field(i))
+		}
+		return n
+	}
+	return 0
+}
+
+func appendWire(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendUvarint(b, zigzag(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return binary.AppendUvarint(b, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...)
+	case reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return append(b, v.Bytes()...)
+		}
+		for i := 0; i < v.Len(); i++ {
+			b = appendWire(b, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			b = appendWire(b, v.Field(i))
 		}
 	}
-	out := body.Bytes()
-	binary.BigEndian.PutUint32(out[:headerLen], uint32(len(out)-headerLen))
-	return out, nil
+	return b
+}
+
+// parseWire fills the settable v from p. A []byte aliases the input; a nil
+// slice and an empty one encode alike and both parse as empty.
+func parseWire(p *parser, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		b := p.take(1)
+		p.failIf(b != nil && b[0] > 1)
+		v.SetBool(b != nil && b[0] == 1)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		ux := p.uvarint()
+		x := int64(ux>>1) ^ -int64(ux&1)
+		p.failIf(v.OverflowInt(x))
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		x := p.uvarint()
+		p.failIf(v.OverflowUint(x))
+		v.SetUint(x)
+	case reflect.Float32, reflect.Float64:
+		if b := p.take(8); b != nil {
+			v.SetFloat(math.Float64frombits(binary.BigEndian.Uint64(b)))
+		}
+	case reflect.String:
+		v.SetString(string(p.take(p.uvarint())))
+	case reflect.Slice:
+		n := p.uvarint()
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			v.SetBytes(p.take(n))
+			return
+		}
+		// A count the remaining bytes cannot hold is refused before
+		// anything is allocated for it.
+		if p.failIf(n > uint64(len(p.b)/minWireSize(v.Type().Elem()))) {
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
+		for i := 0; i < int(n); i++ {
+			parseWire(p, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			parseWire(p, v.Field(i))
+		}
+	}
+}
+
+// minWireSize is the shortest encoding a value of type t can have — never
+// zero, because checkWire refuses field-less structs.
+func minWireSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return 8
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			n += minWireSize(t.Field(i).Type)
+		}
+		return n
+	}
+	return 1
+}
+
+func checkWire(t reflect.Type) error {
+	if t == nil {
+		return fmt.Errorf("%w: untyped nil", ErrWireType)
+	}
+	switch t.Kind() {
+	case reflect.Bool, reflect.String, reflect.Float32, reflect.Float64,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return nil
+	case reflect.Slice:
+		return checkWire(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); !f.IsExported() {
+				return fmt.Errorf("%w: %s has unexported field %s", ErrWireType, t, f.Name)
+			} else if err := checkWire(f.Type); err != nil {
+				return err
+			}
+		}
+		if t.NumField() > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("%w: no encoding for %s", ErrWireType, t)
+}
+
+// parser consumes wire bytes front to back. The first malformed field
+// latches err and empties the input, so every later read fails too and
+// callers check once, in finish.
+type parser struct {
+	b   []byte
+	err error
+}
+
+func (p *parser) failIf(bad bool) bool {
+	if bad {
+		p.b, p.err = nil, errMalformed
+	}
+	return bad
+}
+
+func (p *parser) uvarint() uint64 {
+	v, n := binary.Uvarint(p.b)
+	if p.failIf(n <= 0) {
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+// take returns the next n bytes, aliasing the input, or nil.
+func (p *parser) take(n uint64) []byte {
+	if p.failIf(n > uint64(len(p.b))) {
+		return nil
+	}
+	out := p.b[:n:n]
+	p.b = p.b[n:]
+	return out
+}
+
+// finish reports the latched error, or trailing bytes no field claimed.
+func (p *parser) finish() error {
+	p.failIf(len(p.b) != 0)
+	return p.err
+}
+
+// EncodeFrame renders one frame in a single allocation. payload is one of
+// the message structs, by value, or nil for an empty body (MsgPing). A body
+// over maxFrame is ErrFrameTooLarge.
+func EncodeFrame(mt byte, seq uint64, payload any) ([]byte, error) {
+	var v reflect.Value
+	body := 0
+	switch payload.(type) {
+	case nil:
+	case PutMsg, GetMsg, AckMsg, ItemMsg, PongMsg, PutBatchMsg, GetBatchMsg, ItemBatchMsg:
+		v = reflect.ValueOf(payload)
+		body = wireSize(v)
+	default:
+		return nil, fmt.Errorf("dist: encode %s frame: payload is not a message struct", MsgName(mt))
+	}
+	if 9+body > maxFrame {
+		return nil, fmt.Errorf("dist: encode %s frame, %d-byte body: %w", MsgName(mt), body, ErrFrameTooLarge)
+	}
+	b := make([]byte, prefixLen, prefixLen+body)
+	binary.BigEndian.PutUint32(b, uint32(9+body))
+	b[headerLen] = mt
+	binary.BigEndian.PutUint64(b[headerLen+1:], seq)
+	return appendWire(b, v), nil
 }
 
 // ReadFrame reads one frame off r, returning the message type, sequence
@@ -193,58 +405,96 @@ func ReadFrame(r io.Reader) (mt byte, seq uint64, payload []byte, wire int, err 
 	return buf[0], binary.BigEndian.Uint64(buf[1:9]), buf[9:], headerLen + int(n), nil
 }
 
-// DecodePayload decodes a frame payload into v.
+// DecodePayload parses a frame payload into v, a pointer to a message
+// struct. Parsed Key and Val fields alias payload.
 func DecodePayload(payload []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+	switch v.(type) {
+	case *PutMsg, *GetMsg, *AckMsg, *ItemMsg, *PongMsg, *PutBatchMsg, *GetBatchMsg, *ItemBatchMsg:
+	default:
+		return errors.New("dist: decode payload: target is not a pointer to a message struct")
+	}
+	p := parser{b: payload}
+	parseWire(&p, reflect.ValueOf(v).Elem())
+	return p.finish()
 }
 
-// wireValue is the gob envelope for dynamically-typed tag/key/item values:
-// encoding `any` directly is not possible, encoding a struct with an `any`
-// field is, provided every concrete type is gob-registered
-// (RegisterWireTypes).
-type wireValue struct {
-	V any
-}
+// The registry behind EncodeValue/DecodeValue. Every registered value type
+// has a small id (1, 2, … in registration order; wireTypes[id-1] is the
+// type) that leads each encoding of it, so equal field values of two types
+// never produce equal bytes. Filled once by RegisterWireTypes, then
+// read-only — lookups take no lock. wireErr is what registration refused.
+var (
+	wireIDs      = map[reflect.Type]uint64{}
+	wireTypes    []reflect.Type
+	wireErr      error
+	registerOnce sync.Once
+)
 
-// EncodeValue renders one tag/key/item value to bytes. A fresh encoder per
-// call makes the bytes a pure function of the value — the property the
-// shard map (same key, same shard), the worker store key and the byte-equal
-// idempotent-replay check all rely on.
+// EncodeValue renders one tag/key/item value to bytes: the type's id, then
+// the value as appendWire walks it. The bytes are a pure function of the
+// value and differ between types — the properties the shard map (same key,
+// same shard), the worker store key and the byte-equal idempotent-replay
+// check all rely on. A type outside the registered Wire vocabularies is
+// ErrWireType.
 func EncodeValue(v any) ([]byte, error) {
 	RegisterWireTypes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireValue{V: v}); err != nil {
-		return nil, fmt.Errorf("dist: encode value %T: %w", v, err)
+	if wireErr != nil {
+		return nil, wireErr
 	}
-	return buf.Bytes(), nil
+	id, ok := wireIDs[reflect.TypeOf(v)]
+	if !ok {
+		return nil, fmt.Errorf("dist: encode value: %w: %v", ErrWireType, reflect.TypeOf(v))
+	}
+	rv := reflect.ValueOf(v)
+	b := make([]byte, 0, uvarintLen(id)+wireSize(rv))
+	return appendWire(binary.AppendUvarint(b, id), rv), nil
 }
 
 // DecodeValue inverts EncodeValue.
 func DecodeValue(b []byte) (any, error) {
 	RegisterWireTypes()
-	var w wireValue
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("dist: decode value: %w", err)
+	if wireErr != nil {
+		return nil, wireErr
 	}
-	return w.V, nil
+	p := parser{b: b}
+	id := p.uvarint()
+	if p.err != nil || id == 0 || id > uint64(len(wireTypes)) {
+		return nil, fmt.Errorf("dist: decode value: type id %d: %w", id, errMalformed)
+	}
+	v := reflect.New(wireTypes[id-1]).Elem()
+	parseWire(&p, v)
+	if err := p.finish(); err != nil {
+		return nil, fmt.Errorf("dist: decode value %s: %w", v.Type(), err)
+	}
+	return v.Interface(), nil
 }
 
-var registerOnce sync.Once
-
-// RegisterWireTypes registers every registered benchmark's tag, key and
-// item-value concrete types with gob, by walking bench.All() through the
-// Wire vocabulary each benchmark declares. Coordinator-side only — workers
-// never decode values. Idempotent and safe from multiple goroutines.
+// RegisterWireTypes admits every registered benchmark's tag, key and
+// item-value concrete types to the value codec, by walking bench.All()
+// through the Wire vocabulary each benchmark declares. A type the codec
+// cannot carry is refused by name (ErrWireType, from every EncodeValue and
+// DecodeValue after it) — there is no fallback encoding. Coordinator-side
+// only — workers never decode values. Idempotent and safe from multiple
+// goroutines.
 func RegisterWireTypes() {
 	registerOnce.Do(func() {
 		for _, b := range bench.All() {
 			w := b.Wire(4)
-			for _, tag := range w.Tags {
-				gob.Register(tag)
-			}
+			samples := append([]any(nil), w.Tags...)
 			for _, it := range w.Items {
-				gob.Register(it.Key)
-				gob.Register(it.Val)
+				samples = append(samples, it.Key, it.Val)
+			}
+			for _, s := range samples {
+				t := reflect.TypeOf(s)
+				if _, seen := wireIDs[t]; seen {
+					continue
+				}
+				if err := checkWire(t); err != nil {
+					wireErr = fmt.Errorf("dist: %s wire vocabulary: %w", b.Name(), err)
+					continue
+				}
+				wireTypes = append(wireTypes, t)
+				wireIDs[t] = uint64(len(wireTypes))
 			}
 		}
 	})

@@ -2,11 +2,15 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dpflow/internal/bench"
+	"dpflow/internal/gep"
 )
 
 // TestValueRoundTripAllBenchmarks sweeps every registered benchmark's wire
@@ -104,6 +108,10 @@ func TestFrameRoundTrip(t *testing.T) {
 			want := tc.payload.(PutMsg)
 			if m.Coll != want.Coll || !bytes.Equal(m.Key, want.Key) || !bytes.Equal(m.Val, want.Val) {
 				t.Fatalf("put round trip %+v -> %+v", want, m)
+			}
+			// Parsed byte fields alias the payload, they are not copies.
+			if pl[len(pl)-1]++; m.Val[0] != want.Val[0]+1 {
+				t.Fatal("parsed Val does not alias the frame buffer")
 			}
 		case MsgPutBatch:
 			var m PutBatchMsg
@@ -263,4 +271,343 @@ func TestStoreWriteOnce(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
+}
+
+// vocabulary returns every registered benchmark's wire samples (tags, keys
+// and values), labelled for failure messages.
+func vocabulary(t testing.TB) (labels []string, vals []any) {
+	t.Helper()
+	for _, b := range bench.All() {
+		w := b.Wire(4)
+		add := func(v any) {
+			labels = append(labels, fmt.Sprintf("%s/%d:%T", b.Name(), len(vals), v))
+			vals = append(vals, v)
+		}
+		for _, tag := range w.Tags {
+			add(tag)
+		}
+		for _, it := range w.Items {
+			add(it.Key)
+			add(it.Val)
+		}
+	}
+	if len(vals) == 0 {
+		t.Fatal("no registered wire vocabulary")
+	}
+	return labels, vals
+}
+
+// TestValueRoundTripExtremes: every vocabulary type round-trips with each
+// of its int fields at -1 and at the ends of the int range — the varint
+// edge cases gob used to cover for free.
+func TestValueRoundTripExtremes(t *testing.T) {
+	labels, vals := vocabulary(t)
+	for i, v := range vals {
+		rt := reflect.TypeOf(v)
+		if rt.Kind() != reflect.Struct {
+			continue
+		}
+		for _, x := range []int64{-1, math.MinInt64, math.MaxInt64, 63, 64, -64, -65} {
+			pv := reflect.New(rt).Elem()
+			for f := 0; f < pv.NumField(); f++ {
+				pv.Field(f).SetInt(x)
+			}
+			want := pv.Interface()
+			enc, err := EncodeValue(want)
+			if err != nil {
+				t.Fatalf("%s fields=%d: encode: %v", labels[i], x, err)
+			}
+			got, err := DecodeValue(enc)
+			if err != nil {
+				t.Fatalf("%s fields=%d: decode: %v", labels[i], x, err)
+			}
+			if got != want {
+				t.Fatalf("%s: round trip %#v -> %#v", labels[i], want, got)
+			}
+		}
+	}
+}
+
+// TestEncodeValuePureAndInjective: the same value encodes to the same bytes
+// on every call and from every goroutine, and values of different types
+// never share an encoding even when all their fields agree — otherwise
+// ShardOf and the worker store key could collide across collections that
+// differ only in key type.
+func TestEncodeValuePureAndInjective(t *testing.T) {
+	labels, vals := vocabulary(t)
+	want := make([][]byte, len(vals))
+	for i, v := range vals {
+		var err error
+		if want[i], err = EncodeValue(v); err != nil {
+			t.Fatalf("%s: %v", labels[i], err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				for i, v := range vals {
+					got, err := EncodeValue(v)
+					if err != nil || !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: re-encode gave %x (err %v), want %x", labels[i], got, err, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// One zero value per distinct type: all fields equal, all bytes distinct.
+	seen := map[string]reflect.Type{}
+	for _, v := range vals {
+		rt := reflect.TypeOf(v)
+		enc, err := EncodeValue(reflect.Zero(rt).Interface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := seen[string(enc)]; dup && prev != rt {
+			t.Fatalf("zero values of %s and %s both encode to %x", prev, rt, enc)
+		}
+		seen[string(enc)] = rt
+	}
+	if len(seen) < 4 {
+		t.Fatalf("only %d distinct vocabulary types — the injectivity check is vacuous", len(seen))
+	}
+}
+
+// TestGoldenBytes pins the wire layout of one key, one value and one
+// MsgPutBatch frame. Type ids follow registration order (bench.All() sorted
+// by name, each benchmark's tags, then keys and values), so registering a
+// benchmark that sorts before "ge" legitimately moves them: re-pin then.
+func TestGoldenBytes(t *testing.T) {
+	key, err := EncodeValue(gep.ItemKey{I: 1, J: -2, K: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// id 5, zigzag(1)=2, zigzag(-2)=3, zigzag(300)=600 as a two-byte uvarint.
+	if want := []byte{0x05, 0x02, 0x03, 0xd8, 0x04}; !bytes.Equal(key, want) {
+		t.Fatalf("gep.ItemKey{1,-2,300} = %x, want %x", key, want)
+	}
+	val, err := EncodeValue(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0x03, 0x01}; !bytes.Equal(val, want) {
+		t.Fatalf("true = %x, want %x", val, want)
+	}
+	frame, err := EncodeFrame(MsgPutBatch, 0x0102, PutBatchMsg{Ops: []PutMsg{
+		{Coll: "g1/a", Key: key, Val: val},
+		{Coll: "", Key: nil, Val: []byte{}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{
+		0, 0, 0, 27, // length of everything below
+		MsgPutBatch,
+		0, 0, 0, 0, 0, 0, 0x01, 0x02, // seq
+		2,                     // ops
+		4, 'g', '1', '/', 'a', // op 0: Coll
+		5, 0x05, 0x02, 0x03, 0xd8, 0x04, // Key
+		2, 0x03, 0x01, // Val
+		0, 0, 0, // op 1: three empty fields
+	}
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("putbatch frame\n got %x\nwant %x", frame, want)
+	}
+}
+
+// TestWireKinds drives the codec over every kind it carries — beyond the
+// int structs and bools the benchmarks use today — and checks the exact
+// size prediction that makes each encode a single allocation.
+func TestWireKinds(t *testing.T) {
+	type inner struct {
+		U8  uint8
+		F32 float32
+	}
+	type all struct {
+		B    bool
+		I    int
+		I8   int8
+		U    uint64
+		F    float64
+		S    string
+		Raw  []byte
+		Ints []int32
+		In   []inner
+	}
+	want := all{B: true, I: -7, I8: -128, U: math.MaxUint64, F: -0.5, S: "tile",
+		Raw: []byte{0, 255}, Ints: []int32{1, -1, math.MaxInt32}, In: []inner{{U8: 255, F32: 1.5}, {}}}
+	if err := checkWire(reflect.TypeOf(want)); err != nil {
+		t.Fatal(err)
+	}
+	enc := appendWire(nil, reflect.ValueOf(want))
+	if n := wireSize(reflect.ValueOf(want)); n != len(enc) {
+		t.Fatalf("wireSize %d, appendWire wrote %d", n, len(enc))
+	}
+	var got all
+	p := parser{b: enc}
+	parseWire(&p, reflect.ValueOf(&got).Elem())
+	if err := p.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip\n got %+v\nwant %+v", got, want)
+	}
+	// An int8 field fed a value outside its range is malformed, not wrapped.
+	var small struct{ I8 int8 }
+	p = parser{b: appendWire(nil, reflect.ValueOf(struct{ I int }{I: 200}))}
+	parseWire(&p, reflect.ValueOf(&small).Elem())
+	if p.finish() == nil {
+		t.Fatal("int8 accepted 200")
+	}
+
+	for _, bad := range []any{
+		map[string]int{}, new(int), []any{}, make(chan int), struct{}{}, []struct{}{},
+		struct{ hidden int }{}, struct{ P *int }{}, [2]int{}, nil,
+	} {
+		if err := checkWire(reflect.TypeOf(bad)); !errors.Is(err, ErrWireType) {
+			t.Errorf("checkWire(%T) = %v, want ErrWireType", bad, err)
+		}
+	}
+	if _, err := EncodeValue("not in any vocabulary"); !errors.Is(err, ErrWireType) {
+		t.Fatalf("EncodeValue of an unregistered type: %v, want ErrWireType", err)
+	}
+}
+
+// TestEncodeFrameTooLarge: a body over maxFrame is the named sender-side
+// error, and the largest legal body still encodes and reads back.
+func TestEncodeFrameTooLarge(t *testing.T) {
+	big := make([]byte, maxFrame)
+	if _, err := EncodeFrame(MsgPut, 1, PutMsg{Coll: "c", Val: big}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized put frame: %v, want ErrFrameTooLarge", err)
+	}
+	// 9 header bytes, "c" and the empty key with their prefixes, Val's 4-byte prefix.
+	fits := big[:maxFrame-9-2-1-4]
+	frame, err := EncodeFrame(MsgPut, 1, PutMsg{Coll: "c", Val: fits})
+	if err != nil {
+		t.Fatalf("largest legal frame refused: %v", err)
+	}
+	if _, _, pl, _, err := ReadFrame(bytes.NewReader(frame)); err != nil || len(pl) != maxFrame-9 {
+		t.Fatalf("largest legal frame reads back %d payload bytes, err %v", len(pl), err)
+	}
+	if _, err := EncodeFrame(MsgPut, 1, struct{ X int }{}); err == nil {
+		t.Fatal("EncodeFrame accepted a payload that is no message struct")
+	}
+}
+
+// messageFor returns a fresh pointer to the message struct mt carries.
+func messageFor(mt byte) any {
+	switch mt {
+	case MsgPut:
+		return new(PutMsg)
+	case MsgGet:
+		return new(GetMsg)
+	case MsgAck:
+		return new(AckMsg)
+	case MsgItem:
+		return new(ItemMsg)
+	case MsgPong:
+		return new(PongMsg)
+	case MsgPutBatch:
+		return new(PutBatchMsg)
+	case MsgGetBatch:
+		return new(GetBatchMsg)
+	case MsgItemBatch:
+		return new(ItemBatchMsg)
+	}
+	return nil
+}
+
+// FuzzDecodePayload: truncated or garbage payloads never panic the parser
+// and never make it allocate for more batch elements than the bytes could
+// hold; whatever does parse survives a re-encode.
+func FuzzDecodePayload(f *testing.F) {
+	seeds := []struct {
+		mt byte
+		m  any
+	}{
+		{MsgPut, PutMsg{Coll: "g1/a", Key: []byte{1, 2}, Val: []byte{3}}},
+		{MsgGet, GetMsg{Coll: "g1/a", Key: []byte{1}}},
+		{MsgAck, AckMsg{Err: "write-once violation"}},
+		{MsgItem, ItemMsg{Found: true, Val: []byte{9}}},
+		{MsgPong, PongMsg{Stored: 1 << 40}},
+		{MsgPutBatch, PutBatchMsg{Ops: []PutMsg{{Coll: "a", Key: []byte{1}, Val: []byte{2}}, {}}}},
+		{MsgGetBatch, GetBatchMsg{Gets: []GetMsg{{Coll: "a"}, {Key: []byte{7}}}}},
+		{MsgItemBatch, ItemBatchMsg{Items: []ItemMsg{{Found: true}, {Err: "x"}}}},
+	}
+	for _, s := range seeds {
+		frame, err := EncodeFrame(s.mt, 1, s.m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		body := frame[prefixLen:]
+		f.Add(s.mt, body)
+		f.Add(s.mt, body[:len(body)/2])
+	}
+	f.Add(MsgPutBatch, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // four billion ops, no bytes
+	f.Add(MsgItem, []byte{2, 0, 0})                          // a bool that is neither 0 nor 1
+	f.Fuzz(func(t *testing.T, mt byte, payload []byte) {
+		m := messageFor(mt)
+		if m == nil {
+			return
+		}
+		if err := DecodePayload(payload, m); err != nil {
+			return
+		}
+		elems, min := 0, 1
+		switch b := m.(type) {
+		case *PutBatchMsg:
+			elems, min = len(b.Ops), minWireSize(reflect.TypeOf(PutMsg{}))
+		case *GetBatchMsg:
+			elems, min = len(b.Gets), minWireSize(reflect.TypeOf(GetMsg{}))
+		case *ItemBatchMsg:
+			elems, min = len(b.Items), minWireSize(reflect.TypeOf(ItemMsg{}))
+		}
+		if elems*min > len(payload) {
+			t.Fatalf("%s: %d elements parsed out of %d bytes", MsgName(mt), elems, len(payload))
+		}
+		frame, err := EncodeFrame(mt, 1, reflect.ValueOf(m).Elem().Interface())
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", MsgName(mt), err)
+		}
+		again := messageFor(mt)
+		if err := DecodePayload(frame[prefixLen:], again); err != nil || !reflect.DeepEqual(m, again) {
+			t.Fatalf("%s: %+v re-encodes to %+v (err %v)", MsgName(mt), m, again, err)
+		}
+	})
+}
+
+// FuzzDecodeValue: garbage never panics DecodeValue, and anything it
+// accepts is a registered value that round-trips.
+func FuzzDecodeValue(f *testing.F) {
+	_, vals := vocabulary(f)
+	for _, v := range vals {
+		enc, err := EncodeValue(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc, 0))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := DecodeValue(b)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeValue(v)
+		if err != nil {
+			t.Fatalf("decoded %#v does not encode: %v", v, err)
+		}
+		if back, err := DecodeValue(enc); err != nil || back != v {
+			t.Fatalf("%#v re-encodes to %#v (err %v)", v, back, err)
+		}
+	})
 }

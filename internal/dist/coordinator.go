@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -54,19 +56,23 @@ type Options struct {
 	// means no respawns at all — a lost worker degrades immediately (the
 	// degradation tests' configuration).
 	MaxRespawns int
-	// BatchOps caps the per-shard outgoing put buffer in operations: the
-	// buffer flushes as one MsgPutBatch frame when it holds this many.
-	// Zero means the default (64); negative means 1 (every put flushes
-	// its own frame — the pre-batching wire behaviour, for comparison).
+	// BatchOps is the per-shard outgoing put buffer's flush threshold in
+	// operations: when the buffer holds this many, the shard's sender is
+	// kicked to send it as one MsgPutBatch frame (puts that arrive while a
+	// frame is in flight ride the next one, so frames can be larger). A
+	// put stalls only when the buffer reaches stallFactor times the
+	// threshold. Zero means the default (64); negative means 1 (every put
+	// kicks the sender — the nearest thing to the pre-batching wire
+	// behaviour, for comparison).
 	BatchOps int
-	// BatchBytes caps the same buffer in payload bytes (default 256KB).
+	// BatchBytes is the same threshold in payload bytes (default 256KB).
 	BatchBytes int
 	// FlushEvery bounds how long a buffered put may wait for its frame:
-	// a background flusher sweeps all shards at this period, so trickle
-	// traffic still reaches the workers promptly between size-triggered
-	// flushes. Zero means the default (2ms); negative disables the
-	// sweeper (flushes then happen only on size, pre-get barriers, and
-	// the end-of-run Flush).
+	// each shard's sender also flushes at this period, so trickle traffic
+	// still reaches the workers promptly between size-triggered flushes.
+	// Zero means the default (2ms); negative disables the tick (flushes
+	// then happen only on size, pre-get barriers, and the end-of-run
+	// Flush).
 	FlushEvery time.Duration
 	// VerifySample controls verified-read sampling: gets are served from
 	// the coordinator's write-ahead log (read-your-writes), and one in
@@ -141,6 +147,10 @@ type Counters struct {
 	// also fetched from the shard owner and byte-compared (each such get
 	// increments RemoteGets too).
 	LocalGets, VerifiedReads atomic.Uint64
+	// VerifyShed counts sampled cross-checks dropped because the
+	// asynchronous verifier was saturated (see graphBackend.verifyAsync):
+	// sampled gets = VerifiedReads + VerifyShed, modulo degraded shards.
+	VerifyShed atomic.Uint64
 	// Retries counts re-attempts inside request deadlines.
 	Retries atomic.Uint64
 	// Respawns counts worker processes relaunched by the supervisor,
@@ -164,6 +174,7 @@ type CounterSnapshot struct {
 	RemotePuts, RemoteGets        uint64
 	PutFrames                     uint64
 	LocalGets, VerifiedReads      uint64
+	VerifyShed                    uint64
 	Retries                       uint64
 	Respawns, ReplayedPuts        uint64
 	Degradations, DegradedGets    uint64
@@ -178,8 +189,9 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		RemotePuts: c.RemotePuts.Load(), RemoteGets: c.RemoteGets.Load(),
 		PutFrames: c.PutFrames.Load(),
 		LocalGets: c.LocalGets.Load(), VerifiedReads: c.VerifiedReads.Load(),
-		Retries:  c.Retries.Load(),
-		Respawns: c.Respawns.Load(), ReplayedPuts: c.ReplayedPuts.Load(),
+		VerifyShed: c.VerifyShed.Load(),
+		Retries:    c.Retries.Load(),
+		Respawns:   c.Respawns.Load(), ReplayedPuts: c.ReplayedPuts.Load(),
 		Degradations: c.Degradations.Load(), DegradedGets: c.DegradedGets.Load(),
 		RaceRetries: c.RaceRetries.Load(),
 		BytesOut:    c.BytesOut.Load(), BytesIn: c.BytesIn.Load(),
@@ -232,13 +244,20 @@ type shard struct {
 
 	degraded atomic.Bool
 
-	// pbufMu guards the outgoing put buffer; flushMu serialises flushes
-	// so each shard has at most one MsgPutBatch frame in flight and
-	// batches leave in enqueue order.
-	pbufMu    sync.Mutex
-	pbuf      []PutMsg
-	pbufBytes int
-	flushMu   sync.Mutex
+	// pbufMu guards the outgoing put buffer and the flush numbering. The
+	// shard's sender goroutine (sendLoop) owns every flush, so at most one
+	// MsgPutBatch frame is in flight and batches leave in enqueue order:
+	// flushStarted counts the flushes that have taken the buffer,
+	// flushDone the ones whose ack (or terminal error) is in. pbufCond
+	// signals both, plus the buffer emptying; kick (capacity 1: a pending
+	// kick already promises a flush that starts later) wakes the sender.
+	pbufMu       sync.Mutex
+	pbufCond     *sync.Cond
+	pbuf         []PutMsg
+	pbufBytes    int
+	flushStarted uint64
+	flushDone    uint64
+	kick         chan struct{}
 
 	// procMu guards the process handle (KillWorker and the supervisor
 	// race by design).
@@ -247,10 +266,11 @@ type shard struct {
 	stdin    io.WriteCloser
 	waitDone chan struct{}
 
-	// logMu guards the write-ahead put log.
+	// logMu guards the write-ahead put log, indexed by collection, then by
+	// encoded key.
 	logMu  sync.Mutex
 	log    []PutMsg
-	logIdx map[string]int
+	logIdx map[string]map[string]int
 }
 
 type frameHookHolder struct {
@@ -268,17 +288,17 @@ type Coordinator struct {
 	hook     atomic.Pointer[frameHookHolder]
 	graphSeq atomic.Uint64
 	closed   atomic.Bool
-	hbStop   chan struct{}
-	hbDone   chan struct{}
-	flStop   chan struct{}
-	flDone   chan struct{}
 
-	// termMu/termErr latch the first terminal data-plane error (a refused
-	// put in an asynchronous flush, a verified-read mismatch): every later
+	// stop ends the background goroutines (one sender per shard, the
+	// heartbeat); bg waits for them.
+	stop chan struct{}
+	bg   sync.WaitGroup
+
+	// termErr latches the first terminal data-plane error (a refused put
+	// in an asynchronous flush, a verified-read mismatch): every later
 	// backend operation returns it, so an error detected between a step's
 	// put and the run's end still fails the run.
-	termMu  sync.Mutex
-	termErr error
+	termErr atomic.Pointer[error]
 }
 
 // NewCoordinator spawns the worker fleet and connects to every shard. On
@@ -286,7 +306,7 @@ type Coordinator struct {
 // error returns.
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
-	c := &Coordinator{opts: opts, dir: opts.SocketDir}
+	c := &Coordinator{opts: opts, dir: opts.SocketDir, stop: make(chan struct{})}
 	if c.dir == "" {
 		dir, err := os.MkdirTemp("", "dpflow-dist-*")
 		if err != nil {
@@ -298,9 +318,11 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		sh := &shard{
 			idx:     i,
 			socket:  filepath.Join(c.dir, fmt.Sprintf("shard-%d.sock", i)),
-			logIdx:  make(map[string]int),
+			logIdx:  make(map[string]map[string]int),
 			pending: make(map[uint64]pendEntry),
+			kick:    make(chan struct{}, 1),
 		}
+		sh.pbufCond = sync.NewCond(&sh.pbufMu)
 		sh.retrier = NewRetrier(opts.Backoff, opts.Clock, rand.New(rand.NewSource(opts.Seed*31+int64(i))))
 		sh.retrier.OnRetry = func() { c.counters.Retries.Add(1) }
 		c.shards = append(c.shards, sh)
@@ -318,31 +340,26 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		c.publishConnLocked(sh, conn)
 	}
 	if opts.HeartbeatEvery > 0 {
-		c.hbStop = make(chan struct{})
-		c.hbDone = make(chan struct{})
+		c.bg.Add(1)
 		go c.heartbeatLoop()
 	}
-	if opts.FlushEvery > 0 {
-		c.flStop = make(chan struct{})
-		c.flDone = make(chan struct{})
-		go c.flushLoop()
+	for _, sh := range c.shards {
+		c.bg.Add(1)
+		go c.sendLoop(sh)
 	}
 	return c, nil
 }
 
 // setTerm latches the first terminal data-plane error.
 func (c *Coordinator) setTerm(err error) {
-	c.termMu.Lock()
-	if c.termErr == nil {
-		c.termErr = err
-	}
-	c.termMu.Unlock()
+	c.termErr.CompareAndSwap(nil, &err)
 }
 
 func (c *Coordinator) termError() error {
-	c.termMu.Lock()
-	defer c.termMu.Unlock()
-	return c.termErr
+	if p := c.termErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // spawnWorker launches (or relaunches) the shard's process and installs
@@ -517,8 +534,9 @@ func (c *Coordinator) frameVerdict(dir chaos.Dir, shardIdx int, mt byte, size in
 // and every request riding it fails immediately instead of waiting out its
 // attempt timeout.
 func (c *Coordinator) readLoop(sh *shard, conn net.Conn, gen uint64) {
+	br := bufio.NewReaderSize(conn, readBuffer)
 	for {
-		mt, seq, pl, wire, err := ReadFrame(conn)
+		mt, seq, pl, wire, err := ReadFrame(br)
 		if err != nil {
 			c.connLost(sh, conn, gen, fmt.Errorf("dist: shard %d read: %w", sh.idx, err))
 			return
@@ -547,12 +565,17 @@ func (c *Coordinator) readLoop(sh *shard, conn net.Conn, gen uint64) {
 	}
 }
 
-// attempt performs one pipelined send+await attempt: register a fresh
-// sequence number, write the frame (send-side fault verdicts applied), and
-// wait for the read loop to demux the reply — without excluding other
-// requests to the same shard, which is what lets gets overlap puts and each
-// other on one connection.
-func (c *Coordinator) attempt(sh *shard, mt byte, payload any, cycleDeadline time.Time) ([]byte, error) {
+// readBuffer sizes the buffered readers on both ends of a shard socket:
+// pipelined frames (put batches behind verified-read gets, their replies)
+// share a read syscall.
+const readBuffer = 64 << 10
+
+// attempt performs one pipelined send+await attempt: stamp the request's
+// frame with a fresh sequence number and register it, write the frame
+// (send-side fault verdicts applied), and wait for the read loop to demux
+// the reply — without excluding other requests to the same shard, which is
+// what lets gets overlap puts and each other on one connection.
+func (c *Coordinator) attempt(sh *shard, frame []byte, cycleDeadline time.Time) ([]byte, error) {
 	attemptDeadline := time.Now().Add(c.opts.AttemptTimeout)
 	if attemptDeadline.After(cycleDeadline) {
 		attemptDeadline = cycleDeadline
@@ -561,11 +584,8 @@ func (c *Coordinator) attempt(sh *shard, mt byte, payload any, cycleDeadline tim
 	if err != nil {
 		return nil, err
 	}
-	seq := sh.seq.Add(1)
-	frame, err := EncodeFrame(mt, seq, payload)
-	if err != nil {
-		return nil, err
-	}
+	mt, seq := frame[headerLen], sh.seq.Add(1)
+	binary.BigEndian.PutUint64(frame[headerLen+1:], seq)
 	v := c.frameVerdict(chaos.DirSend, sh.idx, mt, len(frame))
 	if v.Delay > 0 {
 		time.Sleep(v.Delay)
@@ -612,7 +632,9 @@ func (c *Coordinator) attempt(sh *shard, mt byte, payload any, cycleDeadline tim
 	}
 }
 
-// rpc runs one request through the full robustness ladder:
+// rpc encodes one request — once; a frame the codec refuses is the
+// caller's error and climbs no ladder — and runs it through the full
+// robustness ladder:
 //
 //	retry+backoff within the request deadline
 //	-> reconnect (live worker, fresh deadline)
@@ -624,6 +646,10 @@ func (c *Coordinator) attempt(sh *shard, mt byte, payload any, cycleDeadline tim
 // rungs serialise (under sh.mu, deduplicated by respawn count — concurrent
 // failing requests trigger one respawn, not one each).
 func (c *Coordinator) rpc(sh *shard, mt byte, payload any) ([]byte, error) {
+	frame, err := EncodeFrame(mt, 0, payload)
+	if err != nil {
+		return nil, err
+	}
 	sh.inflight.Add(1)
 	defer sh.inflight.Add(-1)
 	for cycle := 0; ; cycle++ {
@@ -639,7 +665,7 @@ func (c *Coordinator) rpc(sh *shard, mt byte, payload any) ([]byte, error) {
 		deadline := c.opts.Clock.Now().Add(c.opts.RequestTimeout)
 		var out []byte
 		err := sh.retrier.Do(deadline, func() error {
-			pl, xerr := c.attempt(sh, mt, payload, deadline)
+			pl, xerr := c.attempt(sh, frame, deadline)
 			if xerr == nil {
 				out = pl
 			}
@@ -884,6 +910,7 @@ func (c *Coordinator) degradeLocked(sh *shard, cause error) {
 	c.dropConnLocked(sh)
 	sh.pbufMu.Lock()
 	sh.pbuf, sh.pbufBytes = nil, 0
+	sh.pbufCond.Broadcast()
 	sh.pbufMu.Unlock()
 	_ = cause // recorded implicitly: Degradations counts, callers see ErrShardDegraded
 }
@@ -893,16 +920,20 @@ func (c *Coordinator) degradeLocked(sh *shard, cause error) {
 // a byte-identical duplicate — already logged, and already on its way to
 // (or at) the worker, so the caller must not enqueue it again.
 func (c *Coordinator) logPut(sh *shard, m PutMsg) (dup bool, err error) {
-	k := storeKey(m.Coll, m.Key)
 	sh.logMu.Lock()
 	defer sh.logMu.Unlock()
-	if i, prev := sh.logIdx[k]; prev {
+	idx := sh.logIdx[m.Coll]
+	if idx == nil {
+		idx = make(map[string]int)
+		sh.logIdx[m.Coll] = idx
+	}
+	if i, prev := idx[string(m.Key)]; prev {
 		if bytes.Equal(sh.log[i].Val, m.Val) {
 			return true, nil
 		}
 		return false, fmt.Errorf("dist: write-once violation in put log: %s re-put with differing bytes", m.Coll)
 	}
-	sh.logIdx[k] = len(sh.log)
+	idx[string(m.Key)] = len(sh.log)
 	sh.log = append(sh.log, m)
 	return false, nil
 }
@@ -910,126 +941,153 @@ func (c *Coordinator) logPut(sh *shard, m PutMsg) (dup bool, err error) {
 func (c *Coordinator) logLookup(sh *shard, coll string, key []byte) ([]byte, bool) {
 	sh.logMu.Lock()
 	defer sh.logMu.Unlock()
-	i, ok := sh.logIdx[storeKey(coll, key)]
+	i, ok := sh.logIdx[coll][string(key)]
 	if !ok {
 		return nil, false
 	}
 	return sh.log[i].Val, true
 }
 
-// enqueuePut appends one already-logged put to the shard's outgoing
-// buffer, reporting whether the buffer tripped a size threshold and wants
-// an inline flush.
-func (c *Coordinator) enqueuePut(sh *shard, m PutMsg) (full bool) {
+// stallFactor is how far past its flush threshold (BatchOps, BatchBytes) a
+// shard's put buffer may grow before a put waits for the sender to take it:
+// the bound on memory when a worker acks slower than steps produce.
+const stallFactor = 8
+
+// kickSender asks the shard's sender for a flush that starts after now.
+func (sh *shard) kickSender() {
+	select {
+	case sh.kick <- struct{}{}:
+	default: // a kick is already pending, and the flush it starts is yet to come
+	}
+}
+
+// enqueuePut appends one already-logged put to the shard's outgoing buffer
+// and kicks the sender once a size threshold trips. The put itself waits
+// for nothing — unless the buffer has run stallFactor thresholds ahead of
+// the sender, where it blocks until the sender takes the buffer.
+func (c *Coordinator) enqueuePut(sh *shard, m PutMsg) {
 	sh.pbufMu.Lock()
 	sh.pbuf = append(sh.pbuf, m)
 	sh.pbufBytes += len(m.Coll) + len(m.Key) + len(m.Val)
-	full = len(sh.pbuf) >= c.opts.BatchOps || sh.pbufBytes >= c.opts.BatchBytes
+	if len(sh.pbuf) >= c.opts.BatchOps || sh.pbufBytes >= c.opts.BatchBytes {
+		sh.kickSender()
+	}
+	for (len(sh.pbuf) >= stallFactor*c.opts.BatchOps || sh.pbufBytes >= stallFactor*c.opts.BatchBytes) && !c.closed.Load() {
+		sh.pbufCond.Wait()
+	}
 	sh.pbufMu.Unlock()
-	return full
+}
+
+// sendLoop is the shard's sender, the only goroutine that flushes its put
+// buffer: on a kick (a size threshold tripped, or a barrier wants the
+// buffer on the worker) and every FlushEvery, so a trickle of puts that
+// never trips a threshold still reaches the worker with bounded latency.
+// Steps stage puts and move on; this goroutine is who waits for the acks.
+func (c *Coordinator) sendLoop(sh *shard) {
+	defer c.bg.Done()
+	var tick <-chan time.Time
+	if c.opts.FlushEvery > 0 {
+		t := time.NewTicker(c.opts.FlushEvery)
+		defer t.Stop()
+		tick = t.C
+	}
+	var spare []PutMsg
+	for {
+		select {
+		case <-c.stop:
+			return
+		case <-sh.kick:
+		case <-tick:
+		}
+		spare = c.flushShard(sh, spare)
+	}
 }
 
 // flushShard sends the shard's buffered puts as one MsgPutBatch frame and
-// waits for the ack. Serialised per shard (flushMu) so batches leave in
-// enqueue order with at most one in flight; puts arriving meanwhile simply
-// buffer for the next frame. A degraded shard absorbs the flush silently —
+// waits for the ack; puts arriving meanwhile simply buffer for the next
+// frame (into spare, the previous frame's emptied slice, which is how the
+// two buffers take turns). A degraded shard absorbs the flush silently —
 // the write-ahead log holds every buffered put and is now the serving
-// store. Any worker refusal is terminal (latched via setTerm).
-func (c *Coordinator) flushShard(sh *shard) error {
-	sh.flushMu.Lock()
-	defer sh.flushMu.Unlock()
+// store. Any other failure, a worker refusal included, is terminal (latched
+// via setTerm). Every call is one numbered flush, empty ones too: barriers
+// wait on the numbers.
+func (c *Coordinator) flushShard(sh *shard, spare []PutMsg) []PutMsg {
 	sh.pbufMu.Lock()
 	ops := sh.pbuf
-	sh.pbuf, sh.pbufBytes = nil, 0
+	sh.pbuf, sh.pbufBytes = spare[:0], 0
+	sh.flushStarted++
+	sh.pbufCond.Broadcast()
 	sh.pbufMu.Unlock()
-	if len(ops) == 0 {
-		return nil
+	if len(ops) > 0 && !sh.degraded.Load() {
+		if err := c.sendBatch(sh, ops); err != nil && !errors.Is(err, ErrShardDegraded) {
+			c.setTerm(err)
+		}
 	}
-	if sh.degraded.Load() {
-		return nil
-	}
+	sh.pbufMu.Lock()
+	sh.flushDone++
+	sh.pbufCond.Broadcast()
+	sh.pbufMu.Unlock()
+	return ops
+}
+
+func (c *Coordinator) sendBatch(sh *shard, ops []PutMsg) error {
 	pl, err := c.rpc(sh, MsgPutBatch, PutBatchMsg{Ops: ops})
-	if errors.Is(err, ErrShardDegraded) {
-		return nil // the log holds them; gets will be served locally
-	}
 	if err != nil {
-		c.setTerm(err)
 		return err
 	}
 	var ack AckMsg
 	if err := DecodePayload(pl, &ack); err != nil {
-		c.setTerm(err)
 		return err
 	}
 	if ack.Err != "" {
-		err := errors.New(ack.Err)
-		c.setTerm(err)
-		return err
+		return errors.New(ack.Err)
 	}
 	c.counters.RemotePuts.Add(uint64(len(ops)))
 	c.counters.PutFrames.Add(1)
 	return nil
 }
 
-// flushIfPending is the pre-verified-read barrier, made precise: the read
-// needs its own mirror on the worker, so flush only when that key still
-// sits in the outgoing buffer, or when a flush is mid-rpc (it may be
-// carrying the key; queueing behind it on flushMu is the wait). With
-// neither, the key's mirror was already acked — or its producer has logged
-// but not yet enqueued it, a window the caller's not-found re-poll absorbs.
-// Skipping the flush here is what keeps sampled reads from fragmenting the
-// put batches the rest of the run is amortising.
-func (c *Coordinator) flushIfPending(sh *shard, coll string, kb []byte) error {
-	if !sh.flushMu.TryLock() {
-		return c.flushShard(sh)
-	}
-	pending := false
+// awaitMirrors blocks until the mirror of (coll, kb) — or, with a nil kb,
+// of every put staged so far — has been acked by the worker. It is the
+// end-of-run barrier and the pre-verified-read barrier, made precise: a
+// read needs only its own mirror on the worker, so the sender is kicked
+// only when that key still sits in the outgoing buffer; when a frame is in
+// flight it may be carrying the key, and its ack is the wait. With neither,
+// the key's mirror was already acked — or its producer has logged but not
+// yet enqueued it, a window the caller's not-found re-poll absorbs. Not
+// kicking there is what keeps sampled reads from fragmenting the put
+// batches the rest of the run is amortising. Returns the latched terminal
+// error, if any.
+func (c *Coordinator) awaitMirrors(sh *shard, coll string, kb []byte) error {
 	sh.pbufMu.Lock()
+	target := sh.flushStarted // the flush in flight, if one is
 	for i := range sh.pbuf {
-		if sh.pbuf[i].Coll == coll && bytes.Equal(sh.pbuf[i].Key, kb) {
-			pending = true
+		if kb == nil || (sh.pbuf[i].Coll == coll && bytes.Equal(sh.pbuf[i].Key, kb)) {
+			target++ // the flush that will take the buffer
+			sh.kickSender()
 			break
 		}
 	}
+	for sh.flushDone < target && !c.closed.Load() {
+		sh.pbufCond.Wait()
+	}
 	sh.pbufMu.Unlock()
-	sh.flushMu.Unlock()
-	if !pending {
-		return nil
+	if err := c.termError(); err != nil {
+		return err
 	}
-	return c.flushShard(sh)
-}
-
-// flushLoop is the time-based flush: it sweeps every shard each
-// FlushEvery, so a trickle of puts that never trips a size threshold still
-// reaches the workers with bounded latency.
-func (c *Coordinator) flushLoop() {
-	defer close(c.flDone)
-	t := time.NewTicker(c.opts.FlushEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.flStop:
-			return
-		case <-t.C:
-		}
-		for _, sh := range c.shards {
-			sh.pbufMu.Lock()
-			n := len(sh.pbuf)
-			sh.pbufMu.Unlock()
-			if n > 0 {
-				_ = c.flushShard(sh) // errors latch via setTerm
-			}
-		}
+	if c.closed.Load() {
+		return errClosed
 	}
+	return nil
 }
 
 func (c *Coordinator) heartbeatLoop() {
-	defer close(c.hbDone)
+	defer c.bg.Done()
 	t := time.NewTicker(c.opts.HeartbeatEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.hbStop:
+		case <-c.stop:
 			return
 		case <-t.C:
 		}
@@ -1097,14 +1155,13 @@ func (c *Coordinator) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	if c.hbStop != nil {
-		close(c.hbStop)
-		<-c.hbDone
+	close(c.stop)
+	for _, sh := range c.shards {
+		sh.pbufMu.Lock()
+		sh.pbufCond.Broadcast() // release puts and barriers waiting on a sender
+		sh.pbufMu.Unlock()
 	}
-	if c.flStop != nil {
-		close(c.flStop)
-		<-c.flDone
-	}
+	c.bg.Wait()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		c.dropConnLocked(sh)
@@ -1189,8 +1246,12 @@ type graphBackend struct {
 	// (every VerifySample'th get goes to the wire).
 	gets atomic.Uint64
 
+	// names resolves each collection's prefixed, coordinator-wide name
+	// once (fullName), instead of concatenating it on every operation.
+	names sync.Map // collection -> prefix + collection
+
 	// objs caches each put's original value object by (collection, key) so
-	// an unverified local get returns it with zero gob work — the
+	// an unverified local get returns it with zero codec work — the
 	// coordinator-side analogue of single-process object sharing, and the
 	// difference between a get costing a map load and costing an encode of
 	// the key plus a decode of the value. The write-ahead log's bytes stay
@@ -1219,8 +1280,16 @@ type objKey struct {
 	key  any
 }
 
+func (gb *graphBackend) fullName(coll string) string {
+	if full, ok := gb.names.Load(coll); ok {
+		return full.(string)
+	}
+	full, _ := gb.names.LoadOrStore(coll, gb.prefix+coll)
+	return full.(string)
+}
+
 func (gb *graphBackend) locate(coll string, key any) (string, []byte, *shard, error) {
-	full := gb.prefix + coll
+	full := gb.fullName(coll)
 	kb, err := EncodeValue(key)
 	if err != nil {
 		return "", nil, nil, err
@@ -1229,98 +1298,73 @@ func (gb *graphBackend) locate(coll string, key any) (string, []byte, *shard, er
 }
 
 // stagePut logs one put into the shard's write-ahead log and buffers its
-// mirror. Returns the shard when the buffer tripped a size threshold (the
-// caller flushes after staging everything it has).
-func (gb *graphBackend) stagePut(coll string, key, val any) (*shard, error) {
+// mirror for the shard's sender. An item too large for any frame is refused
+// here, by name, before it is logged.
+func (gb *graphBackend) stagePut(coll string, key, val any) error {
 	full, kb, sh, err := gb.locate(coll, key)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vb, err := EncodeValue(val)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m := PutMsg{Coll: full, Key: kb, Val: vb}
+	// Header remainder, batch count, three length prefixes at their longest.
+	if 9+1+3*binary.MaxVarintLen32+len(full)+len(kb)+len(vb) > maxFrame {
+		return fmt.Errorf("dist: put %s: %d-byte value: %w", full, len(vb), ErrFrameTooLarge)
+	}
 	dup, err := gb.c.logPut(sh, m)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Logged (or a byte-identical replay): the object may serve local gets.
-	gb.objs.Store(objKey{coll: full, key: key}, val)
-	if dup || sh.degraded.Load() {
-		// Already buffered/sent, or the log is this shard's only store.
-		return nil, nil
+	gb.objs.Store(objKey{coll: coll, key: key}, val)
+	if !dup && !sh.degraded.Load() {
+		// Not already buffered/sent, and the log is not this shard's only store.
+		gb.c.enqueuePut(sh, m)
 	}
-	if gb.c.enqueuePut(sh, m) {
-		return sh, nil
-	}
-	return nil, nil
+	return nil
 }
 
 // Put implements cnc.ItemBackend: write-ahead log (synchronous — the log
 // is what gets serve and replay rebuilds from, so it must hold the item
 // before any consumer can observe it), then buffer the mirror for the
-// shard's next MsgPutBatch frame. The frame flushes when a size threshold
-// trips (inline, here), when the FlushEvery sweeper fires, before any
-// sampled remote read of the shard, and at the end-of-run barrier — the
-// put itself no longer waits a round trip.
+// shard's next MsgPutBatch frame and return. The shard's sender flushes
+// the frame when a size threshold trips, on its FlushEvery tick, before a
+// verified read of a key still buffered, and at the end-of-run barrier —
+// the put itself waits for no round trip; a failed flush latches and fails
+// the next backend operation.
 func (gb *graphBackend) Put(coll string, key, val any) error {
 	if err := gb.c.termError(); err != nil {
 		return err
 	}
-	full, err := gb.stagePut(coll, key, val)
-	if err != nil {
-		return err
-	}
-	if full != nil {
-		if err := gb.flushIgnoreDegraded(full); err != nil {
-			return err
-		}
-	}
-	return gb.c.termError()
+	return gb.stagePut(coll, key, val)
 }
 
-// PutBatch implements cnc.ItemBackend: stage every op, then flush only the
-// shards whose buffers tripped a threshold — a burst of N puts costs at
-// most one frame per tripped shard now and leaves the rest to the sweeper.
+// PutBatch implements cnc.ItemBackend: stage every op; the senders batch
+// them onto the wire.
 func (gb *graphBackend) PutBatch(ops []cnc.PutOp) error {
 	if err := gb.c.termError(); err != nil {
 		return err
 	}
-	var full []*shard
 	for i := range ops {
-		sh, err := gb.stagePut(ops[i].Coll, ops[i].Key, ops[i].Val)
-		if err != nil {
-			return err
-		}
-		if sh != nil {
-			full = append(full, sh)
-		}
-	}
-	for _, sh := range full {
-		if err := gb.flushIgnoreDegraded(sh); err != nil {
+		if err := gb.stagePut(ops[i].Coll, ops[i].Key, ops[i].Val); err != nil {
 			return err
 		}
 	}
-	return gb.c.termError()
+	return nil
 }
 
-func (gb *graphBackend) flushIgnoreDegraded(sh *shard) error {
-	err := gb.c.flushShard(sh)
-	if err == nil || errors.Is(err, ErrShardDegraded) {
-		return nil
-	}
-	return err
-}
-
-// Flush implements cnc.BackendFlusher: drain every shard's put buffer,
-// wait out the in-flight asynchronous verified reads, and surface any
-// latched terminal error — the end-of-run barrier that makes "run
-// succeeded" mean "every mirror landed (or its shard degraded with the
-// log serving) and every sampled cross-check passed".
+// Flush implements cnc.BackendFlusher: have every shard's sender drain its
+// put buffer and wait for the acks, wait out the in-flight asynchronous
+// verified reads, and surface any latched terminal error — the end-of-run
+// barrier that makes "run succeeded" mean "every mirror landed (or its
+// shard degraded with the log serving) and every sampled cross-check
+// passed".
 func (gb *graphBackend) Flush() error {
 	for _, sh := range gb.c.shards {
-		if err := gb.flushIgnoreDegraded(sh); err != nil {
+		if err := gb.c.awaitMirrors(sh, "", nil); err != nil {
 			return err
 		}
 	}
@@ -1374,7 +1418,7 @@ func (gb *graphBackend) Get(coll string, key any) (any, error) {
 		// Fast path: the producer's own object, no key encode, no value
 		// decode. A miss falls through to the log poll below (the consumer
 		// is racing its producer's stagePut).
-		if v, ok := gb.objs.Load(objKey{coll: gb.prefix + coll, key: key}); ok {
+		if v, ok := gb.objs.Load(objKey{coll: coll, key: key}); ok {
 			c.counters.LocalGets.Add(1)
 			if verify {
 				gb.verifyAsync(coll, key)
@@ -1386,78 +1430,41 @@ func (gb *graphBackend) Get(coll string, key any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(c.opts.RequestTimeout)
-	for poll := 0; ; poll++ {
-		if poll > 0 {
-			c.counters.RaceRetries.Add(1)
-			time.Sleep(200 * time.Microsecond)
-		}
-		vb, ok := c.logLookup(sh, full, kb)
-		if !ok {
-			if time.Now().Before(deadline) {
-				continue // racing the producer's logPut; it will land
-			}
+	vb, ok := c.logLookup(sh, full, kb)
+	for deadline := time.Now().Add(c.opts.RequestTimeout); !ok; vb, ok = c.logLookup(sh, full, kb) {
+		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("dist: no put-log entry for %s (item never mirrored)", full)
 		}
-		if sh.degraded.Load() {
-			c.counters.DegradedGets.Add(1)
-			return DecodeValue(vb)
-		}
-		if !syncVerify {
-			c.counters.LocalGets.Add(1)
-			if verify {
-				gb.verifyAsync(coll, key)
-			}
-			return DecodeValue(vb)
-		}
-		// Sampled verified read: make sure this key's mirror has reached
-		// the shard (flush only if it is still buffered or riding an
-		// in-flight frame), then fetch and compare.
-		if err := c.flushIfPending(sh, full, kb); err != nil && !errors.Is(err, ErrShardDegraded) {
-			return nil, err
-		}
-		pl, err := c.rpc(sh, MsgGet, GetMsg{Coll: full, Key: kb})
-		if errors.Is(err, ErrShardDegraded) {
-			c.counters.DegradedGets.Add(1)
-			return DecodeValue(vb)
-		}
-		if err != nil {
-			return nil, err
-		}
-		var item ItemMsg
-		if err := DecodePayload(pl, &item); err != nil {
-			return nil, err
-		}
-		if item.Err != "" {
-			return nil, errors.New(item.Err)
-		}
-		if !item.Found {
-			if time.Now().Before(deadline) {
-				continue // racing an in-flight mirror frame
-			}
-			// Past the deadline the mirror would long since have landed:
-			// the worker's store is genuinely missing an item the
-			// coordinator holds — a protocol bug, not a race.
-			return nil, fmt.Errorf("dist: shard %d lost %s despite replay", sh.idx, full)
-		}
-		if !bytes.Equal(item.Val, vb) {
-			err := fmt.Errorf("dist: verified read mismatch: shard %d holds %d bytes for %s, put log has %d",
-				sh.idx, len(item.Val), full, len(vb))
-			c.setTerm(err)
-			return nil, err
-		}
-		c.counters.RemoteGets.Add(1)
-		c.counters.VerifiedReads.Add(1)
-		return DecodeValue(vb)
+		c.counters.RaceRetries.Add(1) // racing the producer's logPut; it will land
+		time.Sleep(200 * time.Microsecond)
 	}
+	switch {
+	case sh.degraded.Load():
+		c.counters.DegradedGets.Add(1)
+	case !syncVerify:
+		c.counters.LocalGets.Add(1)
+		if verify {
+			gb.verifyAsync(coll, key)
+		}
+	default:
+		if err := c.crossCheck(sh, full, kb, vb); errors.Is(err, ErrShardDegraded) {
+			c.counters.DegradedGets.Add(1)
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	return DecodeValue(vb)
 }
 
 // verifyAsync schedules one sampled cross-check off the critical path. A
 // saturated verifier sheds the sample — sampling is statistical, stalling
-// a step to preserve one data point would defeat its purpose.
+// a step to preserve one data point would defeat its purpose — and counts
+// it (Counters.VerifyShed), so the sampling rate actually achieved is
+// visible.
 func (gb *graphBackend) verifyAsync(coll string, key any) {
 	if gb.verifyInflight.Add(1) > maxAsyncVerify {
 		gb.verifyInflight.Add(-1)
+		gb.c.counters.VerifyShed.Add(1)
 		return
 	}
 	gb.verifyWG.Add(1)
@@ -1470,33 +1477,40 @@ func (gb *graphBackend) verifyAsync(coll string, key any) {
 	}()
 }
 
-// verifyOnce fetches one item from its shard owner and byte-compares it
-// against the write-ahead log — the background body of a sampled verified
-// read. Degraded shards have nothing to verify against; a missing item is
-// re-polled within the request deadline (an in-flight mirror frame), after
-// which it is the terminal protocol failure the sampling exists to catch.
+// verifyOnce is the background body of a sampled verified read. Degraded
+// shards have nothing to verify against.
 func (gb *graphBackend) verifyOnce(coll string, key any) error {
-	c := gb.c
 	full, kb, sh, err := gb.locate(coll, key)
 	if err != nil {
 		return err
 	}
-	vb, ok := c.logLookup(sh, full, kb)
+	vb, ok := gb.c.logLookup(sh, full, kb)
 	if !ok {
 		return nil // the serving get saw it; nothing coherent to compare yet
 	}
-	deadline := time.Now().Add(c.opts.RequestTimeout)
-	for {
+	if err := gb.c.crossCheck(sh, full, kb, vb); !errors.Is(err, ErrShardDegraded) {
+		return err
+	}
+	return nil
+}
+
+// crossCheck is one verified read: make sure the key's mirror has reached
+// the shard (waiting only if it is still buffered or may be riding the
+// in-flight frame), fetch it from the shard owner and byte-compare it
+// against vb, the write-ahead log's bytes. A missing item is re-polled
+// within the request deadline (an earlier mirror frame still in flight),
+// after which it is the terminal protocol failure verification exists to
+// catch, as is a mismatch. ErrShardDegraded means there is no longer a
+// remote copy to compare with.
+func (c *Coordinator) crossCheck(sh *shard, full string, kb, vb []byte) error {
+	for deadline := time.Now().Add(c.opts.RequestTimeout); ; {
 		if sh.degraded.Load() {
-			return nil
+			return ErrShardDegraded
 		}
-		if err := c.flushIfPending(sh, full, kb); err != nil && !errors.Is(err, ErrShardDegraded) {
+		if err := c.awaitMirrors(sh, full, kb); err != nil {
 			return err
 		}
 		pl, err := c.rpc(sh, MsgGet, GetMsg{Coll: full, Key: kb})
-		if errors.Is(err, ErrShardDegraded) {
-			return nil
-		}
 		if err != nil {
 			return err
 		}
@@ -1507,19 +1521,24 @@ func (gb *graphBackend) verifyOnce(coll string, key any) error {
 		if item.Err != "" {
 			return errors.New(item.Err)
 		}
-		if !item.Found {
-			if time.Now().Before(deadline) {
-				time.Sleep(200 * time.Microsecond)
-				continue
+		if item.Found {
+			if !bytes.Equal(item.Val, vb) {
+				err := fmt.Errorf("dist: verified read mismatch: shard %d holds %d bytes for %s, put log has %d",
+					sh.idx, len(item.Val), full, len(vb))
+				c.setTerm(err)
+				return err
 			}
+			c.counters.RemoteGets.Add(1)
+			c.counters.VerifiedReads.Add(1)
+			return nil
+		}
+		if time.Now().After(deadline) {
+			// The mirror would long since have landed: the worker's store
+			// is genuinely missing an item the coordinator holds — a
+			// protocol bug, not a race.
 			return fmt.Errorf("dist: shard %d lost %s despite replay", sh.idx, full)
 		}
-		if !bytes.Equal(item.Val, vb) {
-			return fmt.Errorf("dist: verified read mismatch: shard %d holds %d bytes for %s, put log has %d",
-				sh.idx, len(item.Val), full, len(vb))
-		}
-		c.counters.RemoteGets.Add(1)
-		c.counters.VerifiedReads.Add(1)
-		return nil
+		c.counters.RaceRetries.Add(1)
+		time.Sleep(200 * time.Microsecond)
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -16,7 +17,7 @@ import (
 const EnvWorkerSocket = "DPFLOW_DIST_WORKER_SOCKET"
 
 // Store is one shard's item store: opaque bytes under the write-once rule.
-// Workers never decode values, so they need no gob type registrations and
+// Workers never decode values, so they need no wire-type registrations and
 // no benchmark knowledge at all.
 type Store struct {
 	mu    sync.Mutex
@@ -88,11 +89,13 @@ func ServeWorker(socketPath string) error {
 // strictly sequential per connection: the coordinator pipelines multiple
 // in-flight requests, but each carries its own header sequence number and
 // the coordinator demuxes replies by seq, so in-order sequential answers
-// are sufficient — and keep the worker trivially race-free.
+// are sufficient — and keep the worker trivially race-free. Reads are
+// buffered, so pipelined requests share a syscall.
 func serveConn(conn net.Conn, store *Store) {
 	defer conn.Close()
+	br := bufio.NewReaderSize(conn, readBuffer)
 	for {
-		mt, seq, payload, _, err := ReadFrame(conn)
+		mt, seq, payload, _, err := ReadFrame(br)
 		if err != nil {
 			return
 		}

@@ -27,8 +27,8 @@ const (
 // processes through the coordinator's item backend — same code path every
 // benchmark gets for free via the registry. Each row shows the wall-clock
 // cost of distribution next to the shard counters (remote put ops and the
-// batch frames that carried them, local vs verified reads, the
-// mirror-race re-polls, transport retries, respawns, degradations, wire
+// batch frames that carried them, local vs verified reads and the sampled
+// cross-checks the saturated verifier shed, the mirror-race re-polls, transport retries, respawns, degradations, wire
 // bytes), and both runs verify against the serial reference, so the table
 // doubles as an end-to-end conformance check: a benchmark that breaks the
 // distributed protocol fails the experiment, not just a unit test.
@@ -41,8 +41,8 @@ const (
 func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 	fmt.Fprintf(w, "# dist: single-process vs %d-shard distributed execution, n=%d base=%d workers=%d verify-sample=%d (both verified)\n",
 		distShards, distN, distBase, distWorkers, verifySample)
-	fmt.Fprintf(w, "%6s %10s %10s %7s %9s %8s %7s %9s %9s %8s %8s %8s %8s %10s %10s\n",
-		"bench", "single", "dist", "ratio", "r-puts", "p-frames", "puts/f", "l-gets", "v-gets", "races", "retries", "respawn", "degrade", "bytes-out", "bytes-in")
+	fmt.Fprintf(w, "%6s %10s %10s %7s %9s %8s %7s %9s %9s %8s %8s %8s %8s %8s %10s %10s\n",
+		"bench", "single", "dist", "ratio", "r-puts", "p-frames", "puts/f", "l-gets", "v-gets", "v-shed", "races", "retries", "respawn", "degrade", "bytes-out", "bytes-in")
 
 	var failures []string
 	for _, b := range bench.All() {
@@ -76,10 +76,10 @@ func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 		if c.PutFrames > 0 {
 			putsPerFrame = float64(c.RemotePuts) / float64(c.PutFrames)
 		}
-		fmt.Fprintf(w, "%6s %10s %10s %6.1fx %9d %8d %7.1f %9d %9d %8d %8d %8d %8d %10d %10d\n",
+		fmt.Fprintf(w, "%6s %10s %10s %6.1fx %9d %8d %7.1f %9d %9d %8d %8d %8d %8d %8d %10d %10d\n",
 			b.Name(), wallSingle.Round(time.Millisecond), res.Wall.Round(time.Millisecond),
 			float64(res.Wall)/float64(wallSingle),
-			c.RemotePuts, c.PutFrames, putsPerFrame, c.LocalGets, c.VerifiedReads,
+			c.RemotePuts, c.PutFrames, putsPerFrame, c.LocalGets, c.VerifiedReads, c.VerifyShed,
 			c.RaceRetries, c.Retries, c.Respawns, c.Degradations,
 			c.BytesOut, c.BytesIn)
 	}
