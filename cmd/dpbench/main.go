@@ -5,8 +5,9 @@
 // GC leak freedom plus backpressure under a live-set budget). The
 // benchmark-facing experiments iterate the internal/bench registry, so
 // every registered benchmark — chol, fw, ge, sw — appears in the
-// crossover verification, memory, sched, and dist (sharded multi-process
-// vs single-process) reports.
+// crossover verification, memory, and dist (sharded multi-process vs
+// single-process) reports. dpbench times nothing about the runtime: that
+// is cmd/dpperf, and the checked correctness matrix is cmd/dpverify.
 //
 // Usage:
 //
@@ -48,28 +49,22 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		quiet   = flag.Bool("quiet", false, "suppress progress lines")
 	)
-	flag.BoolVar(&f.CSV, "csv", false, "emit CSV instead of aligned tables")
-	flag.BoolVar(&f.JSON, "json", false, "emit JSON instead of aligned tables")
+	flag.BoolVar(&f.CSV, "csv", false, "figures: emit CSV instead of aligned tables")
+	flag.BoolVar(&f.JSON, "json", false, "figures: emit JSON instead of aligned tables")
 	flag.IntVar(&f.Scale, "scale", 0, "divide figure problem sizes by 2^scale (0 = paper sizes)")
 	flag.IntVar(&f.TScale, "tscale", 8, "table1 linear scaling factor (1 = the paper's full 8K trace)")
 	flag.IntVar(&f.MaxTiles, "maxtiles", 256, "skip sweep points with more tiles per side than this (0 = no limit)")
-	flag.BoolVar(&f.RaceDetect, "race-detect", false, "perf: run fork-join rows under determinacy-race detection and CnC rows under discipline checking, and report detector stats")
 	flag.IntVar(&f.VerifySample, "verify-sample", 0, "dist: verified-read sampling rate (0 = 1-in-16 default, 1 = every get, <0 = never)")
-	flag.StringVar(&f.Baseline, "baseline", "BENCH_seed.json", "perfdiff: baseline perf snapshot to diff against")
-	flag.StringVar(&f.Current, "current", "", "perfdiff: current perf snapshot (empty = measure fresh)")
-	flag.Float64Var(&f.Tol, "tol", 0.10, "perfdiff: fail on any cell regressing by more than this fraction")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(idList)
 		return
 	}
-	// One table (harness.Reports) answers -list, expands 'all' and
-	// dispatches: 'all' is every entry that is a measurement, not a gate
-	// against a committed snapshot.
+	// One table (harness.Reports) answers -list, expands 'all' and dispatches.
 	var selected []harness.Report
 	for _, r := range reports {
-		if r.ID == *exp || *exp == "all" && !r.Gate {
+		if r.ID == *exp || *exp == "all" {
 			selected = append(selected, r)
 		}
 	}

@@ -1,9 +1,17 @@
 // Command dpverify runs the full correctness matrix on the host: every
 // registered benchmark (bench.All()) × every variant × several base sizes,
 // each run built by NewInstance, executed by Instance.Run and checked
-// bit-for-bit by Instance.Verify against its serial reference. It is the
-// quick smoke test for anyone adopting the library ("do all execution
-// models really agree on my machine?").
+// bit-for-bit by Instance.Verify against its serial reference. The runs are
+// checked, not only compared: every fork-join row runs under
+// determinacy-race detection and every Native/Tuner/Manual CnC row under
+// dataflow-discipline checking (write-once puts, exact get-counts), so a
+// pass says more than "this schedule agreed" — no schedule of the same
+// program could have computed anything else. A detection fails its row,
+// and so does a detector that saw nothing. It is the smoke test for anyone
+// adopting the library ("do all execution models really agree on my
+// machine?"). About half a minute at any n: the smallest base is always
+// n/32, and at 32 tiles a side the checkers' per-item ledgers, not the
+// kernels, are the cost.
 //
 // Usage:
 //
@@ -19,11 +27,55 @@ import (
 	"time"
 
 	"dpflow/internal/bench"
+	"dpflow/internal/cnc"
 	"dpflow/internal/core"
+	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/matrix"
 	"dpflow/internal/par"
 )
+
+// arm puts one row under its execution model's detector and returns the
+// verdict to read once the run has verified: a detection, or a detector
+// that observed nothing (a clean report from a check that never ran is not
+// a pass). It returns nil for the rows that have no detector: the serial
+// reference, and NonBlocking, which declares no get-counts to check.
+func arm(v core.Variant, opts *bench.RunOpts) func() error {
+	switch v {
+	case core.OMPTasking:
+		det := determinacy.NewDetector()
+		opts.Pool.WithRaceDetection(det)
+		return func() error {
+			if err := det.Err(); err != nil {
+				return fmt.Errorf("determinacy race: %w", err)
+			}
+			if st := det.Stats(); st.Accesses == 0 {
+				return fmt.Errorf("race detection is vacuous: %+v", st)
+			}
+			return nil
+		}
+	case core.NativeCnC, core.TunerCnC, core.ManualCnC:
+		var dc *determinacy.DisciplineChecker
+		opts.Tune = func(g *cnc.Graph) {
+			// A fresh checker per graph: each ledger describes one run.
+			dc = determinacy.NewDisciplineChecker()
+			g.WithDisciplineCheck(dc)
+		}
+		return func() error {
+			if dc == nil {
+				return fmt.Errorf("discipline checking is vacuous: the run built no graph")
+			}
+			if err := dc.Err(); err != nil {
+				return fmt.Errorf("discipline violation: %w", err)
+			}
+			if st := dc.Stats(); st.Puts == 0 || st.Releases == 0 {
+				return fmt.Errorf("discipline checking is vacuous: %+v", st)
+			}
+			return nil
+		}
+	}
+	return nil
+}
 
 func main() {
 	n := flag.Int("n", 256, "problem size (power of two)")
@@ -38,7 +90,7 @@ func main() {
 		core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC}
 	bases := []int{*n / 32, *n / 8, *n / 2}
 
-	failures := 0
+	failures, checked := 0, 0
 	report := func(name string, v core.Variant, base int, err error, elapsed time.Duration) {
 		status := "ok"
 		if err != nil {
@@ -54,18 +106,25 @@ func main() {
 		for _, v := range variants {
 			for _, base := range bases {
 				in, err := b.NewInstance(*n, base, *seed)
+				opts := bench.RunOpts{Workers: *workers, Pool: pool}
+				verdict := arm(v, &opts)
 				start := time.Now()
 				if err == nil {
-					_, err = in.Run(context.Background(), v, bench.RunOpts{Workers: *workers, Pool: pool})
+					_, err = in.Run(context.Background(), v, opts)
 				}
 				elapsed := time.Since(start)
 				if err == nil {
 					err = in.Verify()
 				}
+				if err == nil && verdict != nil {
+					err = verdict()
+					checked++
+				}
 				report(b.Name(), v, base, err, elapsed)
 			}
 		}
 	}
+	pool.WithRaceDetection(nil) // par's fork-join rows declare no accesses
 
 	// par is the one benchmark wired by hand: it is not registered, because
 	// Benchmark.Flops/MaxMissBound/StreamLines are per-kind constants and
@@ -99,5 +158,5 @@ func main() {
 		fmt.Printf("\n%d FAILURES\n", failures)
 		os.Exit(1)
 	}
-	fmt.Println("\nall checks passed: every execution model agrees bit-for-bit")
+	fmt.Printf("\nall checks passed: every execution model agrees bit-for-bit; %d rows ran checked (fork-join race-free, CnC discipline-clean)\n", checked)
 }

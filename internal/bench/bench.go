@@ -42,8 +42,8 @@ type RunOpts struct {
 	// WithMemoryLimit hook. Ignored by non-CnC variants.
 	Tune func(*cnc.Graph)
 	// Trace, when non-nil, brackets every base-tile kernel invocation: the
-	// returned func is called when the kernel finishes. The sched report's
-	// utilisation probe.
+	// returned func is called when the kernel finishes. dpperf's traced
+	// pass reads kernel busy time through it.
 	Trace func() func()
 }
 

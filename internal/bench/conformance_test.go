@@ -24,7 +24,10 @@ const (
 
 // TestConformanceVariantsAgree: every variant of every benchmark must
 // reproduce the serial reference exactly (all drivers apply bit-identical
-// per-element operations, so Verify demands equality, not tolerance).
+// per-element operations, so Verify demands equality, not tolerance). The
+// CnC rows also hold the runtime to its targeted-wake claim: a push signals
+// at most one parked worker, so a run's wakeups are bounded by its
+// dispatches — a broadcast wake would bill workers × pushes.
 func TestConformanceVariantsAgree(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: confWorkers})
 	defer pool.Close()
@@ -37,11 +40,16 @@ func TestConformanceVariantsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := in.Run(context.Background(), v, RunOpts{Workers: confWorkers, Pool: pool}); err != nil {
+				stats, err := in.Run(context.Background(), v, RunOpts{Workers: confWorkers, Pool: pool})
+				if err != nil {
 					t.Fatal(err)
 				}
 				if err := in.Verify(); err != nil {
 					t.Fatal(err)
+				}
+				if v.IsCnC() && stats.Wakeups > stats.StepsStarted+stats.InlineRuns {
+					t.Fatalf("Wakeups %d exceeds dispatches (%d started + %d inline)",
+						stats.Wakeups, stats.StepsStarted, stats.InlineRuns)
 				}
 			})
 		}

@@ -281,24 +281,17 @@ func sizeLabel(n int) string {
 
 // Report is one dpbench experiment: an id and the function that writes it.
 type Report struct {
-	ID string
-	// Gate marks a pass/fail check against committed data rather than a
-	// measurement; "dpbench -exp all" runs the measurements only.
-	Gate bool
-	Run  func(ctx context.Context, w io.Writer) error
+	ID  string
+	Run func(ctx context.Context, w io.Writer) error
 }
 
 // ReportFlags are dpbench's flags: the sweep Options of the figures plus
-// the flags of the individual reports that take any.
+// the two flags the other reports take (table1's scale, dist's sampling).
 type ReportFlags struct {
 	Options
-	CSV, JSON    bool    // figures: output format (default aligned tables); JSON also perf
-	TScale       int     // table1: linear scaling factor (1 = the paper's full 8K trace)
-	RaceDetect   bool    // perf: run under the determinacy and discipline detectors
-	VerifySample int     // dist: verified-read sampling rate
-	Baseline     string  // perfdiff: baseline snapshot path
-	Current      string  // perfdiff: current snapshot path (empty = measure fresh)
-	Tol          float64 // perfdiff: tolerated regression fraction
+	CSV, JSON    bool // figures: output format (default aligned tables)
+	TScale       int  // table1: linear scaling factor (1 = the paper's full 8K trace)
+	VerifySample int  // dist: verified-read sampling rate
 }
 
 // Reports is the one table of experiments — the figures, Table I, the
@@ -325,15 +318,8 @@ func Reports(f *ReportFlags) []Report {
 		{ID: "cluster", Run: WriteCluster},
 		{ID: "swwave", Run: WriteSWWave},
 		{ID: "memory", Run: WriteMemory},
-		{ID: "sched", Run: WriteSched},
 		{ID: "dist", Run: func(ctx context.Context, w io.Writer) error {
 			return WriteDist(ctx, w, f.VerifySample)
-		}},
-		{ID: "perf", Run: func(ctx context.Context, w io.Writer) error {
-			return WritePerf(ctx, w, f.JSON, f.RaceDetect)
-		}},
-		{ID: "perfdiff", Gate: true, Run: func(ctx context.Context, w io.Writer) error {
-			return WritePerfDiff(ctx, w, f.Baseline, f.Current, f.Tol)
 		}},
 	}
 	for _, e := range Figures() {
