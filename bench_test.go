@@ -201,7 +201,7 @@ func BenchmarkStealPolicy(b *testing.B) {
 				if rt == "forkjoin" {
 					pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Policy: pol})
 					defer pool.Close()
-					run = func(x *matrix.Dense) error { return gep.GE.ForkJoin(x, 32, pool) }
+					run = func(x *matrix.Dense) error { return gep.GE.ForkJoinR(context.Background(), x, 32, 2, pool) }
 				}
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +75,7 @@ func main() {
 		return gep.CnCStats{}, gep.GE.RDPSerial(a, *base)
 	})
 	solve(core.OMPTasking.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
-		return gep.CnCStats{}, gep.GE.ForkJoin(a, *base, pool)
+		return gep.CnCStats{}, gep.GE.ForkJoinR(context.Background(), a, *base, 2, pool)
 	})
 	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 		solve(v.String(), func(a *matrix.Dense) (gep.CnCStats, error) {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +67,7 @@ func bothModels() {
 	fj := a.Clone()
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 4})
 	defer pool.Close()
-	if err := gep.GE.ForkJoin(fj, 8, pool); err != nil {
+	if err := gep.GE.ForkJoinR(context.Background(), fj, 8, 2, pool); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -96,30 +97,30 @@ func realTracedRun() {
 	orig.FillDiagonallyDominant(rng)
 
 	// Fork-join with a tracing kernel.
-	fjRec := trace.NewRecorder()
+	fjTrace := trace.NewRecorder()
 	fjAlg := gep.Algorithm{Shape: gep.Triangular, Kernel: func(x *matrix.Dense, i0, j0, k0, b int) {
 		// WorkerID is not threaded through gep kernels; record on worker 0
 		// lane and rely on busy-time aggregate only.
-		done := fjRec.Task(0, "tile")
+		done := fjTrace.Task(0, "tile")
 		kernels.GE(x, i0, j0, k0, b)
 		done()
 	}}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	x := orig.Clone()
-	check(fjAlg.ForkJoin(x, base, pool))
+	check(fjAlg.ForkJoinR(context.Background(), x, base, 2, pool))
 	pool.Close()
-	repFJ := fjRec.Report(1)
+	repFJ := fjTrace.Report(1)
 
-	dfRec := trace.NewRecorder()
+	dfTrace := trace.NewRecorder()
 	dfAlg := gep.Algorithm{Shape: gep.Triangular, Kernel: func(x *matrix.Dense, i0, j0, k0, b int) {
-		done := dfRec.Task(0, "tile")
+		done := dfTrace.Task(0, "tile")
 		kernels.GE(x, i0, j0, k0, b)
 		done()
 	}}
 	y := orig.Clone()
 	_, err := dfAlg.RunCnC(y, base, workers, core.NativeCnC)
 	check(err)
-	repDF := dfRec.Report(1)
+	repDF := dfTrace.Report(1)
 
 	if !matrix.Equal(x, y) {
 		log.Fatal("models disagree")

@@ -3,12 +3,19 @@ package bench
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"dpflow/internal/chol"
+	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/dag"
+	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/gep"
+	"dpflow/internal/sw"
 )
 
 // The conformance suite runs automatically against every registered
@@ -157,6 +164,79 @@ func TestConformanceCensus(t *testing.T) {
 			}
 			if got := dag.Analyze(fj).Tasks; got != total {
 				t.Fatalf("%s tiles=%d: fork-join has %d tasks, TotalTasks %d", b.Name(), tiles, got, total)
+			}
+		}
+	}
+}
+
+// itemName names the receipt the CnC program puts for task id of a
+// benchmark's data-flow graph, "collection[key]" as the discipline checker
+// records it. A benchmark with a new graph type adds its case here.
+func itemName(t *testing.T, g dag.Graph, id int) string {
+	switch g := g.(type) {
+	case *dag.GEPDataflow:
+		i, j, k := g.Coords(id)
+		return fmt.Sprintf("%v_outputs[%v]", gep.Classify(i, j, k), gep.ItemKey{I: i, J: j, K: k})
+	case *dag.SWDataflow:
+		i, j := g.Coords(id)
+		return fmt.Sprintf("tile_outputs[%v]", sw.TileKey{I: i, J: j})
+	case *dag.CholDataflow:
+		return fmt.Sprintf("tile_outputs[%v]", chol.TaskKey(g.Coords(id)))
+	}
+	t.Fatalf("no item naming for %T", g)
+	return ""
+}
+
+// TestConformanceRuntimeMatchesSimulator ties the two halves of the
+// reproduction together: the DAG internal/simsched prices must be the one
+// the runtime enforces. Every base step's completed gets — the items it
+// released, attributed to it by the discipline checker — must be exactly
+// the receipts of the predecessors Dataflow(tiles) gives its task, under
+// speculative execution (Native) and under pre-declared dependencies
+// (Manual) alike.
+func TestConformanceRuntimeMatchesSimulator(t *testing.T) {
+	for _, b := range All() {
+		for _, tiles := range []int{2, 4, 8} {
+			df := b.Dataflow(tiles)
+			want := make(map[string][]string, df.Len())
+			for id := 0; id < df.Len(); id++ {
+				from := itemName(t, df, id)
+				if _, ok := want[from]; !ok {
+					want[from] = nil // sources have an entry too
+				}
+				df.EachSucc(id, func(s int) {
+					to := itemName(t, df, s)
+					want[to] = append(want[to], from)
+				})
+			}
+			for _, preds := range want {
+				sort.Strings(preds)
+			}
+			for _, v := range []core.Variant{core.NativeCnC, core.ManualCnC} {
+				t.Run(fmt.Sprintf("%s/%d/%v", b.Name(), tiles, v), func(t *testing.T) {
+					in, err := b.NewInstance(tiles*confBase, confBase, confSeed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dc := determinacy.NewDisciplineChecker()
+					tune := func(g *cnc.Graph) { g.WithDisciplineCheck(dc) }
+					if _, err := in.Run(context.Background(), v, RunOpts{Workers: confWorkers, Tune: tune}); err != nil {
+						t.Fatal(err)
+					}
+					got := dc.Reads()
+					if len(got) != len(want) {
+						t.Fatalf("the run put %d items, the simulated DAG has %d tasks", len(got), len(want))
+					}
+					for item, preds := range want {
+						reads, ok := got[item]
+						if !ok {
+							t.Fatalf("task %s of the simulated DAG never ran", item)
+						}
+						if fmt.Sprint(reads) != fmt.Sprint(preds) {
+							t.Fatalf("step of %s completed gets %v, the simulated DAG gives it predecessors %v", item, reads, preds)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -168,7 +168,7 @@ func (in *gepInstance) Run(ctx context.Context, v core.Variant, opts RunOpts) (g
 		if opts.Pool == nil {
 			return gep.CnCStats{}, fmt.Errorf("bench: %s: OMPTasking requires RunOpts.Pool", in.name)
 		}
-		return gep.CnCStats{}, alg.ForkJoinContext(ctx, in.work, in.base, opts.Pool)
+		return gep.CnCStats{}, alg.ForkJoinR(ctx, in.work, in.base, 2, opts.Pool)
 	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
 		return alg.RunCnCContext(ctx, in.work, in.base, opts.Workers, v, opts.Tune)
 	default:

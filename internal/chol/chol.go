@@ -154,126 +154,6 @@ func validate(a *matrix.Dense, base int) error {
 	return nil
 }
 
-// TiledSerial runs the right-looking tile algorithm serially.
-func TiledSerial(a *matrix.Dense, base int) error {
-	if err := validate(a, base); err != nil {
-		return err
-	}
-	bs := gep.BaseSize(a.Rows(), base)
-	tiles := a.Rows() / bs
-	for k := 0; k < tiles; k++ {
-		if err := potrf(a, k, bs); err != nil {
-			return err
-		}
-		for i := k + 1; i < tiles; i++ {
-			trsm(a, i, k, bs)
-		}
-		for j := k + 1; j < tiles; j++ {
-			for i := j; i < tiles; i++ {
-				update(a, i, j, k, bs)
-			}
-		}
-	}
-	return nil
-}
-
-// ForkJoinContext runs the right-looking schedule on the pool with a
-// taskwait after the TRSM batch and after the UPDATE batch of each phase. A
-// cancelled ctx unwinds the recursion and returns ctx.Err() with a partial
-// factor. trace, when non-nil, brackets every tile kernel invocation — the
-// returned func is called when the kernel finishes (the sched report's
-// utilisation probe).
-func ForkJoinContext(ctx context.Context, a *matrix.Dense, base int, pool *forkjoin.Pool, trace func() func()) error {
-	if err := validate(a, base); err != nil {
-		return err
-	}
-	bs := gep.BaseSize(a.Rows(), base)
-	tiles := a.Rows() / bs
-	span := traceFn(trace)
-	r := &fjChol{a: a, bs: bs, span: span}
-	var firstErr error
-	err := pool.RunContext(ctx, func(fjc *forkjoin.Ctx) {
-		var g forkjoin.Group
-		for k := 0; k < tiles; k++ {
-			declareRace(fjc, k, k)
-			done := span()
-			err := potrf(a, k, bs)
-			done()
-			if err != nil {
-				firstErr = err
-				return
-			}
-			for i := k + 1; i < tiles; i++ {
-				fjc.SpawnCall(&g, cholCallTrsm, r, [4]int{i, k})
-			}
-			fjc.Wait(&g)
-			for j := k + 1; j < tiles; j++ {
-				for i := j; i < tiles; i++ {
-					fjc.SpawnCall(&g, cholCallUpdate, r, [4]int{i, j, k})
-				}
-			}
-			fjc.Wait(&g)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return firstErr
-}
-
-// fjChol bundles the per-run state of the fork-join schedule so the TRSM
-// and UPDATE batches — the O(tiles²) and O(tiles³) spawn sites — go through
-// the closure-free SpawnCall trampolines.
-type fjChol struct {
-	a    *matrix.Dense
-	bs   int
-	span func() func()
-}
-
-func cholCallTrsm(c *forkjoin.Ctx, recv any, t [4]int) {
-	r := recv.(*fjChol)
-	i, k := t[0], t[1]
-	declareRace(c, i, k, [2]int{k, k})
-	done := r.span()
-	trsm(r.a, i, k, r.bs)
-	done()
-}
-
-func cholCallUpdate(c *forkjoin.Ctx, recv any, t [4]int) {
-	r := recv.(*fjChol)
-	i, j, k := t[0], t[1], t[2]
-	declareRace(c, i, j, [2]int{i, k}, [2]int{j, k})
-	done := r.span()
-	update(r.a, i, j, k, r.bs)
-	done()
-}
-
-// declareRace reports one tile kernel's access set — written tile (wi, wj)
-// plus the read tiles — to the pool's race detector when the run is
-// race-checked. Reads equal to the written tile are implied and skipped.
-func declareRace(c *forkjoin.Ctx, wi, wj int, reads ...[2]int) {
-	f := c.Race()
-	if f == nil {
-		return
-	}
-	w := determinacy.TileCell(wi, wj)
-	f.Write(w)
-	for _, r := range reads {
-		if cell := determinacy.TileCell(r[0], r[1]); cell != w {
-			f.Read(cell)
-		}
-	}
-}
-
-// traceFn normalises an optional trace hook into an always-callable span
-// opener.
-func traceFn(trace func() func()) func() func() {
-	if trace == nil {
-		return func() func() { return func() {} }
-	}
-	return trace
-}
-
 // Tag identifies one tile task: Kind 0 = POTRF, 1 = TRSM, 2 = UPDATE.
 type Tag struct {
 	Kind    int
@@ -293,200 +173,236 @@ const (
 	KindUpdate
 )
 
+// The recurrence is stated once, here: the schedule walk (Walk) and the
+// dependency relation on tile tasks (Preds, Succs). The serial, fork-join
+// and CnC drivers below and internal/dag's two Cholesky graphs interpret
+// them.
+
+// Walk visits the tile tasks of a tiles×tiles factorisation in the
+// right-looking schedule; last marks the final task of a stage. Phase k has
+// three stages — POTRF(k); the TRSM batch of column k; the UPDATE batch of
+// the trailing lower triangle — and the tasks of a stage are independent.
+// The walk has this one level: there are no recursive calls.
+func Walk(tiles int, visit func(t Tag, last bool)) {
+	for k := 0; k < tiles; k++ {
+		visit(Tag{KindPotrf, k, k, k}, true)
+		for i := k + 1; i < tiles; i++ {
+			visit(Tag{KindTrsm, i, k, k}, i == tiles-1)
+		}
+		for j := k + 1; j < tiles; j++ {
+			for i := j; i < tiles; i++ {
+				visit(Tag{KindUpdate, i, j, k}, j == tiles-1)
+			}
+		}
+	}
+}
+
+// Preds visits the tasks that task t must wait for, until f returns false:
+// TRSM(I,K) reads POTRF(K); UPDATE(I,J,K) reads TRSM(I,K) and TRSM(J,K) —
+// one task on the diagonal; and every task overwrites what the previous
+// phase's UPDATE of its tile wrote.
+func Preds(_ int, t Key, f func(Key) bool) bool {
+	ok := true
+	switch t.Kind {
+	case KindTrsm:
+		ok = f(Key{KindPotrf, t.K, t.K, t.K})
+	case KindUpdate:
+		ok = f(Key{KindTrsm, t.I, t.K, t.K}) && (t.J == t.I || f(Key{KindTrsm, t.J, t.K, t.K}))
+	}
+	return ok && (t.K == 0 || f(Key{KindUpdate, t.I, t.J, t.K - 1}))
+}
+
+// Succs is the inverse of Preds on a tiles×tiles grid. Their number is the
+// get-count of t's receipt: T−1−K TRSMs read POTRF(K) (the last diagonal
+// frees on put); TRSM(I,K) feeds the UPDATEs of row I and, below the
+// diagonal, of column I — T−K−1 in all; an UPDATE feeds exactly the
+// phase-K+1 task on its tile, which always exists (J ≥ K+1).
+func Succs(tiles int, t Key, f func(Key) bool) bool {
+	i, k := t.I, t.K
+	switch t.Kind {
+	case KindPotrf:
+		for x := k + 1; x < tiles; x++ {
+			if !f(Key{KindTrsm, x, k, k}) {
+				return false
+			}
+		}
+	case KindTrsm:
+		for x := k + 1; x < tiles; x++ {
+			if x <= i && !f(Key{KindUpdate, i, x, k}) || x > i && !f(Key{KindUpdate, x, i, k}) {
+				return false
+			}
+		}
+	default:
+		return f(TaskKey(i, t.J, k+1))
+	}
+	return true
+}
+
+// TaskKey returns the task that updates tile (i, j) in phase k ≤ j ≤ i:
+// POTRF on the phase's diagonal tile, TRSM in its column, UPDATE elsewhere.
+func TaskKey(i, j, k int) Key {
+	switch {
+	case i == k:
+		return Key{KindPotrf, i, j, k}
+	case j == k:
+		return Key{KindTrsm, i, j, k}
+	default:
+		return Key{KindUpdate, i, j, k}
+	}
+}
+
+// driver runs tile tasks on a matrix; bs is the tile side and span brackets
+// every kernel (traceFn).
+type driver struct {
+	a    *matrix.Dense
+	bs   int
+	span func() func()
+}
+
+func newDriver(a *matrix.Dense, base int, trace func() func()) (*driver, int, error) {
+	if err := validate(a, base); err != nil {
+		return nil, 0, err
+	}
+	bs := gep.BaseSize(a.Rows(), base)
+	return &driver{a: a, bs: bs, span: traceFn(trace)}, a.Rows() / bs, nil
+}
+
+// run applies the kernel of task t. Only POTRF can fail.
+func (d *driver) run(t Tag) (err error) {
+	defer d.span()()
+	switch t.Kind {
+	case KindPotrf:
+		err = potrf(d.a, t.K, d.bs)
+	case KindTrsm:
+		trsm(d.a, t.I, t.K, d.bs)
+	default:
+		update(d.a, t.I, t.J, t.K, d.bs)
+	}
+	return err
+}
+
+// TiledSerial runs the right-looking tile algorithm serially.
+func TiledSerial(a *matrix.Dense, base int) error {
+	d, tiles, err := newDriver(a, base, nil)
+	if err != nil {
+		return err
+	}
+	Walk(tiles, func(t Tag, _ bool) {
+		if err == nil {
+			err = d.run(t)
+		}
+	})
+	return err
+}
+
+// ForkJoinContext runs the right-looking schedule on the pool with a
+// taskwait after the TRSM batch and after the UPDATE batch of each phase;
+// POTRF runs on the spawning goroutine. A cancelled ctx unwinds the run and
+// returns ctx.Err() with a partial factor. trace, when non-nil, brackets
+// every tile kernel invocation — the returned func is called when the
+// kernel finishes (dpperf's traced pass reads kernel busy time through it).
+func ForkJoinContext(ctx context.Context, a *matrix.Dense, base int, pool *forkjoin.Pool, trace func() func()) error {
+	d, tiles, err := newDriver(a, base, trace)
+	if err != nil {
+		return err
+	}
+	var firstErr error
+	err = pool.RunContext(ctx, func(c *forkjoin.Ctx) {
+		var g forkjoin.Group
+		Walk(tiles, func(t Tag, last bool) {
+			switch {
+			case firstErr != nil:
+			case t.Kind == KindPotrf:
+				declareRace(c, t)
+				firstErr = d.run(t)
+			default:
+				c.SpawnCall(&g, cholCall, d, [4]int{t.Kind, t.I, t.J, t.K})
+				if last {
+					c.Wait(&g)
+				}
+			}
+		})
+	})
+	if err != nil {
+		return err
+	}
+	return firstErr
+}
+
+// cholCall is the closure-free spawn trampoline of the TRSM and UPDATE
+// batches — the O(tiles²) and O(tiles³) spawn sites (see
+// forkjoin.Ctx.SpawnCall). Neither kernel fails.
+func cholCall(c *forkjoin.Ctx, recv any, a [4]int) {
+	t := Tag{a[0], a[1], a[2], a[3]}
+	declareRace(c, t)
+	_ = recv.(*driver).run(t)
+}
+
+// declareRace reports one tile kernel's access set to the pool's race
+// detector when the run is race-checked: it writes its own tile and reads
+// the tiles its predecessors wrote.
+func declareRace(c *forkjoin.Ctx, t Tag) {
+	f := c.Race()
+	if f == nil {
+		return
+	}
+	w := determinacy.TileCell(t.I, t.J)
+	f.Write(w)
+	Preds(0, Key(t), func(p Key) bool {
+		if cell := determinacy.TileCell(p.I, p.J); cell != w {
+			f.Read(cell)
+		}
+		return true
+	})
+}
+
+// traceFn normalises an optional trace hook into an always-callable span
+// opener.
+func traceFn(trace func() func()) func() func() {
+	if trace == nil {
+		return func() func() { return func() {} }
+	}
+	return trace
+}
+
 // NewCnCGraph builds the static CnC structure of the Cholesky program —
 // one step collection prescribed by one tag collection, synchronised
 // through one item collection of finished tile states — without running
 // it (cmd/cncgraph's description and DOT renderings).
 func NewCnCGraph(name string) *cnc.Graph {
-	g := cnc.NewGraph(name, 1)
-	out := cnc.NewItemCollection[Key, bool](g, "tile_outputs")
-	tags := cnc.NewTagCollection[Tag](g, "tasks", false)
-	step := cnc.NewStepCollection(g, "cholTask", func(Tag) error { return nil })
-	step.Consumes(out).Produces(out)
-	tags.Prescribe(step)
-	return g
+	d, tiles, _ := newDriver(matrix.NewSquare(4), 1, nil)
+	return d.flow(tiles).Spec(name, core.NativeCnC)
 }
 
 // RunCnCContext runs the data-flow Cholesky: one step collection with the
-// dependency structure above, items at base-tile granularity. A cancelled
-// ctx drains the graph and returns ctx.Err(). tune, when non-nil, receives
-// the built graph before the run starts (the chaos harness's fault
-// injection and the memory report's WithMemoryLimit hook); trace, when
-// non-nil, brackets every tile kernel invocation.
-//
-// For the GC-enabled schedules (everything but NonBlockingCnC) it declares
-// the memory contract: every tile receipt's consumer count is known in
-// closed form, so get-count GC frees it as its last reader completes and
-// Graph.WithMemoryLimit can throttle the environment's tag sprint. With
-// T = tiles per side the consumer counts are
-//
-//   - POTRF(k): one per TRSM(i,k), i > k → T−1−k (the last diagonal frees
-//     on put);
-//   - TRSM(i,k): the UPDATEs of row i (i−k of them, counting the diagonal
-//     task once) plus those of column i below the diagonal (T−1−i)
-//     → T−k−1;
-//   - UPDATE(i,j,k): exactly the phase-k+1 task on tile (i,j), which always
-//     exists (j ≥ k+1) → 1.
-//
-// The diagonal UPDATE's step body blocking-gets TRSM(i,k) twice (as row and
-// column factor), but releases fire per declared dependency at completion,
-// not per Get, so the deduplicated deps list below is also the exact
-// release set.
+// dependency structure above, items at base-tile granularity, every tile
+// task instantiated by the environment. A cancelled ctx drains the graph
+// and returns ctx.Err(). tune, when non-nil, receives the built graph
+// before the run starts (the chaos harness's fault injection and the memory
+// report's WithMemoryLimit hook); trace, when non-nil, brackets every tile
+// kernel invocation.
 func RunCnCContext(ctx context.Context, a *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph), trace func() func()) (gep.CnCStats, error) {
-	if err := validate(a, base); err != nil {
+	d, tiles, err := newDriver(a, base, trace)
+	if err != nil {
 		return gep.CnCStats{}, err
 	}
-	bs := gep.BaseSize(a.Rows(), base)
-	tiles := a.Rows() / bs
+	return d.flow(tiles).Run(ctx, "chol-"+variant.String(), workers, variant, tune)
+}
 
-	g := cnc.NewGraph("chol-"+variant.String(), workers)
-	out := cnc.NewItemCollection[Key, bool](g, "tile_outputs")
-	tags := cnc.NewTagCollection[Tag](g, "tasks", false)
-	span := traceFn(trace)
-
-	await := func(k Key) bool {
-		if variant == core.NonBlockingCnC {
-			_, ok := out.TryGet(k)
-			return ok
-		}
-		out.Get(k)
-		return true
+// flow states the recurrence for the shared data-flow interpreter
+// (gep.Flow). Every tag is a base task, so each admitted tag materialises
+// one tile, and a task's key is its tag.
+func (d *driver) flow(tiles int) *gep.Flow[Tag, Key] {
+	return &gep.Flow[Tag, Key]{
+		Colls:     [][3]string{{"cholTask", "tasks", "tile_outputs"}},
+		Task:      func(t Tag) (Key, bool) { return Key(t), true },
+		Walk:      func(_ Tag, _ bool, visit func(Tag, bool)) { Walk(tiles, visit) },
+		Preds:     func(k Key, f func(Key) bool) bool { return Preds(tiles, k, f) },
+		Succs:     func(k Key, f func(Key) bool) bool { return Succs(tiles, k, f) },
+		Kernel:    func(k Key) error { return d.run(Tag(k)) },
+		Flat:      true,
+		TileBytes: d.bs * d.bs * 8,
 	}
-	// prevUpdate is the write-write dependency on the same tile's previous
-	// phase (absent at K == 0).
-	prevUpdate := func(i, j, k int) (Key, bool) {
-		if k == 0 {
-			return Key{}, false
-		}
-		return Key{KindUpdate, i, j, k - 1}, true
-	}
-	step := cnc.NewStepCollection(g, "cholTask", func(t Tag) error {
-		switch t.Kind {
-		case KindPotrf:
-			if p, ok := prevUpdate(t.K, t.K, t.K); ok && !await(p) {
-				tags.Put(t)
-				return nil
-			}
-			done := span()
-			err := potrf(a, t.K, bs)
-			done()
-			if err != nil {
-				return err
-			}
-			out.Put(Key{KindPotrf, t.K, t.K, t.K}, true)
-		case KindTrsm:
-			if !await(Key{KindPotrf, t.K, t.K, t.K}) {
-				tags.Put(t)
-				return nil
-			}
-			if p, ok := prevUpdate(t.I, t.K, t.K); ok && !await(p) {
-				tags.Put(t)
-				return nil
-			}
-			done := span()
-			trsm(a, t.I, t.K, bs)
-			done()
-			out.Put(Key{KindTrsm, t.I, t.K, t.K}, true)
-		default:
-			ok := await(Key{KindTrsm, t.I, t.K, t.K}) && await(Key{KindTrsm, t.J, t.K, t.K})
-			if ok {
-				if p, pOK := prevUpdate(t.I, t.J, t.K); pOK {
-					ok = await(p)
-				}
-			}
-			if !ok {
-				tags.Put(t)
-				return nil
-			}
-			done := span()
-			update(a, t.I, t.J, t.K, bs)
-			done()
-			out.Put(Key{KindUpdate, t.I, t.J, t.K}, true)
-		}
-		return nil
-	})
-	step.Consumes(out).Produces(out)
-
-	// Append form: the runtime hands in a pooled scratch buffer, so
-	// declaring an instance's dependencies allocates nothing.
-	deps := func(t Tag, ds []cnc.Dep) []cnc.Dep {
-		add := func(k Key) { ds = append(ds, out.Key(k)) }
-		switch t.Kind {
-		case KindPotrf:
-			if p, ok := prevUpdate(t.K, t.K, t.K); ok {
-				add(p)
-			}
-		case KindTrsm:
-			add(Key{KindPotrf, t.K, t.K, t.K})
-			if p, ok := prevUpdate(t.I, t.K, t.K); ok {
-				add(p)
-			}
-		default:
-			add(Key{KindTrsm, t.I, t.K, t.K})
-			if t.J != t.I {
-				add(Key{KindTrsm, t.J, t.K, t.K})
-			}
-			if p, ok := prevUpdate(t.I, t.J, t.K); ok {
-				add(p)
-			}
-		}
-		return ds
-	}
-	switch variant {
-	case core.TunerCnC:
-		step.WithDepsAppend(cnc.TunedPrescheduled, deps)
-	case core.ManualCnC:
-		step.WithDepsAppend(cnc.TunedTriggered, deps)
-	}
-	tags.Prescribe(step)
-
-	// Memory contract (consumer counts derived in the doc comment above).
-	// NonBlockingCnC is excluded: its poll-miss re-put retires one
-	// successful step instance per poll, which would release the declared
-	// read set once per poll instead of once per tile.
-	if variant != core.NonBlockingCnC {
-		tile := bs * bs * 8
-		out.WithGetCount(func(k Key) int {
-			switch k.Kind {
-			case KindPotrf:
-				return tiles - 1 - k.K
-			case KindTrsm:
-				return tiles - k.K - 1
-			default: // KindUpdate
-				return 1
-			}
-		}).WithSizeOf(func(Key) int { return tile })
-		step.WithGetsAppend(deps)
-		// Every tag is a base task here (the environment expands the task
-		// space itself), so each admitted tag materialises one tile.
-		tags.WithTagBytes(func(Tag) int { return tile })
-	}
-	if tune != nil {
-		tune(g)
-	}
-
-	err := g.RunContext(ctx, func() {
-		// One burst per elimination phase: each phase's O(tiles²) tags hit
-		// the queue in one batched push and wakeup pass. Under a memory
-		// limit the throttled path defers tags individually as before.
-		for k := 0; k < tiles; k++ {
-			bu := g.NewBurst()
-			tags.PutThrottledInto(Tag{KindPotrf, k, k, k}, bu)
-			for i := k + 1; i < tiles; i++ {
-				tags.PutThrottledInto(Tag{KindTrsm, i, k, k}, bu)
-			}
-			for j := k + 1; j < tiles; j++ {
-				for i := j; i < tiles; i++ {
-					tags.PutThrottledInto(Tag{KindUpdate, i, j, k}, bu)
-				}
-			}
-			bu.Flush()
-		}
-	})
-	// Puts, not Len: with get-counts active Len is the *live* census and
-	// drops to zero as tiles are garbage-collected.
-	stats := gep.CnCStats{Stats: g.Stats(), BaseTasks: int(out.Puts())}
-	return stats, err
 }
 
 // Residual returns max |(L·Lᵀ − A0)[i][j]| over the lower triangle, where

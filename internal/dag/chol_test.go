@@ -51,35 +51,6 @@ func TestCholDataflowCensusAndAcyclic(t *testing.T) {
 	}
 }
 
-// TestCholDataflowPredSuccSymmetry cross-checks the three analytic views:
-// every successor edge appears as a predecessor edge, and InDeg counts the
-// predecessors exactly.
-func TestCholDataflowPredSuccSymmetry(t *testing.T) {
-	g := NewCholDataflow(6)
-	preds := make(map[[2]int]int)
-	for id := 0; id < g.Len(); id++ {
-		g.EachSucc(id, func(s int) { preds[[2]int{id, s}]++ })
-	}
-	edges := 0
-	for id := 0; id < g.Len(); id++ {
-		deg := 0
-		g.EachPred(id, func(p int) {
-			deg++
-			edges++
-			if preds[[2]int{p, id}] != 1 {
-				t.Fatalf("pred edge %d->%d not mirrored by EachSucc (count %d)", p, id, preds[[2]int{p, id}])
-			}
-		})
-		if deg != g.InDeg(id) {
-			i, j, k := g.Coords(id)
-			t.Fatalf("task (%d,%d,%d): InDeg = %d but EachPred visited %d", i, j, k, g.InDeg(id), deg)
-		}
-	}
-	if edges != len(preds) {
-		t.Fatalf("EachPred saw %d edges, EachSucc emitted %d", edges, len(preds))
-	}
-}
-
 // longestPath returns the critical path length in non-join tasks.
 func longestPath(t *testing.T, g Graph) int {
 	t.Helper()

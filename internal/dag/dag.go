@@ -163,6 +163,15 @@ func (b *builder) edge(from, to int32) {
 	b.to = append(b.to, to)
 }
 
+// join emits a zero-cost join node after every task of a stage.
+func (b *builder) join(stage []int32) int32 {
+	j := b.node(KindJoin)
+	for _, s := range stage {
+		b.edge(s, j)
+	}
+	return j
+}
+
 func (b *builder) freeze() *CSR {
 	n := len(b.kinds)
 	c := &CSR{

@@ -5,21 +5,16 @@ import (
 	"sort"
 
 	"dpflow/internal/gep"
+	"dpflow/internal/sw"
 )
 
 // GEPDataflow is the analytic data-flow graph of a GEP benchmark at tile
-// granularity: one task per (tile, elimination step) with exactly the
-// dependencies the CnC item collections enforce (see internal/gep):
-//
-//	task(I,J,K) ← task(I,J,K−1)            write-write, same tile
-//	B,C,D(·,·,K) ← A(K,K,K)                pivot block
-//	D(I,J,K) ← B(K,J,K), C(I,K,K)          pivot row / column tiles
-//
-// Under the Triangular shape (GE) only tiles with I ≥ K ∧ J ≥ K have
-// tasks. Under Cube (FW) every tile updates at every step, which adds the
-// write-after-read anti-dependencies the runtime enforces (gep.antiDeps):
-// the phase-K+1 writer of a former pivot row/column/diagonal tile waits
-// for every phase-K reader of that tile.
+// granularity: one task per (tile, elimination step), its edges the
+// dependency relation the CnC item collections enforce (gep.Shape.Preds and
+// Succs — FW's write-after-read anti-dependencies included). This type adds
+// only the index space: under the Triangular shape (GE) only tiles with
+// I ≥ K ∧ J ≥ K have tasks; under Cube (FW) every tile updates at every
+// step.
 type GEPDataflow struct {
 	T     int
 	Shape gep.Shape
@@ -99,145 +94,26 @@ func kindOf(f gep.Func) Kind {
 	}
 }
 
-// hasTask reports whether tile (i, j) has a task at phase k.
-func (g *GEPDataflow) hasTask(i, j, k int) bool {
-	if k < 0 || k >= g.T {
-		return false
-	}
-	if g.Shape == gep.Cube {
-		return true
-	}
-	return i >= k && j >= k
+func (g *GEPDataflow) key(id int) gep.ItemKey {
+	i, j, k := g.Coords(id)
+	return gep.ItemKey{I: i, J: j, K: k}
 }
 
 // InDeg implements Graph.
 func (g *GEPDataflow) InDeg(id int) int {
-	i, j, k := g.Coords(id)
 	d := 0
-	if g.hasTask(i, j, k-1) {
-		d++ // write-write on the same tile
-	}
-	switch gep.Classify(i, j, k) {
-	case gep.FuncB, gep.FuncC:
-		d++ // A(K,K,K)
-	case gep.FuncD:
-		d += 3 // A, B(K,J,K), C(I,K,K)
-	}
-	if g.Shape == gep.Cube && k > 0 {
-		p := k - 1
-		switch {
-		case i == p && j == p:
-			d += 2 * (g.T - 1) // all B(p,x,p) and C(x,p,p) read the old diagonal
-		case i == p, j == p:
-			d += g.T - 1 // all D readers of the old pivot row / column tile
-		}
-	}
+	g.Shape.Preds(g.T, g.key(id), func(gep.ItemKey) bool { d++; return true })
 	return d
 }
 
 // EachSucc implements Graph.
 func (g *GEPDataflow) EachSucc(id int, f func(int)) {
-	i, j, k := g.Coords(id)
-	t := g.T
-	lo := 0
-	if g.Shape == gep.Triangular {
-		lo = k
-	}
-	switch gep.Classify(i, j, k) {
-	case gep.FuncA:
-		// A feeds every other task of its phase.
-		for x := lo; x < t; x++ {
-			if x == k {
-				continue
-			}
-			f(g.ID(k, x, k)) // pivot row (B)
-			f(g.ID(x, k, k)) // pivot column (C)
-		}
-		for ii := lo; ii < t; ii++ {
-			if ii == k {
-				continue
-			}
-			for jj := lo; jj < t; jj++ {
-				if jj == k {
-					continue
-				}
-				f(g.ID(ii, jj, k)) // interior (D)
-			}
-		}
-	case gep.FuncB:
-		// B(K,J,K) feeds every D in column J of the phase.
-		for ii := lo; ii < t; ii++ {
-			if ii != k {
-				f(g.ID(ii, j, k))
-			}
-		}
-	case gep.FuncC:
-		// C(I,K,K) feeds every D in row I of the phase.
-		for jj := lo; jj < t; jj++ {
-			if jj != k {
-				f(g.ID(i, jj, k))
-			}
-		}
-	}
-	if g.hasTask(i, j, k+1) {
-		f(g.ID(i, j, k+1)) // next elimination step on the same tile
-	}
-	// Cube anti-dependencies: this task read pivot tiles of phase k whose
-	// phase-k+1 writers must wait for it.
-	if g.Shape == gep.Cube && k+1 < t {
-		switch gep.Classify(i, j, k) {
-		case gep.FuncB, gep.FuncC:
-			f(g.ID(k, k, k+1)) // read the diagonal tile (k,k)
-		case gep.FuncD:
-			f(g.ID(i, k, k+1)) // read pivot-column tile (i,k)
-			f(g.ID(k, j, k+1)) // read pivot-row tile (k,j)
-		}
-	}
-}
-
-// EachPred calls f for every predecessor (used by tests and span checks).
-func (g *GEPDataflow) EachPred(id int, f func(int)) {
-	i, j, k := g.Coords(id)
-	if g.hasTask(i, j, k-1) {
-		f(g.ID(i, j, k-1))
-	}
-	switch gep.Classify(i, j, k) {
-	case gep.FuncB, gep.FuncC:
-		f(g.ID(k, k, k))
-	case gep.FuncD:
-		f(g.ID(k, k, k))
-		f(g.ID(k, j, k))
-		f(g.ID(i, k, k))
-	}
-	if g.Shape == gep.Cube && k > 0 {
-		p := k - 1
-		switch {
-		case i == p && j == p:
-			for x := 0; x < g.T; x++ {
-				if x != p {
-					f(g.ID(p, x, p)) // B readers of the old diagonal
-					f(g.ID(x, p, p)) // C readers of the old diagonal
-				}
-			}
-		case i == p:
-			for x := 0; x < g.T; x++ {
-				if x != p {
-					f(g.ID(x, j, p)) // D readers of the old pivot-row tile
-				}
-			}
-		case j == p:
-			for x := 0; x < g.T; x++ {
-				if x != p {
-					f(g.ID(i, x, p)) // D readers of the old pivot-column tile
-				}
-			}
-		}
-	}
+	g.Shape.Succs(g.T, g.key(id), func(s gep.ItemKey) bool { f(g.ID(s.I, s.J, s.K)); return true })
 }
 
 // SWDataflow is the analytic wavefront graph of Smith-Waterman at tile
 // granularity: task (I, J) depends on its west, north and north-west
-// neighbours.
+// neighbours (sw.Preds and Succs).
 type SWDataflow struct {
 	T int
 }
@@ -265,26 +141,13 @@ func (g *SWDataflow) Kind(int) Kind { return KindSW }
 // InDeg implements Graph.
 func (g *SWDataflow) InDeg(id int) int {
 	i, j := g.Coords(id)
-	switch {
-	case i > 0 && j > 0:
-		return 3
-	case i > 0 || j > 0:
-		return 1
-	default:
-		return 0
-	}
+	d := 0
+	sw.Preds(g.T, sw.TileKey{I: i, J: j}, func(sw.TileKey) bool { d++; return true })
+	return d
 }
 
 // EachSucc implements Graph.
 func (g *SWDataflow) EachSucc(id int, f func(int)) {
 	i, j := g.Coords(id)
-	if i+1 < g.T {
-		f(g.ID(i+1, j))
-	}
-	if j+1 < g.T {
-		f(g.ID(i, j+1))
-	}
-	if i+1 < g.T && j+1 < g.T {
-		f(g.ID(i+1, j+1))
-	}
+	sw.Succs(g.T, sw.TileKey{I: i, J: j}, func(s sw.TileKey) bool { f(g.ID(s.I, s.J)); return true })
 }

@@ -4,109 +4,75 @@ import (
 	"fmt"
 
 	"dpflow/internal/gep"
+	"dpflow/internal/sw"
 )
 
-// NewGEPForkJoin materialises the ordering DAG of the fork-join R-DP
-// execution (Listing 3) for a tiles×tiles grid: the recursion is run
-// symbolically down to single-tile base cases; every parallel stage is
-// followed by a zero-cost join node, and sequential stages are chained —
-// so the graph contains precisely the constraints Spawn/Wait imposes,
-// artificial dependencies included.
+// forkJoin materialises the ordering DAG of a recurrence's fork-join
+// execution by running its schedule walk symbolically from the root call:
+// a base call becomes a task node after its predecessor; the calls of a
+// stage all start after the same node, and a zero-cost join node after
+// every one of them guards the next stage; a stage of one call chains
+// directly, as the drivers run it on the caller. So the graph contains
+// precisely the constraints Spawn/Wait imposes, artificial dependencies
+// included. leaf reports whether a call is a base task and of which kind;
+// walk visits a call's sub-calls in schedule order, last ending a stage.
 //
-// tiles must be a power of two (the recursion halves until single tiles).
-func NewGEPForkJoin(tiles int, shape gep.Shape) *CSR {
-	if tiles < 1 || tiles&(tiles-1) != 0 {
-		panic(fmt.Sprintf("dag: fork-join tiles = %d must be a power of two", tiles))
+// Nodes are numbered in the order the serial recursion would reach them,
+// each join after its stage — internal/simsched breaks ties by id.
+func forkJoin[C any](root C, leaf func(C) (Kind, bool), walk func(c C, visit func(sub C, last bool))) *CSR {
+	b := &builder{}
+	// stages is a stack of the open stages' task nodes, innermost call last.
+	var stages []int32
+	var call func(pred int32, c C) int32
+	call = func(pred int32, c C) int32 {
+		if k, ok := leaf(c); ok {
+			n := b.node(k)
+			b.edge(pred, n)
+			return n
+		}
+		cur, open := pred, len(stages)
+		walk(c, func(sub C, last bool) {
+			n := call(cur, sub)
+			stages = append(stages, n)
+			if !last {
+				return
+			}
+			cur = n
+			if stage := stages[open:]; len(stage) > 1 {
+				cur = b.join(stage)
+			}
+			stages = stages[:open]
+		})
+		return cur
 	}
-	b := &fjBuilder{shape: shape}
-	b.funcA(-1, 0, tiles)
+	call(-1, root)
 	return b.freeze()
 }
 
-// fjBuilder runs the GEP recursion symbolically. Each func takes the node
-// that must precede the call (-1 for none) and returns the node that
-// completes it, mirroring the sequential/parallel structure of the real
-// drivers in internal/gep.
-type fjBuilder struct {
-	builder
-	shape gep.Shape
-}
+// NewGEPForkJoin materialises the ordering DAG of the fork-join R-DP
+// execution (Listing 3) for a tiles×tiles grid; tiles must be a power of
+// two (the recursion halves until single tiles).
+func NewGEPForkJoin(tiles int, shape gep.Shape) *CSR { return NewGEPForkJoinR(tiles, 2, shape) }
 
-// leaf emits a base task of the given kind after pred.
-func (b *fjBuilder) leaf(pred int32, k Kind) int32 {
-	n := b.node(k)
-	b.edge(pred, n)
-	return n
-}
-
-// join emits a zero-cost join node after every sink of a parallel stage.
-func (b *fjBuilder) join(sinks ...int32) int32 {
-	j := b.node(KindJoin)
-	for _, s := range sinks {
-		b.edge(s, j)
+// NewGEPForkJoinR materialises the ordering DAG of the r-way fork-join
+// R-DP execution (gep.Algorithm.ForkJoinR) for a tiles×tiles grid.
+// tiles must be a power of r. With r == tiles the recursion flattens into
+// one level of phase-parallel batches — the closest a fork-join program
+// gets to the data-flow schedule — so sweeping r quantifies how much of
+// the artificial-dependency span the parametric r-way algorithms of the
+// paper's references [15, 16] recover.
+func NewGEPForkJoinR(tiles, r int, shape gep.Shape) *CSR {
+	if tiles < 1 || r < 2 {
+		panic(fmt.Sprintf("dag: fork-join needs tiles >= 1 and an r-way split with r >= 2, got tiles=%d r=%d", tiles, r))
 	}
-	return j
-}
-
-func (b *fjBuilder) funcA(pred int32, d, s int) int32 {
-	if s == 1 {
-		return b.leaf(pred, KindA)
+	for s := tiles; s > 1; s /= r {
+		if s%r != 0 {
+			panic(fmt.Sprintf("dag: tiles=%d is not a power of r=%d", tiles, r))
+		}
 	}
-	h := s / 2
-	cur := b.funcA(pred, d, h)
-	cur = b.join(b.funcB(cur, d, d+h, d, h), b.funcC(cur, d+h, d, d, h))
-	cur = b.funcD(cur, d+h, d+h, d, h)
-	cur = b.funcA(cur, d+h, h)
-	if b.shape == gep.Cube {
-		cur = b.join(b.funcB(cur, d+h, d, d+h, h), b.funcC(cur, d, d+h, d+h, h))
-		cur = b.funcD(cur, d, d, d+h, h)
-	}
-	return cur
-}
-
-func (b *fjBuilder) funcB(pred int32, i0, j0, k0, s int) int32 {
-	if s == 1 {
-		return b.leaf(pred, KindB)
-	}
-	h := s / 2
-	cur := b.join(b.funcB(pred, i0, j0, k0, h), b.funcB(pred, i0, j0+h, k0, h))
-	cur = b.join(b.funcD(cur, i0+h, j0, k0, h), b.funcD(cur, i0+h, j0+h, k0, h))
-	cur = b.join(b.funcB(cur, i0+h, j0, k0+h, h), b.funcB(cur, i0+h, j0+h, k0+h, h))
-	if b.shape == gep.Cube {
-		cur = b.join(b.funcD(cur, i0, j0, k0+h, h), b.funcD(cur, i0, j0+h, k0+h, h))
-	}
-	return cur
-}
-
-func (b *fjBuilder) funcC(pred int32, i0, j0, k0, s int) int32 {
-	if s == 1 {
-		return b.leaf(pred, KindC)
-	}
-	h := s / 2
-	cur := b.join(b.funcC(pred, i0, j0, k0, h), b.funcC(pred, i0+h, j0, k0, h))
-	cur = b.join(b.funcD(cur, i0, j0+h, k0, h), b.funcD(cur, i0+h, j0+h, k0, h))
-	cur = b.join(b.funcC(cur, i0, j0+h, k0+h, h), b.funcC(cur, i0+h, j0+h, k0+h, h))
-	if b.shape == gep.Cube {
-		cur = b.join(b.funcD(cur, i0, j0, k0+h, h), b.funcD(cur, i0+h, j0, k0+h, h))
-	}
-	return cur
-}
-
-func (b *fjBuilder) funcD(pred int32, i0, j0, k0, s int) int32 {
-	if s == 1 {
-		return b.leaf(pred, KindD)
-	}
-	h := s / 2
-	cur := pred
-	for kk := 0; kk <= h; kk += h {
-		cur = b.join(
-			b.funcD(cur, i0, j0, k0+kk, h),
-			b.funcD(cur, i0, j0+h, k0+kk, h),
-			b.funcD(cur, i0+h, j0, k0+kk, h),
-			b.funcD(cur, i0+h, j0+h, k0+kk, h),
-		)
-	}
-	return cur
+	return forkJoin(gep.Tag{S: tiles},
+		func(t gep.Tag) (Kind, bool) { return kindOf(gep.Classify(t.I, t.J, t.K)), t.S == 1 },
+		func(t gep.Tag, visit func(gep.Tag, bool)) { shape.Walk(t, r, visit) })
 }
 
 // NewSWForkJoin materialises the fork-join ordering DAG of the R-DP
@@ -116,25 +82,9 @@ func NewSWForkJoin(tiles int) *CSR {
 	if tiles < 1 || tiles&(tiles-1) != 0 {
 		panic(fmt.Sprintf("dag: fork-join tiles = %d must be a power of two", tiles))
 	}
-	b := &builder{}
-	var rec func(pred int32, s int) int32
-	rec = func(pred int32, s int) int32 {
-		if s == 1 {
-			n := b.node(KindSW)
-			b.edge(pred, n)
-			return n
-		}
-		h := s / 2
-		cur := rec(pred, h)
-		left := rec(cur, h)
-		right := rec(cur, h)
-		j := b.node(KindJoin)
-		b.edge(left, j)
-		b.edge(right, j)
-		return rec(j, h)
-	}
-	rec(-1, tiles)
-	return b.freeze()
+	return forkJoin(sw.TileTag{S: tiles},
+		func(t sw.TileTag) (Kind, bool) { return KindSW, t.S == 1 },
+		func(t sw.TileTag, visit func(sw.TileTag, bool)) { sw.Walk(t, 2, visit) })
 }
 
 // NewSWWavefrontBarrier materialises the barrier-per-anti-diagonal SW

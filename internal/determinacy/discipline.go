@@ -40,9 +40,9 @@ type itemRef struct {
 }
 
 type itemLedger struct {
-	putBy    string
-	value    string
-	declared int // declared get-count; -1 when the collection has none
+	putBy     string
+	value     string
+	declared  int // declared get-count; -1 when the collection has none
 	consumers []string
 }
 
@@ -264,6 +264,30 @@ func (dc *DisciplineChecker) Fingerprint() map[string]string {
 	out := make(map[string]string, len(dc.items))
 	for ref, led := range dc.items {
 		out[fmt.Sprintf("%s[%v]", ref.coll, ref.key)] = led.value
+	}
+	return out
+}
+
+// Reads returns the run's dependency graph at item level, as the release
+// ledger recorded it: for every item put, the items its producing step
+// instance released on completion — that step's completed gets — sorted,
+// with items named "collection[key]" as in Fingerprint. Steps of
+// collections that declare no read set release nothing and map to nil.
+func (dc *DisciplineChecker) Reads() map[string][]string {
+	dc.mu.Lock()
+	defer dc.mu.Unlock()
+	name := func(ref itemRef) string { return fmt.Sprintf("%s[%v]", ref.coll, ref.key) }
+	byStep := make(map[string][]string)
+	for ref, led := range dc.items {
+		for _, step := range led.consumers {
+			byStep[step] = append(byStep[step], name(ref))
+		}
+	}
+	out := make(map[string][]string, len(dc.items))
+	for ref, led := range dc.items {
+		reads := append([]string(nil), byStep[led.putBy]...)
+		sort.Strings(reads)
+		out[name(ref)] = reads
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package determinacy
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -161,5 +162,32 @@ func TestDisciplineStats(t *testing.T) {
 	want := DisciplineStats{Puts: 1, Gets: 1, Releases: 1, Items: 1, Violations: 1}
 	if st != want {
 		t.Fatalf("Stats() = %+v, want %+v", st, want)
+	}
+}
+
+// Reads turns the release ledger into the run's item-level dependency
+// graph: each item maps to what its producing step released.
+func TestReads(t *testing.T) {
+	dc := NewDisciplineChecker()
+	put := func(step, key string, reads ...string) {
+		exit := dc.Enter(step)
+		defer exit()
+		for _, r := range reads {
+			dc.RecordRelease("c", r)
+		}
+		dc.RecordPut("c", key, 1, "true")
+	}
+	put("s@a", "a")
+	put("s@b", "b", "a")
+	put("s@c", "c", "b", "a")
+	got := dc.Reads()
+	want := map[string][]string{"c[a]": nil, "c[b]": {"c[a]"}, "c[c]": {"c[a]", "c[b]"}}
+	if len(got) != len(want) {
+		t.Fatalf("Reads = %v, want %v", got, want)
+	}
+	for item, reads := range want {
+		if fmt.Sprint(got[item]) != fmt.Sprint(reads) {
+			t.Fatalf("Reads[%s] = %v, want %v", item, got[item], reads)
+		}
 	}
 }

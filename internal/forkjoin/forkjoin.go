@@ -294,7 +294,11 @@ func (p *Pool) RunContext(ctx context.Context, f Task) error {
 	}
 	done := make(chan any, 1)
 	root := func(c *Ctx) {
-		defer func() { done <- recover() }()
+		defer func() {
+			r := recover()
+			p.executed.Add(1) // before the run is seen to be over, like every task
+			done <- r
+		}()
 		if rs.cancelled.Load() {
 			panic(runCancelled{})
 		}
@@ -439,11 +443,7 @@ func (c *Ctx) Wait(g *Group) {
 }
 
 // Run executes the frame on the logical worker that took it.
-func (fr *frame) Run(slot int) {
-	p := fr.rs.p
-	p.runFrame(slot, fr)
-	p.executed.Add(1)
-}
+func (fr *frame) Run(slot int) { fr.rs.p.runFrame(slot, fr) }
 
 // runFrame copies the frame's state out, recycles the frame, and runs the
 // body with a pooled Ctx. The group bookkeeping (panic capture, pending
@@ -465,8 +465,8 @@ func (p *Pool) runFrame(slot int, fr *frame) {
 		c.rs, c.fr = nil, nil
 		p.ctxPool.Put(c)
 		if g == nil {
-			// Root task: its own wrapper recovers and reports, and there is
-			// no group to retire.
+			// Root task: its own wrapper recovers, counts and reports, and
+			// there is no group to retire.
 			return
 		}
 		if r := recover(); r != nil {
@@ -476,6 +476,9 @@ func (p *Pool) runFrame(slot int, fr *frame) {
 				g.panicMu.Unlock()
 			}
 		}
+		// Counted before the group is retired: once a Wait has seen the task
+		// complete, Stats includes it.
+		p.executed.Add(1)
 		g.pending.Add(-1)
 	}()
 	if g != nil && rs.cancelled.Load() {

@@ -362,3 +362,24 @@ func TestConcurrentRuns(t *testing.T) {
 		t.Fatalf("sequential reuse after concurrent error broke: total = %d", total.Load())
 	}
 }
+
+// Stats are exact as soon as a run is over: a task a Wait has seen complete
+// — and the root, once Run returns — counts as executed. (Executed used to
+// be bumped after the group was retired, so a reader right behind the run
+// could see it one short; dpperf fails an op on that.)
+func TestStatsExactAfterRun(t *testing.T) {
+	p := NewPool(Config{Workers: 4})
+	defer p.Close()
+	for i := 0; i < 100000; i++ {
+		p.Run(func(c *Ctx) {
+			var g Group
+			for j := 0; j < 8; j++ {
+				c.Spawn(&g, func(*Ctx) {})
+			}
+			c.Wait(&g)
+		})
+		if st := p.Stats(); st.Executed != st.Spawned {
+			t.Fatalf("run %d: executed %d, spawned %d", i, st.Executed, st.Spawned)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package ge
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ func TestSolveSystemAllVariants(t *testing.T) {
 	drivers := []driver{
 		{"Serial", func(a *matrix.Dense) error { kernels.GESerial(a); return nil }},
 		{"Serial_RDP", func(a *matrix.Dense) error { return gep.GE.RDPSerial(a, 4) }},
-		{"OpenMP", func(a *matrix.Dense) error { return gep.GE.ForkJoin(a, 4, pool) }},
+		{"OpenMP", func(a *matrix.Dense) error { return gep.GE.ForkJoinR(context.Background(), a, 4, 2, pool) }},
 	}
 	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 		drivers = append(drivers, driver{v.String(), func(a *matrix.Dense) error {

@@ -3,6 +3,7 @@
 package gep
 
 import (
+	"context"
 	"testing"
 
 	"dpflow/internal/core"
@@ -49,7 +50,7 @@ func TestRunAllocBudget(t *testing.T) {
 			cases = append(cases, runCase{name + "/" + v.String(), func() {
 				x := input()
 				if v == core.OMPTasking {
-					if err := alg.ForkJoin(x, base, pool); err != nil {
+					if err := alg.ForkJoinR(context.Background(), x, base, 2, pool); err != nil {
 						t.Fatal(err)
 					}
 					return

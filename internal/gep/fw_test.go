@@ -1,6 +1,7 @@
 package gep
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,7 +36,7 @@ func TestRingOracle(t *testing.T) {
 	}{
 		{"Serial", func(d *matrix.Dense) error { kernels.FWSerial(d); return nil }},
 		{"Serial_RDP", func(d *matrix.Dense) error { return FW.RDPSerial(d, 4) }},
-		{"OpenMP", func(d *matrix.Dense) error { return FW.ForkJoin(d, 4, pool) }},
+		{"OpenMP", func(d *matrix.Dense) error { return FW.ForkJoinR(context.Background(), d, 4, 2, pool) }},
 		{"CnC", cncRun(core.NativeCnC)},
 		{"CnC_manual", cncRun(core.ManualCnC)},
 	} {

@@ -17,11 +17,13 @@
 //     each phase also updates the tiles above and left of the diagonal:
 //     A(X00); B(X01)∥C(X10); D(X11); A(X11); B(X10)∥C(X01); D(X00).
 //
-// The package provides every execution of the recursion the paper compares:
-// serial, fork-join (Listing 3) on the forkjoin pool, and the CnC data-flow
-// program (Listings 4–5) in its Native, Tuner, Manual and non-blocking-get
-// variants. The kernel — the base-case tile update — is a parameter, so GE
-// (subtract outer product / pivot) and FW (min-plus) reuse the identical
+// The recursion and the tile dependencies are stated once (recurrence.go),
+// split r ways with r = 2 the paper's; every execution the paper compares
+// interprets that statement: serial, fork-join (Listing 3) on the forkjoin
+// pool, and the CnC data-flow program (Listings 4–5) in its Native, Tuner,
+// Manual and non-blocking-get variants (flow.go, shared with the other
+// benchmarks). The kernel — the base-case tile update — is a parameter, so
+// GE (subtract outer product / pivot) and FW (min-plus) reuse the identical
 // machinery.
 package gep
 
@@ -48,14 +50,6 @@ const (
 	// Cube is FW's full update set: all (i, j) at every k.
 	Cube
 )
-
-// String names the shape.
-func (s Shape) String() string {
-	if s == Triangular {
-		return "triangular"
-	}
-	return "cube"
-}
 
 // Algorithm couples a base-case kernel with the update-set shape; it is the
 // unit the drivers execute.
@@ -91,246 +85,156 @@ func validate(x *matrix.Dense, base int) error {
 	return nil
 }
 
-// BaseSize returns the block size the recursion bottoms out at: halve n
-// until it is <= base. For power-of-two n and any base >= 1 this is the
+// BaseSize returns the block size the 2-way recursion bottoms out at: halve
+// n until it is <= base. For power-of-two n and any base >= 1 this is the
 // uniform side length of every base-case tile.
-func BaseSize(n, base int) int {
+func BaseSize(n, base int) int { return baseSizeR(n, base, 2) }
+
+// baseSizeR returns the block size the r-way recursion bottoms out at:
+// divide n by r while the result stays divisible and above base. It is the
+// one statement of where the recursion stops: a call is a base case exactly
+// when its side is this size.
+func baseSizeR(n, base, r int) int {
 	s := n
-	for s > base {
-		s /= 2
+	for s > base && s%r == 0 {
+		s /= r
 	}
 	return s
 }
 
-// RDPSerial runs the recursion serially: identical operation order to the
-// parallel drivers, no runtime. It is the reference the parallel versions
-// are tested against.
+// RDPSerial runs the 2-way recursion serially: identical operation order to
+// the parallel drivers, no runtime. It is the reference the parallel
+// versions are tested against.
 func (alg Algorithm) RDPSerial(x *matrix.Dense, base int) error {
-	if err := validate(x, base); err != nil {
+	return alg.RDPSerialR(x, base, 2)
+}
+
+// RDPSerialR runs the parametric r-way generalisation of the recursion
+// (Javanmard et al., the paper's references [15, 16]) serially: each level
+// splits the block into r×r sub-blocks instead of 2×2. Larger r exposes
+// more parallelism per join — as r approaches the tile count the algorithm
+// degenerates into the flat tiled wavefront and the fork-join
+// artificial-dependency penalty vanishes — at the price of losing cache
+// obliviousness (cmd/dpbench -exp rway measures the span).
+func (alg Algorithm) RDPSerialR(x *matrix.Dense, base, r int) error {
+	d, err := alg.newDriver(x, base, r)
+	if err != nil {
 		return err
 	}
-	r := serialRec{x: x, base: base, alg: alg}
-	r.funcA(0, x.Rows())
+	d.serial(d.root())
 	return nil
 }
 
-type serialRec struct {
-	x    *matrix.Dense
-	base int
-	alg  Algorithm
-}
-
-func (r *serialRec) funcA(d, s int) {
-	if s <= r.base {
-		r.alg.Kernel(r.x, d, d, d, s)
-		return
-	}
-	h := s / 2
-	r.funcA(d, h)
-	r.funcB(d, d+h, d, h)
-	r.funcC(d+h, d, d, h)
-	r.funcD(d+h, d+h, d, h)
-	r.funcA(d+h, h)
-	if r.alg.Shape == Cube {
-		r.funcB(d+h, d, d+h, h)
-		r.funcC(d, d+h, d+h, h)
-		r.funcD(d, d, d+h, h)
-	}
-}
-
-func (r *serialRec) funcB(i0, j0, k0, s int) {
-	if s <= r.base {
-		r.alg.Kernel(r.x, i0, j0, k0, s)
-		return
-	}
-	h := s / 2
-	r.funcB(i0, j0, k0, h)
-	r.funcB(i0, j0+h, k0, h)
-	r.funcD(i0+h, j0, k0, h)
-	r.funcD(i0+h, j0+h, k0, h)
-	r.funcB(i0+h, j0, k0+h, h)
-	r.funcB(i0+h, j0+h, k0+h, h)
-	if r.alg.Shape == Cube {
-		r.funcD(i0, j0, k0+h, h)
-		r.funcD(i0, j0+h, k0+h, h)
-	}
-}
-
-func (r *serialRec) funcC(i0, j0, k0, s int) {
-	if s <= r.base {
-		r.alg.Kernel(r.x, i0, j0, k0, s)
-		return
-	}
-	h := s / 2
-	r.funcC(i0, j0, k0, h)
-	r.funcC(i0+h, j0, k0, h)
-	r.funcD(i0, j0+h, k0, h)
-	r.funcD(i0+h, j0+h, k0, h)
-	r.funcC(i0, j0+h, k0+h, h)
-	r.funcC(i0+h, j0+h, k0+h, h)
-	if r.alg.Shape == Cube {
-		r.funcD(i0, j0, k0+h, h)
-		r.funcD(i0+h, j0, k0+h, h)
-	}
-}
-
-func (r *serialRec) funcD(i0, j0, k0, s int) {
-	if s <= r.base {
-		r.alg.Kernel(r.x, i0, j0, k0, s)
-		return
-	}
-	h := s / 2
-	for kk := 0; kk <= h; kk += h {
-		r.funcD(i0, j0, k0+kk, h)
-		r.funcD(i0, j0+h, k0+kk, h)
-		r.funcD(i0+h, j0, k0+kk, h)
-		r.funcD(i0+h, j0+h, k0+kk, h)
-	}
-}
-
-// ForkJoin runs the recursion on the fork-join pool with the task structure
-// of the paper's Listing 3: B and C (and the parallel pairs inside B, C and
-// D) are spawned tasks joined by a taskwait, which is exactly where the
-// artificial dependencies come from.
-func (alg Algorithm) ForkJoin(x *matrix.Dense, base int, p *forkjoin.Pool) error {
-	return alg.ForkJoinContext(context.Background(), x, base, p)
-}
-
-// ForkJoinContext is ForkJoin with cooperative cancellation: when ctx is
-// cancelled the pool unwinds the recursion at the next spawn or taskwait
-// and the call returns ctx.Err() (see forkjoin.Pool.RunContext).
-func (alg Algorithm) ForkJoinContext(ctx context.Context, x *matrix.Dense, base int, p *forkjoin.Pool) error {
-	if err := validate(x, base); err != nil {
+// ForkJoinR runs the r-way recursion on the fork-join pool; r = 2 has the
+// task structure of the paper's Listing 3. The calls of a stage (B and C,
+// the pairs inside B and C, the quadruples inside D) are spawned tasks
+// joined by a taskwait, which is exactly where the artificial dependencies
+// come from. When ctx is cancelled the pool unwinds the recursion at the
+// next spawn or taskwait and the call returns ctx.Err() (see
+// forkjoin.Pool.RunContext).
+func (alg Algorithm) ForkJoinR(ctx context.Context, x *matrix.Dense, base, r int, p *forkjoin.Pool) error {
+	d, err := alg.newDriver(x, base, r)
+	if err != nil {
 		return err
 	}
-	r := fjRec{x: x, base: base, alg: alg}
-	return p.RunContext(ctx, func(c *forkjoin.Ctx) { r.funcA(c, 0, x.Rows()) })
+	return p.RunContext(ctx, func(c *forkjoin.Ctx) { d.forkJoin(c, d.root()) })
 }
 
-type fjRec struct {
-	x    *matrix.Dense
-	base int
-	alg  Algorithm
+// driver interprets the schedule walk on a matrix: serially, or on the
+// fork-join pool. bs is the side of a base case (baseSizeR).
+type driver struct {
+	x     *matrix.Dense
+	bs, r int
+	alg   Algorithm
 }
 
-// Spawn trampolines: package-level functions invoked through
-// forkjoin.SpawnCall with the recursion state as receiver and the tile
-// coordinates as plain integers, so the O(n³/b³) interior spawns of the
-// recursion allocate no closures (see forkjoin.Ctx.SpawnCall).
-func fjCallB(c *forkjoin.Ctx, recv any, a [4]int) { recv.(*fjRec).funcB(c, a[0], a[1], a[2], a[3]) }
-func fjCallC(c *forkjoin.Ctx, recv any, a [4]int) { recv.(*fjRec).funcC(c, a[0], a[1], a[2], a[3]) }
-func fjCallD(c *forkjoin.Ctx, recv any, a [4]int) { recv.(*fjRec).funcD(c, a[0], a[1], a[2], a[3]) }
+func (alg Algorithm) newDriver(x *matrix.Dense, base, r int) (*driver, error) {
+	if err := validate(x, base); err != nil {
+		return nil, err
+	}
+	if r < 2 {
+		return nil, fmt.Errorf("gep: r-way split needs r >= 2, got %d", r)
+	}
+	return &driver{x: x, bs: baseSizeR(x.Rows(), base, r), r: r, alg: alg}, nil
+}
 
-// declareRace reports the tile-granularity access set of one base-case
-// kernel to the pool's race detector when the run is race-checked: the
-// update of tile (i0,j0) at phase k0 reads tiles (i0,k0), (k0,j0) and
-// (k0,k0) — the GEP data flow of the paper's Figure 2. Every base tile has
-// side s, so block indices are exact cell ids. Without detection the cost
-// is the one nil check.
-func declareRace(c *forkjoin.Ctx, i0, j0, k0, s int) {
-	f := c.Race()
-	if f == nil {
+// root is the call that is the whole problem.
+func (d *driver) root() Tag { return Tag{S: d.x.Rows()} }
+
+func (d *driver) kernel(t Tag) { d.alg.Kernel(d.x, t.I*t.S, t.J*t.S, t.K*t.S, t.S) }
+
+// serial runs the stages of a call in order.
+func (d *driver) serial(t Tag) {
+	if t.S == d.bs {
+		d.kernel(t)
 		return
 	}
-	w := determinacy.TileCell(i0/s, j0/s)
-	f.Write(w)
-	for _, rd := range [...]uint64{
-		determinacy.TileCell(i0/s, k0/s),
-		determinacy.TileCell(k0/s, j0/s),
-		determinacy.TileCell(k0/s, k0/s),
-	} {
-		if rd != w {
-			f.Read(rd)
+	for w := d.alg.Shape.walk(t, d.r); ; {
+		sub, _, ok := w.next()
+		if !ok {
+			return
+		}
+		d.serial(sub)
+	}
+}
+
+// fjCall is the spawn trampoline: a package-level function invoked through
+// forkjoin.SpawnCall with the driver as receiver and the call as plain
+// integers, so the O(n³/b³) interior spawns of the recursion allocate no
+// closures (see forkjoin.Ctx.SpawnCall).
+func fjCall(c *forkjoin.Ctx, recv any, a [4]int) {
+	recv.(*driver).forkJoin(c, Tag{a[0], a[1], a[2], a[3]})
+}
+
+// forkJoin spawns the calls of a stage and waits for all of them before the
+// next stage starts. That taskwait is the artificial dependency: D(X00) of
+// the second round truly depends only on D(X00) of the first, yet it waits
+// for all four quadrants. A stage of one call runs on the caller.
+func (d *driver) forkJoin(c *forkjoin.Ctx, t Tag) {
+	if t.S == d.bs {
+		declareRace(c, t)
+		d.kernel(t)
+		return
+	}
+	var g forkjoin.Group
+	spawned := false
+	for w := d.alg.Shape.walk(t, d.r); ; {
+		sub, last, ok := w.next()
+		switch {
+		case !ok:
+			return
+		case last && !spawned:
+			d.forkJoin(c, sub)
+		default:
+			c.SpawnCall(&g, fjCall, d, [4]int{sub.I, sub.J, sub.K, sub.S})
+			spawned = !last
+			if last {
+				c.Wait(&g)
+			}
 		}
 	}
 }
 
-func (r *fjRec) funcA(ctx *forkjoin.Ctx, d, s int) {
-	if s <= r.base {
-		declareRace(ctx, d, d, d, s)
-		r.alg.Kernel(r.x, d, d, d, s)
+// declareRace reports the tile-granularity access set of one base-case
+// kernel to the pool's race detector when the run is race-checked: the
+// update of tile (I,J) at phase K reads tiles (I,K), (K,J) and (K,K) — the
+// GEP data flow of the paper's Figure 2. Base calls are in units of the
+// base tile, so their coordinates are exact cell ids. Without detection the
+// cost is the one nil check.
+func declareRace(c *forkjoin.Ctx, t Tag) {
+	f := c.Race()
+	if f == nil {
 		return
 	}
-	h := s / 2
-	r.funcA(ctx, d, h)
-	var g forkjoin.Group
-	ctx.SpawnCall(&g, fjCallB, r, [4]int{d, d + h, d, h})
-	ctx.SpawnCall(&g, fjCallC, r, [4]int{d + h, d, d, h})
-	ctx.Wait(&g) // artificial dependency: D waits for both B and C subtrees
-	r.funcD(ctx, d+h, d+h, d, h)
-	r.funcA(ctx, d+h, h)
-	if r.alg.Shape == Cube {
-		ctx.SpawnCall(&g, fjCallB, r, [4]int{d + h, d, d + h, h})
-		ctx.SpawnCall(&g, fjCallC, r, [4]int{d, d + h, d + h, h})
-		ctx.Wait(&g)
-		r.funcD(ctx, d, d, d+h, h)
-	}
-}
-
-func (r *fjRec) funcB(ctx *forkjoin.Ctx, i0, j0, k0, s int) {
-	if s <= r.base {
-		declareRace(ctx, i0, j0, k0, s)
-		r.alg.Kernel(r.x, i0, j0, k0, s)
-		return
-	}
-	h := s / 2
-	var g forkjoin.Group
-	ctx.SpawnCall(&g, fjCallB, r, [4]int{i0, j0, k0, h})
-	ctx.SpawnCall(&g, fjCallB, r, [4]int{i0, j0 + h, k0, h})
-	ctx.Wait(&g)
-	ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0, k0, h})
-	ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0 + h, k0, h})
-	ctx.Wait(&g)
-	ctx.SpawnCall(&g, fjCallB, r, [4]int{i0 + h, j0, k0 + h, h})
-	ctx.SpawnCall(&g, fjCallB, r, [4]int{i0 + h, j0 + h, k0 + h, h})
-	ctx.Wait(&g)
-	if r.alg.Shape == Cube {
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0, j0, k0 + h, h})
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0, j0 + h, k0 + h, h})
-		ctx.Wait(&g)
-	}
-}
-
-func (r *fjRec) funcC(ctx *forkjoin.Ctx, i0, j0, k0, s int) {
-	if s <= r.base {
-		declareRace(ctx, i0, j0, k0, s)
-		r.alg.Kernel(r.x, i0, j0, k0, s)
-		return
-	}
-	h := s / 2
-	var g forkjoin.Group
-	ctx.SpawnCall(&g, fjCallC, r, [4]int{i0, j0, k0, h})
-	ctx.SpawnCall(&g, fjCallC, r, [4]int{i0 + h, j0, k0, h})
-	ctx.Wait(&g)
-	ctx.SpawnCall(&g, fjCallD, r, [4]int{i0, j0 + h, k0, h})
-	ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0 + h, k0, h})
-	ctx.Wait(&g)
-	ctx.SpawnCall(&g, fjCallC, r, [4]int{i0, j0 + h, k0 + h, h})
-	ctx.SpawnCall(&g, fjCallC, r, [4]int{i0 + h, j0 + h, k0 + h, h})
-	ctx.Wait(&g)
-	if r.alg.Shape == Cube {
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0, j0, k0 + h, h})
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0, k0 + h, h})
-		ctx.Wait(&g)
-	}
-}
-
-func (r *fjRec) funcD(ctx *forkjoin.Ctx, i0, j0, k0, s int) {
-	if s <= r.base {
-		declareRace(ctx, i0, j0, k0, s)
-		r.alg.Kernel(r.x, i0, j0, k0, s)
-		return
-	}
-	h := s / 2
-	var g forkjoin.Group
-	for kk := 0; kk <= h; kk += h {
-		// The taskwait between the two kk rounds is the textbook artificial
-		// dependency: D(X00|kk=1) truly depends only on D(X00|kk=0), yet it
-		// must wait for all four kk=0 quadrants.
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0, j0, k0 + kk, h})
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0, j0 + h, k0 + kk, h})
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0, k0 + kk, h})
-		ctx.SpawnCall(&g, fjCallD, r, [4]int{i0 + h, j0 + h, k0 + kk, h})
-		ctx.Wait(&g)
+	w := determinacy.TileCell(t.I, t.J)
+	f.Write(w)
+	for _, rd := range [...]uint64{
+		determinacy.TileCell(t.I, t.K),
+		determinacy.TileCell(t.K, t.J),
+		determinacy.TileCell(t.K, t.K),
+	} {
+		if rd != w {
+			f.Read(rd)
+		}
 	}
 }

@@ -1,8 +1,12 @@
 package gep
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
@@ -81,7 +85,7 @@ func TestForkJoinMatchesSerial(t *testing.T) {
 			a := geInput(n, int64(n))
 			ref := a.Clone()
 			kernels.GESerial(ref)
-			if err := GE.ForkJoin(a, base, pool); err != nil {
+			if err := GE.ForkJoinR(context.Background(), a, base, 2, pool); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(a, ref) {
@@ -91,7 +95,7 @@ func TestForkJoinMatchesSerial(t *testing.T) {
 			d := randomGraph(n, int64(n))
 			dref := d.Clone()
 			kernels.FWSerial(dref)
-			if err := FW.ForkJoin(d, base, pool); err != nil {
+			if err := FW.ForkJoinR(context.Background(), d, base, 2, pool); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(d, dref) {
@@ -260,7 +264,7 @@ func TestRWayMatchesSerial(t *testing.T) {
 							alg.name, r, n, base, matrix.MaxAbsDiff(x, ref))
 					}
 					y := alg.gen(n, int64(r*n+base))
-					if err := alg.a.ForkJoinR(y, base, r, pool); err != nil {
+					if err := alg.a.ForkJoinR(context.Background(), y, base, r, pool); err != nil {
 						t.Fatalf("%s ForkJoinR r=%d: %v", alg.name, r, err)
 					}
 					if !matrix.Equal(y, ref) {
@@ -303,8 +307,53 @@ func TestBaseSizeR(t *testing.T) {
 		{64, 8, 2, 8}, {64, 8, 4, 4}, {64, 1, 4, 1}, {64, 5, 4, 4}, {81, 3, 3, 3},
 	}
 	for _, c := range cases {
-		if got := BaseSizeR(c.n, c.base, c.r); got != c.want {
-			t.Errorf("BaseSizeR(%d,%d,%d) = %d, want %d", c.n, c.base, c.r, got, c.want)
+		if got := baseSizeR(c.n, c.base, c.r); got != c.want {
+			t.Errorf("baseSizeR(%d,%d,%d) = %d, want %d", c.n, c.base, c.r, got, c.want)
 		}
+	}
+}
+
+// The r-way fork-join driver is the r != 2 instance of the one fork-join
+// interpreter, so it cancels like the 2-way one: a cancelled ctx unwinds the
+// recursion, the call returns context.Canceled, and the pool — left with
+// skipped children in its deques — runs the next job correctly.
+func TestForkJoinRCancellation(t *testing.T) {
+	const n, base, r = 64, 4, 4
+	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
+	defer pool.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	var once sync.Once
+	// Every kernel holds its worker until the run is cancelled, so the
+	// recursion cannot finish first; afterwards each still takes a
+	// millisecond, so the 815 tiles left cannot finish before the pool has
+	// noticed the cancellation either (it checks at spawns and taskwaits).
+	blocking := Algorithm{Shape: Triangular, Kernel: func(*matrix.Dense, int, int, int, int) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		time.Sleep(time.Millisecond)
+	}}
+	errCh := make(chan error, 1)
+	go func() { errCh <- blocking.ForkJoinR(ctx, matrix.NewSquare(n), base, r, pool) }()
+	<-started
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("ForkJoinR = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled ForkJoinR did not return")
+	}
+
+	x := geInput(n, 9)
+	ref := x.Clone()
+	kernels.GESerial(ref)
+	if err := GE.ForkJoinR(context.Background(), x, base, r, pool); err != nil {
+		t.Fatal(err)
+	}
+	if !matrix.Equal(x, ref) {
+		t.Fatal("pool gave a wrong result after a cancelled run")
 	}
 }

@@ -1,6 +1,7 @@
 package gep
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,15 +24,15 @@ func TestForkJoinRaceCheckedClean(t *testing.T) {
 	}{
 		{"GE/2way", Algorithm{Kernel: kernels.GE, Shape: Triangular},
 			func(x *matrix.Dense, p *forkjoin.Pool) error {
-				return Algorithm{Kernel: kernels.GE, Shape: Triangular}.ForkJoin(x, base, p)
+				return Algorithm{Kernel: kernels.GE, Shape: Triangular}.ForkJoinR(context.Background(), x, base, 2, p)
 			}},
 		{"FW/2way", Algorithm{Kernel: kernels.FW, Shape: Cube},
 			func(x *matrix.Dense, p *forkjoin.Pool) error {
-				return Algorithm{Kernel: kernels.FW, Shape: Cube}.ForkJoin(x, base, p)
+				return Algorithm{Kernel: kernels.FW, Shape: Cube}.ForkJoinR(context.Background(), x, base, 2, p)
 			}},
 		{"GE/4way", Algorithm{Kernel: kernels.GE, Shape: Triangular},
 			func(x *matrix.Dense, p *forkjoin.Pool) error {
-				return Algorithm{Kernel: kernels.GE, Shape: Triangular}.ForkJoinR(x, base, 4, p)
+				return Algorithm{Kernel: kernels.GE, Shape: Triangular}.ForkJoinR(context.Background(), x, base, 4, p)
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,23 +61,22 @@ func TestForkJoinRaceCheckedClean(t *testing.T) {
 	}
 }
 
-// brokenA is fjRec.funcA's top level with the taskwait between the B/C
-// batch and funcD removed: funcD consumes the very tiles B and C are still
-// producing — exactly the artificial dependency the paper's fork-join model
-// inserts, turned into the canonical missing-join bug. The kernels are
-// no-ops so the seeded race exists only at the declared-shadow level (the
-// suite runs under -race; a real memory race would fail the run before the
-// detector could report it).
-func brokenA(r *fjRec, ctx *forkjoin.Ctx, d, s int) {
-	h := s / 2
-	r.funcA(ctx, d, h)
+// brokenA is driver.forkJoin's top level (triangular, 2-way) with the
+// taskwait between the B/C stage and the D stage removed: funcD consumes
+// the very tiles B and C are still producing — exactly the artificial
+// dependency the paper's fork-join model inserts, turned into the canonical
+// missing-join bug. The kernels are no-ops so the seeded race exists only
+// at the declared-shadow level (the suite runs under -race; a real memory
+// race would fail the run before the detector could report it).
+func brokenA(d *driver, ctx *forkjoin.Ctx, h int) {
+	d.forkJoin(ctx, Tag{0, 0, 0, h})
 	var g forkjoin.Group
-	ctx.Spawn(&g, func(c *forkjoin.Ctx) { r.funcB(c, d, d+h, d, h) })
-	ctx.Spawn(&g, func(c *forkjoin.Ctx) { r.funcC(c, d+h, d, d, h) })
+	ctx.Spawn(&g, func(c *forkjoin.Ctx) { d.forkJoin(c, Tag{0, 1, 0, h}) })
+	ctx.Spawn(&g, func(c *forkjoin.Ctx) { d.forkJoin(c, Tag{1, 0, 0, h}) })
 	// BUG under test: no ctx.Wait(&g) here.
-	r.funcD(ctx, d+h, d+h, d, h)
+	d.forkJoin(ctx, Tag{1, 1, 0, h})
 	ctx.Wait(&g)
-	r.funcA(ctx, d+h, h)
+	d.forkJoin(ctx, Tag{1, 1, 1, h})
 }
 
 // TestForkJoinSeededRaceDetected proves the detector fires: the broken
@@ -93,11 +93,14 @@ func TestForkJoinSeededRaceDetected(t *testing.T) {
 		p := forkjoin.NewPool(forkjoin.Config{Workers: 4, Seed: seed})
 		d := determinacy.NewDetector()
 		p.WithRaceDetection(d)
-		r := fjRec{x: matrix.NewSquare(n), base: base, alg: noop}
-		p.Run(func(c *forkjoin.Ctx) { brokenA(&r, c, 0, n) })
+		dr, err := noop.newDriver(matrix.NewSquare(n), base, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Run(func(c *forkjoin.Ctx) { brokenA(dr, c, n/2) })
 		p.Close()
 
-		err := d.Err()
+		err = d.Err()
 		if err == nil {
 			t.Fatalf("seed %d: missing-join schedule not reported", seed)
 		}
@@ -149,7 +152,7 @@ func BenchmarkForkJoinGE1K(b *testing.B) {
 					p.WithRaceDetection(determinacy.NewDetector())
 				}
 				b.StartTimer()
-				if err := alg.ForkJoin(x, base, p); err != nil {
+				if err := alg.ForkJoinR(context.Background(), x, base, 2, p); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -1,0 +1,221 @@
+package gep
+
+// This file is the one place the GEP recurrence is stated: the schedule
+// walk (which sub-calls a recursive call makes, in which sequential stages)
+// and the dependency relation on base tasks (which tile updates a tile
+// update must wait for). The serial, fork-join and CnC drivers of this
+// package and the two DAG builders of internal/dag interpret these two
+// values; none of them restates the recursion or a dependency.
+
+// walk iterates the sub-calls of one recursive call, split r ways, in
+// schedule order. The call covers block (I, J) at elimination block K in
+// units of S; sub-block (i, j) at local phase k is the call
+// {rI+i, rJ+j, rK+k, S/r}, and Classify of those coordinates is its
+// function — a block holds a pivot row only if its parent did. Each phase
+// k runs three stages, A; B ∥ C; D, over the sub-blocks of that kind
+// (Figure 2 of the paper is r = 2): A's output feeds B and C, theirs feed
+// D. Under the Triangular shape blocks above or left of the pivot have no
+// work and are skipped.
+//
+// It is a value iterator — no closure, no slice — because the fork-join
+// driver makes one per interior call of the recursion.
+type walk struct {
+	t    Tag
+	fn   Func // t's function
+	r    int
+	cube bool
+	// k is the phase, st the stage within it, p the position within the
+	// stage; k == r marks the end. sub is the call at that position.
+	k, st, p int
+	sub      Tag
+}
+
+func (sh Shape) walk(t Tag, r int) walk {
+	w := walk{t: t, fn: Classify(t.I, t.J, t.K), r: r, cube: sh == Cube, p: -1}
+	w.advance()
+	return w
+}
+
+// at returns the sub-call at the current position and whether it belongs
+// to the current stage. Stage 0 has the one diagonal position; stage 1
+// interleaves pivot-row block (k, x) at p = 2x with pivot-column block
+// (x, k) at p = 2x+1; stage 2 scans all r² blocks row by row.
+func (w *walk) at() (Tag, bool) {
+	i, j, want := w.k, w.k, FuncA
+	switch {
+	case w.st == 1 && w.p%2 == 0:
+		j, want = w.p/2, FuncB
+	case w.st == 1:
+		i, want = w.p/2, FuncC
+	case w.st == 2:
+		i, j, want = w.p/w.r, w.p%w.r, FuncD
+	}
+	sub := Tag{w.r*w.t.I + i, w.r*w.t.J + j, w.r*w.t.K + w.k, w.t.S / w.r}
+	if !w.cube && (sub.I < sub.K || sub.J < sub.K) {
+		return sub, false
+	}
+	return sub, Classify(sub.I, sub.J, sub.K) == want
+}
+
+// positions returns how many positions the current stage scans: only a
+// call of A has a diagonal sub-block, and a call of D no pivot row or column.
+func (w *walk) positions() int {
+	switch {
+	case w.st == 2:
+		return w.r * w.r
+	case w.st == 1 && w.fn != FuncD:
+		return 2 * w.r
+	case w.st == 0 && w.fn == FuncA:
+		return 1
+	}
+	return 0
+}
+
+// advance moves to the next position that holds a sub-call.
+func (w *walk) advance() {
+	for {
+		if w.p++; w.p >= w.positions() {
+			w.p = -1
+			if w.st++; w.st == 3 {
+				w.st = 0
+				if w.k++; w.k == w.r {
+					return
+				}
+			}
+			continue
+		}
+		if sub, ok := w.at(); ok {
+			w.sub = sub
+			return
+		}
+	}
+}
+
+// next returns the next sub-call; last reports that it ends its stage, so
+// whatever follows must wait for the whole stage.
+func (w *walk) next() (sub Tag, last, ok bool) {
+	if w.k == w.r {
+		return Tag{}, false, false
+	}
+	sub, k, st := w.sub, w.k, w.st
+	w.advance()
+	return sub, w.k != k || w.st != st, true
+}
+
+// Walk visits the sub-calls of call t split r ways, in schedule order;
+// last marks the final call of a stage. It is the visitor form of the
+// recursion for interpreters that build something per call anyway (the
+// CnC tag expansion, internal/dag's symbolic fork-join builder).
+func (sh Shape) Walk(t Tag, r int, visit func(sub Tag, last bool)) {
+	for w := sh.walk(t, r); ; {
+		sub, last, ok := w.next()
+		if !ok {
+			return
+		}
+		visit(sub, last)
+	}
+}
+
+// Preds visits the base tasks that task t — tile (I, J) at elimination
+// step K of a tiles×tiles problem — must wait for, until f returns false;
+// it reports whether f accepted them all.
+//
+//   - read-write: B, C and D read the phase's diagonal tile A(K,K,K); D
+//     also reads its pivot-row tile B(K,J,K) and pivot-column tile C(I,K,K);
+//   - write-write: the previous elimination step of the same tile;
+//   - write-after-read, Cube only: GE's pivot tiles are final after their
+//     own phase, but FW keeps updating every tile, so the task overwriting
+//     a tile that served as diagonal, pivot row or pivot column in phase
+//     K−1 must wait until every phase-K−1 reader of that tile is done. The
+//     flag scheme of the paper's Listing 5 does not cover this hazard (it
+//     surfaces as a data race as soon as two workers run FW); it lives in
+//     the relation so that the runtime, the tuned dependency lists, the
+//     get-counts and the simulated DAG cannot disagree about it.
+func (sh Shape) Preds(tiles int, t ItemKey, f func(ItemKey) bool) bool {
+	i, j, k := t.I, t.J, t.K
+	fn := Classify(i, j, k)
+	if fn != FuncA && !f(ItemKey{k, k, k}) {
+		return false
+	}
+	if fn == FuncD && !(f(ItemKey{k, j, k}) && f(ItemKey{i, k, k})) {
+		return false
+	}
+	if k == 0 {
+		return true
+	}
+	p := k - 1
+	if !f(ItemKey{i, j, p}) {
+		return false
+	}
+	if sh != Cube || i != p && j != p {
+		return true
+	}
+	for x := 0; x < tiles; x++ {
+		switch {
+		case x == p:
+		case i == p && j == p: // every B and C of phase p read the old diagonal
+			if !f(ItemKey{p, x, p}) || !f(ItemKey{x, p, p}) {
+				return false
+			}
+		case i == p: // D(x, j, p) read the old pivot-row tile (p, j)
+			if !f(ItemKey{x, j, p}) {
+				return false
+			}
+		default: // D(i, x, p) read the old pivot-column tile (i, p)
+			if !f(ItemKey{i, x, p}) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Succs is the inverse of Preds: it visits the base tasks that wait for
+// task t. Their number is the get-count of t's output item. The order —
+// same-phase readers, the tile's next step, then the Cube
+// anti-dependencies — is the order internal/simsched releases successors
+// in, which its tie-break makes visible in the simulated figures.
+func (sh Shape) Succs(tiles int, t ItemKey, f func(ItemKey) bool) bool {
+	i, j, k := t.I, t.J, t.K
+	lo := 0
+	if sh == Triangular {
+		lo = k
+	}
+	ok := true
+	switch Classify(i, j, k) {
+	case FuncA: // the phase's pivot row and column, then its D tasks
+		for x := lo; ok && x < tiles; x++ {
+			ok = x == k || f(ItemKey{k, x, k}) && f(ItemKey{x, k, k})
+		}
+		for x := lo; x < tiles; x++ {
+			for y := lo; ok && x != k && y < tiles; y++ {
+				ok = y == k || f(ItemKey{x, y, k})
+			}
+		}
+	case FuncB: // column j of the phase's D tasks
+		for x := lo; ok && x < tiles; x++ {
+			ok = x == k || f(ItemKey{x, j, k})
+		}
+	case FuncC: // row i of the phase's D tasks
+		for x := lo; ok && x < tiles; x++ {
+			ok = x == k || f(ItemKey{i, x, k})
+		}
+	}
+	if !ok || k+1 == tiles {
+		return ok
+	}
+	if (sh == Cube || i > k && j > k) && !f(ItemKey{i, j, k + 1}) {
+		return false
+	}
+	if sh != Cube {
+		return true
+	}
+	switch Classify(i, j, k) {
+	case FuncA:
+		return true
+	case FuncD: // it read pivot-column tile (i, k) and pivot-row tile (k, j)
+		return f(ItemKey{i, k, k + 1}) && f(ItemKey{k, j, k + 1})
+	default: // B and C read the diagonal tile (k, k)
+		return f(ItemKey{k, k, k + 1})
+	}
+}

@@ -120,26 +120,86 @@ func (p *Problem) TileKernel(m *matrix.Dense, tI, tJ, bs int) {
 	}
 }
 
+// Tile identifies one tile of the upper-triangular tile grid: a base task,
+// its tag and its receipt.
+type Tile struct{ I, J int }
+
+// The recurrence is stated once, here: the schedule walk (Walk) and the
+// dependency relation on tiles (Preds, Succs); the serial, fork-join and
+// CnC drivers below interpret them.
+
+// Walk visits the tiles of a tiles×tiles grid in gap order; last marks the
+// final tile of a stage. A stage is one anti-diagonal: its tiles are
+// independent, and a barrier between diagonals is the natural join
+// placement for this DP (any coarser nesting serialises more). The walk has
+// this one level: there are no recursive calls.
+func Walk(tiles int, visit func(t Tile, last bool)) {
+	for gap := 0; gap < tiles; gap++ {
+		for i := 0; i+gap < tiles; i++ {
+			visit(Tile{i, i + gap}, i+gap == tiles-1)
+		}
+	}
+}
+
+// Preds visits the tiles that tile t reads, until f returns false: all of
+// (I, K) and (K, J) with I ≤ K ≤ J — the whole band between it and the
+// diagonal. Unlike SW's constant-degree wavefront, the list grows with the
+// tile's distance from the diagonal.
+func Preds(_ int, t Tile, f func(Tile) bool) bool {
+	for k := t.I; k <= t.J; k++ {
+		if k < t.J && !f(Tile{t.I, k}) || k > t.I && !f(Tile{k, t.J}) {
+			return false
+		}
+	}
+	return true
+}
+
+// Succs is the inverse of Preds on a tiles×tiles grid: the rest of row I to
+// the right of t and the rest of column J above it. Their number — the
+// get-count of t's receipt — is I + tiles−1−J, largest on the diagonal.
+func Succs(tiles int, t Tile, f func(Tile) bool) bool {
+	for j := t.J + 1; j < tiles; j++ {
+		if !f(Tile{t.I, j}) {
+			return false
+		}
+	}
+	for i := t.I - 1; i >= 0; i-- {
+		if !f(Tile{i, t.J}) {
+			return false
+		}
+	}
+	return true
+}
+
+// driver runs tile kernels on a table; bs is the tile side.
+type driver struct {
+	p  *Problem
+	m  *matrix.Dense
+	bs int
+}
+
+func (p *Problem) newDriver(m *matrix.Dense, base int) (*driver, int, error) {
+	if err := p.validate(base); err != nil {
+		return nil, 0, err
+	}
+	bs := gep.BaseSize(p.N(), base)
+	return &driver{p: p, m: m, bs: bs}, p.N() / bs, nil
+}
+
 // RDPSerial computes the table tile by tile in gap order — the serial
 // reference for the parallel schedules. base chooses the tile side
 // (rounded to the recursion's effective size like the other benchmarks).
 func (p *Problem) RDPSerial(m *matrix.Dense, base int) (float64, error) {
-	if err := p.validate(base); err != nil {
+	d, tiles, err := p.newDriver(m, base)
+	if err != nil {
 		return 0, err
 	}
-	bs := gep.BaseSize(p.N(), base)
-	tiles := p.N() / bs
-	for gap := 0; gap < tiles; gap++ {
-		for i := 0; i+gap < tiles; i++ {
-			p.TileKernel(m, i, i+gap, bs)
-		}
-	}
+	Walk(tiles, func(t Tile, _ bool) { p.TileKernel(m, t.I, t.J, d.bs) })
 	return m.At(1, p.N()), nil
 }
 
 // ForkJoin runs the fork-join schedule: tiles of each anti-diagonal in
-// parallel, a taskwait barrier between diagonals — the natural join
-// placement for this DP (any coarser nesting serialises more).
+// parallel, a taskwait barrier between diagonals.
 func (p *Problem) ForkJoin(m *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
 	return p.ForkJoinContext(context.Background(), m, base, pool)
 }
@@ -147,34 +207,33 @@ func (p *Problem) ForkJoin(m *matrix.Dense, base int, pool *forkjoin.Pool) (floa
 // ForkJoinContext is ForkJoin with cooperative cancellation: a cancelled
 // ctx abandons the remaining anti-diagonals and returns ctx.Err().
 func (p *Problem) ForkJoinContext(ctx context.Context, m *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	if err := p.validate(base); err != nil {
+	d, tiles, err := p.newDriver(m, base)
+	if err != nil {
 		return 0, err
 	}
-	bs := gep.BaseSize(p.N(), base)
-	tiles := p.N() / bs
 	if err := pool.RunContext(ctx, func(c *forkjoin.Ctx) {
 		var g forkjoin.Group
-		for gap := 0; gap < tiles; gap++ {
-			for i := 0; i+gap < tiles; i++ {
-				ti, tj := i, i+gap
-				c.Spawn(&g, func(*forkjoin.Ctx) { p.TileKernel(m, ti, tj, bs) })
+		Walk(tiles, func(t Tile, last bool) {
+			c.SpawnCall(&g, parCall, d, [4]int{t.I, t.J})
+			if last {
+				c.Wait(&g)
 			}
-			c.Wait(&g)
-		}
+		})
 	}); err != nil {
 		return 0, err
 	}
 	return m.At(1, p.N()), nil
 }
 
-// Tile identifies one tile of the upper-triangular tile grid.
-type Tile struct{ I, J int }
+// parCall is the closure-free spawn trampoline (see forkjoin.Ctx.SpawnCall).
+func parCall(_ *forkjoin.Ctx, recv any, a [4]int) {
+	d := recv.(*driver)
+	d.p.TileKernel(d.m, a[0], a[1], d.bs)
+}
 
 // RunCnC runs the data-flow schedule: every tile fires as soon as the
-// tiles it reads — all of (I, K) and (K, J) with I ≤ K ≤ J, gap smaller —
-// are done. Unlike SW's constant-degree wavefront, the dependency list
-// grows with the tile's distance from the diagonal, which exercises the
-// tuners' countdown machinery at high fan-in.
+// tiles it reads are done, which exercises the tuners' countdown machinery
+// at high fan-in and the get-count collector at non-constant counts.
 func (p *Problem) RunCnC(m *matrix.Dense, base, workers int, variant core.Variant) (float64, gep.CnCStats, error) {
 	return p.RunCnCContext(context.Background(), m, base, workers, variant, nil)
 }
@@ -183,73 +242,26 @@ func (p *Problem) RunCnC(m *matrix.Dense, base, workers int, variant core.Varian
 // non-nil, receives the built graph before the run starts (the chaos
 // harness's injection hook).
 func (p *Problem) RunCnCContext(ctx context.Context, m *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph)) (float64, gep.CnCStats, error) {
-	if err := p.validate(base); err != nil {
+	d, tiles, err := p.newDriver(m, base)
+	if err != nil {
 		return 0, gep.CnCStats{}, err
 	}
-	bs := gep.BaseSize(p.N(), base)
-	tiles := p.N() / bs
-
-	g := cnc.NewGraph("par-"+variant.String(), workers)
-	out := cnc.NewItemCollection[Tile, bool](g, "tile_outputs")
-	tags := cnc.NewTagCollection[Tile](g, "tile_tags", false)
-
-	await := func(k Tile) bool {
-		if variant == core.NonBlockingCnC {
-			_, ok := out.TryGet(k)
-			return ok
-		}
-		out.Get(k)
-		return true
+	// The shared data-flow interpreter: every tag is a base tile and its
+	// own key; the environment instantiates them all, diagonal by diagonal.
+	f := &gep.Flow[Tile, Tile]{
+		Colls: [][3]string{{"parTile", "tile_tags", "tile_outputs"}},
+		Task:  func(t Tile) (Tile, bool) { return t, true },
+		Walk:  func(_ Tile, _ bool, visit func(Tile, bool)) { Walk(tiles, visit) },
+		Preds: func(k Tile, f func(Tile) bool) bool { return Preds(tiles, k, f) },
+		Succs: func(k Tile, f func(Tile) bool) bool { return Succs(tiles, k, f) },
+		Kernel: func(k Tile) error {
+			p.TileKernel(m, k.I, k.J, d.bs)
+			return nil
+		},
+		Flat:      true,
+		TileBytes: d.bs * d.bs * 8,
 	}
-	step := cnc.NewStepCollection(g, "parTile", func(t Tile) error {
-		for k := t.I; k <= t.J; k++ {
-			if k < t.J && !await(Tile{t.I, k}) || k > t.I && !await(Tile{k, t.J}) {
-				tags.Put(t)
-				return nil
-			}
-		}
-		p.TileKernel(m, t.I, t.J, bs)
-		out.Put(Tile{t.I, t.J}, true)
-		return nil
-	})
-	step.Consumes(out).Produces(out)
-
-	// Append form: the runtime hands in a pooled scratch buffer, so
-	// declaring an instance's dependencies allocates nothing.
-	deps := func(t Tile, ds []cnc.Dep) []cnc.Dep {
-		for k := t.I; k <= t.J; k++ {
-			if k < t.J {
-				ds = append(ds, out.Key(Tile{t.I, k}))
-			}
-			if k > t.I {
-				ds = append(ds, out.Key(Tile{k, t.J}))
-			}
-		}
-		return ds
-	}
-	switch variant {
-	case core.TunerCnC:
-		step.WithDepsAppend(cnc.TunedPrescheduled, deps)
-	case core.ManualCnC:
-		step.WithDepsAppend(cnc.TunedTriggered, deps)
-	}
-	tags.Prescribe(step)
-	if tune != nil {
-		tune(g)
-	}
-
-	err := g.RunContext(ctx, func() {
-		// One burst per anti-diagonal: each diagonal's tags reach the queue
-		// in a single batched push and wakeup pass.
-		for gap := 0; gap < tiles; gap++ {
-			bu := g.NewBurst()
-			for i := 0; i+gap < tiles; i++ {
-				tags.PutInto(Tile{i, i + gap}, bu)
-			}
-			bu.Flush()
-		}
-	})
-	stats := gep.CnCStats{Stats: g.Stats(), BaseTasks: out.Len()}
+	stats, err := f.Run(ctx, "par-"+variant.String(), workers, variant, tune)
 	if err != nil {
 		return 0, stats, err
 	}

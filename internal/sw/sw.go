@@ -34,7 +34,7 @@ type Problem struct {
 	Scoring kernels.Scoring
 	// Trace, when non-nil, brackets every base-tile kernel invocation in
 	// every driver: the returned func is called when the kernel finishes
-	// (the sched report's utilisation probe).
+	// (dpperf's traced pass reads kernel busy time through it).
 	Trace func() func()
 }
 
@@ -80,25 +80,140 @@ func (p *Problem) Serial(h *matrix.Dense) float64 {
 // Linear computes the score in O(n) space (the paper's space optimisation).
 func (p *Problem) Linear() float64 { return kernels.SWLinear(p.A, p.B, p.Scoring) }
 
-// RDPSerial runs the 2-way recursive divide-and-conquer SW serially.
-func (p *Problem) RDPSerial(h *matrix.Dense, base int) (float64, error) {
-	if err := p.validate(h, base); err != nil {
-		return 0, err
-	}
-	p.recurse(h, 0, 0, p.N(), base)
-	return kernels.MaxScore(h), nil
+// The recurrence is stated once, here: the schedule walk (walk, Walk) and
+// the dependency relation on base tiles (Preds, Succs). The serial,
+// fork-join and CnC drivers below and internal/dag's two SW graphs
+// interpret them.
+
+// walk iterates the r×r sub-blocks of one call by anti-diagonal: the blocks
+// of a diagonal are independent and successive diagonals are stages, so
+// r = 2 is R(X00); R(X01) ∥ R(X10); R(X11) and r = tiles the flat tiled
+// wavefront. A value iterator: the fork-join driver makes one per call.
+type walk struct {
+	t       TileTag
+	r, d, i int // the next sub-block is (i, d−i) on diagonal d
 }
 
-func (p *Problem) recurse(h *matrix.Dense, i0, j0, s, base int) {
-	if s <= base {
-		p.kernel(h, 1+i0, 1+j0, s)
+func (w *walk) next() (sub TileTag, last, ok bool) {
+	r := w.r
+	if w.d > 2*r-2 {
+		return TileTag{}, false, false
+	}
+	sub = TileTag{r*w.t.I + w.i, r*w.t.J + w.d - w.i, w.t.S / r}
+	if last = w.i == min(w.d, r-1); last {
+		w.d++
+		w.i = max(0, w.d-r+1)
+	} else {
+		w.i++
+	}
+	return sub, last, true
+}
+
+// Walk visits the sub-calls of call t split r ways, in schedule order; last
+// marks the final call of a stage.
+func Walk(t TileTag, r int, visit func(sub TileTag, last bool)) {
+	for w := (walk{t: t, r: r}); ; {
+		sub, last, ok := w.next()
+		if !ok {
+			return
+		}
+		visit(sub, last)
+	}
+}
+
+// Preds visits the tiles that tile t must wait for — its north, west and
+// north-west neighbours, whose boundary row, column and corner its kernel
+// reads — until f returns false.
+func Preds(_ int, t TileKey, f func(TileKey) bool) bool {
+	return (t.I == 0 || f(TileKey{t.I - 1, t.J})) &&
+		(t.J == 0 || f(TileKey{t.I, t.J - 1})) &&
+		(t.I == 0 || t.J == 0 || f(TileKey{t.I - 1, t.J - 1}))
+}
+
+// Succs is the inverse of Preds on a tiles×tiles grid: the south, east and
+// south-east neighbours. Their number is the get-count of t's receipt —
+// three in the interior, one on the last row and column, none at the corner.
+func Succs(tiles int, t TileKey, f func(TileKey) bool) bool {
+	s, e := t.I+1 < tiles, t.J+1 < tiles
+	return (!s || f(TileKey{t.I + 1, t.J})) &&
+		(!e || f(TileKey{t.I, t.J + 1})) &&
+		(!s || !e || f(TileKey{t.I + 1, t.J + 1}))
+}
+
+// driver interprets the walk on a table, serially or on the fork-join pool;
+// bs is the side of a base tile and r the arity of the split.
+type driver struct {
+	p     *Problem
+	h     *matrix.Dense
+	bs, r int
+}
+
+func (p *Problem) newDriver(h *matrix.Dense, base int) (*driver, error) {
+	if err := p.validate(h, base); err != nil {
+		return nil, err
+	}
+	return &driver{p: p, h: h, bs: gep.BaseSize(p.N(), base), r: 2}, nil
+}
+
+func (d *driver) root() TileTag { return TileTag{S: d.p.N()} }
+
+func (d *driver) kernel(t TileTag) { d.p.kernel(d.h, 1+t.I*t.S, 1+t.J*t.S, t.S) }
+
+func (d *driver) serial(t TileTag) {
+	if t.S == d.bs {
+		d.kernel(t)
 		return
 	}
-	half := s / 2
-	p.recurse(h, i0, j0, half, base)
-	p.recurse(h, i0, j0+half, half, base)
-	p.recurse(h, i0+half, j0, half, base)
-	p.recurse(h, i0+half, j0+half, half, base)
+	for w := (walk{t: t, r: d.r}); ; {
+		sub, _, ok := w.next()
+		if !ok {
+			return
+		}
+		d.serial(sub)
+	}
+}
+
+// swCall is the closure-free spawn trampoline (see forkjoin.Ctx.SpawnCall).
+func swCall(c *forkjoin.Ctx, recv any, a [4]int) {
+	recv.(*driver).forkJoin(c, TileTag{a[0], a[1], a[2]})
+}
+
+// forkJoin spawns the calls of a stage and waits for all of them before the
+// next: X11 waits for both anti-diagonal halves whatever it reads of them —
+// the artificial dependency. A stage of one call runs on the caller.
+func (d *driver) forkJoin(c *forkjoin.Ctx, t TileTag) {
+	if t.S == d.bs {
+		declareRace(c, t.I, t.J)
+		d.kernel(t)
+		return
+	}
+	var g forkjoin.Group
+	spawned := false
+	for w := (walk{t: t, r: d.r}); ; {
+		sub, last, ok := w.next()
+		switch {
+		case !ok:
+			return
+		case last && !spawned:
+			d.forkJoin(c, sub)
+		default:
+			c.SpawnCall(&g, swCall, d, [4]int{sub.I, sub.J, sub.S})
+			spawned = !last
+			if last {
+				c.Wait(&g)
+			}
+		}
+	}
+}
+
+// RDPSerial runs the 2-way recursive divide-and-conquer SW serially.
+func (p *Problem) RDPSerial(h *matrix.Dense, base int) (float64, error) {
+	d, err := p.newDriver(h, base)
+	if err != nil {
+		return 0, err
+	}
+	d.serial(d.root())
+	return kernels.MaxScore(h), nil
 }
 
 // ForkJoin runs the fork-join R-DP SW on pool: R(X00); R(X01) ∥ R(X10);
@@ -110,13 +225,32 @@ func (p *Problem) ForkJoin(h *matrix.Dense, base int, pool *forkjoin.Pool) (floa
 // ForkJoinContext is ForkJoin with cooperative cancellation: a cancelled
 // ctx unwinds the recursion and returns ctx.Err() with a partial table.
 func (p *Problem) ForkJoinContext(ctx context.Context, h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	if err := p.validate(h, base); err != nil {
+	d, err := p.newDriver(h, base)
+	if err != nil {
 		return 0, err
 	}
-	r := &fjSW{p: p, h: h, base: base}
-	if err := pool.RunContext(ctx, func(c *forkjoin.Ctx) { r.recurse(c, 0, 0, p.N()) }); err != nil {
+	if err := pool.RunContext(ctx, func(c *forkjoin.Ctx) { d.forkJoin(c, d.root()) }); err != nil {
 		return 0, err
 	}
+	return kernels.MaxScore(h), nil
+}
+
+// ForkJoinWavefront runs the tiled wavefront with one taskwait barrier per
+// anti-diagonal — the alternative fork-join formulation the paper's
+// footnote 6 describes ("in fork-join implementation, there is a barrier
+// synchronization for every wavefront computation"): the walk split tiles
+// ways. Its span is the optimal 2T−1 diagonals, but every diagonal is a
+// full barrier: a tile cannot start until ALL tiles of the previous
+// diagonal finish, not just its three neighbours, so it still
+// under-utilises relative to data-flow when tile costs vary or workers
+// outnumber the diagonal width.
+func (p *Problem) ForkJoinWavefront(h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
+	d, err := p.newDriver(h, base)
+	if err != nil {
+		return 0, err
+	}
+	d.r = p.N() / d.bs
+	pool.Run(func(c *forkjoin.Ctx) { d.forkJoin(c, d.root()) })
 	return kernels.MaxScore(h), nil
 }
 
@@ -130,43 +264,10 @@ func declareRace(c *forkjoin.Ctx, ti, tj int) {
 		return
 	}
 	f.Write(determinacy.TileCell(ti, tj))
-	if ti > 0 {
-		f.Read(determinacy.TileCell(ti-1, tj))
-	}
-	if tj > 0 {
-		f.Read(determinacy.TileCell(ti, tj-1))
-	}
-	if ti > 0 && tj > 0 {
-		f.Read(determinacy.TileCell(ti-1, tj-1))
-	}
-}
-
-// fjSW is the per-run state of the recursive fork-join driver: the problem,
-// the table and the base-case threshold, bundled so spawns can go through
-// the closure-free SpawnCall trampoline.
-type fjSW struct {
-	p    *Problem
-	h    *matrix.Dense
-	base int
-}
-
-func swCallRecurse(c *forkjoin.Ctx, recv any, a [4]int) {
-	recv.(*fjSW).recurse(c, a[0], a[1], a[2])
-}
-
-func (r *fjSW) recurse(ctx *forkjoin.Ctx, i0, j0, s int) {
-	if s <= r.base {
-		declareRace(ctx, i0/s, j0/s)
-		r.p.kernel(r.h, 1+i0, 1+j0, s)
-		return
-	}
-	half := s / 2
-	r.recurse(ctx, i0, j0, half)
-	var g forkjoin.Group
-	ctx.SpawnCall(&g, swCallRecurse, r, [4]int{i0, j0 + half, half})
-	ctx.SpawnCall(&g, swCallRecurse, r, [4]int{i0 + half, j0, half})
-	ctx.Wait(&g) // artificial dependency: X11 waits for both anti-diagonal halves
-	r.recurse(ctx, i0+half, j0+half, half)
+	Preds(0, TileKey{ti, tj}, func(k TileKey) bool {
+		f.Read(determinacy.TileCell(k.I, k.J))
+		return true
+	})
 }
 
 // TileTag identifies a recursive block (I, J) of size S (in units of S), as
@@ -185,13 +286,8 @@ type TileKey struct {
 // collection prescribed by one tag collection, synchronised through one
 // item collection of finished tiles — without running it.
 func NewCnCGraph(name string) *cnc.Graph {
-	g := cnc.NewGraph(name, 1)
-	out := cnc.NewItemCollection[TileKey, bool](g, "tile_outputs")
-	tags := cnc.NewTagCollection[TileTag](g, "tile_tags", false)
-	step := cnc.NewStepCollection(g, "swTile", func(TileTag) error { return nil })
-	step.Consumes(out).Produces(out)
-	tags.Prescribe(step)
-	return g
+	p := &Problem{A: make([]byte, 4), B: make([]byte, 4)}
+	return p.flow(nil, 1).Spec(name, core.NativeCnC)
 }
 
 // RunCnC runs the data-flow SW: one step collection prescribed by one tag
@@ -209,168 +305,36 @@ func (p *Problem) RunCnCContext(ctx context.Context, h *matrix.Dense, base, work
 	if err := p.validate(h, base); err != nil {
 		return 0, gep.CnCStats{}, err
 	}
-	n := p.N()
-	bs := gep.BaseSize(n, base)
-	tiles := n / bs
-
-	g := cnc.NewGraph("sw-"+variant.String(), workers)
-	out := cnc.NewItemCollection[TileKey, bool](g, "tile_outputs")
-	tags := cnc.NewTagCollection[TileTag](g, "tile_tags", false)
-
-	await := func(k TileKey) bool {
-		if variant == core.NonBlockingCnC {
-			_, ok := out.TryGet(k)
-			return ok
-		}
-		out.Get(k)
-		return true
-	}
-	step := cnc.NewStepCollection(g, "swTile", func(t TileTag) error {
-		if t.S > base {
-			half := t.S / 2
-			bu := g.NewBurst()
-			tags.PutThrottledInto(TileTag{2 * t.I, 2 * t.J, half}, bu)
-			tags.PutThrottledInto(TileTag{2 * t.I, 2*t.J + 1, half}, bu)
-			tags.PutThrottledInto(TileTag{2*t.I + 1, 2 * t.J, half}, bu)
-			tags.PutThrottledInto(TileTag{2*t.I + 1, 2*t.J + 1, half}, bu)
-			bu.Flush()
-			return nil
-		}
-		if t.I > 0 && !await(TileKey{t.I - 1, t.J}) ||
-			t.J > 0 && !await(TileKey{t.I, t.J - 1}) ||
-			t.I > 0 && t.J > 0 && !await(TileKey{t.I - 1, t.J - 1}) {
-			tags.Put(t)
-			return nil
-		}
-		p.kernel(h, 1+t.I*t.S, 1+t.J*t.S, t.S)
-		out.Put(TileKey{t.I, t.J}, true)
-		return nil
-	})
-	step.Consumes(out).Produces(out)
-
-	// Append form: the runtime hands in a pooled scratch buffer, so
-	// declaring an instance's dependencies allocates nothing.
-	deps := func(t TileTag, ds []cnc.Dep) []cnc.Dep {
-		if t.S > base {
-			return ds
-		}
-		if t.I > 0 {
-			ds = append(ds, out.Key(TileKey{t.I - 1, t.J}))
-		}
-		if t.J > 0 {
-			ds = append(ds, out.Key(TileKey{t.I, t.J - 1}))
-		}
-		if t.I > 0 && t.J > 0 {
-			ds = append(ds, out.Key(TileKey{t.I - 1, t.J - 1}))
-		}
-		return ds
-	}
-	switch variant {
-	case core.TunerCnC:
-		step.WithDepsAppend(cnc.TunedPrescheduled, deps)
-	case core.ManualCnC:
-		step.WithDepsAppend(cnc.TunedTriggered, deps)
-	}
-	tags.Prescribe(step)
-
-	// Memory contract (see internal/cnc: WithGetCount / WithMemoryLimit).
-	// Tile (i, j) is read by its east, south and south-east neighbours, so
-	// its get-count is the number of those that exist; interior tiles free
-	// after exactly three reads, the last row/column after one, and the
-	// corner (T−1, T−1) frees immediately on put. NonBlockingCnC is
-	// excluded: its poll-miss re-put retires one successful step instance
-	// per poll, which would release dependencies more than once.
-	if variant != core.NonBlockingCnC {
-		tile := bs * bs * 8
-		out.WithGetCount(func(k TileKey) int {
-			c := 0
-			if k.I+1 < tiles {
-				c++
-			}
-			if k.J+1 < tiles {
-				c++
-			}
-			if k.I+1 < tiles && k.J+1 < tiles {
-				c++
-			}
-			return c
-		}).WithSizeOf(func(TileKey) int { return tile })
-		step.WithGetsAppend(deps)
-		tags.WithTagBytes(func(t TileTag) int {
-			if t.S > base {
-				return 0 // split tags only fan out; base tiles carry the data
-			}
-			return tile
-		})
-	}
-	if tune != nil {
-		tune(g)
-	}
-
-	err := g.RunContext(ctx, func() {
-		if variant == core.ManualCnC {
-			// One burst per anti-diagonal row: the whole grid's tags reach
-			// the queue in tiles batched pushes instead of tiles² singles.
-			for i := 0; i < tiles; i++ {
-				bu := g.NewBurst()
-				for j := 0; j < tiles; j++ {
-					tags.PutThrottledInto(TileTag{i, j, bs}, bu)
-				}
-				bu.Flush()
-			}
-			return
-		}
-		tags.PutThrottled(TileTag{0, 0, n})
-	})
-	// Puts, not Len: with get-counts active Len is the *live* census and
-	// drops to zero as tiles are garbage-collected.
-	stats := gep.CnCStats{Stats: g.Stats(), BaseTasks: int(out.Puts())}
+	stats, err := p.flow(h, base).Run(ctx, "sw-"+variant.String(), workers, variant, tune)
 	if err != nil {
 		return 0, stats, err
 	}
 	return kernels.MaxScore(h), stats, nil
 }
 
-// ForkJoinWavefront runs the tiled wavefront with one taskwait barrier per
-// anti-diagonal — the alternative fork-join formulation the paper's
-// footnote 6 describes ("in fork-join implementation, there is a barrier
-// synchronization for every wavefront computation"). Its span is the
-// optimal 2T−1 diagonals, but every diagonal is a full barrier: a tile
-// cannot start until ALL tiles of the previous diagonal finish, not just
-// its three neighbours, so it still under-utilises relative to data-flow
-// when tile costs vary or workers outnumber the diagonal width.
-func (p *Problem) ForkJoinWavefront(h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	if err := p.validate(h, base); err != nil {
-		return 0, err
-	}
+// flow states the recurrence for the shared data-flow interpreter
+// (gep.Flow): tags are calls of the 2-way walk, a call of base-tile side is
+// a base tile.
+func (p *Problem) flow(h *matrix.Dense, base int) *gep.Flow[TileTag, TileKey] {
 	bs := gep.BaseSize(p.N(), base)
 	tiles := p.N() / bs
-	r := &fjSW{p: p, h: h, base: bs}
-	pool.Run(func(ctx *forkjoin.Ctx) {
-		var g forkjoin.Group
-		for d := 0; d < 2*tiles-1; d++ {
-			lo := 0
-			if d >= tiles {
-				lo = d - tiles + 1
+	return &gep.Flow[TileTag, TileKey]{
+		Colls: [][3]string{{"swTile", "tile_tags", "tile_outputs"}},
+		Task:  func(t TileTag) (TileKey, bool) { return TileKey{t.I, t.J}, t.S == bs },
+		Walk: func(t TileTag, flat bool, visit func(TileTag, bool)) {
+			r := 2
+			if flat {
+				r = t.S / bs
 			}
-			hi := d
-			if hi >= tiles {
-				hi = tiles - 1
-			}
-			for i := lo; i <= hi; i++ {
-				ctx.SpawnCall(&g, swCallTile, r, [4]int{i, d - i})
-			}
-			ctx.Wait(&g) // barrier per wavefront
-		}
-	})
-	return kernels.MaxScore(h), nil
-}
-
-// swCallTile runs one base tile of the wavefront schedule; fjSW.base holds
-// the resolved tile side.
-func swCallTile(c *forkjoin.Ctx, recv any, a [4]int) {
-	r := recv.(*fjSW)
-	ti, tj := a[0], a[1]
-	declareRace(c, ti, tj)
-	r.p.kernel(r.h, 1+ti*r.base, 1+tj*r.base, r.base)
+			Walk(t, r, visit)
+		},
+		Preds: func(k TileKey, f func(TileKey) bool) bool { return Preds(tiles, k, f) },
+		Succs: func(k TileKey, f func(TileKey) bool) bool { return Succs(tiles, k, f) },
+		Kernel: func(k TileKey) error {
+			p.kernel(h, 1+k.I*bs, 1+k.J*bs, bs)
+			return nil
+		},
+		Root:      TileTag{S: p.N()},
+		TileBytes: bs * bs * 8,
+	}
 }
