@@ -129,6 +129,16 @@ func BenchmarkReal(b *testing.B) {
 
 // --- ablations ---
 
+// runGE runs gep.GE on x under a CnC variant; tune, when non-nil, receives
+// the built graph.
+func runGE(x *matrix.Dense, base, workers int, v core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, error) {
+	f, err := gep.GE.Flow(x, base)
+	if err != nil {
+		return gep.CnCStats{}, err
+	}
+	return f.Run(context.Background(), "ge", workers, v, tune)
+}
+
 // BenchmarkAblationNonBlockingGet compares the blocking-get CnC program
 // with the non-blocking (poll and re-put) variant the paper found
 // profitable only for small block sizes.
@@ -143,7 +153,7 @@ func BenchmarkAblationNonBlockingGet(b *testing.B) {
 					b.StopTimer()
 					x := orig.Clone()
 					b.StartTimer()
-					if _, err := gep.GE.RunCnC(x, base, 4, v); err != nil {
+					if _, err := runGE(x, base, 4, v, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -171,7 +181,7 @@ func BenchmarkGE1KNativeCnC(b *testing.B) {
 		b.StopTimer()
 		x := orig.Clone()
 		b.StartTimer()
-		stats, err := gep.GE.RunCnC(x, base, workers, core.NativeCnC)
+		stats, err := runGE(x, base, workers, core.NativeCnC, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,14 +204,19 @@ func BenchmarkStealPolicy(b *testing.B) {
 		for _, pol := range []exec.StealPolicy{exec.StealRandom, exec.StealSequential} {
 			b.Run(rt+"/"+pol.String(), func(b *testing.B) {
 				run := func(x *matrix.Dense) error {
-					_, err := gep.GE.RunCnCContext(context.Background(), x, 32, 4, core.NativeCnC,
-						func(g *cnc.Graph) { g.SetStealPolicy(pol) })
+					_, err := runGE(x, 32, 4, core.NativeCnC, func(g *cnc.Graph) { g.SetStealPolicy(pol) })
 					return err
 				}
 				if rt == "forkjoin" {
 					pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Policy: pol})
 					defer pool.Close()
-					run = func(x *matrix.Dense) error { return gep.GE.ForkJoinR(context.Background(), x, 32, 2, pool) }
+					run = func(x *matrix.Dense) error {
+						f, err := gep.GE.Flow(x, 32)
+						if err != nil {
+							return err
+						}
+						return f.ForkJoin(context.Background(), pool)
+					}
 				}
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -228,7 +243,7 @@ func BenchmarkAblationBaseSize(b *testing.B) {
 				b.StopTimer()
 				x := orig.Clone()
 				b.StartTimer()
-				if _, err := gep.GE.RunCnC(x, base, 4, core.TunerCnC); err != nil {
+				if _, err := runGE(x, base, 4, core.TunerCnC, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,19 +317,14 @@ func BenchmarkRealPar(b *testing.B) {
 	p := par.RandomProblem(n/2, 30, rng)
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()
-	run := map[core.Variant]func(*matrix.Dense) (float64, error){
-		core.OMPTasking: func(m *matrix.Dense) (float64, error) { return p.ForkJoin(m, base/2, pool) },
-	}
 	for _, v := range core.ParallelVariants {
-		if v.IsCnC() {
-			run[v] = func(m *matrix.Dense) (float64, error) {
-				cost, _, err := p.RunCnC(m, base/2, workers, v)
-				return cost, err
-			}
-		}
 		b.Run(v.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := run[v](p.NewTable()); err != nil {
+				f, err := p.Flow(p.NewTable(), base/2)
+				if err == nil {
+					_, err = bench.RunFlow(context.Background(), f, "par", v, bench.RunOpts{Workers: workers, Pool: pool})
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

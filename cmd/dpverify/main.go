@@ -1,7 +1,7 @@
 // Command dpverify runs the full correctness matrix on the host: every
-// registered benchmark (bench.All()) × every variant × several base sizes,
-// each run built by NewInstance, executed by Instance.Run and checked
-// bit-for-bit by Instance.Verify against its serial reference. The runs are
+// registered benchmark (bench.All()) and the parenthesis problem × every
+// variant × several base sizes, each run through the registry's one variant
+// switch and checked bit-for-bit against its serial reference. The runs are
 // checked, not only compared: every fork-join row runs under
 // determinacy-race detection and every Native/Tuner/Manual CnC row under
 // dataflow-discipline checking (write-once puts, exact get-counts), so a
@@ -90,8 +90,23 @@ func main() {
 		core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC}
 	bases := []int{*n / 32, *n / 8, *n / 2}
 
+	ctx := context.Background()
 	failures, checked := 0, 0
-	report := func(name string, v core.Variant, base int, err error, elapsed time.Duration) {
+	// row runs one variant at one base under its detector: run executes it,
+	// verify checks the result against the serial reference.
+	row := func(name string, v core.Variant, base int, run func(bench.RunOpts) error, verify func() error) {
+		opts := bench.RunOpts{Workers: *workers, Pool: pool}
+		verdict := arm(v, &opts)
+		start := time.Now()
+		err := run(opts)
+		elapsed := time.Since(start)
+		if err == nil {
+			err = verify()
+		}
+		if err == nil && verdict != nil {
+			err = verdict()
+			checked++
+		}
 		status := "ok"
 		if err != nil {
 			status = "ERROR: " + err.Error()
@@ -106,50 +121,37 @@ func main() {
 		for _, v := range variants {
 			for _, base := range bases {
 				in, err := b.NewInstance(*n, base, *seed)
-				opts := bench.RunOpts{Workers: *workers, Pool: pool}
-				verdict := arm(v, &opts)
-				start := time.Now()
-				if err == nil {
-					_, err = in.Run(context.Background(), v, opts)
-				}
-				elapsed := time.Since(start)
-				if err == nil {
-					err = in.Verify()
-				}
-				if err == nil && verdict != nil {
-					err = verdict()
-					checked++
-				}
-				report(b.Name(), v, base, err, elapsed)
+				row(b.Name(), v, base, func(opts bench.RunOpts) error {
+					if err != nil {
+						return err
+					}
+					_, err := in.Run(ctx, v, opts)
+					return err
+				}, func() error { return in.Verify() })
 			}
 		}
 	}
-	pool.WithRaceDetection(nil) // par's fork-join rows declare no accesses
 
-	// par is the one benchmark wired by hand: it is not registered, because
-	// Benchmark.Flops/MaxMissBound/StreamLines are per-kind constants and
-	// the parenthesis problem's tile cost grows with its gap (ROADMAP item
-	// 5). Its three drivers are called directly.
+	// par is the one benchmark outside the registry: Benchmark's per-kind
+	// cost closed forms cannot express a tile cost that grows with the gap
+	// (ROADMAP item 4). Its Flow runs through the registry's variant switch.
 	parP := par.RandomProblem(*n, 40, rand.New(rand.NewSource(*seed)))
-	parRef := parP.Serial(parP.NewTable())
-	parCheck := func(v core.Variant, run func(m *matrix.Dense, base int) (float64, error)) {
-		for _, base := range bases {
-			start := time.Now()
-			cost, err := run(parP.NewTable(), base)
-			elapsed := time.Since(start)
-			if err == nil && cost != parRef {
-				err = fmt.Errorf("cost %g, want %g", cost, parRef)
-			}
-			report("par", v, base, err, elapsed)
-		}
-	}
-	parCheck(core.SerialRDP, parP.RDPSerial)
-	parCheck(core.OMPTasking, func(m *matrix.Dense, base int) (float64, error) { return parP.ForkJoin(m, base, pool) })
+	parRef := parP.NewTable()
+	parP.Serial(parRef)
 	for _, v := range variants {
-		if v.IsCnC() {
-			parCheck(v, func(m *matrix.Dense, base int) (float64, error) {
-				cost, _, err := parP.RunCnC(m, base, *workers, v)
-				return cost, err
+		for _, base := range bases {
+			m := parP.NewTable()
+			row("par", v, base, func(opts bench.RunOpts) error {
+				f, err := parP.Flow(m, base)
+				if err == nil {
+					_, err = bench.RunFlow(ctx, f, "par", v, opts)
+				}
+				return err
+			}, func() error {
+				if !matrix.Equal(m, parRef) {
+					return fmt.Errorf("table disagrees with the serial loop (maxdiff %g)", matrix.MaxAbsDiff(m, parRef))
+				}
+				return nil
 			})
 		}
 	}

@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/kernels"
@@ -42,8 +44,8 @@ func main() {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: *workers})
 	defer pool.Close()
 	// align fills a fresh table with one execution of the recurrence and
-	// checks its score. The score is the result wanted here, so the drivers
-	// are called directly: the serial loop and recursion, the fork-join pool,
+	// checks its score: the serial loop, then the problem's Flow through the
+	// registry's variant switch — the serial recursion, the fork-join pool,
 	// and the CnC data-flow program in three schedules.
 	align := func(name string, run func(h *matrix.Dense) (float64, error)) {
 		start := time.Now()
@@ -58,12 +60,13 @@ func main() {
 		fmt.Printf("%-16s score %.0f in %10v   %s\n", name, score, time.Since(start).Round(time.Microsecond), status)
 	}
 	align(core.SerialLoop.String(), func(h *matrix.Dense) (float64, error) { return p.Serial(h), nil })
-	align(core.SerialRDP.String(), func(h *matrix.Dense) (float64, error) { return p.RDPSerial(h, *base) })
-	align(core.OMPTasking.String(), func(h *matrix.Dense) (float64, error) { return p.ForkJoin(h, *base, pool) })
-	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 		align(v.String(), func(h *matrix.Dense) (float64, error) {
-			score, _, err := p.RunCnC(h, *base, *workers, v)
-			return score, err
+			f, err := p.Flow(h, *base)
+			if err == nil {
+				_, err = bench.RunFlow(context.Background(), f, "sw", v, bench.RunOpts{Workers: *workers, Pool: pool})
+			}
+			return kernels.MaxScore(h), err
 		})
 	}
 

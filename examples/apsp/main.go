@@ -38,9 +38,7 @@ func main() {
 	ref := d0.Clone()
 	kernels.FWSerial(ref)
 	d := d0.Clone()
-	if _, err := gep.FW.RunCnC(d, *base, *workers, core.NativeCnC); err != nil {
-		log.Fatal(err)
-	}
+	dataflow(d, *base, *workers)
 	if !matrix.Equal(d, ref) {
 		log.Fatal("data-flow distance matrix differs from the triple loop's")
 	}
@@ -75,9 +73,7 @@ func main() {
 
 	// Oracle check on the ring graph, whose APSP solution is known exactly.
 	ring := graphgen.Ring(64, graphgen.Infinity)
-	if _, err := gep.FW.RunCnC(ring, 8, *workers, core.NativeCnC); err != nil {
-		log.Fatal(err)
-	}
+	dataflow(ring, 8, *workers)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 64; j++ {
 			if ring.At(i, j) != graphgen.RingDistance(64, i, j) {
@@ -86,6 +82,17 @@ func main() {
 		}
 	}
 	fmt.Println("\nring-graph oracle: all 4096 distances exact")
+}
+
+// dataflow runs Floyd-Warshall on d as the native CnC data-flow program.
+func dataflow(d *matrix.Dense, base, workers int) {
+	f, err := gep.FW.Flow(d, base)
+	if err == nil {
+		_, err = f.Run(context.Background(), "fw", workers, core.NativeCnC, nil)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
 }
 
 func summarize(d *matrix.Dense) (finite int, diameter float64) {

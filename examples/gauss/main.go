@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/ge"
@@ -64,22 +65,21 @@ func main() {
 		}
 		fmt.Printf("%-16s %10v   max |x-x*| = %.2e%s\n", name, elapsed.Round(time.Microsecond), maxErr, extra)
 	}
-	// The solved matrix is needed here, so the drivers are called directly:
-	// the serial loop and recursion, the fork-join pool, and the CnC
-	// data-flow program in three schedules.
+	// The solved matrix is needed here, so each execution runs gep.GE's Flow
+	// on a fresh copy through the registry's variant switch: the serial
+	// recursion, the fork-join pool, and the CnC data-flow program in three
+	// schedules — after the serial loop.
 	solve(core.SerialLoop.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
 		kernels.GESerial(a)
 		return gep.CnCStats{}, nil
 	})
-	solve(core.SerialRDP.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
-		return gep.CnCStats{}, gep.GE.RDPSerial(a, *base)
-	})
-	solve(core.OMPTasking.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
-		return gep.CnCStats{}, gep.GE.ForkJoinR(context.Background(), a, *base, 2, pool)
-	})
-	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 		solve(v.String(), func(a *matrix.Dense) (gep.CnCStats, error) {
-			return gep.GE.RunCnC(a, *base, *workers, v)
+			f, err := gep.GE.Flow(a, *base)
+			if err != nil {
+				return gep.CnCStats{}, err
+			}
+			return bench.RunFlow(context.Background(), f, "ge", v, bench.RunOpts{Workers: *workers, Pool: pool})
 		})
 	}
 }

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"time"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/matrix"
@@ -38,9 +40,10 @@ func main() {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: *workers})
 	defer pool.Close()
 	// solve fills a fresh table with one execution of the recurrence and
-	// checks the optimal cost. par is not in the benchmark registry, so its
-	// drivers are called directly: the serial recursion, the fork-join pool,
-	// and the CnC data-flow program in three schedules.
+	// checks the optimal cost. par is not in the benchmark registry, but its
+	// Flow runs through the registry's variant switch all the same: the
+	// serial recursion, the fork-join pool, and the CnC data-flow program in
+	// three schedules.
 	solve := func(name string, run func(m *matrix.Dense) (float64, error)) {
 		start := time.Now()
 		got, err := run(p.NewTable())
@@ -53,12 +56,13 @@ func main() {
 		}
 		fmt.Printf("%-16s cost %.0f in %10v   %s\n", name, got, time.Since(start).Round(time.Microsecond), status)
 	}
-	solve(core.SerialRDP.String(), func(m *matrix.Dense) (float64, error) { return p.RDPSerial(m, *base) })
-	solve(core.OMPTasking.String(), func(m *matrix.Dense) (float64, error) { return p.ForkJoin(m, *base, pool) })
-	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 		solve(v.String(), func(m *matrix.Dense) (float64, error) {
-			cost, _, err := p.RunCnC(m, *base, *workers, v)
-			return cost, err
+			f, err := p.Flow(m, *base)
+			if err == nil {
+				_, err = bench.RunFlow(context.Background(), f, "par", v, bench.RunOpts{Workers: *workers, Pool: pool})
+			}
+			return m.At(1, *n), err
 		})
 	}
 

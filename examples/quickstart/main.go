@@ -64,15 +64,25 @@ func bothModels() {
 	serial := a.Clone()
 	kernels.GESerial(serial)
 
+	// The recurrence is one value, a gep.Flow over the matrix it updates;
+	// each execution model is one of its methods.
 	fj := a.Clone()
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 4})
 	defer pool.Close()
-	if err := gep.GE.ForkJoinR(context.Background(), fj, 8, 2, pool); err != nil {
+	f, err := gep.GE.Flow(fj, 8)
+	if err == nil {
+		err = f.ForkJoin(context.Background(), pool)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	df := a.Clone()
-	stats, err := gep.GE.RunCnC(df, 8, 4, core.NativeCnC)
+	f, err = gep.GE.Flow(df, 8)
+	if err != nil {
+		log.Fatal(err)
+	}
+	stats, err := f.Run(context.Background(), "ge", 4, core.NativeCnC, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,16 +11,13 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/rand"
 
 	"dpflow/internal/bench"
 	"dpflow/internal/core"
 	"dpflow/internal/dag"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
-	"dpflow/internal/kernels"
 	"dpflow/internal/machine"
-	"dpflow/internal/matrix"
 	"dpflow/internal/model"
 	"dpflow/internal/simsched"
 	"dpflow/internal/trace"
@@ -82,9 +79,9 @@ func simulatedUtilization() {
 	fmt.Println()
 }
 
-// realTracedRun executes GE on both real runtimes with tracing kernels and
-// prints worker utilisation — small-scale, but the idleness pattern of the
-// fork-join joins is real, not simulated.
+// realTracedRun executes GE on both real runtimes with every kernel traced
+// and prints worker utilisation — small-scale, but the idleness pattern of
+// the fork-join joins is real, not simulated.
 func realTracedRun() {
 	const (
 		n       = 256
@@ -92,39 +89,25 @@ func realTracedRun() {
 		workers = 4
 	)
 	fmt.Printf("== real traced execution, GE n=%d base=%d on %d goroutine workers ==\n", n, base, workers)
-	rng := rand.New(rand.NewSource(1))
-	orig := matrix.NewSquare(n)
-	orig.FillDiagonallyDominant(rng)
-
-	// Fork-join with a tracing kernel.
-	fjTrace := trace.NewRecorder()
-	fjAlg := gep.Algorithm{Shape: gep.Triangular, Kernel: func(x *matrix.Dense, i0, j0, k0, b int) {
-		// WorkerID is not threaded through gep kernels; record on worker 0
-		// lane and rely on busy-time aggregate only.
-		done := fjTrace.Task(0, "tile")
-		kernels.GE(x, i0, j0, k0, b)
-		done()
-	}}
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
-	x := orig.Clone()
-	check(fjAlg.ForkJoinR(context.Background(), x, base, 2, pool))
-	pool.Close()
-	repFJ := fjTrace.Report(1)
-
-	dfTrace := trace.NewRecorder()
-	dfAlg := gep.Algorithm{Shape: gep.Triangular, Kernel: func(x *matrix.Dense, i0, j0, k0, b int) {
-		done := dfTrace.Task(0, "tile")
-		kernels.GE(x, i0, j0, k0, b)
-		done()
-	}}
-	y := orig.Clone()
-	_, err := dfAlg.RunCnC(y, base, workers, core.NativeCnC)
+	ge, err := bench.ByName("ge")
 	check(err)
-	repDF := dfTrace.Report(1)
-
-	if !matrix.Equal(x, y) {
-		log.Fatal("models disagree")
+	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
+	defer pool.Close()
+	// traced runs one variant on a fresh instance with every kernel
+	// bracketed on a recorder and verifies the result against the serial
+	// reference. Kernels do not see their worker, so every span is recorded
+	// on worker 0's lane and only the busy-time aggregate is read.
+	traced := func(v core.Variant) trace.Report {
+		rec := trace.NewRecorder()
+		in, err := ge.NewInstance(n, base, 1)
+		check(err)
+		_, err = in.Run(context.Background(), v, bench.RunOpts{Workers: workers, Pool: pool,
+			Trace: func() func() { return rec.Task(0, "tile") }})
+		check(err)
+		check(in.Verify())
+		return rec.Report(1)
 	}
+	repFJ, repDF := traced(core.OMPTasking), traced(core.NativeCnC)
 	fmt.Printf("fork-join: %4d tile tasks, kernel busy %v over %v wall\n",
 		repFJ.Tasks, repFJ.Busy.Round(0), repFJ.Makespan.Round(0))
 	fmt.Printf("data-flow: %4d tile tasks, kernel busy %v over %v wall\n",

@@ -33,7 +33,7 @@ func TestRuntimeMatchesDAGCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := matrix.NewSquare(n)
 	x.FillDiagonallyDominant(rng)
-	stats, err := gep.GE.RunCnC(x, base, 2, core.ManualCnC)
+	stats, err := runGE(x, base, 2, core.ManualCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestNonPowerOfTwoViaPadding(t *testing.T) {
 	for i := n; i < padded.Rows(); i++ {
 		padded.Set(i, i, 1) // identity tail keeps pivots non-zero
 	}
-	if _, err := gep.GE.RunCnC(padded, 4, 2, core.NativeCnC); err != nil {
+	if _, err := runGE(padded, 4, 2, core.NativeCnC, nil); err != nil {
 		t.Fatal(err)
 	}
 	solved := padded.View(0, 0, n, n).Clone()

@@ -4,12 +4,12 @@
 // the figure/claims/memory/sched harness, the chaos matrix, the dist and
 // serve tiers, the dpbench, dpsim, dpverify and dpperf CLIs — reaches it
 // through ByName or All. It is also the only place a core.Variant becomes a
-// call: each benchmark's Instance.Run holds its one variant switch, and the
-// algorithm packages (gep, sw, chol) export drivers, not dispatchers.
-// Onboarding a new recurrence is then a one-package change: implement
-// Benchmark, call Register from an init, and the model closed forms, DAG
-// builders, runners, GC contract and reports all pick it up (chol.go is the
-// worked example; see DESIGN.md §3).
+// call: RunFlow holds the one variant switch, over the gep.Flow each
+// algorithm package (gep, sw, chol, par) exports. Onboarding a new
+// recurrence is then a one-package change: implement Benchmark, call
+// Register from an init, and the model closed forms, DAG builders, runners,
+// GC contract and reports all pick it up (chol.go is the worked example;
+// see DESIGN.md §3).
 package bench
 
 import (
@@ -22,8 +22,10 @@ import (
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/dag"
+	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
+	"dpflow/internal/matrix"
 )
 
 // ErrUnknownBenchmark is returned (wrapped) by ByName for names no
@@ -57,6 +59,79 @@ type Instance interface {
 	// Verify checks the result of the preceding Run against the serial
 	// reference.
 	Verify() error
+}
+
+// RunFlow runs recurrence f under variant v: the serial reference,
+// fork-join on opts.Pool, or one of the CnC schedules. It is the one place
+// a core.Variant becomes a call — every benchmark's Instance.Run comes
+// here, and so does dpverify for par, which the registry does not hold.
+// opts.Trace brackets every kernel; name labels errors and the CnC graph.
+func RunFlow[T, K comparable](ctx context.Context, f *gep.Flow[T, K], name string, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
+	if opts.Trace != nil {
+		traced, kernel, trace := *f, f.Kernel, opts.Trace
+		traced.Kernel = func(k K, fr *determinacy.Frame) error {
+			done := trace()
+			err := kernel(k, fr)
+			done()
+			return err
+		}
+		f = &traced
+	}
+	switch v {
+	case core.SerialRDP:
+		return gep.CnCStats{}, f.Serial()
+	case core.OMPTasking:
+		if opts.Pool == nil {
+			return gep.CnCStats{}, fmt.Errorf("bench: %s: OMPTasking requires RunOpts.Pool", name)
+		}
+		return gep.CnCStats{}, f.ForkJoin(ctx, opts.Pool)
+	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
+		return f.Run(ctx, name+"-"+v.String(), opts.Workers, v, opts.Tune)
+	}
+	return gep.CnCStats{}, fmt.Errorf("bench: %s does not drive variant %s", name, v)
+}
+
+// instance is every benchmark's Instance: the recurrence over the working
+// table, and the serial reference's table. Every interpreter applies the
+// same per-element operations in the same order, so Verify demands the
+// tables be bit-identical.
+type instance[T, K comparable] struct {
+	name      string
+	flow      *gep.Flow[T, K]
+	work, ref *matrix.Dense
+	ran       bool
+}
+
+// newInstance runs the serial reference on ref and returns the instance
+// over work; flow states the recurrence on a table.
+func newInstance[T, K comparable](name string, work, ref *matrix.Dense, flow func(*matrix.Dense) (*gep.Flow[T, K], error)) (Instance, error) {
+	f, err := flow(ref)
+	if err == nil {
+		err = f.Serial()
+	}
+	if err == nil {
+		f, err = flow(work)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &instance[T, K]{name: name, flow: f, work: work, ref: ref}, nil
+}
+
+func (in *instance[T, K]) Run(ctx context.Context, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
+	in.ran = true
+	return RunFlow(ctx, in.flow, in.name, v, opts)
+}
+
+func (in *instance[T, K]) Verify() error {
+	if !in.ran {
+		return fmt.Errorf("bench: %s: Verify before Run", in.name)
+	}
+	if !matrix.Equal(in.work, in.ref) {
+		return fmt.Errorf("bench: %s result disagrees with the serial reference (maxdiff %g)",
+			in.name, matrix.MaxAbsDiff(in.work, in.ref))
+	}
+	return nil
 }
 
 // Benchmark is one self-describing DP benchmark. The methods fall in three

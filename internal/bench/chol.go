@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 
 	"dpflow/internal/chol"
@@ -29,11 +27,9 @@ func (chBench) Name() string { return "chol" }
 func (chBench) NewInstance(n, base int, seed int64) (Instance, error) {
 	rng := rand.New(rand.NewSource(seed))
 	a := chol.NewSPD(n, rng)
-	ref := a.Clone()
-	if err := chol.TiledSerial(ref, base); err != nil {
-		return nil, err
-	}
-	return &chInstance{work: a, ref: ref, base: base}, nil
+	return newInstance("chol", a, a.Clone(), func(x *matrix.Dense) (*gep.Flow[chol.Tag, chol.Key], error) {
+		return chol.Flow(x, base)
+	})
 }
 
 func (chBench) Dataflow(tiles int) dag.Graph { return dag.NewCholDataflow(tiles) }
@@ -86,7 +82,10 @@ func (chBench) DepCount(kind dag.Kind) float64 {
 
 func (chBench) PrefetchFriendly() bool { return true }
 
-func (chBench) SpecGraph() *cnc.Graph { return chol.NewCnCGraph("chol") }
+func (chBench) SpecGraph() *cnc.Graph {
+	f, _ := chol.Flow(matrix.NewSquare(4), 1)
+	return f.Spec("chol", core.NativeCnC)
+}
 
 // Wire enumerates Cholesky's vocabulary: the tasks tag collection exchanges
 // chol.Tag and tile_outputs exchanges chol.Key -> bool, over the three task
@@ -106,37 +105,4 @@ func (chBench) Wire(tiles int) WireVocab {
 		)
 	}
 	return w
-}
-
-// chInstance drives one SPD factorisation; all chol drivers apply
-// bit-identical per-element operations, so Verify demands exact equality
-// with the tiled serial reference.
-type chInstance struct {
-	work *matrix.Dense
-	ref  *matrix.Dense
-	base int
-}
-
-func (in *chInstance) Run(ctx context.Context, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
-	switch v {
-	case core.SerialRDP:
-		return gep.CnCStats{}, chol.TiledSerial(in.work, in.base)
-	case core.OMPTasking:
-		if opts.Pool == nil {
-			return gep.CnCStats{}, fmt.Errorf("bench: chol: OMPTasking requires RunOpts.Pool")
-		}
-		return gep.CnCStats{}, chol.ForkJoinContext(ctx, in.work, in.base, opts.Pool, opts.Trace)
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		return chol.RunCnCContext(ctx, in.work, in.base, opts.Workers, v, opts.Tune, opts.Trace)
-	default:
-		return gep.CnCStats{}, fmt.Errorf("bench: chol does not drive variant %s", v)
-	}
-}
-
-func (in *chInstance) Verify() error {
-	if !matrix.Equal(in.work, in.ref) {
-		return fmt.Errorf("bench: chol factor disagrees with tiled serial reference (maxdiff %g)",
-			matrix.MaxAbsDiff(in.work, in.ref))
-	}
-	return nil
 }

@@ -242,6 +242,44 @@ func TestConformanceRuntimeMatchesSimulator(t *testing.T) {
 	}
 }
 
+// TestConformanceForkJoinMatchesSimulator is the fork-join half of the tie
+// between runtime and simulator: the fork-join DAG internal/simsched prices
+// must be the one the pool runs. A join node's in-edges are exactly the
+// calls of its stage, and the runtime spawns exactly the calls of the
+// stages of more than one call — a stage of one call runs on the caller,
+// with no join, in both — so a run's spawn count must be 1 (the root) plus
+// the in-degrees of ForkJoin(tiles)'s join nodes.
+func TestConformanceForkJoinMatchesSimulator(t *testing.T) {
+	for _, b := range All() {
+		for _, tiles := range []int{2, 4, 8} {
+			fj := b.ForkJoin(tiles)
+			want := uint64(1)
+			for id := 0; id < fj.Len(); id++ {
+				if fj.Kind(id) == dag.KindJoin {
+					want += uint64(fj.InDeg(id))
+				}
+			}
+			in, err := b.NewInstance(tiles*confBase, confBase, confSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := forkjoin.NewPool(forkjoin.Config{Workers: confWorkers})
+			_, err = in.Run(context.Background(), core.OMPTasking, RunOpts{Pool: pool})
+			pool.Close()
+			if err == nil {
+				err = in.Verify()
+			}
+			if err != nil {
+				t.Fatalf("%s tiles=%d: %v", b.Name(), tiles, err)
+			}
+			if got := pool.Stats().Spawned; got != want {
+				t.Fatalf("%s tiles=%d: the run spawned %d tasks, the simulated fork-join DAG's joins account for %d",
+					b.Name(), tiles, got, want)
+			}
+		}
+	}
+}
+
 // TestConformanceInstanceSingleUse: Verify without a Run must not pass
 // trivially for score-carrying benchmarks, and a failed-run instance must
 // not verify (spot-checked via sw, whose Verify guards explicitly).

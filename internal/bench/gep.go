@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 
 	"dpflow/internal/cnc"
@@ -62,11 +60,9 @@ func (b gepBench) Name() string { return b.name }
 
 func (b gepBench) NewInstance(n, base int, seed int64) (Instance, error) {
 	work := b.input(n, rand.New(rand.NewSource(seed)))
-	ref := work.Clone()
-	if err := b.alg.RDPSerial(ref, base); err != nil {
-		return nil, err
-	}
-	return &gepInstance{alg: b.alg, name: b.name, work: work, ref: ref, base: base}, nil
+	return newInstance(b.name, work, work.Clone(), func(x *matrix.Dense) (*gep.Flow[gep.Tag, gep.ItemKey], error) {
+		return b.alg.Flow(x, base)
+	})
 }
 
 func (b gepBench) Dataflow(tiles int) dag.Graph { return dag.NewGEPDataflow(tiles, b.alg.Shape) }
@@ -109,7 +105,10 @@ func (gepBench) DepCount(kind dag.Kind) float64 {
 
 func (gepBench) PrefetchFriendly() bool { return true }
 
-func (b gepBench) SpecGraph() *cnc.Graph { return b.alg.NewCnCGraph(b.name, core.NativeCnC) }
+func (b gepBench) SpecGraph() *cnc.Graph {
+	f, _ := b.alg.Flow(matrix.NewSquare(4), 1)
+	return f.Spec(b.name, core.NativeCnC)
+}
 
 // Wire is the shared GE/FW vocabulary: the four funcX tag collections
 // exchange gep.Tag and the four funcX_outputs item collections exchange
@@ -138,48 +137,4 @@ func (gepBench) Wire(tiles int) WireVocab {
 		)
 	}
 	return w
-}
-
-// gepInstance drives one GE or FW problem through the gep.Algorithm
-// recursion. All drivers apply bit-identical per-element updates, so Verify
-// demands exact equality with the precomputed serial reference.
-type gepInstance struct {
-	alg  gep.Algorithm
-	name string
-	work *matrix.Dense
-	ref  *matrix.Dense
-	base int
-}
-
-func (in *gepInstance) Run(ctx context.Context, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
-	alg := in.alg
-	if opts.Trace != nil {
-		kernel, trace := alg.Kernel, opts.Trace
-		alg.Kernel = func(x *matrix.Dense, i0, j0, k0, b int) {
-			done := trace()
-			kernel(x, i0, j0, k0, b)
-			done()
-		}
-	}
-	switch v {
-	case core.SerialRDP:
-		return gep.CnCStats{}, alg.RDPSerial(in.work, in.base)
-	case core.OMPTasking:
-		if opts.Pool == nil {
-			return gep.CnCStats{}, fmt.Errorf("bench: %s: OMPTasking requires RunOpts.Pool", in.name)
-		}
-		return gep.CnCStats{}, alg.ForkJoinR(ctx, in.work, in.base, 2, opts.Pool)
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		return alg.RunCnCContext(ctx, in.work, in.base, opts.Workers, v, opts.Tune)
-	default:
-		return gep.CnCStats{}, fmt.Errorf("bench: %s does not drive variant %s", in.name, v)
-	}
-}
-
-func (in *gepInstance) Verify() error {
-	if !matrix.Equal(in.work, in.ref) {
-		return fmt.Errorf("bench: %s result disagrees with serial reference (maxdiff %g)",
-			in.name, matrix.MaxAbsDiff(in.work, in.ref))
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 
 	"dpflow/internal/cnc"
@@ -28,12 +26,9 @@ func (swBench) NewInstance(n, base int, seed int64) (Instance, error) {
 	rng := rand.New(rand.NewSource(seed))
 	a := seq.RandomDNA(n, rng)
 	p := &sw.Problem{A: a, B: seq.Mutate(a, 0.2, seq.DNAAlphabet, rng), Scoring: kernels.DefaultScoring}
-	ref := p.NewTable()
-	want, err := p.RDPSerial(ref, base)
-	if err != nil {
-		return nil, err
-	}
-	return &swInstance{p: p, work: p.NewTable(), ref: ref, want: want, base: base}, nil
+	return newInstance("sw", p.NewTable(), p.NewTable(), func(h *matrix.Dense) (*gep.Flow[sw.TileTag, sw.TileKey], error) {
+		return p.Flow(h, base)
+	})
 }
 
 func (swBench) Dataflow(tiles int) dag.Graph { return dag.NewSWDataflow(tiles) }
@@ -73,7 +68,11 @@ func (swBench) DepCount(kind dag.Kind) float64 {
 // both execution models, so neither side earns the prefetch discount.
 func (swBench) PrefetchFriendly() bool { return false }
 
-func (swBench) SpecGraph() *cnc.Graph { return sw.NewCnCGraph("sw") }
+func (swBench) SpecGraph() *cnc.Graph {
+	p := &sw.Problem{A: make([]byte, 4), B: make([]byte, 4)}
+	f, _ := p.Flow(p.NewTable(), 1)
+	return f.Spec("sw", core.NativeCnC)
+}
 
 // Wire enumerates SW's single-pass vocabulary: tile_tags exchanges
 // sw.TileTag (no K dimension) and tile_outputs exchanges sw.TileKey -> bool.
@@ -94,55 +93,4 @@ func (swBench) Wire(tiles int) WireVocab {
 			{Coll: "tile_outputs", Key: sw.TileKey{I: m, J: m}, Val: true},
 		},
 	}
-}
-
-// swInstance drives one SW problem; Verify demands both the exact maximum
-// score and a bit-identical DP table against the serial reference.
-type swInstance struct {
-	p     *sw.Problem
-	work  *matrix.Dense
-	ref   *matrix.Dense
-	want  float64
-	got   float64
-	base  int
-	byRun bool
-}
-
-func (in *swInstance) Run(ctx context.Context, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
-	p := *in.p
-	p.Trace = opts.Trace
-	in.byRun = true
-	switch v {
-	case core.SerialRDP:
-		score, err := p.RDPSerial(in.work, in.base)
-		in.got = score
-		return gep.CnCStats{}, err
-	case core.OMPTasking:
-		if opts.Pool == nil {
-			return gep.CnCStats{}, fmt.Errorf("bench: sw: OMPTasking requires RunOpts.Pool")
-		}
-		score, err := p.ForkJoinContext(ctx, in.work, in.base, opts.Pool)
-		in.got = score
-		return gep.CnCStats{}, err
-	case core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC:
-		score, stats, err := p.RunCnCContext(ctx, in.work, in.base, opts.Workers, v, opts.Tune)
-		in.got = score
-		return stats, err
-	default:
-		return gep.CnCStats{}, fmt.Errorf("bench: sw does not drive variant %s", v)
-	}
-}
-
-func (in *swInstance) Verify() error {
-	if !in.byRun {
-		return fmt.Errorf("bench: sw: Verify before Run")
-	}
-	if in.got != in.want {
-		return fmt.Errorf("bench: sw score = %g, want %g", in.got, in.want)
-	}
-	if !matrix.Equal(in.work, in.ref) {
-		return fmt.Errorf("bench: sw table disagrees with serial reference (maxdiff %g)",
-			matrix.MaxAbsDiff(in.work, in.ref))
-	}
-	return nil
 }

@@ -3,22 +3,10 @@ package cachesim
 import (
 	"context"
 
+	"dpflow/internal/determinacy"
 	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
-
-// cancellable wraps a tracing kernel with a per-call context check. One
-// check per kernel call is negligible against the b³ simulated accesses the
-// call performs, and once the context is cancelled the remaining recursion
-// fast-forwards through no-op calls in milliseconds.
-func cancellable(ctx context.Context, kern gep.Kernel) gep.Kernel {
-	return func(m *matrix.Dense, i0, j0, k0, b int) {
-		if ctx.Err() != nil {
-			return
-		}
-		kern(m, i0, j0, k0, b)
-	}
-}
 
 // TraceKernelGE returns a gep.Kernel that, instead of computing, replays
 // the exact address stream of the GE base-case kernel through the
@@ -28,8 +16,8 @@ func cancellable(ctx context.Context, kern gep.Kernel) gep.Kernel {
 // cache-miss bound accounts (§IV-B).
 //
 // stride is the matrix row stride in elements; base is the byte address of
-// element (0,0). Passing the kernel to gep.Algorithm.RDPSerial replays the
-// full recursive execution in program order.
+// element (0,0). Running the serial interpreter of a gep.Algorithm with it
+// replays the full recursive execution in program order.
 func TraceKernelGE(h *Hierarchy, baseAddr int64, stride int) gep.Kernel {
 	addr := func(i, j int) int64 { return baseAddr + 8*int64(i*stride+j) }
 	return func(_ *matrix.Dense, i0, j0, k0, b int) {
@@ -65,17 +53,27 @@ func TraceRDPGE(h *Hierarchy, n, base int) ([]LevelStats, error) {
 // so the kernel checks ctx between base blocks and the trace returns
 // ctx.Err() instead of partial statistics.
 func TraceRDPGEContext(ctx context.Context, h *Hierarchy, n, base int) ([]LevelStats, error) {
-	// The recursion never touches matrix data (the tracing kernel only
-	// generates addresses), so a 1-row stand-in with the right geometry
-	// would be unsafe; instead allocate the real table shape but share one
-	// backing row via a stride trick — simplest is the honest allocation,
-	// which for the scaled trace sizes is only a few MB.
-	x := matrix.NewSquare(n)
-	alg := gep.Algorithm{Kernel: cancellable(ctx, TraceKernelGE(h, 0, n)), Shape: gep.Triangular}
-	if err := alg.RDPSerial(x, base); err != nil {
+	return traceRDP(ctx, h, gep.Algorithm{Kernel: TraceKernelGE(h, 0, n), Shape: gep.Triangular}, n, base)
+}
+
+// traceRDP replays the serial 2-way recursion of alg on an n×n table
+// through the hierarchy. The recursion never touches matrix data (the
+// tracing kernels only generate addresses), but the table has the real
+// shape: for the scaled trace sizes the honest allocation is only a few MB.
+// A cancelled ctx fails the next base block, which stops the walk.
+func traceRDP(ctx context.Context, h *Hierarchy, alg gep.Algorithm, n, base int) ([]LevelStats, error) {
+	f, err := alg.Flow(matrix.NewSquare(n), base)
+	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	kernel := f.Kernel
+	f.Kernel = func(k gep.ItemKey, fr *determinacy.Frame) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return kernel(k, fr)
+	}
+	if err := f.Serial(); err != nil {
 		return nil, err
 	}
 	return h.Stats(), nil
@@ -116,13 +114,5 @@ func TraceRDPFW(h *Hierarchy, n, base int) ([]LevelStats, error) {
 // TraceRDPFWContext is TraceRDPFW with cooperative cancellation (see
 // TraceRDPGEContext).
 func TraceRDPFWContext(ctx context.Context, h *Hierarchy, n, base int) ([]LevelStats, error) {
-	x := matrix.NewSquare(n)
-	alg := gep.Algorithm{Kernel: cancellable(ctx, TraceKernelFW(h, 0, n)), Shape: gep.Cube}
-	if err := alg.RDPSerial(x, base); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return h.Stats(), nil
+	return traceRDP(ctx, h, gep.Algorithm{Kernel: TraceKernelFW(h, 0, n), Shape: gep.Cube}, n, base)
 }

@@ -17,9 +17,9 @@ type Target struct {
 	// Name identifies the target in results.
 	Name string
 	// Run executes the workload once under ctx. It must call tune with
-	// every cnc.Graph it builds, before running it — the benchmark
-	// packages expose this as the tune parameter of their RunCnCContext
-	// entry points — and leave its output where Verify can inspect it.
+	// every cnc.Graph it builds, before running it — the tune parameter
+	// of gep.Flow.Run and bench.RunOpts.Tune — and leave its output where
+	// Verify can inspect it.
 	Run func(ctx context.Context, tune func(*cnc.Graph)) error
 	// Verify checks the result of a nominally successful run against an
 	// independent reference (typically matrix.Equal versus the serial

@@ -3,7 +3,6 @@
 package chol
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -34,12 +33,12 @@ func TestRunAllocBudget(t *testing.T) {
 		run := func() {
 			a := src.Clone()
 			if v == core.OMPTasking {
-				if err := ForkJoinContext(context.Background(), a, base, pool, nil); err != nil {
+				if err := forkJoin(a, base, pool); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			if _, err := runCnC(a, base, workers, v); err != nil {
+			if _, err := runCnC(a, base, workers, v, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

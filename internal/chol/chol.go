@@ -12,19 +12,16 @@
 // family): POTRF(K) ← UPDATE(K,K,K−1); TRSM(I,K) ← POTRF(K) and
 // UPDATE(I,K,K−1); UPDATE(I,J,K) ← TRSM(I,K), TRSM(J,K) and
 // UPDATE(I,J,K−1). The fork-join version joins after each kernel batch of
-// a phase — the right-looking schedule with barriers.
+// a phase that holds more than one task — the right-looking schedule with
+// barriers.
 package chol
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
-	"dpflow/internal/cnc"
-	"dpflow/internal/core"
 	"dpflow/internal/determinacy"
-	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
@@ -83,8 +80,8 @@ func Serial(a *matrix.Dense) error {
 
 // The three tile kernels, all operating on the full matrix with global
 // tile coordinates and tile side bs. They apply exactly the same
-// per-element operations in the same order as Serial, so all drivers
-// produce bit-identical factors.
+// per-element operations in the same order as Serial, so every
+// interpreter produces bit-identical factors.
 
 func potrf(a *matrix.Dense, kt, bs int) error {
 	lo := kt * bs
@@ -174,9 +171,8 @@ const (
 )
 
 // The recurrence is stated once, here: the schedule walk (Walk) and the
-// dependency relation on tile tasks (Preds, Succs). The serial, fork-join
-// and CnC drivers below and internal/dag's two Cholesky graphs interpret
-// them.
+// dependency relation on tile tasks (Preds, Succs). Flow hands them to the
+// shared interpreters, and internal/dag's two Cholesky graphs read them.
 
 // Walk visits the tile tasks of a tiles×tiles factorisation in the
 // right-looking schedule; last marks the final task of a stage. Phase k has
@@ -251,158 +247,49 @@ func TaskKey(i, j, k int) Key {
 	}
 }
 
-// driver runs tile tasks on a matrix; bs is the tile side and span brackets
-// every kernel (traceFn).
-type driver struct {
-	a    *matrix.Dense
-	bs   int
-	span func() func()
-}
-
-func newDriver(a *matrix.Dense, base int, trace func() func()) (*driver, int, error) {
+// Flow states the factorisation of a for the shared interpreters
+// (gep.Flow). Every tag is a base task and its own key; the walk has one
+// level, so the flow is Flat and every interpreter instantiates the tasks
+// stage by stage. Only POTRF can fail (a not SPD), and its error stops the
+// run.
+func Flow(a *matrix.Dense, base int) (*gep.Flow[Tag, Key], error) {
 	if err := validate(a, base); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	bs := gep.BaseSize(a.Rows(), base)
-	return &driver{a: a, bs: bs, span: traceFn(trace)}, a.Rows() / bs, nil
-}
-
-// run applies the kernel of task t. Only POTRF can fail.
-func (d *driver) run(t Tag) (err error) {
-	defer d.span()()
-	switch t.Kind {
-	case KindPotrf:
-		err = potrf(d.a, t.K, d.bs)
-	case KindTrsm:
-		trsm(d.a, t.I, t.K, d.bs)
-	default:
-		update(d.a, t.I, t.J, t.K, d.bs)
-	}
-	return err
-}
-
-// TiledSerial runs the right-looking tile algorithm serially.
-func TiledSerial(a *matrix.Dense, base int) error {
-	d, tiles, err := newDriver(a, base, nil)
-	if err != nil {
-		return err
-	}
-	Walk(tiles, func(t Tag, _ bool) {
-		if err == nil {
-			err = d.run(t)
-		}
-	})
-	return err
-}
-
-// ForkJoinContext runs the right-looking schedule on the pool with a
-// taskwait after the TRSM batch and after the UPDATE batch of each phase;
-// POTRF runs on the spawning goroutine. A cancelled ctx unwinds the run and
-// returns ctx.Err() with a partial factor. trace, when non-nil, brackets
-// every tile kernel invocation — the returned func is called when the
-// kernel finishes (dpperf's traced pass reads kernel busy time through it).
-func ForkJoinContext(ctx context.Context, a *matrix.Dense, base int, pool *forkjoin.Pool, trace func() func()) error {
-	d, tiles, err := newDriver(a, base, trace)
-	if err != nil {
-		return err
-	}
-	var firstErr error
-	err = pool.RunContext(ctx, func(c *forkjoin.Ctx) {
-		var g forkjoin.Group
-		Walk(tiles, func(t Tag, last bool) {
-			switch {
-			case firstErr != nil:
-			case t.Kind == KindPotrf:
-				declareRace(c, t)
-				firstErr = d.run(t)
-			default:
-				c.SpawnCall(&g, cholCall, d, [4]int{t.Kind, t.I, t.J, t.K})
-				if last {
-					c.Wait(&g)
-				}
-			}
-		})
-	})
-	if err != nil {
-		return err
-	}
-	return firstErr
-}
-
-// cholCall is the closure-free spawn trampoline of the TRSM and UPDATE
-// batches — the O(tiles²) and O(tiles³) spawn sites (see
-// forkjoin.Ctx.SpawnCall). Neither kernel fails.
-func cholCall(c *forkjoin.Ctx, recv any, a [4]int) {
-	t := Tag{a[0], a[1], a[2], a[3]}
-	declareRace(c, t)
-	_ = recv.(*driver).run(t)
-}
-
-// declareRace reports one tile kernel's access set to the pool's race
-// detector when the run is race-checked: it writes its own tile and reads
-// the tiles its predecessors wrote.
-func declareRace(c *forkjoin.Ctx, t Tag) {
-	f := c.Race()
-	if f == nil {
-		return
-	}
-	w := determinacy.TileCell(t.I, t.J)
-	f.Write(w)
-	Preds(0, Key(t), func(p Key) bool {
-		if cell := determinacy.TileCell(p.I, p.J); cell != w {
-			f.Read(cell)
-		}
-		return true
-	})
-}
-
-// traceFn normalises an optional trace hook into an always-callable span
-// opener.
-func traceFn(trace func() func()) func() func() {
-	if trace == nil {
-		return func() func() { return func() {} }
-	}
-	return trace
-}
-
-// NewCnCGraph builds the static CnC structure of the Cholesky program —
-// one step collection prescribed by one tag collection, synchronised
-// through one item collection of finished tile states — without running
-// it (cmd/cncgraph's description and DOT renderings).
-func NewCnCGraph(name string) *cnc.Graph {
-	d, tiles, _ := newDriver(matrix.NewSquare(4), 1, nil)
-	return d.flow(tiles).Spec(name, core.NativeCnC)
-}
-
-// RunCnCContext runs the data-flow Cholesky: one step collection with the
-// dependency structure above, items at base-tile granularity, every tile
-// task instantiated by the environment. A cancelled ctx drains the graph
-// and returns ctx.Err(). tune, when non-nil, receives the built graph
-// before the run starts (the chaos harness's fault injection and the memory
-// report's WithMemoryLimit hook); trace, when non-nil, brackets every tile
-// kernel invocation.
-func RunCnCContext(ctx context.Context, a *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph), trace func() func()) (gep.CnCStats, error) {
-	d, tiles, err := newDriver(a, base, trace)
-	if err != nil {
-		return gep.CnCStats{}, err
-	}
-	return d.flow(tiles).Run(ctx, "chol-"+variant.String(), workers, variant, tune)
-}
-
-// flow states the recurrence for the shared data-flow interpreter
-// (gep.Flow). Every tag is a base task, so each admitted tag materialises
-// one tile, and a task's key is its tag.
-func (d *driver) flow(tiles int) *gep.Flow[Tag, Key] {
+	tiles := a.Rows() / bs
 	return &gep.Flow[Tag, Key]{
-		Colls:     [][3]string{{"cholTask", "tasks", "tile_outputs"}},
-		Task:      func(t Tag) (Key, bool) { return Key(t), true },
-		Walk:      func(_ Tag, _ bool, visit func(Tag, bool)) { Walk(tiles, visit) },
-		Preds:     func(k Key, f func(Key) bool) bool { return Preds(tiles, k, f) },
-		Succs:     func(k Key, f func(Key) bool) bool { return Succs(tiles, k, f) },
-		Kernel:    func(k Key) error { return d.run(Tag(k)) },
+		Colls: [][3]string{{"cholTask", "tasks", "tile_outputs"}},
+		Task:  func(t Tag) (Key, bool) { return Key(t), true },
+		Walk:  func(_ Tag, _ bool, visit func(Tag, bool)) { Walk(tiles, visit) },
+		Preds: func(k Key, f func(Key) bool) bool { return Preds(tiles, k, f) },
+		Succs: func(k Key, f func(Key) bool) bool { return Succs(tiles, k, f) },
+		Kernel: func(k Key, fr *determinacy.Frame) error {
+			if fr != nil {
+				// A task writes its tile and reads the tiles its
+				// predecessors wrote.
+				w := determinacy.TileCell(k.I, k.J)
+				fr.Write(w)
+				Preds(tiles, k, func(p Key) bool {
+					if cell := determinacy.TileCell(p.I, p.J); cell != w {
+						fr.Read(cell)
+					}
+					return true
+				})
+			}
+			switch k.Kind {
+			case KindPotrf:
+				return potrf(a, k.K, bs)
+			case KindTrsm:
+				trsm(a, k.I, k.K, bs)
+			default:
+				update(a, k.I, k.J, k.K, bs)
+			}
+			return nil
+		},
 		Flat:      true,
-		TileBytes: d.bs * d.bs * 8,
-	}
+		TileBytes: bs * bs * 8,
+	}, nil
 }
 
 // Residual returns max |(L·Lᵀ − A0)[i][j]| over the lower triangle, where

@@ -7,15 +7,37 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
 
-// runCnC is RunCnCContext without a context or hooks — what most tests want.
-func runCnC(a *matrix.Dense, base, workers int, v core.Variant) (gep.CnCStats, error) {
-	return RunCnCContext(context.Background(), a, base, workers, v, nil, nil)
+// tiledSerial, forkJoin and runCnC factor a through its Flow under one
+// interpreter.
+func tiledSerial(a *matrix.Dense, base int) error {
+	f, err := Flow(a, base)
+	if err != nil {
+		return err
+	}
+	return f.Serial()
+}
+
+func forkJoin(a *matrix.Dense, base int, pool *forkjoin.Pool) error {
+	f, err := Flow(a, base)
+	if err != nil {
+		return err
+	}
+	return f.ForkJoin(context.Background(), pool)
+}
+
+func runCnC(a *matrix.Dense, base, workers int, v core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, error) {
+	f, err := Flow(a, base)
+	if err != nil {
+		return gep.CnCStats{}, err
+	}
+	return f.Run(context.Background(), "chol-"+v.String(), workers, v, tune)
 }
 
 func TestSerialKnownFactor(t *testing.T) {
@@ -58,8 +80,8 @@ func TestResidualOnSPD(t *testing.T) {
 	}
 }
 
-// Every driver must produce a bit-identical factor: the kernels apply the
-// same per-element operations in the same order.
+// Every interpreter must produce a bit-identical factor: the kernels apply
+// the same per-element operations in the same order.
 func TestAllVariantsAgree(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
 	defer pool.Close()
@@ -67,7 +89,7 @@ func TestAllVariantsAgree(t *testing.T) {
 	a0 := NewSPD(64, rng)
 
 	ref := a0.Clone()
-	if err := TiledSerial(ref, 8); err != nil {
+	if err := tiledSerial(ref, 8); err != nil {
 		t.Fatal(err)
 	}
 	if r := Residual(ref, a0); r > 1e-9 {
@@ -79,11 +101,11 @@ func TestAllVariantsAgree(t *testing.T) {
 		run  func(x *matrix.Dense, base int) error
 	}
 	drivers := []driver{{"OpenMP", func(x *matrix.Dense, base int) error {
-		return ForkJoinContext(context.Background(), x, base, pool, nil)
+		return forkJoin(x, base, pool)
 	}}}
 	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
 		drivers = append(drivers, driver{v.String(), func(x *matrix.Dense, base int) error {
-			_, err := runCnC(x, base, 3, v)
+			_, err := runCnC(x, base, 3, v, nil)
 			return err
 		}})
 	}
@@ -94,7 +116,7 @@ func TestAllVariantsAgree(t *testing.T) {
 				t.Fatalf("%s base=%d: %v", d.name, base, err)
 			}
 			want := a0.Clone()
-			if err := TiledSerial(want, base); err != nil {
+			if err := tiledSerial(want, base); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(x, want) {
@@ -116,7 +138,7 @@ func TestTiledMatchesElementwise(t *testing.T) {
 	}
 	for _, base := range []int{1, 4, 32} {
 		ti := a0.Clone()
-		if err := TiledSerial(ti, base); err != nil {
+		if err := tiledSerial(ti, base); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 32; i++ {
@@ -135,7 +157,7 @@ func TestFactorProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a0 := NewSPD(16, rng)
 		l := a0.Clone()
-		if _, err := runCnC(l, 4, 2, core.NativeCnC); err != nil {
+		if _, err := runCnC(l, 4, 2, core.NativeCnC, nil); err != nil {
 			return false
 		}
 		return Residual(l, a0) < 1e-9
@@ -147,20 +169,28 @@ func TestFactorProperty(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	if err := TiledSerial(matrix.New(4, 6), 2); err == nil {
+	if err := tiledSerial(matrix.New(4, 6), 2); err == nil {
 		t.Error("non-square accepted")
 	}
-	if err := TiledSerial(NewSPD(16, rng), 0); err == nil {
+	if err := tiledSerial(NewSPD(16, rng), 0); err == nil {
 		t.Error("base 0 accepted")
 	}
 }
 
-// The CnC variants must surface the non-SPD error through the graph.
+// Every interpreter must surface the non-SPD error: the serial and
+// fork-join walks stop at it, the CnC variants fail the graph.
 func TestCnCPropagatesFactorError(t *testing.T) {
-	a := matrix.NewSquare(16) // all zeros: first pivot fails
-	_, err := runCnC(a, 4, 2, core.NativeCnC)
-	if err == nil {
-		t.Fatal("zero matrix factored without error")
+	pool := forkjoin.NewPool(forkjoin.Config{Workers: 2})
+	defer pool.Close()
+	zero := func() *matrix.Dense { return matrix.NewSquare(16) } // first pivot fails
+	if err := tiledSerial(zero(), 4); err == nil {
+		t.Fatal("serial: zero matrix factored without error")
+	}
+	if err := forkJoin(zero(), 4, pool); err == nil {
+		t.Fatal("fork-join: zero matrix factored without error")
+	}
+	if _, err := runCnC(zero(), 4, 2, core.NativeCnC, nil); err == nil {
+		t.Fatal("CnC: zero matrix factored without error")
 	}
 }
 
@@ -169,7 +199,7 @@ func TestCnCPropagatesFactorError(t *testing.T) {
 func TestTaskCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := NewSPD(64, rng)
-	stats, err := runCnC(a, 8, 2, core.ManualCnC)
+	stats, err := runCnC(a, 8, 2, core.ManualCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package chol
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -23,12 +22,12 @@ func TestCnCLeakFree(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			orig := NewSPD(64, rng)
 			ref := orig.Clone()
-			if err := TiledSerial(ref, 8); err != nil {
+			if err := tiledSerial(ref, 8); err != nil {
 				t.Fatal(err)
 			}
 
 			x := orig.Clone()
-			stats, err := runCnC(x, 8, 3, v)
+			stats, err := runCnC(x, 8, 3, v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +54,7 @@ func TestCnCLeakFree(t *testing.T) {
 func TestNonBlockingExcludedFromGC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := NewSPD(32, rng)
-	stats, err := runCnC(x, 4, 3, core.NonBlockingCnC)
+	stats, err := runCnC(x, 4, 3, core.NonBlockingCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +94,12 @@ func TestBoundedMemoryCH(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	orig := NewSPD(256, rng)
 	ref := orig.Clone()
-	if err := TiledSerial(ref, 16); err != nil {
+	if err := tiledSerial(ref, 16); err != nil {
 		t.Fatal(err)
 	}
 
 	x := orig.Clone()
-	unbounded, err := runCnC(x, 16, 4, core.NativeCnC)
+	unbounded, err := runCnC(x, 16, 4, core.NativeCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +110,14 @@ func TestBoundedMemoryCH(t *testing.T) {
 	if !matrix.Equal(x, ref) {
 		t.Fatalf("unbounded factor disagrees with tiled serial (maxdiff %g)", matrix.MaxAbsDiff(x, ref))
 	}
-	again, err := runCnC(orig.Clone(), 16, 4, core.NativeCnC)
+	again, err := runCnC(orig.Clone(), 16, 4, core.NativeCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	limit := max(unbounded.PeakLiveBytes, again.PeakLiveBytes)
 	y := orig.Clone()
-	bounded, err := RunCnCContext(context.Background(), y, 16, 4, core.NativeCnC,
-		func(g *cnc.Graph) { g.WithMemoryLimit(limit) }, nil)
+	bounded, err := runCnC(y, 16, 4, core.NativeCnC, func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +134,7 @@ func TestBoundedMemoryCH(t *testing.T) {
 
 	tight := unbounded.PeakLiveBytes / 2
 	z := orig.Clone()
-	degraded, err := RunCnCContext(context.Background(), z, 16, 4, core.NativeCnC,
-		func(g *cnc.Graph) { g.WithMemoryLimit(tight) }, nil)
+	degraded, err := runCnC(z, 16, 4, core.NativeCnC, func(g *cnc.Graph) { g.WithMemoryLimit(tight) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,8 @@
 // duration of a run); this package only chooses the policy. General work is
 // placed round-robin and taken oldest-first by owner and thieves alike: the
 // non-blocking schedule makes progress by re-putting its own tag behind the
-// producers it polls for, which needs queue fairness (exec.OwnerFIFO).
-// ComputeOn work goes to its worker's pinned FIFO and is never stolen,
-// preserving the per-worker put order. A step never holds a worker while it
+// producers it polls for, which needs queue fairness (exec.OwnerFIFO). A
+// step never holds a worker while it
 // waits — a failed Get aborts it and the Put of the last item it is waiting
 // for requeues it — and puts with a known census are batched (Burst,
 // PutRange) into one lock and at most one wakeup per touched lane.
@@ -120,7 +119,6 @@ type Stats struct {
 	Requeues      uint64 // aborted instances re-scheduled once nothing they wait for is missing
 	InlineRuns    uint64 // instances run inline by the prescheduling tuner
 	TriggeredRuns uint64 // instances released by a dependency countdown
-	PinnedRuns    uint64 // instances placed by a ComputeOn tuner
 	Retries       uint64 // failed attempts re-executed under a retry budget
 
 	// Dispatch-layer counters (exec.Lanes.Counters). The seed runtime
@@ -192,7 +190,7 @@ var ErrFinished = errors.New("cnc: Run called twice on the same Graph")
 // unless WithExecutor overrides it), so N concurrent graphs multiplex onto
 // one GOMAXPROCS-sized pool instead of oversubscribing the machine.
 // Workers() is therefore a logical-concurrency cap — the number of
-// dispatch lanes and the ComputeOn pinning space — not a goroutine count.
+// dispatch lanes — not a goroutine count.
 type Graph struct {
 	name    string
 	workers int
@@ -242,7 +240,7 @@ type Graph struct {
 	stats struct {
 		tagsPut, itemsPut, started, done    atomic.Uint64
 		aborts, requeues, inline, triggered atomic.Uint64
-		pinned, retries                     atomic.Uint64
+		retries                             atomic.Uint64
 		backendPuts, backendGets            atomic.Uint64
 	}
 
@@ -325,9 +323,8 @@ func (g *Graph) DisciplineChecker() *determinacy.DisciplineChecker { return g.di
 func (g *Graph) Name() string { return g.name }
 
 // Workers returns the graph's logical-concurrency cap: the number of
-// dispatch lanes the run leases from the shared executor, and the modulus
-// ComputeOn placements wrap at. It is not a goroutine count — physical
-// workers belong to the executor.
+// dispatch lanes the run leases from the shared executor. It is not a
+// goroutine count — physical workers belong to the executor.
 func (g *Graph) Workers() int { return g.workers }
 
 // Stats returns a snapshot of the activity counters. It is safe to call
@@ -354,7 +351,6 @@ func (g *Graph) Stats() Stats {
 		Requeues:      g.stats.requeues.Load(),
 		InlineRuns:    g.stats.inline.Load(),
 		TriggeredRuns: g.stats.triggered.Load(),
-		PinnedRuns:    g.stats.pinned.Load(),
 		Retries:       g.stats.retries.Load(),
 
 		Steals:       steals,
@@ -483,19 +479,6 @@ func (g *Graph) fail(err error) {
 func (g *Graph) schedule(run exec.Unit) {
 	g.outstanding.Add(1)
 	g.lanes.Push(run)
-}
-
-// scheduleOn enqueues a runnable step instance pinned to one worker (the
-// compute_on placement). Out-of-range workers wrap around so tuners can
-// use plain tile arithmetic.
-func (g *Graph) scheduleOn(worker int, run exec.Unit) {
-	g.outstanding.Add(1)
-	w := worker % g.workers
-	if w < 0 {
-		w += g.workers
-	}
-	g.stats.pinned.Add(1)
-	g.lanes.PushPinned(w, run)
 }
 
 // Burst accumulates tag puts so their dispatches hit the queue — and wake

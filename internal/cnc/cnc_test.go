@@ -553,103 +553,3 @@ func ExampleGraph() {
 	fmt.Println(v)
 	// Output: hello!
 }
-
-// TestComputeOnPinning: all instances pinned to one worker execute
-// strictly sequentially on that worker — verified by mutating shared state
-// without synchronisation under the race detector, which would flag any
-// violation of the pinning.
-func TestComputeOnPinning(t *testing.T) {
-	g := NewGraph("pin", 4)
-	tags := NewTagCollection[int](g, "tg", false)
-	var order []int // no mutex: safe only if truly pinned to one worker
-	step := NewStepCollection(g, "s", func(i int) error {
-		order = append(order, i)
-		return nil
-	}).WithComputeOn(func(int) int { return 2 })
-	tags.Prescribe(step)
-	if err := g.Run(func() {
-		for i := 0; i < 200; i++ {
-			tags.Put(i)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 200 {
-		t.Fatalf("executed %d steps, want 200", len(order))
-	}
-	// Pinned queues are FIFO, so the environment's put order is preserved.
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order[%d] = %d: pinned FIFO violated", i, v)
-		}
-	}
-	if s := g.Stats(); s.PinnedRuns != 200 {
-		t.Fatalf("PinnedRuns = %d, want 200", s.PinnedRuns)
-	}
-}
-
-// TestComputeOnWithDeps: placement composes with pre-declared dependencies
-// (never inline, still pinned) and with the abort/requeue path.
-func TestComputeOnWithDeps(t *testing.T) {
-	g := NewGraph("pin2", 3)
-	in := NewItemCollection[int, int](g, "in")
-	out := NewItemCollection[int, int](g, "out")
-	stepTags := NewTagCollection[int](g, "st", false)
-	feedTags := NewTagCollection[int](g, "ft", false)
-	var sum int // unsynchronised: all consumer steps pinned to worker 1
-	consumer := NewStepCollection(g, "c", func(i int) error {
-		sum += in.Get(i)
-		out.Put(i, sum)
-		return nil
-	}).WithDeps(TunedPrescheduled, func(i int) []Dep {
-		return []Dep{in.Key(i)}
-	}).WithComputeOn(func(int) int { return 1 })
-	producer := NewStepCollection(g, "p", func(i int) error {
-		in.Put(i, 1)
-		return nil
-	})
-	stepTags.Prescribe(consumer)
-	feedTags.Prescribe(producer)
-	if err := g.Run(func() {
-		for i := 0; i < 50; i++ {
-			stepTags.Put(i)
-		}
-		for i := 0; i < 50; i++ {
-			feedTags.Put(i)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum != 50 {
-		t.Fatalf("sum = %d, want 50", sum)
-	}
-	s := g.Stats()
-	if s.InlineRuns != 0 {
-		t.Fatalf("pinned steps must never run inline, stats %+v", s)
-	}
-	if s.PinnedRuns != 50 {
-		t.Fatalf("PinnedRuns = %d, want 50", s.PinnedRuns)
-	}
-}
-
-// TestComputeOnNegativeAndLargeWorkers: placement indices wrap around.
-func TestComputeOnWraparound(t *testing.T) {
-	g := NewGraph("pin3", 2)
-	tags := NewTagCollection[int](g, "tg", false)
-	var runs atomic.Int64
-	step := NewStepCollection(g, "s", func(i int) error {
-		runs.Add(1)
-		return nil
-	}).WithComputeOn(func(i int) int { return i - 5 }) // negative and large
-	tags.Prescribe(step)
-	if err := g.Run(func() {
-		for i := 0; i < 20; i++ {
-			tags.Put(i)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 20 {
-		t.Fatalf("runs = %d", runs.Load())
-	}
-}

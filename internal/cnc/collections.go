@@ -111,10 +111,9 @@ type StepCollection[T comparable] struct {
 	// WithDeps / WithGets wrap their callbacks into this form so the
 	// runtime has a single internal representation that composes with
 	// pooled scratch buffers.
-	depsApp   func(T, []Dep) []Dep
-	getsApp   func(T, []Dep) []Dep
-	mode      TuningMode
-	computeOn func(T) int
+	depsApp func(T, []Dep) []Dep
+	getsApp func(T, []Dep) []Dep
+	mode    TuningMode
 
 	retry    int
 	retryMu  sync.Mutex
@@ -249,17 +248,6 @@ func (sc *StepCollection[T]) WithRetry(n int) *StepCollection[T] {
 	return sc
 }
 
-// WithComputeOn installs a placement tuner (Intel CnC's compute_on hint):
-// every instance runs on worker fn(tag) mod Workers, never elsewhere. The
-// paper's §IV-B suggests exactly this to pin tile tasks to cores and
-// minimise inter-core and inter-NUMA data movement. Compute-on placement
-// disables the prescheduling tuner's inline execution (a step must not run
-// on the putting goroutine when it is pinned elsewhere).
-func (sc *StepCollection[T]) WithComputeOn(fn func(T) int) *StepCollection[T] {
-	sc.computeOn = fn
-	return sc
-}
-
 // Consumes records, for documentation and Describe output, that the step
 // reads from the given item collection (cf. the consumes declarations of the
 // paper's Listing 4). It has no scheduling effect.
@@ -316,21 +304,14 @@ func (sc *StepCollection[T]) newTask(tag T) *stepTask[T] {
 	return t
 }
 
-// dispatch schedules one runnable execution attempt, honouring compute_on
-// placement.
-func (sc *StepCollection[T]) dispatch(tag T) {
-	if sc.computeOn != nil {
-		sc.g.scheduleOn(sc.computeOn(tag), sc.newTask(tag))
-		return
-	}
-	sc.g.schedule(sc.newTask(tag))
-}
+// dispatch schedules one runnable execution attempt.
+func (sc *StepCollection[T]) dispatch(tag T) { sc.g.schedule(sc.newTask(tag)) }
 
 // dispatchInto appends the execution attempt to bu when one is open, so the
-// queue push and the worker wakeup are paid once per burst; otherwise (or
-// for pinned steps, whose lane is fixed) it dispatches immediately.
+// queue push and the worker wakeup are paid once per burst; otherwise it
+// dispatches immediately.
 func (sc *StepCollection[T]) dispatchInto(tag T, bu *Burst) {
-	if bu == nil || bu.g == nil || sc.computeOn != nil {
+	if bu == nil || bu.g == nil {
 		sc.dispatch(tag)
 		return
 	}
@@ -382,7 +363,7 @@ func (l *depLatch[T]) arrive(inline bool, bu *Burst) {
 	switch {
 	case requeue:
 		g.stats.requeues.Add(1)
-	case inline && sc.mode == TunedPrescheduled && sc.computeOn == nil:
+	case inline && sc.mode == TunedPrescheduled:
 		g.stats.inline.Add(1)
 		g.outstanding.Add(1)
 		sc.execute(tag)

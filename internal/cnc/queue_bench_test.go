@@ -29,25 +29,6 @@ func BenchmarkDispatchFanout(b *testing.B) {
 	b.ReportMetric(float64(s.Steals)/float64(b.N), "steals/op")
 }
 
-// BenchmarkPinnedDispatch measures the ComputeOn path: pinned FIFO push,
-// targeted wake, owner-only pop.
-func BenchmarkPinnedDispatch(b *testing.B) {
-	g := NewGraph("bench-pinned", 4)
-	tags := NewTagCollection[int](g, "t", false)
-	step := NewStepCollection(g, "nop", func(int) error { return nil }).
-		WithComputeOn(func(i int) int { return i })
-	tags.Prescribe(step)
-	b.ResetTimer()
-	err := g.Run(func() {
-		for i := 0; i < b.N; i++ {
-			tags.Put(i)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkItemStoreParallel measures concurrent put+get throughput on one
 // item collection from 4 goroutines with disjoint keys — the access
 // pattern the striped shards exist for (tile puts/gets on different tiles

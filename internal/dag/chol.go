@@ -87,29 +87,22 @@ func (g *CholDataflow) EachSucc(id int, f func(int)) {
 }
 
 // NewCholForkJoin materialises the ordering DAG of the fork-join Cholesky
-// (chol.ForkJoinContext) by walking its one-level schedule symbolically: a
-// join node after the TRSM batch and after the UPDATE batch of each phase,
-// whatever the batch's size. POTRF runs on the spawning goroutine, so it
-// chains sequentially between the joins.
+// by running chol.Walk symbolically: a join node after every kernel batch of
+// a phase that holds more than one task. POTRF — and the one TRSM and the
+// one UPDATE of the penultimate phase — run on the spawning goroutine, so
+// they chain sequentially between the joins.
 func NewCholForkJoin(tiles int) *CSR {
 	if tiles < 1 {
 		panic(fmt.Sprintf("dag: tiles = %d", tiles))
 	}
-	b := &builder{}
-	cur := int32(-1)
-	var batch []int32
-	chol.Walk(tiles, func(t chol.Tag, last bool) {
-		n := b.node(cholKinds[t.Kind])
-		b.edge(cur, n)
-		if t.Kind == chol.KindPotrf {
-			cur = n
-			return
-		}
-		batch = append(batch, n)
-		if last {
-			cur = b.join(batch)
-			batch = batch[:0]
-		}
-	})
-	return b.freeze()
+	// The walk has one level: the root is a call of no kind whose sub-calls
+	// are every tile task.
+	return forkJoin(chol.Tag{Kind: -1},
+		func(t chol.Tag) (Kind, bool) {
+			if t.Kind < 0 {
+				return 0, false
+			}
+			return cholKinds[t.Kind], true
+		},
+		func(_ chol.Tag, visit func(chol.Tag, bool)) { chol.Walk(tiles, visit) })
 }

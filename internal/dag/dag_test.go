@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"testing"
 
 	"dpflow/internal/gep"
@@ -111,7 +112,9 @@ func TestForkJoinAcyclic(t *testing.T) {
 // The fork-join ordering must contain every data-flow FLOW dependency: if
 // task u produces a value task v consumes, u must be an ancestor of v in
 // the fork-join graph. This is what "joins only ADD artificial
-// dependencies" means, and it is why the fork-join execution is correct.
+// dependencies" means, and it is why the fork-join execution is correct —
+// for the r-way split too, which is what dpbench -exp rway relies on when
+// it prices the r-way graphs (the runtime runs r = 2 only).
 //
 // The Cube shape's write-after-read anti-dependencies are deliberately
 // excluded: fork-join resolves those hazards in the OPPOSITE direction
@@ -122,79 +125,101 @@ func TestForkJoinAcyclic(t *testing.T) {
 // bit-exactly in internal/gep's tests).
 func TestForkJoinDominatesDataflow(t *testing.T) {
 	for _, shape := range []gep.Shape{gep.Triangular, gep.Cube} {
-		tiles := 4
-		df := NewGEPDataflow(tiles, shape)
-		fj := NewGEPForkJoin(tiles, shape)
+		for _, c := range [][2]int{{4, 2}, {4, 4}, {8, 2}, {8, 8}} { // tiles, r: 8 is no power of 4
+			checkDominates(t, shape, c[0], c[1])
+		}
+	}
+}
 
-		// Map (i,j,k) -> fork-join node id by walking fj's leaves in
-		// recursion order and df tasks in recursion order: instead, match
-		// by kind + order of phases is fragile; use coordinates recomputed
-		// from a parallel symbolic run. Simpler: leaves of fj are emitted
-		// in the exact order the serial recursion visits base cases, so
-		// replay the serial recursion to collect coordinates in order.
-		coords := gepSerialOrder(tiles, shape)
-		leafIDs := []int{}
-		for id := 0; id < fj.Len(); id++ {
-			if fj.Kind(id) != KindJoin {
-				leafIDs = append(leafIDs, id)
-			}
-		}
-		if len(coords) != len(leafIDs) {
-			t.Fatalf("%v: %d coords vs %d leaves", shape, len(coords), len(leafIDs))
-		}
-		fjNode := make(map[[3]int]int)
-		for idx, c := range coords {
-			fjNode[c] = leafIDs[idx]
-			if got, want := fj.Kind(leafIDs[idx]), df.Kind(df.ID(c[0], c[1], c[2])); got != want {
-				t.Fatalf("%v: leaf %d is a %v task, the serial recursion reaches (%d,%d,%d), a %v task",
-					shape, idx, got, c[0], c[1], c[2], want)
-			}
-		}
+func checkDominates(t *testing.T, shape gep.Shape, tiles, r int) {
+	t.Helper()
+	df := NewGEPDataflow(tiles, shape)
+	fj := NewGEPForkJoinR(tiles, r, shape)
 
-		// Reachability closure over the fork-join DAG (bitset per node).
-		n := fj.Len()
-		reach := make([][]bool, n)
-		order := topoOrder(t, fj)
-		for i := n - 1; i >= 0; i-- {
-			id := order[i]
-			reach[id] = make([]bool, n)
-			fj.EachSucc(id, func(s int) {
-				reach[id][s] = true
-				for x := 0; x < n; x++ {
-					if reach[s][x] {
-						reach[id][x] = true
-					}
-				}
-			})
+	// The builder numbers leaves in the order the serial recursion reaches
+	// base cases, so replaying the walk maps coordinates to node ids. For
+	// r = 2 the hand-written recursion of the paper's Figure 2 must agree.
+	coords := walkOrder(tiles, r, shape)
+	if r == 2 && fmt.Sprint(coords) != fmt.Sprint(gepSerialOrder(tiles, shape)) {
+		t.Fatalf("%v tiles=%d: the 2-way walk's leaf order differs from Figure 2's recursion", shape, tiles)
+	}
+	leafIDs := []int{}
+	for id := 0; id < fj.Len(); id++ {
+		if fj.Kind(id) != KindJoin {
+			leafIDs = append(leafIDs, id)
 		}
+	}
+	if len(coords) != len(leafIDs) {
+		t.Fatalf("%v tiles=%d r=%d: %d coords vs %d leaves", shape, tiles, r, len(coords), len(leafIDs))
+	}
+	fjNode := make(map[[3]int]int)
+	for idx, c := range coords {
+		fjNode[c] = leafIDs[idx]
+		if got, want := fj.Kind(leafIDs[idx]), df.Kind(df.ID(c[0], c[1], c[2])); got != want {
+			t.Fatalf("%v tiles=%d r=%d: leaf %d is a %v task, the walk reaches (%d,%d,%d), a %v task",
+				shape, tiles, r, idx, got, c[0], c[1], c[2], want)
+		}
+	}
 
-		// Enumerate the flow dependencies directly (prev / A / B / C); this
-		// excludes the Cube anti-dependency edges EachSucc also reports.
-		for id := 0; id < df.Len(); id++ {
-			vi, vj, vk := df.Coords(id)
-			v := fjNode[[3]int{vi, vj, vk}]
-			var preds [][3]int
-			if vk > 0 {
-				preds = append(preds, [3]int{vi, vj, vk - 1})
-			}
-			switch gep.Classify(vi, vj, vk) {
-			case gep.FuncB, gep.FuncC:
-				preds = append(preds, [3]int{vk, vk, vk})
-			case gep.FuncD:
-				preds = append(preds, [3]int{vk, vk, vk}, [3]int{vk, vj, vk}, [3]int{vi, vk, vk})
-			}
-			for _, pc := range preds {
-				u := fjNode[pc]
-				if u == v {
-					continue
+	// Reachability closure over the fork-join DAG (bitset per node).
+	n := fj.Len()
+	reach := make([][]bool, n)
+	order := topoOrder(t, fj)
+	for i := n - 1; i >= 0; i-- {
+		id := order[i]
+		reach[id] = make([]bool, n)
+		fj.EachSucc(id, func(s int) {
+			reach[id][s] = true
+			for x := 0; x < n; x++ {
+				if reach[s][x] {
+					reach[id][x] = true
 				}
-				if !reach[u][v] {
-					t.Fatalf("%v: flow edge (%d,%d,%d)->(%d,%d,%d) not ordered by fork-join",
-						shape, pc[0], pc[1], pc[2], vi, vj, vk)
-				}
+			}
+		})
+	}
+
+	// Enumerate the flow dependencies directly (prev / A / B / C); this
+	// excludes the Cube anti-dependency edges EachSucc also reports.
+	for id := 0; id < df.Len(); id++ {
+		vi, vj, vk := df.Coords(id)
+		v := fjNode[[3]int{vi, vj, vk}]
+		var preds [][3]int
+		if vk > 0 {
+			preds = append(preds, [3]int{vi, vj, vk - 1})
+		}
+		switch gep.Classify(vi, vj, vk) {
+		case gep.FuncB, gep.FuncC:
+			preds = append(preds, [3]int{vk, vk, vk})
+		case gep.FuncD:
+			preds = append(preds, [3]int{vk, vk, vk}, [3]int{vk, vj, vk}, [3]int{vi, vk, vk})
+		}
+		for _, pc := range preds {
+			u := fjNode[pc]
+			if u == v {
+				continue
+			}
+			if !reach[u][v] {
+				t.Fatalf("%v tiles=%d r=%d: flow edge (%d,%d,%d)->(%d,%d,%d) not ordered by fork-join",
+					shape, tiles, r, pc[0], pc[1], pc[2], vi, vj, vk)
 			}
 		}
 	}
+}
+
+// walkOrder replays shape's r-way walk from the root and returns base-case
+// coordinates in visit order.
+func walkOrder(tiles, r int, shape gep.Shape) [][3]int {
+	var out [][3]int
+	var rec func(t gep.Tag)
+	rec = func(t gep.Tag) {
+		if t.S == 1 {
+			out = append(out, [3]int{t.I, t.J, t.K})
+			return
+		}
+		shape.Walk(t, r, func(sub gep.Tag, _ bool) { rec(sub) })
+	}
+	rec(gep.Tag{S: tiles})
+	return out
 }
 
 // gepSerialOrder replays the serial recursion and returns base-case

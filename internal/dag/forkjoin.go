@@ -12,9 +12,9 @@ import (
 // a base call becomes a task node after its predecessor; the calls of a
 // stage all start after the same node, and a zero-cost join node after
 // every one of them guards the next stage; a stage of one call chains
-// directly, as the drivers run it on the caller. So the graph contains
-// precisely the constraints Spawn/Wait imposes, artificial dependencies
-// included. leaf reports whether a call is a base task and of which kind;
+// directly, as gep.Flow.ForkJoin runs it on the caller. So the graph
+// contains precisely the constraints Spawn/Wait imposes, artificial
+// dependencies included. leaf reports whether a call is a base task and of which kind;
 // walk visits a call's sub-calls in schedule order, last ending a stage.
 //
 // Nodes are numbered in the order the serial recursion would reach them,
@@ -55,8 +55,8 @@ func forkJoin[C any](root C, leaf func(C) (Kind, bool), walk func(c C, visit fun
 func NewGEPForkJoin(tiles int, shape gep.Shape) *CSR { return NewGEPForkJoinR(tiles, 2, shape) }
 
 // NewGEPForkJoinR materialises the ordering DAG of the r-way fork-join
-// R-DP execution (gep.Algorithm.ForkJoinR) for a tiles×tiles grid.
-// tiles must be a power of r. With r == tiles the recursion flattens into
+// R-DP execution for a tiles×tiles grid; the runtime runs r = 2, and r is a
+// parameter of the walk only. tiles must be a power of r. With r == tiles the recursion flattens into
 // one level of phase-parallel batches — the closest a fork-join program
 // gets to the data-flow schedule — so sweeping r quantifies how much of
 // the artificial-dependency span the parametric r-way algorithms of the

@@ -8,13 +8,13 @@
 //   - a client leases `slots` logical workers (its configured concurrency
 //     cap) and hands the lease a Source — a non-blocking "run up to budget
 //     units of work on logical slot s" entry point. Both runtimes use Lanes
-//     as their Source: per-slot stealable queues and pinned FIFOs, one
-//     victim sweep, one budgeted drain loop (lanes.go). What they keep for
+//     as their Source: per-slot stealable queues, one victim sweep, one
+//     budgeted drain loop (lanes.go). What they keep for
 //     themselves is policy — which end the owner takes from, how work is
 //     placed, whether a waiting task helps — and their envelope types;
 //   - physical workers multiplex across all active leases: they claim one
-//     logical slot at a time (so per-slot state — queues, pinned FIFOs,
-//     victim RNG — keeps its single-consumer discipline), run a bounded
+//     logical slot at a time (so per-slot state — queue end, victim RNG —
+//     keeps its single-consumer discipline), run a bounded
 //     batch, release the slot and rotate to the next lease with work;
 //   - idleness is handled here, once: Lanes marks the lease dirty after
 //     every push (Lease.Notify) and the executor's register-then-reprobe
@@ -29,11 +29,11 @@
 // A lease's logical slot is run by at most one physical worker at a time:
 // slots are claimed by CAS, and a claim runs the Source until it reports no
 // work or a batch budget is exhausted. Clients tag pushes with a slot hint
-// (Notify(slot)); hinted slots are claimed preferentially, which is how
-// ComputeOn-pinned work — runnable only on its designated logical worker —
-// is guaranteed to be served even when other slots are idle. Work that any
-// slot can serve (stealable queues) is covered by a fallback claim of any
-// free slot.
+// (Notify(slot)); hinted slots are claimed preferentially, which is how a
+// Source's slot-only work — runnable only on its designated logical worker
+// — is guaranteed to be served even when other slots are idle. Work that
+// any slot can serve (stealable queues) is covered by a fallback claim of
+// any free slot.
 //
 // # Dirty-bit discipline (lost-wakeup freedom)
 //
@@ -301,7 +301,7 @@ func (l *Lease) exit() {
 }
 
 // serve runs one bounded pass over the lease: claim dirty slots first
-// (pinned work is only runnable on its hinted slot), then — if nothing was
+// (slot-only work is runnable only on its hinted slot), then — if nothing was
 // claimed — any free slot once, which serves stealable work whose hint
 // slot is busy or stale. Returns the number of units run.
 func (e *Executor) serve(l *Lease) int {
@@ -353,8 +353,8 @@ func (l *Lease) runClaimed(s int) int {
 	n := l.src.RunSlot(s, batchBudget)
 	l.slotBusy[s].Store(false)
 	if n >= batchBudget {
-		// Budget exhausted, so there is likely more work, and it may be pinned
-		// to this slot: keep the slot dirty, not only the lease, or nothing
+		// Budget exhausted, so there is likely more work, and it may be
+		// runnable only on this slot: keep the slot dirty, not only the lease, or nothing
 		// would claim s again until the next Notify(s).
 		l.slotDirty[s].Store(true)
 		l.dirty.Store(true)

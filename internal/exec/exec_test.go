@@ -10,8 +10,8 @@ import (
 
 // chanSource is a minimal Source over per-slot FIFO queues. When steal is
 // set, any slot may also drain other slots' queues (modelling stealable
-// work); otherwise work is runnable only on its own slot (modelling
-// ComputeOn pinning).
+// work); otherwise work is runnable only on its own slot (slot-only work,
+// which the executor's per-slot hints exist to serve).
 type chanSource struct {
 	mu    sync.Mutex
 	qs    [][]func()

@@ -102,14 +102,12 @@ func (r *ring) popBack() Unit {
 	return u
 }
 
-// lane is one logical slot's share of the work: a pinned FIFO only the
-// owner may run, a queue other slots may steal from, and one word of
-// xorshift state for the owner's victim order.
+// lane is one logical slot's share of the work: a queue other slots may
+// steal from, and one word of xorshift state for the owner's victim order.
 type lane struct {
-	mu     sync.Mutex
-	pinned ring
-	queue  ring
-	rng    uint64 // touched only by the slot's current claim
+	mu    sync.Mutex
+	queue ring
+	rng   uint64 // touched only by the slot's current claim
 }
 
 // victimStart advances the lane's xorshift64 state and returns the lane a
@@ -127,11 +125,10 @@ func (l *lane) victimStart(n int) int {
 // completed — the order the executor's clear-before-scan dirty bits need to
 // never strand work (see the package comment).
 //
-// A slot takes its pinned units first (in push order), then its own queue
-// from the end the constructor chose, then sweeps the other lanes once,
-// taking the oldest unit of the first non-empty victim. Pinned units are
-// never stolen. The executor runs at most one claim per slot, so the pinned
-// order and the victim RNG have a single consumer.
+// A slot takes from its own queue at the end the constructor chose, then
+// sweeps the other lanes once, taking the oldest unit of the first
+// non-empty victim. The executor runs at most one claim per slot, so the
+// victim RNG has a single consumer.
 type Lanes struct {
 	lanes  []lane
 	owner  OwnerEnd
@@ -207,17 +204,6 @@ func (q *Lanes) PushTo(slot int, u Unit) {
 	q.notify(slot)
 }
 
-// PushPinned enqueues a unit only the given slot may run. The slot hint
-// makes the executor's dirty-slot pass claim that slot even when others are
-// idle.
-func (q *Lanes) PushPinned(slot int, u Unit) {
-	l := &q.lanes[slot]
-	l.mu.Lock()
-	l.pinned.pushBack(u)
-	l.mu.Unlock()
-	q.notify(slot)
-}
-
 // PushBatch enqueues a burst of stealable units round-robin with one lock
 // acquisition and one notification per touched lane instead of one per
 // unit: at most min(len(us), lanes) wakes for the whole burst.
@@ -247,13 +233,11 @@ func (q *Lanes) PushBatch(us []Unit) {
 func (q *Lanes) Take(slot int) Unit {
 	l := &q.lanes[slot]
 	l.mu.Lock()
-	u := l.pinned.popFront()
-	if u == nil {
-		if q.owner == OwnerLIFO {
-			u = l.queue.popBack()
-		} else {
-			u = l.queue.popFront()
-		}
+	var u Unit
+	if q.owner == OwnerLIFO {
+		u = l.queue.popBack()
+	} else {
+		u = l.queue.popFront()
 	}
 	l.mu.Unlock()
 	if u == nil {

@@ -174,44 +174,6 @@ func TestLanesOwnerAndThiefOrder(t *testing.T) {
 	})
 }
 
-// TestLanesPinnedBeforeGeneralOrder checks the dispatch-order guarantee the
-// ComputeOn tuner relies on: a slot drains its pinned FIFO, in push order,
-// before touching any stealable work.
-func TestLanesPinnedBeforeGeneralOrder(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
-		q := NewLanes(1, owner, StealRandom, 1)
-		var order []int
-		rec := func(i int) Unit { return funcUnit(func() { order = append(order, i) }) }
-		q.PushPinned(0, rec(1))
-		q.Push(rec(99))
-		q.PushPinned(0, rec(2))
-		q.PushPinned(0, rec(3))
-		if n := q.RunSlot(0, 16); n != 4 {
-			t.Fatalf("RunSlot drained %d units, want 4", n)
-		}
-		if want := []int{1, 2, 3, 99}; !slices.Equal(order, want) {
-			t.Fatalf("execution order = %v, want %v", order, want)
-		}
-	})
-}
-
-// TestLanesPinnedNotStealable checks pinned work is invisible to every slot
-// but its owner.
-func TestLanesPinnedNotStealable(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
-		q := NewLanes(4, owner, StealRandom, 1)
-		q.PushPinned(2, funcUnit(func() {}))
-		for _, s := range []int{0, 1, 3} {
-			if q.Take(s) != nil {
-				t.Fatalf("slot %d took work pinned to slot 2", s)
-			}
-		}
-		if q.Take(2) == nil {
-			t.Fatal("owner did not find its pinned work")
-		}
-	})
-}
-
 // TestLanesStealCounters checks the steal path without an executor: slot 1
 // steals work pushed onto slot 0's lane, and the counters record it.
 func TestLanesStealCounters(t *testing.T) {
@@ -318,15 +280,14 @@ func TestLanesVictimOrderSeeded(t *testing.T) {
 }
 
 // TestLanesSteadyStateAllocs extends the ring bound through the core's API:
-// a warm push/take cycle with no parked workers allocates nothing, pinned
-// or stealable.
+// a warm push/take cycle with no parked workers allocates nothing.
 func TestLanesSteadyStateAllocs(t *testing.T) {
 	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
 		q := NewLanes(2, owner, StealRandom, 1)
 		f := funcUnit(func() {})
 		cycle := func() {
-			q.PushPinned(0, f)
 			q.PushTo(0, f)
+			q.Push(f)
 			if q.Take(0) == nil || q.Take(0) == nil {
 				t.Fatal("lanes lost a unit")
 			}
@@ -361,10 +322,9 @@ func TestLanesLeaseNoLostWakeup(t *testing.T) {
 	})
 }
 
-// TestLanesConcurrentStress hammers Push/PushPinned/PushBatch/steal through
-// a real executor lease from many pushers (run under -race in CI): every
-// unit must execute exactly once, pinned units on their designated slot
-// only. current[slot] counts claims inside RunSlot(slot).
+// TestLanesConcurrentStress hammers PushTo/PushBatch/Push/steal through a
+// real executor lease from many pushers (run under -race in CI): every unit
+// must execute exactly once.
 func TestLanesConcurrentStress(t *testing.T) {
 	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
 		const workers = 4
@@ -374,14 +334,8 @@ func TestLanesConcurrentStress(t *testing.T) {
 		defer e.Close()
 		q := NewLanes(workers, owner, StealRandom, 1)
 
-		var current [workers]atomic.Int32
-		var executed, pinnedWrong atomic.Int64
-		q.lease = e.Lease("stress", workers, funcSource(func(slot, budget int) int {
-			current[slot].Add(1)
-			n := q.RunSlot(slot, budget)
-			current[slot].Add(-1)
-			return n
-		}))
+		var executed atomic.Int64
+		q.Lease(e, "stress")
 		count := funcUnit(func() { executed.Add(1) })
 
 		var pwg sync.WaitGroup
@@ -392,13 +346,7 @@ func TestLanesConcurrentStress(t *testing.T) {
 				for i := 0; i < perPusher; i++ {
 					switch i % 4 {
 					case 0:
-						target := (p + i) % workers
-						q.PushPinned(target, funcUnit(func() {
-							if current[target].Load() == 0 {
-								pinnedWrong.Add(1)
-							}
-							executed.Add(1)
-						}))
+						q.PushTo((p+i)%workers, count)
 					case 1:
 						q.PushBatch([]Unit{count, count})
 						i++
@@ -418,9 +366,6 @@ func TestLanesConcurrentStress(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		q.lease.Close()
-		if n := pinnedWrong.Load(); n != 0 {
-			t.Fatalf("%d pinned unit(s) observed their designated slot unclaimed", n)
-		}
 		if steals, _, wakeups := q.Counters(); steals+wakeups == 0 {
 			t.Fatal("stress run recorded neither steals nor wakeups — counters dead?")
 		}

@@ -14,6 +14,22 @@ import (
 	"dpflow/internal/matrix"
 )
 
+// runGE runs gep.GE on a under one execution model: Serial_RDP, OpenMP on
+// pool, or a CnC variant on workers workers.
+func runGE(a *matrix.Dense, base int, v core.Variant, workers int, pool *forkjoin.Pool) error {
+	f, err := gep.GE.Flow(a, base)
+	switch {
+	case err != nil:
+	case v == core.SerialRDP:
+		err = f.Serial()
+	case v == core.OMPTasking:
+		err = f.ForkJoin(context.Background(), pool)
+	default:
+		_, err = f.Run(context.Background(), "ge", workers, v, nil)
+	}
+	return err
+}
+
 // End-to-end: every execution of gep.GE must actually solve linear systems.
 func TestSolveSystemAllVariants(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 2})
@@ -25,14 +41,9 @@ func TestSolveSystemAllVariants(t *testing.T) {
 	}
 	drivers := []driver{
 		{"Serial", func(a *matrix.Dense) error { kernels.GESerial(a); return nil }},
-		{"Serial_RDP", func(a *matrix.Dense) error { return gep.GE.RDPSerial(a, 4) }},
-		{"OpenMP", func(a *matrix.Dense) error { return gep.GE.ForkJoinR(context.Background(), a, 4, 2, pool) }},
 	}
-	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-		drivers = append(drivers, driver{v.String(), func(a *matrix.Dense) error {
-			_, err := gep.GE.RunCnC(a, 4, 2, v)
-			return err
-		}})
+	for _, v := range []core.Variant{core.SerialRDP, core.OMPTasking, core.NativeCnC, core.TunerCnC, core.ManualCnC} {
+		drivers = append(drivers, driver{v.String(), func(a *matrix.Dense) error { return runGE(a, 4, v, 2, pool) }})
 	}
 	for _, d := range drivers {
 		a, want := NewSystem(32, rng)
@@ -59,7 +70,7 @@ func TestSolveProperty(t *testing.T) {
 		base := 1 << (baseExp % 4)            // 1, 2, 4, 8
 		rng := rand.New(rand.NewSource(seed)) // deterministic per case
 		a, want := NewSystem(n, rng)
-		if _, err := gep.GE.RunCnC(a, base, 2, core.NativeCnC); err != nil {
+		if err := runGE(a, base, core.NativeCnC, 2, nil); err != nil {
 			return false
 		}
 		got, err := BackSubstitute(a)
@@ -97,12 +108,12 @@ func TestCnCDeterministicAcrossWorkers(t *testing.T) {
 	orig := matrix.NewSquare(32)
 	orig.FillDiagonallyDominant(rng)
 	ref := orig.Clone()
-	if _, err := gep.GE.RunCnC(ref, 4, 1, core.NativeCnC); err != nil {
+	if err := runGE(ref, 4, core.NativeCnC, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 7} {
 		x := orig.Clone()
-		if _, err := gep.GE.RunCnC(x, 4, workers, core.NativeCnC); err != nil {
+		if err := runGE(x, 4, core.NativeCnC, workers, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !matrix.Equal(x, ref) {

@@ -3,7 +3,6 @@
 package gep
 
 import (
-	"context"
 	"testing"
 
 	"dpflow/internal/core"
@@ -50,12 +49,12 @@ func TestRunAllocBudget(t *testing.T) {
 			cases = append(cases, runCase{name + "/" + v.String(), func() {
 				x := input()
 				if v == core.OMPTasking {
-					if err := alg.ForkJoinR(context.Background(), x, base, 2, pool); err != nil {
+					if err := forkJoin(alg, x, base, pool); err != nil {
 						t.Fatal(err)
 					}
 					return
 				}
-				if _, err := alg.RunCnC(x, base, workers, v); err != nil {
+				if _, err := runCnC(alg, x, base, workers, v, nil); err != nil {
 					t.Fatal(err)
 				}
 			}})

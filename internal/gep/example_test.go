@@ -1,6 +1,7 @@
 package gep_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -10,10 +11,10 @@ import (
 	"dpflow/internal/matrix"
 )
 
-// An Algorithm couples a base-case kernel with an update-set shape; the
-// same recursion then runs serially, under fork-join, or as a CnC
-// data-flow program. Here: Gaussian elimination through the data-flow
-// driver, checked against the serial loop.
+// An Algorithm couples a base-case kernel with an update-set shape; its Flow
+// over a matrix is the recurrence, which then runs serially, under
+// fork-join, or as a CnC data-flow program. Here: Gaussian elimination as a
+// data-flow program, checked against the serial loop.
 func ExampleAlgorithm() {
 	alg := gep.Algorithm{Kernel: kernels.GE, Shape: gep.Triangular}
 
@@ -22,7 +23,12 @@ func ExampleAlgorithm() {
 	ref := x.Clone()
 	kernels.GESerial(ref)
 
-	stats, err := alg.RunCnC(x, 8, 4, core.NativeCnC)
+	f, err := alg.Flow(x, 8)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	stats, err := f.Run(context.Background(), "ge", 4, core.NativeCnC, nil)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -2,19 +2,23 @@ package gep
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
+	"dpflow/internal/determinacy"
+	"dpflow/internal/forkjoin"
 )
 
-// Flow is a recurrence as the data-flow interpreter reads it: its schedule
-// walk and its dependency relation as values, plus the kernel and the
-// collection names. T is the tag type — a call of the walk — and K the item
-// key — a base task. GE/FW, Smith-Waterman, Cholesky and the parenthesis
-// problem each build one; Run is the one CnC program they all execute, so
-// the variants' synchronisation styles and the memory contract are written
-// once.
+// Flow is a recurrence as every interpreter reads it: its schedule walk and
+// its dependency relation as values, plus the kernel and the collection
+// names. T is the tag type — a call of the walk — and K the item key — a
+// base task. GE/FW, Smith-Waterman, Cholesky and the parenthesis problem
+// each build one, and three methods interpret it: Serial, the reference;
+// ForkJoin, the paper's Listing 3; Run, the one CnC program of Listings 4–5
+// in all four variants. So each execution model is written once, and
+// internal/dag builds its task graphs from the same walks and relations.
 type Flow[T, K comparable] struct {
 	// Colls names the step, tag and item collection of each kind of call.
 	Colls [][3]string
@@ -31,15 +35,167 @@ type Flow[T, K comparable] struct {
 	// Preds and Succs are the dependency relation on base tasks; they stop
 	// when f returns false and report whether f accepted every task.
 	Preds, Succs func(k K, f func(K) bool) bool
-	// Kernel runs base task k.
-	Kernel func(k K) error
+	// Kernel runs base task k. Under race-checked fork-join fr is the
+	// task's detection frame and the kernel declares on it the tile it
+	// writes and the tiles it reads; only the kernel knows those (FW's
+	// write-after-read predecessors order a tile they are never read by).
+	// Elsewhere fr is nil.
+	Kernel func(k K, fr *determinacy.Frame) error
 	// Root is the call that is the whole problem. Flat marks a walk with
 	// no recursive level: no tag ever stands for a call with sub-calls, so
-	// the environment expands Root itself under every variant.
+	// every interpreter starts from Root's flat walk.
 	Root T
 	Flat bool
 	// TileBytes is the memory one base task's output stands for.
 	TileBytes int
+}
+
+// visitor adapts the walk's and the relation's callback forms to what an
+// interpreter asks for — a stage collected for spawning, sub-calls put into
+// a burst, dependencies appended to the runtime's buffer, a count — without
+// a closure per call: its callbacks close over the visitor itself and are
+// built once. Visitors are pooled per instantiation and outlive a run, so
+// nothing is allocated per call, per spawn or per dependency.
+type visitor[T, K comparable] struct {
+	pool *sync.Pool
+	f    *Flow[T, K]
+	// Serial and fork-join: the context the stage is spawned on (nil:
+	// serial, which runs each sub-call as the walk visits it), the stage,
+	// and the group its taskwait joins.
+	c     *forkjoin.Ctx
+	stage []T
+	g     forkjoin.Group
+	// CnC: the program, the burst a recursive step's sub-calls go into, the
+	// runtime's dependency buffer, a count.
+	d  *flowGraph[T, K]
+	bu *cnc.Burst
+	ds []cnc.Dep
+	n  int
+
+	add, expand func(T, bool)
+	dep, count  func(K) bool
+}
+
+// visitorPools holds one *sync.Pool of visitors per instantiation, keyed by
+// the typed nil *visitor[T, K].
+var visitorPools sync.Map
+
+func visitorPool[T, K comparable]() *sync.Pool {
+	key := any((*visitor[T, K])(nil))
+	if p, ok := visitorPools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p := &sync.Pool{}
+	p.New = func() any {
+		v := &visitor[T, K]{pool: p}
+		v.add = func(sub T, last bool) {
+			if v.c == nil { // serial: no stage to collect
+				v.f.call(p, nil, sub, false)
+				return
+			}
+			v.stage = append(v.stage, sub)
+			if last {
+				v.runStage()
+			}
+		}
+		v.expand = func(sub T, _ bool) { v.d.put(sub, v.bu) }
+		v.dep = func(k K) bool { v.ds = append(v.ds, v.d.out[v.d.coll(k)].Key(k)); return true }
+		v.count = func(K) bool { v.n++; return true }
+		return v
+	}
+	actual, _ := visitorPools.LoadOrStore(key, p)
+	return actual.(*sync.Pool)
+}
+
+func (v *visitor[T, K]) release() {
+	v.f, v.c, v.d = nil, nil, nil
+	v.pool.Put(v)
+}
+
+// Serial runs the walk's stages in order on the calling goroutine — the
+// reference every other interpreter is checked against. A kernel error
+// stops the walk and is returned.
+func (f *Flow[T, K]) Serial() (err error) {
+	defer recoverKernelError(&err)
+	f.call(visitorPool[T, K](), nil, f.Root, f.Flat)
+	return nil
+}
+
+// ForkJoin runs the walk on the pool, the paper's Listing 3: the calls of a
+// stage are spawned tasks joined by a taskwait before the next stage starts.
+// That join is the artificial dependency — D(X00) of GE's second round
+// truly depends only on D(X00) of the first, yet it waits for all four
+// quadrants. A stage of one call runs on the caller. A kernel error stops
+// the walk and is returned; a cancelled ctx unwinds it at the next spawn or
+// taskwait and returns ctx.Err() (see forkjoin.Pool.RunContext).
+func (f *Flow[T, K]) ForkJoin(ctx context.Context, p *forkjoin.Pool) (err error) {
+	defer recoverKernelError(&err)
+	pool := visitorPool[T, K]()
+	return p.RunContext(ctx, func(c *forkjoin.Ctx) { f.call(pool, c, f.Root, f.Flat) })
+}
+
+// call interprets call t — on c, or serially when c is nil. A base task
+// runs its kernel; any other call (and, with flat set, the root of a Flat
+// walk) runs the stages of its walk in order.
+func (f *Flow[T, K]) call(pool *sync.Pool, c *forkjoin.Ctx, t T, flat bool) {
+	if k, base := f.Task(t); base && !flat {
+		var fr *determinacy.Frame
+		if c != nil {
+			fr = c.Race()
+		}
+		if err := f.Kernel(k, fr); err != nil {
+			panic(kernelError{err})
+		}
+		return
+	}
+	v := pool.Get().(*visitor[T, K])
+	v.f, v.c = f, c
+	f.Walk(t, flat, v.add)
+	v.release()
+}
+
+// runStage runs the fork-join stage collected so far: a stage of one call
+// on the caller, any other spawned and joined.
+func (v *visitor[T, K]) runStage() {
+	if len(v.stage) == 1 {
+		v.f.call(v.pool, v.c, v.stage[0], false)
+	} else {
+		for i := range v.stage {
+			v.c.SpawnCall(&v.g, spawnCall, v, [4]int{i})
+		}
+		v.c.Wait(&v.g)
+	}
+	v.stage = v.stage[:0]
+}
+
+// stager is what spawnCall sees of a visitor.
+type stager interface{ callAt(c *forkjoin.Ctx, i int) }
+
+func (v *visitor[T, K]) callAt(c *forkjoin.Ctx, i int) { v.f.call(v.pool, c, v.stage[i], false) }
+
+// spawnCall is the spawn trampoline: a package-level function, so a spawn
+// allocates no closure (see forkjoin.Ctx.SpawnCall). Its receiver is the
+// visitor holding the stage and its one argument the call's index in it.
+func spawnCall(c *forkjoin.Ctx, recv any, a [4]int) { recv.(stager).callAt(c, a[0]) }
+
+// kernelError carries a kernel's error up the walk as a panic — the one way
+// out of a spawned task, which the pool hands to the joining Wait — and
+// Serial and ForkJoin return it as their error.
+type kernelError struct{ err error }
+
+func (e kernelError) Error() string { return e.err.Error() }
+
+func recoverKernelError(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	var ke kernelError
+	if e, ok := r.(error); ok && errors.As(e, &ke) {
+		*err = ke.err
+		return
+	}
+	panic(r)
 }
 
 // flowGraph is one built CnC program of a Flow.
@@ -50,20 +206,8 @@ type flowGraph[T, K comparable] struct {
 	tags  []*cnc.TagCollection[T]
 	out   []*cnc.ItemCollection[K, bool]
 	// get enforces one dependency in the variant's style.
-	get      func(K) bool
-	visitors sync.Pool
-}
-
-// visitor adapts the walk's and the relation's visitor forms to what the
-// runtime asks for — sub-calls put into a burst, dependencies appended to
-// its pooled buffer, a count — without a closure per call: expand, dep and
-// count close over the visitor itself and are built once.
-type visitor[T, K comparable] struct {
-	bu         *cnc.Burst
-	ds         []cnc.Dep
-	n          int
-	expand     func(T, bool)
-	dep, count func(K) bool
+	get  func(K) bool
+	pool *sync.Pool
 }
 
 func (d *flowGraph[T, K]) coll(k K) int {
@@ -73,22 +217,22 @@ func (d *flowGraph[T, K]) coll(k K) int {
 	return d.Coll(k)
 }
 
+// borrow takes a visitor for the program.
+func (d *flowGraph[T, K]) borrow() *visitor[T, K] {
+	v := d.pool.Get().(*visitor[T, K])
+	v.d = d
+	return v
+}
+
 // build declares the collections and wires the variant: how a base step
 // waits for its predecessors, and the memory contract.
 func (f *Flow[T, K]) build(name string, workers int, variant core.Variant) *flowGraph[T, K] {
 	g := cnc.NewGraph(name, workers)
-	d := &flowGraph[T, K]{Flow: f, g: g}
+	d := &flowGraph[T, K]{Flow: f, g: g, pool: visitorPool[T, K]()}
 	for _, names := range f.Colls {
 		d.out = append(d.out, cnc.NewItemCollection[K, bool](g, names[2]))
 		d.tags = append(d.tags, cnc.NewTagCollection[T](g, names[1], false))
 		d.steps = append(d.steps, cnc.NewStepCollection(g, names[0], d.step))
-	}
-	d.visitors.New = func() any {
-		v := &visitor[T, K]{}
-		v.expand = func(sub T, _ bool) { d.put(sub, v.bu) }
-		v.dep = func(k K) bool { v.ds = append(v.ds, d.out[d.coll(k)].Key(k)); return true }
-		v.count = func(K) bool { v.n++; return true }
-		return v
 	}
 	if variant == core.NonBlockingCnC {
 		d.get = func(k K) bool { _, ok := d.out[d.coll(k)].TryGet(k); return ok }
@@ -137,20 +281,20 @@ func (d *flowGraph[T, K]) deps(t T, ds []cnc.Dep) []cnc.Dep {
 	if !base {
 		return ds
 	}
-	v := d.visitors.Get().(*visitor[T, K])
+	v := d.borrow()
 	v.ds = ds
 	d.Preds(k, v.dep)
 	ds, v.ds = v.ds, nil
-	d.visitors.Put(v)
+	v.release()
 	return ds
 }
 
 func (d *flowGraph[T, K]) getCount(k K) int {
-	v := d.visitors.Get().(*visitor[T, K])
+	v := d.borrow()
 	v.n = 0
 	d.Succs(k, v.count)
 	n := v.n
-	d.visitors.Put(v)
+	v.release()
 	return n
 }
 
@@ -168,34 +312,34 @@ func (d *flowGraph[T, K]) put(t T, bu *cnc.Burst) {
 func (d *flowGraph[T, K]) step(t T) error {
 	k, base := d.Task(t)
 	if !base {
-		v := d.visitors.Get().(*visitor[T, K])
+		v := d.borrow()
 		v.bu = d.g.NewBurst()
 		d.Walk(t, false, v.expand)
 		v.bu.Flush()
 		v.bu = nil
-		d.visitors.Put(v)
+		v.release()
 		return nil
 	}
 	if !d.Preds(k, d.get) {
 		d.tags[d.coll(k)].Put(t) // a non-blocking poll missed: try again later
 		return nil
 	}
-	if err := d.Kernel(k); err != nil {
+	if err := d.Kernel(k, nil); err != nil {
 		return err
 	}
 	d.out[d.coll(k)].Put(k, true)
 	return nil
 }
 
-// Run executes the program: Native, Tuner and NonBlocking put the root tag
-// and let the steps expand the recursion; Manual — and every variant of a
-// Flat walk — instantiates every base task from the environment, one burst
-// per stage, so all dependencies are declared before any update executes
-// and the scheduler triggers tasks as items become available. A cancelled
-// ctx drains the graph and returns ctx.Err() (see cnc.Graph.RunContext).
-// tune, when non-nil, is called with the built graph before the run starts
-// — the hook the chaos harness uses to install fault-injection hooks and
-// retry budgets, and the memory report its limit.
+// Run executes the CnC program: Native, Tuner and NonBlocking put the root
+// tag and let the steps expand the recursion; Manual — and every variant of
+// a Flat walk — instantiates every base task from the environment, one
+// burst per stage, so all dependencies are declared before any update
+// executes and the scheduler triggers tasks as items become available. A
+// cancelled ctx drains the graph and returns ctx.Err() (see
+// cnc.Graph.RunContext). tune, when non-nil, is called with the built graph
+// before the run starts — the hook the chaos harness uses to install
+// fault-injection hooks and retry budgets, and the memory report its limit.
 func (f *Flow[T, K]) Run(ctx context.Context, name string, workers int, variant core.Variant, tune func(*cnc.Graph)) (CnCStats, error) {
 	d := f.build(name, workers, variant)
 	if tune != nil {

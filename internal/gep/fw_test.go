@@ -1,7 +1,6 @@
 package gep
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,7 +25,7 @@ func TestRingOracle(t *testing.T) {
 	const n = 32
 	cncRun := func(v core.Variant) func(*matrix.Dense) error {
 		return func(d *matrix.Dense) error {
-			_, err := FW.RunCnC(d, 4, 2, v)
+			_, err := runCnC(FW, d, 4, 2, v, nil)
 			return err
 		}
 	}
@@ -35,8 +34,8 @@ func TestRingOracle(t *testing.T) {
 		fn   func(*matrix.Dense) error
 	}{
 		{"Serial", func(d *matrix.Dense) error { kernels.FWSerial(d); return nil }},
-		{"Serial_RDP", func(d *matrix.Dense) error { return FW.RDPSerial(d, 4) }},
-		{"OpenMP", func(d *matrix.Dense) error { return FW.ForkJoinR(context.Background(), d, 4, 2, pool) }},
+		{"Serial_RDP", func(d *matrix.Dense) error { return serial(FW, d, 4) }},
+		{"OpenMP", func(d *matrix.Dense) error { return forkJoin(FW, d, 4, pool) }},
 		{"CnC", cncRun(core.NativeCnC)},
 		{"CnC_manual", cncRun(core.ManualCnC)},
 	} {
@@ -63,7 +62,7 @@ func TestFWProperty(t *testing.T) {
 		d := randomGraph(n, seed)
 		ref := d.Clone()
 		kernels.FWSerial(ref)
-		if _, err := FW.RunCnC(d, base, 3, core.TunerCnC); err != nil {
+		if _, err := runCnC(FW, d, base, 3, core.TunerCnC, nil); err != nil {
 			return false
 		}
 		if !matrix.Equal(d, ref) {

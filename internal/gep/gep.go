@@ -17,22 +17,19 @@
 //     each phase also updates the tiles above and left of the diagonal:
 //     A(X00); B(X01)∥C(X10); D(X11); A(X11); B(X10)∥C(X01); D(X00).
 //
-// The recursion and the tile dependencies are stated once (recurrence.go),
-// split r ways with r = 2 the paper's; every execution the paper compares
-// interprets that statement: serial, fork-join (Listing 3) on the forkjoin
-// pool, and the CnC data-flow program (Listings 4–5) in its Native, Tuner,
-// Manual and non-blocking-get variants (flow.go, shared with the other
-// benchmarks). The kernel — the base-case tile update — is a parameter, so
-// GE (subtract outer product / pivot) and FW (min-plus) reuse the identical
-// machinery.
+// The recursion and the tile dependencies are stated once (recurrence.go)
+// and handed to the interpreters as a Flow (flow.go, shared with the other
+// benchmarks): serial, fork-join (Listing 3) on the forkjoin pool, and the
+// CnC data-flow program (Listings 4–5) in its Native, Tuner, Manual and
+// non-blocking-get variants. The kernel — the base-case tile update — is a
+// parameter, so GE (subtract outer product / pivot) and FW (min-plus) reuse
+// the identical machinery.
 package gep
 
 import (
-	"context"
 	"fmt"
 
 	"dpflow/internal/determinacy"
-	"dpflow/internal/forkjoin"
 	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
@@ -51,8 +48,7 @@ const (
 	Cube
 )
 
-// Algorithm couples a base-case kernel with the update-set shape; it is the
-// unit the drivers execute.
+// Algorithm couples a base-case kernel with the update-set shape.
 type Algorithm struct {
 	Kernel Kernel
 	Shape  Shape
@@ -70,7 +66,7 @@ var (
 	FW = Algorithm{Kernel: kernels.FW, Shape: Cube}
 )
 
-// validate checks the problem geometry shared by all drivers.
+// validate checks the problem geometry.
 func validate(x *matrix.Dense, base int) error {
 	n := x.Rows()
 	if n != x.Cols() {
@@ -85,156 +81,67 @@ func validate(x *matrix.Dense, base int) error {
 	return nil
 }
 
-// BaseSize returns the block size the 2-way recursion bottoms out at: halve
-// n until it is <= base. For power-of-two n and any base >= 1 this is the
-// uniform side length of every base-case tile.
-func BaseSize(n, base int) int { return baseSizeR(n, base, 2) }
-
-// baseSizeR returns the block size the r-way recursion bottoms out at:
-// divide n by r while the result stays divisible and above base. It is the
-// one statement of where the recursion stops: a call is a base case exactly
-// when its side is this size.
-func baseSizeR(n, base, r int) int {
+// BaseSize returns the block size the recursion bottoms out at: halve n
+// until it is <= base. For power-of-two n and any base >= 1 this is the
+// uniform side length of every base-case tile — the one statement of where
+// the recursion stops: a call is a base case exactly when its side is this
+// size.
+func BaseSize(n, base int) int {
 	s := n
-	for s > base && s%r == 0 {
-		s /= r
+	for s > base && s%2 == 0 {
+		s /= 2
 	}
 	return s
 }
 
-// RDPSerial runs the 2-way recursion serially: identical operation order to
-// the parallel drivers, no runtime. It is the reference the parallel
-// versions are tested against.
-func (alg Algorithm) RDPSerial(x *matrix.Dense, base int) error {
-	return alg.RDPSerialR(x, base, 2)
-}
-
-// RDPSerialR runs the parametric r-way generalisation of the recursion
-// (Javanmard et al., the paper's references [15, 16]) serially: each level
-// splits the block into r×r sub-blocks instead of 2×2. Larger r exposes
-// more parallelism per join — as r approaches the tile count the algorithm
-// degenerates into the flat tiled wavefront and the fork-join
-// artificial-dependency penalty vanishes — at the price of losing cache
-// obliviousness (cmd/dpbench -exp rway measures the span).
-func (alg Algorithm) RDPSerialR(x *matrix.Dense, base, r int) error {
-	d, err := alg.newDriver(x, base, r)
-	if err != nil {
-		return err
-	}
-	d.serial(d.root())
-	return nil
-}
-
-// ForkJoinR runs the r-way recursion on the fork-join pool; r = 2 has the
-// task structure of the paper's Listing 3. The calls of a stage (B and C,
-// the pairs inside B and C, the quadruples inside D) are spawned tasks
-// joined by a taskwait, which is exactly where the artificial dependencies
-// come from. When ctx is cancelled the pool unwinds the recursion at the
-// next spawn or taskwait and the call returns ctx.Err() (see
-// forkjoin.Pool.RunContext).
-func (alg Algorithm) ForkJoinR(ctx context.Context, x *matrix.Dense, base, r int, p *forkjoin.Pool) error {
-	d, err := alg.newDriver(x, base, r)
-	if err != nil {
-		return err
-	}
-	return p.RunContext(ctx, func(c *forkjoin.Ctx) { d.forkJoin(c, d.root()) })
-}
-
-// driver interprets the schedule walk on a matrix: serially, or on the
-// fork-join pool. bs is the side of a base case (baseSizeR).
-type driver struct {
-	x     *matrix.Dense
-	bs, r int
-	alg   Algorithm
-}
-
-func (alg Algorithm) newDriver(x *matrix.Dense, base, r int) (*driver, error) {
+// Flow states the recurrence on x for the shared interpreters — the
+// GEContext of Listing 4. Tags are calls of the 2-way walk; a call of
+// base-tile side is a base task, and its block coordinates are its item
+// key. Flow.Serial is the reference the parallel executions are tested
+// against.
+func (alg Algorithm) Flow(x *matrix.Dense, base int) (*Flow[Tag, ItemKey], error) {
 	if err := validate(x, base); err != nil {
 		return nil, err
 	}
-	if r < 2 {
-		return nil, fmt.Errorf("gep: r-way split needs r >= 2, got %d", r)
-	}
-	return &driver{x: x, bs: baseSizeR(x.Rows(), base, r), r: r, alg: alg}, nil
-}
-
-// root is the call that is the whole problem.
-func (d *driver) root() Tag { return Tag{S: d.x.Rows()} }
-
-func (d *driver) kernel(t Tag) { d.alg.Kernel(d.x, t.I*t.S, t.J*t.S, t.K*t.S, t.S) }
-
-// serial runs the stages of a call in order.
-func (d *driver) serial(t Tag) {
-	if t.S == d.bs {
-		d.kernel(t)
-		return
-	}
-	for w := d.alg.Shape.walk(t, d.r); ; {
-		sub, _, ok := w.next()
-		if !ok {
-			return
-		}
-		d.serial(sub)
-	}
-}
-
-// fjCall is the spawn trampoline: a package-level function invoked through
-// forkjoin.SpawnCall with the driver as receiver and the call as plain
-// integers, so the O(n³/b³) interior spawns of the recursion allocate no
-// closures (see forkjoin.Ctx.SpawnCall).
-func fjCall(c *forkjoin.Ctx, recv any, a [4]int) {
-	recv.(*driver).forkJoin(c, Tag{a[0], a[1], a[2], a[3]})
-}
-
-// forkJoin spawns the calls of a stage and waits for all of them before the
-// next stage starts. That taskwait is the artificial dependency: D(X00) of
-// the second round truly depends only on D(X00) of the first, yet it waits
-// for all four quadrants. A stage of one call runs on the caller.
-func (d *driver) forkJoin(c *forkjoin.Ctx, t Tag) {
-	if t.S == d.bs {
-		declareRace(c, t)
-		d.kernel(t)
-		return
-	}
-	var g forkjoin.Group
-	spawned := false
-	for w := d.alg.Shape.walk(t, d.r); ; {
-		sub, last, ok := w.next()
-		switch {
-		case !ok:
-			return
-		case last && !spawned:
-			d.forkJoin(c, sub)
-		default:
-			c.SpawnCall(&g, fjCall, d, [4]int{sub.I, sub.J, sub.K, sub.S})
-			spawned = !last
-			if last {
-				c.Wait(&g)
+	n := x.Rows()
+	bs := BaseSize(n, base)
+	tiles := n / bs
+	f := &Flow[Tag, ItemKey]{
+		Coll: func(k ItemKey) int { return int(Classify(k.I, k.J, k.K)) },
+		Task: func(t Tag) (ItemKey, bool) { return ItemKey{t.I, t.J, t.K}, t.S == bs },
+		Walk: func(t Tag, flat bool, visit func(Tag, bool)) {
+			r := 2
+			if flat {
+				r = t.S / bs
 			}
-		}
+			alg.Shape.Walk(t, r, visit)
+		},
+		Preds: func(k ItemKey, f func(ItemKey) bool) bool { return alg.Shape.Preds(tiles, k, f) },
+		Succs: func(k ItemKey, f func(ItemKey) bool) bool { return alg.Shape.Succs(tiles, k, f) },
+		Kernel: func(k ItemKey, fr *determinacy.Frame) error {
+			if fr != nil {
+				// The update of tile (I,J) at phase K reads tiles (I,K), (K,J)
+				// and (K,K) — the GEP data flow of the paper's Figure 2.
+				w := determinacy.TileCell(k.I, k.J)
+				fr.Write(w)
+				for _, rd := range [...]uint64{
+					determinacy.TileCell(k.I, k.K),
+					determinacy.TileCell(k.K, k.J),
+					determinacy.TileCell(k.K, k.K),
+				} {
+					if rd != w {
+						fr.Read(rd)
+					}
+				}
+			}
+			alg.Kernel(x, k.I*bs, k.J*bs, k.K*bs, bs)
+			return nil
+		},
+		Root:      Tag{S: n},
+		TileBytes: bs * bs * 8,
 	}
-}
-
-// declareRace reports the tile-granularity access set of one base-case
-// kernel to the pool's race detector when the run is race-checked: the
-// update of tile (I,J) at phase K reads tiles (I,K), (K,J) and (K,K) — the
-// GEP data flow of the paper's Figure 2. Base calls are in units of the
-// base tile, so their coordinates are exact cell ids. Without detection the
-// cost is the one nil check.
-func declareRace(c *forkjoin.Ctx, t Tag) {
-	f := c.Race()
-	if f == nil {
-		return
+	for fn := FuncA; fn <= FuncD; fn++ {
+		f.Colls = append(f.Colls, [3]string{fn.String(), fn.String() + "_tags", fn.String() + "_outputs"})
 	}
-	w := determinacy.TileCell(t.I, t.J)
-	f.Write(w)
-	for _, rd := range [...]uint64{
-		determinacy.TileCell(t.I, t.K),
-		determinacy.TileCell(t.K, t.J),
-		determinacy.TileCell(t.K, t.K),
-	} {
-		if rd != w {
-			f.Read(rd)
-		}
-	}
+	return f, nil
 }

@@ -2,12 +2,10 @@ package gep
 
 import (
 	"context"
-	"errors"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
+	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/kernels"
@@ -20,9 +18,35 @@ func geInput(n int, seed int64) *matrix.Dense {
 	return m
 }
 
+// serial, forkJoin and runCnC run alg on x through its Flow's three
+// interpreters.
+func serial(alg Algorithm, x *matrix.Dense, base int) error {
+	f, err := alg.Flow(x, base)
+	if err != nil {
+		return err
+	}
+	return f.Serial()
+}
+
+func forkJoin(alg Algorithm, x *matrix.Dense, base int, p *forkjoin.Pool) error {
+	f, err := alg.Flow(x, base)
+	if err != nil {
+		return err
+	}
+	return f.ForkJoin(context.Background(), p)
+}
+
+func runCnC(alg Algorithm, x *matrix.Dense, base, workers int, v core.Variant, tune func(*cnc.Graph)) (CnCStats, error) {
+	f, err := alg.Flow(x, base)
+	if err != nil {
+		return CnCStats{}, err
+	}
+	return f.Run(context.Background(), "gep-"+v.String(), workers, v, tune)
+}
+
 func TestBaseSize(t *testing.T) {
 	cases := []struct{ n, base, want int }{
-		{64, 8, 8}, {64, 64, 64}, {64, 100, 64}, {64, 7, 4}, {8, 1, 1}, {16, 3, 2},
+		{64, 8, 8}, {64, 64, 64}, {64, 100, 64}, {64, 7, 4}, {8, 1, 1}, {16, 3, 2}, {64, 5, 4}, {48, 5, 3},
 	}
 	for _, c := range cases {
 		if got := BaseSize(c.n, c.base); got != c.want {
@@ -32,13 +56,13 @@ func TestBaseSize(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	if err := GE.RDPSerial(matrix.New(4, 8), 2); err == nil {
+	if _, err := GE.Flow(matrix.New(4, 8), 2); err == nil {
 		t.Error("non-square accepted")
 	}
-	if err := GE.RDPSerial(matrix.NewSquare(6), 2); err == nil {
+	if _, err := GE.Flow(matrix.NewSquare(6), 2); err == nil {
 		t.Error("non-power-of-two accepted")
 	}
-	if err := GE.RDPSerial(matrix.NewSquare(8), 0); err == nil {
+	if _, err := GE.Flow(matrix.NewSquare(8), 0); err == nil {
 		t.Error("base 0 accepted")
 	}
 }
@@ -55,7 +79,7 @@ func TestRDPSerialMatchesLoop(t *testing.T) {
 			a := geInput(n, int64(n)*31+int64(base))
 			ref := a.Clone()
 			kernels.GESerial(ref)
-			if err := GE.RDPSerial(a, base); err != nil {
+			if err := serial(GE, a, base); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(a, ref) {
@@ -65,7 +89,7 @@ func TestRDPSerialMatchesLoop(t *testing.T) {
 			d := randomGraph(n, int64(n)*17+int64(base))
 			dref := d.Clone()
 			kernels.FWSerial(dref)
-			if err := FW.RDPSerial(d, base); err != nil {
+			if err := serial(FW, d, base); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(d, dref) {
@@ -85,7 +109,7 @@ func TestForkJoinMatchesSerial(t *testing.T) {
 			a := geInput(n, int64(n))
 			ref := a.Clone()
 			kernels.GESerial(ref)
-			if err := GE.ForkJoinR(context.Background(), a, base, 2, pool); err != nil {
+			if err := forkJoin(GE, a, base, pool); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(a, ref) {
@@ -95,7 +119,7 @@ func TestForkJoinMatchesSerial(t *testing.T) {
 			d := randomGraph(n, int64(n))
 			dref := d.Clone()
 			kernels.FWSerial(dref)
-			if err := FW.ForkJoinR(context.Background(), d, base, 2, pool); err != nil {
+			if err := forkJoin(FW, d, base, pool); err != nil {
 				t.Fatal(err)
 			}
 			if !matrix.Equal(d, dref) {
@@ -125,7 +149,7 @@ func TestCnCVariantsMatchSerial(t *testing.T) {
 						x := alg.gen(n, int64(n)+int64(base))
 						ref := x.Clone()
 						alg.ref(ref)
-						stats, err := alg.a.RunCnC(x, base, workers, v)
+						stats, err := runCnC(alg.a, x, base, workers, v, nil)
 						if err != nil {
 							t.Fatalf("%s %v n=%d base=%d workers=%d: %v", alg.name, v, n, base, workers, err)
 						}
@@ -151,7 +175,7 @@ func TestCnCVariantsMatchSerial(t *testing.T) {
 func TestTunedVariantsDoNotAbort(t *testing.T) {
 	for _, v := range []core.Variant{core.TunerCnC, core.ManualCnC} {
 		x := geInput(32, 5)
-		stats, err := GE.RunCnC(x, 4, 3, v)
+		stats, err := runCnC(GE, x, 4, 3, v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +190,7 @@ func TestTunedVariantsDoNotAbort(t *testing.T) {
 // exercises nothing.
 func TestNativeVariantAborts(t *testing.T) {
 	x := geInput(64, 6)
-	stats, err := GE.RunCnC(x, 4, 4, core.NativeCnC)
+	stats, err := runCnC(GE, x, 4, 4, core.NativeCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,132 +252,10 @@ func TestBaseSizeOne(t *testing.T) {
 	x := geInput(8, 3)
 	ref := x.Clone()
 	kernels.GESerial(ref)
-	if _, err := GE.RunCnC(x, 1, 2, core.NativeCnC); err != nil {
+	if _, err := runCnC(GE, x, 1, 2, core.NativeCnC, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal(x, ref) {
 		t.Fatal("base=1 CnC GE wrong")
-	}
-}
-
-// r-way recursions must reproduce the 2-way (and loop serial) results
-// exactly, for every r and both shapes.
-func TestRWayMatchesSerial(t *testing.T) {
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
-	defer pool.Close()
-	for _, alg := range []struct {
-		name string
-		a    Algorithm
-		gen  func(int, int64) *matrix.Dense
-		ref  func(*matrix.Dense)
-	}{
-		{"GE", GE, geInput, kernels.GESerial},
-		{"FW", FW, randomGraph, kernels.FWSerial},
-	} {
-		for _, r := range []int{2, 4, 8} {
-			for _, n := range []int{16, 64} {
-				for _, base := range []int{1, 4, 16} {
-					x := alg.gen(n, int64(r*n+base))
-					ref := x.Clone()
-					alg.ref(ref)
-					if err := alg.a.RDPSerialR(x, base, r); err != nil {
-						t.Fatalf("%s r=%d n=%d base=%d: %v", alg.name, r, n, base, err)
-					}
-					if !matrix.Equal(x, ref) {
-						t.Fatalf("%s RDPSerialR r=%d n=%d base=%d wrong (maxdiff %g)",
-							alg.name, r, n, base, matrix.MaxAbsDiff(x, ref))
-					}
-					y := alg.gen(n, int64(r*n+base))
-					if err := alg.a.ForkJoinR(context.Background(), y, base, r, pool); err != nil {
-						t.Fatalf("%s ForkJoinR r=%d: %v", alg.name, r, err)
-					}
-					if !matrix.Equal(y, ref) {
-						t.Fatalf("%s ForkJoinR r=%d n=%d base=%d wrong", alg.name, r, n, base)
-					}
-				}
-			}
-		}
-	}
-}
-
-// r == n collapses the recursion into the flat tiled algorithm; r not
-// dividing n stops at a coarser tile but must stay correct.
-func TestRWayEdgeCases(t *testing.T) {
-	x := geInput(32, 1)
-	ref := x.Clone()
-	kernels.GESerial(ref)
-	if err := GE.RDPSerialR(x, 1, 32); err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(x, ref) {
-		t.Fatal("flat r=n split wrong")
-	}
-	y := geInput(32, 2)
-	ref2 := y.Clone()
-	kernels.GESerial(ref2)
-	if err := GE.RDPSerialR(y, 1, 3); err != nil { // 3 does not divide 32
-		t.Fatal(err)
-	}
-	if !matrix.Equal(y, ref2) {
-		t.Fatal("non-dividing r wrong")
-	}
-	if err := GE.RDPSerialR(geInput(8, 1), 2, 1); err == nil {
-		t.Fatal("r=1 accepted")
-	}
-}
-
-func TestBaseSizeR(t *testing.T) {
-	cases := []struct{ n, base, r, want int }{
-		{64, 8, 2, 8}, {64, 8, 4, 4}, {64, 1, 4, 1}, {64, 5, 4, 4}, {81, 3, 3, 3},
-	}
-	for _, c := range cases {
-		if got := baseSizeR(c.n, c.base, c.r); got != c.want {
-			t.Errorf("baseSizeR(%d,%d,%d) = %d, want %d", c.n, c.base, c.r, got, c.want)
-		}
-	}
-}
-
-// The r-way fork-join driver is the r != 2 instance of the one fork-join
-// interpreter, so it cancels like the 2-way one: a cancelled ctx unwinds the
-// recursion, the call returns context.Canceled, and the pool — left with
-// skipped children in its deques — runs the next job correctly.
-func TestForkJoinRCancellation(t *testing.T) {
-	const n, base, r = 64, 4, 4
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
-	defer pool.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{})
-	var once sync.Once
-	// Every kernel holds its worker until the run is cancelled, so the
-	// recursion cannot finish first; afterwards each still takes a
-	// millisecond, so the 815 tiles left cannot finish before the pool has
-	// noticed the cancellation either (it checks at spawns and taskwaits).
-	blocking := Algorithm{Shape: Triangular, Kernel: func(*matrix.Dense, int, int, int, int) {
-		once.Do(func() { close(started) })
-		<-ctx.Done()
-		time.Sleep(time.Millisecond)
-	}}
-	errCh := make(chan error, 1)
-	go func() { errCh <- blocking.ForkJoinR(ctx, matrix.NewSquare(n), base, r, pool) }()
-	<-started
-	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("ForkJoinR = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled ForkJoinR did not return")
-	}
-
-	x := geInput(n, 9)
-	ref := x.Clone()
-	kernels.GESerial(ref)
-	if err := GE.ForkJoinR(context.Background(), x, base, r, pool); err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(x, ref) {
-		t.Fatal("pool gave a wrong result after a cancelled run")
 	}
 }

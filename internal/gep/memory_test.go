@@ -1,7 +1,6 @@
 package gep
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -40,7 +39,7 @@ func TestCnCLeakFree(t *testing.T) {
 				c.serial(ref)
 
 				x := orig.Clone()
-				stats, err := c.alg.RunCnC(x, 8, 3, v)
+				stats, err := runCnC(c.alg, x, 8, 3, v, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -74,7 +73,7 @@ func TestNonBlockingExcludedFromGC(t *testing.T) {
 			c.serial(ref)
 
 			x := orig.Clone()
-			stats, err := c.alg.RunCnC(x, 8, 3, core.NonBlockingCnC)
+			stats, err := runCnC(c.alg, x, 8, 3, core.NonBlockingCnC, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +130,7 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 
 	x := orig.Clone()
-	unbounded, err := GE.RunCnC(x, 64, workers, core.NativeCnC)
+	unbounded, err := runCnC(GE, x, 64, workers, core.NativeCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +145,14 @@ func TestBoundedMemory2KGE(t *testing.T) {
 	if unbounded.PeakLiveBytes == 0 {
 		t.Fatal("unbounded: PeakLiveBytes = 0; SizeOf hints not wired")
 	}
-	again, err := GE.RunCnC(orig.Clone(), 64, workers, core.NativeCnC)
+	again, err := runCnC(GE, orig.Clone(), 64, workers, core.NativeCnC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	limit := max(unbounded.PeakLiveBytes, again.PeakLiveBytes)
 	y := orig.Clone()
-	bounded, err := GE.RunCnCContext(context.Background(), y, 64, workers, core.NativeCnC,
-		func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
+	bounded, err := runCnC(GE, y, 64, workers, core.NativeCnC, func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +169,7 @@ func TestBoundedMemory2KGE(t *testing.T) {
 
 	tight := unbounded.PeakLiveBytes / 2
 	z := orig.Clone()
-	degraded, err := GE.RunCnCContext(context.Background(), z, 64, workers, core.NativeCnC,
-		func(g *cnc.Graph) { g.WithMemoryLimit(tight) })
+	degraded, err := runCnC(GE, z, 64, workers, core.NativeCnC, func(g *cnc.Graph) { g.WithMemoryLimit(tight) })
 	if err != nil {
 		t.Fatal(err)
 	}

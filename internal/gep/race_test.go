@@ -1,51 +1,38 @@
 package gep
 
 import (
-	"context"
 	"strings"
 	"testing"
 
 	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
-	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 )
 
-// TestForkJoinRaceCheckedClean runs the real 2-way and r-way fork-join
-// drivers under determinacy detection: the taskwait schedule must be
-// race-free at tile granularity, the detector must have actually tracked
-// the kernels' declared accesses, and the result must still verify.
+// TestForkJoinRaceCheckedClean runs the real fork-join interpreter under
+// determinacy detection: the taskwait schedule must be race-free at tile
+// granularity, the detector must have actually tracked the kernels'
+// declared accesses, and the result must still verify.
 func TestForkJoinRaceCheckedClean(t *testing.T) {
 	const n, base = 32, 8
 	for _, tc := range []struct {
 		name string
 		alg  Algorithm
-		run  func(x *matrix.Dense, p *forkjoin.Pool) error
 	}{
-		{"GE/2way", Algorithm{Kernel: kernels.GE, Shape: Triangular},
-			func(x *matrix.Dense, p *forkjoin.Pool) error {
-				return Algorithm{Kernel: kernels.GE, Shape: Triangular}.ForkJoinR(context.Background(), x, base, 2, p)
-			}},
-		{"FW/2way", Algorithm{Kernel: kernels.FW, Shape: Cube},
-			func(x *matrix.Dense, p *forkjoin.Pool) error {
-				return Algorithm{Kernel: kernels.FW, Shape: Cube}.ForkJoinR(context.Background(), x, base, 2, p)
-			}},
-		{"GE/4way", Algorithm{Kernel: kernels.GE, Shape: Triangular},
-			func(x *matrix.Dense, p *forkjoin.Pool) error {
-				return Algorithm{Kernel: kernels.GE, Shape: Triangular}.ForkJoinR(context.Background(), x, base, 4, p)
-			}},
+		{"GE/2way", GE},
+		{"FW/2way", FW},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			x := geInput(n, 42)
 			ref := x.Clone()
-			if err := tc.alg.RDPSerial(ref, base); err != nil {
+			if err := serial(tc.alg, ref, base); err != nil {
 				t.Fatal(err)
 			}
 			p := forkjoin.NewPool(forkjoin.Config{Workers: 4, Seed: 7})
 			defer p.Close()
 			d := determinacy.NewDetector()
 			p.WithRaceDetection(d)
-			if err := tc.run(x, p); err != nil {
+			if err := forkJoin(tc.alg, x, base, p); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Err(); err != nil {
@@ -61,22 +48,24 @@ func TestForkJoinRaceCheckedClean(t *testing.T) {
 	}
 }
 
-// brokenA is driver.forkJoin's top level (triangular, 2-way) with the
-// taskwait between the B/C stage and the D stage removed: funcD consumes
-// the very tiles B and C are still producing — exactly the artificial
-// dependency the paper's fork-join model inserts, turned into the canonical
-// missing-join bug. The kernels are no-ops so the seeded race exists only
-// at the declared-shadow level (the suite runs under -race; a real memory
-// race would fail the run before the detector could report it).
-func brokenA(d *driver, ctx *forkjoin.Ctx, h int) {
-	d.forkJoin(ctx, Tag{0, 0, 0, h})
+// brokenA is the fork-join interpreter's top level (triangular, 2-way) with
+// the taskwait between the B/C stage and the D stage removed: funcD
+// consumes the very tiles B and C are still producing — exactly the
+// artificial dependency the paper's fork-join model inserts, turned into
+// the canonical missing-join bug. The kernels are no-ops so the seeded race
+// exists only at the declared-shadow level (the suite runs under -race; a
+// real memory race would fail the run before the detector could report it).
+func brokenA(f *Flow[Tag, ItemKey], ctx *forkjoin.Ctx, h int) {
+	pool := visitorPool[Tag, ItemKey]()
+	call := func(c *forkjoin.Ctx, t Tag) { f.call(pool, c, t, false) }
+	call(ctx, Tag{0, 0, 0, h})
 	var g forkjoin.Group
-	ctx.Spawn(&g, func(c *forkjoin.Ctx) { d.forkJoin(c, Tag{0, 1, 0, h}) })
-	ctx.Spawn(&g, func(c *forkjoin.Ctx) { d.forkJoin(c, Tag{1, 0, 0, h}) })
+	ctx.Spawn(&g, func(c *forkjoin.Ctx) { call(c, Tag{0, 1, 0, h}) })
+	ctx.Spawn(&g, func(c *forkjoin.Ctx) { call(c, Tag{1, 0, 0, h}) })
 	// BUG under test: no ctx.Wait(&g) here.
-	d.forkJoin(ctx, Tag{1, 1, 0, h})
+	call(ctx, Tag{1, 1, 0, h})
 	ctx.Wait(&g)
-	d.forkJoin(ctx, Tag{1, 1, 1, h})
+	call(ctx, Tag{1, 1, 1, h})
 }
 
 // TestForkJoinSeededRaceDetected proves the detector fires: the broken
@@ -93,11 +82,11 @@ func TestForkJoinSeededRaceDetected(t *testing.T) {
 		p := forkjoin.NewPool(forkjoin.Config{Workers: 4, Seed: seed})
 		d := determinacy.NewDetector()
 		p.WithRaceDetection(d)
-		dr, err := noop.newDriver(matrix.NewSquare(n), base, 2)
+		f, err := noop.Flow(matrix.NewSquare(n), base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Run(func(c *forkjoin.Ctx) { brokenA(dr, c, n/2) })
+		p.Run(func(c *forkjoin.Ctx) { brokenA(f, c, n/2) })
 		p.Close()
 
 		err = d.Err()
@@ -136,7 +125,7 @@ func TestForkJoinSeededRaceDetected(t *testing.T) {
 // (target: no more than 3x wall-clock).
 func BenchmarkForkJoinGE1K(b *testing.B) {
 	const n, base = 1024, 64
-	alg := Algorithm{Kernel: kernels.GE, Shape: Triangular}
+	alg := GE
 	for _, detect := range []bool{false, true} {
 		name := "detect=off"
 		if detect {
@@ -152,7 +141,7 @@ func BenchmarkForkJoinGE1K(b *testing.B) {
 					p.WithRaceDetection(determinacy.NewDetector())
 				}
 				b.StartTimer()
-				if err := alg.ForkJoinR(context.Background(), x, base, 2, p); err != nil {
+				if err := forkJoin(alg, x, base, p); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -3,116 +3,59 @@ package gep
 // This file is the one place the GEP recurrence is stated: the schedule
 // walk (which sub-calls a recursive call makes, in which sequential stages)
 // and the dependency relation on base tasks (which tile updates a tile
-// update must wait for). The serial, fork-join and CnC drivers of this
-// package and the two DAG builders of internal/dag interpret these two
-// values; none of them restates the recursion or a dependency.
+// update must wait for). Algorithm.Flow hands them to the serial, fork-join
+// and CnC interpreters, and the two DAG builders of internal/dag read them
+// too; none of them restates the recursion or a dependency.
 
-// walk iterates the sub-calls of one recursive call, split r ways, in
-// schedule order. The call covers block (I, J) at elimination block K in
-// units of S; sub-block (i, j) at local phase k is the call
-// {rI+i, rJ+j, rK+k, S/r}, and Classify of those coordinates is its
-// function — a block holds a pivot row only if its parent did. Each phase
-// k runs three stages, A; B ∥ C; D, over the sub-blocks of that kind
-// (Figure 2 of the paper is r = 2): A's output feeds B and C, theirs feed
-// D. Under the Triangular shape blocks above or left of the pivot have no
-// work and are skipped.
-//
-// It is a value iterator — no closure, no slice — because the fork-join
-// driver makes one per interior call of the recursion.
-type walk struct {
-	t    Tag
-	fn   Func // t's function
-	r    int
-	cube bool
-	// k is the phase, st the stage within it, p the position within the
-	// stage; k == r marks the end. sub is the call at that position.
-	k, st, p int
-	sub      Tag
-}
-
-func (sh Shape) walk(t Tag, r int) walk {
-	w := walk{t: t, fn: Classify(t.I, t.J, t.K), r: r, cube: sh == Cube, p: -1}
-	w.advance()
-	return w
-}
-
-// at returns the sub-call at the current position and whether it belongs
-// to the current stage. Stage 0 has the one diagonal position; stage 1
-// interleaves pivot-row block (k, x) at p = 2x with pivot-column block
-// (x, k) at p = 2x+1; stage 2 scans all r² blocks row by row.
-func (w *walk) at() (Tag, bool) {
-	i, j, want := w.k, w.k, FuncA
-	switch {
-	case w.st == 1 && w.p%2 == 0:
-		j, want = w.p/2, FuncB
-	case w.st == 1:
-		i, want = w.p/2, FuncC
-	case w.st == 2:
-		i, j, want = w.p/w.r, w.p%w.r, FuncD
-	}
-	sub := Tag{w.r*w.t.I + i, w.r*w.t.J + j, w.r*w.t.K + w.k, w.t.S / w.r}
-	if !w.cube && (sub.I < sub.K || sub.J < sub.K) {
-		return sub, false
-	}
-	return sub, Classify(sub.I, sub.J, sub.K) == want
-}
-
-// positions returns how many positions the current stage scans: only a
-// call of A has a diagonal sub-block, and a call of D no pivot row or column.
-func (w *walk) positions() int {
-	switch {
-	case w.st == 2:
-		return w.r * w.r
-	case w.st == 1 && w.fn != FuncD:
-		return 2 * w.r
-	case w.st == 0 && w.fn == FuncA:
-		return 1
-	}
-	return 0
-}
-
-// advance moves to the next position that holds a sub-call.
-func (w *walk) advance() {
-	for {
-		if w.p++; w.p >= w.positions() {
-			w.p = -1
-			if w.st++; w.st == 3 {
-				w.st = 0
-				if w.k++; w.k == w.r {
-					return
-				}
-			}
-			continue
-		}
-		if sub, ok := w.at(); ok {
-			w.sub = sub
-			return
-		}
-	}
-}
-
-// next returns the next sub-call; last reports that it ends its stage, so
-// whatever follows must wait for the whole stage.
-func (w *walk) next() (sub Tag, last, ok bool) {
-	if w.k == w.r {
-		return Tag{}, false, false
-	}
-	sub, k, st := w.sub, w.k, w.st
-	w.advance()
-	return sub, w.k != k || w.st != st, true
-}
-
-// Walk visits the sub-calls of call t split r ways, in schedule order;
-// last marks the final call of a stage. It is the visitor form of the
-// recursion for interpreters that build something per call anyway (the
-// CnC tag expansion, internal/dag's symbolic fork-join builder).
+// Walk visits the sub-calls of call t split r ways, in schedule order; last
+// marks the final call of a stage. The call covers block (I, J) at
+// elimination block K in units of S; sub-block (i, j) at local phase k is
+// the call {rI+i, rJ+j, rK+k, S/r}, and Classify of those coordinates is its
+// function — a block holds a pivot row only if its parent did. Each phase k
+// runs three stages, A; B ∥ C; D, over the sub-blocks of that kind (Figure 2
+// of the paper is r = 2): A's output feeds B and C, theirs feed D. Only a
+// call of A has a diagonal sub-block, and a call of D no pivot row or
+// column; the pivot row's and column's blocks interleave, (k, x) then
+// (x, k), and D's are scanned row by row. Under the Triangular shape blocks
+// above or left of the pivot have no work and are skipped.
 func (sh Shape) Walk(t Tag, r int, visit func(sub Tag, last bool)) {
-	for w := sh.walk(t, r); ; {
-		sub, last, ok := w.next()
-		if !ok {
+	fn := Classify(t.I, t.J, t.K)
+	// The latest sub-call is held back until the next one shows whether it
+	// ends its stage.
+	var held Tag
+	holding := false
+	add := func(i, j, k int, want Func) {
+		sub := Tag{r*t.I + i, r*t.J + j, r*t.K + k, t.S / r}
+		if sh != Cube && (sub.I < sub.K || sub.J < sub.K) || Classify(sub.I, sub.J, sub.K) != want {
 			return
 		}
-		visit(sub, last)
+		if holding {
+			visit(held, false)
+		}
+		held, holding = sub, true
+	}
+	endStage := func() {
+		if holding {
+			visit(held, true)
+			holding = false
+		}
+	}
+	for k := 0; k < r; k++ {
+		if fn == FuncA {
+			add(k, k, k, FuncA)
+			endStage()
+		}
+		if fn != FuncD {
+			for x := 0; x < r; x++ {
+				add(k, x, k, FuncB)
+				add(x, k, k, FuncC)
+			}
+			endStage()
+		}
+		for x := 0; x < r*r; x++ {
+			add(x/r, x%r, k, FuncD)
+		}
+		endStage()
 	}
 }
 

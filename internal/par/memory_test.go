@@ -20,7 +20,7 @@ func TestCnCLeakFree(t *testing.T) {
 	const tiles = 16
 	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 		t.Run(v.String(), func(t *testing.T) {
-			cost, stats, err := p.RunCnC(p.NewTable(), 128/tiles, 3, v)
+			cost, stats, err := p.runCnC(p.NewTable(), 128/tiles, 3, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestCnCLeakFree(t *testing.T) {
 func TestNonBlockingExcludedFromGC(t *testing.T) {
 	p := RandomProblem(64, 30, rand.New(rand.NewSource(3)))
 	want := p.Serial(p.NewTable())
-	cost, stats, err := p.RunCnC(p.NewTable(), 8, 3, core.NonBlockingCnC)
+	cost, stats, err := p.runCnC(p.NewTable(), 8, 3, core.NonBlockingCnC)
 	if err != nil {
 		t.Fatal(err)
 	}

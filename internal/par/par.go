@@ -18,14 +18,11 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
-	"dpflow/internal/cnc"
-	"dpflow/internal/core"
-	"dpflow/internal/forkjoin"
+	"dpflow/internal/determinacy"
 	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
@@ -125,8 +122,8 @@ func (p *Problem) TileKernel(m *matrix.Dense, tI, tJ, bs int) {
 type Tile struct{ I, J int }
 
 // The recurrence is stated once, here: the schedule walk (Walk) and the
-// dependency relation on tiles (Preds, Succs); the serial, fork-join and
-// CnC drivers below interpret them.
+// dependency relation on tiles (Preds, Succs); Problem.Flow hands them to
+// the shared interpreters.
 
 // Walk visits the tiles of a tiles×tiles grid in gap order; last marks the
 // final tile of a stage. A stage is one anti-diagonal: its tiles are
@@ -171,99 +168,35 @@ func Succs(tiles int, t Tile, f func(Tile) bool) bool {
 	return true
 }
 
-// driver runs tile kernels on a table; bs is the tile side.
-type driver struct {
-	p  *Problem
-	m  *matrix.Dense
-	bs int
-}
-
-func (p *Problem) newDriver(m *matrix.Dense, base int) (*driver, int, error) {
+// Flow states the recurrence on table m for the shared interpreters
+// (gep.Flow). Every tag is a base tile and its own key; the walk has one
+// level, so the flow is Flat and every interpreter instantiates the tiles
+// diagonal by diagonal. Under data-flow a tile fires as soon as the tiles it
+// reads are done, which exercises the tuners' countdown machinery at high
+// fan-in and the get-count collector at non-constant counts. The optimal
+// cost is m[1][N] of the filled table.
+func (p *Problem) Flow(m *matrix.Dense, base int) (*gep.Flow[Tile, Tile], error) {
 	if err := p.validate(base); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	bs := gep.BaseSize(p.N(), base)
-	return &driver{p: p, m: m, bs: bs}, p.N() / bs, nil
-}
-
-// RDPSerial computes the table tile by tile in gap order — the serial
-// reference for the parallel schedules. base chooses the tile side
-// (rounded to the recursion's effective size like the other benchmarks).
-func (p *Problem) RDPSerial(m *matrix.Dense, base int) (float64, error) {
-	d, tiles, err := p.newDriver(m, base)
-	if err != nil {
-		return 0, err
-	}
-	Walk(tiles, func(t Tile, _ bool) { p.TileKernel(m, t.I, t.J, d.bs) })
-	return m.At(1, p.N()), nil
-}
-
-// ForkJoin runs the fork-join schedule: tiles of each anti-diagonal in
-// parallel, a taskwait barrier between diagonals.
-func (p *Problem) ForkJoin(m *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	return p.ForkJoinContext(context.Background(), m, base, pool)
-}
-
-// ForkJoinContext is ForkJoin with cooperative cancellation: a cancelled
-// ctx abandons the remaining anti-diagonals and returns ctx.Err().
-func (p *Problem) ForkJoinContext(ctx context.Context, m *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	d, tiles, err := p.newDriver(m, base)
-	if err != nil {
-		return 0, err
-	}
-	if err := pool.RunContext(ctx, func(c *forkjoin.Ctx) {
-		var g forkjoin.Group
-		Walk(tiles, func(t Tile, last bool) {
-			c.SpawnCall(&g, parCall, d, [4]int{t.I, t.J})
-			if last {
-				c.Wait(&g)
-			}
-		})
-	}); err != nil {
-		return 0, err
-	}
-	return m.At(1, p.N()), nil
-}
-
-// parCall is the closure-free spawn trampoline (see forkjoin.Ctx.SpawnCall).
-func parCall(_ *forkjoin.Ctx, recv any, a [4]int) {
-	d := recv.(*driver)
-	d.p.TileKernel(d.m, a[0], a[1], d.bs)
-}
-
-// RunCnC runs the data-flow schedule: every tile fires as soon as the
-// tiles it reads are done, which exercises the tuners' countdown machinery
-// at high fan-in and the get-count collector at non-constant counts.
-func (p *Problem) RunCnC(m *matrix.Dense, base, workers int, variant core.Variant) (float64, gep.CnCStats, error) {
-	return p.RunCnCContext(context.Background(), m, base, workers, variant, nil)
-}
-
-// RunCnCContext is RunCnC with cooperative cancellation; tune, when
-// non-nil, receives the built graph before the run starts (the chaos
-// harness's injection hook).
-func (p *Problem) RunCnCContext(ctx context.Context, m *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph)) (float64, gep.CnCStats, error) {
-	d, tiles, err := p.newDriver(m, base)
-	if err != nil {
-		return 0, gep.CnCStats{}, err
-	}
-	// The shared data-flow interpreter: every tag is a base tile and its
-	// own key; the environment instantiates them all, diagonal by diagonal.
-	f := &gep.Flow[Tile, Tile]{
+	tiles := p.N() / bs
+	return &gep.Flow[Tile, Tile]{
 		Colls: [][3]string{{"parTile", "tile_tags", "tile_outputs"}},
 		Task:  func(t Tile) (Tile, bool) { return t, true },
 		Walk:  func(_ Tile, _ bool, visit func(Tile, bool)) { Walk(tiles, visit) },
 		Preds: func(k Tile, f func(Tile) bool) bool { return Preds(tiles, k, f) },
 		Succs: func(k Tile, f func(Tile) bool) bool { return Succs(tiles, k, f) },
-		Kernel: func(k Tile) error {
-			p.TileKernel(m, k.I, k.J, d.bs)
+		Kernel: func(k Tile, fr *determinacy.Frame) error {
+			if fr != nil {
+				// A tile writes itself and reads its whole band.
+				fr.Write(determinacy.TileCell(k.I, k.J))
+				Preds(tiles, k, func(r Tile) bool { fr.Read(determinacy.TileCell(r.I, r.J)); return true })
+			}
+			p.TileKernel(m, k.I, k.J, bs)
 			return nil
 		},
 		Flat:      true,
-		TileBytes: d.bs * d.bs * 8,
-	}
-	stats, err := f.Run(ctx, "par-"+variant.String(), workers, variant, tune)
-	if err != nil {
-		return 0, stats, err
-	}
-	return m.At(1, p.N()), stats, nil
+		TileBytes: bs * bs * 8,
+	}, nil
 }

@@ -1,14 +1,47 @@
 package par
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"dpflow/internal/core"
+	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
+
+// serial, forkJoin and runCnC fill m with p's Flow under one interpreter
+// and return the optimal cost m[1][N].
+func (p *Problem) serial(m *matrix.Dense, base int) (float64, error) {
+	f, err := p.Flow(m, base)
+	if err == nil {
+		err = f.Serial()
+	}
+	return m.At(1, p.N()), err
+}
+
+func (p *Problem) forkJoin(m *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
+	f, err := p.Flow(m, base)
+	if err == nil {
+		err = f.ForkJoin(context.Background(), pool)
+	}
+	return m.At(1, p.N()), err
+}
+
+func (p *Problem) runCnC(m *matrix.Dense, base, workers int, v core.Variant) (float64, gep.CnCStats, error) {
+	f, err := p.Flow(m, base)
+	if err != nil {
+		return 0, gep.CnCStats{}, err
+	}
+	stats, err := f.Run(context.Background(), "par-"+v.String(), workers, v, nil)
+	return m.At(1, p.N()), stats, err
+}
 
 // The classic textbook instance: chains 30×35, 35×15, 15×5, 5×10, 10×20,
 // 20×25 have optimal cost 15125 (CLRS §15.2).
@@ -45,12 +78,12 @@ func TestAllVariantsAgree(t *testing.T) {
 		run  func(m *matrix.Dense, base int) (float64, error)
 	}
 	drivers := []driver{
-		{"Serial_RDP", p.RDPSerial},
-		{"OpenMP", func(m *matrix.Dense, base int) (float64, error) { return p.ForkJoin(m, base, pool) }},
+		{"Serial_RDP", p.serial},
+		{"OpenMP", func(m *matrix.Dense, base int) (float64, error) { return p.forkJoin(m, base, pool) }},
 	}
 	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
 		drivers = append(drivers, driver{v.String(), func(m *matrix.Dense, base int) (float64, error) {
-			cost, _, err := p.RunCnC(m, base, 3, v)
+			cost, _, err := p.runCnC(m, base, 3, v)
 			return cost, err
 		}})
 	}
@@ -77,11 +110,11 @@ func TestTablesMatchExactly(t *testing.T) {
 	p.Serial(ref)
 
 	fj := p.NewTable()
-	if _, err := p.ForkJoin(fj, 8, pool); err != nil {
+	if _, err := p.forkJoin(fj, 8, pool); err != nil {
 		t.Fatal(err)
 	}
 	df := p.NewTable()
-	if _, _, err := p.RunCnC(df, 8, 3, core.NativeCnC); err != nil {
+	if _, _, err := p.runCnC(df, 8, 3, core.NativeCnC); err != nil {
 		t.Fatal(err)
 	}
 	if !matrix.Equal(fj, ref) || !matrix.Equal(df, ref) {
@@ -105,7 +138,7 @@ func TestOptimalityProperty(t *testing.T) {
 		if opt > ltr {
 			return false
 		}
-		got, _, err := p.RunCnC(p.NewTable(), 4, 2, core.TunerCnC)
+		got, _, err := p.runCnC(p.NewTable(), 4, 2, core.TunerCnC)
 		return err == nil && got == opt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -115,15 +148,15 @@ func TestOptimalityProperty(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	ok := &Problem{Dims: []int{3, 4, 5}} // n=2
-	if _, err := ok.RDPSerial(ok.NewTable(), 2); err != nil {
+	if _, err := ok.serial(ok.NewTable(), 2); err != nil {
 		t.Fatalf("n=2 rejected: %v", err)
 	}
 	odd := &Problem{Dims: []int{1, 2, 3, 4}} // n=3, not a power of two
-	if _, err := odd.RDPSerial(odd.NewTable(), 2); err == nil {
+	if _, err := odd.Flow(odd.NewTable(), 2); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
 	p := &Problem{Dims: []int{1, 2, 3, 4, 5}}
-	if _, err := p.RDPSerial(p.NewTable(), 0); err == nil {
+	if _, err := p.Flow(p.NewTable(), 0); err == nil {
 		t.Fatal("base 0 accepted")
 	}
 }
@@ -135,7 +168,7 @@ func TestHighFanInDeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := RandomProblem(64, 15, rng)
 	m := p.NewTable()
-	_, stats, err := p.RunCnC(m, 8, 4, core.ManualCnC)
+	_, stats, err := p.runCnC(m, 8, 4, core.ManualCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,5 +178,65 @@ func TestHighFanInDeps(t *testing.T) {
 	}
 	if stats.Aborts != 0 {
 		t.Fatalf("manual variant aborted %d times", stats.Aborts)
+	}
+}
+
+// TestForkJoinDeclaresBandReads runs par's Flow under race-checked fork-join
+// twice. As stated, every tile declares its write and its band reads and the
+// barrier between anti-diagonals orders each read after its write: no race,
+// and the detector saw the declarations. With the barriers removed — the
+// walk keeps its order but marks only its final tile as ending a stage, so
+// the whole grid is one spawned stage — some tile reads a band tile no join
+// orders it after, and the detector must name that pair of tile tasks.
+func TestForkJoinDeclaresBandReads(t *testing.T) {
+	p := RandomProblem(64, 20, rand.New(rand.NewSource(4)))
+	for _, barriers := range []bool{true, false} {
+		pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Seed: 1})
+		d := determinacy.NewDetector()
+		pool.WithRaceDetection(d)
+		f, err := p.Flow(p.NewTable(), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !barriers {
+			walk, tiles := f.Walk, 0
+			walk(f.Root, true, func(Tile, bool) { tiles++ })
+			f.Walk = func(t Tile, flat bool, visit func(Tile, bool)) {
+				i := 0
+				walk(t, flat, func(sub Tile, _ bool) { i++; visit(sub, i == tiles) })
+			}
+			// The kernels take turns, so the seeded race exists only at the
+			// declared-shadow level: the suite runs under -race, and a real
+			// memory race would fail the run before the detector could
+			// report it.
+			var mu sync.Mutex
+			kernel := f.Kernel
+			f.Kernel = func(k Tile, fr *determinacy.Frame) error {
+				mu.Lock()
+				defer mu.Unlock()
+				return kernel(k, fr)
+			}
+		}
+		err = f.ForkJoin(context.Background(), pool)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := d.Stats(); st.Accesses == 0 {
+			t.Fatalf("barriers=%v: the detector saw no accesses — par's kernel declares nothing", barriers)
+		}
+		if barriers {
+			if err := d.Err(); err != nil {
+				t.Fatalf("race reported on the correct schedule: %v", err)
+			}
+			continue
+		}
+		var re *determinacy.RaceError
+		if !errors.As(d.Err(), &re) {
+			t.Fatalf("barrier-free walk: Err() = %v, want a *RaceError", d.Err())
+		}
+		if re.FirstTask == re.SecondTask || !strings.HasPrefix(re.Cell, "tile(") {
+			t.Fatalf("barrier-free walk: race does not name two tile tasks and a tile: %v", re)
+		}
 	}
 }

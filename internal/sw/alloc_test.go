@@ -32,12 +32,12 @@ func TestRunAllocBudget(t *testing.T) {
 		run := func() {
 			h := p.NewTable()
 			if v == core.OMPTasking {
-				if _, err := p.ForkJoinWavefront(h, base, pool); err != nil {
+				if _, err := p.forkJoin(h, base, pool); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			if _, _, err := p.RunCnC(h, base, workers, v); err != nil {
+			if _, _, err := p.runCnC(h, base, workers, v); err != nil {
 				t.Fatal(err)
 			}
 		}

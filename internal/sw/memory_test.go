@@ -17,7 +17,7 @@ func TestCnCLeakFree(t *testing.T) {
 			want := p.Linear()
 
 			h := p.NewTable()
-			score, stats, err := p.RunCnC(h, 8, 3, v)
+			score, stats, err := p.runCnC(h, 8, 3, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestNonBlockingExcludedFromGC(t *testing.T) {
 	want := p.Linear()
 
 	h := p.NewTable()
-	score, stats, err := p.RunCnC(h, 8, 3, core.NonBlockingCnC)
+	score, stats, err := p.runCnC(h, 8, 3, core.NonBlockingCnC)
 	if err != nil {
 		t.Fatal(err)
 	}

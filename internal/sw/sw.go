@@ -14,13 +14,9 @@
 package sw
 
 import (
-	"context"
 	"fmt"
 
-	"dpflow/internal/cnc"
-	"dpflow/internal/core"
 	"dpflow/internal/determinacy"
-	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
 	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
@@ -32,20 +28,6 @@ import (
 type Problem struct {
 	A, B    []byte
 	Scoring kernels.Scoring
-	// Trace, when non-nil, brackets every base-tile kernel invocation in
-	// every driver: the returned func is called when the kernel finishes
-	// (dpperf's traced pass reads kernel busy time through it).
-	Trace func() func()
-}
-
-// kernel applies the SW base-case kernel at table coordinates (i, j) under
-// the optional Trace hook. Callers pass the already-shifted 1+tile origin.
-func (p *Problem) kernel(h *matrix.Dense, i, j, s int) {
-	if p.Trace != nil {
-		done := p.Trace()
-		defer done()
-	}
-	kernels.SW(h, p.A, p.B, p.Scoring, i, j, s)
 }
 
 // N returns the sequence length.
@@ -80,44 +62,19 @@ func (p *Problem) Serial(h *matrix.Dense) float64 {
 // Linear computes the score in O(n) space (the paper's space optimisation).
 func (p *Problem) Linear() float64 { return kernels.SWLinear(p.A, p.B, p.Scoring) }
 
-// The recurrence is stated once, here: the schedule walk (walk, Walk) and
-// the dependency relation on base tiles (Preds, Succs). The serial,
-// fork-join and CnC drivers below and internal/dag's two SW graphs
-// interpret them.
+// The recurrence is stated once, here: the schedule walk (Walk) and the
+// dependency relation on base tiles (Preds, Succs). Problem.Flow hands them
+// to the shared interpreters, and internal/dag's two SW graphs read them.
 
-// walk iterates the r×r sub-blocks of one call by anti-diagonal: the blocks
-// of a diagonal are independent and successive diagonals are stages, so
-// r = 2 is R(X00); R(X01) ∥ R(X10); R(X11) and r = tiles the flat tiled
-// wavefront. A value iterator: the fork-join driver makes one per call.
-type walk struct {
-	t       TileTag
-	r, d, i int // the next sub-block is (i, d−i) on diagonal d
-}
-
-func (w *walk) next() (sub TileTag, last, ok bool) {
-	r := w.r
-	if w.d > 2*r-2 {
-		return TileTag{}, false, false
-	}
-	sub = TileTag{r*w.t.I + w.i, r*w.t.J + w.d - w.i, w.t.S / r}
-	if last = w.i == min(w.d, r-1); last {
-		w.d++
-		w.i = max(0, w.d-r+1)
-	} else {
-		w.i++
-	}
-	return sub, last, true
-}
-
-// Walk visits the sub-calls of call t split r ways, in schedule order; last
-// marks the final call of a stage.
+// Walk visits the r×r sub-blocks of call t by anti-diagonal; last marks the
+// final call of a stage. The blocks of a diagonal are independent and
+// successive diagonals are stages, so r = 2 is R(X00); R(X01) ∥ R(X10);
+// R(X11) and r = tiles the flat tiled wavefront.
 func Walk(t TileTag, r int, visit func(sub TileTag, last bool)) {
-	for w := (walk{t: t, r: r}); ; {
-		sub, last, ok := w.next()
-		if !ok {
-			return
+	for d := 0; d <= 2*r-2; d++ {
+		for i, hi := max(0, d-r+1), min(d, r-1); i <= hi; i++ {
+			visit(TileTag{r*t.I + i, r*t.J + d - i, t.S / r}, i == hi)
 		}
-		visit(sub, last)
 	}
 }
 
@@ -140,136 +97,6 @@ func Succs(tiles int, t TileKey, f func(TileKey) bool) bool {
 		(!s || !e || f(TileKey{t.I + 1, t.J + 1}))
 }
 
-// driver interprets the walk on a table, serially or on the fork-join pool;
-// bs is the side of a base tile and r the arity of the split.
-type driver struct {
-	p     *Problem
-	h     *matrix.Dense
-	bs, r int
-}
-
-func (p *Problem) newDriver(h *matrix.Dense, base int) (*driver, error) {
-	if err := p.validate(h, base); err != nil {
-		return nil, err
-	}
-	return &driver{p: p, h: h, bs: gep.BaseSize(p.N(), base), r: 2}, nil
-}
-
-func (d *driver) root() TileTag { return TileTag{S: d.p.N()} }
-
-func (d *driver) kernel(t TileTag) { d.p.kernel(d.h, 1+t.I*t.S, 1+t.J*t.S, t.S) }
-
-func (d *driver) serial(t TileTag) {
-	if t.S == d.bs {
-		d.kernel(t)
-		return
-	}
-	for w := (walk{t: t, r: d.r}); ; {
-		sub, _, ok := w.next()
-		if !ok {
-			return
-		}
-		d.serial(sub)
-	}
-}
-
-// swCall is the closure-free spawn trampoline (see forkjoin.Ctx.SpawnCall).
-func swCall(c *forkjoin.Ctx, recv any, a [4]int) {
-	recv.(*driver).forkJoin(c, TileTag{a[0], a[1], a[2]})
-}
-
-// forkJoin spawns the calls of a stage and waits for all of them before the
-// next: X11 waits for both anti-diagonal halves whatever it reads of them —
-// the artificial dependency. A stage of one call runs on the caller.
-func (d *driver) forkJoin(c *forkjoin.Ctx, t TileTag) {
-	if t.S == d.bs {
-		declareRace(c, t.I, t.J)
-		d.kernel(t)
-		return
-	}
-	var g forkjoin.Group
-	spawned := false
-	for w := (walk{t: t, r: d.r}); ; {
-		sub, last, ok := w.next()
-		switch {
-		case !ok:
-			return
-		case last && !spawned:
-			d.forkJoin(c, sub)
-		default:
-			c.SpawnCall(&g, swCall, d, [4]int{sub.I, sub.J, sub.S})
-			spawned = !last
-			if last {
-				c.Wait(&g)
-			}
-		}
-	}
-}
-
-// RDPSerial runs the 2-way recursive divide-and-conquer SW serially.
-func (p *Problem) RDPSerial(h *matrix.Dense, base int) (float64, error) {
-	d, err := p.newDriver(h, base)
-	if err != nil {
-		return 0, err
-	}
-	d.serial(d.root())
-	return kernels.MaxScore(h), nil
-}
-
-// ForkJoin runs the fork-join R-DP SW on pool: R(X00); R(X01) ∥ R(X10);
-// join; R(X11), with the same structure recursively.
-func (p *Problem) ForkJoin(h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	return p.ForkJoinContext(context.Background(), h, base, pool)
-}
-
-// ForkJoinContext is ForkJoin with cooperative cancellation: a cancelled
-// ctx unwinds the recursion and returns ctx.Err() with a partial table.
-func (p *Problem) ForkJoinContext(ctx context.Context, h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	d, err := p.newDriver(h, base)
-	if err != nil {
-		return 0, err
-	}
-	if err := pool.RunContext(ctx, func(c *forkjoin.Ctx) { d.forkJoin(c, d.root()) }); err != nil {
-		return 0, err
-	}
-	return kernels.MaxScore(h), nil
-}
-
-// ForkJoinWavefront runs the tiled wavefront with one taskwait barrier per
-// anti-diagonal — the alternative fork-join formulation the paper's
-// footnote 6 describes ("in fork-join implementation, there is a barrier
-// synchronization for every wavefront computation"): the walk split tiles
-// ways. Its span is the optimal 2T−1 diagonals, but every diagonal is a
-// full barrier: a tile cannot start until ALL tiles of the previous
-// diagonal finish, not just its three neighbours, so it still
-// under-utilises relative to data-flow when tile costs vary or workers
-// outnumber the diagonal width.
-func (p *Problem) ForkJoinWavefront(h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
-	d, err := p.newDriver(h, base)
-	if err != nil {
-		return 0, err
-	}
-	d.r = p.N() / d.bs
-	pool.Run(func(c *forkjoin.Ctx) { d.forkJoin(c, d.root()) })
-	return kernels.MaxScore(h), nil
-}
-
-// declareRace reports the wavefront access set of one base tile to the
-// pool's race detector when the run is race-checked: tile (ti, tj) is
-// written and its west, north and north-west neighbours are read (the SW
-// kernel reads their boundary row/column out of the shared table).
-func declareRace(c *forkjoin.Ctx, ti, tj int) {
-	f := c.Race()
-	if f == nil {
-		return
-	}
-	f.Write(determinacy.TileCell(ti, tj))
-	Preds(0, TileKey{ti, tj}, func(k TileKey) bool {
-		f.Read(determinacy.TileCell(k.I, k.J))
-		return true
-	})
-}
-
 // TileTag identifies a recursive block (I, J) of size S (in units of S), as
 // in the GEP tags but without a K dimension — SW has a single pass.
 type TileTag struct {
@@ -282,40 +109,15 @@ type TileKey struct {
 	I, J int
 }
 
-// NewCnCGraph builds the static CnC structure of the SW program — one step
-// collection prescribed by one tag collection, synchronised through one
-// item collection of finished tiles — without running it.
-func NewCnCGraph(name string) *cnc.Graph {
-	p := &Problem{A: make([]byte, 4), B: make([]byte, 4)}
-	return p.flow(nil, 1).Spec(name, core.NativeCnC)
-}
-
-// RunCnC runs the data-flow SW: one step collection prescribed by one tag
-// collection, one item collection of finished tiles. Base tiles fire as
-// soon as their west, north and north-west neighbours are done — the
-// wavefront the fork-join version cannot express.
-func (p *Problem) RunCnC(h *matrix.Dense, base, workers int, variant core.Variant) (float64, gep.CnCStats, error) {
-	return p.RunCnCContext(context.Background(), h, base, workers, variant, nil)
-}
-
-// RunCnCContext is RunCnC with cooperative cancellation; tune, when
-// non-nil, receives the built graph before the run starts (the chaos
-// harness's injection hook).
-func (p *Problem) RunCnCContext(ctx context.Context, h *matrix.Dense, base, workers int, variant core.Variant, tune func(*cnc.Graph)) (float64, gep.CnCStats, error) {
-	if err := p.validate(h, base); err != nil {
-		return 0, gep.CnCStats{}, err
-	}
-	stats, err := p.flow(h, base).Run(ctx, "sw-"+variant.String(), workers, variant, tune)
-	if err != nil {
-		return 0, stats, err
-	}
-	return kernels.MaxScore(h), stats, nil
-}
-
-// flow states the recurrence for the shared data-flow interpreter
+// Flow states the recurrence on table h for the shared interpreters
 // (gep.Flow): tags are calls of the 2-way walk, a call of base-tile side is
-// a base tile.
-func (p *Problem) flow(h *matrix.Dense, base int) *gep.Flow[TileTag, TileKey] {
+// a base tile. Under data-flow a tile fires as soon as its west, north and
+// north-west neighbours are done — the wavefront the fork-join version
+// cannot express. The score is kernels.MaxScore of the filled table.
+func (p *Problem) Flow(h *matrix.Dense, base int) (*gep.Flow[TileTag, TileKey], error) {
+	if err := p.validate(h, base); err != nil {
+		return nil, err
+	}
 	bs := gep.BaseSize(p.N(), base)
 	tiles := p.N() / bs
 	return &gep.Flow[TileTag, TileKey]{
@@ -330,11 +132,17 @@ func (p *Problem) flow(h *matrix.Dense, base int) *gep.Flow[TileTag, TileKey] {
 		},
 		Preds: func(k TileKey, f func(TileKey) bool) bool { return Preds(tiles, k, f) },
 		Succs: func(k TileKey, f func(TileKey) bool) bool { return Succs(tiles, k, f) },
-		Kernel: func(k TileKey) error {
-			p.kernel(h, 1+k.I*bs, 1+k.J*bs, bs)
+		Kernel: func(k TileKey, fr *determinacy.Frame) error {
+			if fr != nil {
+				// The kernel writes its tile and reads the boundary row,
+				// column and corner of its predecessors out of the table.
+				fr.Write(determinacy.TileCell(k.I, k.J))
+				Preds(tiles, k, func(n TileKey) bool { fr.Read(determinacy.TileCell(n.I, n.J)); return true })
+			}
+			kernels.SW(h, p.A, p.B, p.Scoring, 1+k.I*bs, 1+k.J*bs, bs)
 			return nil
 		},
 		Root:      TileTag{S: p.N()},
 		TileBytes: bs * bs * 8,
-	}
+	}, nil
 }

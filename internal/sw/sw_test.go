@@ -1,12 +1,14 @@
 package sw
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"dpflow/internal/core"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/gep"
 	"dpflow/internal/kernels"
 	"dpflow/internal/matrix"
 	"dpflow/internal/seq"
@@ -19,6 +21,33 @@ func problem(n int, seed int64) *Problem {
 	return &Problem{A: a, B: b, Scoring: kernels.DefaultScoring}
 }
 
+// serial, forkJoin and runCnC fill h with p's Flow under one interpreter and
+// return the score.
+func (p *Problem) serial(h *matrix.Dense, base int) (float64, error) {
+	f, err := p.Flow(h, base)
+	if err == nil {
+		err = f.Serial()
+	}
+	return kernels.MaxScore(h), err
+}
+
+func (p *Problem) forkJoin(h *matrix.Dense, base int, pool *forkjoin.Pool) (float64, error) {
+	f, err := p.Flow(h, base)
+	if err == nil {
+		err = f.ForkJoin(context.Background(), pool)
+	}
+	return kernels.MaxScore(h), err
+}
+
+func (p *Problem) runCnC(h *matrix.Dense, base, workers int, v core.Variant) (float64, gep.CnCStats, error) {
+	f, err := p.Flow(h, base)
+	if err != nil {
+		return 0, gep.CnCStats{}, err
+	}
+	stats, err := f.Run(context.Background(), "sw-"+v.String(), workers, v, nil)
+	return kernels.MaxScore(h), stats, err
+}
+
 // The linear-space scorer must agree with the full-table serial fill.
 func TestLinearMatchesSerialScore(t *testing.T) {
 	p := problem(64, 1)
@@ -29,11 +58,11 @@ func TestLinearMatchesSerialScore(t *testing.T) {
 	}
 }
 
-// Every table-filling driver — the serial recursion, the recursive
-// fork-join and the four CnC schedules — must reproduce the loop-based
-// Serial fill exactly: same score, bit-identical table. Serial is the
-// independent oracle here; the registry's Instance.Verify compares against
-// RDPSerial, one of the drivers under test.
+// Every interpreter of the recurrence — serial, the recursive fork-join and
+// the four CnC schedules — must reproduce the loop-based Serial fill
+// exactly: same score, bit-identical table. Serial is the independent oracle
+// here; the registry's Instance.Verify compares against Flow.Serial, one of
+// the interpreters under test.
 func TestDriversMatchSerialLoop(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
 	defer pool.Close()
@@ -56,11 +85,11 @@ func TestDriversMatchSerialLoop(t *testing.T) {
 			}
 		}
 	}
-	check("Serial_RDP", p.RDPSerial)
-	check("OpenMP", func(h *matrix.Dense, base int) (float64, error) { return p.ForkJoin(h, base, pool) })
+	check("Serial_RDP", p.serial)
+	check("OpenMP", func(h *matrix.Dense, base int) (float64, error) { return p.forkJoin(h, base, pool) })
 	for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
 		check(v.String(), func(h *matrix.Dense, base int) (float64, error) {
-			score, _, err := p.RunCnC(h, base, 3, v)
+			score, _, err := p.runCnC(h, base, 3, v)
 			return score, err
 		})
 	}
@@ -68,18 +97,18 @@ func TestDriversMatchSerialLoop(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	p := problem(32, 3)
-	if _, err := p.RDPSerial(matrix.New(3, 3), 4); err == nil {
+	if _, err := p.Flow(matrix.New(3, 3), 4); err == nil {
 		t.Error("wrong table size accepted")
 	}
-	if _, err := p.RDPSerial(p.NewTable(), 0); err == nil {
+	if _, err := p.Flow(p.NewTable(), 0); err == nil {
 		t.Error("base 0 accepted")
 	}
 	bad := &Problem{A: []byte("ACGTACG"), B: []byte("ACGTACG"), Scoring: kernels.DefaultScoring}
-	if _, err := bad.RDPSerial(matrix.New(8, 8), 4); err == nil {
+	if _, err := bad.Flow(matrix.New(8, 8), 4); err == nil {
 		t.Error("non-power-of-two length accepted")
 	}
 	uneven := &Problem{A: []byte("ACGT"), B: []byte("AC"), Scoring: kernels.DefaultScoring}
-	if _, err := uneven.RDPSerial(matrix.New(5, 5), 4); err == nil {
+	if _, err := uneven.Flow(matrix.New(5, 5), 4); err == nil {
 		t.Error("unequal lengths accepted")
 	}
 }
@@ -92,7 +121,7 @@ func TestCnCScoreProperty(t *testing.T) {
 		p := problem(32, seed)
 		base := 1 << (baseExp % 6) // 1..32
 		h := p.NewTable()
-		got, _, err := p.RunCnC(h, base, 2, core.NativeCnC)
+		got, _, err := p.runCnC(h, base, 2, core.NativeCnC)
 		if err != nil {
 			return false
 		}
@@ -107,7 +136,7 @@ func TestCnCScoreProperty(t *testing.T) {
 func TestBaseTaskCensus(t *testing.T) {
 	p := problem(64, 4)
 	h := p.NewTable()
-	_, stats, err := p.RunCnC(h, 8, 2, core.ManualCnC)
+	_, stats, err := p.runCnC(h, 8, 2, core.ManualCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,32 +153,11 @@ func TestIdenticalSequencesScore(t *testing.T) {
 	a := seq.RandomDNA(64, rng)
 	p := &Problem{A: a, B: append([]byte(nil), a...), Scoring: kernels.DefaultScoring}
 	h := p.NewTable()
-	score, _, err := p.RunCnC(h, 16, 2, core.TunerCnC)
+	score, _, err := p.runCnC(h, 16, 2, core.TunerCnC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := float64(64) * kernels.DefaultScoring.Match; score != want {
 		t.Fatalf("self-alignment score %v, want %v", score, want)
-	}
-}
-
-func TestForkJoinWavefrontMatchesSerial(t *testing.T) {
-	pool := forkjoin.NewPool(forkjoin.Config{Workers: 3})
-	defer pool.Close()
-	for _, base := range []int{4, 8, 32} {
-		p := problem(64, int64(base))
-		ref := p.NewTable()
-		want := p.Serial(ref)
-		h := p.NewTable()
-		got, err := p.ForkJoinWavefront(h, base, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("base=%d: score %v, want %v", base, got, want)
-		}
-		if !matrix.Equal(h, ref) {
-			t.Fatalf("base=%d: table differs", base)
-		}
 	}
 }
