@@ -54,9 +54,18 @@ func TestConformanceVariantsAgree(t *testing.T) {
 				if err := in.Verify(); err != nil {
 					t.Fatal(err)
 				}
-				if v.IsCnC() && stats.Wakeups > stats.StepsStarted+stats.InlineRuns {
+				if !v.IsCnC() {
+					return
+				}
+				if stats.Wakeups > stats.StepsStarted+stats.InlineRuns {
 					t.Fatalf("Wakeups %d exceeds dispatches (%d started + %d inline)",
 						stats.Wakeups, stats.StepsStarted, stats.InlineRuns)
+				}
+				// Every attempt either completes or aborts, and a base task
+				// aborts at most once: its declared reads are its whole wait.
+				if stats.StepsStarted != stats.StepsDone+stats.Aborts || stats.Aborts > uint64(stats.BaseTasks) {
+					t.Fatalf("started %d, done %d, aborts %d, base tasks %d: want started = done + aborts and aborts ≤ base tasks",
+						stats.StepsStarted, stats.StepsDone, stats.Aborts, stats.BaseTasks)
 				}
 			})
 		}

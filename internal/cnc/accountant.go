@@ -41,7 +41,7 @@ type pendingPut struct {
 	buf  [4]Dep // backing store of deps for the common small read sets
 
 	// remaining counts the subscriptions that have not fired, plus enqueue's
-	// +1 sentinel (as in depLatch): it reaches zero at most once, after every
+	// +1 sentinel (as in a step instance): it reaches zero at most once, after every
 	// subscribe call has been issued and the entry is on the pending list.
 	remaining atomic.Int64
 	// state is written under accountant.mu; waitLabel reads it without.

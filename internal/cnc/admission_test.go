@@ -14,7 +14,7 @@ import (
 // TestThrottledPutComplexity is the complexity gate of event-driven
 // admission, counted rather than timed: a deferred put resolves its steps'
 // declared gets once, and the instance it prescribes resolves them once more
-// to release them — however many other puts are pending. Before deferred puts
+// to read and release them — however many other puts are pending. Before deferred puts
 // waited on their cells, every item put re-ran every pending entry's callback
 // (about n/2 invocations per put on these shapes).
 func TestThrottledPutComplexity(t *testing.T) {
@@ -155,7 +155,8 @@ func TestDeferredPutInBlocked(t *testing.T) {
 
 // TestThrottledPutOnFreedItem defers nothing forever: a throttled put whose
 // step declares a get of an item that get-count GC already freed is admitted,
-// and the run fails with the deterministic use-after-free.
+// and the run fails with the deterministic use-after-free — reported by the
+// runtime's read before the body, so the reader's body never runs.
 func TestThrottledPutOnFreedItem(t *testing.T) {
 	g := NewGraph("freed-dep", 1).WithMemoryLimit(1 << 20)
 	in := NewItemCollection[string, int](g, "in").WithGetCount(func(string) int { return 0 }) // freed on put
@@ -174,8 +175,9 @@ func TestThrottledPutOnFreedItem(t *testing.T) {
 	if !errors.As(err, &uaf) || uaf.Collection != "in" || uaf.Key != "x" {
 		t.Fatalf("err = %v, want UseAfterFreeError on in[x]", err)
 	}
-	if s := g.Stats(); runs.Load() != 1 || s.BackpressureStalls != 0 {
-		t.Fatalf("runs %d stalls %d, want the reader admitted (once) without a forced admission", runs.Load(), s.BackpressureStalls)
+	if s := g.Stats(); runs.Load() != 0 || s.StepsStarted != 1 || s.BackpressureStalls != 0 {
+		t.Fatalf("runs %d started %d stalls %d, want the reader admitted (once) without a forced admission and its body not run",
+			runs.Load(), s.StepsStarted, s.BackpressureStalls)
 	}
 }
 

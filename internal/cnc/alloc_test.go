@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-// These are the dispatch-layer allocation gates: with the step-task
-// envelopes, dependency latches, burst buffers and []Dep scratch space all
-// pooled, the hot put→dispatch→execute cycle must not allocate in steady
+// These are the dispatch-layer allocation gates: with the step instances,
+// burst buffers and []Dep scratch space all pooled, the hot put→dispatch→execute cycle must not allocate in steady
 // state. Tags are ints and dependency keys are small ints (< 256), whose
 // interface conversions use the runtime's static boxes — the same shapes the
 // real drivers use pointers and pooled envelopes for. Every gate warms the
@@ -20,7 +19,7 @@ import (
 
 // TestInlineDispatchSteadyStateAllocs gates the tuned prescheduled path:
 // a put whose declared dependency is already present runs the step inline
-// on the putting goroutine — tag put, latch acquire/recycle, dependency
+// on the putting goroutine — tag put, instance acquire/recycle, dependency
 // probe and step execution, all without a single heap allocation.
 func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
 	g := NewGraph("alloc-inline", 1)
@@ -39,7 +38,7 @@ func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
 	var allocs float64
 	err := g.Run(func() {
 		items.Put(7, 1)
-		for i := 0; i < 64; i++ { // warm the latch and scratch pools
+		for i := 0; i < 64; i++ { // warm the instance and scratch pools
 			tags.Put(1)
 		}
 		allocs = testing.AllocsPerRun(100, func() { tags.Put(1) })
@@ -56,8 +55,8 @@ func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestQueueDispatchSteadyStateAllocs gates the untuned dispatch path end to
-// end: put → pooled envelope → lane push → parked-worker wakeup → worker
-// executes and recycles the envelope → worker re-parks. The channel
+// end: put → pooled instance → lane push → parked-worker wakeup → worker
+// executes and recycles the instance → worker re-parks. The channel
 // handshake serialises the cycle so the measurement window contains exactly
 // one full round trip.
 func TestQueueDispatchSteadyStateAllocs(t *testing.T) {
@@ -76,7 +75,7 @@ func TestQueueDispatchSteadyStateAllocs(t *testing.T) {
 	}
 	var allocs float64
 	err := g.Run(func() {
-		for i := 0; i < 64; i++ { // warm envelope pool, lane rings, parked set
+		for i := 0; i < 64; i++ { // warm instance pool, lane rings, parked set
 			cycle()
 		}
 		allocs = testing.AllocsPerRun(100, cycle)
@@ -132,12 +131,12 @@ func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAbortRequeueCycleAllocs gates the speculative miss path: tag put →
-// execution → failed Get → park on the pooled latch → item put → requeue →
-// re-execution → completion and release. Each cycle uses a fresh key, so it
-// pays for what a miss inherently creates — the item's cell (carved from a
-// slab, so a fraction of an allocation), the cell's one-entry wait list and
-// the Go runtime's own record of the recovered panic — and nothing else: no
-// label string, no closure, no signal object, no boxed key.
+// attempt → the read before the body misses → park the pooled instance →
+// item put → requeue → re-execution → completion and release. Each cycle
+// uses a fresh key, so it pays for what a miss inherently creates — the
+// item's cell (carved from a slab, so a fraction of an allocation) and the
+// cell's one-entry wait list — and nothing else: no panic, no label string,
+// no closure, no signal object, no boxed key.
 func TestAbortRequeueCycleAllocs(t *testing.T) {
 	g := NewGraph("alloc-abort", 1)
 	in := NewItemCollection[int, int](g, "in")
@@ -175,10 +174,10 @@ func TestAbortRequeueCycleAllocs(t *testing.T) {
 	if s := g.Stats(); s.Aborts != s.Requeues || s.Aborts != s.StepsDone {
 		t.Fatalf("aborts/requeues/done = %d/%d/%d — the gate did not measure the abort cycle", s.Aborts, s.Requeues, s.StepsDone)
 	}
-	// Two whole allocations (wait list, panic record); the cell's slab and
-	// map-growth share is well under one and AllocsPerRun truncates it. One
-	// closure, label or boxed key per abort would make it three.
-	if allocs > 2 {
-		t.Errorf("abort→park→put→requeue→complete cycle allocates %v objects, want at most 2", allocs)
+	// One whole allocation (the wait list); the cell's slab and map-growth
+	// share is well under one and AllocsPerRun truncates it. A panic record,
+	// closure, label or boxed key per abort would make it two.
+	if allocs > 1 {
+		t.Errorf("abort→park→put→requeue→complete cycle allocates %v objects, want at most 1", allocs)
 	}
 }

@@ -173,35 +173,124 @@ func TestDeadlockListsEveryMissingDependency(t *testing.T) {
 	}
 }
 
+// putOnSubscribe is an item cell that puts its own item just before a
+// waiter subscribes to it: the put lands after the read that found the
+// item missing and before the subscribe.
+type putOnSubscribe struct {
+	*cell[int, int]
+	put func()
+}
+
+func (p putOnSubscribe) subscribe(w waiter) bool {
+	p.put()
+	return p.cell.subscribe(w)
+}
+
 // TestItemArrivingBeforeSubscribeIsNotLost closes the window between the
-// failed Get and the subscribe deterministically: the read-set callback runs
-// exactly there, so it puts the missing item itself. The subscribe must see
-// the item present and requeue at once instead of parking forever.
+// read before the body and the subscribe deterministically: the declared
+// cell puts its missing item itself as the aborted instance subscribes. The
+// subscribe must see the item present and requeue at once instead of
+// parking forever.
 func TestItemArrivingBeforeSubscribeIsNotLost(t *testing.T) {
 	g := NewGraph("abort-window", 1)
 	in := NewItemCollection[int, int](g, "in")
 	tags := NewTagCollection[int](g, "t", false)
-	var executions, armed atomic.Int64
+	var runs atomic.Int64
 	step := NewStepCollection(g, "s", func(int) error {
-		if executions.Add(1) == 1 {
-			armed.Store(1) // the next read-set evaluation is the abort's
-		}
+		runs.Add(1)
 		in.Get(1)
 		return nil
 	})
 	step.WithGetsAppend(func(_ int, ds []Dep) []Dep {
-		if armed.CompareAndSwap(1, 0) {
-			in.Put(1, 1)
-		}
-		return append(ds, in.Key(1))
+		c := in.Key(1).c.(*cell[int, int])
+		return append(ds, Dep{putOnSubscribe{c, func() { in.Put(1, 1) }}})
 	})
 	tags.Prescribe(step)
 	if err := g.Run(func() { tags.Put(0) }); err != nil {
 		t.Fatal(err)
 	}
-	if s := g.Stats(); s.Aborts != 1 || s.Requeues != 1 || s.StepsStarted != 2 || s.StepsDone != 1 {
-		t.Fatalf("aborts/requeues/started/done = %d/%d/%d/%d, want 1/1/2/1",
-			s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone)
+	if s := g.Stats(); runs.Load() != 1 || s.Aborts != 1 || s.Requeues != 1 || s.StepsStarted != 2 || s.StepsDone != 1 {
+		t.Fatalf("runs/aborts/requeues/started/done = %d/%d/%d/%d/%d, want 1/1/1/2/1",
+			runs.Load(), s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone)
+	}
+}
+
+// TestDeclaredReadsCheckedBeforeBody: a Native step's declared read is
+// checked by the runtime before the body runs, so when the item arrives only
+// later the attempt aborts without entering the body — no panic unwind, no
+// wasted body — and the body runs exactly once, after the requeue.
+func TestDeclaredReadsCheckedBeforeBody(t *testing.T) {
+	g := NewGraph("read-first", 2)
+	in := NewItemCollection[int, int](g, "in").WithGetCount(func(int) int { return 1 })
+	tags := NewTagCollection[int](g, "t", false)
+	var entries atomic.Int64
+	step := NewStepCollection(g, "s", func(i int) error {
+		entries.Add(1)
+		in.Get(i)
+		return nil
+	}).WithGets(func(i int) []Dep { return []Dep{in.Key(i)} })
+	tags.Prescribe(step)
+	err := g.Run(func() {
+		tags.Put(0)
+		awaitParked(t, g, 1)
+		in.Put(0, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if entries.Load() != 1 {
+		t.Fatalf("body entered %d times, want 1", entries.Load())
+	}
+	if s.Aborts != 1 || s.Requeues != 1 || s.StepsStarted != 2 || s.StepsDone != 1 || s.LiveItems != 0 {
+		t.Fatalf("aborts/requeues/started/done/live = %d/%d/%d/%d/%d, want 1/1/2/1/0",
+			s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone, s.LiveItems)
+	}
+}
+
+// TestReadSetResolvedOnce counts the read-set callback: an instance resolves
+// its declared reads to cells once, then reads, waits on and releases them
+// through those cells — a Native instance that aborts and then completes,
+// and a Manual instance whose tuned dependencies are the same declaration
+// (as gep.Flow declares them).
+func TestReadSetResolvedOnce(t *testing.T) {
+	for _, manual := range []bool{false, true} {
+		name := "native"
+		if manual {
+			name = "manual"
+		}
+		t.Run(name, func(t *testing.T) {
+			g := NewGraph("resolve-once", 2)
+			in := NewItemCollection[int, int](g, "in").WithGetCount(func(int) int { return 1 })
+			tags := NewTagCollection[int](g, "t", false)
+			step := NewStepCollection(g, "s", func(i int) error { in.Get(i); return nil })
+			var calls atomic.Int64
+			reads := func(i int, ds []Dep) []Dep {
+				calls.Add(1)
+				return append(ds, in.Key(i))
+			}
+			if manual {
+				step.WithTunedGetsAppend(TunedTriggered, reads)
+			} else {
+				step.WithGetsAppend(reads)
+			}
+			tags.Prescribe(step)
+			err := g.Run(func() {
+				tags.Put(0)
+				awaitParked(t, g, 1)
+				in.Put(0, 1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := g.Stats()
+			if calls.Load() != 1 || s.StepsDone != 1 || s.LiveItems != 0 {
+				t.Fatalf("read-set callback called %d times (done %d, live %d), want once", calls.Load(), s.StepsDone, s.LiveItems)
+			}
+			if manual && (s.Aborts != 0 || s.TriggeredRuns != 1) || !manual && s.Aborts != 1 {
+				t.Fatalf("aborts %d triggered %d, want the %s path", s.Aborts, s.TriggeredRuns, name)
+			}
+		})
 	}
 }
 
@@ -319,7 +408,8 @@ func TestFreedCellErrors(t *testing.T) {
 			}},
 		{name: "re-Put", want: "single-assignment violation", uaf: true,
 			body: func(items *ItemCollection[string, int], tag string) { items.Put(tag, 2) }},
-		{name: "release", want: "over-release of item items[x]",
+		// A declared read: the runtime's read before the body reports it.
+		{name: "release", want: "use-after-free", uaf: true,
 			build: func(items *ItemCollection[string, int], step *StepCollection[string]) {
 				step.WithGets(key(items))
 			}},

@@ -15,10 +15,12 @@
 // instance is aborted, parked, and later re-scheduled from scratch. Steps
 // must therefore be written gets-first (pure reads), then compute, then
 // puts — exactly the shape of the paper's Listing 5. Intel CnC parks on the
-// one item that missed, so an instance with k missing inputs aborts k times;
-// here an instance whose collection declared its read set (WithGets, which
-// get-count GC needs anyway) waits for every declared item still missing
-// and is re-executed once. Undeclared, it waits for the item that missed.
+// one item that missed, so an instance with k missing inputs aborts k times.
+// Here the runtime reads a declared read set (WithGets, which get-count GC
+// needs anyway) before the body runs: a missing input aborts the attempt
+// before it starts, without unwinding anything, and the instance waits for
+// every declared item still missing and is re-executed once. An undeclared
+// Get that misses unwinds the body and waits for that item.
 //
 // An item is a write-once cell (empty → present → freed). Whatever waits
 // on, probes or releases an item holds the cell, not the key: only Put, Get,
@@ -48,10 +50,12 @@
 // placed round-robin and taken oldest-first by owner and thieves alike: the
 // non-blocking schedule makes progress by re-putting its own tag behind the
 // producers it polls for, which needs queue fairness (exec.OwnerFIFO). A
-// step never holds a worker while it
-// waits — a failed Get aborts it and the Put of the last item it is waiting
-// for requeues it — and puts with a known census are batched (Burst,
-// PutRange) into one lock and at most one wakeup per touched lane.
+// step instance is one pooled value from launch to release: the queued unit,
+// the waiter on the cells it misses and the holder of its read set. It never
+// holds a worker while it waits — a missing input aborts it and the Put of
+// the last item it is waiting for requeues it — and puts with a known census
+// are batched (Burst, PutRange) into one lock and at most one wakeup per
+// touched lane.
 //
 // # Fault tolerance and cancellation
 //
@@ -113,9 +117,9 @@ import (
 type Stats struct {
 	TagsPut       uint64 // tags put across all tag collections
 	ItemsPut      uint64 // items put across all item collections
-	StepsStarted  uint64 // step executions begun (including re-executions)
+	StepsStarted  uint64 // execution attempts begun, aborted ones included
 	StepsDone     uint64 // step instances completed successfully
-	Aborts        uint64 // speculative executions aborted by a failed Get (≤ 1 per instance with WithGets)
+	Aborts        uint64 // attempts aborted on a missing input (≤ 1 per instance for declared reads)
 	Requeues      uint64 // aborted instances re-scheduled once nothing they wait for is missing
 	InlineRuns    uint64 // instances run inline by the prescheduling tuner
 	TriggeredRuns uint64 // instances released by a dependency countdown
@@ -227,12 +231,9 @@ type Graph struct {
 	quiesceCond *sync.Cond
 	parked      atomic.Int64
 
-	// burstPool recycles Burst batch buffers (NewBurst/Flush); depsPool
-	// recycles the []Dep scratch buffers handed to WithDepsAppend and
-	// WithGetsAppend callbacks. Both exist so the steady state of a run
-	// performs no allocation in the dispatch layer.
+	// burstPool recycles Burst batch buffers (NewBurst/Flush), so the
+	// steady state of a run performs no allocation in the dispatch layer.
 	burstPool sync.Pool
-	depsPool  sync.Pool
 
 	failMu sync.Mutex
 	err    error

@@ -12,9 +12,9 @@ import (
 // each prescribed tag. It must be written gets-first: perform all item Gets
 // before any Put or other side effect, because under Native scheduling the
 // runtime executes instances speculatively and re-executes them from scratch
-// after a failed Get — once, when every declared get is present, if the
-// collection declared its read set (WithGets); once per missing item
-// otherwise. Returning a non-nil error fails the whole graph.
+// after a Get of an undeclared item misses, once per missing item. Declared
+// reads (WithGets) never miss in the body: the runtime reads them before it
+// runs. Returning a non-nil error fails the whole graph.
 type StepFunc[T comparable] func(tag T) error
 
 // TuningMode selects how a tuned step collection schedules its instances.
@@ -44,10 +44,15 @@ type Dep struct{ c depCell }
 func (d Dep) String() string { return d.c.String() }
 
 // depCell is the type-erased view of an item cell (*cell[K, V], so the
-// interface value is pointer-shaped and a Dep never allocates) used by tuned
-// scheduling, abort parking, get-count release and throttled admission.
+// interface value is pointer-shaped and a Dep never allocates): what a step
+// instance reads, waits on and releases, and throttled admission probes.
 type depCell interface {
 	String() string
+	// probe returns the item's state (a freed one records the use-after-free)
+	// and fetch completes a read of a present item as Get does, reporting
+	// false when it failed the graph.
+	probe() cellState
+	fetch() bool
 	// subscribe registers w to be woken once when the item is put. It
 	// returns false — without registering — when the item is not missing.
 	subscribe(w waiter) bool
@@ -60,8 +65,8 @@ type depCell interface {
 	freeableBytes() int64
 }
 
-// waiter is one consumer waiting for a missing item: a depLatch (a parked
-// step instance) or a deferredPut (a throttled tag put not yet admitted).
+// waiter is one consumer waiting for a missing item: a parked step instance
+// or a deferredPut (a throttled tag put not yet admitted).
 // The label is materialised lazily: deadlock reports and Blocked snapshots
 // are the only readers, so the common case (the item arrives) never pays the
 // fmt.Sprintf; an empty label means the waiter no longer waits and is left
@@ -110,20 +115,21 @@ type StepCollection[T comparable] struct {
 	// declarations (WithDepsAppend / WithGetsAppend); the slice-returning
 	// WithDeps / WithGets wrap their callbacks into this form so the
 	// runtime has a single internal representation that composes with
-	// pooled scratch buffers.
+	// runtime-owned buffers. tuned instances wait for their dependencies
+	// before the first attempt: depsApp's, or with depsApp nil
+	// (WithTunedGetsAppend) the read set's.
 	depsApp func(T, []Dep) []Dep
 	getsApp func(T, []Dep) []Dep
+	tuned   bool
 	mode    TuningMode
 
 	retry    int
 	retryMu  sync.Mutex
 	attempts map[T]int
 
-	// taskPool recycles dispatch envelopes (stepTask) and latchPool the
-	// dependency-countdown latches (depLatch), so both the untuned and the
-	// tuned dispatch paths allocate nothing in steady state.
-	taskPool  sync.Pool
-	latchPool sync.Pool
+	// pool recycles instances, so no launch, dispatch, wait or release
+	// allocates in steady state.
+	pool sync.Pool
 }
 
 // retryUnset marks a step collection that has not called WithRetry, so the
@@ -153,34 +159,34 @@ func (sc *StepCollection[T]) WithDeps(mode TuningMode, deps func(T) []Dep) *Step
 
 // WithDepsAppend is the allocation-free form of WithDeps: instead of
 // returning a fresh slice, the callback appends the tag's dependencies to a
-// runtime-pooled scratch buffer and returns it (the usual append idiom).
+// runtime-owned buffer and returns it (the usual append idiom).
 // The buffer is only valid for the duration of the call — the callback must
 // not retain it.
 func (sc *StepCollection[T]) WithDepsAppend(mode TuningMode, deps func(T, []Dep) []Dep) *StepCollection[T] {
-	sc.depsApp = deps
-	sc.mode = mode
+	sc.depsApp, sc.tuned, sc.mode = deps, true, mode
 	return sc
 }
 
-// WithGets declares the exact per-tag read set of the step for get-count
-// garbage collection: when an instance completes successfully, the runtime
-// releases (decrements the get-count of) every item the declaration names,
-// freeing items whose count reaches zero. The declaration must cover every
-// item the step reads and nothing else — a missing entry leaks the item
-// (Stats.LiveItems stays nonzero), an extra entry trips a deterministic
-// over-release error.
+// WithGets declares the exact per-tag read set of the step. A declared read
+// is a required input: the runtime resolves the read set to cells once per
+// instance and, before each attempt's body runs, reads every item itself as
+// Get would (use-after-free check, discipline record, backend fetch). If one
+// is missing the attempt aborts before the body starts, and the instance
+// waits for every declared item not yet present and is re-executed once; an
+// item declared but never put is a deadlock naming that item.
 //
-// The same declaration is the instance's parking set: when a blocking Get
-// misses, the aborted instance waits for every declared item not yet present
-// and is re-executed once — instead of aborting again at each later miss.
+// When an instance completes successfully, the runtime releases (decrements
+// the get-count of) every item the declaration names, freeing items whose
+// count reaches zero. The declaration must cover every item the step reads
+// and nothing else — a missing entry leaks the item (Stats.LiveItems stays
+// nonzero), an extra entry trips a deterministic over-release error.
 //
-// Releases fire only on successful completion, never per Get. This is what
-// makes get-counts compose with the rest of the runtime: a speculative
-// abort re-reads its items on re-execution without double-counting, a
-// WithRetry re-execution decrements exactly once however many attempts
-// failed, and a drained (cancelled) or failed instance releases nothing. It
-// also means the declaration is incompatible with steps that complete
-// successfully *without* consuming their reads — the non-blocking variant's
+// Releases fire only on successful completion, never per read. This is what
+// makes get-counts compose with the rest of the runtime: an aborted attempt,
+// a failed one and a drained (cancelled) instance release nothing, and a
+// WithRetry re-execution decrements exactly once. It also means the
+// declaration is incompatible with steps that complete successfully
+// *without* consuming their reads — the non-blocking variant's
 // TryGet-miss-and-re-put-own-tag pattern retires a successful instance per
 // poll, so non-blocking step collections must not declare gets.
 func (sc *StepCollection[T]) WithGets(fn func(T) []Dep) *StepCollection[T] {
@@ -190,13 +196,22 @@ func (sc *StepCollection[T]) WithGets(fn func(T) []Dep) *StepCollection[T] {
 }
 
 // WithGetsAppend is the allocation-free form of WithGets: the callback
-// appends the tag's read set to a runtime-pooled scratch buffer and returns
-// it. The buffer is only valid for the duration of the call.
+// appends the tag's read set to a runtime-owned buffer and returns it. The
+// buffer is only valid for the duration of the call.
 func (sc *StepCollection[T]) WithGetsAppend(fn func(T, []Dep) []Dep) *StepCollection[T] {
 	sc.getsApp = fn
 	sc.g.structMu.Lock()
 	sc.meta.releases = true
 	sc.g.structMu.Unlock()
+	return sc
+}
+
+// WithTunedGetsAppend declares fn as both the read set (WithGetsAppend) and
+// the tuned dependencies of mode (WithDepsAppend), so the runtime resolves
+// it once per instance, when the tag is put.
+func (sc *StepCollection[T]) WithTunedGetsAppend(mode TuningMode, fn func(T, []Dep) []Dep) *StepCollection[T] {
+	sc.WithGetsAppend(fn)
+	sc.depsApp, sc.tuned, sc.mode = nil, true, mode
 	return sc
 }
 
@@ -208,22 +223,6 @@ func (sc *StepCollection[T]) gets(tag T, buf []Dep) []Dep {
 		return buf
 	}
 	return sc.getsApp(tag, buf)
-}
-
-// takeDeps and putDeps manage the pooled []Dep scratch buffers handed to
-// WithDepsAppend/WithGetsAppend callbacks.
-func (g *Graph) takeDeps() *[]Dep {
-	p, _ := g.depsPool.Get().(*[]Dep)
-	if p == nil {
-		p = new([]Dep)
-	}
-	return p
-}
-
-func (g *Graph) putDeps(p *[]Dep, ds []Dep) {
-	clear(ds)
-	*p = ds[:0]
-	g.depsPool.Put(p)
 }
 
 // WithRetry allows every instance of the step to be re-executed up to n
@@ -274,164 +273,125 @@ type Named interface{ CollectionName() string }
 // CollectionName returns the step collection's name.
 func (sc *StepCollection[T]) CollectionName() string { return sc.meta.name }
 
-// stepTask is the pooled dispatch envelope: one queued execution attempt of
-// a step instance. Storing *stepTask in the lanes' exec.Unit interface is
-// allocation-free (the value is pointer-shaped), and Run recycles the
-// envelope before executing, so the untuned dispatch path allocates nothing
-// in steady state. Cancellation is checked inside execute, which also
-// covers the inline dispatch paths that never pass through the lanes.
-type stepTask[T comparable] struct {
-	sc  *StepCollection[T]
-	tag T
-}
-
-func (t *stepTask[T]) Run(int) {
-	sc, tag := t.sc, t.tag
-	t.sc = nil
-	var zero T
-	t.tag = zero
-	sc.taskPool.Put(t)
-	sc.execute(tag)
-}
-
-func (sc *StepCollection[T]) newTask(tag T) *stepTask[T] {
-	t, _ := sc.taskPool.Get().(*stepTask[T])
-	if t == nil {
-		t = &stepTask[T]{}
-	}
-	t.sc = sc
-	t.tag = tag
-	return t
-}
-
-// dispatch schedules one runnable execution attempt.
-func (sc *StepCollection[T]) dispatch(tag T) { sc.g.schedule(sc.newTask(tag)) }
-
-// dispatchInto appends the execution attempt to bu when one is open, so the
-// queue push and the worker wakeup are paid once per burst; otherwise it
-// dispatches immediately.
-func (sc *StepCollection[T]) dispatchInto(tag T, bu *Burst) {
-	if bu == nil || bu.g == nil {
-		sc.dispatch(tag)
-		return
-	}
-	bu.add(sc.g, sc.newTask(tag))
-}
-
-// depLatch is the pooled dependency-countdown latch of one waiting step
-// instance — a tuned instance counting down its declared dependencies, or
-// (requeue set) a speculatively-aborted instance counting down the declared
-// gets it still misses. The +1 sentinel guarantees the release runs at most
-// once and only after every subscribe call has been issued. The latch is
-// itself the waiter stored on the cells, so steady-state launches and aborts
-// allocate nothing here. It recycles itself on the final arrival; any latch
-// still registered on a cell implies a pending arrival (remaining ≥ 1), so a
-// latch reachable from a wait list is always live — which is what makes the
-// lazy waitLabel safe for concurrent deadlock reports.
-type depLatch[T comparable] struct {
+// instance is one step instance from launch to release, pooled per step
+// collection. It is the exec.Unit the lanes run, the waiter parked on the
+// cells it misses, and the owner of its read set: resolved to cells once
+// (stored inline up to four), then read before each attempt, waited on and
+// released through those cells. remaining counts the cells still awaited
+// plus a +1 sentinel, so the instance is released at most once and only
+// after every subscribe call has been issued. An instance on a wait list is
+// always live — it is recycled only after its last attempt — which is what
+// makes the lazy waitLabel safe for concurrent deadlock reports.
+type instance[T comparable] struct {
 	sc        *StepCollection[T]
 	tag       T
-	remaining atomic.Int64
-	requeue   bool
+	reads     []Dep
+	buf       [4]Dep
+	remaining atomic.Int32
+	resolved  bool // reads holds the declared read set
+	present   bool // every read is present, or the instance waits for it
+	requeue   bool // waiting after an abort, not at launch
 }
 
-func (l *depLatch[T]) waitLabel() string {
-	return fmt.Sprintf("%s@%v", l.sc.meta.name, l.tag)
-}
-
-func (l *depLatch[T]) wake(bu *Burst) { l.arrive(false, bu) }
-
-// await adds d to the countdown unless its item is already present.
-func (l *depLatch[T]) await(d Dep) {
-	l.remaining.Add(1)
-	if !d.c.subscribe(l) {
-		l.remaining.Add(-1)
+// instance launches the step instance for tag: untuned it is dispatched at
+// once (into bu when one is open); tuned it first waits for its
+// dependencies, and with nothing missing a prescheduled one runs inline.
+func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
+	in, _ := sc.pool.Get().(*instance[T])
+	if in == nil {
+		in = &instance[T]{}
+		in.reads = in.buf[:0]
+	}
+	in.sc, in.tag = sc, tag
+	switch {
+	case !sc.tuned:
+		in.dispatch(bu)
+	case sc.depsApp == nil: // the dependencies are the read set
+		in.resolve()
+		in.present = true
+		in.wait(in.reads, false, bu)
+	default: // declared apart: the read storage, still empty, is the scratch
+		in.wait(sc.depsApp(tag, in.reads), false, bu)
 	}
 }
 
-func (l *depLatch[T]) arrive(inline bool, bu *Burst) {
-	if l.remaining.Add(-1) != 0 {
+func (in *instance[T]) resolve() {
+	if !in.resolved && in.sc.getsApp != nil {
+		in.reads = in.sc.getsApp(in.tag, in.reads)
+	}
+	in.resolved = true
+}
+
+// dispatch queues the next attempt, into bu when one is open.
+func (in *instance[T]) dispatch(bu *Burst) {
+	if bu == nil || bu.g == nil {
+		in.sc.g.schedule(in)
 		return
 	}
-	sc, tag, requeue := l.sc, l.tag, l.requeue
-	l.sc = nil
-	var zero T
-	l.tag = zero
-	sc.latchPool.Put(l)
+	bu.add(in.sc.g, in)
+}
+
+func (in *instance[T]) waitLabel() string {
+	return fmt.Sprintf("%s@%v", in.sc.meta.name, in.tag)
+}
+
+func (in *instance[T]) wake(bu *Burst) { in.arrive(1, false, bu) }
+
+// wait parks the instance until every cell of ds still empty has been put,
+// then dispatches it again after an abort (requeue) or launches it. Cells
+// present when subscribed are not counted, so the launch is immediate when
+// nothing is missing.
+func (in *instance[T]) wait(ds []Dep, requeue bool, bu *Burst) {
+	in.sc.g.parked.Add(1)
+	in.requeue = requeue
+	in.remaining.Store(int32(len(ds)) + 1)
+	n := int32(1) // the sentinel, plus every cell not subscribed to
+	for _, d := range ds {
+		if !d.c.subscribe(in) {
+			n++
+		}
+	}
+	in.arrive(n, !requeue, bu)
+}
+
+// arrive retires n units of the countdown and, on the last, releases the
+// instance; launch marks the sentinel of a tuned launch.
+func (in *instance[T]) arrive(n int32, launch bool, bu *Burst) {
+	if in.remaining.Add(-n) != 0 {
+		return
+	}
+	sc := in.sc
 	g := sc.g
 	g.parked.Add(-1)
 	switch {
-	case requeue:
+	case in.requeue:
 		g.stats.requeues.Add(1)
-	case inline && sc.mode == TunedPrescheduled:
+	case launch && sc.mode == TunedPrescheduled:
 		g.stats.inline.Add(1)
 		g.outstanding.Add(1)
-		sc.execute(tag)
+		in.Run(0)
 		return
 	default:
 		g.stats.triggered.Add(1)
 	}
-	sc.dispatchInto(tag, bu)
+	in.dispatch(bu)
 }
 
-// instance launches the step instance for tag according to the collection's
-// tuning mode. A non-nil bu batches the resulting dispatch (if any) with
-// the rest of the burst.
-func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
-	if sc.depsApp == nil {
-		sc.dispatchInto(tag, bu)
-		return
-	}
-	sc.waitFor(tag, sc.depsApp, nil, bu)
-}
-
-// waitFor is the one way an instance waits: it (re-)launches the instance
-// for tag once every item decl names for it is present. A tuned launch
-// (missed == nil) counts down its declared dependencies and may run inline.
-// An abort — missed is the cell a blocking Get just failed on — counts down
-// the declared read set (WithGets), so the instance is re-executed once with
-// all of it available; if the declaration is absent or omits the item that
-// missed, it waits for that item. Items present by the time they are probed
-// are not counted, so the launch is immediate when nothing is missing.
-func (sc *StepCollection[T]) waitFor(tag T, decl func(T, []Dep) []Dep, missed depCell, bu *Burst) {
-	g := sc.g
-	l, _ := sc.latchPool.Get().(*depLatch[T])
-	if l == nil {
-		l = &depLatch[T]{}
-	}
-	l.sc, l.tag, l.requeue = sc, tag, missed != nil
-	l.remaining.Store(1) // the sentinel
-	g.parked.Add(1)
-	if decl != nil {
-		bufp := g.takeDeps()
-		ds := decl(tag, *bufp)
-		for _, d := range ds {
-			if d.c == missed {
-				missed = nil // declared: counted here
-			}
-			l.await(d)
-		}
-		g.putDeps(bufp, ds)
-	}
-	if missed != nil {
-		l.await(Dep{missed})
-	}
-	l.arrive(!l.requeue, bu) // retire the sentinel; a tuned launch runs inline when nothing was missing
-}
-
-// execute runs one (possibly speculative) execution attempt of the instance.
-func (sc *StepCollection[T]) execute(tag T) {
+// Run executes one (possibly speculative) attempt of the instance.
+func (in *instance[T]) Run(int) {
+	sc, tag := in.sc, in.tag
 	g := sc.g
 	defer g.taskDone()
 	// Cooperative cancellation: a cancelled graph drains dispatched work
 	// without running it, so RunContext returns as soon as the queue and
 	// the in-flight step bodies retire.
 	if g.cancelled.Load() {
+		in.recycle()
 		return
 	}
 	g.stats.started.Add(1)
 	if dc := g.discipline; dc != nil {
-		// Attribute every put/get/release the body issues — including those
+		// Attribute every put/get/release the attempt issues — including those
 		// of nested inline runs, which push their own label — to this
 		// instance.
 		exit := dc.Enter(fmt.Sprintf("%s@%v", sc.meta.name, tag))
@@ -443,11 +403,11 @@ func (sc *StepCollection[T]) execute(tag T) {
 			return
 		}
 		if missed, ok := r.(depCell); ok {
-			// Failed blocking Get (the panic value is the missed cell): park
-			// the instance; the Put that completes its wait re-schedules it
-			// from scratch, batched with that put's other wakeups.
+			// A Get of an undeclared item missed (the panic value is its
+			// cell): park on it; its Put re-schedules the instance from
+			// scratch, batched with that put's other wakeups.
 			g.stats.aborts.Add(1)
-			sc.waitFor(tag, sc.getsApp, missed, nil)
+			in.wait([]Dep{{missed}}, true, nil)
 			return
 		}
 		if uaf, ok := r.(*UseAfterFreeError); ok {
@@ -455,45 +415,88 @@ func (sc *StepCollection[T]) execute(tag T) {
 			// violation, already recorded on the graph. Never retried —
 			// every re-execution would read the same freed key.
 			g.fail(fmt.Errorf("cnc: step %s on tag %v read a freed item: %w", sc.meta.name, tag, uaf))
+			in.recycle()
 			return
 		}
-		sc.failed(tag, fmt.Errorf("cnc: step %s panicked on tag %v: %v", sc.meta.name, tag, r))
+		in.failed(fmt.Errorf("cnc: step %s panicked on tag %v: %v", sc.meta.name, tag, r))
 	}()
 	if h := g.hooks; h != nil && h.BeforeStep != nil {
 		if err := h.BeforeStep(sc.meta.name, tag); err != nil {
-			sc.failed(tag, fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
+			in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
 			return
 		}
 	}
-	if err := sc.fn(tag); err != nil {
-		sc.failed(tag, fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
+	if !in.read() {
 		return
 	}
-	// Successful completion: release the declared read set exactly once,
-	// however many aborted or retried attempts preceded this one.
-	if sc.getsApp != nil {
-		bufp := g.takeDeps()
-		ds := sc.getsApp(tag, *bufp)
-		for _, d := range ds {
-			d.c.release()
-		}
-		g.putDeps(bufp, ds)
+	if err := sc.fn(tag); err != nil {
+		in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
+		return
+	}
+	// Successful completion: release the read set exactly once, however
+	// many aborted or retried attempts preceded this one.
+	for _, d := range in.reads {
+		d.c.release()
 	}
 	g.stats.done.Add(1)
+	in.recycle()
 }
 
-// failed handles one failed execution attempt: re-dispatch while the
-// instance has retry budget left (see WithRetry for why re-execution is
-// sound), otherwise record the error on the graph. The re-dispatch adds
-// outstanding work before the current attempt retires its own unit, so the
-// graph cannot quiesce in between.
-func (sc *StepCollection[T]) failed(tag T, err error) {
-	if sc.takeRetry(tag) {
+// read reads the declared read set before the body runs, reporting whether
+// the body may run. A missing item aborts the attempt: the instance parks on
+// the cells still empty and is requeued once they are all put. A freed item
+// or a failed fetch fails the attempt, never retried — the graph has failed.
+func (in *instance[T]) read() bool {
+	in.resolve()
+	if !in.present {
+		for i, d := range in.reads {
+			switch d.c.probe() {
+			case cellEmpty:
+				in.sc.g.stats.aborts.Add(1)
+				in.present = true // by the time the requeue runs
+				in.wait(in.reads[i:], true, nil)
+				return false
+			case cellFreed:
+				in.recycle()
+				return false
+			}
+		}
+		in.present = true
+	}
+	if g := in.sc.g; g.discipline != nil || g.backend != nil {
+		for _, d := range in.reads {
+			if !d.c.fetch() {
+				in.recycle()
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// failed handles one failed attempt: re-dispatch while the instance has
+// retry budget left (see WithRetry for why re-execution is sound), otherwise
+// record the error on the graph. The re-dispatch adds outstanding work
+// before the current attempt retires its own unit, so the graph cannot
+// quiesce in between.
+func (in *instance[T]) failed(err error) {
+	sc := in.sc
+	if sc.takeRetry(in.tag) {
 		sc.g.stats.retries.Add(1)
-		sc.dispatch(tag)
+		in.dispatch(nil)
 		return
 	}
 	sc.g.fail(err)
+	in.recycle()
+}
+
+func (in *instance[T]) recycle() {
+	sc := in.sc
+	clear(in.reads[:cap(in.reads)])
+	var zero T
+	in.sc, in.tag, in.reads = nil, zero, in.reads[:0]
+	in.resolved, in.present = false, false
+	sc.pool.Put(in)
 }
 
 // takeRetry consumes one unit of tag's retry budget, reporting false when
@@ -683,7 +686,7 @@ func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 }
 
 // deferredPut is one throttled tag put on its way through admission: the
-// accountant's entry plus the typed tag. Like a depLatch it is itself the
+// accountant's entry plus the typed tag. Like an instance it is itself the
 // waiter stored on the cells it waits for, so an entry on a wait list is
 // live — it is recycled only once nothing can reach it — and its lazy label
 // is safe for concurrent Blocked snapshots. Unlike a parked instance it does
@@ -1118,12 +1121,12 @@ func (c *cell[K, V]) subscribe(w waiter) bool {
 }
 
 // Get returns the item stored under k, blocking in the CnC sense: when the
-// item is missing, the calling step instance is aborted, parked (see
-// StepCollection.WithGets for what it then waits for) and re-executed from
-// scratch. Get must only be called from inside a step body. Reading an item
-// that get-count garbage collection freed fails the graph with a
-// deterministic UseAfterFreeError (the declared count was too low) instead
-// of parking forever or returning stale data.
+// item is missing, the calling step instance is aborted, parked on it and
+// re-executed from scratch (a declared read, see StepCollection.WithGets,
+// never misses here). Get must only be called from inside a step body.
+// Reading an item that get-count garbage collection freed fails the graph
+// with a deterministic UseAfterFreeError (the declared count was too low)
+// instead of parking forever or returning stale data.
 func (ic *ItemCollection[K, V]) Get(k K) V {
 	sh := ic.shardOf(k)
 	sh.mu.Lock()
@@ -1133,30 +1136,56 @@ func (ic *ItemCollection[K, V]) Get(k K) V {
 	switch state {
 	case cellEmpty:
 		// The abort signal is the missed cell itself: pointer-shaped, so the
-		// panic allocates nothing, and execute's recover parks on it.
+		// panic allocates nothing, and the attempt's recover parks on it.
 		panic(c)
 	case cellFreed:
 		panic(c.useAfterFree()) // unwinds the step like a failed Get, but is never retried
 	}
-	if dc := ic.g.discipline; dc != nil {
-		dc.RecordGet(ic.name, k)
-	}
-	// With a backend installed the local value only proves existence;
-	// the authoritative copy comes back over the wire (and must agree
-	// in type — a mismatch is a codec bug, failed loudly). The nil check
-	// sits here so the common path does not box k and v.
-	if ic.g.backend != nil {
-		if rv, remote := ic.g.backendGet(ic.name, k, v); remote {
-			tv, ok := rv.(V)
-			if !ok {
-				err := fmt.Errorf("cnc: item backend returned %T for %s[%v], want %T", rv, ic.name, k, v)
-				ic.g.fail(err)
-				panic(err) // unwinds the step like a failed Get; never retried into success
-			}
-			return tv
-		}
+	v, err := c.read(v)
+	if err != nil {
+		panic(err) // unwinds the step like a failed Get; never retried into success
 	}
 	return v
+}
+
+// read completes a read of the present cell holding v: the discipline
+// record and, with a backend installed, the authoritative copy — the local
+// value only proves existence, and the remote one must agree in type (a
+// mismatch is a codec bug, failed loudly). The nil check sits here so the
+// common path does not box the key and value.
+func (c *cell[K, V]) read(v V) (V, error) {
+	ic := c.sh.ic
+	if dc := ic.g.discipline; dc != nil {
+		dc.RecordGet(ic.name, c.key)
+	}
+	if ic.g.backend != nil {
+		if rv, remote := ic.g.backendGet(ic.name, c.key, v); remote {
+			tv, ok := rv.(V)
+			if !ok {
+				err := fmt.Errorf("cnc: item backend returned %T for %s[%v], want %T", rv, ic.name, c.key, v)
+				ic.g.fail(err)
+				return v, err
+			}
+			return tv, nil
+		}
+	}
+	return v, nil
+}
+
+func (c *cell[K, V]) fetch() bool {
+	var zero V
+	_, err := c.read(zero)
+	return err == nil
+}
+
+func (c *cell[K, V]) probe() cellState {
+	c.sh.mu.Lock()
+	state := c.state
+	c.sh.mu.Unlock()
+	if state == cellFreed {
+		c.useAfterFree()
+	}
+	return state
 }
 
 // TryGet is the non-blocking get (the paper's §IV-B ablation): it reports

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,19 +189,25 @@ func TestOverRelease(t *testing.T) {
 	}
 }
 
-// TestReleaseNeverPut declares a read of an item that never existed; the
-// completion-time release must flag the bogus declaration.
+// TestReleaseNeverPut declares a read of an item that never existed. A
+// declared read is a required input, so the step never runs: the run
+// deadlocks naming the bogus item.
 func TestReleaseNeverPut(t *testing.T) {
 	g := NewGraph("ghost", 1)
 	items := NewItemCollection[string, int](g, "items")
 	items.WithGetCount(func(string) int { return 1 })
 	tags := NewTagCollection[string](g, "tags", false)
-	step := NewStepCollection(g, "step", func(string) error { return nil })
+	var runs atomic.Int64
+	step := NewStepCollection(g, "step", func(string) error { runs.Add(1); return nil })
 	step.WithGets(func(tag string) []Dep { return []Dep{items.Key("ghost")} })
 	tags.Prescribe(step)
 	err := g.Run(func() { tags.Put("go") })
-	if err == nil || !strings.Contains(err.Error(), "never put") {
-		t.Fatalf("err = %v, want release-of-never-put", err)
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || !slices.Equal(dl.Blocked, []string{"step@go <- items[ghost]"}) {
+		t.Fatalf("err = %v, want a DeadlockError naming items[ghost]", err)
+	}
+	if runs.Load() != 0 {
+		t.Fatalf("body ran %d times without its declared input", runs.Load())
 	}
 }
 

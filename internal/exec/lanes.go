@@ -7,7 +7,7 @@ import (
 
 // Unit is one unit of dispatched work, run on the logical slot that took
 // it. It is an interface rather than a func() so the hot dispatch paths can
-// enqueue pooled envelopes (cnc's *stepTask, forkjoin's *frame) without
+// enqueue pooled values (cnc's step instances, forkjoin's *frame) without
 // allocating: storing a pointer in an interface is allocation-free, while
 // every func() closure capturing a tag is a fresh heap object.
 type Unit interface{ Run(slot int) }

@@ -205,8 +205,9 @@ type flowGraph[T, K comparable] struct {
 	steps []*cnc.StepCollection[T]
 	tags  []*cnc.TagCollection[T]
 	out   []*cnc.ItemCollection[K, bool]
-	// get enforces one dependency in the variant's style.
-	get  func(K) bool
+	// poll tests one predecessor in the non-blocking variant; the others
+	// declare them as the read set, which the runtime reads itself.
+	poll func(K) bool
 	pool *sync.Pool
 }
 
@@ -235,32 +236,29 @@ func (f *Flow[T, K]) build(name string, workers int, variant core.Variant) *flow
 		d.steps = append(d.steps, cnc.NewStepCollection(g, names[0], d.step))
 	}
 	if variant == core.NonBlockingCnC {
-		d.get = func(k K) bool { _, ok := d.out[d.coll(k)].TryGet(k); return ok }
-	} else {
-		// A blocking get of a missing item aborts the step; the runtime
-		// re-executes it when the item arrives. The tuned variants declare
-		// the same predecessors up front, so their gets never miss.
-		d.get = func(k K) bool { d.out[d.coll(k)].Get(k); return true }
+		d.poll = func(k K) bool { _, ok := d.out[d.coll(k)].TryGet(k); return ok }
 	}
 	for c, step := range d.steps {
 		step.Produces(d.out[c])
-		switch variant {
-		case core.TunerCnC:
-			step.WithDepsAppend(cnc.TunedPrescheduled, d.deps)
-		case core.ManualCnC:
-			step.WithDepsAppend(cnc.TunedTriggered, d.deps)
-		}
-		// Memory contract: an output item is read once by each successor of
-		// its task, so its get-count is their number; it stands for one
-		// tile, and each base tag admitted under a memory limit will
-		// materialise exactly one. The predecessors double as the released
-		// read set — they are exactly what the base step gets. The
-		// non-blocking variant is excluded: its poll-miss path retires a
-		// successful instance per re-put, which would release the read set
-		// once per poll instead of once per tile.
+		// The predecessors are the read set: the runtime reads them before a
+		// base step runs — a missing one aborts it in Native, the tuned
+		// variants wait for them at launch — and releases them when it
+		// completes. Memory contract: an output item is read once by each
+		// successor of its task, so its get-count is their number; it stands
+		// for one tile, and each base tag admitted under a memory limit will
+		// materialise exactly one. The non-blocking variant is excluded: its
+		// poll-miss path retires a successful instance per re-put, which
+		// would release the read set once per poll instead of once per tile.
 		if variant != core.NonBlockingCnC {
 			d.out[c].WithGetCount(d.getCount).WithSizeOf(func(K) int { return f.TileBytes })
-			step.WithGetsAppend(d.deps)
+			switch variant {
+			case core.TunerCnC:
+				step.WithTunedGetsAppend(cnc.TunedPrescheduled, d.deps)
+			case core.ManualCnC:
+				step.WithTunedGetsAppend(cnc.TunedTriggered, d.deps)
+			default:
+				step.WithGetsAppend(d.deps)
+			}
 			d.tags[c].WithTagBytes(func(t T) int {
 				if _, base := f.Task(t); !base {
 					return 0 // recursive tags expand control flow, no data
@@ -274,8 +272,8 @@ func (f *Flow[T, K]) build(name string, workers int, variant core.Variant) *flow
 }
 
 // deps appends the predecessors of the base task t stands for to the
-// runtime's pooled buffer: the declared dependencies of the tuned variants
-// and the released read set of all. Recursive calls read nothing.
+// runtime's buffer: the read set of every blocking variant, which the
+// tuned ones also wait for at launch. Recursive calls read nothing.
 func (d *flowGraph[T, K]) deps(t T, ds []cnc.Dep) []cnc.Dep {
 	k, base := d.Task(t)
 	if !base {
@@ -307,7 +305,7 @@ func (d *flowGraph[T, K]) put(t T, bu *cnc.Burst) {
 
 // step is the one step body. A recursive call puts its sub-calls as tags —
 // all stages at once: the items, not the walk, order a data-flow run. A
-// base task waits for its predecessors, runs the kernel and publishes its
+// base task, its predecessors present, runs the kernel and publishes its
 // output (the paper's Listing 5).
 func (d *flowGraph[T, K]) step(t T) error {
 	k, base := d.Task(t)
@@ -320,7 +318,7 @@ func (d *flowGraph[T, K]) step(t T) error {
 		v.release()
 		return nil
 	}
-	if !d.Preds(k, d.get) {
+	if d.poll != nil && !d.Preds(k, d.poll) {
 		d.tags[d.coll(k)].Put(t) // a non-blocking poll missed: try again later
 		return nil
 	}
