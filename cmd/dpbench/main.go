@@ -54,7 +54,7 @@ func main() {
 	flag.IntVar(&f.Scale, "scale", 0, "divide figure problem sizes by 2^scale (0 = paper sizes)")
 	flag.IntVar(&f.TScale, "tscale", 8, "table1 linear scaling factor (1 = the paper's full 8K trace)")
 	flag.IntVar(&f.MaxTiles, "maxtiles", 256, "skip sweep points with more tiles per side than this (0 = no limit)")
-	flag.IntVar(&f.VerifySample, "verify-sample", 0, "dist: verified-read sampling rate (0 = 1-in-16 default, 1 = every get, <0 = never)")
+	flag.IntVar(&f.VerifySample, "verify-sample", 0, "dist: mirror verification rate: every n-th acked put is fetched back and compared (0 = 1-in-16 default, 1 = every put, <0 = never)")
 	flag.Parse()
 
 	if *list {

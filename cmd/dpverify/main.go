@@ -148,8 +148,8 @@ func main() {
 				}
 				return err
 			}, func() error {
-				if !matrix.Equal(m, parRef) {
-					return fmt.Errorf("table disagrees with the serial loop (maxdiff %g)", matrix.MaxAbsDiff(m, parRef))
+				if err := matrix.Diff(m, parRef); err != nil {
+					return fmt.Errorf("table disagrees with the serial loop: %w", err)
 				}
 				return nil
 			})

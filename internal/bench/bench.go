@@ -127,9 +127,8 @@ func (in *instance[T, K]) Verify() error {
 	if !in.ran {
 		return fmt.Errorf("bench: %s: Verify before Run", in.name)
 	}
-	if !matrix.Equal(in.work, in.ref) {
-		return fmt.Errorf("bench: %s result disagrees with the serial reference (maxdiff %g)",
-			in.name, matrix.MaxAbsDiff(in.work, in.ref))
+	if err := matrix.Diff(in.work, in.ref); err != nil {
+		return fmt.Errorf("bench: %s result disagrees with the serial reference: %w", in.name, err)
 	}
 	return nil
 }

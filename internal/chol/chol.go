@@ -28,19 +28,43 @@ import (
 
 // NewSPD generates a random symmetric positive-definite n×n matrix
 // (B·Bᵀ/n + I for random B), suitable for Cholesky without pivoting.
+// Register-blocked: four rows j of B share one pass over row i, and each
+// a[i][j] still sums b[i][k]·b[j][k] in k order, so the values are those
+// of the plain triple loop bit for bit.
 func NewSPD(n int, rng *rand.Rand) *matrix.Dense {
 	b := matrix.NewSquare(n)
 	b.FillRandom(rng, -1, 1)
 	a := matrix.NewSquare(n)
+	set := func(i, j int, sum float64) {
+		v := sum/float64(n) + boolTo(i == j)
+		a.Set(i, j, v)
+		a.Set(j, i, v)
+	}
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := 0.0
-			for k := 0; k < n; k++ {
-				sum += b.At(i, k) * b.At(j, k)
+		bi := b.RowSeg(i, 0, n)
+		j := 0
+		for ; j+3 <= i; j += 4 {
+			b0, b1 := b.RowSeg(j, 0, n)[:len(bi)], b.RowSeg(j+1, 0, n)[:len(bi)]
+			b2, b3 := b.RowSeg(j+2, 0, n)[:len(bi)], b.RowSeg(j+3, 0, n)[:len(bi)]
+			var s0, s1, s2, s3 float64
+			for k, x := range bi {
+				s0 += x * b0[k]
+				s1 += x * b1[k]
+				s2 += x * b2[k]
+				s3 += x * b3[k]
 			}
-			v := sum/float64(n) + boolTo(i == j)
-			a.Set(i, j, v)
-			a.Set(j, i, v)
+			set(i, j, s0)
+			set(i, j+1, s1)
+			set(i, j+2, s2)
+			set(i, j+3, s3)
+		}
+		for ; j <= i; j++ {
+			bj := b.RowSeg(j, 0, n)[:len(bi)]
+			s := 0.0
+			for k, x := range bi {
+				s += x * bj[k]
+			}
+			set(i, j, s)
 		}
 	}
 	return a

@@ -40,6 +40,31 @@ func runCnC(a *matrix.Dense, base, workers int, v core.Variant, tune func(*cnc.G
 	return f.Run(context.Background(), "chol-"+v.String(), workers, v, tune)
 }
 
+// TestNewSPDMatchesTripleLoop: the register-blocked NewSPD gives the
+// plain triple loop's matrix bit for bit, on sizes with every remainder of
+// the four-row block and on both sides of a power of two.
+func TestNewSPDMatchesTripleLoop(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 64, 255, 256} {
+		b := matrix.NewSquare(n)
+		b.FillRandom(rand.New(rand.NewSource(int64(n))), -1, 1)
+		want := matrix.NewSquare(n)
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				sum := 0.0
+				for k := 0; k < n; k++ {
+					sum += b.At(i, k) * b.At(j, k)
+				}
+				v := sum/float64(n) + boolTo(i == j)
+				want.Set(i, j, v)
+				want.Set(j, i, v)
+			}
+		}
+		if err := matrix.Diff(NewSPD(n, rand.New(rand.NewSource(int64(n)))), want); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}
+
 func TestSerialKnownFactor(t *testing.T) {
 	// A = [[4, 12, -16], [12, 37, -43], [-16, -43, 98]] has the textbook
 	// factor L = [[2,0,0],[6,1,0],[-8,5,3]].

@@ -133,10 +133,9 @@ type Stats struct {
 	FailedProbes uint64 // steal probes that found an empty victim lane
 	Wakeups      uint64 // targeted wake signals sent to parked workers
 
-	// Item-backend counters (see Graph.WithItemBackend): puts mirrored to
-	// and values fetched from the external store. Zero without a backend.
+	// Item-backend counter (see Graph.WithItemBackend): puts the external
+	// store accepted. Zero without a backend; nothing is ever read from it.
 	BackendPuts uint64
-	BackendGets uint64
 
 	// Memory accounting (see ItemCollection.WithGetCount and
 	// Graph.WithMemoryLimit). Bytes are counted only for collections with a
@@ -242,7 +241,7 @@ type Graph struct {
 		tagsPut, itemsPut, started, done    atomic.Uint64
 		aborts, requeues, inline, triggered atomic.Uint64
 		retries                             atomic.Uint64
-		backendPuts, backendGets            atomic.Uint64
+		backendPuts                         atomic.Uint64
 	}
 
 	// Static graph structure, for Describe/Dot and deadlock reports.
@@ -359,7 +358,6 @@ func (g *Graph) Stats() Stats {
 		Wakeups:      wakeups,
 
 		BackendPuts: g.stats.backendPuts.Load(),
-		BackendGets: g.stats.backendGets.Load(),
 	}
 }
 
@@ -456,8 +454,8 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 	close(stopMonitor)
 
 	// End-of-run backend barrier: a batching backend (internal/dist) may
-	// still hold mirrored puts or deferred verification work in its
-	// buffers; surface any such error as the run's error.
+	// still hold mirrored puts, or checks of them, in its buffers; surface
+	// any such error as the run's error.
 	g.flushBackend()
 
 	if g.parked.Load() > 0 {
@@ -498,9 +496,9 @@ func (g *Graph) schedule(run exec.Unit) {
 // With an item backend installed, a Burst also stages the backend mirrors
 // of any ItemCollection.PutInto calls made through it: Flush delivers the
 // whole batch in one ItemBackend.PutBatch call *before* pushing any of the
-// burst's dispatches, so a waiter woken by the burst can never observe an
-// item whose mirror has not reached the backend (flush-before-wakeup — the
-// batched form of the Put-before-wakeup write-through ordering).
+// burst's dispatches, so no consumer woken by the burst can put an item
+// computed from one whose mirror has not reached the backend
+// (flush-before-wakeup — the batched form of Put's mirror-before-wakeup).
 type Burst struct {
 	g   *Graph
 	rs  []exec.Unit

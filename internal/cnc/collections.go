@@ -49,10 +49,10 @@ func (d Dep) String() string { return d.c.String() }
 type depCell interface {
 	String() string
 	// probe returns the item's state (a freed one records the use-after-free)
-	// and fetch completes a read of a present item as Get does, reporting
-	// false when it failed the graph.
+	// and recordGet attributes a read of a present item to the discipline
+	// checker, as Get does.
 	probe() cellState
-	fetch() bool
+	recordGet()
 	// subscribe registers w to be woken once when the item is put. It
 	// returns false — without registering — when the item is not missing.
 	subscribe(w waiter) bool
@@ -170,10 +170,10 @@ func (sc *StepCollection[T]) WithDepsAppend(mode TuningMode, deps func(T, []Dep)
 // WithGets declares the exact per-tag read set of the step. A declared read
 // is a required input: the runtime resolves the read set to cells once per
 // instance and, before each attempt's body runs, reads every item itself as
-// Get would (use-after-free check, discipline record, backend fetch). If one
-// is missing the attempt aborts before the body starts, and the instance
-// waits for every declared item not yet present and is re-executed once; an
-// item declared but never put is a deadlock naming that item.
+// Get would (use-after-free check, discipline record). If one is missing
+// the attempt aborts before the body starts, and the instance waits for
+// every declared item not yet present and is re-executed once; an item
+// declared but never put is a deadlock naming that item.
 //
 // When an instance completes successfully, the runtime releases (decrements
 // the get-count of) every item the declaration names, freeing items whose
@@ -445,7 +445,7 @@ func (in *instance[T]) Run(int) {
 // read reads the declared read set before the body runs, reporting whether
 // the body may run. A missing item aborts the attempt: the instance parks on
 // the cells still empty and is requeued once they are all put. A freed item
-// or a failed fetch fails the attempt, never retried — the graph has failed.
+// fails the attempt, never retried — the graph has failed.
 func (in *instance[T]) read() bool {
 	in.resolve()
 	if !in.present {
@@ -463,12 +463,9 @@ func (in *instance[T]) read() bool {
 		}
 		in.present = true
 	}
-	if g := in.sc.g; g.discipline != nil || g.backend != nil {
+	if in.sc.g.discipline != nil {
 		for _, d := range in.reads {
-			if !d.c.fetch() {
-				in.recycle()
-				return false
-			}
+			d.c.recordGet()
 		}
 	}
 	return true
@@ -914,12 +911,10 @@ func (ic *ItemCollection[K, V]) Put(k K, v V) { ic.PutInto(k, v, nil) }
 // one burst crosses the backend seam (for internal/dist, the socket) as one
 // PutBatch call, and wakes parked workers once for the whole burst.
 // Ordering is preserved — Burst.Flush delivers the batched mirror before
-// any staged wakeup reaches the run queue — but consumers polling via
-// TryGet can observe an item before its mirror lands, the same
-// local-insert-precedes-mirror window plain Put already has. The item is
-// locally visible (and counted) when PutInto returns; only the mirror and
-// the wakeups wait for Flush. Like every burst user: always Flush. A nil bu
-// degrades to plain Put.
+// any staged wakeup reaches the run queue. The item is locally visible (and
+// counted) when PutInto returns; only the mirror and the wakeups wait for
+// Flush. Like every burst user: always Flush. A nil bu degrades to plain
+// Put.
 func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	ic.g.checkRunning()
 	if h := ic.g.hooks; h != nil && h.BeforeItemPut != nil {
@@ -975,14 +970,12 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	if freeNow {
 		ic.g.acct.free(size)
 	}
-	// Mirror to the external backend before any consumer can observe the
-	// item: waiters woken below (and every later Get, whose local-presence
-	// check this put just satisfied) may fetch the value remotely, so the
-	// backend must hold it first — the distributed read-your-writes
-	// ordering (see ItemBackend). With a caller burst the mirror is staged
-	// instead; Burst.Flush delivers the whole batch before any staged
-	// wakeup, preserving the same ordering batch-wide. (The backend check
-	// sits here so the common path does not box k and v.)
+	// Mirror to the external backend before any waiter is woken, so the
+	// backend receives an item before the items computed from it (see
+	// ItemBackend). With a caller burst the mirror is staged instead;
+	// Burst.Flush delivers the whole batch before any staged wakeup,
+	// preserving the same ordering batch-wide. (The backend check sits here
+	// so the common path does not box k and v.)
 	switch {
 	case ic.g.backend == nil:
 	case bu != nil:
@@ -1141,41 +1134,18 @@ func (ic *ItemCollection[K, V]) Get(k K) V {
 	case cellFreed:
 		panic(c.useAfterFree()) // unwinds the step like a failed Get, but is never retried
 	}
-	v, err := c.read(v)
-	if err != nil {
-		panic(err) // unwinds the step like a failed Get; never retried into success
-	}
+	c.recordGet()
 	return v
 }
 
-// read completes a read of the present cell holding v: the discipline
-// record and, with a backend installed, the authoritative copy — the local
-// value only proves existence, and the remote one must agree in type (a
-// mismatch is a codec bug, failed loudly). The nil check sits here so the
-// common path does not box the key and value.
-func (c *cell[K, V]) read(v V) (V, error) {
+// recordGet attributes a read of the present cell to the discipline
+// checker, if one is installed. The nil check sits here so the common path
+// does not box the key.
+func (c *cell[K, V]) recordGet() {
 	ic := c.sh.ic
 	if dc := ic.g.discipline; dc != nil {
 		dc.RecordGet(ic.name, c.key)
 	}
-	if ic.g.backend != nil {
-		if rv, remote := ic.g.backendGet(ic.name, c.key, v); remote {
-			tv, ok := rv.(V)
-			if !ok {
-				err := fmt.Errorf("cnc: item backend returned %T for %s[%v], want %T", rv, ic.name, c.key, v)
-				ic.g.fail(err)
-				return v, err
-			}
-			return tv, nil
-		}
-	}
-	return v, nil
-}
-
-func (c *cell[K, V]) fetch() bool {
-	var zero V
-	_, err := c.read(zero)
-	return err == nil
 }
 
 func (c *cell[K, V]) probe() cellState {
@@ -1200,8 +1170,8 @@ func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
 	sh.mu.Unlock()
 	if state == cellFreed {
 		c.useAfterFree()
-	} else if dc := ic.g.discipline; dc != nil && state == cellPresent {
-		dc.RecordGet(ic.name, k)
+	} else if state == cellPresent {
+		c.recordGet()
 	}
 	return v, state == cellPresent
 }

@@ -47,7 +47,7 @@ type WatchdogConfig struct {
 type WatchdogStats struct {
 	// RemoteWaitDeferrals is how many times a would-be stall verdict was
 	// deferred because RemoteBusy reported in-flight remote operations —
-	// the "parked on a remote get" vs livelock distinction, made visible.
+	// the "waiting on the backend" vs livelock distinction, made visible.
 	RemoteWaitDeferrals uint64
 }
 

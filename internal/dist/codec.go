@@ -2,20 +2,20 @@
 // that runs the CnC graph and N worker processes that each own one shard of
 // the item space, connected over Unix-domain sockets. It layers on the
 // generic cnc.ItemBackend seam, so every registered benchmark runs
-// distributed with zero per-benchmark code: the coordinator mirrors each
-// item put to its shard owner before consumers can observe it and fetches
-// the authoritative value on every get (see cnc.ItemBackend for the
-// read-your-writes argument).
+// distributed with zero per-benchmark code. The shards are a mirror: the
+// coordinator sends each item put to its shard owner in batches, and reads
+// never leave the coordinator — cnc reads every item from its own cell.
+// After each batch is acked, a sample of it (Options.VerifySample) is
+// fetched back and byte-compared with what was sent.
 //
 // The runtime's robustness ladder, bottom to top: per-request deadlines
 // with retry + exponential backoff + jitter (retry.go); reconnect against
 // a live but unresponsive worker; supervisor respawn of dead workers with
 // replay of the coordinator's write-ahead put log (safe because items are
 // write-once — workers accept byte-identical duplicate puts); and graceful
-// degradation to coordinator-local serving from that same log when a shard
-// is irrecoverably lost, which is exactly single-process execution. Faults
-// are injected through the chaos.TransportControl seam the Coordinator
-// implements.
+// degradation when a shard is irrecoverably lost: it stops being mirrored,
+// which is exactly single-process execution. Faults are injected through
+// the chaos.TransportControl seam the Coordinator implements.
 package dist
 
 import (
@@ -60,9 +60,9 @@ const (
 	// idempotence per op), amortising the round trip and the syscalls.
 	MsgPutBatch
 	// MsgGetBatch carries GetBatchMsg coordinator->worker; answered by
-	// MsgItemBatch with one ItemMsg per requested key, in order. Used by
-	// the post-replay audit to cross-check a sample of restored items in
-	// one exchange.
+	// MsgItemBatch with one ItemMsg per requested key, in order. Used to
+	// check a sample of each acked put batch, and by the post-replay audit
+	// to check a sample of restored items, in one exchange each.
 	MsgGetBatch
 	// MsgItemBatch answers MsgGetBatch.
 	MsgItemBatch

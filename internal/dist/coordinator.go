@@ -21,10 +21,10 @@ import (
 )
 
 // ErrShardDegraded reports that a shard exhausted its recovery ladder and
-// the coordinator now serves its items locally from the write-ahead put
-// log — the graceful-degradation terminal state, not a failure: a fully
-// degraded run is exactly single-process execution.
-var ErrShardDegraded = errors.New("dist: shard degraded to local serving")
+// is no longer mirrored — the graceful-degradation terminal state, not a
+// failure: nothing reads the mirror, so a fully degraded run is exactly
+// single-process execution.
+var ErrShardDegraded = errors.New("dist: shard degraded, no longer mirrored")
 
 // errClosed marks operations attempted after Coordinator.Close. It gates
 // the recovery ladder too: a retrying request that races Close must not
@@ -52,7 +52,7 @@ type Options struct {
 	// disables heartbeats.
 	HeartbeatEvery time.Duration
 	// MaxRespawns is the per-shard respawn budget before the shard
-	// degrades to local serving. Zero means the default (3); negative
+	// degrades (stops being mirrored). Zero means the default (3); negative
 	// means no respawns at all — a lost worker degrades immediately (the
 	// degradation tests' configuration).
 	MaxRespawns int
@@ -71,15 +71,13 @@ type Options struct {
 	// each shard's sender also flushes at this period, so trickle traffic
 	// still reaches the workers promptly between size-triggered flushes.
 	// Zero means the default (2ms); negative disables the tick (flushes
-	// then happen only on size, pre-get barriers, and the end-of-run
-	// Flush).
+	// then happen only on size and at the end-of-run Flush).
 	FlushEvery time.Duration
-	// VerifySample controls verified-read sampling: gets are served from
-	// the coordinator's write-ahead log (read-your-writes), and one in
-	// VerifySample of them is also fetched from the shard owner and
-	// byte-compared. Zero means the default (16); 1 verifies every read
-	// (the chaos/CI configuration — every get proves the remote data
-	// plane); negative disables verification entirely.
+	// VerifySample controls mirror verification: after a put batch is
+	// acked, its shard's sender fetches every VerifySample'th acked op
+	// back in one MsgGetBatch and byte-compares it with the bytes it sent.
+	// Zero means the default (16); 1 verifies every mirrored put (the
+	// chaos/CI configuration); negative disables verification entirely.
 	VerifySample int
 	// Seed seeds the backoff jitter (default 1).
 	Seed int64
@@ -136,32 +134,23 @@ func (o Options) withDefaults() Options {
 
 // Counters is the coordinator's observable activity, all monotone.
 type Counters struct {
-	// RemotePuts / RemoteGets are successfully completed remote item
-	// operations (batched puts count one per op, not per frame).
-	RemotePuts, RemoteGets atomic.Uint64
-	// PutFrames counts the MsgPutBatch frames that carried those puts —
-	// the denominator of the puts-per-frame batching ratio.
-	PutFrames atomic.Uint64
-	// LocalGets counts gets served from the write-ahead log without a
-	// remote cross-check; VerifiedReads counts the sampled gets that were
-	// also fetched from the shard owner and byte-compared (each such get
-	// increments RemoteGets too).
-	LocalGets, VerifiedReads atomic.Uint64
-	// VerifyShed counts sampled cross-checks dropped because the
-	// asynchronous verifier was saturated (see graphBackend.verifyAsync):
-	// sampled gets = VerifiedReads + VerifyShed, modulo degraded shards.
-	VerifyShed atomic.Uint64
+	// RemotePuts counts mirror puts the shards acked (batched puts count
+	// one per op, not per frame); PutFrames the MsgPutBatch frames that
+	// carried them — the denominator of the puts-per-frame batching ratio.
+	RemotePuts, PutFrames atomic.Uint64
+	// VerifiedReads counts acked puts fetched back from their shard and
+	// byte-compared with the bytes sent: the RemotePuts numbered a
+	// multiple of VerifySample, so ⌊RemotePuts/VerifySample⌋ once the
+	// Flush barrier has returned.
+	VerifiedReads atomic.Uint64
 	// Retries counts re-attempts inside request deadlines.
 	Retries atomic.Uint64
 	// Respawns counts worker processes relaunched by the supervisor,
 	// ReplayedPuts the log entries re-delivered to them.
 	Respawns, ReplayedPuts atomic.Uint64
-	// Degradations counts shards that exhausted recovery and fell back to
-	// local serving; DegradedGets the gets served from the local log.
-	Degradations, DegradedGets atomic.Uint64
-	// RaceRetries counts gets re-polled because they raced their
-	// producer's in-flight mirror (see graphBackend.Get).
-	RaceRetries atomic.Uint64
+	// Degradations counts shards that exhausted recovery and stopped being
+	// mirrored.
+	Degradations atomic.Uint64
 	// BytesOut / BytesIn are frame bytes across all sockets.
 	BytesOut, BytesIn atomic.Uint64
 	// Heartbeats / HeartbeatFailures count health probes sent and probes
@@ -170,31 +159,29 @@ type Counters struct {
 }
 
 // CounterSnapshot is a plain-value copy of Counters for reports.
+// LocalGets and RaceRetries are always 0: the coordinator serves no reads
+// (cnc reads every item from its own cell), so none is local and none can
+// race its mirror. They stay for the reports that print them.
 type CounterSnapshot struct {
-	RemotePuts, RemoteGets        uint64
-	PutFrames                     uint64
-	LocalGets, VerifiedReads      uint64
-	VerifyShed                    uint64
+	RemotePuts, PutFrames         uint64
+	VerifiedReads                 uint64
 	Retries                       uint64
 	Respawns, ReplayedPuts        uint64
-	Degradations, DegradedGets    uint64
-	RaceRetries                   uint64
+	Degradations                  uint64
 	BytesOut, BytesIn             uint64
 	Heartbeats, HeartbeatFailures uint64
+	LocalGets, RaceRetries        uint64
 }
 
 // Snapshot copies the counters.
 func (c *Counters) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
-		RemotePuts: c.RemotePuts.Load(), RemoteGets: c.RemoteGets.Load(),
-		PutFrames: c.PutFrames.Load(),
-		LocalGets: c.LocalGets.Load(), VerifiedReads: c.VerifiedReads.Load(),
-		VerifyShed: c.VerifyShed.Load(),
-		Retries:    c.Retries.Load(),
-		Respawns:   c.Respawns.Load(), ReplayedPuts: c.ReplayedPuts.Load(),
-		Degradations: c.Degradations.Load(), DegradedGets: c.DegradedGets.Load(),
-		RaceRetries: c.RaceRetries.Load(),
-		BytesOut:    c.BytesOut.Load(), BytesIn: c.BytesIn.Load(),
+		RemotePuts: c.RemotePuts.Load(), PutFrames: c.PutFrames.Load(),
+		VerifiedReads: c.VerifiedReads.Load(),
+		Retries:       c.Retries.Load(),
+		Respawns:      c.Respawns.Load(), ReplayedPuts: c.ReplayedPuts.Load(),
+		Degradations: c.Degradations.Load(),
+		BytesOut:     c.BytesOut.Load(), BytesIn: c.BytesIn.Load(),
 		Heartbeats: c.Heartbeats.Load(), HeartbeatFailures: c.HeartbeatFailures.Load(),
 	}
 }
@@ -266,11 +253,12 @@ type shard struct {
 	stdin    io.WriteCloser
 	waitDone chan struct{}
 
-	// logMu guards the write-ahead put log, indexed by collection, then by
-	// encoded key.
-	logMu  sync.Mutex
-	log    []PutMsg
-	logIdx map[string]map[string]int
+	// logMu guards the write-ahead put log: every put to the shard, in
+	// order, appended before it is buffered — the replay source for a
+	// respawned worker. It needs no index: cnc refuses a re-put before the
+	// backend sees it, and nothing reads an entry by key.
+	logMu sync.Mutex
+	log   []PutMsg
 }
 
 type frameHookHolder struct {
@@ -295,7 +283,7 @@ type Coordinator struct {
 	bg   sync.WaitGroup
 
 	// termErr latches the first terminal data-plane error (a refused put
-	// in an asynchronous flush, a verified-read mismatch): every later
+	// in an asynchronous flush, a failed mirror check): every later
 	// backend operation returns it, so an error detected between a step's
 	// put and the run's end still fails the run.
 	termErr atomic.Pointer[error]
@@ -318,7 +306,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		sh := &shard{
 			idx:     i,
 			socket:  filepath.Join(c.dir, fmt.Sprintf("shard-%d.sock", i)),
-			logIdx:  make(map[string]map[string]int),
 			pending: make(map[uint64]pendEntry),
 			kick:    make(chan struct{}, 1),
 		}
@@ -566,7 +553,7 @@ func (c *Coordinator) readLoop(sh *shard, conn net.Conn, gen uint64) {
 }
 
 // readBuffer sizes the buffered readers on both ends of a shard socket:
-// pipelined frames (put batches behind verified-read gets, their replies)
+// pipelined frames (put batches, mirror checks, heartbeats, their replies)
 // share a read syscall.
 const readBuffer = 64 << 10
 
@@ -574,7 +561,7 @@ const readBuffer = 64 << 10
 // frame with a fresh sequence number and register it, write the frame
 // (send-side fault verdicts applied), and wait for the read loop to demux
 // the reply — without excluding other requests to the same shard, which is
-// what lets gets overlap puts and each other on one connection.
+// what lets heartbeats and mirror traffic overlap on one connection.
 func (c *Coordinator) attempt(sh *shard, frame []byte, cycleDeadline time.Time) ([]byte, error) {
 	attemptDeadline := time.Now().Add(c.opts.AttemptTimeout)
 	if attemptDeadline.After(cycleDeadline) {
@@ -639,7 +626,7 @@ func (c *Coordinator) attempt(sh *shard, frame []byte, cycleDeadline time.Time) 
 //	retry+backoff within the request deadline
 //	-> reconnect (live worker, fresh deadline)
 //	-> respawn + replay the write-ahead log (dead or unresponsive worker)
-//	-> degrade the shard to local serving (respawn budget exhausted)
+//	-> degrade the shard: stop mirroring it (respawn budget exhausted)
 //
 // and returns ErrShardDegraded only from the last rung. Requests are
 // pipelined: any number may be in flight per shard, so only the recovery
@@ -712,7 +699,7 @@ func (c *Coordinator) recoverShard(sh *shard, sawRespawns int) error {
 			return errClosed
 		}
 		if sh.respawns >= c.opts.MaxRespawns {
-			c.degradeLocked(sh, rerr)
+			c.degradeLocked(sh)
 			return ErrShardDegraded
 		}
 	}
@@ -810,9 +797,9 @@ const replayAuditSize = 16
 // byte-identical duplicates, so a put that was stored but whose ack was
 // lost replays harmlessly. After replay, a sampled MsgGetBatch audit
 // fetches restored items back and byte-compares them against the log; a
-// mismatch fails this rung (the ladder respawns again or degrades — the
-// log stays authoritative either way). The fresh connection is published
-// (read loop started) only after replay and audit succeed.
+// mismatch fails this rung (the ladder respawns again or degrades). The
+// fresh connection is published (read loop started) only after replay and
+// audit succeed.
 func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 	if sh.respawns >= c.opts.MaxRespawns {
 		return fmt.Errorf("dist: shard %d respawn budget (%d) exhausted", sh.idx, c.opts.MaxRespawns)
@@ -863,45 +850,28 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 		if stride < 1 {
 			stride = 1
 		}
-		var idxs []int
-		for i := 0; i < len(entries) && len(idxs) < replayAuditSize; i += stride {
-			idxs = append(idxs, i)
+		var sampled []PutMsg
+		for i := 0; i < len(entries) && len(sampled) < replayAuditSize; i += stride {
+			sampled = append(sampled, entries[i])
 		}
-		gets := make([]GetMsg, len(idxs))
-		for j, i := range idxs {
-			gets[j] = GetMsg{Coll: entries[i].Coll, Key: entries[i].Key}
-		}
-		pl, err := c.replayExchange(sh, &conn, MsgGetBatch, GetBatchMsg{Gets: gets})
+		pl, err := c.replayExchange(sh, &conn, MsgGetBatch, getBatch(sampled))
 		if err != nil {
 			return fail(fmt.Errorf("dist: shard %d replay audit: %w", sh.idx, err))
 		}
-		var batch ItemBatchMsg
-		if err := DecodePayload(pl, &batch); err != nil {
-			return fail(err)
-		}
-		if len(batch.Items) != len(idxs) {
-			return fail(fmt.Errorf("dist: shard %d replay audit: %d answers for %d gets", sh.idx, len(batch.Items), len(idxs)))
-		}
-		for j, i := range idxs {
-			it := &batch.Items[j]
-			if it.Err != "" {
-				return fail(fmt.Errorf("dist: shard %d replay audit: %s", sh.idx, it.Err))
-			}
-			if !it.Found || !bytes.Equal(it.Val, entries[i].Val) {
-				return fail(fmt.Errorf("dist: shard %d replay audit: restored %s differs from the put log", sh.idx, entries[i].Coll))
-			}
+		if err := compareMirror(sh.idx, sampled, pl); err != nil {
+			return fail(fmt.Errorf("dist: replay audit: %w", err))
 		}
 	}
 	c.publishConnLocked(sh, conn)
 	return nil
 }
 
-// degradeLocked retires the shard: its items are served from the
-// coordinator's log from now on. The worker (if any) is reaped so a
-// degraded run can never leak a process. Buffered puts are discarded — the
-// write-ahead log already holds every one of them, and the log is now the
-// serving store.
-func (c *Coordinator) degradeLocked(sh *shard, cause error) {
+// degradeLocked retires the shard: it is no longer mirrored, which costs
+// the run nothing because nothing reads the mirror. The worker (if any) is
+// reaped so a degraded run can never leak a process, and the buffered puts
+// and the write-ahead log are dropped — a degraded shard is never
+// respawned, so nothing will replay them.
+func (c *Coordinator) degradeLocked(sh *shard) {
 	if sh.degraded.Swap(true) {
 		return
 	}
@@ -912,40 +882,9 @@ func (c *Coordinator) degradeLocked(sh *shard, cause error) {
 	sh.pbuf, sh.pbufBytes = nil, 0
 	sh.pbufCond.Broadcast()
 	sh.pbufMu.Unlock()
-	_ = cause // recorded implicitly: Degradations counts, callers see ErrShardDegraded
-}
-
-// logPut appends one put to the shard's write-ahead log (before any
-// network I/O, so replay and degraded serving always see it). dup reports
-// a byte-identical duplicate — already logged, and already on its way to
-// (or at) the worker, so the caller must not enqueue it again.
-func (c *Coordinator) logPut(sh *shard, m PutMsg) (dup bool, err error) {
 	sh.logMu.Lock()
-	defer sh.logMu.Unlock()
-	idx := sh.logIdx[m.Coll]
-	if idx == nil {
-		idx = make(map[string]int)
-		sh.logIdx[m.Coll] = idx
-	}
-	if i, prev := idx[string(m.Key)]; prev {
-		if bytes.Equal(sh.log[i].Val, m.Val) {
-			return true, nil
-		}
-		return false, fmt.Errorf("dist: write-once violation in put log: %s re-put with differing bytes", m.Coll)
-	}
-	idx[string(m.Key)] = len(sh.log)
-	sh.log = append(sh.log, m)
-	return false, nil
-}
-
-func (c *Coordinator) logLookup(sh *shard, coll string, key []byte) ([]byte, bool) {
-	sh.logMu.Lock()
-	defer sh.logMu.Unlock()
-	i, ok := sh.logIdx[coll][string(key)]
-	if !ok {
-		return nil, false
-	}
-	return sh.log[i].Val, true
+	sh.log = nil
+	sh.logMu.Unlock()
 }
 
 // stallFactor is how far past its flush threshold (BatchOps, BatchBytes) a
@@ -1003,14 +942,14 @@ func (c *Coordinator) sendLoop(sh *shard) {
 	}
 }
 
-// flushShard sends the shard's buffered puts as one MsgPutBatch frame and
-// waits for the ack; puts arriving meanwhile simply buffer for the next
-// frame (into spare, the previous frame's emptied slice, which is how the
-// two buffers take turns). A degraded shard absorbs the flush silently —
-// the write-ahead log holds every buffered put and is now the serving
-// store. Any other failure, a worker refusal included, is terminal (latched
-// via setTerm). Every call is one numbered flush, empty ones too: barriers
-// wait on the numbers.
+// flushShard sends the shard's buffered puts as one MsgPutBatch frame,
+// waits for the ack and checks the sampled ops (verifyMirror); puts
+// arriving meanwhile simply buffer for the next frame (into spare, the
+// previous frame's emptied slice, which is how the two buffers take turns).
+// A degraded shard absorbs the flush silently — nothing reads its mirror.
+// Any other failure, a worker refusal or a failed check included, is
+// terminal (latched via setTerm). Every call is one numbered flush, empty
+// ones too: barriers wait on the numbers, so they cover the check.
 func (c *Coordinator) flushShard(sh *shard, spare []PutMsg) []PutMsg {
 	sh.pbufMu.Lock()
 	ops := sh.pbuf
@@ -1042,31 +981,86 @@ func (c *Coordinator) sendBatch(sh *shard, ops []PutMsg) error {
 	if ack.Err != "" {
 		return errors.New(ack.Err)
 	}
-	c.counters.RemotePuts.Add(uint64(len(ops)))
+	acked := c.counters.RemotePuts.Add(uint64(len(ops)))
 	c.counters.PutFrames.Add(1)
+	return c.verifyMirror(sh, ops, acked-uint64(len(ops))+1)
+}
+
+// verifyMirror fetches the sampled ops of an acked batch back from the
+// shard in one MsgGetBatch and byte-compares them with the bytes sent.
+// first is the number RemotePuts gave ops[0]; the sample is the ops
+// numbered a multiple of VerifySample, so the rate is exact across
+// batches and shards.
+func (c *Coordinator) verifyMirror(sh *shard, ops []PutMsg, first uint64) error {
+	vs := c.opts.VerifySample
+	if vs < 0 {
+		return nil
+	}
+	var sampled []PutMsg
+	for i := (vs - int(first%uint64(vs))) % vs; i < len(ops); i += vs {
+		sampled = append(sampled, ops[i])
+	}
+	if len(sampled) == 0 {
+		return nil
+	}
+	pl, err := c.rpc(sh, MsgGetBatch, getBatch(sampled))
+	if err != nil {
+		return err
+	}
+	if err := compareMirror(sh.idx, sampled, pl); err != nil {
+		return fmt.Errorf("dist: mirror check: %w", err)
+	}
+	c.counters.VerifiedReads.Add(uint64(len(sampled)))
 	return nil
 }
 
-// awaitMirrors blocks until the mirror of (coll, kb) — or, with a nil kb,
-// of every put staged so far — has been acked by the worker. It is the
-// end-of-run barrier and the pre-verified-read barrier, made precise: a
-// read needs only its own mirror on the worker, so the sender is kicked
-// only when that key still sits in the outgoing buffer; when a frame is in
-// flight it may be carrying the key, and its ack is the wait. With neither,
-// the key's mirror was already acked — or its producer has logged but not
-// yet enqueued it, a window the caller's not-found re-poll absorbs. Not
-// kicking there is what keeps sampled reads from fragmenting the put
-// batches the rest of the run is amortising. Returns the latched terminal
-// error, if any.
-func (c *Coordinator) awaitMirrors(sh *shard, coll string, kb []byte) error {
+// getBatch asks for the items of puts back, in order.
+func getBatch(puts []PutMsg) GetBatchMsg {
+	gets := make([]GetMsg, len(puts))
+	for i, p := range puts {
+		gets[i] = GetMsg{Coll: p.Coll, Key: p.Key}
+	}
+	return GetBatchMsg{Gets: gets}
+}
+
+// compareMirror checks pl, the MsgItemBatch reply to getBatch(sent): one
+// answer per put, each found, without an error, holding exactly the bytes
+// sent. A failure names the shard and the collection of the first bad one.
+func compareMirror(shard int, sent []PutMsg, pl []byte) error {
+	bad := func(i int, format string, args ...any) error {
+		return fmt.Errorf("shard %d, %s: %s", shard, sent[i].Coll, fmt.Sprintf(format, args...))
+	}
+	var reply ItemBatchMsg
+	if err := DecodePayload(pl, &reply); err != nil {
+		return bad(0, "%v", err)
+	}
+	if len(reply.Items) != len(sent) {
+		return bad(0, "%d answers for %d gets", len(reply.Items), len(sent))
+	}
+	for i, it := range reply.Items {
+		switch {
+		case it.Err != "":
+			return bad(i, "%s", it.Err)
+		case !it.Found:
+			return bad(i, "item missing")
+		case !bytes.Equal(it.Val, sent[i].Val):
+			return bad(i, "holds %d bytes, not the %d sent", len(it.Val), len(sent[i].Val))
+		}
+	}
+	return nil
+}
+
+// awaitMirrors blocks until every put staged on the shard so far has been
+// acked and checked: it kicks the sender when the buffer holds puts, and
+// waits for the flush that takes them (or, with the buffer empty, for the
+// one in flight). It is the end-of-run barrier. Returns the latched
+// terminal error, if any.
+func (c *Coordinator) awaitMirrors(sh *shard) error {
 	sh.pbufMu.Lock()
 	target := sh.flushStarted // the flush in flight, if one is
-	for i := range sh.pbuf {
-		if kb == nil || (sh.pbuf[i].Coll == coll && bytes.Equal(sh.pbuf[i].Key, kb)) {
-			target++ // the flush that will take the buffer
-			sh.kickSender()
-			break
-		}
+	if len(sh.pbuf) > 0 {
+		target++ // the flush that will take the buffer
+		sh.kickSender()
 	}
 	for sh.flushDone < target && !c.closed.Load() {
 		sh.pbufCond.Wait()
@@ -1130,7 +1124,7 @@ func (c *Coordinator) WorkerPIDs() []int {
 	return pids
 }
 
-// Degraded reports how many shards have degraded to local serving.
+// Degraded reports how many shards have degraded (stopped being mirrored).
 func (c *Coordinator) Degraded() int {
 	n := 0
 	for _, sh := range c.shards {
@@ -1242,42 +1236,9 @@ type graphBackend struct {
 	c      *Coordinator
 	prefix string
 
-	// gets numbers this graph's backend gets for verified-read sampling
-	// (every VerifySample'th get goes to the wire).
-	gets atomic.Uint64
-
 	// names resolves each collection's prefixed, coordinator-wide name
 	// once (fullName), instead of concatenating it on every operation.
 	names sync.Map // collection -> prefix + collection
-
-	// objs caches each put's original value object by (collection, key) so
-	// an unverified local get returns it with zero codec work — the
-	// coordinator-side analogue of single-process object sharing, and the
-	// difference between a get costing a map load and costing an encode of
-	// the key plus a decode of the value. The write-ahead log's bytes stay
-	// canonical: degraded serving, replay and every verified read still go
-	// through them, so the cache can only ever short-circuit work, never
-	// change what a get observes (items are write-once, the object never
-	// mutates after Put).
-	objs sync.Map // objKey -> any
-
-	// verifyWG tracks in-flight asynchronous verified reads; the Flush
-	// barrier waits on it so a mismatch discovered off the critical path
-	// still fails the run it belongs to. verifyInflight bounds them —
-	// a saturated verifier sheds the sample instead of stalling steps.
-	verifyWG       sync.WaitGroup
-	verifyInflight atomic.Int64
-}
-
-// maxAsyncVerify bounds concurrently outstanding asynchronous verified
-// reads per graph.
-const maxAsyncVerify = 32
-
-// objKey addresses the object cache. Item keys are comparable by the same
-// contract that lets cnc collections use them as map keys.
-type objKey struct {
-	coll string
-	key  any
 }
 
 func (gb *graphBackend) fullName(coll string) string {
@@ -1288,20 +1249,13 @@ func (gb *graphBackend) fullName(coll string) string {
 	return full.(string)
 }
 
-func (gb *graphBackend) locate(coll string, key any) (string, []byte, *shard, error) {
+// stagePut encodes one put, appends it to its shard's write-ahead log and
+// buffers its mirror for the shard's sender. An item too large for any
+// frame is refused here, by name, before it is logged; a degraded shard
+// takes nothing — nothing reads it, and nothing will replay it.
+func (gb *graphBackend) stagePut(coll string, key, val any) error {
 	full := gb.fullName(coll)
 	kb, err := EncodeValue(key)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	return full, kb, gb.c.shards[ShardOf(full, kb, len(gb.c.shards))], nil
-}
-
-// stagePut logs one put into the shard's write-ahead log and buffers its
-// mirror for the shard's sender. An item too large for any frame is refused
-// here, by name, before it is logged.
-func (gb *graphBackend) stagePut(coll string, key, val any) error {
-	full, kb, sh, err := gb.locate(coll, key)
 	if err != nil {
 		return err
 	}
@@ -1309,32 +1263,30 @@ func (gb *graphBackend) stagePut(coll string, key, val any) error {
 	if err != nil {
 		return err
 	}
-	m := PutMsg{Coll: full, Key: kb, Val: vb}
 	// Header remainder, batch count, three length prefixes at their longest.
 	if 9+1+3*binary.MaxVarintLen32+len(full)+len(kb)+len(vb) > maxFrame {
 		return fmt.Errorf("dist: put %s: %d-byte value: %w", full, len(vb), ErrFrameTooLarge)
 	}
-	dup, err := gb.c.logPut(sh, m)
-	if err != nil {
-		return err
+	sh := gb.c.shards[ShardOf(full, kb, len(gb.c.shards))]
+	if sh.degraded.Load() {
+		return nil
 	}
-	// Logged (or a byte-identical replay): the object may serve local gets.
-	gb.objs.Store(objKey{coll: coll, key: key}, val)
-	if !dup && !sh.degraded.Load() {
-		// Not already buffered/sent, and the log is not this shard's only store.
-		gb.c.enqueuePut(sh, m)
-	}
+	m := PutMsg{Coll: full, Key: kb, Val: vb}
+	sh.logMu.Lock()
+	sh.log = append(sh.log, m)
+	sh.logMu.Unlock()
+	gb.c.enqueuePut(sh, m)
 	return nil
 }
 
-// Put implements cnc.ItemBackend: write-ahead log (synchronous — the log
-// is what gets serve and replay rebuilds from, so it must hold the item
-// before any consumer can observe it), then buffer the mirror for the
+// Put implements cnc.ItemBackend: write-ahead log (synchronous — a
+// respawned worker is replayed from the log, so the log must hold the put
+// before a frame carrying it can be lost), then buffer the mirror for the
 // shard's next MsgPutBatch frame and return. The shard's sender flushes
-// the frame when a size threshold trips, on its FlushEvery tick, before a
-// verified read of a key still buffered, and at the end-of-run barrier —
-// the put itself waits for no round trip; a failed flush latches and fails
-// the next backend operation.
+// the frame when a size threshold trips, on its FlushEvery tick and at the
+// end-of-run barrier, then checks a sample of it — the put itself waits
+// for no round trip; a failed flush or check latches and fails the next
+// backend operation.
 func (gb *graphBackend) Put(coll string, key, val any) error {
 	if err := gb.c.termError(); err != nil {
 		return err
@@ -1357,188 +1309,15 @@ func (gb *graphBackend) PutBatch(ops []cnc.PutOp) error {
 }
 
 // Flush implements cnc.BackendFlusher: have every shard's sender drain its
-// put buffer and wait for the acks, wait out the in-flight asynchronous
-// verified reads, and surface any latched terminal error — the end-of-run
-// barrier that makes "run succeeded" mean "every mirror landed (or its
-// shard degraded with the log serving) and every sampled cross-check
-// passed".
+// put buffer, wait for the acks and the mirror checks, and surface any
+// latched terminal error — the end-of-run barrier that makes "run
+// succeeded" mean "every mirror landed (or its shard degraded) and every
+// sampled check passed".
 func (gb *graphBackend) Flush() error {
 	for _, sh := range gb.c.shards {
-		if err := gb.c.awaitMirrors(sh, "", nil); err != nil {
+		if err := gb.c.awaitMirrors(sh); err != nil {
 			return err
 		}
-	}
-	gb.verifyWG.Wait()
-	return gb.c.termError()
-}
-
-// shouldVerify decides whether this get is a sampled verified read.
-func (gb *graphBackend) shouldVerify() bool {
-	vs := gb.c.opts.VerifySample
-	if vs < 0 {
-		return false
-	}
-	if vs <= 1 {
-		return true
-	}
-	return gb.gets.Add(1)%uint64(vs) == 0
-}
-
-// Get implements cnc.ItemBackend. The write-ahead log is the
-// read-your-writes cache: every put was logged synchronously before its
-// producer could wake a consumer, so the authoritative bytes are always
-// local and a get usually costs no round trip at all. A sampled fraction
-// (Options.VerifySample) is additionally fetched from the shard owner and
-// byte-compared — the statistical form of PR 8's fetch-every-read proof
-// that the remote data plane actually holds what the coordinator thinks
-// it holds. A mismatch is terminal.
-//
-// Sampled verification (VerifySample > 1) runs off the step's critical
-// path: the get serves locally and the cross-check proceeds in a bounded
-// background fetch whose failure latches terminally and whose completion
-// the Flush barrier awaits — the run cannot succeed past an unfinished or
-// failed check. Full verification (VerifySample 1, the chaos/CI setting)
-// stays synchronous, so a failed comparison pins the exact get.
-//
-// A get can legitimately race its producer's in-flight mirror: the local
-// store insert (which makes the item gettable) precedes the backend Put,
-// so a speculatively re-executed consumer can reach here before the
-// producer logged the item. A log miss within the request deadline is
-// therefore re-polled, not failed; the same re-poll absorbs the window on
-// the remote side of a verified read (the mirror is flushed before the
-// fetch, but an earlier flush may still be in flight).
-func (gb *graphBackend) Get(coll string, key any) (any, error) {
-	if err := gb.c.termError(); err != nil {
-		return nil, err
-	}
-	c := gb.c
-	verify := gb.shouldVerify()
-	syncVerify := verify && c.opts.VerifySample == 1
-	if !syncVerify {
-		// Fast path: the producer's own object, no key encode, no value
-		// decode. A miss falls through to the log poll below (the consumer
-		// is racing its producer's stagePut).
-		if v, ok := gb.objs.Load(objKey{coll: coll, key: key}); ok {
-			c.counters.LocalGets.Add(1)
-			if verify {
-				gb.verifyAsync(coll, key)
-			}
-			return v, nil
-		}
-	}
-	full, kb, sh, err := gb.locate(coll, key)
-	if err != nil {
-		return nil, err
-	}
-	vb, ok := c.logLookup(sh, full, kb)
-	for deadline := time.Now().Add(c.opts.RequestTimeout); !ok; vb, ok = c.logLookup(sh, full, kb) {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dist: no put-log entry for %s (item never mirrored)", full)
-		}
-		c.counters.RaceRetries.Add(1) // racing the producer's logPut; it will land
-		time.Sleep(200 * time.Microsecond)
-	}
-	switch {
-	case sh.degraded.Load():
-		c.counters.DegradedGets.Add(1)
-	case !syncVerify:
-		c.counters.LocalGets.Add(1)
-		if verify {
-			gb.verifyAsync(coll, key)
-		}
-	default:
-		if err := c.crossCheck(sh, full, kb, vb); errors.Is(err, ErrShardDegraded) {
-			c.counters.DegradedGets.Add(1)
-		} else if err != nil {
-			return nil, err
-		}
-	}
-	return DecodeValue(vb)
-}
-
-// verifyAsync schedules one sampled cross-check off the critical path. A
-// saturated verifier sheds the sample — sampling is statistical, stalling
-// a step to preserve one data point would defeat its purpose — and counts
-// it (Counters.VerifyShed), so the sampling rate actually achieved is
-// visible.
-func (gb *graphBackend) verifyAsync(coll string, key any) {
-	if gb.verifyInflight.Add(1) > maxAsyncVerify {
-		gb.verifyInflight.Add(-1)
-		gb.c.counters.VerifyShed.Add(1)
-		return
-	}
-	gb.verifyWG.Add(1)
-	go func() {
-		defer gb.verifyWG.Done()
-		defer gb.verifyInflight.Add(-1)
-		if err := gb.verifyOnce(coll, key); err != nil && !errors.Is(err, errClosed) {
-			gb.c.setTerm(err)
-		}
-	}()
-}
-
-// verifyOnce is the background body of a sampled verified read. Degraded
-// shards have nothing to verify against.
-func (gb *graphBackend) verifyOnce(coll string, key any) error {
-	full, kb, sh, err := gb.locate(coll, key)
-	if err != nil {
-		return err
-	}
-	vb, ok := gb.c.logLookup(sh, full, kb)
-	if !ok {
-		return nil // the serving get saw it; nothing coherent to compare yet
-	}
-	if err := gb.c.crossCheck(sh, full, kb, vb); !errors.Is(err, ErrShardDegraded) {
-		return err
 	}
 	return nil
-}
-
-// crossCheck is one verified read: make sure the key's mirror has reached
-// the shard (waiting only if it is still buffered or may be riding the
-// in-flight frame), fetch it from the shard owner and byte-compare it
-// against vb, the write-ahead log's bytes. A missing item is re-polled
-// within the request deadline (an earlier mirror frame still in flight),
-// after which it is the terminal protocol failure verification exists to
-// catch, as is a mismatch. ErrShardDegraded means there is no longer a
-// remote copy to compare with.
-func (c *Coordinator) crossCheck(sh *shard, full string, kb, vb []byte) error {
-	for deadline := time.Now().Add(c.opts.RequestTimeout); ; {
-		if sh.degraded.Load() {
-			return ErrShardDegraded
-		}
-		if err := c.awaitMirrors(sh, full, kb); err != nil {
-			return err
-		}
-		pl, err := c.rpc(sh, MsgGet, GetMsg{Coll: full, Key: kb})
-		if err != nil {
-			return err
-		}
-		var item ItemMsg
-		if err := DecodePayload(pl, &item); err != nil {
-			return err
-		}
-		if item.Err != "" {
-			return errors.New(item.Err)
-		}
-		if item.Found {
-			if !bytes.Equal(item.Val, vb) {
-				err := fmt.Errorf("dist: verified read mismatch: shard %d holds %d bytes for %s, put log has %d",
-					sh.idx, len(item.Val), full, len(vb))
-				c.setTerm(err)
-				return err
-			}
-			c.counters.RemoteGets.Add(1)
-			c.counters.VerifiedReads.Add(1)
-			return nil
-		}
-		if time.Now().After(deadline) {
-			// The mirror would long since have landed: the worker's store
-			// is genuinely missing an item the coordinator holds — a
-			// protocol bug, not a race.
-			return fmt.Errorf("dist: shard %d lost %s despite replay", sh.idx, full)
-		}
-		c.counters.RaceRetries.Add(1)
-		time.Sleep(200 * time.Microsecond)
-	}
 }

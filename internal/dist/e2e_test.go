@@ -15,8 +15,8 @@ import (
 )
 
 // fastOpts are coordinator options tuned for tests: tight deadlines and
-// backoffs so recovery ladders complete in tens of milliseconds. Reads are
-// verified against the shard on every get (VerifySample 1) so the tests
+// backoffs so recovery ladders complete in tens of milliseconds. Every
+// mirrored put is fetched back and checked (VerifySample 1) so the tests
 // exercise the full wire path; CI's second sweep overrides the rate via
 // DPFLOW_VERIFY_SAMPLE to run the same matrix at the production default.
 func fastOpts() Options {
@@ -30,8 +30,8 @@ func fastOpts() Options {
 	}
 }
 
-// verifySampleFromEnv resolves the test suite's verified-read rate:
-// every get (1) unless DPFLOW_VERIFY_SAMPLE says otherwise.
+// verifySampleFromEnv resolves the test suite's mirror-verification rate:
+// every put (1) unless DPFLOW_VERIFY_SAMPLE says otherwise.
 func verifySampleFromEnv() int {
 	if s := os.Getenv("DPFLOW_VERIFY_SAMPLE"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil {
@@ -58,13 +58,13 @@ func TestDistAllBenchmarksVerify(t *testing.T) {
 				t.Fatalf("no remote puts (%d ops in %d frames) — the run was not actually distributed",
 					res.Counters.RemotePuts, res.Counters.PutFrames)
 			}
-			// With sampling on, verified reads must really cross the wire;
-			// with it off (env override), every get must be served locally.
-			if fastOpts().VerifySample >= 0 && res.Counters.RemoteGets == 0 {
-				t.Fatalf("sampling enabled but no get crossed the wire (counters %+v)", res.Counters)
+			// The sample is exact: every VerifySample'th acked put.
+			want := uint64(0)
+			if vs := fastOpts().VerifySample; vs > 0 {
+				want = res.Counters.RemotePuts / uint64(vs)
 			}
-			if res.Counters.LocalGets+res.Counters.RemoteGets == 0 {
-				t.Fatal("no gets at all — the backend was bypassed")
+			if res.Counters.VerifiedReads != want {
+				t.Fatalf("%d mirrored puts verified, want %d (counters %+v)", res.Counters.VerifiedReads, want, res.Counters)
 			}
 			if res.Counters.BytesOut == 0 || res.Counters.BytesIn == 0 {
 				t.Fatalf("no bytes on the wire (out %d, in %d)", res.Counters.BytesOut, res.Counters.BytesIn)
@@ -109,6 +109,12 @@ func TestDistChaosMatrix(t *testing.T) {
 		{"conn-reset", func() chaos.DistFault { return &chaos.ConnReset{Prob: 0.03, Times: 3} }},
 	}
 
+	// A frame per put burst: a cell's few dozen items then cross in enough
+	// frames for per-frame faults to land mid-run, where a later exchange
+	// on the same shard has to absorb them.
+	opts := fastOpts()
+	opts.BatchOps = -1
+
 	var injections, retries, respawns atomic.Uint64
 	t.Run("matrix", func(t *testing.T) {
 		for _, b := range benches {
@@ -117,7 +123,7 @@ func TestDistChaosMatrix(t *testing.T) {
 					b, f, seed := b, f, seed
 					t.Run(fmt.Sprintf("%s/%s/seed%d", b.Name(), f.name, seed), func(t *testing.T) {
 						t.Parallel()
-						r := &Runner{Shards: 2, Discipline: true, Options: fastOpts()}
+						r := &Runner{Shards: 2, Discipline: true, Options: opts}
 						res := r.Drive(b, 32, 8, seed, f.mk())
 						if res.Err != nil {
 							t.Fatal(res.Err)
@@ -147,8 +153,9 @@ func TestDistChaosMatrix(t *testing.T) {
 }
 
 // TestDistDegradation: with the respawn budget disabled, losing a worker
-// degrades its shard to coordinator-local serving from the put log — and
-// the run still verifies. Graceful degradation is single-process execution.
+// degrades its shard — it stops being mirrored — and the run still
+// verifies, because nothing reads the mirror. Graceful degradation is
+// single-process execution.
 func TestDistDegradation(t *testing.T) {
 	ge, err := bench.ByName("ge")
 	if err != nil {
@@ -156,12 +163,13 @@ func TestDistDegradation(t *testing.T) {
 	}
 	opts := fastOpts()
 	opts.MaxRespawns = -1 // no respawns: first loss degrades
-	// Full synchronous verification regardless of the env override: the
-	// degraded-serving counters this test asserts only tick on gets that
-	// actually try the shard.
+	// Kill a worker at the run's second frame, with a frame per put burst
+	// and a check after each: whatever the env override, the dead shard
+	// has mirror traffic left to notice it.
+	opts.BatchOps = -1
 	opts.VerifySample = 1
 	r := &Runner{Shards: 2, Discipline: true, Options: opts}
-	res := r.Drive(ge, 64, 16, 7, &chaos.ProcessKill{Prob: 1, Times: 1, After: 6})
+	res := r.Drive(ge, 64, 16, 7, &chaos.ProcessKill{Prob: 1, Times: 1, After: 1})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -171,8 +179,9 @@ func TestDistDegradation(t *testing.T) {
 	if res.Counters.Degradations == 0 {
 		t.Fatalf("shard did not degrade (counters %+v)", res.Counters)
 	}
-	if res.Counters.DegradedGets == 0 {
-		t.Fatal("no get was served from the local log after degradation")
+	if res.Counters.RemotePuts >= res.Stats.ItemsPut {
+		t.Fatalf("%d of %d puts mirrored: the degraded shard is still being sent puts",
+			res.Counters.RemotePuts, res.Stats.ItemsPut)
 	}
 	if res.Counters.Respawns != 0 {
 		t.Fatalf("respawns %d with a zero budget", res.Counters.Respawns)
@@ -180,38 +189,44 @@ func TestDistDegradation(t *testing.T) {
 }
 
 // TestRespawnReplayServesPrekillItems drives the supervisor rung directly:
-// put items, SIGKILL every worker, then get the items back — each get
-// forces a respawn whose log replay must restore the dead shard's store.
+// put items and flush them, SIGKILL every worker, put more — the ladder
+// must respawn each worker and replay its log — then fetch every item
+// back from the respawned workers and compare it with the log.
 func TestRespawnReplayServesPrekillItems(t *testing.T) {
-	opts := fastOpts()
-	// Full synchronous verification regardless of the env override: it is
-	// the verified reads that notice the dead workers and force the
-	// respawn-and-replay this test exists to exercise.
-	opts.VerifySample = 1
-	c, err := NewCoordinator(opts)
+	c, err := NewCoordinator(fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	gb := &graphBackend{c: c, prefix: "t/"}
 	const items = 24
-	for i := 0; i < items; i++ {
-		if err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
-			t.Fatalf("put %d: %v", i, err)
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		}
+		if err := gb.Flush(); err != nil {
+			t.Fatalf("flush puts %d-%d: %v", from, to-1, err)
 		}
 	}
+	put(0, items)
 	for s := 0; s < c.Shards(); s++ {
 		if err := c.KillWorker(s); err != nil {
 			t.Fatalf("kill shard %d: %v", s, err)
 		}
 	}
-	for i := 0; i < items; i++ {
-		v, err := gb.Get("receipts", gep.ItemKey{I: i})
+	put(items, 2*items)
+	for _, sh := range c.shards {
+		sh.logMu.Lock()
+		logged := append([]PutMsg(nil), sh.log...)
+		sh.logMu.Unlock()
+		pl, err := c.rpc(sh, MsgGetBatch, getBatch(logged))
 		if err != nil {
-			t.Fatalf("get %d after kill: %v", i, err)
+			t.Fatalf("shard %d: fetch back: %v", sh.idx, err)
 		}
-		if v != (i%2 == 0) {
-			t.Fatalf("get %d = %v after replay, want %v", i, v, i%2 == 0)
+		if err := compareMirror(sh.idx, logged, pl); err != nil {
+			t.Fatalf("after replay: %v", err)
 		}
 	}
 	snap := c.Counters().Snapshot()
@@ -257,12 +272,6 @@ func TestCloseMidRPC(t *testing.T) {
 	}
 	pids := c.WorkerPIDs()
 	gb := &graphBackend{c: c, prefix: "t/"}
-	const seeded = 8
-	for i := 0; i < seeded; i++ {
-		if err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
-			t.Fatalf("seed put %d: %v", i, err)
-		}
-	}
 	// Stall every frame a little so the workers' replies are reliably still
 	// in flight when Close lands mid-exchange.
 	c.SetFrameHook(func(dir chaos.Dir, shard int, msgType string, size int) chaos.Verdict {
@@ -279,8 +288,10 @@ func TestCloseMidRPC(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				// Errors are expected once Close lands; what matters is
 				// that every call returns instead of deadlocking.
-				_, _ = gb.Get("receipts", gep.ItemKey{I: i % seeded})
-				_ = gb.Put("receipts", gep.ItemKey{I: 1000 + g*100 + i}, true)
+				_ = gb.Put("receipts", gep.ItemKey{I: g*100 + i}, true)
+				if i%8 == 7 {
+					_ = gb.Flush()
+				}
 			}
 		}()
 	}
@@ -327,18 +338,18 @@ func TestChaosDropsBatchFrame(t *testing.T) {
 	}
 }
 
-// TestBatchedPutsReduceFrames is the tentpole's wire-level acceptance
-// check: with verified reads off (no per-get flush barriers), a run's
-// mirror puts must cross the socket in far fewer frames than ops — at
-// least 4 ops per putbatch frame on average, against the 1:1 ratio of the
-// old per-item data plane.
+// TestBatchedPutsReduceFrames is the batched data plane's wire-level
+// acceptance check: a run's mirror puts must cross the socket in far fewer
+// frames than ops — at least 4 ops per putbatch frame on average, against
+// the 1:1 ratio of the old per-item data plane — and with verification off
+// nothing is fetched back.
 func TestBatchedPutsReduceFrames(t *testing.T) {
 	ge, err := bench.ByName("ge")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := fastOpts()
-	opts.VerifySample = -1                  // local reads: no pre-get flush barriers
+	opts.VerifySample = -1                  // no mirror checks
 	opts.FlushEvery = 20 * time.Millisecond // let size, not time, trigger flushes
 	r := &Runner{Shards: 2, Discipline: true, Options: opts}
 	res := r.Drive(ge, 64, 16, 3, nil)
@@ -352,10 +363,7 @@ func TestBatchedPutsReduceFrames(t *testing.T) {
 		t.Fatalf("%d puts in %d frames (%.1f puts/frame) — batching is not amortising the round trips",
 			res.Counters.RemotePuts, res.Counters.PutFrames, ratio)
 	}
-	if res.Counters.RemoteGets != 0 {
-		t.Fatalf("%d remote gets with sampling disabled — local serving is broken", res.Counters.RemoteGets)
-	}
-	if res.Counters.LocalGets == 0 {
-		t.Fatal("no local gets recorded")
+	if res.Counters.VerifiedReads != 0 {
+		t.Fatalf("%d mirrored puts verified with verification disabled", res.Counters.VerifiedReads)
 	}
 }

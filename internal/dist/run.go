@@ -58,7 +58,7 @@ type RunResult struct {
 	DeadlineFired bool
 	// Counters is the coordinator's traffic/recovery activity.
 	Counters CounterSnapshot
-	// Degraded is how many shards fell back to local serving.
+	// Degraded is how many shards degraded (stopped being mirrored).
 	Degraded int
 	// Watchdog reports the stall-source accounting (remote-wait deferrals).
 	Watchdog cnc.WatchdogStats
@@ -130,9 +130,9 @@ func (r *Runner) Drive(b bench.Benchmark, n, base int, seed int64, fault chaos.D
 			Blocked:  g.Blocked,
 			Window:   r.StallWindow,
 			OnStall:  func([]string) { cancel() },
-			// The satellite distinction: puts stalled because a step sits
-			// inside a remote get (or the backend sits in a backoff
-			// window) is remote waiting, not livelock.
+			// Puts stalled because a step sits inside a backend put (its
+			// shard's buffer is full), the end-of-run flush, or a backoff
+			// window is remote waiting, not livelock.
 			RemoteBusy: g.BackendBusy,
 		})
 		wd.Start()

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -144,45 +145,76 @@ func TestPutStallsAtBufferCap(t *testing.T) {
 	}
 }
 
-// TestVerifyShedCounted saturates the asynchronous verifier: with the
-// workers' item replies withheld, the first maxAsyncVerify sampled gets sit
-// in flight and every further sample is shed — and counted, where it used
-// to vanish.
-func TestVerifyShedCounted(t *testing.T) {
-	opts := patientOpts()
-	opts.VerifySample = 2 // every second get is a sampled, asynchronous cross-check
-	c, err := NewCoordinator(opts)
-	if err != nil {
-		t.Fatal(err)
+// TestMirrorVerificationSampling: after Flush, the sender has fetched back
+// and checked exactly every VerifySample'th acked put — all of them at 1,
+// ⌊puts/2⌋ at 2, none when negative — across batches and shards, with no
+// sample dropped.
+func TestMirrorVerificationSampling(t *testing.T) {
+	const puts = 37
+	for _, tc := range []struct{ sample, want int }{{1, puts}, {2, puts / 2}, {-1, 0}} {
+		t.Run(fmt.Sprintf("sample=%d", tc.sample), func(t *testing.T) {
+			opts := patientOpts()
+			opts.VerifySample = tc.sample
+			c, err := NewCoordinator(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			gb := &graphBackend{c: c, prefix: "t/"}
+			// A barrier every third put: many small frames, most of odd
+			// size, so a sample rounded per batch would fall short.
+			for i := 0; i < puts; i++ {
+				if err := gb.Put("receipts", gep.ItemKey{I: i}, i%3 == 0); err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 2 || i == puts-1 {
+					if err := gb.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			snap := c.Counters().Snapshot()
+			if snap.RemotePuts != puts || snap.VerifiedReads != uint64(tc.want) {
+				t.Fatalf("%d puts acked, %d verified; want %d and %d", snap.RemotePuts, snap.VerifiedReads, puts, tc.want)
+			}
+		})
 	}
-	defer c.Close()
-	gb := &graphBackend{c: c, prefix: "t/"}
-	const items, extra = 8, 11
-	for i := 0; i < items; i++ {
-		if err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
+}
+
+// TestCompareMirror: the check of a fetched-back batch refuses every way a
+// reply can disagree with what was sent — a differing value, a missing
+// item, a short reply, an item error, a malformed payload — and each
+// refusal names the shard and the collection.
+func TestCompareMirror(t *testing.T) {
+	sent := []PutMsg{
+		{Coll: "g1/a", Key: []byte{1}, Val: []byte{7}},
+		{Coll: "g1/b", Key: []byte{2}, Val: []byte{8, 9}},
+	}
+	reply := func(items ...ItemMsg) []byte {
+		frame, err := EncodeFrame(MsgItemBatch, 1, ItemBatchMsg{Items: items})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return frame[prefixLen:]
 	}
-	if err := gb.Flush(); err != nil {
-		t.Fatal(err)
+	good := ItemMsg{Found: true, Val: []byte{7}}
+	if err := compareMirror(3, sent, reply(good, ItemMsg{Found: true, Val: []byte{8, 9}})); err != nil {
+		t.Fatalf("matching reply refused: %v", err)
 	}
-	release := holdReplies(c, "item")
-	defer release()
-	for i := 0; i < 2*(maxAsyncVerify+extra); i++ {
-		if _, err := gb.Get("receipts", gep.ItemKey{I: i % items}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name, want string
+		pl         []byte
+	}{
+		{"mismatch", "shard 3, g1/b: holds 2 bytes", reply(good, ItemMsg{Found: true, Val: []byte{8, 0}})},
+		{"not found", "shard 3, g1/b: item missing", reply(good, ItemMsg{})},
+		{"short reply", "shard 3, g1/a: 1 answers for 2 gets", reply(good)},
+		{"item error", "shard 3, g1/b: boom", reply(good, ItemMsg{Err: "boom"})},
+		{"malformed", "shard 3, g1/a: " + errMalformed.Error(), []byte{9}},
+	} {
+		err := compareMirror(3, sent, tc.pl)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", tc.name, err, tc.want)
 		}
-	}
-	if got := c.Counters().VerifyShed.Load(); got != extra {
-		t.Fatalf("VerifyShed = %d, want the %d samples beyond the %d in flight", got, extra, maxAsyncVerify)
-	}
-	release()
-	if err := gb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Counters().Snapshot()
-	if snap.VerifiedReads != maxAsyncVerify || snap.VerifyShed != extra {
-		t.Fatalf("verified %d, shed %d; want %d and %d", snap.VerifiedReads, snap.VerifyShed, maxAsyncVerify, extra)
 	}
 }
 
@@ -209,9 +241,6 @@ func TestOversizedPutIsTheCallersError(t *testing.T) {
 	}
 	if err := gb.Flush(); err != nil {
 		t.Fatalf("flush after the refused put: %v", err)
-	}
-	if v, err := gb.Get("receipts", gep.ItemKey{I: 1}); err != nil || v != true {
-		t.Fatalf("get after the refused put = %v, %v", v, err)
 	}
 	snap := c.Counters().Snapshot()
 	if snap.Retries != 0 || snap.Respawns != 0 || snap.Degradations != 0 || c.Degraded() != 0 {

@@ -27,22 +27,22 @@ const (
 // processes through the coordinator's item backend — same code path every
 // benchmark gets for free via the registry. Each row shows the wall-clock
 // cost of distribution next to the shard counters (remote put ops and the
-// batch frames that carried them, local vs verified reads and the sampled
-// cross-checks the saturated verifier shed, the mirror-race re-polls, transport retries, respawns, degradations, wire
-// bytes), and both runs verify against the serial reference, so the table
+// batch frames that carried them, the mirrored puts fetched back and
+// verified, transport retries, respawns, degradations, wire bytes), and
+// both runs verify against the serial reference, so the table
 // doubles as an end-to-end conformance check: a benchmark that breaks the
 // distributed protocol fails the experiment, not just a unit test.
 // puts/f is the batching amortisation — the old per-item data plane was
 // pinned at 1.0.
 //
-// verifySample is the coordinator's verified-read rate (0 = the production
-// default of 1-in-16, 1 = every get, negative = never); CI runs the report
-// at both the default and full verification.
+// verifySample is the coordinator's mirror-verification rate (0 = the
+// production default of 1-in-16, 1 = every mirrored put, negative =
+// never).
 func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 	fmt.Fprintf(w, "# dist: single-process vs %d-shard distributed execution, n=%d base=%d workers=%d verify-sample=%d (both verified)\n",
 		distShards, distN, distBase, distWorkers, verifySample)
-	fmt.Fprintf(w, "%6s %10s %10s %7s %9s %8s %7s %9s %9s %8s %8s %8s %8s %8s %10s %10s\n",
-		"bench", "single", "dist", "ratio", "r-puts", "p-frames", "puts/f", "l-gets", "v-gets", "v-shed", "races", "retries", "respawn", "degrade", "bytes-out", "bytes-in")
+	fmt.Fprintf(w, "%6s %10s %10s %7s %9s %8s %7s %9s %8s %8s %8s %10s %10s\n",
+		"bench", "single", "dist", "ratio", "r-puts", "p-frames", "puts/f", "verified", "retries", "respawn", "degrade", "bytes-out", "bytes-in")
 
 	var failures []string
 	for _, b := range bench.All() {
@@ -76,12 +76,11 @@ func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 		if c.PutFrames > 0 {
 			putsPerFrame = float64(c.RemotePuts) / float64(c.PutFrames)
 		}
-		fmt.Fprintf(w, "%6s %10s %10s %6.1fx %9d %8d %7.1f %9d %9d %8d %8d %8d %8d %8d %10d %10d\n",
+		fmt.Fprintf(w, "%6s %10s %10s %6.1fx %9d %8d %7.1f %9d %8d %8d %8d %10d %10d\n",
 			b.Name(), wallSingle.Round(time.Millisecond), res.Wall.Round(time.Millisecond),
 			float64(res.Wall)/float64(wallSingle),
-			c.RemotePuts, c.PutFrames, putsPerFrame, c.LocalGets, c.VerifiedReads, c.VerifyShed,
-			c.RaceRetries, c.Retries, c.Respawns, c.Degradations,
-			c.BytesOut, c.BytesIn)
+			c.RemotePuts, c.PutFrames, putsPerFrame, c.VerifiedReads,
+			c.Retries, c.Respawns, c.Degradations, c.BytesOut, c.BytesIn)
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -90,6 +89,6 @@ func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 		return fmt.Errorf("dist: %d run(s) failed", len(failures))
 	}
 	fmt.Fprintln(w, "\n// both columns verified against the serial reference; mirror puts cross the socket batched,")
-	fmt.Fprintln(w, "// gets serve from the read-your-writes put log with a sampled fraction verified against the shard")
+	fmt.Fprintln(w, "// reads never leave the coordinator, and a sample of each acked batch is fetched back and compared")
 	return nil
 }

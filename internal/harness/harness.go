@@ -291,7 +291,7 @@ type ReportFlags struct {
 	Options
 	CSV, JSON    bool // figures: output format (default aligned tables)
 	TScale       int  // table1: linear scaling factor (1 = the paper's full 8K trace)
-	VerifySample int  // dist: verified-read sampling rate
+	VerifySample int  // dist: mirror verification rate
 }
 
 // Reports is the one table of experiments — the figures, Table I, the

@@ -205,9 +205,28 @@ func (m *Dense) FillDiagonallyDominant(rng *rand.Rand) {
 	}
 }
 
-// Equal reports whether the two matrices have the same shape and identical
-// elements.
-func Equal(a, b *Dense) bool { return MaxAbsDiff(a, b) == 0 && sameShape(a, b) }
+// Equal reports whether the two matrices have the same shape and
+// bit-identical elements: a NaN equals only the same NaN, and 0 differs
+// from -0.
+func Equal(a, b *Dense) bool { return Diff(a, b) == nil }
+
+// Diff returns nil when a and b are Equal, else an error naming how they
+// differ: their shapes, or the first element (in row-major order) whose
+// bits differ, with both values.
+func Diff(a, b *Dense) error {
+	if !sameShape(a, b) {
+		return fmt.Errorf("matrix: shape %dx%d, want %dx%d", a.rows, a.cols, b.rows, b.cols)
+	}
+	for i := 0; i < a.rows; i++ {
+		ra, rb := a.Row(i), b.Row(i)
+		for j := range ra {
+			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
+				return fmt.Errorf("matrix: (%d, %d) is %v, want %v", i, j, ra[j], rb[j])
+			}
+		}
+	}
+	return nil
+}
 
 // AlmostEqual reports whether the two matrices have the same shape and all
 // elements within tol of each other, using a mixed absolute/relative test so

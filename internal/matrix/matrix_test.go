@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -205,6 +206,36 @@ func TestEqualShapeMismatch(t *testing.T) {
 	}
 	if !math.IsInf(MaxAbsDiff(New(2, 3), New(3, 2)), 1) {
 		t.Fatal("MaxAbsDiff of mismatched shapes should be +Inf")
+	}
+}
+
+// TestEqualIsBitwise: a NaN or an Inf where the reference holds 5 is a
+// difference — MaxAbsDiff, NaN-blind, reports 0 for the NaN — and Diff names
+// the first differing element with both values.
+func TestEqualIsBitwise(t *testing.T) {
+	ref := New(2, 3)
+	ref.Fill(5)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		got := ref.Clone()
+		got.Set(1, 2, bad)
+		if Equal(got, ref) {
+			t.Fatalf("%v where the reference holds 5 passed Equal", bad)
+		}
+		want := fmt.Sprintf("(1, 2) is %v, want 5", bad)
+		if err := Diff(got, ref); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Diff = %v, want it to name %q", err, want)
+		}
+	}
+	same := ref.Clone()
+	if !Equal(same, ref) || Diff(same, ref) != nil {
+		t.Fatalf("equal matrices: Equal %v, Diff %v", Equal(same, ref), Diff(same, ref))
+	}
+	same.Set(0, 0, math.NaN())
+	if !Equal(same, same.Clone()) {
+		t.Fatal("a NaN must equal the same NaN bit for bit")
+	}
+	if err := Diff(New(2, 3), New(3, 2)); err == nil || !strings.Contains(err.Error(), "shape 2x3, want 3x2") {
+		t.Fatalf("shape mismatch: Diff = %v", err)
 	}
 }
 
