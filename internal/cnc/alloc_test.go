@@ -30,7 +30,7 @@ func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
 		ran.Add(1)
 		return nil
 	})
-	step.WithDepsAppend(TunedPrescheduled, func(tag int, buf []Dep) []Dep {
+	step.WithTunedGetsAppend(TunedPrescheduled, func(tag int, buf []Dep) []Dep {
 		return append(buf, items.Key(7))
 	})
 	tags.Prescribe(step)

@@ -176,8 +176,8 @@ func TestBackendNeverRead(t *testing.T) {
 	ctags.Prescribe(tuned)
 	ptags.Prescribe(produce)
 	if err := g.Run(func() {
-		ctags.PutRange(0, n, func(i int) int { return i })
-		ptags.PutRange(0, n, func(i int) int { return i })
+		putBurst(ctags, 0, n)
+		putBurst(ptags, 0, n)
 	}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -242,15 +242,16 @@ func TestItemBackendRePutRefusedBeforeMirror(t *testing.T) {
 	}
 }
 
-// TestItemBackendRetriesReleaseOnce mirrors the PR 6 WithRetry ×
-// cancellation accounting test at the backend tier: a step whose first
-// attempt fails *after* its gets must not double-release its read set when
-// the retry succeeds — get-count GC decrements exactly once, so the run
-// quiesces leak-free with no over-release error, and the backend sees one
-// put and no read.
+// TestItemBackendRetriesReleaseOnce mirrors the retry × cancellation
+// accounting test (TestWithRetryCancellationMidRetry) at the backend tier:
+// a step whose first attempt fails *after* its gets must not double-release
+// its read set when the retry succeeds — get-count GC decrements exactly
+// once, so the run quiesces leak-free with no over-release error, and the
+// backend sees one put and no read.
 func TestItemBackendRetriesReleaseOnce(t *testing.T) {
 	be := &recordingBackend{}
 	g := NewGraph("backend-retry", 2)
+	g.SetRetry(2)
 	g.WithItemBackend(be)
 	items := NewItemCollection[int, int](g, "vals")
 	items.WithGetCount(func(int) int { return 1 })
@@ -268,7 +269,6 @@ func TestItemBackendRetriesReleaseOnce(t *testing.T) {
 		}
 		return nil
 	})
-	consume.WithRetry(2)
 	consume.WithGets(func(k int) []Dep { return []Dep{items.Key(k)} })
 	produce := NewStepCollection(g, "produce", func(k int) error {
 		items.Put(k, k)

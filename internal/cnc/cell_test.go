@@ -250,15 +250,12 @@ func TestDeclaredReadsCheckedBeforeBody(t *testing.T) {
 
 // TestReadSetResolvedOnce counts the read-set callback: an instance resolves
 // its declared reads to cells once, then reads, waits on and releases them
-// through those cells — a Native instance that aborts and then completes,
-// and a Manual instance whose tuned dependencies are the same declaration
-// (as gep.Flow declares them).
+// through those cells — a Native instance that aborts and then completes, a
+// Manual instance whose tuned dependencies are the same declaration (as
+// gep.Flow declares them), and a Tuner instance of a throttled put, which
+// waits for the same cells before its admission.
 func TestReadSetResolvedOnce(t *testing.T) {
-	for _, manual := range []bool{false, true} {
-		name := "native"
-		if manual {
-			name = "manual"
-		}
+	for _, name := range []string{"native", "manual", "tuner-throttled"} {
 		t.Run(name, func(t *testing.T) {
 			g := NewGraph("resolve-once", 2)
 			in := NewItemCollection[int, int](g, "in").WithGetCount(func(int) int { return 1 })
@@ -269,15 +266,24 @@ func TestReadSetResolvedOnce(t *testing.T) {
 				calls.Add(1)
 				return append(ds, in.Key(i))
 			}
-			if manual {
-				step.WithTunedGetsAppend(TunedTriggered, reads)
-			} else {
+			switch name {
+			case "native":
 				step.WithGetsAppend(reads)
+			case "manual":
+				step.WithTunedGetsAppend(TunedTriggered, reads)
+			default:
+				step.WithTunedGetsAppend(TunedPrescheduled, reads)
+				g.WithMemoryLimit(1 << 20)
+				tags.WithTagBytes(func(int) int { return 8 })
 			}
 			tags.Prescribe(step)
 			err := g.Run(func() {
-				tags.Put(0)
-				awaitParked(t, g, 1)
+				// Put, without a memory limit. A deferred instance is not
+				// parked, so only the other two settle into one.
+				tags.PutThrottled(0)
+				if name != "tuner-throttled" {
+					awaitParked(t, g, 1)
+				}
 				in.Put(0, 1)
 			})
 			if err != nil {
@@ -287,8 +293,18 @@ func TestReadSetResolvedOnce(t *testing.T) {
 			if calls.Load() != 1 || s.StepsDone != 1 || s.LiveItems != 0 {
 				t.Fatalf("read-set callback called %d times (done %d, live %d), want once", calls.Load(), s.StepsDone, s.LiveItems)
 			}
-			if manual && (s.Aborts != 0 || s.TriggeredRuns != 1) || !manual && s.Aborts != 1 {
-				t.Fatalf("aborts %d triggered %d, want the %s path", s.Aborts, s.TriggeredRuns, name)
+			var path bool
+			switch name {
+			case "native":
+				path = s.Aborts == 1
+			case "manual":
+				path = s.Aborts == 0 && s.TriggeredRuns == 1
+			default:
+				path = s.Aborts == 0 && s.InlineRuns == 1 && s.BackpressureWaits == 1
+			}
+			if !path {
+				t.Fatalf("aborts %d triggered %d inline %d waits %d, want the %s path",
+					s.Aborts, s.TriggeredRuns, s.InlineRuns, s.BackpressureWaits, name)
 			}
 		})
 	}
@@ -394,8 +410,8 @@ func TestFreedCellErrors(t *testing.T) {
 		want  string // substring of the error
 		uaf   bool   // a *UseAfterFreeError is in the chain
 	}
-	key := func(items *ItemCollection[string, int]) func(string) []Dep {
-		return func(tag string) []Dep { return []Dep{items.Key(tag)} }
+	key := func(items *ItemCollection[string, int]) func(string, []Dep) []Dep {
+		return func(tag string, ds []Dep) []Dep { return append(ds, items.Key(tag)) }
 	}
 	accesses := []access{
 		{name: "Get", want: "use-after-free", uaf: true,
@@ -411,11 +427,11 @@ func TestFreedCellErrors(t *testing.T) {
 		// A declared read: the runtime's read before the body reports it.
 		{name: "release", want: "use-after-free", uaf: true,
 			build: func(items *ItemCollection[string, int], step *StepCollection[string]) {
-				step.WithGets(key(items))
+				step.WithGetsAppend(key(items))
 			}},
 		{name: "tuned-subscribe", want: "use-after-free", uaf: true,
 			build: func(items *ItemCollection[string, int], step *StepCollection[string]) {
-				step.WithDeps(TunedTriggered, key(items))
+				step.WithTunedGetsAppend(TunedTriggered, key(items))
 			}},
 	}
 	for _, checked := range []bool{false, true} {

@@ -26,16 +26,16 @@
 // on, probes or releases an item holds the cell, not the key: only Put, Get,
 // TryGet and Key look anything up.
 //
-// Two tuners reproduce the paper's tuned variants (§III-D):
+// Two tuners reproduce the paper's tuned variants (§III-D). Both make the
+// declared read set the instance's dependencies (WithTunedGetsAppend):
 //
-//   - WithDeps + TunedPrescheduled ("Tuner-CnC"): the runtime resolves the
-//     declared dependencies when the tag is put; if all items are already
-//     available the step runs inline on the putting goroutine, otherwise it
-//     is triggered — without any speculative abort — when the last
-//     dependency arrives.
-//   - WithDeps + TunedTriggered ("Manual-CnC" building block): instances are
-//     never run speculatively; each waits on a countdown of its declared
-//     dependencies and is scheduled when the count reaches zero.
+//   - TunedPrescheduled ("Tuner-CnC"): the runtime resolves the read set
+//     when the tag is put; if all items are already available the step runs
+//     inline on the putting goroutine, otherwise it is triggered — without
+//     any speculative abort — when the last one arrives.
+//   - TunedTriggered ("Manual-CnC" building block): instances are never run
+//     speculatively; each waits on a countdown of its declared reads and is
+//     scheduled when the count reaches zero.
 //
 // The runtime dynamically enforces the single-assignment rule and, because
 // CnC programs are deterministic, reports deadlock precisely: when the graph
@@ -51,11 +51,11 @@
 // non-blocking schedule makes progress by re-putting its own tag behind the
 // producers it polls for, which needs queue fairness (exec.OwnerFIFO). A
 // step instance is one pooled value from launch to release: the queued unit,
-// the waiter on the cells it misses and the holder of its read set. It never
-// holds a worker while it waits — a missing input aborts it and the Put of
-// the last item it is waiting for requeues it — and puts with a known census
-// are batched (Burst, PutRange) into one lock and at most one wakeup per
-// touched lane.
+// the waiter on the cells it misses, the holder of its read set and, under a
+// memory limit, the entry admission launches. It never holds a worker while
+// it waits — a missing input aborts it and the Put of the last item it is
+// waiting for requeues it — and puts with a known census are batched
+// (Burst) into one lock and at most one wakeup per touched lane.
 //
 // # Fault tolerance and cancellation
 //
@@ -66,10 +66,9 @@
 // work, drains in-flight instances, and returns ctx.Err() with no leaked
 // goroutines. Because steps are written gets-first/puts-last, a failed
 // attempt has no side effects before its first Put, so re-execution is
-// sound: WithRetry (per step collection) or Graph.SetRetry (graph default)
-// re-dispatches failed attempts — errors, panics, or injected hook
-// failures — up to a budget. Hooks (SetHooks) expose generic interception
-// points (before-step, drop-tag, before-item-put) used by the
+// sound: Graph.SetRetry re-dispatches failed attempts — errors, panics, or
+// injected hook failures — up to a budget. Hooks (SetHooks) expose generic
+// interception points (before-step, drop-tag, before-item-put) used by the
 // internal/chaos harness to inject faults, and Graph.Blocked exposes the
 // live wait state for external watchdogs that distinguish livelock (workers
 // busy, no data produced) from the quiesced deadlock the runtime already
@@ -85,18 +84,19 @@
 // Decrements are driven by StepCollection.WithGets — the declared read set
 // of a step instance, released once when the instance completes
 // successfully — which is what makes get-counts compose with speculative
-// abort re-reads and WithRetry re-execution: an aborted or failed attempt
+// abort re-reads and retried re-execution: an aborted or failed attempt
 // releases nothing, so re-reading is always safe and nothing is
 // double-decremented. A per-graph accountant surfaces
 // LiveItems/PeakLiveItems/ItemsFreed/PeakLiveBytes in Stats, and
-// Graph.WithMemoryLimit adds backpressure: throttled tag puts
-// (TagCollection.PutThrottled, PutRange) that do not fit the budget, or
-// whose steps' declared gets are not all present, are deferred — the putter
-// never blocks. A deferred put waits on the cells of its missing items like
-// a parked instance, and is admitted, oldest first, once they are present
-// and get-count GC has freed room. If the graph idles with puts still
-// deferred, the runtime force-admits the oldest runnable one and reports
-// through Hooks.OnBackpressureStall rather than deadlocking.
+// Graph.WithMemoryLimit adds backpressure: the step instances of a
+// throttled tag put (TagCollection.PutThrottled) that do not fit the
+// budget, or whose declared gets are not all present, are deferred — the
+// putter never blocks. A deferred instance waits on the cells of its
+// missing items like any tuned one, and is admitted, oldest first, once
+// they are present and get-count GC has freed room. If the graph idles with
+// instances still deferred, the runtime force-admits the oldest runnable
+// one and reports through Hooks.OnBackpressureStall rather than
+// deadlocking.
 package cnc
 
 import (
@@ -145,12 +145,12 @@ type Stats struct {
 	ItemsFreed    int64 // items freed when their get-count reached zero
 	LiveBytes     int64 // bytes of live items (per the SizeOf hints)
 	PeakLiveBytes int64 // high-water mark of LiveBytes
-	// BackpressureWaits counts throttled puts that were deferred for budget;
-	// BackpressureStalls counts forced admissions: deferred puts admitted
-	// because the graph went idle and no free could ever land. The memory
-	// contract is the implication BackpressureStalls == 0 ⇒ PeakLiveBytes ≤
-	// limit. Not the converse: a forced admission can be for a growing put's
-	// headroom, with the bytes still inside the limit.
+	// BackpressureWaits counts step instances of throttled puts that were
+	// deferred; BackpressureStalls counts forced admissions: deferred
+	// instances admitted because the graph went idle and no free could ever
+	// land. The memory contract is the implication BackpressureStalls == 0 ⇒
+	// PeakLiveBytes ≤ limit. Not the converse: a forced admission can be for
+	// a growing instance's headroom, with the bytes still inside the limit.
 	BackpressureWaits  int64
 	BackpressureStalls int64
 }
@@ -277,7 +277,7 @@ func NewGraph(name string, workers int) *Graph {
 		workers = 1
 	}
 	g := &Graph{name: name, workers: workers}
-	g.acct.init(g)
+	g.acct.g = g
 	g.quiesceCond = sync.NewCond(&g.quiesceMu)
 	g.SetStealPolicy(exec.StealRandom)
 	return g
@@ -415,9 +415,9 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 				// wins) and switch the workers to drain mode.
 				g.fail(ctx.Err())
 				g.cancelled.Store(true)
-				// Flush deferred throttled puts so drain mode can retire
-				// their instances; otherwise their pending holds would
-				// keep the graph from quiescing.
+				// Flush deferred throttled instances so drain mode can
+				// retire them; otherwise their pending holds would keep
+				// the graph from quiescing.
 				g.acct.pump()
 			case <-stopMonitor:
 			}
@@ -561,7 +561,7 @@ func (g *Graph) taskDone() {
 		g.quiesceMu.Unlock()
 		return
 	}
-	// With deferred throttled puts pending, a retirement is an admission
+	// With deferred throttled instances pending, a retirement is an admission
 	// opportunity when one of them is runnable (the step's releases may have
 	// turned it from growing to freeing) — and the retirement that leaves
 	// only pending holds outstanding is what triggers the idle-graph
@@ -602,8 +602,8 @@ func (g *Graph) HasGetCounts() bool {
 // Blocked returns a snapshot of what the graph is waiting for: one
 // "step@tag <- coll[key]" entry per parked step instance and item it still
 // waits for — the same form DeadlockError uses — and, under a memory limit,
-// one "tags@tag (deferred) <- coll[key]" entry per throttled put not yet
-// admitted and input it still lacks.
+// one "step@tag (deferred) <- coll[key]" entry per throttled instance not
+// yet admitted and input it still lacks.
 // It is safe to call while the graph runs, which is how a Watchdog dumps
 // the wait state of a stalled run.
 func (g *Graph) Blocked() []string { return g.collectBlocked() }

@@ -8,6 +8,17 @@ import (
 	"testing"
 )
 
+// putBurst puts the dense tag range lo..hi-1 through one burst: one batched
+// queue push for the tags admitted at once (all of them without a memory
+// limit).
+func putBurst(tc *TagCollection[int], lo, hi int) {
+	bu := tc.g.NewBurst()
+	for i := lo; i < hi; i++ {
+		tc.PutThrottledInto(i, bu)
+	}
+	bu.Flush()
+}
+
 // TestPipeline builds the Listing 1 graph: one step collection that consumes
 // an item, produces the next item and puts the next tag, forming a chain.
 func TestPipeline(t *testing.T) {
@@ -169,8 +180,8 @@ func TestPrescheduledInline(t *testing.T) {
 	step := NewStepCollection(g, "s", func(i int) error {
 		out.Put(i, in.Get(i)*2)
 		return nil
-	}).WithDeps(TunedPrescheduled, func(i int) []Dep {
-		return []Dep{in.Key(i)}
+	}).WithTunedGetsAppend(TunedPrescheduled, func(i int, ds []Dep) []Dep {
+		return append(ds, in.Key(i))
 	})
 	tags.Prescribe(step)
 	err := g.Run(func() {
@@ -203,8 +214,8 @@ func TestPrescheduledDelayed(t *testing.T) {
 	step := NewStepCollection(g, "s", func(i int) error {
 		out.Put(i, in.Get(i)+1)
 		return nil
-	}).WithDeps(TunedPrescheduled, func(i int) []Dep {
-		return []Dep{in.Key(i)}
+	}).WithTunedGetsAppend(TunedPrescheduled, func(i int, ds []Dep) []Dep {
+		return append(ds, in.Key(i))
 	})
 	prod := NewStepCollection(g, "p", func(i int) error {
 		in.Put(i, 10)
@@ -241,7 +252,7 @@ func TestTriggeredNeverInline(t *testing.T) {
 	step := NewStepCollection(g, "s", func(i int) error {
 		out.Put(i, in.Get(i)-1)
 		return nil
-	}).WithDeps(TunedTriggered, func(i int) []Dep { return []Dep{in.Key(i)} })
+	}).WithTunedGetsAppend(TunedTriggered, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 	tags.Prescribe(step)
 	err := g.Run(func() {
 		in.Put(9, 100)
@@ -268,7 +279,7 @@ func TestTunedDeadlock(t *testing.T) {
 	step := NewStepCollection(g, "s", func(i int) error {
 		in.Get(i)
 		return nil
-	}).WithDeps(TunedTriggered, func(i int) []Dep { return []Dep{in.Key(i)} })
+	}).WithTunedGetsAppend(TunedTriggered, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 	tags.Prescribe(step)
 	err := g.Run(func() { tags.Put(7) })
 	var dl *DeadlockError
@@ -491,8 +502,8 @@ func TestMultiDepCountdown(t *testing.T) {
 		runs.Add(1)
 		out.Put(0, in.Get(1)+in.Get(2)+in.Get(3))
 		return nil
-	}).WithDeps(TunedTriggered, func(int) []Dep {
-		return []Dep{in.Key(1), in.Key(2), in.Key(3)}
+	}).WithTunedGetsAppend(TunedTriggered, func(_ int, ds []Dep) []Dep {
+		return append(ds, in.Key(1), in.Key(2), in.Key(3))
 	})
 	feed := NewStepCollection(g, "feed", func(i int) error {
 		in.Put(i, i*100)

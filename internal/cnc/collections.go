@@ -21,15 +21,15 @@ type StepFunc[T comparable] func(tag T) error
 type TuningMode int
 
 const (
-	// TunedPrescheduled is the paper's "Tuner-CnC": dependencies declared by
-	// WithDeps are resolved when the tag is put; if all items are already
-	// present the instance runs inline on the putting goroutine, avoiding
-	// the scheduler round-trip; otherwise it is scheduled when the last
-	// dependency arrives.
+	// TunedPrescheduled is the paper's "Tuner-CnC": the read set declared by
+	// WithTunedGetsAppend is resolved when the tag is put; if all items are
+	// already present the instance runs inline on the putting goroutine,
+	// avoiding the scheduler round-trip; otherwise it is scheduled when the
+	// last one arrives.
 	TunedPrescheduled TuningMode = iota
 	// TunedTriggered is the building block of the paper's "Manual-CnC":
-	// every instance waits on a countdown of its declared dependencies and
-	// is scheduled (never inline) when the countdown reaches zero.
+	// every instance waits on a countdown of its declared reads and is
+	// scheduled (never inline) when the countdown reaches zero.
 	TunedTriggered
 )
 
@@ -59,23 +59,26 @@ type depCell interface {
 	// release decrements the item's get-count (no-op on collections without
 	// one), freeing the value at zero.
 	release()
-	// freeableBytes is the admission probe that classifies throttled puts
-	// as freeing or growing: the item's accounted size when one more release
-	// would free it (present, remaining get-count exactly 1), else 0.
+	// freeableBytes is the admission probe that classifies throttled
+	// instances as freeing or growing: the item's accounted size when one
+	// more release would free it (present, remaining get-count exactly 1),
+	// else 0.
 	freeableBytes() int64
 }
 
-// waiter is one consumer waiting for a missing item: a parked step instance
-// or a deferredPut (a throttled tag put not yet admitted).
+// waiter is a step instance as the item cells and the accountant see it.
 // The label is materialised lazily: deadlock reports and Blocked snapshots
 // are the only readers, so the common case (the item arrives) never pays the
-// fmt.Sprintf; an empty label means the waiter no longer waits and is left
-// out of them. wake takes the burst of the Put that satisfied the wait (nil
+// fmt.Sprintf. wake takes the burst of the Put that satisfied the wait (nil
 // when unbatched) so a put that wakes many waiters re-dispatches them with
-// one queue push.
+// one queue push. head and launch are the accountant's: the instance's
+// non-generic head, and how admission starts a throttled instance whose read
+// set is present.
 type waiter interface {
 	waitLabel() string
 	wake(bu *Burst)
+	head() *entry
+	launch(inline bool, bu *Burst)
 }
 
 // UseAfterFreeError reports a read (or re-put) of an item that get-count
@@ -111,19 +114,15 @@ type StepCollection[T comparable] struct {
 	meta *stepMeta
 	fn   StepFunc[T]
 
-	// depsApp and getsApp are the append-form dependency and read-set
-	// declarations (WithDepsAppend / WithGetsAppend); the slice-returning
-	// WithDeps / WithGets wrap their callbacks into this form so the
+	// getsApp is the append-form read-set declaration (WithGetsAppend); the
+	// slice-returning WithGets wraps its callback into this form so the
 	// runtime has a single internal representation that composes with
-	// runtime-owned buffers. tuned instances wait for their dependencies
-	// before the first attempt: depsApp's, or with depsApp nil
-	// (WithTunedGetsAppend) the read set's.
-	depsApp func(T, []Dep) []Dep
+	// runtime-owned buffers. tuned instances wait for their read set before
+	// the first attempt (WithTunedGetsAppend).
 	getsApp func(T, []Dep) []Dep
 	tuned   bool
 	mode    TuningMode
 
-	retry    int
 	retryMu  sync.Mutex
 	attempts map[T]int
 
@@ -132,39 +131,13 @@ type StepCollection[T comparable] struct {
 	pool sync.Pool
 }
 
-// retryUnset marks a step collection that has not called WithRetry, so the
-// graph-wide SetRetry default applies. An explicit WithRetry(0) stores 0
-// and means "no retries for this collection".
-const retryUnset = -1
-
 // NewStepCollection registers a step collection on g.
 func NewStepCollection[T comparable](g *Graph, name string, fn StepFunc[T]) *StepCollection[T] {
 	meta := &stepMeta{name: name}
 	g.structMu.Lock()
 	g.steps = append(g.steps, meta)
 	g.structMu.Unlock()
-	return &StepCollection[T]{g: g, meta: meta, fn: fn, retry: retryUnset}
-}
-
-// WithDeps declares the per-tag item dependencies of the step and the tuning
-// mode to use. With deps declared, instances are never executed
-// speculatively: they run exactly once, when every declared dependency is
-// available. The declaration must cover every Get the step performs;
-// undeclared Gets fall back to the speculative abort path.
-func (sc *StepCollection[T]) WithDeps(mode TuningMode, deps func(T) []Dep) *StepCollection[T] {
-	return sc.WithDepsAppend(mode, func(tag T, buf []Dep) []Dep {
-		return append(buf, deps(tag)...)
-	})
-}
-
-// WithDepsAppend is the allocation-free form of WithDeps: instead of
-// returning a fresh slice, the callback appends the tag's dependencies to a
-// runtime-owned buffer and returns it (the usual append idiom).
-// The buffer is only valid for the duration of the call — the callback must
-// not retain it.
-func (sc *StepCollection[T]) WithDepsAppend(mode TuningMode, deps func(T, []Dep) []Dep) *StepCollection[T] {
-	sc.depsApp, sc.tuned, sc.mode = deps, true, mode
-	return sc
+	return &StepCollection[T]{g: g, meta: meta, fn: fn}
 }
 
 // WithGets declares the exact per-tag read set of the step. A declared read
@@ -184,9 +157,9 @@ func (sc *StepCollection[T]) WithDepsAppend(mode TuningMode, deps func(T, []Dep)
 // Releases fire only on successful completion, never per read. This is what
 // makes get-counts compose with the rest of the runtime: an aborted attempt,
 // a failed one and a drained (cancelled) instance release nothing, and a
-// WithRetry re-execution decrements exactly once. It also means the
-// declaration is incompatible with steps that complete successfully
-// *without* consuming their reads — the non-blocking variant's
+// retried re-execution (Graph.SetRetry) decrements exactly once. It also
+// means the declaration is incompatible with steps that complete
+// successfully *without* consuming their reads — the non-blocking variant's
 // TryGet-miss-and-re-put-own-tag pattern retires a successful instance per
 // poll, so non-blocking step collections must not declare gets.
 func (sc *StepCollection[T]) WithGets(fn func(T) []Dep) *StepCollection[T] {
@@ -206,44 +179,13 @@ func (sc *StepCollection[T]) WithGetsAppend(fn func(T, []Dep) []Dep) *StepCollec
 	return sc
 }
 
-// WithTunedGetsAppend declares fn as both the read set (WithGetsAppend) and
-// the tuned dependencies of mode (WithDepsAppend), so the runtime resolves
-// it once per instance, when the tag is put.
+// WithTunedGetsAppend declares fn as the read set (WithGetsAppend) and
+// tunes the step with mode: an instance waits for its whole read set when
+// its tag is put, and never runs speculatively. The runtime resolves fn
+// once per instance.
 func (sc *StepCollection[T]) WithTunedGetsAppend(mode TuningMode, fn func(T, []Dep) []Dep) *StepCollection[T] {
 	sc.WithGetsAppend(fn)
-	sc.depsApp, sc.tuned, sc.mode = nil, true, mode
-	return sc
-}
-
-// gets appends the declared read set (WithGets) of the instance for tag to
-// buf — what a memory-throttled put of the tag waits for. Steps without a
-// declaration add nothing and are always ready.
-func (sc *StepCollection[T]) gets(tag T, buf []Dep) []Dep {
-	if sc.getsApp == nil {
-		return buf
-	}
-	return sc.getsApp(tag, buf)
-}
-
-// WithRetry allows every instance of the step to be re-executed up to n
-// times after a failed attempt (an error returned by the body, an error
-// from a BeforeStep hook, or a contained panic) before the failure is
-// recorded and fails the graph. An explicit WithRetry(0) opts the
-// collection out of retries even when Graph.SetRetry sets a graph-wide
-// default; collections that never call WithRetry inherit the default. Re-execution is sound only because CnC
-// steps are written gets-first/puts-last: an attempt that fails before its
-// first Put has no observable side effects, so running it again is
-// indistinguishable from running it once — the same invariant the
-// speculative abort path relies on. Steps that can fail *after* putting
-// items or tags must not use WithRetry: the re-executed Put would trip the
-// single-assignment check (items) or duplicate instances (unmemoized
-// tags). A graph-wide default for collections without their own budget can
-// be set with Graph.SetRetry.
-func (sc *StepCollection[T]) WithRetry(n int) *StepCollection[T] {
-	if n < 0 {
-		n = 0 // negative budgets mean "no retries", same as an explicit 0
-	}
-	sc.retry = n
+	sc.tuned, sc.mode = true, mode
 	return sc
 }
 
@@ -275,44 +217,63 @@ func (sc *StepCollection[T]) CollectionName() string { return sc.meta.name }
 
 // instance is one step instance from launch to release, pooled per step
 // collection. It is the exec.Unit the lanes run, the waiter parked on the
-// cells it misses, and the owner of its read set: resolved to cells once
+// cells it misses, the owner of its read set — resolved to cells once
 // (stored inline up to four), then read before each attempt, waited on and
-// released through those cells. remaining counts the cells still awaited
-// plus a +1 sentinel, so the instance is released at most once and only
-// after every subscribe call has been issued. An instance on a wait list is
-// always live — it is recycled only after its last attempt — which is what
-// makes the lazy waitLabel safe for concurrent deadlock reports.
+// released through those cells — and, launched by a throttled put, the
+// accountant's entry. An instance on a wait list is always live — it is
+// recycled only after its last attempt — which is what makes the lazy
+// waitLabel safe for concurrent deadlock reports.
 type instance[T comparable] struct {
-	sc        *StepCollection[T]
-	tag       T
-	reads     []Dep
-	buf       [4]Dep
-	remaining atomic.Int32
-	resolved  bool // reads holds the declared read set
-	present   bool // every read is present, or the instance waits for it
-	requeue   bool // waiting after an abort, not at launch
+	entry
+	sc       *StepCollection[T]
+	tag      T
+	buf      [4]Dep
+	resolved bool // reads holds the declared read set
+	present  bool // every read is present, or the instance waits for it
+	requeue  bool // waiting after an abort, not at launch
 }
 
-// instance launches the step instance for tag: untuned it is dispatched at
-// once (into bu when one is open); tuned it first waits for its
-// dependencies, and with nothing missing a prescheduled one runs inline.
-func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
+func (sc *StepCollection[T]) acquire(tag T) *instance[T] {
 	in, _ := sc.pool.Get().(*instance[T])
 	if in == nil {
 		in = &instance[T]{}
 		in.reads = in.buf[:0]
 	}
 	in.sc, in.tag = sc, tag
-	switch {
-	case !sc.tuned:
+	return in
+}
+
+// instance launches the step instance for tag: untuned it is dispatched at
+// once (into bu when one is open); tuned it first waits for its read set,
+// and with nothing missing a prescheduled one runs inline.
+func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
+	in := sc.acquire(tag)
+	if !sc.tuned {
 		in.dispatch(bu)
-	case sc.depsApp == nil: // the dependencies are the read set
-		in.resolve()
-		in.present = true
-		in.wait(in.reads, false, bu)
-	default: // declared apart: the read storage, still empty, is the scratch
-		in.wait(sc.depsApp(tag, in.reads), false, bu)
+		return
 	}
+	in.resolve()
+	in.present = true
+	in.wait(in.reads, false, bu)
+}
+
+// throttle launches the instance for a tag put through PutThrottled under a
+// memory limit. Tuned or not, it waits for its read set and then for its
+// turn, reserving cost when admitted; admission launches it exactly as
+// instance would.
+func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
+	in := sc.acquire(tag)
+	in.resolve()
+	in.present = sc.tuned // untuned, the read before the body still probes
+	in.cost = cost
+	in.state.Store(putWaiting)
+	n := in.subscribe(in.reads)
+	if sc.g.acct.enqueue(&in.entry, n) {
+		in.launch(true, bu)
+		return
+	}
+	in.arrive(n, false, bu)
+	sc.g.acct.pump()
 }
 
 func (in *instance[T]) resolve() {
@@ -332,41 +293,66 @@ func (in *instance[T]) dispatch(bu *Burst) {
 }
 
 func (in *instance[T]) waitLabel() string {
+	if in.state.Load() != putAdmitted {
+		return fmt.Sprintf("%s@%v (deferred)", in.sc.meta.name, in.tag)
+	}
 	return fmt.Sprintf("%s@%v", in.sc.meta.name, in.tag)
 }
 
 func (in *instance[T]) wake(bu *Burst) { in.arrive(1, false, bu) }
 
+func (in *instance[T]) head() *entry { return &in.entry }
+
 // wait parks the instance until every cell of ds still empty has been put,
-// then dispatches it again after an abort (requeue) or launches it. Cells
-// present when subscribed are not counted, so the launch is immediate when
-// nothing is missing.
+// then dispatches it again after an abort (requeue) or launches it.
 func (in *instance[T]) wait(ds []Dep, requeue bool, bu *Burst) {
 	in.sc.g.parked.Add(1)
 	in.requeue = requeue
+	in.arrive(in.subscribe(ds), !requeue, bu)
+}
+
+// subscribe starts the countdown over ds and puts the instance on the wait
+// list of every cell still empty. It returns the units for the caller to
+// retire: the sentinel, plus every cell not subscribed to — so the countdown
+// ends at once when nothing is missing.
+func (in *instance[T]) subscribe(ds []Dep) int32 {
 	in.remaining.Store(int32(len(ds)) + 1)
-	n := int32(1) // the sentinel, plus every cell not subscribed to
+	n := int32(1)
 	for _, d := range ds {
 		if !d.c.subscribe(in) {
 			n++
 		}
 	}
-	in.arrive(n, !requeue, bu)
+	return n
 }
 
-// arrive retires n units of the countdown and, on the last, releases the
-// instance; launch marks the sentinel of a tuned launch.
-func (in *instance[T]) arrive(n int32, launch bool, bu *Burst) {
+// arrive retires n units of the countdown and, on the last, launches the
+// instance — or, throttled and not yet admitted, hands it to the accountant,
+// which launches it; inline marks the sentinel of a launch at the tag put.
+func (in *instance[T]) arrive(n int32, inline bool, bu *Burst) {
 	if in.remaining.Add(-n) != 0 {
 		return
 	}
+	g := in.sc.g
+	if in.state.Load() != putAdmitted && !g.acct.ready(in) {
+		return
+	}
+	g.parked.Add(-1)
+	in.launch(inline, bu)
+}
+
+// launch starts the instance once nothing it waits for is missing: a
+// requeue after an abort, or an untuned instance, is dispatched; a tuned one
+// launched at its tag put runs inline if prescheduled, and any other tuned
+// launch is triggered by its last item.
+func (in *instance[T]) launch(inline bool, bu *Burst) {
 	sc := in.sc
 	g := sc.g
-	g.parked.Add(-1)
 	switch {
 	case in.requeue:
 		g.stats.requeues.Add(1)
-	case launch && sc.mode == TunedPrescheduled:
+	case !sc.tuned:
+	case inline && sc.mode == TunedPrescheduled:
 		g.stats.inline.Add(1)
 		g.outstanding.Add(1)
 		in.Run(0)
@@ -472,9 +458,9 @@ func (in *instance[T]) read() bool {
 }
 
 // failed handles one failed attempt: re-dispatch while the instance has
-// retry budget left (see WithRetry for why re-execution is sound), otherwise
-// record the error on the graph. The re-dispatch adds outstanding work
-// before the current attempt retires its own unit, so the graph cannot
+// retry budget left (see Graph.SetRetry for why re-execution is sound),
+// otherwise record the error on the graph. The re-dispatch adds outstanding
+// work before the current attempt retires its own unit, so the graph cannot
 // quiesce in between.
 func (in *instance[T]) failed(err error) {
 	sc := in.sc
@@ -492,18 +478,14 @@ func (in *instance[T]) recycle() {
 	clear(in.reads[:cap(in.reads)])
 	var zero T
 	in.sc, in.tag, in.reads = nil, zero, in.reads[:0]
-	in.resolved, in.present = false, false
+	in.resolved, in.present, in.requeue = false, false, false
 	sc.pool.Put(in)
 }
 
-// takeRetry consumes one unit of tag's retry budget, reporting false when
-// the budget (the collection's, or — only when the collection never called
-// WithRetry — the graph default) is exhausted.
+// takeRetry consumes one unit of tag's retry budget (Graph.SetRetry),
+// reporting false when it is exhausted.
 func (sc *StepCollection[T]) takeRetry(tag T) bool {
-	limit := sc.retry
-	if limit == retryUnset {
-		limit = sc.g.retry
-	}
+	limit := sc.g.retry
 	if limit <= 0 {
 		return false
 	}
@@ -531,22 +513,11 @@ type TagCollection[T comparable] struct {
 	// prescribed is a copy-on-write snapshot (Prescribe replaces it under
 	// mu) so the hot Put path reads it with one atomic load instead of a
 	// lock round-trip.
-	prescribed atomic.Pointer[[]prescribable[T]]
+	prescribed atomic.Pointer[[]*StepCollection[T]]
 
 	mu      sync.Mutex
 	memoize bool
 	seen    map[T]struct{}
-
-	// deferPool recycles the entries of throttled puts (deferredPut).
-	deferPool sync.Pool
-}
-
-// prescribable is the tag collection's view of a prescribed step
-// collection: instance creation plus the read set a memory-throttled put
-// waits for.
-type prescribable[T comparable] interface {
-	instance(T, *Burst)
-	gets(T, []Dep) []Dep
 }
 
 // NewTagCollection registers a tag collection on g. When memoize is true the
@@ -574,18 +545,18 @@ func (tc *TagCollection[T]) Prescribe(sc *StepCollection[T]) {
 	sc.meta.prescribedBy = append(sc.meta.prescribedBy, tc.name)
 	tc.g.structMu.Unlock()
 	tc.mu.Lock()
-	var cur []prescribable[T]
+	var cur []*StepCollection[T]
 	if p := tc.prescribed.Load(); p != nil {
 		cur = *p
 	}
-	next := make([]prescribable[T], len(cur)+1)
+	next := make([]*StepCollection[T], len(cur)+1)
 	copy(next, cur)
 	next[len(cur)] = sc
 	tc.prescribed.Store(&next)
 	tc.mu.Unlock()
 }
 
-func (tc *TagCollection[T]) prescribedList() []prescribable[T] {
+func (tc *TagCollection[T]) prescribedList() []*StepCollection[T] {
 	if p := tc.prescribed.Load(); p != nil {
 		return *p
 	}
@@ -603,31 +574,41 @@ func (tc *TagCollection[T]) Put(tag T) { tc.PutInto(tag, nil) }
 // all apply, and outstanding-work accounting happens immediately, so the
 // graph cannot quiesce while the burst is open.
 func (tc *TagCollection[T]) PutInto(tag T, bu *Burst) {
-	tc.g.checkRunning()
-	if h := tc.g.hooks; h != nil && h.DropTag != nil && h.DropTag(tc.name, tag) {
-		return // injected fault: the tag is lost before memoization sees it
+	if !tc.accept(tag) {
+		return
 	}
-	if tc.memoize {
-		tc.mu.Lock()
-		if _, dup := tc.seen[tag]; dup {
-			tc.mu.Unlock()
-			return
-		}
-		tc.seen[tag] = struct{}{}
-		tc.mu.Unlock()
-	}
-	tc.g.stats.tagsPut.Add(1)
 	for _, sc := range tc.prescribedList() {
 		sc.instance(tag, bu)
 	}
 }
 
-// WithTagBytes declares how many bytes of live memory a tag admitted
-// through PutThrottled will eventually occupy (typically the size of the
-// item its base-case step puts; 0 for tags that only expand control flow).
-// Under a memory limit, PutThrottled reserves that budget at admission and
-// item puts convert reservations to live bytes as the data materialises —
-// so backpressure paces the environment on the memory its puts *commit to*,
+// accept is the prologue of every tag put — the running check, the DropTag
+// hook, memoization and the TagsPut count — reporting whether the tag
+// prescribes instances.
+func (tc *TagCollection[T]) accept(tag T) bool {
+	tc.g.checkRunning()
+	if h := tc.g.hooks; h != nil && h.DropTag != nil && h.DropTag(tc.name, tag) {
+		return false // injected fault: the tag is lost before memoization sees it
+	}
+	if tc.memoize {
+		tc.mu.Lock()
+		_, dup := tc.seen[tag]
+		tc.seen[tag] = struct{}{}
+		tc.mu.Unlock()
+		if dup {
+			return false
+		}
+	}
+	tc.g.stats.tagsPut.Add(1)
+	return true
+}
+
+// WithTagBytes declares how many bytes of live memory a tag put through
+// PutThrottled will eventually occupy (typically the size of the item its
+// base-case step puts; 0 for tags that only expand control flow). Under a
+// memory limit, PutThrottled reserves that budget at admission and item
+// puts convert reservations to live bytes as the data materialises — so
+// backpressure paces the environment on the memory its puts *commit to*,
 // not only on items already produced. Declare before Run.
 func (tc *TagCollection[T]) WithTagBytes(fn func(T) int) *TagCollection[T] {
 	tc.tagBytes = fn
@@ -637,104 +618,39 @@ func (tc *TagCollection[T]) WithTagBytes(fn func(T) int) *TagCollection[T] {
 	return tc
 }
 
-// PutThrottled is Put with memory backpressure: under Graph.WithMemoryLimit
-// a tag whose WithTagBytes cost does not fit under the budget — or whose
-// prescribed steps' declared gets are not all readable yet — is deferred
-// rather than put, and admitted later as get-count garbage collection frees
-// items and dependencies arrive. The call itself never blocks, so steps and
-// environments can put through it freely; the graph stays open until every
-// deferred tag is admitted. Without a limit (or for tags with zero declared
-// cost) it is exactly Put. See WithMemoryLimit for the degrade-and-report
-// behaviour when the budget can never clear. Best used with unmemoized
-// collections: a deduplicated tag's reservation is never converted and
-// would over-throttle later puts.
+// PutThrottled is Put with memory backpressure. Under Graph.WithMemoryLimit,
+// a tag with a nonzero WithTagBytes cost passes Put's checks at once —
+// hooks, memoization, statistics — and then each instance it prescribes
+// waits for its declared read set and for its turn: the first reserves the
+// cost when admission finds it fits, and admission launches each exactly as
+// Put would. The call itself never blocks, so steps and environments can put
+// through it freely; the graph stays open until every deferred instance is
+// admitted. Without a limit (or for tags with zero declared cost) it is
+// exactly Put. See WithMemoryLimit for the degrade-and-report behaviour when
+// the budget can never clear.
 func (tc *TagCollection[T]) PutThrottled(tag T) { tc.PutThrottledInto(tag, nil) }
 
-// PutThrottledInto is PutThrottled with batched dispatch: tags admitted
+// PutThrottledInto is PutThrottled with batched dispatch: instances admitted
 // immediately (no memory limit, or zero declared cost, or nothing deferred
 // ahead, inputs present and budget available) go through bu exactly like
-// PutInto; a deferred tag is admitted later through the unbatched path,
+// PutInto's; a deferred one is launched later through the unbatched path,
 // since its admission time is not under the putter's control.
 func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
-	if !tc.g.acct.limited() {
-		tc.PutInto(tag, bu)
-		return
-	}
-	tc.g.checkRunning()
 	var cost int64
-	if tc.tagBytes != nil {
+	if tc.g.acct.limit > 0 && tc.tagBytes != nil {
 		cost = int64(tc.tagBytes(tag))
 	}
 	if cost == 0 {
-		// Control-only tags occupy no budget and are never deferred.
-		tc.PutInto(tag, bu)
+		tc.PutInto(tag, bu) // control-only tags occupy no budget and are never deferred
 		return
 	}
-	d, _ := tc.deferPool.Get().(*deferredPut[T])
-	if d == nil {
-		d = &deferredPut[T]{tc: tc}
-		d.self, d.deps = d, d.buf[:0]
+	if !tc.accept(tag) {
+		return
 	}
-	d.tag, d.cost = tag, cost
 	for _, sc := range tc.prescribedList() {
-		d.deps = sc.gets(tag, d.deps)
+		sc.throttle(tag, cost, bu)
+		cost = 0 // reserved once, on the first instance
 	}
-	tc.g.acct.enqueue(&d.pendingPut, bu)
-}
-
-// deferredPut is one throttled tag put on its way through admission: the
-// accountant's entry plus the typed tag. Like an instance it is itself the
-// waiter stored on the cells it waits for, so an entry on a wait list is
-// live — it is recycled only once nothing can reach it — and its lazy label
-// is safe for concurrent Blocked snapshots. Unlike a parked instance it does
-// not count toward Graph.parked: a graph that idles on one is not deadlocked
-// yet, the accountant force-admits it and its step parks (or runs).
-type deferredPut[T comparable] struct {
-	pendingPut
-	tc  *TagCollection[T]
-	tag T
-}
-
-func (d *deferredPut[T]) waitLabel() string {
-	if d.state.Load() == putAdmitted {
-		return "" // force-admitted while subscribed: its instance does the waiting now
-	}
-	return fmt.Sprintf("%s@%v (deferred)", d.tc.name, d.tag)
-}
-
-func (d *deferredPut[T]) wake(*Burst) { d.tc.g.acct.arrive(&d.pendingPut) }
-
-func (d *deferredPut[T]) admit(bu *Burst, recycle bool) {
-	tc, tag := d.tc, d.tag
-	if recycle {
-		var zero T
-		d.tag = zero
-		clear(d.deps)
-		d.deps = d.deps[:0]
-		tc.deferPool.Put(d)
-	}
-	tc.PutInto(tag, bu)
-}
-
-// PutRange puts the tags mk(lo), mk(lo+1), …, mk(hi-1) — the Intel CnC
-// tag-range pattern for prescribing dense index spaces in one call. When
-// the graph has no memory limit (or the collection declares no tag cost)
-// the whole range is dispatched as one burst: a single batched queue push
-// and one wakeup pass instead of hi-lo of each. Under an active memory
-// limit with declared tag bytes, each put is throttled individually so the
-// range honours the budget exactly as before.
-func (tc *TagCollection[T]) PutRange(lo, hi int, mk func(int) T) {
-	if tc.g.acct.limited() && tc.tagBytes != nil {
-		for i := lo; i < hi; i++ {
-			tc.PutThrottled(mk(i))
-		}
-		return
-	}
-	bu := tc.g.NewBurst()
-	for i := lo; i < hi; i++ {
-		tc.PutInto(mk(i), bu)
-	}
-	bu.Flush()
 }
 
 // itemShards is the stripe count of an ItemCollection's key space (a power
@@ -888,10 +804,10 @@ func (ic *ItemCollection[K, V]) sizeBytes(k K) int64 {
 // CollectionName returns the item collection's name.
 func (ic *ItemCollection[K, V]) CollectionName() string { return ic.name }
 
-// Key returns a Dep referring to item k of this collection, for WithDeps
-// and WithGets declarations. It resolves k's cell — creating it empty if
-// the key has not been seen — so it is safe to call from running steps, and
-// the Dep stays valid for the whole run.
+// Key returns a Dep referring to item k of this collection, for read-set
+// declarations (WithGets). It resolves k's cell — creating it empty if the
+// key has not been seen — so it is safe to call from running steps, and the
+// Dep stays valid for the whole run.
 func (ic *ItemCollection[K, V]) Key(k K) Dep {
 	sh := ic.shardOf(k)
 	sh.mu.Lock()
@@ -997,7 +913,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	if own {
 		bu.Flush()
 	}
-	// The wakes above may have made deferred throttled tags runnable.
+	// The wakes above may have made deferred throttled instances runnable.
 	if ic.g.acct.pendingN.Load() > 0 {
 		ic.g.acct.pump()
 	}
@@ -1103,11 +1019,10 @@ func (c *cell[K, V]) subscribe(w waiter) bool {
 	}
 	c.sh.mu.Unlock()
 	if state == cellFreed {
-		// An instance (or a throttled put, for its steps) declared a
-		// dependency on an already-freed item: the get-count missed this
-		// consumer. Fail deterministically and report the dependency as
-		// satisfied so the countdown completes and the graph quiesces instead
-		// of parking — or deferring — forever.
+		// An instance declared a dependency on an already-freed item: the
+		// get-count missed this consumer. Fail deterministically and report
+		// the dependency as satisfied so the countdown completes and the graph
+		// quiesces instead of parking — or deferring — forever.
 		c.useAfterFree()
 	}
 	return state == cellEmpty
@@ -1189,8 +1104,8 @@ func (ic *ItemCollection[K, V]) Len() int {
 	return n
 }
 
-// blockedInstances enumerates parked instances and deferred puts for
-// deadlock reports: one line per (waiter, still-missing item) pair.
+// blockedInstances enumerates parked and deferred instances for deadlock
+// reports: one line per (waiter, still-missing item) pair.
 func (ic *ItemCollection[K, V]) blockedInstances() []string {
 	var out []string
 	for i := range ic.shards {
@@ -1198,9 +1113,7 @@ func (ic *ItemCollection[K, V]) blockedInstances() []string {
 		sh.mu.Lock()
 		for _, c := range sh.cells {
 			for _, w := range c.waiters {
-				if l := w.waitLabel(); l != "" {
-					out = append(out, fmt.Sprintf("%s <- %v", l, c))
-				}
+				out = append(out, fmt.Sprintf("%s <- %v", w.waitLabel(), c))
 			}
 		}
 		sh.mu.Unlock()

@@ -93,7 +93,7 @@ func TestRunContextCompletes(t *testing.T) {
 		return nil
 	})
 	tags.Prescribe(step)
-	if err := g.RunContext(context.Background(), func() { tags.PutRange(0, 100, func(i int) int { return i }) }); err != nil {
+	if err := g.RunContext(context.Background(), func() { putBurst(tags, 0, 100) }); err != nil {
 		t.Fatal(err)
 	}
 	if items.Len() != 100 {
@@ -131,10 +131,11 @@ func TestCancellationBeatsDeadlockReport(t *testing.T) {
 	}
 }
 
-// WithRetry absorbs transient failures: a step failing its first attempts
+// A retry budget absorbs transient failures: a step failing its first attempts
 // must be re-executed and the run must complete cleanly.
 func TestWithRetryAbsorbsTransientFailures(t *testing.T) {
 	g := NewGraph("retry", 4)
+	g.SetRetry(2)
 	items := NewItemCollection[int, int](g, "it")
 	tags := NewTagCollection[int](g, "tg", false)
 	var mu sync.Mutex
@@ -149,9 +150,9 @@ func TestWithRetryAbsorbsTransientFailures(t *testing.T) {
 		}
 		items.Put(i, i)
 		return nil
-	}).WithRetry(2)
+	})
 	tags.Prescribe(step)
-	if err := g.Run(func() { tags.PutRange(0, 30, func(i int) int { return i }) }); err != nil {
+	if err := g.Run(func() { putBurst(tags, 0, 30) }); err != nil {
 		t.Fatalf("retries did not absorb transient failures: %v", err)
 	}
 	if items.Len() != 30 {
@@ -173,6 +174,7 @@ func TestWithRetryCancellationMidRetry(t *testing.T) {
 
 	dc := determinacy.NewDisciplineChecker()
 	g := NewGraph("retry-cancel", 4).WithDisciplineCheck(dc)
+	g.SetRetry(1 << 30) // budget never exhausts: only cancellation ends the run
 	in := NewItemCollection[int, int](g, "in")
 	in.WithGetCount(func(int) int { return 1 })
 	tags := NewTagCollection[int](g, "tg", false)
@@ -185,7 +187,7 @@ func TestWithRetryCancellationMidRetry(t *testing.T) {
 			once.Do(func() { close(retrying) }) // first retry is in flight
 		}
 		return errors.New("failing every attempt")
-	}).WithRetry(1 << 30) // budget never exhausts: only cancellation ends the run
+	})
 	step.WithGets(func(i int) []Dep { return []Dep{in.Key(0)} })
 	tags.Prescribe(step)
 
@@ -235,12 +237,13 @@ func TestWithRetryCancellationMidRetry(t *testing.T) {
 // An exhausted retry budget surfaces the last failure.
 func TestWithRetryBudgetExhausted(t *testing.T) {
 	g := NewGraph("retry-exhausted", 2)
+	g.SetRetry(3)
 	tags := NewTagCollection[int](g, "tg", false)
 	var attempts atomic.Int64
 	step := NewStepCollection(g, "s", func(i int) error {
 		attempts.Add(1)
 		return errors.New("permanent failure")
-	}).WithRetry(3)
+	})
 	tags.Prescribe(step)
 	err := g.Run(func() { tags.Put(7) })
 	if err == nil || !strings.Contains(err.Error(), "permanent failure") {
@@ -251,8 +254,7 @@ func TestWithRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// Graph.SetRetry supplies the default budget for collections without their
-// own, and retries also absorb contained panics.
+// The Graph.SetRetry budget also absorbs contained panics.
 func TestGraphDefaultRetryAbsorbsPanic(t *testing.T) {
 	g := NewGraph("retry-default", 2)
 	g.SetRetry(1)
@@ -288,7 +290,7 @@ func TestHooks(t *testing.T) {
 		tags := NewTagCollection[int](g, "tg", false)
 		step := NewStepCollection(g, "s", func(int) error { return nil })
 		tags.Prescribe(step)
-		err := g.Run(func() { tags.PutRange(0, 10, func(i int) int { return i }) })
+		err := g.Run(func() { putBurst(tags, 0, 10) })
 		if err == nil || !strings.Contains(err.Error(), "hooked failure") {
 			t.Fatalf("err = %v", err)
 		}
@@ -322,7 +324,7 @@ func TestHooks(t *testing.T) {
 		tags := NewTagCollection[int](g, "tg", false)
 		step := NewStepCollection(g, "s", func(i int) error { items.Put(i, i); return nil })
 		tags.Prescribe(step)
-		if err := g.Run(func() { tags.PutRange(0, 25, func(i int) int { return i }) }); err != nil {
+		if err := g.Run(func() { putBurst(tags, 0, 25) }); err != nil {
 			t.Fatal(err)
 		}
 		if puts.Load() != 25 {

@@ -88,27 +88,6 @@ func TestPanicStorm(t *testing.T) {
 	}
 }
 
-// TagRange: putting a dense range of tags (the Intel CnC tag-range
-// pattern) through PutRange must prescribe every instance exactly once.
-func TestPutRange(t *testing.T) {
-	g := NewGraph("range", 4)
-	tags := NewTagCollection[int](g, "tg", false)
-	var count atomic.Int64
-	step := NewStepCollection(g, "s", func(int) error {
-		count.Add(1)
-		return nil
-	})
-	tags.Prescribe(step)
-	if err := g.Run(func() {
-		tags.PutRange(10, 110, func(i int) int { return i })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 100 {
-		t.Fatalf("%d instances, want 100", count.Load())
-	}
-}
-
 // Large-scale stress: a 100k-step wavefront through the runtime, checking
 // quiescence accounting never wedges.
 func TestLargeGraphStress(t *testing.T) {
@@ -180,7 +159,7 @@ func TestTunedStepFailures(t *testing.T) {
 				}
 				out.Put(i, v*2)
 				return nil
-			}).WithDeps(tm.mode, func(i int) []Dep { return []Dep{in.Key(i)} })
+			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			err := g.Run(func() {
 				// Half the deps exist before the tags, half arrive after, so
@@ -217,7 +196,7 @@ func TestTunedStepPanics(t *testing.T) {
 					panic(fmt.Sprintf("tuned boom %d", i))
 				}
 				return nil
-			}).WithDeps(tm.mode, func(i int) []Dep { return []Dep{in.Key(i)} })
+			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			err := g.Run(func() {
 				for i := 0; i < 40; i++ {
@@ -241,6 +220,7 @@ func TestTunedRetryAbsorbsTransientFailure(t *testing.T) {
 	for _, tm := range tunedModes {
 		t.Run(tm.name, func(t *testing.T) {
 			g := NewGraph("tuned-retry-"+tm.name, 4)
+			g.SetRetry(1)
 			in := NewItemCollection[int, int](g, "in")
 			tags := NewTagCollection[int](g, "tg", false)
 			var attempts atomic.Int64
@@ -249,7 +229,7 @@ func TestTunedRetryAbsorbsTransientFailure(t *testing.T) {
 					return errors.New("transient tuned failure")
 				}
 				return nil
-			}).WithDeps(tm.mode, func(i int) []Dep { return []Dep{in.Key(i)} }).WithRetry(1)
+			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			if err := g.Run(func() {
 				tags.Put(5)
@@ -275,7 +255,7 @@ func TestTunedDeadlockBlockedNaming(t *testing.T) {
 			tags := NewTagCollection[int](g, "tg", false)
 			step := NewStepCollection(g, "s", func(i int) error {
 				return nil
-			}).WithDeps(tm.mode, func(i int) []Dep { return []Dep{in.Key(i)} })
+			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			err := g.Run(func() {
 				tags.Put(3)
@@ -315,7 +295,7 @@ func TestTunedDroppedTagDeadlock(t *testing.T) {
 			consumer := NewStepCollection(g, "c", func(i int) error {
 				items.TryGet(i)
 				return nil
-			}).WithDeps(tm.mode, func(i int) []Dep { return []Dep{items.Key(i)} })
+			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, items.Key(i)) })
 			prodTags.Prescribe(producer)
 			consTags.Prescribe(consumer)
 			err := g.Run(func() {

@@ -36,8 +36,12 @@ type Hooks struct {
 // the hook set without synchronisation once running.
 func (g *Graph) SetHooks(h *Hooks) { g.hooks = h }
 
-// SetRetry sets the graph-wide default retry budget used by every step
-// collection that has not declared its own WithRetry. Call it before Run.
-// See StepCollection.WithRetry for the idempotence requirement that makes
-// re-execution sound.
+// SetRetry lets every step instance re-execute a failed attempt (an error
+// from the body or a BeforeStep hook, or a contained panic) up to n times
+// before the failure fails the graph; n ≤ 0 means no retries. Re-execution
+// is sound because steps are written gets-first/puts-last: an attempt that
+// fails before its first Put has no observable side effects. Steps that can
+// fail *after* putting items or tags must not be retried: the re-executed
+// Put would trip the single-assignment check (items) or duplicate instances
+// (unmemoized tags). Call it before Run.
 func (g *Graph) SetRetry(n int) { g.retry = n }

@@ -238,6 +238,7 @@ func TestNegativeGetCount(t *testing.T) {
 // count neither over-releases (failing attempt released) nor leaks.
 func TestRetryNoDoubleDecrement(t *testing.T) {
 	g := NewGraph("retry-gc", 1)
+	g.SetRetry(1)
 	items := NewItemCollection[string, int](g, "items")
 	items.WithGetCount(func(string) int { return 1 })
 	tags := NewTagCollection[string](g, "tags", false)
@@ -248,7 +249,7 @@ func TestRetryNoDoubleDecrement(t *testing.T) {
 			return errors.New("transient")
 		}
 		return nil
-	}).WithRetry(1)
+	})
 	step.WithGets(func(tag string) []Dep { return []Dep{items.Key(tag)} })
 	tags.Prescribe(step)
 	if err := g.Run(func() {
@@ -296,46 +297,25 @@ func TestAbortReReadNoDoubleDecrement(t *testing.T) {
 	}
 }
 
-// TestWithRetryZeroOverridesDefault pins the WithRetry(0) semantics: an
-// explicit zero budget must win over the graph-wide SetRetry default
-// instead of being mistaken for "unset".
-func TestWithRetryZeroOverridesDefault(t *testing.T) {
-	g := NewGraph("retry0", 1)
-	tags := NewTagCollection[string](g, "tags", false)
-	var attempts atomic.Int64
-	step := NewStepCollection(g, "fragile", func(string) error {
-		attempts.Add(1)
-		return errors.New("always fails")
-	}).WithRetry(0)
-	tags.Prescribe(step)
-	g.SetRetry(3) // would allow 3 re-executions if the 0 were ignored
-	err := g.Run(func() { tags.Put("x") })
-	if err == nil {
-		t.Fatal("expected step failure")
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("attempts = %d, want exactly 1 (WithRetry(0) must override SetRetry)", got)
-	}
-	if s := g.Stats(); s.Retries != 0 {
-		t.Fatalf("Retries = %d, want 0", s.Retries)
-	}
-}
-
-// TestWithRetryNegativeClamped checks a negative budget behaves like zero.
-func TestWithRetryNegativeClamped(t *testing.T) {
+// TestSetRetryNegativeClamped checks a negative budget behaves like zero.
+func TestSetRetryNegativeClamped(t *testing.T) {
 	g := NewGraph("retry-neg", 1)
+	g.SetRetry(-5)
 	tags := NewTagCollection[string](g, "tags", false)
 	var attempts atomic.Int64
 	step := NewStepCollection(g, "fragile", func(string) error {
 		attempts.Add(1)
 		return errors.New("always fails")
-	}).WithRetry(-5)
+	})
 	tags.Prescribe(step)
 	if err := g.Run(func() { tags.Put("x") }); err == nil {
 		t.Fatal("expected step failure")
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("attempts = %d, want 1", got)
+	}
+	if s := g.Stats(); s.Retries != 0 {
+		t.Fatalf("Retries = %d, want 0", s.Retries)
 	}
 }
 
@@ -382,8 +362,9 @@ func TestBackpressureBoundsMemory(t *testing.T) {
 	}
 }
 
-// TestPutRangeThrottled checks the bulk expander goes through the same
-// admission control as PutThrottled.
+// TestPutRangeThrottled checks a dense tag range put through one burst
+// (PutThrottledInto) goes through the same admission control as
+// PutThrottled.
 func TestPutRangeThrottled(t *testing.T) {
 	const limit = 32
 	g := NewGraph("bounded-range", 2).WithMemoryLimit(limit)
@@ -398,7 +379,7 @@ func TestPutRangeThrottled(t *testing.T) {
 	step.Produces(out)
 	tags.Prescribe(step)
 	if err := g.Run(func() {
-		tags.PutRange(0, 64, func(i int) int { return i })
+		putBurst(tags, 0, 64)
 	}); err != nil {
 		t.Fatal(err)
 	}

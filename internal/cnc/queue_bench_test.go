@@ -105,7 +105,7 @@ func BenchmarkAbortRequeue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			err := g.Run(func() {
-				consume.PutRange(0, b.N, func(i int) int { return i })
+				putBurst(consume, 0, b.N)
 				produce.Put(0)
 			})
 			if err != nil {
