@@ -11,6 +11,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sync/atomic"
+	"time"
 
 	"dpflow/internal/bench"
 	"dpflow/internal/core"
@@ -20,7 +22,6 @@ import (
 	"dpflow/internal/machine"
 	"dpflow/internal/model"
 	"dpflow/internal/simsched"
-	"dpflow/internal/trace"
 )
 
 func main() {
@@ -94,24 +95,26 @@ func realTracedRun() {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()
 	// traced runs one variant on a fresh instance with every kernel
-	// bracketed on a recorder and verifies the result against the serial
-	// reference. Kernels do not see their worker, so every span is recorded
-	// on worker 0's lane and only the busy-time aggregate is read.
-	traced := func(v core.Variant) trace.Report {
-		rec := trace.NewRecorder()
+	// bracketed — a tile count and a busy-time sum — and verifies the
+	// result against the serial reference.
+	traced := func(name string, v core.Variant) {
+		var tiles, busy atomic.Int64
 		in, err := ge.NewInstance(n, base, 1)
 		check(err)
+		start := time.Now()
 		_, err = in.Run(context.Background(), v, bench.RunOpts{Workers: workers, Pool: pool,
-			Trace: func() func() { return rec.Task(0, "tile") }})
+			Trace: func() func() {
+				t0 := time.Now()
+				return func() { tiles.Add(1); busy.Add(int64(time.Since(t0))) }
+			}})
+		wall := time.Since(start)
 		check(err)
 		check(in.Verify())
-		return rec.Report(1)
+		fmt.Printf("%s: %4d tile tasks, kernel busy %v over %v wall\n",
+			name, tiles.Load(), time.Duration(busy.Load()), wall)
 	}
-	repFJ, repDF := traced(core.OMPTasking), traced(core.NativeCnC)
-	fmt.Printf("fork-join: %4d tile tasks, kernel busy %v over %v wall\n",
-		repFJ.Tasks, repFJ.Busy.Round(0), repFJ.Makespan.Round(0))
-	fmt.Printf("data-flow: %4d tile tasks, kernel busy %v over %v wall\n",
-		repDF.Tasks, repDF.Busy.Round(0), repDF.Makespan.Round(0))
+	traced("fork-join", core.OMPTasking)
+	traced("data-flow", core.NativeCnC)
 	fmt.Println("(identical results, identical task census — only the ordering differs)")
 }
 

@@ -61,7 +61,7 @@ type TransportControl interface {
 	Shards() int
 	// SetFrameHook installs fn on every frame crossing the boundary in
 	// either direction; nil uninstalls. size is the encoded frame length in
-	// bytes, msgType its wire discriminator (e.g. "put", "get", "ack").
+	// bytes, msgType its wire discriminator (e.g. "putbatch", "ack").
 	SetFrameHook(fn func(dir Dir, shard int, msgType string, size int) Verdict)
 	// KillWorker forcefully terminates the given shard's worker process
 	// (SIGKILL semantics: no cleanup, no goodbye frame). The runtime's

@@ -40,32 +40,29 @@ import (
 //
 // The sequence number lives in the frame header, not the body, so the
 // coordinator can discard stale responses (a retried request's late answer)
-// without parsing them.
+// without parsing them. Types 2 and 4 carried a single get and its answer;
+// they are retired, not reused.
 const (
 	// MsgPut carries PutMsg coordinator->worker; answered by MsgAck.
-	MsgPut byte = 1 + iota
-	// MsgGet carries GetMsg coordinator->worker; answered by MsgItem.
-	MsgGet
-	// MsgAck answers MsgPut.
-	MsgAck
-	// MsgItem answers MsgGet.
-	MsgItem
+	MsgPut byte = 1
+	// MsgAck answers MsgPut and MsgPutBatch.
+	MsgAck byte = 3
 	// MsgPing is the heartbeat probe (empty payload); answered by MsgPong.
-	MsgPing
+	MsgPing byte = 5
 	// MsgPong answers MsgPing.
-	MsgPong
+	MsgPong byte = 6
 	// MsgPutBatch carries PutBatchMsg coordinator->worker — a whole flush
 	// of mirror puts in one frame; answered by MsgAck. Semantically
 	// identical to len(Ops) MsgPut exchanges (same write-once, byte-equal
 	// idempotence per op), amortising the round trip and the syscalls.
-	MsgPutBatch
+	MsgPutBatch byte = 7
 	// MsgGetBatch carries GetBatchMsg coordinator->worker; answered by
 	// MsgItemBatch with one ItemMsg per requested key, in order. Used to
 	// check a sample of each acked put batch, and by the post-replay audit
 	// to check a sample of restored items, in one exchange each.
-	MsgGetBatch
+	MsgGetBatch byte = 8
 	// MsgItemBatch answers MsgGetBatch.
-	MsgItemBatch
+	MsgItemBatch byte = 9
 )
 
 // MsgName renders a message type for logs and fault hooks.
@@ -76,8 +73,8 @@ func MsgName(mt byte) string {
 	return fmt.Sprintf("msg(%d)", mt)
 }
 
-var msgNames = [...]string{MsgPut: "put", MsgGet: "get", MsgAck: "ack", MsgItem: "item", MsgPing: "ping",
-	MsgPong: "pong", MsgPutBatch: "putbatch", MsgGetBatch: "getbatch", MsgItemBatch: "itembatch"}
+var msgNames = [...]string{MsgPut: "put", MsgAck: "ack", MsgPing: "ping", MsgPong: "pong",
+	MsgPutBatch: "putbatch", MsgGetBatch: "getbatch", MsgItemBatch: "itembatch"}
 
 // maxFrame bounds a single frame; anything larger is a protocol error, not
 // a legitimate tile (the benchmarks exchange receipt booleans and small
@@ -111,7 +108,7 @@ type PutMsg struct {
 	Val  []byte
 }
 
-// GetMsg fetches one item.
+// GetMsg names one item a GetBatchMsg fetches.
 type GetMsg struct {
 	Coll string
 	Key  []byte
@@ -124,7 +121,7 @@ type AckMsg struct {
 	Err string
 }
 
-// ItemMsg answers a get.
+// ItemMsg answers one GetMsg of a batch.
 type ItemMsg struct {
 	Found bool
 	Val   []byte
@@ -369,7 +366,7 @@ func EncodeFrame(mt byte, seq uint64, payload any) ([]byte, error) {
 	body := 0
 	switch payload.(type) {
 	case nil:
-	case PutMsg, GetMsg, AckMsg, ItemMsg, PongMsg, PutBatchMsg, GetBatchMsg, ItemBatchMsg:
+	case PutMsg, AckMsg, PongMsg, PutBatchMsg, GetBatchMsg, ItemBatchMsg:
 		v = reflect.ValueOf(payload)
 		body = wireSize(v)
 	default:
@@ -409,7 +406,7 @@ func ReadFrame(r io.Reader) (mt byte, seq uint64, payload []byte, wire int, err 
 // struct. Parsed Key and Val fields alias payload.
 func DecodePayload(payload []byte, v any) error {
 	switch v.(type) {
-	case *PutMsg, *GetMsg, *AckMsg, *ItemMsg, *PongMsg, *PutBatchMsg, *GetBatchMsg, *ItemBatchMsg:
+	case *PutMsg, *AckMsg, *PongMsg, *PutBatchMsg, *GetBatchMsg, *ItemBatchMsg:
 	default:
 		return errors.New("dist: decode payload: target is not a pointer to a message struct")
 	}

@@ -65,10 +65,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		payload any
 	}{
 		{MsgPut, 1, PutMsg{Coll: "g1/tile_outputs", Key: []byte{1, 2}, Val: []byte{3}}},
-		{MsgGet, 2, GetMsg{Coll: "g1/tile_outputs", Key: []byte{}}},
 		{MsgAck, 3, AckMsg{}},
 		{MsgAck, 4, AckMsg{Err: "write-once violation"}},
-		{MsgItem, 5, ItemMsg{Found: true, Val: []byte{9, 9}}},
 		{MsgPing, 6, nil},
 		{MsgPong, 7, PongMsg{Stored: 17}},
 		{MsgPutBatch, 8, PutBatchMsg{Ops: []PutMsg{
@@ -504,12 +502,8 @@ func messageFor(mt byte) any {
 	switch mt {
 	case MsgPut:
 		return new(PutMsg)
-	case MsgGet:
-		return new(GetMsg)
 	case MsgAck:
 		return new(AckMsg)
-	case MsgItem:
-		return new(ItemMsg)
 	case MsgPong:
 		return new(PongMsg)
 	case MsgPutBatch:
@@ -531,9 +525,9 @@ func FuzzDecodePayload(f *testing.F) {
 		m  any
 	}{
 		{MsgPut, PutMsg{Coll: "g1/a", Key: []byte{1, 2}, Val: []byte{3}}},
-		{MsgGet, GetMsg{Coll: "g1/a", Key: []byte{1}}},
+		{MsgGetBatch, GetBatchMsg{Gets: []GetMsg{{Coll: "g1/a", Key: []byte{1}}}}},
 		{MsgAck, AckMsg{Err: "write-once violation"}},
-		{MsgItem, ItemMsg{Found: true, Val: []byte{9}}},
+		{MsgItemBatch, ItemBatchMsg{Items: []ItemMsg{{Found: true, Val: []byte{9}}}}},
 		{MsgPong, PongMsg{Stored: 1 << 40}},
 		{MsgPutBatch, PutBatchMsg{Ops: []PutMsg{{Coll: "a", Key: []byte{1}, Val: []byte{2}}, {}}}},
 		{MsgGetBatch, GetBatchMsg{Gets: []GetMsg{{Coll: "a"}, {Key: []byte{7}}}}},
@@ -549,7 +543,7 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(s.mt, body[:len(body)/2])
 	}
 	f.Add(MsgPutBatch, []byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // four billion ops, no bytes
-	f.Add(MsgItem, []byte{2, 0, 0})                          // a bool that is neither 0 nor 1
+	f.Add(MsgItemBatch, []byte{1, 2, 0, 0})                  // a bool that is neither 0 nor 1
 	f.Fuzz(func(t *testing.T, mt byte, payload []byte) {
 		m := messageFor(mt)
 		if m == nil {

@@ -48,8 +48,9 @@ type Options struct {
 	AttemptTimeout time.Duration
 	// Backoff is the retry schedule between attempts.
 	Backoff Backoff
-	// HeartbeatEvery is the health-check period; 0 means 250ms, negative
-	// disables heartbeats.
+	// HeartbeatEvery is the health-check period: a shard that has
+	// exchanged nothing for this long is sent a PING by its sender. 0 means
+	// 250ms, negative disables heartbeats.
 	HeartbeatEvery time.Duration
 	// MaxRespawns is the per-shard respawn budget before the shard
 	// degrades (stops being mirrored). Zero means the default (3); negative
@@ -186,48 +187,22 @@ func (c *Counters) Snapshot() CounterSnapshot {
 	}
 }
 
-// pendReply is what the shard's read loop hands an in-flight request.
-type pendReply struct {
-	payload []byte
-	err     error
-}
-
-// pendEntry is one in-flight request awaiting its demuxed reply. gen pins
-// it to the connection generation it was sent on, so a dying connection
-// fails exactly the requests that were riding it.
-type pendEntry struct {
-	ch  chan pendReply
-	gen uint64
-}
-
 // shard is the coordinator's view of one worker process.
 type shard struct {
 	idx    int
 	socket string
 
-	// mu guards the connection lifecycle (conn, gen) and serialises the
-	// recovery ladder; requests no longer hold it across the wire — the
-	// transport is pipelined, demuxed by header sequence number.
+	// mu owns the shard's one conversation with its worker: the connection
+	// and its reader, every exchange on it (a request written, its reply
+	// read back, nothing else in flight) and the recovery ladder, which
+	// rebuilds the conversation under the same lock. seq numbers the
+	// requests, so a reply to anything but the current one is discarded.
 	mu       sync.Mutex
 	conn     net.Conn
-	gen      uint64
+	br       *bufio.Reader
+	seq      uint64
 	respawns int
 	retrier  *Retrier
-
-	// seq issues globally unique request sequence numbers for this shard.
-	seq atomic.Uint64
-
-	// sendMu serialises frame writes on the current connection (reads are
-	// owned by the single readLoop goroutine per connection).
-	sendMu sync.Mutex
-
-	// pendMu guards pending, the seq -> in-flight-request demux table.
-	pendMu  sync.Mutex
-	pending map[uint64]pendEntry
-
-	// inflight gauges requests inside rpc — the heartbeat's "is traffic
-	// already probing this shard" check.
-	inflight atomic.Int64
 
 	degraded atomic.Bool
 
@@ -277,8 +252,8 @@ type Coordinator struct {
 	graphSeq atomic.Uint64
 	closed   atomic.Bool
 
-	// stop ends the background goroutines (one sender per shard, the
-	// heartbeat); bg waits for them.
+	// stop ends the background goroutines (one sender per shard); bg
+	// waits for them.
 	stop chan struct{}
 	bg   sync.WaitGroup
 
@@ -304,10 +279,9 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	for i := 0; i < opts.Shards; i++ {
 		sh := &shard{
-			idx:     i,
-			socket:  filepath.Join(c.dir, fmt.Sprintf("shard-%d.sock", i)),
-			pending: make(map[uint64]pendEntry),
-			kick:    make(chan struct{}, 1),
+			idx:    i,
+			socket: filepath.Join(c.dir, fmt.Sprintf("shard-%d.sock", i)),
+			kick:   make(chan struct{}, 1),
 		}
 		sh.pbufCond = sync.NewCond(&sh.pbufMu)
 		sh.retrier = NewRetrier(opts.Backoff, opts.Clock, rand.New(rand.NewSource(opts.Seed*31+int64(i))))
@@ -315,20 +289,14 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		c.shards = append(c.shards, sh)
 	}
 	for _, sh := range c.shards {
-		if err := c.spawnWorker(sh); err != nil {
+		err := c.spawnWorker(sh)
+		if err == nil {
+			err = c.connectLocked(sh, time.Now().Add(5*time.Second))
+		}
+		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		conn, err := c.dial(sh, time.Now().Add(5*time.Second))
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("dist: connect shard %d: %w", sh.idx, err)
-		}
-		c.publishConnLocked(sh, conn)
-	}
-	if opts.HeartbeatEvery > 0 {
-		c.bg.Add(1)
-		go c.heartbeatLoop()
 	}
 	for _, sh := range c.shards {
 		c.bg.Add(1)
@@ -444,179 +412,122 @@ func (c *Coordinator) killWorker(sh *shard) {
 	}
 }
 
-// publishConnLocked installs conn as the shard's live connection and starts
-// its read loop. Callers hold sh.mu (or, during NewCoordinator, have
-// exclusive access).
-func (c *Coordinator) publishConnLocked(sh *shard, conn net.Conn) {
-	sh.gen++
+// connectLocked dials the shard's connection if it has none. It refuses
+// after Close: a redial there would talk to a worker the coordinator is
+// about to reap — or respawn one it never will. Callers hold sh.mu (or,
+// during NewCoordinator, have exclusive access).
+func (c *Coordinator) connectLocked(sh *shard, deadline time.Time) error {
+	if c.closed.Load() {
+		return errClosed
+	}
+	if sh.conn != nil {
+		return nil
+	}
+	conn, err := c.dial(sh, deadline)
+	if err != nil {
+		return fmt.Errorf("dist: shard %d dial: %w", sh.idx, err)
+	}
 	sh.conn = conn
-	go c.readLoop(sh, conn, sh.gen)
+	if sh.br == nil {
+		sh.br = bufio.NewReaderSize(conn, readBuffer)
+	} else {
+		sh.br.Reset(conn)
+	}
+	return nil
 }
 
 func (c *Coordinator) dropConnLocked(sh *shard) {
 	if sh.conn != nil {
-		_ = sh.conn.Close() // readLoop notices and fails this gen's pending
+		_ = sh.conn.Close()
 		sh.conn = nil
 	}
 }
 
-func (c *Coordinator) dropConn(sh *shard) {
-	sh.mu.Lock()
-	c.dropConnLocked(sh)
-	sh.mu.Unlock()
-}
-
-// ensureConn returns the shard's live connection (dialling one if needed)
-// and its generation. It refuses after Close: a redial there would talk to
-// a worker the coordinator is about to reap — or respawn one it never will.
-func (c *Coordinator) ensureConn(sh *shard, deadline time.Time) (net.Conn, uint64, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c.closed.Load() {
-		return nil, 0, errClosed
-	}
-	if sh.conn != nil {
-		return sh.conn, sh.gen, nil
-	}
-	conn, err := c.dial(sh, deadline)
-	if err != nil {
-		return nil, 0, fmt.Errorf("dist: shard %d dial: %w", sh.idx, err)
-	}
-	c.publishConnLocked(sh, conn)
-	return sh.conn, sh.gen, nil
-}
-
-// connLost tears down a dead connection: unpublish it (if still current)
-// and fail every pending request that was riding it. Requests already sent
-// on a newer connection keep waiting — their gen differs.
-func (c *Coordinator) connLost(sh *shard, conn net.Conn, gen uint64, err error) {
-	_ = conn.Close()
-	sh.mu.Lock()
-	if sh.conn == conn {
-		sh.conn = nil
-	}
-	sh.mu.Unlock()
-	sh.pendMu.Lock()
-	for seq, e := range sh.pending {
-		if e.gen == gen {
-			delete(sh.pending, seq)
-			e.ch <- pendReply{err: err}
-		}
-	}
-	sh.pendMu.Unlock()
-}
-
-func (c *Coordinator) frameVerdict(dir chaos.Dir, shardIdx int, mt byte, size int) chaos.Verdict {
-	h := c.hook.Load()
-	if h == nil || h.fn == nil {
-		return chaos.Verdict{}
-	}
-	return h.fn(dir, shardIdx, MsgName(mt), size)
-}
-
-// readLoop is the single reader of one connection: it demuxes replies to
-// their in-flight requests by header sequence number, applying receive-side
-// fault verdicts per frame. Replies whose request already gave up (stale
-// seq) are discarded undecoded. On any read error the connection is dead
-// and every request riding it fails immediately instead of waiting out its
-// attempt timeout.
-func (c *Coordinator) readLoop(sh *shard, conn net.Conn, gen uint64) {
-	br := bufio.NewReaderSize(conn, readBuffer)
-	for {
-		mt, seq, pl, wire, err := ReadFrame(br)
-		if err != nil {
-			c.connLost(sh, conn, gen, fmt.Errorf("dist: shard %d read: %w", sh.idx, err))
-			return
-		}
-		c.counters.BytesIn.Add(uint64(wire))
-		v := c.frameVerdict(chaos.DirRecv, sh.idx, mt, wire)
-		if v.Delay > 0 {
-			time.Sleep(v.Delay)
-		}
-		if v.Reset {
-			c.connLost(sh, conn, gen, fmt.Errorf("dist: shard %d: injected connection reset (recv %s)", sh.idx, MsgName(mt)))
-			return
-		}
-		if v.Drop {
-			continue // response lost in flight; its request times out
-		}
-		sh.pendMu.Lock()
-		e, ok := sh.pending[seq]
-		if ok {
-			delete(sh.pending, seq)
-		}
-		sh.pendMu.Unlock()
-		if ok {
-			e.ch <- pendReply{payload: pl}
-		}
-	}
-}
-
-// readBuffer sizes the buffered readers on both ends of a shard socket:
-// pipelined frames (put batches, mirror checks, heartbeats, their replies)
-// share a read syscall.
+// readBuffer sizes the buffered readers on both ends of a shard socket: a
+// frame's length prefix and its body share a read syscall.
 const readBuffer = 64 << 10
 
-// attempt performs one pipelined send+await attempt: stamp the request's
-// frame with a fresh sequence number and register it, write the frame
-// (send-side fault verdicts applied), and wait for the read loop to demux
-// the reply — without excluding other requests to the same shard, which is
-// what lets heartbeats and mirror traffic overlap on one connection.
-func (c *Coordinator) attempt(sh *shard, frame []byte, cycleDeadline time.Time) ([]byte, error) {
-	attemptDeadline := time.Now().Add(c.opts.AttemptTimeout)
-	if attemptDeadline.After(cycleDeadline) {
-		attemptDeadline = cycleDeadline
+// verdict runs the frame hook on one frame. It sleeps out a Delay, and
+// returns a Reset — or a Delay that carried the attempt past its deadline,
+// which is a late frame — as the attempt's error; lost reports a Drop.
+func (c *Coordinator) verdict(sh *shard, dir chaos.Dir, mt byte, size int, deadline time.Time) (lost bool, err error) {
+	h := c.hook.Load()
+	if h == nil {
+		return false, nil
 	}
-	conn, gen, err := c.ensureConn(sh, attemptDeadline)
+	v := h.fn(dir, sh.idx, MsgName(mt), size)
+	if v.Delay > 0 {
+		time.Sleep(v.Delay)
+		if time.Now().After(deadline) {
+			return false, fmt.Errorf("dist: shard %d: %s %s delayed past the attempt deadline", sh.idx, dir, MsgName(mt))
+		}
+	}
+	if v.Reset {
+		return false, fmt.Errorf("dist: shard %d: injected connection reset (%s %s)", sh.idx, dir, MsgName(mt))
+	}
+	return v.Drop, nil
+}
+
+// exchange is one attempt of a request on the shard's conversation: stamp
+// the frame with the next sequence number, write it, and read replies until
+// the one that answers it — a lost or stale reply is skipped, and the read
+// deadline turns a reply that never comes into the attempt's error. Fault
+// verdicts apply to both directions. Callers hold sh.mu.
+func (c *Coordinator) exchange(sh *shard, frame []byte, deadline time.Time) ([]byte, error) {
+	if err := c.connectLocked(sh, deadline); err != nil {
+		return nil, err
+	}
+	conn, mt := sh.conn, frame[headerLen]
+	sh.seq++
+	binary.BigEndian.PutUint64(frame[headerLen+1:], sh.seq)
+	lost, err := c.verdict(sh, chaos.DirSend, mt, len(frame), deadline)
 	if err != nil {
 		return nil, err
 	}
-	mt, seq := frame[headerLen], sh.seq.Add(1)
-	binary.BigEndian.PutUint64(frame[headerLen+1:], seq)
-	v := c.frameVerdict(chaos.DirSend, sh.idx, mt, len(frame))
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	if v.Reset {
-		c.dropConn(sh)
-		return nil, fmt.Errorf("dist: shard %d: injected connection reset (send %s)", sh.idx, MsgName(mt))
-	}
-	ch := make(chan pendReply, 1)
-	sh.pendMu.Lock()
-	sh.pending[seq] = pendEntry{ch: ch, gen: gen}
-	sh.pendMu.Unlock()
-	unregister := func() {
-		sh.pendMu.Lock()
-		delete(sh.pending, seq)
-		sh.pendMu.Unlock()
-	}
-	if v.Drop {
-		// Request lost in flight: skip the write and wait out the attempt,
-		// exactly as a real loss would play out.
-	} else {
-		sh.sendMu.Lock()
-		_ = conn.SetWriteDeadline(attemptDeadline)
-		_, werr := conn.Write(frame)
-		sh.sendMu.Unlock()
-		if werr != nil {
-			unregister()
-			c.dropConn(sh)
-			return nil, fmt.Errorf("dist: shard %d write %s: %w", sh.idx, MsgName(mt), werr)
+	if !lost { // a lost request is never written: the read below times out
+		_ = conn.SetWriteDeadline(deadline)
+		if _, err := conn.Write(frame); err != nil {
+			return nil, fmt.Errorf("dist: shard %d write %s: %w", sh.idx, MsgName(mt), err)
 		}
 		c.counters.BytesOut.Add(uint64(len(frame)))
 	}
-	timer := time.NewTimer(time.Until(attemptDeadline))
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return nil, r.err
+	_ = conn.SetReadDeadline(deadline)
+	for {
+		rmt, rseq, pl, wire, err := ReadFrame(sh.br)
+		if err != nil {
+			return nil, fmt.Errorf("dist: shard %d read: %w", sh.idx, err)
 		}
-		return r.payload, nil
-	case <-timer.C:
-		unregister()
-		return nil, fmt.Errorf("dist: shard %d %s: attempt timed out", sh.idx, MsgName(mt))
+		c.counters.BytesIn.Add(uint64(wire))
+		lost, err := c.verdict(sh, chaos.DirRecv, rmt, wire, deadline)
+		if err != nil {
+			return nil, err
+		}
+		if !lost && rseq == sh.seq {
+			return pl, nil
+		}
 	}
+}
+
+// cycle runs one request deadline's worth of attempts, with backoff
+// between them. A failed attempt drops the connection (a read that timed
+// out may have stopped mid-frame), so the next one dials afresh and no
+// reply to a failed attempt can answer a later one. Callers hold sh.mu.
+func (c *Coordinator) cycle(sh *shard, frame []byte) ([]byte, error) {
+	deadline := c.opts.Clock.Now().Add(c.opts.RequestTimeout)
+	var out []byte
+	err := sh.retrier.Do(deadline, func() error {
+		attempt := time.Now().Add(c.opts.AttemptTimeout)
+		if attempt.After(deadline) {
+			attempt = deadline
+		}
+		pl, err := c.exchange(sh, frame, attempt)
+		if err != nil {
+			c.dropConnLocked(sh)
+		}
+		out = pl
+		return err
+	})
+	return out, err
 }
 
 // rpc encodes one request — once; a frame the codec refuses is the
@@ -628,17 +539,16 @@ func (c *Coordinator) attempt(sh *shard, frame []byte, cycleDeadline time.Time) 
 //	-> respawn + replay the write-ahead log (dead or unresponsive worker)
 //	-> degrade the shard: stop mirroring it (respawn budget exhausted)
 //
-// and returns ErrShardDegraded only from the last rung. Requests are
-// pipelined: any number may be in flight per shard, so only the recovery
-// rungs serialise (under sh.mu, deduplicated by respawn count — concurrent
-// failing requests trigger one respawn, not one each).
+// and returns ErrShardDegraded only from the last rung. The whole ladder
+// runs under sh.mu: a shard has one requester (its sender) and one
+// request in flight, so a failure is recovered exactly once.
 func (c *Coordinator) rpc(sh *shard, mt byte, payload any) ([]byte, error) {
 	frame, err := EncodeFrame(mt, 0, payload)
 	if err != nil {
 		return nil, err
 	}
-	sh.inflight.Add(1)
-	defer sh.inflight.Add(-1)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for cycle := 0; ; cycle++ {
 		if c.closed.Load() {
 			return nil, errClosed
@@ -646,55 +556,27 @@ func (c *Coordinator) rpc(sh *shard, mt byte, payload any) ([]byte, error) {
 		if sh.degraded.Load() {
 			return nil, ErrShardDegraded
 		}
-		sh.mu.Lock()
-		sawRespawns := sh.respawns
-		sh.mu.Unlock()
-		deadline := c.opts.Clock.Now().Add(c.opts.RequestTimeout)
-		var out []byte
-		err := sh.retrier.Do(deadline, func() error {
-			pl, xerr := c.attempt(sh, frame, deadline)
-			if xerr == nil {
-				out = pl
-			}
-			return xerr
-		})
+		out, err := c.cycle(sh, frame)
 		if err == nil {
 			return out, nil
 		}
 		if errors.Is(err, errClosed) {
 			return nil, err
 		}
-		c.dropConn(sh)
 		if cycle == 0 && c.alive(sh) {
 			continue // reconnect rung: live worker, fresh deadline
 		}
-		if rerr := c.recoverShard(sh, sawRespawns); rerr != nil {
-			return nil, rerr
+		if err := c.recoverLocked(sh); err != nil {
+			return nil, err
 		}
 	}
 }
 
-// recoverShard runs the respawn rung, serialised per shard. sawRespawns is
-// the respawn count the failing request observed before its cycle: if it
-// moved, another request already respawned the worker on our behalf, so
-// retry instead of burning a second budget slot on one failure.
-func (c *Coordinator) recoverShard(sh *shard, sawRespawns int) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c.closed.Load() {
-		return errClosed
-	}
-	if sh.degraded.Load() {
-		return ErrShardDegraded
-	}
-	if sh.respawns != sawRespawns {
-		return nil // a concurrent request already ran this rung
-	}
+// recoverLocked runs the respawn rung until a respawned worker holds the
+// replayed log, the coordinator closes, or the respawn budget runs out and
+// the shard degrades.
+func (c *Coordinator) recoverLocked(sh *shard) error {
 	for {
-		rerr := c.respawnAndReplayLocked(sh)
-		if rerr == nil {
-			return nil
-		}
 		if c.closed.Load() {
 			return errClosed
 		}
@@ -702,87 +584,10 @@ func (c *Coordinator) recoverShard(sh *shard, sawRespawns int) error {
 			c.degradeLocked(sh)
 			return ErrShardDegraded
 		}
+		if c.respawnAndReplayLocked(sh) == nil {
+			return nil
+		}
 	}
-}
-
-// syncExchange performs one synchronous request/response on a private,
-// not-yet-published connection (the replay path: sh.mu is held, no read
-// loop exists for conn yet). Fault verdicts apply — replay traffic is as
-// chaos-targetable as live traffic.
-func (c *Coordinator) syncExchange(sh *shard, conn net.Conn, mt byte, seq uint64, payload any, deadline time.Time) ([]byte, error) {
-	frame, err := EncodeFrame(mt, seq, payload)
-	if err != nil {
-		return nil, err
-	}
-	v := c.frameVerdict(chaos.DirSend, sh.idx, mt, len(frame))
-	if v.Delay > 0 {
-		time.Sleep(v.Delay)
-	}
-	switch {
-	case v.Reset:
-		return nil, fmt.Errorf("dist: shard %d: injected connection reset (send %s)", sh.idx, MsgName(mt))
-	case v.Drop:
-		// Request lost in flight: the read below times out.
-	default:
-		_ = conn.SetWriteDeadline(deadline)
-		if _, err := conn.Write(frame); err != nil {
-			return nil, fmt.Errorf("dist: shard %d write %s: %w", sh.idx, MsgName(mt), err)
-		}
-		c.counters.BytesOut.Add(uint64(len(frame)))
-	}
-	for {
-		_ = conn.SetReadDeadline(deadline)
-		rmt, rseq, pl, wire, err := ReadFrame(conn)
-		if err != nil {
-			return nil, fmt.Errorf("dist: shard %d read: %w", sh.idx, err)
-		}
-		c.counters.BytesIn.Add(uint64(wire))
-		rv := c.frameVerdict(chaos.DirRecv, sh.idx, rmt, wire)
-		if rv.Delay > 0 {
-			time.Sleep(rv.Delay)
-		}
-		if rv.Reset {
-			return nil, fmt.Errorf("dist: shard %d: injected connection reset (recv %s)", sh.idx, MsgName(rmt))
-		}
-		if rv.Drop {
-			continue // response lost in flight: keep waiting for one that isn't
-		}
-		if rseq != seq {
-			continue // stale response to an earlier request on this conn
-		}
-		return pl, nil
-	}
-}
-
-// replayExchange wraps syncExchange in the retry policy, redialling the
-// (possibly *conn=nil) connection as needed. Used only under sh.mu by the
-// respawn rung.
-func (c *Coordinator) replayExchange(sh *shard, conn *net.Conn, mt byte, payload any) ([]byte, error) {
-	seq := sh.seq.Add(1)
-	deadline := c.opts.Clock.Now().Add(c.opts.RequestTimeout)
-	var pl []byte
-	err := sh.retrier.Do(deadline, func() error {
-		if *conn == nil {
-			nc, derr := c.dial(sh, time.Now().Add(c.opts.AttemptTimeout))
-			if derr != nil {
-				return fmt.Errorf("dist: shard %d dial: %w", sh.idx, derr)
-			}
-			*conn = nc
-		}
-		attemptDeadline := time.Now().Add(c.opts.AttemptTimeout)
-		if attemptDeadline.After(deadline) {
-			attemptDeadline = deadline
-		}
-		p, xerr := c.syncExchange(sh, *conn, mt, seq, payload, attemptDeadline)
-		if xerr != nil {
-			_ = (*conn).Close()
-			*conn = nil
-			return xerr
-		}
-		pl = p
-		return nil
-	})
-	return pl, err
 }
 
 // replayAuditSize bounds the post-replay cross-check: up to this many
@@ -797,13 +602,10 @@ const replayAuditSize = 16
 // byte-identical duplicates, so a put that was stored but whose ack was
 // lost replays harmlessly. After replay, a sampled MsgGetBatch audit
 // fetches restored items back and byte-compares them against the log; a
-// mismatch fails this rung (the ladder respawns again or degrades). The
-// fresh connection is published (read loop started) only after replay and
-// audit succeed.
+// mismatch fails this rung (the ladder respawns again or degrades). Replay
+// is an ordinary conversation on the shard's connection — sh.mu is held, so
+// nothing else can talk to the worker until the rung is done.
 func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
-	if sh.respawns >= c.opts.MaxRespawns {
-		return fmt.Errorf("dist: shard %d respawn budget (%d) exhausted", sh.idx, c.opts.MaxRespawns)
-	}
 	sh.respawns++
 	c.counters.Respawns.Add(1)
 	c.killWorker(sh)
@@ -811,18 +613,20 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 	if err := c.spawnWorker(sh); err != nil {
 		return err
 	}
-	conn, err := c.dial(sh, time.Now().Add(5*time.Second))
-	if err != nil {
-		return fmt.Errorf("dist: shard %d reconnect after respawn: %w", sh.idx, err)
-	}
-	fail := func(err error) error {
-		if conn != nil {
-			_ = conn.Close()
-		}
+	if err := c.connectLocked(sh, time.Now().Add(5*time.Second)); err != nil {
 		return err
 	}
+	call := func(mt byte, payload any) ([]byte, error) {
+		frame, err := EncodeFrame(mt, 0, payload)
+		if err != nil {
+			return nil, err
+		}
+		return c.cycle(sh, frame)
+	}
+	// Log entries are never rewritten, so the slice as of now is a
+	// snapshot; puts staged meanwhile land past its end.
 	sh.logMu.Lock()
-	entries := append([]PutMsg(nil), sh.log...)
+	entries := sh.log
 	sh.logMu.Unlock()
 	for start := 0; start < len(entries); {
 		end := start
@@ -831,16 +635,16 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 			batchBytes += len(entries[end].Coll) + len(entries[end].Key) + len(entries[end].Val)
 			end++
 		}
-		pl, err := c.replayExchange(sh, &conn, MsgPutBatch, PutBatchMsg{Ops: entries[start:end]})
+		pl, err := call(MsgPutBatch, PutBatchMsg{Ops: entries[start:end]})
 		if err != nil {
-			return fail(fmt.Errorf("dist: shard %d replay puts %d-%d/%d: %w", sh.idx, start+1, end, len(entries), err))
+			return fmt.Errorf("dist: shard %d replay puts %d-%d/%d: %w", sh.idx, start+1, end, len(entries), err)
 		}
 		var ack AckMsg
 		if err := DecodePayload(pl, &ack); err != nil {
-			return fail(err)
+			return err
 		}
 		if ack.Err != "" {
-			return fail(fmt.Errorf("dist: shard %d replay refused: %s", sh.idx, ack.Err))
+			return fmt.Errorf("dist: shard %d replay refused: %s", sh.idx, ack.Err)
 		}
 		c.counters.ReplayedPuts.Add(uint64(end - start))
 		start = end
@@ -854,15 +658,14 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 		for i := 0; i < len(entries) && len(sampled) < replayAuditSize; i += stride {
 			sampled = append(sampled, entries[i])
 		}
-		pl, err := c.replayExchange(sh, &conn, MsgGetBatch, getBatch(sampled))
+		pl, err := call(MsgGetBatch, getBatch(sampled))
 		if err != nil {
-			return fail(fmt.Errorf("dist: shard %d replay audit: %w", sh.idx, err))
+			return fmt.Errorf("dist: shard %d replay audit: %w", sh.idx, err)
 		}
 		if err := compareMirror(sh.idx, sampled, pl); err != nil {
-			return fail(fmt.Errorf("dist: replay audit: %w", err))
+			return fmt.Errorf("dist: replay audit: %w", err)
 		}
 	}
-	c.publishConnLocked(sh, conn)
 	return nil
 }
 
@@ -922,23 +725,50 @@ func (c *Coordinator) enqueuePut(sh *shard, m PutMsg) {
 // buffer on the worker) and every FlushEvery, so a trickle of puts that
 // never trips a threshold still reaches the worker with bounded latency.
 // Steps stage puts and move on; this goroutine is who waits for the acks.
+// It is also the heartbeat: once the shard has exchanged nothing for
+// HeartbeatEvery, it sends a PING, so a worker that died between flushes
+// is recovered before the next flush needs it.
 func (c *Coordinator) sendLoop(sh *shard) {
 	defer c.bg.Done()
-	var tick <-chan time.Time
+	var tick, idle <-chan time.Time
 	if c.opts.FlushEvery > 0 {
 		t := time.NewTicker(c.opts.FlushEvery)
 		defer t.Stop()
 		tick = t.C
+	}
+	var beat *time.Timer
+	if c.opts.HeartbeatEvery > 0 {
+		beat = time.NewTimer(c.opts.HeartbeatEvery)
+		defer beat.Stop()
+		idle = beat.C
 	}
 	var spare []PutMsg
 	for {
 		select {
 		case <-c.stop:
 			return
+		case <-idle:
+			c.heartbeat(sh)
+			beat.Reset(c.opts.HeartbeatEvery)
+			continue
 		case <-sh.kick:
 		case <-tick:
 		}
-		spare = c.flushShard(sh, spare)
+		if spare = c.flushShard(sh, spare); len(spare) > 0 && beat != nil {
+			beat.Reset(c.opts.HeartbeatEvery) // the batch was an exchange
+		}
+	}
+}
+
+// heartbeat probes an idle shard with a PING. rpc runs the whole recovery
+// ladder, so a surviving error means the shard just degraded.
+func (c *Coordinator) heartbeat(sh *shard) {
+	if sh.degraded.Load() || c.closed.Load() {
+		return
+	}
+	c.counters.Heartbeats.Add(1)
+	if _, err := c.rpc(sh, MsgPing, nil); err != nil && !errors.Is(err, errClosed) {
+		c.counters.HeartbeatFailures.Add(1)
 	}
 }
 
@@ -1073,33 +903,6 @@ func (c *Coordinator) awaitMirrors(sh *shard) error {
 		return errClosed
 	}
 	return nil
-}
-
-func (c *Coordinator) heartbeatLoop() {
-	defer c.bg.Done()
-	t := time.NewTicker(c.opts.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-		}
-		for _, sh := range c.shards {
-			if sh.degraded.Load() || c.closed.Load() {
-				continue
-			}
-			if sh.inflight.Load() > 0 {
-				continue // an in-flight request is a better health probe
-			}
-			c.counters.Heartbeats.Add(1)
-			if _, err := c.rpc(sh, MsgPing, nil); err != nil && !errors.Is(err, errClosed) {
-				// rpc already ran the whole recovery ladder; a surviving
-				// error means the shard just degraded.
-				c.counters.HeartbeatFailures.Add(1)
-			}
-		}
-	}
 }
 
 // Counters returns the coordinator's counter block (live; snapshot with

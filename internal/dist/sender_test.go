@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +23,9 @@ func patientOpts() Options {
 	return opts
 }
 
-// holdReplies installs a frame hook that parks the coordinator's read loops
-// on every received msgType frame until the returned release is called.
+// holdReplies installs a frame hook that parks each shard's sender, inside
+// its exchange, on every received msgType frame until the returned release
+// is called.
 func holdReplies(c *Coordinator, msgType string) (release func()) {
 	gate := make(chan struct{})
 	c.SetFrameHook(func(dir chaos.Dir, shard int, mt string, size int) chaos.Verdict {
@@ -178,6 +180,74 @@ func TestMirrorVerificationSampling(t *testing.T) {
 				t.Fatalf("%d puts acked, %d verified; want %d and %d", snap.RemotePuts, snap.VerifiedReads, puts, tc.want)
 			}
 		})
+	}
+}
+
+// TestLateReplyIsARetry: an ack that arrives after its attempt's deadline
+// fails that attempt, which costs one retry and no respawn, and is never
+// taken as the answer to a later request: every put is mirrored once and
+// every mirror check passes.
+func TestLateReplyIsARetry(t *testing.T) {
+	opts := fastOpts()
+	opts.VerifySample = 1
+	c, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var late sync.Once
+	c.SetFrameHook(func(dir chaos.Dir, shard int, mt string, size int) (v chaos.Verdict) {
+		if dir == chaos.DirRecv && mt == "ack" {
+			late.Do(func() { v.Delay = 2 * opts.AttemptTimeout })
+		}
+		return v
+	})
+	gb := &graphBackend{c: c, prefix: "t/"}
+	const puts = 40
+	for i := 0; i < puts; i++ {
+		if err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Counters().Snapshot()
+	if snap.Retries != 1 || snap.Respawns != 0 || snap.Degradations != 0 {
+		t.Fatalf("one late ack: %d retries, %d respawns, %d degradations; want 1, 0, 0", snap.Retries, snap.Respawns, snap.Degradations)
+	}
+	if snap.RemotePuts != puts || snap.VerifiedReads != puts {
+		t.Fatalf("%d puts acked, %d verified; want %d of each", snap.RemotePuts, snap.VerifiedReads, puts)
+	}
+}
+
+// TestCoordinatorGoroutines: a coordinator's background work is one sender
+// per shard and one waiter per worker process — no reader beside the
+// sender, no heartbeat beside it.
+func TestCoordinatorGoroutines(t *testing.T) {
+	// settled returns the goroutine count once it holds still for 20ms, so
+	// goroutines of earlier tests that are still exiting do not count.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(20 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	before := settled()
+	opts := fastOpts() // two shards
+	c, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got, want := settled()-before, 2*opts.Shards; got != want {
+		t.Fatalf("NewCoordinator started %d goroutines, want %d (a sender and a process waiter per shard)", got, want)
 	}
 }
 

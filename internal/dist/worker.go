@@ -85,12 +85,12 @@ func ServeWorker(socketPath string) error {
 	}
 }
 
-// serveConn answers frames until the connection dies. Request handling is
-// strictly sequential per connection: the coordinator pipelines multiple
-// in-flight requests, but each carries its own header sequence number and
-// the coordinator demuxes replies by seq, so in-order sequential answers
-// are sufficient — and keep the worker trivially race-free. Reads are
-// buffered, so pipelined requests share a syscall.
+// serveConn answers frames until the connection dies, one at a time and in
+// order: the coordinator holds one conversation per shard and writes its
+// next request only after reading the reply to the last, which keeps the
+// worker trivially race-free. Each reply carries its request's sequence
+// number. Reads are buffered, so a frame's length prefix and its body
+// share a syscall.
 func serveConn(conn net.Conn, store *Store) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, readBuffer)
@@ -129,15 +129,6 @@ func serveConn(conn net.Conn, store *Store) {
 				}
 			}
 			reply, err = EncodeFrame(MsgAck, seq, ack)
-		case MsgGet:
-			var m GetMsg
-			var item ItemMsg
-			if derr := DecodePayload(payload, &m); derr != nil {
-				item.Err = derr.Error()
-			} else {
-				item.Val, item.Found = store.Get(m.Coll, m.Key)
-			}
-			reply, err = EncodeFrame(MsgItem, seq, item)
 		case MsgGetBatch:
 			var m GetBatchMsg
 			var batch ItemBatchMsg
