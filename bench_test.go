@@ -79,10 +79,10 @@ func BenchmarkFig8(b *testing.B) { benchFigure(b, "fig8") }
 func BenchmarkFig9(b *testing.B) { benchFigure(b, "fig9") }
 
 // BenchmarkTable1 regenerates Table I (estimated/actual cache-miss ratios)
-// at 1/32 geometry; cmd/cachetable produces larger scales.
+// at 1/32 geometry; dpbench -exp table1 -tscale N produces larger scales.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunTable1(32)
+		res, err := harness.RunTable1Context(context.Background(), 32)
 		if err != nil {
 			b.Fatal(err)
 		}

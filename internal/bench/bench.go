@@ -63,8 +63,7 @@ type Instance interface {
 
 // RunFlow runs recurrence f under variant v: the serial reference,
 // fork-join on opts.Pool, or one of the CnC schedules. It is the one place
-// a core.Variant becomes a call — every benchmark's Instance.Run comes
-// here, and so does dpverify for par, which the registry does not hold.
+// a core.Variant becomes a call — every Instance.Run comes here.
 // opts.Trace brackets every kernel; name labels errors and the CnC graph.
 func RunFlow[T, K comparable](ctx context.Context, f *gep.Flow[T, K], name string, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
 	if opts.Trace != nil {
@@ -115,7 +114,14 @@ func newInstance[T, K comparable](name string, work, ref *matrix.Dense, flow fun
 	if err != nil {
 		return nil, err
 	}
-	return &instance[T, K]{name: name, flow: f, work: work, ref: ref}, nil
+	return FlowInstance(name, f, work, ref), nil
+}
+
+// FlowInstance is the Instance of recurrence f over its table work,
+// verified bit for bit against ref — for a recurrence the registry does not
+// hold (dpverify's par).
+func FlowInstance[T, K comparable](name string, f *gep.Flow[T, K], work, ref *matrix.Dense) Instance {
+	return &instance[T, K]{name: name, flow: f, work: work, ref: ref}
 }
 
 func (in *instance[T, K]) Run(ctx context.Context, v core.Variant, opts RunOpts) (gep.CnCStats, error) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/exec"
@@ -91,41 +90,6 @@ func TestSharedExecutorConformance(t *testing.T) {
 	waitGoroutines(t, before+2)
 	if s := ex.Stats(); s.Leases != 0 {
 		t.Fatalf("leases = %d after all runs, want 0", s.Leases)
-	}
-}
-
-// Determinism survives the shared executor: replaying every benchmark
-// under two different schedules (worker counts and steal policies) on one
-// executor yields bit-identical item-store fingerprints.
-func TestSharedExecutorDeterminismAudit(t *testing.T) {
-	ex := exec.New(3)
-	defer ex.Close()
-	for _, b := range All() {
-		t.Run(b.Name(), func(t *testing.T) {
-			run := func(ctx context.Context, workers int, tune func(*cnc.Graph)) error {
-				in, err := b.NewInstance(confN, confBase, confSeed)
-				if err != nil {
-					return err
-				}
-				_, err = in.Run(ctx, core.NativeCnC, RunOpts{
-					Workers: workers,
-					Tune: func(g *cnc.Graph) {
-						g.WithExecutor(ex)
-						tune(g)
-					},
-				})
-				return err
-			}
-			diffs, err := chaos.DeterminismAudit(context.Background(), run,
-				chaos.Schedule{Workers: 2, Steal: exec.StealRandom},
-				chaos.Schedule{Workers: 3, Steal: exec.StealSequential})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(diffs) != 0 {
-				t.Fatalf("fingerprints differ across schedules: %v", diffs)
-			}
-		})
 	}
 }
 

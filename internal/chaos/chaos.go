@@ -1,15 +1,17 @@
-// Package chaos is the fault-injection and liveness-monitoring harness for
-// the repository's two runtimes. It perturbs CnC graph executions through
-// the cnc.Hooks interception points — step panics, transient step errors,
-// delayed item puts, dropped tags — and watches runs for livelock with a
-// progress watchdog, so the robustness properties the runtimes claim
-// (panic containment, precise deadlock reports, cooperative cancellation,
-// retry-based recovery) are exercised under adversarial schedules instead
-// of only on the happy path.
+// Package chaos is the fault-injection harness for the repository's
+// runtimes. It perturbs CnC graph executions through the cnc.Hooks
+// interception points — step panics, transient step errors, delayed item
+// puts, dropped tags — and the sharded tier through its transport seam,
+// and drives every run through bench.Check (deadline, livelock watchdog,
+// verification and riders), so the robustness properties the runtimes
+// claim (panic containment, precise deadlock reports, cooperative
+// cancellation, retry-based recovery) are exercised under adversarial
+// schedules instead of only on the happy path.
 //
-// The package deliberately lives outside internal/cnc: the runtime exposes
-// generic hooks (cnc.Hooks, cnc.Graph.SetRetry, cnc.Graph.Blocked) and all
-// chaos-specific behaviour is composed here.
+// The package deliberately lives outside the runtimes: they expose generic
+// hooks (cnc.Hooks, cnc.Graph.SetRetry, dist.Coordinator.SetFrameHook) and
+// all chaos-specific behaviour is composed here. Nothing but tests imports
+// it.
 package chaos
 
 import (

@@ -5,54 +5,22 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"dpflow/internal/dist"
 )
 
 // This file extends the fault vocabulary to the process level. The in-graph
 // faults (StepError, DropTag, ...) perturb one runtime through cnc.Hooks;
 // the distributed faults below perturb the *transport* between a
-// coordinator and its shard workers through the TransportControl seam the
-// distributed runtime exposes. The layering mirrors chaos/cnc: this package
-// defines the control interface, internal/dist implements it, and no import
-// cycle exists because dist imports chaos (never the reverse).
-
-// Dir is the direction of a frame crossing the coordinator/worker boundary,
-// from the coordinator's point of view.
-type Dir int
-
-const (
-	// DirSend is a frame leaving the coordinator for a worker.
-	DirSend Dir = iota
-	// DirRecv is a frame arriving at the coordinator from a worker.
-	DirRecv
-)
-
-func (d Dir) String() string {
-	if d == DirSend {
-		return "send"
-	}
-	return "recv"
-}
-
-// Verdict is a frame hook's decision about one frame. The zero value lets
-// the frame pass untouched.
-type Verdict struct {
-	// Drop discards the frame. A dropped request never reaches the worker;
-	// a dropped response strands the coordinator's wait — either way the
-	// per-request deadline must convert the loss into a retry.
-	Drop bool
-	// Delay stalls the frame's delivery, modelling a congested or
-	// scheduler-starved transport. Delays shorter than the request deadline
-	// must be absorbed invisibly; longer ones behave like Drop.
-	Delay time.Duration
-	// Reset tears the connection down mid-exchange instead of delivering
-	// the frame — the half-written-frame failure mode. The coordinator must
-	// reconnect (or respawn) and retry.
-	Reset bool
-}
+// coordinator and its shard workers through the seam internal/dist exposes
+// (Coordinator.SetFrameHook and KillWorker). The layering mirrors
+// chaos/cnc: the runtime owns the seam and its types (dist.Dir,
+// dist.Verdict), this package composes faults on top, and no production
+// package imports chaos.
 
 // TransportControl is the seam a distributed runtime exposes for
-// process-level fault injection. The coordinator in internal/dist
-// implements it; a stub suffices for tests of the faults themselves.
+// process-level fault injection. *dist.Coordinator implements it; a stub
+// suffices for tests of the faults themselves.
 //
 // Implementations must tolerate hooks being installed and cleared (set to
 // nil) at any moment, including mid-exchange.
@@ -62,7 +30,7 @@ type TransportControl interface {
 	// SetFrameHook installs fn on every frame crossing the boundary in
 	// either direction; nil uninstalls. size is the encoded frame length in
 	// bytes, msgType its wire discriminator (e.g. "putbatch", "ack").
-	SetFrameHook(fn func(dir Dir, shard int, msgType string, size int) Verdict)
+	SetFrameHook(fn func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict)
 	// KillWorker forcefully terminates the given shard's worker process
 	// (SIGKILL semantics: no cleanup, no goodbye frame). The runtime's
 	// supervisor is expected to notice via a failed exchange or heartbeat
@@ -109,13 +77,13 @@ func (f *ProcessKill) ArmDist(tc TransportControl, rng *rand.Rand) *Probe {
 	}
 	var seen int
 	var mu sync.Mutex
-	tc.SetFrameHook(func(dir Dir, shard int, msgType string, size int) Verdict {
+	tc.SetFrameHook(func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict {
 		mu.Lock()
 		seen++
 		warm := seen > after
 		mu.Unlock()
 		if !warm || !a.fire() {
-			return Verdict{}
+			return dist.Verdict{}
 		}
 		// Kill the frame's own shard: the exchange in flight is the one
 		// that observes the death, the worst case for the supervisor.
@@ -123,7 +91,7 @@ func (f *ProcessKill) ArmDist(tc TransportControl, rng *rand.Rand) *Probe {
 		// The frame itself still passes; the kill races it, which is the
 		// point — either order must recover.
 		go tc.KillWorker(shard)
-		return Verdict{}
+		return dist.Verdict{}
 	})
 	return p
 }
@@ -149,12 +117,12 @@ func (f *MessageDrop) Name() string { return "message-drop" }
 func (f *MessageDrop) ArmDist(tc TransportControl, rng *rand.Rand) *Probe {
 	p := &Probe{}
 	a := newArmer(rng, f.Prob, f.Times)
-	tc.SetFrameHook(func(dir Dir, shard int, msgType string, size int) Verdict {
+	tc.SetFrameHook(func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict {
 		if (f.Only != "" && msgType != f.Only) || !a.fire() {
-			return Verdict{}
+			return dist.Verdict{}
 		}
 		p.record(fmt.Sprintf("drop %s %s shard %d (%dB)", dir, msgType, shard, size))
-		return Verdict{Drop: true}
+		return dist.Verdict{Drop: true}
 	})
 	return p
 }
@@ -182,12 +150,12 @@ func (f *MessageDelay) ArmDist(tc TransportControl, rng *rand.Rand) *Probe {
 	if delay <= 0 {
 		delay = 5 * time.Millisecond
 	}
-	tc.SetFrameHook(func(dir Dir, shard int, msgType string, size int) Verdict {
+	tc.SetFrameHook(func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict {
 		if (f.Only != "" && msgType != f.Only) || !a.fire() {
-			return Verdict{}
+			return dist.Verdict{}
 		}
 		p.record(fmt.Sprintf("delay %s %s shard %d %v", dir, msgType, shard, delay))
-		return Verdict{Delay: delay}
+		return dist.Verdict{Delay: delay}
 	})
 	return p
 }
@@ -210,12 +178,12 @@ func (f *ConnReset) Name() string { return "conn-reset" }
 func (f *ConnReset) ArmDist(tc TransportControl, rng *rand.Rand) *Probe {
 	p := &Probe{}
 	a := newArmer(rng, f.Prob, f.Times)
-	tc.SetFrameHook(func(dir Dir, shard int, msgType string, size int) Verdict {
+	tc.SetFrameHook(func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict {
 		if (f.Only != "" && msgType != f.Only) || !a.fire() {
-			return Verdict{}
+			return dist.Verdict{}
 		}
 		p.record(fmt.Sprintf("reset %s %s shard %d", dir, msgType, shard))
-		return Verdict{Reset: true}
+		return dist.Verdict{Reset: true}
 	})
 	return p
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dpflow/internal/dist"
 )
 
 // stubTransport implements TransportControl over nothing: it records kills
@@ -12,13 +14,13 @@ import (
 type stubTransport struct {
 	mu     sync.Mutex
 	shards int
-	hook   func(dir Dir, shard int, msgType string, size int) Verdict
+	hook   func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict
 	killed []int
 }
 
 func (s *stubTransport) Shards() int { return s.shards }
 
-func (s *stubTransport) SetFrameHook(fn func(dir Dir, shard int, msgType string, size int) Verdict) {
+func (s *stubTransport) SetFrameHook(fn func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict) {
 	s.mu.Lock()
 	s.hook = fn
 	s.mu.Unlock()
@@ -32,12 +34,12 @@ func (s *stubTransport) KillWorker(shard int) error {
 }
 
 // frame pushes one synthetic frame through the installed hook.
-func (s *stubTransport) frame(dir Dir, shard int, msgType string, size int) Verdict {
+func (s *stubTransport) frame(dir dist.Dir, shard int, msgType string, size int) dist.Verdict {
 	s.mu.Lock()
 	fn := s.hook
 	s.mu.Unlock()
 	if fn == nil {
-		return Verdict{}
+		return dist.Verdict{}
 	}
 	return fn(dir, shard, msgType, size)
 }
@@ -51,7 +53,7 @@ func (s *stubTransport) kills() []int {
 func driveFrames(t *testing.T, tc *stubTransport, n int) (dropped, delayed, reset int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		v := tc.frame(Dir(i%2), i%tc.shards, "put", 64)
+		v := tc.frame(dist.Dir(i%2), i%tc.shards, "put", 64)
 		if v.Drop {
 			dropped++
 		}
@@ -82,7 +84,7 @@ func TestMessageDelayVerdict(t *testing.T) {
 	tc := &stubTransport{shards: 2}
 	f := &MessageDelay{Prob: 1.0, Times: 1, Delay: 7 * time.Millisecond}
 	p := f.ArmDist(tc, rand.New(rand.NewSource(1)))
-	v := tc.frame(DirSend, 0, "get", 32)
+	v := tc.frame(dist.DirSend, 0, "get", 32)
 	if v.Delay != 7*time.Millisecond {
 		t.Fatalf("verdict delay = %v, want 7ms", v.Delay)
 	}
@@ -113,12 +115,12 @@ func TestProcessKillWarmupAndTarget(t *testing.T) {
 	p := f.ArmDist(tc, rand.New(rand.NewSource(1)))
 	// First three frames are warmup: no kill may fire.
 	for i := 0; i < 3; i++ {
-		tc.frame(DirSend, i%4, "put", 64)
+		tc.frame(dist.DirSend, i%4, "put", 64)
 	}
 	if p.Count() != 0 {
 		t.Fatalf("kill fired during warmup (%d)", p.Count())
 	}
-	tc.frame(DirRecv, 2, "ack", 16)
+	tc.frame(dist.DirRecv, 2, "ack", 16)
 	deadline := time.Now().Add(2 * time.Second)
 	for len(tc.kills()) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond) // the kill races the frame on purpose

@@ -9,6 +9,7 @@ import (
 
 	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
+	"dpflow/internal/core"
 )
 
 // A zero-put graph that quiesces — the consumer parks on an item nothing
@@ -16,9 +17,8 @@ import (
 // runner's watchdog must not race it to a vaguer cancellation.
 func TestRunnerZeroPutDeadlockNamed(t *testing.T) {
 	r := &chaos.Runner{Timeout: 30 * time.Second, StallWindow: 10 * time.Second}
-	target := chaos.Target{
-		Name: "zero-put-deadlock",
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
+	target := graphInstance{
+		run: func(ctx context.Context, tune func(*cnc.Graph)) error {
 			g := cnc.NewGraph("zero-put", 2)
 			items := cnc.NewItemCollection[int, int](g, "it")
 			tags := cnc.NewTagCollection[int](g, "tg", false)
@@ -32,7 +32,7 @@ func TestRunnerZeroPutDeadlockNamed(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res := r.Drive(target, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
+	res := r.Drive("zero-put-deadlock", target, core.NativeCnC, 2, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("zero-put deadlock took the slow path out")
 	}
@@ -54,9 +54,8 @@ func TestRunnerZeroPutDeadlockNamed(t *testing.T) {
 // hard-deadline kill.
 func TestRunnerZeroPutLivelockStalls(t *testing.T) {
 	r := &chaos.Runner{Timeout: 30 * time.Second, StallWindow: 200 * time.Millisecond}
-	target := chaos.Target{
-		Name: "zero-put-livelock",
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
+	target := graphInstance{
+		run: func(ctx context.Context, tune func(*cnc.Graph)) error {
 			g := cnc.NewGraph("zero-put-livelock", 2)
 			items := cnc.NewItemCollection[int, int](g, "it")
 			tags := cnc.NewTagCollection[int](g, "tg", false)
@@ -72,7 +71,7 @@ func TestRunnerZeroPutLivelockStalls(t *testing.T) {
 		},
 	}
 	start := time.Now()
-	res := r.Drive(target, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
+	res := r.Drive("zero-put-livelock", target, core.NativeCnC, 2, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("zero-put livelock escaped the watchdog")
 	}

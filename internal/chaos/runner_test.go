@@ -11,6 +11,7 @@ import (
 	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
+	"dpflow/internal/gep"
 )
 
 // Sweep geometry: 4x4 tiles per benchmark, small enough that 20 seeds x 4
@@ -27,25 +28,22 @@ const (
 // by seed, so every (shape, fault) pair sees all of them.
 var cncVariants = []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC}
 
-// newBenchTarget builds a fresh single-use instance of a registered
-// benchmark as a chaos target: the work state is private to the run,
-// Instance.Run threads the runner's tune hook into every graph the
-// benchmark builds, and Verify is the instance's own oracle (serial
-// reference comparison, plus the score check for SW).
-func newBenchTarget(t *testing.T, b bench.Benchmark, seed int64, v core.Variant) chaos.Target {
-	t.Helper()
-	in, err := b.NewInstance(chaosN, chaosBase, seed)
-	if err != nil {
-		t.Fatalf("%s instance: %v", b.Name(), err)
+// graphInstance is a hand-built CnC graph as a bench.Instance: run builds
+// the graph, calls tune on it and runs it; verify, when set, is its oracle.
+type graphInstance struct {
+	run    func(ctx context.Context, tune func(*cnc.Graph)) error
+	verify func() error
+}
+
+func (gi graphInstance) Run(ctx context.Context, _ core.Variant, opts bench.RunOpts) (gep.CnCStats, error) {
+	return gep.CnCStats{}, gi.run(ctx, opts.Tune)
+}
+
+func (gi graphInstance) Verify() error {
+	if gi.verify == nil {
+		return nil
 	}
-	return chaos.Target{
-		Name: b.Name() + "/" + v.String(),
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
-			_, err := in.Run(ctx, v, bench.RunOpts{Workers: chaosWorkers, Tune: tune})
-			return err
-		},
-		Verify: in.Verify,
-	}
+	return gi.verify()
 }
 
 // TestChaosSweep is the acceptance matrix: every registered benchmark
@@ -75,13 +73,20 @@ func TestChaosSweep(t *testing.T) {
 				injected := 0
 				for seed := int64(0); seed < chaosSeeds; seed++ {
 					v := cncVariants[seed%int64(len(cncVariants))]
-					target := newBenchTarget(t, b, seed, v)
+					// A fresh single-use instance per run: Verify is its
+					// own oracle (serial reference comparison, plus the
+					// score check for SW).
+					in, err := b.NewInstance(chaosN, chaosBase, seed)
+					if err != nil {
+						t.Fatalf("%s instance: %v", b.Name(), err)
+					}
+					target := b.Name() + "/" + v.String()
 					fault := mkFault() // fresh budget per run
-					res := r.Drive(target, fault, seed)
+					res := r.Drive(target, in, v, chaosWorkers, fault, seed)
 					injected += res.Injections
 					if res.DeadlineFired {
 						t.Fatalf("seed %d %s: hard deadline fired (stalled=%v blocked=%v)",
-							seed, target.Name, res.Stalled, res.Blocked)
+							seed, target, res.Stalled, res.Blocked)
 					}
 					// Faults may fail runs, but they must never be able to
 					// break the dataflow discipline: no injected error,
@@ -89,7 +94,7 @@ func TestChaosSweep(t *testing.T) {
 					// a get-count overdraw.
 					if len(res.Violations) > 0 {
 						t.Fatalf("seed %d %s: fault produced discipline violations: %v",
-							seed, target.Name, res.Violations)
+							seed, target, res.Violations)
 					}
 					if res.Err == nil {
 						// Completed and verified against the serial
@@ -99,28 +104,28 @@ func TestChaosSweep(t *testing.T) {
 						// injected retries, re-reads, and delays.
 						if res.LiveItems != 0 {
 							t.Fatalf("seed %d %s: verified run leaked %d items (freed %d)",
-								seed, target.Name, res.LiveItems, res.ItemsFreed)
+								seed, target, res.LiveItems, res.ItemsFreed)
 						}
 						if res.ItemsFreed == 0 {
-							t.Fatalf("seed %d %s: verified run freed no items; get-counts not wired", seed, target.Name)
+							t.Fatalf("seed %d %s: verified run freed no items; get-counts not wired", seed, target)
 						}
 						if res.Discipline.Puts == 0 {
-							t.Fatalf("seed %d %s: discipline checker saw no puts; checking is vacuous", seed, target.Name)
+							t.Fatalf("seed %d %s: discipline checker saw no puts; checking is vacuous", seed, target)
 						}
 						continue
 					}
 					// A failed run must name the fault precisely and must
 					// stem from an actual injection, not a runtime bug.
 					if res.Injections == 0 {
-						t.Fatalf("seed %d %s: error with zero injections: %v", seed, target.Name, res.Err)
+						t.Fatalf("seed %d %s: error with zero injections: %v", seed, target, res.Err)
 					}
 					if !errors.Is(res.Err, chaos.ErrInjected) && !strings.Contains(res.Err.Error(), fault.Name()) {
-						t.Fatalf("seed %d %s: error does not name the fault: %v", seed, target.Name, res.Err)
+						t.Fatalf("seed %d %s: error does not name the fault: %v", seed, target, res.Err)
 					}
 					if fault.Recoverable() {
 						// Retry >= Times guarantees recovery for pre-body faults.
 						t.Fatalf("seed %d %s: recoverable fault %s not absorbed by retry budget: %v",
-							seed, target.Name, fault.Name(), res.Err)
+							seed, target, fault.Name(), res.Err)
 					}
 				}
 				if injected == 0 {
@@ -138,9 +143,8 @@ func TestChaosSweep(t *testing.T) {
 // untouched, error wrapped with the run's identity.
 func TestRunnerStallPath(t *testing.T) {
 	r := &chaos.Runner{Timeout: 30 * time.Second, StallWindow: 250 * time.Millisecond}
-	target := chaos.Target{
-		Name: "livelock",
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
+	target := graphInstance{
+		run: func(ctx context.Context, tune func(*cnc.Graph)) error {
 			g := cnc.NewGraph("livelock", chaosWorkers)
 			items := cnc.NewItemCollection[int, int](g, "it")
 			tags := cnc.NewTagCollection[int](g, "tg", false)
@@ -155,7 +159,7 @@ func TestRunnerStallPath(t *testing.T) {
 			return g.RunContext(ctx, func() { tags.Put(1) })
 		},
 	}
-	res := r.Drive(target, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
+	res := r.Drive("livelock", target, core.NativeCnC, chaosWorkers, &chaos.StepError{Prob: 1e-12, Times: 1}, 1)
 	if res.Err == nil || !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("Err = %v, want wrapped context.Canceled from the watchdog", res.Err)
 	}
@@ -175,12 +179,11 @@ func TestRunnerStallPath(t *testing.T) {
 // wrapped error naming the fault.
 func TestRunnerVerifyFailureNamesFault(t *testing.T) {
 	r := &chaos.Runner{Timeout: 10 * time.Second}
-	target := chaos.Target{
-		Name:   "always-wrong",
-		Run:    func(ctx context.Context, tune func(*cnc.Graph)) error { return nil },
-		Verify: func() error { return errors.New("result mismatch") },
+	target := graphInstance{
+		run:    func(ctx context.Context, tune func(*cnc.Graph)) error { return nil },
+		verify: func() error { return errors.New("result mismatch") },
 	}
-	res := r.Drive(target, &chaos.DropTag{Prob: 1, Times: 1}, 3)
+	res := r.Drive("always-wrong", target, core.NativeCnC, chaosWorkers, &chaos.DropTag{Prob: 1, Times: 1}, 3)
 	if !errors.Is(res.Err, chaos.ErrInjected) {
 		t.Fatalf("Err = %v, want ErrInjected wrap", res.Err)
 	}
@@ -194,9 +197,8 @@ func TestRunnerVerifyFailureNamesFault(t *testing.T) {
 // items stay live, and the runner must flag the leak as an error.
 func TestRunnerDetectsLeak(t *testing.T) {
 	r := &chaos.Runner{Timeout: 10 * time.Second}
-	target := chaos.Target{
-		Name: "leaky",
-		Run: func(ctx context.Context, tune func(*cnc.Graph)) error {
+	target := graphInstance{
+		run: func(ctx context.Context, tune func(*cnc.Graph)) error {
 			g := cnc.NewGraph("leaky", 1)
 			tune(g)
 			items := cnc.NewItemCollection[int, int](g, "items")
@@ -213,9 +215,8 @@ func TestRunnerDetectsLeak(t *testing.T) {
 				tags.Put(1)
 			})
 		},
-		Verify: func() error { return nil },
 	}
-	res := r.Drive(target, &chaos.DropTag{Prob: 0, Times: 0}, 1)
+	res := r.Drive("leaky", target, core.NativeCnC, chaosWorkers, &chaos.DropTag{Prob: 0, Times: 0}, 1)
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "leaked") {
 		t.Fatalf("Err = %v, want leak report", res.Err)
 	}

@@ -15,7 +15,7 @@
 // write-once — workers accept byte-identical duplicate puts); and graceful
 // degradation when a shard is irrecoverably lost: it stops being mirrored,
 // which is exactly single-process execution. Faults are injected through
-// the chaos.TransportControl seam the Coordinator implements.
+// the Coordinator's frame hook and KillWorker.
 package dist
 
 import (

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
 )
 
@@ -236,12 +235,48 @@ type shard struct {
 	log   []PutMsg
 }
 
+// Dir is the direction of a frame crossing the coordinator/worker boundary,
+// from the coordinator's point of view.
+type Dir int
+
+const (
+	// DirSend is a frame leaving the coordinator for a worker.
+	DirSend Dir = iota
+	// DirRecv is a frame arriving at the coordinator from a worker.
+	DirRecv
+)
+
+func (d Dir) String() string {
+	if d == DirSend {
+		return "send"
+	}
+	return "recv"
+}
+
+// Verdict is a frame hook's decision about one frame. The zero value lets
+// the frame pass untouched.
+type Verdict struct {
+	// Drop discards the frame. A dropped request never reaches the worker;
+	// a dropped response strands the coordinator's wait — either way the
+	// per-attempt deadline must convert the loss into a retry.
+	Drop bool
+	// Delay stalls the frame's delivery, modelling a congested or
+	// scheduler-starved transport. Delays shorter than the attempt deadline
+	// must be absorbed invisibly; longer ones behave like Drop.
+	Delay time.Duration
+	// Reset tears the connection down mid-exchange instead of delivering
+	// the frame — the half-written-frame failure mode. The coordinator must
+	// reconnect (or respawn) and retry.
+	Reset bool
+}
+
 type frameHookHolder struct {
-	fn func(dir chaos.Dir, shard int, msgType string, size int) chaos.Verdict
+	fn func(dir Dir, shard int, msgType string, size int) Verdict
 }
 
 // Coordinator owns the worker fleet and implements cnc.ItemBackend (via
-// Attach) and chaos.TransportControl.
+// Attach). Its frame hook and KillWorker are the seam process-level faults
+// are injected through.
 type Coordinator struct {
 	opts     Options
 	dir      string
@@ -450,7 +485,7 @@ const readBuffer = 64 << 10
 // verdict runs the frame hook on one frame. It sleeps out a Delay, and
 // returns a Reset — or a Delay that carried the attempt past its deadline,
 // which is a late frame — as the attempt's error; lost reports a Drop.
-func (c *Coordinator) verdict(sh *shard, dir chaos.Dir, mt byte, size int, deadline time.Time) (lost bool, err error) {
+func (c *Coordinator) verdict(sh *shard, dir Dir, mt byte, size int, deadline time.Time) (lost bool, err error) {
 	h := c.hook.Load()
 	if h == nil {
 		return false, nil
@@ -480,7 +515,7 @@ func (c *Coordinator) exchange(sh *shard, frame []byte, deadline time.Time) ([]b
 	conn, mt := sh.conn, frame[headerLen]
 	sh.seq++
 	binary.BigEndian.PutUint64(frame[headerLen+1:], sh.seq)
-	lost, err := c.verdict(sh, chaos.DirSend, mt, len(frame), deadline)
+	lost, err := c.verdict(sh, DirSend, mt, len(frame), deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +533,7 @@ func (c *Coordinator) exchange(sh *shard, frame []byte, deadline time.Time) ([]b
 			return nil, fmt.Errorf("dist: shard %d read: %w", sh.idx, err)
 		}
 		c.counters.BytesIn.Add(uint64(wire))
-		lost, err := c.verdict(sh, chaos.DirRecv, rmt, wire, deadline)
+		lost, err := c.verdict(sh, DirRecv, rmt, wire, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -988,13 +1023,16 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// ---- chaos.TransportControl ----
+// ---- fault-injection seam ----
 
-// Shards implements chaos.TransportControl.
+// Shards is the number of shard workers.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// SetFrameHook implements chaos.TransportControl.
-func (c *Coordinator) SetFrameHook(fn func(dir chaos.Dir, shard int, msgType string, size int) chaos.Verdict) {
+// SetFrameHook installs fn on every frame crossing the boundary in either
+// direction; nil uninstalls. size is the encoded frame length in bytes,
+// msgType its wire name (e.g. "putbatch", "ack"). It may be called at any
+// moment, mid-exchange included.
+func (c *Coordinator) SetFrameHook(fn func(dir Dir, shard int, msgType string, size int) Verdict) {
 	if fn == nil {
 		c.hook.Store(nil)
 		return
@@ -1002,8 +1040,8 @@ func (c *Coordinator) SetFrameHook(fn func(dir chaos.Dir, shard int, msgType str
 	c.hook.Store(&frameHookHolder{fn: fn})
 }
 
-// KillWorker implements chaos.TransportControl: SIGKILL the shard's
-// current process, no cleanup — the supervisor must notice and recover.
+// KillWorker SIGKILLs the shard's current process, no cleanup — the
+// supervisor must notice and recover.
 func (c *Coordinator) KillWorker(shardIdx int) error {
 	if shardIdx < 0 || shardIdx >= len(c.shards) {
 		return fmt.Errorf("dist: no shard %d", shardIdx)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dpflow/internal/chaos"
 	"dpflow/internal/gep"
 )
 
@@ -28,11 +27,11 @@ func patientOpts() Options {
 // is called.
 func holdReplies(c *Coordinator, msgType string) (release func()) {
 	gate := make(chan struct{})
-	c.SetFrameHook(func(dir chaos.Dir, shard int, mt string, size int) chaos.Verdict {
-		if dir == chaos.DirRecv && mt == msgType {
+	c.SetFrameHook(func(dir Dir, shard int, mt string, size int) Verdict {
+		if dir == DirRecv && mt == msgType {
 			<-gate
 		}
-		return chaos.Verdict{}
+		return Verdict{}
 	})
 	var once sync.Once
 	return func() { once.Do(func() { close(gate) }) }
@@ -196,8 +195,8 @@ func TestLateReplyIsARetry(t *testing.T) {
 	}
 	defer c.Close()
 	var late sync.Once
-	c.SetFrameHook(func(dir chaos.Dir, shard int, mt string, size int) (v chaos.Verdict) {
-		if dir == chaos.DirRecv && mt == "ack" {
+	c.SetFrameHook(func(dir Dir, shard int, mt string, size int) (v Verdict) {
+		if dir == DirRecv && mt == "ack" {
 			late.Do(func() { v.Delay = 2 * opts.AttemptTimeout })
 		}
 		return v

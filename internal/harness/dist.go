@@ -53,14 +53,9 @@ func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		_, err = in.Run(ctx, core.NativeCnC, bench.RunOpts{Workers: distWorkers})
-		wallSingle := time.Since(start)
-		if err == nil {
-			err = in.Verify()
-		}
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("%s single-process: %v", b.Name(), err))
+		single := bench.Check{}.Run(ctx, in, core.NativeCnC, bench.RunOpts{Workers: distWorkers})
+		if single.Err != nil {
+			failures = append(failures, fmt.Sprintf("%s single-process: %v", b.Name(), single.Err))
 			continue
 		}
 
@@ -77,8 +72,8 @@ func WriteDist(ctx context.Context, w io.Writer, verifySample int) error {
 			putsPerFrame = float64(c.RemotePuts) / float64(c.PutFrames)
 		}
 		fmt.Fprintf(w, "%6s %10s %10s %6.1fx %9d %8d %7.1f %9d %8d %8d %8d %10d %10d\n",
-			b.Name(), wallSingle.Round(time.Millisecond), res.Wall.Round(time.Millisecond),
-			float64(res.Wall)/float64(wallSingle),
+			b.Name(), single.Wall.Round(time.Millisecond), res.Wall.Round(time.Millisecond),
+			float64(res.Wall)/float64(single.Wall),
 			c.RemotePuts, c.PutFrames, putsPerFrame, c.VerifiedReads,
 			c.Retries, c.Respawns, c.Degradations, c.BytesOut, c.BytesIn)
 	}

@@ -249,7 +249,7 @@ func TestTable1Scaled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache trace is slow")
 	}
-	res, err := RunTable1(16) // n=512
+	res, err := RunTable1Context(context.Background(), 16) // n=512
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"dpflow/internal/bench"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
-	"dpflow/internal/gep"
 )
 
 // Memory-report geometry: 8x8 tiles per benchmark is large enough that the
@@ -22,23 +21,6 @@ const (
 	memWorkers = 8
 	memSeed    = 7
 )
-
-// memRun executes one registered benchmark once under a schedule on a
-// fresh instance and returns the graph's stats and the run's wall time after
-// verifying the result against the serial reference.
-func memRun(ctx context.Context, b bench.Benchmark, v core.Variant, tune func(*cnc.Graph)) (gep.CnCStats, time.Duration, error) {
-	in, err := b.NewInstance(memN, memBase, memSeed)
-	if err != nil {
-		return gep.CnCStats{}, 0, err
-	}
-	start := time.Now()
-	stats, err := in.Run(ctx, v, bench.RunOpts{Workers: memWorkers, Tune: tune})
-	wall := time.Since(start)
-	if err != nil {
-		return stats, wall, err
-	}
-	return stats, wall, in.Verify()
-}
 
 // WriteMemory reports the bounded-memory contract of the CnC runtime on
 // real benchmark graphs: for every GC-enabled schedule of every registered
@@ -71,38 +53,46 @@ func WriteMemory(ctx context.Context, w io.Writer) error {
 
 	var failures []string
 	bounded, degraded := 0, 0
+	// run executes a fresh instance through the checked envelope, which
+	// owns the leak and peak claims; the row prints either way.
+	run := func(b bench.Benchmark, v core.Variant, mode string, limit int64, unbounded time.Duration) (bench.Checked, error) {
+		in, err := b.NewInstance(memN, memBase, memSeed)
+		if err != nil {
+			return bench.Checked{}, err
+		}
+		var tune func(*cnc.Graph)
+		if limit > 0 {
+			tune = func(g *cnc.Graph) { g.WithMemoryLimit(limit) }
+		}
+		c := bench.Check{}.Run(ctx, in, v, bench.RunOpts{Workers: memWorkers, Tune: tune})
+		if err := ctx.Err(); err != nil {
+			return c, err
+		}
+		writeMemRow(w, b.Name(), v.String(), mode, c.Stats, limit, c.Wall, unbounded)
+		switch {
+		case c.Err != nil:
+			failures = append(failures, fmt.Sprintf("%s/%s %s: %v", b.Name(), v, mode, c.Err))
+		case c.PeakLiveItems >= int64(c.ItemsPut):
+			failures = append(failures, fmt.Sprintf("%s/%s %s: peak live %d never dropped below items put %d", b.Name(), v, mode, c.PeakLiveItems, c.ItemsPut))
+		}
+		return c, nil
+	}
 	for _, b := range bench.All() {
-		name := b.Name()
 		for _, v := range variants {
-			if err := ctx.Err(); err != nil {
+			free, err := run(b, v, "unbounded", 0, 0)
+			if err != nil {
 				return err
 			}
-			free, freeWall, err := memRun(ctx, b, v, nil)
+			capped, err := run(b, v, "bounded", free.PeakLiveBytes*95/100, free.Wall)
 			if err != nil {
-				return fmt.Errorf("memory: %s/%s unbounded: %w", name, v, err)
-			}
-			writeMemRow(w, name, v.String(), "unbounded", free.Stats, 0, freeWall, 0)
-			if msg := checkLeakFree(name, v.String(), free.Stats); msg != "" {
-				failures = append(failures, msg)
-			}
-
-			limit := free.PeakLiveBytes * 95 / 100
-			capped, cappedWall, err := memRun(ctx, b, v, func(g *cnc.Graph) { g.WithMemoryLimit(limit) })
-			if err != nil {
-				return fmt.Errorf("memory: %s/%s bounded to %d: %w", name, v, limit, err)
-			}
-			writeMemRow(w, name, v.String(), "bounded", capped.Stats, limit, cappedWall, freeWall)
-			if msg := checkLeakFree(name, v.String(), capped.Stats); msg != "" {
-				failures = append(failures, msg)
+				return err
 			}
 			switch {
+			case capped.Err != nil:
 			case capped.BackpressureStalls > 0:
 				degraded++
-			case capped.PeakLiveBytes <= limit:
-				bounded++
 			default:
-				failures = append(failures, fmt.Sprintf("%s/%s: peak %d bytes exceeds limit %d without reported stalls",
-					name, v, capped.PeakLiveBytes, limit))
+				bounded++
 			}
 		}
 	}
@@ -139,18 +129,4 @@ func writeMemRow(w io.Writer, bench, variant, mode string, s cnc.Stats, limit in
 		bench, variant, mode, s.ItemsPut, s.PeakLiveItems, s.LiveItems, s.ItemsFreed,
 		s.PeakLiveBytes, lim, s.BackpressureWaits, s.BackpressureStalls,
 		float64(wall)/float64(time.Millisecond), ratio, claims)
-}
-
-// checkLeakFree validates the quiesce-time accounting of one run; empty
-// string means every claim held.
-func checkLeakFree(bench, variant string, s cnc.Stats) string {
-	switch {
-	case s.LiveItems != 0:
-		return fmt.Sprintf("%s/%s: %d items live at quiesce (freed %d of %d)", bench, variant, s.LiveItems, s.ItemsFreed, s.ItemsPut)
-	case s.ItemsFreed != int64(s.ItemsPut):
-		return fmt.Sprintf("%s/%s: freed %d of %d items", bench, variant, s.ItemsFreed, s.ItemsPut)
-	case s.PeakLiveItems >= int64(s.ItemsPut):
-		return fmt.Sprintf("%s/%s: peak live %d never dropped below items put %d", bench, variant, s.PeakLiveItems, s.ItemsPut)
-	}
-	return ""
 }

@@ -41,18 +41,14 @@ var paperTable1 = map[int][2]float64{
 	2048: {5.96, 127.06},
 }
 
-// RunTable1 reproduces Table I. The paper traced GE at 8K×8K with PAPI on
-// Skylake (L2 1MB, L3 32MB/core-share). A full 8K trace is ~7·10¹¹
-// simulated accesses, so by default the experiment runs at 1/scale the
-// linear size with cache capacities scaled by 1/scale² (and base sizes by
-// 1/scale), which preserves the blocks-fit-capacity crossovers the table
-// demonstrates; scale=1 runs the paper's exact geometry. L2 and L3 use
-// hashed set indexing like the physical caches PAPI measured.
-func RunTable1(scale int) (*Table1Result, error) {
-	return RunTable1Context(context.Background(), scale)
-}
-
-// RunTable1Context is RunTable1 with cooperative cancellation: checked
+// RunTable1Context reproduces Table I (dpbench -exp table1 -tscale N). The
+// paper traced GE at 8K×8K with PAPI on Skylake (L2 1MB, L3
+// 32MB/core-share). A full 8K trace is ~7·10¹¹ simulated accesses, so by
+// default the experiment runs at 1/scale the linear size with cache
+// capacities scaled by 1/scale² (and base sizes by 1/scale), which
+// preserves the blocks-fit-capacity crossovers the table demonstrates;
+// scale=1 runs the paper's exact geometry. L2 and L3 use hashed set
+// indexing like the physical caches PAPI measured. Cancellation is checked
 // between rows and, because a single full-scale trace can run for minutes,
 // inside each trace between base blocks.
 func RunTable1Context(ctx context.Context, scale int) (*Table1Result, error) {

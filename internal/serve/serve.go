@@ -21,11 +21,12 @@
 // executor design budgets for.
 //
 // Every job gets a cooperative cancellation context (POST
-// /jobs/{id}/cancel), an optional deadline, and a cnc.Watchdog watching
-// the graph's own progress counters — a faulty or wedged job is cancelled
-// by its watchdog instead of holding its admission reservation forever,
-// which is what keeps one tenant's bad job from starving another tenant's
-// queue position.
+// /jobs/{id}/cancel), an optional deadline, and runs inside bench.Check:
+// a watchdog on the job's own progress counter — a faulty or wedged job is
+// cancelled instead of holding its admission reservation forever, which is
+// what keeps one tenant's bad job from starving another tenant's queue
+// position — then verification, the leak rider and, under memory_bytes,
+// the peak rider.
 package serve
 
 import (
@@ -61,9 +62,12 @@ type Config struct {
 	Quotas map[string]int64
 	// DefaultQuota applies to tenants absent from Quotas; 0 = unlimited.
 	DefaultQuota int64
-	// StallWindow is the per-job watchdog window: a running job whose
-	// progress counters do not move for this long is cancelled as stalled.
-	// 0 defaults to 10s; negative disables the watchdog.
+	// StallWindow is the per-job watchdog window (bench.Check): a running
+	// job whose progress counter — items put by its CnC graph, tasks
+	// executed by its fork-join pool — does not move for this long is
+	// cancelled as stalled. A NonBlocking re-put livelock retires steps and
+	// puts tags forever but puts no item, so it stalls too. 0 defaults to
+	// 10s; negative disables the watchdog.
 	StallWindow time.Duration
 	// MaxJobs caps the number of jobs one submission may expand to
 	// (fork-join specs are trees); 0 defaults to 256.
@@ -78,10 +82,10 @@ type JobSpec struct {
 	// empty means "default".
 	Tenant string `json:"tenant,omitempty"`
 
-	// Benchmark is the registry id (ge, sw, fw, ch) of a leaf job.
+	// Benchmark is the registry id (chol, fw, ge, sw) of a leaf job.
 	Benchmark string `json:"benchmark,omitempty"`
 	// Variant is the series label or alias (cnc, tuner, manual, openmp,
-	// nonblocking, serial, serial_rdp); empty means cnc.
+	// nonblocking, serial_rdp); empty means cnc.
 	Variant string `json:"variant,omitempty"`
 	// N is the problem size (required for leaves); Base the base-case size
 	// (default 16); Seed the instance seed.
@@ -240,8 +244,6 @@ func parseVariant(name string) (core.Variant, error) {
 		return core.NonBlockingCnC, nil
 	case "openmp", "omp", "forkjoin":
 		return core.OMPTasking, nil
-	case "serial":
-		return core.SerialLoop, nil
 	case "serial_rdp":
 		return core.SerialRDP, nil
 	}
@@ -447,66 +449,18 @@ func (j *Job) runLeaf(ctx context.Context) (bool, error) {
 		}
 	}
 
-	// The watchdog watches the job's own progress counters and cancels it
-	// on a stall — a wedged job releases its reservation instead of
-	// starving the admission queue. Serial variants have no counters to
+	// The envelope's watchdog watches the job's own progress counter and
+	// cancels it on a stall — a wedged job releases its reservation instead
+	// of starving the admission queue. Serial variants have no counter to
 	// watch; their bound is the deadline.
-	if s.cfg.StallWindow > 0 && (variant.IsCnC() || variant == core.OMPTasking) {
-		runCtx, runCancel := context.WithCancel(ctx)
-		defer runCancel()
-		wd := cnc.NewWatchdog(cnc.WatchdogConfig{
-			Window:   s.cfg.StallWindow,
-			Progress: j.progress,
-			OnStall: func(blocked []string) {
-				j.mu.Lock()
-				j.stalled = true
-				j.mu.Unlock()
-				runCancel()
-			},
-		})
-		wd.Start()
-		defer wd.Stop()
-		ctx = runCtx
-	}
-
-	stats, err := inst.Run(ctx, variant, opts)
+	c := bench.Check{StallWindow: s.cfg.StallWindow}.Run(ctx, inst, variant, opts)
 	j.mu.Lock()
-	j.final = stats.Stats
+	j.final = c.Stats
 	j.haveFinal = true
 	j.graphs = nil // final stands in from here on; a finished job must not pin its item stores
+	j.stalled = c.Stalled
 	j.mu.Unlock()
-	if err != nil {
-		if j.isStalled() {
-			return false, fmt.Errorf("watchdog: no progress for %v: %w", s.cfg.StallWindow, err)
-		}
-		return false, err
-	}
-	if err := inst.Verify(); err != nil {
-		return false, fmt.Errorf("verify: %w", err)
-	}
-	return true, nil
-}
-
-// progress is the watchdog's heartbeat: any counter moving means the job
-// is alive.
-func (j *Job) progress() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var p uint64
-	for _, g := range j.graphs {
-		st := g.Stats()
-		p += st.StepsDone + st.ItemsPut + st.TagsPut
-	}
-	if j.pool != nil {
-		p += j.pool.Stats().Executed
-	}
-	return p
-}
-
-func (j *Job) isStalled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stalled
+	return c.Err == nil, c.Err
 }
 
 func (j *Job) setState(state string) {

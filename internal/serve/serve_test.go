@@ -156,12 +156,13 @@ func TestDynamicForkJoinSpec(t *testing.T) {
 func TestBadSpecsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, bad := range []string{
-		`{"benchmark":"nope","n":32}`,                       // unknown benchmark
-		`{"benchmark":"ge"}`,                                // missing n
-		`{"benchmark":"ge","n":32,"variant":"what"}`,        // unknown variant
-		`{"benchmark":"ge","n":32,"fork":[{"n":1}]}`,        // leaf and fork at once
-		`{"fork":[{"benchmark":"ge"}]}`,                     // child missing n
-		`{"benchmark":"ge","n":32,"unknown_field":"x"}`,     // unknown field
+		`{"benchmark":"nope","n":32}`,                   // unknown benchmark
+		`{"benchmark":"ge"}`,                            // missing n
+		`{"benchmark":"ge","n":32,"variant":"what"}`,    // unknown variant
+		`{"benchmark":"ge","n":32,"variant":"serial"}`,  // a variant the registry does not drive
+		`{"benchmark":"ge","n":32,"fork":[{"n":1}]}`,    // leaf and fork at once
+		`{"fork":[{"benchmark":"ge"}]}`,                 // child missing n
+		`{"benchmark":"ge","n":32,"unknown_field":"x"}`, // unknown field
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad))
 		if err != nil {
