@@ -19,10 +19,10 @@ import (
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 128, 16, 4
 	budget := map[core.Variant]float64{
-		core.NativeCnC:  780, // measured ~625
-		core.TunerCnC:   170, // measured ~130
-		core.ManualCnC:  620, // measured ~490
-		core.OMPTasking: 100, // measured ~11
+		core.NativeCnC:  330, // measured ~261
+		core.TunerCnC:   145, // measured ~116
+		core.ManualCnC:  315, // measured ~251
+		core.OMPTasking: 100, // measured ~14
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()

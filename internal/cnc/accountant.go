@@ -30,17 +30,21 @@ type BackpressureReport struct {
 }
 
 // entry is the non-generic head of a step instance: its read set, the
-// countdown of the cells it still waits for, and — for an instance of a
-// throttled tag put — its place in admission. The accountant's entries are
-// these heads; its runnable set holds the instances themselves.
+// countdown of the cells it still waits for, its link in a cell's wait
+// list, and — for an instance of a throttled tag put — its place in
+// admission. The accountant's entries are these heads; its runnable set
+// holds the instances themselves.
 type entry struct {
 	reads []Dep
-	// remaining counts the cells still awaited plus a +1 sentinel, so the
-	// countdown ends at most once and only after every subscribe call has
-	// been issued.
+	// remaining is two units, the chain's (retired once no read it waits
+	// for is still empty) and a sentinel, so the countdown ends at most once
+	// and only after the chain has started.
 	remaining atomic.Int32
 	// state is written under accountant.mu and read without it.
 	state atomic.Uint32
+	// wnext links the wait list of the cell it is chained on, under that
+	// cell's stripe lock.
+	wnext waiter
 	// cost is the budget a throttled instance reserves at admission.
 	cost int64
 
@@ -97,7 +101,7 @@ func bySeq(w waiter, p *entry) int { return cmp.Compare(w.head().seq, p.seq) }
 // consumers whose completions would free the budget it waits for.
 //
 // A deferred instance waits on its cells the way any tuned instance does:
-// its read set is resolved once, it subscribes to the cells still empty,
+// its read set is resolved once, it is chained on the cells still empty,
 // and the put of its last missing item moves it to the runnable set instead
 // of launching it: an item put costs the instances that read that item, not
 // the whole queue. The readiness gate matters as much as the byte check:

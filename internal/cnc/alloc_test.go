@@ -134,9 +134,10 @@ func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 // attempt → the read before the body misses → park the pooled instance →
 // item put → requeue → re-execution → completion and release. Each cycle
 // uses a fresh key, so it pays for what a miss inherently creates — the
-// item's cell (carved from a slab, so a fraction of an allocation) and the
-// cell's one-entry wait list — and nothing else: no panic, no label string,
-// no closure, no signal object, no boxed key.
+// item's cell, carved from a slab and slotted into the stripe's table, so a
+// fraction of an allocation — and nothing else: the wait list is a chain
+// through the waiting instance itself, and there is no panic, no label
+// string, no closure, no signal object, no boxed key.
 func TestAbortRequeueCycleAllocs(t *testing.T) {
 	g := NewGraph("alloc-abort", 1)
 	in := NewItemCollection[int, int](g, "in")
@@ -174,10 +175,10 @@ func TestAbortRequeueCycleAllocs(t *testing.T) {
 	if s := g.Stats(); s.Aborts != s.Requeues || s.Aborts != s.StepsDone {
 		t.Fatalf("aborts/requeues/done = %d/%d/%d — the gate did not measure the abort cycle", s.Aborts, s.Requeues, s.StepsDone)
 	}
-	// One whole allocation (the wait list); the cell's slab and map-growth
-	// share is well under one and AllocsPerRun truncates it. A panic record,
-	// closure, label or boxed key per abort would make it two.
-	if allocs > 1 {
-		t.Errorf("abort→park→put→requeue→complete cycle allocates %v objects, want at most 1", allocs)
+	// The cell's slab and table-growth share is well under one allocation
+	// and AllocsPerRun truncates it. A wait-list slice, panic record,
+	// closure, label or boxed key per abort would make it one.
+	if allocs != 0 {
+		t.Errorf("abort→park→put→requeue→complete cycle allocates %v objects, want 0", allocs)
 	}
 }

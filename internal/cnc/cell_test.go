@@ -2,6 +2,7 @@ package cnc
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -92,6 +93,43 @@ func TestAbortOnceWithDeclaredGets(t *testing.T) {
 	for i, got := range blocked {
 		if !reflect.DeepEqual(got, want[i:]) {
 			t.Errorf("Blocked() before put %d = %v, want %v", i+1, got, want[i:])
+		}
+	}
+}
+
+// TestReadsArrivingLastFirst runs the abort-once schedule backwards: the
+// items arrive last read first, so the instance stays chained on its first
+// read while the later ones are put, and the one wake continues along reads
+// that are all present. It still aborts once and starts twice, and Blocked
+// lists exactly the items still missing — the later ones probed, not
+// chained on — before each put.
+func TestReadsArrivingLastFirst(t *testing.T) {
+	const k = 4
+	g, in, tags, sum := abortGraph(k, true)
+	var blocked [][]string
+	err := g.Run(func() {
+		tags.Put(0)
+		for i := k; i >= 1; i-- {
+			awaitParked(t, g, 1)
+			blocked = append(blocked, g.Blocked())
+			in.Put(i, i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.Stats()
+	if s.Aborts != 1 || s.Requeues != 1 || s.StepsStarted != 2 || s.StepsDone != 1 {
+		t.Fatalf("aborts/requeues/started/done = %d/%d/%d/%d, want 1/1/2/1",
+			s.Aborts, s.Requeues, s.StepsStarted, s.StepsDone)
+	}
+	if sum.Load() != k*(k+1)/2 || s.LiveItems != 0 {
+		t.Fatalf("sum %d live %d, want %d and 0", sum.Load(), s.LiveItems, k*(k+1)/2)
+	}
+	want := []string{"s@0 <- in[1]", "s@0 <- in[2]", "s@0 <- in[3]", "s@0 <- in[4]"}
+	for i, got := range blocked {
+		if !reflect.DeepEqual(got, want[:k-i]) {
+			t.Errorf("Blocked() before put %d = %v, want %v", i+1, got, want[:k-i])
 		}
 	}
 }
@@ -369,6 +407,59 @@ func TestAbortRequeueStress(t *testing.T) {
 	}
 }
 
+// TestFanInPutRace chains 512 declared instances on the same two cells —
+// half read them in one order, half in the other, so both cells carry a
+// chain — and then puts both items at once from two goroutines, racing each
+// put's wakes against the other put and the chains they continue along.
+// Every instance must complete exactly once, with both items freed and
+// nothing left waiting.
+func TestFanInPutRace(t *testing.T) {
+	const n = 512
+	g := NewGraph("fan-in", 2)
+	in := NewItemCollection[int, int](g, "in").WithGetCount(func(int) int { return n })
+	tags := NewTagCollection[int](g, "t", false)
+	var runs [n]atomic.Int32
+	step := NewStepCollection(g, "s", func(i int) error {
+		runs[i].Add(1)
+		return nil
+	}).WithGetsAppend(func(i int, ds []Dep) []Dep {
+		return append(ds, in.Key(i%2), in.Key(1-i%2))
+	})
+	tags.Prescribe(step)
+	err := g.Run(func() {
+		for i := 0; i < n; i++ {
+			tags.Put(i)
+		}
+		awaitParked(t, g, n)
+		start, done := make(chan struct{}), make(chan struct{}, 2)
+		for k := 0; k < 2; k++ {
+			go func() {
+				<-start
+				in.Put(k, k)
+				done <- struct{}{}
+			}()
+		}
+		close(start)
+		<-done
+		<-done
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if r := runs[i].Load(); r != 1 {
+			t.Fatalf("instance %d completed %d times, want once", i, r)
+		}
+	}
+	s := g.Stats()
+	if s.StepsDone != n || s.Aborts != n || s.Requeues != n {
+		t.Fatalf("done/aborts/requeues = %d/%d/%d, want %d each", s.StepsDone, s.Aborts, s.Requeues, n)
+	}
+	if s.LiveItems != 0 || len(g.Blocked()) != 0 {
+		t.Fatalf("live %d blocked %v, want both items freed and nothing waiting", s.LiveItems, g.Blocked())
+	}
+}
+
 // TestKeyBeforePut: naming an item creates its cell empty — invisible to
 // Len, TryGet and the statistics — and the later Put fills that same cell.
 func TestKeyBeforePut(t *testing.T) {
@@ -396,6 +487,72 @@ func TestKeyBeforePut(t *testing.T) {
 	}
 	if s := g.Stats(); items.Len() != 1 || items.Puts() != 1 || s.LiveItems != 1 || s.ItemsPut != 1 {
 		t.Fatalf("Len %d Puts %d LiveItems %d ItemsPut %d, want 1 each", items.Len(), items.Puts(), s.LiveItems, s.ItemsPut)
+	}
+}
+
+// TestTableGrowthKeepsCells names 12k items with a string-carrying key type
+// before any is put, each through the read set of a triggered instance, so
+// every stripe's table grows several times while cells are waited on. The
+// puts and reads then name the keys with freshly built strings: each must
+// find the cell Key created — waking its instance — through real key
+// equality, not pointer identity.
+func TestTableGrowthKeepsCells(t *testing.T) {
+	type key struct {
+		name string
+		i    int
+	}
+	const n = 12000
+	mk := func(i int) key { return key{fmt.Sprintf("tile-%d", i), i % 7} }
+	g := NewGraph("table-growth", 2)
+	in := NewItemCollection[key, int](g, "in")
+	tags := NewTagCollection[int](g, "t", false)
+	var ran atomic.Int64
+	deps := make([]Dep, n)
+	step := NewStepCollection(g, "s", func(int) error {
+		ran.Add(1)
+		return nil
+	}).WithTunedGetsAppend(TunedTriggered, func(i int, ds []Dep) []Dep {
+		deps[i] = in.Key(mk(i))
+		return append(ds, deps[i])
+	})
+	tags.Prescribe(step)
+	err := g.Run(func() {
+		for i := 0; i < n; i++ {
+			tags.Put(i)
+		}
+		for i := 0; i < n; i++ {
+			in.Put(mk(i), i)
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := in.TryGet(mk(i)); !ok || v != i {
+				t.Errorf("TryGet(%v) = %d, %v, want %d, true", mk(i), v, ok, i)
+			}
+		}
+		if _, ok := in.TryGet(key{"tile-0", 1}); ok {
+			t.Error("TryGet of a key differing in one field found an item")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != n || in.Len() != n || in.Puts() != n {
+		t.Fatalf("ran %d Len %d Puts %d, want %d each", ran.Load(), in.Len(), in.Puts(), n)
+	}
+	cells := 0
+	for i := range in.shards {
+		sh := &in.shards[i]
+		if 4*sh.cells > 3*len(sh.table) {
+			t.Errorf("stripe %d holds %d cells in %d slots, more than ¾ full", i, sh.cells, len(sh.table))
+		}
+		cells += sh.cells
+	}
+	if cells != n+1 {
+		t.Errorf("tables hold %d cells, want %d (every key once, plus the missed probe)", cells, n+1)
+	}
+	for i := 0; i < n; i += 997 {
+		if in.Key(mk(i)) != deps[i] {
+			t.Fatalf("Key(%v) after the growths names a different cell", mk(i))
+		}
 	}
 }
 

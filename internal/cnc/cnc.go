@@ -18,9 +18,9 @@
 // one item that missed, so an instance with k missing inputs aborts k times.
 // Here the runtime reads a declared read set (WithGets, which get-count GC
 // needs anyway) before the body runs: a missing input aborts the attempt
-// before it starts, without unwinding anything, and the instance waits for
-// every declared item still missing and is re-executed once. An undeclared
-// Get that misses unwinds the body and waits for that item.
+// before it starts, without unwinding anything, and the instance waits on
+// the declared items still missing, one at a time, and is re-executed once.
+// An undeclared Get that misses unwinds the body and waits for that item.
 //
 // An item is a write-once cell (empty → present → freed). Whatever waits
 // on, probes or releases an item holds the cell, not the key: only Put, Get,

@@ -53,9 +53,11 @@ type depCell interface {
 	// checker, as Get does.
 	probe() cellState
 	recordGet()
-	// subscribe registers w to be woken once when the item is put. It
-	// returns false — without registering — when the item is not missing.
+	// subscribe chains w on the item's wait list, to be woken once when the
+	// item is put, or returns false when the item is not missing.
 	subscribe(w waiter) bool
+	// peek returns the item's state, recording nothing.
+	peek() cellState
 	// release decrements the item's get-count (no-op on collections without
 	// one), freeing the value at zero.
 	release()
@@ -67,15 +69,15 @@ type depCell interface {
 }
 
 // waiter is a step instance as the item cells and the accountant see it.
-// The label is materialised lazily: deadlock reports and Blocked snapshots
-// are the only readers, so the common case (the item arrives) never pays the
-// fmt.Sprintf. wake takes the burst of the Put that satisfied the wait (nil
+// waitState (its label, and its reads after the cell it is chained on) is
+// lazy: deadlock reports and Blocked snapshots are the only readers, so the
+// common case (the item arrives) never pays the fmt.Sprintf. wake takes the burst of the Put that satisfied the wait (nil
 // when unbatched) so a put that wakes many waiters re-dispatches them with
 // one queue push. head and launch are the accountant's: the instance's
 // non-generic head, and how admission starts a throttled instance whose read
 // set is present.
 type waiter interface {
-	waitLabel() string
+	waitState() (label string, later []Dep)
 	wake(bu *Burst)
 	head() *entry
 	launch(inline bool, bu *Burst)
@@ -144,9 +146,9 @@ func NewStepCollection[T comparable](g *Graph, name string, fn StepFunc[T]) *Ste
 // is a required input: the runtime resolves the read set to cells once per
 // instance and, before each attempt's body runs, reads every item itself as
 // Get would (use-after-free check, discipline record). If one is missing
-// the attempt aborts before the body starts, and the instance waits for
-// every declared item not yet present and is re-executed once; an item
-// declared but never put is a deadlock naming that item.
+// the attempt aborts before the body starts, and the instance waits on the
+// declared items not yet present, one at a time, and is re-executed once;
+// an item declared but never put is a deadlock naming that item.
 //
 // When an instance completes successfully, the runtime releases (decrements
 // the get-count of) every item the declaration names, freeing items whose
@@ -216,21 +218,22 @@ type Named interface{ CollectionName() string }
 func (sc *StepCollection[T]) CollectionName() string { return sc.meta.name }
 
 // instance is one step instance from launch to release, pooled per step
-// collection. It is the exec.Unit the lanes run, the waiter parked on the
-// cells it misses, the owner of its read set — resolved to cells once
-// (stored inline up to four), then read before each attempt, waited on and
-// released through those cells — and, launched by a throttled put, the
+// collection. It is the exec.Unit the lanes run, the waiter chained on the
+// first cell it still misses, the owner of its read set — resolved to cells
+// once (stored inline up to four), then read before each attempt, waited on
+// and released through those cells — and, launched by a throttled put, the
 // accountant's entry. An instance on a wait list is always live — it is
 // recycled only after its last attempt — which is what makes the lazy
-// waitLabel safe for concurrent deadlock reports.
+// waitState safe for concurrent deadlock reports.
 type instance[T comparable] struct {
 	entry
 	sc       *StepCollection[T]
 	tag      T
 	buf      [4]Dep
-	resolved bool // reads holds the declared read set
-	present  bool // every read is present, or the instance waits for it
-	requeue  bool // waiting after an abort, not at launch
+	resume   int32 // the read a wake continues the chain from
+	resolved bool  // reads holds the declared read set
+	present  bool  // every read is present, or the instance waits for it
+	requeue  bool  // waiting after an abort, not at launch
 }
 
 func (sc *StepCollection[T]) acquire(tag T) *instance[T] {
@@ -254,7 +257,7 @@ func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 	}
 	in.resolve()
 	in.present = true
-	in.wait(in.reads, false, bu)
+	in.wait(0, nil, false, bu)
 }
 
 // throttle launches the instance for a tag put through PutThrottled under a
@@ -267,7 +270,7 @@ func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 	in.present = sc.tuned // untuned, the read before the body still probes
 	in.cost = cost
 	in.state.Store(putWaiting)
-	n := in.subscribe(in.reads)
+	n := in.subscribe(0, nil)
 	if sc.g.acct.enqueue(&in.entry, n) {
 		in.launch(true, bu)
 		return
@@ -292,38 +295,62 @@ func (in *instance[T]) dispatch(bu *Burst) {
 	bu.add(in.sc.g, in)
 }
 
-func (in *instance[T]) waitLabel() string {
+func (in *instance[T]) waitState() (string, []Dep) {
+	label := fmt.Sprintf("%s@%v", in.sc.meta.name, in.tag)
 	if in.state.Load() != putAdmitted {
-		return fmt.Sprintf("%s@%v (deferred)", in.sc.meta.name, in.tag)
+		label += " (deferred)"
 	}
-	return fmt.Sprintf("%s@%v", in.sc.meta.name, in.tag)
+	return label, in.reads[in.resume:]
 }
 
-func (in *instance[T]) wake(bu *Burst) { in.arrive(1, false, bu) }
+// wake continues the chain along the reads after the cell that was put,
+// retiring its unit once none is still empty.
+func (in *instance[T]) wake(bu *Burst) {
+	if !in.chain(int(in.resume)) {
+		in.arrive(1, false, bu)
+	}
+}
 
 func (in *instance[T]) head() *entry { return &in.entry }
 
-// wait parks the instance until every cell of ds still empty has been put,
-// then dispatches it again after an abort (requeue) or launches it.
-func (in *instance[T]) wait(ds []Dep, requeue bool, bu *Burst) {
+// wait parks the instance until none of its reads from index i on is still
+// empty — or, given, until the cell an undeclared Get missed is put — then
+// dispatches it again after an abort (requeue) or launches it.
+func (in *instance[T]) wait(i int, missed depCell, requeue bool, bu *Burst) {
 	in.sc.g.parked.Add(1)
 	in.requeue = requeue
-	in.arrive(in.subscribe(ds), !requeue, bu)
+	in.arrive(in.subscribe(i, missed), !requeue, bu)
 }
 
-// subscribe starts the countdown over ds and puts the instance on the wait
-// list of every cell still empty. It returns the units for the caller to
-// retire: the sentinel, plus every cell not subscribed to — so the countdown
-// ends at once when nothing is missing.
-func (in *instance[T]) subscribe(ds []Dep) int32 {
-	in.remaining.Store(int32(len(ds)) + 1)
-	n := int32(1)
-	for _, d := range ds {
-		if !d.c.subscribe(in) {
-			n++
+// subscribe starts the countdown and chains the instance on missed, if
+// given, else on the first of its reads from index i on still empty. It
+// returns the units for the caller to retire: the sentinel, plus the
+// chain's when nothing is missing — so the countdown ends at once.
+func (in *instance[T]) subscribe(i int, missed depCell) int32 {
+	in.remaining.Store(2)
+	if missed != nil {
+		in.resume = int32(len(in.reads)) // the declared reads are present
+		if missed.subscribe(in) {
+			return 1
+		}
+	} else if in.chain(i) {
+		return 1
+	}
+	return 2
+}
+
+// chain puts the instance on the wait list of the first of its reads from
+// index i on still empty, reporting false when none is. resume is written
+// before each subscribe, whose cell lock publishes it to the put that
+// wakes the instance.
+func (in *instance[T]) chain(i int) bool {
+	for ; i < len(in.reads); i++ {
+		in.resume = int32(i + 1)
+		if in.reads[i].c.subscribe(in) {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // arrive retires n units of the countdown and, on the last, launches the
@@ -393,7 +420,7 @@ func (in *instance[T]) Run(int) {
 			// cell): park on it; its Put re-schedules the instance from
 			// scratch, batched with that put's other wakeups.
 			g.stats.aborts.Add(1)
-			in.wait([]Dep{{missed}}, true, nil)
+			in.wait(0, missed, true, nil)
 			return
 		}
 		if uaf, ok := r.(*UseAfterFreeError); ok {
@@ -429,9 +456,9 @@ func (in *instance[T]) Run(int) {
 }
 
 // read reads the declared read set before the body runs, reporting whether
-// the body may run. A missing item aborts the attempt: the instance parks on
-// the cells still empty and is requeued once they are all put. A freed item
-// fails the attempt, never retried — the graph has failed.
+// the body may run. A missing item aborts the attempt: the instance waits on
+// it and each later read still empty, and is requeued once all are put. A
+// freed item fails the attempt, never retried — the graph has failed.
 func (in *instance[T]) read() bool {
 	in.resolve()
 	if !in.present {
@@ -440,7 +467,7 @@ func (in *instance[T]) read() bool {
 			case cellEmpty:
 				in.sc.g.stats.aborts.Add(1)
 				in.present = true // by the time the requeue runs
-				in.wait(in.reads[i:], true, nil)
+				in.wait(i, nil, true, nil)
 				return false
 			case cellFreed:
 				in.recycle()
@@ -657,7 +684,7 @@ func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 // of two so shard selection is a mask). 16 stripes ≈ 2× the largest worker
 // counts the real runs here use, which keeps the probability that two
 // concurrent tile operations collide on a stripe low while the per-shard
-// constant cost (one small map) stays negligible; see DESIGN.md §5e.
+// constant cost (one small table) stays negligible; see DESIGN.md §3.
 const itemShards = 16
 
 // itemShard is one stripe of an ItemCollection: the cells of the keys that
@@ -665,12 +692,15 @@ const itemShards = 16
 // so puts and gets on different tiles proceed on different stripes without
 // serialising.
 type itemShard[K comparable, V any] struct {
-	mu    sync.Mutex
-	ic    *ItemCollection[K, V]
-	cells map[K]*cell[K, V]
+	mu sync.Mutex
+	ic *ItemCollection[K, V]
+	// table indexes the cells by slot hash: open addressing, linear
+	// probing, at most ¾ full, insert-only (a freed cell is a tombstone).
+	table []*cell[K, V]
+	cells int // cells in table
 	live  int // cells in state present (Len)
 	// slab is the chunk new cells are carved from: cells live as long as
-	// the map that names them, so allocating them a chunk at a time costs
+	// the table that names them, so allocating them a chunk at a time costs
 	// nothing in lifetime and keeps a stripe's cells adjacent in memory.
 	slab []cell[K, V]
 }
@@ -688,7 +718,7 @@ const (
 // cell is one item: a write-once value plus its state, its live get-count
 // and the instances waiting for it. Consumers hold the cell (through Dep),
 // not the key, so waiting, probing and releasing cost a lock and no lookup.
-// All fields are guarded by sh.mu. A freed cell stays in the map as the
+// All fields are guarded by sh.mu. A freed cell stays in the table as the
 // tombstone that turns later accesses into deterministic use-after-free
 // errors, but drops its value, so get-count GC still frees real memory.
 type cell[K comparable, V any] struct {
@@ -696,8 +726,9 @@ type cell[K comparable, V any] struct {
 	key       K
 	val       V
 	state     cellState
-	remaining int // live get-count; 0 on a present cell = un-counted (pinned)
-	waiters   []waiter
+	hash      uint32 // the high half of key's hash: its slot in sh.table
+	remaining int    // live get-count; 0 on a present cell = un-counted (pinned)
+	waiters   waiter // the chain's head, linked through entry.wnext
 }
 
 // ItemCollection is a single-assignment associative data collection.
@@ -727,7 +758,6 @@ func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollecti
 	}
 	for i := range ic.shards {
 		ic.shards[i].ic = ic
-		ic.shards[i].cells = make(map[K]*cell[K, V])
 	}
 	g.structMu.Lock()
 	g.items = append(g.items, meta)
@@ -736,24 +766,53 @@ func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollecti
 	return ic
 }
 
-// shardOf maps a key to its stripe.
-func (ic *ItemCollection[K, V]) shardOf(k K) *itemShard[K, V] {
-	return &ic.shards[maphash.Comparable(ic.hashSeed, k)&(itemShards-1)]
+// shardOf hashes k once: the low bits pick its stripe, the high half is its
+// slot hash in the stripe's table.
+func (ic *ItemCollection[K, V]) shardOf(k K) (*itemShard[K, V], uint32) {
+	h := maphash.Comparable(ic.hashSeed, k)
+	return &ic.shards[h&(itemShards-1)], uint32(h >> 32)
 }
 
-// cellOf returns k's cell, creating it empty when the key is new. Callers
-// hold sh.mu.
-func (sh *itemShard[K, V]) cellOf(k K) *cell[K, V] {
-	c := sh.cells[k]
-	if c == nil {
-		if len(sh.slab) == cap(sh.slab) {
-			sh.slab = make([]cell[K, V], 0, min(max(len(sh.cells), 4), 64))
-		}
-		sh.slab = append(sh.slab, cell[K, V]{sh: sh, key: k})
-		c = &sh.slab[len(sh.slab)-1]
-		sh.cells[k] = c
+// cellOf returns k's cell, whose slot hash is h, creating it empty when the
+// key is new. Callers hold sh.mu.
+func (sh *itemShard[K, V]) cellOf(k K, h uint32) *cell[K, V] {
+	if 4*(sh.cells+1) > 3*len(sh.table) {
+		sh.grow()
 	}
+	i := sh.slot(k, h)
+	if c := sh.table[i]; c != nil {
+		return c
+	}
+	if len(sh.slab) == cap(sh.slab) {
+		sh.slab = make([]cell[K, V], 0, min(max(sh.cells, 4), 64))
+	}
+	sh.slab = append(sh.slab, cell[K, V]{sh: sh, key: k, hash: h})
+	c := &sh.slab[len(sh.slab)-1]
+	sh.table[i] = c
+	sh.cells++
 	return c
+}
+
+// slot probes the table for k, whose slot hash is h: the index of its cell,
+// or of the free slot where that belongs.
+func (sh *itemShard[K, V]) slot(k K, h uint32) uint32 {
+	mask := uint32(len(sh.table) - 1)
+	i := h & mask
+	for c := sh.table[i]; c != nil && (c.hash != h || c.key != k); c = sh.table[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the table (the first has 8 slots) and re-slots every cell.
+func (sh *itemShard[K, V]) grow() {
+	old := sh.table
+	sh.table = make([]*cell[K, V], max(2*len(old), 8))
+	for _, c := range old {
+		if c != nil {
+			sh.table[sh.slot(c.key, c.hash)] = c
+		}
+	}
 }
 
 // WithGetCount declares each item's consumer count — Intel CnC's get-count
@@ -809,9 +868,9 @@ func (ic *ItemCollection[K, V]) CollectionName() string { return ic.name }
 // key has not been seen — so it is safe to call from running steps, and the
 // Dep stays valid for the whole run.
 func (ic *ItemCollection[K, V]) Key(k K) Dep {
-	sh := ic.shardOf(k)
+	sh, h := ic.shardOf(k)
 	sh.mu.Lock()
-	c := sh.cellOf(k)
+	c := sh.cellOf(k, h)
 	sh.mu.Unlock()
 	return Dep{c}
 }
@@ -840,9 +899,9 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	// Admission before the shard lock: the budget wait must not block
 	// other gets/puts/frees on this collection (frees are what clear it).
 	ic.g.acct.admitItem(size)
-	sh := ic.shardOf(k)
+	sh, h := ic.shardOf(k)
 	sh.mu.Lock()
-	c := sh.cellOf(k)
+	c := sh.cellOf(k, h)
 	if c.state != cellEmpty {
 		wasFreed := c.state == cellFreed
 		sh.mu.Unlock()
@@ -875,7 +934,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 		// present must also find its first writer in the checker's ledger.
 		dc.RecordPut(ic.name, k, declared, fmt.Sprint(v))
 	}
-	ws := c.waiters
+	w := c.waiters // detach the chain
 	c.waiters = nil
 	if freeNow {
 		c.free()
@@ -903,12 +962,15 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	// waiter this put satisfies lands on the queue in one batch with a
 	// single signalling pass, instead of one push + one worker wake per
 	// waiter. (A lone waiter skips it — a direct push is exactly as cheap.)
-	own := bu == nil && len(ws) > 1
+	own := bu == nil && w != nil && w.head().wnext != nil
 	if own {
 		bu = ic.g.NewBurst()
 	}
-	for _, w := range ws {
+	for w != nil {
+		// Read the link first: the wake may chain w on its next cell.
+		next := w.head().wnext
 		w.wake(bu)
+		w = next
 	}
 	if own {
 		bu.Flush()
@@ -1015,7 +1077,7 @@ func (c *cell[K, V]) subscribe(w waiter) bool {
 	c.sh.mu.Lock()
 	state := c.state
 	if state == cellEmpty {
-		c.waiters = append(c.waiters, w)
+		w.head().wnext, c.waiters = c.waiters, w
 	}
 	c.sh.mu.Unlock()
 	if state == cellFreed {
@@ -1036,9 +1098,9 @@ func (c *cell[K, V]) subscribe(w waiter) bool {
 // with a deterministic UseAfterFreeError (the declared count was too low)
 // instead of parking forever or returning stale data.
 func (ic *ItemCollection[K, V]) Get(k K) V {
-	sh := ic.shardOf(k)
+	sh, h := ic.shardOf(k)
 	sh.mu.Lock()
-	c := sh.cellOf(k)
+	c := sh.cellOf(k, h)
 	v, state := c.val, c.state
 	sh.mu.Unlock()
 	switch state {
@@ -1063,10 +1125,14 @@ func (c *cell[K, V]) recordGet() {
 	}
 }
 
-func (c *cell[K, V]) probe() cellState {
+func (c *cell[K, V]) peek() cellState {
 	c.sh.mu.Lock()
-	state := c.state
-	c.sh.mu.Unlock()
+	defer c.sh.mu.Unlock()
+	return c.state
+}
+
+func (c *cell[K, V]) probe() cellState {
+	state := c.peek()
 	if state == cellFreed {
 		c.useAfterFree()
 	}
@@ -1078,9 +1144,9 @@ func (c *cell[K, V]) probe() cellState {
 // item fails the graph (deterministic use-after-free, like Get) and reports
 // the item as absent.
 func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
-	sh := ic.shardOf(k)
+	sh, h := ic.shardOf(k)
 	sh.mu.Lock()
-	c := sh.cellOf(k)
+	c := sh.cellOf(k, h)
 	v, state := c.val, c.state // the zero V unless present
 	sh.mu.Unlock()
 	if state == cellFreed {
@@ -1105,18 +1171,36 @@ func (ic *ItemCollection[K, V]) Len() int {
 }
 
 // blockedInstances enumerates parked and deferred instances for deadlock
-// reports: one line per (waiter, still-missing item) pair.
+// reports: one line per (waiter, still-missing item) pair — the cell it is
+// chained on, and each later read still empty, probed after unlocking.
 func (ic *ItemCollection[K, V]) blockedInstances() []string {
 	var out []string
+	type later struct {
+		label string
+		d     Dep
+	}
+	var rest []later
 	for i := range ic.shards {
 		sh := &ic.shards[i]
 		sh.mu.Lock()
-		for _, c := range sh.cells {
-			for _, w := range c.waiters {
-				out = append(out, fmt.Sprintf("%s <- %v", w.waitLabel(), c))
+		for _, c := range sh.table {
+			if c == nil {
+				continue
+			}
+			for w := c.waiters; w != nil; w = w.head().wnext {
+				label, ds := w.waitState()
+				out = append(out, fmt.Sprintf("%s <- %v", label, c))
+				for _, d := range ds {
+					rest = append(rest, later{label, d})
+				}
 			}
 		}
 		sh.mu.Unlock()
+	}
+	for _, l := range rest {
+		if l.d.c.peek() == cellEmpty {
+			out = append(out, fmt.Sprintf("%s <- %v", l.label, l.d))
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -18,10 +18,10 @@ import (
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 256, 16, 4
 	budget := map[core.Variant]float64{
-		core.NativeCnC:  1900, // measured ~1530
-		core.TunerCnC:   260,  // measured ~205
-		core.ManualCnC:  1500, // measured ~1190
-		core.OMPTasking: 100,  // measured ~13
+		core.NativeCnC:  530, // measured ~425
+		core.TunerCnC:   205, // measured ~164
+		core.ManualCnC:  535, // measured ~428
+		core.OMPTasking: 100, // measured ~15
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()
