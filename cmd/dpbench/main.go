@@ -1,8 +1,11 @@
 // Command dpbench regenerates the paper's evaluation artifacts: every
 // figure (fig4..fig9, plus the beyond-the-paper Cholesky panel figch),
 // Table I (table1), the §IV-B claims reports (crossover, swspan,
-// bestblock), and the bounded-memory contract report (memory: get-count
-// GC leak freedom plus backpressure under a live-set budget). The
+// bestblock), the bounded-memory contract report (memory: get-count GC
+// leak freedom plus backpressure under a live-set budget), and two views
+// of one benchmark: point (both DAGs' work/span/parallelism and every
+// variant simulated at one (n, base) on one machine) and spec (its CnC
+// specification graph, as text or Graphviz DOT). The
 // benchmark-facing experiments iterate the internal/bench registry, so
 // every registered benchmark — chol, fw, ge, sw — appears in the
 // crossover verification, memory, and dist (sharded multi-process vs
@@ -15,6 +18,8 @@
 //	dpbench -exp fig8 -csv       # CSV instead of aligned tables
 //	dpbench -exp fig5 -scale 2   # quarter-size panels (fast preview)
 //	dpbench -exp table1 -tscale 8
+//	dpbench -exp point -bench ge -n 8192 -base 256 -machine skylake -procs 48
+//	dpbench -exp spec -bench chol -dot
 //	dpbench -exp all -timeout 5m # everything, bounded
 //	dpbench -list
 package main
@@ -28,6 +33,7 @@ import (
 	"os/signal"
 	"strings"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/dist"
 	"dpflow/internal/harness"
 )
@@ -55,6 +61,12 @@ func main() {
 	flag.IntVar(&f.TScale, "tscale", 8, "table1 linear scaling factor (1 = the paper's full 8K trace)")
 	flag.IntVar(&f.MaxTiles, "maxtiles", 256, "skip sweep points with more tiles per side than this (0 = no limit)")
 	flag.IntVar(&f.VerifySample, "verify-sample", 0, "dist: mirror verification rate: every n-th acked put is fetched back and compared (0 = 1-in-16 default, 1 = every put, <0 = never)")
+	flag.StringVar(&f.Bench, "bench", "ge", "point, spec: benchmark ("+bench.NameList()+")")
+	flag.IntVar(&f.N, "n", 4096, "point: problem size (power of two)")
+	flag.IntVar(&f.Base, "base", 128, "point: recursive base size (>= 1)")
+	flag.StringVar(&f.Machine, "machine", "epyc", "point: machine model: epyc, skylake, host")
+	flag.IntVar(&f.Procs, "procs", 0, "point: simulated processor count (0 = the machine's cores)")
+	flag.BoolVar(&f.Dot, "dot", false, "spec: emit Graphviz DOT instead of the CnC textual form")
 	flag.Parse()
 
 	if *list {
@@ -70,6 +82,10 @@ func main() {
 	}
 	if len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "dpbench: unknown or missing -exp %q; one of: %s, or 'all'\n", *exp, idList)
+		os.Exit(2)
+	}
+	if err := f.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "dpbench:", err)
 		os.Exit(2)
 	}
 

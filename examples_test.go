@@ -4,7 +4,9 @@
 package dpflow_test
 
 import (
+	"errors"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -56,9 +58,9 @@ func TestCommandsRun(t *testing.T) {
 		{[]string{"run", "./cmd/dpbench", "-list"}, "fig4"},
 		{[]string{"run", "./cmd/dpbench", "-exp", "fig6", "-scale", "3", "-quiet"}, "CnC_tuner"},
 		{[]string{"run", "./cmd/dpbench", "-exp", "swspan"}, "T^lg3"},
-		{[]string{"run", "./cmd/dpsim", "-bench", "sw", "-n", "512", "-base", "64"}, "parallelism"},
-		{[]string{"run", "./cmd/cncgraph", "-bench", "ge"}, "<funcA_tags> :: (funcA);"},
-		{[]string{"run", "./cmd/cncgraph", "-bench", "fw", "-dot"}, "digraph"},
+		{[]string{"run", "./cmd/dpbench", "-exp", "point", "-bench", "sw", "-n", "512", "-base", "64"}, "parallelism"},
+		{[]string{"run", "./cmd/dpbench", "-exp", "spec", "-bench", "ge"}, "<funcA_tags> :: (funcA);"},
+		{[]string{"run", "./cmd/dpbench", "-exp", "spec", "-bench", "fw", "-dot"}, "digraph"},
 	}
 	for _, c := range cases {
 		c := c
@@ -71,6 +73,35 @@ func TestCommandsRun(t *testing.T) {
 				t.Fatalf("%v output missing %q:\n%.400s", c.args, c.expect, out)
 			}
 		})
+	}
+}
+
+// Malformed flags are usage errors (exit 2) named on stderr, never a
+// panic or a silently repaired value.
+func TestDpbenchRejectsMalformedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("commands are slow")
+	}
+	bin := filepath.Join(t.TempDir(), "dpbench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/dpbench").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-exp", "fig6", "-scale", "-1"},
+		{"-exp", "point", "-n", "0"},
+		{"-exp", "point", "-n", "100"},
+		{"-exp", "point", "-base", "0"},
+		{"-exp", "point", "-machine", "cray"},
+		{"-exp", "spec", "-bench", "nonesuch"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.HasPrefix(string(out), "dpbench: ") || strings.Contains(string(out), "panic") {
+			t.Fatalf("dpbench %v: err %v, want exit 2 without a panic:\n%s", args, err, out)
+		}
+		if strings.Count(string(out), bench.NameList()) > 1 {
+			t.Fatalf("dpbench %v lists the registry twice:\n%s", args, out)
+		}
 	}
 }
 

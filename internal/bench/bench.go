@@ -2,7 +2,7 @@
 // study's DP benchmarks registers one self-describing implementation of the
 // Benchmark interface, and every cross-cutting layer — the analytical model,
 // the figure/claims/memory/sched harness, the chaos matrix, the dist and
-// serve tiers, the dpbench, dpsim, dpverify and dpperf CLIs — reaches it
+// serve tiers, the dpbench, dpverify and dpperf CLIs — reaches it
 // through ByName or All. It is also the only place a core.Variant becomes a
 // call: RunFlow holds the one variant switch, over the gep.Flow each
 // algorithm package (gep, sw, chol, par) exports. Onboarding a new
@@ -145,7 +145,7 @@ func (in *instance[T, K]) Verify() error {
 // both execution models and the paper's analytical-model closed forms.
 type Benchmark interface {
 	// Name is the registry key: the lowercase token CLIs, job specs and
-	// reports use (dpsim -bench <name>).
+	// reports use (dpbench -exp point -bench <name>).
 	Name() string
 
 	// NewInstance builds a fresh problem of size n at the given base size,
@@ -173,7 +173,7 @@ type Benchmark interface {
 
 	// SpecGraph builds the static CnC specification graph — collections
 	// and prescribe/produce/consume edges, Listing 1 style — without
-	// running it (cmd/cncgraph's text and DOT renderings).
+	// running it (dpbench -exp spec's text and DOT renderings).
 	SpecGraph() *cnc.Graph
 
 	// DepCount is the number of pre-declared dependencies / blocking gets

@@ -369,9 +369,9 @@ func (f *Flow[T, K]) Run(ctx context.Context, name string, workers int, variant 
 
 // Spec builds the program's static structure — collections and
 // prescribe/produce/consume edges, the paper's Listing 4 — without running
-// it, for description and visualisation (cmd/cncgraph). The consume edges
-// are read off the relation over the flow's own task space, so build it for
-// a problem of a few tiles.
+// it, for description and visualisation (dpbench -exp spec). The consume
+// edges are read off the relation over the flow's own task space, so build
+// it for a problem of a few tiles.
 func (f *Flow[T, K]) Spec(name string, variant core.Variant) *cnc.Graph {
 	d := f.build(name, 1, variant)
 	seen := map[[2]int]bool{}

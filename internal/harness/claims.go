@@ -22,58 +22,74 @@ import (
 // skipped points are deep in the overhead-dominated regime.
 const maxSweepTiles = 256
 
-// BestOverBases returns the minimum simulated time of a variant over a
-// base-size sweep, and the base achieving it. The sweep checks ctx between
-// points.
-func BestOverBases(ctx context.Context, mach *machine.Machine, b bench.Benchmark, n int, v core.Variant, bases []int) (float64, int, error) {
-	cache := map[string]dag.Graph{}
+// unitCosts prices every task at 1 and every join at 0, so a span is a
+// count of tasks.
+func unitCosts() simsched.Costs {
+	var unit simsched.Costs
+	for k := 0; k < dag.NumKinds; k++ {
+		if dag.Kind(k) != dag.KindJoin {
+			unit.Exec[k] = 1
+		}
+	}
+	return unit
+}
+
+// sweep is the grid of a best-over-bases claims report: every (machine,
+// benchmark, n, variant) row is that point's minimum simulated time over
+// Bases. One run of a report shares one simulator, so one DAG cache.
+type sweep struct {
+	Machines  []func() *machine.Machine
+	Benches   []bench.Benchmark
+	Ns, Bases []int
+}
+
+var paperMachines = []func() *machine.Machine{machine.EPYC64, machine.SKYLAKE192}
+
+// crossover reproduces the paper's two headline claims as a report: with
+// fixed cores, fork-join overtakes data-flow as the input grows; with a
+// fixed problem, moving to the machine with more cores hands the win back
+// to data-flow.
+var crossover = sweep{Machines: paperMachines, Benches: bench.All(),
+	Ns: []int{2048, 4096, 8192, 16384}, Bases: []int{32, 64, 128, 256, 512}}
+
+// bestBlock reproduces the paper's closing observation that the best
+// running times land at interior block sizes (the paper reports 128–256 on
+// its testbeds) for every variant of every benchmark.
+var bestBlock = sweep{Machines: paperMachines, Benches: bench.All(),
+	Ns: []int{8192}, Bases: []int{16, 32, 64, 128, 256, 512, 1024}}
+
+// bestOverBases returns the minimum simulated time of a variant over the
+// sweep's bases, and the base achieving it. After an error in sim (a
+// cancelled ctx included) the result is meaningless.
+func (s sweep) bestOverBases(sim *simulator, mach *machine.Machine, b bench.Benchmark, n int, v core.Variant) (float64, int) {
 	best, bestBase := math.Inf(1), 0
-	for _, base := range bases {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
-		if base > n/2 {
+	for _, base := range s.Bases {
+		if base > n/2 || n/gep.BaseSize(n, base) > maxSweepTiles {
 			continue
 		}
-		if tiles := n / gep.BaseSize(n, base); tiles > maxSweepTiles {
-			continue
-		}
-		t, err := simulatePoint(cache, mach, b, n, base, v)
-		if err != nil {
-			return 0, 0, err
-		}
-		if t < best {
+		if t := sim.point(mach, b, n, base, v); t < best {
 			best, bestBase = t, base
 		}
 	}
-	return best, bestBase, nil
+	return best, bestBase
 }
 
-// WriteCrossover reproduces the paper's two headline claims as a report:
-// with fixed cores, fork-join overtakes data-flow as the input grows; with
-// a fixed problem, moving to the machine with more cores hands the win back
-// to data-flow.
-func WriteCrossover(ctx context.Context, w io.Writer) error {
-	bases := []int{32, 64, 128, 256, 512}
-	for _, b := range bench.All() {
+func (s sweep) writeCrossover(ctx context.Context, w io.Writer) error {
+	sim := newSimulator(ctx)
+	for _, b := range s.Benches {
 		fmt.Fprintf(w, "# crossover: best time over base sweep, %s (data-flow = best CnC variant)\n", b.Name())
 		fmt.Fprintf(w, "%12s %8s %14s %14s %10s\n", "machine", "n", "data-flow", "fork-join", "winner")
-		for _, mk := range []func() *machine.Machine{machine.EPYC64, machine.SKYLAKE192} {
+		for _, mk := range s.Machines {
 			mach := mk()
-			for _, n := range []int{2048, 4096, 8192, 16384} {
+			for _, n := range s.Ns {
 				df := math.Inf(1)
 				for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
-					t, _, err := BestOverBases(ctx, mach, b, n, v, bases)
-					if err != nil {
-						return err
-					}
-					if t < df {
-						df = t
-					}
+					t, _ := s.bestOverBases(sim, mach, b, n, v)
+					df = min(df, t)
 				}
-				fj, _, err := BestOverBases(ctx, mach, b, n, core.OMPTasking, bases)
-				if err != nil {
-					return err
+				fj, _ := s.bestOverBases(sim, mach, b, n, core.OMPTasking)
+				if sim.err != nil {
+					return sim.err
 				}
 				winner := "data-flow"
 				if fj < df {
@@ -89,9 +105,10 @@ func WriteCrossover(ctx context.Context, w io.Writer) error {
 
 // writeCrossoverVerification grounds the simulated tables in real runs:
 // every registered benchmark executes every parallel variant on a small
-// instance and is checked against its serial reference. A benchmark that
-// simulates but cannot run — or runs but disagrees with its reference —
-// fails the experiment instead of shipping an unverified table.
+// instance inside the checked envelope (bench.Check: its serial reference
+// and the leak rider). A benchmark that simulates but cannot run — or runs
+// but disagrees with its reference — fails the experiment instead of
+// shipping an unverified table.
 func writeCrossoverVerification(ctx context.Context, w io.Writer) error {
 	const (
 		verifyN       = 128
@@ -113,14 +130,11 @@ func writeCrossoverVerification(ctx context.Context, w io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("crossover verify %s: %w", b.Name(), err)
 			}
-			stats, err := in.Run(ctx, v, bench.RunOpts{Workers: verifyWorkers, Pool: pool})
-			if err != nil {
-				return fmt.Errorf("crossover verify %s/%v: %w", b.Name(), v, err)
+			c := bench.Check{}.Run(ctx, in, v, bench.RunOpts{Workers: verifyWorkers, Pool: pool})
+			if c.Err != nil {
+				return fmt.Errorf("crossover verify %s/%v: %w", b.Name(), v, c.Err)
 			}
-			if err := in.Verify(); err != nil {
-				return fmt.Errorf("crossover verify %s/%v: %w", b.Name(), v, err)
-			}
-			fmt.Fprintf(w, "%10s %14s %12d %12s\n", b.Name(), v, stats.BaseTasks, "ok")
+			fmt.Fprintf(w, "%10s %14s %12d %12s\n", b.Name(), v, c.BaseTasks, "ok")
 		}
 	}
 	return nil
@@ -131,65 +145,46 @@ func writeCrossoverVerification(ctx context.Context, w io.Writer) error {
 // data-flow span grows like 2T-1, so the artificial-dependency penalty is
 // unbounded.
 func WriteSWSpan(ctx context.Context, w io.Writer) error {
-	var unit simsched.Costs
-	for k := 0; k < dag.NumKinds; k++ {
-		if dag.Kind(k) != dag.KindJoin {
-			unit.Exec[k] = 1
-		}
-	}
+	unit, sim := unitCosts(), newSimulator(ctx)
 	fmt.Fprintln(w, "# swspan: critical path length (in unit tasks) of R-DP Smith-Waterman")
 	fmt.Fprintf(w, "%8s %12s %12s %8s %22s\n", "tiles", "data-flow", "fork-join", "ratio", "theory fj = T^lg3")
 	for _, tiles := range []int{4, 8, 16, 32, 64, 128} {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		df, err := simsched.Simulate(dag.NewSWDataflow(tiles), 0, unit)
-		if err != nil {
-			return err
-		}
-		fj, err := simsched.Simulate(dag.NewSWForkJoin(tiles), 0, unit)
-		if err != nil {
-			return err
+		df := sim.run(dag.NewSWDataflow(tiles), 0, unit).Makespan
+		fj := sim.run(dag.NewSWForkJoin(tiles), 0, unit).Makespan
+		if sim.err != nil {
+			return sim.err
 		}
 		fmt.Fprintf(w, "%8d %12.0f %12.0f %8.2f %22.0f\n",
-			tiles, df.Makespan, fj.Makespan, fj.Makespan/df.Makespan,
-			math.Pow(float64(tiles), math.Log2(3)))
+			tiles, df, fj, fj/df, math.Pow(float64(tiles), math.Log2(3)))
 	}
 	fmt.Fprintln(w, "\n# GE spans for comparison (A->B/C->D chain: data-flow = 3T-2)")
 	fmt.Fprintf(w, "%8s %12s %12s %8s\n", "tiles", "data-flow", "fork-join", "ratio")
 	for _, tiles := range []int{4, 8, 16, 32, 64} {
-		if err := ctx.Err(); err != nil {
-			return err
+		df := sim.run(dag.NewGEPDataflow(tiles, gep.Triangular), 0, unit).Makespan
+		fj := sim.run(dag.NewGEPForkJoin(tiles, gep.Triangular), 0, unit).Makespan
+		if sim.err != nil {
+			return sim.err
 		}
-		df, err := simsched.Simulate(dag.NewGEPDataflow(tiles, gep.Triangular), 0, unit)
-		if err != nil {
-			return err
-		}
-		fj, err := simsched.Simulate(dag.NewGEPForkJoin(tiles, gep.Triangular), 0, unit)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%8d %12.0f %12.0f %8.2f\n", tiles, df.Makespan, fj.Makespan, fj.Makespan/df.Makespan)
+		fmt.Fprintf(w, "%8d %12.0f %12.0f %8.2f\n", tiles, df, fj, fj/df)
 	}
 	return nil
 }
 
-// WriteBestBlock reproduces the paper's closing observation that the best
-// running times land at interior block sizes (the paper reports 128–256 on
-// its testbeds) for every variant of every benchmark.
-func WriteBestBlock(ctx context.Context, w io.Writer) error {
-	bases := []int{16, 32, 64, 128, 256, 512, 1024}
-	fmt.Fprintln(w, "# bestblock: argmin base size per benchmark/machine/variant, n=8192")
-	fmt.Fprintf(w, "%12s %10s %14s %10s %14s\n", "machine", "bench", "variant", "best base", "time")
-	for _, mk := range []func() *machine.Machine{machine.EPYC64, machine.SKYLAKE192} {
-		mach := mk()
-		for _, b := range bench.All() {
-			for _, v := range core.ParallelVariants {
-				t, base, err := BestOverBases(ctx, mach, b, 8192, v, bases)
-				if err != nil {
-					return err
+func (s sweep) writeBestBlock(ctx context.Context, w io.Writer) error {
+	sim := newSimulator(ctx)
+	for _, n := range s.Ns {
+		fmt.Fprintf(w, "# bestblock: argmin base size per benchmark/machine/variant, n=%d\n", n)
+		fmt.Fprintf(w, "%12s %10s %14s %10s %14s\n", "machine", "bench", "variant", "best base", "time")
+		for _, mk := range s.Machines {
+			mach := mk()
+			for _, b := range s.Benches {
+				for _, v := range core.ParallelVariants {
+					t, base := s.bestOverBases(sim, mach, b, n, v)
+					if sim.err != nil {
+						return sim.err
+					}
+					fmt.Fprintf(w, "%12s %10s %14s %10d %14.4f\n", mach.Name, b.Name(), v, base, t)
 				}
-				fmt.Fprintf(w, "%12s %10s %14s %10d %14.4f\n", mach.Name, b.Name(), v, base, t)
 			}
 		}
 	}
@@ -208,45 +203,29 @@ func WriteRWay(ctx context.Context, w io.Writer) error {
 		base  = 128
 		tiles = n / base // 64
 	)
-	var unit simsched.Costs
-	for k := 0; k < dag.NumKinds; k++ {
-		if dag.Kind(k) != dag.KindJoin {
-			unit.Exec[k] = 1
-		}
-	}
 	ge, err := bench.ByName("ge")
 	if err != nil {
 		return err
 	}
-	costs := func(v core.Variant, total int) simsched.Costs {
-		return model.CostsFor(mach, ge, n, base, v, total)
-	}
+	unit, sim := unitCosts(), newSimulator(ctx)
 	df := ge.Dataflow(tiles)
-	dfSpan, err := simsched.Simulate(df, 0, unit)
-	if err != nil {
-		return err
-	}
-	dfTime, err := simsched.Simulate(df, mach.Cores, costs(core.NativeCnC, df.Len()))
-	if err != nil {
-		return err
+	dfSpan := sim.run(df, 0, unit).Makespan
+	dfTime := sim.run(df, mach.Cores, model.CostsFor(mach, ge, n, base, core.NativeCnC, df.Len())).Makespan
+	if sim.err != nil {
+		return sim.err
 	}
 	fmt.Fprintf(w, "# rway: r-way fork-join GE, n=%d base=%d (%d tiles) on %s\n", n, base, tiles, mach.Name)
 	fmt.Fprintf(w, "%10s %14s %14s %14s\n", "r", "span (tasks)", "sim time (s)", "vs data-flow")
-	fmt.Fprintf(w, "%10s %14.0f %14.4f %14s\n", "data-flow", dfSpan.Makespan, dfTime.Makespan, "1.00")
+	fmt.Fprintf(w, "%10s %14.0f %14.4f %14s\n", "data-flow", dfSpan, dfTime, "1.00")
+	fjCosts := model.CostsFor(mach, ge, n, base, core.OMPTasking, df.Len())
 	for _, r := range []int{2, 4, 8, tiles} {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		g := dag.NewGEPForkJoinR(tiles, r, gep.Triangular)
-		span, err := simsched.Simulate(g, 0, unit)
-		if err != nil {
-			return err
+		span := sim.run(g, 0, unit).Makespan
+		t := sim.run(g, mach.Cores, fjCosts).Makespan
+		if sim.err != nil {
+			return sim.err
 		}
-		sim, err := simsched.Simulate(g, mach.Cores, costs(core.OMPTasking, df.Len()))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%10d %14.0f %14.4f %14.2f\n", r, span.Makespan, sim.Makespan, sim.Makespan/dfTime.Makespan)
+		fmt.Fprintf(w, "%10d %14.0f %14.4f %14.2f\n", r, span, t, t/dfTime)
 	}
 	return nil
 }
@@ -267,10 +246,9 @@ func WriteComputeOn(ctx context.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tiles := n / gep.BaseSize(n, base)
-	df := ge.Dataflow(tiles).(*dag.GEPDataflow)
-	costs := model.CostsFor(mach, ge, n, base, core.TunerCnC, df.Len())
 	m := gep.BaseSize(n, base)
+	df := ge.Dataflow(n / m).(*dag.GEPDataflow)
+	costs := model.CostsFor(mach, ge, n, base, core.TunerCnC, df.Len())
 	// A migrated tile re-streams its working set across the interconnect.
 	penalty := float64(bench.WorkingSetBytes(m)) / 64.0 * mach.MemMissCost
 	home := func(id int) int {
@@ -292,7 +270,6 @@ func WriteComputeOn(ctx context.Context, w io.Writer) error {
 			Home:           home,
 			MigratePenalty: penalty,
 			PreferHome:     pol.prefer,
-			ScanLimit:      256,
 		})
 		if err != nil {
 			return err
@@ -313,41 +290,29 @@ func WriteScaling(ctx context.Context, w io.Writer) error {
 	)
 	mach := machine.EPYC64() // cost constants; the core count is swept
 	fmt.Fprintf(w, "# scaling: simulated strong scaling, n=%d base=%d (%s cost model)\n", n, base, mach.Name)
+	sim := newSimulator(ctx)
 	for _, b := range bench.All() {
 		tiles := n / gep.BaseSize(n, base)
 		df, fj := b.Dataflow(tiles), b.ForkJoin(tiles)
 		dfCosts := model.CostsFor(mach, b, n, base, core.NativeCnC, df.Len())
 		fjCosts := model.CostsFor(mach, b, n, base, core.OMPTasking, df.Len())
-		dfOne, err := simsched.Simulate(df, 1, dfCosts)
-		if err != nil {
-			return err
-		}
-		fjOne, err := simsched.Simulate(fj, 1, fjCosts)
-		if err != nil {
-			return err
-		}
+		dfOne := sim.run(df, 1, dfCosts).Makespan
+		fjOne := sim.run(fj, 1, fjCosts).Makespan
 		fmt.Fprintf(w, "\n## %s (%d tiles/side)\n", b.Name(), tiles)
 		fmt.Fprintf(w, "%8s %14s %12s %14s %12s %10s\n",
 			"P", "data-flow (s)", "speedup", "fork-join (s)", "speedup", "winner")
 		for _, p := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rdf, err := simsched.Simulate(df, p, dfCosts)
-			if err != nil {
-				return err
-			}
-			rfj, err := simsched.Simulate(fj, p, fjCosts)
-			if err != nil {
-				return err
+			tdf := sim.run(df, p, dfCosts).Makespan
+			tfj := sim.run(fj, p, fjCosts).Makespan
+			if sim.err != nil {
+				return sim.err
 			}
 			winner := "data-flow"
-			if rfj.Makespan < rdf.Makespan {
+			if tfj < tdf {
 				winner = "fork-join"
 			}
 			fmt.Fprintf(w, "%8d %14.4f %12.1f %14.4f %12.1f %10s\n",
-				p, rdf.Makespan, dfOne.Makespan/rdf.Makespan,
-				rfj.Makespan, fjOne.Makespan/rfj.Makespan, winner)
+				p, tdf, dfOne/tdf, tfj, fjOne/tfj, winner)
 		}
 	}
 	return nil
@@ -370,10 +335,9 @@ func WriteCluster(ctx context.Context, w io.Writer) error {
 		return err
 	}
 	for _, base := range []int{128, 512} {
-		tiles := n / gep.BaseSize(n, base)
-		g := ge.Dataflow(tiles).(*dag.GEPDataflow)
-		costs := model.CostsFor(mach, ge, n, base, core.NativeCnC, g.Len())
 		m := gep.BaseSize(n, base)
+		g := ge.Dataflow(n / m).(*dag.GEPDataflow)
+		costs := model.CostsFor(mach, ge, n, base, core.NativeCnC, g.Len())
 		transfer := float64(m*m*8) / (10 << 30) // tile over 10 GiB/s links
 		var t1 float64
 		for _, nodes := range []int{1, 2, 4, 8, 16} {
@@ -383,11 +347,8 @@ func WriteCluster(ctx context.Context, w io.Writer) error {
 			pr := 1
 			for pr*pr < nodes {
 				pr *= 2
-			} // process grid pr x nodes/pr
+			} // process grid pr x nodes/pr; pr <= nodes, so pc >= 1
 			pc := nodes / pr
-			if pc == 0 {
-				pc = 1
-			}
 			home := func(id int) int {
 				i, j, _ := g.Coords(id)
 				return (i%pr)*pc + (j % pc)
@@ -423,27 +384,19 @@ func WriteSWWave(ctx context.Context, w io.Writer) error {
 	const n = 8192
 	fmt.Fprintf(w, "# swwave: three SW schedules, n=%d on %s\n", n, mach.Name)
 	fmt.Fprintf(w, "%8s %18s %18s %18s\n", "base", "fj-recursion (s)", "fj-wavefront (s)", "data-flow (s)")
+	sim := newSimulator(ctx)
 	for _, base := range []int{64, 128, 256, 512} {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		tiles := n / gep.BaseSize(n, base)
 		df := sw.Dataflow(tiles)
 		costsFJ := model.CostsFor(mach, sw, n, base, core.OMPTasking, df.Len())
 		costsDF := model.CostsFor(mach, sw, n, base, core.NativeCnC, df.Len())
-		rec, err := simsched.Simulate(sw.ForkJoin(tiles), mach.Cores, costsFJ)
-		if err != nil {
-			return err
+		rec := sim.run(sw.ForkJoin(tiles), mach.Cores, costsFJ).Makespan
+		wave := sim.run(dag.NewSWWavefrontBarrier(tiles), mach.Cores, costsFJ).Makespan
+		flow := sim.run(df, mach.Cores, costsDF).Makespan
+		if sim.err != nil {
+			return sim.err
 		}
-		wave, err := simsched.Simulate(dag.NewSWWavefrontBarrier(tiles), mach.Cores, costsFJ)
-		if err != nil {
-			return err
-		}
-		flow, err := simsched.Simulate(df, mach.Cores, costsDF)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%8d %18.4f %18.4f %18.4f\n", base, rec.Makespan, wave.Makespan, flow.Makespan)
+		fmt.Fprintf(w, "%8d %18.4f %18.4f %18.4f\n", base, rec, wave, flow)
 	}
 	return nil
 }

@@ -5,39 +5,35 @@ import (
 	"io"
 )
 
-// jsonFigure is the export schema of a figure result.
-type jsonFigure struct {
-	Experiment string      `json:"experiment"`
-	Title      string      `json:"title"`
-	Bench      string      `json:"bench"`
-	Machine    string      `json:"machine"`
-	Panels     []jsonPanel `json:"panels"`
-}
-
-type jsonPanel struct {
-	N      int          `json:"n"`
-	Bases  []int        `json:"bases"`
-	Series []jsonSeries `json:"series"`
-}
-
-type jsonSeries struct {
-	Label   string    `json:"label"`
-	Seconds []float64 `json:"seconds"`
-}
-
 // WriteJSON renders the result as one JSON document, suitable for external
-// plotting tools.
+// plotting tools: the experiment, then per panel its bases and one seconds
+// array per series.
 func (r *FigureResult) WriteJSON(w io.Writer) error {
-	out := jsonFigure{
+	type series struct {
+		Label   string    `json:"label"`
+		Seconds []float64 `json:"seconds"`
+	}
+	type panel struct {
+		N      int      `json:"n"`
+		Bases  []int    `json:"bases"`
+		Series []series `json:"series"`
+	}
+	out := struct {
+		Experiment string  `json:"experiment"`
+		Title      string  `json:"title"`
+		Bench      string  `json:"bench"`
+		Machine    string  `json:"machine"`
+		Panels     []panel `json:"panels"`
+	}{
 		Experiment: r.Exp.ID,
 		Title:      r.Exp.Title,
 		Bench:      r.Exp.Bench,
 		Machine:    r.Exp.Machine().Name,
 	}
 	for _, p := range r.Panels {
-		jp := jsonPanel{N: p.N, Bases: p.Bases}
+		jp := panel{N: p.N, Bases: p.Bases}
 		for _, s := range p.Series {
-			js := jsonSeries{Label: s.Label}
+			js := series{Label: s.Label}
 			for _, pt := range s.Points {
 				js.Seconds = append(js.Seconds, pt.Seconds)
 			}

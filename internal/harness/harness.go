@@ -109,11 +109,25 @@ func FigureByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// graphFor builds (or fetches from cache) the task graph of one sweep
-// point. Data-flow graphs are shared across the three CnC variants.
-func graphFor(cache map[string]dag.Graph, b bench.Benchmark, tiles int, m core.Model) dag.Graph {
+// simulator runs an experiment's simulations. It caches every DAG it
+// builds by benchmark, tile count and model (data-flow graphs serve all
+// three CnC variants; (2048, 64) and (4096, 128) share one graph), and
+// keeps the first error — a cancelled ctx or a cyclic graph — so a report
+// checks once per row and nothing runs after the error.
+type simulator struct {
+	ctx    context.Context
+	err    error
+	graphs map[string]dag.Graph
+}
+
+func newSimulator(ctx context.Context) *simulator {
+	return &simulator{ctx: ctx, graphs: map[string]dag.Graph{}}
+}
+
+// graph builds, or fetches from the cache, b's DAG at tiles per side.
+func (s *simulator) graph(b bench.Benchmark, tiles int, m core.Model) dag.Graph {
 	key := fmt.Sprintf("%s/%d/%d", b.Name(), tiles, m)
-	if g, ok := cache[key]; ok {
+	if g, ok := s.graphs[key]; ok {
 		return g
 	}
 	var g dag.Graph
@@ -122,35 +136,51 @@ func graphFor(cache map[string]dag.Graph, b bench.Benchmark, tiles int, m core.M
 	} else {
 		g = b.Dataflow(tiles)
 	}
-	cache[key] = g
+	s.graphs[key] = g
 	return g
+}
+
+// run simulates g on p processors (p <= 0: unbounded, so Makespan is the
+// span). After the first error it returns a zero Result.
+func (s *simulator) run(g dag.Graph, p int, c simsched.Costs) simsched.Result {
+	if s.err == nil {
+		s.err = s.ctx.Err()
+	}
+	if s.err != nil {
+		return simsched.Result{}
+	}
+	r, err := simsched.Simulate(g, p, c)
+	s.err = err
+	return r
+}
+
+// point returns the simulated time of one (machine, bench, n, base,
+// variant) point through the model + simulator.
+func (s *simulator) point(mach *machine.Machine, b bench.Benchmark, n, base int, v core.Variant) float64 {
+	tiles := n / gep.BaseSize(n, base)
+	df := s.graph(b, tiles, core.DataFlow)
+	g := df
+	if v == core.OMPTasking {
+		g = s.graph(b, tiles, core.ForkJoin)
+	}
+	return s.run(g, mach.Cores, model.CostsFor(mach, b, n, base, v, df.Len())).Makespan
 }
 
 // SimulatePoint runs one (machine, bench, n, base, variant) point through
 // the model + simulator and returns the predicted execution time.
 func SimulatePoint(mach *machine.Machine, b bench.Benchmark, n, base int, v core.Variant) (float64, error) {
-	return simulatePoint(map[string]dag.Graph{}, mach, b, n, base, v)
-}
-
-func simulatePoint(cache map[string]dag.Graph, mach *machine.Machine, b bench.Benchmark, n, base int, v core.Variant) (float64, error) {
-	tiles := n / gep.BaseSize(n, base)
-	df := graphFor(cache, b, tiles, core.DataFlow)
-	g := df
-	if v == core.OMPTasking {
-		g = graphFor(cache, b, tiles, core.ForkJoin)
-	}
-	costs := model.CostsFor(mach, b, n, base, v, df.Len())
-	r, err := simsched.Simulate(g, mach.Cores, costs)
-	if err != nil {
-		return 0, err
-	}
-	return r.Makespan, nil
+	sim := newSimulator(context.Background())
+	secs := sim.point(mach, b, n, base, v)
+	return secs, sim.err
 }
 
 // RunContext executes the experiment. The sweep checks ctx between points,
 // so a deadline or interrupt abandons the remaining points and returns
 // ctx.Err() instead of a partial result.
 func (e Experiment) RunContext(ctx context.Context, opts Options) (*FigureResult, error) {
+	if opts.Scale < 0 {
+		return nil, fmt.Errorf("%s: scale %d must be >= 0", e.ID, opts.Scale)
+	}
 	mach := e.Machine()
 	bm, err := bench.ByName(e.Bench)
 	if err != nil {
@@ -163,18 +193,14 @@ func (e Experiment) RunContext(ctx context.Context, opts Options) (*FigureResult
 			continue
 		}
 		panel := Panel{N: n}
-		labels := []string{}
+		var series []core.Series
 		for _, v := range core.ParallelVariants {
-			labels = append(labels, v.String())
+			series = append(series, core.Series{Label: v.String()})
 		}
 		if e.Estimated {
-			labels = append(labels, "Estimated")
+			series = append(series, core.Series{Label: "Estimated"})
 		}
-		series := make([]core.Series, len(labels))
-		for i, l := range labels {
-			series[i] = core.Series{Label: l}
-		}
-		cache := map[string]dag.Graph{}
+		sim := newSimulator(ctx)
 		for _, base := range e.BasesFor(fullN) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -188,21 +214,20 @@ func (e Experiment) RunContext(ctx context.Context, opts Options) (*FigureResult
 				continue
 			}
 			panel.Bases = append(panel.Bases, b)
-			for i, v := range core.ParallelVariants {
-				secs, err := simulatePoint(cache, mach, bm, n, b, v)
-				if err != nil {
-					return nil, fmt.Errorf("%s n=%d base=%d %v: %w", e.ID, n, b, v, err)
-				}
+			add := func(i int, secs float64) {
 				series[i].Points = append(series[i].Points, core.Point{
-					Bench: bm.Name(), Machine: mach.Name, Variant: v.String(),
+					Bench: bm.Name(), Machine: mach.Name, Variant: series[i].Label,
 					N: n, Base: b, Seconds: secs,
 				})
 			}
+			for i, v := range core.ParallelVariants {
+				add(i, sim.point(mach, bm, n, b, v))
+				if sim.err != nil {
+					return nil, fmt.Errorf("%s n=%d base=%d %v: %w", e.ID, n, b, v, sim.err)
+				}
+			}
 			if e.Estimated {
-				series[len(series)-1].Points = append(series[len(series)-1].Points, core.Point{
-					Bench: bm.Name(), Machine: mach.Name, Variant: "Estimated",
-					N: n, Base: b, Seconds: model.EstimatedTime(mach, bm, n, b),
-				})
+				add(len(series)-1, model.EstimatedTime(mach, bm, n, b))
 			}
 		}
 		panel.Series = series
@@ -286,16 +311,22 @@ type Report struct {
 }
 
 // ReportFlags are dpbench's flags: the sweep Options of the figures plus
-// the two flags the other reports take (table1's scale, dist's sampling).
+// the flags the other reports take.
 type ReportFlags struct {
 	Options
-	CSV, JSON    bool // figures: output format (default aligned tables)
-	TScale       int  // table1: linear scaling factor (1 = the paper's full 8K trace)
-	VerifySample int  // dist: mirror verification rate
+	CSV, JSON    bool   // figures: output format (default aligned tables)
+	TScale       int    // table1: linear scaling factor (1 = the paper's full 8K trace)
+	VerifySample int    // dist: mirror verification rate
+	Bench        string // point, spec: registry name
+	N, Base      int    // point: problem size (a power of two) and recursion base (>= 1)
+	Machine      string // point: epyc, skylake or host
+	Procs        int    // point: simulated processors (0 = the machine's cores)
+	Dot          bool   // spec: Graphviz DOT instead of the CnC textual form
 }
 
 // Reports is the one table of experiments — the figures, Table I, the
-// derived claims and the real-run reports — sorted by id. dpbench's -list,
+// derived claims, the real-run reports, one simulated point in depth and a
+// benchmark's CnC specification — sorted by id. dpbench's -list,
 // -exp all and dispatch all read it, so an id cannot be listed without
 // being runnable or the reverse. The entries read *f when they run, so the
 // table can be built before the flags are parsed.
@@ -309,9 +340,9 @@ func Reports(f *ReportFlags) []Report {
 			res.WriteTable(w)
 			return nil
 		}},
-		{ID: "crossover", Run: WriteCrossover},
+		{ID: "crossover", Run: crossover.writeCrossover},
 		{ID: "swspan", Run: WriteSWSpan},
-		{ID: "bestblock", Run: WriteBestBlock},
+		{ID: "bestblock", Run: bestBlock.writeBestBlock},
 		{ID: "rway", Run: WriteRWay},
 		{ID: "computeon", Run: WriteComputeOn},
 		{ID: "scaling", Run: WriteScaling},
@@ -321,6 +352,8 @@ func Reports(f *ReportFlags) []Report {
 		{ID: "dist", Run: func(ctx context.Context, w io.Writer) error {
 			return WriteDist(ctx, w, f.VerifySample)
 		}},
+		{ID: "point", Run: f.writePoint},
+		{ID: "spec", Run: f.writeSpec},
 	}
 	for _, e := range Figures() {
 		rs = append(rs, Report{ID: e.ID, Run: func(ctx context.Context, w io.Writer) error {

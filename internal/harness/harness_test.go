@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,7 +65,7 @@ func TestReportsTable(t *testing.T) {
 			t.Fatalf("figure %s missing from the report table", f.ID)
 		}
 	}
-	for _, id := range []string{"table1", "crossover", "memory", "dist"} {
+	for _, id := range []string{"table1", "crossover", "memory", "dist", "point", "spec"} {
 		if !ids[id] {
 			t.Fatalf("report table missing %s", id)
 		}
@@ -186,15 +189,42 @@ func mustGE(t *testing.T) bench.Benchmark {
 
 func TestBestOverBases(t *testing.T) {
 	mach := machine.EPYC64()
-	best, base, err := BestOverBases(context.Background(), mach, mustGE(t), 2048, core.TunerCnC, []int{32, 64, 128})
-	if err != nil {
-		t.Fatal(err)
+	sim := newSimulator(context.Background())
+	best, base := sweep{Bases: []int{32, 64, 128}}.bestOverBases(sim, mach, mustGE(t), 2048, core.TunerCnC)
+	if sim.err != nil {
+		t.Fatal(sim.err)
 	}
 	if best <= 0 || base == 0 {
 		t.Fatalf("best=%v base=%d", best, base)
 	}
 }
 
+// requireCommitted fails unless every line of out appears verbatim, and in
+// order, in the committed results/<id>.txt. The tests regenerate a cheap
+// slice of a report; CI regenerates the full file and diffs it.
+func requireCommitted(t *testing.T, id, out string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := strings.Split(string(data), "\n")
+	i := 0
+	for _, line := range strings.Split(out, "\n") {
+		for i < len(committed) && committed[i] != line {
+			i++
+		}
+		if i == len(committed) {
+			t.Fatalf("results/%s.txt has no line %q (in order) — regenerate it with dpbench -exp %s -quiet:\n%s", id, line, id, out)
+		}
+		i++
+	}
+	return committed
+}
+
+// The claims reports reproduce their committed rows: swspan whole, and
+// bestblock's sw rows (its ge/fw/chol rows simulate graphs of up to 16M
+// tasks; CI regenerates the whole file).
 func TestClaimsReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims sweep is slow")
@@ -206,33 +236,53 @@ func TestClaimsReports(t *testing.T) {
 	if !strings.Contains(sb.String(), "swspan") {
 		t.Fatal("swspan header missing")
 	}
+	requireCommitted(t, "swspan", sb.String())
 	sb.Reset()
-	if err := WriteBestBlock(context.Background(), &sb); err != nil {
+	sw, err := bench.ByName("sw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice := bestBlock
+	slice.Benches = []bench.Benchmark{sw}
+	if err := slice.writeBestBlock(context.Background(), &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	if !strings.Contains(out, "EPYC-64") {
 		t.Fatalf("bestblock output incomplete:\n%s", out)
 	}
+	committed := strings.Join(requireCommitted(t, "bestblock", out), "\n")
 	// The claims loops are registry-driven: every registered benchmark —
-	// including CH — must show up in the best-block table.
-	for _, b := range bench.All() {
-		if !strings.Contains(out, b.Name()) {
-			t.Fatalf("bestblock output missing %s:\n%s", b.Name(), out)
+	// including CH — must show up in the best-block table, one row per
+	// machine and variant.
+	if len(bestBlock.Benches) != len(bench.All()) {
+		t.Fatal("bestblock no longer sweeps the whole registry")
+	}
+	for _, mk := range bestBlock.Machines {
+		for _, b := range bench.All() {
+			for _, v := range core.ParallelVariants {
+				if row := fmt.Sprintf("\n%12s %10s %14s ", mk().Name, b.Name(), v); !strings.Contains(committed, row) {
+					t.Fatalf("results/bestblock.txt missing the row %q", row)
+				}
+			}
 		}
 	}
 }
 
-// WriteCrossover must cover every registered benchmark in both its
+// The crossover report must cover every registered benchmark in both its
 // simulated table and its real-run verification block, and every
-// verification row must come out ok (errors fail the experiment).
+// verification row must come out ok (errors fail the experiment). The
+// simulated rows run at n=2048 only, and every line must match the
+// committed results/crossover.txt (CI regenerates the whole file).
 func TestCrossoverCoversRegistry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crossover runs real benchmarks")
 	}
+	slice := crossover
+	slice.Ns = slice.Ns[:1]
 	var sb strings.Builder
-	if err := WriteCrossover(context.Background(), &sb); err != nil {
-		t.Fatalf("WriteCrossover: %v\n%s", err, sb.String())
+	if err := slice.writeCrossover(context.Background(), &sb); err != nil {
+		t.Fatalf("writeCrossover: %v\n%s", err, sb.String())
 	}
 	out := sb.String()
 	for _, b := range bench.All() {
@@ -243,6 +293,7 @@ func TestCrossoverCoversRegistry(t *testing.T) {
 	if !strings.Contains(out, "crossover: best time over base sweep, chol ") || !strings.Contains(out, "verification") {
 		t.Fatalf("crossover missing the chol table or the verification block:\n%s", out)
 	}
+	requireCommitted(t, "crossover", out)
 }
 
 func TestTable1Scaled(t *testing.T) {
@@ -316,10 +367,106 @@ func TestRunContextCancelled(t *testing.T) {
 		t.Fatalf("RunTable1Context = %v, want context.Canceled", err)
 	}
 	var sb strings.Builder
-	if err := WriteCrossover(ctx, &sb); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WriteCrossover = %v, want context.Canceled", err)
+	if err := crossover.writeCrossover(ctx, &sb); !errors.Is(err, context.Canceled) {
+		t.Fatalf("crossover = %v, want context.Canceled", err)
 	}
-	if _, _, err := BestOverBases(ctx, machine.EPYC64(), mustGE(t), 2048, core.TunerCnC, []int{64}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BestOverBases = %v, want context.Canceled", err)
+	sim := newSimulator(ctx)
+	sweep{Bases: []int{64}}.bestOverBases(sim, machine.EPYC64(), mustGE(t), 2048, core.TunerCnC)
+	if !errors.Is(sim.err, context.Canceled) {
+		t.Fatalf("bestOverBases = %v, want context.Canceled", sim.err)
+	}
+}
+
+// A negative scale used to panic with a negative shift amount.
+func TestRunContextRejectsNegativeScale(t *testing.T) {
+	exp, _ := FigureByID("fig6")
+	if _, err := exp.RunContext(context.Background(), Options{Scale: -1}); err == nil {
+		t.Fatal("RunContext accepted Scale -1")
+	}
+	f := pointFlags()
+	f.Scale = -1
+	if err := f.Validate(); err == nil {
+		t.Fatal("Validate accepted -scale -1")
+	}
+}
+
+func pointFlags() *ReportFlags {
+	return &ReportFlags{Bench: "sw", N: 512, Base: 64, Machine: "epyc"}
+}
+
+func runReport(t *testing.T, f *ReportFlags, id string) (string, error) {
+	t.Helper()
+	for _, r := range Reports(f) {
+		if r.ID == id {
+			var sb strings.Builder
+			err := r.Run(context.Background(), &sb)
+			return sb.String(), err
+		}
+	}
+	t.Fatalf("no report %s", id)
+	return "", nil
+}
+
+// The point view applies gep's rule for real runs — n a power of two,
+// base >= 1 — instead of dividing by zero (n = 0), simulating a recursion
+// no runtime accepts (n = 100), or turning base 0 into a 45M-task DAG.
+func TestPointRejectsMalformedInput(t *testing.T) {
+	if err := pointFlags().Validate(); err != nil {
+		t.Fatalf("valid point flags rejected: %v", err)
+	}
+	for _, bad := range []func(f *ReportFlags){
+		func(f *ReportFlags) { f.N = 0 },
+		func(f *ReportFlags) { f.N = 100 },
+		func(f *ReportFlags) { f.N = -512 },
+		func(f *ReportFlags) { f.Base = 0 },
+		func(f *ReportFlags) { f.Machine = "cray" },
+	} {
+		f := pointFlags()
+		bad(f)
+		if err := f.Validate(); err == nil {
+			t.Fatalf("Validate accepted %+v", *f)
+		}
+		if _, err := runReport(t, f, "point"); err == nil {
+			t.Fatalf("point ran with %+v", *f)
+		}
+	}
+	f := pointFlags()
+	f.Bench = "nonesuch"
+	_, err := runReport(t, f, "point")
+	if !errors.Is(err, bench.ErrUnknownBenchmark) || strings.Count(err.Error(), bench.NameList()) != 1 {
+		t.Fatalf("unknown benchmark: %v, want ErrUnknownBenchmark naming the registry once", err)
+	}
+}
+
+func TestPointSections(t *testing.T) {
+	out, err := runReport(t, pointFlags(), "point")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"sw n=512 base=64", "[data-flow DAG]", "[fork-join DAG]", "parallelism",
+		"[simulated execution on 64 processors]", "[processor occupancy over time", "Estimated"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("point output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// spec prints exactly the benchmark's specification graph renderings.
+func TestSpecMatchesSpecGraph(t *testing.T) {
+	for _, b := range bench.All() {
+		f := &ReportFlags{Bench: b.Name()}
+		text, err := runReport(t, f, "spec")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Dot = true
+		dot, err := runReport(t, f, "spec")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := b.SpecGraph()
+		if text != g.Describe() || dot != g.Dot() {
+			t.Fatalf("%s: spec output differs from SpecGraph().Describe()/Dot()", b.Name())
+		}
 	}
 }

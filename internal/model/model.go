@@ -21,7 +21,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"dpflow/internal/bench"
 	"dpflow/internal/core"
@@ -178,7 +177,8 @@ func dominantKind(b bench.Benchmark) dag.Kind {
 	return kind
 }
 
-// Describe renders the model's view of one configuration, for dpsim.
+// Describe renders the model's view of one configuration, for dpbench's
+// point view.
 func Describe(mach *machine.Machine, b bench.Benchmark, n, base int) string {
 	m := gep.BaseSize(n, base)
 	kind := dominantKind(b)
@@ -187,33 +187,4 @@ func Describe(mach *machine.Machine, b bench.Benchmark, n, base int) string {
 		ExecTime(mach, b, kind, m, false),
 		b.Flops(kind, m),
 		bench.WorkingSetBytes(m)>>10)
-}
-
-// BestBase picks the base size minimising the modelled per-core work — the
-// model-driven counterpart of sweeping the figures' x-axis, usable as an
-// autotuner default before any measurement. It searches powers of two in
-// [minBase, n/2].
-func BestBase(mach *machine.Machine, b bench.Benchmark, n, minBase int) int {
-	if minBase < 1 {
-		minBase = 8
-	}
-	best, bestTime := minBase, math.Inf(1)
-	for base := minBase; base <= n/2; base *= 2 {
-		t := EstimatedTime(mach, b, n, base)
-		// Penalise starvation the flat estimate cannot see: fewer ready
-		// tasks than cores forces idle processors.
-		tiles := n / gep.BaseSize(n, base)
-		tasks := b.TotalTasks(tiles)
-		if tasks < mach.Cores {
-			t *= float64(mach.Cores) / float64(tasks)
-		}
-		// The paper's Estimated model is overhead-free; an autotuner must
-		// also price the per-task scheduling work that makes tiny bases
-		// unprofitable in every measured curve.
-		t += float64(tasks) * (mach.Overheads.TagPut + mach.Overheads.StepSched) / float64(mach.Cores)
-		if t < bestTime {
-			best, bestTime = base, t
-		}
-	}
-	return best
 }

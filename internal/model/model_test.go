@@ -224,21 +224,3 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 }
-
-func TestBestBaseInterior(t *testing.T) {
-	mach := machine.EPYC64()
-	for _, b := range bench.All() {
-		base := BestBase(mach, b, 8192, 8)
-		if base < 16 || base > 1024 {
-			t.Fatalf("%v: BestBase = %d, expected an interior optimum", b.Name(), base)
-		}
-	}
-	// Larger machines push the optimum down or keep it (more cores want
-	// more tasks), never up by much.
-	ge := mustBench(t, "ge")
-	e := BestBase(machine.EPYC64(), ge, 8192, 8)
-	s := BestBase(machine.SKYLAKE192(), ge, 8192, 8)
-	if s > e*4 {
-		t.Fatalf("192-core best base %d much larger than 64-core %d", s, e)
-	}
-}

@@ -18,9 +18,10 @@ type Affinity struct {
 	Home           func(id int) int
 	MigratePenalty float64
 	PreferHome     bool
-	// ScanLimit bounds the ready-pool scan per dispatch (0 = 64).
-	ScanLimit int
 }
+
+// scanLimit bounds the ready-pool scan of one PreferHome dispatch.
+const scanLimit = 256
 
 // AffinityResult extends Result with migration accounting.
 type AffinityResult struct {
@@ -38,108 +39,5 @@ func SimulateAffinity(g dag.Graph, p int, c Costs, af Affinity) (AffinityResult,
 	if af.Sockets < 1 || af.Home == nil {
 		return AffinityResult{}, fmt.Errorf("simsched: affinity needs Sockets >= 1 and a Home function")
 	}
-	scan := af.ScanLimit
-	if scan <= 0 {
-		scan = 64
-	}
-	n := g.Len()
-	indeg := make([]int32, n)
-	var ready []int32
-	for i := 0; i < n; i++ {
-		indeg[i] = int32(g.InDeg(i))
-		if indeg[i] == 0 {
-			ready = append(ready, int32(i))
-		}
-	}
-
-	// pick removes and returns a ready task for the given socket,
-	// preferring home tasks within the scan window.
-	pick := func(socket int) int32 {
-		idx := 0
-		if af.PreferHome {
-			limit := len(ready)
-			if limit > scan {
-				limit = scan
-			}
-			for i := 0; i < limit; i++ {
-				if af.Home(int(ready[i])) == socket {
-					idx = i
-					break
-				}
-			}
-		}
-		id := ready[idx]
-		ready = append(ready[:idx], ready[idx+1:]...)
-		return id
-	}
-
-	var (
-		running     eventHeap
-		now         = c.Startup
-		done        int
-		busy        float64
-		migrations  int
-		peakReady   int
-		serialClock = c.Startup
-		freeProcs   = make([]int, p) // free processor ids, LIFO
-	)
-	for i := range freeProcs {
-		freeProcs[i] = i
-	}
-	procOf := make(map[int32]int32, p)
-
-	for done < n {
-		if len(ready) > peakReady {
-			peakReady = len(ready)
-		}
-		for len(freeProcs) > 0 && len(ready) > 0 {
-			proc := freeProcs[len(freeProcs)-1]
-			freeProcs = freeProcs[:len(freeProcs)-1]
-			socket := proc % af.Sockets
-			id := pick(socket)
-			t := c.TaskTime(g.Kind(int(id)))
-			if g.Kind(int(id)) != dag.KindJoin && af.Home(int(id)) != socket {
-				t += af.MigratePenalty
-				migrations++
-			}
-			start := now
-			if c.SerialPerTask > 0 {
-				if serialClock > start {
-					start = serialClock
-				}
-				serialClock = start + c.SerialPerTask
-			}
-			busy += t
-			running.push(event{at: start + t, id: id})
-			procOf[id] = int32(proc)
-		}
-		if running.empty() {
-			return AffinityResult{}, fmt.Errorf("simsched: %d of %d tasks never became ready (cycle?)", n-done, n)
-		}
-		ev := running.pop()
-		now = ev.at
-		for {
-			g.EachSucc(int(ev.id), func(s int) {
-				indeg[s]--
-				if indeg[s] == 0 {
-					ready = append(ready, int32(s))
-				}
-			})
-			done++
-			freeProcs = append(freeProcs, int(procOf[ev.id]))
-			delete(procOf, ev.id)
-			if running.empty() || running.peek().at != now {
-				break
-			}
-			ev = running.pop()
-		}
-	}
-	res := AffinityResult{Migrations: migrations}
-	res.Makespan = now
-	res.Work = totalWork(g, c)
-	res.Processors = p
-	res.BusyTime = busy
-	res.Utilization = busy / (float64(p) * now)
-	res.PeakReady = peakReady
-	return res, nil
+	return simulateBounded(g, p, c, 0, &af)
 }

@@ -61,26 +61,27 @@ type Result struct {
 }
 
 // SimulateTimeline runs Simulate and additionally samples processor
-// occupancy into `buckets` windows.
+// occupancy into `buckets` windows (none for unbounded p or buckets <= 0).
 func SimulateTimeline(g dag.Graph, p int, c Costs, buckets int) (Result, error) {
-	if p <= 0 || buckets <= 0 {
-		return Simulate(g, p, c)
+	if p <= 0 {
+		return simulateInfinite(g, c)
 	}
-	r, err := simulateBounded(g, p, c, buckets)
-	return r, err
+	r, err := simulateBounded(g, p, c, buckets, nil)
+	return r.Result, err
 }
 
 // Simulate runs the graph on p processors (p <= 0 simulates unbounded
 // processors, in which case Makespan is the span T∞). It panics only on
 // malformed graphs; cyclic graphs are reported as an error.
 func Simulate(g dag.Graph, p int, c Costs) (Result, error) {
-	if p <= 0 {
-		return simulateInfinite(g, c)
-	}
-	return simulateBounded(g, p, c, 0)
+	return SimulateTimeline(g, p, c, 0)
 }
 
-func simulateBounded(g dag.Graph, p int, c Costs, buckets int) (Result, error) {
+// simulateBounded is the one greedy dispatch loop. A nil placement
+// dispatches the oldest ready task onto any free processor. A non-nil one
+// lets a processor pick a home-socket task within the scan window
+// (PreferHome), and charges and counts migrations.
+func simulateBounded(g dag.Graph, p int, c Costs, buckets int, af *Affinity) (AffinityResult, error) {
 	n := g.Len()
 	indeg := make([]int32, n)
 	ready := newQueue(p * 4)
@@ -95,64 +96,92 @@ func simulateBounded(g dag.Graph, p int, c Costs, buckets int) (Result, error) {
 		running     eventHeap
 		now         = c.Startup
 		done        int
-		free        = p
 		busy        float64
 		peakReady   int
+		migrations  int
 		serialClock = c.Startup // next instant the central dispatcher is free
 		intervals   [][2]float64
+		free        = make([]int32, p) // free processor ids, LIFO
 	)
+	for i := range free {
+		free[i] = int32(i)
+	}
 	for done < n {
-		if ready.len() > peakReady {
-			peakReady = ready.len()
-		}
+		peakReady = max(peakReady, ready.len())
 		// Dispatch ready tasks onto free processors, throttled by the
 		// global dispatcher when SerialPerTask > 0.
-		for free > 0 && ready.len() > 0 {
-			id := ready.pop()
+		for len(free) > 0 && ready.len() > 0 {
+			proc := free[len(free)-1]
+			free = free[:len(free)-1]
+			id := ready.take(af.pick(ready, proc))
+			t := c.TaskTime(g.Kind(int(id)))
+			if af.migrates(g, int(id), proc) {
+				t += af.MigratePenalty
+				migrations++
+			}
 			start := now
 			if c.SerialPerTask > 0 {
-				if serialClock > start {
-					start = serialClock
-				}
+				start = max(start, serialClock)
 				serialClock = start + c.SerialPerTask
 			}
-			t := c.TaskTime(g.Kind(int(id)))
 			busy += t
 			if buckets > 0 {
 				intervals = append(intervals, [2]float64{start, start + t})
 			}
-			running.push(event{at: start + t, id: id})
-			free--
+			running.push(event{at: start + t, id: id, proc: proc})
 		}
 		if running.empty() {
-			return Result{}, fmt.Errorf("simsched: %d of %d tasks never became ready (cycle?)", n-done, n)
+			return AffinityResult{}, fmt.Errorf("simsched: %d of %d tasks never became ready (cycle?)", n-done, n)
 		}
 		// Advance to the next completion; batch-complete simultaneous ones.
 		ev := running.pop()
 		now = ev.at
-		complete(g, ev.id, indeg, ready)
-		done++
-		free++
-		for !running.empty() && running.peek().at == now {
-			ev = running.pop()
-			complete(g, ev.id, indeg, ready)
+		for {
+			g.EachSucc(int(ev.id), func(s int) {
+				indeg[s]--
+				if indeg[s] == 0 {
+					ready.push(int32(s))
+				}
+			})
 			done++
-			free++
+			free = append(free, ev.proc)
+			if running.empty() || running.peek().at != now {
+				break
+			}
+			ev = running.pop()
 		}
 	}
-	work := totalWork(g, c)
-	res := Result{
-		Makespan:    now,
-		Work:        work,
-		Processors:  p,
-		BusyTime:    busy,
-		Utilization: busy / (float64(p) * now),
-		PeakReady:   peakReady,
-	}
+	res := AffinityResult{Migrations: migrations}
+	res.Makespan = now
+	res.Work = totalWork(g, c)
+	res.Processors = p
+	res.BusyTime = busy
+	res.Utilization = busy / (float64(p) * now)
+	res.PeakReady = peakReady
 	if buckets > 0 && now > 0 {
 		res.Timeline = binIntervals(intervals, now, buckets)
 	}
 	return res, nil
+}
+
+// pick returns the ready-pool position processor proc runs next: the
+// oldest task, or under PreferHome the oldest task homed on proc's socket
+// within the first scanLimit.
+func (af *Affinity) pick(ready *queue, proc int32) int {
+	if af != nil && af.PreferHome {
+		for i := 0; i < min(ready.len(), scanLimit); i++ {
+			if af.Home(int(ready.at(i))) == int(proc)%af.Sockets {
+				return i
+			}
+		}
+	}
+	return 0
+}
+
+// migrates reports whether task id runs away from its home socket on
+// proc; joins hold no tile, so they never migrate.
+func (af *Affinity) migrates(g dag.Graph, id int, proc int32) bool {
+	return af != nil && g.Kind(id) != dag.KindJoin && af.Home(id) != int(proc)%af.Sockets
 }
 
 // binIntervals converts busy intervals into average-occupancy buckets over
@@ -162,43 +191,15 @@ func binIntervals(intervals [][2]float64, makespan float64, buckets int) []float
 	width := makespan / float64(buckets)
 	for _, iv := range intervals {
 		lo, hi := iv[0], iv[1]
-		b0 := int(lo / width)
-		b1 := int(hi / width)
-		if b1 >= buckets {
-			b1 = buckets - 1
-		}
-		for b := b0; b <= b1; b++ {
+		for b := int(lo / width); b <= min(int(hi/width), buckets-1); b++ {
 			wLo, wHi := float64(b)*width, float64(b+1)*width
-			overlap := minF(hi, wHi) - maxF(lo, wLo)
+			overlap := min(hi, wHi) - max(lo, wLo)
 			if overlap > 0 {
 				out[b] += overlap / width
 			}
 		}
 	}
 	return out
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func complete(g dag.Graph, id int32, indeg []int32, ready *queue) {
-	g.EachSucc(int(id), func(s int) {
-		indeg[s]--
-		if indeg[s] == 0 {
-			ready.push(int32(s))
-		}
-	})
 }
 
 // simulateInfinite computes the span by longest-path dynamic programming
@@ -278,46 +279,32 @@ func totalWork(g dag.Graph, c Costs) float64 {
 	return w
 }
 
-// queue is a growable FIFO of task ids.
-type queue struct {
-	buf        []int32
-	head, tail int
-	size       int
-}
+// queue is a FIFO of task ids: appended at the tail, consumed from the
+// front. Once the live ids reach the end of the array, append moves them
+// to a fresh one, so the buffer tracks the ready pool, not the run.
+type queue struct{ ids []int32 }
 
-func newQueue(capHint int) *queue {
-	if capHint < 16 {
-		capHint = 16
-	}
-	return &queue{buf: make([]int32, capHint)}
-}
+func newQueue(capHint int) *queue { return &queue{ids: make([]int32, 0, capHint)} }
 
-func (q *queue) len() int { return q.size }
+func (q *queue) len() int       { return len(q.ids) }
+func (q *queue) push(v int32)   { q.ids = append(q.ids, v) }
+func (q *queue) pop() int32     { return q.take(0) }
+func (q *queue) at(i int) int32 { return q.ids[i] }
 
-func (q *queue) push(v int32) {
-	if q.size == len(q.buf) {
-		grown := make([]int32, 2*len(q.buf))
-		n := copy(grown, q.buf[q.head:])
-		copy(grown[n:], q.buf[:q.tail])
-		q.buf = grown
-		q.head, q.tail = 0, q.size
-	}
-	q.buf[q.tail] = v
-	q.tail = (q.tail + 1) % len(q.buf)
-	q.size++
-}
-
-func (q *queue) pop() int32 {
-	v := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
-	q.size--
+// take removes and returns the i-th oldest id; the ids queued before it
+// shift up one slot, so the rest keep their FIFO order.
+func (q *queue) take(i int) int32 {
+	v := q.ids[i]
+	copy(q.ids[1:i+1], q.ids[:i])
+	q.ids = q.ids[1:]
 	return v
 }
 
 // event is one running task's completion.
 type event struct {
-	at float64
-	id int32
+	at   float64
+	id   int32
+	proc int32 // the processor it runs on
 }
 
 // eventHeap is a binary min-heap on completion time, specialised to avoid
