@@ -1,14 +1,17 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/determinacy"
+	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
 )
 
@@ -80,19 +83,9 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 	}
 	defer cancel()
 
-	// watch replaces the watchdog: the newest graph of a multi-graph run
-	// (the tuner probes first) is the one making progress.
-	var wd *cnc.Watchdog
-	watch := func(cfg cnc.WatchdogConfig) {
-		if wd != nil {
-			wd.Stop()
-		}
-		if c.StallWindow < 0 {
-			return
-		}
-		cfg.Window, cfg.OnStall = c.StallWindow, func([]string) { cancel() }
-		wd = cnc.NewWatchdog(cfg)
-		wd.Start()
+	var w *watch
+	if c.StallWindow >= 0 {
+		w = &watch{window: cmp.Or(c.StallWindow, 2*time.Second), cancel: cancel}
 	}
 	discipline := c.Detect && v.IsCnC() && v != core.NonBlockingCnC
 	var last *cnc.Graph
@@ -108,11 +101,10 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 			g.WithDisciplineCheck(dc)
 			checkers = append(checkers, dc)
 		}
-		watch(cnc.WatchdogConfig{
-			Progress:   func() uint64 { return g.Stats().ItemsPut },
-			Blocked:    g.Blocked,
-			RemoteBusy: g.BackendBusy,
-		})
+		if w != nil {
+			w.graph.Store(g)
+			w.start()
+		}
 	}
 	var race *determinacy.Detector
 	if pool := opts.Pool; v == core.OMPTasking && pool != nil {
@@ -121,15 +113,17 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 			defer pool.WithRaceDetection(pool.RaceDetector())
 			pool.WithRaceDetection(race)
 		}
-		watch(cnc.WatchdogConfig{Progress: func() uint64 { return pool.Stats().Executed }})
+		if w != nil {
+			w.pool = pool
+			w.start()
+		}
 	}
 
 	start := time.Now()
 	out.CnCStats, out.Err = inst.Run(ctx, v, opts)
 	out.Wall = time.Since(start)
-	if wd != nil {
-		wd.Stop()
-		out.Stalled, out.Blocked = wd.Stalled()
+	if w != nil {
+		out.Stalled, out.Blocked = w.finish()
 	}
 	out.DeadlineFired = errors.Is(out.Err, context.DeadlineExceeded) || ctx.Err() == context.DeadlineExceeded
 	if last != nil {
@@ -148,6 +142,91 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 		out.Err = out.verify(inst, last, discipline, race)
 	}
 	return out
+}
+
+// watch is a checked run's progress watch: one goroutine, started by the
+// run's first graph (or its fork-join pool), that samples a progress
+// counter every window/8 (1ms at least) and cancels the run once the
+// counter has stood still for window. A deadlock quiesces and the runtime
+// reports it itself; a livelock — workers busy, no data produced — never
+// quiesces, and this is what ends it.
+type watch struct {
+	window time.Duration
+	cancel context.CancelFunc
+	// graph is the run's newest graph (the tuner probes first), swapped in
+	// by the wrapped Tune; pool is set before start for fork-join runs.
+	graph atomic.Pointer[cnc.Graph]
+	pool  *forkjoin.Pool
+
+	started    bool
+	stop, done chan struct{}
+	// stalled and blocked are written by the loop and read after done.
+	stalled bool
+	blocked []string
+}
+
+// start launches the loop on the first call; later graphs only swap the
+// pointer. Tune and Run's setup call it from the run's own goroutine.
+func (w *watch) start() {
+	if w.started {
+		return
+	}
+	w.started = true
+	w.stop, w.done = make(chan struct{}), make(chan struct{})
+	go w.loop()
+}
+
+// finish stops the loop, waits for it to exit, and reports what it saw.
+func (w *watch) finish() (bool, []string) {
+	if !w.started {
+		return false, nil
+	}
+	close(w.stop)
+	<-w.done
+	return w.stalled, w.blocked
+}
+
+// sample reads the progress counter Check.StallWindow names: the newest
+// graph's ItemsPut, else the pool's executed tasks.
+func (w *watch) sample() (*cnc.Graph, uint64) {
+	if g := w.graph.Load(); g != nil {
+		return g, g.Stats().ItemsPut
+	}
+	return nil, w.pool.Stats().Executed
+}
+
+// loop anchors the window on the last change of the counter — arming time
+// if it never moves — and fires at most once.
+func (w *watch) loop() {
+	defer close(w.done)
+	tick := time.NewTicker(max(w.window/8, time.Millisecond))
+	defer tick.Stop()
+	g, last := w.sample()
+	lastChange := time.Now()
+	for {
+		select {
+		case <-w.stop:
+			return
+		case <-tick.C:
+		}
+		// A new graph restarts the window, as does a run parked inside its
+		// item backend: the transport's own deadlines own that wait, which
+		// may sit out a retry backoff far longer than the window.
+		cg, cur := w.sample()
+		if cg != g || cur != last || cg != nil && cg.BackendBusy() > 0 {
+			g, last, lastChange = cg, cur, time.Now()
+			continue
+		}
+		if time.Since(lastChange) < w.window {
+			continue
+		}
+		if g != nil {
+			w.blocked = g.Blocked()
+		}
+		w.stalled = true
+		w.cancel()
+		return
+	}
 }
 
 // verify checks a run that returned nil: its result, then the riders.

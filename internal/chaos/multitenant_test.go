@@ -63,56 +63,18 @@ func TestFaultMatrixSharedExecutorIsolation(t *testing.T) {
 			// Healthy tenant: watchdogged; a stall means the faulty tenant
 			// managed to starve it — the exact failure the per-lease claim
 			// protocol exists to prevent.
-			var healthyGraph *cnc.Graph
-			var healthyMu sync.Mutex
-			stalled := make(chan struct{}, 1)
-			healthyCtx, cancelHealthy := context.WithCancel(ctx)
-			defer cancelHealthy()
-			wd := cnc.NewWatchdog(cnc.WatchdogConfig{
-				Window: 5 * time.Second,
-				Progress: func() uint64 {
-					healthyMu.Lock()
-					g := healthyGraph
-					healthyMu.Unlock()
-					if g == nil {
-						return 0
-					}
-					st := g.Stats()
-					return st.StepsDone + st.ItemsPut
-				},
-				OnStall: func([]string) {
-					select {
-					case stalled <- struct{}{}:
-					default:
-					}
-					cancelHealthy()
-				},
-			})
-			wd.Start()
-			defer wd.Stop()
-
 			in, err := ge.NewInstance(128, 8, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = in.Run(healthyCtx, core.NativeCnC, bench.RunOpts{
+			c := bench.Check{StallWindow: 5 * time.Second}.Run(ctx, in, core.NativeCnC, bench.RunOpts{
 				Workers: 2,
-				Tune: func(g *cnc.Graph) {
-					g.WithExecutor(ex)
-					healthyMu.Lock()
-					healthyGraph = g
-					healthyMu.Unlock()
-				},
+				Tune:    func(g *cnc.Graph) { g.WithExecutor(ex) },
 			})
-			if err == nil {
-				err = in.Verify()
-			}
-			select {
-			case <-stalled:
+			if c.Stalled {
 				t.Fatalf("healthy tenant stalled while %s sabotaged its neighbour", fault.Name())
-			default:
 			}
-			if err != nil {
+			if err := c.Err; err != nil {
 				t.Fatalf("healthy tenant failed under neighbour's %s: %v", fault.Name(), err)
 			}
 

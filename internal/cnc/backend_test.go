@@ -17,7 +17,7 @@ import (
 type recordingBackend struct {
 	mu       sync.Mutex
 	events   []string
-	putErr   error // returned by every Put/PutBatch when non-nil (terminal)
+	putErr   error // returned by every Put when non-nil (terminal)
 	flushErr error // returned by Flush when non-nil (terminal)
 }
 
@@ -49,19 +49,6 @@ func (b *recordingBackend) Put(coll string, key, val any) error {
 		return b.putErr
 	}
 	b.record("put %s[%v]=%v", coll, key, val)
-	return nil
-}
-
-func (b *recordingBackend) PutBatch(ops []PutOp) error {
-	if b.putErr != nil {
-		return b.putErr
-	}
-	var sb strings.Builder
-	sb.WriteString("batch")
-	for _, op := range ops {
-		fmt.Fprintf(&sb, " %s[%v]=%v", op.Coll, op.Key, op.Val)
-	}
-	b.record("%s", sb.String())
 	return nil
 }
 
@@ -131,7 +118,7 @@ func TestItemBackendWriteThroughAndRemoteRead(t *testing.T) {
 // TestBackendNeverRead: every way a step reads an item — a body Get, the
 // pre-body read of a declared read set, TryGet, under the discipline
 // checker too — returns the producer's value from the cell, and the
-// backend sees puts, batches and the end-of-run flush, nothing else.
+// backend sees puts and the end-of-run flush, nothing else.
 func TestBackendNeverRead(t *testing.T) {
 	const n = 16
 	be := &recordingBackend{}
@@ -161,13 +148,7 @@ func TestBackendNeverRead(t *testing.T) {
 		return nil
 	}).WithTunedGetsAppend(TunedTriggered, func(k int, buf []Dep) []Dep { return append(buf, items.Key(k)) })
 	produce := NewStepCollection(g, "produce", func(k int) error {
-		if k%2 == 0 {
-			items.Put(k, 10*k)
-			return nil
-		}
-		bu := g.NewBurst()
-		items.PutInto(k, 10*k, bu)
-		bu.Flush()
+		items.Put(k, 10*k)
 		return nil
 	})
 	ctags := NewTagCollection[int](g, "ctags", false)
@@ -189,12 +170,12 @@ func TestBackendNeverRead(t *testing.T) {
 		}
 	}
 	for _, e := range be.log() {
-		if !strings.HasPrefix(e, "put ") && !strings.HasPrefix(e, "batch ") && e != "flush" {
+		if !strings.HasPrefix(e, "put ") && e != "flush" {
 			t.Fatalf("backend saw %q; a mirror only takes puts", e)
 		}
 	}
 	st := g.Stats()
-	if st.BackendPuts != n || be.count("put ")+be.count("batch ") != n {
+	if st.BackendPuts != n || be.count("put ") != n {
 		t.Fatalf("BackendPuts = %d, backend log %q; want %d mirrored puts", st.BackendPuts, be.log(), n)
 	}
 	if st.LiveItems != 0 {
@@ -209,36 +190,28 @@ func TestBackendNeverRead(t *testing.T) {
 // the graph in cnc, and only the first reaches the backend — which is why
 // a backend's put log needs no index to refuse duplicates.
 func TestItemBackendRePutRefusedBeforeMirror(t *testing.T) {
-	for _, burst := range []bool{false, true} {
-		be := &recordingBackend{}
-		g := NewGraph("backend-reput", 2)
-		g.WithItemBackend(be)
-		items := NewItemCollection[int, int](g, "vals")
-		produce := NewStepCollection(g, "produce", func(k int) error {
-			if !burst {
-				items.Put(4, k)
-				return nil
-			}
-			bu := g.NewBurst()
-			items.PutInto(4, k, bu)
-			bu.Flush()
-			return nil
-		})
-		ptags := NewTagCollection[int](g, "ptags", false)
-		ptags.Prescribe(produce)
-		err := g.Run(func() {
-			ptags.Put(1)
-			ptags.Put(2)
-		})
-		if err == nil || !strings.Contains(err.Error(), "single-assignment violation: item vals[4] put twice") {
-			t.Fatalf("burst=%v: want a single-assignment violation, got %v", burst, err)
-		}
-		if n := be.count("put ") + be.count("batch "); n != 1 {
-			t.Fatalf("burst=%v: backend log %q, want exactly the first put", burst, be.log())
-		}
-		if st := g.Stats(); st.BackendPuts != 1 {
-			t.Fatalf("burst=%v: BackendPuts = %d, want 1", burst, st.BackendPuts)
-		}
+	be := &recordingBackend{}
+	g := NewGraph("backend-reput", 2)
+	g.WithItemBackend(be)
+	items := NewItemCollection[int, int](g, "vals")
+	produce := NewStepCollection(g, "produce", func(k int) error {
+		items.Put(4, k)
+		return nil
+	})
+	ptags := NewTagCollection[int](g, "ptags", false)
+	ptags.Prescribe(produce)
+	err := g.Run(func() {
+		ptags.Put(1)
+		ptags.Put(2)
+	})
+	if err == nil || !strings.Contains(err.Error(), "single-assignment violation: item vals[4] put twice") {
+		t.Fatalf("want a single-assignment violation, got %v", err)
+	}
+	if n := be.count("put "); n != 1 {
+		t.Fatalf("backend log %q, want exactly the first put", be.log())
+	}
+	if st := g.Stats(); st.BackendPuts != 1 {
+		t.Fatalf("BackendPuts = %d, want 1", st.BackendPuts)
 	}
 }
 
@@ -364,87 +337,4 @@ func TestItemBackendErrorCountsOnlySuccesses(t *testing.T) {
 			t.Fatalf("BackendPuts = %d after a failed put, want 0", st.BackendPuts)
 		}
 	})
-}
-
-// TestItemBackendPutBatchFlushBeforeWakeup: PutInto stages mirrors into the
-// burst, Flush delivers them as one PutBatch call, and the batch reaches
-// the backend before any consumer woken by the burst runs: the event log
-// holds the batch ahead of every consumer's read, and each consumer read
-// the producer's value.
-func TestItemBackendPutBatchFlushBeforeWakeup(t *testing.T) {
-	const n = 8
-	be := &recordingBackend{}
-	g := NewGraph("backend-batch", 4)
-	g.WithItemBackend(be)
-	items := NewItemCollection[int, int](g, "vals")
-	consume := NewStepCollection(g, "consume", func(k int) error {
-		be.record("read %d=%d", k, items.Get(k)) // parks until the producer's burst flushes
-		return nil
-	})
-	produce := NewStepCollection(g, "produce", func(k int) error {
-		bu := g.NewBurst()
-		for i := 0; i < n; i++ {
-			items.PutInto(i, i, bu)
-		}
-		bu.Flush()
-		return nil
-	})
-	ctags := NewTagCollection[int](g, "ctags", false)
-	ptags := NewTagCollection[int](g, "ptags", false)
-	ctags.Prescribe(consume)
-	ptags.Prescribe(produce)
-
-	err := g.Run(func() {
-		for i := 0; i < n; i++ {
-			ctags.Put(i)
-		}
-		// Prescribe the producer only once every consumer is on its cell's
-		// wait list, so each consumer runs because the burst woke it.
-		awaitBlocked(g, n)
-		ptags.Put(0)
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	log := be.log()
-	if len(log) != n+2 || !strings.HasPrefix(log[0], "batch ") || log[n+1] != "flush" {
-		t.Fatalf("event log %q, want the batch, %d reads, then the flush", log, n)
-	}
-	reads := map[string]bool{}
-	for _, e := range log[1 : n+1] {
-		reads[e] = true
-	}
-	for i := 0; i < n; i++ {
-		if !reads[fmt.Sprintf("read %d=%d", i, i)] {
-			t.Fatalf("event log %q lacks consumer %d reading %d after the batch", log, i, i)
-		}
-	}
-	if st := g.Stats(); st.BackendPuts != n {
-		t.Fatalf("BackendPuts = %d, want %d", st.BackendPuts, n)
-	}
-}
-
-// TestItemBackendBatchTerminalErrorFailsGraph: a refused batch is as
-// terminal as a refused put — the run fails, naming the batch.
-func TestItemBackendBatchTerminalErrorFailsGraph(t *testing.T) {
-	be := &recordingBackend{putErr: errors.New("write-once violation")}
-	g := NewGraph("backend-batch-err", 2)
-	g.WithItemBackend(be)
-	items := NewItemCollection[int, int](g, "vals")
-	produce := NewStepCollection(g, "produce", func(k int) error {
-		bu := g.NewBurst()
-		items.PutInto(k, k, bu)
-		items.PutInto(k+1, k, bu)
-		bu.Flush()
-		return nil
-	})
-	ptags := NewTagCollection[int](g, "ptags", false)
-	ptags.Prescribe(produce)
-	err := g.Run(func() { ptags.Put(1) })
-	if err == nil || !strings.Contains(err.Error(), "item backend put batch of 2") {
-		t.Fatalf("want a terminal batch error, got %v", err)
-	}
-	if st := g.Stats(); st.BackendPuts != 0 {
-		t.Fatalf("BackendPuts = %d after a refused batch, want 0", st.BackendPuts)
-	}
 }

@@ -70,9 +70,9 @@
 // injected hook failures — up to a budget. Hooks (SetHooks) expose generic
 // interception points (before-step, drop-tag, before-item-put) used by the
 // internal/chaos harness to inject faults, and Graph.Blocked exposes the
-// live wait state for external watchdogs that distinguish livelock (workers
-// busy, no data produced) from the quiesced deadlock the runtime already
-// reports itself.
+// live wait state for a progress watch (bench.Check) that tells livelock
+// (workers busy, no data produced) from the quiesced deadlock the runtime
+// already reports itself.
 //
 // # Bounded memory
 //
@@ -218,7 +218,7 @@ type Graph struct {
 	backend    ItemBackend
 
 	// backendBusy gauges operations currently inside a backend call (see
-	// Graph.BackendBusy — the watchdog's remote-wait stall source).
+	// Graph.BackendBusy — what defers bench.Check's stall verdict).
 	backendBusy atomic.Int64
 
 	// acct tracks live items/bytes and implements the WithMemoryLimit
@@ -492,17 +492,9 @@ func (g *Graph) schedule(run exec.Unit) {
 // the graph open exactly like a plain Put), so a burst in flight can never
 // let the graph quiesce early; dropping a burst without Flush leaks those
 // holds and hangs the run — always Flush.
-//
-// With an item backend installed, a Burst also stages the backend mirrors
-// of any ItemCollection.PutInto calls made through it: Flush delivers the
-// whole batch in one ItemBackend.PutBatch call *before* pushing any of the
-// burst's dispatches, so no consumer woken by the burst can put an item
-// computed from one whose mirror has not reached the backend
-// (flush-before-wakeup — the batched form of Put's mirror-before-wakeup).
 type Burst struct {
-	g   *Graph
-	rs  []exec.Unit
-	ops []PutOp
+	g  *Graph
+	rs []exec.Unit
 }
 
 // NewBurst returns an empty burst bound to the graph. Bursts are pooled:
@@ -524,13 +516,6 @@ func (bu *Burst) Flush() {
 	if g == nil {
 		return // already flushed
 	}
-	// Backend mirrors first: no waiter wakeup staged in rs may reach the
-	// queue before every staged put has crossed the backend seam.
-	if len(bu.ops) > 0 {
-		g.backendPutBatch(bu.ops)
-		clear(bu.ops)
-		bu.ops = bu.ops[:0]
-	}
 	if len(bu.rs) > 0 {
 		g.lanes.PushBatch(bu.rs)
 	}
@@ -545,11 +530,6 @@ func (bu *Burst) Flush() {
 func (bu *Burst) add(g *Graph, run exec.Unit) {
 	g.outstanding.Add(1)
 	bu.rs = append(bu.rs, run)
-}
-
-// addOp stages one backend mirror for Flush (see ItemCollection.PutInto).
-func (bu *Burst) addOp(coll string, key, val any) {
-	bu.ops = append(bu.ops, PutOp{Coll: coll, Key: key, Val: val})
 }
 
 // taskDone retires one unit of outstanding work and signals quiescence when
@@ -604,7 +584,7 @@ func (g *Graph) HasGetCounts() bool {
 // waits for — the same form DeadlockError uses — and, under a memory limit,
 // one "step@tag (deferred) <- coll[key]" entry per throttled instance not
 // yet admitted and input it still lacks.
-// It is safe to call while the graph runs, which is how a Watchdog dumps
+// It is safe to call while the graph runs, which is how bench.Check dumps
 // the wait state of a stalled run.
 func (g *Graph) Blocked() []string { return g.collectBlocked() }
 

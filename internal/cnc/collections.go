@@ -879,18 +879,7 @@ func (ic *ItemCollection[K, V]) Key(k K) Dep {
 // it. Re-putting a key — freed or not — violates CnC's dynamic single
 // assignment rule and fails the graph. Under a memory limit the put waits
 // for byte budget (see Graph.WithMemoryLimit) before storing.
-func (ic *ItemCollection[K, V]) Put(k K, v V) { ic.PutInto(k, v, nil) }
-
-// PutInto is Put with its backend mirror and waiter wakeups staged into the
-// burst instead of performed immediately: a phase that puts N items through
-// one burst crosses the backend seam (for internal/dist, the socket) as one
-// PutBatch call, and wakes parked workers once for the whole burst.
-// Ordering is preserved — Burst.Flush delivers the batched mirror before
-// any staged wakeup reaches the run queue. The item is locally visible (and
-// counted) when PutInto returns; only the mirror and the wakeups wait for
-// Flush. Like every burst user: always Flush. A nil bu degrades to plain
-// Put.
-func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
+func (ic *ItemCollection[K, V]) Put(k K, v V) {
 	ic.g.checkRunning()
 	if h := ic.g.hooks; h != nil && h.BeforeItemPut != nil {
 		h.BeforeItemPut(ic.name, k)
@@ -947,23 +936,17 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	}
 	// Mirror to the external backend before any waiter is woken, so the
 	// backend receives an item before the items computed from it (see
-	// ItemBackend). With a caller burst the mirror is staged instead;
-	// Burst.Flush delivers the whole batch before any staged wakeup,
-	// preserving the same ordering batch-wide. (The backend check sits here
-	// so the common path does not box k and v.)
-	switch {
-	case ic.g.backend == nil:
-	case bu != nil:
-		bu.addOp(ic.name, k, v)
-	default:
+	// ItemBackend). (The backend check sits here so the common path does
+	// not box k and v.)
+	if ic.g.backend != nil {
 		ic.g.backendPut(ic.name, k, v)
 	}
-	// Without a caller burst, coalesce the wakeups in one of our own: every
-	// waiter this put satisfies lands on the queue in one batch with a
-	// single signalling pass, instead of one push + one worker wake per
-	// waiter. (A lone waiter skips it — a direct push is exactly as cheap.)
-	own := bu == nil && w != nil && w.head().wnext != nil
-	if own {
+	// Coalesce the wakeups in a burst: every waiter this put satisfies
+	// lands on the queue in one batch with a single signalling pass,
+	// instead of one push + one worker wake per waiter. (A lone waiter
+	// skips it — a direct push is exactly as cheap.)
+	var bu *Burst
+	if w != nil && w.head().wnext != nil {
 		bu = ic.g.NewBurst()
 	}
 	for w != nil {
@@ -972,7 +955,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 		w.wake(bu)
 		w = next
 	}
-	if own {
+	if bu != nil {
 		bu.Flush()
 	}
 	// The wakes above may have made deferred throttled instances runnable.

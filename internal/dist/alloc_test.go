@@ -42,7 +42,7 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	gb := &graphBackend{c: c, prefix: "t/"}
-	if n := testing.AllocsPerRun(200, func() { _ = gb.stagePut("funcA_outputs", key, true) }); n > 2 {
-		t.Errorf("stagePut: %v allocs, want <= 2 (the key's and the value's encodings)", n)
+	if n := testing.AllocsPerRun(200, func() { _ = gb.Put("funcA_outputs", key, true) }); n > 2 {
+		t.Errorf("Put: %v allocs, want <= 2 (the key's and the value's encodings)", n)
 	}
 }

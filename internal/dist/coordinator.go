@@ -1090,11 +1090,20 @@ func (gb *graphBackend) fullName(coll string) string {
 	return full.(string)
 }
 
-// stagePut encodes one put, appends it to its shard's write-ahead log and
-// buffers its mirror for the shard's sender. An item too large for any
-// frame is refused here, by name, before it is logged; a degraded shard
-// takes nothing — nothing reads it, and nothing will replay it.
-func (gb *graphBackend) stagePut(coll string, key, val any) error {
+// Put implements cnc.ItemBackend: encode the put, append it to its shard's
+// write-ahead log (synchronous — a respawned worker is replayed from the
+// log, so the log must hold the put before a frame carrying it can be
+// lost), then buffer the mirror for the shard's next MsgPutBatch frame and
+// return. The shard's sender flushes the frame when a size threshold trips,
+// on its FlushEvery tick and at the end-of-run barrier, then checks a
+// sample of it — the put itself waits for no round trip; a failed flush or
+// check latches and fails the next backend operation. An item too large
+// for any frame is refused here, by name, before it is logged; a degraded
+// shard takes nothing — nothing reads it, and nothing will replay it.
+func (gb *graphBackend) Put(coll string, key, val any) error {
+	if err := gb.c.termError(); err != nil {
+		return err
+	}
 	full := gb.fullName(coll)
 	kb, err := EncodeValue(key)
 	if err != nil {
@@ -1120,36 +1129,7 @@ func (gb *graphBackend) stagePut(coll string, key, val any) error {
 	return nil
 }
 
-// Put implements cnc.ItemBackend: write-ahead log (synchronous — a
-// respawned worker is replayed from the log, so the log must hold the put
-// before a frame carrying it can be lost), then buffer the mirror for the
-// shard's next MsgPutBatch frame and return. The shard's sender flushes
-// the frame when a size threshold trips, on its FlushEvery tick and at the
-// end-of-run barrier, then checks a sample of it — the put itself waits
-// for no round trip; a failed flush or check latches and fails the next
-// backend operation.
-func (gb *graphBackend) Put(coll string, key, val any) error {
-	if err := gb.c.termError(); err != nil {
-		return err
-	}
-	return gb.stagePut(coll, key, val)
-}
-
-// PutBatch implements cnc.ItemBackend: stage every op; the senders batch
-// them onto the wire.
-func (gb *graphBackend) PutBatch(ops []cnc.PutOp) error {
-	if err := gb.c.termError(); err != nil {
-		return err
-	}
-	for i := range ops {
-		if err := gb.stagePut(ops[i].Coll, ops[i].Key, ops[i].Val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush implements cnc.BackendFlusher: have every shard's sender drain its
+// Flush implements cnc.ItemBackend: have every shard's sender drain its
 // put buffer, wait for the acks and the mirror checks, and surface any
 // latched terminal error — the end-of-run barrier that makes "run
 // succeeded" mean "every mirror landed (or its shard degraded) and every

@@ -240,9 +240,6 @@ type Lease struct {
 // Name returns the name the lease was registered with.
 func (l *Lease) Name() string { return l.name }
 
-// Slots returns the lease's logical worker count.
-func (l *Lease) Slots() int { return l.slots }
-
 // Units returns the number of work units the executor has run for this
 // lease.
 func (l *Lease) Units() uint64 { return l.units.Load() }

@@ -137,20 +137,6 @@ func GESerial(x *matrix.Dense) {
 	}
 }
 
-// GEBlockLimit clamps the elimination-step range of a GE block so that the
-// global k loop never reaches n-1 or beyond (Listing 2 iterates k < N-1).
-// It returns the number of k steps a base-case block at k0 should execute.
-func GEBlockLimit(n, k0, b int) int {
-	limit := n - 1 - k0
-	if limit > b {
-		limit = b
-	}
-	if limit < 0 {
-		limit = 0
-	}
-	return limit
-}
-
 // FW applies the Floyd-Warshall min-plus update to the block of X with row
 // range [i0, i0+b), column range [j0, j0+b) and intermediate-vertex range
 // [k0, k0+b):

@@ -104,8 +104,9 @@ func TestSWRegisterCarriedMatchesRef(t *testing.T) {
 }
 
 // Whole-table fills through the blocked kernels must still match the serial
-// oracles at odd table sizes (k-range boundary: GE's k loop is clamped by
-// its guards at n-1, not by GEBlockLimit, when b spans the whole matrix).
+// oracles at odd table sizes (k-range boundary: when b spans the whole
+// matrix, GE's own guards stop its k loop at n-1, as Listing 2's k < N-1
+// does).
 func TestBlockedWholeTableOddSizes(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 7, 10, 17, 33} {
 		a := randomGE(n, int64(1000+n))

@@ -115,23 +115,6 @@ func TestGESolvesLinearSystem(t *testing.T) {
 	}
 }
 
-func TestGEBlockLimit(t *testing.T) {
-	cases := []struct {
-		n, k0, b, want int
-	}{
-		{16, 0, 4, 4},
-		{16, 12, 4, 3}, // last block: k stops at n-1
-		{16, 15, 4, 0}, // beyond the loop bound
-		{8, 0, 8, 7},   // whole-matrix block
-		{8, 8, 4, 0},   // fully out of range
-	}
-	for _, c := range cases {
-		if got := GEBlockLimit(c.n, c.k0, c.b); got != c.want {
-			t.Errorf("GEBlockLimit(%d,%d,%d) = %d, want %d", c.n, c.k0, c.b, got, c.want)
-		}
-	}
-}
-
 func randomDist(n int, seed int64) *matrix.Dense {
 	rng := rand.New(rand.NewSource(seed))
 	m := matrix.NewSquare(n)

@@ -341,35 +341,6 @@ func TestPadPow2(t *testing.T) {
 	}
 }
 
-func TestTileGrid(t *testing.T) {
-	g := NewTileGrid(8, 2)
-	if g.Tiles() != 4 {
-		t.Fatalf("Tiles = %d, want 4", g.Tiles())
-	}
-	m := NewSquare(8)
-	v := g.View(m, Tile{1, 2})
-	v.Set(0, 0, 7)
-	if m.At(2, 4) != 7 {
-		t.Fatal("tile view offset wrong")
-	}
-	if !g.InBounds(Tile{3, 3}) || g.InBounds(Tile{4, 0}) || g.InBounds(Tile{-1, 0}) {
-		t.Fatal("InBounds wrong")
-	}
-}
-
-func TestTileGridInvalidPanics(t *testing.T) {
-	for _, c := range [][2]int{{8, 3}, {0, 1}, {8, 0}, {4, 8}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewTileGrid(%d,%d): expected panic", c[0], c[1])
-				}
-			}()
-			NewTileGrid(c[0], c[1])
-		}()
-	}
-}
-
 // Property: for any square matrix with power-of-two side >= 2, the four
 // quadrants partition the matrix exactly.
 func TestQuadPartitionProperty(t *testing.T) {
@@ -405,22 +376,23 @@ func TestQuadPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: tile views of a grid never overlap — writing distinct sentinel
-// values through every tile view reproduces a consistent full matrix.
+// Property: the b×b tile views of a matrix never overlap — writing
+// distinct sentinel values through every tile view reproduces a consistent
+// full matrix.
 func TestTileViewsPartitionProperty(t *testing.T) {
 	f := func(baseExp, nExp uint8) bool {
-		b := 1 << (baseExp % 3)      // 1,2,4
-		n := b * (1 << (nExp%3 + 1)) // b*2..b*8
-		g := NewTileGrid(n, b)
+		b := 1 << (baseExp % 3)    // 1,2,4
+		tiles := 1 << (nExp%3 + 1) // 2..8
+		n := b * tiles
 		m := NewSquare(n)
-		for i := 0; i < g.Tiles(); i++ {
-			for j := 0; j < g.Tiles(); j++ {
-				g.View(m, Tile{i, j}).Fill(float64(i*g.Tiles() + j))
+		for i := 0; i < tiles; i++ {
+			for j := 0; j < tiles; j++ {
+				m.View(i*b, j*b, b, b).Fill(float64(i*tiles + j))
 			}
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				want := float64((i/b)*g.Tiles() + j/b)
+				want := float64((i/b)*tiles + j/b)
 				if m.At(i, j) != want {
 					return false
 				}

@@ -33,39 +33,3 @@ func PadPow2(m *Dense, pad float64) *Dense {
 	out.View(0, 0, m.rows, m.cols).CopyFrom(m)
 	return out
 }
-
-// Tile identifies a b×b tile of an n×n matrix by its tile-grid coordinates.
-// Tile {I, J} covers rows [I*b, (I+1)*b) and columns [J*b, (J+1)*b).
-type Tile struct {
-	I, J int
-}
-
-// TileGrid describes the decomposition of an n×n matrix into b×b tiles.
-// It is the coordinate system shared by the CnC implementations, the DAG
-// builders and the analytical model.
-type TileGrid struct {
-	N    int // matrix side
-	Base int // tile side
-}
-
-// NewTileGrid validates and returns a tile grid. Base must divide N.
-func NewTileGrid(n, base int) TileGrid {
-	if n <= 0 || base <= 0 || n%base != 0 {
-		panic(fmt.Sprintf("matrix: invalid tile grid n=%d base=%d", n, base))
-	}
-	return TileGrid{N: n, Base: base}
-}
-
-// Tiles returns the number of tiles along one side (N / Base).
-func (g TileGrid) Tiles() int { return g.N / g.Base }
-
-// View returns the tile t of m as a sub-matrix view.
-func (g TileGrid) View(m *Dense, t Tile) *Dense {
-	return m.View(t.I*g.Base, t.J*g.Base, g.Base, g.Base)
-}
-
-// InBounds reports whether the tile coordinates lie inside the grid.
-func (g TileGrid) InBounds(t Tile) bool {
-	n := g.Tiles()
-	return t.I >= 0 && t.J >= 0 && t.I < n && t.J < n
-}

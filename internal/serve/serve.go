@@ -46,6 +46,7 @@ import (
 	"dpflow/internal/exec"
 	"dpflow/internal/exec/admission"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/matrix"
 )
 
 // Config configures a Server. The zero value serves on the process-wide
@@ -87,14 +88,15 @@ type JobSpec struct {
 	// Variant is the series label or alias (cnc, tuner, manual, openmp,
 	// nonblocking, serial_rdp); empty means cnc.
 	Variant string `json:"variant,omitempty"`
-	// N is the problem size (required for leaves); Base the base-case size
-	// (default 16); Seed the instance seed.
+	// N is the problem size (required for leaves, a power of two); Base
+	// the base-case size (default 16); Seed the instance seed.
 	N    int   `json:"n,omitempty"`
 	Base int   `json:"base,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
 	// Workers is the job's logical-concurrency cap: dispatch lanes leased
 	// from the shared executor, not goroutines. 0 means the executor's
-	// physical worker count.
+	// physical worker count. Negative values of it, DeadlineMS and
+	// MemoryBytes are refused at submit.
 	Workers int `json:"workers,omitempty"`
 
 	// DeadlineMS bounds the job (admission wait included); 0 = none.
@@ -256,6 +258,16 @@ func (s *Server) validate(spec *JobSpec, count *int) error {
 	if *count > s.cfg.MaxJobs {
 		return fmt.Errorf("spec expands to more than %d jobs", s.cfg.MaxJobs)
 	}
+	// Zero means "executor default", "no deadline" and "unsized"; a
+	// negative value means nothing, and is refused rather than read as zero.
+	switch {
+	case spec.Workers < 0:
+		return fmt.Errorf("workers %d must not be negative", spec.Workers)
+	case spec.DeadlineMS < 0:
+		return fmt.Errorf("deadline_ms %d must not be negative", spec.DeadlineMS)
+	case spec.MemoryBytes < 0:
+		return fmt.Errorf("memory_bytes %d must not be negative", spec.MemoryBytes)
+	}
 	if len(spec.Fork) > 0 {
 		if spec.Benchmark != "" {
 			return errors.New("a job is either a benchmark leaf or a fork node, not both")
@@ -280,8 +292,10 @@ func (s *Server) validate(spec *JobSpec, count *int) error {
 	if _, err := parseVariant(spec.Variant); err != nil {
 		return err
 	}
-	if spec.N <= 0 {
-		return errors.New("leaf job needs n > 0")
+	// Every registered benchmark recurses by halving: refuse here what
+	// NewInstance would refuse after admission.
+	if !matrix.IsPow2(spec.N) {
+		return fmt.Errorf("n %d must be a positive power of two", spec.N)
 	}
 	if spec.Base == 0 {
 		spec.Base = 16

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,22 +156,30 @@ func TestDynamicForkJoinSpec(t *testing.T) {
 
 func TestBadSpecsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, bad := range []string{
-		`{"benchmark":"nope","n":32}`,                   // unknown benchmark
-		`{"benchmark":"ge"}`,                            // missing n
-		`{"benchmark":"ge","n":32,"variant":"what"}`,    // unknown variant
-		`{"benchmark":"ge","n":32,"variant":"serial"}`,  // a variant the registry does not drive
-		`{"benchmark":"ge","n":32,"fork":[{"n":1}]}`,    // leaf and fork at once
-		`{"fork":[{"benchmark":"ge"}]}`,                 // child missing n
-		`{"benchmark":"ge","n":32,"unknown_field":"x"}`, // unknown field
+	for _, bad := range []struct{ spec, names string }{
+		{`{"benchmark":"nope","n":32}`, ""},                   // unknown benchmark
+		{`{"benchmark":"ge"}`, "n 0"},                         // missing n
+		{`{"benchmark":"ge","n":100}`, "n 100"},               // n no benchmark can split
+		{`{"benchmark":"ge","n":32,"variant":"what"}`, ""},    // unknown variant
+		{`{"benchmark":"ge","n":32,"variant":"serial"}`, ""},  // a variant the registry does not drive
+		{`{"benchmark":"ge","n":32,"fork":[{"n":1}]}`, ""},    // leaf and fork at once
+		{`{"fork":[{"benchmark":"ge"}]}`, "n 0"},              // child missing n
+		{`{"benchmark":"ge","n":32,"unknown_field":"x"}`, ""}, // unknown field
+		{`{"benchmark":"ge","n":32,"workers":-1}`, "workers"},
+		{`{"benchmark":"ge","n":32,"deadline_ms":-1}`, "deadline_ms"},
+		{`{"benchmark":"ge","n":32,"memory_bytes":-1}`, "memory_bytes"},
 	} {
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad))
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad.spec))
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("spec %s accepted with status %d", bad, resp.StatusCode)
+			t.Fatalf("spec %s accepted with status %d", bad.spec, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), bad.names) {
+			t.Fatalf("spec %s refused with %q, which does not name %q", bad.spec, body, bad.names)
 		}
 	}
 	// Nothing was registered.
