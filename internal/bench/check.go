@@ -202,7 +202,7 @@ func (w *watch) loop() {
 	tick := time.NewTicker(max(w.window/8, time.Millisecond))
 	defer tick.Stop()
 	g, last := w.sample()
-	lastChange := time.Now()
+	lastChange, wasBusy := time.Now(), false
 	for {
 		select {
 		case <-w.stop:
@@ -210,11 +210,13 @@ func (w *watch) loop() {
 		case <-tick.C:
 		}
 		// A new graph restarts the window, as does a run parked inside its
-		// item backend: the transport's own deadlines own that wait, which
-		// may sit out a retry backoff far longer than the window.
+		// item backend, up to the first poll that finds it out: the
+		// transport's own deadlines own that wait, which may sit out a
+		// retry backoff far longer than the window.
 		cg, cur := w.sample()
-		if cg != g || cur != last || cg != nil && cg.BackendBusy() > 0 {
-			g, last, lastChange = cg, cur, time.Now()
+		busy := cg != nil && cg.BackendBusy() > 0
+		if cg != g || cur != last || busy || wasBusy {
+			g, last, lastChange, wasBusy = cg, cur, time.Now(), busy
 			continue
 		}
 		if time.Since(lastChange) < w.window {

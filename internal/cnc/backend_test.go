@@ -17,8 +17,9 @@ import (
 type recordingBackend struct {
 	mu       sync.Mutex
 	events   []string
-	putErr   error // returned by every Put when non-nil (terminal)
-	flushErr error // returned by Flush when non-nil (terminal)
+	items    []string // the item each handle names: Put returns its index
+	putErr   error    // returned by every Put when non-nil (terminal)
+	flushErr error    // returned by Flush when non-nil (terminal)
 }
 
 func (b *recordingBackend) record(format string, args ...any) {
@@ -44,12 +45,22 @@ func (b *recordingBackend) count(prefix string) int {
 	return n
 }
 
-func (b *recordingBackend) Put(coll string, key, val any) error {
+func (b *recordingBackend) Put(coll string, key, val any) (uint32, error) {
 	if b.putErr != nil {
-		return b.putErr
+		return 0, b.putErr
 	}
 	b.record("put %s[%v]=%v", coll, key, val)
-	return nil
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.items = append(b.items, fmt.Sprintf("%s[%v]", coll, key))
+	return uint32(len(b.items) - 1), nil
+}
+
+func (b *recordingBackend) Free(h uint32) {
+	b.mu.Lock()
+	item := b.items[h]
+	b.mu.Unlock()
+	b.record("free %s", item)
 }
 
 func (b *recordingBackend) Flush() error {
@@ -118,7 +129,7 @@ func TestItemBackendWriteThroughAndRemoteRead(t *testing.T) {
 // TestBackendNeverRead: every way a step reads an item — a body Get, the
 // pre-body read of a declared read set, TryGet, under the discipline
 // checker too — returns the producer's value from the cell, and the
-// backend sees puts and the end-of-run flush, nothing else.
+// backend sees puts, their frees and the end-of-run flush, nothing else.
 func TestBackendNeverRead(t *testing.T) {
 	const n = 16
 	be := &recordingBackend{}
@@ -170,13 +181,13 @@ func TestBackendNeverRead(t *testing.T) {
 		}
 	}
 	for _, e := range be.log() {
-		if !strings.HasPrefix(e, "put ") && e != "flush" {
-			t.Fatalf("backend saw %q; a mirror only takes puts", e)
+		if !strings.HasPrefix(e, "put ") && !strings.HasPrefix(e, "free ") && e != "flush" {
+			t.Fatalf("backend saw %q; a mirror only takes puts and frees", e)
 		}
 	}
 	st := g.Stats()
-	if st.BackendPuts != n || be.count("put ") != n {
-		t.Fatalf("BackendPuts = %d, backend log %q; want %d mirrored puts", st.BackendPuts, be.log(), n)
+	if st.BackendPuts != n || be.count("put ") != n || be.count("free ") != n {
+		t.Fatalf("BackendPuts = %d, backend log %q; want %d mirrored puts, each freed once", st.BackendPuts, be.log(), n)
 	}
 	if st.LiveItems != 0 {
 		t.Fatalf("LiveItems = %d, want 0", st.LiveItems)
@@ -220,7 +231,7 @@ func TestItemBackendRePutRefusedBeforeMirror(t *testing.T) {
 // a step whose first attempt fails *after* its gets must not double-release
 // its read set when the retry succeeds — get-count GC decrements exactly
 // once, so the run quiesces leak-free with no over-release error, and the
-// backend sees one put and no read.
+// backend sees one put, one free and no read.
 func TestItemBackendRetriesReleaseOnce(t *testing.T) {
 	be := &recordingBackend{}
 	g := NewGraph("backend-retry", 2)
@@ -266,7 +277,7 @@ func TestItemBackendRetriesReleaseOnce(t *testing.T) {
 	if st.Retries != 1 {
 		t.Fatalf("Retries = %d, want 1", st.Retries)
 	}
-	if want := []string{"put vals[1]=1", "flush"}; strings.Join(be.log(), "; ") != strings.Join(want, "; ") {
+	if want := []string{"put vals[1]=1", "free vals[1]", "flush"}; strings.Join(be.log(), "; ") != strings.Join(want, "; ") {
 		t.Fatalf("backend log %q, want %q", be.log(), want)
 	}
 	if st.LiveItems != 0 || st.ItemsFreed != 1 {
@@ -337,4 +348,69 @@ func TestItemBackendErrorCountsOnlySuccesses(t *testing.T) {
 			t.Fatalf("BackendPuts = %d after a failed put, want 0", st.BackendPuts)
 		}
 	})
+}
+
+// gatedBackend holds the Put of item 1 inside the backend until gate is
+// closed, and records each put as it returns.
+type gatedBackend struct {
+	*recordingBackend
+	entered, gate chan struct{}
+}
+
+func (b gatedBackend) Put(coll string, key, val any) (uint32, error) {
+	if key == 1 {
+		close(b.entered)
+		<-b.gate
+	}
+	return b.recordingBackend.Put(coll, key, val)
+}
+
+// TestItemBackendFreeFollowsPut: get-count GC frees each mirrored item at
+// the backend exactly once, and never before its Put returned — also when
+// the cell is freed while the Put is still inside the backend: item 0's
+// get-count is 0, and item 1's one consumer reads and releases it while
+// its Put is held.
+func TestItemBackendFreeFollowsPut(t *testing.T) {
+	be := gatedBackend{&recordingBackend{}, make(chan struct{}), make(chan struct{})}
+	g := NewGraph("backend-free-order", 2)
+	g.WithItemBackend(be)
+	items := NewItemCollection[int, int](g, "vals")
+	items.WithGetCount(func(k int) int { return k })
+	consume := NewStepCollection(g, "consume", func(k int) error {
+		_ = items.Get(k)
+		return nil
+	}).WithGets(func(k int) []Dep { return []Dep{items.Key(k)} })
+	produce := NewStepCollection(g, "produce", func(k int) error {
+		items.Put(k, 10*k)
+		return nil
+	})
+	ctags := NewTagCollection[int](g, "ctags", false)
+	ptags := NewTagCollection[int](g, "ptags", false)
+	ctags.Prescribe(consume)
+	ptags.Prescribe(produce)
+	err := g.Run(func() {
+		ptags.Put(0)
+		ptags.Put(1)
+		<-be.entered
+		ctags.Put(1)
+		for g.Stats().ItemsFreed < 2 || be.count("free ") < 1 {
+			runtime.Gosched()
+		}
+		if n := be.count("free "); n != 1 {
+			t.Errorf("%d frees reached the backend with item 1's put held, want item 0's alone: %q", n, be.log())
+		}
+		close(be.gate)
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	log := strings.Join(be.log(), "; ")
+	for _, want := range []string{"put vals[0]=0; free vals[0]", "put vals[1]=10; free vals[1]"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("backend log %q lacks %q", log, want)
+		}
+	}
+	if n := be.count("free "); n != 2 {
+		t.Errorf("backend log %q: %d frees, want 2", log, n)
+	}
 }

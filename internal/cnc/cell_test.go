@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dpflow/internal/determinacy"
 )
@@ -644,5 +645,18 @@ func TestFreedCellErrors(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// tileKey has the layout of gep.ItemKey, the key of every tile item the
+// benchmarks put (gep imports this package, so its tests cannot).
+type tileKey struct{ I, J, K int }
+
+// TestCellSize pins an item's footprint: a GE receipt cell — a tile key, a
+// bool value, its state, get-count, backend handle and wait-chain head —
+// is one 64-byte cache line.
+func TestCellSize(t *testing.T) {
+	if n := unsafe.Sizeof(cell[tileKey, bool]{}); n != 64 {
+		t.Fatalf("cell[tileKey, bool] is %d bytes, want 64", n)
 	}
 }

@@ -726,8 +726,10 @@ type cell[K comparable, V any] struct {
 	key       K
 	val       V
 	state     cellState
+	mirrored  bool   // handle holds the backend's handle for this item's put
 	hash      uint32 // the high half of key's hash: its slot in sh.table
-	remaining int    // live get-count; 0 on a present cell = un-counted (pinned)
+	remaining int32  // live get-count; 0 on a present cell = un-counted (pinned)
+	handle    uint32 // see mirrored and ItemBackend
 	waiters   waiter // the chain's head, linked through entry.wnext
 }
 
@@ -915,7 +917,7 @@ func (ic *ItemCollection[K, V]) Put(k K, v V) {
 			// the deterministic surface of a get-count declared too low.
 			freeNow = true
 		default:
-			c.remaining = declared
+			c.remaining = int32(declared)
 		}
 	}
 	if dc := ic.g.discipline; dc != nil {
@@ -939,7 +941,7 @@ func (ic *ItemCollection[K, V]) Put(k K, v V) {
 	// ItemBackend). (The backend check sits here so the common path does
 	// not box k and v.)
 	if ic.g.backend != nil {
-		ic.g.backendPut(ic.name, k, v)
+		c.mirror(v)
 	}
 	// Coalesce the wakeups in a burst: every waiter this put satisfies
 	// lands on the queue in one batch with a single signalling pass,
@@ -1042,7 +1044,11 @@ func (c *cell[K, V]) release() {
 		return
 	}
 	c.free()
+	h, mirrored := c.handle, c.mirrored
 	sh.mu.Unlock()
+	if mirrored {
+		ic.g.backend.Free(h)
+	}
 	ic.g.acct.free(ic.sizeBytes(c.key))
 }
 

@@ -9,10 +9,9 @@ import (
 )
 
 // TestHotPathAllocs gates the allocations of the per-item data-plane calls:
-// one buffer per encoded value and per frame, and a staged put costs its
-// key's and value's encodings and nothing else (the log and the buffer
-// grow by amortised doubling). Excluded from -race builds, which allocate
-// on their own.
+// one buffer per encoded value and per frame, a staged put costs its key's
+// and value's encodings and nothing else, and a staged free costs nothing.
+// Excluded from -race builds, which allocate on their own.
 func TestHotPathAllocs(t *testing.T) {
 	var key any = gep.ItemKey{I: 3, J: 70, K: 5}
 	kb, err := EncodeValue(key)
@@ -42,7 +41,17 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	gb := &graphBackend{c: c, prefix: "t/"}
-	if n := testing.AllocsPerRun(200, func() { _ = gb.Put("funcA_outputs", key, true) }); n > 2 {
+	var handles []uint32
+	if n := testing.AllocsPerRun(200, func() {
+		h, _ := gb.Put("funcA_outputs", key, true)
+		handles = append(handles, h)
+	}); n > 2 {
 		t.Errorf("Put: %v allocs, want <= 2 (the key's and the value's encodings)", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		gb.Free(handles[len(handles)-1])
+		handles = handles[:len(handles)-1]
+	}); n != 0 {
+		t.Errorf("Free: %v allocs, want 0", n)
 	}
 }

@@ -52,8 +52,8 @@ const (
 	// MsgPong answers MsgPing.
 	MsgPong byte = 6
 	// MsgPutBatch carries PutBatchMsg coordinator->worker — a whole flush
-	// of mirror puts in one frame; answered by MsgAck. Semantically
-	// identical to len(Ops) MsgPut exchanges (same write-once, byte-equal
+	// of mirror puts and frees in one frame; answered by MsgAck. Its puts
+	// behave as MsgPut exchanges would (same write-once, byte-equal
 	// idempotence per op), amortising the round trip and the syscalls.
 	MsgPutBatch byte = 7
 	// MsgGetBatch carries GetBatchMsg coordinator->worker; answered by
@@ -134,12 +134,14 @@ type PongMsg struct {
 	Stored uint64
 }
 
-// PutBatchMsg stores a batch of write-once items in one frame. The worker
-// applies Ops in order and answers with a single MsgAck: empty Err when
-// every op was accepted (or was a byte-identical duplicate — replay), the
-// first failing op's error otherwise. All-or-first-error, not transactional:
-// ops before a failure are stored, which is safe because any error here is
-// terminal for the run.
+// PutBatchMsg stores a batch of write-once items in one frame, and frees
+// others: an op with an empty Val (EncodeValue never returns one) deletes
+// its item, if present. The worker applies Ops in order and answers with a
+// single MsgAck: empty Err when every op was accepted (or was a
+// byte-identical duplicate — replay — or a free), the first failing op's
+// error otherwise. All-or-first-error, not transactional: ops before a
+// failure are applied, which is safe because any error here is terminal
+// for the run.
 type PutBatchMsg struct {
 	Ops []PutMsg
 }

@@ -132,12 +132,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Counters is the coordinator's observable activity, all monotone.
+// Counters is the coordinator's observable activity, all monotone but
+// LogLive.
 type Counters struct {
 	// RemotePuts counts mirror puts the shards acked (batched puts count
-	// one per op, not per frame); PutFrames the MsgPutBatch frames that
-	// carried them — the denominator of the puts-per-frame batching ratio.
-	RemotePuts, PutFrames atomic.Uint64
+	// one per op, not per frame); Frees the frees they acked; PutFrames the
+	// MsgPutBatch frames that carried both — the denominator of the
+	// puts-per-frame batching ratio.
+	RemotePuts, Frees, PutFrames atomic.Uint64
+	// LogLive is the put log's live entries across shards — what a respawn
+	// would replay — and LogPeak its high-water mark.
+	LogLive, LogPeak atomic.Int64
 	// VerifiedReads counts acked puts fetched back from their shard and
 	// byte-compared with the bytes sent: the RemotePuts numbered a
 	// multiple of VerifySample, so ⌊RemotePuts/VerifySample⌋ once the
@@ -163,7 +168,8 @@ type Counters struct {
 // (cnc reads every item from its own cell), so none is local and none can
 // race its mirror. They stay for the reports that print them.
 type CounterSnapshot struct {
-	RemotePuts, PutFrames         uint64
+	RemotePuts, Frees, PutFrames  uint64
+	LogLive, LogPeak              int64
 	VerifiedReads                 uint64
 	Retries                       uint64
 	Respawns, ReplayedPuts        uint64
@@ -176,7 +182,8 @@ type CounterSnapshot struct {
 // Snapshot copies the counters.
 func (c *Counters) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
-		RemotePuts: c.RemotePuts.Load(), PutFrames: c.PutFrames.Load(),
+		RemotePuts: c.RemotePuts.Load(), Frees: c.Frees.Load(), PutFrames: c.PutFrames.Load(),
+		LogLive: c.LogLive.Load(), LogPeak: c.LogPeak.Load(),
 		VerifiedReads: c.VerifiedReads.Load(),
 		Retries:       c.Retries.Load(),
 		Respawns:      c.Respawns.Load(), ReplayedPuts: c.ReplayedPuts.Load(),
@@ -205,20 +212,34 @@ type shard struct {
 
 	degraded atomic.Bool
 
-	// pbufMu guards the outgoing put buffer and the flush numbering. The
-	// shard's sender goroutine (sendLoop) owns every flush, so at most one
-	// MsgPutBatch frame is in flight and batches leave in enqueue order:
-	// flushStarted counts the flushes that have taken the buffer,
-	// flushDone the ones whose ack (or terminal error) is in. pbufCond
-	// signals both, plus the buffer emptying; kick (capacity 1: a pending
-	// kick already promises a flush that starts later) wakes the sender.
+	// pbufMu guards the outgoing buffer, the put log and the flush
+	// numbering. The shard's sender goroutine (sendLoop) owns every flush,
+	// so at most one MsgPutBatch frame is in flight and batches leave in
+	// enqueue order: flushStarted counts the flushes that have taken the
+	// buffer, flushDone the ones whose ack (or terminal error) is in.
+	// pbufCond signals both, plus the buffer emptying; kick (capacity 1: a
+	// pending kick already promises a flush that starts later) wakes the
+	// sender. pbuf is the next frame: puts, whose count and bytes trip the
+	// flush and the stall, and frees (ops with no Val) of puts already
+	// sent; held, the frees of puts still in pbuf, ride the frame after.
+	// inflight is the frame taken, until it is acked and checked.
 	pbufMu       sync.Mutex
 	pbufCond     *sync.Cond
-	pbuf         []PutMsg
+	pbuf, held   []PutMsg
+	inflight     []PutMsg
+	pbufPuts     int
 	pbufBytes    int
 	flushStarted uint64
 	flushDone    uint64
 	kick         chan struct{}
+
+	// log is the put log, a slot table of the shard's live items: a put
+	// takes a vacant slot (the handle names it), its free vacates it. It is
+	// the replay source for a respawned worker. It needs no index: cnc
+	// refuses a re-put before the backend sees it, and a free names its
+	// slot. Guarded by pbufMu.
+	log    []logEntry
+	vacant []uint32
 
 	// procMu guards the process handle (KillWorker and the supervisor
 	// race by design).
@@ -226,13 +247,28 @@ type shard struct {
 	cmd      *exec.Cmd
 	stdin    io.WriteCloser
 	waitDone chan struct{}
+}
 
-	// logMu guards the write-ahead put log: every put to the shard, in
-	// order, appended before it is buffered — the replay source for a
-	// respawned worker. It needs no index: cnc refuses a re-put before the
-	// backend sees it, and nothing reads an entry by key.
-	logMu sync.Mutex
-	log   []PutMsg
+// logEntry is one live put in a shard's log (a vacant slot has no Coll),
+// and the number of the flush pending when it was buffered: while
+// flushStarted still equals frame, the put has not left the buffer.
+type logEntry struct {
+	PutMsg
+	frame uint64
+}
+
+// liveEntries snapshots the shard's live log entries: what a respawned
+// worker must hold, and what the post-replay audit samples.
+func (sh *shard) liveEntries() []PutMsg {
+	sh.pbufMu.Lock()
+	defer sh.pbufMu.Unlock()
+	live := make([]PutMsg, 0, len(sh.log)-len(sh.vacant))
+	for _, e := range sh.log {
+		if e.Coll != "" {
+			live = append(live, e.PutMsg)
+		}
+	}
+	return live
 }
 
 // Dir is the direction of a frame crossing the coordinator/worker boundary,
@@ -626,20 +662,22 @@ func (c *Coordinator) recoverLocked(sh *shard) error {
 }
 
 // replayAuditSize bounds the post-replay cross-check: up to this many
-// restored items, spread evenly across the log, are fetched back in one
-// MsgGetBatch and byte-compared against the write-ahead log.
+// restored live items, spread evenly across the log, are fetched back in
+// one MsgGetBatch and byte-compared against the log.
 const replayAuditSize = 16
 
 // respawnAndReplayLocked relaunches the shard's worker and replays the
-// write-ahead put log into its empty store — in MsgPutBatch chunks, not one
-// frame per item, so recovery of a large shard costs O(log/batch) round
-// trips. Replay is safe because items are write-once: the worker accepts
-// byte-identical duplicates, so a put that was stored but whose ack was
-// lost replays harmlessly. After replay, a sampled MsgGetBatch audit
-// fetches restored items back and byte-compares them against the log; a
-// mismatch fails this rung (the ladder respawns again or degrades). Replay
-// is an ordinary conversation on the shard's connection — sh.mu is held, so
-// nothing else can talk to the worker until the rung is done.
+// put log's live entries into its empty store, then the frame in flight
+// (its puts may be freed already, but the sender is about to check them;
+// their frees ride later frames) — in MsgPutBatch chunks, so recovery
+// costs O(live/batch) round trips. Replay is safe because items are
+// write-once and frees idempotent: the worker accepts byte-identical
+// duplicates, and a free of an item never replayed deletes nothing. After
+// replay, a sampled MsgGetBatch audit fetches restored live items back and
+// byte-compares them against the log; a mismatch fails this rung (the
+// ladder respawns again or degrades). Replay is an ordinary conversation
+// on the shard's connection — sh.mu is held, so nothing else can talk to
+// the worker until the rung is done.
 func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 	sh.respawns++
 	c.counters.Respawns.Add(1)
@@ -658,11 +696,12 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 		}
 		return c.cycle(sh, frame)
 	}
-	// Log entries are never rewritten, so the slice as of now is a
-	// snapshot; puts staged meanwhile land past its end.
-	sh.logMu.Lock()
-	entries := sh.log
-	sh.logMu.Unlock()
+	// Any snapshot will do: a put staged after it is still buffered, and so
+	// is a free, which reaches the worker after the replay either way.
+	live := sh.liveEntries()
+	sh.pbufMu.Lock()
+	entries := append(live[:len(live):len(live)], sh.inflight...)
+	sh.pbufMu.Unlock()
 	for start := 0; start < len(entries); {
 		end := start
 		batchBytes := 0
@@ -684,14 +723,11 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 		c.counters.ReplayedPuts.Add(uint64(end - start))
 		start = end
 	}
-	if len(entries) > 0 {
-		stride := len(entries) / replayAuditSize
-		if stride < 1 {
-			stride = 1
-		}
+	if len(live) > 0 {
+		stride := max(len(live)/replayAuditSize, 1)
 		var sampled []PutMsg
-		for i := 0; i < len(entries) && len(sampled) < replayAuditSize; i += stride {
-			sampled = append(sampled, entries[i])
+		for i := 0; i < len(live) && len(sampled) < replayAuditSize; i += stride {
+			sampled = append(sampled, live[i])
 		}
 		pl, err := call(MsgGetBatch, getBatch(sampled))
 		if err != nil {
@@ -707,8 +743,8 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 // degradeLocked retires the shard: it is no longer mirrored, which costs
 // the run nothing because nothing reads the mirror. The worker (if any) is
 // reaped so a degraded run can never leak a process, and the buffered puts
-// and the write-ahead log are dropped — a degraded shard is never
-// respawned, so nothing will replay them.
+// and the put log are dropped — a degraded shard is never respawned, so
+// nothing will replay them, and its frees are ignored.
 func (c *Coordinator) degradeLocked(sh *shard) {
 	if sh.degraded.Swap(true) {
 		return
@@ -717,12 +753,11 @@ func (c *Coordinator) degradeLocked(sh *shard) {
 	c.killWorker(sh)
 	c.dropConnLocked(sh)
 	sh.pbufMu.Lock()
-	sh.pbuf, sh.pbufBytes = nil, 0
+	sh.pbuf, sh.held, sh.pbufPuts, sh.pbufBytes = nil, nil, 0, 0
+	c.counters.LogLive.Add(int64(len(sh.vacant) - len(sh.log)))
+	sh.log, sh.vacant = nil, nil
 	sh.pbufCond.Broadcast()
 	sh.pbufMu.Unlock()
-	sh.logMu.Lock()
-	sh.log = nil
-	sh.logMu.Unlock()
 }
 
 // stallFactor is how far past its flush threshold (BatchOps, BatchBytes) a
@@ -736,23 +771,6 @@ func (sh *shard) kickSender() {
 	case sh.kick <- struct{}{}:
 	default: // a kick is already pending, and the flush it starts is yet to come
 	}
-}
-
-// enqueuePut appends one already-logged put to the shard's outgoing buffer
-// and kicks the sender once a size threshold trips. The put itself waits
-// for nothing — unless the buffer has run stallFactor thresholds ahead of
-// the sender, where it blocks until the sender takes the buffer.
-func (c *Coordinator) enqueuePut(sh *shard, m PutMsg) {
-	sh.pbufMu.Lock()
-	sh.pbuf = append(sh.pbuf, m)
-	sh.pbufBytes += len(m.Coll) + len(m.Key) + len(m.Val)
-	if len(sh.pbuf) >= c.opts.BatchOps || sh.pbufBytes >= c.opts.BatchBytes {
-		sh.kickSender()
-	}
-	for (len(sh.pbuf) >= stallFactor*c.opts.BatchOps || sh.pbufBytes >= stallFactor*c.opts.BatchBytes) && !c.closed.Load() {
-		sh.pbufCond.Wait()
-	}
-	sh.pbufMu.Unlock()
 }
 
 // sendLoop is the shard's sender, the only goroutine that flushes its put
@@ -817,24 +835,26 @@ func (c *Coordinator) heartbeat(sh *shard) {
 // ones too: barriers wait on the numbers, so they cover the check.
 func (c *Coordinator) flushShard(sh *shard, spare []PutMsg) []PutMsg {
 	sh.pbufMu.Lock()
-	ops := sh.pbuf
-	sh.pbuf, sh.pbufBytes = spare[:0], 0
+	ops, puts := sh.pbuf, sh.pbufPuts
+	sh.pbuf = append(spare[:0], sh.held...) // the held frees' puts leave in ops
+	sh.held, sh.pbufPuts, sh.pbufBytes, sh.inflight = sh.held[:0], 0, 0, ops
 	sh.flushStarted++
 	sh.pbufCond.Broadcast()
 	sh.pbufMu.Unlock()
 	if len(ops) > 0 && !sh.degraded.Load() {
-		if err := c.sendBatch(sh, ops); err != nil && !errors.Is(err, ErrShardDegraded) {
+		if err := c.sendBatch(sh, ops, uint64(puts)); err != nil && !errors.Is(err, ErrShardDegraded) {
 			c.setTerm(err)
 		}
 	}
 	sh.pbufMu.Lock()
+	sh.inflight = nil
 	sh.flushDone++
 	sh.pbufCond.Broadcast()
 	sh.pbufMu.Unlock()
 	return ops
 }
 
-func (c *Coordinator) sendBatch(sh *shard, ops []PutMsg) error {
+func (c *Coordinator) sendBatch(sh *shard, ops []PutMsg, puts uint64) error {
 	pl, err := c.rpc(sh, MsgPutBatch, PutBatchMsg{Ops: ops})
 	if err != nil {
 		return err
@@ -846,24 +866,32 @@ func (c *Coordinator) sendBatch(sh *shard, ops []PutMsg) error {
 	if ack.Err != "" {
 		return errors.New(ack.Err)
 	}
-	acked := c.counters.RemotePuts.Add(uint64(len(ops)))
+	acked := c.counters.RemotePuts.Add(puts)
+	c.counters.Frees.Add(uint64(len(ops)) - puts)
 	c.counters.PutFrames.Add(1)
-	return c.verifyMirror(sh, ops, acked-uint64(len(ops))+1)
+	return c.verifyMirror(sh, ops, acked-puts+1)
 }
 
-// verifyMirror fetches the sampled ops of an acked batch back from the
+// verifyMirror fetches the sampled puts of an acked batch back from the
 // shard in one MsgGetBatch and byte-compares them with the bytes sent.
-// first is the number RemotePuts gave ops[0]; the sample is the ops
-// numbered a multiple of VerifySample, so the rate is exact across
-// batches and shards.
+// first is the number RemotePuts gave the batch's first put; the sample is
+// the puts numbered a multiple of VerifySample, so the rate is exact across
+// batches and shards. No sampled put can be freed yet: its free rides a
+// later frame, which the sender sends after this check.
 func (c *Coordinator) verifyMirror(sh *shard, ops []PutMsg, first uint64) error {
-	vs := c.opts.VerifySample
-	if vs < 0 {
+	if c.opts.VerifySample < 0 {
 		return nil
 	}
+	vs := uint64(c.opts.VerifySample)
 	var sampled []PutMsg
-	for i := (vs - int(first%uint64(vs))) % vs; i < len(ops); i += vs {
-		sampled = append(sampled, ops[i])
+	for i := range ops {
+		if len(ops[i].Val) == 0 {
+			continue
+		}
+		if first%vs == 0 {
+			sampled = append(sampled, ops[i])
+		}
+		first++
 	}
 	if len(sampled) == 0 {
 		return nil
@@ -915,19 +943,17 @@ func compareMirror(shard int, sent []PutMsg, pl []byte) error {
 	return nil
 }
 
-// awaitMirrors blocks until every put staged on the shard so far has been
-// acked and checked: it kicks the sender when the buffer holds puts, and
-// waits for the flush that takes them (or, with the buffer empty, for the
-// one in flight). It is the end-of-run barrier. Returns the latched
-// terminal error, if any.
+// awaitMirrors blocks until every put and free staged on the shard so far
+// has been acked and checked: it kicks the sender while the buffer holds
+// ops — twice when held frees follow their puts — and waits until it is
+// empty and no flush is in flight. It is the end-of-run barrier. Returns
+// the latched terminal error, if any.
 func (c *Coordinator) awaitMirrors(sh *shard) error {
 	sh.pbufMu.Lock()
-	target := sh.flushStarted // the flush in flight, if one is
-	if len(sh.pbuf) > 0 {
-		target++ // the flush that will take the buffer
-		sh.kickSender()
-	}
-	for sh.flushDone < target && !c.closed.Load() {
+	for (len(sh.pbuf) > 0 || sh.flushDone < sh.flushStarted) && !c.closed.Load() {
+		if len(sh.pbuf) > 0 {
+			sh.kickSender()
+		}
 		sh.pbufCond.Wait()
 	}
 	sh.pbufMu.Unlock()
@@ -938,6 +964,16 @@ func (c *Coordinator) awaitMirrors(sh *shard) error {
 		return errClosed
 	}
 	return nil
+}
+
+// stored asks the shard's worker for its item count (a PING's Stored).
+func (c *Coordinator) stored(sh *shard) (uint64, error) {
+	pl, err := c.rpc(sh, MsgPing, nil)
+	var pong PongMsg
+	if err == nil {
+		err = DecodePayload(pl, &pong)
+	}
+	return pong.Stored, err
 }
 
 // Counters returns the coordinator's counter block (live; snapshot with
@@ -1090,50 +1126,98 @@ func (gb *graphBackend) fullName(coll string) string {
 	return full.(string)
 }
 
-// Put implements cnc.ItemBackend: encode the put, append it to its shard's
-// write-ahead log (synchronous — a respawned worker is replayed from the
-// log, so the log must hold the put before a frame carrying it can be
-// lost), then buffer the mirror for the shard's next MsgPutBatch frame and
-// return. The shard's sender flushes the frame when a size threshold trips,
-// on its FlushEvery tick and at the end-of-run barrier, then checks a
-// sample of it — the put itself waits for no round trip; a failed flush or
-// check latches and fails the next backend operation. An item too large
-// for any frame is refused here, by name, before it is logged; a degraded
-// shard takes nothing — nothing reads it, and nothing will replay it.
-func (gb *graphBackend) Put(coll string, key, val any) error {
-	if err := gb.c.termError(); err != nil {
-		return err
+// Put implements cnc.ItemBackend: encode the put, enter it in a vacant
+// slot of its shard's put log (the replay source, so it holds the put
+// before a frame carrying it can be lost), buffer the mirror for the
+// shard's next MsgPutBatch frame and return the slot's handle. The
+// shard's sender flushes the frame when a size threshold trips, on its
+// FlushEvery tick and at the end-of-run barrier, then checks a sample of
+// it — the put waits for no round trip, unless the buffer has run
+// stallFactor thresholds ahead of the sender; a failed flush or check
+// latches and fails the next backend operation. An item too large for any
+// frame is refused here, by name, before it is logged; a degraded shard
+// takes nothing — nothing reads it, and nothing will replay it.
+func (gb *graphBackend) Put(coll string, key, val any) (uint32, error) {
+	c := gb.c
+	if err := c.termError(); err != nil {
+		return 0, err
 	}
 	full := gb.fullName(coll)
 	kb, err := EncodeValue(key)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	vb, err := EncodeValue(val)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// Header remainder, batch count, three length prefixes at their longest.
 	if 9+1+3*binary.MaxVarintLen32+len(full)+len(kb)+len(vb) > maxFrame {
-		return fmt.Errorf("dist: put %s: %d-byte value: %w", full, len(vb), ErrFrameTooLarge)
+		return 0, fmt.Errorf("dist: put %s: %d-byte value: %w", full, len(vb), ErrFrameTooLarge)
 	}
-	sh := gb.c.shards[ShardOf(full, kb, len(gb.c.shards))]
-	if sh.degraded.Load() {
-		return nil
-	}
+	idx := ShardOf(full, kb, len(c.shards))
+	sh := c.shards[idx]
 	m := PutMsg{Coll: full, Key: kb, Val: vb}
-	sh.logMu.Lock()
-	sh.log = append(sh.log, m)
-	sh.logMu.Unlock()
-	gb.c.enqueuePut(sh, m)
-	return nil
+	sh.pbufMu.Lock()
+	defer sh.pbufMu.Unlock()
+	if sh.degraded.Load() {
+		return uint32(idx), nil // slot 0 of a degraded shard: Free ignores it
+	}
+	slot := len(sh.log)
+	if n := len(sh.vacant); n > 0 {
+		slot = int(sh.vacant[n-1])
+		sh.vacant = sh.vacant[:n-1]
+	} else {
+		sh.log = append(sh.log, logEntry{})
+	}
+	sh.log[slot] = logEntry{m, sh.flushStarted}
+	live := c.counters.LogLive.Add(1)
+	for peak := c.counters.LogPeak.Load(); live > peak && !c.counters.LogPeak.CompareAndSwap(peak, live); peak = c.counters.LogPeak.Load() {
+	}
+	sh.pbuf = append(sh.pbuf, m)
+	sh.pbufPuts++
+	sh.pbufBytes += len(full) + len(kb) + len(vb)
+	if sh.pbufPuts >= c.opts.BatchOps || sh.pbufBytes >= c.opts.BatchBytes {
+		sh.kickSender()
+	}
+	for (sh.pbufPuts >= stallFactor*c.opts.BatchOps || sh.pbufBytes >= stallFactor*c.opts.BatchBytes) && !c.closed.Load() {
+		sh.pbufCond.Wait()
+	}
+	return uint32(slot*len(c.shards) + idx), nil
+}
+
+// Free implements cnc.ItemBackend: vacate the handle's log slot for the
+// next put and stage a free — the entry's own Coll and Key, no Val — for a
+// frame strictly later than the one carrying its put, so the sender has
+// checked the put before the worker deletes it: the next frame once the
+// put has left the buffer, else the frame after. A free neither waits nor
+// kicks the sender; it rides the frames puts, ticks and the barrier send.
+// A degraded shard ignores it.
+func (gb *graphBackend) Free(h uint32) {
+	c := gb.c
+	sh := c.shards[int(h)%len(c.shards)]
+	slot := int(h) / len(c.shards)
+	sh.pbufMu.Lock()
+	defer sh.pbufMu.Unlock()
+	if sh.degraded.Load() {
+		return
+	}
+	e := sh.log[slot]
+	sh.log[slot] = logEntry{}
+	sh.vacant = append(sh.vacant, uint32(slot))
+	c.counters.LogLive.Add(-1)
+	if f := (PutMsg{Coll: e.Coll, Key: e.Key}); e.frame == sh.flushStarted {
+		sh.held = append(sh.held, f)
+	} else {
+		sh.pbuf = append(sh.pbuf, f)
+	}
 }
 
 // Flush implements cnc.ItemBackend: have every shard's sender drain its
-// put buffer, wait for the acks and the mirror checks, and surface any
-// latched terminal error — the end-of-run barrier that makes "run
-// succeeded" mean "every mirror landed (or its shard degraded) and every
-// sampled check passed".
+// buffer, wait for the acks and the mirror checks, and surface any latched
+// terminal error — the end-of-run barrier that makes "run succeeded" mean
+// "every mirror and free landed (or its shard degraded) and every sampled
+// check passed".
 func (gb *graphBackend) Flush() error {
 	for _, sh := range gb.c.shards {
 		if err := gb.c.awaitMirrors(sh); err != nil {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -77,6 +78,49 @@ func TestDistAllBenchmarksVerify(t *testing.T) {
 	}
 }
 
+// TestDistFreesFollowGetCounts: get-count GC reaches the shards. After a
+// clean Runner.Drive of every registered benchmark — and of GE at 512/16,
+// the geometry of the dist2-ge-fine workload — no shard holds an item, the
+// put log holds no entry, every acked put was freed by an acked free, and
+// the log never held more than the graph's peak of live items plus one
+// in-flight free per worker.
+func TestDistFreesFollowGetCounts(t *testing.T) {
+	type run struct {
+		b       bench.Benchmark
+		n, base int
+	}
+	var runs []run
+	for _, b := range bench.All() {
+		runs = append(runs, run{b, 64, 16})
+	}
+	ge, err := bench.ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{ge, 512, 16})
+	for _, r := range runs {
+		t.Run(fmt.Sprintf("%s-%d", r.b.Name(), r.n), func(t *testing.T) {
+			const workers = 4
+			res := (&Runner{Shards: 2, Workers: workers, Options: fastOpts()}).Drive(r.b, r.n, r.base, 7, nil)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			c := res.Counters
+			if res.Stored != 0 || c.LogLive != 0 {
+				t.Fatalf("shards hold %d items and the put log %d entries at the end, want 0", res.Stored, c.LogLive)
+			}
+			if c.RemotePuts == 0 || c.Frees != c.RemotePuts {
+				t.Fatalf("%d frees acked for %d puts, want one each", c.Frees, c.RemotePuts)
+			}
+			t.Logf("%d puts, %d frees; put log peak %d entries, graph peak %d live items", c.RemotePuts, c.Frees, c.LogPeak, res.Stats.PeakLiveItems)
+			if c.LogPeak <= 0 || c.LogPeak > res.Stats.PeakLiveItems+workers {
+				t.Fatalf("put log peaked at %d entries, want 1..%d (peak live items %d + %d workers)",
+					c.LogPeak, res.Stats.PeakLiveItems+workers, res.Stats.PeakLiveItems, workers)
+			}
+		})
+	}
+}
+
 // TestRespawnReplayServesPrekillItems drives the supervisor rung directly:
 // put items and flush them, SIGKILL every worker, put more — the ladder
 // must respawn each worker and replay its log — then fetch every item
@@ -91,7 +135,7 @@ func TestRespawnReplayServesPrekillItems(t *testing.T) {
 	const items = 24
 	put := func(from, to int) {
 		for i := from; i < to; i++ {
-			if err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
+			if _, err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
 				t.Fatalf("put %d: %v", i, err)
 			}
 		}
@@ -107,9 +151,7 @@ func TestRespawnReplayServesPrekillItems(t *testing.T) {
 	}
 	put(items, 2*items)
 	for _, sh := range c.shards {
-		sh.logMu.Lock()
-		logged := append([]PutMsg(nil), sh.log...)
-		sh.logMu.Unlock()
+		logged := sh.liveEntries()
 		pl, err := c.rpc(sh, MsgGetBatch, getBatch(logged))
 		if err != nil {
 			t.Fatalf("shard %d: fetch back: %v", sh.idx, err)
@@ -124,6 +166,65 @@ func TestRespawnReplayServesPrekillItems(t *testing.T) {
 	}
 	if c.Degraded() != 0 {
 		t.Fatalf("%d shards degraded; replay should have recovered them", c.Degraded())
+	}
+}
+
+// TestReplayRestoresOnlyLiveItems: a respawned worker is replayed the live
+// log only. Put items and free a third of them, SIGKILL every worker, put
+// more: once the ladder has respawned each worker, it stores exactly its
+// shard's live entries, each as sent.
+func TestReplayRestoresOnlyLiveItems(t *testing.T) {
+	c, err := NewCoordinator(fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	gb := &graphBackend{c: c, prefix: "t/"}
+	const items = 24
+	var handles []uint32
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			h, err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0)
+			if err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+			handles = append(handles, h)
+		}
+		if err := gb.Flush(); err != nil {
+			t.Fatalf("flush puts %d-%d: %v", from, to-1, err)
+		}
+	}
+	put(0, items)
+	for i := 0; i < items; i += 3 {
+		gb.Free(handles[i])
+	}
+	for s := 0; s < c.Shards(); s++ {
+		if err := c.KillWorker(s); err != nil {
+			t.Fatalf("kill shard %d: %v", s, err)
+		}
+	}
+	put(items, 2*items)
+	for _, sh := range c.shards {
+		live := sh.liveEntries()
+		stored, err := c.stored(sh)
+		if err != nil {
+			t.Fatalf("shard %d: %v", sh.idx, err)
+		}
+		if stored != uint64(len(live)) {
+			t.Fatalf("shard %d stores %d items, its log %d live entries", sh.idx, stored, len(live))
+		}
+		pl, err := c.rpc(sh, MsgGetBatch, getBatch(live))
+		if err != nil {
+			t.Fatalf("shard %d: fetch back: %v", sh.idx, err)
+		}
+		if err := compareMirror(sh.idx, live, pl); err != nil {
+			t.Fatalf("after replay: %v", err)
+		}
+	}
+	snap := c.Counters().Snapshot()
+	if snap.Respawns == 0 || snap.Frees != items/3 || snap.LogLive != 2*items-items/3 {
+		t.Fatalf("respawns %d, frees %d, live log entries %d; want respawns, %d frees, %d live",
+			snap.Respawns, snap.Frees, snap.LogLive, items/3, 2*items-items/3)
 	}
 }
 
@@ -177,7 +278,7 @@ func TestCloseMidRPC(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				// Errors are expected once Close lands; what matters is
 				// that every call returns instead of deadlocking.
-				_ = gb.Put("receipts", gep.ItemKey{I: g*100 + i}, true)
+				_, _ = gb.Put("receipts", gep.ItemKey{I: g*100 + i}, true)
 				if i%8 == 7 {
 					_ = gb.Flush()
 				}

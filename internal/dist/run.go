@@ -2,18 +2,22 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"syscall"
 	"time"
 
 	"dpflow/internal/bench"
+	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 )
 
 // Runner drives registered benchmarks through the sharded runtime inside
 // bench.Check — a hard deadline, a progress watchdog that remote waits
 // defer, optional discipline checking, verification and its riders — and
-// adds the distributed rider: no worker outlives its coordinator.
+// adds the distributed riders: under get-counts the shards and the put log
+// end empty and the log peaks within the graph's live items + one free in
+// flight per worker, and no worker outlives its coordinator.
 type Runner struct {
 	// Shards is the worker-process count (default Options default, 2).
 	Shards int
@@ -42,6 +46,8 @@ type RunResult struct {
 	Counters CounterSnapshot
 	// Degraded is how many shards degraded (stopped being mirrored).
 	Degraded int
+	// Stored sums the live shards' item counts (PONG Stored) at the end.
+	Stored uint64
 }
 
 // Drive runs benchmark b (size n, base tile base, instance seed seed)
@@ -82,10 +88,27 @@ func (r *Runner) Drive(b bench.Benchmark, n, base int, seed int64, arm func(*Coo
 		arm(coord)
 	}
 
+	var last *cnc.Graph
+	tune := func(g *cnc.Graph) { coord.Attach(g); last = g }
 	check := bench.Check{Timeout: timeout, Detect: r.Discipline}
-	res.Checked = check.Run(context.Background(), inst, core.NativeCnC, bench.RunOpts{Workers: workers, Tune: coord.Attach})
+	res.Checked = check.Run(context.Background(), inst, core.NativeCnC, bench.RunOpts{Workers: workers, Tune: tune})
+	for i := 0; res.Err == nil && i < len(coord.shards); i++ {
+		n, err := coord.stored(coord.shards[i])
+		if err != nil && !errors.Is(err, ErrShardDegraded) {
+			res.Err = fmt.Errorf("dist: shard %d: stored: %w", i, err)
+		}
+		res.Stored += n
+	}
 	res.Counters = coord.Counters().Snapshot()
 	res.Degraded = coord.Degraded()
+	if c := res.Counters; res.Err == nil && last != nil && last.HasGetCounts() {
+		switch {
+		case res.Stored != 0 || c.LogLive != 0:
+			res.Err = fmt.Errorf("dist: run verified but its shards still hold %d items and its put log %d", res.Stored, c.LogLive)
+		case c.LogPeak > res.Stats.PeakLiveItems+int64(workers):
+			res.Err = fmt.Errorf("dist: put log peaked at %d entries, over the graph's %d live items + %d workers", c.LogPeak, res.Stats.PeakLiveItems, workers)
+		}
+	}
 	if res.Err != nil {
 		res.Err = fmt.Errorf("dist: %s (seed %d): %w", b.Name(), seed, res.Err)
 	}

@@ -59,7 +59,7 @@ func TestPutsDoNotWaitForAcks(t *testing.T) {
 	staged := make(chan error, 1)
 	go func() {
 		for i := 0; i < burst; i++ {
-			if err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
+			if _, err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
 				staged <- err
 				return
 			}
@@ -98,6 +98,44 @@ func TestPutsDoNotWaitForAcks(t *testing.T) {
 	}
 }
 
+// TestFreeRidesALaterFrame: a put and its free staged into one buffer
+// leave in two frames, the free second. Every put is verified, so a free
+// in its put's own frame would delete the item before the check reads it
+// back.
+func TestFreeRidesALaterFrame(t *testing.T) {
+	opts := patientOpts()
+	opts.Shards, opts.VerifySample, opts.FlushEvery = 1, 1, -1
+	c, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	gb := &graphBackend{c: c, prefix: "t/"}
+	h, err := gb.Put("receipts", gep.ItemKey{I: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb.Free(h)
+	sh := c.shards[0]
+	sh.pbufMu.Lock()
+	staged, held := len(sh.pbuf), len(sh.held)
+	sh.pbufMu.Unlock()
+	if staged != 1 || held != 1 {
+		t.Fatalf("%d ops buffered and %d frees held, want the put buffered and its free held", staged, held)
+	}
+	if err := gb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Counters().Snapshot()
+	if snap.PutFrames != 2 || snap.RemotePuts != 1 || snap.Frees != 1 || snap.VerifiedReads != 1 {
+		t.Fatalf("frames %d, puts %d, frees %d, verified %d; want the put verified in frame 1, its free in frame 2",
+			snap.PutFrames, snap.RemotePuts, snap.Frees, snap.VerifiedReads)
+	}
+	if stored, err := c.stored(sh); err != nil || stored != 0 || snap.LogLive != 0 {
+		t.Fatalf("worker stores %d items (%v), log %d live entries; want both empty", stored, err, snap.LogLive)
+	}
+}
+
 // TestPutStallsAtBufferCap: the buffer is bounded — once a shard's unsent
 // puts reach stallFactor flush thresholds, the next put waits for the
 // sender, and resumes when the in-flight frame is acked.
@@ -122,7 +160,7 @@ func TestPutStallsAtBufferCap(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
+			if _, err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
 				done <- err
 				return
 			}
@@ -165,7 +203,7 @@ func TestMirrorVerificationSampling(t *testing.T) {
 			// A barrier every third put: many small frames, most of odd
 			// size, so a sample rounded per batch would fall short.
 			for i := 0; i < puts; i++ {
-				if err := gb.Put("receipts", gep.ItemKey{I: i}, i%3 == 0); err != nil {
+				if _, err := gb.Put("receipts", gep.ItemKey{I: i}, i%3 == 0); err != nil {
 					t.Fatal(err)
 				}
 				if i%3 == 2 || i == puts-1 {
@@ -204,7 +242,7 @@ func TestLateReplyIsARetry(t *testing.T) {
 	gb := &graphBackend{c: c, prefix: "t/"}
 	const puts = 40
 	for i := 0; i < puts; i++ {
-		if err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
+		if _, err := gb.Put("receipts", gep.ItemKey{I: i}, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +335,7 @@ func TestOversizedPutIsTheCallersError(t *testing.T) {
 	}
 	defer c.Close()
 	gb := &graphBackend{c: c, prefix: "t/"}
-	if err := gb.Put(strings.Repeat("c", maxFrame), gep.ItemKey{}, true); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := gb.Put(strings.Repeat("c", maxFrame), gep.ItemKey{}, true); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized put: %v, want ErrFrameTooLarge", err)
 	}
 	// The same refusal one layer down: a request the codec cannot frame
@@ -305,7 +343,7 @@ func TestOversizedPutIsTheCallersError(t *testing.T) {
 	if _, err := c.rpc(c.shards[0], MsgPut, PutMsg{Coll: "c", Val: make([]byte, maxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized rpc: %v, want ErrFrameTooLarge", err)
 	}
-	if err := gb.Put("receipts", gep.ItemKey{I: 1}, true); err != nil {
+	if _, err := gb.Put("receipts", gep.ItemKey{I: 1}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := gb.Flush(); err != nil {

@@ -45,6 +45,14 @@ func (s *Store) Put(coll string, key, val []byte) error {
 	return nil
 }
 
+// Delete removes one item. Deleting an absent item is a no-op, so a
+// retried or replayed frame re-applies its puts and frees in order.
+func (s *Store) Delete(coll string, key []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.items, storeKey(coll, key))
+}
+
 // Get fetches one item.
 func (s *Store) Get(coll string, key []byte) (val []byte, found bool) {
 	s.mu.Lock()
@@ -112,9 +120,9 @@ func serveConn(conn net.Conn, store *Store) {
 			reply, err = EncodeFrame(MsgAck, seq, ack)
 		case MsgPutBatch:
 			// One ack for the whole batch: empty when every op landed (or
-			// was an idempotent byte-identical replay), else the first
-			// failing op's error. Ops before a failure stay stored — any
-			// error here is terminal for the coordinator anyway.
+			// was an idempotent byte-identical replay, or a free), else the
+			// first failing op's error. Ops before a failure stay applied —
+			// any error here is terminal for the coordinator anyway.
 			var m PutBatchMsg
 			var ack AckMsg
 			if err := DecodePayload(payload, &m); err != nil {
@@ -122,7 +130,9 @@ func serveConn(conn net.Conn, store *Store) {
 			} else {
 				for i := range m.Ops {
 					op := &m.Ops[i]
-					if err := store.Put(op.Coll, op.Key, op.Val); err != nil {
+					if len(op.Val) == 0 {
+						store.Delete(op.Coll, op.Key)
+					} else if err := store.Put(op.Coll, op.Key, op.Val); err != nil {
 						ack.Err = err.Error()
 						break
 					}
