@@ -11,17 +11,17 @@ import (
 )
 
 // Full-run allocation budgets, the Cholesky counterpart of the gates in
-// internal/gep: pooled dispatch and cell-held items keep a complete tiled
-// factorisation's allocation count at graph construction plus a few objects
-// per tile. The CnC budgets are ~1.25× the measurements at n=128/base=16
+// internal/gep: recycled instances and dispatch envelopes and cell-held
+// items keep a complete tiled factorisation's allocation count at graph
+// construction plus a share of a slab per tile. The CnC budgets are ~1.25× the measurements at n=128/base=16
 // (8×8 tiles); see internal/gep/alloc_test.go for the rationale and the
 // -race exclusion.
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 128, 16, 4
 	budget := map[core.Variant]float64{
-		core.NativeCnC:  330, // measured ~261
-		core.TunerCnC:   145, // measured ~116
-		core.ManualCnC:  315, // measured ~251
+		core.NativeCnC:  170, // measured ~136
+		core.TunerCnC:   145, // measured ~114
+		core.ManualCnC:  160, // measured ~128
 		core.OMPTasking: 100, // measured ~14
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
@@ -46,7 +46,7 @@ func TestRunAllocBudget(t *testing.T) {
 		allocs := testing.AllocsPerRun(3, run)
 		t.Logf("CH/%s: %.0f allocs/run (budget %.0f)", v, allocs, budget[v])
 		if allocs > budget[v] {
-			t.Errorf("CH/%s: %.0f allocs/run exceeds budget %.0f — a pooled dispatch path regressed", v, allocs, budget[v])
+			t.Errorf("CH/%s: %.0f allocs/run exceeds budget %.0f — a recycled dispatch path regressed", v, allocs, budget[v])
 		}
 	}
 }

@@ -30,41 +30,64 @@ type BackpressureReport struct {
 }
 
 // entry is the non-generic head of a step instance: its read set, the
-// countdown of the cells it still waits for, its link in a cell's wait
-// list, and — for an instance of a throttled tag put — its place in
-// admission. The accountant's entries are these heads; its runnable set
-// holds the instances themselves.
+// countdown of the cells it still waits for, its link in a cell's wait list
+// and, while a throttled put defers it, its admission record.
 type entry struct {
-	reads []Dep
 	// remaining is two units, the chain's (retired once no read it waits
 	// for is still empty) and a sentinel, so the countdown ends at most once
 	// and only after the chain has started.
 	remaining atomic.Int32
-	// state is written under accountant.mu and read without it.
-	state atomic.Uint32
+	n         int32 // reads in the read set
 	// wnext links the wait list of the cell it is chained on, under that
-	// cell's stripe lock.
+	// cell's stripe lock, and the collection's free lists once recycled.
 	wnext waiter
-	// cost is the budget a throttled instance reserves at admission.
-	cost int64
-
-	// seq is the put order among deferred instances (the waits count when it
-	// was deferred); prev and next link the pending list, which is in that
-	// order. Guarded by accountant.mu.
-	seq        int64
-	prev, next *entry
+	// adm is set under accountant.mu while the instance waits for admission
+	// and read without it; nil once admitted, and for every instance not put
+	// through PutThrottled.
+	adm atomic.Pointer[admission]
+	// The read set is buf[:n], or (*more)[:n] once one outgrew buf: the
+	// overflow is kept across recycling, so it is allocated once.
+	buf  [4]Dep
+	more *[]Dep
 }
 
-// The admission state of an instance. One not put through PutThrottled is
-// admitted from its launch. A throttled one waits for its read set, is then
-// runnable until admission launches it; admitted while still waiting (forced,
-// or flushed by a cancellation) it is a parked instance, launched by the
-// put of its last item.
-const (
-	putAdmitted uint32 = iota
-	putWaiting
-	putRunnable
-)
+// reads returns the resolved read set.
+func (p *entry) reads() []Dep {
+	if p.more != nil {
+		return (*p.more)[:p.n]
+	}
+	return p.buf[:p.n]
+}
+
+// setReads stores a read set appended to the empty reads().
+func (p *entry) setReads(ds []Dep) {
+	p.n = int32(len(ds))
+	switch {
+	case p.more != nil:
+		*p.more = ds
+	case len(ds) > len(p.buf):
+		p.more = new([]Dep)
+		*p.more = ds
+	default:
+		copy(p.buf[:], ds)
+	}
+}
+
+// admission is a deferred instance's place in admission: the budget it
+// reserves, its put order among deferred instances (the waits count when it
+// was deferred), its links in the pending list, which is in that order, and
+// whether its countdown has ended. An instance not put through PutThrottled,
+// or admitted at its put, never has one. A deferred one holds it until
+// admission launches it or — forced, or flushed by a cancellation, while it
+// still waits — makes it a parked instance, launched by the put of its last
+// item. The accountant recycles the records, so a deferred put allocates
+// none in steady state. Guarded by accountant.mu.
+type admission struct {
+	w          waiter
+	cost, seq  int64
+	prev, next *admission
+	runnable   bool
+}
 
 // freeable reports how many accounted bytes the instance would free on
 // completion: the total size of its declared gets for which this read is
@@ -72,13 +95,13 @@ const (
 // growing ones.
 func (p *entry) freeable() int64 {
 	var n int64
-	for _, d := range p.reads {
+	for _, d := range p.reads() {
 		n += d.c.freeableBytes()
 	}
 	return n
 }
 
-func bySeq(w waiter, p *entry) int { return cmp.Compare(w.head().seq, p.seq) }
+func bySeq(r, p *admission) int { return cmp.Compare(r.seq, p.seq) }
 
 // accountant tracks live items and bytes for one graph and implements the
 // admission control behind Graph.WithMemoryLimit.
@@ -152,11 +175,12 @@ type accountant struct {
 	stalls    int64
 	reported  bool // the stall hook fired (at most once per run)
 
-	// head and tail are the pending list: every deferred entry not yet
+	// head and tail are the pending list: every deferred instance not yet
 	// admitted, in put order. runnable is the subset whose countdown reached
-	// zero, sorted by seq.
-	head, tail *entry
-	runnable   []waiter
+	// zero, sorted by seq. spare chains recycled records through next.
+	head, tail *admission
+	runnable   []*admission
+	spare      *admission
 
 	// pendingN and runnableN mirror the two sets' sizes for the lock-free
 	// checks on the hot put/free/taskDone paths.
@@ -193,47 +217,53 @@ func (a *accountant) admitItem(size int64) {
 }
 
 // admissible reports whether p, whose declared gets are all present, fits
-// the budget now. Freeing instances (freeable covers cost) may fill it
-// completely; growing ones leave maxCost of headroom so a freeing consumer
-// is always admissible — unless the budget is empty, in which case there is
-// nothing a consumer could free and the headroom would only strand limits
-// smaller than two tags. The cell probes behind freeable run only when the
-// classification decides. Callers hold a.mu.
-func (a *accountant) admissible(p *entry) bool {
+// the budget now with cost reserved. Freeing instances (freeable covers cost)
+// may fill it completely; growing ones leave maxCost of headroom so a
+// freeing consumer is always admissible — unless the budget is empty, in
+// which case there is nothing a consumer could free and the headroom would
+// only strand limits smaller than two tags. The cell probes behind freeable
+// run only when the classification decides. Callers hold a.mu.
+func (a *accountant) admissible(p *entry, cost int64) bool {
 	used := a.liveBytes + a.reserved
-	total := used + p.cost
+	total := used + cost
 	if total > a.limit {
 		return false
 	}
-	return used == 0 || total+a.maxCost <= a.limit || p.freeable() >= p.cost
+	return used == 0 || total+a.maxCost <= a.limit || p.freeable() >= cost
 }
 
 // enqueue takes a throttled instance that has subscribed to its read set,
-// n units of its countdown not yet retired. It reports true, the cost
-// reserved, when the instance may launch now: nothing is pending ahead of
-// it, its declared gets are present and it fits. Otherwise it defers the
-// instance, which holds the graph open until admitted, and the caller
-// retires the n units. Callers run under a limit.
-func (a *accountant) enqueue(p *entry, n int32) bool {
+// n units of its countdown not yet retired. It reports true, cost reserved,
+// when the instance may launch now: nothing is pending ahead of it, its
+// declared gets are present and it fits. Otherwise it defers the instance,
+// which holds the graph open until admitted, and the caller retires the n
+// units. Callers run under a limit.
+func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if p.cost > a.maxCost {
-		a.maxCost = p.cost
+	if cost > a.maxCost {
+		a.maxCost = cost
 	}
-	if a.head == nil && p.remaining.Load() == n && a.admissible(p) {
-		a.reserved += p.cost
-		p.state.Store(putAdmitted)
+	p := w.head()
+	if a.head == nil && p.remaining.Load() == n && a.admissible(p, cost) {
+		a.reserved += cost
 		return true
 	}
-	a.waits++
-	p.seq = a.waits
-	p.prev, p.next = a.tail, nil
-	if a.tail != nil {
-		a.tail.next = p
+	r := a.spare
+	if r != nil {
+		a.spare = r.next
 	} else {
-		a.head = p
+		r = new(admission)
 	}
-	a.tail = p
+	a.waits++
+	*r = admission{w: w, cost: cost, seq: a.waits, prev: a.tail}
+	if a.tail != nil {
+		a.tail.next = r
+	} else {
+		a.head = r
+	}
+	a.tail = r
+	p.adm.Store(r)
 	a.pendingN.Add(1)
 	// A pending instance holds the graph open: quiescence must wait for
 	// every deferred one to be admitted (or flushed by cancellation).
@@ -248,13 +278,13 @@ func (a *accountant) enqueue(p *entry, n int32) bool {
 func (a *accountant) ready(w waiter) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	p := w.head()
-	if p.state.Load() == putAdmitted {
+	r := w.head().adm.Load()
+	if r == nil {
 		return true
 	}
-	p.state.Store(putRunnable)
-	i, _ := slices.BinarySearchFunc(a.runnable, p, bySeq)
-	a.runnable = slices.Insert(a.runnable, i, w)
+	r.runnable = true
+	i, _ := slices.BinarySearchFunc(a.runnable, r, bySeq)
+	a.runnable = slices.Insert(a.runnable, i, r)
 	a.runnableN.Store(int64(len(a.runnable)))
 	return false
 }
@@ -287,50 +317,49 @@ func (a *accountant) pump() {
 	}
 }
 
-// next picks the entry to admit now, or nil. Callers hold a.mu.
-func (a *accountant) next() (p *entry, forced bool) {
+// next picks the instance to admit now, or nil. Callers hold a.mu.
+func (a *accountant) next() (r *admission, forced bool) {
 	if a.g.cancelled.Load() {
 		return a.head, false // flush: drain mode retires instances without executing
 	}
-	for _, w := range a.runnable {
-		if p := w.head(); a.admissible(p) {
-			return p, false
+	for _, r := range a.runnable {
+		if a.admissible(r.w.head(), r.cost) {
+			return r, false
 		}
 	}
 	// Nothing fits (or is runnable). If the rest of the graph is idle — every
 	// outstanding unit is one of our own pending holds — no free can ever
-	// land: force-admit an entry to preserve liveness. Prefer a runnable
+	// land: force-admit an instance to preserve liveness. Prefer a runnable
 	// memory-releasing one so the degraded run tracks the live-set floor
 	// instead of replaying the unbounded schedule.
 	if a.g.outstanding.Load() > a.pendingN.Load() {
 		return nil, false
 	}
-	for _, w := range a.runnable {
-		if p := w.head(); p.freeable() >= p.cost {
-			return p, true
+	for _, r := range a.runnable {
+		if r.w.head().freeable() >= r.cost {
+			return r, true
 		}
 	}
 	if len(a.runnable) > 0 {
-		return a.runnable[0].head(), true
+		return a.runnable[0], true
 	}
 	return a.head, true // nothing runnable either: flush in order
 }
 
-// drain admits pending entries until none is admissible. Each admission
+// drain admits pending instances until none is admissible. Each admission
 // releases a.mu before launching the instance, so it can run inline,
 // prescribe, and defer more instances without holding the accountant lock.
 func (a *accountant) drain() {
 	for {
 		a.mu.Lock()
-		p, forced := a.next()
-		if p == nil {
+		r, forced := a.next()
+		if r == nil {
 			a.mu.Unlock()
 			return
 		}
-		var w waiter // a runnable instance, which admission launches
-		if p.state.Load() == putRunnable {
-			i, _ := slices.BinarySearchFunc(a.runnable, p, bySeq)
-			w = a.runnable[i]
+		w := r.w
+		if r.runnable {
+			i, _ := slices.BinarySearchFunc(a.runnable, r, bySeq)
 			// The oldest is the usual pick: drop it without moving the rest
 			// (a lone entry goes through Delete, which keeps the capacity).
 			if i == 0 && len(a.runnable) > 1 {
@@ -344,25 +373,24 @@ func (a *accountant) drain() {
 			// its last item launches (and a deadlock report names).
 			a.g.parked.Add(1)
 		}
-		if p.prev != nil {
-			p.prev.next = p.next
+		if r.prev != nil {
+			r.prev.next = r.next
 		} else {
-			a.head = p.next
+			a.head = r.next
 		}
-		if p.next != nil {
-			p.next.prev = p.prev
+		if r.next != nil {
+			r.next.prev = r.prev
 		} else {
-			a.tail = p.prev
+			a.tail = r.prev
 		}
-		p.prev, p.next = nil, nil
-		a.reserved += p.cost
+		a.reserved += r.cost
 		var report *BackpressureReport
 		if forced {
 			a.stalls++
 			if !a.reported {
 				a.reported = true
-				// Dumped before p is marked admitted, so the report still
-				// names p as deferred.
+				// Dumped before the instance is marked admitted, so the
+				// report still names it as deferred.
 				report = &BackpressureReport{
 					LiveItems: a.liveItems,
 					LiveBytes: a.liveBytes,
@@ -373,7 +401,10 @@ func (a *accountant) drain() {
 				}
 			}
 		}
-		p.state.Store(putAdmitted)
+		launch := r.runnable
+		w.head().adm.Store(nil)
+		*r = admission{next: a.spare}
+		a.spare = r
 		a.pendingN.Add(-1)
 		a.mu.Unlock()
 		if report != nil {
@@ -381,7 +412,7 @@ func (a *accountant) drain() {
 				h.OnBackpressureStall(*report)
 			}
 		}
-		if w != nil {
+		if launch {
 			w.launch(true, nil)
 		}
 		a.g.taskDone() // release the pending hold after the launch

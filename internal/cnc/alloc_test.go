@@ -8,14 +8,17 @@ import (
 	"testing"
 )
 
-// These are the dispatch-layer allocation gates: with the step instances,
-// burst buffers and []Dep scratch space all pooled, the hot put→dispatch→execute cycle must not allocate in steady
-// state. Tags are ints and dependency keys are small ints (< 256), whose
-// interface conversions use the runtime's static boxes — the same shapes the
-// real drivers use pointers and pooled envelopes for. Every gate warms the
-// pools first; only the warm cycle is measured. The file is excluded from
-// -race builds, where sync.Pool deliberately drops a fraction of Puts and no
-// pooled path can hold a zero-allocation bound.
+// These are the dispatch-layer allocation gates: step instances carved from
+// slabs and recycled through their collection's free list, admission records
+// recycled by the accountant, burst buffers pooled and read sets held inline
+// in the instance, the hot put→dispatch→execute cycle must not allocate in
+// steady state. Tags are ints and dependency keys are small ints (< 256),
+// whose interface conversions use the runtime's static boxes — the same
+// shapes the real drivers use pointers and pooled envelopes for. Every gate
+// warms the free lists and pools first; only the warm cycle is measured. The
+// file is excluded from -race builds, where sync.Pool (the burst buffers')
+// deliberately drops a fraction of Puts and no pooled path can hold a
+// zero-allocation bound.
 
 // TestInlineDispatchSteadyStateAllocs gates the tuned prescheduled path:
 // a put whose declared dependency is already present runs the step inline
@@ -38,7 +41,7 @@ func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
 	var allocs float64
 	err := g.Run(func() {
 		items.Put(7, 1)
-		for i := 0; i < 64; i++ { // warm the instance and scratch pools
+		for i := 0; i < 64; i++ { // warm the instance free list
 			tags.Put(1)
 		}
 		allocs = testing.AllocsPerRun(100, func() { tags.Put(1) })
@@ -55,7 +58,7 @@ func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestQueueDispatchSteadyStateAllocs gates the untuned dispatch path end to
-// end: put → pooled instance → lane push → parked-worker wakeup → worker
+// end: put → recycled instance → lane push → parked-worker wakeup → worker
 // executes and recycles the instance → worker re-parks. The channel
 // handshake serialises the cycle so the measurement window contains exactly
 // one full round trip.
@@ -75,7 +78,7 @@ func TestQueueDispatchSteadyStateAllocs(t *testing.T) {
 	}
 	var allocs float64
 	err := g.Run(func() {
-		for i := 0; i < 64; i++ { // warm instance pool, lane rings, parked set
+		for i := 0; i < 64; i++ { // warm instance free list, lane rings, parked set
 			cycle()
 		}
 		allocs = testing.AllocsPerRun(100, cycle)
@@ -131,7 +134,7 @@ func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestAbortRequeueCycleAllocs gates the speculative miss path: tag put →
-// attempt → the read before the body misses → park the pooled instance →
+// attempt → the read before the body misses → park the instance →
 // item put → requeue → re-execution → completion and release. Each cycle
 // uses a fresh key, so it pays for what a miss inherently creates — the
 // item's cell, carved from a slab and slotted into the stripe's table, so a
@@ -164,7 +167,7 @@ func TestAbortRequeueCycleAllocs(t *testing.T) {
 	}
 	var allocs float64
 	err := g.Run(func() {
-		for i := 0; i < 256; i++ { // warm the pools, the map and the first slabs
+		for i := 0; i < 256; i++ { // warm the free list, the table and the first slabs
 			cycle()
 		}
 		allocs = testing.AllocsPerRun(200, cycle)
@@ -180,5 +183,56 @@ func TestAbortRequeueCycleAllocs(t *testing.T) {
 	// closure, label or boxed key per abort would make it one.
 	if allocs != 0 {
 		t.Errorf("abort→park→put→requeue→complete cycle allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestThrottledDeferredCycleAllocs gates the throttled path under a memory
+// limit: a tag put through PutThrottled while its read is missing is
+// deferred, waits on the cell, turns runnable when the item is put, is
+// admitted by the pump, runs on a worker and is recycled. The admission
+// record is recycled by the accountant like the instance by its collection,
+// so the cycle allocates nothing but its fresh key's share of a cell slab.
+func TestThrottledDeferredCycleAllocs(t *testing.T) {
+	g := NewGraph("alloc-throttled", 1).WithMemoryLimit(1 << 20)
+	in := NewItemCollection[int, int](g, "in")
+	in.WithGetCount(func(int) int { return 1 }).WithSizeOf(func(int) int { return 8 })
+	tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return 8 })
+	done := make(chan struct{}, 1)
+	step := NewStepCollection(g, "s", func(int) error {
+		done <- struct{}{}
+		return nil
+	})
+	step.WithGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+	tags.Prescribe(step)
+
+	next := 1000
+	cycle := func() {
+		next++
+		tags.PutThrottled(next) // deferred: its read is missing
+		in.Put(next, 1)
+		<-done
+	}
+	var allocs float64
+	err := g.Run(func() {
+		for i := 0; i < 256; i++ { // warm the free lists, the runnable set and the first slabs
+			cycle()
+		}
+		allocs = testing.AllocsPerRun(200, cycle)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := int64(next - 1000)
+	if s := g.Stats(); s.BackpressureWaits != cycles || s.BackpressureStalls != 0 || s.StepsDone != uint64(cycles) {
+		t.Fatalf("waits/stalls/done = %d/%d/%d over %d cycles — the gate did not measure the deferred cycle",
+			s.BackpressureWaits, s.BackpressureStalls, s.StepsDone, cycles)
+	}
+	if allocs != 0 {
+		t.Errorf("deferred throttled put→wait→admit→run→recycle cycle allocates %v objects, want 0", allocs)
+	}
+	// One instance is live at a time, so the free list hands the same one
+	// back every cycle: the collection never carves past its first slab.
+	if n := cap(step.slab); n > 4 {
+		t.Errorf("the step collection carved a %d-instance slab for one live instance — recycled instances are not reused", n)
 	}
 }

@@ -660,3 +660,67 @@ func TestCellSize(t *testing.T) {
 		t.Fatalf("cell[tileKey, bool] is %d bytes, want 64", n)
 	}
 }
+
+// tag4 has the layout of the GE base-step tag (tile coordinates and a size).
+type tag4 struct{ I, J, K, S int }
+
+// TestInstanceSize pins a step instance's footprint: a GE base instance — its
+// tag, four inline reads, the countdown, wait-chain link and admission
+// pointer — carries no field only admission reads and no slice header.
+func TestInstanceSize(t *testing.T) {
+	if n := unsafe.Sizeof(instance[tag4]{}); n > 152 {
+		t.Fatalf("instance[tag4] is %d bytes, want at most 152", n)
+	}
+}
+
+// TestInstanceFreeListRace has the environment and the workers acquire and
+// recycle one collection's instances at once: the environment puts the
+// roots, every root's step puts a child tag of the same collection from a
+// worker, and every instance recycles on the worker that ran it. Each tag
+// must run exactly once with its own read — an instance handed out twice,
+// or lost between the free lists, would repeat or drop one. The throttled
+// arm puts every tag through PutThrottled under a memory limit, so the
+// roots, put before their items, are deferred and the accountant takes and
+// recycles admission records beside the free lists.
+func TestInstanceFreeListRace(t *testing.T) {
+	const roots = 2000
+	for _, limit := range []int64{0, 1 << 20} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			g := NewGraph("free-list", 4).WithMemoryLimit(limit)
+			items := NewItemCollection[int, int](g, "x")
+			items.WithGetCount(func(int) int { return 2 }).WithSizeOf(func(int) int { return 8 })
+			tags := NewTagCollection[int](g, "t", false).WithTagBytes(func(int) int { return 8 })
+			var ran [2 * roots]atomic.Int32
+			step := NewStepCollection(g, "s", func(tag int) error {
+				if items.Get(tag%roots) != tag%roots {
+					return fmt.Errorf("tag %d read the wrong item", tag)
+				}
+				ran[tag].Add(1)
+				if tag < roots {
+					tags.PutThrottled(tag + roots)
+				}
+				return nil
+			})
+			step.WithGetsAppend(func(tag int, ds []Dep) []Dep { return append(ds, items.Key(tag%roots)) })
+			tags.Prescribe(step)
+			err := g.Run(func() {
+				for i := 0; i < roots; i++ {
+					tags.PutThrottled(i)
+					items.Put(i, i)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tag := range ran {
+				if n := ran[tag].Load(); n != 1 {
+					t.Fatalf("tag %d ran %d times, want 1", tag, n)
+				}
+			}
+			if s := g.Stats(); s.LiveItems != 0 || limit > 0 && (s.BackpressureWaits == 0 || s.BackpressureStalls != 0) {
+				t.Fatalf("live %d, waits %d, stalls %d: want every item freed and, throttled, deferred puts and no forced admission",
+					s.LiveItems, s.BackpressureWaits, s.BackpressureStalls)
+			}
+		})
+	}
+}

@@ -50,9 +50,10 @@
 // placed round-robin and taken oldest-first by owner and thieves alike: the
 // non-blocking schedule makes progress by re-putting its own tag behind the
 // producers it polls for, which needs queue fairness (exec.OwnerFIFO). A
-// step instance is one pooled value from launch to release: the queued unit,
+// step instance is one value from launch to release, carved from its
+// collection's slabs and recycled through its free list: the queued unit,
 // the waiter on the cells it misses, the holder of its read set and, under a
-// memory limit, the entry admission launches. It never holds a worker while
+// memory limit, what admission launches. It never holds a worker while
 // it waits — a missing input aborts it and the Put of the last item it is
 // waiting for requeues it — and puts with a known census are batched
 // (Burst) into one lock and at most one wakeup per touched lane.

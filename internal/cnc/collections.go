@@ -3,6 +3,7 @@ package cnc
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -128,9 +129,16 @@ type StepCollection[T comparable] struct {
 	retryMu  sync.Mutex
 	attempts map[T]int
 
-	// pool recycles instances, so no launch, dispatch, wait or release
-	// allocates in steady state.
-	pool sync.Pool
+	// Instances are carved from slabs and recycled through two free lists
+	// linked through entry.wnext, so no launch, dispatch, wait or release
+	// allocates in steady state: recycle pushes onto spare without a lock,
+	// and acquire pops free under mu, taking all of spare with one Swap when
+	// free runs dry. Completing workers never wait on putters, and with no
+	// pop racing a push the stack is ABA-free.
+	mu    sync.Mutex
+	free  *instance[T]
+	slab  []instance[T]
+	spare atomic.Pointer[instance[T]]
 }
 
 // NewStepCollection registers a step collection on g.
@@ -217,31 +225,42 @@ type Named interface{ CollectionName() string }
 // CollectionName returns the step collection's name.
 func (sc *StepCollection[T]) CollectionName() string { return sc.meta.name }
 
-// instance is one step instance from launch to release, pooled per step
-// collection. It is the exec.Unit the lanes run, the waiter chained on the
-// first cell it still misses, the owner of its read set — resolved to cells
-// once (stored inline up to four), then read before each attempt, waited on
-// and released through those cells — and, launched by a throttled put, the
-// accountant's entry. An instance on a wait list is always live — it is
+// instance is one step instance from launch to release, carved and
+// recycled by its step collection. It is the exec.Unit the lanes run, the
+// waiter chained on the first cell it still misses, the owner of its read
+// set — resolved to cells once, then read before each attempt, waited on and
+// released through those cells — and, launched by a throttled put, what the
+// accountant admits. An instance on a wait list is always live — it is
 // recycled only after its last attempt — which is what makes the lazy
 // waitState safe for concurrent deadlock reports.
 type instance[T comparable] struct {
 	entry
 	sc       *StepCollection[T]
 	tag      T
-	buf      [4]Dep
 	resume   int32 // the read a wake continues the chain from
-	resolved bool  // reads holds the declared read set
+	resolved bool  // the read set is resolved
 	present  bool  // every read is present, or the instance waits for it
 	requeue  bool  // waiting after an abort, not at launch
 }
 
 func (sc *StepCollection[T]) acquire(tag T) *instance[T] {
-	in, _ := sc.pool.Get().(*instance[T])
-	if in == nil {
-		in = &instance[T]{}
-		in.reads = in.buf[:0]
+	sc.mu.Lock()
+	if sc.free == nil {
+		sc.free = sc.spare.Swap(nil)
 	}
+	in := sc.free
+	if in != nil {
+		sc.free, _ = in.wnext.(*instance[T])
+		in.wnext = nil
+	} else {
+		if len(sc.slab) == cap(sc.slab) {
+			// Grow rounds the slab up to its allocation's size class.
+			sc.slab = slices.Grow([]instance[T](nil), min(max(2*cap(sc.slab), 4), 64))
+		}
+		sc.slab = sc.slab[:len(sc.slab)+1]
+		in = &sc.slab[len(sc.slab)-1]
+	}
+	sc.mu.Unlock()
 	in.sc, in.tag = sc, tag
 	return in
 }
@@ -268,10 +287,8 @@ func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 	in := sc.acquire(tag)
 	in.resolve()
 	in.present = sc.tuned // untuned, the read before the body still probes
-	in.cost = cost
-	in.state.Store(putWaiting)
 	n := in.subscribe(0, nil)
-	if sc.g.acct.enqueue(&in.entry, n) {
+	if sc.g.acct.enqueue(in, cost, n) {
 		in.launch(true, bu)
 		return
 	}
@@ -281,7 +298,7 @@ func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 
 func (in *instance[T]) resolve() {
 	if !in.resolved && in.sc.getsApp != nil {
-		in.reads = in.sc.getsApp(in.tag, in.reads)
+		in.setReads(in.sc.getsApp(in.tag, in.reads())) // empty until resolved
 	}
 	in.resolved = true
 }
@@ -297,10 +314,10 @@ func (in *instance[T]) dispatch(bu *Burst) {
 
 func (in *instance[T]) waitState() (string, []Dep) {
 	label := fmt.Sprintf("%s@%v", in.sc.meta.name, in.tag)
-	if in.state.Load() != putAdmitted {
+	if in.adm.Load() != nil {
 		label += " (deferred)"
 	}
-	return label, in.reads[in.resume:]
+	return label, in.reads()[in.resume:]
 }
 
 // wake continues the chain along the reads after the cell that was put,
@@ -329,7 +346,7 @@ func (in *instance[T]) wait(i int, missed depCell, requeue bool, bu *Burst) {
 func (in *instance[T]) subscribe(i int, missed depCell) int32 {
 	in.remaining.Store(2)
 	if missed != nil {
-		in.resume = int32(len(in.reads)) // the declared reads are present
+		in.resume = in.n // the declared reads are present
 		if missed.subscribe(in) {
 			return 1
 		}
@@ -344,9 +361,9 @@ func (in *instance[T]) subscribe(i int, missed depCell) int32 {
 // before each subscribe, whose cell lock publishes it to the put that
 // wakes the instance.
 func (in *instance[T]) chain(i int) bool {
-	for ; i < len(in.reads); i++ {
+	for reads := in.reads(); i < len(reads); i++ {
 		in.resume = int32(i + 1)
-		if in.reads[i].c.subscribe(in) {
+		if reads[i].c.subscribe(in) {
 			return true
 		}
 	}
@@ -361,7 +378,7 @@ func (in *instance[T]) arrive(n int32, inline bool, bu *Burst) {
 		return
 	}
 	g := in.sc.g
-	if in.state.Load() != putAdmitted && !g.acct.ready(in) {
+	if in.adm.Load() != nil && !g.acct.ready(in) {
 		return
 	}
 	g.parked.Add(-1)
@@ -448,7 +465,7 @@ func (in *instance[T]) Run(int) {
 	}
 	// Successful completion: release the read set exactly once, however
 	// many aborted or retried attempts preceded this one.
-	for _, d := range in.reads {
+	for _, d := range in.reads() {
 		d.c.release()
 	}
 	g.stats.done.Add(1)
@@ -462,7 +479,7 @@ func (in *instance[T]) Run(int) {
 func (in *instance[T]) read() bool {
 	in.resolve()
 	if !in.present {
-		for i, d := range in.reads {
+		for i, d := range in.reads() {
 			switch d.c.probe() {
 			case cellEmpty:
 				in.sc.g.stats.aborts.Add(1)
@@ -477,7 +494,7 @@ func (in *instance[T]) read() bool {
 		in.present = true
 	}
 	if in.sc.g.discipline != nil {
-		for _, d := range in.reads {
+		for _, d := range in.reads() {
 			d.c.recordGet()
 		}
 	}
@@ -502,11 +519,17 @@ func (in *instance[T]) failed(err error) {
 
 func (in *instance[T]) recycle() {
 	sc := in.sc
-	clear(in.reads[:cap(in.reads)])
+	clear(in.reads())
 	var zero T
-	in.sc, in.tag, in.reads = nil, zero, in.reads[:0]
+	in.sc, in.tag, in.n = nil, zero, 0
 	in.resolved, in.present, in.requeue = false, false, false
-	sc.pool.Put(in)
+	for {
+		top := sc.spare.Load()
+		in.wnext = top
+		if sc.spare.CompareAndSwap(top, in) {
+			return
+		}
+	}
 }
 
 // takeRetry consumes one unit of tag's retry budget (Graph.SetRetry),

@@ -11,29 +11,32 @@ import (
 )
 
 // Full-run allocation budgets: with dispatch envelopes, dependency latches,
-// burst buffers and spawn frames pooled, dependencies declared into pooled
-// scratch buffers, items held as slab-carved cells in a flat per-stripe
-// table, and wait lists chained through the waiting instances, a complete
-// run's allocation bill is one-time graph construction plus, per tile, a
-// share of a cell slab and of the table's growth — not per-task scheduling
-// traffic. The CnC budgets are ~1.25× the measurements at n=128/base=16
-// (8×8 tiles; 204 GE and 512 FW tiles), so a regression to allocating per
-// abort or per dependency — a wait-list slice and Go-map growth brought
-// 2–3 objects per tile — trips the gate while schedule variance (which
-// only moves the abort count, at most one per tile) does not. Excluded from -race builds, like the cnc
-// gates: there sync.Pool deliberately drops Puts and no pooled path holds a
-// budget.
+// burst buffers and spawn frames pooled, step instances carved from slabs
+// and recycled through their collection's free list, dependencies declared
+// into the instance's inline read set, items held as slab-carved cells in a
+// flat per-stripe table, and wait lists chained through the waiting
+// instances, a complete run's allocation bill is one-time graph
+// construction plus, per tile, a share of an instance slab, a cell slab and
+// the table's growth — not per-task scheduling traffic. The CnC budgets are
+// ~1.25× the measurements at n=128/base=16 (8×8 tiles; 204 GE and 512 FW
+// tiles), so a regression to one allocation per instance (GE's 204 base
+// instances alone would cross the Native budget), per abort or per
+// dependency trips the gate while schedule variance (which only moves the
+// abort count and the instances live at once) does not. FW's Cube instances
+// read more than four tiles: each carved instance allocates its overflow
+// read set once. Excluded from -race builds, like the cnc gates: there
+// sync.Pool deliberately drops Puts and no pooled path holds a budget.
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 128, 16, 4
 	budget := map[string]float64{
-		"GE/" + core.NativeCnC.String():  630,  // measured ~505
-		"GE/" + core.TunerCnC.String():   360,  // measured ~290
-		"GE/" + core.ManualCnC.String():  630,  // measured ~505
-		"GE/" + core.OMPTasking.String(): 200,  // measured ~30
-		"FW/" + core.NativeCnC.String():  1360, // measured ~1090
-		"FW/" + core.TunerCnC.String():   1130, // measured ~830–910
-		"FW/" + core.ManualCnC.String():  1380, // measured ~1100
-		"FW/" + core.OMPTasking.String(): 300,  // measured ~30
+		"GE/" + core.NativeCnC.String():  365, // measured ~290
+		"GE/" + core.TunerCnC.String():   330, // measured ~265
+		"GE/" + core.ManualCnC.String():  360, // measured ~288
+		"GE/" + core.OMPTasking.String(): 200, // measured ~30
+		"FW/" + core.NativeCnC.String():  870, // measured ~690
+		"FW/" + core.TunerCnC.String():   855, // measured ~670–685
+		"FW/" + core.ManualCnC.String():  860, // measured ~685
+		"FW/" + core.OMPTasking.String(): 300, // measured ~30
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
 	defer pool.Close()
@@ -70,7 +73,7 @@ func TestRunAllocBudget(t *testing.T) {
 		if max, ok := budget[c.name]; !ok {
 			t.Errorf("%s: no budget declared", c.name)
 		} else if allocs > max {
-			t.Errorf("%s: %.0f allocs/run exceeds budget %.0f — a pooled dispatch path regressed", c.name, allocs, max)
+			t.Errorf("%s: %.0f allocs/run exceeds budget %.0f — a recycled dispatch path regressed", c.name, allocs, max)
 		}
 	}
 }

@@ -10,17 +10,17 @@ import (
 )
 
 // Full-run allocation budgets, the SW counterpart of the gates in
-// internal/gep: pooled dispatch and cell-held items keep a complete
-// wavefront run's allocation count at graph construction plus a few objects
-// per tile. The CnC budgets are ~1.25× the measurements at n=256/base=16
+// internal/gep: recycled instances and dispatch envelopes and cell-held
+// items keep a complete wavefront run's allocation count at graph
+// construction plus a share of a slab per tile. The CnC budgets are ~1.25× the measurements at n=256/base=16
 // (16×16 tiles); see internal/gep/alloc_test.go for the rationale and the
 // -race exclusion.
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 256, 16, 4
 	budget := map[core.Variant]float64{
-		core.NativeCnC:  530, // measured ~425
-		core.TunerCnC:   205, // measured ~164
-		core.ManualCnC:  535, // measured ~428
+		core.NativeCnC:  215, // measured ~171
+		core.TunerCnC:   195, // measured ~156
+		core.ManualCnC:  210, // measured ~166
 		core.OMPTasking: 100, // measured ~15
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})
@@ -45,7 +45,7 @@ func TestRunAllocBudget(t *testing.T) {
 		allocs := testing.AllocsPerRun(3, run)
 		t.Logf("SW/%s: %.0f allocs/run (budget %.0f)", v, allocs, budget[v])
 		if allocs > budget[v] {
-			t.Errorf("SW/%s: %.0f allocs/run exceeds budget %.0f — a pooled dispatch path regressed", v, allocs, budget[v])
+			t.Errorf("SW/%s: %.0f allocs/run exceeds budget %.0f — a recycled dispatch path regressed", v, allocs, budget[v])
 		}
 	}
 }
