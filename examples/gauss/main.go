@@ -60,8 +60,8 @@ func main() {
 		}
 		extra := ""
 		if stats.BaseTasks > 0 {
-			extra = fmt.Sprintf("  (%d base tasks, %d aborts, %d inline)",
-				stats.BaseTasks, stats.Aborts, stats.InlineRuns)
+			extra = fmt.Sprintf("  (%d base tasks, %d aborts, %d triggered)",
+				stats.BaseTasks, stats.Aborts, stats.TriggeredRuns)
 		}
 		fmt.Printf("%-16s %10v   max |x-x*| = %.2e%s\n", name, elapsed.Round(time.Microsecond), maxErr, extra)
 	}

@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dpflow/internal/chol"
@@ -34,7 +38,8 @@ const (
 // per-element operations, so Verify demands equality, not tolerance). The
 // CnC rows also hold the runtime to its targeted-wake claim: a push signals
 // at most one parked worker, so a run's wakeups are bounded by its
-// dispatches — a broadcast wake would bill workers × pushes.
+// dispatches, every one of which starts an attempt — a broadcast wake would
+// bill workers × pushes.
 func TestConformanceVariantsAgree(t *testing.T) {
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: confWorkers})
 	defer pool.Close()
@@ -57,9 +62,8 @@ func TestConformanceVariantsAgree(t *testing.T) {
 				if !v.IsCnC() {
 					return
 				}
-				if stats.Wakeups > stats.StepsStarted+stats.InlineRuns {
-					t.Fatalf("Wakeups %d exceeds dispatches (%d started + %d inline)",
-						stats.Wakeups, stats.StepsStarted, stats.InlineRuns)
+				if stats.Wakeups > stats.StepsStarted {
+					t.Fatalf("Wakeups %d exceeds dispatches (%d started)", stats.Wakeups, stats.StepsStarted)
 				}
 				// Every attempt either completes or aborts, and a base task
 				// aborts at most once: its declared reads are its whole wait.
@@ -70,6 +74,52 @@ func TestConformanceVariantsAgree(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestConformanceKernelsRunOnWorkers: every CnC variant of every benchmark
+// runs its base kernels on the run's leased workers, never on the goroutine
+// that called Run — the environment's. RunContext never runs a unit on its
+// caller, so one kernel there is a step run inline at its tag put, and a
+// variant whose recursion runs that way is serial whatever its worker count.
+func TestConformanceKernelsRunOnWorkers(t *testing.T) {
+	const tiles = 8
+	for _, b := range All() {
+		for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC, core.NonBlockingCnC} {
+			t.Run(b.Name()+"/"+v.String(), func(t *testing.T) {
+				in, err := b.NewInstance(tiles*confBase, confBase, confSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				caller := goid()
+				var kernels, onCaller atomic.Int64
+				trace := func() func() {
+					kernels.Add(1)
+					if goid() == caller {
+						onCaller.Add(1)
+					}
+					return func() {}
+				}
+				if _, err := in.Run(context.Background(), v, RunOpts{Workers: 2, Trace: trace}); err != nil {
+					t.Fatal(err)
+				}
+				if err := in.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				if kernels.Load() == 0 || onCaller.Load() != 0 {
+					t.Fatalf("%d of %d base kernels ran on the goroutine that called Run, want 0",
+						onCaller.Load(), kernels.Load())
+				}
+			})
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() uint64 {
+	var b [64]byte
+	f := bytes.Fields(b[:runtime.Stack(b[:], false)])
+	id, _ := strconv.ParseUint(string(f[1]), 10, 64)
+	return id
 }
 
 // TestConformanceLeakFree: the CnC schedules that declare get-counts must
@@ -202,7 +252,7 @@ func itemName(t *testing.T, g dag.Graph, id int) string {
 // released, attributed to it by the discipline checker — must be exactly
 // the receipts of the predecessors Dataflow(tiles) gives its task, under
 // speculative execution (Native) and under pre-declared dependencies
-// (Manual) alike.
+// (Tuner, Manual) alike.
 func TestConformanceRuntimeMatchesSimulator(t *testing.T) {
 	for _, b := range All() {
 		for _, tiles := range []int{2, 4, 8} {
@@ -221,7 +271,7 @@ func TestConformanceRuntimeMatchesSimulator(t *testing.T) {
 			for _, preds := range want {
 				sort.Strings(preds)
 			}
-			for _, v := range []core.Variant{core.NativeCnC, core.ManualCnC} {
+			for _, v := range []core.Variant{core.NativeCnC, core.TunerCnC, core.ManualCnC} {
 				t.Run(fmt.Sprintf("%s/%d/%v", b.Name(), tiles, v), func(t *testing.T) {
 					in, err := b.NewInstance(tiles*confBase, confBase, confSeed)
 					if err != nil {

@@ -188,8 +188,7 @@ type accountant struct {
 	runnableN atomic.Int64
 
 	// pumpMu serialises pump passes; repump coalesces triggers that arrive
-	// while a pass is running (including reentrant ones from inline step
-	// execution inside an admission).
+	// while a pass is running (a concurrent free, put or retirement).
 	pumpMu sync.Mutex
 	repump atomic.Bool
 }
@@ -291,9 +290,9 @@ func (a *accountant) ready(w waiter) bool {
 
 // pump runs admission passes while one could admit something: an entry is
 // runnable, or the graph is idle or cancelled with entries pending. TryLock
-// plus the repump flag coalesces concurrent and reentrant triggers (an
-// admitted instance can run inline, which can free items and re-trigger the
-// pump) into the single running pass.
+// plus the repump flag coalesces concurrent triggers (a worker's free or
+// retirement while another goroutine's pass runs) into the single running
+// pass.
 func (a *accountant) pump() {
 	for {
 		n := a.pendingN.Load()
@@ -347,8 +346,8 @@ func (a *accountant) next() (r *admission, forced bool) {
 }
 
 // drain admits pending instances until none is admissible. Each admission
-// releases a.mu before launching the instance, so it can run inline,
-// prescribe, and defer more instances without holding the accountant lock.
+// releases a.mu before launching the instance, so the dispatch, and the
+// hook a forced admission reports through, run without the accountant lock.
 func (a *accountant) drain() {
 	for {
 		a.mu.Lock()
@@ -413,7 +412,7 @@ func (a *accountant) drain() {
 			}
 		}
 		if launch {
-			w.launch(true, nil)
+			w.launch(nil)
 		}
 		a.g.taskDone() // release the pending hold after the launch
 	}

@@ -20,74 +20,54 @@ import (
 // deliberately drops a fraction of Puts and no pooled path can hold a
 // zero-allocation bound.
 
-// TestInlineDispatchSteadyStateAllocs gates the tuned prescheduled path:
-// a put whose declared dependency is already present runs the step inline
-// on the putting goroutine — tag put, instance acquire/recycle, dependency
-// probe and step execution, all without a single heap allocation.
-func TestInlineDispatchSteadyStateAllocs(t *testing.T) {
-	g := NewGraph("alloc-inline", 1)
-	items := NewItemCollection[int, int](g, "in")
-	tags := NewTagCollection[int](g, "tags", false)
-	var ran atomic.Int64
-	step := NewStepCollection(g, "noop", func(int) error {
-		ran.Add(1)
-		return nil
-	})
-	step.WithTunedGetsAppend(TunedPrescheduled, func(tag int, buf []Dep) []Dep {
-		return append(buf, items.Key(7))
-	})
-	tags.Prescribe(step)
-
-	var allocs float64
-	err := g.Run(func() {
-		items.Put(7, 1)
-		for i := 0; i < 64; i++ { // warm the instance free list
-			tags.Put(1)
-		}
-		allocs = testing.AllocsPerRun(100, func() { tags.Put(1) })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("steady-state inline put/execute cycle allocates %v objects per run, want 0", allocs)
-	}
-	if ran.Load() == 0 {
-		t.Fatal("step never ran — the gate measured nothing")
-	}
-}
-
-// TestQueueDispatchSteadyStateAllocs gates the untuned dispatch path end to
-// end: put → recycled instance → lane push → parked-worker wakeup → worker
-// executes and recycles the instance → worker re-parks. The channel
-// handshake serialises the cycle so the measurement window contains exactly
-// one full round trip.
+// TestQueueDispatchSteadyStateAllocs gates the dispatch path end to end:
+// put → recycled instance → lane push → parked-worker wakeup → worker
+// executes and recycles the instance → worker re-parks. The tuned arm adds
+// the pre-scheduling check: the instance resolves its declared read, finds
+// it present and is dispatched the same way. The channel handshake
+// serialises the cycle so the measurement window contains exactly one full
+// round trip.
 func TestQueueDispatchSteadyStateAllocs(t *testing.T) {
-	g := NewGraph("alloc-queue", 1)
-	tags := NewTagCollection[int](g, "tags", false)
-	done := make(chan struct{}, 1)
-	step := NewStepCollection(g, "noop", func(int) error {
-		done <- struct{}{}
-		return nil
-	})
-	tags.Prescribe(step)
-
-	cycle := func() {
-		tags.Put(1)
-		<-done
-	}
-	var allocs float64
-	err := g.Run(func() {
-		for i := 0; i < 64; i++ { // warm instance free list, lane rings, parked set
-			cycle()
+	for _, tuned := range []bool{false, true} {
+		name := "untuned"
+		if tuned {
+			name = "tuned"
 		}
-		allocs = testing.AllocsPerRun(100, cycle)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("steady-state put→worker→execute cycle allocates %v objects per run, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			g := NewGraph("alloc-queue", 1)
+			items := NewItemCollection[int, int](g, "in")
+			tags := NewTagCollection[int](g, "tags", false)
+			done := make(chan struct{}, 1)
+			step := NewStepCollection(g, "noop", func(int) error {
+				done <- struct{}{}
+				return nil
+			})
+			if tuned {
+				step.WithTunedGetsAppend(func(tag int, buf []Dep) []Dep {
+					return append(buf, items.Key(7))
+				})
+			}
+			tags.Prescribe(step)
+
+			cycle := func() {
+				tags.Put(1)
+				<-done
+			}
+			var allocs float64
+			err := g.Run(func() {
+				items.Put(7, 1)
+				for i := 0; i < 64; i++ { // warm instance free list, lane rings, parked set
+					cycle()
+				}
+				allocs = testing.AllocsPerRun(100, cycle)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("steady-state put→worker→execute cycle allocates %v objects per run, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -157,7 +157,7 @@ func TestBackendNeverRead(t *testing.T) {
 		}
 		read("tuned", k, v)
 		return nil
-	}).WithTunedGetsAppend(TunedTriggered, func(k int, buf []Dep) []Dep { return append(buf, items.Key(k)) })
+	}).WithTunedGetsAppend(func(k int, buf []Dep) []Dep { return append(buf, items.Key(k)) })
 	produce := NewStepCollection(g, "produce", func(k int) error {
 		items.Put(k, 10*k)
 		return nil

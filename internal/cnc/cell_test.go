@@ -305,13 +305,12 @@ func TestReadSetResolvedOnce(t *testing.T) {
 				calls.Add(1)
 				return append(ds, in.Key(i))
 			}
-			switch name {
-			case "native":
+			if name == "native" {
 				step.WithGetsAppend(reads)
-			case "manual":
-				step.WithTunedGetsAppend(TunedTriggered, reads)
-			default:
-				step.WithTunedGetsAppend(TunedPrescheduled, reads)
+			} else {
+				step.WithTunedGetsAppend(reads)
+			}
+			if name == "tuner-throttled" {
 				g.WithMemoryLimit(1 << 20)
 				tags.WithTagBytes(func(int) int { return 8 })
 			}
@@ -339,11 +338,11 @@ func TestReadSetResolvedOnce(t *testing.T) {
 			case "manual":
 				path = s.Aborts == 0 && s.TriggeredRuns == 1
 			default:
-				path = s.Aborts == 0 && s.InlineRuns == 1 && s.BackpressureWaits == 1
+				path = s.Aborts == 0 && s.TriggeredRuns == 1 && s.BackpressureWaits == 1
 			}
 			if !path {
-				t.Fatalf("aborts %d triggered %d inline %d waits %d, want the %s path",
-					s.Aborts, s.TriggeredRuns, s.InlineRuns, s.BackpressureWaits, name)
+				t.Fatalf("aborts %d triggered %d waits %d, want the %s path",
+					s.Aborts, s.TriggeredRuns, s.BackpressureWaits, name)
 			}
 		})
 	}
@@ -512,7 +511,7 @@ func TestTableGrowthKeepsCells(t *testing.T) {
 	step := NewStepCollection(g, "s", func(int) error {
 		ran.Add(1)
 		return nil
-	}).WithTunedGetsAppend(TunedTriggered, func(i int, ds []Dep) []Dep {
+	}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep {
 		deps[i] = in.Key(mk(i))
 		return append(ds, deps[i])
 	})
@@ -589,7 +588,7 @@ func TestFreedCellErrors(t *testing.T) {
 			}},
 		{name: "tuned-subscribe", want: "use-after-free", uaf: true,
 			build: func(items *ItemCollection[string, int], step *StepCollection[string]) {
-				step.WithTunedGetsAppend(TunedTriggered, key(items))
+				step.WithTunedGetsAppend(key(items))
 			}},
 	}
 	for _, checked := range []bool{false, true} {

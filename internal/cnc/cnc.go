@@ -26,16 +26,14 @@
 // on, probes or releases an item holds the cell, not the key: only Put, Get,
 // TryGet and Key look anything up.
 //
-// Two tuners reproduce the paper's tuned variants (§III-D). Both make the
-// declared read set the instance's dependencies (WithTunedGetsAppend):
-//
-//   - TunedPrescheduled ("Tuner-CnC"): the runtime resolves the read set
-//     when the tag is put; if all items are already available the step runs
-//     inline on the putting goroutine, otherwise it is triggered — without
-//     any speculative abort — when the last one arrives.
-//   - TunedTriggered ("Manual-CnC" building block): instances are never run
-//     speculatively; each waits on a countdown of its declared reads and is
-//     scheduled when the count reaches zero.
+// A tuned step (WithTunedGetsAppend) makes its declared read set the
+// instance's dependencies, the pre-scheduling tuner of the paper's tuned
+// variants (§III-D): the runtime resolves the read set when the tag is put,
+// the instance waits on the items still missing, and once none is it is
+// dispatched like any ready instance — never speculatively, so it never
+// aborts. Tuner-CnC and Manual-CnC share this one launch rule; they differ
+// in who puts the base tags (the recursion's steps, or the environment up
+// front; see gep.Flow.Run).
 //
 // The runtime dynamically enforces the single-assignment rule and, because
 // CnC programs are deterministic, reports deadlock precisely: when the graph
@@ -122,9 +120,12 @@ type Stats struct {
 	StepsDone     uint64 // step instances completed successfully
 	Aborts        uint64 // attempts aborted on a missing input (≤ 1 per instance for declared reads)
 	Requeues      uint64 // aborted instances re-scheduled once nothing they wait for is missing
-	InlineRuns    uint64 // instances run inline by the prescheduling tuner
-	TriggeredRuns uint64 // instances released by a dependency countdown
+	TriggeredRuns uint64 // tuned instances dispatched once their declared reads are present
 	Retries       uint64 // failed attempts re-executed under a retry budget
+	// InlineRuns is always 0: every instance, tuned or not, runs on a
+	// leased worker, never on the goroutine that put its tag. The field
+	// stays for the readers that report it (dpperf's cnc.inline_runs).
+	InlineRuns uint64
 
 	// Dispatch-layer counters (exec.Lanes.Counters). The seed runtime
 	// broadcast to every worker on every push — an implied workers×puts wake
@@ -239,10 +240,10 @@ type Graph struct {
 	err    error
 
 	stats struct {
-		tagsPut, itemsPut, started, done    atomic.Uint64
-		aborts, requeues, inline, triggered atomic.Uint64
-		retries                             atomic.Uint64
-		backendPuts                         atomic.Uint64
+		tagsPut, itemsPut, started, done atomic.Uint64
+		aborts, requeues, triggered      atomic.Uint64
+		retries                          atomic.Uint64
+		backendPuts                      atomic.Uint64
 	}
 
 	// Static graph structure, for Describe/Dot and deadlock reports.
@@ -350,7 +351,6 @@ func (g *Graph) Stats() Stats {
 		StepsDone:     g.stats.done.Load(),
 		Aborts:        g.stats.aborts.Load(),
 		Requeues:      g.stats.requeues.Load(),
-		InlineRuns:    g.stats.inline.Load(),
 		TriggeredRuns: g.stats.triggered.Load(),
 		Retries:       g.stats.retries.Load(),
 
@@ -460,6 +460,12 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 	g.flushBackend()
 
 	if g.parked.Load() > 0 {
+		// The cancellation wins over the deadlock of the instances it
+		// starved even when the monitor has not run yet: the drained graph
+		// can quiesce before it does, and then the select picks at random.
+		if err := ctx.Err(); err != nil {
+			g.fail(err)
+		}
 		g.fail(&DeadlockError{Blocked: g.collectBlocked()})
 	}
 	g.failMu.Lock()

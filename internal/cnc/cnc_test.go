@@ -1,8 +1,11 @@
 package cnc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -170,39 +173,6 @@ func TestUnmemoizedTagsRunPerPut(t *testing.T) {
 	}
 }
 
-// TestPrescheduledInline: dependencies available at prescription time run
-// the step inline on the putting goroutine, with no abort.
-func TestPrescheduledInline(t *testing.T) {
-	g := NewGraph("tuner", 2)
-	in := NewItemCollection[int, int](g, "in")
-	out := NewItemCollection[int, int](g, "out")
-	tags := NewTagCollection[int](g, "tg", false)
-	step := NewStepCollection(g, "s", func(i int) error {
-		out.Put(i, in.Get(i)*2)
-		return nil
-	}).WithTunedGetsAppend(TunedPrescheduled, func(i int, ds []Dep) []Dep {
-		return append(ds, in.Key(i))
-	})
-	tags.Prescribe(step)
-	err := g.Run(func() {
-		in.Put(3, 21)
-		tags.Put(3) // dependency already present -> inline
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := out.TryGet(3); v != 42 {
-		t.Fatalf("out = %d, want 42", v)
-	}
-	s := g.Stats()
-	if s.InlineRuns != 1 {
-		t.Fatalf("InlineRuns = %d, want 1 (stats %+v)", s.InlineRuns, s)
-	}
-	if s.Aborts != 0 {
-		t.Fatalf("tuned step must not abort, stats %+v", s)
-	}
-}
-
 // TestPrescheduledDelayed: with the dependency missing at prescription time,
 // the tuned step is released when the item arrives, still without aborts.
 func TestPrescheduledDelayed(t *testing.T) {
@@ -214,7 +184,7 @@ func TestPrescheduledDelayed(t *testing.T) {
 	step := NewStepCollection(g, "s", func(i int) error {
 		out.Put(i, in.Get(i)+1)
 		return nil
-	}).WithTunedGetsAppend(TunedPrescheduled, func(i int, ds []Dep) []Dep {
+	}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep {
 		return append(ds, in.Key(i))
 	})
 	prod := NewStepCollection(g, "p", func(i int) error {
@@ -242,32 +212,49 @@ func TestPrescheduledDelayed(t *testing.T) {
 	}
 }
 
-// TestTriggeredNeverInline: TunedTriggered schedules through the queue even
-// when all dependencies are present.
-func TestTriggeredNeverInline(t *testing.T) {
-	g := NewGraph("manual", 2)
+// TestReadyTunedInstanceDispatched: a tuned instance whose declared read is
+// already present when its tag is put is dispatched to a worker like any
+// ready instance, never run inline on the putting goroutine, and never
+// aborts.
+func TestReadyTunedInstanceDispatched(t *testing.T) {
+	g := NewGraph("tuner", 2)
 	in := NewItemCollection[int, int](g, "in")
 	out := NewItemCollection[int, int](g, "out")
 	tags := NewTagCollection[int](g, "tg", false)
+	var ranOn atomic.Uint64
 	step := NewStepCollection(g, "s", func(i int) error {
-		out.Put(i, in.Get(i)-1)
+		ranOn.Store(goid())
+		out.Put(i, in.Get(i)*2)
 		return nil
-	}).WithTunedGetsAppend(TunedTriggered, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+	}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 	tags.Prescribe(step)
+	var envOn uint64
 	err := g.Run(func() {
-		in.Put(9, 100)
-		tags.Put(9)
+		envOn = goid()
+		in.Put(3, 21)
+		tags.Put(3) // the read is present: dispatched at once
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := out.TryGet(9); v != 99 {
-		t.Fatalf("out = %d, want 99", v)
+	if v, _ := out.TryGet(3); v != 42 {
+		t.Fatalf("out = %d, want 42", v)
+	}
+	if ranOn.Load() == envOn {
+		t.Fatal("the tuned step ran on the goroutine that put its tag")
 	}
 	s := g.Stats()
-	if s.InlineRuns != 0 || s.TriggeredRuns != 1 {
-		t.Fatalf("stats %+v: want 0 inline, 1 triggered", s)
+	if s.Aborts != 0 || s.InlineRuns != 0 || s.TriggeredRuns != 1 {
+		t.Fatalf("stats %+v: want 0 aborts, 0 inline, 1 triggered", s)
 	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() uint64 {
+	var b [64]byte
+	f := bytes.Fields(b[:runtime.Stack(b[:], false)])
+	id, _ := strconv.ParseUint(string(f[1]), 10, 64)
+	return id
 }
 
 // TestTunedDeadlock: a tuned step whose dependency never arrives must be
@@ -279,7 +266,7 @@ func TestTunedDeadlock(t *testing.T) {
 	step := NewStepCollection(g, "s", func(i int) error {
 		in.Get(i)
 		return nil
-	}).WithTunedGetsAppend(TunedTriggered, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+	}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 	tags.Prescribe(step)
 	err := g.Run(func() { tags.Put(7) })
 	var dl *DeadlockError
@@ -502,7 +489,7 @@ func TestMultiDepCountdown(t *testing.T) {
 		runs.Add(1)
 		out.Put(0, in.Get(1)+in.Get(2)+in.Get(3))
 		return nil
-	}).WithTunedGetsAppend(TunedTriggered, func(_ int, ds []Dep) []Dep {
+	}).WithTunedGetsAppend(func(_ int, ds []Dep) []Dep {
 		return append(ds, in.Key(1), in.Key(2), in.Key(3))
 	})
 	feed := NewStepCollection(g, "feed", func(i int) error {

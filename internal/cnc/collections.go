@@ -18,22 +18,6 @@ import (
 // runs. Returning a non-nil error fails the whole graph.
 type StepFunc[T comparable] func(tag T) error
 
-// TuningMode selects how a tuned step collection schedules its instances.
-type TuningMode int
-
-const (
-	// TunedPrescheduled is the paper's "Tuner-CnC": the read set declared by
-	// WithTunedGetsAppend is resolved when the tag is put; if all items are
-	// already present the instance runs inline on the putting goroutine,
-	// avoiding the scheduler round-trip; otherwise it is scheduled when the
-	// last one arrives.
-	TunedPrescheduled TuningMode = iota
-	// TunedTriggered is the building block of the paper's "Manual-CnC":
-	// every instance waits on a countdown of its declared reads and is
-	// scheduled (never inline) when the countdown reaches zero.
-	TunedTriggered
-)
-
 // Dep names one item dependency of a step instance: a reference to the
 // write-once cell of one key in one item collection. Construct them with
 // ItemCollection.Key, which resolves the cell once; everything that later
@@ -81,7 +65,7 @@ type waiter interface {
 	waitState() (label string, later []Dep)
 	wake(bu *Burst)
 	head() *entry
-	launch(inline bool, bu *Burst)
+	launch(bu *Burst)
 }
 
 // UseAfterFreeError reports a read (or re-put) of an item that get-count
@@ -124,7 +108,6 @@ type StepCollection[T comparable] struct {
 	// the first attempt (WithTunedGetsAppend).
 	getsApp func(T, []Dep) []Dep
 	tuned   bool
-	mode    TuningMode
 
 	retryMu  sync.Mutex
 	attempts map[T]int
@@ -190,12 +173,13 @@ func (sc *StepCollection[T]) WithGetsAppend(fn func(T, []Dep) []Dep) *StepCollec
 }
 
 // WithTunedGetsAppend declares fn as the read set (WithGetsAppend) and
-// tunes the step with mode: an instance waits for its whole read set when
-// its tag is put, and never runs speculatively. The runtime resolves fn
-// once per instance.
-func (sc *StepCollection[T]) WithTunedGetsAppend(mode TuningMode, fn func(T, []Dep) []Dep) *StepCollection[T] {
+// tunes the step: an instance waits for its whole read set when its tag is
+// put, and never runs speculatively. Once nothing it reads is missing it is
+// dispatched like any ready instance, never run on the putting goroutine.
+// The runtime resolves fn once per instance.
+func (sc *StepCollection[T]) WithTunedGetsAppend(fn func(T, []Dep) []Dep) *StepCollection[T] {
 	sc.WithGetsAppend(fn)
-	sc.tuned, sc.mode = true, mode
+	sc.tuned = true
 	return sc
 }
 
@@ -266,8 +250,7 @@ func (sc *StepCollection[T]) acquire(tag T) *instance[T] {
 }
 
 // instance launches the step instance for tag: untuned it is dispatched at
-// once (into bu when one is open); tuned it first waits for its read set,
-// and with nothing missing a prescheduled one runs inline.
+// once (into bu when one is open); tuned it first waits for its read set.
 func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 	in := sc.acquire(tag)
 	if !sc.tuned {
@@ -289,10 +272,10 @@ func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 	in.present = sc.tuned // untuned, the read before the body still probes
 	n := in.subscribe(0, nil)
 	if sc.g.acct.enqueue(in, cost, n) {
-		in.launch(true, bu)
+		in.launch(bu)
 		return
 	}
-	in.arrive(n, false, bu)
+	in.arrive(n, bu)
 	sc.g.acct.pump()
 }
 
@@ -324,7 +307,7 @@ func (in *instance[T]) waitState() (string, []Dep) {
 // retiring its unit once none is still empty.
 func (in *instance[T]) wake(bu *Burst) {
 	if !in.chain(int(in.resume)) {
-		in.arrive(1, false, bu)
+		in.arrive(1, bu)
 	}
 }
 
@@ -336,7 +319,7 @@ func (in *instance[T]) head() *entry { return &in.entry }
 func (in *instance[T]) wait(i int, missed depCell, requeue bool, bu *Burst) {
 	in.sc.g.parked.Add(1)
 	in.requeue = requeue
-	in.arrive(in.subscribe(i, missed), !requeue, bu)
+	in.arrive(in.subscribe(i, missed), bu)
 }
 
 // subscribe starts the countdown and chains the instance on missed, if
@@ -372,8 +355,8 @@ func (in *instance[T]) chain(i int) bool {
 
 // arrive retires n units of the countdown and, on the last, launches the
 // instance — or, throttled and not yet admitted, hands it to the accountant,
-// which launches it; inline marks the sentinel of a launch at the tag put.
-func (in *instance[T]) arrive(n int32, inline bool, bu *Burst) {
+// which launches it.
+func (in *instance[T]) arrive(n int32, bu *Burst) {
 	if in.remaining.Add(-n) != 0 {
 		return
 	}
@@ -382,26 +365,17 @@ func (in *instance[T]) arrive(n int32, inline bool, bu *Burst) {
 		return
 	}
 	g.parked.Add(-1)
-	in.launch(inline, bu)
+	in.launch(bu)
 }
 
-// launch starts the instance once nothing it waits for is missing: a
-// requeue after an abort, or an untuned instance, is dispatched; a tuned one
-// launched at its tag put runs inline if prescheduled, and any other tuned
-// launch is triggered by its last item.
-func (in *instance[T]) launch(inline bool, bu *Burst) {
-	sc := in.sc
-	g := sc.g
+// launch dispatches the instance once nothing it waits for is missing,
+// counting a requeue after an abort and a tuned instance's triggered run.
+func (in *instance[T]) launch(bu *Burst) {
+	g := in.sc.g
 	switch {
 	case in.requeue:
 		g.stats.requeues.Add(1)
-	case !sc.tuned:
-	case inline && sc.mode == TunedPrescheduled:
-		g.stats.inline.Add(1)
-		g.outstanding.Add(1)
-		in.Run(0)
-		return
-	default:
+	case in.sc.tuned:
 		g.stats.triggered.Add(1)
 	}
 	in.dispatch(bu)
@@ -421,9 +395,7 @@ func (in *instance[T]) Run(int) {
 	}
 	g.stats.started.Add(1)
 	if dc := g.discipline; dc != nil {
-		// Attribute every put/get/release the attempt issues — including those
-		// of nested inline runs, which push their own label — to this
-		// instance.
+		// Attribute every put/get/release the attempt issues to this instance.
 		exit := dc.Enter(fmt.Sprintf("%s@%v", sc.meta.name, tag))
 		defer exit()
 	}

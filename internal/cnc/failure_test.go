@@ -129,24 +129,37 @@ func TestLargeGraphStress(t *testing.T) {
 	}
 }
 
-// tunedModes enumerates the tuned scheduling modes for the table-driven
-// failure tests below; the speculative path is covered by the tests above.
-var tunedModes = []struct {
-	name string
-	mode TuningMode
+// tunedPaths enumerates the two ways the one tuned launch rule dispatches
+// an instance, for the table-driven failure tests below: its read is
+// present when its tag is put (the pre-scheduling check dispatches it from
+// the put), or it arrives later (the item's put triggers the dispatch).
+// The speculative path is covered by the tests above.
+var tunedPaths = []struct {
+	name       string
+	readsFirst bool
 }{
-	{"Prescheduled", TunedPrescheduled},
-	{"Triggered", TunedTriggered},
+	{"Prescheduled", true},
+	{"Triggered", false},
 }
 
-// Injected step failures under both tuned modes: a failing body must
-// surface its error and the graph must quiesce, whether the instance ran
-// inline (prescheduled, deps present), was triggered by the last
-// dependency, or waited on a countdown.
+// putBoth puts the reads, then the tags, on the prescheduled path, and the
+// other way round on the triggered one.
+func putBoth(readsFirst bool, tags, reads func()) {
+	if readsFirst {
+		reads()
+		tags()
+	} else {
+		tags()
+		reads()
+	}
+}
+
+// Injected step failures in tuned instances: a failing body must surface
+// its error and the graph must quiesce on either launch path.
 func TestTunedStepFailures(t *testing.T) {
-	for _, tm := range tunedModes {
-		t.Run(tm.name, func(t *testing.T) {
-			g := NewGraph("tuned-fail-"+tm.name, 4)
+	for _, tp := range tunedPaths {
+		t.Run(tp.name, func(t *testing.T) {
+			g := NewGraph("tuned-fail-"+tp.name, 4)
 			in := NewItemCollection[int, int](g, "in")
 			out := NewItemCollection[int, int](g, "out")
 			tags := NewTagCollection[int](g, "tg", false)
@@ -159,20 +172,18 @@ func TestTunedStepFailures(t *testing.T) {
 				}
 				out.Put(i, v*2)
 				return nil
-			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+			}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			err := g.Run(func() {
-				// Half the deps exist before the tags, half arrive after, so
-				// both the already-present and the subscribe path execute.
-				for i := 0; i < 10; i++ {
-					in.Put(i, i)
-				}
-				for i := 0; i < 20; i++ {
-					tags.Put(i)
-				}
-				for i := 10; i < 20; i++ {
-					in.Put(i, i)
-				}
+				putBoth(tp.readsFirst, func() {
+					for i := 0; i < 20; i++ {
+						tags.Put(i)
+					}
+				}, func() {
+					for i := 0; i < 20; i++ {
+						in.Put(i, i)
+					}
+				})
 			})
 			if err == nil || !strings.Contains(err.Error(), "injected tuned failure") {
 				t.Fatalf("err = %v", err)
@@ -184,11 +195,11 @@ func TestTunedStepFailures(t *testing.T) {
 	}
 }
 
-// Injected panics under both tuned modes must be contained like errors.
+// Injected panics in tuned instances must be contained like errors.
 func TestTunedStepPanics(t *testing.T) {
-	for _, tm := range tunedModes {
-		t.Run(tm.name, func(t *testing.T) {
-			g := NewGraph("tuned-panic-"+tm.name, 4)
+	for _, tp := range tunedPaths {
+		t.Run(tp.name, func(t *testing.T) {
+			g := NewGraph("tuned-panic-"+tp.name, 4)
 			in := NewItemCollection[int, int](g, "in")
 			tags := NewTagCollection[int](g, "tg", false)
 			step := NewStepCollection(g, "s", func(i int) error {
@@ -196,15 +207,18 @@ func TestTunedStepPanics(t *testing.T) {
 					panic(fmt.Sprintf("tuned boom %d", i))
 				}
 				return nil
-			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+			}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			err := g.Run(func() {
-				for i := 0; i < 40; i++ {
-					tags.Put(i)
-				}
-				for i := 0; i < 40; i++ {
-					in.Put(i, i)
-				}
+				putBoth(tp.readsFirst, func() {
+					for i := 0; i < 40; i++ {
+						tags.Put(i)
+					}
+				}, func() {
+					for i := 0; i < 40; i++ {
+						in.Put(i, i)
+					}
+				})
 			})
 			if err == nil || !strings.Contains(err.Error(), "tuned boom") {
 				t.Fatalf("err = %v", err)
@@ -217,9 +231,9 @@ func TestTunedStepPanics(t *testing.T) {
 // re-dispatch must not wait on (or re-subscribe to) the already-satisfied
 // dependencies.
 func TestTunedRetryAbsorbsTransientFailure(t *testing.T) {
-	for _, tm := range tunedModes {
-		t.Run(tm.name, func(t *testing.T) {
-			g := NewGraph("tuned-retry-"+tm.name, 4)
+	for _, tp := range tunedPaths {
+		t.Run(tp.name, func(t *testing.T) {
+			g := NewGraph("tuned-retry-"+tp.name, 4)
 			g.SetRetry(1)
 			in := NewItemCollection[int, int](g, "in")
 			tags := NewTagCollection[int](g, "tg", false)
@@ -229,11 +243,10 @@ func TestTunedRetryAbsorbsTransientFailure(t *testing.T) {
 					return errors.New("transient tuned failure")
 				}
 				return nil
-			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+			}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			if err := g.Run(func() {
-				tags.Put(5)
-				in.Put(5, 50)
+				putBoth(tp.readsFirst, func() { tags.Put(5) }, func() { in.Put(5, 50) })
 			}); err != nil {
 				t.Fatalf("retry did not absorb the tuned failure: %v", err)
 			}
@@ -244,23 +257,26 @@ func TestTunedRetryAbsorbsTransientFailure(t *testing.T) {
 	}
 }
 
-// Deadlock reporting under both tuned modes: an instance whose declared
+// Deadlock reporting for tuned instances: an instance whose declared
 // dependency never arrives must quiesce into a DeadlockError whose Blocked
 // entry names exactly the starved instance and the missing coll[key].
 func TestTunedDeadlockBlockedNaming(t *testing.T) {
-	for _, tm := range tunedModes {
-		t.Run(tm.name, func(t *testing.T) {
-			g := NewGraph("tuned-deadlock-"+tm.name, 2)
+	for _, tp := range tunedPaths {
+		t.Run(tp.name, func(t *testing.T) {
+			g := NewGraph("tuned-deadlock-"+tp.name, 2)
 			in := NewItemCollection[int, int](g, "in")
 			tags := NewTagCollection[int](g, "tg", false)
 			step := NewStepCollection(g, "s", func(i int) error {
 				return nil
-			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
+			}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) })
 			tags.Prescribe(step)
 			err := g.Run(func() {
-				tags.Put(3)
-				tags.Put(9)
-				in.Put(3, 30) // tag 9's dependency is never produced
+				putBoth(tp.readsFirst, func() {
+					tags.Put(3)
+					tags.Put(9)
+				}, func() {
+					in.Put(3, 30) // tag 9's dependency is never produced
+				})
 			})
 			var dl *DeadlockError
 			if !errors.As(err, &dl) {
@@ -277,11 +293,11 @@ func TestTunedDeadlockBlockedNaming(t *testing.T) {
 }
 
 // The same precise naming must hold when the starvation is caused by a
-// chaos DropTag hook discarding the producer's tag in each tuned mode.
+// chaos DropTag hook discarding the producer's tag, on either launch path.
 func TestTunedDroppedTagDeadlock(t *testing.T) {
-	for _, tm := range tunedModes {
-		t.Run(tm.name, func(t *testing.T) {
-			g := NewGraph("tuned-drop-"+tm.name, 2)
+	for _, tp := range tunedPaths {
+		t.Run(tp.name, func(t *testing.T) {
+			g := NewGraph("tuned-drop-"+tp.name, 2)
 			g.SetHooks(&Hooks{DropTag: func(coll string, tag any) bool {
 				return coll == "pt" && tag == 2
 			}})
@@ -295,14 +311,17 @@ func TestTunedDroppedTagDeadlock(t *testing.T) {
 			consumer := NewStepCollection(g, "c", func(i int) error {
 				items.TryGet(i)
 				return nil
-			}).WithTunedGetsAppend(tm.mode, func(i int, ds []Dep) []Dep { return append(ds, items.Key(i)) })
+			}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, items.Key(i)) })
 			prodTags.Prescribe(producer)
 			consTags.Prescribe(consumer)
 			err := g.Run(func() {
-				consTags.Put(1)
-				consTags.Put(2)
-				prodTags.Put(1)
-				prodTags.Put(2) // dropped by the hook: c@2 starves
+				putBoth(tp.readsFirst, func() {
+					consTags.Put(1)
+					consTags.Put(2)
+				}, func() {
+					prodTags.Put(1)
+					prodTags.Put(2) // dropped by the hook: c@2 starves
+				})
 			})
 			var dl *DeadlockError
 			if !errors.As(err, &dl) {

@@ -19,13 +19,13 @@ import (
 //
 // The checker is passive and graph-agnostic: the cnc runtime reports
 // events into it when installed via Graph.WithDisciplineCheck. Step
-// attribution uses a per-goroutine label stack maintained by Enter — the
-// runtime brackets every step body (and the environment) with Enter, so
-// puts, gets and releases are charged to the step instance that issued
-// them even across inline nested runs.
+// attribution uses a per-goroutine label set by Enter — the runtime
+// brackets every step body (on a worker) and the environment (on the
+// caller of Run) with Enter, so puts, gets and releases are charged to the
+// step instance that issued them. Brackets never nest on one goroutine.
 type DisciplineChecker struct {
 	mu     sync.Mutex
-	labels map[uint64][]string // goroutine id -> label stack
+	labels map[uint64]string // goroutine id -> label
 	items  map[itemRef]*itemLedger
 	faults []error
 
@@ -96,7 +96,7 @@ func (e *OverdrawError) Error() string {
 // NewDisciplineChecker returns an empty checker.
 func NewDisciplineChecker() *DisciplineChecker {
 	return &DisciplineChecker{
-		labels: make(map[uint64][]string),
+		labels: make(map[uint64]string),
 		items:  make(map[itemRef]*itemLedger),
 	}
 }
@@ -117,33 +117,26 @@ func goid() uint64 {
 	return id
 }
 
-// Enter pushes a step label for the current goroutine and returns the
-// matching pop. The runtime brackets each step body with it; the label
-// stack makes inline nested runs attribute correctly.
+// Enter labels the current goroutine with a step label and returns the
+// matching exit. The runtime brackets each step body, and the environment,
+// with it.
 func (dc *DisciplineChecker) Enter(label string) func() {
 	id := goid()
 	dc.mu.Lock()
-	dc.labels[id] = append(dc.labels[id], label)
+	dc.labels[id] = label
 	dc.mu.Unlock()
 	return func() {
 		dc.mu.Lock()
-		st := dc.labels[id]
-		if n := len(st); n > 0 {
-			if n == 1 {
-				delete(dc.labels, id)
-			} else {
-				dc.labels[id] = st[:n-1]
-			}
-		}
+		delete(dc.labels, id)
 		dc.mu.Unlock()
 	}
 }
 
-// current returns the innermost label of the calling goroutine. Callers
-// must hold dc.mu.
+// current returns the label of the calling goroutine. Callers must hold
+// dc.mu.
 func (dc *DisciplineChecker) current(id uint64) string {
-	if st := dc.labels[id]; len(st) > 0 {
-		return st[len(st)-1]
+	if label, ok := dc.labels[id]; ok {
+		return label
 	}
 	return "(unattributed)"
 }

@@ -12,21 +12,13 @@ func TestEnterAttributesNested(t *testing.T) {
 	if got := dc.Current(); got != "(unattributed)" {
 		t.Fatalf("Current outside any Enter = %q", got)
 	}
-	exitOuter := dc.Enter("outer@1")
-	if got := dc.Current(); got != "outer@1" {
-		t.Fatalf("Current = %q, want outer@1", got)
+	exit := dc.Enter("step@1")
+	if got := dc.Current(); got != "step@1" {
+		t.Fatalf("Current = %q, want step@1", got)
 	}
-	exitInner := dc.Enter("inner@2")
-	if got := dc.Current(); got != "inner@2" {
-		t.Fatalf("nested Current = %q, want inner@2", got)
-	}
-	exitInner()
-	if got := dc.Current(); got != "outer@1" {
-		t.Fatalf("Current after inner exit = %q, want outer@1", got)
-	}
-	exitOuter()
+	exit()
 	if got := dc.Current(); got != "(unattributed)" {
-		t.Fatalf("Current after full exit = %q", got)
+		t.Fatalf("Current after exit = %q", got)
 	}
 }
 

@@ -251,12 +251,9 @@ func (f *Flow[T, K]) build(name string, workers int, variant core.Variant) *flow
 		// would release the read set once per poll instead of once per tile.
 		if variant != core.NonBlockingCnC {
 			d.out[c].WithGetCount(d.getCount).WithSizeOf(func(K) int { return f.TileBytes })
-			switch variant {
-			case core.TunerCnC:
-				step.WithTunedGetsAppend(cnc.TunedPrescheduled, d.deps)
-			case core.ManualCnC:
-				step.WithTunedGetsAppend(cnc.TunedTriggered, d.deps)
-			default:
+			if variant == core.TunerCnC || variant == core.ManualCnC {
+				step.WithTunedGetsAppend(d.deps)
+			} else {
 				step.WithGetsAppend(d.deps)
 			}
 			d.tags[c].WithTagBytes(func(t T) int {
@@ -331,13 +328,13 @@ func (d *flowGraph[T, K]) step(t T) error {
 
 // Run executes the CnC program: Native, Tuner and NonBlocking put the root
 // tag and let the steps expand the recursion; Manual — and every variant of
-// a Flat walk — instantiates every base task from the environment, one
-// burst per stage, so all dependencies are declared before any update
-// executes and the scheduler triggers tasks as items become available. A
-// cancelled ctx drains the graph and returns ctx.Err() (see
-// cnc.Graph.RunContext). tune, when non-nil, is called with the built graph
-// before the run starts — the hook the chaos harness uses to install
-// fault-injection hooks and retry budgets, and the memory report its limit.
+// a Flat walk — puts every base task from the environment, one burst per
+// stage. That is all that tells Tuner from Manual: both wait for a base
+// task's predecessors from its tag put, then dispatch it. A cancelled ctx
+// drains the graph and returns ctx.Err() (see cnc.Graph.RunContext). tune,
+// when non-nil, is called with the built graph before the run starts — the
+// hook the chaos harness uses to install fault-injection hooks and retry
+// budgets, and the memory report its limit.
 func (f *Flow[T, K]) Run(ctx context.Context, name string, workers int, variant core.Variant, tune func(*cnc.Graph)) (CnCStats, error) {
 	d := f.build(name, workers, variant)
 	if tune != nil {
