@@ -2,6 +2,7 @@ package cnc
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,9 @@ type entry struct {
 	// and read without it; nil once admitted, and for every instance not put
 	// through PutThrottled.
 	adm atomic.Pointer[admission]
+	// key is the instance's place in the serial elision's order (childKey),
+	// the order admission grows the live set in.
+	key uint64
 	// The read set is buf[:n], or (*more)[:n] once one outgrew buf: the
 	// overflow is kept across recycling, so it is allocated once.
 	buf  [4]Dep
@@ -101,7 +105,48 @@ func (p *entry) freeable() int64 {
 	return n
 }
 
-func bySeq(r, p *admission) int { return cmp.Compare(r.seq, p.seq) }
+// byKey orders admission records by serial-order key, then put order.
+func byKey(r, p *admission) int {
+	if c := cmp.Compare(r.w.head().key, p.w.head().key); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.seq, p.seq)
+}
+
+// insert adds r to s, which is sorted by byKey.
+func insert(s []*admission, r *admission) []*admission {
+	i, _ := slices.BinarySearchFunc(s, r, byKey)
+	return slices.Insert(s, i, r)
+}
+
+// remove deletes r from s, which is sorted by byKey. The first element,
+// the usual one, goes without moving the rest (a lone one through Delete,
+// which keeps the capacity).
+func remove(s []*admission, r *admission) []*admission {
+	i, _ := slices.BinarySearchFunc(s, r, byKey)
+	if i == 0 && len(s) > 1 {
+		s[0] = nil
+		return s[1:]
+	}
+	return slices.Delete(s, i, i+1)
+}
+
+// childKey returns the key of the idx-th tag an attempt with the given key
+// (its first kbits bits in use) puts: the key followed by an
+// order-preserving prefix-free code of idx+1 — its length less one in 1
+// bits, a 0, then its bits after the leading one. Keys so compare as the
+// serial elision's depth-first order: an attempt before the tags it puts,
+// each one's subtree before the next. A key out of bits stays its
+// parent's, and put order breaks the tie.
+func childKey(key uint64, kbits uint8, idx uint64) (uint64, uint8) {
+	n := idx + 1
+	l := bits.Len64(n)
+	if int(kbits)+2*l-1 > 64 {
+		return key, kbits
+	}
+	code := (1<<(l-1)-1)<<l | n&(1<<(l-1)-1)
+	return key | code<<(64-int(kbits)-(2*l-1)), kbits + uint8(2*l-1)
+}
 
 // accountant tracks live items and bytes for one graph and implements the
 // admission control behind Graph.WithMemoryLimit.
@@ -134,25 +179,37 @@ func bySeq(r, p *admission) int { return cmp.Compare(r.seq, p.seq) }
 // complete, and release their inputs — the degraded-parallelism mode the
 // memory limit promises.
 //
-// The pump looks only at runnable entries, oldest put first, and admits the
-// ones that fit. Events that cannot change its answer skip it: with nothing
-// runnable, only the graph going idle (or a cancellation) needs a pass.
+// The pump looks only at runnable entries, in key order — the serial
+// elision's depth-first order of puts (childKey), put order among the
+// environment's — and admits the ones that fit. Events that cannot change
+// its answer skip it: with nothing runnable, only the graph going idle (or
+// a cancellation) needs a pass.
 //
 // Admission weighs each instance's net memory effect. It is *freeing* when
 // its declared gets include enough last-read items (remaining get-count 1)
 // to cover its own cost: running it does not grow the live set. Freeing
-// instances may fill the budget completely. *Growing* ones must leave
-// maxCost of headroom, so that a freeing consumer of the bytes they produce
-// always remains admissible. Without that asymmetry the budget fills to
-// exactly the limit with items whose consumers each cost one more tag than
-// is left — a self-inflicted wedge in which only forced admissions make
-// progress.
+// instances may fill the budget completely, in any order. *Growing* ones
+// must leave maxCost of headroom, so that a freeing consumer of the bytes
+// they produce always remains admissible. Without that asymmetry the budget
+// fills to exactly the limit with items whose consumers each cost one more
+// tag than is left — a self-inflicted wedge in which only forced admissions
+// make progress. And growing ones are admitted strictly in key order: none
+// while an instance before it is still deferred, runnable or waiting for
+// its reads. A serial program's dependences all point forward in that
+// order, so what the live set holds is what the serial elision holds at
+// the same point, plus freeing work not yet done, which can always catch
+// up; a budget the serial elision fits in is never wedged. Growing in the
+// order instances become runnable would open work far apart in that order,
+// whose items stay live until the work between them is done.
 //
 // Liveness: if the graph goes fully idle (no step queued or executing, no
 // environment running) while instances are still pending, no free can ever
-// land and the budget will never clear — the bound is infeasible for this
-// graph and schedule. The pump then force-admits one entry — the oldest
-// runnable memory-releasing one, else the oldest runnable, else the oldest —
+// land and the budget will never clear. The pump first lifts the key order:
+// any runnable instance that fits is admitted, since a graph whose
+// dependences do not follow its keys can leave the first instance in key
+// order waiting on a later one. If none fits, the bound is infeasible for
+// this graph and schedule, and the pump force-admits one entry — the first
+// runnable memory-releasing one, else the first runnable, else the oldest —
 // records a BackpressureStall, and reports the first such event through
 // Hooks.OnBackpressureStall. The run degrades gracefully — the footprint
 // exceeds the limit by the minimum needed to restore progress — instead of
@@ -177,9 +234,11 @@ type accountant struct {
 
 	// head and tail are the pending list: every deferred instance not yet
 	// admitted, in put order. runnable is the subset whose countdown reached
-	// zero, sorted by seq. spare chains recycled records through next.
+	// zero and waiting the rest, both sorted by byKey. spare chains recycled
+	// records through next.
 	head, tail *admission
 	runnable   []*admission
+	waiting    []*admission
 	spare      *admission
 
 	// pendingN and runnableN mirror the two sets' sizes for the lock-free
@@ -217,18 +276,19 @@ func (a *accountant) admitItem(size int64) {
 
 // admissible reports whether p, whose declared gets are all present, fits
 // the budget now with cost reserved. Freeing instances (freeable covers cost)
-// may fill it completely; growing ones leave maxCost of headroom so a
-// freeing consumer is always admissible — unless the budget is empty, in
-// which case there is nothing a consumer could free and the headroom would
-// only strand limits smaller than two tags. The cell probes behind freeable
-// run only when the classification decides. Callers hold a.mu.
-func (a *accountant) admissible(p *entry, cost int64) bool {
+// may fill it completely; growing ones only when grow says it is their turn,
+// and leaving maxCost of headroom so a freeing consumer is always
+// admissible — unless the budget is empty, in which case there is nothing a
+// consumer could free and the headroom would only strand limits smaller
+// than two tags. The cell probes behind freeable run only when the
+// classification decides. Callers hold a.mu.
+func (a *accountant) admissible(p *entry, cost int64, grow bool) bool {
 	used := a.liveBytes + a.reserved
 	total := used + cost
 	if total > a.limit {
 		return false
 	}
-	return used == 0 || total+a.maxCost <= a.limit || p.freeable() >= cost
+	return grow && (used == 0 || total+a.maxCost <= a.limit) || p.freeable() >= cost
 }
 
 // enqueue takes a throttled instance that has subscribed to its read set,
@@ -244,7 +304,7 @@ func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 		a.maxCost = cost
 	}
 	p := w.head()
-	if a.head == nil && p.remaining.Load() == n && a.admissible(p, cost) {
+	if a.head == nil && p.remaining.Load() == n && a.admissible(p, cost, true) {
 		a.reserved += cost
 		return true
 	}
@@ -256,6 +316,7 @@ func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 	}
 	a.waits++
 	*r = admission{w: w, cost: cost, seq: a.waits, prev: a.tail}
+	a.waiting = insert(a.waiting, r)
 	if a.tail != nil {
 		a.tail.next = r
 	} else {
@@ -282,8 +343,8 @@ func (a *accountant) ready(w waiter) bool {
 		return true
 	}
 	r.runnable = true
-	i, _ := slices.BinarySearchFunc(a.runnable, r, bySeq)
-	a.runnable = slices.Insert(a.runnable, i, r)
+	a.waiting = remove(a.waiting, r)
+	a.runnable = insert(a.runnable, r)
 	a.runnableN.Store(int64(len(a.runnable)))
 	return false
 }
@@ -321,10 +382,18 @@ func (a *accountant) next() (r *admission, forced bool) {
 	if a.g.cancelled.Load() {
 		return a.head, false // flush: drain mode retires instances without executing
 	}
+	// The live set grows in key order: a growing instance is its turn only
+	// while nothing before it is still deferred — neither a runnable one
+	// that did not fit nor one still waiting for its reads.
+	grow := true
 	for _, r := range a.runnable {
-		if a.admissible(r.w.head(), r.cost) {
+		if grow && len(a.waiting) > 0 && byKey(a.waiting[0], r) < 0 {
+			grow = false
+		}
+		if a.admissible(r.w.head(), r.cost, grow) {
 			return r, false
 		}
+		grow = false
 	}
 	// Nothing fits (or is runnable). If the rest of the graph is idle — every
 	// outstanding unit is one of our own pending holds — no free can ever
@@ -333,6 +402,15 @@ func (a *accountant) next() (r *admission, forced bool) {
 	// instead of replaying the unbounded schedule.
 	if a.g.outstanding.Load() > a.pendingN.Load() {
 		return nil, false
+	}
+	// Keys that do not follow a graph's dependences (FW's do not) can leave
+	// the first instance in key order waiting on a later one: before forcing
+	// anything over the budget, let growth take any runnable instance that
+	// fits.
+	for _, r := range a.runnable {
+		if a.admissible(r.w.head(), r.cost, true) {
+			return r, false
+		}
 	}
 	for _, r := range a.runnable {
 		if r.w.head().freeable() >= r.cost {
@@ -358,18 +436,12 @@ func (a *accountant) drain() {
 		}
 		w := r.w
 		if r.runnable {
-			i, _ := slices.BinarySearchFunc(a.runnable, r, bySeq)
-			// The oldest is the usual pick: drop it without moving the rest
-			// (a lone entry goes through Delete, which keeps the capacity).
-			if i == 0 && len(a.runnable) > 1 {
-				a.runnable[0], a.runnable = nil, a.runnable[1:]
-			} else {
-				a.runnable = slices.Delete(a.runnable, i, i+1)
-			}
+			a.runnable = remove(a.runnable, r)
 			a.runnableN.Store(int64(len(a.runnable)))
 		} else {
 			// Still waiting: from now on a parked instance, which the put of
 			// its last item launches (and a deadlock report names).
+			a.waiting = remove(a.waiting, r)
 			a.g.parked.Add(1)
 		}
 		if r.prev != nil {
@@ -386,7 +458,8 @@ func (a *accountant) drain() {
 		var report *BackpressureReport
 		if forced {
 			a.stalls++
-			if !a.reported {
+			// The report is built, under a.mu, only for a hook to read.
+			if h := a.g.hooks; h != nil && h.OnBackpressureStall != nil && !a.reported {
 				a.reported = true
 				// Dumped before the instance is marked admitted, so the
 				// report still names it as deferred.
@@ -407,9 +480,7 @@ func (a *accountant) drain() {
 		a.pendingN.Add(-1)
 		a.mu.Unlock()
 		if report != nil {
-			if h := a.g.hooks; h != nil && h.OnBackpressureStall != nil {
-				h.OnBackpressureStall(*report)
-			}
+			a.g.hooks.OnBackpressureStall(*report)
 		}
 		if launch {
 			w.launch(nil)
@@ -460,7 +531,11 @@ func (a *accountant) snapshot() memStats {
 // reservations past the budget are deferred and admitted as get-count
 // garbage collection frees items; deferred instances are also held back
 // until their declared gets are present, so the budget is spent on steps
-// that can run rather than park. Sizes come from each collection's
+// that can run rather than park, and an instance that grows the live set
+// waits for every one put before it in the serial elision's order — the
+// depth-first order of the puts, by the environment and through attempts'
+// bursts — so a budget the serial elision fits in suffices. Sizes come from
+// each collection's
 // WithSizeOf hint (collections without a hint occupy zero accounted bytes)
 // plus the WithTagBytes reservations of throttled puts. The bound is strict
 // while it is feasible: PeakLiveBytes never exceeds the limit as long as the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -319,6 +320,79 @@ func TestAdmissionOrderIsPutOrder(t *testing.T) {
 	if s.BackpressureWaits != n || s.BackpressureStalls != 0 || s.PeakLiveBytes > 3*cost || s.LiveItems != 0 {
 		t.Fatalf("waits %d stalls %d peak %d live %d, want %d deferred, none forced, peak within %d",
 			s.BackpressureWaits, s.BackpressureStalls, s.PeakLiveBytes, s.LiveItems, n, 3*cost)
+	}
+}
+
+// TestGrowthFollowsKeyOrder: under a limit the live set grows in the serial
+// elision's order. The environment puts tag 0, whose read is not there yet,
+// then tag 1, which could run at once and would grow the live set. Tag 1
+// must not overtake tag 0, although the budget has room for both; once the
+// read is put, both run, tag 0 first, and nothing is forced.
+func TestGrowthFollowsKeyOrder(t *testing.T) {
+	const cost = 8
+	g := NewGraph("growth-order", 1).WithMemoryLimit(8 * cost)
+	out := NewItemCollection[int, int](g, "out").
+		WithGetCount(func(int) int { return 0 }).WithSizeOf(func(int) int { return cost })
+	gate := NewItemCollection[int, bool](g, "gate").WithGetCount(func(int) int { return 1 })
+	tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return cost })
+	var order []int // one worker
+	tags.Prescribe(NewStepCollection(g, "work", func(i int) error {
+		order = append(order, i)
+		out.Put(i, i)
+		return nil
+	}).WithGets(func(i int) []Dep {
+		if i == 0 {
+			return []Dep{gate.Key(0)}
+		}
+		return nil
+	}))
+	if err := g.Run(func() {
+		tags.PutThrottled(0)
+		tags.PutThrottled(1)
+		gate.Put(0, true)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1}) {
+		t.Fatalf("ran %v, want key order [0 1]", order)
+	}
+	if s := g.Stats(); s.BackpressureWaits != 2 || s.BackpressureStalls != 0 {
+		t.Fatalf("waits %d stalls %d, want 2 deferred and none forced", s.BackpressureWaits, s.BackpressureStalls)
+	}
+}
+
+// TestChildKeyOrder: keys built by childKey sort in the depth-first order of
+// the tree of puts — an attempt before the tags it puts, each one's subtree
+// before the next sibling — and a key out of bits stays its parent's.
+func TestChildKeyOrder(t *testing.T) {
+	type node struct {
+		key  uint64
+		bits uint8
+		path string
+	}
+	var dfs []node
+	var walk func(key uint64, bits uint8, path string, depth int)
+	walk = func(key uint64, bits uint8, path string, depth int) {
+		dfs = append(dfs, node{key, bits, path})
+		if depth == 3 {
+			return
+		}
+		for i := uint64(0); i < 9; i += 1 + uint64(depth) {
+			k, b := childKey(key, bits, i)
+			walk(k, b, fmt.Sprintf("%s/%d", path, i), depth+1)
+		}
+	}
+	for i := uint64(0); i < 3; i++ {
+		k, b := childKey(0, 0, i)
+		walk(k, b, fmt.Sprint(i), 0)
+	}
+	for i := 1; i < len(dfs); i++ {
+		if dfs[i-1].key >= dfs[i].key && !strings.HasPrefix(dfs[i].path, dfs[i-1].path+"/0") {
+			t.Fatalf("key of %s (%#x) does not sort before %s (%#x)", dfs[i-1].path, dfs[i-1].key, dfs[i].path, dfs[i].key)
+		}
+	}
+	if k, b := childKey(^uint64(0), 63, 5); k != ^uint64(0) || b != 63 {
+		t.Fatalf("childKey past 64 bits = %#x, %d; want the parent's key", k, b)
 	}
 }
 

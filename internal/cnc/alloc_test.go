@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"dpflow/internal/exec"
 )
 
 // These are the dispatch-layer allocation gates: step instances carved from
@@ -214,5 +216,54 @@ func TestThrottledDeferredCycleAllocs(t *testing.T) {
 	// back every cycle: the collection never carves past its first slab.
 	if n := cap(step.slab); n > 4 {
 		t.Errorf("the step collection carved a %d-instance slab for one live instance — recycled instances are not reused", n)
+	}
+}
+
+// TestForcedAdmissionWithoutHookAllocs gates the stall report: with no
+// Hooks.OnBackpressureStall installed, a forced admission builds no
+// BackpressureReport — no wait-state dump, whose strings cost one or more
+// allocations per blocked instance. Many tuned instances wait on missing
+// items, so a dump would be long; a throttled tag that can never fit the
+// budget is force-admitted once the environment retires. The window runs
+// from the environment's last statement to the forced instance's
+// BeforeStep hook, and nothing else runs in it.
+func TestForcedAdmissionWithoutHookAllocs(t *testing.T) {
+	const blocked = 64
+	ex := exec.New(1)
+	defer ex.Close()
+	g := NewGraph("alloc-forced", 1).WithExecutor(ex).WithMemoryLimit(4)
+	in := NewItemCollection[int, int](g, "in")
+	waitTags := NewTagCollection[int](g, "wait", false)
+	waitTags.Prescribe(NewStepCollection(g, "waiter", func(int) error { return nil }).
+		WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) }))
+	bigTags := NewTagCollection[int](g, "big", false).WithTagBytes(func(int) int { return 8 })
+	bigTags.Prescribe(NewStepCollection(g, "big", func(int) error {
+		for i := 0; i < blocked; i++ {
+			in.Put(i, i)
+		}
+		return nil
+	}))
+	var before, after runtime.MemStats
+	g.SetHooks(&Hooks{BeforeStep: func(step string, _ any) error {
+		if step == "big" {
+			runtime.ReadMemStats(&after)
+		}
+		return nil
+	}})
+	err := g.Run(func() {
+		for i := 0; i < blocked; i++ {
+			waitTags.Put(i) // tuned: waits for in[i] on this goroutine
+		}
+		bigTags.PutThrottled(0) // 8 bytes never fit the 4-byte budget
+		runtime.ReadMemStats(&before)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Stats(); s.BackpressureStalls != 1 || s.StepsDone != blocked+1 {
+		t.Fatalf("stalls %d done %d, want 1 forced admission and %d steps", s.BackpressureStalls, s.StepsDone, blocked+1)
+	}
+	if n := after.Mallocs - before.Mallocs; n >= blocked {
+		t.Errorf("forced admission without a stall hook allocated %d objects with %d instances blocked, want fewer than one per instance", n, blocked)
 	}
 }

@@ -664,11 +664,12 @@ func TestCellSize(t *testing.T) {
 type tag4 struct{ I, J, K, S int }
 
 // TestInstanceSize pins a step instance's footprint: a GE base instance — its
-// tag, four inline reads, the countdown, wait-chain link and admission
-// pointer — carries no field only admission reads and no slice header.
+// tag, four inline reads, the countdown, wait-chain link, admission pointer
+// and serial-order key — carries no field only admission reads and no slice
+// header.
 func TestInstanceSize(t *testing.T) {
-	if n := unsafe.Sizeof(instance[tag4]{}); n > 152 {
-		t.Fatalf("instance[tag4] is %d bytes, want at most 152", n)
+	if n := unsafe.Sizeof(instance[tag4]{}); n > 160 {
+		t.Fatalf("instance[tag4] is %d bytes, want at most 160", n)
 	}
 }
 

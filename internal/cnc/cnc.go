@@ -44,11 +44,20 @@
 //
 // Step instances are queued in the shared work-stealing core (exec.Lanes:
 // one lane per logical worker, leased from an exec.Executor for the
-// duration of a run); this package only chooses the policy. General work is
-// placed round-robin and taken oldest-first by owner and thieves alike: the
-// non-blocking schedule makes progress by re-putting its own tag behind the
-// producers it polls for, which needs queue fairness (exec.OwnerFIFO). A
-// step instance is one value from launch to release, carved from its
+// duration of a run), under the one discipline fork-join uses too: units
+// spawned on a lane are taken newest-first by its owner and oldest-first by
+// thieves, units enqueued on it oldest-first by everyone, after the spawned
+// ones. This package only chooses placement, TBB's spawn/enqueue split. An
+// attempt's body gets the Burst of the lane it runs on (one per lane, owned
+// by the graph, not pooled): the tags it puts there and the successors its
+// item puts wake through it are spawned on that lane once the attempt
+// returns, so the worker that produced a tile runs its readers next, while
+// the tile is still in cache. Everything else — environment puts, plain
+// Puts from a step, retries, admissions — is enqueued round-robin, so it
+// runs after the work already spawned or enqueued. That is what lets a
+// non-blocking step, re-putting its own tag behind the producers it polls
+// for, yield to them even on one worker. A step
+// instance is one value from launch to release, carved from its
 // collection's slabs and recycled through its free list: the queued unit,
 // the waiter on the cells it misses, the holder of its read set and, under a
 // memory limit, what admission launches. It never holds a worker while
@@ -233,8 +242,11 @@ type Graph struct {
 	parked      atomic.Int64
 
 	// burstPool recycles Burst batch buffers (NewBurst/Flush), so the
-	// steady state of a run performs no allocation in the dispatch layer.
+	// steady state of a run performs no allocation in the dispatch layer;
+	// bursts holds the attempts', one per lane (see instance.Run).
 	burstPool sync.Pool
+	bursts    []laneBurst
+	envKids   atomic.Uint64 // tags put from outside an attempt (acquire)
 
 	failMu sync.Mutex
 	err    error
@@ -278,7 +290,10 @@ func NewGraph(name string, workers int) *Graph {
 	if workers < 1 {
 		workers = 1
 	}
-	g := &Graph{name: name, workers: workers}
+	g := &Graph{name: name, workers: workers, bursts: make([]laneBurst, workers)}
+	for i := range g.bursts {
+		g.bursts[i].Burst = Burst{g: g, slot: i}
+	}
 	g.acct.g = g
 	g.quiesceCond = sync.NewCond(&g.quiesceMu)
 	g.SetStealPolicy(exec.StealRandom)
@@ -291,7 +306,7 @@ func NewGraph(name string, workers int) *Graph {
 func (g *Graph) SetStealPolicy(p exec.StealPolicy) {
 	// Deterministic steal seed: runs are reproducible for a given graph
 	// shape, and CnC determinism holds under any victim order anyway.
-	g.lanes = exec.NewLanes(g.workers, exec.OwnerFIFO, p, 1)
+	g.lanes = exec.NewLanes(g.workers, p, 1)
 }
 
 // WithExecutor selects the shared executor the run leases its logical
@@ -487,21 +502,36 @@ func (g *Graph) schedule(run exec.Unit) {
 	g.lanes.Push(run)
 }
 
-// Burst accumulates tag puts so their dispatches hit the queue — and wake
-// parked workers — once per burst instead of once per tag. Obtain one with
-// NewBurst, put through TagCollection.PutInto / PutThrottledInto, and call
-// Flush when the burst is complete. A Burst is single-use and not safe for
-// concurrent use: Flush hands it back to an internal pool, so it must not
-// be touched afterwards. The runtime itself bursts the waiter wakeups of
-// every item put and the child-tag fan-out of the recursive DAG builders.
+// Burst accumulates dispatches, put through TagCollection.PutInto /
+// PutThrottledInto and ItemCollection.PutInto, so they hit the queue — and
+// wake parked workers — once per burst instead of once per tag. A body
+// registered with NewStepCollectionInto gets its attempt's burst: one per
+// lane, owned by the graph, not pooled, and flushed by the runtime when the
+// attempt returns, spawning its units on that lane; the body must not keep
+// it or hand it to another goroutine. Outside an attempt, NewBurst returns
+// a pooled one whose Flush enqueues round-robin; it is single-use, not
+// safe for concurrent use, and dead after Flush.
 //
 // Outstanding-work accounting happens at append time (each PutInto holds
 // the graph open exactly like a plain Put), so a burst in flight can never
 // let the graph quiesce early; dropping a burst without Flush leaks those
 // holds and hangs the run — always Flush.
 type Burst struct {
-	g  *Graph
-	rs []exec.Unit
+	g    *Graph
+	slot int // the attempt's lane, or -1 for a pooled burst
+	rs   []exec.Unit
+	// An attempt's key, its bits in use, and the tags it has put so far.
+	key   uint64
+	kbits uint8
+	kids  uint64
+}
+
+// laneBurst is an attempt's burst followed by a cache line of padding: each
+// lane's worker rewrites its burst on every attempt, so neighbouring lanes'
+// bursts must not share a line.
+type laneBurst struct {
+	Burst
+	_ [64]byte
 }
 
 // NewBurst returns an empty burst bound to the graph. Bursts are pooled:
@@ -511,25 +541,30 @@ func (g *Graph) NewBurst() *Burst {
 	if bu == nil {
 		bu = &Burst{}
 	}
-	bu.g = g
+	bu.g, bu.slot = g, -1
 	return bu
 }
 
 // Flush pushes every accumulated dispatch in one batch, waking parked
-// workers once for the whole burst, and recycles the Burst. Flushing an
-// empty burst is a cheap no-op; using the Burst after Flush is a bug.
+// workers once for the whole burst, and recycles a pooled Burst. Flushing
+// an empty burst is a cheap no-op; using a pooled Burst after Flush is a
+// bug. The runtime flushes an attempt's burst itself.
 func (bu *Burst) Flush() {
 	g := bu.g
 	if g == nil {
 		return // already flushed
 	}
-	if len(bu.rs) > 0 {
+	if bu.slot >= 0 {
+		g.lanes.PushTo(bu.slot, bu.rs...)
+	} else if len(bu.rs) > 0 {
 		g.lanes.PushBatch(bu.rs)
 	}
 	clear(bu.rs)
 	bu.rs = bu.rs[:0]
-	bu.g = nil
-	g.burstPool.Put(bu)
+	if bu.slot < 0 {
+		bu.g = nil
+		g.burstPool.Put(bu)
+	}
 }
 
 // add appends one dispatch to the burst, taking the outstanding-work hold

@@ -55,7 +55,8 @@ func TestPipeline(t *testing.T) {
 
 // TestBlockingGetAbortsAndRequeues puts the consumer's tag before the item
 // it needs exists, forcing the authentic abort-and-requeue path. One worker
-// makes the order deterministic: a single lane drains FIFO, so the consumer
+// makes the order deterministic: the environment's puts are enqueued at the
+// oldest end of a single lane and drain in put order, so the consumer
 // is guaranteed to run (and miss its Get) before the producer.
 func TestBlockingGetAbortsAndRequeues(t *testing.T) {
 	g := NewGraph("abort", 1)

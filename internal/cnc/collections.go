@@ -99,7 +99,7 @@ func (e *UseAfterFreeError) Unwrap() error { return e.Overdraw }
 type StepCollection[T comparable] struct {
 	g    *Graph
 	meta *stepMeta
-	fn   StepFunc[T]
+	body func(T, *Burst) error
 
 	// getsApp is the append-form read-set declaration (WithGetsAppend); the
 	// slice-returning WithGets wraps its callback into this form so the
@@ -126,11 +126,20 @@ type StepCollection[T comparable] struct {
 
 // NewStepCollection registers a step collection on g.
 func NewStepCollection[T comparable](g *Graph, name string, fn StepFunc[T]) *StepCollection[T] {
+	return NewStepCollectionInto(g, name, func(tag T, _ *Burst) error { return fn(tag) })
+}
+
+// NewStepCollectionInto registers a step collection whose body also gets
+// its attempt's Burst. What the body puts into it — tags through
+// TagCollection.PutInto, items through ItemCollection.PutInto, whose
+// waiters it wakes — runs next on the attempt's own worker, newest first;
+// see "Dispatch" in the package comment.
+func NewStepCollectionInto[T comparable](g *Graph, name string, body func(T, *Burst) error) *StepCollection[T] {
 	meta := &stepMeta{name: name}
 	g.structMu.Lock()
 	g.steps = append(g.steps, meta)
 	g.structMu.Unlock()
-	return &StepCollection[T]{g: g, meta: meta, fn: fn}
+	return &StepCollection[T]{g: g, meta: meta, body: body}
 }
 
 // WithGets declares the exact per-tag read set of the step. A declared read
@@ -225,9 +234,13 @@ type instance[T comparable] struct {
 	resolved bool  // the read set is resolved
 	present  bool  // every read is present, or the instance waits for it
 	requeue  bool  // waiting after an abort, not at launch
+	kbits    uint8 // bits of key in use
 }
 
-func (sc *StepCollection[T]) acquire(tag T) *instance[T] {
+// acquire takes an instance for tag, keyed as the next tag put through bu
+// when bu is an attempt's, else as the next one put from outside an
+// attempt.
+func (sc *StepCollection[T]) acquire(tag T, bu *Burst) *instance[T] {
 	sc.mu.Lock()
 	if sc.free == nil {
 		sc.free = sc.spare.Swap(nil)
@@ -246,13 +259,19 @@ func (sc *StepCollection[T]) acquire(tag T) *instance[T] {
 	}
 	sc.mu.Unlock()
 	in.sc, in.tag = sc, tag
+	if bu != nil && bu.slot >= 0 {
+		in.key, in.kbits = childKey(bu.key, bu.kbits, bu.kids)
+		bu.kids++
+	} else {
+		in.key, in.kbits = childKey(0, 0, sc.g.envKids.Add(1)-1)
+	}
 	return in
 }
 
 // instance launches the step instance for tag: untuned it is dispatched at
 // once (into bu when one is open); tuned it first waits for its read set.
 func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
-	in := sc.acquire(tag)
+	in := sc.acquire(tag, bu)
 	if !sc.tuned {
 		in.dispatch(bu)
 		return
@@ -267,7 +286,7 @@ func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 // turn, reserving cost when admitted; admission launches it exactly as
 // instance would.
 func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
-	in := sc.acquire(tag)
+	in := sc.acquire(tag, bu)
 	in.resolve()
 	in.present = sc.tuned // untuned, the read before the body still probes
 	n := in.subscribe(0, nil)
@@ -381,11 +400,17 @@ func (in *instance[T]) launch(bu *Burst) {
 	in.dispatch(bu)
 }
 
-// Run executes one (possibly speculative) attempt of the instance.
-func (in *instance[T]) Run(int) {
+// Run executes one (possibly speculative) attempt of the instance on slot,
+// whose burst the body puts into; the burst is flushed onto slot's lane
+// when the attempt returns, however it returns.
+func (in *instance[T]) Run(slot int) {
 	sc, tag := in.sc, in.tag
 	g := sc.g
-	defer g.taskDone()
+	bu := &g.bursts[slot].Burst
+	defer func() {
+		bu.Flush()
+		g.taskDone()
+	}()
 	// Cooperative cancellation: a cancelled graph drains dispatched work
 	// without running it, so RunContext returns as soon as the queue and
 	// the in-flight step bodies retire.
@@ -431,7 +456,8 @@ func (in *instance[T]) Run(int) {
 	if !in.read() {
 		return
 	}
-	if err := sc.fn(tag); err != nil {
+	bu.key, bu.kbits, bu.kids = in.key, in.kbits, 0
+	if err := sc.body(tag, bu); err != nil {
 		in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
 		return
 	}
@@ -876,7 +902,12 @@ func (ic *ItemCollection[K, V]) Key(k K) Dep {
 // it. Re-putting a key — freed or not — violates CnC's dynamic single
 // assignment rule and fails the graph. Under a memory limit the put waits
 // for byte budget (see Graph.WithMemoryLimit) before storing.
-func (ic *ItemCollection[K, V]) Put(k K, v V) {
+func (ic *ItemCollection[K, V]) Put(k K, v V) { ic.PutInto(k, v, nil) }
+
+// PutInto is Put with the wakeups of the waiters it satisfies appended to
+// bu — an attempt's burst, so they run next on the attempt's own worker.
+// With a nil bu they are enqueued round-robin.
+func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	ic.g.checkRunning()
 	if h := ic.g.hooks; h != nil && h.BeforeItemPut != nil {
 		h.BeforeItemPut(ic.name, k)
@@ -942,9 +973,10 @@ func (ic *ItemCollection[K, V]) Put(k K, v V) {
 	// lands on the queue in one batch with a single signalling pass,
 	// instead of one push + one worker wake per waiter. (A lone waiter
 	// skips it — a direct push is exactly as cheap.)
-	var bu *Burst
-	if w != nil && w.head().wnext != nil {
-		bu = ic.g.NewBurst()
+	var own *Burst
+	if bu == nil && w != nil && w.head().wnext != nil {
+		own = ic.g.NewBurst()
+		bu = own
 	}
 	for w != nil {
 		// Read the link first: the wake may chain w on its next cell.
@@ -952,8 +984,8 @@ func (ic *ItemCollection[K, V]) Put(k K, v V) {
 		w.wake(bu)
 		w = next
 	}
-	if bu != nil {
-		bu.Flush()
+	if own != nil {
+		own.Flush()
 	}
 	// The wakes above may have made deferred throttled instances runnable.
 	if ic.g.acct.pendingN.Load() > 0 {

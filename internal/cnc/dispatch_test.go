@@ -1,0 +1,131 @@
+package cnc
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"dpflow/internal/exec"
+)
+
+// unitFunc adapts a func() to exec.Unit.
+type unitFunc func()
+
+func (f unitFunc) Run(int) { f() }
+
+// orderLog records the order steps ran in.
+type orderLog struct {
+	mu  sync.Mutex
+	ran []string
+}
+
+func (l *orderLog) add(format string, args ...any) {
+	l.mu.Lock()
+	l.ran = append(l.ran, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+// TestAttemptSuccessorRunsNext: at one worker, a successor that an attempt
+// wakes through ItemCollection.PutInto runs right after that attempt, before
+// the units the environment enqueued earlier — it lands at the newest end of
+// the attempt's own lane, while the environment's puts wait at the oldest.
+// The graph's one physical worker is held until the environment has put
+// everything, so the lane's contents when the producer runs are fixed.
+func TestAttemptSuccessorRunsNext(t *testing.T) {
+	ex := exec.New(1)
+	defer ex.Close()
+	hold := make(chan struct{})
+	held := make(chan struct{})
+	blocker := exec.NewLanes(1, exec.StealRandom, 1)
+	bl := blocker.Lease(ex, "blocker")
+	blocker.Push(unitFunc(func() { close(held); <-hold }))
+	<-held
+
+	g := NewGraph("successor", 1).WithExecutor(ex)
+	data := NewItemCollection[int, int](g, "data")
+	var log orderLog
+	consTags := NewTagCollection[int](g, "ct", false)
+	cons := NewStepCollection(g, "consumer", func(i int) error {
+		log.add("consumer")
+		return nil
+	}).WithTunedGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, data.Key(i)) })
+	consTags.Prescribe(cons)
+	prodTags := NewTagCollection[int](g, "pt", false)
+	prodTags.Prescribe(NewStepCollectionInto(g, "producer", func(i int, bu *Burst) error {
+		log.add("producer")
+		data.PutInto(i, i, bu)
+		return nil
+	}))
+	otherTags := NewTagCollection[int](g, "ot", false)
+	otherTags.Prescribe(NewStepCollection(g, "other", func(i int) error {
+		log.add("other%d", i)
+		return nil
+	}))
+
+	err := g.Run(func() {
+		consTags.Put(0) // waits for data[0]
+		prodTags.Put(0)
+		for i := 1; i <= 3; i++ {
+			otherTags.Put(i)
+		}
+		close(hold)
+	})
+	bl.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"producer", "consumer", "other1", "other2", "other3"}; !slices.Equal(log.ran, want) {
+		t.Fatalf("ran %v, want %v", log.ran, want)
+	}
+}
+
+// TestPollingRePutYields: a step that polls with TryGet and re-puts its own
+// tag on a miss, with its producer queued behind it, terminates with the
+// right result. A root step enqueues the producer and spawns the poller
+// through its burst, so at one worker the poller runs first. Its re-put is
+// enqueued at the oldest end, behind the producer; were it spawned at the
+// newest end, one worker would re-pop the poller forever, which the poll
+// budget turns into a failure.
+func TestPollingRePutYields(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const budget = 1000
+			g := NewGraph("poll", workers)
+			in := NewItemCollection[int, int](g, "in")
+			out := NewItemCollection[int, int](g, "out")
+			pollTags := NewTagCollection[int](g, "poll", false)
+			polls := 0 // one poller instance runs at a time
+			pollTags.Prescribe(NewStepCollection(g, "poller", func(i int) error {
+				v, ok := in.TryGet(i)
+				if !ok {
+					if polls++; polls > budget {
+						return fmt.Errorf("poller re-ran %d times without its producer running", polls)
+					}
+					pollTags.Put(i)
+					return nil
+				}
+				out.Put(i, v+1)
+				return nil
+			}))
+			prodTags := NewTagCollection[int](g, "prod", false)
+			prodTags.Prescribe(NewStepCollection(g, "producer", func(i int) error {
+				in.Put(i, 41)
+				return nil
+			}))
+			rootTags := NewTagCollection[int](g, "root", false)
+			rootTags.Prescribe(NewStepCollectionInto(g, "root", func(i int, bu *Burst) error {
+				prodTags.Put(i)
+				pollTags.PutInto(i, bu)
+				return nil
+			}))
+			err := g.Run(func() { rootTags.Put(7) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := out.TryGet(7); !ok || v != 42 {
+				t.Fatalf("out[7] = %d, %v; want 42, true", v, ok)
+			}
+		})
+	}
+}

@@ -9,12 +9,13 @@
 //     cap) and hands the lease a Source — a non-blocking "run up to budget
 //     units of work on logical slot s" entry point. Both runtimes use Lanes
 //     as their Source: per-slot stealable queues, one victim sweep, one
-//     budgeted drain loop (lanes.go). What they keep for
-//     themselves is policy — which end the owner takes from, how work is
-//     placed, whether a waiting task helps — and their envelope types;
+//     budgeted drain loop, one owner/thief discipline (lanes.go). What
+//     they keep for themselves is placement — which pushes spawn on the
+//     pushing slot's own lane and which enqueue round-robin — whether a
+//     waiting task helps, and their envelope types;
 //   - physical workers multiplex across all active leases: they claim one
-//     logical slot at a time (so per-slot state — queue end, victim RNG —
-//     keeps its single-consumer discipline), run a bounded
+//     logical slot at a time (so per-slot state — the owner's end of the
+//     lane, victim RNG — keeps its single-consumer discipline), run a bounded
 //     batch, release the slot and rotate to the next lease with work;
 //   - idleness is handled here, once: Lanes marks the lease dirty after
 //     every push (Lease.Notify) and the executor's register-then-reprobe

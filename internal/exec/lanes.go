@@ -36,23 +36,6 @@ func (p StealPolicy) String() string {
 	return "random"
 }
 
-// OwnerEnd is the one scheduling decision the runtimes disagree on: which
-// end of its own stealable queue a slot takes from. Thieves always take the
-// oldest unit.
-type OwnerEnd bool
-
-const (
-	// OwnerFIFO takes the oldest unit. Data-flow needs it: a non-blocking
-	// CnC step makes progress by re-putting its own tag behind the producers
-	// it polls for, and under owner-LIFO a slot would re-pop its own re-put
-	// forever.
-	OwnerFIFO OwnerEnd = false
-	// OwnerLIFO takes the newest unit, the child-stealing order of fork-join
-	// runtimes: the owner keeps the small, cache-warm sub-computations and
-	// thieves get the oldest, typically largest ones.
-	OwnerLIFO OwnerEnd = true
-)
-
 // ring is a growable circular deque. It reuses its backing array, so
 // steady-state push/pop allocates nothing and retains no dead elements
 // (regression-tested with testing.AllocsPerRun).
@@ -102,12 +85,15 @@ func (r *ring) popBack() Unit {
 	return u
 }
 
-// lane is one logical slot's share of the work: a queue other slots may
-// steal from, and one word of xorshift state for the owner's victim order.
+// lane is one logical slot's share of the work: the units spawned on it
+// (a deque: the owner takes the newest, thieves the oldest), the units
+// enqueued on it (a FIFO queue, taken oldest-first by everyone), and one
+// word of xorshift state for the owner's victim order.
 type lane struct {
-	mu    sync.Mutex
-	queue ring
-	rng   uint64 // touched only by the slot's current claim
+	mu      sync.Mutex
+	spawned ring
+	queued  ring
+	rng     uint64 // touched only by the slot's current claim
 }
 
 // victimStart advances the lane's xorshift64 state and returns the lane a
@@ -125,13 +111,17 @@ func (l *lane) victimStart(n int) int {
 // completed — the order the executor's clear-before-scan dirty bits need to
 // never strand work (see the package comment).
 //
-// A slot takes from its own queue at the end the constructor chose, then
-// sweeps the other lanes once, taking the oldest unit of the first
-// non-empty victim. The executor runs at most one claim per slot, so the
-// victim RNG has a single consumer.
+// Both runtimes share one discipline, the nested-parallel order of
+// work-stealing schedulers, with TBB's spawn/enqueue split. PushTo spawns
+// on a lane's deque — what its owner runs next, newest first; Push and
+// PushBatch enqueue round-robin on the lanes' FIFO queues — what runs after
+// the spawned work, oldest first. A slot takes the newest unit it spawned,
+// else the oldest unit enqueued on its lane, else sweeps the other lanes
+// once and steals from the first non-empty victim its oldest enqueued unit,
+// else its oldest spawned one. The executor runs at most one claim per
+// slot, so the victim RNG has a single consumer.
 type Lanes struct {
 	lanes  []lane
-	owner  OwnerEnd
 	policy StealPolicy
 
 	// lease is set by Lease before the client's first push and left in place
@@ -149,11 +139,11 @@ type Lanes struct {
 // NewLanes creates n lanes (minimum 1). The victim order of lane i is
 // seeded from (seed, i), so a run is reproducible for a given shape;
 // results never depend on it.
-func NewLanes(n int, owner OwnerEnd, policy StealPolicy, seed int64) *Lanes {
+func NewLanes(n int, policy StealPolicy, seed int64) *Lanes {
 	if n < 1 {
 		n = 1
 	}
-	q := &Lanes{lanes: make([]lane, n), owner: owner, policy: policy}
+	q := &Lanes{lanes: make([]lane, n), policy: policy}
 	for i := range q.lanes {
 		// An odd multiplier is a bijection, so distinct (seed, i) pairs get
 		// distinct states; xorshift only needs the state to be nonzero.
@@ -190,23 +180,38 @@ func (q *Lanes) notify(slot int) {
 	}
 }
 
-// Push enqueues a stealable unit on the next lane in round-robin order.
+// Push enqueues a stealable unit on the next lane in round-robin order,
+// behind the units already enqueued there.
 func (q *Lanes) Push(u Unit) {
-	q.PushTo(int(q.next.Add(1)%uint64(len(q.lanes))), u)
-}
-
-// PushTo enqueues a stealable unit on the given slot's lane.
-func (q *Lanes) PushTo(slot int, u Unit) {
+	slot := int(q.next.Add(1) % uint64(len(q.lanes)))
 	l := &q.lanes[slot]
 	l.mu.Lock()
-	l.queue.pushBack(u)
+	l.queued.pushBack(u)
 	l.mu.Unlock()
 	q.notify(slot)
 }
 
-// PushBatch enqueues a burst of stealable units round-robin with one lock
-// acquisition and one notification per touched lane instead of one per
-// unit: at most min(len(us), lanes) wakes for the whole burst.
+// PushTo spawns stealable units on the given slot's deque, so the slot's
+// owner takes them next, in the given order — a spawner's depth-first
+// order — while thieves reach them last; one lock acquisition and one
+// notification for all of them. Pushing nothing is a no-op.
+func (q *Lanes) PushTo(slot int, us ...Unit) {
+	if len(us) == 0 {
+		return
+	}
+	l := &q.lanes[slot]
+	l.mu.Lock()
+	for i := len(us) - 1; i >= 0; i-- {
+		l.spawned.pushBack(us[i])
+	}
+	l.mu.Unlock()
+	q.notify(slot)
+}
+
+// PushBatch enqueues a burst of stealable units round-robin, like a Push
+// per unit, with one lock acquisition and one notification per touched
+// lane instead of one per unit: at most min(len(us), lanes) wakes for the
+// whole burst.
 func (q *Lanes) PushBatch(us []Unit) {
 	if len(us) == 0 {
 		return
@@ -218,7 +223,7 @@ func (q *Lanes) PushBatch(us []Unit) {
 		l := &q.lanes[(start+off)%n]
 		l.mu.Lock()
 		for i := off; i < len(us); i += n {
-			l.queue.pushBack(us[i])
+			l.queued.pushBack(us[i])
 		}
 		l.mu.Unlock()
 	}
@@ -227,17 +232,16 @@ func (q *Lanes) PushBatch(us []Unit) {
 	}
 }
 
-// Take returns one unit runnable on slot without blocking, or nil. Only the
-// slot's current claim may call it (forkjoin's helping Wait does, from
-// inside the unit the claim is running).
+// Take returns one unit runnable on slot without blocking, or nil: the
+// newest unit spawned on its own lane, else the oldest enqueued there, else
+// one stolen. Only the slot's current claim may call it (forkjoin's helping
+// Wait does, from inside the unit the claim is running).
 func (q *Lanes) Take(slot int) Unit {
 	l := &q.lanes[slot]
 	l.mu.Lock()
-	var u Unit
-	if q.owner == OwnerLIFO {
-		u = l.queue.popBack()
-	} else {
-		u = l.queue.popFront()
+	u := l.spawned.popBack()
+	if u == nil {
+		u = l.queued.popFront()
 	}
 	l.mu.Unlock()
 	if u == nil {
@@ -246,7 +250,8 @@ func (q *Lanes) Take(slot int) Unit {
 	return u
 }
 
-// steal probes the other lanes once each, in policy order.
+// steal probes the other lanes once each, in policy order, taking a
+// victim's oldest enqueued unit, else its oldest spawned one.
 func (q *Lanes) steal(slot int) Unit {
 	n := len(q.lanes)
 	if n == 1 {
@@ -263,7 +268,10 @@ func (q *Lanes) steal(slot int) Unit {
 		}
 		v := &q.lanes[vi]
 		v.mu.Lock()
-		u := v.queue.popFront()
+		u := v.queued.popFront()
+		if u == nil {
+			u = v.spawned.popFront()
+		}
 		v.mu.Unlock()
 		if u != nil {
 			q.steals.Add(1)

@@ -24,17 +24,33 @@ type funcSource func(slot, budget int) int
 
 func (f funcSource) RunSlot(slot, budget int) int { return f(slot, budget) }
 
-// ownerEnds is the table every lane-level test runs over: the core must keep
-// its guarantees under both runtimes' policies.
-var ownerEnds = []struct {
-	name  string
-	owner OwnerEnd
-}{{"ownerFIFO", OwnerFIFO}, {"ownerLIFO", OwnerLIFO}}
+// pushEnds is the table the lane-level tests run over: the core must keep
+// its guarantees for units enqueued and spawned alike. Each row is named for
+// the order an owner takes a stream of such units in: enqueued round-robin
+// (Push), oldest-first; spawned on the given slot's lane (PushTo),
+// newest-first.
+var pushEnds = []struct {
+	name string
+	push func(q *Lanes, slot int, u Unit)
+}{
+	{"ownerFIFO", func(q *Lanes, _ int, u Unit) { q.Push(u) }},
+	{"ownerLIFO", func(q *Lanes, slot int, u Unit) { q.PushTo(slot, u) }},
+}
 
-func forOwnerEnds(t *testing.T, f func(t *testing.T, owner OwnerEnd)) {
-	for _, oe := range ownerEnds {
-		t.Run(oe.name, func(t *testing.T) { f(t, oe.owner) })
+func forPushEnds(t *testing.T, f func(t *testing.T, push func(q *Lanes, slot int, u Unit))) {
+	for _, pe := range pushEnds {
+		t.Run(pe.name, func(t *testing.T) { f(t, pe.push) })
 	}
+}
+
+// takeAll drains slot's share of q through Take and returns the ids in
+// take order.
+func takeAll(q *Lanes, slot int) []int {
+	var got []int
+	for u := q.Take(slot); u != nil; u = q.Take(slot) {
+		got = append(got, int(u.(idUnit)))
+	}
+	return got
 }
 
 // drainRing pops everything through pop and returns the ids in pop order.
@@ -147,46 +163,71 @@ func TestRingReusesBacking(t *testing.T) {
 	}
 }
 
-// TestLanesOwnerAndThiefOrder pins down the policy difference: the owner
-// takes oldest-first under OwnerFIFO and newest-first under OwnerLIFO, and
-// a thief takes the oldest unit under both.
+// TestLanesOwnerAndThiefOrder pins down the one discipline: units spawned
+// with PushTo are taken newest-first by their slot's owner and oldest-first
+// by a thief (ownerLIFO); units enqueued with Push are taken oldest-first by
+// everyone, by the owner after its spawned units and by a thief before
+// them (ownerFIFO).
 func TestLanesOwnerAndThiefOrder(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
-		q := NewLanes(2, owner, StealSequential, 1)
+	t.Run("ownerLIFO", func(t *testing.T) {
+		q := NewLanes(2, StealSequential, 1)
 		for i := 1; i <= 4; i++ {
 			q.PushTo(0, idUnit(i))
 		}
-		stolen := q.Take(1)
-		var got []int
-		for u := q.Take(0); u != nil; u = q.Take(0) {
-			got = append(got, int(u.(idUnit)))
-		}
-		if stolen != idUnit(1) {
+		if stolen := q.Take(1); stolen != idUnit(1) {
 			t.Fatalf("thief took %v, want the oldest unit 1", stolen)
 		}
-		want := []int{2, 3, 4}
-		if owner == OwnerLIFO {
-			want = []int{4, 3, 2}
-		}
-		if !slices.Equal(got, want) {
+		if got, want := takeAll(q, 0), []int{4, 3, 2}; !slices.Equal(got, want) {
 			t.Fatalf("owner order = %v, want %v", got, want)
+		}
+		// One PushTo of several units: the owner takes them in push order.
+		q.PushTo(0, idUnit(1), idUnit(2), idUnit(3))
+		if got, want := takeAll(q, 0), []int{1, 2, 3}; !slices.Equal(got, want) {
+			t.Fatalf("owner order of one spawn = %v, want %v", got, want)
+		}
+	})
+	t.Run("ownerFIFO", func(t *testing.T) {
+		q := NewLanes(1, StealSequential, 1)
+		q.Push(idUnit(8))
+		q.PushTo(0, idUnit(1), idUnit(2))
+		q.Push(idUnit(9))
+		if got, want := takeAll(q, 0), []int{1, 2, 8, 9}; !slices.Equal(got, want) {
+			t.Fatalf("owner order = %v, want %v", got, want)
+		}
+		// Two lanes: every second round-robin push lands on lane 1, the
+		// first of them there.
+		q = NewLanes(2, StealSequential, 1)
+		q.PushTo(1, idUnit(1), idUnit(2))
+		for i := 6; i <= 9; i++ {
+			q.Push(idUnit(i)) // 6 and 8 on lane 1, 7 and 9 on lane 0
+		}
+		q.Push(idUnit(10)) // lane 1, behind 6 and 8
+		// Slot 0 takes its own enqueued units, then steals lane 1's
+		// enqueued ones oldest-first, then its spawned ones oldest-first.
+		if got, want := takeAll(q, 0), []int{7, 9, 6, 8, 10, 2, 1}; !slices.Equal(got, want) {
+			t.Fatalf("owner-then-thief order = %v, want %v", got, want)
 		}
 	})
 }
 
-// TestLanesStealCounters checks the steal path without an executor: slot 1
-// steals work pushed onto slot 0's lane, and the counters record it.
+// TestLanesStealCounters checks the steal path without an executor: the
+// slot whose lane is empty steals the unit pushed onto the other's, and the
+// counters record it.
 func TestLanesStealCounters(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
-		q := NewLanes(2, owner, StealSequential, 1)
-		q.PushTo(0, funcUnit(func() {}))
-		if q.Take(1) == nil {
-			t.Fatal("slot 1 failed to steal from slot 0's lane")
+	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
+		q := NewLanes(2, StealSequential, 1)
+		push(q, 0, funcUnit(func() {}))
+		thief := 1
+		if l := &q.lanes[1]; l.spawned.n+l.queued.n > 0 {
+			thief = 0
+		}
+		if q.Take(thief) == nil {
+			t.Fatalf("slot %d failed to steal from the other lane", thief)
 		}
 		if steals, _, _ := q.Counters(); steals != 1 {
 			t.Fatalf("steals = %d, want 1", steals)
 		}
-		if q.Take(1) != nil {
+		if q.Take(thief) != nil {
 			t.Fatal("second take returned phantom work")
 		}
 		if _, failed, _ := q.Counters(); failed == 0 {
@@ -213,10 +254,10 @@ func TestLanesPlacement(t *testing.T) {
 		}},
 	} {
 		t.Run(push.name, func(t *testing.T) {
-			q := NewLanes(3, OwnerFIFO, StealRandom, 1)
+			q := NewLanes(3, StealRandom, 1)
 			push.five(q)
 			for i := range q.lanes {
-				if n := q.lanes[i].queue.n; n < 1 || n > 2 {
+				if n := q.lanes[i].queued.n; n < 1 || n > 2 {
 					t.Fatalf("lane %d holds %d of 5 units, want 1 or 2", i, n)
 				}
 			}
@@ -231,12 +272,12 @@ func TestLanesPlacement(t *testing.T) {
 // every pushed unit runs exactly once and a drained core reports no phantom
 // work.
 func TestLanesQuiesceOneSlot(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
-		q := NewLanes(1, owner, StealRandom, 1)
+	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
+		q := NewLanes(1, StealRandom, 1)
 		const n = 100
 		got := 0
 		for i := 0; i < n; i++ {
-			q.Push(funcUnit(func() { got++ }))
+			push(q, 0, funcUnit(func() { got++ }))
 		}
 		if ran := q.RunSlot(0, n); ran != n {
 			t.Fatalf("RunSlot drained %d units, want %d", ran, n)
@@ -256,7 +297,7 @@ func TestLanesQuiesceOneSlot(t *testing.T) {
 func TestLanesVictimOrderSeeded(t *testing.T) {
 	const n, draws = 8, 256
 	starts := func(seed int64, slot int) []int {
-		q := NewLanes(n, OwnerFIFO, StealRandom, seed)
+		q := NewLanes(n, StealRandom, seed)
 		out := make([]int, draws)
 		for i := range out {
 			out[i] = q.lanes[slot].victimStart(n)
@@ -282,13 +323,14 @@ func TestLanesVictimOrderSeeded(t *testing.T) {
 // TestLanesSteadyStateAllocs extends the ring bound through the core's API:
 // a warm push/take cycle with no parked workers allocates nothing.
 func TestLanesSteadyStateAllocs(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
-		q := NewLanes(2, owner, StealRandom, 1)
+	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
+		q := NewLanes(2, StealRandom, 1)
 		f := funcUnit(func() {})
 		cycle := func() {
-			q.PushTo(0, f)
+			push(q, 0, f)
+			q.PushTo(0, f, f)
 			q.Push(f)
-			if q.Take(0) == nil || q.Take(0) == nil {
+			if q.Take(0) == nil || q.Take(0) == nil || q.Take(0) == nil || q.Take(0) == nil {
 				t.Fatal("lanes lost a unit")
 			}
 		}
@@ -304,15 +346,15 @@ func TestLanesSteadyStateAllocs(t *testing.T) {
 // fully idle between units — the tightest race between a push and a
 // physical worker parking. A lost wakeup hangs the test.
 func TestLanesLeaseNoLostWakeup(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
 		e := New(1)
 		defer e.Close()
-		q := NewLanes(1, owner, StealRandom, 1)
+		q := NewLanes(1, StealRandom, 1)
 		defer q.Lease(e, "q").Close()
 		const rounds = 5000
 		ran := make(chan struct{}, 1)
 		for i := 0; i < rounds; i++ {
-			q.Push(funcUnit(func() { ran <- struct{}{} }))
+			push(q, 0, funcUnit(func() { ran <- struct{}{} }))
 			select {
 			case <-ran:
 			case <-time.After(10 * time.Second):
@@ -326,13 +368,13 @@ func TestLanesLeaseNoLostWakeup(t *testing.T) {
 // real executor lease from many pushers (run under -race in CI): every unit
 // must execute exactly once.
 func TestLanesConcurrentStress(t *testing.T) {
-	forOwnerEnds(t, func(t *testing.T, owner OwnerEnd) {
+	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
 		const workers = 4
 		const pushers = 4
 		const perPusher = 2000
 		e := New(workers)
 		defer e.Close()
-		q := NewLanes(workers, owner, StealRandom, 1)
+		q := NewLanes(workers, StealRandom, 1)
 
 		var executed atomic.Int64
 		q.Lease(e, "stress")
@@ -351,7 +393,7 @@ func TestLanesConcurrentStress(t *testing.T) {
 						q.PushBatch([]Unit{count, count})
 						i++
 					default:
-						q.Push(count)
+						push(q, (p+i)%workers, count)
 					}
 				}
 			}(p)
@@ -376,12 +418,12 @@ func TestLanesConcurrentStress(t *testing.T) {
 // workers (the hot steady-state path; allocation-free, see
 // TestLanesSteadyStateAllocs).
 func BenchmarkLanesPushTake(b *testing.B) {
-	for _, oe := range ownerEnds {
-		b.Run(oe.name, func(b *testing.B) {
-			q := NewLanes(1, oe.owner, StealRandom, 1)
+	for _, pe := range pushEnds {
+		b.Run(pe.name, func(b *testing.B) {
+			q := NewLanes(1, StealRandom, 1)
 			f := funcUnit(func() {})
 			for b.Loop() {
-				q.Push(f)
+				pe.push(q, 0, f)
 				if q.Take(0) == nil {
 					b.Fatal("lanes lost the unit")
 				}

@@ -13,10 +13,11 @@
 // on the group has finished, even when a continuation depends on just one of
 // them.
 //
-// The pool's scheduling policy is the classic child-stealing design
-// (exec.OwnerLIFO): a worker pushes spawned tasks onto its own lane and
-// takes the newest back (preserving locality), while thieves take the
-// oldest and typically largest sub-computations. A worker blocked in Wait
+// The pool's scheduling policy is the classic child-stealing design, the
+// one discipline of exec.Lanes: a worker spawns tasks on its own lane
+// (exec.Lanes.PushTo) and takes the newest back (preserving
+// locality), while thieves take the oldest and typically largest
+// sub-computations. A worker blocked in Wait
 // helps by taking from the same core — its own lane, then steals — so
 // waiting never idles a worker that could make progress. What this package
 // adds on top is the task envelope: groups, cancellation, panic capture and
@@ -192,7 +193,7 @@ func NewPool(cfg Config) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: n, lanes: exec.NewLanes(n, exec.OwnerLIFO, cfg.Policy, cfg.Seed)}
+	p := &Pool{workers: n, lanes: exec.NewLanes(n, cfg.Policy, cfg.Seed)}
 	ex := cfg.Executor
 	if ex == nil {
 		ex = exec.Default()

@@ -233,7 +233,7 @@ func (f *Flow[T, K]) build(name string, workers int, variant core.Variant) *flow
 	for _, names := range f.Colls {
 		d.out = append(d.out, cnc.NewItemCollection[K, bool](g, names[2]))
 		d.tags = append(d.tags, cnc.NewTagCollection[T](g, names[1], false))
-		d.steps = append(d.steps, cnc.NewStepCollection(g, names[0], d.step))
+		d.steps = append(d.steps, cnc.NewStepCollectionInto(g, names[0], d.step))
 	}
 	if variant == core.NonBlockingCnC {
 		d.poll = func(k K) bool { _, ok := d.out[d.coll(k)].TryGet(k); return ok }
@@ -303,14 +303,15 @@ func (d *flowGraph[T, K]) put(t T, bu *cnc.Burst) {
 // step is the one step body. A recursive call puts its sub-calls as tags —
 // all stages at once: the items, not the walk, order a data-flow run. A
 // base task, its predecessors present, runs the kernel and publishes its
-// output (the paper's Listing 5).
-func (d *flowGraph[T, K]) step(t T) error {
+// output (the paper's Listing 5). Both go through the attempt's burst, so
+// the sub-calls and the successors the output wakes run next on this
+// worker; a non-blocking poll miss re-puts its tag behind everything queued.
+func (d *flowGraph[T, K]) step(t T, bu *cnc.Burst) error {
 	k, base := d.Task(t)
 	if !base {
 		v := d.borrow()
-		v.bu = d.g.NewBurst()
+		v.bu = bu
 		d.Walk(t, false, v.expand)
-		v.bu.Flush()
 		v.bu = nil
 		v.release()
 		return nil
@@ -322,7 +323,7 @@ func (d *flowGraph[T, K]) step(t T) error {
 	if err := d.Kernel(k, nil); err != nil {
 		return err
 	}
-	d.out[d.coll(k)].Put(k, true)
+	d.out[d.coll(k)].PutInto(k, true, bu)
 	return nil
 }
 
