@@ -79,18 +79,18 @@ func (p *entry) setReads(ds []Dep) {
 
 // admission is a deferred instance's place in admission: the budget it
 // reserves, its put order among deferred instances (the waits count when it
-// was deferred), its links in the pending list, which is in that order, and
-// whether its countdown has ended. An instance not put through PutThrottled,
-// or admitted at its put, never has one. A deferred one holds it until
-// admission launches it or — forced, or flushed by a cancellation, while it
-// still waits — makes it a parked instance, launched by the put of its last
-// item. The accountant recycles the records, so a deferred put allocates
-// none in steady state. Guarded by accountant.mu.
+// was deferred; byKey's tie-break), whether its countdown has ended and,
+// once recycled, its link in the spare list. An instance not put through
+// PutThrottled, or admitted at its put, never has one. A deferred one holds
+// it until admission launches it or — forced, or flushed by a cancellation,
+// while it still waits — makes it a parked instance, launched by the put of
+// its last item. The accountant recycles the records, so a deferred put
+// allocates none in steady state. Guarded by accountant.mu.
 type admission struct {
-	w          waiter
-	cost, seq  int64
-	prev, next *admission
-	runnable   bool
+	w         waiter
+	cost, seq int64
+	next      *admission
+	runnable  bool
 }
 
 // freeable reports how many accounted bytes the instance would free on
@@ -209,11 +209,11 @@ func childKey(key uint64, kbits uint8, idx uint64) (uint64, uint8) {
 // dependences do not follow its keys can leave the first instance in key
 // order waiting on a later one. If none fits, the bound is infeasible for
 // this graph and schedule, and the pump force-admits one entry — the first
-// runnable memory-releasing one, else the first runnable, else the oldest —
-// records a BackpressureStall, and reports the first such event through
-// Hooks.OnBackpressureStall. The run degrades gracefully — the footprint
-// exceeds the limit by the minimum needed to restore progress — instead of
-// deadlocking or aborting.
+// runnable memory-releasing one, else the first runnable, else the first in
+// key order — records a BackpressureStall, and reports the first such event
+// through Hooks.OnBackpressureStall. The run degrades gracefully — the
+// footprint exceeds the limit by the minimum needed to restore progress —
+// instead of deadlocking or aborting.
 type accountant struct {
 	g *Graph
 
@@ -232,14 +232,12 @@ type accountant struct {
 	stalls    int64
 	reported  bool // the stall hook fired (at most once per run)
 
-	// head and tail are the pending list: every deferred instance not yet
-	// admitted, in put order. runnable is the subset whose countdown reached
-	// zero and waiting the rest, both sorted by byKey. spare chains recycled
+	// runnable holds the deferred instances whose countdown reached zero
+	// and waiting the rest, both sorted by byKey. spare chains recycled
 	// records through next.
-	head, tail *admission
-	runnable   []*admission
-	waiting    []*admission
-	spare      *admission
+	runnable []*admission
+	waiting  []*admission
+	spare    *admission
 
 	// pendingN and runnableN mirror the two sets' sizes for the lock-free
 	// checks on the hot put/free/taskDone paths.
@@ -304,7 +302,7 @@ func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 		a.maxCost = cost
 	}
 	p := w.head()
-	if a.head == nil && p.remaining.Load() == n && a.admissible(p, cost, true) {
+	if a.pendingN.Load() == 0 && p.remaining.Load() == n && a.admissible(p, cost, true) {
 		a.reserved += cost
 		return true
 	}
@@ -315,14 +313,8 @@ func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 		r = new(admission)
 	}
 	a.waits++
-	*r = admission{w: w, cost: cost, seq: a.waits, prev: a.tail}
+	*r = admission{w: w, cost: cost, seq: a.waits}
 	a.waiting = insert(a.waiting, r)
-	if a.tail != nil {
-		a.tail.next = r
-	} else {
-		a.head = r
-	}
-	a.tail = r
 	p.adm.Store(r)
 	a.pendingN.Add(1)
 	// A pending instance holds the graph open: quiescence must wait for
@@ -380,7 +372,7 @@ func (a *accountant) pump() {
 // next picks the instance to admit now, or nil. Callers hold a.mu.
 func (a *accountant) next() (r *admission, forced bool) {
 	if a.g.cancelled.Load() {
-		return a.head, false // flush: drain mode retires instances without executing
+		return a.first(), false // flush: drain mode retires instances without executing
 	}
 	// The live set grows in key order: a growing instance is its turn only
 	// while nothing before it is still deferred — neither a runnable one
@@ -420,7 +412,19 @@ func (a *accountant) next() (r *admission, forced bool) {
 	if len(a.runnable) > 0 {
 		return a.runnable[0], true
 	}
-	return a.head, true // nothing runnable either: flush in order
+	return a.first(), true // nothing runnable either: flush in key order
+}
+
+// first returns the first deferred instance in key order, or nil. Callers
+// hold a.mu.
+func (a *accountant) first() *admission {
+	switch {
+	case len(a.runnable) == 0 && len(a.waiting) == 0:
+		return nil
+	case len(a.runnable) == 0 || len(a.waiting) > 0 && byKey(a.waiting[0], a.runnable[0]) < 0:
+		return a.waiting[0]
+	}
+	return a.runnable[0]
 }
 
 // drain admits pending instances until none is admissible. Each admission
@@ -443,16 +447,6 @@ func (a *accountant) drain() {
 			// its last item launches (and a deadlock report names).
 			a.waiting = remove(a.waiting, r)
 			a.g.parked.Add(1)
-		}
-		if r.prev != nil {
-			r.prev.next = r.next
-		} else {
-			a.head = r.next
-		}
-		if r.next != nil {
-			r.next.prev = r.prev
-		} else {
-			a.tail = r.prev
 		}
 		a.reserved += r.cost
 		var report *BackpressureReport
@@ -535,15 +529,15 @@ func (a *accountant) snapshot() memStats {
 // waits for every one put before it in the serial elision's order — the
 // depth-first order of the puts, by the environment and through attempts'
 // bursts — so a budget the serial elision fits in suffices. Sizes come from
-// each collection's
-// WithSizeOf hint (collections without a hint occupy zero accounted bytes)
-// plus the WithTagBytes reservations of throttled puts. The bound is strict
-// while it is feasible: PeakLiveBytes never exceeds the limit as long as the
-// graph can make progress within it. If the graph goes idle with instances
-// still deferred — the budget can never clear — the runtime force-admits the
-// oldest runnable one, records a BackpressureStall in Stats, and reports the
-// first such event through Hooks.OnBackpressureStall: the run degrades past
-// the bound instead of deadlocking. Call before Run.
+// each collection's WithSizeOf hint (collections without a hint occupy zero
+// accounted bytes) plus the WithTagBytes reservations of throttled puts. The
+// bound is strict while it is feasible: PeakLiveBytes never exceeds the
+// limit as long as the graph can make progress within it. If the graph goes
+// idle with instances still deferred — the budget can never clear — the
+// runtime force-admits the first runnable one in key order, records a
+// BackpressureStall in Stats, and reports the first such event through
+// Hooks.OnBackpressureStall: the run degrades past the bound instead of
+// deadlocking. Call before Run.
 func (g *Graph) WithMemoryLimit(bytes int64) *Graph {
 	g.acct.limit = bytes
 	return g

@@ -396,10 +396,12 @@ func TestChildKeyOrder(t *testing.T) {
 	}
 }
 
-// TestPutThrottledIntoKeepsBurst: under a limit, tags PutThrottledInto admits
-// on the spot are dispatched into the caller's burst like PutInto's — they
-// reach the lanes at Flush, and a phase costs one batched push (at most one
-// wake on a one-lane graph) instead of one push and one wake per tag.
+// TestPutThrottledIntoKeepsBurst: under a limit, tags an attempt puts
+// through PutThrottledInto and admits on the spot are staged in its burst
+// like PutInto's — they reach the attempt's lane in one PushTo when it
+// returns, made by the lane's own running worker, so on a one-worker
+// executor only the environment's enqueues can wake it: at most one wake
+// per phase.
 func TestPutThrottledIntoKeepsBurst(t *testing.T) {
 	const phases, perPhase = 4, 64
 	ex := exec.New(1)
@@ -407,25 +409,28 @@ func TestPutThrottledIntoKeepsBurst(t *testing.T) {
 	g := NewGraph("burst-limited", 1).WithExecutor(ex).WithMemoryLimit(1 << 40)
 	tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return 8 })
 	tags.Prescribe(NewStepCollection(g, "nop", func(int) error { return nil }))
+	phase := NewTagCollection[int](g, "phase", false)
+	phase.Prescribe(NewStepCollectionInto(g, "fan", func(p int, bu *Burst) error {
+		for i := 0; i < perPhase; i++ {
+			tags.PutThrottledInto(p*perPhase+i, bu)
+		}
+		if len(bu.rs) != perPhase {
+			t.Errorf("phase %d: %d dispatches staged in the burst before its flush, want %d", p, len(bu.rs), perPhase)
+		}
+		return nil
+	}))
 	if err := g.Run(func() {
 		for p := 0; p < phases; p++ {
-			bu := g.NewBurst()
-			for i := 0; i < perPhase; i++ {
-				tags.PutThrottledInto(p*perPhase+i, bu)
-			}
-			if len(bu.rs) != perPhase {
-				t.Errorf("phase %d: %d dispatches staged in the burst before Flush, want %d", p, len(bu.rs), perPhase)
-			}
-			bu.Flush()
+			phase.Put(p)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
 	s := g.Stats()
-	if s.StepsDone != phases*perPhase || s.BackpressureWaits != 0 {
+	if s.StepsDone != phases*(perPhase+1) || s.BackpressureWaits != 0 {
 		t.Fatalf("done %d waits %d, want every tag admitted immediately", s.StepsDone, s.BackpressureWaits)
 	}
 	if s.Wakeups > phases {
-		t.Fatalf("Wakeups = %d for %d bursts on one lane, want at most one per burst", s.Wakeups, phases)
+		t.Fatalf("Wakeups = %d for %d phases on one lane, want at most one per phase", s.Wakeups, phases)
 	}
 }

@@ -12,15 +12,14 @@ import (
 
 // These are the dispatch-layer allocation gates: step instances carved from
 // slabs and recycled through their collection's free list, admission records
-// recycled by the accountant, burst buffers pooled and read sets held inline
-// in the instance, the hot put→dispatch→execute cycle must not allocate in
-// steady state. Tags are ints and dependency keys are small ints (< 256),
-// whose interface conversions use the runtime's static boxes — the same
-// shapes the real drivers use pointers and pooled envelopes for. Every gate
-// warms the free lists and pools first; only the warm cycle is measured. The
-// file is excluded from -race builds, where sync.Pool (the burst buffers')
-// deliberately drops a fraction of Puts and no pooled path can hold a
-// zero-allocation bound.
+// recycled by the accountant, an attempt's burst kept by its lane and read
+// sets held inline in the instance, the hot put→dispatch→execute cycle must
+// not allocate in steady state. Tags are ints and dependency keys are small
+// ints (< 256), whose interface conversions use the runtime's static boxes —
+// the same shapes the real drivers use pointers and pooled envelopes for.
+// Every gate warms the free lists first; only the warm cycle is measured.
+// The file is excluded from -race builds, like the repo's other allocation
+// gates: they measure the uninstrumented runtime.
 
 // TestQueueDispatchSteadyStateAllocs gates the dispatch path end to end:
 // put → recycled instance → lane push → parked-worker wakeup → worker
@@ -73,36 +72,38 @@ func TestQueueDispatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBurstDispatchSteadyStateAllocs gates the batched path: a burst of
-// puts appended through PutInto, flushed as one exec.Lanes.PushBatch (one
-// lock and one notify per touched lane), with the burst buffer itself
-// recycled through the pool.
+// TestBurstDispatchSteadyStateAllocs gates the batched path: a step body
+// puts a fan of tags through PutInto into its attempt's burst, which the
+// runtime flushes onto the attempt's lane as one exec.Lanes.PushTo (one lock
+// and one notify), the burst's buffer kept by the lane across attempts.
 func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 	const burst = 8
 	g := NewGraph("alloc-burst", 1)
+	fan := NewTagCollection[int](g, "fan", false)
 	tags := NewTagCollection[int](g, "tags", false)
 	var pending atomic.Int64
 	done := make(chan struct{}, 1)
-	step := NewStepCollection(g, "noop", func(int) error {
+	fan.Prescribe(NewStepCollectionInto(g, "fan", func(_ int, bu *Burst) error {
+		for i := 0; i < burst; i++ {
+			tags.PutInto(i, bu)
+		}
+		return nil
+	}))
+	tags.Prescribe(NewStepCollection(g, "noop", func(int) error {
 		if pending.Add(-1) == 0 {
 			done <- struct{}{}
 		}
 		return nil
-	})
-	tags.Prescribe(step)
+	}))
 
 	cycle := func() {
 		pending.Store(burst)
-		bu := g.NewBurst()
-		for i := 0; i < burst; i++ {
-			tags.PutInto(i, bu)
-		}
-		bu.Flush()
+		fan.Put(0)
 		<-done
 	}
 	var allocs float64
 	err := g.Run(func() {
-		for i := 0; i < 32; i++ { // warm burst pool, rings, parked set
+		for i := 0; i < 32; i++ { // warm the burst buffer, rings, parked set
 			cycle()
 		}
 		allocs = testing.AllocsPerRun(100, cycle)
@@ -111,7 +112,7 @@ func TestBurstDispatchSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("steady-state burst flush cycle allocates %v objects per run, want 0", allocs)
+		t.Errorf("steady-state attempt burst cycle allocates %v objects per run, want 0", allocs)
 	}
 }
 

@@ -168,8 +168,8 @@ func TestBackendNeverRead(t *testing.T) {
 	ctags.Prescribe(tuned)
 	ptags.Prescribe(produce)
 	if err := g.Run(func() {
-		putBurst(ctags, 0, n)
-		putBurst(ptags, 0, n)
+		putAll(ctags, 0, n)
+		putAll(ptags, 0, n)
 	}); err != nil {
 		t.Fatalf("run: %v", err)
 	}

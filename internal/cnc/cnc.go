@@ -43,27 +43,27 @@
 // # Dispatch
 //
 // Step instances are queued in the shared work-stealing core (exec.Lanes:
-// one lane per logical worker, leased from an exec.Executor for the
-// duration of a run), under the one discipline fork-join uses too: units
-// spawned on a lane are taken newest-first by its owner and oldest-first by
-// thieves, units enqueued on it oldest-first by everyone, after the spawned
-// ones. This package only chooses placement, TBB's spawn/enqueue split. An
+// one lane per logical worker, leased from an exec.Executor for the duration
+// of a run), under the one discipline fork-join uses too: units spawned on a
+// lane are taken newest-first by its owner and oldest-first by thieves,
+// units enqueued on it oldest-first by everyone, after the spawned ones.
+// This package only chooses placement, TBB's spawn/enqueue split. An
 // attempt's body gets the Burst of the lane it runs on (one per lane, owned
-// by the graph, not pooled): the tags it puts there and the successors its
-// item puts wake through it are spawned on that lane once the attempt
-// returns, so the worker that produced a tile runs its readers next, while
-// the tile is still in cache. Everything else — environment puts, plain
-// Puts from a step, retries, admissions — is enqueued round-robin, so it
-// runs after the work already spawned or enqueued. That is what lets a
-// non-blocking step, re-putting its own tag behind the producers it polls
-// for, yield to them even on one worker. A step
-// instance is one value from launch to release, carved from its
-// collection's slabs and recycled through its free list: the queued unit,
-// the waiter on the cells it misses, the holder of its read set and, under a
-// memory limit, what admission launches. It never holds a worker while
-// it waits — a missing input aborts it and the Put of the last item it is
-// waiting for requeues it — and puts with a known census are batched
-// (Burst) into one lock and at most one wakeup per touched lane.
+// by the graph; the only kind there is): the tags it puts there and the
+// successors its item puts wake through it are spawned on that lane once the
+// attempt returns, so the worker that produced a tile runs its readers next,
+// while the tile is still in cache. Everything else — environment puts,
+// plain Puts from a step, retries, admissions — is enqueued round-robin, one
+// push per instance, so it runs after the work already spawned or enqueued.
+// That is what lets a non-blocking step, re-putting its own tag behind the
+// producers it polls for, yield to them even on one worker. A step instance
+// is one value from launch to release, carved from its collection's slabs
+// and recycled through its free list: the queued unit, the waiter on the
+// cells it misses, the holder of its read set and, under a memory limit,
+// what admission launches. It never holds a worker while it waits — a
+// missing input aborts it and the Put of the last item it is waiting for
+// requeues it — and an attempt's dispatches reach its lane together, with
+// one lock and at most one wakeup.
 //
 // # Fault tolerance and cancellation
 //
@@ -96,15 +96,14 @@
 // releases nothing, so re-reading is always safe and nothing is
 // double-decremented. A per-graph accountant surfaces
 // LiveItems/PeakLiveItems/ItemsFreed/PeakLiveBytes in Stats, and
-// Graph.WithMemoryLimit adds backpressure: the step instances of a
-// throttled tag put (TagCollection.PutThrottled) that do not fit the
-// budget, or whose declared gets are not all present, are deferred — the
-// putter never blocks. A deferred instance waits on the cells of its
-// missing items like any tuned one, and is admitted, oldest first, once
-// they are present and get-count GC has freed room. If the graph idles with
-// instances still deferred, the runtime force-admits the oldest runnable
-// one and reports through Hooks.OnBackpressureStall rather than
-// deadlocking.
+// Graph.WithMemoryLimit adds backpressure: the step instances of a throttled
+// tag put (TagCollection.PutThrottled) that do not fit the budget, or whose
+// declared gets are not all present, are deferred — the putter never blocks.
+// A deferred instance waits on the cells of its missing items like any tuned
+// one, and is admitted, in the serial elision's key order, once they are
+// present and get-count GC has freed room. If the graph idles with instances
+// still deferred, the runtime force-admits the first runnable one and
+// reports through Hooks.OnBackpressureStall rather than deadlocking.
 package cnc
 
 import (
@@ -241,12 +240,9 @@ type Graph struct {
 	quiesceCond *sync.Cond
 	parked      atomic.Int64
 
-	// burstPool recycles Burst batch buffers (NewBurst/Flush), so the
-	// steady state of a run performs no allocation in the dispatch layer;
 	// bursts holds the attempts', one per lane (see instance.Run).
-	burstPool sync.Pool
-	bursts    []laneBurst
-	envKids   atomic.Uint64 // tags put from outside an attempt (acquire)
+	bursts  []laneBurst
+	envKids atomic.Uint64 // tags put from outside an attempt (acquire)
 
 	failMu sync.Mutex
 	err    error
@@ -291,9 +287,6 @@ func NewGraph(name string, workers int) *Graph {
 		workers = 1
 	}
 	g := &Graph{name: name, workers: workers, bursts: make([]laneBurst, workers)}
-	for i := range g.bursts {
-		g.bursts[i].Burst = Burst{g: g, slot: i}
-	}
 	g.acct.g = g
 	g.quiesceCond = sync.NewCond(&g.quiesceMu)
 	g.SetStealPolicy(exec.StealRandom)
@@ -502,25 +495,21 @@ func (g *Graph) schedule(run exec.Unit) {
 	g.lanes.Push(run)
 }
 
-// Burst accumulates dispatches, put through TagCollection.PutInto /
-// PutThrottledInto and ItemCollection.PutInto, so they hit the queue — and
-// wake parked workers — once per burst instead of once per tag. A body
-// registered with NewStepCollectionInto gets its attempt's burst: one per
-// lane, owned by the graph, not pooled, and flushed by the runtime when the
-// attempt returns, spawning its units on that lane; the body must not keep
-// it or hand it to another goroutine. Outside an attempt, NewBurst returns
-// a pooled one whose Flush enqueues round-robin; it is single-use, not
-// safe for concurrent use, and dead after Flush.
+// Burst accumulates the dispatches of one attempt: the tags its body puts
+// through TagCollection.PutInto / PutThrottledInto and the waiters its item
+// puts through ItemCollection.PutInto satisfy. A body registered with
+// NewStepCollectionInto gets its attempt's burst, one per lane and owned by
+// the graph; the runtime flushes it when the attempt returns, spawning its
+// units on that lane with one lock and at most one wakeup. The body must
+// not keep it or hand it to another goroutine. Outside an attempt there is
+// no burst: a nil one dispatches each instance with one enqueue.
 //
 // Outstanding-work accounting happens at append time (each PutInto holds
-// the graph open exactly like a plain Put), so a burst in flight can never
-// let the graph quiesce early; dropping a burst without Flush leaks those
-// holds and hangs the run — always Flush.
+// the graph open exactly like a plain Put), so an attempt's staged
+// dispatches can never let the graph quiesce early.
 type Burst struct {
-	g    *Graph
-	slot int // the attempt's lane, or -1 for a pooled burst
-	rs   []exec.Unit
-	// An attempt's key, its bits in use, and the tags it has put so far.
+	rs []exec.Unit
+	// The attempt's key, its bits in use, and the tags it has put so far.
 	key   uint64
 	kbits uint8
 	kids  uint64
@@ -534,37 +523,11 @@ type laneBurst struct {
 	_ [64]byte
 }
 
-// NewBurst returns an empty burst bound to the graph. Bursts are pooled:
-// the steady state of a run allocates none.
-func (g *Graph) NewBurst() *Burst {
-	bu, _ := g.burstPool.Get().(*Burst)
-	if bu == nil {
-		bu = &Burst{}
-	}
-	bu.g, bu.slot = g, -1
-	return bu
-}
-
-// Flush pushes every accumulated dispatch in one batch, waking parked
-// workers once for the whole burst, and recycles a pooled Burst. Flushing
-// an empty burst is a cheap no-op; using a pooled Burst after Flush is a
-// bug. The runtime flushes an attempt's burst itself.
-func (bu *Burst) Flush() {
-	g := bu.g
-	if g == nil {
-		return // already flushed
-	}
-	if bu.slot >= 0 {
-		g.lanes.PushTo(bu.slot, bu.rs...)
-	} else if len(bu.rs) > 0 {
-		g.lanes.PushBatch(bu.rs)
-	}
+// flush spawns the accumulated dispatches on slot's lane, in put order.
+func (bu *Burst) flush(g *Graph, slot int) {
+	g.lanes.PushTo(slot, bu.rs...)
 	clear(bu.rs)
 	bu.rs = bu.rs[:0]
-	if bu.slot < 0 {
-		bu.g = nil
-		g.burstPool.Put(bu)
-	}
 }
 
 // add appends one dispatch to the burst, taking the outstanding-work hold

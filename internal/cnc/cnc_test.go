@@ -11,15 +11,12 @@ import (
 	"testing"
 )
 
-// putBurst puts the dense tag range lo..hi-1 through one burst: one batched
-// queue push for the tags admitted at once (all of them without a memory
-// limit).
-func putBurst(tc *TagCollection[int], lo, hi int) {
-	bu := tc.g.NewBurst()
+// putAll puts the dense tag range lo..hi-1 through PutThrottled, each
+// admitted tag enqueued on its own (all of them without a memory limit).
+func putAll(tc *TagCollection[int], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		tc.PutThrottledInto(i, bu)
+		tc.PutThrottled(i)
 	}
-	bu.Flush()
 }
 
 // TestPipeline builds the Listing 1 graph: one step collection that consumes

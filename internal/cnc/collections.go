@@ -56,11 +56,11 @@ type depCell interface {
 // waiter is a step instance as the item cells and the accountant see it.
 // waitState (its label, and its reads after the cell it is chained on) is
 // lazy: deadlock reports and Blocked snapshots are the only readers, so the
-// common case (the item arrives) never pays the fmt.Sprintf. wake takes the burst of the Put that satisfied the wait (nil
-// when unbatched) so a put that wakes many waiters re-dispatches them with
-// one queue push. head and launch are the accountant's: the instance's
-// non-generic head, and how admission starts a throttled instance whose read
-// set is present.
+// common case (the item arrives) never pays the fmt.Sprintf. wake takes the
+// burst of the Put that satisfied the wait — an attempt's, or nil — so the
+// waiters an attempt's put wakes run next on its lane. head and launch are
+// the accountant's: the instance's non-generic head, and how admission
+// starts a throttled instance whose read set is present.
 type waiter interface {
 	waitState() (label string, later []Dep)
 	wake(bu *Burst)
@@ -259,7 +259,7 @@ func (sc *StepCollection[T]) acquire(tag T, bu *Burst) *instance[T] {
 	}
 	sc.mu.Unlock()
 	in.sc, in.tag = sc, tag
-	if bu != nil && bu.slot >= 0 {
+	if bu != nil {
 		in.key, in.kbits = childKey(bu.key, bu.kbits, bu.kids)
 		bu.kids++
 	} else {
@@ -305,9 +305,10 @@ func (in *instance[T]) resolve() {
 	in.resolved = true
 }
 
-// dispatch queues the next attempt, into bu when one is open.
+// dispatch queues the next attempt: into bu, an attempt's burst, or else
+// enqueued on the lanes.
 func (in *instance[T]) dispatch(bu *Burst) {
-	if bu == nil || bu.g == nil {
+	if bu == nil {
 		in.sc.g.schedule(in)
 		return
 	}
@@ -408,7 +409,7 @@ func (in *instance[T]) Run(slot int) {
 	g := sc.g
 	bu := &g.bursts[slot].Burst
 	defer func() {
-		bu.Flush()
+		bu.flush(g, slot)
 		g.taskDone()
 	}()
 	// Cooperative cancellation: a cancelled graph drains dispatched work
@@ -432,7 +433,7 @@ func (in *instance[T]) Run(slot int) {
 		if missed, ok := r.(depCell); ok {
 			// A Get of an undeclared item missed (the panic value is its
 			// cell): park on it; its Put re-schedules the instance from
-			// scratch, batched with that put's other wakeups.
+			// scratch.
 			g.stats.aborts.Add(1)
 			in.wait(0, missed, true, nil)
 			return
@@ -615,12 +616,13 @@ func (tc *TagCollection[T]) prescribedList() []*StepCollection[T] {
 // It may be called from the environment function or from inside steps.
 func (tc *TagCollection[T]) Put(tag T) { tc.PutInto(tag, nil) }
 
-// PutInto is Put with batched dispatch: instances whose dependencies are
-// already satisfied are appended to bu instead of being pushed (and waking
-// a worker) one at a time; they hit the queue when the burst flushes. The
-// semantics are otherwise exactly Put's — memoization, hooks and statistics
-// all apply, and outstanding-work accounting happens immediately, so the
-// graph cannot quiesce while the burst is open.
+// PutInto is Put from inside an attempt: instances whose dependencies are
+// already satisfied are appended to bu, the attempt's burst, instead of
+// being enqueued one at a time; they are spawned on the attempt's lane when
+// it returns. The semantics are otherwise exactly Put's — memoization,
+// hooks and statistics all apply, and outstanding-work accounting happens
+// immediately, so the graph cannot quiesce while the attempt runs. A nil bu
+// is Put.
 func (tc *TagCollection[T]) PutInto(tag T, bu *Burst) {
 	if !tc.accept(tag) {
 		return
@@ -678,11 +680,11 @@ func (tc *TagCollection[T]) WithTagBytes(fn func(T) int) *TagCollection[T] {
 // the budget can never clear.
 func (tc *TagCollection[T]) PutThrottled(tag T) { tc.PutThrottledInto(tag, nil) }
 
-// PutThrottledInto is PutThrottled with batched dispatch: instances admitted
-// immediately (no memory limit, or zero declared cost, or nothing deferred
-// ahead, inputs present and budget available) go through bu exactly like
-// PutInto's; a deferred one is launched later through the unbatched path,
-// since its admission time is not under the putter's control.
+// PutThrottledInto is PutThrottled from inside an attempt: instances
+// admitted immediately (no memory limit, or zero declared cost, or nothing
+// deferred ahead, inputs present and budget available) go through bu
+// exactly like PutInto's; a deferred one is enqueued when admission
+// launches it, since its admission time is not under the putter's control.
 func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 	var cost int64
 	if tc.g.acct.limit > 0 && tc.tagBytes != nil {
@@ -969,23 +971,11 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	if ic.g.backend != nil {
 		c.mirror(v)
 	}
-	// Coalesce the wakeups in a burst: every waiter this put satisfies
-	// lands on the queue in one batch with a single signalling pass,
-	// instead of one push + one worker wake per waiter. (A lone waiter
-	// skips it — a direct push is exactly as cheap.)
-	var own *Burst
-	if bu == nil && w != nil && w.head().wnext != nil {
-		own = ic.g.NewBurst()
-		bu = own
-	}
 	for w != nil {
 		// Read the link first: the wake may chain w on its next cell.
 		next := w.head().wnext
 		w.wake(bu)
 		w = next
-	}
-	if own != nil {
-		own.Flush()
 	}
 	// The wakes above may have made deferred throttled instances runnable.
 	if ic.g.acct.pendingN.Load() > 0 {

@@ -93,7 +93,7 @@ func TestRunContextCompletes(t *testing.T) {
 		return nil
 	})
 	tags.Prescribe(step)
-	if err := g.RunContext(context.Background(), func() { putBurst(tags, 0, 100) }); err != nil {
+	if err := g.RunContext(context.Background(), func() { putAll(tags, 0, 100) }); err != nil {
 		t.Fatal(err)
 	}
 	if items.Len() != 100 {
@@ -152,7 +152,7 @@ func TestWithRetryAbsorbsTransientFailures(t *testing.T) {
 		return nil
 	})
 	tags.Prescribe(step)
-	if err := g.Run(func() { putBurst(tags, 0, 30) }); err != nil {
+	if err := g.Run(func() { putAll(tags, 0, 30) }); err != nil {
 		t.Fatalf("retries did not absorb transient failures: %v", err)
 	}
 	if items.Len() != 30 {
@@ -290,7 +290,7 @@ func TestHooks(t *testing.T) {
 		tags := NewTagCollection[int](g, "tg", false)
 		step := NewStepCollection(g, "s", func(int) error { return nil })
 		tags.Prescribe(step)
-		err := g.Run(func() { putBurst(tags, 0, 10) })
+		err := g.Run(func() { putAll(tags, 0, 10) })
 		if err == nil || !strings.Contains(err.Error(), "hooked failure") {
 			t.Fatalf("err = %v", err)
 		}
@@ -324,7 +324,7 @@ func TestHooks(t *testing.T) {
 		tags := NewTagCollection[int](g, "tg", false)
 		step := NewStepCollection(g, "s", func(i int) error { items.Put(i, i); return nil })
 		tags.Prescribe(step)
-		if err := g.Run(func() { putBurst(tags, 0, 25) }); err != nil {
+		if err := g.Run(func() { putAll(tags, 0, 25) }); err != nil {
 			t.Fatal(err)
 		}
 		if puts.Load() != 25 {

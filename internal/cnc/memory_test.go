@@ -379,7 +379,7 @@ func TestPutRangeThrottled(t *testing.T) {
 	step.Produces(out)
 	tags.Prescribe(step)
 	if err := g.Run(func() {
-		putBurst(tags, 0, 64)
+		putAll(tags, 0, 64)
 	}); err != nil {
 		t.Fatal(err)
 	}

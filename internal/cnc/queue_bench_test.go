@@ -105,7 +105,7 @@ func BenchmarkAbortRequeue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			err := g.Run(func() {
-				putBurst(consume, 0, b.N)
+				putAll(consume, 0, b.N)
 				produce.Put(0)
 			})
 			if err != nil {

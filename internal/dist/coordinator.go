@@ -65,8 +65,6 @@ type Options struct {
 	// kicks the sender — the nearest thing to the pre-batching wire
 	// behaviour, for comparison).
 	BatchOps int
-	// BatchBytes is the same threshold in payload bytes (default 256KB).
-	BatchBytes int
 	// FlushEvery bounds how long a buffered put may wait for its frame:
 	// each shard's sender also flushes at this period, so trickle traffic
 	// still reaches the workers promptly between size-triggered flushes.
@@ -79,14 +77,11 @@ type Options struct {
 	// Zero means the default (16); 1 verifies every mirrored put (the
 	// chaos/CI configuration); negative disables verification entirely.
 	VerifySample int
-	// Seed seeds the backoff jitter (default 1).
-	Seed int64
-	// Spawn overrides how a shard worker process is created (tests);
-	// default is self-exec with EnvWorkerSocket set (MaybeWorkerChild).
-	Spawn func(socketPath string) (*exec.Cmd, error)
-	// Clock overrides time for the retry engine (tests); default wall.
-	Clock Clock
 }
+
+// batchBytes is the put buffer's flush threshold in payload bytes, beside
+// Options.BatchOps.
+const batchBytes = 256 << 10
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
@@ -114,20 +109,11 @@ func (o Options) withDefaults() Options {
 	} else if o.BatchOps < 0 {
 		o.BatchOps = 1
 	}
-	if o.BatchBytes <= 0 {
-		o.BatchBytes = 256 << 10
-	}
 	if o.FlushEvery == 0 {
 		o.FlushEvery = 2 * time.Millisecond
 	}
 	if o.VerifySample == 0 {
 		o.VerifySample = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Clock == nil {
-		o.Clock = RealClock
 	}
 	return o
 }
@@ -355,7 +341,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			kick:   make(chan struct{}, 1),
 		}
 		sh.pbufCond = sync.NewCond(&sh.pbufMu)
-		sh.retrier = NewRetrier(opts.Backoff, opts.Clock, rand.New(rand.NewSource(opts.Seed*31+int64(i))))
+		sh.retrier = NewRetrier(opts.Backoff, RealClock, rand.New(rand.NewSource(31+int64(i))))
 		sh.retrier.OnRetry = func() { c.counters.Retries.Add(1) }
 		c.shards = append(c.shards, sh)
 	}
@@ -388,25 +374,18 @@ func (c *Coordinator) termError() error {
 	return nil
 }
 
-// spawnWorker launches (or relaunches) the shard's process and installs
-// the stdin lifeline: the coordinator holds the pipe's write end for the
-// worker's whole life, so coordinator death reaps every worker.
+// spawnWorker launches (or relaunches) the shard's process — this
+// executable, with EnvWorkerSocket set, which MaybeWorkerChild turns into a
+// worker — and installs the stdin lifeline: the coordinator holds the
+// pipe's write end for the worker's whole life, so coordinator death reaps
+// every worker.
 func (c *Coordinator) spawnWorker(sh *shard) error {
-	var cmd *exec.Cmd
-	var err error
-	if c.opts.Spawn != nil {
-		cmd, err = c.opts.Spawn(sh.socket)
-	} else {
-		var exe string
-		exe, err = os.Executable()
-		if err == nil {
-			cmd = exec.Command(exe)
-			cmd.Env = append(os.Environ(), EnvWorkerSocket+"="+sh.socket)
-		}
-	}
+	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("dist: spawn shard %d: %w", sh.idx, err)
 	}
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), EnvWorkerSocket+"="+sh.socket)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return fmt.Errorf("dist: spawn shard %d: stdin: %w", sh.idx, err)
@@ -584,7 +563,7 @@ func (c *Coordinator) exchange(sh *shard, frame []byte, deadline time.Time) ([]b
 // out may have stopped mid-frame), so the next one dials afresh and no
 // reply to a failed attempt can answer a later one. Callers hold sh.mu.
 func (c *Coordinator) cycle(sh *shard, frame []byte) ([]byte, error) {
-	deadline := c.opts.Clock.Now().Add(c.opts.RequestTimeout)
+	deadline := time.Now().Add(c.opts.RequestTimeout)
 	var out []byte
 	err := sh.retrier.Do(deadline, func() error {
 		attempt := time.Now().Add(c.opts.AttemptTimeout)
@@ -704,9 +683,9 @@ func (c *Coordinator) respawnAndReplayLocked(sh *shard) error {
 	sh.pbufMu.Unlock()
 	for start := 0; start < len(entries); {
 		end := start
-		batchBytes := 0
-		for end < len(entries) && end-start < c.opts.BatchOps && batchBytes < c.opts.BatchBytes {
-			batchBytes += len(entries[end].Coll) + len(entries[end].Key) + len(entries[end].Val)
+		size := 0
+		for end < len(entries) && end-start < c.opts.BatchOps && size < batchBytes {
+			size += len(entries[end].Coll) + len(entries[end].Key) + len(entries[end].Val)
 			end++
 		}
 		pl, err := call(MsgPutBatch, PutBatchMsg{Ops: entries[start:end]})
@@ -760,7 +739,7 @@ func (c *Coordinator) degradeLocked(sh *shard) {
 	sh.pbufMu.Unlock()
 }
 
-// stallFactor is how far past its flush threshold (BatchOps, BatchBytes) a
+// stallFactor is how far past its flush threshold (BatchOps, batchBytes) a
 // shard's put buffer may grow before a put waits for the sender to take it:
 // the bound on memory when a worker acks slower than steps produce.
 const stallFactor = 8
@@ -1177,10 +1156,10 @@ func (gb *graphBackend) Put(coll string, key, val any) (uint32, error) {
 	sh.pbuf = append(sh.pbuf, m)
 	sh.pbufPuts++
 	sh.pbufBytes += len(full) + len(kb) + len(vb)
-	if sh.pbufPuts >= c.opts.BatchOps || sh.pbufBytes >= c.opts.BatchBytes {
+	if sh.pbufPuts >= c.opts.BatchOps || sh.pbufBytes >= batchBytes {
 		sh.kickSender()
 	}
-	for (sh.pbufPuts >= stallFactor*c.opts.BatchOps || sh.pbufBytes >= stallFactor*c.opts.BatchBytes) && !c.closed.Load() {
+	for (sh.pbufPuts >= stallFactor*c.opts.BatchOps || sh.pbufBytes >= stallFactor*batchBytes) && !c.closed.Load() {
 		sh.pbufCond.Wait()
 	}
 	return uint32(slot*len(c.shards) + idx), nil

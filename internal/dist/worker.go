@@ -12,8 +12,8 @@ import (
 
 // EnvWorkerSocket is the environment variable whose presence turns a
 // process into a shard worker: the coordinator spawns its own executable
-// with it set (dpbench, dpworker and the dist tests all call
-// MaybeWorkerChild first thing for that reason).
+// with it set (dpbench, dpperf and the dist tests call MaybeWorkerChild
+// first thing for that reason).
 const EnvWorkerSocket = "DPFLOW_DIST_WORKER_SOCKET"
 
 // Store is one shard's item store: opaque bytes under the write-once rule.

@@ -113,9 +113,9 @@ func (l *lane) victimStart(n int) int {
 //
 // Both runtimes share one discipline, the nested-parallel order of
 // work-stealing schedulers, with TBB's spawn/enqueue split. PushTo spawns
-// on a lane's deque — what its owner runs next, newest first; Push and
-// PushBatch enqueue round-robin on the lanes' FIFO queues — what runs after
-// the spawned work, oldest first. A slot takes the newest unit it spawned,
+// on a lane's deque — what its owner runs next, newest first; Push
+// enqueues round-robin on the lanes' FIFO queues — what runs after the
+// spawned work, oldest first. A slot takes the newest unit it spawned,
 // else the oldest unit enqueued on its lane, else sweeps the other lanes
 // once and steals from the first non-empty victim its oldest enqueued unit,
 // else its oldest spawned one. The executor runs at most one claim per
@@ -206,30 +206,6 @@ func (q *Lanes) PushTo(slot int, us ...Unit) {
 	}
 	l.mu.Unlock()
 	q.notify(slot)
-}
-
-// PushBatch enqueues a burst of stealable units round-robin, like a Push
-// per unit, with one lock acquisition and one notification per touched
-// lane instead of one per unit: at most min(len(us), lanes) wakes for the
-// whole burst.
-func (q *Lanes) PushBatch(us []Unit) {
-	if len(us) == 0 {
-		return
-	}
-	n := len(q.lanes)
-	start := int((q.next.Add(uint64(len(us))) - uint64(len(us))) % uint64(n))
-	touched := min(n, len(us))
-	for off := 0; off < touched; off++ {
-		l := &q.lanes[(start+off)%n]
-		l.mu.Lock()
-		for i := off; i < len(us); i += n {
-			l.queued.pushBack(us[i])
-		}
-		l.mu.Unlock()
-	}
-	for off := 0; off < touched; off++ {
-		q.notify((start + off) % n)
-	}
 }
 
 // Take returns one unit runnable on slot without blocking, or nil: the

@@ -237,35 +237,23 @@ func TestLanesStealCounters(t *testing.T) {
 }
 
 // TestLanesPlacement checks round-robin placement: consecutive pushes land
-// on consecutive lanes, and a burst touches every lane before any lane gets
-// a second unit.
+// on consecutive lanes, so five units on three lanes touch every lane before
+// any lane gets a second unit.
 func TestLanesPlacement(t *testing.T) {
-	for _, push := range []struct {
-		name string
-		five func(q *Lanes)
-	}{
-		{"Push", func(q *Lanes) {
-			for i := 0; i < 5; i++ {
-				q.Push(idUnit(i))
+	t.Run("Push", func(t *testing.T) {
+		q := NewLanes(3, StealRandom, 1)
+		for i := 0; i < 5; i++ {
+			q.Push(idUnit(i))
+		}
+		for i := range q.lanes {
+			if n := q.lanes[i].queued.n; n < 1 || n > 2 {
+				t.Fatalf("lane %d holds %d of 5 units, want 1 or 2", i, n)
 			}
-		}},
-		{"PushBatch", func(q *Lanes) {
-			q.PushBatch([]Unit{idUnit(0), idUnit(1), idUnit(2), idUnit(3), idUnit(4)})
-		}},
-	} {
-		t.Run(push.name, func(t *testing.T) {
-			q := NewLanes(3, StealRandom, 1)
-			push.five(q)
-			for i := range q.lanes {
-				if n := q.lanes[i].queued.n; n < 1 || n > 2 {
-					t.Fatalf("lane %d holds %d of 5 units, want 1 or 2", i, n)
-				}
-			}
-			if q.RunSlot(0, 16) != 5 {
-				t.Fatal("one slot did not drain all lanes")
-			}
-		})
-	}
+		}
+		if q.RunSlot(0, 16) != 5 {
+			t.Fatal("one slot did not drain all lanes")
+		}
+	})
 }
 
 // TestLanesQuiesceOneSlot checks the deterministic single-slot contract:
@@ -364,7 +352,7 @@ func TestLanesLeaseNoLostWakeup(t *testing.T) {
 	})
 }
 
-// TestLanesConcurrentStress hammers PushTo/PushBatch/Push/steal through a
+// TestLanesConcurrentStress hammers PushTo/Push/steal through a
 // real executor lease from many pushers (run under -race in CI): every unit
 // must execute exactly once.
 func TestLanesConcurrentStress(t *testing.T) {
@@ -390,8 +378,7 @@ func TestLanesConcurrentStress(t *testing.T) {
 					case 0:
 						q.PushTo((p+i)%workers, count)
 					case 1:
-						q.PushBatch([]Unit{count, count})
-						i++
+						q.Push(count)
 					default:
 						push(q, (p+i)%workers, count)
 					}

@@ -329,8 +329,8 @@ func (d *flowGraph[T, K]) step(t T, bu *cnc.Burst) error {
 
 // Run executes the CnC program: Native, Tuner and NonBlocking put the root
 // tag and let the steps expand the recursion; Manual — and every variant of
-// a Flat walk — puts every base task from the environment, one burst per
-// stage. That is all that tells Tuner from Manual: both wait for a base
+// a Flat walk — puts every base task from the environment, each enqueued on
+// its own. That is all that tells Tuner from Manual: both wait for a base
 // task's predecessors from its tag put, then dispatch it. A cancelled ctx
 // drains the graph and returns ctx.Err() (see cnc.Graph.RunContext). tune,
 // when non-nil, is called with the built graph before the run starts — the
@@ -346,15 +346,7 @@ func (f *Flow[T, K]) Run(ctx context.Context, name string, workers int, variant 
 			d.put(f.Root, nil)
 			return
 		}
-		bu := d.g.NewBurst()
-		f.Walk(f.Root, true, func(sub T, last bool) {
-			d.put(sub, bu)
-			if last {
-				bu.Flush()
-				bu = d.g.NewBurst()
-			}
-		})
-		bu.Flush()
+		f.Walk(f.Root, true, func(sub T, _ bool) { d.put(sub, nil) })
 	})
 	stats := CnCStats{Stats: d.g.Stats()}
 	for _, ic := range d.out {

@@ -346,9 +346,12 @@ func (j *Job) ID() string { return j.id }
 // quiescence, and blocking an executor worker on another graph's progress
 // deadlocks the shared pool.
 func (j *Job) run(parent context.Context) {
-	ctx, cancel := context.WithCancel(parent)
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if j.spec.DeadlineMS > 0 {
 		ctx, cancel = context.WithTimeout(parent, time.Duration(j.spec.DeadlineMS)*time.Millisecond)
+	} else {
+		ctx, cancel = context.WithCancel(parent)
 	}
 	defer cancel()
 	j.mu.Lock()

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +220,54 @@ func TestDeadline(t *testing.T) {
 	}
 	if !strings.Contains(st.Error, "deadline") {
 		t.Fatalf("error %q does not mention the deadline", st.Error)
+	}
+}
+
+// opaqueCtx is a parent context the context package cannot see into, so
+// every context derived from it holds a goroutine until one of the two is
+// done: a derived context left uncancelled shows up as a goroutine.
+type opaqueCtx struct{ done chan struct{} }
+
+func (opaqueCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c opaqueCtx) Done() <-chan struct{}     { return c.done }
+func (c opaqueCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+func (opaqueCtx) Value(any) any { return nil }
+
+// A job with a deadline derives one context from its parent and cancels it
+// when it finishes: nothing it derived stays registered on the parent.
+func TestDeadlineJobReleasesItsContext(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	parent := opaqueCtx{done: make(chan struct{})}
+	defer close(parent.done)
+	spec := JobSpec{Benchmark: "ge", N: 16, Base: 8, DeadlineMS: 60_000}
+	var count int
+	if err := s.validate(&spec, &count); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		s.mu.Lock()
+		j := s.buildLocked(spec)
+		s.mu.Unlock()
+		j.run(parent)
+		if j.state != StateDone {
+			t.Fatalf("job %d: state %s (err %v)", i, j.state, j.err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d after 5 deadline jobs, %d before: a derived context was never cancelled",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
