@@ -33,6 +33,10 @@ import (
 // silent fallback to some default benchmark.
 var ErrUnknownBenchmark = errors.New("bench: unknown benchmark")
 
+// ErrSpent is returned (wrapped) by Run and Verify on an instance whose
+// Verify already succeeded: its single use is over.
+var ErrSpent = errors.New("bench: instance already verified")
+
 // RunOpts carries the optional machinery of one Instance.Run.
 type RunOpts struct {
 	// Workers is the CnC worker count (CnC variants).
@@ -51,7 +55,9 @@ type RunOpts struct {
 
 // Instance is one concrete problem of a benchmark: inputs generated from a
 // seed plus the serial reference result. An Instance is single-use — one
-// Run, then Verify against the reference.
+// Run, then Verify against the reference. A successful Verify ends that
+// use and drops the tables (NewInstance's go back to matrix's free list,
+// FlowInstance's stay the caller's); a later Run or Verify returns ErrSpent.
 type Instance interface {
 	// Run executes the variant on the instance's working copy and returns
 	// the CnC runtime stats (zero-valued for non-CnC variants).
@@ -93,12 +99,15 @@ func RunFlow[T, K comparable](ctx context.Context, f *gep.Flow[T, K], name strin
 // instance is every benchmark's Instance: the recurrence over the working
 // table, and the serial reference's table. Every interpreter applies the
 // same per-element operations in the same order, so Verify demands the
-// tables be bit-identical.
+// tables be bit-identical. A nil flow marks a spent instance.
 type instance[T, K comparable] struct {
 	name      string
 	flow      *gep.Flow[T, K]
 	work, ref *matrix.Dense
 	ran       bool
+	// owned: newInstance built the tables, so Verify may release them —
+	// both runtimes drain before Run returns, and no item is a tile view.
+	owned bool
 }
 
 // newInstance runs the serial reference on ref and returns the instance
@@ -114,7 +123,7 @@ func newInstance[T, K comparable](name string, work, ref *matrix.Dense, flow fun
 	if err != nil {
 		return nil, err
 	}
-	return FlowInstance(name, f, work, ref), nil
+	return &instance[T, K]{name: name, flow: f, work: work, ref: ref, owned: true}, nil
 }
 
 // FlowInstance is the Instance of recurrence f over its table work,
@@ -125,17 +134,28 @@ func FlowInstance[T, K comparable](name string, f *gep.Flow[T, K], work, ref *ma
 }
 
 func (in *instance[T, K]) Run(ctx context.Context, v core.Variant, opts RunOpts) (gep.CnCStats, error) {
+	if in.flow == nil {
+		return gep.CnCStats{}, fmt.Errorf("bench: %s: %w", in.name, ErrSpent)
+	}
 	in.ran = true
 	return RunFlow(ctx, in.flow, in.name, v, opts)
 }
 
 func (in *instance[T, K]) Verify() error {
+	if in.flow == nil {
+		return fmt.Errorf("bench: %s: %w", in.name, ErrSpent)
+	}
 	if !in.ran {
 		return fmt.Errorf("bench: %s: Verify before Run", in.name)
 	}
 	if err := matrix.Diff(in.work, in.ref); err != nil {
 		return fmt.Errorf("bench: %s result disagrees with the serial reference: %w", in.name, err)
 	}
+	if in.owned {
+		in.work.Release()
+		in.ref.Release()
+	}
+	in.flow, in.work, in.ref = nil, nil, nil
 	return nil
 }
 

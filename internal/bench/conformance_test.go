@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,9 +20,19 @@ import (
 	"dpflow/internal/dag"
 	"dpflow/internal/determinacy"
 	"dpflow/internal/forkjoin"
+	"dpflow/internal/ge"
 	"dpflow/internal/gep"
+	"dpflow/internal/matrix"
 	"dpflow/internal/sw"
 )
+
+// tables exposes an instance's working and reference tables to the tests.
+func (in *instance[T, K]) tables() (work, ref *matrix.Dense) { return in.work, in.ref }
+
+// tablesOf returns the tables of a registry instance.
+func tablesOf(in Instance) (work, ref *matrix.Dense) {
+	return in.(interface{ tables() (_, _ *matrix.Dense) }).tables()
+}
 
 // The conformance suite runs automatically against every registered
 // benchmark — register a fifth benchmark and it is held to the same
@@ -341,7 +353,10 @@ func TestConformanceForkJoinMatchesSimulator(t *testing.T) {
 
 // TestConformanceInstanceSingleUse: Verify without a Run must not pass
 // trivially for score-carrying benchmarks, and a failed-run instance must
-// not verify (spot-checked via sw, whose Verify guards explicitly).
+// not verify (spot-checked via sw, whose Verify guards explicitly). A
+// successful Verify ends the instance's use: a second Verify and a later
+// Run return ErrSpent, and the Run reaches no kernel — its tables went
+// back to matrix's free list.
 func TestConformanceInstanceSingleUse(t *testing.T) {
 	b, err := ByName("sw")
 	if err != nil {
@@ -353,6 +368,108 @@ func TestConformanceInstanceSingleUse(t *testing.T) {
 	}
 	if err := in.Verify(); err == nil {
 		t.Fatal("sw Verify before Run succeeded; want error")
+	}
+	kernels := 0
+	opts := RunOpts{Trace: func() func() { kernels++; return func() {} }}
+	if _, err := in.Run(context.Background(), core.SerialRDP, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Verify(); !errors.Is(err, ErrSpent) {
+		t.Fatalf("second Verify err = %v, want ErrSpent", err)
+	}
+	ran := kernels
+	if _, err := in.Run(context.Background(), core.SerialRDP, opts); !errors.Is(err, ErrSpent) {
+		t.Fatalf("Run after Verify err = %v, want ErrSpent", err)
+	}
+	if kernels != ran {
+		t.Fatalf("Run after Verify ran %d kernels, want none", kernels-ran)
+	}
+}
+
+// TestFlowInstanceKeepsCallerTables: FlowInstance's tables are the
+// caller's, so a verified instance releases none of them — two instances
+// sharing one reference both verify, and the reference survives.
+func TestFlowInstanceKeepsCallerTables(t *testing.T) {
+	x, _ := ge.NewSystem(confN, rand.New(rand.NewSource(confSeed)))
+	ref := x.Clone()
+	f, err := gep.GE.Flow(ref, confBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Serial(); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Clone()
+	for i := range 2 {
+		work := x.Clone()
+		f, err := gep.GE.Flow(work, confBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := FlowInstance("ge", f, work, ref)
+		if _, err := in.Run(context.Background(), core.NativeCnC, RunOpts{Workers: confWorkers}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Verify(); err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		if err := matrix.Diff(work, want); err != nil {
+			t.Fatalf("instance %d: caller's work table changed by Verify: %v", i, err)
+		}
+	}
+	if err := matrix.Diff(ref, want); err != nil {
+		t.Fatalf("shared reference changed: %v", err)
+	}
+}
+
+// TestConformanceRecycledInputs: an instance built right after a same-seed
+// one was verified (its dirty tables released to the free list) has
+// byte-identical tables to one built before — a recycled array leaks no
+// state. At least one benchmark's rebuild must really take a released
+// array (the free list is a sync.Pool, which may drop some).
+func TestConformanceRecycledInputs(t *testing.T) {
+	reused := 0
+	for _, b := range All() {
+		t.Run(b.Name(), func(t *testing.T) {
+			first, err := b.NewInstance(confN, confBase, confSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w0, r0 := tablesOf(first)
+			wantWork, wantRef := w0.Clone(), r0.Clone()
+			released := []*float64{&w0.Data()[0], &r0.Data()[0]}
+			if _, err := first.Run(context.Background(), core.NativeCnC, RunOpts{Workers: confWorkers}); err != nil {
+				t.Fatal(err)
+			}
+			if matrix.Equal(w0, wantWork) {
+				t.Fatal("the run left its work table as built; a leak would not show")
+			}
+			if err := first.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			next, err := b.NewInstance(confN, confBase, confSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w1, r1 := tablesOf(next)
+			if err := matrix.Diff(w1, wantWork); err != nil {
+				t.Fatalf("work table after recycling: %v", err)
+			}
+			if err := matrix.Diff(r1, wantRef); err != nil {
+				t.Fatalf("reference table after recycling: %v", err)
+			}
+			for _, p := range []*float64{&w1.Data()[0], &r1.Data()[0]} {
+				if slices.Contains(released, p) {
+					reused++
+				}
+			}
+		})
+	}
+	if reused == 0 {
+		t.Fatal("no rebuild took a released array; the test saw no recycling")
 	}
 }
 

@@ -67,6 +67,7 @@ func NewSPD(n int, rng *rand.Rand) *matrix.Dense {
 			set(i, j, s)
 		}
 	}
+	b.Release()
 	return a
 }
 

@@ -82,30 +82,42 @@ func TestAttemptSuccessorRunsNext(t *testing.T) {
 
 // TestPollingRePutYields: a step that polls with TryGet and re-puts its own
 // tag on a miss, with its producer queued behind it, terminates with the
-// right result. A root step enqueues the producer and spawns the poller
-// through its burst, so at one worker the poller runs first. Its re-put is
+// right result. At one worker a root step enqueues the producer and spawns
+// the poller through its burst, so the poller runs first. Its re-put is
 // enqueued at the oldest end, behind the producer; were it spawned at the
 // newest end, one worker would re-pop the poller forever, which the poll
-// budget turns into a failure.
+// budget turns into a failure. At two workers the root holds its worker
+// until the poller is done and puts both plainly: the one free worker runs
+// every poll and the producer, each enqueue round-robin over both lanes, so
+// it must steal from the held worker's lane. Holding the worker keeps the
+// count a property of dispatch order alone — were the other worker free,
+// the OS could preempt it mid-producer while the poller spends its budget.
+// The graph has its own executor with one physical worker per lane, so the
+// held one never starves the other, whatever GOMAXPROCS is.
 func TestPollingRePutYields(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const budget = 1000
-			g := NewGraph("poll", workers)
+			ex := exec.New(workers)
+			defer ex.Close()
+			g := NewGraph("poll", workers).WithExecutor(ex)
 			in := NewItemCollection[int, int](g, "in")
 			out := NewItemCollection[int, int](g, "out")
 			pollTags := NewTagCollection[int](g, "poll", false)
 			polls := 0 // one poller instance runs at a time
+			done := make(chan struct{})
 			pollTags.Prescribe(NewStepCollection(g, "poller", func(i int) error {
 				v, ok := in.TryGet(i)
 				if !ok {
 					if polls++; polls > budget {
+						close(done)
 						return fmt.Errorf("poller re-ran %d times without its producer running", polls)
 					}
 					pollTags.Put(i)
 					return nil
 				}
 				out.Put(i, v+1)
+				close(done)
 				return nil
 			}))
 			prodTags := NewTagCollection[int](g, "prod", false)
@@ -116,7 +128,12 @@ func TestPollingRePutYields(t *testing.T) {
 			rootTags := NewTagCollection[int](g, "root", false)
 			rootTags.Prescribe(NewStepCollectionInto(g, "root", func(i int, bu *Burst) error {
 				prodTags.Put(i)
-				pollTags.PutInto(i, bu)
+				if workers == 1 {
+					pollTags.PutInto(i, bu)
+					return nil
+				}
+				pollTags.Put(i)
+				<-done
 				return nil
 			}))
 			err := g.Run(func() { rootTags.Put(7) })

@@ -78,10 +78,10 @@ type Frame struct {
 // are named by their fork path (spawn epochs from the root) and strand
 // segment, which identifies them independently of scheduling.
 type RaceError struct {
-	Cell      string
-	FirstOp   string // "read" or "write"
-	FirstTask string
-	SecondOp  string
+	Cell       string
+	FirstOp    string // "read" or "write"
+	FirstTask  string
+	SecondOp   string
 	SecondTask string
 }
 

@@ -6,6 +6,9 @@
 // row-major indexing, exactly like the double* tables of the paper's C++
 // benchmarks. Tiles are lightweight views; they alias the parent storage so
 // the recursive divide-and-conquer functions can update quadrants in place.
+//
+// Table storage comes from one free list, a sync.Pool of backing arrays
+// per exact length: New and Clone take from it, Release gives back.
 package matrix
 
 import (
@@ -13,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 )
 
 // Dense is a row-major n×m matrix of float64 values.
@@ -23,9 +27,29 @@ type Dense struct {
 	rows, cols int
 	stride     int
 	data       []float64
+	view       bool // the storage is another matrix's: Release leaves it alone
 }
 
-// New returns a zero-filled rows×cols matrix backed by one allocation.
+// free holds one *sync.Pool of released backing arrays per length.
+var free sync.Map
+
+// storage returns a backing array of length n: a released one when the
+// free list holds one, cleared when zero is set, else a fresh one.
+func storage(n int, zero bool) []float64 {
+	p, ok := free.Load(n)
+	if !ok {
+		p, _ = free.LoadOrStore(n, new(sync.Pool))
+	}
+	if s, ok := p.(*sync.Pool).Get().(*[]float64); ok {
+		if zero {
+			clear(*s)
+		}
+		return *s
+	}
+	return make([]float64, n)
+}
+
+// New returns a zero-filled rows×cols matrix backed by one array.
 func New(rows, cols int) *Dense {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("matrix: negative dimension %dx%d", rows, cols))
@@ -34,8 +58,22 @@ func New(rows, cols int) *Dense {
 		rows:   rows,
 		cols:   cols,
 		stride: cols,
-		data:   make([]float64, rows*cols),
+		data:   storage(rows*cols, true),
 	}
+}
+
+// Release returns the matrix's backing array to the free list and leaves
+// the matrix empty. The caller must hold the only use of the storage: no
+// view of it may be touched again. Release of a view or of an empty
+// matrix does nothing.
+func (m *Dense) Release() {
+	if m.view || len(m.data) == 0 {
+		return
+	}
+	s := m.data
+	*m = Dense{}
+	p, _ := free.Load(len(s)) // storage made it
+	p.(*sync.Pool).Put(&s)
 }
 
 // NewSquare returns a zero-filled n×n matrix.
@@ -109,6 +147,7 @@ func (m *Dense) View(i, j, r, c int) *Dense {
 		cols:   c,
 		stride: m.stride,
 		data:   m.data[i*m.stride+j:],
+		view:   true,
 	}
 }
 
@@ -142,9 +181,9 @@ func (m *Dense) Quad() [4]*Dense {
 	}
 }
 
-// Clone returns a deep copy with contiguous storage.
+// Clone returns a deep copy with contiguous storage, skipping New's clear.
 func (m *Dense) Clone() *Dense {
-	c := New(m.rows, m.cols)
+	c := &Dense{rows: m.rows, cols: m.cols, stride: m.cols, data: storage(m.rows*m.cols, false)}
 	for i := 0; i < m.rows; i++ {
 		copy(c.Row(i), m.Row(i))
 	}
