@@ -41,20 +41,15 @@ func spanTables() {
 	fmt.Printf("%8s %8s | %10s %10s %8s | %10s %10s %8s\n",
 		"bench", "tiles", "df span", "df par", "", "fj span", "fj par", "ratio")
 	for _, tiles := range []int{8, 16, 32, 64} {
-		for _, b := range []struct {
-			name string
-			df   dag.Graph
-			fj   dag.Graph
-		}{
-			{"GE", dag.NewGEPDataflow(tiles, gep.Triangular), dag.NewGEPForkJoin(tiles, gep.Triangular)},
-			{"SW", dag.NewSWDataflow(tiles), dag.NewSWForkJoin(tiles)},
-		} {
-			df, err := simsched.Simulate(b.df, 0, unit)
+		for _, name := range []string{"GE", "SW"} {
+			b, err := bench.ByName(name)
 			check(err)
-			fj, err := simsched.Simulate(b.fj, 0, unit)
+			df, err := simsched.Simulate(b.Dataflow(tiles), 0, unit)
+			check(err)
+			fj, err := simsched.Simulate(b.ForkJoin(tiles), 0, unit)
 			check(err)
 			fmt.Printf("%8s %8d | %10.0f %10.1f %8s | %10.0f %10.1f %8.2f\n",
-				b.name, tiles, df.Makespan, df.Work/df.Makespan, "",
+				name, tiles, df.Makespan, df.Work/df.Makespan, "",
 				fj.Makespan, fj.Work/fj.Makespan, fj.Makespan/df.Makespan)
 		}
 	}
@@ -68,8 +63,7 @@ func simulatedUtilization() {
 	for _, mk := range []func() *machine.Machine{machine.EPYC64, machine.SKYLAKE192} {
 		mach := mk()
 		tiles := 2048 / gep.BaseSize(2048, 512)
-		df := dag.NewGEPDataflow(tiles, gep.Triangular)
-		fj := dag.NewGEPForkJoin(tiles, gep.Triangular)
+		df, fj := ge.Dataflow(tiles), ge.ForkJoin(tiles)
 		rdf, err := simsched.Simulate(df, mach.Cores, model.CostsFor(mach, ge, 2048, 512, core.NativeCnC, df.Len()))
 		check(err)
 		rfj, err := simsched.Simulate(fj, mach.Cores, model.CostsFor(mach, ge, 2048, 512, core.OMPTasking, df.Len()))

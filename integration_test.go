@@ -15,7 +15,6 @@ import (
 	"dpflow/internal/core"
 	"dpflow/internal/dag"
 	"dpflow/internal/ge"
-	"dpflow/internal/gep"
 	"dpflow/internal/harness"
 	"dpflow/internal/machine"
 	"dpflow/internal/matrix"
@@ -37,7 +36,11 @@ func TestRuntimeMatchesDAGCensus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := dag.NewGEPDataflow(n/base, gep.Triangular)
+	geBench, err := bench.ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := geBench.Dataflow(n / base)
 	if stats.BaseTasks != g.Len() {
 		t.Fatalf("runtime executed %d base tasks, DAG has %d", stats.BaseTasks, g.Len())
 	}
@@ -160,7 +163,11 @@ func TestDeadlockDiagnosticsEndToEnd(t *testing.T) {
 // The simulator's variant ordering is stable under scaling of all cost
 // constants (scale invariance: doubling every cost doubles every makespan).
 func TestSimulatorScaleInvariance(t *testing.T) {
-	g := dag.NewGEPDataflow(8, gep.Triangular)
+	geBench, err := bench.ByName("ge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := geBench.Dataflow(8)
 	var c simsched.Costs
 	for k := 0; k < dag.NumKinds; k++ {
 		c.Exec[k] = float64(k + 1)

@@ -213,6 +213,55 @@ type Benchmark interface {
 	Wire(tiles int) WireVocab
 }
 
+// taskGraphs is a registry entry's two task graphs, stated once for every
+// entry: the entry embeds one, filled in from its own numbering and its
+// package's kinds, relation and Flow.
+type taskGraphs[T, K comparable] struct {
+	// space numbers the base tasks of a tiles×tiles problem densely: n of
+	// them, id and its inverse key.
+	space func(tiles int) (n int, id func(K) int, key func(int) K)
+	// kind classifies a base task for the model.
+	kind func(K) dag.Kind
+	// preds and succs are the package's dependency relation.
+	preds, succs func(tiles int, k K, f func(K) bool) bool
+	// flow states the recurrence on a tiles×tiles table of one-cell tiles.
+	flow func(tiles int) (*gep.Flow[T, K], error)
+}
+
+// Dataflow is the analytic data-flow graph of the entry's relation over its
+// numbering.
+func (g taskGraphs[T, K]) Dataflow(tiles int) dag.Graph {
+	if tiles < 1 {
+		panic(fmt.Sprintf("bench: tiles = %d", tiles))
+	}
+	n, id, key := g.space(tiles)
+	return dag.NewDataflow(n, id, key, g.kind,
+		func(k K, f func(K) bool) bool { return g.preds(tiles, k, f) },
+		func(k K, f func(K) bool) bool { return g.succs(tiles, k, f) })
+}
+
+// ForkJoin is the ordering DAG of the walk the entry's Flow interprets —
+// from its Root, Flat and all — so it is defined where the Flow is: tiles
+// a power of two.
+func (g taskGraphs[T, K]) ForkJoin(tiles int) dag.Graph {
+	f, err := g.flow(tiles)
+	if err != nil {
+		panic(fmt.Sprintf("bench: no fork-join graph of %d tiles: %v", tiles, err))
+	}
+	leaf := func(t T) (dag.Kind, bool) {
+		k, base := f.Task(t)
+		return g.kind(k), base
+	}
+	return dag.ForkJoin(f.Root, f.Flat, leaf, f.Walk)
+}
+
+// spec is the static CnC specification graph of the entry's Flow on 4
+// tiles: what SpecGraph returns.
+func (g taskGraphs[T, K]) spec(name string) *cnc.Graph {
+	f, _ := g.flow(4)
+	return f.Spec(name, core.NativeCnC)
+}
+
 // WireVocab is one benchmark's on-the-wire vocabulary: the concrete tag and
 // item types its CnC graph exchanges, as sample values. Every registered
 // benchmark must enumerate at least one sample of every type it puts so the

@@ -1,17 +1,28 @@
 package bench
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 
 	"dpflow/internal/chol"
 	"dpflow/internal/cnc"
-	"dpflow/internal/core"
 	"dpflow/internal/dag"
 	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
 )
 
-func init() { Register(chBench{}) }
+func init() {
+	Register(chBench{taskGraphs[chol.Tag, chol.Key]{
+		space: cholSpace,
+		kind:  func(k chol.Key) dag.Kind { return cholKinds[k.Kind] },
+		preds: chol.Preds,
+		succs: chol.Succs,
+		flow: func(tiles int) (*gep.Flow[chol.Tag, chol.Key], error) {
+			return chol.Flow(matrix.NewSquare(tiles), 1)
+		},
+	}})
+}
 
 // chBench is tiled Cholesky factorisation — the fourth benchmark, onboarded
 // entirely through this registry (no layer outside internal/chol and this
@@ -20,7 +31,44 @@ func init() { Register(chBench{}) }
 // GE-family triangular closed forms: POTRF is funcA-shaped (a shrinking
 // triangular elimination of the diagonal tile), TRSM funcC-shaped (a
 // pivot-column solve) and UPDATE funcD-shaped (a full m³ rank-update).
-type chBench struct{}
+type chBench struct {
+	taskGraphs[chol.Tag, chol.Key]
+}
+
+// cholKinds maps chol's task kinds to the model's.
+var cholKinds = [...]dag.Kind{chol.KindPotrf: dag.KindA, chol.KindTrsm: dag.KindC, chol.KindUpdate: dag.KindD}
+
+// cholSpace numbers the tasks (i, j, k), 0 ≤ k ≤ j ≤ i < T, phase by phase:
+// phase k holds the lower triangle {(i,j): k ≤ j ≤ i < T} of s(s+1)/2
+// tasks, s = T−k, so there are T(T+1)(T+2)/6 in all. (k,k,k) is POTRF of
+// the phase's diagonal tile, (i,k,k) with i > k the TRSM of tile (i,k), and
+// (i,j,k) with j > k the trailing UPDATE of tile (i,j).
+func cholSpace(t int) (n int, id func(chol.Key) int, key func(int) chol.Key) {
+	// offsets[k] is the id of the first task of phase k.
+	offsets := make([]int, t+1)
+	for k := 0; k < t; k++ {
+		s := t - k
+		offsets[k+1] = offsets[k] + s*(s+1)/2
+	}
+	return offsets[t],
+		func(x chol.Key) int {
+			a, b := x.I-x.K, x.J-x.K
+			return offsets[x.K] + a*(a+1)/2 + b
+		},
+		func(id int) chol.Key {
+			k := sort.Search(t, func(p int) bool { return offsets[p+1] > id })
+			rem := id - offsets[k]
+			// Largest a with a(a+1)/2 <= rem; the float guess is fixed up exactly.
+			a := int((math.Sqrt(float64(8*rem+1)) - 1) / 2)
+			for a*(a+1)/2 > rem {
+				a--
+			}
+			for (a+1)*(a+2)/2 <= rem {
+				a++
+			}
+			return chol.TaskKey(k+a, k+rem-a*(a+1)/2, k)
+		}
+}
 
 func (chBench) Name() string { return "chol" }
 
@@ -31,9 +79,6 @@ func (chBench) NewInstance(n, base int, seed int64) (Instance, error) {
 		return chol.Flow(x, base)
 	})
 }
-
-func (chBench) Dataflow(tiles int) dag.Graph { return dag.NewCholDataflow(tiles) }
-func (chBench) ForkJoin(tiles int) dag.Graph { return dag.NewCholForkJoin(tiles) }
 
 // TotalTasks is the tetrahedral number T(T+1)(T+2)/6: phase k updates the
 // (T−k)(T−k+1)/2-tile lower triangle.
@@ -82,10 +127,7 @@ func (chBench) DepCount(kind dag.Kind) float64 {
 
 func (chBench) PrefetchFriendly() bool { return true }
 
-func (chBench) SpecGraph() *cnc.Graph {
-	f, _ := chol.Flow(matrix.NewSquare(4), 1)
-	return f.Spec("chol", core.NativeCnC)
-}
+func (b chBench) SpecGraph() *cnc.Graph { return b.spec("chol") }
 
 // Wire enumerates Cholesky's vocabulary: the tasks tag collection exchanges
 // chol.Tag and tile_outputs exchanges chol.Key -> bool, over the three task

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"dpflow/internal/chol"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
 	"dpflow/internal/dag"
@@ -23,7 +22,6 @@ import (
 	"dpflow/internal/ge"
 	"dpflow/internal/gep"
 	"dpflow/internal/matrix"
-	"dpflow/internal/sw"
 )
 
 // tables exposes an instance's working and reference tables to the tests.
@@ -240,22 +238,25 @@ func TestConformanceCensus(t *testing.T) {
 	}
 }
 
-// itemName names the receipt the CnC program puts for task id of a
-// benchmark's data-flow graph, "collection[key]" as the discipline checker
-// records it. A benchmark with a new graph type adds its case here.
-func itemName(t *testing.T, g dag.Graph, id int) string {
-	switch g := g.(type) {
-	case *dag.GEPDataflow:
-		i, j, k := g.Coords(id)
-		return fmt.Sprintf("%v_outputs[%v]", gep.Classify(i, j, k), gep.ItemKey{I: i, J: j, K: k})
-	case *dag.SWDataflow:
-		i, j := g.Coords(id)
-		return fmt.Sprintf("tile_outputs[%v]", sw.TileKey{I: i, J: j})
-	case *dag.CholDataflow:
-		return fmt.Sprintf("tile_outputs[%v]", chol.TaskKey(g.Coords(id)))
+// itemNames names the receipt the CnC program puts for each task of the
+// entry's data-flow graph, "collection[key]" as the discipline checker
+// records it: the key through the graph's numbering, the collection through
+// the entry's Flow.
+func (g taskGraphs[T, K]) itemNames(tiles int) []string {
+	f, err := g.flow(tiles)
+	if err != nil {
+		panic(err)
 	}
-	t.Fatalf("no item naming for %T", g)
-	return ""
+	n, _, key := g.space(tiles)
+	names := make([]string, n)
+	for id := range names {
+		k, c := key(id), 0
+		if f.Coll != nil {
+			c = f.Coll(k)
+		}
+		names[id] = fmt.Sprintf("%s[%v]", f.Colls[c][2], k)
+	}
+	return names
 }
 
 // TestConformanceRuntimeMatchesSimulator ties the two halves of the
@@ -269,14 +270,15 @@ func TestConformanceRuntimeMatchesSimulator(t *testing.T) {
 	for _, b := range All() {
 		for _, tiles := range []int{2, 4, 8} {
 			df := b.Dataflow(tiles)
+			names := b.(interface{ itemNames(int) []string }).itemNames(tiles)
 			want := make(map[string][]string, df.Len())
 			for id := 0; id < df.Len(); id++ {
-				from := itemName(t, df, id)
+				from := names[id]
 				if _, ok := want[from]; !ok {
 					want[from] = nil // sources have an entry too
 				}
 				df.EachSucc(id, func(s int) {
-					to := itemName(t, df, s)
+					to := names[s]
 					want[to] = append(want[to], from)
 				})
 			}

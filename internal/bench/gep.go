@@ -2,9 +2,9 @@ package bench
 
 import (
 	"math/rand"
+	"sort"
 
 	"dpflow/internal/cnc"
-	"dpflow/internal/core"
 	"dpflow/internal/dag"
 	"dpflow/internal/ge"
 	"dpflow/internal/gep"
@@ -18,8 +18,9 @@ func init() {
 	// three-flop division per (k, i) row pair (bounded by m²); the miss bound
 	// follows the triangular kernels' shrinking rows and segments.
 	Register(gepBench{
-		name: "ge",
-		alg:  gep.GE,
+		name:       "ge",
+		alg:        gep.GE,
+		taskGraphs: gepGraphs(gep.GE),
 		input: func(n int, rng *rand.Rand) *matrix.Dense {
 			a, _ := ge.NewSystem(n, rng)
 			return a
@@ -30,8 +31,9 @@ func init() {
 	// Floyd-Warshall all-pairs shortest paths: every funcX kind performs the
 	// same m³ relaxations (an add and a compare each) over full rows.
 	Register(gepBench{
-		name: "fw",
-		alg:  gep.FW,
+		name:       "fw",
+		alg:        gep.FW,
+		taskGraphs: gepGraphs(gep.FW),
 		input: func(n int, rng *rand.Rand) *matrix.Dense {
 			return graphgen.Random(graphgen.Config{N: n, Density: 0.35, MaxWeight: 9, Infinity: graphgen.Infinity}, rng)
 		},
@@ -46,6 +48,7 @@ func init() {
 // different fields. Everything shape-dependent — DAGs, censuses, update
 // counts — derives from alg.Shape; the fields carry what does not.
 type gepBench struct {
+	taskGraphs[gep.Tag, gep.ItemKey]
 	name  string
 	alg   gep.Algorithm
 	input func(n int, rng *rand.Rand) *matrix.Dense
@@ -65,8 +68,55 @@ func (b gepBench) NewInstance(n, base int, seed int64) (Instance, error) {
 	})
 }
 
-func (b gepBench) Dataflow(tiles int) dag.Graph { return dag.NewGEPDataflow(tiles, b.alg.Shape) }
-func (b gepBench) ForkJoin(tiles int) dag.Graph { return dag.NewGEPForkJoin(tiles, b.alg.Shape) }
+// gepGraphs states alg's task graphs: one task per (tile, elimination
+// step), its edges the dependency relation — FW's write-after-read
+// anti-dependencies included.
+func gepGraphs(alg gep.Algorithm) taskGraphs[gep.Tag, gep.ItemKey] {
+	return taskGraphs[gep.Tag, gep.ItemKey]{
+		space: func(tiles int) (int, func(gep.ItemKey) int, func(int) gep.ItemKey) { return gepSpace(tiles, alg.Shape) },
+		kind:  func(k gep.ItemKey) dag.Kind { return gepKinds[gep.Classify(k.I, k.J, k.K)] },
+		preds: alg.Shape.Preds,
+		succs: alg.Shape.Succs,
+		flow: func(tiles int) (*gep.Flow[gep.Tag, gep.ItemKey], error) {
+			return alg.Flow(matrix.NewSquare(tiles), 1)
+		},
+	}
+}
+
+// gepKinds maps the GEP functions to the model's kinds.
+var gepKinds = [...]dag.Kind{gep.FuncA: dag.KindA, gep.FuncB: dag.KindB, gep.FuncC: dag.KindC, gep.FuncD: dag.KindD}
+
+// gepSpace numbers the GEP task space phase by phase, each phase's tiles
+// row by row. Phase k updates the tiles (I, J) with I, J ≥ tri·k: under the
+// Triangular shape (GE, tri = 1) only tiles with I ≥ K ∧ J ≥ K have tasks;
+// under Cube (FW, tri = 0) every tile updates at every step.
+func gepSpace(t int, shape gep.Shape) (n int, id func(gep.ItemKey) int, key func(int) gep.ItemKey) {
+	tri := 1
+	if shape == gep.Cube {
+		tri = 0
+	}
+	// offsets[k] is the id of the first task of phase k.
+	offsets := make([]int, t+1)
+	for k := 0; k < t; k++ {
+		side := t - tri*k
+		offsets[k+1] = offsets[k] + side*side
+	}
+	id = func(x gep.ItemKey) int {
+		lo := tri * x.K
+		return offsets[x.K] + (x.I-lo)*(t-lo) + (x.J - lo)
+	}
+	key = func(id int) gep.ItemKey {
+		k := 0 // the phase: Cube's all hold t² tasks, Triangular's shrink
+		if tri == 0 {
+			k = id / (t * t)
+		} else {
+			k = sort.Search(t, func(p int) bool { return offsets[p+1] > id })
+		}
+		lo, rem := tri*k, id-offsets[k]
+		return gep.ItemKey{I: lo + rem/(t-lo), J: lo + rem%(t-lo), K: k}
+	}
+	return offsets[t], id, key
+}
 
 func (b gepBench) TotalTasks(tiles int) int { return TotalTasksGEP(tiles, b.alg.Shape) }
 
@@ -105,10 +155,7 @@ func (gepBench) DepCount(kind dag.Kind) float64 {
 
 func (gepBench) PrefetchFriendly() bool { return true }
 
-func (b gepBench) SpecGraph() *cnc.Graph {
-	f, _ := b.alg.Flow(matrix.NewSquare(4), 1)
-	return f.Spec(b.name, core.NativeCnC)
-}
+func (b gepBench) SpecGraph() *cnc.Graph { return b.spec(b.name) }
 
 // Wire is the shared GE/FW vocabulary: the four funcX tag collections
 // exchange gep.Tag and the four funcX_outputs item collections exchange

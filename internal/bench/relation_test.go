@@ -19,12 +19,10 @@ type recurrence[K comparable] struct {
 	name         string
 	tasks        func(tiles int, visit func(K))
 	preds, succs func(tiles int, k K, f func(K) bool) bool
-	// bench is the registry name ("" for par, which is not registered); id
-	// maps a task into the index space of bench's Dataflow graph, and
+	// bench is the registry name ("" for par, which is not registered), and
 	// interior lists, for 8 tiles, tasks with k > 0 away from every border
 	// and from the previous phase's pivot — one per kind.
 	bench    string
-	id       func(g dag.Graph, k K) int
 	interior []K
 }
 
@@ -115,7 +113,7 @@ func checkRelation[K comparable](t *testing.T, r recurrence[K], tiles int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	df := b.Dataflow(tiles)
+	df := b.Dataflow(tiles).(*dag.Dataflow[K])
 	if df.Len() != len(tasks) || b.TotalTasks(tiles) != len(tasks) {
 		t.Fatalf("the walk visits %d tasks, Dataflow has %d, TotalTasks says %d", len(tasks), df.Len(), b.TotalTasks(tiles))
 	}
@@ -126,14 +124,14 @@ func checkRelation[K comparable](t *testing.T, r recurrence[K], tiles int) {
 		t.Fatalf("Dataflow has %d edges, the get-counts sum to %d", got, edges)
 	}
 	for _, k := range tasks {
-		id := r.id(df, k)
+		id := df.ID(k)
 		if got, want := df.InDeg(id), len(collect(r.preds, k)); got != want {
 			t.Fatalf("InDeg of %v = %d, it has %d predecessors", k, got, want)
 		}
 		var got, want []int
 		df.EachSucc(id, func(s int) { got = append(got, s) })
 		for _, s := range collect(r.succs, k) {
-			want = append(want, r.id(df, s))
+			want = append(want, df.ID(s))
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("EachSucc of %v = %v, its successors are %v", k, got, want)
@@ -144,7 +142,7 @@ func checkRelation[K comparable](t *testing.T, r recurrence[K], tiles int) {
 		if tiles != 8 {
 			break
 		}
-		kind := df.Kind(r.id(df, k))
+		kind := df.Kind(df.ID(k))
 		if got, want := b.DepCount(kind), len(collect(r.preds, k)); got != float64(want) {
 			t.Fatalf("DepCount(%v) = %v, interior task %v has %d predecessors", kind, got, k, want)
 		}
@@ -157,12 +155,9 @@ func gepRecurrence(name string, sh gep.Shape) recurrence[gep.ItemKey] {
 		tasks: func(tiles int, visit func(gep.ItemKey)) {
 			sh.Walk(gep.Tag{S: tiles}, tiles, func(t gep.Tag, _ bool) { visit(gep.ItemKey{I: t.I, J: t.J, K: t.K}) })
 		},
-		preds: sh.Preds,
-		succs: sh.Succs,
-		bench: name,
-		id: func(g dag.Graph, k gep.ItemKey) int {
-			return g.(*dag.GEPDataflow).ID(k.I, k.J, k.K)
-		},
+		preds:    sh.Preds,
+		succs:    sh.Succs,
+		bench:    name,
 		interior: []gep.ItemKey{{I: 5, J: 5, K: 5}, {I: 5, J: 7, K: 5}, {I: 7, J: 5, K: 5}, {I: 7, J: 6, K: 5}},
 	}
 }
@@ -188,7 +183,6 @@ func TestRelations(t *testing.T) {
 			preds:    sw.Preds,
 			succs:    sw.Succs,
 			bench:    "sw",
-			id:       func(g dag.Graph, k sw.TileKey) int { return g.(*dag.SWDataflow).ID(k.I, k.J) },
 			interior: []sw.TileKey{{I: 3, J: 3}},
 		}, tiles)
 	})
@@ -200,7 +194,6 @@ func TestRelations(t *testing.T) {
 			preds:    chol.Preds,
 			succs:    chol.Succs,
 			bench:    "chol",
-			id:       func(g dag.Graph, k chol.Key) int { return g.(*dag.CholDataflow).ID(k.I, k.J, k.K) },
 			interior: []chol.Key{chol.TaskKey(5, 5, 5), chol.TaskKey(7, 5, 5), chol.TaskKey(7, 6, 5)},
 		}, tiles)
 	})

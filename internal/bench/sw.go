@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"dpflow/internal/cnc"
-	"dpflow/internal/core"
 	"dpflow/internal/dag"
 	"dpflow/internal/gep"
 	"dpflow/internal/kernels"
@@ -13,12 +12,33 @@ import (
 	"dpflow/internal/sw"
 )
 
-func init() { Register(swBench{}) }
+func init() {
+	Register(swBench{taskGraphs[sw.TileTag, sw.TileKey]{
+		space: swSpace,
+		kind:  func(sw.TileKey) dag.Kind { return dag.KindSW },
+		preds: sw.Preds,
+		succs: sw.Succs,
+		flow: func(tiles int) (*gep.Flow[sw.TileTag, sw.TileKey], error) {
+			p := &sw.Problem{A: make([]byte, tiles), B: make([]byte, tiles)}
+			return p.Flow(p.NewTable(), 1)
+		},
+	}})
+}
 
 // swBench is Smith-Waterman local alignment — the wavefront benchmark whose
 // fork-join joins are the paper's artificial dependencies. Every base task
-// is the single KindSW tile kernel.
-type swBench struct{}
+// is the single KindSW tile kernel; task (I, J) depends on its west, north
+// and north-west neighbours.
+type swBench struct {
+	taskGraphs[sw.TileTag, sw.TileKey]
+}
+
+// swSpace numbers the tiles×tiles grid row by row.
+func swSpace(t int) (n int, id func(sw.TileKey) int, key func(int) sw.TileKey) {
+	return t * t,
+		func(k sw.TileKey) int { return k.I*t + k.J },
+		func(id int) sw.TileKey { return sw.TileKey{I: id / t, J: id % t} }
+}
 
 func (swBench) Name() string { return "sw" }
 
@@ -30,9 +50,6 @@ func (swBench) NewInstance(n, base int, seed int64) (Instance, error) {
 		return p.Flow(h, base)
 	})
 }
-
-func (swBench) Dataflow(tiles int) dag.Graph { return dag.NewSWDataflow(tiles) }
-func (swBench) ForkJoin(tiles int) dag.Graph { return dag.NewSWForkJoin(tiles) }
 
 func (swBench) TotalTasks(tiles int) int { return tiles * tiles }
 
@@ -68,11 +85,7 @@ func (swBench) DepCount(kind dag.Kind) float64 {
 // both execution models, so neither side earns the prefetch discount.
 func (swBench) PrefetchFriendly() bool { return false }
 
-func (swBench) SpecGraph() *cnc.Graph {
-	p := &sw.Problem{A: make([]byte, 4), B: make([]byte, 4)}
-	f, _ := p.Flow(p.NewTable(), 1)
-	return f.Spec("sw", core.NativeCnC)
-}
+func (b swBench) SpecGraph() *cnc.Graph { return b.spec("sw") }
 
 // Wire enumerates SW's single-pass vocabulary: tile_tags exchanges
 // sw.TileTag (no K dimension) and tile_outputs exchanges sw.TileKey -> bool.

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -176,7 +177,7 @@ func TestTraceRDPGECapacityCliffs(t *testing.T) {
 	}
 	missesAt := func(base int) (l2, l3 uint64) {
 		h := mk()
-		stats, err := TraceRDPGE(h, 256, base)
+		stats, err := TraceRDPGEContext(context.Background(), h, 256, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestBlockingImprovesLocality(t *testing.T) {
 			LevelConfig{Name: "L2", SizeBytes: 16 << 10, LineBytes: 64, Ways: 8, Hashed: true},
 			LevelConfig{Name: "L3", SizeBytes: 128 << 10, LineBytes: 64, Ways: 16, Hashed: true},
 		)
-		stats, err := TraceRDPGE(h, 256, base)
+		stats, err := TraceRDPGEContext(context.Background(), h, 256, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,27 +218,5 @@ func TestBlockingImprovesLocality(t *testing.T) {
 			t.Fatalf("L3 misses grew from %d to %d at base %d while blocks fit", prev, l3, base)
 		}
 		prev = l3
-	}
-}
-
-// The FW tracer obeys the same capacity-cliff mechanics as GE and its
-// access volume matches the n³ update count (three probes per update at
-// the L1 level, minus the per-row hoisted multiplier).
-func TestTraceRDPFW(t *testing.T) {
-	h := New(
-		LevelConfig{Name: "L1", SizeBytes: 2 << 10, LineBytes: 64, Ways: 8},
-		LevelConfig{Name: "L2", SizeBytes: 16 << 10, LineBytes: 64, Ways: 8, Hashed: true},
-	)
-	const n, base = 64, 8
-	stats, err := TraceRDPFW(h, n, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAccesses := uint64(2*n*n*n + n*n*n/base) // 2 per (k,i,j) + 1 per (k,i)
-	if stats[0].Accesses != wantAccesses {
-		t.Fatalf("L1 accesses = %d, want %d", stats[0].Accesses, wantAccesses)
-	}
-	if stats[1].Misses == 0 || stats[1].Misses > stats[1].Accesses {
-		t.Fatalf("L2 stats implausible: %+v", stats[1])
 	}
 }

@@ -40,28 +40,18 @@ func TraceKernelGE(h *Hierarchy, baseAddr int64, stride int) gep.Kernel {
 	}
 }
 
-// TraceRDPGE replays the full 2-way R-DP GE execution for an n×n table at
-// the given base size through the hierarchy and returns the per-level
-// statistics. This is the "actual cache misses" measurement of Table I,
-// with the simulated hierarchy standing in for PAPI.
-func TraceRDPGE(h *Hierarchy, n, base int) ([]LevelStats, error) {
-	return TraceRDPGEContext(context.Background(), h, n, base)
-}
-
-// TraceRDPGEContext is TraceRDPGE with cooperative cancellation: a full
-// trace is the slow unit of Table I (~10¹¹ accesses at the paper's scale),
-// so the kernel checks ctx between base blocks and the trace returns
-// ctx.Err() instead of partial statistics.
+// TraceRDPGEContext replays the full 2-way R-DP GE execution for an n×n
+// table at the given base size through the hierarchy and returns the
+// per-level statistics. This is the "actual cache misses" measurement of
+// Table I, with the simulated hierarchy standing in for PAPI. A full trace
+// is the slow unit of Table I (~10¹¹ accesses at the paper's scale), so the
+// kernel checks ctx between base blocks and the trace returns ctx.Err()
+// instead of partial statistics. The recursion never touches matrix data
+// (the tracing kernel only generates addresses), but the table has the
+// real shape: for the scaled trace sizes the honest allocation is only a
+// few MB.
 func TraceRDPGEContext(ctx context.Context, h *Hierarchy, n, base int) ([]LevelStats, error) {
-	return traceRDP(ctx, h, gep.Algorithm{Kernel: TraceKernelGE(h, 0, n), Shape: gep.Triangular}, n, base)
-}
-
-// traceRDP replays the serial 2-way recursion of alg on an n×n table
-// through the hierarchy. The recursion never touches matrix data (the
-// tracing kernels only generate addresses), but the table has the real
-// shape: for the scaled trace sizes the honest allocation is only a few MB.
-// A cancelled ctx fails the next base block, which stops the walk.
-func traceRDP(ctx context.Context, h *Hierarchy, alg gep.Algorithm, n, base int) ([]LevelStats, error) {
+	alg := gep.Algorithm{Kernel: TraceKernelGE(h, 0, n), Shape: gep.Triangular}
 	f, err := alg.Flow(matrix.NewSquare(n), base)
 	if err != nil {
 		return nil, err
@@ -77,42 +67,4 @@ func traceRDP(ctx context.Context, h *Hierarchy, alg gep.Algorithm, n, base int)
 		return nil, err
 	}
 	return h.Stats(), nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// TraceKernelFW replays the Floyd-Warshall base kernel's address stream:
-// per (k, i, j) it touches X[i][k] (hoisted per row), X[k][j] and X[i][j].
-// The paper notes its GE data-movement model "can be easily extended to
-// the other DP algorithms"; this tracer is that extension for FW.
-func TraceKernelFW(h *Hierarchy, baseAddr int64, stride int) gep.Kernel {
-	addr := func(i, j int) int64 { return baseAddr + 8*int64(i*stride+j) }
-	return func(_ *matrix.Dense, i0, j0, k0, b int) {
-		for k := k0; k < k0+b; k++ {
-			for i := i0; i < i0+b; i++ {
-				h.Access(addr(i, k))
-				for j := j0; j < j0+b; j++ {
-					h.Access(addr(k, j))
-					h.Access(addr(i, j))
-				}
-			}
-		}
-	}
-}
-
-// TraceRDPFW replays the full 2-way R-DP FW execution through the
-// hierarchy and returns per-level statistics.
-func TraceRDPFW(h *Hierarchy, n, base int) ([]LevelStats, error) {
-	return TraceRDPFWContext(context.Background(), h, n, base)
-}
-
-// TraceRDPFWContext is TraceRDPFW with cooperative cancellation (see
-// TraceRDPGEContext).
-func TraceRDPFWContext(ctx context.Context, h *Hierarchy, n, base int) ([]LevelStats, error) {
-	return traceRDP(ctx, h, gep.Algorithm{Kernel: TraceKernelFW(h, 0, n), Shape: gep.Cube}, n, base)
 }

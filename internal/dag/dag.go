@@ -1,21 +1,28 @@
 // Package dag builds the task graphs that the two execution models induce
 // over the same set of base-case tile tasks, at tile granularity:
 //
-//   - The data-flow graph contains exactly the true dependencies of the DP
-//     recurrence (what the CnC item collections enforce). It is represented
-//     analytically — predecessors and successors of a task are computed
-//     from its coordinates — so graphs with millions of tasks cost a few
-//     bytes per task.
-//   - The fork-join graph contains the ordering that Spawn/Wait imposes:
-//     the same base tasks plus zero-cost join nodes, with an edge from
-//     every task of a stage to the join that guards the next stage. It is
-//     materialised in CSR form by running the R-DP recursion symbolically.
+//   - The data-flow graph (Dataflow) contains exactly the true dependencies
+//     of the DP recurrence (what the CnC item collections enforce). It is
+//     analytic — a task's predecessors and successors are computed from its
+//     key by the recurrence's dependency relation, through a dense
+//     numbering of its task space — so graphs with millions of tasks cost a
+//     few bytes per task.
+//   - The fork-join graph (ForkJoin) contains the ordering that Spawn/Wait
+//     imposes: the same base tasks plus zero-cost join nodes, with an edge
+//     from every task of a stage to the join that guards the next stage. It
+//     is materialised in CSR form by running the recurrence's schedule walk
+//     symbolically.
 //
-// Comparing the two graphs' spans quantifies the paper's central claim:
-// joins add artificial dependencies that grow the span asymptotically.
+// The package knows no benchmark: each registry entry in internal/bench
+// hands it its own numbering, walk and relation. Comparing the two graphs'
+// spans quantifies the paper's central claim: joins add artificial
+// dependencies that grow the span asymptotically.
 package dag
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind classifies a task node.
 type Kind uint8
@@ -51,13 +58,90 @@ type Graph interface {
 	EachSucc(id int, f func(succ int))
 }
 
+// Dataflow is the analytic data-flow graph of a recurrence at tile
+// granularity: one node per base task, its edges the recurrence's
+// dependency relation. It materialises nothing — every method maps a node
+// id to its key and asks the relation — so it costs what its numbering
+// costs. Node ids are the numbering's, and successors come in the
+// relation's order; internal/simsched breaks ties by both.
+type Dataflow[K comparable] struct {
+	n            int
+	id           func(K) int
+	key          func(int) K
+	kind         func(K) Kind
+	preds, succs func(K, func(K) bool) bool
+	// visits pools the *visit[K] through which InDeg and EachSucc call the
+	// relation, so neither builds a closure per call.
+	visits sync.Pool
+}
+
+// visit counts a task's predecessors or hands its successors' ids on.
+type visit[K any] struct {
+	n           int
+	f           func(int)
+	count, succ func(K) bool
+}
+
+// NewDataflow returns the data-flow graph over a task space of n tasks:
+// id numbers them densely, 0..n−1, and key is its inverse (id need not
+// refuse a key outside the space; ID does). kind classifies a task, and
+// preds and succs are the dependency relation on tasks (as gep.Flow states
+// it): they visit a task's predecessors or successors until f returns
+// false.
+func NewDataflow[K comparable](n int, id func(K) int, key func(int) K, kind func(K) Kind, preds, succs func(k K, f func(K) bool) bool) *Dataflow[K] {
+	g := &Dataflow[K]{n: n, id: id, key: key, kind: kind, preds: preds, succs: succs}
+	g.visits.New = func() any {
+		v := &visit[K]{}
+		v.count = func(K) bool { v.n++; return true }
+		v.succ = func(s K) bool { v.f(id(s)); return true }
+		return v
+	}
+	return g
+}
+
+// ID returns the node of task k. It panics when k is outside the task
+// space: when the numbering does not name k back.
+func (g *Dataflow[K]) ID(k K) int {
+	if id := g.id(k); 0 <= id && id < g.n && g.key(id) == k {
+		return id
+	}
+	panic(fmt.Sprintf("dag: %v is outside the task space", k))
+}
+
+// Key returns the task of node id.
+func (g *Dataflow[K]) Key(id int) K { return g.key(id) }
+
+// Len implements Graph.
+func (g *Dataflow[K]) Len() int { return g.n }
+
+// Kind implements Graph.
+func (g *Dataflow[K]) Kind(id int) Kind { return g.kind(g.key(id)) }
+
+// InDeg implements Graph.
+func (g *Dataflow[K]) InDeg(id int) int {
+	v := g.visits.Get().(*visit[K])
+	v.n = 0
+	g.preds(g.key(id), v.count)
+	d := v.n
+	g.visits.Put(v)
+	return d
+}
+
+// EachSucc implements Graph.
+func (g *Dataflow[K]) EachSucc(id int, f func(int)) {
+	v := g.visits.Get().(*visit[K])
+	v.f = f
+	g.succs(g.key(id), v.succ)
+	v.f = nil
+	g.visits.Put(v)
+}
+
 // Stats summarises a graph.
 type Stats struct {
 	Nodes     int
 	Tasks     int // non-join nodes
 	Edges     int
 	ByKind    [NumKinds]int
-	MaxInDeg  int
 	SourceCnt int // nodes with no predecessors
 }
 
@@ -71,12 +155,8 @@ func Analyze(g Graph) Stats {
 		if k != KindJoin {
 			s.Tasks++
 		}
-		d := g.InDeg(id)
-		if d == 0 {
+		if g.InDeg(id) == 0 {
 			s.SourceCnt++
-		}
-		if d > s.MaxInDeg {
-			s.MaxInDeg = d
 		}
 		g.EachSucc(id, func(int) { s.Edges++ })
 	}
@@ -118,8 +198,8 @@ func CheckAcyclic(g Graph) error {
 	return nil
 }
 
-// CSR is an explicit graph in compressed sparse row form, built by the
-// fork-join builders.
+// CSR is an explicit graph in compressed sparse row form, built by
+// ForkJoin and NewSWWavefrontBarrier.
 type CSR struct {
 	kinds   []Kind
 	indeg   []int32

@@ -114,7 +114,6 @@ type shadow struct {
 // after the run. Disabled cost is one nil check per spawn, wait and access.
 type Detector struct {
 	shards [shadowShards]shadowShard
-	namer  func(cell uint64) string
 
 	raceMu sync.Mutex
 	races  []*RaceError
@@ -133,20 +132,10 @@ type DetectorStats struct {
 	Races    int    // conflicting unordered pairs recorded
 }
 
-// NewDetector returns an empty detector. Cells are named by SetCellNamer;
-// the default decodes TileCell packing as "tile(i,j)".
-func NewDetector() *Detector {
-	d := &Detector{namer: func(cell uint64) string {
-		return fmt.Sprintf("tile(%d,%d)", int32(cell>>32), int32(cell))
-	}}
-	for i := range d.shards {
-		d.shards[i].cells = make(map[uint64]*shadow)
-	}
-	return d
-}
-
-// SetCellNamer overrides how cells are rendered in RaceError messages.
-func (d *Detector) SetCellNamer(f func(cell uint64) string) { d.namer = f }
+// NewDetector returns an empty detector; Root makes the shadow state of
+// each run. Race reports name a cell by its TileCell coordinates,
+// "tile(i,j)".
+func NewDetector() *Detector { return &Detector{} }
 
 // TileCell packs a tile coordinate into a cell id for Read/Write.
 func TileCell(i, j int) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
@@ -293,7 +282,7 @@ func (d *Detector) report(cell uint64, a access, aOp string, b access, bOp strin
 		a, aOp, b, bOp = b, bOp, a, aOp
 	}
 	e := &RaceError{
-		Cell:       d.namer(cell),
+		Cell:       fmt.Sprintf("tile(%d,%d)", int32(cell>>32), int32(cell)),
 		FirstOp:    aOp,
 		FirstTask:  a.name(),
 		SecondOp:   bOp,

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -145,12 +146,17 @@ func writeCrossoverVerification(ctx context.Context, w io.Writer) error {
 // data-flow span grows like 2T-1, so the artificial-dependency penalty is
 // unbounded.
 func WriteSWSpan(ctx context.Context, w io.Writer) error {
+	sw, errSW := bench.ByName("sw")
+	ge, errGE := bench.ByName("ge")
+	if err := errors.Join(errSW, errGE); err != nil {
+		return err
+	}
 	unit, sim := unitCosts(), newSimulator(ctx)
 	fmt.Fprintln(w, "# swspan: critical path length (in unit tasks) of R-DP Smith-Waterman")
 	fmt.Fprintf(w, "%8s %12s %12s %8s %22s\n", "tiles", "data-flow", "fork-join", "ratio", "theory fj = T^lg3")
 	for _, tiles := range []int{4, 8, 16, 32, 64, 128} {
-		df := sim.run(dag.NewSWDataflow(tiles), 0, unit).Makespan
-		fj := sim.run(dag.NewSWForkJoin(tiles), 0, unit).Makespan
+		df := sim.run(sw.Dataflow(tiles), 0, unit).Makespan
+		fj := sim.run(sw.ForkJoin(tiles), 0, unit).Makespan
 		if sim.err != nil {
 			return sim.err
 		}
@@ -160,8 +166,8 @@ func WriteSWSpan(ctx context.Context, w io.Writer) error {
 	fmt.Fprintln(w, "\n# GE spans for comparison (A->B/C->D chain: data-flow = 3T-2)")
 	fmt.Fprintf(w, "%8s %12s %12s %8s\n", "tiles", "data-flow", "fork-join", "ratio")
 	for _, tiles := range []int{4, 8, 16, 32, 64} {
-		df := sim.run(dag.NewGEPDataflow(tiles, gep.Triangular), 0, unit).Makespan
-		fj := sim.run(dag.NewGEPForkJoin(tiles, gep.Triangular), 0, unit).Makespan
+		df := sim.run(ge.Dataflow(tiles), 0, unit).Makespan
+		fj := sim.run(ge.ForkJoin(tiles), 0, unit).Makespan
 		if sim.err != nil {
 			return sim.err
 		}
@@ -219,7 +225,7 @@ func WriteRWay(ctx context.Context, w io.Writer) error {
 	fmt.Fprintf(w, "%10s %14.0f %14.4f %14s\n", "data-flow", dfSpan, dfTime, "1.00")
 	fjCosts := model.CostsFor(mach, ge, n, base, core.OMPTasking, df.Len())
 	for _, r := range []int{2, 4, 8, tiles} {
-		g := dag.NewGEPForkJoinR(tiles, r, gep.Triangular)
+		g := rwayForkJoin(df.(*dag.Dataflow[gep.ItemKey]), gep.Triangular, tiles, r)
 		span := sim.run(g, 0, unit).Makespan
 		t := sim.run(g, mach.Cores, fjCosts).Makespan
 		if sim.err != nil {
@@ -228,6 +234,28 @@ func WriteRWay(ctx context.Context, w io.Writer) error {
 		fmt.Fprintf(w, "%10d %14.0f %14.4f %14.2f\n", r, span, t, t/dfTime)
 	}
 	return nil
+}
+
+// rwayForkJoin materialises the ordering DAG of the r-way fork-join GEP
+// execution for a tiles×tiles grid: the 2-way walk of the runtime's Flow
+// with r a parameter, through the same builder. tiles must be a power of r.
+// With r == tiles the recursion flattens into one level of phase-parallel
+// batches — the closest a fork-join program gets to the data-flow
+// schedule — so sweeping r quantifies how much of the artificial-dependency
+// span the parametric r-way algorithms of the paper's references [15, 16]
+// recover. df is the shape's data-flow graph, which classifies the tasks.
+func rwayForkJoin(df *dag.Dataflow[gep.ItemKey], shape gep.Shape, tiles, r int) *dag.CSR {
+	if tiles < 1 || r < 2 {
+		panic(fmt.Sprintf("harness: fork-join needs tiles >= 1 and an r-way split with r >= 2, got tiles=%d r=%d", tiles, r))
+	}
+	for s := tiles; s > 1; s /= r {
+		if s%r != 0 {
+			panic(fmt.Sprintf("harness: tiles=%d is not a power of r=%d", tiles, r))
+		}
+	}
+	return dag.ForkJoin(gep.Tag{S: tiles}, false,
+		func(t gep.Tag) (dag.Kind, bool) { return df.Kind(df.ID(gep.ItemKey{I: t.I, J: t.J, K: t.K})), t.S == 1 },
+		func(t gep.Tag, _ bool, visit func(gep.Tag, bool)) { shape.Walk(t, r, visit) })
 }
 
 // WriteComputeOn projects the compute_on tuner the paper's §IV-B closes
@@ -247,13 +275,13 @@ func WriteComputeOn(ctx context.Context, w io.Writer) error {
 		return err
 	}
 	m := gep.BaseSize(n, base)
-	df := ge.Dataflow(n / m).(*dag.GEPDataflow)
+	df := ge.Dataflow(n / m).(*dag.Dataflow[gep.ItemKey])
 	costs := model.CostsFor(mach, ge, n, base, core.TunerCnC, df.Len())
 	// A migrated tile re-streams its working set across the interconnect.
 	penalty := float64(bench.WorkingSetBytes(m)) / 64.0 * mach.MemMissCost
 	home := func(id int) int {
-		i, j, _ := df.Coords(id)
-		return (i*131 + j) % mach.Sockets
+		k := df.Key(id)
+		return (k.I*131 + k.J) % mach.Sockets
 	}
 	fmt.Fprintf(w, "# computeon: GE n=%d base=%d on %s, %d sockets, migration penalty %.3gms/task\n",
 		n, base, mach.Name, mach.Sockets, penalty*1e3)
@@ -336,7 +364,7 @@ func WriteCluster(ctx context.Context, w io.Writer) error {
 	}
 	for _, base := range []int{128, 512} {
 		m := gep.BaseSize(n, base)
-		g := ge.Dataflow(n / m).(*dag.GEPDataflow)
+		g := ge.Dataflow(n / m).(*dag.Dataflow[gep.ItemKey])
 		costs := model.CostsFor(mach, ge, n, base, core.NativeCnC, g.Len())
 		transfer := float64(m*m*8) / (10 << 30) // tile over 10 GiB/s links
 		var t1 float64
@@ -350,8 +378,8 @@ func WriteCluster(ctx context.Context, w io.Writer) error {
 			} // process grid pr x nodes/pr; pr <= nodes, so pc >= 1
 			pc := nodes / pr
 			home := func(id int) int {
-				i, j, _ := g.Coords(id)
-				return (i%pr)*pc + (j % pc)
+				k := g.Key(id)
+				return (k.I%pr)*pc + (k.J % pc)
 			}
 			r, err := simsched.SimulateCluster(g, simsched.Cluster{
 				Nodes: nodes, CoresPerNode: 32, Home: home,

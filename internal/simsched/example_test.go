@@ -3,8 +3,8 @@ package simsched_test
 import (
 	"fmt"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/dag"
-	"dpflow/internal/gep"
 	"dpflow/internal/simsched"
 )
 
@@ -19,8 +19,9 @@ func ExampleSimulate() {
 		}
 	}
 	const tiles = 16
-	df, _ := simsched.Simulate(dag.NewSWDataflow(tiles), 0, unit)
-	fj, _ := simsched.Simulate(dag.NewSWForkJoin(tiles), 0, unit)
+	sw, _ := bench.ByName("sw")
+	df, _ := simsched.Simulate(sw.Dataflow(tiles), 0, unit)
+	fj, _ := simsched.Simulate(sw.ForkJoin(tiles), 0, unit)
 	fmt.Printf("data-flow: span %.0f, parallelism %.1f\n", df.Makespan, df.Work/df.Makespan)
 	fmt.Printf("fork-join: span %.0f, parallelism %.1f\n", fj.Makespan, fj.Work/fj.Makespan)
 	// Output:
@@ -36,7 +37,8 @@ func ExampleSimulate_span() {
 			unit.Exec[k] = 1
 		}
 	}
-	r, _ := simsched.Simulate(dag.NewGEPDataflow(8, gep.Triangular), 0, unit)
+	ge, _ := bench.ByName("ge")
+	r, _ := simsched.Simulate(ge.Dataflow(8), 0, unit)
 	fmt.Println(r.SpanTasks)
 	// Output: 22
 }

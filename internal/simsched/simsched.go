@@ -106,6 +106,14 @@ func simulateBounded(g dag.Graph, p int, c Costs, buckets int, af *Affinity) (Af
 	for i := range free {
 		free[i] = int32(i)
 	}
+	// release counts down a completed task's successor; built once, not per
+	// completion, so a completion allocates nothing here.
+	release := func(s int) {
+		indeg[s]--
+		if indeg[s] == 0 {
+			ready.push(int32(s))
+		}
+	}
 	for done < n {
 		peakReady = max(peakReady, ready.len())
 		// Dispatch ready tasks onto free processors, throttled by the
@@ -137,12 +145,7 @@ func simulateBounded(g dag.Graph, p int, c Costs, buckets int, af *Affinity) (Af
 		ev := running.pop()
 		now = ev.at
 		for {
-			g.EachSucc(int(ev.id), func(s int) {
-				indeg[s]--
-				if indeg[s] == 0 {
-					ready.push(int32(s))
-				}
-			})
+			g.EachSucc(int(ev.id), release)
 			done++
 			free = append(free, ev.proc)
 			if running.empty() || running.peek().at != now {

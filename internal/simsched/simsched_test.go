@@ -6,9 +6,19 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpflow/internal/bench"
 	"dpflow/internal/dag"
-	"dpflow/internal/gep"
 )
+
+// benchmark resolves a registry entry, whose task graphs the tests
+// simulate.
+func benchmark(name string) bench.Benchmark {
+	b, err := bench.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 // unitCosts charges 1s per task and nothing for joins or overheads.
 func unitCosts() Costs {
@@ -22,7 +32,7 @@ func unitCosts() Costs {
 }
 
 func TestSingleProcessorEqualsWork(t *testing.T) {
-	g := dag.NewGEPDataflow(4, gep.Triangular)
+	g := benchmark("ge").Dataflow(4)
 	c := unitCosts()
 	r, err := Simulate(g, 1, c)
 	if err != nil {
@@ -39,11 +49,11 @@ func TestSingleProcessorEqualsWork(t *testing.T) {
 func TestBrentBound(t *testing.T) {
 	c := unitCosts()
 	for _, g := range []dag.Graph{
-		dag.NewGEPDataflow(6, gep.Triangular),
-		dag.NewGEPDataflow(4, gep.Cube),
-		dag.NewGEPForkJoin(8, gep.Triangular),
-		dag.NewSWDataflow(10),
-		dag.NewSWForkJoin(8),
+		benchmark("ge").Dataflow(6),
+		benchmark("fw").Dataflow(4),
+		benchmark("ge").ForkJoin(8),
+		benchmark("sw").Dataflow(10),
+		benchmark("sw").ForkJoin(8),
 	} {
 		span, err := Simulate(g, 0, c)
 		if err != nil {
@@ -67,7 +77,7 @@ func TestBrentBound(t *testing.T) {
 }
 
 func TestMonotoneInProcessors(t *testing.T) {
-	g := dag.NewGEPForkJoin(8, gep.Triangular)
+	g := benchmark("ge").ForkJoin(8)
 	c := unitCosts()
 	prev := math.Inf(1)
 	for _, p := range []int{1, 2, 4, 8, 16, 32} {
@@ -91,26 +101,26 @@ func TestMonotoneInProcessors(t *testing.T) {
 func TestSpanDominance(t *testing.T) {
 	c := unitCosts()
 	for _, tiles := range []int{2, 4, 8, 16, 32} {
-		for _, shape := range []gep.Shape{gep.Triangular, gep.Cube} {
-			df, err := Simulate(dag.NewGEPDataflow(tiles, shape), 0, c)
+		for _, name := range []string{"ge", "fw"} {
+			df, err := Simulate(benchmark(name).Dataflow(tiles), 0, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fj, err := Simulate(dag.NewGEPForkJoin(tiles, shape), 0, c)
+			fj, err := Simulate(benchmark(name).ForkJoin(tiles), 0, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if df.Makespan > fj.Makespan+1e-9 {
-				t.Fatalf("%v tiles=%d: dataflow span %v > forkjoin span %v",
-					shape, tiles, df.Makespan, fj.Makespan)
+				t.Fatalf("%s tiles=%d: dataflow span %v > forkjoin span %v",
+					name, tiles, df.Makespan, fj.Makespan)
 			}
 		}
 	}
 	// SW spans: dataflow = 2T-1 (tile wavefront); forkjoin = T^lg3.
 	var prevRatio float64
 	for _, tiles := range []int{4, 8, 16, 32, 64} {
-		df, _ := Simulate(dag.NewSWDataflow(tiles), 0, c)
-		fj, _ := Simulate(dag.NewSWForkJoin(tiles), 0, c)
+		df, _ := Simulate(benchmark("sw").Dataflow(tiles), 0, c)
+		fj, _ := Simulate(benchmark("sw").ForkJoin(tiles), 0, c)
 		if want := float64(2*tiles - 1); df.Makespan != want {
 			t.Fatalf("SW dataflow span = %v, want %v", df.Makespan, want)
 		}
@@ -130,7 +140,7 @@ func TestSpanDominance(t *testing.T) {
 func TestGEDataflowSpanClosedForm(t *testing.T) {
 	c := unitCosts()
 	for _, tiles := range []int{2, 4, 8, 16} {
-		r, err := Simulate(dag.NewGEPDataflow(tiles, gep.Triangular), 0, c)
+		r, err := Simulate(benchmark("ge").Dataflow(tiles), 0, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +153,35 @@ func TestGEDataflowSpanClosedForm(t *testing.T) {
 	}
 }
 
+// TestCholSpans pins the span claim for Cholesky: the data-flow critical
+// path is the 3T−2 chain POTRF→TRSM→UPDATE per phase, while the fork-join
+// schedule's per-phase barriers keep the same task-count span here (the
+// right-looking batches are depth-1) — the gap shows up in width, not
+// depth, which is why the simulated crossover still separates them.
+func TestCholSpans(t *testing.T) {
+	c := unitCosts()
+	for _, tiles := range []int{2, 4, 8} {
+		df, fj := benchmark("chol").Dataflow(tiles), benchmark("chol").ForkJoin(tiles)
+		if err := dag.CheckAcyclic(fj); err != nil {
+			t.Fatalf("tiles=%d fork-join: %v", tiles, err)
+		}
+		for _, g := range []dag.Graph{df, fj} {
+			r, err := Simulate(g, 0, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := float64(3*tiles - 2); r.Makespan != want {
+				t.Fatalf("tiles=%d: span %v, want %v", tiles, r.Makespan, want)
+			}
+		}
+		if dfTasks, fjTasks := dag.Analyze(df).Tasks, dag.Analyze(fj).Tasks; fjTasks != dfTasks {
+			t.Fatalf("tiles=%d: fork-join has %d tasks, data-flow %d", tiles, fjTasks, dfTasks)
+		}
+	}
+}
+
 func TestStartupShiftsMakespan(t *testing.T) {
-	g := dag.NewSWDataflow(4)
+	g := benchmark("sw").Dataflow(4)
 	c := unitCosts()
 	base, _ := Simulate(g, 2, c)
 	c.Startup = 10
@@ -155,7 +192,7 @@ func TestStartupShiftsMakespan(t *testing.T) {
 }
 
 func TestOverheadAddsToWork(t *testing.T) {
-	g := dag.NewSWDataflow(4)
+	g := benchmark("sw").Dataflow(4)
 	c := unitCosts()
 	plain, _ := Simulate(g, 1, c)
 	c.Overhead[dag.KindSW] = 0.5
@@ -167,7 +204,7 @@ func TestOverheadAddsToWork(t *testing.T) {
 
 func TestPeakReadyReflectsParallelism(t *testing.T) {
 	// SW wavefront on a T×T grid has at most T simultaneously ready tiles.
-	g := dag.NewSWDataflow(8)
+	g := benchmark("sw").Dataflow(8)
 	r, err := Simulate(g, 64, unitCosts())
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +215,7 @@ func TestPeakReadyReflectsParallelism(t *testing.T) {
 }
 
 func TestUtilizationBounds(t *testing.T) {
-	g := dag.NewGEPForkJoin(8, gep.Triangular)
+	g := benchmark("ge").ForkJoin(8)
 	r, err := Simulate(g, 16, unitCosts())
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +243,7 @@ func TestQueueWraparound(t *testing.T) {
 }
 
 func TestAffinityValidation(t *testing.T) {
-	g := dag.NewSWDataflow(4)
+	g := benchmark("sw").Dataflow(4)
 	c := unitCosts()
 	if _, err := SimulateAffinity(g, 0, c, Affinity{Sockets: 2, Home: func(int) int { return 0 }}); err == nil {
 		t.Fatal("p=0 accepted")
@@ -219,7 +256,7 @@ func TestAffinityValidation(t *testing.T) {
 // With one socket there are no migrations and the makespan matches the
 // plain simulator.
 func TestAffinitySingleSocketMatchesPlain(t *testing.T) {
-	g := dag.NewGEPDataflow(6, gep.Triangular)
+	g := benchmark("ge").Dataflow(6)
 	c := unitCosts()
 	plain, err := Simulate(g, 4, c)
 	if err != nil {
@@ -242,7 +279,7 @@ func TestAffinitySingleSocketMatchesPlain(t *testing.T) {
 // Preferring home tasks must reduce migrations (and with a real penalty,
 // the makespan) relative to FIFO dispatch.
 func TestAffinityPreferHomeReducesMigrations(t *testing.T) {
-	g := dag.NewGEPDataflow(16, gep.Triangular)
+	g := benchmark("ge").Dataflow(16)
 	c := unitCosts()
 	home := func(id int) int { return id % 4 }
 	fifo, err := SimulateAffinity(g, 16, c, Affinity{
@@ -269,7 +306,7 @@ func TestAffinityPreferHomeReducesMigrations(t *testing.T) {
 // drop or duplicate work (checked via total busy time with unit costs and
 // zero penalty).
 func TestAffinityConservation(t *testing.T) {
-	g := dag.NewSWDataflow(8)
+	g := benchmark("sw").Dataflow(8)
 	c := unitCosts()
 	r, err := SimulateAffinity(g, 3, c, Affinity{
 		Sockets: 3, Home: func(id int) int { return id % 3 }, PreferHome: true,
@@ -283,7 +320,7 @@ func TestAffinityConservation(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	g := dag.NewSWDataflow(4)
+	g := benchmark("sw").Dataflow(4)
 	if _, err := SimulateCluster(g, Cluster{}, unitCosts()); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
@@ -291,7 +328,7 @@ func TestClusterValidation(t *testing.T) {
 
 // One node with free communication must match the plain simulator.
 func TestClusterSingleNodeMatchesPlain(t *testing.T) {
-	g := dag.NewGEPDataflow(6, gep.Triangular)
+	g := benchmark("ge").Dataflow(6)
 	c := unitCosts()
 	plain, err := Simulate(g, 4, c)
 	if err != nil {
@@ -316,7 +353,7 @@ func TestClusterSingleNodeMatchesPlain(t *testing.T) {
 // communication, a finely distributed wavefront slows down — the classic
 // distributed-memory tradeoff.
 func TestClusterCommunicationTradeoff(t *testing.T) {
-	g := dag.NewSWDataflow(16)
+	g := benchmark("sw").Dataflow(16)
 	c := unitCosts()
 	homeRR := func(id int) int { return id % 4 }
 	freeComm, err := SimulateCluster(g, Cluster{Nodes: 4, CoresPerNode: 4, Home: homeRR}, c)
@@ -347,7 +384,7 @@ func TestClusterCommunicationTradeoff(t *testing.T) {
 
 // Every task completes exactly once regardless of distribution.
 func TestClusterConservation(t *testing.T) {
-	g := dag.NewGEPDataflow(8, gep.Triangular)
+	g := benchmark("ge").Dataflow(8)
 	c := unitCosts()
 	r, err := SimulateCluster(g, Cluster{
 		Nodes: 3, CoresPerNode: 2,
@@ -446,7 +483,7 @@ func randomLayeredDAG(rng *rand.Rand) dag.Graph {
 // The timeline must integrate back to the utilization: mean occupancy over
 // the buckets equals BusyTime / Makespan.
 func TestTimelineIntegratesToUtilization(t *testing.T) {
-	g := dag.NewGEPForkJoin(8, gep.Triangular)
+	g := benchmark("ge").ForkJoin(8)
 	r, err := SimulateTimeline(g, 8, unitCosts(), 50)
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +514,7 @@ func TestTimelineIntegratesToUtilization(t *testing.T) {
 }
 
 func TestTimelineDisabledByDefault(t *testing.T) {
-	g := dag.NewSWDataflow(4)
+	g := benchmark("sw").Dataflow(4)
 	r, err := Simulate(g, 2, unitCosts())
 	if err != nil {
 		t.Fatal(err)
