@@ -214,12 +214,12 @@ type Benchmark interface {
 }
 
 // taskGraphs is a registry entry's two task graphs, stated once for every
-// entry: the entry embeds one, filled in from its own numbering and its
-// package's kinds, relation and Flow.
+// entry: the entry embeds one, filled in from its package's numbering,
+// kinds, relation and Flow.
 type taskGraphs[T, K comparable] struct {
-	// space numbers the base tasks of a tiles×tiles problem densely: n of
-	// them, id and its inverse key.
-	space func(tiles int) (n int, id func(K) int, key func(int) K)
+	// numbering is the package's numbering of the base tasks of a
+	// tiles×tiles problem, the one its Flow carries.
+	numbering func(tiles int) gep.Numbering[K]
 	// kind classifies a base task for the model.
 	kind func(K) dag.Kind
 	// preds and succs are the package's dependency relation.
@@ -234,8 +234,8 @@ func (g taskGraphs[T, K]) Dataflow(tiles int) dag.Graph {
 	if tiles < 1 {
 		panic(fmt.Sprintf("bench: tiles = %d", tiles))
 	}
-	n, id, key := g.space(tiles)
-	return dag.NewDataflow(n, id, key, g.kind,
+	nb := g.numbering(tiles)
+	return dag.NewDataflow(nb.N, nb.ID, nb.Key, g.kind,
 		func(k K, f func(K) bool) bool { return g.preds(tiles, k, f) },
 		func(k K, f func(K) bool) bool { return g.succs(tiles, k, f) })
 }

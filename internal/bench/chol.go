@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 
 	"dpflow/internal/chol"
 	"dpflow/internal/cnc"
@@ -14,10 +12,10 @@ import (
 
 func init() {
 	Register(chBench{taskGraphs[chol.Tag, chol.Key]{
-		space: cholSpace,
-		kind:  func(k chol.Key) dag.Kind { return cholKinds[k.Kind] },
-		preds: chol.Preds,
-		succs: chol.Succs,
+		numbering: chol.Numbering,
+		kind:      func(k chol.Key) dag.Kind { return cholKinds[k.Kind] },
+		preds:     chol.Preds,
+		succs:     chol.Succs,
 		flow: func(tiles int) (*gep.Flow[chol.Tag, chol.Key], error) {
 			return chol.Flow(matrix.NewSquare(tiles), 1)
 		},
@@ -37,38 +35,6 @@ type chBench struct {
 
 // cholKinds maps chol's task kinds to the model's.
 var cholKinds = [...]dag.Kind{chol.KindPotrf: dag.KindA, chol.KindTrsm: dag.KindC, chol.KindUpdate: dag.KindD}
-
-// cholSpace numbers the tasks (i, j, k), 0 ≤ k ≤ j ≤ i < T, phase by phase:
-// phase k holds the lower triangle {(i,j): k ≤ j ≤ i < T} of s(s+1)/2
-// tasks, s = T−k, so there are T(T+1)(T+2)/6 in all. (k,k,k) is POTRF of
-// the phase's diagonal tile, (i,k,k) with i > k the TRSM of tile (i,k), and
-// (i,j,k) with j > k the trailing UPDATE of tile (i,j).
-func cholSpace(t int) (n int, id func(chol.Key) int, key func(int) chol.Key) {
-	// offsets[k] is the id of the first task of phase k.
-	offsets := make([]int, t+1)
-	for k := 0; k < t; k++ {
-		s := t - k
-		offsets[k+1] = offsets[k] + s*(s+1)/2
-	}
-	return offsets[t],
-		func(x chol.Key) int {
-			a, b := x.I-x.K, x.J-x.K
-			return offsets[x.K] + a*(a+1)/2 + b
-		},
-		func(id int) chol.Key {
-			k := sort.Search(t, func(p int) bool { return offsets[p+1] > id })
-			rem := id - offsets[k]
-			// Largest a with a(a+1)/2 <= rem; the float guess is fixed up exactly.
-			a := int((math.Sqrt(float64(8*rem+1)) - 1) / 2)
-			for a*(a+1)/2 > rem {
-				a--
-			}
-			for (a+1)*(a+2)/2 <= rem {
-				a++
-			}
-			return chol.TaskKey(k+a, k+rem-a*(a+1)/2, k)
-		}
-}
 
 func (chBench) Name() string { return "chol" }
 

@@ -240,17 +240,16 @@ func TestConformanceCensus(t *testing.T) {
 
 // itemNames names the receipt the CnC program puts for each task of the
 // entry's data-flow graph, "collection[key]" as the discipline checker
-// records it: the key through the graph's numbering, the collection through
-// the entry's Flow.
+// records it: the key through the Flow's numbering — the data-flow graph's
+// — and the collection through its Coll.
 func (g taskGraphs[T, K]) itemNames(tiles int) []string {
 	f, err := g.flow(tiles)
 	if err != nil {
 		panic(err)
 	}
-	n, _, key := g.space(tiles)
-	names := make([]string, n)
+	names := make([]string, f.N)
 	for id := range names {
-		k, c := key(id), 0
+		k, c := f.Key(id), 0
 		if f.Coll != nil {
 			c = f.Coll(k)
 		}

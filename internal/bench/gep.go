@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math/rand"
-	"sort"
 
 	"dpflow/internal/cnc"
 	"dpflow/internal/dag"
@@ -73,10 +72,10 @@ func (b gepBench) NewInstance(n, base int, seed int64) (Instance, error) {
 // anti-dependencies included.
 func gepGraphs(alg gep.Algorithm) taskGraphs[gep.Tag, gep.ItemKey] {
 	return taskGraphs[gep.Tag, gep.ItemKey]{
-		space: func(tiles int) (int, func(gep.ItemKey) int, func(int) gep.ItemKey) { return gepSpace(tiles, alg.Shape) },
-		kind:  func(k gep.ItemKey) dag.Kind { return gepKinds[gep.Classify(k.I, k.J, k.K)] },
-		preds: alg.Shape.Preds,
-		succs: alg.Shape.Succs,
+		numbering: alg.Shape.Numbering,
+		kind:      func(k gep.ItemKey) dag.Kind { return gepKinds[gep.Classify(k.I, k.J, k.K)] },
+		preds:     alg.Shape.Preds,
+		succs:     alg.Shape.Succs,
 		flow: func(tiles int) (*gep.Flow[gep.Tag, gep.ItemKey], error) {
 			return alg.Flow(matrix.NewSquare(tiles), 1)
 		},
@@ -85,38 +84,6 @@ func gepGraphs(alg gep.Algorithm) taskGraphs[gep.Tag, gep.ItemKey] {
 
 // gepKinds maps the GEP functions to the model's kinds.
 var gepKinds = [...]dag.Kind{gep.FuncA: dag.KindA, gep.FuncB: dag.KindB, gep.FuncC: dag.KindC, gep.FuncD: dag.KindD}
-
-// gepSpace numbers the GEP task space phase by phase, each phase's tiles
-// row by row. Phase k updates the tiles (I, J) with I, J ≥ tri·k: under the
-// Triangular shape (GE, tri = 1) only tiles with I ≥ K ∧ J ≥ K have tasks;
-// under Cube (FW, tri = 0) every tile updates at every step.
-func gepSpace(t int, shape gep.Shape) (n int, id func(gep.ItemKey) int, key func(int) gep.ItemKey) {
-	tri := 1
-	if shape == gep.Cube {
-		tri = 0
-	}
-	// offsets[k] is the id of the first task of phase k.
-	offsets := make([]int, t+1)
-	for k := 0; k < t; k++ {
-		side := t - tri*k
-		offsets[k+1] = offsets[k] + side*side
-	}
-	id = func(x gep.ItemKey) int {
-		lo := tri * x.K
-		return offsets[x.K] + (x.I-lo)*(t-lo) + (x.J - lo)
-	}
-	key = func(id int) gep.ItemKey {
-		k := 0 // the phase: Cube's all hold t² tasks, Triangular's shrink
-		if tri == 0 {
-			k = id / (t * t)
-		} else {
-			k = sort.Search(t, func(p int) bool { return offsets[p+1] > id })
-		}
-		lo, rem := tri*k, id-offsets[k]
-		return gep.ItemKey{I: lo + rem/(t-lo), J: lo + rem%(t-lo), K: k}
-	}
-	return offsets[t], id, key
-}
 
 func (b gepBench) TotalTasks(tiles int) int { return TotalTasksGEP(tiles, b.alg.Shape) }
 

@@ -224,3 +224,59 @@ func panics(f func()) (p bool) {
 	f()
 	return false
 }
+
+// TestFlowNumbering holds every registry entry's numbering — the one its
+// Flow carries and its data-flow graph names nodes by — to its contract at
+// 1 to 8 tiles per side: ID is a bijection onto [0, N) whose inverse is
+// Key, over exactly the TotalTasks base tasks; where the Flow exists (tiles
+// a power of two) over exactly the tasks its flat walk visits, and the
+// Flow carries that same numbering.
+func TestFlowNumbering(t *testing.T) {
+	for _, b := range All() {
+		g, ok := b.(interface {
+			checkNumbering(t *testing.T, b Benchmark, tiles int)
+		})
+		if !ok {
+			t.Fatalf("%s does not state its numbering through taskGraphs", b.Name())
+		}
+		for tiles := 1; tiles <= 8; tiles++ {
+			t.Run(fmt.Sprintf("%s/%d", b.Name(), tiles), func(t *testing.T) { g.checkNumbering(t, b, tiles) })
+		}
+	}
+}
+
+func (g taskGraphs[T, K]) checkNumbering(t *testing.T, b Benchmark, tiles int) {
+	nb := g.numbering(tiles)
+	if nb.N != b.TotalTasks(tiles) {
+		t.Fatalf("N = %d, TotalTasks %d", nb.N, b.TotalTasks(tiles))
+	}
+	for id := 0; id < nb.N; id++ {
+		if got := nb.ID(nb.Key(id)); got != id {
+			t.Fatalf("ID(Key(%d)) = ID(%v) = %d", id, nb.Key(id), got)
+		}
+	}
+	if tiles&(tiles-1) != 0 {
+		return
+	}
+	f, err := g.flow(tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.N != nb.N {
+		t.Fatalf("the Flow numbers %d tasks, the entry %d", f.N, nb.N)
+	}
+	seen := make([]bool, f.N)
+	visited := 0
+	f.Walk(f.Root, true, func(sub T, _ bool) {
+		k, base := f.Task(sub)
+		id := f.ID(k)
+		if !base || id < 0 || id >= f.N || seen[id] || f.Key(id) != k || nb.ID(k) != id {
+			t.Fatalf("the flat walk's task %v (base %v) has number %d: outside [0, %d), twice, or not named back", k, base, id, f.N)
+		}
+		seen[id] = true
+		visited++
+	})
+	if visited != f.N {
+		t.Fatalf("the flat walk visits %d tasks, the numbering has %d", visited, f.N)
+	}
+}

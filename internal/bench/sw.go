@@ -14,10 +14,10 @@ import (
 
 func init() {
 	Register(swBench{taskGraphs[sw.TileTag, sw.TileKey]{
-		space: swSpace,
-		kind:  func(sw.TileKey) dag.Kind { return dag.KindSW },
-		preds: sw.Preds,
-		succs: sw.Succs,
+		numbering: sw.Numbering,
+		kind:      func(sw.TileKey) dag.Kind { return dag.KindSW },
+		preds:     sw.Preds,
+		succs:     sw.Succs,
 		flow: func(tiles int) (*gep.Flow[sw.TileTag, sw.TileKey], error) {
 			p := &sw.Problem{A: make([]byte, tiles), B: make([]byte, tiles)}
 			return p.Flow(p.NewTable(), 1)
@@ -31,13 +31,6 @@ func init() {
 // and north-west neighbours.
 type swBench struct {
 	taskGraphs[sw.TileTag, sw.TileKey]
-}
-
-// swSpace numbers the tiles×tiles grid row by row.
-func swSpace(t int) (n int, id func(sw.TileKey) int, key func(int) sw.TileKey) {
-	return t * t,
-		func(k sw.TileKey) int { return k.I*t + k.J },
-		func(id int) sw.TileKey { return sw.TileKey{I: id / t, J: id % t} }
 }
 
 func (swBench) Name() string { return "sw" }

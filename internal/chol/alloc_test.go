@@ -19,9 +19,9 @@ import (
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 128, 16, 4
 	budget := map[core.Variant]float64{
-		core.NativeCnC:  170, // measured ~136
-		core.TunerCnC:   145, // measured ~114
-		core.ManualCnC:  160, // measured ~128
+		core.NativeCnC:  100, // measured ~80
+		core.TunerCnC:   90,  // measured ~69–70
+		core.ManualCnC:  90,  // measured ~69
 		core.OMPTasking: 100, // measured ~14
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})

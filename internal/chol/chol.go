@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"dpflow/internal/determinacy"
 	"dpflow/internal/gep"
@@ -272,6 +273,38 @@ func TaskKey(i, j, k int) Key {
 	}
 }
 
+// Numbering numbers the tasks (i, j, k), 0 ≤ k ≤ j ≤ i < T, phase by
+// phase: phase k holds the lower triangle {(i,j): k ≤ j ≤ i < T} of
+// s(s+1)/2 tasks, s = T−k, so there are T(T+1)(T+2)/6 in all.
+func Numbering(t int) gep.Numbering[Key] {
+	// offsets[k] is the id of the first task of phase k.
+	offsets := make([]int, t+1)
+	for k := 0; k < t; k++ {
+		s := t - k
+		offsets[k+1] = offsets[k] + s*(s+1)/2
+	}
+	return gep.Numbering[Key]{
+		N: offsets[t],
+		ID: func(x Key) int {
+			a, b := x.I-x.K, x.J-x.K
+			return offsets[x.K] + a*(a+1)/2 + b
+		},
+		Key: func(id int) Key {
+			k := sort.Search(t, func(p int) bool { return offsets[p+1] > id })
+			rem := id - offsets[k]
+			// Largest a with a(a+1)/2 <= rem; the float guess is fixed up exactly.
+			a := int((math.Sqrt(float64(8*rem+1)) - 1) / 2)
+			for a*(a+1)/2 > rem {
+				a--
+			}
+			for (a+1)*(a+2)/2 <= rem {
+				a++
+			}
+			return TaskKey(k+a, k+rem-a*(a+1)/2, k)
+		},
+	}
+}
+
 // Flow states the factorisation of a for the shared interpreters
 // (gep.Flow). Every tag is a base task and its own key; the walk has one
 // level, so the flow is Flat and every interpreter instantiates the tasks
@@ -284,11 +317,12 @@ func Flow(a *matrix.Dense, base int) (*gep.Flow[Tag, Key], error) {
 	bs := gep.BaseSize(a.Rows(), base)
 	tiles := a.Rows() / bs
 	return &gep.Flow[Tag, Key]{
-		Colls: [][3]string{{"cholTask", "tasks", "tile_outputs"}},
-		Task:  func(t Tag) (Key, bool) { return Key(t), true },
-		Walk:  func(_ Tag, _ bool, visit func(Tag, bool)) { Walk(tiles, visit) },
-		Preds: func(k Key, f func(Key) bool) bool { return Preds(tiles, k, f) },
-		Succs: func(k Key, f func(Key) bool) bool { return Succs(tiles, k, f) },
+		Numbering: Numbering(tiles),
+		Colls:     [][3]string{{"cholTask", "tasks", "tile_outputs"}},
+		Task:      func(t Tag) (Key, bool) { return Key(t), true },
+		Walk:      func(_ Tag, _ bool, visit func(Tag, bool)) { Walk(tiles, visit) },
+		Preds:     func(k Key, f func(Key) bool) bool { return Preds(tiles, k, f) },
+		Succs:     func(k Key, f func(Key) bool) bool { return Succs(tiles, k, f) },
 		Kernel: func(k Key, fr *determinacy.Frame) error {
 			if fr != nil {
 				// A task writes its tile and reads the tiles its

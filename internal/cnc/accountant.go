@@ -49,32 +49,42 @@ type entry struct {
 	// key is the instance's place in the serial elision's order (childKey),
 	// the order admission grows the live set in.
 	key uint64
-	// The read set is buf[:n], or (*more)[:n] once one outgrew buf: the
-	// overflow is kept across recycling, so it is allocated once.
-	buf  [4]Dep
+	// The read set: n numbered cells, as their numbers, in ids — or, once a
+	// read set held a hashed cell or more than four, (*more)[:n], kept
+	// across recycling so it is allocated once.
+	ids  [4]uint32
 	more *[]Dep
 }
 
-// reads returns the resolved read set.
-func (p *entry) reads() []Dep {
+// dep returns read i of the read set.
+func (p *entry) dep(g *Graph, i int) Dep {
 	if p.more != nil {
-		return (*p.more)[:p.n]
+		return (*p.more)[i]
 	}
-	return p.buf[:p.n]
+	return g.numbered(p.ids[i])
 }
 
-// setReads stores a read set appended to the empty reads().
+// setReads stores a resolved read set: as numbers in ids when it can be,
+// else in the overflow.
 func (p *entry) setReads(ds []Dep) {
 	p.n = int32(len(ds))
-	switch {
-	case p.more != nil:
-		*p.more = ds
-	case len(ds) > len(p.buf):
-		p.more = new([]Dep)
-		*p.more = ds
-	default:
-		copy(p.buf[:], ds)
+	if p.more == nil && len(ds) <= len(p.ids) {
+		i := 0
+		for ; i < len(ds); i++ {
+			id, ok := ds[i].c.number()
+			if !ok {
+				break
+			}
+			p.ids[i] = id
+		}
+		if i == len(ds) {
+			return
+		}
 	}
+	if p.more == nil {
+		p.more = new([]Dep)
+	}
+	*p.more = append((*p.more)[:0], ds...)
 }
 
 // admission is a deferred instance's place in admission: the budget it
@@ -97,10 +107,10 @@ type admission struct {
 // completion: the total size of its declared gets for which this read is
 // the last. Admission uses it to tell memory-releasing instances from
 // growing ones.
-func (p *entry) freeable() int64 {
+func (p *entry) freeable(g *Graph) int64 {
 	var n int64
-	for _, d := range p.reads() {
-		n += d.c.freeableBytes()
+	for i := range int(p.n) {
+		n += p.dep(g, i).c.freeableBytes()
 	}
 	return n
 }
@@ -286,7 +296,7 @@ func (a *accountant) admissible(p *entry, cost int64, grow bool) bool {
 	if total > a.limit {
 		return false
 	}
-	return grow && (used == 0 || total+a.maxCost <= a.limit) || p.freeable() >= cost
+	return grow && (used == 0 || total+a.maxCost <= a.limit) || p.freeable(a.g) >= cost
 }
 
 // enqueue takes a throttled instance that has subscribed to its read set,
@@ -405,7 +415,7 @@ func (a *accountant) next() (r *admission, forced bool) {
 		}
 	}
 	for _, r := range a.runnable {
-		if r.w.head().freeable() >= r.cost {
+		if r.w.head().freeable(a.g) >= r.cost {
 			return r, true
 		}
 	}

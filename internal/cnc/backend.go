@@ -59,29 +59,29 @@ func (g *Graph) WithItemBackend(b ItemBackend) *Graph {
 // is nonzero is waiting on the transport, not spinning.
 func (g *Graph) BackendBusy() int64 { return g.backendBusy.Load() }
 
-// mirror mirrors the put that just filled c to the backend and hands the
-// cell the backend's handle — or frees the item, if get-count GC freed the
-// cell while the put was in the backend (see ItemBackend). A backend error
-// is terminal and is not counted: Stats.BackendPuts reports operations the
-// backend accepted.
-func (c *cell[K, V]) mirror(v V) {
-	ic := c.sh.ic
+// mirror mirrors the put of k that just filled c to the backend and hands
+// the cell the backend's handle — or frees the item, if get-count GC freed
+// the cell while the put was in the backend (see ItemBackend). A backend
+// error is terminal and is not counted: Stats.BackendPuts reports
+// operations the backend accepted.
+func (c place[K, V]) mirror(k K, v V) {
+	ic := c.ic
 	g := ic.g
 	g.backendBusy.Add(1)
-	h, err := g.backend.Put(ic.name, c.key, v)
+	h, err := g.backend.Put(ic.name, k, v)
 	g.backendBusy.Add(-1)
 	if err != nil {
-		g.fail(fmt.Errorf("cnc: item backend put %s[%v]: %w", ic.name, c.key, err))
+		g.fail(fmt.Errorf("cnc: item backend put %s[%v]: %w", ic.name, k, err))
 		return
 	}
 	g.stats.backendPuts.Add(1)
 	if ic.getCount == nil {
 		return
 	}
-	c.sh.mu.Lock()
+	c.mu.Lock()
 	freed := c.state == cellFreed
 	c.handle, c.mirrored = h, !freed
-	c.sh.mu.Unlock()
+	c.mu.Unlock()
 	if freed {
 		g.backend.Free(h)
 	}

@@ -24,7 +24,8 @@
 //
 // An item is a write-once cell (empty → present → freed). Whatever waits
 // on, probes or releases an item holds the cell, not the key: only Put, Get,
-// TryGet and Key look anything up.
+// TryGet and Key look anything up — by hash, or, in collections that share
+// a numbered key space (NumberKeys), by the key's number.
 //
 // A tuned step (WithTunedGetsAppend) makes its declared read set the
 // instance's dependencies, the pre-scheduling tuner of the paper's tuned
@@ -243,6 +244,12 @@ type Graph struct {
 	// bursts holds the attempts', one per lane (see instance.Run).
 	bursts  []laneBurst
 	envKids atomic.Uint64 // tags put from outside an attempt (acquire)
+	// numbered names the cells of the graph's numbered key space
+	// (NumberKeys) by number: a step instance keeps its reads of them as
+	// numbers.
+	numbered func(i uint32) Dep
+	// scratch is the buffer a read set is resolved into outside an attempt.
+	scratch atomic.Pointer[[]Dep]
 
 	failMu sync.Mutex
 	err    error
@@ -509,6 +516,8 @@ func (g *Graph) schedule(run exec.Unit) {
 // dispatches can never let the graph quiesce early.
 type Burst struct {
 	rs []exec.Unit
+	// scratch is the buffer a read set is resolved into in the attempt.
+	scratch []Dep
 	// The attempt's key, its bits in use, and the tags it has put so far.
 	key   uint64
 	kbits uint8

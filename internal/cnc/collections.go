@@ -51,6 +51,9 @@ type depCell interface {
 	// more release would free it (present, remaining get-count exactly 1),
 	// else 0.
 	freeableBytes() int64
+	// number is a numbered cell's number (Graph.numbered names it back);
+	// false for a hashed cell.
+	number() (uint32, bool)
 }
 
 // waiter is a step instance as the item cells and the accountant see it.
@@ -276,7 +279,7 @@ func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 		in.dispatch(bu)
 		return
 	}
-	in.resolve()
+	in.resolve(bu)
 	in.present = true
 	in.wait(0, nil, false, bu)
 }
@@ -287,7 +290,7 @@ func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 // instance would.
 func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 	in := sc.acquire(tag, bu)
-	in.resolve()
+	in.resolve(bu)
 	in.present = sc.tuned // untuned, the read before the body still probes
 	n := in.subscribe(0, nil)
 	if sc.g.acct.enqueue(in, cost, n) {
@@ -298,9 +301,22 @@ func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 	sc.g.acct.pump()
 }
 
-func (in *instance[T]) resolve() {
-	if !in.resolved && in.sc.getsApp != nil {
-		in.setReads(in.sc.getsApp(in.tag, in.reads())) // empty until resolved
+// resolve resolves the read set, once per instance: into the overflow it
+// keeps, else into a scratch buffer — bu's, an attempt's, or the graph's,
+// which a concurrent resolve outside an attempt finds lent and replaces.
+func (in *instance[T]) resolve(bu *Burst) {
+	if sc := in.sc; !in.resolved && sc.getsApp != nil {
+		p := in.more
+		if p == nil && bu != nil {
+			p = &bu.scratch
+		} else if p == nil {
+			if p = sc.g.scratch.Swap(nil); p == nil {
+				p = new([]Dep)
+			}
+			defer sc.g.scratch.Store(p)
+		}
+		*p = sc.getsApp(in.tag, (*p)[:0])
+		in.setReads(*p)
 	}
 	in.resolved = true
 }
@@ -320,7 +336,11 @@ func (in *instance[T]) waitState() (string, []Dep) {
 	if in.adm.Load() != nil {
 		label += " (deferred)"
 	}
-	return label, in.reads()[in.resume:]
+	var later []Dep
+	for i := int(in.resume); i < int(in.n); i++ {
+		later = append(later, in.dep(in.sc.g, i))
+	}
+	return label, later
 }
 
 // wake continues the chain along the reads after the cell that was put,
@@ -364,9 +384,9 @@ func (in *instance[T]) subscribe(i int, missed depCell) int32 {
 // before each subscribe, whose cell lock publishes it to the put that
 // wakes the instance.
 func (in *instance[T]) chain(i int) bool {
-	for reads := in.reads(); i < len(reads); i++ {
+	for ; i < int(in.n); i++ {
 		in.resume = int32(i + 1)
-		if reads[i].c.subscribe(in) {
+		if in.dep(in.sc.g, i).c.subscribe(in) {
 			return true
 		}
 	}
@@ -454,7 +474,7 @@ func (in *instance[T]) Run(slot int) {
 			return
 		}
 	}
-	if !in.read() {
+	if !in.read(bu) {
 		return
 	}
 	bu.key, bu.kbits, bu.kids = in.key, in.kbits, 0
@@ -464,8 +484,8 @@ func (in *instance[T]) Run(slot int) {
 	}
 	// Successful completion: release the read set exactly once, however
 	// many aborted or retried attempts preceded this one.
-	for _, d := range in.reads() {
-		d.c.release()
+	for i := range int(in.n) {
+		in.dep(g, i).c.release()
 	}
 	g.stats.done.Add(1)
 	in.recycle()
@@ -475,13 +495,14 @@ func (in *instance[T]) Run(slot int) {
 // the body may run. A missing item aborts the attempt: the instance waits on
 // it and each later read still empty, and is requeued once all are put. A
 // freed item fails the attempt, never retried — the graph has failed.
-func (in *instance[T]) read() bool {
-	in.resolve()
+func (in *instance[T]) read(bu *Burst) bool {
+	in.resolve(bu)
+	g := in.sc.g
 	if !in.present {
-		for i, d := range in.reads() {
-			switch d.c.probe() {
+		for i := range int(in.n) {
+			switch in.dep(g, i).c.probe() {
 			case cellEmpty:
-				in.sc.g.stats.aborts.Add(1)
+				g.stats.aborts.Add(1)
 				in.present = true // by the time the requeue runs
 				in.wait(i, nil, true, nil)
 				return false
@@ -492,9 +513,9 @@ func (in *instance[T]) read() bool {
 		}
 		in.present = true
 	}
-	if in.sc.g.discipline != nil {
-		for _, d := range in.reads() {
-			d.c.recordGet()
+	if g.discipline != nil {
+		for i := range int(in.n) {
+			in.dep(g, i).c.recordGet()
 		}
 	}
 	return true
@@ -518,7 +539,9 @@ func (in *instance[T]) failed(err error) {
 
 func (in *instance[T]) recycle() {
 	sc := in.sc
-	clear(in.reads())
+	if in.more != nil {
+		clear((*in.more)[:in.n])
+	}
 	var zero T
 	in.sc, in.tag, in.n = nil, zero, 0
 	in.resolved, in.present, in.requeue = false, false, false
@@ -704,24 +727,25 @@ func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 }
 
 // itemShards is the stripe count of an ItemCollection's key space (a power
-// of two so shard selection is a mask). 16 stripes ≈ 2× the largest worker
+// of two so stripe selection is a mask). 16 stripes ≈ 2× the largest worker
 // counts the real runs here use, which keeps the probability that two
 // concurrent tile operations collide on a stripe low while the per-shard
 // constant cost (one small table) stays negligible; see DESIGN.md §3.
 const itemShards = 16
 
-// itemShard is one stripe of an ItemCollection: the cells of the keys that
-// hash to it, under its own lock. Every collection operation is single-key,
-// so puts and gets on different tiles proceed on different stripes without
-// serialising.
+// itemShard is one stripe of an ItemCollection: the lock of the cells whose
+// keys fall into it — by hash, or by number in a numbered collection — and,
+// hashed, the table that finds them. Every collection operation is
+// single-key, so puts and gets on different tiles proceed on different
+// stripes without serialising.
 type itemShard[K comparable, V any] struct {
 	mu sync.Mutex
 	ic *ItemCollection[K, V]
-	// table indexes the cells by slot hash: open addressing, linear
-	// probing, at most ¾ full, insert-only (a freed cell is a tombstone).
+	// table indexes a hashed collection's cells by slot hash: open
+	// addressing, linear probing, at most ¾ full, insert-only (a freed cell
+	// is a tombstone).
 	table []*cell[K, V]
 	cells int // cells in table
-	live  int // cells in state present (Len)
 	// slab is the chunk new cells are carved from: cells live as long as
 	// the table that names them, so allocating them a chunk at a time costs
 	// nothing in lifetime and keeps a stripe's cells adjacent in memory.
@@ -738,23 +762,82 @@ const (
 	cellFreed
 )
 
-// cell is one item: a write-once value plus its state, its live get-count
-// and the instances waiting for it. Consumers hold the cell (through Dep),
-// not the key, so waiting, probing and releasing cost a lock and no lookup.
-// All fields are guarded by sh.mu. A freed cell stays in the table as the
-// tombstone that turns later accesses into deterministic use-after-free
-// errors, but drops its value, so get-count GC still frees real memory.
-type cell[K comparable, V any] struct {
-	sh        *itemShard[K, V]
-	key       K
+// item is one write-once item, whichever lookup finds its cell: the value,
+// its state, its live get-count, its backend handle and the instances
+// waiting for it. All fields are guarded by the cell's stripe lock. A freed
+// item stays as the tombstone that turns later accesses into deterministic
+// use-after-free errors, but drops its value, so get-count GC still frees
+// real memory.
+type item[V any] struct {
+	waiters   waiter // the chain's head, linked through entry.wnext
 	val       V
 	state     cellState
 	mirrored  bool   // handle holds the backend's handle for this item's put
-	hash      uint32 // the high half of key's hash: its slot in sh.table
 	remaining int32  // live get-count; 0 on a present cell = un-counted (pinned)
 	handle    uint32 // see mirrored and ItemBackend
-	waiters   waiter // the chain's head, linked through entry.wnext
+	// slot places the cell: a hashed cell's slot hash in its stripe's table
+	// (the high half of its key's hash), a numbered cell's number.
+	slot uint32
 }
+
+// cell is an item of a hashed collection, which keeps its key and its
+// stripe. Consumers hold the cell (through Dep), not the key, so waiting,
+// probing and releasing cost a lock and no lookup.
+type cell[K comparable, V any] struct {
+	item[V]
+	sh  *itemShard[K, V]
+	key K
+}
+
+// ncell is an item of a numbered collection (NumberKeys). Its number — its
+// place in the space — gives its key and its stripe, so it keeps only the
+// collection that holds it, set by the first lookup that names it.
+type ncell[K comparable, V any] struct {
+	item[V]
+	ic atomic.Pointer[ItemCollection[K, V]]
+}
+
+// place is a cell as the one state machine sees it, whichever lookup found
+// it: its item, its collection, its stripe lock and its key — held by a
+// hashed cell, read off the numbering on demand for a numbered one.
+type place[K comparable, V any] struct {
+	*item[V]
+	ic *ItemCollection[K, V]
+	mu *sync.Mutex
+	k  *K
+}
+
+func (c *cell[K, V]) place() place[K, V] { return place[K, V]{&c.item, c.sh.ic, &c.sh.mu, &c.key} }
+
+func (c *ncell[K, V]) place() place[K, V] {
+	ic := c.ic.Load()
+	return place[K, V]{&c.item, ic, &ic.shards[c.slot&(itemShards-1)].mu, nil}
+}
+
+func (p place[K, V]) key() K {
+	if p.k != nil {
+		return *p.k
+	}
+	return p.ic.num.key(int(p.slot))
+}
+
+// Both kinds of cell are depCells through the one state machine.
+func (c *cell[K, V]) String() string           { return c.place().String() }
+func (c *cell[K, V]) probe() cellState         { return c.place().probe() }
+func (c *cell[K, V]) peek() cellState          { return c.place().peek() }
+func (c *cell[K, V]) recordGet()               { c.place().recordGet() }
+func (c *cell[K, V]) subscribe(w waiter) bool  { return c.place().subscribe(w) }
+func (c *cell[K, V]) release()                 { c.place().release() }
+func (c *cell[K, V]) freeableBytes() int64     { return c.place().freeableBytes() }
+func (c *ncell[K, V]) String() string          { return c.place().String() }
+func (c *ncell[K, V]) probe() cellState        { return c.place().probe() }
+func (c *ncell[K, V]) peek() cellState         { return c.place().peek() }
+func (c *ncell[K, V]) recordGet()              { c.place().recordGet() }
+func (c *ncell[K, V]) subscribe(w waiter) bool { return c.place().subscribe(w) }
+func (c *ncell[K, V]) release()                { c.place().release() }
+func (c *ncell[K, V]) freeableBytes() int64    { return c.place().freeableBytes() }
+func (c *cell[K, V]) number() (uint32, bool)   { return 0, false }
+func (c *ncell[K, V]) number() (uint32, bool)  { return c.slot, true }
 
 // ItemCollection is a single-assignment associative data collection.
 type ItemCollection[K comparable, V any] struct {
@@ -768,8 +851,19 @@ type ItemCollection[K comparable, V any] struct {
 
 	puts atomic.Uint64
 
+	// num is the numbered key space the collection shares (NumberKeys);
+	// nil: its cells are found by hash.
+	num      *numbering[K, V]
 	hashSeed maphash.Seed
 	shards   [itemShards]itemShard[K, V]
+}
+
+// numbering is a numbered key space: one cell per key, in one array shared
+// by the collections that partition it, found by the key's number.
+type numbering[K comparable, V any] struct {
+	id    func(K) int
+	key   func(int) K
+	cells []ncell[K, V]
 }
 
 // NewItemCollection registers an item collection on g.
@@ -789,6 +883,31 @@ func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollecti
 	g.structMu.Unlock()
 	g.registerReporter(ic)
 	return ic
+}
+
+// NumberKeys declares that the item collections colls of one graph
+// partition a numbered key space: n keys, key k numbered id(k) in [0, n)
+// and named back by key(id(k)), each key in one of the collections. Their
+// cells then live in one array of n cells shared by the collections, and
+// a key's cell is found by its number — no hash, no probe — under the
+// stripe lock id(k) mod the stripe count. Nothing else changes: the items
+// behave exactly as in a hashed collection. A key numbered outside [0, n),
+// or given the number of a key of another collection of the set, panics.
+// A graph has at most one numbered key space, of fewer than 2³² keys.
+// Declare it before Run, before the collections name any key.
+func NumberKeys[K comparable, V any](n int, id func(K) int, key func(int) K, colls ...*ItemCollection[K, V]) {
+	g := colls[0].g
+	s := &numbering[K, V]{id: id, key: key, cells: make([]ncell[K, V], n)}
+	for i := range s.cells {
+		s.cells[i].slot = uint32(i)
+	}
+	for _, ic := range colls {
+		if ic.g != g || g.numbered != nil {
+			panic(fmt.Sprintf("cnc: item collection %s cannot join the numbered key space of %s", ic.name, colls[0].name))
+		}
+		ic.num = s
+	}
+	g.numbered = func(i uint32) Dep { return Dep{&s.cells[i]} }
 }
 
 // shardOf hashes k once: the low bits pick its stripe, the high half is its
@@ -811,7 +930,7 @@ func (sh *itemShard[K, V]) cellOf(k K, h uint32) *cell[K, V] {
 	if len(sh.slab) == cap(sh.slab) {
 		sh.slab = make([]cell[K, V], 0, min(max(sh.cells, 4), 64))
 	}
-	sh.slab = append(sh.slab, cell[K, V]{sh: sh, key: k, hash: h})
+	sh.slab = append(sh.slab, cell[K, V]{item: item[V]{slot: h}, sh: sh, key: k})
 	c := &sh.slab[len(sh.slab)-1]
 	sh.table[i] = c
 	sh.cells++
@@ -823,7 +942,7 @@ func (sh *itemShard[K, V]) cellOf(k K, h uint32) *cell[K, V] {
 func (sh *itemShard[K, V]) slot(k K, h uint32) uint32 {
 	mask := uint32(len(sh.table) - 1)
 	i := h & mask
-	for c := sh.table[i]; c != nil && (c.hash != h || c.key != k); c = sh.table[i] {
+	for c := sh.table[i]; c != nil && (c.slot != h || c.key != k); c = sh.table[i] {
 		i = (i + 1) & mask
 	}
 	return i
@@ -835,8 +954,61 @@ func (sh *itemShard[K, V]) grow() {
 	sh.table = make([]*cell[K, V], max(2*len(old), 8))
 	for _, c := range old {
 		if c != nil {
-			sh.table[sh.slot(c.key, c.hash)] = c
+			sh.table[sh.slot(c.key, c.slot)] = c
 		}
+	}
+}
+
+// numbered returns the cell numbered as k, claiming it for ic when no
+// collection has named it yet.
+func (ic *ItemCollection[K, V]) numbered(k K) *ncell[K, V] {
+	s := ic.num
+	i := s.id(k)
+	if uint(i) >= uint(len(s.cells)) {
+		panic(fmt.Sprintf("cnc: item %s[%v] is numbered %d, outside the numbered key space [0, %d)", ic.name, k, i, len(s.cells)))
+	}
+	c := &s.cells[i]
+	if c.ic.Load() != ic && !c.ic.CompareAndSwap(nil, ic) && c.ic.Load() != ic {
+		panic(fmt.Sprintf("cnc: item %s[%v] is numbered %d, the number of an item of %s", ic.name, k, i, c.ic.Load().name))
+	}
+	return c
+}
+
+// lookup returns k's cell with its stripe locked, as the state machine sees
+// it and as a Dep names it: a numbered collection indexes its space, a
+// hashed one probes k's stripe, creating the cell empty when k is new.
+func (ic *ItemCollection[K, V]) lookup(k K) (place[K, V], depCell) {
+	if ic.num != nil {
+		c := ic.numbered(k)
+		p := c.place()
+		p.mu.Lock()
+		return p, c
+	}
+	sh, h := ic.shardOf(k)
+	sh.mu.Lock()
+	c := sh.cellOf(k, h)
+	return c.place(), c
+}
+
+// each visits every cell of the collection with its stripe locked.
+func (ic *ItemCollection[K, V]) each(visit func(c place[K, V])) {
+	for s := range ic.shards {
+		sh := &ic.shards[s]
+		sh.mu.Lock()
+		if ic.num != nil {
+			for i, cells := s, ic.num.cells; i < len(cells); i += itemShards {
+				if c := &cells[i]; c.ic.Load() == ic {
+					visit(c.place())
+				}
+			}
+		} else {
+			for _, c := range sh.table {
+				if c != nil {
+					visit(c.place())
+				}
+			}
+		}
+		sh.mu.Unlock()
 	}
 }
 
@@ -891,12 +1063,14 @@ func (ic *ItemCollection[K, V]) CollectionName() string { return ic.name }
 // Key returns a Dep referring to item k of this collection, for read-set
 // declarations (WithGets). It resolves k's cell — creating it empty if the
 // key has not been seen — so it is safe to call from running steps, and the
-// Dep stays valid for the whole run.
+// Dep stays valid for the whole run. A numbered cell exists already, so
+// naming it takes no lock.
 func (ic *ItemCollection[K, V]) Key(k K) Dep {
-	sh, h := ic.shardOf(k)
-	sh.mu.Lock()
-	c := sh.cellOf(k, h)
-	sh.mu.Unlock()
+	if ic.num != nil {
+		return Dep{ic.numbered(k)}
+	}
+	p, c := ic.lookup(k)
+	p.mu.Unlock()
 	return Dep{c}
 }
 
@@ -915,21 +1089,18 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 		h.BeforeItemPut(ic.name, k)
 	}
 	size := ic.sizeBytes(k)
-	// Admission before the shard lock: the budget wait must not block
+	// Admission before the stripe lock: the budget wait must not block
 	// other gets/puts/frees on this collection (frees are what clear it).
 	ic.g.acct.admitItem(size)
-	sh, h := ic.shardOf(k)
-	sh.mu.Lock()
-	c := sh.cellOf(k, h)
+	c, _ := ic.lookup(k)
 	if c.state != cellEmpty {
 		wasFreed := c.state == cellFreed
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		ic.g.acct.refund(size)
 		ic.g.fail(ic.doublePutError(k, v, wasFreed))
 		return
 	}
 	c.val, c.state = v, cellPresent
-	sh.live++
 	freeNow := false
 	declared := -1
 	if ic.getCount != nil {
@@ -949,7 +1120,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 		}
 	}
 	if dc := ic.g.discipline; dc != nil {
-		// Still under the shard lock: a second writer that finds this cell
+		// Still under the stripe lock: a second writer that finds this cell
 		// present must also find its first writer in the checker's ledger.
 		dc.RecordPut(ic.name, k, declared, fmt.Sprint(v))
 	}
@@ -958,7 +1129,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	if freeNow {
 		c.free()
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	ic.g.stats.itemsPut.Add(1)
 	ic.puts.Add(1)
 	if freeNow {
@@ -969,7 +1140,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	// ItemBackend). (The backend check sits here so the common path does
 	// not box k and v.)
 	if ic.g.backend != nil {
-		c.mirror(v)
+		c.mirror(k, v)
 	}
 	for w != nil {
 		// Read the link first: the wake may chain w on its next cell.
@@ -1002,90 +1173,88 @@ func (ic *ItemCollection[K, V]) doublePutError(k K, v V, wasFreed bool) error {
 	return fmt.Errorf("cnc: single-assignment violation: item %s[%v] put twice", ic.name, k)
 }
 
-// free turns a present cell into its tombstone, dropping the value. Callers
-// hold sh.mu and charge the accountant after unlocking.
-func (c *cell[K, V]) free() {
+// free turns a present item into its tombstone, dropping the value.
+// Callers hold the stripe lock and charge the accountant after unlocking.
+func (it *item[V]) free() {
 	var zero V
-	c.val, c.state, c.remaining = zero, cellFreed, 0
-	c.sh.live--
+	it.val, it.state, it.remaining = zero, cellFreed, 0
 }
 
 // useAfterFree records (and returns) the deterministic error of touching
 // this cell after its get-count freed it.
-func (c *cell[K, V]) useAfterFree() *UseAfterFreeError {
-	ic := c.sh.ic
-	err := &UseAfterFreeError{Collection: ic.name, Key: c.key}
+func (c place[K, V]) useAfterFree() *UseAfterFreeError {
+	ic, k := c.ic, c.key()
+	err := &UseAfterFreeError{Collection: ic.name, Key: k}
 	if dc := ic.g.discipline; dc != nil {
-		err.Overdraw = dc.Overdraw(ic.name, c.key, "get")
+		err.Overdraw = dc.Overdraw(ic.name, k, "get")
 	}
 	ic.g.fail(err)
 	return err
 }
 
-func (c *cell[K, V]) String() string { return fmt.Sprintf("%s[%v]", c.sh.ic.name, c.key) }
+func (c place[K, V]) String() string { return fmt.Sprintf("%s[%v]", c.ic.name, c.key()) }
 
 // release implements depCell for StepCollection.WithGets; on collections
 // without a get-count it is a no-op, so a shared read-set declaration can
 // span counted and uncounted collections.
-func (c *cell[K, V]) release() {
-	sh := c.sh
-	ic := sh.ic
+func (c place[K, V]) release() {
+	ic := c.ic
 	if ic.getCount == nil {
 		return
 	}
-	sh.mu.Lock()
+	c.mu.Lock()
 	switch {
 	case c.state == cellFreed:
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		err := fmt.Errorf("cnc: over-release of item %v: get-count reached zero before its last declared reader (declared count too low)", c)
 		if dc := ic.g.discipline; dc != nil {
-			err = fmt.Errorf("%v; %w", dc.Overdraw(ic.name, c.key, "release"), err)
+			err = fmt.Errorf("%v; %w", dc.Overdraw(ic.name, c.key(), "release"), err)
 		}
 		ic.g.fail(err)
 		return
 	case c.state == cellEmpty:
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		ic.g.fail(fmt.Errorf("cnc: release of item %v that was never put", c))
 		return
 	case c.remaining == 0:
 		// Present but un-counted: the negative-count error path left it
 		// pinned; the graph already failed.
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	if dc := ic.g.discipline; dc != nil {
-		dc.RecordRelease(ic.name, c.key)
+		dc.RecordRelease(ic.name, c.key())
 	}
 	if c.remaining--; c.remaining > 0 {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	c.free()
 	h, mirrored := c.handle, c.mirrored
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if mirrored {
 		ic.g.backend.Free(h)
 	}
-	ic.g.acct.free(ic.sizeBytes(c.key))
+	ic.g.acct.free(ic.sizeBytes(c.key()))
 }
 
-func (c *cell[K, V]) freeableBytes() int64 {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
+func (c place[K, V]) freeableBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.state != cellPresent || c.remaining != 1 {
 		return 0
 	}
-	return c.sh.ic.sizeBytes(c.key)
+	return c.ic.sizeBytes(c.key())
 }
 
 // subscribe is the one place an instance is put on a wait list.
-func (c *cell[K, V]) subscribe(w waiter) bool {
-	c.sh.mu.Lock()
+func (c place[K, V]) subscribe(w waiter) bool {
+	c.mu.Lock()
 	state := c.state
 	if state == cellEmpty {
 		w.head().wnext, c.waiters = c.waiters, w
 	}
-	c.sh.mu.Unlock()
+	c.mu.Unlock()
 	if state == cellFreed {
 		// An instance declared a dependency on an already-freed item: the
 		// get-count missed this consumer. Fail deterministically and report
@@ -1104,16 +1273,14 @@ func (c *cell[K, V]) subscribe(w waiter) bool {
 // with a deterministic UseAfterFreeError (the declared count was too low)
 // instead of parking forever or returning stale data.
 func (ic *ItemCollection[K, V]) Get(k K) V {
-	sh, h := ic.shardOf(k)
-	sh.mu.Lock()
-	c := sh.cellOf(k, h)
+	c, d := ic.lookup(k)
 	v, state := c.val, c.state
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	switch state {
 	case cellEmpty:
 		// The abort signal is the missed cell itself: pointer-shaped, so the
 		// panic allocates nothing, and the attempt's recover parks on it.
-		panic(c)
+		panic(d)
 	case cellFreed:
 		panic(c.useAfterFree()) // unwinds the step like a failed Get, but is never retried
 	}
@@ -1124,20 +1291,20 @@ func (ic *ItemCollection[K, V]) Get(k K) V {
 // recordGet attributes a read of the present cell to the discipline
 // checker, if one is installed. The nil check sits here so the common path
 // does not box the key.
-func (c *cell[K, V]) recordGet() {
-	ic := c.sh.ic
+func (c place[K, V]) recordGet() {
+	ic := c.ic
 	if dc := ic.g.discipline; dc != nil {
-		dc.RecordGet(ic.name, c.key)
+		dc.RecordGet(ic.name, c.key())
 	}
 }
 
-func (c *cell[K, V]) peek() cellState {
-	c.sh.mu.Lock()
-	defer c.sh.mu.Unlock()
+func (c place[K, V]) peek() cellState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.state
 }
 
-func (c *cell[K, V]) probe() cellState {
+func (c place[K, V]) probe() cellState {
 	state := c.peek()
 	if state == cellFreed {
 		c.useAfterFree()
@@ -1150,11 +1317,9 @@ func (c *cell[K, V]) probe() cellState {
 // item fails the graph (deterministic use-after-free, like Get) and reports
 // the item as absent.
 func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
-	sh, h := ic.shardOf(k)
-	sh.mu.Lock()
-	c := sh.cellOf(k, h)
+	c, _ := ic.lookup(k)
 	v, state := c.val, c.state // the zero V unless present
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if state == cellFreed {
 		c.useAfterFree()
 	} else if state == cellPresent {
@@ -1164,15 +1329,15 @@ func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
 }
 
 // Len returns the number of items currently live — put and not yet freed
-// by get-count garbage collection. For the total ever put, use Puts.
+// by get-count garbage collection. For the total ever put, use Puts. It
+// visits every cell.
 func (ic *ItemCollection[K, V]) Len() int {
 	n := 0
-	for i := range ic.shards {
-		sh := &ic.shards[i]
-		sh.mu.Lock()
-		n += sh.live
-		sh.mu.Unlock()
-	}
+	ic.each(func(c place[K, V]) {
+		if c.state == cellPresent {
+			n++
+		}
+	})
 	return n
 }
 
@@ -1186,23 +1351,15 @@ func (ic *ItemCollection[K, V]) blockedInstances() []string {
 		d     Dep
 	}
 	var rest []later
-	for i := range ic.shards {
-		sh := &ic.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.table {
-			if c == nil {
-				continue
-			}
-			for w := c.waiters; w != nil; w = w.head().wnext {
-				label, ds := w.waitState()
-				out = append(out, fmt.Sprintf("%s <- %v", label, c))
-				for _, d := range ds {
-					rest = append(rest, later{label, d})
-				}
+	ic.each(func(c place[K, V]) {
+		for w := c.waiters; w != nil; w = w.head().wnext {
+			label, ds := w.waitState()
+			out = append(out, fmt.Sprintf("%s <- %v", label, c))
+			for _, d := range ds {
+				rest = append(rest, later{label, d})
 			}
 		}
-		sh.mu.Unlock()
-	}
+	})
 	for _, l := range rest {
 		if l.d.c.peek() == cellEmpty {
 			out = append(out, fmt.Sprintf("%s <- %v", l.label, l.d))

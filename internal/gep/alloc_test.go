@@ -12,13 +12,12 @@ import (
 
 // Full-run allocation budgets: with dispatch envelopes, dependency latches,
 // burst buffers and spawn frames pooled, step instances carved from slabs
-// and recycled through their collection's free list, dependencies declared
-// into the instance's inline read set, items held as slab-carved cells in a
-// flat per-stripe table, and wait lists chained through the waiting
-// instances, a complete run's allocation bill is one-time graph
-// construction plus, per tile, a share of an instance slab, a cell slab and
-// the table's growth — not per-task scheduling traffic. The CnC budgets are
-// ~1.25× the measurements at n=128/base=16 (8×8 tiles; 204 GE and 512 FW
+// and recycled through their collection's free list, dependencies kept as
+// the numbers of their cells, items held in the Flow's one array of
+// numbered cells, and wait lists chained through the waiting instances, a
+// complete run's allocation bill is one-time graph construction plus, per
+// tile, a share of an instance slab — not per-task scheduling traffic. The
+// CnC budgets are ~1.25× the measurements at n=128/base=16 (8×8 tiles; 204 GE and 512 FW
 // tiles), so a regression to one allocation per instance (GE's 204 base
 // instances alone would cross the Native budget), per abort or per
 // dependency trips the gate while schedule variance (which only moves the
@@ -29,13 +28,13 @@ import (
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 128, 16, 4
 	budget := map[string]float64{
-		"GE/" + core.NativeCnC.String():  365, // measured ~290
-		"GE/" + core.TunerCnC.String():   330, // measured ~265
-		"GE/" + core.ManualCnC.String():  360, // measured ~288
+		"GE/" + core.NativeCnC.String():  180, // measured ~144
+		"GE/" + core.TunerCnC.String():   190, // measured ~145–151
+		"GE/" + core.ManualCnC.String():  190, // measured ~150–152
 		"GE/" + core.OMPTasking.String(): 200, // measured ~30
-		"FW/" + core.NativeCnC.String():  870, // measured ~690
-		"FW/" + core.TunerCnC.String():   855, // measured ~670–685
-		"FW/" + core.ManualCnC.String():  860, // measured ~685
+		"FW/" + core.NativeCnC.String():  405, // measured ~294–322
+		"FW/" + core.TunerCnC.String():   400, // measured ~288–317
+		"FW/" + core.ManualCnC.String():  465, // measured ~370
 		"FW/" + core.OMPTasking.String(): 300, // measured ~30
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})

@@ -20,6 +20,10 @@ import (
 // in all four variants. So each execution model is written once, and
 // internal/dag builds its task graphs from the same walks and relations.
 type Flow[T, K comparable] struct {
+	// Numbering numbers the base tasks: the CnC program finds each task's
+	// item cell by its ID, and internal/dag's data-flow graph names its
+	// nodes by it. A Flow without one (N == 0) has its items found by hash.
+	Numbering[K]
 	// Colls names the step, tag and item collection of each kind of call.
 	Colls [][3]string
 	// Coll returns the index into Colls of the call whose block coordinates
@@ -48,6 +52,15 @@ type Flow[T, K comparable] struct {
 	Flat bool
 	// TileBytes is the memory one base task's output stands for.
 	TileBytes int
+}
+
+// Numbering numbers the base tasks of a recurrence densely: N of them, ID
+// from 0 to N−1 and Key its inverse. ID need not refuse a key outside the
+// task space; internal/dag's Dataflow.ID does.
+type Numbering[K comparable] struct {
+	N   int
+	ID  func(K) int
+	Key func(int) K
 }
 
 // visitor adapts the walk's and the relation's callback forms to what an
@@ -234,6 +247,11 @@ func (f *Flow[T, K]) build(name string, workers int, variant core.Variant) *flow
 		d.out = append(d.out, cnc.NewItemCollection[K, bool](g, names[2]))
 		d.tags = append(d.tags, cnc.NewTagCollection[T](g, names[1], false))
 		d.steps = append(d.steps, cnc.NewStepCollectionInto(g, names[0], d.step))
+	}
+	if f.N > 0 {
+		// The kinds' collections partition the numbered base tasks: each
+		// task's item cell is found by its number.
+		cnc.NumberKeys(f.N, f.ID, f.Key, d.out...)
 	}
 	if variant == core.NonBlockingCnC {
 		d.poll = func(k K) bool { _, ok := d.out[d.coll(k)].TryGet(k); return ok }

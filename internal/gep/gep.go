@@ -107,8 +107,9 @@ func (alg Algorithm) Flow(x *matrix.Dense, base int) (*Flow[Tag, ItemKey], error
 	bs := BaseSize(n, base)
 	tiles := n / bs
 	f := &Flow[Tag, ItemKey]{
-		Coll: func(k ItemKey) int { return int(Classify(k.I, k.J, k.K)) },
-		Task: func(t Tag) (ItemKey, bool) { return ItemKey{t.I, t.J, t.K}, t.S == bs },
+		Numbering: alg.Shape.Numbering(tiles),
+		Coll:      func(k ItemKey) int { return int(Classify(k.I, k.J, k.K)) },
+		Task:      func(t Tag) (ItemKey, bool) { return ItemKey{t.I, t.J, t.K}, t.S == bs },
 		Walk: func(t Tag, flat bool, visit func(Tag, bool)) {
 			r := 2
 			if flat {

@@ -1,5 +1,7 @@
 package gep
 
+import "sort"
+
 // This file is the one place the GEP recurrence is stated: the schedule
 // walk (which sub-calls a recursive call makes, in which sequential stages)
 // and the dependency relation on base tasks (which tile updates a tile
@@ -160,5 +162,40 @@ func (sh Shape) Succs(tiles int, t ItemKey, f func(ItemKey) bool) bool {
 		return f(ItemKey{i, k, k + 1}) && f(ItemKey{k, j, k + 1})
 	default: // B and C read the diagonal tile (k, k)
 		return f(ItemKey{k, k, k + 1})
+	}
+}
+
+// Numbering numbers the base tasks of a tiles×tiles problem phase by phase,
+// each phase's tiles row by row. Phase k updates the tiles (I, J) with
+// I, J ≥ tri·k: under the Triangular shape (GE, tri = 1) only tiles with
+// I ≥ K ∧ J ≥ K have tasks; under Cube (FW, tri = 0) every tile updates at
+// every step.
+func (sh Shape) Numbering(t int) Numbering[ItemKey] {
+	tri := 1
+	if sh == Cube {
+		tri = 0
+	}
+	// offsets[k] is the id of the first task of phase k.
+	offsets := make([]int, t+1)
+	for k := 0; k < t; k++ {
+		side := t - tri*k
+		offsets[k+1] = offsets[k] + side*side
+	}
+	return Numbering[ItemKey]{
+		N: offsets[t],
+		ID: func(x ItemKey) int {
+			lo := tri * x.K
+			return offsets[x.K] + (x.I-lo)*(t-lo) + (x.J - lo)
+		},
+		Key: func(id int) ItemKey {
+			k := 0 // the phase: Cube's all hold t² tasks, Triangular's shrink
+			if tri == 0 {
+				k = id / (t * t)
+			} else {
+				k = sort.Search(t, func(p int) bool { return offsets[p+1] > id })
+			}
+			lo, rem := tri*k, id-offsets[k]
+			return ItemKey{I: lo + rem/(t-lo), J: lo + rem%(t-lo), K: k}
+		},
 	}
 }

@@ -88,6 +88,29 @@ func SimulateCluster(g dag.Graph, cl Cluster, c Costs) (ClusterResult, error) {
 		return best, ok
 	}
 
+	// release hands the completed task id, homed on node, to each of its
+	// successors.
+	var (
+		id   int32
+		node int
+	)
+	release := func(s int) {
+		arrive := now
+		if sn := cl.Home(s) % cl.Nodes; sn != node && g.Kind(int(id)) != dag.KindJoin {
+			delay := cl.Latency + cl.TransferTime
+			arrive += delay
+			messages++
+			commTime += delay
+		}
+		if arrive > avail[s] {
+			avail[s] = arrive
+		}
+		indeg[s]--
+		if indeg[s] == 0 {
+			readyQ[cl.Home(s)%cl.Nodes].push(event{at: avail[s], id: int32(s)})
+		}
+	}
+
 	for done < n {
 		dispatch()
 		// Advance time: to the next completion, or — if cores sit free
@@ -107,25 +130,10 @@ func SimulateCluster(g dag.Graph, cl Cluster, c Costs) (ClusterResult, error) {
 		ev := running.pop()
 		now = ev.at
 		for {
-			id := ev.id
-			node := cl.Home(int(id)) % cl.Nodes
+			id = ev.id
+			node = cl.Home(int(id)) % cl.Nodes
 			free[node]++
-			g.EachSucc(int(id), func(s int) {
-				arrive := now
-				if sn := cl.Home(s) % cl.Nodes; sn != node && g.Kind(int(id)) != dag.KindJoin {
-					delay := cl.Latency + cl.TransferTime
-					arrive += delay
-					messages++
-					commTime += delay
-				}
-				if arrive > avail[s] {
-					avail[s] = arrive
-				}
-				indeg[s]--
-				if indeg[s] == 0 {
-					readyQ[cl.Home(s)%cl.Nodes].push(event{at: avail[s], id: int32(s)})
-				}
-			})
+			g.EachSucc(int(id), release)
 			done++
 			if running.empty() || running.peek().at != now {
 				break

@@ -227,8 +227,26 @@ func simulateInfinite(g dag.Graph, c Costs) (Result, error) {
 	seen := 0
 	span := 0.0
 	spanTasks := int32(0)
+	var id int32 // the task whose successors release visits
+	release := func(s int) {
+		if finish[id] > finish[s] {
+			finish[s] = finish[id]
+		}
+		d := depth[id]
+		if g.Kind(s) != dag.KindJoin {
+			d++
+		}
+		if d > depth[s] {
+			depth[s] = d
+		}
+		indeg[s]--
+		if indeg[s] == 0 {
+			finish[s] += c.TaskTime(g.Kind(s))
+			queue = append(queue, int32(s))
+		}
+	}
 	for len(queue) > 0 {
-		id := queue[len(queue)-1]
+		id = queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
 		if finish[id] > span {
@@ -237,23 +255,7 @@ func simulateInfinite(g dag.Graph, c Costs) (Result, error) {
 		if depth[id] > spanTasks {
 			spanTasks = depth[id]
 		}
-		g.EachSucc(int(id), func(s int) {
-			if finish[id] > finish[s] {
-				finish[s] = finish[id]
-			}
-			d := depth[id]
-			if g.Kind(s) != dag.KindJoin {
-				d++
-			}
-			if d > depth[s] {
-				depth[s] = d
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				finish[s] += c.TaskTime(g.Kind(s))
-				queue = append(queue, int32(s))
-			}
-		})
+		g.EachSucc(int(id), release)
 	}
 	if seen != n {
 		return Result{}, fmt.Errorf("simsched: only %d of %d tasks reachable (cycle?)", seen, n)

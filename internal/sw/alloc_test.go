@@ -18,9 +18,9 @@ import (
 func TestRunAllocBudget(t *testing.T) {
 	const n, base, workers = 256, 16, 4
 	budget := map[core.Variant]float64{
-		core.NativeCnC:  215, // measured ~171
-		core.TunerCnC:   195, // measured ~156
-		core.ManualCnC:  210, // measured ~166
+		core.NativeCnC:  90,  // measured ~66–70
+		core.TunerCnC:   90,  // measured ~67–70
+		core.ManualCnC:  90,  // measured ~70
 		core.OMPTasking: 100, // measured ~15
 	}
 	pool := forkjoin.NewPool(forkjoin.Config{Workers: workers})

@@ -97,6 +97,15 @@ func Succs(tiles int, t TileKey, f func(TileKey) bool) bool {
 		(!s || !e || f(TileKey{t.I + 1, t.J + 1}))
 }
 
+// Numbering numbers the tiles×tiles grid row by row.
+func Numbering(tiles int) gep.Numbering[TileKey] {
+	return gep.Numbering[TileKey]{
+		N:   tiles * tiles,
+		ID:  func(k TileKey) int { return k.I*tiles + k.J },
+		Key: func(id int) TileKey { return TileKey{I: id / tiles, J: id % tiles} },
+	}
+}
+
 // TileTag identifies a recursive block (I, J) of size S (in units of S), as
 // in the GEP tags but without a K dimension — SW has a single pass.
 type TileTag struct {
@@ -121,8 +130,9 @@ func (p *Problem) Flow(h *matrix.Dense, base int) (*gep.Flow[TileTag, TileKey], 
 	bs := gep.BaseSize(p.N(), base)
 	tiles := p.N() / bs
 	return &gep.Flow[TileTag, TileKey]{
-		Colls: [][3]string{{"swTile", "tile_tags", "tile_outputs"}},
-		Task:  func(t TileTag) (TileKey, bool) { return TileKey{t.I, t.J}, t.S == bs },
+		Numbering: Numbering(tiles),
+		Colls:     [][3]string{{"swTile", "tile_tags", "tile_outputs"}},
+		Task:      func(t TileTag) (TileKey, bool) { return TileKey{t.I, t.J}, t.S == bs },
 		Walk: func(t TileTag, flat bool, visit func(TileTag, bool)) {
 			r := 2
 			if flat {
