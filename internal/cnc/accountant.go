@@ -230,17 +230,26 @@ type accountant struct {
 	// limit is write-before-Run configuration.
 	limit int64
 
-	mu        sync.Mutex
-	liveItems int64
-	liveBytes int64
-	reserved  int64
-	maxCost   int64 // largest throttled cost seen (growing-instance headroom)
-	peakItems int64
-	peakBytes int64
-	freed     int64
-	waits     int64
-	stalls    int64
-	reported  bool // the stall hook fired (at most once per run)
+	// pendingN and runnableN mirror the two sets' sizes for the lock-free
+	// checks on the hot put/free/taskDone paths; without a limit they stay 0.
+	pendingN  atomic.Int64
+	runnableN atomic.Int64
+
+	// The live set and its peaks. Without a limit nothing decides on them,
+	// so puts and frees change them with atomics alone, the peaks kept by
+	// CAS-max; under a limit they change under mu, where admission reads them.
+	_                    pad
+	liveItems, liveBytes atomic.Int64
+	peakItems, peakBytes atomic.Int64
+	freed                atomic.Int64
+	_                    pad
+
+	mu       sync.Mutex
+	reserved int64
+	maxCost  int64 // largest throttled cost seen (growing-instance headroom)
+	waits    int64
+	stalls   int64
+	reported bool // the stall hook fired (at most once per run)
 
 	// runnable holds the deferred instances whose countdown reached zero
 	// and waiting the rest, both sorted by byKey. spare chains recycled
@@ -248,11 +257,6 @@ type accountant struct {
 	runnable []*admission
 	waiting  []*admission
 	spare    *admission
-
-	// pendingN and runnableN mirror the two sets' sizes for the lock-free
-	// checks on the hot put/free/taskDone paths.
-	pendingN  atomic.Int64
-	runnableN atomic.Int64
 
 	// pumpMu serialises pump passes; repump coalesces triggers that arrive
 	// while a pass is running (a concurrent free, put or retirement).
@@ -264,22 +268,33 @@ type accountant struct {
 // converted first: the item materialises work whose cost admission already
 // committed, so a put of a fully reserved item never raises the total.
 func (a *accountant) admitItem(size int64) {
-	a.mu.Lock()
-	if conv := a.reserved; conv > 0 {
-		if conv > size {
-			conv = size
-		}
-		a.reserved -= conv
+	if a.limit != 0 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		a.reserved -= min(a.reserved, size)
 	}
-	a.liveItems++
-	a.liveBytes += size
-	if a.liveItems > a.peakItems {
-		a.peakItems = a.liveItems
+	raise(&a.peakItems, a.liveItems.Add(1))
+	raise(&a.peakBytes, a.liveBytes.Add(size))
+}
+
+// raise lifts peak to v when v is higher. Every value the live counters
+// pass through is one an Add returned, so the peaks stay exact.
+func raise(peak *atomic.Int64, v int64) {
+	for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
 	}
-	if a.liveBytes > a.peakBytes {
-		a.peakBytes = a.liveBytes
+}
+
+// lock takes mu under a limit, the only time the live set needs it.
+func (a *accountant) lock() {
+	if a.limit != 0 {
+		a.mu.Lock()
 	}
-	a.mu.Unlock()
+}
+
+func (a *accountant) unlock() {
+	if a.limit != 0 {
+		a.mu.Unlock()
+	}
 }
 
 // admissible reports whether p, whose declared gets are all present, fits
@@ -291,7 +306,7 @@ func (a *accountant) admitItem(size int64) {
 // than two tags. The cell probes behind freeable run only when the
 // classification decides. Callers hold a.mu.
 func (a *accountant) admissible(p *entry, cost int64, grow bool) bool {
-	used := a.liveBytes + a.reserved
+	used := a.liveBytes.Load() + a.reserved
 	total := used + cost
 	if total > a.limit {
 		return false
@@ -468,8 +483,8 @@ func (a *accountant) drain() {
 				// Dumped before the instance is marked admitted, so the
 				// report still names it as deferred.
 				report = &BackpressureReport{
-					LiveItems: a.liveItems,
-					LiveBytes: a.liveBytes,
+					LiveItems: a.liveItems.Load(),
+					LiveBytes: a.liveBytes.Load(),
 					Reserved:  a.reserved,
 					Limit:     a.limit,
 					Pending:   int(a.pendingN.Load()),
@@ -494,23 +509,32 @@ func (a *accountant) drain() {
 }
 
 // free retires one item of the given size and re-triggers admission.
-func (a *accountant) free(size int64) {
-	a.mu.Lock()
-	a.liveItems--
-	a.liveBytes -= size
-	a.freed++
-	a.mu.Unlock()
-	a.pump()
-}
+func (a *accountant) free(size int64) { a.shrink(size, 1) }
 
 // refund undoes an admitItem whose put failed (single-assignment violation
 // or use-after-free re-put): the item never became live.
-func (a *accountant) refund(size int64) {
-	a.mu.Lock()
-	a.liveItems--
-	a.liveBytes -= size
-	a.mu.Unlock()
+func (a *accountant) refund(size int64) { a.shrink(size, 0) }
+
+// shrink takes one item of the given size out of the live set, counting
+// freed frees, and re-triggers admission.
+func (a *accountant) shrink(size, freed int64) {
+	a.lock()
+	a.liveItems.Add(-1)
+	a.liveBytes.Add(-size)
+	a.freed.Add(freed)
+	a.unlock()
 	a.pump()
+}
+
+// retired is a retirement's admission opportunity while deferred throttled
+// instances are pending: the step's releases may have turned one from
+// growing to freeing, and the retirement that leaves only pending holds
+// outstanding is what triggers the idle-graph liveness check. pump tells
+// the two from the common no-op.
+func (a *accountant) retired() {
+	if a.pendingN.Load() > 0 {
+		a.pump()
+	}
 }
 
 // memStats is the accountant's contribution to Stats.
@@ -520,12 +544,14 @@ type memStats struct {
 	waits, stalls               int64
 }
 
+// snapshot reads the counters; waits and stalls change only under a limit,
+// and then under mu.
 func (a *accountant) snapshot() memStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.lock()
+	defer a.unlock()
 	return memStats{
-		liveItems: a.liveItems, peakItems: a.peakItems, freed: a.freed,
-		liveBytes: a.liveBytes, peakBytes: a.peakBytes,
+		liveItems: a.liveItems.Load(), peakItems: a.peakItems.Load(), freed: a.freed.Load(),
+		liveBytes: a.liveBytes.Load(), peakBytes: a.peakBytes.Load(),
 		waits: a.waits, stalls: a.stalls,
 	}
 }

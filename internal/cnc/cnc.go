@@ -206,6 +206,8 @@ var ErrFinished = errors.New("cnc: Run called twice on the same Graph")
 // Workers() is therefore a logical-concurrency cap — the number of
 // dispatch lanes — not a goroutine count.
 type Graph struct {
+	// What follows up to the first pad is read-mostly while the graph runs:
+	// attempts read it, nothing rewrites it, so every lane keeps the line.
 	name    string
 	workers int
 
@@ -228,38 +230,45 @@ type Graph struct {
 	discipline *determinacy.DisciplineChecker
 	backend    ItemBackend
 
-	// backendBusy gauges operations currently inside a backend call (see
-	// Graph.BackendBusy — what defers bench.Check's stall verdict).
-	backendBusy atomic.Int64
+	// bursts holds the attempts', one per lane (see instance.Run), each
+	// with its lane's run counters.
+	bursts []laneBurst
+	// numbered names the cells of the graph's numbered key space
+	// (NumberKeys) by number: a step instance keeps its reads of them as
+	// numbers.
+	numbered func(i uint32) Dep
+
+	// The graph-wide counters each get a line: outstanding changes once per
+	// attempt, parked once per wait, envKids and stats with the puts made
+	// outside an attempt.
+	_           pad
+	outstanding atomic.Int64
+	_           pad
+	parked      atomic.Int64
+	_           pad
+	envKids     atomic.Uint64 // tags put from outside an attempt (acquire)
+	stats       struct {
+		counts               // puts made outside an attempt
+		retries, backendPuts atomic.Uint64
+	}
+	_ pad
 
 	// acct tracks live items/bytes and implements the WithMemoryLimit
 	// backpressure (see accountant.go).
 	acct accountant
 
-	outstanding atomic.Int64
+	// backendBusy gauges operations currently inside a backend call (see
+	// Graph.BackendBusy — what defers bench.Check's stall verdict).
+	backendBusy atomic.Int64
+
 	quiesceMu   sync.Mutex
 	quiesceCond *sync.Cond
-	parked      atomic.Int64
 
-	// bursts holds the attempts', one per lane (see instance.Run).
-	bursts  []laneBurst
-	envKids atomic.Uint64 // tags put from outside an attempt (acquire)
-	// numbered names the cells of the graph's numbered key space
-	// (NumberKeys) by number: a step instance keeps its reads of them as
-	// numbers.
-	numbered func(i uint32) Dep
 	// scratch is the buffer a read set is resolved into outside an attempt.
 	scratch atomic.Pointer[[]Dep]
 
 	failMu sync.Mutex
 	err    error
-
-	stats struct {
-		tagsPut, itemsPut, started, done atomic.Uint64
-		aborts, requeues, triggered      atomic.Uint64
-		retries                          atomic.Uint64
-		backendPuts                      atomic.Uint64
-	}
 
 	// Static graph structure, for Describe/Dot and deadlock reports.
 	structMu     sync.Mutex
@@ -268,6 +277,37 @@ type Graph struct {
 	items        []*itemMeta
 	reporters    []blockedReporter
 	hasGetCounts bool
+}
+
+// pad keeps the fields on either side of it off each other's cache line.
+type pad [64]byte
+
+// counts is one set of the run counters Stats sums: a lane's, written only
+// by the attempt running on it, or the graph's, for what happens outside an
+// attempt. Each sum is monotone, since each set is.
+type counts struct {
+	tagsPut, itemsPut, started, done atomic.Uint64
+	aborts, requeues, triggered      atomic.Uint64
+}
+
+// counts returns the run counters of bu's lane, or the graph's for a nil
+// burst.
+func (g *Graph) counts(bu *Burst) *counts {
+	if bu != nil {
+		return &bu.counts
+	}
+	return &g.stats.counts
+}
+
+// addTo adds the set to s.
+func (c *counts) addTo(s *Stats) {
+	s.TagsPut += c.tagsPut.Load()
+	s.ItemsPut += c.itemsPut.Load()
+	s.StepsStarted += c.started.Load()
+	s.StepsDone += c.done.Load()
+	s.Aborts += c.aborts.Load()
+	s.Requeues += c.requeues.Load()
+	s.TriggeredRuns += c.triggered.Load()
 }
 
 type stepMeta struct {
@@ -345,13 +385,13 @@ func (g *Graph) Name() string { return g.name }
 func (g *Graph) Workers() int { return g.workers }
 
 // Stats returns a snapshot of the activity counters. It is safe to call
-// concurrently with a run — every counter is read atomically and the
-// memory figures come from the accountant's locked snapshot — which is how
-// the dpserve /metrics endpoint scrapes live jobs.
+// concurrently with a run — every counter is read atomically, the run
+// counters summed over the lanes — which is how the dpserve /metrics
+// endpoint scrapes live jobs.
 func (g *Graph) Stats() Stats {
 	mem := g.acct.snapshot()
 	steals, failedProbes, wakeups := g.lanes.Counters()
-	return Stats{
+	s := Stats{
 		LiveItems:          mem.liveItems,
 		PeakLiveItems:      mem.peakItems,
 		ItemsFreed:         mem.freed,
@@ -360,14 +400,7 @@ func (g *Graph) Stats() Stats {
 		BackpressureWaits:  mem.waits,
 		BackpressureStalls: mem.stalls,
 
-		TagsPut:       g.stats.tagsPut.Load(),
-		ItemsPut:      g.stats.itemsPut.Load(),
-		StepsStarted:  g.stats.started.Load(),
-		StepsDone:     g.stats.done.Load(),
-		Aborts:        g.stats.aborts.Load(),
-		Requeues:      g.stats.requeues.Load(),
-		TriggeredRuns: g.stats.triggered.Load(),
-		Retries:       g.stats.retries.Load(),
+		Retries: g.stats.retries.Load(),
 
 		Steals:       steals,
 		FailedProbes: failedProbes,
@@ -375,6 +408,11 @@ func (g *Graph) Stats() Stats {
 
 		BackendPuts: g.stats.backendPuts.Load(),
 	}
+	g.stats.addTo(&s)
+	for i := range g.bursts {
+		g.bursts[i].counts.addTo(&s)
+	}
+	return s
 }
 
 // Run starts the workers, invokes env — which performs the initial item and
@@ -511,9 +549,9 @@ func (g *Graph) schedule(run exec.Unit) {
 // not keep it or hand it to another goroutine. Outside an attempt there is
 // no burst: a nil one dispatches each instance with one enqueue.
 //
-// Outstanding-work accounting happens at append time (each PutInto holds
-// the graph open exactly like a plain Put), so an attempt's staged
-// dispatches can never let the graph quiesce early.
+// A staged dispatch takes no outstanding-work hold of its own: the
+// attempt's unit holds the graph open until the flush counts them all, so
+// an attempt's staged dispatches can never let the graph quiesce early.
 type Burst struct {
 	rs []exec.Unit
 	// scratch is the buffer a read set is resolved into in the attempt.
@@ -522,27 +560,39 @@ type Burst struct {
 	key   uint64
 	kbits uint8
 	kids  uint64
+	// counts are the lane's run counters.
+	counts counts
 }
 
 // laneBurst is an attempt's burst followed by a cache line of padding: each
-// lane's worker rewrites its burst on every attempt, so neighbouring lanes'
-// bursts must not share a line.
+// lane's worker rewrites its burst and counters on every attempt, so
+// neighbouring lanes' bursts must not share a line.
 type laneBurst struct {
 	Burst
-	_ [64]byte
+	_ pad
 }
 
-// flush spawns the accumulated dispatches on slot's lane, in put order.
+// flush ends the attempt on slot: it spawns the accumulated dispatches on
+// slot's lane, in put order, and hands them the attempt's unit of
+// outstanding work — n of them take n−1 more before the push, so one takes
+// no atomic at all — or, with none staged, retires the unit.
 func (bu *Burst) flush(g *Graph, slot int) {
+	n := len(bu.rs)
+	if n == 0 {
+		g.taskDone()
+		return
+	}
+	if n > 1 {
+		g.outstanding.Add(int64(n - 1))
+	}
 	g.lanes.PushTo(slot, bu.rs...)
 	clear(bu.rs)
 	bu.rs = bu.rs[:0]
+	g.acct.retired()
 }
 
-// add appends one dispatch to the burst, taking the outstanding-work hold
-// immediately.
-func (bu *Burst) add(g *Graph, run exec.Unit) {
-	g.outstanding.Add(1)
+// add appends one dispatch to the burst.
+func (bu *Burst) add(run exec.Unit) {
 	bu.rs = append(bu.rs, run)
 }
 
@@ -555,14 +605,7 @@ func (g *Graph) taskDone() {
 		g.quiesceMu.Unlock()
 		return
 	}
-	// With deferred throttled instances pending, a retirement is an admission
-	// opportunity when one of them is runnable (the step's releases may have
-	// turned it from growing to freeing) — and the retirement that leaves
-	// only pending holds outstanding is what triggers the idle-graph
-	// liveness check. pump tells the two from the common no-op.
-	if g.acct.pendingN.Load() > 0 {
-		g.acct.pump()
-	}
+	g.acct.retired()
 }
 
 func (g *Graph) checkRunning() {

@@ -328,7 +328,7 @@ func (in *instance[T]) dispatch(bu *Burst) {
 		in.sc.g.schedule(in)
 		return
 	}
-	bu.add(in.sc.g, in)
+	bu.add(in)
 }
 
 func (in *instance[T]) waitState() (string, []Dep) {
@@ -411,27 +411,24 @@ func (in *instance[T]) arrive(n int32, bu *Burst) {
 // launch dispatches the instance once nothing it waits for is missing,
 // counting a requeue after an abort and a tuned instance's triggered run.
 func (in *instance[T]) launch(bu *Burst) {
-	g := in.sc.g
 	switch {
 	case in.requeue:
-		g.stats.requeues.Add(1)
+		in.sc.g.counts(bu).requeues.Add(1)
 	case in.sc.tuned:
-		g.stats.triggered.Add(1)
+		in.sc.g.counts(bu).triggered.Add(1)
 	}
 	in.dispatch(bu)
 }
 
 // Run executes one (possibly speculative) attempt of the instance on slot,
 // whose burst the body puts into; the burst is flushed onto slot's lane
-// when the attempt returns, however it returns.
+// when the attempt returns, however it returns, and the attempt's unit of
+// outstanding work passes to what it staged or is retired.
 func (in *instance[T]) Run(slot int) {
 	sc, tag := in.sc, in.tag
 	g := sc.g
 	bu := &g.bursts[slot].Burst
-	defer func() {
-		bu.flush(g, slot)
-		g.taskDone()
-	}()
+	defer bu.flush(g, slot)
 	// Cooperative cancellation: a cancelled graph drains dispatched work
 	// without running it, so RunContext returns as soon as the queue and
 	// the in-flight step bodies retire.
@@ -439,7 +436,7 @@ func (in *instance[T]) Run(slot int) {
 		in.recycle()
 		return
 	}
-	g.stats.started.Add(1)
+	bu.counts.started.Add(1)
 	if dc := g.discipline; dc != nil {
 		// Attribute every put/get/release the attempt issues to this instance.
 		exit := dc.Enter(fmt.Sprintf("%s@%v", sc.meta.name, tag))
@@ -454,7 +451,7 @@ func (in *instance[T]) Run(slot int) {
 			// A Get of an undeclared item missed (the panic value is its
 			// cell): park on it; its Put re-schedules the instance from
 			// scratch.
-			g.stats.aborts.Add(1)
+			bu.counts.aborts.Add(1)
 			in.wait(0, missed, true, nil)
 			return
 		}
@@ -487,7 +484,7 @@ func (in *instance[T]) Run(slot int) {
 	for i := range int(in.n) {
 		in.dep(g, i).c.release()
 	}
-	g.stats.done.Add(1)
+	bu.counts.done.Add(1)
 	in.recycle()
 }
 
@@ -502,7 +499,7 @@ func (in *instance[T]) read(bu *Burst) bool {
 		for i := range int(in.n) {
 			switch in.dep(g, i).c.probe() {
 			case cellEmpty:
-				g.stats.aborts.Add(1)
+				bu.counts.aborts.Add(1)
 				in.present = true // by the time the requeue runs
 				in.wait(i, nil, true, nil)
 				return false
@@ -643,11 +640,10 @@ func (tc *TagCollection[T]) Put(tag T) { tc.PutInto(tag, nil) }
 // already satisfied are appended to bu, the attempt's burst, instead of
 // being enqueued one at a time; they are spawned on the attempt's lane when
 // it returns. The semantics are otherwise exactly Put's — memoization,
-// hooks and statistics all apply, and outstanding-work accounting happens
-// immediately, so the graph cannot quiesce while the attempt runs. A nil bu
-// is Put.
+// hooks and statistics all apply — and the attempt holds the graph open
+// until its flush has counted them. A nil bu is Put.
 func (tc *TagCollection[T]) PutInto(tag T, bu *Burst) {
-	if !tc.accept(tag) {
+	if !tc.accept(tag, bu) {
 		return
 	}
 	for _, sc := range tc.prescribedList() {
@@ -655,10 +651,10 @@ func (tc *TagCollection[T]) PutInto(tag T, bu *Burst) {
 	}
 }
 
-// accept is the prologue of every tag put — the running check, the DropTag
-// hook, memoization and the TagsPut count — reporting whether the tag
-// prescribes instances.
-func (tc *TagCollection[T]) accept(tag T) bool {
+// accept is the prologue of every tag put through bu — the running check,
+// the DropTag hook, memoization and the TagsPut count — reporting whether
+// the tag prescribes instances.
+func (tc *TagCollection[T]) accept(tag T, bu *Burst) bool {
 	tc.g.checkRunning()
 	if h := tc.g.hooks; h != nil && h.DropTag != nil && h.DropTag(tc.name, tag) {
 		return false // injected fault: the tag is lost before memoization sees it
@@ -672,7 +668,7 @@ func (tc *TagCollection[T]) accept(tag T) bool {
 			return false
 		}
 	}
-	tc.g.stats.tagsPut.Add(1)
+	tc.g.counts(bu).tagsPut.Add(1)
 	return true
 }
 
@@ -717,7 +713,7 @@ func (tc *TagCollection[T]) PutThrottledInto(tag T, bu *Burst) {
 		tc.PutInto(tag, bu) // control-only tags occupy no budget and are never deferred
 		return
 	}
-	if !tc.accept(tag) {
+	if !tc.accept(tag, bu) {
 		return
 	}
 	for _, sc := range tc.prescribedList() {
@@ -848,8 +844,6 @@ type ItemCollection[K comparable, V any] struct {
 	// getCount and sizeOf are write-before-Run declarations.
 	getCount func(K) int
 	sizeOf   func(K) int
-
-	puts atomic.Uint64
 
 	// num is the numbered key space the collection shares (NumberKeys);
 	// nil: its cells are found by hash.
@@ -1045,10 +1039,19 @@ func (ic *ItemCollection[K, V]) WithSizeOf(fn func(K) int) *ItemCollection[K, V]
 	return ic
 }
 
-// Puts returns the number of successful puts into the collection. Unlike
-// Len it is unaffected by get-count garbage collection, so it keeps
-// reporting the task census after items are freed.
-func (ic *ItemCollection[K, V]) Puts() uint64 { return ic.puts.Load() }
+// Puts returns the number of successful puts into the collection: its cells
+// no longer empty, since a put fills one and a second put of a key fails.
+// Unlike Len it is unaffected by get-count garbage collection, so it keeps
+// reporting the task census after items are freed. It visits every cell.
+func (ic *ItemCollection[K, V]) Puts() uint64 {
+	var n uint64
+	ic.each(func(c place[K, V]) {
+		if c.state != cellEmpty {
+			n++
+		}
+	})
+	return n
+}
 
 func (ic *ItemCollection[K, V]) sizeBytes(k K) int64 {
 	if ic.sizeOf == nil {
@@ -1130,8 +1133,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 		c.free()
 	}
 	c.mu.Unlock()
-	ic.g.stats.itemsPut.Add(1)
-	ic.puts.Add(1)
+	ic.g.counts(bu).itemsPut.Add(1)
 	if freeNow {
 		ic.g.acct.free(size)
 	}

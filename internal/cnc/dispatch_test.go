@@ -2,8 +2,10 @@ package cnc
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dpflow/internal/exec"
@@ -144,5 +146,56 @@ func TestPollingRePutYields(t *testing.T) {
 				t.Fatalf("out[7] = %d, %v; want 42, true", v, ok)
 			}
 		})
+	}
+}
+
+// TestAttemptBurstHoldsGraphOpen: an attempt's staged dispatches take no
+// outstanding-work hold of their own — the attempt's unit holds the graph
+// open until its flush counts them — so the graph never quiesces before
+// every staged unit has run, however the other lanes' units retire while
+// they are staged. The stager enqueues the other units itself, after
+// staging, and waits until they have all retired, so its own unit is all
+// that holds the graph open when it returns. Each staged unit stages one
+// more or none, covering the flushes of n > 1, n = 1 and n = 0 units.
+func TestAttemptBurstHoldsGraphOpen(t *testing.T) {
+	const staged, others = 64, 32
+	ex := exec.New(8)
+	defer ex.Close()
+	g := NewGraph("burst-hold", 8).WithExecutor(ex)
+	var ran, noise atomic.Int64
+	root := NewTagCollection[int](g, "root", false)
+	kids := NewTagCollection[int](g, "kids", false)
+	other := NewTagCollection[int](g, "other", false)
+	root.Prescribe(NewStepCollectionInto(g, "stage", func(_ int, bu *Burst) error {
+		for i := range staged {
+			kids.PutInto(i, bu)
+		}
+		for i := range others {
+			other.Put(i)
+		}
+		for noise.Load() < others {
+			runtime.Gosched()
+		}
+		return nil
+	}))
+	kids.Prescribe(NewStepCollectionInto(g, "kid", func(i int, bu *Burst) error {
+		ran.Add(1)
+		if i < staged/2 {
+			kids.PutInto(staged+i, bu)
+		}
+		return nil
+	}))
+	other.Prescribe(NewStepCollection(g, "other", func(int) error {
+		noise.Add(1)
+		return nil
+	}))
+	if err := g.Run(func() { root.Put(0) }); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ran.Load(), int64(staged+staged/2); got != want {
+		t.Fatalf("Run returned with %d staged units run, want %d", got, want)
+	}
+	if s := g.Stats(); s.StepsDone != 1+staged+staged/2+others || g.outstanding.Load() != 0 {
+		t.Fatalf("StepsDone %d, outstanding %d; want %d and 0", s.StepsDone, g.outstanding.Load(), 1+staged+staged/2+others)
 	}
 }

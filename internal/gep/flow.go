@@ -366,12 +366,11 @@ func (f *Flow[T, K]) Run(ctx context.Context, name string, workers int, variant 
 		}
 		f.Walk(f.Root, true, func(sub T, _ bool) { d.put(sub, nil) })
 	})
+	// Every item the program puts is a base task's receipt: ItemsPut, not
+	// LiveItems, since get-count GC frees receipts as their last reader
+	// finishes.
 	stats := CnCStats{Stats: d.g.Stats()}
-	for _, ic := range d.out {
-		// Puts, not Len: get-count GC frees receipts as their last reader
-		// finishes, so the live count no longer equals the task census.
-		stats.BaseTasks += int(ic.Puts())
-	}
+	stats.BaseTasks = int(stats.ItemsPut)
 	return stats, err
 }
 
