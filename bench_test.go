@@ -10,7 +10,7 @@
 //   - BenchmarkReal and BenchmarkRealPar execute the actual runtimes
 //     (goroutines) on the host.
 //   - BenchmarkAblation* measure the design alternatives called out in
-//     DESIGN.md (non-blocking gets, steal policy, tag memoization).
+//     DESIGN.md (non-blocking gets, tag memoization).
 package dpflow_test
 
 import (
@@ -22,7 +22,6 @@ import (
 	"dpflow/internal/bench"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
-	"dpflow/internal/exec"
 	"dpflow/internal/forkjoin"
 	"dpflow/internal/gep"
 	"dpflow/internal/harness"
@@ -191,44 +190,6 @@ func BenchmarkGE1KNativeCnC(b *testing.B) {
 	}
 	b.ReportMetric(float64(wakeups)/float64(puts), "wakeups/put")
 	b.ReportMetric(float64(steals)/float64(b.N), "steals/run")
-}
-
-// BenchmarkStealPolicy compares random and sequential victim selection in
-// both runtimes on one GE instance: the shared scheduling core's one policy
-// knob, measured per {runtime × policy} cell.
-func BenchmarkStealPolicy(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	orig := matrix.NewSquare(256)
-	orig.FillDiagonallyDominant(rng)
-	for _, rt := range []string{"cnc", "forkjoin"} {
-		for _, pol := range []exec.StealPolicy{exec.StealRandom, exec.StealSequential} {
-			b.Run(rt+"/"+pol.String(), func(b *testing.B) {
-				run := func(x *matrix.Dense) error {
-					_, err := runGE(x, 32, 4, core.NativeCnC, func(g *cnc.Graph) { g.SetStealPolicy(pol) })
-					return err
-				}
-				if rt == "forkjoin" {
-					pool := forkjoin.NewPool(forkjoin.Config{Workers: 4, Policy: pol})
-					defer pool.Close()
-					run = func(x *matrix.Dense) error {
-						f, err := gep.GE.Flow(x, 32)
-						if err != nil {
-							return err
-						}
-						return f.ForkJoin(context.Background(), pool)
-					}
-				}
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					x := orig.Clone()
-					b.StartTimer()
-					if err := run(x); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkAblationBaseSize sweeps the base size of a real CnC GE run —

@@ -12,7 +12,7 @@ import (
 )
 
 // Determinism survives the shared executor: replaying every benchmark
-// under two different schedules (worker counts and steal policies) on one
+// at two different worker counts on one
 // executor yields bit-identical item-store fingerprints. It runs at the
 // conformance suite's geometry, from the external test package because
 // chaos imports bench.
@@ -35,9 +35,7 @@ func TestSharedExecutorDeterminismAudit(t *testing.T) {
 				})
 				return err
 			}
-			diffs, err := chaos.DeterminismAudit(context.Background(), run,
-				chaos.Schedule{Workers: 2, Steal: exec.StealRandom},
-				chaos.Schedule{Workers: 3, Steal: exec.StealSequential})
+			diffs, err := chaos.DeterminismAudit(context.Background(), run, 2, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,8 +43,8 @@ type RunOpts struct {
 	Workers int
 	// Pool runs the fork-join variant; required for core.OMPTasking.
 	Pool *forkjoin.Pool
-	// Tune, when non-nil, receives every cnc.Graph the run builds before
-	// it starts — the chaos harness's fault hook and the memory report's
+	// Tune, when non-nil, receives the graph the run builds before it
+	// starts — the chaos harness's fault hook and the memory report's
 	// WithMemoryLimit hook. Ignored by non-CnC variants.
 	Tune func(*cnc.Graph)
 	// Trace, when non-nil, brackets every base-tile kernel invocation: the

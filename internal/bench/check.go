@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dpflow/internal/cnc"
@@ -32,14 +31,14 @@ type Check struct {
 	// Timeout is the hard deadline on the run; 0 leaves only ctx's.
 	Timeout time.Duration
 	// StallWindow is how long the run's progress counter may stand still
-	// before the watchdog cancels the run: ItemsPut of the newest CnC graph
+	// before the watchdog cancels the run: ItemsPut of the run's CnC graph
 	// (not StepsDone — a re-put livelock keeps retiring steps without
 	// producing data), the pool's executed tasks for fork-join. Remote waits
 	// (Graph.BackendBusy) defer it. 0 means 2s, negative no watchdog;
 	// serial runs have no counter and never get one.
 	StallWindow time.Duration
-	// Detect installs a fresh dataflow-discipline checker on every graph of
-	// a Native, Tuner or Manual CnC run (NonBlocking declares no get-counts
+	// Detect installs a dataflow-discipline checker on the graph of a
+	// Native, Tuner or Manual CnC run (NonBlocking declares no get-counts
 	// to check) and a determinacy-race detector on opts.Pool for
 	// OMPTasking. A detection fails a verified run, and so does a detector
 	// that saw nothing: a clean report from a check that never ran is not a
@@ -50,7 +49,7 @@ type Check struct {
 // Checked reports one checked run.
 type Checked struct {
 	// CnCStats is what Run returned, its counters replaced by those of the
-	// last graph the run built (zero for non-CnC variants).
+	// graph the run built (zero for non-CnC variants).
 	gep.CnCStats
 	// Wall is the duration of the Run call alone: no instance setup, no
 	// Verify.
@@ -65,15 +64,14 @@ type Checked struct {
 	Blocked []string
 	// DeadlineFired reports that a deadline expired — Timeout or ctx's.
 	DeadlineFired bool
-	// Violations are the discipline findings across every graph of the run;
-	// Discipline is the last checker's activity. Both stay empty without
-	// Detect.
+	// Violations are the discipline findings on the run's graph;
+	// Discipline is its checker's activity. Both stay empty without Detect.
 	Violations []error
 	Discipline determinacy.DisciplineStats
 }
 
 // Run executes inst under variant v inside the envelope. opts.Tune, when
-// set, sees every graph before the envelope arms it.
+// set, sees the run's graph before the envelope arms it.
 func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunOpts) (out Checked) {
 	var cancel context.CancelFunc
 	if c.Timeout > 0 {
@@ -88,21 +86,20 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 		w = &watch{window: cmp.Or(c.StallWindow, 2*time.Second), cancel: cancel}
 	}
 	discipline := c.Detect && v.IsCnC() && v != core.NonBlockingCnC
-	var last *cnc.Graph
-	var checkers []*determinacy.DisciplineChecker
+	var graph *cnc.Graph
+	var dc *determinacy.DisciplineChecker
 	tune := opts.Tune
 	opts.Tune = func(g *cnc.Graph) {
 		if tune != nil {
 			tune(g)
 		}
-		last = g
+		graph = g
 		if discipline {
-			dc := determinacy.NewDisciplineChecker()
+			dc = determinacy.NewDisciplineChecker()
 			g.WithDisciplineCheck(dc)
-			checkers = append(checkers, dc)
 		}
 		if w != nil {
-			w.graph.Store(g)
+			w.graph = g
 			w.start()
 		}
 	}
@@ -126,26 +123,24 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 		out.Stalled, out.Blocked = w.finish()
 	}
 	out.DeadlineFired = errors.Is(out.Err, context.DeadlineExceeded) || ctx.Err() == context.DeadlineExceeded
-	if last != nil {
-		out.Stats = last.Stats()
+	if graph != nil {
+		out.Stats = graph.Stats()
 	}
-	for _, dc := range checkers {
-		out.Violations = append(out.Violations, dc.Violations()...)
-	}
-	if n := len(checkers); n > 0 {
-		out.Discipline = checkers[n-1].Stats()
+	if dc != nil {
+		out.Violations = dc.Violations()
+		out.Discipline = dc.Stats()
 	}
 	switch {
 	case out.Err != nil && out.Stalled:
 		out.Err = fmt.Errorf("bench: watchdog: no progress, run cancelled: %w", out.Err)
 	case out.Err == nil:
-		out.Err = out.verify(inst, last, discipline, race)
+		out.Err = out.verify(inst, graph, discipline, race)
 	}
 	return out
 }
 
 // watch is a checked run's progress watch: one goroutine, started by the
-// run's first graph (or its fork-join pool), that samples a progress
+// run's graph (or its fork-join pool), that samples a progress
 // counter every window/8 (1ms at least) and cancels the run once the
 // counter has stood still for window. A deadlock quiesces and the runtime
 // reports it itself; a livelock — workers busy, no data produced — never
@@ -153,9 +148,9 @@ func (c Check) Run(ctx context.Context, inst Instance, v core.Variant, opts RunO
 type watch struct {
 	window time.Duration
 	cancel context.CancelFunc
-	// graph is the run's newest graph (the tuner probes first), swapped in
-	// by the wrapped Tune; pool is set before start for fork-join runs.
-	graph atomic.Pointer[cnc.Graph]
+	// graph (set by the wrapped Tune) or pool is the run's, set before
+	// start.
+	graph *cnc.Graph
 	pool  *forkjoin.Pool
 
 	started    bool
@@ -165,12 +160,9 @@ type watch struct {
 	blocked []string
 }
 
-// start launches the loop on the first call; later graphs only swap the
-// pointer. Tune and Run's setup call it from the run's own goroutine.
+// start launches the loop. Tune or Run's setup calls it once, from the
+// run's own goroutine.
 func (w *watch) start() {
-	if w.started {
-		return
-	}
 	w.started = true
 	w.stop, w.done = make(chan struct{}), make(chan struct{})
 	go w.loop()
@@ -186,13 +178,13 @@ func (w *watch) finish() (bool, []string) {
 	return w.stalled, w.blocked
 }
 
-// sample reads the progress counter Check.StallWindow names: the newest
-// graph's ItemsPut, else the pool's executed tasks.
-func (w *watch) sample() (*cnc.Graph, uint64) {
-	if g := w.graph.Load(); g != nil {
-		return g, g.Stats().ItemsPut
+// sample reads the progress counter Check.StallWindow names: the graph's
+// ItemsPut, else the pool's executed tasks.
+func (w *watch) sample() uint64 {
+	if w.graph != nil {
+		return w.graph.Stats().ItemsPut
 	}
-	return nil, w.pool.Stats().Executed
+	return w.pool.Stats().Executed
 }
 
 // loop anchors the window on the last change of the counter — arming time
@@ -201,7 +193,7 @@ func (w *watch) loop() {
 	defer close(w.done)
 	tick := time.NewTicker(max(w.window/8, time.Millisecond))
 	defer tick.Stop()
-	g, last := w.sample()
+	last := w.sample()
 	lastChange, wasBusy := time.Now(), false
 	for {
 		select {
@@ -209,21 +201,21 @@ func (w *watch) loop() {
 			return
 		case <-tick.C:
 		}
-		// A new graph restarts the window, as does a run parked inside its
-		// item backend, up to the first poll that finds it out: the
-		// transport's own deadlines own that wait, which may sit out a
-		// retry backoff far longer than the window.
-		cg, cur := w.sample()
-		busy := cg != nil && cg.BackendBusy() > 0
-		if cg != g || cur != last || busy || wasBusy {
-			g, last, lastChange, wasBusy = cg, cur, time.Now(), busy
+		// A run parked inside its item backend restarts the window, up to
+		// the first poll that finds it out: the transport's own deadlines
+		// own that wait, which may sit out a retry backoff far longer than
+		// the window.
+		cur := w.sample()
+		busy := w.graph != nil && w.graph.BackendBusy() > 0
+		if cur != last || busy || wasBusy {
+			last, lastChange, wasBusy = cur, time.Now(), busy
 			continue
 		}
 		if time.Since(lastChange) < w.window {
 			continue
 		}
-		if g != nil {
-			w.blocked = g.Blocked()
+		if w.graph != nil {
+			w.blocked = w.graph.Blocked()
 		}
 		w.stalled = true
 		w.cancel()
@@ -232,22 +224,22 @@ func (w *watch) loop() {
 }
 
 // verify checks a run that returned nil: its result, then the riders.
-// discipline reports that every graph of the run had a checker.
-func (out *Checked) verify(inst Instance, last *cnc.Graph, discipline bool, race *determinacy.Detector) error {
+// discipline reports that the run's graph had a checker.
+func (out *Checked) verify(inst Instance, g *cnc.Graph, discipline bool, race *determinacy.Detector) error {
 	if err := inst.Verify(); err != nil {
 		return fmt.Errorf("%w: %w", ErrVerify, err)
 	}
 	s := out.Stats
-	if last != nil && last.HasGetCounts() && s.LiveItems != 0 {
+	if g != nil && g.HasGetCounts() && s.LiveItems != 0 {
 		return fmt.Errorf("bench: run verified but leaked %d of %d items (freed %d)", s.LiveItems, s.ItemsPut, s.ItemsFreed)
 	}
-	if last != nil && last.MemoryLimit() > 0 && s.BackpressureStalls == 0 && s.PeakLiveBytes > last.MemoryLimit() {
-		return fmt.Errorf("bench: run verified but peaked at %d live bytes over its %d-byte limit without a stall", s.PeakLiveBytes, last.MemoryLimit())
+	if g != nil && g.MemoryLimit() > 0 && s.BackpressureStalls == 0 && s.PeakLiveBytes > g.MemoryLimit() {
+		return fmt.Errorf("bench: run verified but peaked at %d live bytes over its %d-byte limit without a stall", s.PeakLiveBytes, g.MemoryLimit())
 	}
 	if len(out.Violations) > 0 {
 		return fmt.Errorf("bench: run verified but broke dataflow discipline (%d violations): %w", len(out.Violations), out.Violations[0])
 	}
-	if discipline && last == nil {
+	if discipline && g == nil {
 		return errors.New("bench: discipline checking is vacuous: the run built no graph")
 	}
 	if d := out.Discipline; discipline && (d.Puts == 0 || d.Releases == 0) {

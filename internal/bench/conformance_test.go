@@ -91,6 +91,7 @@ func TestConformanceVariantsAgree(t *testing.T) {
 // that called Run — the environment's. RunContext never runs a unit on its
 // caller, so one kernel there is a step run inline at its tag put, and a
 // variant whose recursion runs that way is serial whatever its worker count.
+// A run builds one graph: RunOpts.Tune sees exactly one.
 func TestConformanceKernelsRunOnWorkers(t *testing.T) {
 	const tiles = 8
 	for _, b := range All() {
@@ -109,8 +110,13 @@ func TestConformanceKernelsRunOnWorkers(t *testing.T) {
 					}
 					return func() {}
 				}
-				if _, err := in.Run(context.Background(), v, RunOpts{Workers: 2, Trace: trace}); err != nil {
+				tunes := 0
+				tune := func(*cnc.Graph) { tunes++ }
+				if _, err := in.Run(context.Background(), v, RunOpts{Workers: 2, Trace: trace, Tune: tune}); err != nil {
 					t.Fatal(err)
+				}
+				if tunes != 1 {
+					t.Fatalf("Tune called %d times in one Run, want 1", tunes)
 				}
 				if err := in.Verify(); err != nil {
 					t.Fatal(err)

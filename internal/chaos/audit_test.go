@@ -9,11 +9,10 @@ import (
 	"dpflow/internal/chaos"
 	"dpflow/internal/cnc"
 	"dpflow/internal/core"
-	"dpflow/internal/exec"
 )
 
 // TestDeterminismAuditBenchmarks replays every registered benchmark's CnC
-// graph under two schedules (different worker counts and steal policies)
+// graph under two schedules (different worker counts)
 // and checks the item-store fingerprints are identical: the CnC runtime's
 // determinism claim, verified on contents rather than just on the final
 // table.
@@ -34,9 +33,7 @@ func TestDeterminismAuditBenchmarks(t *testing.T) {
 				}
 				return in.Verify()
 			}
-			diff, err := chaos.DeterminismAudit(context.Background(), run,
-				chaos.Schedule{Workers: 2, Steal: exec.StealSequential},
-				chaos.Schedule{Workers: chaosWorkers, Steal: exec.StealRandom})
+			diff, err := chaos.DeterminismAudit(context.Background(), run, 2, chaosWorkers)
 			if err != nil {
 				t.Fatalf("audit failed: %v", err)
 			}
@@ -64,9 +61,7 @@ func TestDeterminismAuditCatchesScheduleDependence(t *testing.T) {
 		tune(g)
 		return g.RunContext(ctx, func() { tags.Put(0) })
 	}
-	diff, err := chaos.DeterminismAudit(context.Background(), run,
-		chaos.Schedule{Workers: 1, Steal: exec.StealSequential},
-		chaos.Schedule{Workers: 4, Steal: exec.StealRandom})
+	diff, err := chaos.DeterminismAudit(context.Background(), run, 1, 4)
 	if err != nil {
 		t.Fatalf("audit failed: %v", err)
 	}
@@ -88,9 +83,7 @@ func TestDeterminismAuditSurfacesViolation(t *testing.T) {
 			out.Put(0, 2)
 		})
 	}
-	_, err := chaos.DeterminismAudit(context.Background(), run,
-		chaos.Schedule{Workers: 1, Steal: exec.StealSequential},
-		chaos.Schedule{Workers: 2, Steal: exec.StealRandom})
+	_, err := chaos.DeterminismAudit(context.Background(), run, 1, 2)
 	if err == nil || !strings.Contains(err.Error(), "write-once violation") {
 		t.Fatalf("err = %v, want write-once violation surfaced", err)
 	}

@@ -22,12 +22,12 @@ type Runner struct {
 	Timeout time.Duration
 	// StallWindow is the watchdog's no-progress window (default 2s).
 	StallWindow time.Duration
-	// Retry is the step retry budget installed on every graph of a run
-	// under a Recoverable fault; set it at least as high as the fault's
+	// Retry is the step retry budget installed on the run's graph under a
+	// Recoverable fault; set it at least as high as the fault's
 	// injection budget to make recovery certain.
 	Retry int
-	// Discipline is bench.Check's Detect: a fresh dataflow-discipline
-	// checker on every graph. Injected faults may fail or stall a run, but
+	// Discipline is bench.Check's Detect: a dataflow-discipline checker on
+	// the run's graph. Injected faults may fail or stall a run, but
 	// a verified run that broke write-once or overdrew a get-count fails.
 	Discipline bool
 }
@@ -46,7 +46,7 @@ type Result struct {
 }
 
 // Drive runs inst once under variant v with workers workers and fault
-// armed on every graph, and classifies the outcome. Every run ends in
+// armed on its graph, and classifies the outcome. Every run ends in
 // bounded time: normal completion, a precise error, watchdog cancellation,
 // or (never, if the harness is healthy) the hard deadline. Err wraps the
 // run's identity; a result the fault corrupted wraps ErrInjected.

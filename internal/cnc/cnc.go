@@ -336,17 +336,10 @@ func NewGraph(name string, workers int) *Graph {
 	g := &Graph{name: name, workers: workers, bursts: make([]laneBurst, workers)}
 	g.acct.g = g
 	g.quiesceCond = sync.NewCond(&g.quiesceMu)
-	g.SetStealPolicy(exec.StealRandom)
-	return g
-}
-
-// SetStealPolicy selects the victim order idle workers use when stealing
-// (exec.StealRandom by default) by rebuilding the still-empty lanes.
-// Write-before-Run configuration, like SetHooks.
-func (g *Graph) SetStealPolicy(p exec.StealPolicy) {
 	// Deterministic steal seed: runs are reproducible for a given graph
 	// shape, and CnC determinism holds under any victim order anyway.
-	g.lanes = exec.NewLanes(g.workers, p, 1)
+	g.lanes = exec.NewLanes(workers, 1)
+	return g
 }
 
 // WithExecutor selects the shared executor the run leases its logical
@@ -452,31 +445,23 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 	lease := g.lanes.Lease(ex, g.name)
 
 	// A context cancelled before the run starts must fail the run
-	// deterministically: the monitor goroutine races the executor draining
-	// the graph (unlike the old dedicated workers, the shared pool is
-	// already awake), so check synchronously before the first put.
+	// deterministically: the cancellation callback races the executor
+	// draining the graph (the shared pool is already awake), so check
+	// synchronously before the first put.
 	if err := ctx.Err(); err != nil {
 		g.fail(err)
 		g.cancelled.Store(true)
 	}
 
-	stopMonitor := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				// Record the cancellation as the run's error (first error
-				// wins) and switch the workers to drain mode.
-				g.fail(ctx.Err())
-				g.cancelled.Store(true)
-				// Flush deferred throttled instances so drain mode can
-				// retire them; otherwise their pending holds would keep
-				// the graph from quiescing.
-				g.acct.pump()
-			case <-stopMonitor:
-			}
-		}()
-	}
+	stopCancel := context.AfterFunc(ctx, func() {
+		// Record the cancellation as the run's error (first error wins) and
+		// switch the workers to drain mode.
+		g.fail(ctx.Err())
+		g.cancelled.Store(true)
+		// Flush deferred throttled instances so drain mode can retire them;
+		// otherwise their pending holds would keep the graph from quiescing.
+		g.acct.pump()
+	})
 
 	// The environment counts as outstanding work while it runs so that the
 	// graph cannot quiesce before the initial puts are complete.
@@ -505,7 +490,7 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 	g.finished.Store(true)
 	g.running.Store(false)
 	lease.Close()
-	close(stopMonitor)
+	stopCancel()
 
 	// End-of-run backend barrier: a batching backend (internal/dist) may
 	// still hold mirrored puts, or checks of them, in its buffers; surface
@@ -514,8 +499,8 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 
 	if g.parked.Load() > 0 {
 		// The cancellation wins over the deadlock of the instances it
-		// starved even when the monitor has not run yet: the drained graph
-		// can quiesce before it does, and then the select picks at random.
+		// starved even when the cancellation callback has not run yet: the
+		// drained graph can quiesce before it does.
 		if err := ctx.Err(); err != nil {
 			g.fail(err)
 		}

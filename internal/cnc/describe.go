@@ -63,8 +63,8 @@ func (g *Graph) Describe() string {
 	if g.acct.limit > 0 {
 		fmt.Fprintf(&sb, "// memory limit: %d bytes (throttled puts deferred until frees land)\n", g.acct.limit)
 	}
-	fmt.Fprintf(&sb, "// scheduler: %d worker(s), work-stealing dispatch (%s victim order), %d-way striped item stores\n",
-		g.workers, g.lanes.Policy(), itemShards)
+	fmt.Fprintf(&sb, "// scheduler: %d worker(s), work-stealing dispatch (random victim order), %d-way striped item stores\n",
+		g.workers, itemShards)
 	return sb.String()
 }
 

@@ -39,7 +39,7 @@ func TestAttemptSuccessorRunsNext(t *testing.T) {
 	defer ex.Close()
 	hold := make(chan struct{})
 	held := make(chan struct{})
-	blocker := exec.NewLanes(1, exec.StealRandom, 1)
+	blocker := exec.NewLanes(1, 1)
 	bl := blocker.Lease(ex, "blocker")
 	blocker.Push(unitFunc(func() { close(held); <-hold }))
 	<-held

@@ -28,7 +28,7 @@ type Runner struct {
 	// ladders legitimately take seconds).
 	Timeout time.Duration
 	// Discipline is bench.Check's Detect: a dataflow-discipline checker on
-	// every graph.
+	// the run's graph.
 	Discipline bool
 	// Options seeds the coordinator configuration (Shards overridden by
 	// Runner.Shards when set).

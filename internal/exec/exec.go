@@ -7,12 +7,13 @@
 //
 //   - a client leases `slots` logical workers (its configured concurrency
 //     cap) and hands the lease a Source — a non-blocking "run up to budget
-//     units of work on logical slot s" entry point. Both runtimes use Lanes
-//     as their Source: per-slot stealable queues, one victim sweep, one
-//     budgeted drain loop, one owner/thief discipline (lanes.go). What
-//     they keep for themselves is placement — which pushes spawn on the
-//     pushing slot's own lane and which enqueue round-robin — whether a
-//     waiting task helps, and their envelope types;
+//     units of work on logical slot s" entry point, where every unit can
+//     run on any slot. Both runtimes use Lanes as their Source: per-slot
+//     stealable queues, one victim sweep, one budgeted drain loop, one
+//     owner/thief discipline (lanes.go). What they keep for themselves is
+//     placement — which pushes spawn on the pushing slot's own lane and
+//     which enqueue round-robin — whether a waiting task helps, and their
+//     envelope types;
 //   - physical workers multiplex across all active leases: they claim one
 //     logical slot at a time (so per-slot state — the owner's end of the
 //     lane, victim RNG — keeps its single-consumer discipline), run a bounded
@@ -22,29 +23,28 @@
 //     park protocol guarantees no lost wakeup without a thundering herd.
 //
 // Total goroutines are therefore bounded by the executor size plus O(1)
-// per in-flight run (context monitors, callers blocked in Run), never by
-// jobs × workers.
+// per in-flight run (callers blocked in Run), never by jobs × workers.
 //
 // # Claim protocol
 //
-// A lease's logical slot is run by at most one physical worker at a time:
-// slots are claimed by CAS, and a claim runs the Source until it reports no
-// work or a batch budget is exhausted. Clients tag pushes with a slot hint
-// (Notify(slot)); hinted slots are claimed preferentially, which is how a
-// Source's slot-only work — runnable only on its designated logical worker
-// — is guaranteed to be served even when other slots are idle. Work that
-// any slot can serve (stealable queues) is covered by a fallback claim of
-// any free slot.
+// A lease's logical slot is run by at most one physical worker at a time,
+// and any slot can run any unit its Source holds. A serving worker
+// therefore claims, by CAS, the first free slot of a dirty lease, starting
+// at its own worker index, and runs one batch there. A batch that ran its
+// full budget leaves the lease dirty, since more work likely waits.
 //
 // # Dirty-bit discipline (lost-wakeup freedom)
 //
-// Notify sets the slot's dirty bit and the lease's dirty bit *after* the
-// client's push completed, then wakes at most one parked physical worker.
-// A serving worker clears the lease dirty bit before scanning and each slot
-// dirty bit before running it, so a push racing with the scan re-dirties
-// and re-wakes. A dirty slot found busy (another worker inside it) re-sets
-// the lease dirty bit: either the busy claim's own run loop sees the new
-// work, or a later sweep re-claims the slot once it is released. A physical
+// A lease has one dirty bit. Notify sets it after the client's push
+// completed, then wakes at most one parked physical worker. A worker clears
+// the bit only after a probe that found nothing — an empty pass, or the end
+// of a batch that stopped short of its budget, which a Source returns only
+// when nothing is runnable — and then probes once more from the slot it
+// still holds. A unit pushed before the clear is found by
+// that second probe, because any slot can take it; a unit pushed after the
+// clear sets the bit again. A worker that finds every slot busy returns
+// without clearing: those claims' run loops take the work, and a worker
+// that releases a slot always sweeps again before it parks. A physical
 // worker parks only after registering in the parked set and sweeping every
 // lease once more — the push-enqueues-then-wakes / park-registers-then-
 // reprobes pairing that makes the token handoff race-free.
@@ -58,10 +58,12 @@ import (
 
 // Source is the client side of a lease: a runtime able to execute its own
 // work on a logical worker without blocking. RunSlot must run up to budget
-// units of work available to logical worker `slot` — including work it can
-// steal from the client's other slots — and return the number actually
-// run, returning (rather than blocking) as soon as nothing is runnable.
-// The executor guarantees at most one RunSlot call per slot is in flight.
+// units on logical worker `slot` and return the number actually run,
+// returning (rather than blocking) as soon as nothing is runnable. Every
+// unit must be runnable on any slot — the executor serves a lease through
+// whichever slot is free — so a slot whose own share is empty steals from
+// the others. The executor guarantees at most one RunSlot call per slot is
+// in flight.
 type Source interface {
 	RunSlot(slot, budget int) int
 }
@@ -187,13 +189,12 @@ func (e *Executor) Lease(name string, slots int, src Source) *Lease {
 		slots = 1
 	}
 	l := &Lease{
-		ex:        e,
-		name:      name,
-		src:       src,
-		slots:     slots,
-		slotDirty: make([]atomic.Bool, slots),
-		slotBusy:  make([]atomic.Bool, slots),
-		idle:      make(chan struct{}),
+		ex:       e,
+		name:     name,
+		src:      src,
+		slots:    slots,
+		slotBusy: make([]atomic.Bool, slots),
+		idle:     make(chan struct{}),
 	}
 	e.leaseMu.Lock()
 	old := *e.leases.Load()
@@ -225,37 +226,26 @@ type Lease struct {
 	src   Source
 	slots int
 
-	dirty     atomic.Bool
-	slotDirty []atomic.Bool
-	slotBusy  []atomic.Bool
+	dirty    atomic.Bool
+	slotBusy []atomic.Bool
 
 	closed   atomic.Bool
 	active   atomic.Int64  // physical workers currently inside serve()
 	idle     chan struct{} // closed once the closed lease has drained
 	idleOnce sync.Once
-
-	claims atomic.Uint64
-	units  atomic.Uint64
 }
 
 // Name returns the name the lease was registered with.
 func (l *Lease) Name() string { return l.name }
 
-// Units returns the number of work units the executor has run for this
-// lease.
-func (l *Lease) Units() uint64 { return l.units.Load() }
-
-// Notify marks logical slot `slot` (any slot when out of range, e.g. -1)
-// as having work and wakes at most one parked physical worker. Call it
-// after the push that made the work visible — never before — so the
-// executor's clear-before-scan discipline cannot miss it. Returns whether
+// Notify marks the lease as having work and wakes at most one parked
+// physical worker. slot names the slot the work was pushed on; any slot
+// serves it. Call Notify after the push that made the work visible — never
+// before — so a worker's clear-then-reprobe cannot miss it. Returns whether
 // a parked worker was actually woken (the client-visible wake bill).
 func (l *Lease) Notify(slot int) bool {
 	if l.closed.Load() {
 		return false
-	}
-	if slot >= 0 && slot < l.slots && !l.slotDirty[slot].Load() {
-		l.slotDirty[slot].Store(true)
 	}
 	if !l.dirty.Load() {
 		l.dirty.Store(true)
@@ -298,71 +288,48 @@ func (l *Lease) exit() {
 	}
 }
 
-// serve runs one bounded pass over the lease: claim dirty slots first
-// (slot-only work is runnable only on its hinted slot), then — if nothing was
-// claimed — any free slot once, which serves stealable work whose hint
-// slot is busy or stale. Returns the number of units run.
-func (e *Executor) serve(l *Lease) int {
+// serve claims the first free slot of l, starting at slot id, runs one
+// batch there and returns the number of units run. With every slot busy it
+// returns 0 and leaves the dirty bit set: those claims' run loops take the
+// work.
+func (e *Executor) serve(l *Lease, id int) int {
 	if !l.enter() {
 		return 0
 	}
 	defer l.exit()
-	// Clear-before-scan: a Notify racing with this pass re-dirties.
-	l.dirty.Store(false)
-	total := 0
-	claimed := false
-	for s := 0; s < l.slots; s++ {
-		if !l.slotDirty[s].Load() {
-			continue
-		}
+	for i := 0; i < l.slots; i++ {
+		s := (id + i) % l.slots
 		if !l.slotBusy[s].CompareAndSwap(false, true) {
-			// Busy dirty slot: its current claim either sees the new work in
-			// its own run loop or a later sweep re-claims it — either way the
-			// lease must stay visibly dirty so that sweep happens.
-			l.dirty.Store(true)
 			continue
 		}
-		claimed = true
-		l.slotDirty[s].Store(false)
-		total += l.runClaimed(s)
-	}
-	if !claimed && total == 0 {
-		// No claimable dirty slot; try one free slot so stealable work with
-		// a busy hint slot is still served.
-		for s := 0; s < l.slots; s++ {
-			if l.slotBusy[s].CompareAndSwap(false, true) {
-				total = l.runClaimed(s)
-				break
-			}
+		n := l.src.RunSlot(s, batchBudget)
+		full := n >= batchBudget
+		if !full {
+			// The batch stopped short, so its last probe found nothing:
+			// clear, then probe once more. A push that landed before the
+			// clear is found here, since any slot can run it; one after it
+			// sets the bit again.
+			l.dirty.Store(false)
+			m := l.src.RunSlot(s, batchBudget)
+			n, full = n+m, m >= batchBudget
 		}
+		l.slotBusy[s].Store(false)
+		if full {
+			// More work likely waits: keep the lease dirty, whoever cleared it.
+			l.dirty.Store(true)
+		}
+		if n > 0 {
+			e.claims.Add(1)
+			e.units.Add(uint64(n))
+		}
+		return n
 	}
-	if total > 0 {
-		e.claims.Add(1)
-		e.units.Add(uint64(total))
-		l.claims.Add(1)
-		l.units.Add(uint64(total))
-	}
-	return total
+	return 0
 }
 
-// runClaimed runs one batch on slot s, which the caller has marked busy, and
-// releases the slot.
-func (l *Lease) runClaimed(s int) int {
-	n := l.src.RunSlot(s, batchBudget)
-	l.slotBusy[s].Store(false)
-	if n >= batchBudget {
-		// Budget exhausted, so there is likely more work, and it may be
-		// runnable only on this slot: keep the slot dirty, not only the lease, or nothing
-		// would claim s again until the next Notify(s).
-		l.slotDirty[s].Store(true)
-		l.dirty.Store(true)
-	}
-	return n
-}
-
-// sweep serves one lease with work, rotating the worker's cursor for
+// sweep serves one lease with work for worker id, rotating its cursor for
 // fairness across tenants. Returns whether any work ran.
-func (e *Executor) sweep(cursor *int) bool {
+func (e *Executor) sweep(id int, cursor *int) bool {
 	ls := *e.leases.Load()
 	n := len(ls)
 	if n == 0 {
@@ -374,7 +341,7 @@ func (e *Executor) sweep(cursor *int) bool {
 		if !l.dirty.Load() {
 			continue
 		}
-		if e.serve(l) > 0 {
+		if e.serve(l, id) > 0 {
 			*cursor = (idx + 1) % n
 			return true
 		}
@@ -386,7 +353,7 @@ func (e *Executor) loop(id int) {
 	defer e.wg.Done()
 	cursor := id // stagger starting positions across workers
 	for {
-		if e.sweep(&cursor) {
+		if e.sweep(id, &cursor) {
 			continue
 		}
 		// Register as parked, then sweep once more before sleeping: a
@@ -402,7 +369,7 @@ func (e *Executor) loop(id int) {
 		e.parked = append(e.parked, id)
 		e.nParked.Add(1)
 		e.parkMu.Unlock()
-		if e.sweep(&cursor) {
+		if e.sweep(id, &cursor) {
 			e.cancelPark(id)
 			continue
 		}

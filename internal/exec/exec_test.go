@@ -8,19 +8,16 @@ import (
 	"time"
 )
 
-// chanSource is a minimal Source over per-slot FIFO queues. When steal is
-// set, any slot may also drain other slots' queues (modelling stealable
-// work); otherwise work is runnable only on its own slot (slot-only work,
-// which the executor's per-slot hints exist to serve).
+// chanSource is a minimal Source over per-slot FIFO queues: a slot drains
+// its own queue, then the others', as the executor requires of every Source.
 type chanSource struct {
-	mu    sync.Mutex
-	qs    [][]func()
-	steal bool
-	ran   atomic.Int64
+	mu  sync.Mutex
+	qs  [][]func()
+	ran atomic.Int64
 }
 
-func newChanSource(slots int, steal bool) *chanSource {
-	return &chanSource{qs: make([][]func(), slots), steal: steal}
+func newChanSource(slots int) *chanSource {
+	return &chanSource{qs: make([][]func(), slots)}
 }
 
 func (s *chanSource) push(slot int, f func()) {
@@ -37,13 +34,11 @@ func (s *chanSource) pop(slot int) func() {
 		s.qs[slot] = s.qs[slot][1:]
 		return f
 	}
-	if s.steal {
-		for i := range s.qs {
-			if len(s.qs[i]) > 0 {
-				f := s.qs[i][0]
-				s.qs[i] = s.qs[i][1:]
-				return f
-			}
+	for i := range s.qs {
+		if len(s.qs[i]) > 0 {
+			f := s.qs[i][0]
+			s.qs[i] = s.qs[i][1:]
+			return f
 		}
 	}
 	return nil
@@ -66,7 +61,7 @@ func (s *chanSource) RunSlot(slot, budget int) int {
 func TestExecutorRunsAllWork(t *testing.T) {
 	e := New(4)
 	defer e.Close()
-	src := newChanSource(4, true)
+	src := newChanSource(4)
 	l := e.Lease("t", 4, src)
 	defer l.Close()
 
@@ -89,7 +84,7 @@ func TestExecutorRunsAllWork(t *testing.T) {
 func TestExecutorNoLostWakeup(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	src := newChanSource(1, false)
+	src := newChanSource(1)
 	l := e.Lease("t", 1, src)
 	defer l.Close()
 
@@ -105,52 +100,14 @@ func TestExecutorNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestExecutorPinnedSlotServed verifies work runnable only on its hinted
-// slot is served even when other leases keep the executor busy.
-func TestExecutorPinnedSlotServed(t *testing.T) {
-	e := New(2)
-	defer e.Close()
-
-	// A noisy lease that keeps generating work.
-	noisy := newChanSource(2, true)
-	nl := e.Lease("noisy", 2, noisy)
-	defer nl.Close()
-	stop := atomic.Bool{}
-	var refill func()
-	refill = func() {
-		if !stop.Load() {
-			noisy.push(0, refill)
-			nl.Notify(0)
-		}
-	}
-	noisy.push(0, refill)
-	nl.Notify(0)
-	defer stop.Store(true)
-
-	// Pinned work on slot 3 of a 4-slot non-stealing lease.
-	pinned := newChanSource(4, false)
-	pl := e.Lease("pinned", 4, pinned)
-	defer pl.Close()
-	for i := 0; i < 100; i++ {
-		ch := make(chan struct{})
-		pinned.push(3, func() { close(ch) })
-		pl.Notify(3)
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("iteration %d: pinned work starved", i)
-		}
-	}
-}
-
-// TestExecutorPinnedBeyondBudget queues more pinned work on one slot than a
-// single claim's batch budget, behind a single Notify: the claim that
-// exhausts its budget must leave the slot claimable, or the remainder is
-// stranded until a push that may never come.
+// TestExecutorPinnedBeyondBudget queues more work on one slot than a single
+// claim's batch budget, behind a single Notify: a pass that ran a full batch
+// must leave the lease dirty, or the remainder is stranded until a push that
+// may never come.
 func TestExecutorPinnedBeyondBudget(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	src := newChanSource(2, false)
+	src := newChanSource(2)
 	l := e.Lease("t", 2, src)
 	defer l.Close()
 	const total = 3*batchBudget + 1
@@ -160,7 +117,41 @@ func TestExecutorPinnedBeyondBudget(t *testing.T) {
 		src.push(1, func() { done.Done() })
 	}
 	l.Notify(1)
-	waitDone(t, &done, 5*time.Second, "pinned work beyond the batch budget was stranded")
+	waitDone(t, &done, 5*time.Second, "work beyond the batch budget was stranded")
+}
+
+// TestExecutorLongUnitHidesNoWork pushes one unit that waits for the units
+// pushed right behind it: a worker inside a long unit must not leave the
+// lease reading clean while the others park.
+func TestExecutorLongUnitHidesNoWork(t *testing.T) {
+	e := New(8)
+	defer e.Close()
+	q := NewLanes(8, 1)
+	l := q.Lease(e, "t")
+	defer l.Close()
+	abort := make(chan struct{})
+	defer close(abort) // before l.Close: a stranded run must not hang the drain
+
+	const behind = 32
+	var ran sync.WaitGroup
+	ran.Add(behind)
+	allRan, done := make(chan struct{}), make(chan struct{})
+	go func() { ran.Wait(); close(allRan) }()
+	q.Push(funcUnit(func() {
+		select {
+		case <-allRan:
+			close(done)
+		case <-abort:
+		}
+	}))
+	for i := 0; i < behind; i++ {
+		q.Push(funcUnit(ran.Done))
+	}
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("units queued behind a long unit were stranded")
+	}
 }
 
 // TestExecutorMultiLeaseCompletion runs many leases concurrently and
@@ -176,7 +167,7 @@ func TestExecutorMultiLeaseCompletion(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			src := newChanSource(4, true)
+			src := newChanSource(4)
 			l := e.Lease("t", 4, src)
 			defer l.Close()
 			var done sync.WaitGroup
@@ -209,7 +200,7 @@ func TestExecutorMultiLeaseCompletion(t *testing.T) {
 func TestLeaseCloseDrains(t *testing.T) {
 	e := New(2)
 	defer e.Close()
-	src := newChanSource(2, true)
+	src := newChanSource(2)
 	l := e.Lease("t", 2, src)
 	for i := 0; i < 100; i++ {
 		src.push(i%2, func() { time.Sleep(100 * time.Microsecond) })

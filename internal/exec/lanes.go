@@ -12,30 +12,6 @@ import (
 // every func() closure capturing a tag is a fresh heap object.
 type Unit interface{ Run(slot int) }
 
-// StealPolicy selects how an idle slot picks steal victims. Both runtimes
-// take it (cnc.Graph.SetStealPolicy, forkjoin.Config.Policy), which keeps
-// their scheduling disciplines comparable: Dinh & Simhadri show that
-// nested-parallel is the special case of nested-dataflow and that one
-// work-stealing scheduler serves both.
-type StealPolicy int
-
-const (
-	// StealRandom probes victims in (pseudo) random order; the default, as
-	// in Cilk-style runtimes.
-	StealRandom StealPolicy = iota
-	// StealSequential probes victims in round-robin order starting after
-	// the thief; kept as an ablation knob.
-	StealSequential
-)
-
-// String renders the policy for Describe output.
-func (p StealPolicy) String() string {
-	if p == StealSequential {
-		return "sequential"
-	}
-	return "random"
-}
-
 // ring is a growable circular deque. It reuses its backing array, so
 // steady-state push/pop allocates nothing and retains no dead elements
 // (regression-tested with testing.AllocsPerRun).
@@ -96,8 +72,8 @@ type lane struct {
 	rng     uint64 // touched only by the slot's current claim
 }
 
-// victimStart advances the lane's xorshift64 state and returns the lane a
-// random-order sweep over n lanes starts at.
+// victimStart advances the lane's xorshift64 state and returns the lane its
+// steal sweep over n lanes starts at.
 func (l *lane) victimStart(n int) int {
 	l.rng ^= l.rng << 13
 	l.rng ^= l.rng >> 7
@@ -108,8 +84,8 @@ func (l *lane) victimStart(n int) int {
 // Lanes is the work-stealing core both runtimes schedule through: one lane
 // per leased slot. It is the lease's Source, so executor workers drain it
 // directly, and every push reports through Lease.Notify after the enqueue
-// completed — the order the executor's clear-before-scan dirty bits need to
-// never strand work (see the package comment).
+// completed — the order the executor's clear-then-reprobe dirty bit needs
+// to never strand work (see the package comment).
 //
 // Both runtimes share one discipline, the nested-parallel order of
 // work-stealing schedulers, with TBB's spawn/enqueue split. PushTo spawns
@@ -117,12 +93,12 @@ func (l *lane) victimStart(n int) int {
 // enqueues round-robin on the lanes' FIFO queues — what runs after the
 // spawned work, oldest first. A slot takes the newest unit it spawned,
 // else the oldest unit enqueued on its lane, else sweeps the other lanes
-// once and steals from the first non-empty victim its oldest enqueued unit,
-// else its oldest spawned one. The executor runs at most one claim per
-// slot, so the victim RNG has a single consumer.
+// once, from a seeded random start, and steals from the first non-empty
+// victim its oldest enqueued unit, else its oldest spawned one. The
+// executor runs at most one claim per slot, so the victim RNG has a single
+// consumer.
 type Lanes struct {
-	lanes  []lane
-	policy StealPolicy
+	lanes []lane
 
 	// lease is set by Lease before the client's first push and left in place
 	// after the lease closes: Notify on a closed lease is a no-op, so late
@@ -139,11 +115,11 @@ type Lanes struct {
 // NewLanes creates n lanes (minimum 1). The victim order of lane i is
 // seeded from (seed, i), so a run is reproducible for a given shape;
 // results never depend on it.
-func NewLanes(n int, policy StealPolicy, seed int64) *Lanes {
+func NewLanes(n int, seed int64) *Lanes {
 	if n < 1 {
 		n = 1
 	}
-	q := &Lanes{lanes: make([]lane, n), policy: policy}
+	q := &Lanes{lanes: make([]lane, n)}
 	for i := range q.lanes {
 		// An odd multiplier is a bijection, so distinct (seed, i) pairs get
 		// distinct states; xorshift only needs the state to be nonzero.
@@ -162,9 +138,6 @@ func (q *Lanes) Lease(e *Executor, name string) *Lease {
 	q.lease = e.Lease(name, len(q.lanes), q)
 	return q.lease
 }
-
-// Policy returns the victim order the lanes were built with.
-func (q *Lanes) Policy() StealPolicy { return q.policy }
 
 // Counters returns the units taken from another slot's lane, the steal
 // probes that found an empty victim, and the pushes whose Notify actually
@@ -226,17 +199,15 @@ func (q *Lanes) Take(slot int) Unit {
 	return u
 }
 
-// steal probes the other lanes once each, in policy order, taking a
-// victim's oldest enqueued unit, else its oldest spawned one.
+// steal probes the other lanes once each, from the lane's seeded random
+// start, taking a victim's oldest enqueued unit, else its oldest spawned
+// one.
 func (q *Lanes) steal(slot int) Unit {
 	n := len(q.lanes)
 	if n == 1 {
 		return nil
 	}
-	start := slot + 1
-	if q.policy == StealRandom {
-		start = q.lanes[slot].victimStart(n)
-	}
+	start := q.lanes[slot].victimStart(n)
 	for i := 0; i < n; i++ {
 		vi := (start + i) % n
 		if vi == slot {

@@ -170,7 +170,7 @@ func TestRingReusesBacking(t *testing.T) {
 // them (ownerFIFO).
 func TestLanesOwnerAndThiefOrder(t *testing.T) {
 	t.Run("ownerLIFO", func(t *testing.T) {
-		q := NewLanes(2, StealSequential, 1)
+		q := NewLanes(2, 1)
 		for i := 1; i <= 4; i++ {
 			q.PushTo(0, idUnit(i))
 		}
@@ -187,7 +187,7 @@ func TestLanesOwnerAndThiefOrder(t *testing.T) {
 		}
 	})
 	t.Run("ownerFIFO", func(t *testing.T) {
-		q := NewLanes(1, StealSequential, 1)
+		q := NewLanes(1, 1)
 		q.Push(idUnit(8))
 		q.PushTo(0, idUnit(1), idUnit(2))
 		q.Push(idUnit(9))
@@ -196,7 +196,7 @@ func TestLanesOwnerAndThiefOrder(t *testing.T) {
 		}
 		// Two lanes: every second round-robin push lands on lane 1, the
 		// first of them there.
-		q = NewLanes(2, StealSequential, 1)
+		q = NewLanes(2, 1)
 		q.PushTo(1, idUnit(1), idUnit(2))
 		for i := 6; i <= 9; i++ {
 			q.Push(idUnit(i)) // 6 and 8 on lane 1, 7 and 9 on lane 0
@@ -215,7 +215,7 @@ func TestLanesOwnerAndThiefOrder(t *testing.T) {
 // counters record it.
 func TestLanesStealCounters(t *testing.T) {
 	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
-		q := NewLanes(2, StealSequential, 1)
+		q := NewLanes(2, 1)
 		push(q, 0, funcUnit(func() {}))
 		thief := 1
 		if l := &q.lanes[1]; l.spawned.n+l.queued.n > 0 {
@@ -241,7 +241,7 @@ func TestLanesStealCounters(t *testing.T) {
 // any lane gets a second unit.
 func TestLanesPlacement(t *testing.T) {
 	t.Run("Push", func(t *testing.T) {
-		q := NewLanes(3, StealRandom, 1)
+		q := NewLanes(3, 1)
 		for i := 0; i < 5; i++ {
 			q.Push(idUnit(i))
 		}
@@ -261,7 +261,7 @@ func TestLanesPlacement(t *testing.T) {
 // work.
 func TestLanesQuiesceOneSlot(t *testing.T) {
 	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
-		q := NewLanes(1, StealRandom, 1)
+		q := NewLanes(1, 1)
 		const n = 100
 		got := 0
 		for i := 0; i < n; i++ {
@@ -285,7 +285,7 @@ func TestLanesQuiesceOneSlot(t *testing.T) {
 func TestLanesVictimOrderSeeded(t *testing.T) {
 	const n, draws = 8, 256
 	starts := func(seed int64, slot int) []int {
-		q := NewLanes(n, StealRandom, seed)
+		q := NewLanes(n, seed)
 		out := make([]int, draws)
 		for i := range out {
 			out[i] = q.lanes[slot].victimStart(n)
@@ -312,7 +312,7 @@ func TestLanesVictimOrderSeeded(t *testing.T) {
 // a warm push/take cycle with no parked workers allocates nothing.
 func TestLanesSteadyStateAllocs(t *testing.T) {
 	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
-		q := NewLanes(2, StealRandom, 1)
+		q := NewLanes(2, 1)
 		f := funcUnit(func() {})
 		cycle := func() {
 			push(q, 0, f)
@@ -337,7 +337,7 @@ func TestLanesLeaseNoLostWakeup(t *testing.T) {
 	forPushEnds(t, func(t *testing.T, push func(*Lanes, int, Unit)) {
 		e := New(1)
 		defer e.Close()
-		q := NewLanes(1, StealRandom, 1)
+		q := NewLanes(1, 1)
 		defer q.Lease(e, "q").Close()
 		const rounds = 5000
 		ran := make(chan struct{}, 1)
@@ -362,7 +362,7 @@ func TestLanesConcurrentStress(t *testing.T) {
 		const perPusher = 2000
 		e := New(workers)
 		defer e.Close()
-		q := NewLanes(workers, StealRandom, 1)
+		q := NewLanes(workers, 1)
 
 		var executed atomic.Int64
 		q.Lease(e, "stress")
@@ -407,7 +407,7 @@ func TestLanesConcurrentStress(t *testing.T) {
 func BenchmarkLanesPushTake(b *testing.B) {
 	for _, pe := range pushEnds {
 		b.Run(pe.name, func(b *testing.B) {
-			q := NewLanes(1, StealRandom, 1)
+			q := NewLanes(1, 1)
 			f := funcUnit(func() {})
 			for b.Loop() {
 				pe.push(q, 0, f)

@@ -95,8 +95,6 @@ type Config struct {
 	// from the shared executor; 0 means GOMAXPROCS. This caps the pool's
 	// concurrency — physical worker goroutines belong to the executor.
 	Workers int
-	// Policy selects the steal order; the zero value is exec.StealRandom.
-	Policy exec.StealPolicy
 	// Seed seeds the per-worker steal RNGs so runs are reproducible.
 	Seed int64
 	// Executor is the shared pool to lease from; nil means exec.Default().
@@ -193,7 +191,7 @@ func NewPool(cfg Config) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: n, lanes: exec.NewLanes(n, cfg.Policy, cfg.Seed)}
+	p := &Pool{workers: n, lanes: exec.NewLanes(n, cfg.Seed)}
 	ex := cfg.Executor
 	if ex == nil {
 		ex = exec.Default()
@@ -274,21 +272,12 @@ func (p *Pool) RunContext(ctx context.Context, f Task) error {
 	}
 	defer p.running.Store(false)
 	rs := &runState{p: p}
-	// Observe a pre-cancelled context synchronously: the monitor goroutine
-	// races the shared executor running the root otherwise.
+	// Observe a pre-cancelled context synchronously: the cancellation
+	// callback races the shared executor running the root otherwise.
 	if ctx.Err() != nil {
 		rs.cancelled.Store(true)
 	}
-	finished := make(chan struct{})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				rs.cancelled.Store(true)
-			case <-finished:
-			}
-		}()
-	}
+	stopCancel := context.AfterFunc(ctx, func() { rs.cancelled.Store(true) })
 	var rootFr *determinacy.Frame
 	if p.race != nil {
 		rootFr = p.race.Root()
@@ -312,7 +301,7 @@ func (p *Pool) RunContext(ctx context.Context, f Task) error {
 	fr.fr = rootFr
 	p.lanes.PushTo(0, fr)
 	r := <-done
-	close(finished)
+	stopCancel()
 	if _, unwound := r.(runCancelled); unwound || rs.cancelled.Load() {
 		// Either the tree unwound through a Wait, or the root finished after
 		// children were already being skipped; both mean the computation is

@@ -151,36 +151,6 @@ func (m *Dense) View(i, j, r, c int) *Dense {
 	}
 }
 
-// Quadrant indices used by the 2-way recursive divide-and-conquer functions.
-// For a matrix split at the midpoint: Q00 is top-left, Q01 top-right, Q10
-// bottom-left and Q11 bottom-right.
-const (
-	Q00 = iota
-	Q01
-	Q10
-	Q11
-)
-
-// Quad returns the four quadrants of a square matrix with even side length,
-// in the order Q00, Q01, Q10, Q11. It panics when the matrix is not square
-// or its side is odd: the divide-and-conquer drivers in this repository only
-// recurse on power-of-two extents.
-func (m *Dense) Quad() [4]*Dense {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("matrix: Quad of non-square %dx%d", m.rows, m.cols))
-	}
-	if m.rows%2 != 0 {
-		panic(fmt.Sprintf("matrix: Quad of odd side %d", m.rows))
-	}
-	h := m.rows / 2
-	return [4]*Dense{
-		m.View(0, 0, h, h),
-		m.View(0, h, h, h),
-		m.View(h, 0, h, h),
-		m.View(h, h, h, h),
-	}
-}
-
 // Clone returns a deep copy with contiguous storage, skipping New's clear.
 func (m *Dense) Clone() *Dense {
 	c := &Dense{rows: m.rows, cols: m.cols, stride: m.cols, data: storage(m.rows*m.cols, false)}

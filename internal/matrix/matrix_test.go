@@ -112,44 +112,6 @@ func TestDataOnViewPanics(t *testing.T) {
 	v.Data()
 }
 
-func TestQuad(t *testing.T) {
-	m := New(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			m.Set(i, j, float64(10*i+j))
-		}
-	}
-	q := m.Quad()
-	cases := []struct {
-		quad int
-		i, j int
-		want float64
-	}{
-		{Q00, 0, 0, 0},
-		{Q01, 0, 0, 2},
-		{Q10, 0, 0, 20},
-		{Q11, 1, 1, 33},
-	}
-	for _, c := range cases {
-		if got := q[c.quad].At(c.i, c.j); got != c.want {
-			t.Errorf("quad %d at (%d,%d) = %v, want %v", c.quad, c.i, c.j, got, c.want)
-		}
-	}
-}
-
-func TestQuadPanics(t *testing.T) {
-	for name, m := range map[string]*Dense{"non-square": New(4, 2), "odd": New(3, 3)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected Quad panic", name)
-				}
-			}()
-			m.Quad()
-		}()
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := New(3, 3)
 	m.Set(1, 1, 2)
@@ -338,41 +300,6 @@ func TestPadPow2(t *testing.T) {
 	q.Set(0, 0, 99)
 	if p.At(0, 0) == 99 {
 		t.Fatal("PadPow2 aliased its input")
-	}
-}
-
-// Property: for any square matrix with power-of-two side >= 2, the four
-// quadrants partition the matrix exactly.
-func TestQuadPartitionProperty(t *testing.T) {
-	f := func(seed int64, sizeExp uint8) bool {
-		n := 2 << (sizeExp % 5) // 2..32
-		rng := rand.New(rand.NewSource(seed))
-		m := NewSquare(n)
-		m.FillRandom(rng, -1, 1)
-		q := m.Quad()
-		h := n / 2
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var got float64
-				switch {
-				case i < h && j < h:
-					got = q[Q00].At(i, j)
-				case i < h:
-					got = q[Q01].At(i, j-h)
-				case j < h:
-					got = q[Q10].At(i-h, j)
-				default:
-					got = q[Q11].At(i-h, j-h)
-				}
-				if got != m.At(i, j) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

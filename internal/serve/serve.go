@@ -183,7 +183,7 @@ type Job struct {
 	requested bool // cancel endpoint hit (distinguishes from deadline)
 	started   time.Time
 	finished  time.Time
-	graphs    []*cnc.Graph // live graphs, captured via RunOpts.Tune
+	graph     *cnc.Graph // the live graph, captured via RunOpts.Tune
 	pool      *forkjoin.Pool
 	final     cnc.Stats
 	haveFinal bool
@@ -461,7 +461,7 @@ func (j *Job) runLeaf(ctx context.Context) (bool, error) {
 				g.WithMemoryLimit(grant.Bytes())
 			}
 			j.mu.Lock()
-			j.graphs = append(j.graphs, g)
+			j.graph = g
 			j.mu.Unlock()
 		}
 	}
@@ -474,7 +474,7 @@ func (j *Job) runLeaf(ctx context.Context) (bool, error) {
 	j.mu.Lock()
 	j.final = c.Stats
 	j.haveFinal = true
-	j.graphs = nil // final stands in from here on; a finished job must not pin its item stores
+	j.graph = nil // final stands in from here on; a finished job must not pin its item stores
 	j.stalled = c.Stalled
 	j.mu.Unlock()
 	return c.Err == nil, c.Err
@@ -501,26 +501,15 @@ func (j *Job) Cancel() {
 }
 
 // metrics snapshots the job's runtime counters: the final stats once the
-// run finished, live graph scrapes while it is in flight.
+// run finished, a live graph scrape while it is in flight.
 func (j *Job) metrics() Metrics {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var st cnc.Stats
 	if j.haveFinal {
 		st = j.final
-	} else {
-		for _, g := range j.graphs {
-			gs := g.Stats()
-			st.TagsPut += gs.TagsPut
-			st.ItemsPut += gs.ItemsPut
-			st.StepsDone += gs.StepsDone
-			st.Steals += gs.Steals
-			st.Wakeups += gs.Wakeups
-			st.LiveBytes += gs.LiveBytes
-			st.PeakLiveBytes += gs.PeakLiveBytes
-			st.BackpressureStalls += gs.BackpressureStalls
-			st.BackpressureWaits += gs.BackpressureWaits
-		}
+	} else if j.graph != nil {
+		st = j.graph.Stats()
 	}
 	if j.pool != nil {
 		ps := j.pool.Stats()

@@ -106,8 +106,8 @@ func TestSubmitRegistryJob(t *testing.T) {
 	j := s.jobByID(id)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.haveFinal || j.graphs != nil {
-		t.Fatalf("finished job: haveFinal=%v, still holds %d graph(s)", j.haveFinal, len(j.graphs))
+	if !j.haveFinal || j.graph != nil {
+		t.Fatalf("finished job: haveFinal=%v, still holds its graph: %v", j.haveFinal, j.graph != nil)
 	}
 }
 
