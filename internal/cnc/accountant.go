@@ -471,7 +471,7 @@ func (a *accountant) drain() {
 			// Still waiting: from now on a parked instance, which the put of
 			// its last item launches (and a deadlock report names).
 			a.waiting = remove(a.waiting, r)
-			a.g.parked.Add(1)
+			a.g.stats.parked.Add(1)
 		}
 		a.reserved += r.cost
 		var report *BackpressureReport

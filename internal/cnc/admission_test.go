@@ -132,7 +132,7 @@ func TestDeferredPutInBlocked(t *testing.T) {
 		if got, want := g.Blocked(), []string{"reader@never (deferred) <- in[never]"}; !slices.Equal(got, want) {
 			t.Errorf("Blocked() while deferred = %q, want %q", got, want)
 		}
-		if n := g.parked.Load(); n != 0 {
+		if n := g.parked(); n != 0 {
 			t.Errorf("parked = %d with only a deferred instance waiting, want 0", n)
 		}
 		<-release

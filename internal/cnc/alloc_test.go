@@ -142,7 +142,7 @@ func TestAbortRequeueCycleAllocs(t *testing.T) {
 	cycle := func() {
 		next++
 		tags.Put(next)
-		for g.parked.Load() != 1 { // the instance has aborted and parked
+		for g.parked() != 1 { // the instance has aborted and parked
 			runtime.Gosched()
 		}
 		in.Put(next, 1)

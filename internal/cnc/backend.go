@@ -79,7 +79,7 @@ func (c place[K, V]) mirror(k K, v V) {
 		return
 	}
 	c.mu.Lock()
-	freed := c.state == cellFreed
+	freed := c.state() == cellFreed
 	c.handle, c.mirrored = h, !freed
 	c.mu.Unlock()
 	if freed {

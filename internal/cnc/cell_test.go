@@ -20,10 +20,10 @@ import (
 func awaitParked(t *testing.T, g *Graph, parked int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for g.outstanding.Load() != 1 || g.parked.Load() != parked {
+	for g.outstanding.Load() != 1 || g.parked() != parked {
 		if time.Now().After(deadline) {
 			t.Fatalf("graph never settled: outstanding %d, parked %d, want 1 and %d; blocked %v",
-				g.outstanding.Load(), g.parked.Load(), parked, g.Blocked())
+				g.outstanding.Load(), g.parked(), parked, g.Blocked())
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -467,8 +467,8 @@ func TestKeyBeforePut(t *testing.T) {
 	items := NewItemCollection[int, string](g, "tbl")
 	d := items.Key(5)
 	c := d.c.(*cell[int, string])
-	if d.String() != "tbl[5]" || c.state != cellEmpty || items.Len() != 0 {
-		t.Fatalf("Key before Put: %v state=%v Len=%d, want an empty cell", d, c.state, items.Len())
+	if d.String() != "tbl[5]" || c.state() != cellEmpty || items.Len() != 0 {
+		t.Fatalf("Key before Put: %v state=%v Len=%d, want an empty cell", d, c.state(), items.Len())
 	}
 	err := g.Run(func() {
 		if v, ok := items.TryGet(5); ok {
@@ -482,7 +482,7 @@ func TestKeyBeforePut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.state != cellPresent || items.Key(5) != d {
+	if c.state() != cellPresent || items.Key(5) != d {
 		t.Fatal("Put did not fill the cell the earlier Key named")
 	}
 	if s := g.Stats(); items.Len() != 1 || items.Puts() != 1 || s.LiveItems != 1 || s.ItemsPut != 1 {
@@ -722,5 +722,34 @@ func TestInstanceFreeListRace(t *testing.T) {
 					s.LiveItems, s.BackpressureWaits, s.BackpressureStalls)
 			}
 		})
+	}
+}
+
+// TestLaneFreeListsBounded ping-pongs tags between two lanes: each
+// instance is put by an attempt on one lane and completes on the other, so
+// the completing lane's free list fills while the putting lane's runs dry,
+// and every so often the two swap roles. Past laneFreeMax a lane recycles
+// onto the shared list, where the putting lane takes from once its own is
+// empty: however many tags pass, the collection carves laneFreeMax + 1
+// instances, a full lane's list and the one in flight. (Unbounded, the
+// first phase alone would carve one per tag.)
+func TestLaneFreeListsBounded(t *testing.T) {
+	g := NewGraph("ping-pong", 2)
+	sc := NewStepCollection(g, "s", func(int) error { return nil })
+	lanes := [2]*Burst{&g.bursts[0].Burst, &g.bursts[1].Burst}
+	carved := map[*instance[int]]bool{}
+	for tag := range 40 * laneFreeMax {
+		from := tag / (4 * laneFreeMax) % 2
+		in := sc.acquire(tag, lanes[from])
+		carved[in] = true
+		in.recycle(lanes[1-from])
+		for i := range sc.lanes {
+			if n := sc.lanes[i].n; n > laneFreeMax {
+				t.Fatalf("after tag %d lane %d holds %d free instances, over its bound %d", tag, i, n, laneFreeMax)
+			}
+		}
+	}
+	if len(carved) != laneFreeMax+1 {
+		t.Fatalf("carved %d instances, want %d", len(carved), laneFreeMax+1)
 	}
 }

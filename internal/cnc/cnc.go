@@ -59,9 +59,10 @@
 // That is what lets a non-blocking step, re-putting its own tag behind the
 // producers it polls for, yield to them even on one worker. A step instance
 // is one value from launch to release, carved from its collection's slabs
-// and recycled through its free list: the queued unit, the waiter on the
-// cells it misses, the holder of its read set and, under a memory limit,
-// what admission launches. It never holds a worker while it waits — a
+// and recycled through its free lists (its lane's when an attempt put it):
+// the queued unit, the waiter on the cells it misses, the holder of its
+// read set and, under a memory limit, what admission launches. It never
+// holds a worker while it waits — a
 // missing input aborts it and the Put of the last item it is waiting for
 // requeues it — and an attempt's dispatches reach its lane together, with
 // one lock and at most one wakeup.
@@ -239,12 +240,9 @@ type Graph struct {
 	numbered func(i uint32) Dep
 
 	// The graph-wide counters each get a line: outstanding changes once per
-	// attempt, parked once per wait, envKids and stats with the puts made
-	// outside an attempt.
+	// attempt, envKids and stats with the puts made outside an attempt.
 	_           pad
 	outstanding atomic.Int64
-	_           pad
-	parked      atomic.Int64
 	_           pad
 	envKids     atomic.Uint64 // tags put from outside an attempt (acquire)
 	stats       struct {
@@ -284,10 +282,13 @@ type pad [64]byte
 
 // counts is one set of the run counters Stats sums: a lane's, written only
 // by the attempt running on it, or the graph's, for what happens outside an
-// attempt. Each sum is monotone, since each set is.
+// attempt. Each sum is monotone, since each set's is, but parked's: that
+// gauges the instances waiting on a cell, a wait counted in the set of the
+// lane it waits from and its launch in that of the put that woke it, so a
+// set's may be negative, never the sum (Graph.parked).
 type counts struct {
-	tagsPut, itemsPut, started, done atomic.Uint64
-	aborts, requeues, triggered      atomic.Uint64
+	tagsPut, itemsPut, started, done    atomic.Int64
+	aborts, requeues, triggered, parked atomic.Int64
 }
 
 // counts returns the run counters of bu's lane, or the graph's for a nil
@@ -299,15 +300,35 @@ func (g *Graph) counts(bu *Burst) *counts {
 	return &g.stats.counts
 }
 
+// add adds d to n, a counter of bu's set (Graph.counts). A lane's set has
+// one writer at a time, the attempt its lane's claim runs, so a load and a
+// store do; the graph's, for a nil burst, takes an Add.
+func add(bu *Burst, n *atomic.Int64, d int64) {
+	if bu == nil {
+		n.Add(d)
+		return
+	}
+	n.Store(n.Load() + d)
+}
+
 // addTo adds the set to s.
 func (c *counts) addTo(s *Stats) {
-	s.TagsPut += c.tagsPut.Load()
-	s.ItemsPut += c.itemsPut.Load()
-	s.StepsStarted += c.started.Load()
-	s.StepsDone += c.done.Load()
-	s.Aborts += c.aborts.Load()
-	s.Requeues += c.requeues.Load()
-	s.TriggeredRuns += c.triggered.Load()
+	s.TagsPut += uint64(c.tagsPut.Load())
+	s.ItemsPut += uint64(c.itemsPut.Load())
+	s.StepsStarted += uint64(c.started.Load())
+	s.StepsDone += uint64(c.done.Load())
+	s.Aborts += uint64(c.aborts.Load())
+	s.Requeues += uint64(c.requeues.Load())
+	s.TriggeredRuns += uint64(c.triggered.Load())
+}
+
+// parked returns the number of instances waiting on a cell.
+func (g *Graph) parked() int64 {
+	n := g.stats.parked.Load()
+	for i := range g.bursts {
+		n += g.bursts[i].counts.parked.Load()
+	}
+	return n
 }
 
 type stepMeta struct {
@@ -334,6 +355,9 @@ func NewGraph(name string, workers int) *Graph {
 		workers = 1
 	}
 	g := &Graph{name: name, workers: workers, bursts: make([]laneBurst, workers)}
+	for i := range g.bursts {
+		g.bursts[i].lane = i
+	}
 	g.acct.g = g
 	g.quiesceCond = sync.NewCond(&g.quiesceMu)
 	// Deterministic steal seed: runs are reproducible for a given graph
@@ -497,7 +521,7 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 	// any such error as the run's error.
 	g.flushBackend()
 
-	if g.parked.Load() > 0 {
+	if g.parked() > 0 {
 		// The cancellation wins over the deadlock of the instances it
 		// starved even when the cancellation callback has not run yet: the
 		// drained graph can quiesce before it does.
@@ -545,6 +569,7 @@ type Burst struct {
 	key   uint64
 	kbits uint8
 	kids  uint64
+	lane  int // the lane's index, in the step collections' free lists too
 	// counts are the lane's run counters.
 	counts counts
 }

@@ -115,16 +115,32 @@ type StepCollection[T comparable] struct {
 	retryMu  sync.Mutex
 	attempts map[T]int
 
-	// Instances are carved from slabs and recycled through two free lists
+	// Instances are carved from slabs and recycled through free lists
 	// linked through entry.wnext, so no launch, dispatch, wait or release
-	// allocates in steady state: recycle pushes onto spare without a lock,
-	// and acquire pops free under mu, taking all of spare with one Swap when
-	// free runs dry. Completing workers never wait on putters, and with no
-	// pop racing a push the stack is ABA-free.
+	// allocates in steady state. An attempt's tag put takes from its lane's
+	// (lanes[Burst.lane]), and an instance an attempt put is recycled onto
+	// the lane it completes on, up to laneFreeMax, with no lock. Otherwise
+	// recycle pushes onto spare without a lock, and a put pops free under
+	// mu, taking all of spare with one Swap when free runs dry. Completing
+	// workers never wait on putters, and with no pop racing a push the
+	// stack is ABA-free.
+	lanes []laneFree[T]
 	mu    sync.Mutex
 	free  *instance[T]
 	slab  []instance[T]
 	spare atomic.Pointer[instance[T]]
+}
+
+// laneFreeMax bounds a lane's free list of a step collection, so a lane
+// that completes more instances than it puts hoards none.
+const laneFreeMax = 32
+
+// laneFree is a lane's free list of a step collection, touched only by the
+// attempt on the lane and padded off the other lanes'.
+type laneFree[T comparable] struct {
+	top *instance[T]
+	n   int
+	_   pad
 }
 
 // NewStepCollection registers a step collection on g.
@@ -142,7 +158,7 @@ func NewStepCollectionInto[T comparable](g *Graph, name string, body func(T, *Bu
 	g.structMu.Lock()
 	g.steps = append(g.steps, meta)
 	g.structMu.Unlock()
-	return &StepCollection[T]{g: g, meta: meta, body: body}
+	return &StepCollection[T]{g: g, meta: meta, body: body, lanes: make([]laneFree[T], g.workers)}
 }
 
 // WithGets declares the exact per-tag read set of the step. A declared read
@@ -231,38 +247,52 @@ func (sc *StepCollection[T]) CollectionName() string { return sc.meta.name }
 // waitState safe for concurrent deadlock reports.
 type instance[T comparable] struct {
 	entry
-	sc       *StepCollection[T]
-	tag      T
-	resume   int32 // the read a wake continues the chain from
-	resolved bool  // the read set is resolved
-	present  bool  // every read is present, or the instance waits for it
-	requeue  bool  // waiting after an abort, not at launch
-	kbits    uint8 // bits of key in use
+	sc     *StepCollection[T]
+	tag    T
+	resume int32 // the read a wake continues the chain from
+	flags  uint8 // the bits below
+	kbits  uint8 // bits of key in use
 }
 
+const (
+	resolved = 1 << iota // the read set is resolved
+	present              // every read is present, or the instance waits for it
+	requeued             // waiting after an abort, not at launch
+	laneBorn             // an attempt put its tag: recycled onto a lane
+)
+
 // acquire takes an instance for tag, keyed as the next tag put through bu
-// when bu is an attempt's, else as the next one put from outside an
-// attempt.
+// when bu is an attempt's — from its lane's free list first — else as the
+// next one put from outside an attempt.
 func (sc *StepCollection[T]) acquire(tag T, bu *Burst) *instance[T] {
-	sc.mu.Lock()
-	if sc.free == nil {
-		sc.free = sc.spare.Swap(nil)
-	}
-	in := sc.free
-	if in != nil {
-		sc.free, _ = in.wnext.(*instance[T])
-		in.wnext = nil
-	} else {
-		if len(sc.slab) == cap(sc.slab) {
-			// Grow rounds the slab up to its allocation's size class.
-			sc.slab = slices.Grow([]instance[T](nil), min(max(2*cap(sc.slab), 4), 64))
-		}
-		sc.slab = sc.slab[:len(sc.slab)+1]
-		in = &sc.slab[len(sc.slab)-1]
-	}
-	sc.mu.Unlock()
-	in.sc, in.tag = sc, tag
+	var in *instance[T]
 	if bu != nil {
+		l := &sc.lanes[bu.lane]
+		if in = l.top; in != nil {
+			l.top, _ = in.wnext.(*instance[T])
+			l.n--
+		}
+	}
+	if in == nil {
+		sc.mu.Lock()
+		if sc.free == nil {
+			sc.free = sc.spare.Swap(nil)
+		}
+		if in = sc.free; in != nil {
+			sc.free, _ = in.wnext.(*instance[T])
+		} else {
+			if len(sc.slab) == cap(sc.slab) {
+				// Grow rounds the slab up to its allocation's size class.
+				sc.slab = slices.Grow([]instance[T](nil), min(max(2*cap(sc.slab), 4), 64))
+			}
+			sc.slab = sc.slab[:len(sc.slab)+1]
+			in = &sc.slab[len(sc.slab)-1]
+		}
+		sc.mu.Unlock()
+	}
+	in.sc, in.tag, in.wnext, in.flags = sc, tag, nil, 0
+	if bu != nil {
+		in.flags = laneBorn
 		in.key, in.kbits = childKey(bu.key, bu.kbits, bu.kids)
 		bu.kids++
 	} else {
@@ -280,8 +310,8 @@ func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 		return
 	}
 	in.resolve(bu)
-	in.present = true
-	in.wait(0, nil, false, bu)
+	in.flags |= present
+	in.wait(0, nil, 0, bu, bu)
 }
 
 // throttle launches the instance for a tag put through PutThrottled under a
@@ -291,7 +321,9 @@ func (sc *StepCollection[T]) instance(tag T, bu *Burst) {
 func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 	in := sc.acquire(tag, bu)
 	in.resolve(bu)
-	in.present = sc.tuned // untuned, the read before the body still probes
+	if sc.tuned { // untuned, the read before the body still probes
+		in.flags |= present
+	}
 	n := in.subscribe(0, nil)
 	if sc.g.acct.enqueue(in, cost, n) {
 		in.launch(bu)
@@ -305,7 +337,7 @@ func (sc *StepCollection[T]) throttle(tag T, cost int64, bu *Burst) {
 // keeps, else into a scratch buffer — bu's, an attempt's, or the graph's,
 // which a concurrent resolve outside an attempt finds lent and replaces.
 func (in *instance[T]) resolve(bu *Burst) {
-	if sc := in.sc; !in.resolved && sc.getsApp != nil {
+	if sc := in.sc; in.flags&resolved == 0 && sc.getsApp != nil {
 		p := in.more
 		if p == nil && bu != nil {
 			p = &bu.scratch
@@ -318,7 +350,7 @@ func (in *instance[T]) resolve(bu *Burst) {
 		*p = sc.getsApp(in.tag, (*p)[:0])
 		in.setReads(*p)
 	}
-	in.resolved = true
+	in.flags |= resolved
 }
 
 // dispatch queues the next attempt: into bu, an attempt's burst, or else
@@ -353,12 +385,14 @@ func (in *instance[T]) wake(bu *Burst) {
 
 func (in *instance[T]) head() *entry { return &in.entry }
 
-// wait parks the instance until none of its reads from index i on is still
-// empty — or, given, until the cell an undeclared Get missed is put — then
-// dispatches it again after an abort (requeue) or launches it.
-func (in *instance[T]) wait(i int, missed depCell, requeue bool, bu *Burst) {
-	in.sc.g.parked.Add(1)
-	in.requeue = requeue
+// wait parks the instance, counted in the set of from's lane, until none of
+// its reads from index i on is still empty — or, given, until the cell an
+// undeclared Get missed is put — then dispatches it again after an abort
+// (mark requeued) or launches it, through bu should nothing be missing by
+// then.
+func (in *instance[T]) wait(i int, missed depCell, mark uint8, from, bu *Burst) {
+	add(from, &in.sc.g.counts(from).parked, 1)
+	in.flags |= mark
 	in.arrive(in.subscribe(i, missed), bu)
 }
 
@@ -404,18 +438,18 @@ func (in *instance[T]) arrive(n int32, bu *Burst) {
 	if in.adm.Load() != nil && !g.acct.ready(in) {
 		return
 	}
-	g.parked.Add(-1)
+	add(bu, &g.counts(bu).parked, -1)
 	in.launch(bu)
 }
 
 // launch dispatches the instance once nothing it waits for is missing,
 // counting a requeue after an abort and a tuned instance's triggered run.
 func (in *instance[T]) launch(bu *Burst) {
-	switch {
-	case in.requeue:
-		in.sc.g.counts(bu).requeues.Add(1)
+	switch c := in.sc.g.counts(bu); {
+	case in.flags&requeued != 0:
+		add(bu, &c.requeues, 1)
 	case in.sc.tuned:
-		in.sc.g.counts(bu).triggered.Add(1)
+		add(bu, &c.triggered, 1)
 	}
 	in.dispatch(bu)
 }
@@ -433,10 +467,10 @@ func (in *instance[T]) Run(slot int) {
 	// without running it, so RunContext returns as soon as the queue and
 	// the in-flight step bodies retire.
 	if g.cancelled.Load() {
-		in.recycle()
+		in.recycle(bu)
 		return
 	}
-	bu.counts.started.Add(1)
+	add(bu, &bu.counts.started, 1)
 	if dc := g.discipline; dc != nil {
 		// Attribute every put/get/release the attempt issues to this instance.
 		exit := dc.Enter(fmt.Sprintf("%s@%v", sc.meta.name, tag))
@@ -451,8 +485,8 @@ func (in *instance[T]) Run(slot int) {
 			// A Get of an undeclared item missed (the panic value is its
 			// cell): park on it; its Put re-schedules the instance from
 			// scratch.
-			bu.counts.aborts.Add(1)
-			in.wait(0, missed, true, nil)
+			add(bu, &bu.counts.aborts, 1)
+			in.wait(0, missed, requeued, bu, nil)
 			return
 		}
 		if uaf, ok := r.(*UseAfterFreeError); ok {
@@ -460,14 +494,14 @@ func (in *instance[T]) Run(slot int) {
 			// violation, already recorded on the graph. Never retried —
 			// every re-execution would read the same freed key.
 			g.fail(fmt.Errorf("cnc: step %s on tag %v read a freed item: %w", sc.meta.name, tag, uaf))
-			in.recycle()
+			in.recycle(bu)
 			return
 		}
-		in.failed(fmt.Errorf("cnc: step %s panicked on tag %v: %v", sc.meta.name, tag, r))
+		in.failed(fmt.Errorf("cnc: step %s panicked on tag %v: %v", sc.meta.name, tag, r), bu)
 	}()
 	if h := g.hooks; h != nil && h.BeforeStep != nil {
 		if err := h.BeforeStep(sc.meta.name, tag); err != nil {
-			in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
+			in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err), bu)
 			return
 		}
 	}
@@ -476,7 +510,7 @@ func (in *instance[T]) Run(slot int) {
 	}
 	bu.key, bu.kbits, bu.kids = in.key, in.kbits, 0
 	if err := sc.body(tag, bu); err != nil {
-		in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err))
+		in.failed(fmt.Errorf("cnc: step %s failed on tag %v: %w", sc.meta.name, tag, err), bu)
 		return
 	}
 	// Successful completion: release the read set exactly once, however
@@ -484,8 +518,8 @@ func (in *instance[T]) Run(slot int) {
 	for i := range int(in.n) {
 		in.dep(g, i).c.release()
 	}
-	bu.counts.done.Add(1)
-	in.recycle()
+	add(bu, &bu.counts.done, 1)
+	in.recycle(bu)
 }
 
 // read reads the declared read set before the body runs, reporting whether
@@ -495,20 +529,20 @@ func (in *instance[T]) Run(slot int) {
 func (in *instance[T]) read(bu *Burst) bool {
 	in.resolve(bu)
 	g := in.sc.g
-	if !in.present {
+	if in.flags&present == 0 {
 		for i := range int(in.n) {
 			switch in.dep(g, i).c.probe() {
 			case cellEmpty:
-				bu.counts.aborts.Add(1)
-				in.present = true // by the time the requeue runs
-				in.wait(i, nil, true, nil)
+				add(bu, &bu.counts.aborts, 1)
+				in.flags |= present // by the time the requeue runs
+				in.wait(i, nil, requeued, bu, nil)
 				return false
 			case cellFreed:
-				in.recycle()
+				in.recycle(bu)
 				return false
 			}
 		}
-		in.present = true
+		in.flags |= present
 	}
 	if g.discipline != nil {
 		for i := range int(in.n) {
@@ -522,8 +556,8 @@ func (in *instance[T]) read(bu *Burst) bool {
 // retry budget left (see Graph.SetRetry for why re-execution is sound),
 // otherwise record the error on the graph. The re-dispatch adds outstanding
 // work before the current attempt retires its own unit, so the graph cannot
-// quiesce in between.
-func (in *instance[T]) failed(err error) {
+// quiesce in between. bu is the attempt's.
+func (in *instance[T]) failed(err error, bu *Burst) {
 	sc := in.sc
 	if sc.takeRetry(in.tag) {
 		sc.g.stats.retries.Add(1)
@@ -531,17 +565,25 @@ func (in *instance[T]) failed(err error) {
 		return
 	}
 	sc.g.fail(err)
-	in.recycle()
+	in.recycle(bu)
 }
 
-func (in *instance[T]) recycle() {
+// recycle frees the instance at the end of its last attempt, whose burst is
+// bu: onto bu's lane's free list when an attempt put its tag and the list
+// has room, else onto the shared one — where the environment, which puts
+// from outside any attempt, takes its instances.
+func (in *instance[T]) recycle(bu *Burst) {
 	sc := in.sc
 	if in.more != nil {
 		clear((*in.more)[:in.n])
 	}
 	var zero T
 	in.sc, in.tag, in.n = nil, zero, 0
-	in.resolved, in.present, in.requeue = false, false, false
+	if l := &sc.lanes[bu.lane]; in.flags&laneBorn != 0 && l.n < laneFreeMax {
+		in.wnext, l.top = l.top, in
+		l.n++
+		return
+	}
 	for {
 		top := sc.spare.Load()
 		in.wnext = top
@@ -668,7 +710,7 @@ func (tc *TagCollection[T]) accept(tag T, bu *Burst) bool {
 			return false
 		}
 	}
-	tc.g.counts(bu).tagsPut.Add(1)
+	add(bu, &tc.g.counts(bu).tagsPut, 1)
 	return true
 }
 
@@ -759,26 +801,33 @@ const (
 )
 
 // item is one write-once item, whichever lookup finds its cell: the value,
-// its state, its live get-count, its backend handle and the instances
-// waiting for it. All fields are guarded by the cell's stripe lock. A freed
-// item stays as the tombstone that turns later accesses into deterministic
-// use-after-free errors, but drops its value, so get-count GC still frees
-// real memory.
+// its state and live get-count, its backend handle and the instances
+// waiting for it, all guarded by the cell's stripe lock but word. That
+// packs the state (low two bits) and the get-count (above; 0 on a present
+// cell = un-counted, pinned) so that a read finding the cell present and a
+// release leaving the count above zero take no lock (lockFree, release). A
+// freed item stays as the tombstone that turns later accesses into
+// deterministic use-after-free errors, but drops its value, so get-count
+// GC still frees real memory.
 type item[V any] struct {
-	waiters   waiter // the chain's head, linked through entry.wnext
-	val       V
-	state     cellState
-	mirrored  bool   // handle holds the backend's handle for this item's put
-	remaining int32  // live get-count; 0 on a present cell = un-counted (pinned)
-	handle    uint32 // see mirrored and ItemBackend
+	waiters  waiter // the chain's head, linked through entry.wnext
+	val      V
+	mirrored bool // handle holds the backend's handle for this item's put
+	word     atomic.Uint32
+	handle   uint32 // see mirrored and ItemBackend
 	// slot places the cell: a hashed cell's slot hash in its stripe's table
 	// (the high half of its key's hash), a numbered cell's number.
 	slot uint32
 }
 
+// oneGet is one get-count in an item's word, above the state's two bits.
+const oneGet = 1 << 2
+
+func (it *item[V]) state() cellState { return cellState(it.word.Load() % oneGet) }
+
 // cell is an item of a hashed collection, which keeps its key and its
 // stripe. Consumers hold the cell (through Dep), not the key, so waiting,
-// probing and releasing cost a lock and no lookup.
+// probing and releasing cost no lookup.
 type cell[K comparable, V any] struct {
 	item[V]
 	sh  *itemShard[K, V]
@@ -1046,7 +1095,7 @@ func (ic *ItemCollection[K, V]) WithSizeOf(fn func(K) int) *ItemCollection[K, V]
 func (ic *ItemCollection[K, V]) Puts() uint64 {
 	var n uint64
 	ic.each(func(c place[K, V]) {
-		if c.state != cellEmpty {
+		if c.state() != cellEmpty {
 			n++
 		}
 	})
@@ -1096,14 +1145,15 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 	// other gets/puts/frees on this collection (frees are what clear it).
 	ic.g.acct.admitItem(size)
 	c, _ := ic.lookup(k)
-	if c.state != cellEmpty {
-		wasFreed := c.state == cellFreed
+	if state := c.state(); state != cellEmpty {
+		wasFreed := state == cellFreed
 		c.mu.Unlock()
 		ic.g.acct.refund(size)
 		ic.g.fail(ic.doublePutError(k, v, wasFreed))
 		return
 	}
-	c.val, c.state = v, cellPresent
+	c.val = v
+	word := uint32(cellPresent)
 	freeNow := false
 	declared := -1
 	if ic.getCount != nil {
@@ -1119,9 +1169,10 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 			// the deterministic surface of a get-count declared too low.
 			freeNow = true
 		default:
-			c.remaining = int32(declared)
+			word |= uint32(declared) * oneGet
 		}
 	}
+	c.word.Store(word)
 	if dc := ic.g.discipline; dc != nil {
 		// Still under the stripe lock: a second writer that finds this cell
 		// present must also find its first writer in the checker's ledger.
@@ -1133,7 +1184,7 @@ func (ic *ItemCollection[K, V]) PutInto(k K, v V, bu *Burst) {
 		c.free()
 	}
 	c.mu.Unlock()
-	ic.g.counts(bu).itemsPut.Add(1)
+	add(bu, &ic.g.counts(bu).itemsPut, 1)
 	if freeNow {
 		ic.g.acct.free(size)
 	}
@@ -1179,7 +1230,8 @@ func (ic *ItemCollection[K, V]) doublePutError(k K, v V, wasFreed bool) error {
 // Callers hold the stripe lock and charge the accountant after unlocking.
 func (it *item[V]) free() {
 	var zero V
-	it.val, it.state, it.remaining = zero, cellFreed, 0
+	it.val = zero
+	it.word.Store(uint32(cellFreed))
 }
 
 // useAfterFree records (and returns) the deterministic error of touching
@@ -1196,17 +1248,32 @@ func (c place[K, V]) useAfterFree() *UseAfterFreeError {
 
 func (c place[K, V]) String() string { return fmt.Sprintf("%s[%v]", c.ic.name, c.key()) }
 
+// lockFree reports whether a read that finds the cell present may skip the
+// stripe lock: a present cell is freed only by its last declared release,
+// which the reader holds one of until it completes. A discipline checker's
+// records need the lock to stay ordered.
+func (c place[K, V]) lockFree() bool { return c.ic.g.discipline == nil }
+
 // release implements depCell for StepCollection.WithGets; on collections
 // without a get-count it is a no-op, so a shared read-set declaration can
-// span counted and uncounted collections.
+// span counted and uncounted collections. A release leaving the count
+// above zero is one CAS. Only the lock takes it to zero, so exactly one
+// release frees, and any later one finds the cell freed.
 func (c place[K, V]) release() {
 	ic := c.ic
 	if ic.getCount == nil {
 		return
 	}
+	if c.lockFree() {
+		for w := c.word.Load(); w%oneGet == uint32(cellPresent) && w >= 2*oneGet; w = c.word.Load() {
+			if c.word.CompareAndSwap(w, w-oneGet) {
+				return
+			}
+		}
+	}
 	c.mu.Lock()
-	switch {
-	case c.state == cellFreed:
+	switch w := c.word.Load(); {
+	case w%oneGet == uint32(cellFreed):
 		c.mu.Unlock()
 		err := fmt.Errorf("cnc: over-release of item %v: get-count reached zero before its last declared reader (declared count too low)", c)
 		if dc := ic.g.discipline; dc != nil {
@@ -1214,11 +1281,11 @@ func (c place[K, V]) release() {
 		}
 		ic.g.fail(err)
 		return
-	case c.state == cellEmpty:
+	case w%oneGet == uint32(cellEmpty):
 		c.mu.Unlock()
 		ic.g.fail(fmt.Errorf("cnc: release of item %v that was never put", c))
 		return
-	case c.remaining == 0:
+	case w < oneGet:
 		// Present but un-counted: the negative-count error path left it
 		// pinned; the graph already failed.
 		c.mu.Unlock()
@@ -1227,7 +1294,9 @@ func (c place[K, V]) release() {
 	if dc := ic.g.discipline; dc != nil {
 		dc.RecordRelease(ic.name, c.key())
 	}
-	if c.remaining--; c.remaining > 0 {
+	// Subtract one get: a concurrent CAS may have taken one more since the
+	// load, never the last.
+	if c.word.Add(^uint32(oneGet-1)) >= oneGet {
 		c.mu.Unlock()
 		return
 	}
@@ -1240,10 +1309,9 @@ func (c place[K, V]) release() {
 	ic.g.acct.free(ic.sizeBytes(c.key()))
 }
 
+// freeableBytes records nothing, so it never takes the lock.
 func (c place[K, V]) freeableBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != cellPresent || c.remaining != 1 {
+	if c.word.Load() != uint32(cellPresent)|oneGet {
 		return 0
 	}
 	return c.ic.sizeBytes(c.key())
@@ -1251,8 +1319,11 @@ func (c place[K, V]) freeableBytes() int64 {
 
 // subscribe is the one place an instance is put on a wait list.
 func (c place[K, V]) subscribe(w waiter) bool {
+	if c.lockFree() && c.state() == cellPresent {
+		return false
+	}
 	c.mu.Lock()
-	state := c.state
+	state := c.state()
 	if state == cellEmpty {
 		w.head().wnext, c.waiters = c.waiters, w
 	}
@@ -1276,7 +1347,7 @@ func (c place[K, V]) subscribe(w waiter) bool {
 // instead of parking forever or returning stale data.
 func (ic *ItemCollection[K, V]) Get(k K) V {
 	c, d := ic.lookup(k)
-	v, state := c.val, c.state
+	v, state := c.val, c.state()
 	c.mu.Unlock()
 	switch state {
 	case cellEmpty:
@@ -1301,9 +1372,12 @@ func (c place[K, V]) recordGet() {
 }
 
 func (c place[K, V]) peek() cellState {
+	if state := c.state(); state == cellPresent && c.lockFree() {
+		return state
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.state
+	return c.state()
 }
 
 func (c place[K, V]) probe() cellState {
@@ -1320,7 +1394,7 @@ func (c place[K, V]) probe() cellState {
 // the item as absent.
 func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
 	c, _ := ic.lookup(k)
-	v, state := c.val, c.state // the zero V unless present
+	v, state := c.val, c.state() // the zero V unless present
 	c.mu.Unlock()
 	if state == cellFreed {
 		c.useAfterFree()
@@ -1336,7 +1410,7 @@ func (ic *ItemCollection[K, V]) TryGet(k K) (V, bool) {
 func (ic *ItemCollection[K, V]) Len() int {
 	n := 0
 	ic.each(func(c place[K, V]) {
-		if c.state == cellPresent {
+		if c.state() == cellPresent {
 			n++
 		}
 	})

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
+
+	"dpflow/internal/determinacy"
 )
 
 // cellGraph builds a graph with one item collection, items, of keys 0..7:
@@ -127,6 +130,106 @@ func TestCellContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCellWordRace races the cell word, on a hashed and on a numbered
+// collection, with and without a discipline checker (which sends every
+// access through the stripe lock). Each round puts an item of get-count k,
+// then k goroutines release it at once, each first probing it, recording
+// its read and subscribing to it as the reader it stands for, while
+// observers peek at it and ask the admission probe about it until it is
+// freed. The count must reach zero exactly once — one free per round, no
+// over-release — and a (k+1)-th release must then report the over-release
+// in the text the locked path has always used. The checker must have
+// recorded every release.
+func TestCellWordRace(t *testing.T) {
+	const k, observers, rounds = 8, 2, 64
+	for _, numbered := range []bool{false, true} {
+		for _, checked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("numbered=%v/discipline=%v", numbered, checked), func(t *testing.T) {
+				g := NewGraph("cell-word", 2)
+				items := NewItemCollection[int, int](g, "items")
+				if numbered {
+					NumberKeys(rounds, func(k int) int { return k }, func(i int) int { return i }, items)
+				}
+				items.WithGetCount(func(int) int { return k }).WithSizeOf(func(int) int { return 8 })
+				dc := determinacy.NewDisciplineChecker()
+				if checked {
+					g.WithDisciplineCheck(dc)
+				}
+				failed := func() error {
+					g.failMu.Lock()
+					defer g.failMu.Unlock()
+					return g.err
+				}
+				err := g.Run(func() {
+					for key := range rounds {
+						d := items.Key(key)
+						items.Put(key, key)
+						start, stop := make(chan struct{}), make(chan struct{})
+						var wg, watch sync.WaitGroup
+						for range k {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								<-start
+								if s := d.c.probe(); s != cellPresent || d.c.subscribe(nil) {
+									t.Errorf("%v: a reader holding a release found it %v", d, s)
+								}
+								d.c.recordGet()
+								d.c.release()
+							}()
+						}
+						for range observers {
+							watch.Add(1)
+							go func() {
+								defer watch.Done()
+								<-start
+								for {
+									select {
+									case <-stop:
+										return
+									default:
+									}
+									switch s := d.c.peek(); s {
+									case cellFreed:
+										return
+									case cellEmpty:
+										t.Errorf("%v: read empty after its put", d)
+										return
+									}
+									if b := d.c.freeableBytes(); b != 0 && b != 8 {
+										t.Errorf("%v: freeable %d bytes, want 0 or 8", d, b)
+									}
+								}
+							}()
+						}
+						close(start)
+						wg.Wait()
+						close(stop)
+						watch.Wait()
+						s := g.Stats()
+						if err := failed(); err != nil || d.c.peek() != cellFreed || s.ItemsFreed != int64(key+1) || s.LiveItems != 0 {
+							t.Fatalf("round %d: error %v, state %v, freed %d, live %d; want no error, the cell freed once a round",
+								key, err, d.c.peek(), s.ItemsFreed, s.LiveItems)
+						}
+					}
+					items.Key(0).c.release()
+				})
+				want := "cnc: over-release of item items[0]: get-count reached zero before its last declared reader (declared count too low)"
+				if err == nil || !strings.HasSuffix(err.Error(), want) || !checked && err.Error() != want {
+					t.Fatalf("the (k+1)-th release reported %v, want %q", err, want)
+				}
+				if checked {
+					var od *determinacy.OverdrawError
+					if st := dc.Stats(); st.Releases != k*rounds || !errors.As(dc.Err(), &od) || len(od.Consumers) != k {
+						t.Fatalf("checker recorded %d releases and %v, want %d and an overdraw naming %d consumers",
+							st.Releases, dc.Err(), k*rounds, k)
+					}
+				}
+			})
+		}
 	}
 }
 
