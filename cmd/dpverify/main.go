@@ -82,7 +82,7 @@ func main() {
 
 	// par is the one benchmark outside the registry: Benchmark's per-kind
 	// cost closed forms cannot express a tile cost that grows with the gap
-	// (ROADMAP item 5). Its Flow runs as an Instance checked against the
+	// (ROADMAP item 10). Its Flow runs as an Instance checked against the
 	// serial loop's table.
 	parP := par.RandomProblem(*n, 40, rand.New(rand.NewSource(*seed)))
 	parRef := parP.NewTable()

@@ -1,15 +1,15 @@
 // Package bench is the benchmark registry, keyed by name: each of the
-// study's DP benchmarks registers one self-describing implementation of the
-// Benchmark interface, and every cross-cutting layer — the analytical model,
-// the figure/claims/memory/sched harness, the chaos matrix, the dist and
-// serve tiers, the dpbench, dpverify and dpperf CLIs — reaches it
-// through ByName or All. It is also the only place a core.Variant becomes a
-// call: RunFlow holds the one variant switch, over the gep.Flow each
-// algorithm package (gep, sw, chol, par) exports. Onboarding a new
-// recurrence is then a one-package change: implement Benchmark, call
-// Register from an init, and the model closed forms, DAG builders, runners,
-// GC contract and reports all pick it up (chol.go is the worked example;
-// see DESIGN.md §3).
+// study's DP benchmarks registers one entry, and every cross-cutting layer —
+// the analytical model, the figure/claims/memory/sched harness, the chaos
+// matrix, the dist and serve tiers, the dpbench, dpverify and dpperf CLIs —
+// reaches it through ByName or All. It is also the only place a
+// core.Variant becomes a call: RunFlow holds the one variant switch, over
+// the gep.Flow each algorithm package (gep, sw, chol, par) exports.
+// Onboarding a new recurrence is then a one-package change: fill an entry
+// in benchmarks.go — its problem builder, task graphs, census, per-kind
+// dependency counts and the paper's closed forms — and Register it; the
+// Benchmark methods are written once, over every entry (chol is the worked
+// example; see DESIGN.md §3).
 package bench
 
 import (
@@ -105,25 +105,9 @@ type instance[T, K comparable] struct {
 	flow      *gep.Flow[T, K]
 	work, ref *matrix.Dense
 	ran       bool
-	// owned: newInstance built the tables, so Verify may release them —
+	// owned: NewInstance built the tables, so Verify may release them —
 	// both runtimes drain before Run returns, and no item is a tile view.
 	owned bool
-}
-
-// newInstance runs the serial reference on ref and returns the instance
-// over work; flow states the recurrence on a table.
-func newInstance[T, K comparable](name string, work, ref *matrix.Dense, flow func(*matrix.Dense) (*gep.Flow[T, K], error)) (Instance, error) {
-	f, err := flow(ref)
-	if err == nil {
-		err = f.Serial()
-	}
-	if err == nil {
-		f, err = flow(work)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &instance[T, K]{name: name, flow: f, work: work, ref: ref, owned: true}, nil
 }
 
 // FlowInstance is the Instance of recurrence f over its table work,
@@ -205,73 +189,24 @@ type Benchmark interface {
 	PrefetchFriendly() bool
 
 	// Wire returns the benchmark's on-the-wire vocabulary for a tiles×tiles
-	// problem: sample values of every tag and item type its CnC graph puts,
-	// spanning the edge cases a serialisation layer must survive — the
-	// zero-value tag, zero-size tiles (S == 0), and max-coordinate tags and
-	// keys. The distributed runtime (internal/dist) registers these concrete
-	// types with its codec and the codec round-trip tests sweep them.
+	// problem (tiles a power of two): sample values of every tag and item
+	// type its CnC graph puts — the zero-value tag, the root tag, the first
+	// and last base tags of the flat walk, and the first and last key of
+	// every item collection. The distributed runtime (internal/dist)
+	// registers these concrete types with its codec and the codec
+	// round-trip tests sweep them.
 	Wire(tiles int) WireVocab
 }
 
-// taskGraphs is a registry entry's two task graphs, stated once for every
-// entry: the entry embeds one, filled in from its package's numbering,
-// kinds, relation and Flow.
-type taskGraphs[T, K comparable] struct {
-	// numbering is the package's numbering of the base tasks of a
-	// tiles×tiles problem, the one its Flow carries.
-	numbering func(tiles int) gep.Numbering[K]
-	// kind classifies a base task for the model.
-	kind func(K) dag.Kind
-	// preds and succs are the package's dependency relation.
-	preds, succs func(tiles int, k K, f func(K) bool) bool
-	// flow states the recurrence on a tiles×tiles table of one-cell tiles.
-	flow func(tiles int) (*gep.Flow[T, K], error)
-}
-
-// Dataflow is the analytic data-flow graph of the entry's relation over its
-// numbering.
-func (g taskGraphs[T, K]) Dataflow(tiles int) dag.Graph {
-	if tiles < 1 {
-		panic(fmt.Sprintf("bench: tiles = %d", tiles))
-	}
-	nb := g.numbering(tiles)
-	return dag.NewDataflow(nb.N, nb.ID, nb.Key, g.kind,
-		func(k K, f func(K) bool) bool { return g.preds(tiles, k, f) },
-		func(k K, f func(K) bool) bool { return g.succs(tiles, k, f) })
-}
-
-// ForkJoin is the ordering DAG of the walk the entry's Flow interprets —
-// from its Root, Flat and all — so it is defined where the Flow is: tiles
-// a power of two.
-func (g taskGraphs[T, K]) ForkJoin(tiles int) dag.Graph {
-	f, err := g.flow(tiles)
-	if err != nil {
-		panic(fmt.Sprintf("bench: no fork-join graph of %d tiles: %v", tiles, err))
-	}
-	leaf := func(t T) (dag.Kind, bool) {
-		k, base := f.Task(t)
-		return g.kind(k), base
-	}
-	return dag.ForkJoin(f.Root, f.Flat, leaf, f.Walk)
-}
-
-// spec is the static CnC specification graph of the entry's Flow on 4
-// tiles: what SpecGraph returns.
-func (g taskGraphs[T, K]) spec(name string) *cnc.Graph {
-	f, _ := g.flow(4)
-	return f.Spec(name, core.NativeCnC)
-}
-
 // WireVocab is one benchmark's on-the-wire vocabulary: the concrete tag and
-// item types its CnC graph exchanges, as sample values. Every registered
-// benchmark must enumerate at least one sample of every type it puts so the
-// distributed codec can register and round-trip them.
+// item types its CnC graph exchanges, as sample values, so the distributed
+// codec can register and round-trip them.
 type WireVocab struct {
-	// Tags are sample control-tag values (one per tag collection at least),
-	// including the zero value and the maximum-coordinate tag.
+	// Tags are sample control-tag values: the zero value, the root and the
+	// flat walk's first and last base tags.
 	Tags []any
-	// Items are sample (collection, key, value) triples, one per item
-	// collection at least, including zero-value and max-coordinate keys.
+	// Items are sample (collection, key, value) triples: the first and last
+	// key of every collection the problem fills.
 	Items []WireItem
 }
 

@@ -1,8 +1,7 @@
-// Shared closed forms of the paper's analytical model (§IV-B), moved here
-// from internal/model so each benchmark can assemble its own Flops /
-// MaxMissBound / StreamLines methods from them. internal/model keeps the
-// machine-dependent pricing (MemTime, ExecTime, CostsFor) and consumes the
-// per-benchmark forms through the Benchmark interface.
+// The per-base-task closed forms of the paper's analytical model (§IV-B):
+// the GEP-update forms GE, FW and chol share, and SW's. internal/model
+// keeps the machine-dependent pricing (MemTime, ExecTime, CostsFor) and
+// consumes these through the Benchmark interface.
 package bench
 
 import (
@@ -12,14 +11,55 @@ import (
 	"dpflow/internal/gep"
 )
 
-// TotalTasksGEP returns the closed-form base-task count of the paper for a
-// T-tile GE problem: (1/3)T³ + (1/2)T² + (1/6)T = T(T+1)(2T+1)/6. For the
-// cube shape (FW) it is simply T³.
-func TotalTasksGEP(tiles int, shape gep.Shape) int {
-	if shape == gep.Cube {
-		return tiles * tiles * tiles
+// closedForms are an entry's per-base-task closed forms: floating-point
+// operations, the three-line cache-miss upper bound, and the
+// streaming-regime line traffic of one m×m base task of the given kind.
+type closedForms interface {
+	Flops(kind dag.Kind, m int) float64
+	MaxMissBound(kind dag.Kind, m, lineBytes int) float64
+	StreamLines(kind dag.Kind, m, lineBytes int) float64
+}
+
+// gepForms are the GEP-update closed forms over a shape: two flops (a
+// multiply and a subtract, or FW's add and compare) per update plus
+// rowFlops per row pair — m² of them per task; GE's amortised division,
+// chol's division and square root — and the miss bound over the kernels'
+// rows and segments, which shrink with the step over the triangular update
+// set and are full rows over the cube.
+type gepForms struct {
+	shape    gep.Shape
+	rowFlops float64
+}
+
+func (c gepForms) Flops(kind dag.Kind, m int) float64 {
+	return 2*float64(Updates(kind, m, c.shape)) + c.rowFlops*float64(m*m)
+}
+
+func (c gepForms) MaxMissBound(kind dag.Kind, m, lineBytes int) float64 {
+	if c.shape == gep.Cube {
+		kind = dag.KindD // every FW kind sweeps full rows
 	}
-	return tiles * (tiles + 1) * (2*tiles + 1) / 6
+	return missBoundLoop(m, lineBytes, triangularGeom(kind, m))
+}
+
+func (c gepForms) StreamLines(kind dag.Kind, m, lineBytes int) float64 {
+	return streamLinesOf(float64(Updates(kind, m, c.shape)), m, lineBytes)
+}
+
+// swForms are SW's closed forms: a cell costs about eight operations (three
+// candidate scores, a max chain and the zero clamp); per row the kernel
+// touches three row segments (above, above-left, own) plus the two sequence
+// elements.
+type swForms struct{}
+
+func (swForms) Flops(_ dag.Kind, m int) float64 { return 8 * float64(m*m) }
+
+func (swForms) MaxMissBound(_ dag.Kind, m, lineBytes int) float64 {
+	return float64(m) * (3*segLines(m, lineBytes) + 2)
+}
+
+func (swForms) StreamLines(_ dag.Kind, m, lineBytes int) float64 {
+	return streamLinesOf(float64(3*m*m), m, lineBytes)
 }
 
 // Updates returns the number of DP-table update operations a base task of

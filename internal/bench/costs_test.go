@@ -11,9 +11,9 @@ import (
 // per-function census of the recursion.
 func TestTaskCountFormulaMatchesCensus(t *testing.T) {
 	for _, tiles := range []int{1, 2, 3, 4, 8, 16, 100} {
-		for _, shape := range []gep.Shape{gep.Triangular, gep.Cube} {
+		for name, shape := range map[string]gep.Shape{"ge": gep.Triangular, "fw": gep.Cube} {
 			a, b, c, d := gep.TaskCount(tiles, shape)
-			if got, want := TotalTasksGEP(tiles, shape), a+b+c+d; got != want {
+			if got, want := paperTasks(name, tiles), a+b+c+d; got != want {
 				t.Fatalf("%v tiles=%d: formula %d != census %d", shape, tiles, got, want)
 			}
 		}
@@ -109,7 +109,7 @@ func TestCholClosedFormsAgainstGE(t *testing.T) {
 
 // FW's closed forms are kind-independent: every funcX performs m³
 // relaxations of two flops each over full m-wide rows. Pins the cube half of
-// the gepBench value GE and FW share.
+// the GEP-update forms GE, FW and chol share.
 func TestFWClosedForms(t *testing.T) {
 	fw, err := ByName("fw")
 	if err != nil {

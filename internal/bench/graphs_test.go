@@ -15,11 +15,13 @@ import (
 // closed-form census and one source; the fork-join graph runs the Flow's
 // walk over the same tasks and orders every pair the data-flow graph
 // orders. Neither graph exists for zero tiles, and the fork-join graph only
-// where the Flow does: tiles a power of two.
+// where the Flow does: tiles a power of two. At 1 to 16 tiles TotalTasks,
+// the census summed and the numbering's size are the paper's closed form.
 func TestTaskGraphs(t *testing.T) {
 	for _, b := range All() {
 		g, ok := b.(interface {
 			checkTaskGraphs(t *testing.T, b Benchmark, tiles int)
+			checkCensus(t *testing.T, b Benchmark, tiles int)
 		})
 		if !ok {
 			t.Fatalf("%s does not state its task graphs through taskGraphs", b.Name())
@@ -27,9 +29,40 @@ func TestTaskGraphs(t *testing.T) {
 		if !panics(func() { b.Dataflow(0) }) {
 			t.Fatalf("%s: Dataflow(0) did not panic", b.Name())
 		}
+		for tiles := 1; tiles <= 16; tiles++ {
+			g.checkCensus(t, b, tiles)
+		}
 		for tiles := 1; tiles <= 8; tiles++ {
 			t.Run(fmt.Sprintf("%s/%d", b.Name(), tiles), func(t *testing.T) { g.checkTaskGraphs(t, b, tiles) })
 		}
+	}
+}
+
+// paperTasks is the paper's closed-form base-task count of a T×T-tile
+// problem: (1/3)T³ + (1/2)T² + (1/6)T = T(T+1)(2T+1)/6 for GE, T³ for FW,
+// T² for SW and the tetrahedral number T(T+1)(T+2)/6 for chol.
+func paperTasks(name string, T int) int {
+	switch name {
+	case "ge":
+		return T * (T + 1) * (2*T + 1) / 6
+	case "fw":
+		return T * T * T
+	case "sw":
+		return T * T
+	case "chol":
+		return T * (T + 1) * (T + 2) / 6
+	}
+	panic("no closed-form task count for " + name)
+}
+
+func (g taskGraphs[T, K]) checkCensus(t *testing.T, b Benchmark, tiles int) {
+	sum := 0
+	for _, count := range b.KindCounts(tiles) {
+		sum += count
+	}
+	total, n, want := b.TotalTasks(tiles), g.numbering(tiles).N, paperTasks(b.Name(), tiles)
+	if total != want || sum != want || n != want {
+		t.Fatalf("%s, %d tiles: TotalTasks %d, census %d, numbering %d, the paper's closed form %d", b.Name(), tiles, total, sum, n, want)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 
 // TestRegistryContents pins the registered benchmark set by name: the three
 // paper benchmarks plus Cholesky, All() sorted by name, every name resolving
-// to itself and carrying a describable CnC spec graph.
+// to itself, carrying a describable CnC spec graph and a wire vocabulary
+// whose every item key is a task of its collection.
 func TestRegistryContents(t *testing.T) {
 	want := []string{"chol", "fw", "ge", "sw"}
 	all := All()
@@ -26,6 +27,11 @@ func TestRegistryContents(t *testing.T) {
 		g := b.SpecGraph()
 		if g == nil || g.Describe() == "" {
 			t.Fatalf("%s: empty CnC spec graph", b.Name())
+		}
+		for _, tiles := range []int{2, 4, 8} {
+			b.(interface {
+				checkWire(*testing.T, Benchmark, int)
+			}).checkWire(t, b, tiles)
 		}
 	}
 	if NameList() != strings.Join(want, ", ") {
@@ -77,4 +83,28 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 		}
 	}()
 	Register(ge)
+}
+
+// checkWire: the numbering names each item sample's key back, the Flow
+// files it in the sample's collection, and every collection is sampled.
+func (g taskGraphs[T, K]) checkWire(t *testing.T, b Benchmark, tiles int) {
+	f, err := g.flow(tiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := map[string]bool{}
+	for _, it := range b.Wire(tiles).Items {
+		k := it.Key.(K)
+		c := 0
+		if f.Coll != nil {
+			c = f.Coll(k)
+		}
+		if id := f.ID(k); id < 0 || id >= f.N || f.Key(id) != k || f.Colls[c][2] != it.Coll {
+			t.Fatalf("%s, %d tiles: item sample %v of %s is not a task of that collection", b.Name(), tiles, k, it.Coll)
+		}
+		sampled[it.Coll] = true
+	}
+	if len(sampled) != len(f.Colls) {
+		t.Fatalf("%s, %d tiles: %d of %d item collections sampled", b.Name(), tiles, len(sampled), len(f.Colls))
+	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // TestValueRoundTripAllBenchmarks sweeps every registered benchmark's wire
-// vocabulary — tags and (collection, key, value) samples including the
-// zero-value tag, zero-size tiles and max-coordinate keys — through
+// vocabulary — tags and (collection, key, value) samples: the zero-value
+// tag, the root, the flat walk's first and last tags and every collection's
+// first and last key — through
 // EncodeValue/DecodeValue, and checks encoding is deterministic (the
 // property the shard map and byte-equal idempotent replay rely on).
 func TestValueRoundTripAllBenchmarks(t *testing.T) {
@@ -295,6 +296,19 @@ func vocabulary(t testing.TB) (labels []string, vals []any) {
 	return labels, vals
 }
 
+// extremes are the int field values at the varint edge cases: -1, the ends
+// of the int range and either side of the one-byte boundary.
+var extremes = []int64{-1, math.MinInt64, math.MaxInt64, 63, 64, -64, -65}
+
+// allFields is the value of struct type rt with every int field set to x.
+func allFields(rt reflect.Type, x int64) any {
+	pv := reflect.New(rt).Elem()
+	for f := 0; f < pv.NumField(); f++ {
+		pv.Field(f).SetInt(x)
+	}
+	return pv.Interface()
+}
+
 // TestValueRoundTripExtremes: every vocabulary type round-trips with each
 // of its int fields at -1 and at the ends of the int range — the varint
 // edge cases gob used to cover for free.
@@ -305,12 +319,8 @@ func TestValueRoundTripExtremes(t *testing.T) {
 		if rt.Kind() != reflect.Struct {
 			continue
 		}
-		for _, x := range []int64{-1, math.MinInt64, math.MaxInt64, 63, 64, -64, -65} {
-			pv := reflect.New(rt).Elem()
-			for f := 0; f < pv.NumField(); f++ {
-				pv.Field(f).SetInt(x)
-			}
-			want := pv.Interface()
+		for _, x := range extremes {
+			want := allFields(rt, x)
 			enc, err := EncodeValue(want)
 			if err != nil {
 				t.Fatalf("%s fields=%d: encode: %v", labels[i], x, err)
@@ -576,7 +586,9 @@ func FuzzDecodePayload(f *testing.F) {
 }
 
 // FuzzDecodeValue: garbage never panics DecodeValue, and anything it
-// accepts is a registered value that round-trips.
+// accepts is a registered value that round-trips. The seeds are every
+// vocabulary value whole, cut short and overlong, then every vocabulary
+// struct type with its fields at each of the extremes.
 func FuzzDecodeValue(f *testing.F) {
 	_, vals := vocabulary(f)
 	for _, v := range vals {
@@ -591,6 +603,21 @@ func FuzzDecodeValue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	seen := map[reflect.Type]bool{}
+	for _, v := range vals {
+		rt := reflect.TypeOf(v)
+		if rt.Kind() != reflect.Struct || seen[rt] {
+			continue
+		}
+		seen[rt] = true
+		for _, x := range extremes {
+			enc, err := EncodeValue(allFields(rt, x))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		v, err := DecodeValue(b)
 		if err != nil {
