@@ -8,31 +8,9 @@ import (
 	"sync/atomic"
 )
 
-// BackpressureReport is the diagnostic snapshot delivered to
-// Hooks.OnBackpressureStall the first time backpressure cannot clear: the
-// graph went idle — no step running, queued, or able to run — while
-// deferred step instances were still waiting for budget, and the runtime had
-// to admit one over budget to preserve liveness. It is the backpressure
-// analogue of bench.Check's stall dump: enough state to explain why the
-// budget could not clear.
-type BackpressureReport struct {
-	// LiveItems and LiveBytes are the accountant's state at stall time.
-	LiveItems int64
-	LiveBytes int64
-	// Reserved is the budget committed to admitted-but-unmaterialised work.
-	Reserved int64
-	// Limit is the configured memory budget.
-	Limit int64
-	// Pending is the number of deferred instances still waiting for budget.
-	Pending int
-	// Blocked is the wait-state dump (Graph.Blocked) at stall time: parked
-	// and deferred step instances, each with the item it waits for.
-	Blocked []string
-}
-
 // entry is the non-generic head of a step instance: its read set, the
 // countdown of the cells it still waits for, its link in a cell's wait list
-// and, while a throttled put defers it, its admission record.
+// and, while a throttled put defers it, its put order.
 type entry struct {
 	// remaining is two units, the chain's (retired once no read it waits
 	// for is still empty) and a sentinel, so the countdown ends at most once
@@ -42,10 +20,11 @@ type entry struct {
 	// wnext links the wait list of the cell it is chained on, under that
 	// cell's stripe lock, and the collection's free lists once recycled.
 	wnext waiter
-	// adm is set under accountant.mu while the instance waits for admission
-	// and read without it; nil once admitted, and for every instance not put
-	// through PutThrottled.
-	adm atomic.Pointer[admission]
+	// adm is the instance's put order among deferred instances (the waits
+	// count when it was deferred; byKey's tie-break) while it waits for
+	// admission, set under accountant.mu and read without it; 0 once
+	// admitted, and for every instance not put through PutThrottled.
+	adm atomic.Int64
 	// key is the instance's place in the serial elision's order (childKey),
 	// the order admission grows the live set in.
 	key uint64
@@ -87,20 +66,15 @@ func (p *entry) setReads(ds []Dep) {
 	*p.more = append((*p.more)[:0], ds...)
 }
 
-// admission is a deferred instance's place in admission: the budget it
-// reserves, its put order among deferred instances (the waits count when it
-// was deferred; byKey's tie-break), whether its countdown has ended and,
-// once recycled, its link in the spare list. An instance not put through
-// PutThrottled, or admitted at its put, never has one. A deferred one holds
-// it until admission launches it or — forced, or flushed by a cancellation,
-// while it still waits — makes it a parked instance, launched by the put of
-// its last item. The accountant recycles the records, so a deferred put
-// allocates none in steady state. Guarded by accountant.mu.
+// admission is a deferred instance's record in the accountant's sets: the
+// instance and the budget it reserves. Its put order is the instance's own
+// (entry.adm), so a deferral allocates no record of its own. A deferred
+// instance holds one until admission launches it or — forced, or flushed by
+// a cancellation, while it still waits — makes it a parked instance,
+// launched by the put of its last item. Guarded by accountant.mu.
 type admission struct {
-	w         waiter
-	cost, seq int64
-	next      *admission
-	runnable  bool
+	w    waiter
+	cost int64
 }
 
 // freeable reports how many accounted bytes the instance would free on
@@ -115,27 +89,26 @@ func (p *entry) freeable(g *Graph) int64 {
 	return n
 }
 
-// byKey orders admission records by serial-order key, then put order.
-func byKey(r, p *admission) int {
-	if c := cmp.Compare(r.w.head().key, p.w.head().key); c != 0 {
+// byKey orders deferred instances by serial-order key, then put order.
+func byKey(p, q *entry) int {
+	if c := cmp.Compare(p.key, q.key); c != 0 {
 		return c
 	}
-	return cmp.Compare(r.seq, p.seq)
+	return cmp.Compare(p.adm.Load(), q.adm.Load())
 }
 
-// insert adds r to s, which is sorted by byKey.
-func insert(s []*admission, r *admission) []*admission {
-	i, _ := slices.BinarySearchFunc(s, r, byKey)
-	return slices.Insert(s, i, r)
+// find returns the index of p's record in s, which is sorted by byKey, or
+// where it belongs.
+func find(s []admission, p *entry) int {
+	i, _ := slices.BinarySearchFunc(s, p, func(r admission, p *entry) int { return byKey(r.w.head(), p) })
+	return i
 }
 
-// remove deletes r from s, which is sorted by byKey. The first element,
-// the usual one, goes without moving the rest (a lone one through Delete,
-// which keeps the capacity).
-func remove(s []*admission, r *admission) []*admission {
-	i, _ := slices.BinarySearchFunc(s, r, byKey)
+// removeAt deletes s[i]. The first element, the usual one, goes without
+// moving the rest (a lone one through Delete, which keeps the capacity).
+func removeAt(s []admission, i int) []admission {
 	if i == 0 && len(s) > 1 {
-		s[0] = nil
+		s[0] = admission{}
 		return s[1:]
 	}
 	return slices.Delete(s, i, i+1)
@@ -220,10 +193,9 @@ func childKey(key uint64, kbits uint8, idx uint64) (uint64, uint8) {
 // order waiting on a later one. If none fits, the bound is infeasible for
 // this graph and schedule, and the pump force-admits one entry — the first
 // runnable memory-releasing one, else the first runnable, else the first in
-// key order — records a BackpressureStall, and reports the first such event
-// through Hooks.OnBackpressureStall. The run degrades gracefully — the
-// footprint exceeds the limit by the minimum needed to restore progress —
-// instead of deadlocking or aborting.
+// key order — and counts a BackpressureStall. The run degrades gracefully —
+// the footprint exceeds the limit by the minimum needed to restore progress
+// — instead of deadlocking or aborting.
 type accountant struct {
 	g *Graph
 
@@ -249,14 +221,11 @@ type accountant struct {
 	maxCost  int64 // largest throttled cost seen (growing-instance headroom)
 	waits    int64
 	stalls   int64
-	reported bool // the stall hook fired (at most once per run)
 
 	// runnable holds the deferred instances whose countdown reached zero
-	// and waiting the rest, both sorted by byKey. spare chains recycled
-	// records through next.
-	runnable []*admission
-	waiting  []*admission
-	spare    *admission
+	// and waiting the rest, both sorted by byKey.
+	runnable []admission
+	waiting  []admission
 
 	// pumpMu serialises pump passes; repump coalesces triggers that arrive
 	// while a pass is running (a concurrent free, put or retirement).
@@ -331,16 +300,9 @@ func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 		a.reserved += cost
 		return true
 	}
-	r := a.spare
-	if r != nil {
-		a.spare = r.next
-	} else {
-		r = new(admission)
-	}
 	a.waits++
-	*r = admission{w: w, cost: cost, seq: a.waits}
-	a.waiting = insert(a.waiting, r)
-	p.adm.Store(r)
+	p.adm.Store(a.waits)
+	a.waiting = slices.Insert(a.waiting, find(a.waiting, p), admission{w, cost})
 	a.pendingN.Add(1)
 	// A pending instance holds the graph open: quiescence must wait for
 	// every deferred one to be admitted (or flushed by cancellation).
@@ -355,13 +317,14 @@ func (a *accountant) enqueue(w waiter, cost int64, n int32) bool {
 func (a *accountant) ready(w waiter) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r := w.head().adm.Load()
-	if r == nil {
+	p := w.head()
+	if p.adm.Load() == 0 {
 		return true
 	}
-	r.runnable = true
-	a.waiting = remove(a.waiting, r)
-	a.runnable = insert(a.runnable, r)
+	i := find(a.waiting, p)
+	r := a.waiting[i]
+	a.waiting = removeAt(a.waiting, i)
+	a.runnable = slices.Insert(a.runnable, find(a.runnable, p), r)
 	a.runnableN.Store(int64(len(a.runnable)))
 	return false
 }
@@ -394,21 +357,23 @@ func (a *accountant) pump() {
 	}
 }
 
-// next picks the instance to admit now, or nil. Callers hold a.mu.
-func (a *accountant) next() (r *admission, forced bool) {
+// next picks the instance to admit now: its set (runnable or waiting) and
+// index there, or a nil set. Callers hold a.mu.
+func (a *accountant) next() (set *[]admission, i int, forced bool) {
 	if a.g.cancelled.Load() {
-		return a.first(), false // flush: drain mode retires instances without executing
+		return a.first(), 0, false // flush: drain mode retires instances without executing
 	}
 	// The live set grows in key order: a growing instance is its turn only
 	// while nothing before it is still deferred — neither a runnable one
 	// that did not fit nor one still waiting for its reads.
 	grow := true
-	for _, r := range a.runnable {
-		if grow && len(a.waiting) > 0 && byKey(a.waiting[0], r) < 0 {
+	for i, r := range a.runnable {
+		p := r.w.head()
+		if grow && len(a.waiting) > 0 && byKey(a.waiting[0].w.head(), p) < 0 {
 			grow = false
 		}
-		if a.admissible(r.w.head(), r.cost, grow) {
-			return r, false
+		if a.admissible(p, r.cost, grow) {
+			return &a.runnable, i, false
 		}
 		grow = false
 	}
@@ -418,91 +383,70 @@ func (a *accountant) next() (r *admission, forced bool) {
 	// memory-releasing one so the degraded run tracks the live-set floor
 	// instead of replaying the unbounded schedule.
 	if a.g.outstanding.Load() > a.pendingN.Load() {
-		return nil, false
+		return nil, 0, false
 	}
 	// Keys that do not follow a graph's dependences (FW's do not) can leave
 	// the first instance in key order waiting on a later one: before forcing
 	// anything over the budget, let growth take any runnable instance that
 	// fits.
-	for _, r := range a.runnable {
+	for i, r := range a.runnable {
 		if a.admissible(r.w.head(), r.cost, true) {
-			return r, false
+			return &a.runnable, i, false
 		}
 	}
-	for _, r := range a.runnable {
+	for i, r := range a.runnable {
 		if r.w.head().freeable(a.g) >= r.cost {
-			return r, true
+			return &a.runnable, i, true
 		}
 	}
 	if len(a.runnable) > 0 {
-		return a.runnable[0], true
+		return &a.runnable, 0, true
 	}
-	return a.first(), true // nothing runnable either: flush in key order
+	return a.first(), 0, true // nothing runnable either: flush in key order
 }
 
-// first returns the first deferred instance in key order, or nil. Callers
-// hold a.mu.
-func (a *accountant) first() *admission {
+// first returns the set whose first instance is the first deferred one in
+// key order, or nil. Callers hold a.mu.
+func (a *accountant) first() *[]admission {
 	switch {
 	case len(a.runnable) == 0 && len(a.waiting) == 0:
 		return nil
-	case len(a.runnable) == 0 || len(a.waiting) > 0 && byKey(a.waiting[0], a.runnable[0]) < 0:
-		return a.waiting[0]
+	case len(a.runnable) == 0 || len(a.waiting) > 0 && byKey(a.waiting[0].w.head(), a.runnable[0].w.head()) < 0:
+		return &a.waiting
 	}
-	return a.runnable[0]
+	return &a.runnable
 }
 
 // drain admits pending instances until none is admissible. Each admission
-// releases a.mu before launching the instance, so the dispatch, and the
-// hook a forced admission reports through, run without the accountant lock.
+// releases a.mu before launching the instance, so the dispatch runs without
+// the accountant lock.
 func (a *accountant) drain() {
 	for {
 		a.mu.Lock()
-		r, forced := a.next()
-		if r == nil {
+		set, i, forced := a.next()
+		if set == nil {
 			a.mu.Unlock()
 			return
 		}
-		w := r.w
-		if r.runnable {
-			a.runnable = remove(a.runnable, r)
+		r := (*set)[i]
+		*set = removeAt(*set, i)
+		launch := set == &a.runnable
+		if launch {
 			a.runnableN.Store(int64(len(a.runnable)))
 		} else {
 			// Still waiting: from now on a parked instance, which the put of
 			// its last item launches (and a deadlock report names).
-			a.waiting = remove(a.waiting, r)
 			a.g.stats.parked.Add(1)
 		}
 		a.reserved += r.cost
-		var report *BackpressureReport
 		if forced {
 			a.stalls++
-			// The report is built, under a.mu, only for a hook to read.
-			if h := a.g.hooks; h != nil && h.OnBackpressureStall != nil && !a.reported {
-				a.reported = true
-				// Dumped before the instance is marked admitted, so the
-				// report still names it as deferred.
-				report = &BackpressureReport{
-					LiveItems: a.liveItems.Load(),
-					LiveBytes: a.liveBytes.Load(),
-					Reserved:  a.reserved,
-					Limit:     a.limit,
-					Pending:   int(a.pendingN.Load()),
-					Blocked:   a.g.collectBlocked(),
-				}
-			}
 		}
-		launch := r.runnable
-		w.head().adm.Store(nil)
-		*r = admission{next: a.spare}
-		a.spare = r
+		r.w.head().adm.Store(0)
 		a.pendingN.Add(-1)
 		a.mu.Unlock()
-		if report != nil {
-			a.g.hooks.OnBackpressureStall(*report)
-		}
 		if launch {
-			w.launch(nil)
+			r.w.launch(nil)
 		}
 		a.g.taskDone() // release the pending hold after the launch
 	}
@@ -570,10 +514,9 @@ func (a *accountant) snapshot() memStats {
 // bound is strict while it is feasible: PeakLiveBytes never exceeds the
 // limit as long as the graph can make progress within it. If the graph goes
 // idle with instances still deferred — the budget can never clear — the
-// runtime force-admits the first runnable one in key order, records a
-// BackpressureStall in Stats, and reports the first such event through
-// Hooks.OnBackpressureStall: the run degrades past the bound instead of
-// deadlocking. Call before Run.
+// runtime force-admits the first runnable one in key order and counts a
+// BackpressureStall in Stats: the run degrades past the bound instead of
+// deadlocking, and Graph.Blocked says what it waited on. Call before Run.
 func (g *Graph) WithMemoryLimit(bytes int64) *Graph {
 	g.acct.limit = bytes
 	return g

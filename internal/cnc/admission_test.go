@@ -1,13 +1,16 @@
 package cnc
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dpflow/internal/exec"
 )
@@ -77,12 +80,17 @@ func TestThrottledSubscribeRacesItemPut(t *testing.T) {
 	}
 }
 
-// TestForcedAdmissionIgnoresLaterWake force-admits an entry that is still
-// subscribed to its missing item, then puts that item — from the stall hook,
-// which runs between the forced pick and the put — so the entry's wake
-// arrives after it was admitted. The tag must be put exactly once.
+// TestForcedAdmissionIgnoresLaterWake admits an entry while it is still
+// subscribed to its missing item, then puts that item, so the entry's wake
+// arrives after it was admitted. Besides a forced admission, a cancellation
+// flush is the one way a waiting entry gets admitted: a running step keeps
+// the graph from idling, cancels the run, waits for the flush to make the
+// entry a parked instance and puts the item. The woken instance must be
+// dispatched at most once — the tuned reader counts each launch as a
+// triggered run — and the run must end with the cancellation, not with the
+// deadlock of an instance the wake failed to launch.
 func TestForcedAdmissionIgnoresLaterWake(t *testing.T) {
-	g := NewGraph("forced-then-woken", 2).WithMemoryLimit(1 << 20)
+	g := NewGraph("flushed-then-woken", 2).WithMemoryLimit(1 << 20)
 	in := NewItemCollection[string, int](g, "in").WithGetCount(func(string) int { return 1 })
 	tags := NewTagCollection[string](g, "tags", false).WithTagBytes(func(string) int { return 8 })
 	var runs atomic.Int64
@@ -90,24 +98,37 @@ func TestForcedAdmissionIgnoresLaterWake(t *testing.T) {
 		in.Get(k)
 		runs.Add(1)
 		return nil
-	}).WithGets(func(k string) []Dep { return []Dep{in.Key(k)} }))
-	var blocked []string
-	g.SetHooks(&Hooks{OnBackpressureStall: func(r BackpressureReport) {
-		blocked = r.Blocked
-		in.Put("x", 1) // wakes the entry the accountant has just picked
-	}})
-	if err := g.Run(func() { tags.PutThrottled("x") }); err != nil {
-		t.Fatal(err)
+	}).WithTunedGetsAppend(func(k string, ds []Dep) []Dep { return append(ds, in.Key(k)) }))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hold := NewTagCollection[int](g, "hold", false)
+	deferred := make(chan struct{})
+	hold.Prescribe(NewStepCollection(g, "holder", func(int) error {
+		<-deferred
+		cancel()
+		for deadline := time.Now().Add(5 * time.Second); g.parked() != 1; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("the cancellation did not flush the deferred reader into a parked instance")
+				return nil
+			}
+		}
+		in.Put("x", 1) // wakes the entry the flush has just admitted
+		return nil
+	}))
+	err := g.RunContext(ctx, func() {
+		hold.Put(0)
+		tags.PutThrottled("x")
+		close(deferred)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	s := g.Stats()
-	if runs.Load() != 1 || s.TagsPut != 1 || s.StepsDone != 1 {
-		t.Fatalf("runs %d tags %d done %d, want the tag admitted exactly once", runs.Load(), s.TagsPut, s.StepsDone)
+	if s.TriggeredRuns > 1 || runs.Load() > 1 || s.TagsPut != 2 {
+		t.Fatalf("triggered %d runs %d tags %d, want the reader dispatched at most once", s.TriggeredRuns, runs.Load(), s.TagsPut)
 	}
-	if s.BackpressureWaits != 1 || s.BackpressureStalls != 1 || s.LiveItems != 0 {
-		t.Fatalf("waits %d stalls %d live %d, want 1, 1, 0", s.BackpressureWaits, s.BackpressureStalls, s.LiveItems)
-	}
-	if want := []string{"reader@x (deferred) <- in[x]"}; !slices.Equal(blocked, want) {
-		t.Fatalf("stall report Blocked = %q, want %q", blocked, want)
+	if s.BackpressureWaits != 1 || s.BackpressureStalls != 0 {
+		t.Fatalf("waits %d stalls %d, want 1 deferral flushed, none forced", s.BackpressureWaits, s.BackpressureStalls)
 	}
 }
 

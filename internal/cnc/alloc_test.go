@@ -11,10 +11,10 @@ import (
 )
 
 // These are the dispatch-layer allocation gates: step instances carved from
-// slabs and recycled through their collection's free list, admission records
-// recycled by the accountant, an attempt's burst kept by its lane and read
-// sets held inline in the instance, the hot put→dispatch→execute cycle must
-// not allocate in steady state. Tags are ints and dependency keys are small
+// slabs and recycled through their collection's free list, a deferred
+// instance its own admission record, an attempt's burst kept by its lane and
+// read sets held inline in the instance, the hot put→dispatch→execute cycle
+// must not allocate in steady state. Tags are ints and dependency keys are small
 // ints (< 256), whose interface conversions use the runtime's static boxes —
 // the same shapes the real drivers use pointers and pooled envelopes for.
 // Every gate warms the free lists first; only the warm cycle is measured.
@@ -172,9 +172,9 @@ func TestAbortRequeueCycleAllocs(t *testing.T) {
 // TestThrottledDeferredCycleAllocs gates the throttled path under a memory
 // limit: a tag put through PutThrottled while its read is missing is
 // deferred, waits on the cell, turns runnable when the item is put, is
-// admitted by the pump, runs on a worker and is recycled. The admission
-// record is recycled by the accountant like the instance by its collection,
-// so the cycle allocates nothing but its fresh key's share of a cell slab.
+// admitted by the pump, runs on a worker and is recycled. The instance is
+// its own admission record, recycled by its collection, so the cycle
+// allocates nothing but its fresh key's share of a cell slab.
 func TestThrottledDeferredCycleAllocs(t *testing.T) {
 	g := NewGraph("alloc-throttled", 1).WithMemoryLimit(1 << 20)
 	in := NewItemCollection[int, int](g, "in")
@@ -220,10 +220,10 @@ func TestThrottledDeferredCycleAllocs(t *testing.T) {
 	}
 }
 
-// TestForcedAdmissionWithoutHookAllocs gates the stall report: with no
-// Hooks.OnBackpressureStall installed, a forced admission builds no
-// BackpressureReport — no wait-state dump, whose strings cost one or more
-// allocations per blocked instance. Many tuned instances wait on missing
+// TestForcedAdmissionWithoutHookAllocs gates the forced admission: it is a
+// count in Stats.BackpressureStalls and takes no wait-state dump, whose
+// strings cost one or more allocations per blocked instance (Graph.Blocked
+// is the one dump, taken by whoever asks). Many tuned instances wait on missing
 // items, so a dump would be long; a throttled tag that can never fit the
 // budget is force-admitted once the environment retires. The window runs
 // from the environment's last statement to the forced instance's
@@ -265,6 +265,49 @@ func TestForcedAdmissionWithoutHookAllocs(t *testing.T) {
 		t.Fatalf("stalls %d done %d, want 1 forced admission and %d steps", s.BackpressureStalls, s.StepsDone, blocked+1)
 	}
 	if n := after.Mallocs - before.Mallocs; n >= blocked {
-		t.Errorf("forced admission without a stall hook allocated %d objects with %d instances blocked, want fewer than one per instance", n, blocked)
+		t.Errorf("a forced admission allocated %d objects with %d instances blocked, want fewer than one per instance", n, blocked)
+	}
+}
+
+// TestDeferralAllocatesNoRecord gates what deferring a throttled put costs.
+// The deferred instance is its own admission record: deferring N of them
+// costs their instances' slabs and the growth of the accountant's sorted
+// set, a few dozen allocations at N = 4096, and nothing per instance. Every
+// tag reads a numbered item not yet put — its read set held inline — so
+// every one is deferred on its missing read; the items are put once the
+// window closes.
+func TestDeferralAllocatesNoRecord(t *testing.T) {
+	deferral := func(n int) uint64 {
+		g := NewGraph("alloc-deferral", 1).WithMemoryLimit(1 << 40)
+		in := NewItemCollection[int, int](g, "in").WithGetCount(func(int) int { return 1 })
+		NumberKeys(n, func(k int) int { return k }, func(i int) int { return i }, in)
+		tags := NewTagCollection[int](g, "tags", false).WithTagBytes(func(int) int { return 8 })
+		tags.Prescribe(NewStepCollection(g, "s", func(int) error { return nil }).
+			WithGetsAppend(func(i int, ds []Dep) []Dep { return append(ds, in.Key(i)) }))
+		var before, after runtime.MemStats
+		err := g.Run(func() {
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				tags.PutThrottled(i)
+			}
+			runtime.ReadMemStats(&after)
+			for i := 0; i < n; i++ {
+				in.Put(i, i)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := g.Stats(); s.BackpressureWaits != int64(n) || s.BackpressureStalls != 0 || s.StepsDone != uint64(n) {
+			t.Fatalf("n=%d: waits/stalls/done = %d/%d/%d, want every tag deferred on its read, none forced, all run",
+				n, s.BackpressureWaits, s.BackpressureStalls, s.StepsDone)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const small, large = 64, 4096
+	a, b := deferral(small), deferral(large)
+	if b > a+large/16 {
+		t.Errorf("deferring %d throttled tags allocated %d objects, %d at %d: want growth of at most %d — no record per deferred instance",
+			large, b, a, small, large/16)
 	}
 }

@@ -664,7 +664,7 @@ func TestCellSize(t *testing.T) {
 type tag4 struct{ I, J, K, S int }
 
 // TestInstanceSize pins a step instance's footprint: a GE base instance — its
-// tag, four inline reads, the countdown, wait-chain link, admission pointer
+// tag, four inline reads, the countdown, wait-chain link, admission put order
 // and serial-order key — carries no field only admission reads and no slice
 // header.
 func TestInstanceSize(t *testing.T) {
@@ -680,8 +680,8 @@ func TestInstanceSize(t *testing.T) {
 // must run exactly once with its own read — an instance handed out twice,
 // or lost between the free lists, would repeat or drop one. The throttled
 // arm puts every tag through PutThrottled under a memory limit, so the
-// roots, put before their items, are deferred and the accountant takes and
-// recycles admission records beside the free lists.
+// roots, put before their items, are deferred and the accountant files and
+// admits them beside the free lists.
 func TestInstanceFreeListRace(t *testing.T) {
 	const roots = 2000
 	for _, limit := range []int64{0, 1 << 20} {

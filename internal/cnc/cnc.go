@@ -61,7 +61,7 @@
 // is one value from launch to release, carved from its collection's slabs
 // and recycled through its free lists (its lane's when an attempt put it):
 // the queued unit, the waiter on the cells it misses, the holder of its
-// read set and, under a memory limit, what admission launches. It never
+// read set and, under a memory limit, its own admission record. It never
 // holds a worker while it waits — a
 // missing input aborts it and the Put of the last item it is waiting for
 // requeues it — and an attempt's dispatches reach its lane together, with
@@ -104,8 +104,9 @@
 // A deferred instance waits on the cells of its missing items like any tuned
 // one, and is admitted, in the serial elision's key order, once they are
 // present and get-count GC has freed room. If the graph idles with instances
-// still deferred, the runtime force-admits the first runnable one and
-// reports through Hooks.OnBackpressureStall rather than deadlocking.
+// still deferred, the runtime force-admits the first runnable one rather
+// than deadlocking, and counts it in Stats.BackpressureStalls; Graph.Blocked
+// tells what the graph waited on.
 package cnc
 
 import (
@@ -273,7 +274,6 @@ type Graph struct {
 	steps        []*stepMeta
 	tags         []*tagMeta
 	items        []*itemMeta
-	reporters    []blockedReporter
 	hasGetCounts bool
 }
 
@@ -347,6 +347,9 @@ type itemMeta struct {
 	name     string
 	getCount bool // WithGetCount declared: items freed after their last read
 	sizeOf   bool // WithSizeOf declared: items charge bytes to the accountant
+	// blocked walks the collection's cells for the instances waiting on
+	// them (ItemCollection.blockedInstances).
+	blocked func() []string
 }
 
 // NewGraph creates a graph with the given number of workers (minimum 1).
@@ -528,7 +531,7 @@ func (g *Graph) RunContext(ctx context.Context, env func()) error {
 		if err := ctx.Err(); err != nil {
 			g.fail(err)
 		}
-		g.fail(&DeadlockError{Blocked: g.collectBlocked()})
+		g.fail(&DeadlockError{Blocked: g.Blocked()})
 	}
 	g.failMu.Lock()
 	defer g.failMu.Unlock()
@@ -624,18 +627,6 @@ func (g *Graph) checkRunning() {
 	}
 }
 
-// blockedReporter is implemented by item collections to enumerate parked
-// instances for deadlock reports.
-type blockedReporter interface {
-	blockedInstances() []string
-}
-
-func (g *Graph) registerReporter(r blockedReporter) {
-	g.structMu.Lock()
-	g.reporters = append(g.reporters, r)
-	g.structMu.Unlock()
-}
-
 // HasGetCounts reports whether any item collection of the graph declared a
 // get-count. A fully declared graph must quiesce with Stats.LiveItems == 0;
 // harnesses (internal/chaos) use this to decide whether a nonzero count
@@ -652,16 +643,14 @@ func (g *Graph) HasGetCounts() bool {
 // one "step@tag (deferred) <- coll[key]" entry per throttled instance not
 // yet admitted and input it still lacks.
 // It is safe to call while the graph runs, which is how bench.Check dumps
-// the wait state of a stalled run.
-func (g *Graph) Blocked() []string { return g.collectBlocked() }
-
-func (g *Graph) collectBlocked() []string {
+// the wait state of a stalled run; DeadlockError carries it at failure.
+func (g *Graph) Blocked() []string {
 	g.structMu.Lock()
-	rs := g.reporters
+	items := g.items
 	g.structMu.Unlock()
 	var out []string
-	for _, r := range rs {
-		out = append(out, r.blockedInstances()...)
+	for _, m := range items {
+		out = append(out, m.blocked()...)
 	}
 	sort.Strings(out)
 	return out

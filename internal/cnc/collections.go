@@ -365,7 +365,7 @@ func (in *instance[T]) dispatch(bu *Burst) {
 
 func (in *instance[T]) waitState() (string, []Dep) {
 	label := fmt.Sprintf("%s@%v", in.sc.meta.name, in.tag)
-	if in.adm.Load() != nil {
+	if in.adm.Load() != 0 {
 		label += " (deferred)"
 	}
 	var later []Dep
@@ -435,7 +435,7 @@ func (in *instance[T]) arrive(n int32, bu *Burst) {
 		return
 	}
 	g := in.sc.g
-	if in.adm.Load() != nil && !g.acct.ready(in) {
+	if in.adm.Load() != 0 && !g.acct.ready(in) {
 		return
 	}
 	add(bu, &g.counts(bu).parked, -1)
@@ -921,10 +921,10 @@ func NewItemCollection[K comparable, V any](g *Graph, name string) *ItemCollecti
 	for i := range ic.shards {
 		ic.shards[i].ic = ic
 	}
+	meta.blocked = ic.blockedInstances
 	g.structMu.Lock()
 	g.items = append(g.items, meta)
 	g.structMu.Unlock()
-	g.registerReporter(ic)
 	return ic
 }
 

@@ -21,15 +21,6 @@ type Hooks struct {
 	// BeforeItemPut runs before every item put — the hook point for delay
 	// injection. It must not itself put items or tags.
 	BeforeItemPut func(coll string, key any)
-	// OnBackpressureStall runs at most once per run, the first time the
-	// memory budget proves infeasible: the graph went idle with throttled
-	// puts still deferred, so no free could ever land, and the runtime
-	// force-admitted one over budget to preserve liveness (see
-	// Graph.WithMemoryLimit). It receives the accountant's state and the
-	// parked-instance dump at stall time — the watchdog-style report that
-	// explains why the budget could not clear. It must not put items or
-	// tags.
-	OnBackpressureStall func(report BackpressureReport)
 }
 
 // SetHooks installs h on the graph. Call it before Run; the runtime reads

@@ -392,20 +392,14 @@ func TestPutRangeThrottled(t *testing.T) {
 // TestBackpressureStallDegrades gives the graph an infeasible budget: items
 // are never freed (no get-count), so deferred puts can never be admitted
 // within the limit. Once the graph idles the runtime must degrade — force-
-// admit pending puts one at a time, record the stalls, fire the report hook
-// once — and still complete.
+// admit pending puts one at a time, counting each stall — and still
+// complete.
 func TestBackpressureStallDegrades(t *testing.T) {
 	g := NewGraph("stall", 2).WithMemoryLimit(16)
 	out := NewItemCollection[int, int](g, "out")
 	out.WithSizeOf(func(int) int { return 8 }) // no get-count: never freed
 	tags := NewTagCollection[int](g, "tags", false)
 	tags.WithTagBytes(func(int) int { return 8 })
-	var reports atomic.Int64
-	var reported BackpressureReport
-	g.SetHooks(&Hooks{OnBackpressureStall: func(r BackpressureReport) {
-		reports.Add(1)
-		reported = r
-	}})
 	step := NewStepCollection(g, "work", func(i int) error {
 		out.Put(i, i)
 		return nil
@@ -426,12 +420,6 @@ func TestBackpressureStallDegrades(t *testing.T) {
 	// remaining seven — one stall each.
 	if s.BackpressureStalls != 7 {
 		t.Fatalf("BackpressureStalls = %d, want 7", s.BackpressureStalls)
-	}
-	if got := reports.Load(); got != 1 {
-		t.Fatalf("stall hook fired %d times, want 1", got)
-	}
-	if reported.Limit != 16 {
-		t.Fatalf("report.Limit = %d, want 16", reported.Limit)
 	}
 	if s.ItemsPut != 8 || s.LiveItems != 8 {
 		t.Fatalf("stats = %+v, want all 8 items put and live (degraded run)", s)

@@ -43,18 +43,20 @@ import (
 // without parsing them. Types 2 and 4 carried a single get and its answer;
 // they are retired, not reused.
 const (
-	// MsgPut carries PutMsg coordinator->worker; answered by MsgAck.
+	// MsgPut frames a lone PutMsg, as the codec's tests and frame-encoding
+	// probe do. Puts reach a worker only in MsgPutBatch, so a worker drops
+	// a connection that sends one.
 	MsgPut byte = 1
-	// MsgAck answers MsgPut and MsgPutBatch.
+	// MsgAck answers MsgPutBatch.
 	MsgAck byte = 3
 	// MsgPing is the heartbeat probe (empty payload); answered by MsgPong.
 	MsgPing byte = 5
 	// MsgPong answers MsgPing.
 	MsgPong byte = 6
 	// MsgPutBatch carries PutBatchMsg coordinator->worker — a whole flush
-	// of mirror puts and frees in one frame; answered by MsgAck. Its puts
-	// behave as MsgPut exchanges would (same write-once, byte-equal
-	// idempotence per op), amortising the round trip and the syscalls.
+	// of mirror puts and frees in one frame; answered by MsgAck. Each put
+	// is write-once, a byte-equal replay idempotent, and one frame
+	// amortises the round trip and the syscalls over the flush.
 	MsgPutBatch byte = 7
 	// MsgGetBatch carries GetBatchMsg coordinator->worker; answered by
 	// MsgItemBatch with one ItemMsg per requested key, in order. Used to

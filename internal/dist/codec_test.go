@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"dpflow/internal/bench"
 	"dpflow/internal/gep"
@@ -631,4 +634,39 @@ func FuzzDecodeValue(f *testing.F) {
 			t.Fatalf("%#v re-encodes to %#v (err %v)", v, back, err)
 		}
 	})
+}
+
+// TestWorkerDropsPutFrame: puts reach a worker only in MsgPutBatch frames,
+// so a single MsgPut is a corrupt stream, like any type no coordinator
+// sends. The worker answers a ping on the connection, then drops it at the
+// MsgPut frame without acking or storing the put.
+func TestWorkerDropsPutFrame(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	store := NewStore()
+	go serveConn(server, store)
+	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	send := func(mt byte, seq uint64, msg any) {
+		t.Helper()
+		frame, err := EncodeFrame(mt, seq, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write(frame); err != nil {
+			t.Fatalf("write %s: %v", MsgName(mt), err)
+		}
+	}
+	send(MsgPing, 1, nil)
+	if mt, seq, _, _, err := ReadFrame(client); err != nil || mt != MsgPong || seq != 1 {
+		t.Fatalf("ping answered by %s seq %d, err %v; want pong 1", MsgName(mt), seq, err)
+	}
+	send(MsgPut, 2, PutMsg{Coll: "c", Key: []byte{1}, Val: []byte{2}})
+	if mt, _, _, _, err := ReadFrame(client); !errors.Is(err, io.EOF) {
+		t.Fatalf("MsgPut answered by %s, err %v; want the connection dropped (io.EOF)", MsgName(mt), err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("store holds %d items after a dropped MsgPut, want 0", n)
+	}
 }

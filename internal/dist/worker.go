@@ -109,15 +109,6 @@ func serveConn(conn net.Conn, store *Store) {
 		}
 		var reply []byte
 		switch mt {
-		case MsgPut:
-			var m PutMsg
-			var ack AckMsg
-			if err := DecodePayload(payload, &m); err != nil {
-				ack.Err = err.Error()
-			} else if err := store.Put(m.Coll, m.Key, m.Val); err != nil {
-				ack.Err = err.Error()
-			}
-			reply, err = EncodeFrame(MsgAck, seq, ack)
 		case MsgPutBatch:
 			// One ack for the whole batch: empty when every op landed (or
 			// was an idempotent byte-identical replay, or a free), else the
@@ -157,8 +148,9 @@ func serveConn(conn net.Conn, store *Store) {
 		case MsgPing:
 			reply, err = EncodeFrame(MsgPong, seq, PongMsg{Stored: store.Len()})
 		default:
-			// Unknown type: the stream is corrupt; drop the connection and
-			// let the coordinator's retry ladder reconnect.
+			// A type no coordinator sends (MsgPut among them): the stream is
+			// corrupt; drop the connection and let the coordinator's retry
+			// ladder reconnect.
 			return
 		}
 		if err != nil {
