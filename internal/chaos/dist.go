@@ -33,8 +33,8 @@ type TransportControl interface {
 	SetFrameHook(fn func(dir dist.Dir, shard int, msgType string, size int) dist.Verdict)
 	// KillWorker forcefully terminates the given shard's worker process
 	// (SIGKILL semantics: no cleanup, no goodbye frame). The runtime's
-	// supervisor is expected to notice via a failed exchange or heartbeat
-	// and recover.
+	// supervisor is expected to notice via the next failed exchange and
+	// recover.
 	KillWorker(shard int) error
 }
 

@@ -30,11 +30,10 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("EncodeFrame(MsgPut): %v allocs, want <= 1", n)
 	}
 
-	// A sender that never wakes during the measurement: no tick, no
-	// heartbeat, and a size threshold far above the puts staged.
+	// A sender that never wakes during the measurement: a size threshold
+	// far above the puts staged.
 	opts := patientOpts()
 	opts.BatchOps = 1 << 16
-	opts.FlushEvery = -1
 	c, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)

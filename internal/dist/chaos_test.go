@@ -59,7 +59,7 @@ func TestDistChaosMatrix(t *testing.T) {
 	// frames for per-frame faults to land mid-run, where a later exchange
 	// on the same shard has to absorb them.
 	opts := dist.FastOpts()
-	opts.BatchOps = -1
+	opts.BatchOps = 1
 
 	var injections, retries, respawns atomic.Uint64
 	t.Run("matrix", func(t *testing.T) {
@@ -112,7 +112,7 @@ func TestDistDegradation(t *testing.T) {
 	// Kill a worker at the run's second frame, with a frame per put burst
 	// and a check after each: whatever the env override, the dead shard
 	// has mirror traffic left to notice it.
-	opts.BatchOps = -1
+	opts.BatchOps = 1
 	opts.VerifySample = 1
 	r := &dist.Runner{Shards: 2, Discipline: true, Options: opts}
 	res, injected := drive(r, ge, 64, 16, 7, &chaos.ProcessKill{Prob: 1, Times: 1, After: 1})

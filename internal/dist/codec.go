@@ -49,7 +49,8 @@ const (
 	MsgPut byte = 1
 	// MsgAck answers MsgPutBatch.
 	MsgAck byte = 3
-	// MsgPing is the heartbeat probe (empty payload); answered by MsgPong.
+	// MsgPing is the liveness and item-count probe (empty payload);
+	// answered by MsgPong.
 	MsgPing byte = 5
 	// MsgPong answers MsgPing.
 	MsgPong byte = 6

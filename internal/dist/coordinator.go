@@ -37,20 +37,14 @@ type Options struct {
 	// SocketDir hosts the per-shard Unix sockets; empty means a fresh
 	// temporary directory owned (and removed) by the coordinator.
 	SocketDir string
-	// RequestTimeout is the per-request deadline: one full retry cycle
-	// (attempts + backoff) must land inside it before the ladder escalates
-	// to reconnect/respawn (default 2s).
+	// RequestTimeout is the per-request deadline and the transport's one
+	// timing value: one full retry cycle (attempts + backoff) must land
+	// inside it before the ladder escalates to reconnect/respawn. An
+	// attempt gets RequestTimeout/8, so a dropped response costs one
+	// attempt, not the whole deadline; the backoff between attempts grows
+	// from RequestTimeout/400 to RequestTimeout/20, ×2 per attempt, with
+	// jitter 0.5 (default 2s).
 	RequestTimeout time.Duration
-	// AttemptTimeout bounds one send+receive attempt inside the cycle, so
-	// a dropped response costs one attempt, not the whole deadline
-	// (default RequestTimeout/4, floor 20ms).
-	AttemptTimeout time.Duration
-	// Backoff is the retry schedule between attempts.
-	Backoff Backoff
-	// HeartbeatEvery is the health-check period: a shard that has
-	// exchanged nothing for this long is sent a PING by its sender. 0 means
-	// 250ms, negative disables heartbeats.
-	HeartbeatEvery time.Duration
 	// MaxRespawns is the per-shard respawn budget before the shard
 	// degrades (stops being mirrored). Zero means the default (3); negative
 	// means no respawns at all — a lost worker degrades immediately (the
@@ -61,16 +55,8 @@ type Options struct {
 	// kicked to send it as one MsgPutBatch frame (puts that arrive while a
 	// frame is in flight ride the next one, so frames can be larger). A
 	// put stalls only when the buffer reaches stallFactor times the
-	// threshold. Zero means the default (64); negative means 1 (every put
-	// kicks the sender — the nearest thing to the pre-batching wire
-	// behaviour, for comparison).
+	// threshold. Below 1 means the default (64).
 	BatchOps int
-	// FlushEvery bounds how long a buffered put may wait for its frame:
-	// each shard's sender also flushes at this period, so trickle traffic
-	// still reaches the workers promptly between size-triggered flushes.
-	// Zero means the default (2ms); negative disables the tick (flushes
-	// then happen only on size and at the end-of-run Flush).
-	FlushEvery time.Duration
 	// VerifySample controls mirror verification: after a put batch is
 	// acked, its shard's sender fetches every VerifySample'th acked op
 	// back in one MsgGetBatch and byte-compares it with the bytes it sent.
@@ -95,22 +81,8 @@ func (o Options) withDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 2 * time.Second
 	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = o.RequestTimeout / 4
-	}
-	if o.AttemptTimeout < 20*time.Millisecond {
-		o.AttemptTimeout = 20 * time.Millisecond
-	}
-	if o.HeartbeatEvery == 0 {
-		o.HeartbeatEvery = 250 * time.Millisecond
-	}
-	if o.BatchOps == 0 {
+	if o.BatchOps <= 0 {
 		o.BatchOps = 64
-	} else if o.BatchOps < 0 {
-		o.BatchOps = 1
-	}
-	if o.FlushEvery == 0 {
-		o.FlushEvery = 2 * time.Millisecond
 	}
 	if o.VerifySample == 0 {
 		o.VerifySample = 16
@@ -144,9 +116,6 @@ type Counters struct {
 	Degradations atomic.Uint64
 	// BytesOut / BytesIn are frame bytes across all sockets.
 	BytesOut, BytesIn atomic.Uint64
-	// Heartbeats / HeartbeatFailures count health probes sent and probes
-	// that found a shard unhealthy.
-	Heartbeats, HeartbeatFailures atomic.Uint64
 }
 
 // CounterSnapshot is a plain-value copy of Counters for reports.
@@ -154,15 +123,14 @@ type Counters struct {
 // (cnc reads every item from its own cell), so none is local and none can
 // race its mirror. They stay for the reports that print them.
 type CounterSnapshot struct {
-	RemotePuts, Frees, PutFrames  uint64
-	LogLive, LogPeak              int64
-	VerifiedReads                 uint64
-	Retries                       uint64
-	Respawns, ReplayedPuts        uint64
-	Degradations                  uint64
-	BytesOut, BytesIn             uint64
-	Heartbeats, HeartbeatFailures uint64
-	LocalGets, RaceRetries        uint64
+	RemotePuts, Frees, PutFrames uint64
+	LogLive, LogPeak             int64
+	VerifiedReads                uint64
+	Retries                      uint64
+	Respawns, ReplayedPuts       uint64
+	Degradations                 uint64
+	BytesOut, BytesIn            uint64
+	LocalGets, RaceRetries       uint64
 }
 
 // Snapshot copies the counters.
@@ -175,7 +143,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Respawns:      c.Respawns.Load(), ReplayedPuts: c.ReplayedPuts.Load(),
 		Degradations: c.Degradations.Load(),
 		BytesOut:     c.BytesOut.Load(), BytesIn: c.BytesIn.Load(),
-		Heartbeats: c.Heartbeats.Load(), HeartbeatFailures: c.HeartbeatFailures.Load(),
 	}
 }
 
@@ -327,6 +294,8 @@ type Coordinator struct {
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{opts: opts, dir: opts.SocketDir, stop: make(chan struct{})}
+	rt := opts.RequestTimeout
+	backoff := Backoff{Base: rt / 400, Max: rt / 20, Factor: 2, Jitter: 0.5}
 	if c.dir == "" {
 		dir, err := os.MkdirTemp("", "dpflow-dist-*")
 		if err != nil {
@@ -341,7 +310,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			kick:   make(chan struct{}, 1),
 		}
 		sh.pbufCond = sync.NewCond(&sh.pbufMu)
-		sh.retrier = NewRetrier(opts.Backoff, RealClock, rand.New(rand.NewSource(31+int64(i))))
+		sh.retrier = NewRetrier(backoff, RealClock, rand.New(rand.NewSource(31+int64(i))))
 		sh.retrier.OnRetry = func() { c.counters.Retries.Add(1) }
 		c.shards = append(c.shards, sh)
 	}
@@ -566,7 +535,7 @@ func (c *Coordinator) cycle(sh *shard, frame []byte) ([]byte, error) {
 	deadline := time.Now().Add(c.opts.RequestTimeout)
 	var out []byte
 	err := sh.retrier.Do(deadline, func() error {
-		attempt := time.Now().Add(c.opts.AttemptTimeout)
+		attempt := time.Now().Add(c.opts.RequestTimeout / 8)
 		if attempt.After(deadline) {
 			attempt = deadline
 		}
@@ -753,54 +722,21 @@ func (sh *shard) kickSender() {
 }
 
 // sendLoop is the shard's sender, the only goroutine that flushes its put
-// buffer: on a kick (a size threshold tripped, or a barrier wants the
-// buffer on the worker) and every FlushEvery, so a trickle of puts that
-// never trips a threshold still reaches the worker with bounded latency.
-// Steps stage puts and move on; this goroutine is who waits for the acks.
-// It is also the heartbeat: once the shard has exchanged nothing for
-// HeartbeatEvery, it sends a PING, so a worker that died between flushes
-// is recovered before the next flush needs it.
+// buffer, and only when kicked: a size threshold tripped, or a barrier
+// wants the buffer on the worker. Steps stage puts and move on; this
+// goroutine is who waits for the acks. A worker that dies between flushes
+// is recovered by the ladder of the shard's next exchange — at the latest,
+// the barrier's flush.
 func (c *Coordinator) sendLoop(sh *shard) {
 	defer c.bg.Done()
-	var tick, idle <-chan time.Time
-	if c.opts.FlushEvery > 0 {
-		t := time.NewTicker(c.opts.FlushEvery)
-		defer t.Stop()
-		tick = t.C
-	}
-	var beat *time.Timer
-	if c.opts.HeartbeatEvery > 0 {
-		beat = time.NewTimer(c.opts.HeartbeatEvery)
-		defer beat.Stop()
-		idle = beat.C
-	}
 	var spare []PutMsg
 	for {
 		select {
 		case <-c.stop:
 			return
-		case <-idle:
-			c.heartbeat(sh)
-			beat.Reset(c.opts.HeartbeatEvery)
-			continue
 		case <-sh.kick:
-		case <-tick:
+			spare = c.flushShard(sh, spare)
 		}
-		if spare = c.flushShard(sh, spare); len(spare) > 0 && beat != nil {
-			beat.Reset(c.opts.HeartbeatEvery) // the batch was an exchange
-		}
-	}
-}
-
-// heartbeat probes an idle shard with a PING. rpc runs the whole recovery
-// ladder, so a surviving error means the shard just degraded.
-func (c *Coordinator) heartbeat(sh *shard) {
-	if sh.degraded.Load() || c.closed.Load() {
-		return
-	}
-	c.counters.Heartbeats.Add(1)
-	if _, err := c.rpc(sh, MsgPing, nil); err != nil && !errors.Is(err, errClosed) {
-		c.counters.HeartbeatFailures.Add(1)
 	}
 }
 
@@ -1109,13 +1045,13 @@ func (gb *graphBackend) fullName(coll string) string {
 // slot of its shard's put log (the replay source, so it holds the put
 // before a frame carrying it can be lost), buffer the mirror for the
 // shard's next MsgPutBatch frame and return the slot's handle. The
-// shard's sender flushes the frame when a size threshold trips, on its
-// FlushEvery tick and at the end-of-run barrier, then checks a sample of
-// it — the put waits for no round trip, unless the buffer has run
-// stallFactor thresholds ahead of the sender; a failed flush or check
-// latches and fails the next backend operation. An item too large for any
-// frame is refused here, by name, before it is logged; a degraded shard
-// takes nothing — nothing reads it, and nothing will replay it.
+// shard's sender flushes the frame when a size threshold trips and at the
+// end-of-run barrier, then checks a sample of it — the put waits for no
+// round trip, unless the buffer has run stallFactor thresholds ahead of
+// the sender; a failed flush or check latches and fails the next backend
+// operation. An item too large for any frame is refused here, by name,
+// before it is logged; a degraded shard takes nothing — nothing reads it,
+// and nothing will replay it.
 func (gb *graphBackend) Put(coll string, key, val any) (uint32, error) {
 	c := gb.c
 	if err := c.termError(); err != nil {
@@ -1170,7 +1106,7 @@ func (gb *graphBackend) Put(coll string, key, val any) (uint32, error) {
 // frame strictly later than the one carrying its put, so the sender has
 // checked the put before the worker deletes it: the next frame once the
 // put has left the buffer, else the frame after. A free neither waits nor
-// kicks the sender; it rides the frames puts, ticks and the barrier send.
+// kicks the sender; it rides the frames that puts and the barrier send.
 // A degraded shard ignores it.
 func (gb *graphBackend) Free(h uint32) {
 	c := gb.c

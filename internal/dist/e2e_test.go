@@ -12,18 +12,16 @@ import (
 	"dpflow/internal/gep"
 )
 
-// fastOpts are coordinator options tuned for tests: tight deadlines and
-// backoffs so recovery ladders complete in tens of milliseconds. Every
-// mirrored put is fetched back and checked (VerifySample 1) so the tests
-// exercise the full wire path; CI's second sweep overrides the rate via
-// DPFLOW_VERIFY_SAMPLE to run the same matrix at the production default.
+// fastOpts are coordinator options tuned for tests: a tight request
+// deadline — a 50ms attempt, backoffs from 1ms to 20ms — so recovery
+// ladders complete in tens of milliseconds. Every mirrored put is fetched
+// back and checked (VerifySample 1) so the tests exercise the full wire
+// path; CI's second sweep overrides the rate via DPFLOW_VERIFY_SAMPLE to
+// run the same matrix at the production default.
 func fastOpts() Options {
 	return Options{
 		Shards:         2,
 		RequestTimeout: 400 * time.Millisecond,
-		AttemptTimeout: 50 * time.Millisecond,
-		Backoff:        Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.5},
-		HeartbeatEvery: 50 * time.Millisecond,
 		VerifySample:   verifySampleFromEnv(),
 	}
 }
@@ -312,8 +310,7 @@ func TestBatchedPutsReduceFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := fastOpts()
-	opts.VerifySample = -1                  // no mirror checks
-	opts.FlushEvery = 20 * time.Millisecond // let size, not time, trigger flushes
+	opts.VerifySample = -1 // no mirror checks
 	r := &Runner{Shards: 2, Discipline: true, Options: opts}
 	res := r.Drive(ge, 64, 16, 3, nil)
 	if res.Err != nil {

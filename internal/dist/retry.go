@@ -29,34 +29,19 @@ func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
 // RealClock is the wall-clock Clock.
 var RealClock Clock = realClock{}
 
-// Backoff is an exponential backoff schedule with jitter.
+// Backoff is an exponential backoff schedule with jitter. A coordinator
+// derives its shards' schedule from Options.RequestTimeout.
 type Backoff struct {
-	// Base is the first delay (default 1ms).
+	// Base is the first delay.
 	Base time.Duration
-	// Max caps the grown delay, pre-jitter (default 100ms).
+	// Max caps the grown delay, pre-jitter.
 	Max time.Duration
-	// Factor is the per-attempt growth (default 2).
+	// Factor is the per-attempt growth.
 	Factor float64
 	// Jitter scales a uniform random addition: the delay for attempt k is
-	// grown(k) * (1 + Jitter*U[0,1)) (default 0.5). Jitter de-synchronises
-	// retry storms when several shards fail together.
+	// grown(k) * (1 + Jitter*U[0,1)). Jitter de-synchronises retry storms
+	// when several shards fail together.
 	Jitter float64
-}
-
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 100 * time.Millisecond
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	if b.Jitter < 0 {
-		b.Jitter = 0
-	}
-	return b
 }
 
 // delay computes the post-jitter delay for 0-based attempt k.
@@ -88,13 +73,10 @@ type Retrier struct {
 	rng *rand.Rand
 }
 
-// NewRetrier builds a retrier drawing jitter from rng (nil disables
-// jitter). clock nil means RealClock.
+// NewRetrier builds a retrier sleeping on clock and drawing jitter from
+// rng (nil disables jitter).
 func NewRetrier(b Backoff, clock Clock, rng *rand.Rand) *Retrier {
-	if clock == nil {
-		clock = RealClock
-	}
-	return &Retrier{backoff: b.withDefaults(), clock: clock, rng: rng}
+	return &Retrier{backoff: b, clock: clock, rng: rng}
 }
 
 // Do runs op until it succeeds or the deadline expires. The deadline is

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,12 +14,11 @@ import (
 )
 
 // patientOpts are fastOpts with deadlines long enough that a reply withheld
-// by a test hook is just a slow reply, never a retry or a respawn.
+// by a test hook is just a slow reply, never a retry or a respawn: a 30s
+// attempt.
 func patientOpts() Options {
 	opts := fastOpts()
-	opts.RequestTimeout = 30 * time.Second
-	opts.AttemptTimeout = 30 * time.Second
-	opts.HeartbeatEvery = -1
+	opts.RequestTimeout = 240 * time.Second
 	return opts
 }
 
@@ -98,13 +98,51 @@ func TestPutsDoNotWaitForAcks(t *testing.T) {
 	}
 }
 
+// TestSenderFlushesOnDemand: only a kick wakes a shard's sender. Puts
+// below the size threshold stay buffered however long the shard idles —
+// no frame crosses the socket — and the barrier sends them as one frame.
+func TestSenderFlushesOnDemand(t *testing.T) {
+	opts := patientOpts()
+	opts.Shards, opts.VerifySample = 1, -1
+	c, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var sent atomic.Int64
+	c.SetFrameHook(func(dir Dir, shard int, mt string, size int) Verdict {
+		if dir == DirSend {
+			sent.Add(1)
+		}
+		return Verdict{}
+	})
+	gb := &graphBackend{c: c, prefix: "t/"}
+	const puts = 3
+	for i := 0; i < puts; i++ {
+		if _, err := gb.Put("receipts", gep.ItemKey{I: i}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := sent.Load(); n != 0 {
+		t.Fatalf("%d frames sent by an idle sender", n)
+	}
+	if err := gb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Counters().Snapshot()
+	if n := sent.Load(); n != 1 || snap.PutFrames != 1 || snap.RemotePuts != puts {
+		t.Fatalf("Flush sent %d frames (%d putbatch) carrying %d puts, want one frame carrying %d", n, snap.PutFrames, snap.RemotePuts, puts)
+	}
+}
+
 // TestFreeRidesALaterFrame: a put and its free staged into one buffer
 // leave in two frames, the free second. Every put is verified, so a free
 // in its put's own frame would delete the item before the check reads it
 // back.
 func TestFreeRidesALaterFrame(t *testing.T) {
 	opts := patientOpts()
-	opts.Shards, opts.VerifySample, opts.FlushEvery = 1, 1, -1
+	opts.Shards, opts.VerifySample = 1, 1
 	c, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +273,7 @@ func TestLateReplyIsARetry(t *testing.T) {
 	var late sync.Once
 	c.SetFrameHook(func(dir Dir, shard int, mt string, size int) (v Verdict) {
 		if dir == DirRecv && mt == "ack" {
-			late.Do(func() { v.Delay = 2 * opts.AttemptTimeout })
+			late.Do(func() { v.Delay = opts.RequestTimeout / 4 }) // two attempts' worth
 		}
 		return v
 	})
@@ -260,7 +298,7 @@ func TestLateReplyIsARetry(t *testing.T) {
 
 // TestCoordinatorGoroutines: a coordinator's background work is one sender
 // per shard and one waiter per worker process — no reader beside the
-// sender, no heartbeat beside it.
+// sender.
 func TestCoordinatorGoroutines(t *testing.T) {
 	// settled returns the goroutine count once it holds still for 20ms, so
 	// goroutines of earlier tests that are still exiting do not count.

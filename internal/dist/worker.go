@@ -61,7 +61,7 @@ func (s *Store) Get(coll string, key []byte) (val []byte, found bool) {
 	return val, found
 }
 
-// Len is the item count (the heartbeat's Stored probe).
+// Len is the item count (a PING's Stored probe).
 func (s *Store) Len() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

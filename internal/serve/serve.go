@@ -58,10 +58,7 @@ type Config struct {
 	// Budget is the process memory budget in bytes handed to the admission
 	// controller; 0 = unlimited (admission is then quota-only).
 	Budget int64
-	// Quotas are per-tenant byte quotas; tenants not listed get
-	// DefaultQuota (0 = unlimited).
-	Quotas map[string]int64
-	// DefaultQuota applies to tenants absent from Quotas; 0 = unlimited.
+	// DefaultQuota is every tenant's byte quota; 0 = unlimited.
 	DefaultQuota int64
 	// StallWindow is the per-job watchdog window (bench.Check): a running
 	// job whose progress counter — items put by its CnC graph, tasks
@@ -70,10 +67,11 @@ type Config struct {
 	// puts tags forever but puts no item, so it stalls too. 0 defaults to
 	// 10s; negative disables the watchdog.
 	StallWindow time.Duration
-	// MaxJobs caps the number of jobs one submission may expand to
-	// (fork-join specs are trees); 0 defaults to 256.
-	MaxJobs int
 }
+
+// maxJobs caps the number of jobs one submission may expand to (fork-join
+// specs are trees).
+const maxJobs = 256
 
 // JobSpec is the submission body of POST /jobs. Exactly one of Benchmark
 // (a leaf job) or Fork (a dynamic fork-join node whose children are
@@ -194,9 +192,6 @@ func New(cfg Config) *Server {
 	if cfg.StallWindow == 0 {
 		cfg.StallWindow = 10 * time.Second
 	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 256
-	}
 	ex := cfg.Executor
 	if ex == nil {
 		ex = exec.Default()
@@ -226,11 +221,7 @@ func (s *Server) tenantFor(name string) *admission.Tenant {
 	if name == "" {
 		name = "default"
 	}
-	quota := s.cfg.DefaultQuota
-	if q, ok := s.cfg.Quotas[name]; ok {
-		quota = q
-	}
-	return s.ctl.Tenant(name, quota)
+	return s.ctl.Tenant(name, s.cfg.DefaultQuota)
 }
 
 // parseVariant resolves a submission's variant token.
@@ -255,8 +246,8 @@ func parseVariant(name string) (core.Variant, error) {
 // validate checks a spec tree and counts its jobs.
 func (s *Server) validate(spec *JobSpec, count *int) error {
 	*count++
-	if *count > s.cfg.MaxJobs {
-		return fmt.Errorf("spec expands to more than %d jobs", s.cfg.MaxJobs)
+	if *count > maxJobs {
+		return fmt.Errorf("spec expands to more than %d jobs", maxJobs)
 	}
 	// Zero means "executor default", "no deadline" and "unsized"; a
 	// negative value means nothing, and is refused rather than read as zero.

@@ -158,6 +158,8 @@ func TestDynamicForkJoinSpec(t *testing.T) {
 
 func TestBadSpecsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// A fork of maxJobs leaves is maxJobs+1 jobs, one over the cap.
+	leaves := strings.TrimSuffix(strings.Repeat(`{"benchmark":"ge","n":32},`, maxJobs), ",")
 	for _, bad := range []struct{ spec, names string }{
 		{`{"benchmark":"nope","n":32}`, ""},                   // unknown benchmark
 		{`{"benchmark":"ge"}`, "n 0"},                         // missing n
@@ -170,6 +172,8 @@ func TestBadSpecsRejected(t *testing.T) {
 		{`{"benchmark":"ge","n":32,"workers":-1}`, "workers"},
 		{`{"benchmark":"ge","n":32,"deadline_ms":-1}`, "deadline_ms"},
 		{`{"benchmark":"ge","n":32,"memory_bytes":-1}`, "memory_bytes"},
+		{`{"benchmark":"ge","n":32,"base":-1}`, "base"},
+		{`{"fork":[` + leaves + `]}`, "more than 256 jobs"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad.spec))
 		if err != nil {
